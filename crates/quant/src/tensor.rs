@@ -124,10 +124,28 @@ impl QuantizedTensor {
     /// Decodes back to full precision.
     pub fn decode(&self) -> Tensor2 {
         let mut out = Tensor2::zeros(self.tokens.len(), self.channels);
-        for (t, q) in self.tokens.iter().enumerate() {
-            out.row_mut(t).copy_from_slice(&q.dequantize());
-        }
+        self.dequantize_into(out.as_mut_slice());
         out
+    }
+
+    /// Decodes into `out`, row-major `(tokens, channels)`, without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not `num_tokens() * channels()`.
+    pub fn dequantize_into(&self, out: &mut [f32]) {
+        assert_eq!(
+            out.len(),
+            self.tokens.len() * self.channels,
+            "output size != tokens × channels"
+        );
+        if self.channels == 0 {
+            return;
+        }
+        for (q, row) in self.tokens.iter().zip(out.chunks_mut(self.channels)) {
+            q.dequantize_into(row);
+        }
     }
 
     /// Dequantization-free matrix multiply against full-precision weights

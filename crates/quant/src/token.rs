@@ -5,11 +5,59 @@
 //! hardware (§5.3 *Runtime Quantization*): top-k via the bitonic sorter,
 //! scaling via SIMD lanes, and reordering via the local crossbar network.
 //! `ln-accel`'s VVPU model is cross-validated against this implementation.
+//!
+//! # One kernel, three entry points
+//!
+//! [`quantize_token`] (and through it `QuantizedTensor::from_tensor`) and
+//! [`fake_quantize_tokens`] are the same four streaming passes over one
+//! token of at most 128 (256 for `quantize_token`) channels, built from
+//! the same primitives, so they agree bit for bit:
+//!
+//! 1. **select** the `k` outliers with
+//!    [`ln_tensor::stats::top_k_abs_into`] (O(n·k), on the stack for
+//!    `k ≤ 8`; ties to the lower channel, NaN below every number);
+//! 2. **scale**: one max-|v| pass over the inliers, then
+//!    [`symmetric_scale`];
+//! 3. **quantize** every inlier with [`quantize_value`] (the fused form
+//!    stops at its float-valued core, before the integer cast) — the division
+//!    `v / σ` of Eq. 1, a clamp, and round-half-away-from-zero done in
+//!    float arithmetic (add and subtract 1.5 · 2²³, then move an exact tie
+//!    away from zero), which equals `f32::round` on every input the clamp
+//!    lets through and, unlike libm's `roundf`, is branch-free and
+//!    vectorises on baseline SSE2;
+//! 4. **patch** the `k` outliers at INT16 under their own scale.
+//!
+//! `fake_quantize_tokens` runs the passes in place and dequantizes in
+//! pass 3 (`level · σ`), touching no heap memory per token;
+//! `quantize_token` keeps the levels instead.
+//!
+//! # Degenerate input
+//!
+//! What comes out for input the trunk never produces but a caller might:
+//!
+//! | token | result |
+//! |---|---|
+//! | all zeros | both scales fall back to `1.0`, every level is 0, decodes to exact zeros |
+//! | constant `c ≠ 0` | the first `k` channels are the outliers (tie rule); every level is the top one and decodes to `c` within an ulp or two (`m · (c / m)`) |
+//! | NaN channel | never outranks a number in the selection, is ignored by both max-|v| passes, quantizes to level 0 and decodes to `0.0` — unless its scale is infinite (next row) |
+//! | ±inf channel | no panic. Selected as an outlier it makes the outlier scale infinite, so every outlier of the token decodes to NaN (`0 · inf`) while the inliers stay as they would be without it; left among the inliers (`k = 0`, or more than `k` infinities) it makes the inlier scale infinite and every inlier decodes to NaN |
+//! | 1 channel | `fake_quantize_tokens` leaves it untouched (also a 1-wide last segment); `quantize_token` stores it at the top level |
+//! | `outliers ≥ len` | `fake_quantize_tokens` clamps the budget to `len − 1` per segment; `quantize_token` panics with "outlier budget must leave inliers" |
+//!
+//! None of this changes any finite-input result.
 
 use crate::scale::symmetric_scale;
 use crate::scheme::{Bits, QuantScheme};
 use ln_tensor::stats;
 use ln_tensor::Tensor2;
+use std::ops::Range;
+
+/// The hardware token width `Hz`: the VVPU SIMD lanes and the bitonic
+/// network are 128 wide, so wider rows quantize in 128-channel segments.
+const SEGMENT: usize = 128;
+
+/// Widest token [`quantize_token`] accepts (outlier indices are `u8`).
+const MAX_TOKEN_CHANNELS: usize = 256;
 
 /// A quantized token: inliers at low precision with one dynamic scaling
 /// factor, plus top-k outliers at INT16 with their own scaling factor.
@@ -26,7 +74,8 @@ pub struct QuantizedToken {
     outliers: Vec<i16>,
     /// Outlier scaling factor.
     outlier_scale: f32,
-    /// Channel index of each outlier.
+    /// Channel index of each outlier, ascending (`dequantize_into` and
+    /// the quantized matmul walk the inlier runs between them).
     outlier_indices: Vec<u8>,
 }
 
@@ -69,30 +118,63 @@ impl QuantizedToken {
     /// Reconstructs the full-precision token.
     pub fn dequantize(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.channels];
-        let mut inlier_iter = self.inliers.iter();
-        let outlier_set: Vec<bool> = {
-            let mut v = vec![false; self.channels];
-            for &i in &self.outlier_indices {
-                v[i as usize] = true;
-            }
-            v
-        };
-        for (c, slot) in out.iter_mut().enumerate() {
-            if !outlier_set[c] {
-                let q = *inlier_iter.next().expect("inlier count matches layout");
+        self.dequantize_into(&mut out);
+        out
+    }
+
+    /// Reconstructs the full-precision token into `out` without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not [`QuantizedToken::channels`].
+    pub fn dequantize_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.channels, "output width != token width");
+        let mut levels = self.inliers.as_slice();
+        for run in inlier_runs(self.channels, &self.outlier_indices) {
+            let (here, rest) = levels.split_at(run.len());
+            for (slot, &q) in out[run].iter_mut().zip(here) {
                 *slot = q as f32 * self.inlier_scale;
             }
+            levels = rest;
         }
         for (&idx, &q) in self.outlier_indices.iter().zip(&self.outliers) {
             out[idx as usize] = q as f32 * self.outlier_scale;
         }
-        out
     }
 
     /// Encoded byte size under the Fig. 7 layout.
     pub fn encoded_bytes(&self) -> usize {
         self.scheme.token_bytes(self.channels)
     }
+}
+
+/// Pass 1: the ascending channel indices of the `k` largest-magnitude
+/// values, selected into the front of `buf`.
+fn select_outliers<'a>(values: &[f32], k: usize, buf: &'a mut [usize]) -> &'a [usize] {
+    let picked = &mut buf[..k];
+    stats::top_k_abs_into(values, picked);
+    picked.sort_unstable();
+    picked
+}
+
+/// The runs of inlier channels left between ascending outlier positions
+/// (some may be empty).
+fn inlier_runs<I: Copy + Into<usize>>(
+    channels: usize,
+    outliers: &[I],
+) -> impl Iterator<Item = Range<usize>> + '_ {
+    let starts = std::iter::once(0).chain(outliers.iter().map(|&i| i.into() + 1));
+    let ends = outliers
+        .iter()
+        .map(|&i| i.into())
+        .chain(std::iter::once(channels));
+    starts.zip(ends).map(|(start, end)| start..end)
+}
+
+/// Pass 2: `max |v|`, `0.0` for an empty slice; a NaN is ignored.
+fn max_abs(values: &[f32]) -> f32 {
+    values.iter().fold(0.0f32, |a, &v| a.max(v.abs()))
 }
 
 /// Quantizes one token (Eq. 1 with dynamic outlier handling).
@@ -107,46 +189,34 @@ impl QuantizedToken {
 /// the token has more than 256 channels (u8 outlier indices; the PPM's
 /// `Hz = 128` fits comfortably).
 pub fn quantize_token(values: &[f32], scheme: QuantScheme) -> QuantizedToken {
-    assert!(values.len() <= 256, "token width above u8 index range");
+    assert!(
+        values.len() <= MAX_TOKEN_CHANNELS,
+        "token width above u8 index range"
+    );
     assert!(
         scheme.outliers < values.len().max(1),
         "outlier budget must leave inliers"
     );
 
-    let mut outlier_indices: Vec<usize> = if scheme.outliers > 0 {
-        stats::top_k_abs_indices(values, scheme.outliers)
-    } else {
-        Vec::new()
-    };
-    outlier_indices.sort_unstable();
-    let is_outlier = {
-        let mut v = vec![false; values.len()];
-        for &i in &outlier_indices {
-            v[i] = true;
-        }
-        v
-    };
+    let mut index_buf = [0usize; MAX_TOKEN_CHANNELS];
+    let picked = select_outliers(values, scheme.outliers, &mut index_buf);
 
     // Inlier scale from the remaining max magnitude (Eq. 1).
-    let inlier_max = values
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| !is_outlier[i])
-        .fold(0.0f32, |a, (_, &v)| a.max(v.abs()));
+    let inlier_max =
+        inlier_runs(values.len(), picked).fold(0.0f32, |a, run| a.max(max_abs(&values[run])));
     let inlier_scale = symmetric_scale(inlier_max, scheme.inlier_bits.max_level());
+    let mut inliers = Vec::with_capacity(values.len() - picked.len());
+    for run in inlier_runs(values.len(), picked) {
+        inliers.extend(
+            values[run]
+                .iter()
+                .map(|&v| quantize_value(v, inlier_scale, scheme.inlier_bits)),
+        );
+    }
 
-    let inliers: Vec<i16> = values
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| !is_outlier[i])
-        .map(|(_, &v)| quantize_value(v, inlier_scale, scheme.inlier_bits))
-        .collect();
-
-    let outlier_max = outlier_indices
-        .iter()
-        .fold(0.0f32, |a, &i| a.max(values[i].abs()));
+    let outlier_max = picked.iter().fold(0.0f32, |a, &i| a.max(values[i].abs()));
     let outlier_scale = symmetric_scale(outlier_max, Bits::Int16.max_level());
-    let outliers: Vec<i16> = outlier_indices
+    let outliers: Vec<i16> = picked
         .iter()
         .map(|&i| quantize_value(values[i], outlier_scale, Bits::Int16))
         .collect();
@@ -158,14 +228,79 @@ pub fn quantize_token(values: &[f32], scheme: QuantScheme) -> QuantizedToken {
         inlier_scale,
         outliers,
         outlier_scale,
-        outlier_indices: outlier_indices.iter().map(|&i| i as u8).collect(),
+        outlier_indices: picked.iter().map(|&i| i as u8).collect(),
     }
 }
 
-/// Quantizes a value to a level at the given scale/precision (Eq. 1).
+/// `1.5 · 2²³`: adding and then subtracting it rounds an `f32` of
+/// magnitude below 2²² to the nearest integer, ties to even, because every
+/// `f32` in `[2²³, 2²⁴)` is an integer.
+const ROUND_TO_INT: f32 = 12_582_912.0;
+
+/// Eq. 1 before the integer cast: `round(v / scale)` clamped to `±max_level`
+/// as an integral `f32`, halves rounded away from zero; `+0.0` for NaN.
+///
+/// Bit-equivalent to `(v / scale).round().clamp(-m, m)` without the libm
+/// `roundf` call, so a loop over it is branch-free and vectorises on
+/// baseline SSE2. The clamp moves ahead of the rounding (its bounds are
+/// integers, so the two commute), which keeps `|t| ≤ 32767`, inside the
+/// range of the [`ROUND_TO_INT`] trick. That trick rounds ties to *even*;
+/// `t − r` is exact, and equals `±0.5` with the sign of `t` exactly when a
+/// tie was rounded toward zero, which is put right by one more step away
+/// from zero. A result of zero always comes out as `+0.0`, like the
+/// integer level it stands for.
+#[inline]
+fn round_level(v: f32, scale: f32, max_level: f32) -> f32 {
+    let t = (v / scale).clamp(-max_level, max_level);
+    let r = (t + ROUND_TO_INT) - ROUND_TO_INT;
+    let half = 0.5f32.copysign(t);
+    let away = if t - r == half { r + (half + half) } else { r };
+    if t.is_nan() {
+        0.0
+    } else {
+        away
+    }
+}
+
+/// Quantizes a value to a level at the given scale/precision (Eq. 1):
+/// `round(v / scale)` clamped to `±max_level`, halves rounded away from
+/// zero. NaN gives level 0.
+#[inline]
 pub fn quantize_value(v: f32, scale: f32, bits: Bits) -> i16 {
-    let m = bits.max_level();
-    ((v / scale).round().clamp(-m as f32, m as f32)) as i16
+    round_level(v, scale, bits.max_level() as f32) as i16
+}
+
+/// All four passes on one segment in place: quantize, then dequantize.
+/// `index_buf` and `stash` are the caller's per-thread scratch.
+fn fake_quantize_segment(
+    seg: &mut [f32],
+    scheme: QuantScheme,
+    index_buf: &mut [usize; SEGMENT],
+    stash: &mut [f32; SEGMENT],
+) {
+    let k = scheme.outliers.min(seg.len() - 1);
+    let picked = select_outliers(seg, k, index_buf);
+
+    // Pass 4 first, into the stash: the outliers at INT16. Zeroing their
+    // slots then lets passes 2 and 3 stream over the whole segment — a
+    // zero neither raises the max nor survives the final patch.
+    let outlier_max = picked.iter().fold(0.0f32, |a, &i| a.max(seg[i].abs()));
+    let outlier_scale = symmetric_scale(outlier_max, Bits::Int16.max_level());
+    let outlier_levels = Bits::Int16.max_level() as f32;
+    for (slot, &i) in stash.iter_mut().zip(picked) {
+        *slot = round_level(seg[i], outlier_scale, outlier_levels) * outlier_scale;
+        seg[i] = 0.0;
+    }
+
+    let inlier_levels = scheme.inlier_bits.max_level();
+    let inlier_scale = symmetric_scale(max_abs(seg), inlier_levels);
+    for v in seg.iter_mut() {
+        *v = round_level(*v, inlier_scale, inlier_levels as f32) * inlier_scale;
+    }
+
+    for (&i, &v) in picked.iter().zip(stash.iter()) {
+        seg[i] = v;
+    }
 }
 
 /// Quantize→dequantize a whole `(tokens, channels)` activation in place —
@@ -174,9 +309,11 @@ pub fn quantize_value(v: f32, scale: f32, bits: Bits) -> i16 {
 /// Rows wider than 128 channels are segmented into 128-wide groups, each
 /// with its own scaling factor and outlier budget — exactly how the
 /// hardware handles tensors wider than its `Hz = 128` token width (the
-/// VVPU SIMD width and the bitonic network are 128 lanes).
+/// VVPU SIMD width and the bitonic network are 128 lanes). The result
+/// equals [`quantize_token`] → [`QuantizedToken::dequantize`] on every
+/// segment bit for bit; a budget of `k ≤ 8` outliers costs no allocation
+/// per token.
 pub fn fake_quantize_tokens(x: &mut Tensor2, scheme: QuantScheme) {
-    const SEGMENT: usize = 128;
     let cols = x.cols();
     let rows = x.rows();
     if cols == 0 || rows == 0 {
@@ -187,20 +324,15 @@ pub fn fake_quantize_tokens(x: &mut Tensor2, scheme: QuantScheme) {
     ln_par::metrics::time_kernel("aaq.fake_quantize", rows as u64, || {
         let rows_per_chunk = ln_par::chunk_len(rows, crate::asymmetric::TOKEN_PAR_GRAIN_ROWS);
         ln_par::par_chunks_mut(x.as_mut_slice(), rows_per_chunk * cols, |_, chunk| {
-            for out in chunk.chunks_mut(cols) {
-                let row = out.to_vec();
-                for (seg_idx, seg) in row.chunks(SEGMENT).enumerate() {
-                    let mut seg_scheme = scheme;
-                    if seg_scheme.outliers >= seg.len() {
-                        seg_scheme.outliers = seg.len().saturating_sub(1);
-                    }
-                    if seg.len() < 2 {
-                        continue;
-                    }
-                    let q = quantize_token(seg, seg_scheme);
-                    out[seg_idx * SEGMENT..seg_idx * SEGMENT + seg.len()]
-                        .copy_from_slice(&q.dequantize());
-                }
+            let mut index_buf = [0usize; SEGMENT];
+            let mut stash = [0.0f32; SEGMENT];
+            // A 1-wide segment has no inlier to scale by: left as it is.
+            for seg in chunk
+                .chunks_mut(cols)
+                .flat_map(|row| row.chunks_mut(SEGMENT))
+                .filter(|seg| seg.len() >= 2)
+            {
+                fake_quantize_segment(seg, scheme, &mut index_buf, &mut stash);
             }
         });
     });
@@ -317,6 +449,131 @@ mod tests {
         let without = quantization_rmse(&x, QuantScheme::int8_with_outliers(0));
         let with = quantization_rmse(&x, QuantScheme::int8_with_outliers(4));
         assert!(with < without / 10.0, "with {with} vs without {without}");
+    }
+
+    fn fake_quantized(values: &[f32], scheme: QuantScheme) -> Vec<f32> {
+        let mut x = Tensor2::from_vec(1, values.len(), values.to_vec()).expect("one row");
+        fake_quantize_tokens(&mut x, scheme);
+        x.as_slice().to_vec()
+    }
+
+    #[test]
+    fn all_zero_token_keeps_unit_scales_and_exact_zeros() {
+        let scheme = QuantScheme::int4_with_outliers(4);
+        let q = quantize_token(&[0.0, -0.0, 0.0, 0.0, -0.0, 0.0], scheme);
+        assert_eq!((q.inlier_scale(), q.outlier_scale()), (1.0, 1.0));
+        assert_eq!(
+            q.outlier_indices(),
+            &[0, 1, 2, 3],
+            "ties go to the low channels"
+        );
+        for v in q
+            .dequantize()
+            .into_iter()
+            .chain(fake_quantized(&[-0.0; 130], scheme))
+        {
+            assert_eq!(v.to_bits(), 0, "an exact +0.0");
+        }
+    }
+
+    #[test]
+    fn constant_token_decodes_to_the_constant() {
+        for c in [3.7f32, -0.02, 1e-30, -6e20] {
+            for scheme in [
+                QuantScheme::int4_with_outliers(0),
+                QuantScheme::int8_with_outliers(4),
+            ] {
+                let q = quantize_token(&[c; 32], scheme);
+                let m = scheme.inlier_bits.max_level() as i16;
+                assert!(q.inliers().iter().all(|&l| l == m * c.signum() as i16));
+                for v in fake_quantized(&[c; 32], scheme) {
+                    assert!((v - c).abs() <= c.abs() * 1e-6, "{scheme}: {v} vs {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nan_is_never_an_outlier_ahead_of_a_number_and_decodes_to_zero() {
+        let nan = f32::NAN;
+        let values = [nan, 0.5, -nan, -8.0, 0.25, nan, 3.0, 0.0];
+        let q = quantize_token(&values, QuantScheme::int8_with_outliers(2));
+        assert_eq!(q.outlier_indices(), &[3, 6]);
+        assert_eq!(
+            q.inlier_scale(),
+            0.5 / 127.0,
+            "NaN does not reach the scale"
+        );
+        let back = fake_quantized(&values, QuantScheme::int8_with_outliers(2));
+        assert_eq!(back, q.dequantize());
+        for (&v, &b) in values.iter().zip(&back) {
+            if v.is_nan() {
+                assert_eq!(b.to_bits(), 0, "NaN decodes to +0.0");
+            } else {
+                assert!((v - b).abs() <= 0.5 / 127.0);
+            }
+        }
+        // With more outlier slots than numbers, NaNs fill the rest (lowest
+        // channel first) and still decode to zero.
+        let q = quantize_token(&[nan, 2.0, nan, nan], QuantScheme::int8_with_outliers(3));
+        assert_eq!(q.outlier_indices(), &[0, 1, 2]);
+        assert_eq!(q.dequantize(), [0.0, 2.0, 0.0, 0.0]);
+        let all_nan = fake_quantized(&[nan; 16], QuantScheme::int4_with_outliers(4));
+        assert!(all_nan.iter().all(|v| v.to_bits() == 0));
+    }
+
+    #[test]
+    fn infinities_do_not_panic_and_decode_as_documented() {
+        let inf = f32::INFINITY;
+        let values = [1.0, -inf, 0.5, 40.0, -0.25, 0.75];
+        // Selected as an outlier: every outlier decodes to NaN, inliers
+        // exactly as they would without it.
+        let with = fake_quantized(&values, QuantScheme::int8_with_outliers(2));
+        assert!(with[1].is_nan() && with[3].is_nan());
+        let without = fake_quantized(&[1.0, 0.5, -0.25, 0.75], QuantScheme::int8_with_outliers(0));
+        assert_eq!([with[0], with[2], with[4], with[5]], without[..]);
+        // Left among the inliers: the inlier scale is infinite.
+        let q = quantize_token(&values, QuantScheme::int8_with_outliers(0));
+        assert_eq!(q.inlier_scale(), inf);
+        assert!(q.dequantize().iter().all(|v| v.is_nan()));
+        let back = fake_quantized(&[inf, -inf, inf, 1.0], QuantScheme::int4_with_outliers(2));
+        assert!(back.iter().all(|v| v.is_nan()));
+    }
+
+    #[test]
+    fn one_wide_segments_are_left_untouched() {
+        let scheme = QuantScheme::int4_with_outliers(4);
+        assert_eq!(fake_quantized(&[0.123], scheme), [0.123]);
+        let mut wide: Vec<f32> = (0..129).map(|j| j as f32 * 0.01).collect();
+        wide[128] = 0.123_456;
+        let back = fake_quantized(&wide, scheme);
+        assert_eq!(back[128], 0.123_456, "the 1-wide tail segment");
+        assert_ne!(back[..128], wide[..128], "the full segment quantized");
+        // Through the container the single channel sits at the top level.
+        let q = quantize_token(&[0.123], QuantScheme::int4_with_outliers(0));
+        assert_eq!(q.inliers(), &[7]);
+    }
+
+    #[test]
+    fn oversized_outlier_budget_is_clamped_per_segment() {
+        let values: Vec<f32> = (0..5).map(|i| (i as f32 - 1.7) * 1.3).collect();
+        for k in [5, 8, 300] {
+            assert_eq!(
+                fake_quantized(&values, QuantScheme::int4_with_outliers(k)),
+                quantize_token(&values, QuantScheme::int4_with_outliers(4)).dequantize(),
+                "k = {k}"
+            );
+        }
+        // 130 wide, k = 9: nine outliers in the full segment, one in the
+        // 2-wide tail.
+        let wide: Vec<f32> = (0..130)
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.1)
+            .collect();
+        let back = fake_quantized(&wide, QuantScheme::int8_with_outliers(9));
+        let head = quantize_token(&wide[..128], QuantScheme::int8_with_outliers(9));
+        let tail = quantize_token(&wide[128..], QuantScheme::int8_with_outliers(1));
+        assert_eq!(back[..128], head.dequantize());
+        assert_eq!(back[128..], tail.dequantize());
     }
 
     #[test]

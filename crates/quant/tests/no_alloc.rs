@@ -1,0 +1,104 @@
+//! The runtime quantizer touches no heap memory per token.
+//!
+//! This binary installs a counting global allocator (counts are per
+//! thread, so the harness's other test threads do not disturb them) and
+//! checks that `fake_quantize_tokens` and `QuantizedTensor::decode` make
+//! the same number of allocations whatever the number of tokens. Under a
+//! one-thread pool every kernel runs inline on the calling thread.
+
+use ln_par::{with_pool, Pool};
+use ln_quant::scheme::QuantScheme;
+use ln_quant::tensor::QuantizedTensor;
+use ln_quant::token::fake_quantize_tokens;
+use ln_tensor::Tensor2;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a bump of a
+// const-initialised, destructor-free thread-local counter, which neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `alloc` are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `realloc` are passed on as they are.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations this thread makes while `f` runs.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+fn spiky(rows: usize, cols: usize) -> Tensor2 {
+    Tensor2::from_fn(rows, cols, |i, j| {
+        let v = ((i * 31 + j * 17) % 41) as f32 * 0.1 - 2.0;
+        if (i + j) % 29 == 0 {
+            v * 40.0
+        } else {
+            v
+        }
+    })
+}
+
+#[test]
+fn the_counter_sees_an_allocation() {
+    let (n, v) = allocations_in(|| vec![1u8; 100]);
+    assert_eq!((n, v.len()), (1, 100));
+}
+
+#[test]
+fn fake_quantize_allocates_nothing_per_token() {
+    with_pool(&Pool::new_exact(1), || {
+        for scheme in [
+            QuantScheme::int4_with_outliers(0),
+            QuantScheme::int8_with_outliers(4),
+        ] {
+            let mut small = spiky(64, 128);
+            let mut large = spiky(1024, 128);
+            // The first call registers the kernel timer.
+            fake_quantize_tokens(&mut small.clone(), scheme);
+            let (few, ()) = allocations_in(|| fake_quantize_tokens(&mut small, scheme));
+            let (many, ()) = allocations_in(|| fake_quantize_tokens(&mut large, scheme));
+            assert_eq!(few, many, "{scheme}: 64 tokens vs 1024 tokens");
+        }
+    });
+}
+
+#[test]
+fn decode_allocates_only_its_output() {
+    with_pool(&Pool::new_exact(1), || {
+        let scheme = QuantScheme::int4_with_outliers(4);
+        let small = QuantizedTensor::from_tensor(&spiky(64, 128), scheme);
+        let large = QuantizedTensor::from_tensor(&spiky(1024, 128), scheme);
+        let (few, _) = allocations_in(|| small.decode());
+        let (many, _) = allocations_in(|| large.decode());
+        assert_eq!((few, many), (1, 1), "the output tensor and nothing else");
+        let mut out = vec![0.0f32; 1024 * 128];
+        let (none, ()) = allocations_in(|| large.dequantize_into(&mut out));
+        assert_eq!(none, 0);
+    });
+}

@@ -269,22 +269,32 @@ mod tests {
         }
     }
 
-    struct ObsGuard(ObsLevel);
+    /// The obs level is process-global and the harness runs tests on
+    /// parallel threads, so a test that sets it holds this lock until its
+    /// guard restores the previous level.
+    static OBS_LEVEL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    struct ObsGuard {
+        prev: ObsLevel,
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
     impl ObsGuard {
-        fn counters() -> Self {
+        fn set(level: ObsLevel) -> Self {
+            let _lock = OBS_LEVEL.lock().unwrap_or_else(|e| e.into_inner());
             let prev = ln_obs::level();
-            ln_obs::set_level(ObsLevel::Counters);
-            ObsGuard(prev)
+            ln_obs::set_level(level);
+            ObsGuard { prev, _lock }
+        }
+        fn counters() -> Self {
+            Self::set(ObsLevel::Counters)
         }
         fn off() -> Self {
-            let prev = ln_obs::level();
-            ln_obs::set_level(ObsLevel::Off);
-            ObsGuard(prev)
+            Self::set(ObsLevel::Off)
         }
     }
     impl Drop for ObsGuard {
         fn drop(&mut self) {
-            ln_obs::set_level(self.0);
+            ln_obs::set_level(self.prev);
         }
     }
 

@@ -93,21 +93,86 @@ pub fn indices_3sigma_outliers(values: &[f32]) -> Vec<usize> {
         .collect()
 }
 
+/// Largest `k` that [`top_k_abs_into`] selects with its stack-resident
+/// insertion pass; the AAQ schemes use `k ≤ 8` (Fig. 11 settles on 4).
+const TOP_K_INSERTION_MAX: usize = 8;
+
+/// Rank of a value in the top-k order: its magnitude, with NaN below every
+/// number, so the order is total whatever the input holds.
+#[inline]
+fn abs_rank(v: f32) -> f32 {
+    if v.is_nan() {
+        -1.0
+    } else {
+        v.abs()
+    }
+}
+
+/// Writes the indices of the `out.len()` largest values by absolute
+/// magnitude into `out`, in descending order of magnitude. Ties go to the
+/// lower index; a NaN ranks below every number (and NaNs among themselves
+/// by index), so it is picked only when the numbers run out.
+///
+/// Up to `k = 8` this is one O(n·k) streaming pass over `values` against a
+/// sorted stack array — what the hardware bitonic top-k unit does — and
+/// performs no allocation; a larger `k` partitions an index vector with
+/// `select_nth_unstable_by` and sorts only the `k` winners. The runtime
+/// quantizer in `ln-quant` calls this once per token.
+///
+/// # Panics
+///
+/// Panics if `out` is longer than `values`.
+pub fn top_k_abs_into(values: &[f32], out: &mut [usize]) {
+    let k = out.len();
+    assert!(k <= values.len(), "top-k wider than its input");
+    if k == 0 {
+        return;
+    }
+    if k > TOP_K_INSERTION_MAX {
+        let by_rank = |&a: &usize, &b: &usize| {
+            abs_rank(values[b])
+                .total_cmp(&abs_rank(values[a]))
+                .then(a.cmp(&b))
+        };
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        if k < order.len() {
+            order.select_nth_unstable_by(k, by_rank);
+        }
+        order[..k].sort_unstable_by(by_rank);
+        out.copy_from_slice(&order[..k]);
+        return;
+    }
+    // `ranks[..k]` stays sorted descending. Every real rank is above the
+    // -inf filler, so the first k values always fill the k slots; after
+    // that almost every value fails the first comparison.
+    let mut ranks = [f32::NEG_INFINITY; TOP_K_INSERTION_MAX];
+    for (i, &v) in values.iter().enumerate() {
+        let rank = abs_rank(v);
+        if rank > ranks[k - 1] {
+            // Strict comparisons: an equal rank met later (a higher index)
+            // never moves ahead of, or evicts, an earlier one.
+            let mut pos = k - 1;
+            while pos > 0 && rank > ranks[pos - 1] {
+                ranks[pos] = ranks[pos - 1];
+                out[pos] = out[pos - 1];
+                pos -= 1;
+            }
+            ranks[pos] = rank;
+            out[pos] = i;
+        }
+    }
+}
+
 /// Returns the indices of the `k` largest values by absolute magnitude,
-/// in descending order of magnitude (ties broken by lower index first).
+/// in descending order of magnitude (ties broken by lower index first,
+/// NaN below every number) — [`top_k_abs_into`] into a fresh vector, with
+/// `k` clamped to the input length.
 ///
 /// This is the *software oracle* for the hardware bitonic top-k unit in
 /// `ln-accel`; the two are cross-checked by property tests.
 pub fn top_k_abs_indices(values: &[f32], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| {
-        values[b]
-            .abs()
-            .partial_cmp(&values[a].abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
+    let mut idx = vec![0; k.min(values.len())];
+    top_k_abs_into(values, &mut idx);
     idx
 }
 
@@ -180,6 +245,79 @@ mod tests {
     fn top_k_ties_break_by_index() {
         let v = [2.0f32, -2.0, 2.0];
         assert_eq!(top_k_abs_indices(&v, 2), vec![0, 1]);
+    }
+
+    /// The full stable sort `top_k_abs_indices` used to be: the reference
+    /// the selection must reproduce on NaN-free input (with a NaN its
+    /// comparator is not a total order, which `sort_by` may panic on).
+    fn top_k_by_full_sort(values: &[f32], k: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..values.len()).collect();
+        idx.sort_by(|&a, &b| {
+            values[b]
+                .abs()
+                .partial_cmp(&values[a].abs())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        idx.truncate(k);
+        idx
+    }
+
+    #[test]
+    fn top_k_selection_equals_the_full_sort_on_seeded_input() {
+        use crate::rng::{self, Rng};
+        let mut rng = rng::stream("stats/top_k_vs_full_sort");
+        for n in [1usize, 2, 5, 12, 96, 128, 200] {
+            for round in 0..8 {
+                // Coarse levels on odd rounds, so ties are common, with
+                // signed zeros and an infinity thrown in.
+                let mut v: Vec<f32> = (0..n)
+                    .map(|_| {
+                        let x = rng::normal_approx(&mut rng) * 3.0;
+                        if round % 2 == 1 {
+                            (x * 2.0).round() / 2.0
+                        } else {
+                            x
+                        }
+                    })
+                    .collect();
+                if round == 5 {
+                    v[rng.gen_range(0..n)] = f32::NEG_INFINITY;
+                    v[rng.gen_range(0..n)] = -0.0;
+                }
+                for k in [0, 1, 4, 8, n - 1, n, n + 3] {
+                    assert_eq!(
+                        top_k_abs_indices(&v, k),
+                        top_k_by_full_sort(&v, k),
+                        "n={n} k={k} round={round}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_k_ranks_nan_below_every_number() {
+        let nan = f32::NAN;
+        let v = [nan, 0.0, -3.0, nan, 1.0, -0.0];
+        // Both sides of the k = 8 switch give the same order.
+        let expect = [2usize, 4, 1, 5, 0, 3];
+        for k in 0..=v.len() {
+            assert_eq!(top_k_abs_indices(&v, k), expect[..k], "k={k}");
+        }
+        let wide: Vec<f32> = (0..40)
+            .map(|i| if i % 3 == 0 { nan } else { i as f32 })
+            .collect();
+        let picked = top_k_abs_indices(&wide, 30);
+        let first_nan = picked.iter().position(|&i| wide[i].is_nan());
+        assert_eq!(first_nan, Some(26), "26 numbers come first");
+        assert_eq!(picked[26..], [0, 3, 6, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "top-k wider than its input")]
+    fn top_k_into_rejects_an_oversized_request() {
+        top_k_abs_into(&[1.0, 2.0], &mut [0; 3]);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 #   9. cluster_scale --quick                              (ln-cluster gate)
 #  10. watch --quick                                      (ln-watch gate)
 #  11. numerics --quick                                   (ln-scope gate)
+#  12. foldbench: cargo test, then run --quick            (benchmark smoke)
 #
 # Step 5 exits non-zero when a parallel kernel diverges bitwise from its
 # serial execution OR when any kernel's speedup drops below the 0.95x
@@ -45,7 +46,11 @@
 # one bounded re-measure on a noisy sample), re-runs the golden CAMEO
 # fold under ln-par pools {1, 2, 4}, and exits non-zero if the numerics
 # snapshots are not byte-identical across pools or the precision ledger
-# comes back empty.
+# comes back empty. Step 12 builds the repo's benchmark (benchmarks/fold,
+# a package outside the workspace, so steps 2-4 never see it), runs its own
+# unit tests, and folds every workload once at L = 32 with the benchmark's
+# own checks on each fold (TM-score against the FP32 reference, finite
+# coordinates); it exits non-zero on any CHECK FAILED.
 #
 # The workspace is dependency-free on purpose: everything here must pass
 # with zero network access. See ROADMAP.md ("Tier-1 gate script").
@@ -74,6 +79,8 @@ step ./target/release/insight --quick
 step ./target/release/cluster_scale --quick
 step ./target/release/watch --quick
 step ./target/release/numerics --quick
+step cargo test --offline --release --manifest-path benchmarks/fold/Cargo.toml
+step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- run --quick
 
 echo
 echo "ci.sh: all tier-1 checks passed"

@@ -78,18 +78,25 @@ fn matmul_edge_shapes_are_pool_invariant() {
 
 #[test]
 fn aaq_fake_quantize_is_bitwise_pool_invariant() {
-    let scheme = QuantScheme::int4_with_outliers(4);
-    // Spiky activations so the outlier top-k path participates.
-    let mut x = seeded_tensor2("par-det/aaq", 33, 128);
-    for t in 0..x.rows() {
-        let cols = x.cols();
-        x.as_mut_slice()[t * cols + (t * 7) % cols] *= 50.0;
+    // One Hz-wide token matrix, one wide enough to quantize in four
+    // 128-channel segments (the transition's hidden width), and one score
+    // matrix (narrower than a segment, no outlier budget).
+    for (rows, cols, scheme) in [
+        (33, 128, QuantScheme::int4_with_outliers(4)),
+        (40, 512, QuantScheme::int8_with_outliers(4)),
+        (96, 96, QuantScheme::int4_with_outliers(0)),
+    ] {
+        // Spiky activations so the outlier top-k path participates.
+        let mut x = seeded_tensor2("par-det/aaq", rows, cols);
+        for t in 0..rows {
+            x.as_mut_slice()[t * cols + (t * 7) % cols] *= 50.0;
+        }
+        assert_pool_invariant(|| {
+            let mut q = x.clone();
+            fake_quantize_tokens(&mut q, scheme);
+            bits(q.as_slice())
+        });
     }
-    assert_pool_invariant(|| {
-        let mut q = x.clone();
-        fake_quantize_tokens(&mut q, scheme);
-        bits(q.as_slice())
-    });
 }
 
 #[test]
