@@ -296,6 +296,11 @@ fn write_json(path: &str, threads: usize, results: &[BenchResult]) -> std::io::R
         "  \"host_parallelism\": {},\n",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
+    // Which instantiation of the inner loops produced these seconds.
+    s.push_str(&format!(
+        "  \"kernel_tier\": \"{}\",\n",
+        ln_tensor::simd::tier().name()
+    ));
     s.push_str(&format!(
         "  \"kernel_min_speedup_floor\": {KERNEL_MIN_SPEEDUP},\n"
     ));
@@ -489,10 +494,11 @@ fn main() {
     show(&t);
     println!(
         "pools: 1 / {} / {} threads after host clamping (host parallelism {}); \
-         gate floor {:.2}x at every pool size",
+         kernel tier {}; gate floor {:.2}x at every pool size",
         threads,
         pools.pool4.threads(),
         std::thread::available_parallelism().map_or(1, |n| n.get()),
+        ln_tensor::simd::tier().name(),
         KERNEL_MIN_SPEEDUP
     );
     if profile {

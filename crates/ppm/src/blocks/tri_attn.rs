@@ -12,6 +12,7 @@ use crate::{PpmConfig, PpmError};
 use ln_quant::qgemm::{MacMode, QLinear};
 use ln_quant::scheme::{Bits, QuantScheme};
 use ln_quant::tensor::QuantizedTensor;
+use ln_tensor::microkernel::{self, Epilogue};
 use ln_tensor::nn::{LayerNorm, Linear};
 use ln_tensor::{nn, Tensor2, Tensor3};
 
@@ -201,26 +202,33 @@ impl TriangularAttention {
                 ctx_lanes.as_mut_slice(),
                 lanes_per_chunk * ns * attn_dim,
                 |c, chunk| {
+                    // One set of per-head buffers per lane chunk, reused
+                    // across its (lane, head) pairs.
+                    let mut bufs = HeadBuffers::new(ns, self.head_dim, self.chunk);
                     for (local, lane_buf) in chunk.chunks_mut(ns * attn_dim).enumerate() {
                         let lane = c * lanes_per_chunk + local;
                         for (h, bm) in bias_mats.iter().enumerate() {
-                            let qh = head_band(&qm, lane * ns, ns, h, self.head_dim);
-                            let kh = head_band(&km, lane * ns, ns, h, self.head_dim);
-                            let vh = head_band(&vm, lane * ns, ns, h, self.head_dim);
-                            let ctx_h = if let Some(chunk_len) = self.chunk {
-                                chunked_attention(
-                                    &qh,
-                                    &kh,
-                                    &vh,
-                                    &|j, t| bm[j * ns + t],
+                            for (src, band) in
+                                [(&qm, &mut bufs.q), (&km, &mut bufs.k), (&vm, &mut bufs.v)]
+                            {
+                                head_band_into(src, lane * ns, h, band);
+                            }
+                            let qkv = [&bufs.q, &bufs.k, &bufs.v];
+                            let ctx = &mut bufs.ctx;
+                            match &mut bufs.scores {
+                                ScoreBuffer::Online(state) => chunked_attention_into(
+                                    qkv,
+                                    bm,
                                     inv_sqrt,
-                                    chunk_len,
-                                )
-                            } else {
-                                head_attention(&qh, &kh, &vh, bm, inv_sqrt)
-                                    .expect("head shapes are internally consistent")
-                            };
-                            scatter_head(&ctx_h, lane_buf, h, self.head_dim, attn_dim);
+                                    state,
+                                    ctx.as_mut_slice(),
+                                ),
+                                ScoreBuffer::Full(scores) => {
+                                    head_attention_into(qkv, bm, inv_sqrt, scores, ctx)
+                                        .expect("head shapes are internally consistent")
+                                }
+                            }
+                            scatter_head(&bufs.ctx, lane_buf, h, self.head_dim, attn_dim);
                         }
                     }
                 },
@@ -236,8 +244,8 @@ impl TriangularAttention {
                     let qh = head_band(&qm, lane * ns, ns, h, self.head_dim);
                     let kh = head_band(&km, lane * ns, ns, h, self.head_dim);
                     let vh = head_band(&vm, lane * ns, ns, h, self.head_dim);
-                    let mut scores = qh.matmul_transposed(&kh)?.scaled(inv_sqrt);
-                    add_bias_rows(&mut scores, bm);
+                    let mut scores = qh.matmul_transposed(&kh)?;
+                    scale_and_bias(&mut scores, inv_sqrt, bm);
                     let mut probs = nn::softmax_rows(&scores);
                     // The paper quantizes the score matrix (Group C); each
                     // (lane, head) probability matrix is one tap activation.
@@ -285,32 +293,76 @@ fn mac_mode_for(scheme: QuantScheme) -> MacMode {
 /// slices, no per-element indexing.
 fn head_band(m: &Tensor2, row0: usize, rows: usize, h: usize, dim: usize) -> Tensor2 {
     let mut out = Tensor2::zeros(rows, dim);
-    for j in 0..rows {
-        out.row_mut(j)
-            .copy_from_slice(&m.row(row0 + j)[h * dim..(h + 1) * dim]);
-    }
+    head_band_into(m, row0, h, &mut out);
     out
 }
 
-/// One (lane, head) attention with materialised scores:
-/// `softmax(q kᵀ/√d + bias) v`.
-fn head_attention(
-    qh: &Tensor2,
-    kh: &Tensor2,
-    vh: &Tensor2,
-    bias_mat: &[f32],
-    inv_sqrt: f32,
-) -> Result<Tensor2, ln_tensor::TensorError> {
-    let mut scores = qh.matmul_transposed(kh)?.scaled(inv_sqrt);
-    add_bias_rows(&mut scores, bias_mat);
-    nn::softmax_rows(&scores).matmul(vh)
+/// [`head_band`] into an existing `(rows, dim)` buffer.
+fn head_band_into(m: &Tensor2, row0: usize, h: usize, band: &mut Tensor2) {
+    let dim = band.cols();
+    for (j, dst) in band.as_mut_slice().chunks_exact_mut(dim).enumerate() {
+        dst.copy_from_slice(&m.row(row0 + j)[h * dim..(h + 1) * dim]);
+    }
 }
 
-/// Adds the per-head triangle-bias matrix (same row-major shape) onto the
-/// score matrix.
-fn add_bias_rows(scores: &mut Tensor2, bias_mat: &[f32]) {
+/// The per-(lane, head) temporaries of the fast paths, allocated once per
+/// lane chunk instead of five fresh tensors per pair.
+struct HeadBuffers {
+    q: Tensor2,
+    k: Tensor2,
+    v: Tensor2,
+    scores: ScoreBuffer,
+    ctx: Tensor2,
+}
+
+/// Where a fast path keeps its scores.
+enum ScoreBuffer {
+    /// The materialised `(ns, ns)` score/probability matrix.
+    Full(Tensor2),
+    /// `attention_chunk` is set: one `ns × chunk` tile, never the matrix.
+    Online(OnlineSoftmax),
+}
+
+impl HeadBuffers {
+    fn new(ns: usize, dim: usize, chunk: Option<usize>) -> Self {
+        HeadBuffers {
+            q: Tensor2::zeros(ns, dim),
+            k: Tensor2::zeros(ns, dim),
+            v: Tensor2::zeros(ns, dim),
+            scores: match chunk {
+                Some(chunk) => ScoreBuffer::Online(OnlineSoftmax::new(ns, chunk)),
+                None => ScoreBuffer::Full(Tensor2::zeros(ns, ns)),
+            },
+            ctx: Tensor2::zeros(ns, dim),
+        }
+    }
+}
+
+/// One (lane, head) attention with materialised scores,
+/// `ctx = softmax(q kᵀ/√d + bias) v`, `scores` being the reused
+/// `(ns, ns)` buffer it materialises them in.
+fn head_attention_into(
+    [q, k, v]: [&Tensor2; 3],
+    bias_mat: &[f32],
+    inv_sqrt: f32,
+    scores: &mut Tensor2,
+    ctx: &mut Tensor2,
+) -> Result<(), ln_tensor::TensorError> {
+    q.matmul_transposed_into(k, scores)?;
+    scale_and_bias(scores, inv_sqrt, bias_mat);
+    let ns = scores.cols();
+    for row in scores.as_mut_slice().chunks_exact_mut(ns.max(1)) {
+        nn::softmax_inplace(row);
+    }
+    scores.matmul_into(v, ctx)
+}
+
+/// `scores[j][t] = scores[j][t]·inv_sqrt + bias_mat[j][t]`: the 1/√d scale
+/// and the per-head triangle-bias matrix (same row-major shape) in one
+/// pass, two separately rounded operations per element.
+fn scale_and_bias(scores: &mut Tensor2, inv_sqrt: f32, bias_mat: &[f32]) {
     for (s, b) in scores.as_mut_slice().iter_mut().zip(bias_mat) {
-        *s += b;
+        *s = *s * inv_sqrt + b;
     }
 }
 
@@ -322,14 +374,40 @@ fn scatter_head(ctx_h: &Tensor2, lane_buf: &mut [f32], h: usize, dim: usize, att
     }
 }
 
+/// The state of the chunked path over `n` queries: the key-chunk length,
+/// one `n × chunk` score tile, and each query row's running maximum and
+/// normaliser.
+struct OnlineSoftmax {
+    chunk: usize,
+    tile: Vec<f32>,
+    row_max: Vec<f32>,
+    row_sum: Vec<f32>,
+}
+
+impl OnlineSoftmax {
+    fn new(n: usize, chunk: usize) -> Self {
+        let chunk = chunk.clamp(1, n.max(1));
+        OnlineSoftmax {
+            chunk,
+            tile: vec![0.0; n * chunk],
+            row_max: vec![0.0; n],
+            row_sum: vec![0.0; n],
+        }
+    }
+}
+
 /// Chunked attention with online softmax — the numeric core of the GPU
 /// `chunk` option (low-memory attention) and of the accelerator's
 /// token-wise MHA (§5.4): the `(Ns, Ns)` score matrix is never
 /// materialised; keys/values stream in chunks of `chunk` while a running
 /// maximum and normaliser are maintained per query.
 ///
+/// `bias` is the `(n, n)` row-major matrix added to the scaled scores.
 /// Returns exactly what `softmax(q kᵀ / √d + bias) v` would, up to
-/// floating-point reassociation.
+/// floating-point reassociation. A key chunk whose scores are all `-inf`
+/// for some query (a fully masked stretch) contributes nothing to it, as
+/// in the full softmax; a query with no finite score at all has no
+/// softmax — the full path returns NaN there, this returns zeros.
 ///
 /// # Panics
 ///
@@ -339,73 +417,118 @@ pub fn chunked_attention(
     q: &Tensor2,
     k: &Tensor2,
     v: &Tensor2,
-    bias: &(dyn Fn(usize, usize) -> f32 + Sync),
+    bias: &[f32],
     inv_sqrt: f32,
     chunk: usize,
 ) -> Tensor2 {
     let n = q.rows();
-    let dim = q.cols();
-    assert_eq!(k.rows(), n, "key count must match query count");
-    assert_eq!(k.cols(), dim, "key width must match query width");
-    assert_eq!(v.rows(), n, "value count must match key count");
-    let dv = v.cols();
-    let chunk = chunk.max(1);
-    if n == 0 || dv == 0 {
-        return Tensor2::zeros(n, dv);
-    }
+    let mut out = Tensor2::zeros(n, v.cols());
+    chunked_attention_into(
+        [q, k, v],
+        bias,
+        inv_sqrt,
+        &mut OnlineSoftmax::new(n, chunk),
+        out.as_mut_slice(),
+    );
+    out
+}
 
-    // Each query row carries its own online-softmax state and visits key
-    // chunks in the same ascending order as the serial implementation, so
-    // the per-query parallel dispatch is bit-identical to serial.
-    let grain_rows = ((1usize << 13) / (n * (dim + dv)).max(1)).max(1);
-    let data = ln_par::par_map_rows(n, dv, grain_rows, |j, out_row| {
-        let q_row = q.row(j);
-        let mut running_max = f32::NEG_INFINITY;
-        let mut running_sum = 0.0f32;
-        let mut scores: Vec<f32> = Vec::with_capacity(chunk.min(n));
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + chunk).min(n);
-            // Chunk-local scores.
+/// [`chunked_attention`] into `out` (`n × dv`, overwritten) with
+/// caller-owned, reusable state. A flash-style tiled loop on the GEMM microkernel —
+/// per key chunk:
+///
+/// 1. `S = Q·K_cᵀ` into the `n × chunk` tile ([`microkernel::gemm_bt`]);
+/// 2. per query row, `S ← S/√d + bias`, the running maximum and normaliser
+///    are updated, the row of `out` is rescaled, and `S ← exp(S − max)`;
+/// 3. `out += S·V_c` ([`microkernel::gemm`] accumulates onto `out`).
+///
+/// Every query row only ever reads its own row of the tile, the state
+/// and `out`, and each element is a k-ascending fold, so rows are
+/// independent and any split of the surrounding lanes across an ln-par
+/// pool is bitwise pool-invariant.
+fn chunked_attention_into(
+    [q, k, v]: [&Tensor2; 3],
+    bias: &[f32],
+    inv_sqrt: f32,
+    state: &mut OnlineSoftmax,
+    out: &mut [f32],
+) {
+    let (n, dim) = q.shape();
+    let dv = v.cols();
+    assert_eq!(k.shape(), (n, dim), "keys must match the queries' shape");
+    assert_eq!(v.rows(), n, "value count must match key count");
+    assert_eq!(bias.len(), n * n, "bias must be an (n, n) matrix");
+    assert_eq!(out.len(), n * dv, "out must be (n, dv)");
+    out.fill(0.0);
+    if n == 0 || dv == 0 {
+        return;
+    }
+    let OnlineSoftmax {
+        chunk,
+        tile,
+        row_max,
+        row_sum,
+    } = state;
+    let chunk = *chunk;
+    assert_eq!(row_max.len(), n, "state was sized for another query count");
+    row_max.fill(f32::NEG_INFINITY);
+    row_sum.fill(0.0);
+
+    for start in (0..n).step_by(chunk) {
+        let len = chunk.min(n - start);
+        let tile = &mut tile[..n * len];
+        tile.fill(0.0);
+        let k_chunk = &k.as_slice()[start * dim..][..len * dim];
+        microkernel::gemm_bt(q.as_slice(), k_chunk, dim, len, 0, tile, &Epilogue::None);
+
+        for (j, (scores, out_row)) in tile
+            .chunks_exact_mut(len)
+            .zip(out.chunks_exact_mut(dv))
+            .enumerate()
+        {
             let mut local_max = f32::NEG_INFINITY;
-            scores.clear();
-            for t in start..end {
-                let mut s = 0.0f32;
-                for (a, b) in q_row.iter().zip(k.row(t)) {
-                    s += a * b;
-                }
-                let s = s * inv_sqrt + bias(j, t);
-                local_max = local_max.max(s);
-                scores.push(s);
+            for (s, b) in scores.iter_mut().zip(&bias[j * n + start..][..len]) {
+                *s = *s * inv_sqrt + b;
+                local_max = local_max.max(*s);
+            }
+            let new_max = row_max[j].max(local_max);
+            if new_max == f32::NEG_INFINITY {
+                // Nothing finite yet: zero weights, state untouched
+                // (`(-inf − -inf).exp()` would poison the row with NaN).
+                scores.fill(0.0);
+                continue;
             }
             // Online-softmax rescale of the accumulated state.
-            let new_max = running_max.max(local_max);
-            let correction = if running_max == f32::NEG_INFINITY {
-                0.0
-            } else {
-                (running_max - new_max).exp()
-            };
-            running_sum *= correction;
-            for value in out_row.iter_mut() {
-                *value *= correction;
-            }
-            for (offset, &s) in scores.iter().enumerate() {
-                let w = (s - new_max).exp();
-                running_sum += w;
-                let v_row = v.row(start + offset);
-                for (o, &vv) in out_row.iter_mut().zip(v_row) {
-                    *o += w * vv;
+            if row_max[j] != new_max {
+                let correction = if row_max[j] == f32::NEG_INFINITY {
+                    0.0
+                } else {
+                    (row_max[j] - new_max).exp()
+                };
+                row_sum[j] *= correction;
+                for value in out_row.iter_mut() {
+                    *value *= correction;
                 }
+                row_max[j] = new_max;
             }
-            running_max = new_max;
-            start = end;
+            let mut sum = row_sum[j];
+            for s in scores.iter_mut() {
+                *s = (*s - new_max).exp();
+                sum += *s;
+            }
+            row_sum[j] = sum;
         }
-        let z = running_sum.max(1e-30);
+
+        let v_chunk = &v.as_slice()[start * dv..][..len * dv];
+        microkernel::gemm(tile, v_chunk, len, dv, 0, out, &Epilogue::None);
+    }
+
+    for (out_row, &sum) in out.chunks_exact_mut(dv).zip(row_sum.iter()) {
+        let z = sum.max(1e-30);
         for o in out_row.iter_mut() {
             *o /= z;
         }
-    });
-    Tensor2::from_vec(n, dv, data).expect("row-major dims are consistent")
+    }
 }
 
 #[cfg(test)]
@@ -539,43 +662,96 @@ mod tests {
         );
     }
 
+    /// `softmax(q kᵀ·inv_sqrt + bias) v` with the scores materialised.
+    fn full_attention(
+        q: &Tensor2,
+        k: &Tensor2,
+        v: &Tensor2,
+        bias: &[f32],
+        inv_sqrt: f32,
+    ) -> Tensor2 {
+        let mut scores = q.matmul_transposed(k).unwrap();
+        scale_and_bias(&mut scores, inv_sqrt, bias);
+        nn::softmax_rows(&scores).matmul(v).unwrap()
+    }
+
+    fn qkv(n: usize, dim: usize) -> [Tensor2; 3] {
+        [
+            Tensor2::from_fn(n, dim, |i, j| ((i * 7 + j * 3) % 11) as f32 * 0.3 - 1.5),
+            Tensor2::from_fn(n, dim, |i, j| ((i * 5 + j) % 13) as f32 * 0.25 - 1.4),
+            Tensor2::from_fn(n, dim, |i, j| ((i + j * 9) % 17) as f32 * 0.2 - 1.0),
+        ]
+    }
+
+    fn assert_close(got: &Tensor2, want: &Tensor2, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+            assert!((a - b).abs() < 1e-5, "{what}: {a} vs {b}");
+        }
+    }
+
     #[test]
     fn chunked_attention_matches_full_softmax() {
-        use ln_tensor::nn;
-        let n = 13;
         let dim = 8;
-        let q = Tensor2::from_fn(n, dim, |i, j| ((i * 7 + j * 3) % 11) as f32 * 0.3 - 1.5);
-        let k = Tensor2::from_fn(n, dim, |i, j| ((i * 5 + j) % 13) as f32 * 0.25 - 1.4);
-        let v = Tensor2::from_fn(n, dim, |i, j| ((i + j * 9) % 17) as f32 * 0.2 - 1.0);
-        let bias = |j: usize, t: usize| ((j * 3 + t) % 7) as f32 * 0.1 - 0.3;
         let inv_sqrt = 1.0 / (dim as f32).sqrt();
-        // Reference: full score materialisation.
-        let mut scores = q.matmul_transposed(&k).unwrap().scaled(inv_sqrt);
-        for j in 0..n {
-            for t in 0..n {
-                let s = scores.at(j, t) + bias(j, t);
-                scores.set(j, t, s);
-            }
-        }
-        let reference = nn::softmax_rows(&scores).matmul(&v).unwrap();
-        for chunk in [1usize, 3, 4, 13, 64] {
-            let out = chunked_attention(&q, &k, &v, &bias, inv_sqrt, chunk);
-            for (a, b) in out.as_slice().iter().zip(reference.as_slice()) {
-                assert!((a - b).abs() < 1e-5, "chunk {chunk}: {a} vs {b}");
+        for n in [1usize, 5, 96] {
+            let [q, k, v] = qkv(n, dim);
+            let bias: Vec<f32> = (0..n * n)
+                .map(|i| ((i / n * 3 + i % n) % 7) as f32 * 0.1 - 0.3)
+                .collect();
+            let reference = full_attention(&q, &k, &v, &bias, inv_sqrt);
+            for chunk in [1, 7, 64, n, n + 5] {
+                let out = chunked_attention(&q, &k, &v, &bias, inv_sqrt, chunk);
+                assert_close(&out, &reference, &format!("n {n} chunk {chunk}"));
             }
         }
     }
 
     #[test]
     fn chunked_attention_is_stable_for_large_scores() {
-        // Online softmax must handle score magnitudes that would overflow
-        // a naive exp().
-        let n = 6;
-        let q = Tensor2::full(n, 4, 40.0);
-        let k = Tensor2::full(n, 4, 40.0);
-        let v = Tensor2::from_fn(n, 4, |i, j| (i + j) as f32);
-        let out = chunked_attention(&q, &k, &v, &|_, _| 0.0, 1.0, 2);
-        assert!(out.as_slice().iter().all(|x| x.is_finite()));
+        // Scores of ±1e4 overflow a naive exp(); the running maximum must
+        // absorb them whichever chunk they arrive in.
+        let n = 9;
+        let [q, k, v] = qkv(n, 4);
+        let bias: Vec<f32> = (0..n * n)
+            .map(|i| [1e4, -1e4, 0.0][(i / n + 2 * (i % n)) % 3])
+            .collect();
+        let reference = full_attention(&q, &k, &v, &bias, 0.5);
+        assert!(reference.as_slice().iter().all(|x| x.is_finite()));
+        for chunk in [1, 2, 4, n] {
+            let out = chunked_attention(&q, &k, &v, &bias, 0.5, chunk);
+            assert_close(&out, &reference, &format!("chunk {chunk}"));
+        }
+    }
+
+    #[test]
+    fn fully_masked_chunks_contribute_nothing() {
+        // -inf bias over whole key chunks — first, middle and last — of
+        // different rows: the full softmax gives those keys zero weight,
+        // and so must the chunked path (the first-chunk case used to turn
+        // the row into NaN through `(-inf − -inf).exp()`).
+        let (n, chunk) = (12, 4);
+        let [q, k, v] = qkv(n, 8);
+        let mut bias = vec![0.1f32; n * n];
+        for (row, masked_chunk) in [(0, 0), (1, 1), (2, 2), (3, 0), (3, 1)] {
+            bias[row * n + masked_chunk * chunk..][..chunk].fill(f32::NEG_INFINITY);
+        }
+        let reference = full_attention(&q, &k, &v, &bias, 0.35);
+        assert!(reference.as_slice().iter().all(|x| x.is_finite()));
+        let out = chunked_attention(&q, &k, &v, &bias, 0.35, chunk);
+        assert_close(&out, &reference, "masked chunks");
+
+        // A row with no finite score has no softmax: zeros here (the full
+        // path's NaN is not reproduced), and the other rows do not move.
+        bias[5 * n..6 * n].fill(f32::NEG_INFINITY);
+        let with_dead_row = chunked_attention(&q, &k, &v, &bias, 0.35, chunk);
+        for row in 0..n {
+            if row == 5 {
+                assert!(with_dead_row.row(row).iter().all(|&x| x == 0.0));
+            } else {
+                assert_eq!(with_dead_row.row(row), out.row(row));
+            }
+        }
     }
 
     #[test]

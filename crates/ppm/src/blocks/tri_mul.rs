@@ -9,7 +9,7 @@ use ln_quant::qgemm::{MacMode, QLinear};
 use ln_quant::scheme::{Bits, QuantScheme};
 use ln_quant::tensor::QuantizedTensor;
 use ln_tensor::nn::{LayerNorm, Linear};
-use ln_tensor::{nn, Tensor2, Tensor3};
+use ln_tensor::{nn, simd, Tensor2, Tensor3};
 
 /// Which triangle edge orientation the unit updates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -247,8 +247,20 @@ const EINSUM_ACC: usize = 32;
 /// O(Ns³·c) DRAM traffic (the old per-i full stream of the right
 /// operand) into one right-panel read per (k-panel, j) reused across the
 /// whole i-block.
+///
+/// The body runs through [`simd::wide`], so the channel accumulator is
+/// 256-bit registers where the host has them; the per-element fold, and
+/// so every bit, is the same on both tiers.
 #[inline(never)]
 fn einsum_block(l: &[f32], r: &[f32], ns: usize, c: usize, i0: usize, out: &mut [f32]) {
+    simd::wide(
+        #[inline(always)]
+        || einsum_block_body(l, r, ns, c, i0, out),
+    );
+}
+
+#[inline(always)]
+fn einsum_block_body(l: &[f32], r: &[f32], ns: usize, c: usize, i0: usize, out: &mut [f32]) {
     let rows = out.len() / (ns * c).max(1);
     let mut kb = 0;
     while kb < ns {

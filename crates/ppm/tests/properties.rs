@@ -28,14 +28,14 @@ proptest! {
         let q = Tensor2::from_fn(n, dim, |i, j| f(i, j, seed));
         let k = Tensor2::from_fn(n, dim, |i, j| f(i + 3, j, seed));
         let v = Tensor2::from_fn(n, dim, |i, j| f(i, j + 5, seed));
-        let bias = |a: usize, b: usize| ((a + 2 * b + seed as usize) % 5) as f32 * 0.2 - 0.4;
+        // The (n, n) row-major bias matrix, as `tri_attn` holds it per head.
+        let bias: Vec<f32> = (0..n * n)
+            .map(|i| ((i / n + 2 * (i % n) + seed as usize) % 5) as f32 * 0.2 - 0.4)
+            .collect();
         let inv = 1.0 / (dim as f32).sqrt();
         let mut scores = q.matmul_transposed(&k).expect("shapes");
-        for i in 0..n {
-            for j in 0..n {
-                let s = scores.at(i, j) * inv + bias(i, j);
-                scores.set(i, j, s);
-            }
+        for (s, b) in scores.as_mut_slice().iter_mut().zip(&bias) {
+            *s = *s * inv + b;
         }
         let reference = nn::softmax_rows(&scores).matmul(&v).expect("shapes");
         let out = chunked_attention(&q, &k, &v, &bias, inv, chunk);

@@ -22,7 +22,7 @@
 use crate::scheme::Bits;
 use crate::tensor::QuantizedTensor;
 use ln_tensor::nn::Linear;
-use ln_tensor::{Tensor2, TensorError};
+use ln_tensor::{simd, Tensor2, TensorError};
 
 /// Per-output-column symmetric INT8 weights for the quantized-domain GEMM.
 ///
@@ -148,27 +148,38 @@ pub fn qgemm(
             let mut in_acc = vec![0i32; n];
             let mut chunk_acc = vec![0i32; 4 * n];
             let mut out_acc = vec![0i64; n];
-            for (local, row) in chunk.chunks_mut(n).enumerate() {
-                let q = &toks[c * per_chunk + local];
-                match mode {
-                    MacMode::Direct => {
-                        direct_inlier_macs(q, w, &mut in_acc);
+            // The integer MACs need a sign-extending byte load and a 32-bit
+            // vector multiply, which baseline SSE2 has to emulate; the
+            // chunk runs at the host's real width. Integer sums and the
+            // per-element epilogue are exact either way.
+            simd::wide(
+                #[inline(always)]
+                || {
+                    for (local, row) in chunk.chunks_mut(n).enumerate() {
+                        let q = &toks[c * per_chunk + local];
+                        match mode {
+                            MacMode::Direct => {
+                                direct_inlier_macs(q, w, &mut in_acc);
+                            }
+                            MacMode::BitChunked => {
+                                let chunks = q.scheme().inlier_bits.four_bit_chunks().max(1);
+                                bit_chunked_inlier_macs(q, w, chunks, &mut chunk_acc, &mut in_acc);
+                            }
+                        }
+                        outlier_macs(q, w, &mut out_acc);
+                        // Dequantization epilogue: two scale applications and
+                        // the bias, once per output element.
+                        let si = q.inlier_scale();
+                        let so = q.outlier_scale();
+                        for (o, slot) in row.iter_mut().enumerate() {
+                            let sw = w.scales[o];
+                            *slot = in_acc[o] as f32 * (si * sw)
+                                + out_acc[o] as f32 * (so * sw)
+                                + bias[o];
+                        }
                     }
-                    MacMode::BitChunked => {
-                        let chunks = q.scheme().inlier_bits.four_bit_chunks().max(1);
-                        bit_chunked_inlier_macs(q, w, chunks, &mut chunk_acc, &mut in_acc);
-                    }
-                }
-                outlier_macs(q, w, &mut out_acc);
-                // Dequantization epilogue: two scale applications and the
-                // bias, once per output element.
-                let si = q.inlier_scale();
-                let so = q.outlier_scale();
-                for (o, slot) in row.iter_mut().enumerate() {
-                    let sw = w.scales[o];
-                    *slot = in_acc[o] as f32 * (si * sw) + out_acc[o] as f32 * (so * sw) + bias[o];
-                }
-            }
+                },
+            );
         });
     });
     Ok(out)
@@ -180,6 +191,7 @@ const QGEMM_PAR_GRAIN_TOKENS: usize = 8;
 /// Walks the token's inliers (channel order, outlier positions skipped —
 /// a merge walk against the ascending outlier index list) and accumulates
 /// `level · w[ch][·]` into `acc` as plain `i32` MACs.
+#[inline(always)]
 fn direct_inlier_macs(q: &crate::token::QuantizedToken, w: &QuantizedWeights, acc: &mut [i32]) {
     acc.fill(0);
     let n = w.out_features;
@@ -206,6 +218,7 @@ fn direct_inlier_macs(q: &crate::token::QuantizedToken, w: &QuantizedWeights, ac
 /// pieces (low chunks unsigned, top chunk keeps the sign), every piece
 /// accumulates into its own partial sum, and the partials recombine as
 /// `Σ chunk_acc[c] << 4c` — exactly the direct product.
+#[inline(always)]
 fn bit_chunked_inlier_macs(
     q: &crate::token::QuantizedToken,
     w: &QuantizedWeights,
@@ -256,6 +269,7 @@ fn bit_chunked_inlier_macs(
 
 /// Accumulates the token's INT16 outliers (a scalar loop over ≤ k
 /// entries) into `acc` as `i64` MACs.
+#[inline(always)]
 fn outlier_macs(q: &crate::token::QuantizedToken, w: &QuantizedWeights, acc: &mut [i64]) {
     acc.fill(0);
     let n = w.out_features;
@@ -334,6 +348,65 @@ mod tests {
             let chunked = qgemm(&q, &w, &bias, MacMode::BitChunked).unwrap();
             for (a, b) in direct.as_slice().iter().zip(chunked.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{scheme}");
+            }
+        }
+    }
+
+    /// The quantized-domain product one output element at a time, in
+    /// scalar integer arithmetic — nothing for a vectoriser to widen.
+    fn scalar_reference(x: &QuantizedTensor, w: &QuantizedWeights, bias: &[f32]) -> Vec<f32> {
+        let n = w.out_features();
+        let mut out = Vec::with_capacity(x.num_tokens() * n);
+        for q in x.tokens() {
+            let inlier_channels: Vec<usize> = (0..q.channels())
+                .filter(|ch| !q.outlier_indices().contains(&(*ch as u8)))
+                .collect();
+            for (o, (&sw, &b)) in w.scales.iter().zip(bias).enumerate() {
+                let mut in_acc = 0i32;
+                for (&level, &ch) in q.inliers().iter().zip(&inlier_channels) {
+                    in_acc += level as i32 * w.levels[ch * n + o] as i32;
+                }
+                let mut out_acc = 0i64;
+                for (&level, &ch) in q.outliers().iter().zip(q.outlier_indices()) {
+                    out_acc += level as i64 * w.levels[ch as usize * n + o] as i64;
+                }
+                out.push(
+                    in_acc as f32 * (q.inlier_scale() * sw)
+                        + out_acc as f32 * (q.outlier_scale() * sw)
+                        + b,
+                );
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn dispatched_kernels_equal_a_scalar_reference_bitwise() {
+        // Trunk-like width (one 128-channel segment) and an output width
+        // that leaves a remainder at 4, 8 and 16 lanes.
+        let x = Tensor2::from_fn(9, 128, |i, j| {
+            let spike = if j == (i * 29) % 128 { 30.0 } else { 1.0 };
+            spike * (((i * 7 + j * 5) % 13) as f32 * 0.2 - 1.2)
+        });
+        let wt = Tensor2::from_fn(128, 43, |i, j| ((i * 11 + j * 3) % 17) as f32 * 0.1 - 0.8);
+        let w = QuantizedWeights::from_tensor(&wt);
+        let bias: Vec<f32> = (0..43).map(|j| j as f32 * 0.05 - 0.2).collect();
+        for scheme in [
+            QuantScheme::int4_with_outliers(0),
+            QuantScheme::int4_with_outliers(4),
+            QuantScheme::int8_with_outliers(0),
+            QuantScheme::int8_with_outliers(4),
+        ] {
+            let q = QuantizedTensor::from_tensor(&x, scheme);
+            let want = scalar_reference(&q, &w, &bias);
+            for mode in [MacMode::Direct, MacMode::BitChunked] {
+                let got = qgemm(&q, &w, &bias, mode).unwrap();
+                let same = got
+                    .as_slice()
+                    .iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{scheme} {mode:?}");
             }
         }
     }

@@ -15,6 +15,9 @@
 //!   [`nn::LayerNorm`], softmax, sigmoid/ReLU/GELU.
 //! * [`rng`] — named-seed deterministic random streams so that every
 //!   experiment in the reproduction regenerates bit-identically.
+//! * [`simd`] — the one runtime dispatch point that lets the inner loops
+//!   (GEMM microkernel, `qgemm`, the triangle einsum) run at the host's
+//!   real vector width, bit-identically.
 //! * [`stats`] — summary statistics (mean/std, absolute-value profiles,
 //!   3σ outlier counting) used for activation analysis (paper Fig. 5/6).
 //!
@@ -34,13 +37,16 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `simd::wide` holds the workspace's one `unsafe`
+// block (the call into its `#[target_feature]` frame) behind an `#[allow]`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
 pub mod microkernel;
 pub mod nn;
 pub mod rng;
+pub mod simd;
 pub mod stats;
 mod tensor2;
 mod tensor3;

@@ -1,11 +1,24 @@
 //! Register-tiled GEMM microkernel: the single inner loop every dense
 //! matmul in the workspace now runs through.
 //!
-//! The kernel computes an `MR × NR` output tile in a local accumulator
+//! The kernel computes an `MR × W` output tile in a local accumulator
 //! array over packed panels of A and B. Packing turns every inner-loop
 //! access into a contiguous, exactly-sized slice (`chunks_exact`), which
-//! is the shape LLVM's autovectorizer needs to emit SIMD without any
-//! `unsafe` or intrinsics — this crate stays `#![forbid(unsafe_code)]`.
+//! is the shape LLVM's autovectorizer needs to emit SIMD without
+//! intrinsics: the tile body is one generic piece of safe Rust.
+//!
+//! # Tile width
+//!
+//! The tile width `W` follows the host ([`crate::simd::tier`]): 4×8
+//! ([`NR`], eight XMM accumulators) on the baseline, 4×16 ([`NR_WIDE`],
+//! eight YMM accumulators) where [`crate::simd::wide`] finds AVX2 — the
+//! same body instantiated twice and entered through that one dispatch
+//! point, which holds the crate's only `unsafe`. Indicative rates on the
+//! host that recorded EXPERIMENTS.md ("AVX2 microkernel record"): ≈ 22
+//! GFLOP/s at W = 8 on SSE2, 46–47 at W = 16 on AVX2 (no FMA, so a
+//! multiply and an add per lane), both standalone at 4096 × 128 → 512;
+//! a whole `Linear::forward` of that shape reaches about half of either,
+//! the rest being its freshly allocated output.
 //!
 //! # Bitwise determinism
 //!
@@ -14,8 +27,8 @@
 //! from the value already in `out`). Tiling and packing reorder *which*
 //! elements are computed when, never the summation order *within* an
 //! element, so the tiled path is bit-identical to the reference triple
-//! loop — and to any row-chunked parallel execution over it (the ln-par
-//! ownership-per-row contract).
+//! loop at either tile width — and to any row-chunked parallel execution
+//! over it (the ln-par ownership-per-row contract).
 //!
 //! # Scratch arena
 //!
@@ -28,12 +41,24 @@
 //! the arena itself — a pool worker growing *its* arena must not trip
 //! the guard of a different worker mid-panel.
 
+use crate::simd::{self, Tier};
 use std::cell::{Cell, RefCell};
 
 /// Output-tile rows held in registers by the microkernel.
 pub const MR: usize = 4;
-/// Output-tile columns held in registers by the microkernel.
+/// Output-tile columns held in registers on the baseline tier.
 pub const NR: usize = 8;
+/// Output-tile columns held in registers on the AVX2 tier.
+pub const NR_WIDE: usize = 16;
+
+/// The tile width this host runs: a property of the CPU, so every chunk
+/// of one matmul (and every run on one host) uses the same one.
+fn host_nr() -> usize {
+    match simd::tier() {
+        Tier::Baseline => NR,
+        Tier::Avx2 => NR_WIDE,
+    }
+}
 
 /// Problem-size class, selected deterministically from `(m, k, n)`.
 ///
@@ -56,7 +81,7 @@ pub enum SizeClass {
 pub struct TileShape {
     /// k-panel depth.
     pub kc: usize,
-    /// Column-panel width (a multiple of [`NR`] after padding).
+    /// Column-panel width (a multiple of the tile width after padding).
     pub nc: usize,
 }
 
@@ -202,7 +227,7 @@ enum BSource<'a> {
 /// row-major; the chunk-of-rows calling convention matches
 /// `ln_par::par_chunks_mut` so every pool chunk runs the same code.
 pub fn gemm(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, out: &mut [f32], ep: &Epilogue) {
-    run_gemm(a, &BSource::Normal(b), k, n, row0, out);
+    run_gemm(host_nr(), a, &BSource::Normal(b), k, n, row0, out);
     apply_epilogue(out, n, ep);
 }
 
@@ -217,7 +242,7 @@ pub fn gemm_bt(
     out: &mut [f32],
     ep: &Epilogue,
 ) {
-    run_gemm(a, &BSource::Transposed(b), k, n, row0, out);
+    run_gemm(host_nr(), a, &BSource::Transposed(b), k, n, row0, out);
     apply_epilogue(out, n, ep);
 }
 
@@ -236,13 +261,34 @@ pub fn gemm_gated(
     row0: usize,
     out: &mut [f32],
 ) {
-    run_gemm(a, &BSource::Normal(proj.b), k, n, row0, out);
+    gemm_gated_at(host_nr(), a, (k, n), gate, proj, row0, out);
+}
+
+/// [`gemm_gated`] at tile width `nr`.
+fn gemm_gated_at(
+    nr: usize,
+    a: &[f32],
+    (k, n): (usize, usize),
+    gate: BiasedB,
+    proj: BiasedB,
+    row0: usize,
+    out: &mut [f32],
+) {
+    run_gemm(nr, a, &BSource::Normal(proj.b), k, n, row0, out);
     // Borrow the gate accumulator out of the arena so run_gemm can take
     // the thread-local scratch for its packing buffers.
     let mut g = SCRATCH.with(|c| std::mem::take(&mut c.borrow_mut().g_acc));
     ensure(&mut g, out.len());
     g[..out.len()].fill(0.0);
-    run_gemm(a, &BSource::Normal(gate.b), k, n, row0, &mut g[..out.len()]);
+    run_gemm(
+        nr,
+        a,
+        &BSource::Normal(gate.b),
+        k,
+        n,
+        row0,
+        &mut g[..out.len()],
+    );
     for (orow, grow) in out.chunks_exact_mut(n).zip(g.chunks_exact(n)) {
         for ((o, &gv), (&gb, &pb)) in orow
             .iter_mut()
@@ -260,10 +306,25 @@ pub fn gemm_gated(
     });
 }
 
-fn run_gemm(a: &[f32], bsrc: &BSource, k: usize, n: usize, row0: usize, out: &mut [f32]) {
+/// The panel loops at tile width `nr` ([`NR`] or [`NR_WIDE`]): pack, then
+/// one [`micro_tile`] per `MR × nr` block of the output chunk.
+fn run_gemm(
+    nr: usize,
+    a: &[f32],
+    bsrc: &BSource,
+    k: usize,
+    n: usize,
+    row0: usize,
+    out: &mut [f32],
+) {
     if n == 0 || k == 0 || out.is_empty() {
         return;
     }
+    let tile_fn = match nr {
+        NR => micro_tile::<NR>,
+        NR_WIDE => micro_tile::<NR_WIDE>,
+        _ => unreachable!("tile width {nr} has no instantiation"),
+    };
     let rows = out.len() / n;
     let m_total = a.len() / k;
     let ts = tile_shape(m_total, k, n);
@@ -271,7 +332,7 @@ fn run_gemm(a: &[f32], bsrc: &BSource, k: usize, n: usize, row0: usize, out: &mu
     SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
         ensure(&mut s.a_pack, row_tiles * MR * ts.kc.min(k));
-        ensure(&mut s.b_pack, ts.nc.div_ceil(NR) * NR * ts.kc.min(k));
+        ensure(&mut s.b_pack, ts.nc.div_ceil(nr) * nr * ts.kc.min(k));
         note_scratch_hwm(s);
         let mut kb = 0;
         while kb < k {
@@ -280,8 +341,8 @@ fn run_gemm(a: &[f32], bsrc: &BSource, k: usize, n: usize, row0: usize, out: &mu
             let mut jb = 0;
             while jb < n {
                 let nc_len = ts.nc.min(n - jb);
-                let col_tiles = nc_len.div_ceil(NR);
-                pack_b(bsrc, k, n, (kb, kc_len), (jb, nc_len), &mut s.b_pack);
+                let col_tiles = nc_len.div_ceil(nr);
+                pack_b(nr, bsrc, k, n, (kb, kc_len), (jb, nc_len), &mut s.b_pack);
                 // The tile loops below touch only packed panels and the
                 // output chunk: arena growth here would mean an alloc on
                 // the innermost path.
@@ -296,19 +357,19 @@ fn run_gemm(a: &[f32], bsrc: &BSource, k: usize, n: usize, row0: usize, out: &mu
                     let mr_len = MR.min(rows - ir);
                     for (jt, b_strip) in s
                         .b_pack
-                        .chunks_exact(NR * kc_len)
+                        .chunks_exact(nr * kc_len)
                         .take(col_tiles)
                         .enumerate()
                     {
-                        let jr = jb + jt * NR;
-                        let nr_len = NR.min(n - jr);
+                        let jr = jb + jt * nr;
+                        let nr_len = nr.min(n - jr);
                         let tile = TilePos {
                             ir,
                             jr,
                             mr_len,
                             nr_len,
                         };
-                        micro_tile(a_strip, b_strip, out, n, tile);
+                        tile_fn(a_strip, b_strip, out, n, tile);
                     }
                 }
                 debug_assert_eq!(
@@ -358,13 +419,14 @@ fn pack_a(
     }
 }
 
-/// Packs NR-column strips of B for one `(k, j)` panel: strip `jt` holds
-/// columns `jb + jt·NR ..` as `[dk][jl]`. Columns past `n` pad with zeros.
+/// Packs `nr`-column strips of B for one `(k, j)` panel: strip `jt` holds
+/// columns `jb + jt·nr ..` as `[dk][jl]`. Columns past `n` pad with zeros.
 ///
 /// The row-major source walks B row-by-row (contiguous streams) rather
 /// than column-by-column — a stride-`n` gather here costs more than the
 /// multiply loop it feeds.
 fn pack_b(
+    nr: usize,
     bsrc: &BSource,
     k: usize,
     n: usize,
@@ -372,15 +434,15 @@ fn pack_b(
     (jb, nc_len): (usize, usize),
     pack: &mut [f32],
 ) {
-    let col_tiles = nc_len.div_ceil(NR);
+    let col_tiles = nc_len.div_ceil(nr);
     match bsrc {
         BSource::Normal(b) => {
             for dk in 0..kc_len {
                 let brow = &b[(kb + dk) * n..][..n];
                 for jt in 0..col_tiles {
-                    let dst = &mut pack[jt * NR * kc_len + dk * NR..][..NR];
-                    let j0 = jb + jt * NR;
-                    let take = NR.min(n - j0).min(nc_len - jt * NR);
+                    let dst = &mut pack[jt * nr * kc_len + dk * nr..][..nr];
+                    let j0 = jb + jt * nr;
+                    let take = nr.min(n - j0).min(nc_len - jt * nr);
                     dst[..take].copy_from_slice(&brow[j0..j0 + take]);
                     dst[take..].fill(0.0);
                 }
@@ -390,20 +452,20 @@ fn pack_b(
             // Column j of B is row j of the transposed source: contiguous
             // in dk already.
             for (jt, strip) in pack
-                .chunks_exact_mut(NR * kc_len)
+                .chunks_exact_mut(nr * kc_len)
                 .take(col_tiles)
                 .enumerate()
             {
-                for jl in 0..NR {
-                    let j = jb + jt * NR + jl;
-                    if j < n && jt * NR + jl < nc_len {
+                for jl in 0..nr {
+                    let j = jb + jt * nr + jl;
+                    if j < n && jt * nr + jl < nc_len {
                         let src = &b[j * k + kb..][..kc_len];
                         for (dk, &v) in src.iter().enumerate() {
-                            strip[dk * NR + jl] = v;
+                            strip[dk * nr + jl] = v;
                         }
                     } else {
                         for dk in 0..kc_len {
-                            strip[dk * NR + jl] = 0.0;
+                            strip[dk * nr + jl] = 0.0;
                         }
                     }
                 }
@@ -426,24 +488,60 @@ struct TilePos {
 /// across any k-panel split.
 ///
 /// `inline(never)` is load-bearing for performance: compiled standalone,
-/// LLVM keeps the whole MR×NR accumulator in XMM registers (~22 GFLOP/s
-/// on baseline SSE2); inlined into the panel loop, register allocation
-/// degrades ~6× by spilling the accumulator to the stack every k step.
+/// LLVM keeps the whole MR×W accumulator in vector registers; inlined into
+/// the panel loop, register allocation degrades ~6× by spilling the
+/// accumulator to the stack every k step. The body enters through
+/// [`simd::wide`], so on an AVX2 host the W = 16 tile is eight YMM
+/// accumulators; without AVX2 either width runs as plain baseline code.
 #[inline(never)]
-fn micro_tile(a_strip: &[f32], b_strip: &[f32], out: &mut [f32], n: usize, tile: TilePos) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for il in 0..tile.mr_len {
-        acc[il][..tile.nr_len].copy_from_slice(&out[(tile.ir + il) * n + tile.jr..][..tile.nr_len]);
+fn micro_tile<const W: usize>(
+    a_strip: &[f32],
+    b_strip: &[f32],
+    out: &mut [f32],
+    n: usize,
+    tile: TilePos,
+) {
+    simd::wide(
+        #[inline(always)]
+        || micro_tile_body::<W>(a_strip, b_strip, out, n, tile),
+    );
+}
+
+#[inline(always)]
+fn micro_tile_body<const W: usize>(
+    a_strip: &[f32],
+    b_strip: &[f32],
+    out: &mut [f32],
+    n: usize,
+    tile: TilePos,
+) {
+    let mut acc = [[0.0f32; W]; MR];
+    // A full-width tile moves its rows with a constant length, which
+    // compiles to vector loads and stores; only edge tiles pay a `memcpy`
+    // call per row.
+    let full_width = tile.nr_len == W;
+    for (il, acc_row) in acc.iter_mut().enumerate().take(tile.mr_len) {
+        let src = &out[(tile.ir + il) * n + tile.jr..];
+        if full_width {
+            acc_row.copy_from_slice(&src[..W]);
+        } else {
+            acc_row[..tile.nr_len].copy_from_slice(&src[..tile.nr_len]);
+        }
     }
-    for (a_col, b_row) in a_strip.chunks_exact(MR).zip(b_strip.chunks_exact(NR)) {
+    for (a_col, b_row) in a_strip.chunks_exact(MR).zip(b_strip.chunks_exact(W)) {
         for (acc_row, &av) in acc.iter_mut().zip(a_col) {
             for (slot, &bv) in acc_row.iter_mut().zip(b_row) {
                 *slot += av * bv;
             }
         }
     }
-    for il in 0..tile.mr_len {
-        out[(tile.ir + il) * n + tile.jr..][..tile.nr_len].copy_from_slice(&acc[il][..tile.nr_len]);
+    for (il, acc_row) in acc.iter().enumerate().take(tile.mr_len) {
+        let dst = &mut out[(tile.ir + il) * n + tile.jr..];
+        if full_width {
+            dst[..W].copy_from_slice(acc_row);
+        } else {
+            dst[..tile.nr_len].copy_from_slice(&acc_row[..tile.nr_len]);
+        }
     }
 }
 
@@ -569,50 +667,141 @@ mod tests {
         assert_eq!(chunk, reference[4 * n..9 * n].to_vec());
     }
 
+    /// Rows `row0..` of `a × b`, each element a k-ascending left fold
+    /// that starts from `init` (the accumulate contract of `run_gemm`).
+    fn fold_reference(
+        init: &[f32],
+        a: &[f32],
+        b: &[f32],
+        (k, n): (usize, usize),
+        row0: usize,
+    ) -> Vec<f32> {
+        let mut out = init.to_vec();
+        for (i, row) in out.chunks_exact_mut(n).enumerate() {
+            for (j, acc) in row.iter_mut().enumerate() {
+                for dk in 0..k {
+                    *acc += a[(row0 + i) * k + dk] * b[dk * n + j];
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    const WIDTH_MS: [usize; 4] = [1, 3, 4, 5];
+    const WIDTH_KS: [usize; 4] = [1, 127, 256, 300];
+    const WIDTH_NS: [usize; 8] = [1, 7, 8, 9, 15, 16, 17, 130];
+
     #[test]
-    fn gated_fusion_matches_unfused_sequence() {
-        let (m, k, n) = (7, 11, 9);
-        let a = mat(m, k, 7);
-        let wg = mat(k, n, 8);
-        let wp = mat(k, n, 9);
-        let bg: Vec<f32> = (0..n).map(|j| j as f32 * 0.1 - 0.3).collect();
-        let bp: Vec<f32> = (0..n).map(|j| j as f32 * 0.05).collect();
-        let mut fused = vec![0.0f32; m * n];
-        gemm_gated(
-            &a,
-            k,
-            n,
-            BiasedB { b: &wg, bias: &bg },
-            BiasedB { b: &wp, bias: &bp },
-            0,
-            &mut fused,
-        );
-        let g = reference_matmul(&a, &wg, m, k, n);
-        let p = reference_matmul(&a, &wp, m, k, n);
-        for i in 0..m {
-            for j in 0..n {
-                let gate = 1.0 / (1.0 + (-(g[i * n + j] + bg[j])).exp());
-                let want = gate * (p[i * n + j] + bp[j]);
-                assert_eq!(fused[i * n + j].to_bits(), want.to_bits(), "({i},{j})");
+    fn both_tile_widths_match_the_reference_bitwise() {
+        // Both instantiations are called directly, so W = 16 is covered on
+        // a host without AVX2 and W = 8 on a host with it. `row0 = 2` puts
+        // the chunk off the top of A; the second pass accumulates onto a
+        // pre-filled `out`.
+        let row0 = 2;
+        for nr in [NR, NR_WIDE] {
+            for m in WIDTH_MS {
+                for k in WIDTH_KS {
+                    for n in WIDTH_NS {
+                        let a = mat(row0 + m, k, 1);
+                        let b = mat(k, n, 2);
+                        let mut bt = vec![0.0f32; n * k];
+                        for j in 0..n {
+                            for dk in 0..k {
+                                bt[j * k + dk] = b[dk * n + j];
+                            }
+                        }
+                        let whole = reference_matmul(&a, &b, row0 + m, k, n);
+                        let want = &whole[row0 * n..];
+                        let prefill = mat(m, n, 3);
+                        let want_acc = fold_reference(&prefill, &a, &b, (k, n), row0);
+                        for (name, bsrc) in [
+                            ("gemm", BSource::Normal(&b)),
+                            ("gemm_bt", BSource::Transposed(&bt)),
+                        ] {
+                            let mut out = vec![0.0f32; m * n];
+                            run_gemm(nr, &a, &bsrc, k, n, row0, &mut out);
+                            assert_eq!(bits(&out), bits(want), "{name} W={nr} ({m},{k},{n})");
+                            let mut out = prefill.clone();
+                            run_gemm(nr, &a, &bsrc, k, n, row0, &mut out);
+                            assert_eq!(
+                                bits(&out),
+                                bits(&want_acc),
+                                "{name} accumulate W={nr} ({m},{k},{n})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gated_fusion_matches_unfused_sequence_at_both_tile_widths() {
+        let row0 = 1;
+        for nr in [NR, NR_WIDE] {
+            for (m, k, n) in [(7, 11, 9), (5, 300, 17), (1, 127, 130), (4, 256, 16)] {
+                let a = mat(row0 + m, k, 7);
+                let wg = mat(k, n, 8);
+                let wp = mat(k, n, 9);
+                let bg: Vec<f32> = (0..n).map(|j| j as f32 * 0.1 - 0.3).collect();
+                let bp: Vec<f32> = (0..n).map(|j| j as f32 * 0.05).collect();
+                let mut fused = vec![0.0f32; m * n];
+                gemm_gated_at(
+                    nr,
+                    &a,
+                    (k, n),
+                    BiasedB { b: &wg, bias: &bg },
+                    BiasedB { b: &wp, bias: &bp },
+                    row0,
+                    &mut fused,
+                );
+                let g = reference_matmul(&a, &wg, row0 + m, k, n);
+                let p = reference_matmul(&a, &wp, row0 + m, k, n);
+                for i in 0..m {
+                    for j in 0..n {
+                        let at = (row0 + i) * n + j;
+                        let gate = 1.0 / (1.0 + (-(g[at] + bg[j])).exp());
+                        let want = gate * (p[at] + bp[j]);
+                        assert_eq!(
+                            fused[i * n + j].to_bits(),
+                            want.to_bits(),
+                            "W={nr} ({m},{k},{n}) at ({i},{j})"
+                        );
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn warm_arena_does_not_allocate() {
+        // `gemm` takes the host's dispatched tile width, so this (and the
+        // debug_assert guard around the tile loops, live in this profile)
+        // covers whichever tier the host selects; the explicit widths
+        // cover the other one.
         let (m, k, n) = (33, 40, 29);
         let a = mat(m, k, 10);
         let b = mat(k, n, 11);
         let mut out = vec![0.0f32; m * n];
-        gemm(&a, &b, k, n, 0, &mut out, &Epilogue::None); // warm-up
-        let before = alloc_events();
-        out.fill(0.0);
-        gemm(&a, &b, k, n, 0, &mut out, &Epilogue::None);
-        assert_eq!(
-            alloc_events(),
-            before,
-            "steady-state GEMM must not grow the arena"
-        );
+        let run = |width: Option<usize>, out: &mut [f32]| match width {
+            None => gemm(&a, &b, k, n, 0, out, &Epilogue::None),
+            Some(nr) => run_gemm(nr, &a, &BSource::Normal(&b), k, n, 0, out),
+        };
+        for width in [None, Some(NR), Some(NR_WIDE)] {
+            run(width, &mut out); // warm-up
+            let before = alloc_events();
+            out.fill(0.0);
+            run(width, &mut out);
+            assert_eq!(
+                alloc_events(),
+                before,
+                "steady-state GEMM must not grow the arena ({width:?})"
+            );
+        }
     }
 
     #[test]

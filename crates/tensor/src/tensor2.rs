@@ -242,10 +242,37 @@ impl Tensor2 {
                 rhs: vec![rhs.rows, rhs.cols],
             });
         }
+        let mut out = Tensor2::zeros(self.rows, rhs.cols);
+        self.matmul_onto(rhs, epilogue, &mut out);
+        Ok(out)
+    }
+
+    /// [`Tensor2::matmul`] written into `out`, which is overwritten — for
+    /// callers that reuse one output buffer across many products.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when `self.cols != rhs.rows`
+    /// or `out` is not `(self.rows, rhs.cols)`.
+    pub fn matmul_into(&self, rhs: &Tensor2, out: &mut Tensor2) -> Result<(), TensorError> {
+        if self.cols != rhs.rows || out.shape() != (self.rows, rhs.cols) {
+            return Err(TensorError::ShapeMismatch {
+                op: "matmul_into",
+                lhs: vec![self.rows, self.cols],
+                rhs: vec![rhs.rows, rhs.cols],
+            });
+        }
+        out.data.fill(0.0);
+        self.matmul_onto(rhs, &Epilogue::None, out);
+        Ok(())
+    }
+
+    /// The GEMM behind [`Tensor2::matmul_epilogue`]: accumulates onto a
+    /// zeroed, shape-checked `out`.
+    fn matmul_onto(&self, rhs: &Tensor2, epilogue: &Epilogue, out: &mut Tensor2) {
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        let mut out = Tensor2::zeros(m, n);
         if m == 0 || n == 0 {
-            return Ok(out);
+            return;
         }
         ln_par::metrics::time_kernel("tensor2.matmul", (m * n) as u64, || {
             let rows_per_chunk = matmul_chunk_rows(m, k, n);
@@ -255,7 +282,6 @@ impl Tensor2 {
                 microkernel::gemm(a, b, k, n, c * rows_per_chunk, chunk, epilogue);
             });
         });
-        Ok(out)
     }
 
     /// Matrix product `self × rhsᵀ` without materialising the transpose.
@@ -275,10 +301,41 @@ impl Tensor2 {
                 rhs: vec![rhs.rows, rhs.cols],
             });
         }
+        let mut out = Tensor2::zeros(self.rows, rhs.rows);
+        self.matmul_transposed_onto(rhs, &mut out);
+        Ok(out)
+    }
+
+    /// [`Tensor2::matmul_transposed`] written into `out`, which is
+    /// overwritten — for callers that reuse one output buffer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when `self.cols != rhs.cols`
+    /// or `out` is not `(self.rows, rhs.rows)`.
+    pub fn matmul_transposed_into(
+        &self,
+        rhs: &Tensor2,
+        out: &mut Tensor2,
+    ) -> Result<(), TensorError> {
+        if self.cols != rhs.cols || out.shape() != (self.rows, rhs.rows) {
+            return Err(TensorError::ShapeMismatch {
+                op: "matmul_transposed_into",
+                lhs: vec![self.rows, self.cols],
+                rhs: vec![rhs.rows, rhs.cols],
+            });
+        }
+        out.data.fill(0.0);
+        self.matmul_transposed_onto(rhs, out);
+        Ok(())
+    }
+
+    /// The GEMM behind [`Tensor2::matmul_transposed`]: accumulates onto a
+    /// zeroed, shape-checked `out`.
+    fn matmul_transposed_onto(&self, rhs: &Tensor2, out: &mut Tensor2) {
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        let mut out = Tensor2::zeros(m, n);
         if m == 0 || n == 0 {
-            return Ok(out);
+            return;
         }
         ln_par::metrics::time_kernel("tensor2.matmul_t", (m * n) as u64, || {
             let rows_per_chunk = matmul_chunk_rows(m, k, n);
@@ -288,7 +345,6 @@ impl Tensor2 {
                 microkernel::gemm_bt(a, b, k, n, c * rows_per_chunk, chunk, &Epilogue::None);
             });
         });
-        Ok(out)
     }
 
     /// Fused gated projection: `sigmoid(self × gate_w + gate_bias) ⊙
@@ -561,6 +617,23 @@ mod tests {
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-4);
         }
+    }
+
+    #[test]
+    fn into_variants_overwrite_a_reused_buffer_with_the_same_bits() {
+        let a = Tensor2::from_fn(5, 7, |i, j| (i * 7 + j * 3) as f32 * 0.25 - 1.0);
+        let b = Tensor2::from_fn(7, 6, |i, j| (i * 2 + j) as f32 * 0.3 - 2.0);
+        let bt = b.transposed();
+        // Stale contents must not leak into the product.
+        let mut out = Tensor2::full(5, 6, 9.0);
+        a.matmul_into(&b, &mut out).unwrap();
+        assert_eq!(out, a.matmul(&b).unwrap());
+        out = Tensor2::full(5, 6, -3.0);
+        a.matmul_transposed_into(&bt, &mut out).unwrap();
+        assert_eq!(out, a.matmul_transposed(&bt).unwrap());
+        let mut wrong = Tensor2::zeros(5, 5);
+        assert!(a.matmul_into(&b, &mut wrong).is_err());
+        assert!(a.matmul_transposed_into(&bt, &mut wrong).is_err());
     }
 
     #[test]

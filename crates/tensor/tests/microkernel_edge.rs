@@ -1,12 +1,12 @@
 //! Exhaustive edge-size coverage for the register-tiled microkernel.
 //!
 //! Every (m, k, n) combination around the tile boundaries — sizes from 1
-//! through MR+1, NR±1, and odd sizes straddling the panel widths — must
-//! be *bitwise* identical to a reference triple loop with the same
-//! k-ascending summation order. Any padding leak, mis-sized edge tile or
-//! reassociated accumulation shows up here as a bit mismatch.
+//! through MR+1, NR±1, NR_WIDE±1, and odd sizes straddling the panel
+//! widths — must be *bitwise* identical to a reference triple loop with
+//! the same k-ascending summation order. Any padding leak, mis-sized edge
+//! tile or reassociated accumulation shows up here as a bit mismatch.
 
-use ln_tensor::microkernel::{self, Epilogue, MR, NR};
+use ln_tensor::microkernel::{self, Epilogue, MR, NR, NR_WIDE};
 use ln_tensor::Tensor2;
 
 /// Deterministic non-trivial fill (values with uneven mantissas so
@@ -21,6 +21,8 @@ fn fill(rows: usize, cols: usize, seed: usize) -> Tensor2 {
 fn edge_sizes() -> Vec<usize> {
     let mut sizes: Vec<usize> = (1..=MR + 1).collect();
     sizes.extend([NR - 1, NR, NR + 1, 2 * NR + 3, 3 * MR + 1, 33, 37]);
+    // The host may run either tile width; straddle the wide one too.
+    sizes.extend([NR_WIDE - 1, NR_WIDE, NR_WIDE + 1]);
     sizes.sort_unstable();
     sizes.dedup();
     sizes

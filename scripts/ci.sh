@@ -5,7 +5,9 @@
 #   1. cargo fmt --check                                  (formatting)
 #   2. cargo clippy --workspace --all-targets -D warnings (lints)
 #   3. cargo build --release                              (offline build)
-#   4. cargo test -q                                      (test suite)
+#   4. cargo test -q, then                                (test suite)
+#      cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm
+#                                                         (kernel crates)
 #   5. par_speedup --quick                                (kernel gate)
 #   6. chaos --quick                                      (ln-fault smoke)
 #   7. obs_overhead --quick                               (ln-obs cost gate)
@@ -15,6 +17,15 @@
 #  11. numerics --quick                                   (ln-scope gate)
 #  12. foldbench: cargo test, then run --quick            (benchmark smoke)
 #
+# Step 4's first command, at the workspace root, tests only the umbrella
+# package. Its second runs the unit and integration tests of the four
+# crates the fold's inner loops live in, in the release profile — the only
+# profile in which the vectorised kernel bodies exist, so the bit-identity
+# tests (both GEMM tile widths against the reference fold, `qgemm` against
+# a scalar reference, `bit_identity.rs`, `no_alloc.rs`) and the
+# chunked-attention tests check the code that ships. A few seconds once
+# step 3 has built the crates.
+#
 # Step 5 exits non-zero when a parallel kernel diverges bitwise from its
 # serial execution OR when any kernel's speedup drops below the 0.95x
 # floor at any pool size (pools are clamped to the host's cores, so the
@@ -22,9 +33,11 @@
 # single-core CI machines; a genuinely noisy sample gets one bounded
 # re-measure before failing). The microkernel's zero-allocation inner-loop
 # guard is a debug_assert on a per-thread arena counter, so it runs under
-# `cargo test` in step 4, not here. Step 6 drives a fixed-seed FaultPlan through
-# the virtual-time engine and exits non-zero if any request hangs or the
-# resilience stats are not byte-identical across two runs. Step 7 measures
+# the debug-profile `cargo test` of step 4 (every matmul the integration
+# tests make goes through the dispatched tile loops it wraps), not here.
+# Step 6 drives a fixed-seed FaultPlan through the virtual-time engine and
+# exits non-zero if any request hangs or the resilience stats are not
+# byte-identical across two runs. Step 7 measures
 # the LN_OBS=off instrumentation path against an uninstrumented baseline
 # loop and exits non-zero if the overhead exceeds 5%. Step 8 replays a
 # traced chaos run through the critical-path analyzer and gates the
@@ -72,6 +85,7 @@ step cargo clippy --workspace --all-targets -- -D warnings
 # target/ artifacts from earlier runs.
 step cargo build --release --workspace
 step cargo test -q
+step cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm
 step ./target/release/par_speedup --quick
 step ./target/release/chaos --quick
 step ./target/release/obs_overhead --quick

@@ -146,6 +146,46 @@ fn evoformer_block_is_bitwise_pool_invariant() {
 }
 
 #[test]
+fn chunked_evoformer_block_is_pool_invariant_and_tracks_the_unchunked_block() {
+    // attention_chunk = 8 over ns = 9: a full key chunk and a 1-wide tail
+    // through the online-softmax path, lanes split across the pool.
+    let ns = 9;
+    let unchunked_cfg = PpmConfig::tiny();
+    let chunked_cfg = PpmConfig {
+        attention_chunk: Some(8),
+        ..PpmConfig::tiny()
+    };
+    let seq0 = seeded_tensor2("par-det/evo-chunked/seq", ns, chunked_cfg.hm);
+    let mut rng = stream("par-det/evo-chunked/pair");
+    let mut pair_data = vec![0.0f32; ns * ns * chunked_cfg.hz];
+    fill_normal(&mut rng, &mut pair_data, 0.5);
+    let pair0 = Tensor3::from_vec(ns, ns, chunked_cfg.hz, pair_data).expect("shape matches data");
+    let run = |cfg: &PpmConfig| {
+        let block = FoldingBlock::new(cfg, "par-det", 0);
+        let mut seq = seq0.clone();
+        let mut pair = pair0.clone();
+        block
+            .forward(&mut seq, &mut pair, &mut NoopHook, 0, 0)
+            .expect("tiny config is valid");
+        (seq, pair)
+    };
+    assert_pool_invariant(|| {
+        let (seq, pair) = run(&chunked_cfg);
+        (bits(seq.as_slice()), bits(pair.as_slice()))
+    });
+    let (seq_c, pair_c) = run(&chunked_cfg);
+    let (seq_u, pair_u) = run(&unchunked_cfg);
+    for (c, u) in [
+        (seq_c.as_slice(), seq_u.as_slice()),
+        (pair_c.as_slice(), pair_u.as_slice()),
+    ] {
+        for (a, b) in c.iter().zip(u) {
+            assert!((a - b).abs() < 1e-4, "chunked {a} vs unchunked {b}");
+        }
+    }
+}
+
+#[test]
 fn layernorm_and_softmax_are_pool_invariant() {
     use ln_tensor::nn::{softmax_rows, LayerNorm};
     let ln = LayerNorm::new(48);
