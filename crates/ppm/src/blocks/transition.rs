@@ -4,7 +4,6 @@
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_quant::qgemm::{MacMode, QLinear};
-use ln_quant::scheme::Bits;
 use ln_quant::tensor::QuantizedTensor;
 use ln_tensor::nn::{LayerNorm, Linear};
 use ln_tensor::{nn, Tensor3};
@@ -72,12 +71,7 @@ impl PairTransition {
         let mut h = match hook.quantized_matmul(tap(ActivationSite::TransitionPostLn)) {
             Some(scheme) => {
                 let qx = QuantizedTensor::from_tensor(&x, scheme);
-                let mode = if scheme.inlier_bits == Bits::Int4 {
-                    MacMode::BitChunked
-                } else {
-                    MacMode::Direct
-                };
-                nn::relu(&self.q_expand.forward(&qx, mode)?)
+                nn::relu(&self.q_expand.forward(&qx, MacMode::for_scheme(scheme))?)
             }
             None => self.expand.forward_relu(&x)?,
         };

@@ -10,7 +10,6 @@ use super::transpose_pair_tokens;
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_quant::qgemm::{MacMode, QLinear};
-use ln_quant::scheme::{Bits, QuantScheme};
 use ln_quant::tensor::QuantizedTensor;
 use ln_tensor::microkernel::{self, Epilogue};
 use ln_tensor::nn::{LayerNorm, Linear};
@@ -129,7 +128,7 @@ impl TriangularAttention {
         // opted in).
         let qscheme = hook.quantized_matmul(tap(ActivationSite::TriAttnPostLn));
         let qx = qscheme.map(|scheme| QuantizedTensor::from_tensor(&x, scheme));
-        let qmode = qscheme.map(mac_mode_for);
+        let qmode = qscheme.map(MacMode::for_scheme);
         let project = |fp: &Linear, qd: &QLinear| match (&qx, qmode) {
             (Some(qx), Some(mode)) => qd.forward(qx, mode),
             _ => fp.forward(&x),
@@ -275,16 +274,6 @@ impl TriangularAttention {
         new_pair.add_assign(&update3)?;
         *pair = new_pair;
         Ok(())
-    }
-}
-
-/// The integer MAC strategy for a scheme: INT4 inliers run the RMPU's
-/// bit-chunked path natively, wider inliers take the direct i32 MAC.
-fn mac_mode_for(scheme: QuantScheme) -> MacMode {
-    if scheme.inlier_bits == Bits::Int4 {
-        MacMode::BitChunked
-    } else {
-        MacMode::Direct
     }
 }
 

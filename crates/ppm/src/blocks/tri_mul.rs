@@ -6,7 +6,6 @@ use super::transpose_pair_tokens;
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_quant::qgemm::{MacMode, QLinear};
-use ln_quant::scheme::{Bits, QuantScheme};
 use ln_quant::tensor::QuantizedTensor;
 use ln_tensor::nn::{LayerNorm, Linear};
 use ln_tensor::{nn, simd, Tensor2, Tensor3};
@@ -132,7 +131,7 @@ impl TriangularMultiplication {
             || hook.observes(ActivationSite::TriMulGateRight)
             || hook.observes(ActivationSite::TriMulProjRight);
         let (left, right) = if let (Some(scheme), Some(qx)) = (qscheme, qx.as_ref()) {
-            let mode = mac_mode_for(scheme);
+            let mode = MacMode::for_scheme(scheme);
             let mut gl = nn::sigmoid(&self.q_gate_left.forward(qx, mode)?);
             hook.on_activation(tap(ActivationSite::TriMulGateLeft), &mut gl);
             let mut pl = self.q_proj_left.forward(qx, mode)?;
@@ -200,7 +199,7 @@ impl TriangularMultiplication {
         hook.on_activation(tap(ActivationSite::TriMulOutPostLn), &mut y);
 
         let mut g = if let (Some(scheme), Some(qx)) = (qscheme, qx.as_ref()) {
-            nn::sigmoid(&self.q_gate_out.forward(qx, mac_mode_for(scheme))?)
+            nn::sigmoid(&self.q_gate_out.forward(qx, MacMode::for_scheme(scheme))?)
         } else {
             self.gate_out.forward_sigmoid(&x)?
         };
@@ -216,17 +215,6 @@ impl TriangularMultiplication {
         new_pair.add_assign(&update3)?;
         *pair = new_pair;
         Ok(())
-    }
-}
-
-/// The integer MAC strategy for a scheme: INT4 inliers run the RMPU's
-/// bit-chunked path natively (a single 4-bit chunk), wider inliers take
-/// the direct i32 MAC (bit-chunking is exactly equal, just more passes).
-fn mac_mode_for(scheme: QuantScheme) -> MacMode {
-    if scheme.inlier_bits == Bits::Int4 {
-        MacMode::BitChunked
-    } else {
-        MacMode::Direct
     }
 }
 

@@ -6,34 +6,82 @@
 //! levels against *full-precision* weights (one float multiply per MAC),
 //! this module keeps both operands integer: activations stay in their
 //! encoded levels, weights are per-output-column symmetric INT8, and the
-//! inner loop is pure `i32` multiply-accumulate. Scaling factors — the
+//! inner loop is pure integer multiply-accumulate. Scaling factors — the
 //! token's dynamic σ and the weight column's σw — touch each output
 //! element exactly once, in the epilogue.
 //!
-//! [`MacMode::BitChunked`] additionally reproduces the RMPU's bit-serial
-//! MAC: every activation level splits into 4-bit chunks, each chunk
-//! accumulates independently, and the partial sums recombine by shifted
-//! addition. Because the split is exact integer arithmetic, the
-//! bit-chunked product equals the direct product bit for bit — the
-//! property that lets the hardware run INT4 natively and INT8/INT16 as
-//! multi-pass without any accuracy cliff (and lets a test pin the two
-//! modes equal here).
+//! # The tile
+//!
+//! A register-tiled GEMM over two packed operands. An [`MR`]` × `[`NR`]
+//! block of **`i16`** accumulators (eight 256-bit registers under
+//! [`ln_tensor::simd::wide`]; the same source compiled at 128 bits
+//! elsewhere) takes one rank-1 update per channel — a weight row of `NR`
+//! levels times each of the `MR` tokens' level, `wrapping_mul` and
+//! `wrapping_add` per lane. The RMPU multiplies in 4-bit units and runs a
+//! wider level as extra passes; a 16-bit lane plays that unit here. A
+//! level splits into 4-bit chunks (low ones unsigned, the top one keeps
+//! the sign), each chunk is one pass of the tile, and the passes recombine
+//! by shifted addition into `i32`: INT4 costs one pass, INT8 two, INT16
+//! four — the cost follows the bits in use.
+//!
+//! A pass runs [`KC`]` = 16` channels before its lanes are added into the
+//! `i32` block. A chunk's largest step is nibble 15 (or top chunk −8)
+//! times weight ±127 = 1905; sixteen steps reach 30 480 < 2¹⁵, so no lane
+//! wraps and every sum is exact (eighteen would not be: 34 290). The `i32`
+//! block holds at most `32767 · 127 · 256 < 2³⁰`, the whole-level bound at
+//! the widest legal token. A token's ≤ k outliers (INT16 levels, zero in
+//! the dense panel) join as `i32` rows under the same bound, and the
+//! epilogue `in · (σ_in·σw) + out · (σ_out·σw) + bias` runs on the block
+//! before it leaves the stack: each output element is written once.
+//!
+//! # What is packed when
+//!
+//! * Weights, at construction ([`QuantizedWeights::from_tensor`]): INT8
+//!   levels widened to `i16` in panels of `NR` columns, `[channel][NR]`
+//!   contiguous, the last panel zero-padded — 8 KB per 128 channels,
+//!   L1-resident while a block of tokens passes over it, and the only
+//!   copy of the levels.
+//! * Activations, at encode ([`QuantizedTensor::from_tensor`]): the
+//!   inlier levels in groups of `MR` tokens, `[channel][MR]` contiguous,
+//!   zero at outlier slots — once per tensor, however many projections
+//!   read it.
+//!
+//! # Weight level −128
+//!
+//! [`QuantizedWeights::from_tensor`] clamps to ±127 (symmetric INT8), so
+//! −128 never occurs. Were one stored the lanes would still be exact
+//! (`15 · 128 · 16 = 30 720`); the bound above does not lean on that.
 
-use crate::scheme::Bits;
+use crate::scheme::{Bits, QuantScheme};
 use crate::tensor::QuantizedTensor;
+use crate::token::QuantizedToken;
 use ln_tensor::nn::Linear;
 use ln_tensor::{simd, Tensor2, TensorError};
 
+/// Tokens per register tile (and per group of the activation panel).
+pub const MR: usize = 4;
+/// Output columns per register tile (and per weight panel).
+pub const NR: usize = 32;
+/// Channels one chunk pass accumulates in `i16` lanes before they are
+/// added into `i32`: the deepest at which `15 · 127 · KC` stays below 2¹⁵
+/// with a round number.
+const KC: usize = 16;
+/// Tokens that pass over one weight panel before the next is taken up:
+/// their levels (16 KB at 128 channels) and the panel share L1.
+const TOKEN_BLOCK: usize = 16 * MR;
+
 /// Per-output-column symmetric INT8 weights for the quantized-domain GEMM.
 ///
-/// Layout matches [`ln_tensor::nn::Linear`]: `(in_features, out_features)`
-/// row-major levels, so activations `(tokens, in)` map to `(tokens, out)`.
+/// Logically an `(in_features, out_features)` level matrix like
+/// [`ln_tensor::nn::Linear`]'s, so activations `(tokens, in)` map to
+/// `(tokens, out)`; stored as the kernel's packed panels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedWeights {
     in_features: usize,
     out_features: usize,
-    /// INT8 levels, row-major `(in, out)`.
-    levels: Vec<i8>,
+    /// INT8 levels as `i16`: panel `p` holds columns `p·NR ..` as
+    /// `[in][NR]`, zero beyond `out_features`.
+    panels: Vec<i16>,
     /// Per-output-column scaling factor σw.
     scales: Vec<f32>,
 }
@@ -53,21 +101,31 @@ impl QuantizedWeights {
         for s in &mut scales {
             *s = crate::scale::symmetric_scale(*s, max_level);
         }
-        let mut levels = Vec::with_capacity(in_features * out_features);
-        for row in w.iter_rows() {
+        let mut panels = vec![0i16; out_features.div_ceil(NR) * in_features * NR];
+        for (i, row) in w.iter_rows().enumerate() {
             for (j, &v) in row.iter().enumerate() {
                 let q = (v / scales[j])
                     .round()
                     .clamp(-(max_level as f32), max_level as f32);
-                levels.push(q as i8);
+                panels[Self::panel_index(in_features, i, j)] = q as i16;
             }
         }
         QuantizedWeights {
             in_features,
             out_features,
-            levels,
+            panels,
             scales,
         }
+    }
+
+    /// Where level `(i, j)` sits in the packed panels.
+    fn panel_index(in_features: usize, i: usize, j: usize) -> usize {
+        (j / NR * in_features + i) * NR + j % NR
+    }
+
+    /// The INT8 level of input channel `i`, output column `j`.
+    fn level(&self, i: usize, j: usize) -> i16 {
+        self.panels[Self::panel_index(self.in_features, i, j)]
     }
 
     /// Input feature count.
@@ -88,33 +146,56 @@ impl QuantizedWeights {
     /// Reconstructs the full-precision weight matrix.
     pub fn decode(&self) -> Tensor2 {
         Tensor2::from_fn(self.in_features, self.out_features, |i, j| {
-            self.levels[i * self.out_features + j] as f32 * self.scales[j]
+            self.level(i, j) as f32 * self.scales[j]
         })
     }
 
-    /// Encoded size in bytes (levels + per-column scales).
+    /// Encoded size in bytes (one byte per level + per-column scales).
     pub fn encoded_bytes(&self) -> usize {
-        self.levels.len() + self.scales.len() * 4
+        self.in_features * self.out_features + self.scales.len() * 4
     }
 }
 
-/// Integer multiply-accumulate strategy for the quantized-domain GEMM.
+/// Integer multiply-accumulate dataflow for the quantized-domain GEMM.
+///
+/// Both run on the one tiled kernel, whose 16-bit lanes hold a 4-bit
+/// chunk's sums and nothing wider: a direct MAC has no wider multiplier
+/// to run on and is carried out as the chunk passes of its level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MacMode {
-    /// Plain `i32` multiply-accumulate per (level, weight) pair.
+    /// One multiply-accumulate per (level, weight) pair.
     Direct,
     /// RMPU-style bit-serial MAC: activation levels split into 4-bit
     /// chunks that accumulate independently and recombine by shifted
-    /// addition. Exactly equal to [`MacMode::Direct`] — the chunking is
-    /// lossless integer arithmetic.
+    /// addition — lossless, so exactly equal to [`MacMode::Direct`].
     BitChunked,
+}
+
+impl MacMode {
+    /// The dataflow the trunk runs a scheme on: INT4 inliers are the
+    /// RMPU's native single chunk, wider inliers take the direct MAC.
+    pub fn for_scheme(scheme: QuantScheme) -> MacMode {
+        if scheme.inlier_bits == Bits::Int4 {
+            MacMode::BitChunked
+        } else {
+            MacMode::Direct
+        }
+    }
+
+    /// Tile passes per inlier level of the given width.
+    fn passes(self, bits: Bits) -> usize {
+        match self {
+            MacMode::Direct | MacMode::BitChunked => bits.four_bit_chunks(),
+        }
+    }
 }
 
 /// Quantized-domain GEMM: `(tokens, in)` AAQ activations × INT8 weights
 /// `(in, out)`, integer inner loops, one dequantization epilogue.
 ///
-/// Inliers accumulate in `i32` (bounded by `127 · 127 · 256` per output),
-/// INT16 outliers in `i64`; the epilogue applies
+/// Inlier chunks accumulate in `i16` lanes (at most `15 · 127 · KC =
+/// 30 480` each) and recombine in `i32`; INT16 outliers accumulate in
+/// `i32` (`32767 · 127 · k < 2³⁰` for any legal `k`). The epilogue applies
 /// `σ_in·σw[o]`, `σ_out·σw[o]` and the bias exactly once per element.
 ///
 /// # Errors
@@ -139,149 +220,134 @@ pub fn qgemm(
     if tokens == 0 || n == 0 {
         return Ok(out);
     }
-    let toks = x.tokens();
+    let passes = mode.passes(x.scheme().inlier_bits);
     ln_par::metrics::time_kernel("aaq.qgemm", (tokens * n) as u64, || {
-        let per_chunk = ln_par::chunk_len(tokens, QGEMM_PAR_GRAIN_TOKENS);
+        // Chunks start on a token-group boundary of the level panel.
+        let per_chunk = ln_par::chunk_len(tokens.div_ceil(MR), QGEMM_PAR_GRAIN_GROUPS) * MR;
         ln_par::par_chunks_mut(out.as_mut_slice(), per_chunk * n, |c, chunk| {
-            // Chunk-lifetime scratch: reused across the chunk's tokens so
-            // the per-token loop allocates nothing.
-            let mut in_acc = vec![0i32; n];
-            let mut chunk_acc = vec![0i32; 4 * n];
-            let mut out_acc = vec![0i64; n];
-            // The integer MACs need a sign-extending byte load and a 32-bit
-            // vector multiply, which baseline SSE2 has to emulate; the
-            // chunk runs at the host's real width. Integer sums and the
-            // per-element epilogue are exact either way.
+            // The tile needs 16-bit multiplies at the host's real width;
+            // integer sums and the per-element epilogue are exact either way.
             simd::wide(
                 #[inline(always)]
-                || {
-                    for (local, row) in chunk.chunks_mut(n).enumerate() {
-                        let q = &toks[c * per_chunk + local];
-                        match mode {
-                            MacMode::Direct => {
-                                direct_inlier_macs(q, w, &mut in_acc);
-                            }
-                            MacMode::BitChunked => {
-                                let chunks = q.scheme().inlier_bits.four_bit_chunks().max(1);
-                                bit_chunked_inlier_macs(q, w, chunks, &mut chunk_acc, &mut in_acc);
-                            }
-                        }
-                        outlier_macs(q, w, &mut out_acc);
-                        // Dequantization epilogue: two scale applications and
-                        // the bias, once per output element.
-                        let si = q.inlier_scale();
-                        let so = q.outlier_scale();
-                        for (o, slot) in row.iter_mut().enumerate() {
-                            let sw = w.scales[o];
-                            *slot = in_acc[o] as f32 * (si * sw)
-                                + out_acc[o] as f32 * (so * sw)
-                                + bias[o];
-                        }
-                    }
-                },
+                || token_chunk(x, w, bias, passes, c * per_chunk, chunk),
             );
         });
     });
     Ok(out)
 }
 
-/// Minimum tokens per parallel chunk for the quantized-domain GEMM.
-const QGEMM_PAR_GRAIN_TOKENS: usize = 8;
+/// Minimum token groups per parallel chunk for the quantized-domain GEMM.
+const QGEMM_PAR_GRAIN_GROUPS: usize = 2;
 
-/// Walks the token's inliers (channel order, outlier positions skipped —
-/// a merge walk against the ascending outlier index list) and accumulates
-/// `level · w[ch][·]` into `acc` as plain `i32` MACs.
+/// The output rows `chunk` of tokens `first_token ..`: token blocks over
+/// weight panels over register tiles, outliers and epilogue per tile.
 #[inline(always)]
-fn direct_inlier_macs(q: &crate::token::QuantizedToken, w: &QuantizedWeights, acc: &mut [i32]) {
-    acc.fill(0);
-    let n = w.out_features;
-    let oi = q.outlier_indices();
-    let mut next_out = 0usize;
-    let mut inliers = q.inliers().iter();
-    for ch in 0..q.channels() {
-        if next_out < oi.len() && oi[next_out] as usize == ch {
-            next_out += 1;
-            continue;
-        }
-        let level = *inliers.next().expect("inlier count matches layout") as i32;
-        if level == 0 {
-            continue;
-        }
-        let wrow = &w.levels[ch * n..(ch + 1) * n];
-        for (a, &wl) in acc.iter_mut().zip(wrow) {
-            *a += level * wl as i32;
-        }
-    }
-}
-
-/// The RMPU bit-serial MAC: each inlier level splits into `chunks` 4-bit
-/// pieces (low chunks unsigned, top chunk keeps the sign), every piece
-/// accumulates into its own partial sum, and the partials recombine as
-/// `Σ chunk_acc[c] << 4c` — exactly the direct product.
-#[inline(always)]
-fn bit_chunked_inlier_macs(
-    q: &crate::token::QuantizedToken,
+fn token_chunk(
+    x: &QuantizedTensor,
     w: &QuantizedWeights,
-    chunks: usize,
-    chunk_acc: &mut [i32],
-    acc: &mut [i32],
+    bias: &[f32],
+    passes: usize,
+    first_token: usize,
+    chunk: &mut [f32],
 ) {
-    let n = w.out_features;
-    chunk_acc[..chunks * n].fill(0);
-    let oi = q.outlier_indices();
-    let mut next_out = 0usize;
-    let mut inliers = q.inliers().iter();
-    for ch in 0..q.channels() {
-        if next_out < oi.len() && oi[next_out] as usize == ch {
-            next_out += 1;
-            continue;
-        }
-        let level = *inliers.next().expect("inlier count matches layout");
-        if level == 0 {
-            continue;
-        }
-        let wrow = &w.levels[ch * n..(ch + 1) * n];
-        for c in 0..chunks {
-            let piece = if c + 1 == chunks {
-                // Top chunk: arithmetic shift preserves the sign.
-                (level >> (4 * c)) as i32
-            } else {
-                ((level >> (4 * c)) & 0xF) as i32
-            };
-            if piece == 0 {
-                continue;
+    let (k, n) = (w.in_features, w.out_features);
+    for (b, block) in chunk.chunks_mut(TOKEN_BLOCK * n).enumerate() {
+        let block_token = first_token + b * TOKEN_BLOCK;
+        for p in 0..n.div_ceil(NR) {
+            let panel = &w.panels[p * k * NR..][..k * NR];
+            let cols = p * NR..n.min((p + 1) * NR);
+            let (scales, bias) = (&w.scales[cols.clone()], &bias[cols.clone()]);
+            for (g, rows) in block.chunks_mut(MR * n).enumerate() {
+                let token = block_token + g * MR;
+                let levels = &x.level_panel()[token * k..][..k * MR];
+                let mut acc = [[0i32; NR]; MR];
+                for (a, wk) in levels.chunks(KC * MR).zip(panel.chunks(KC * NR)) {
+                    kc_block(a, wk, passes, &mut acc);
+                }
+                for ((row, q), in_acc) in rows.chunks_mut(n).zip(&x.tokens()[token..]).zip(&acc) {
+                    let out_acc = outlier_macs(q, panel);
+                    let (si, so) = (q.inlier_scale(), q.outlier_scale());
+                    for ((slot, (&ia, &oa)), (&sw, &b)) in row[cols.clone()]
+                        .iter_mut()
+                        .zip(in_acc.iter().zip(&out_acc))
+                        .zip(scales.iter().zip(bias))
+                    {
+                        *slot = ia as f32 * (si * sw) + oa as f32 * (so * sw) + b;
+                    }
+                }
             }
-            let dst = &mut chunk_acc[c * n..(c + 1) * n];
-            for (a, &wl) in dst.iter_mut().zip(wrow) {
-                *a += piece * wl as i32;
-            }
-        }
-    }
-    // Shifted recombination (the RMPU adder tree).
-    acc.fill(0);
-    for c in 0..chunks {
-        let src = &chunk_acc[c * n..(c + 1) * n];
-        for (a, &p) in acc.iter_mut().zip(src) {
-            *a += p << (4 * c);
         }
     }
 }
 
-/// Accumulates the token's INT16 outliers (a scalar loop over ≤ k
-/// entries) into `acc` as `i64` MACs.
+/// All chunk passes of the tile over ≤ [`KC`] channels: `levels` is
+/// `[ch][MR]`, `w` `[ch][NR]`.
 #[inline(always)]
-fn outlier_macs(q: &crate::token::QuantizedToken, w: &QuantizedWeights, acc: &mut [i64]) {
-    acc.fill(0);
-    let n = w.out_features;
-    for (&level, &idx) in q.outliers().iter().zip(q.outlier_indices()) {
-        if level == 0 {
-            continue;
+fn kc_block(levels: &[i16], w: &[i16], passes: usize, acc: &mut [[i32; NR]; MR]) {
+    if passes == 1 {
+        // A one-chunk level is its own (signed, top) chunk: no copy.
+        return chunk_pass(levels, w, 0, acc);
+    }
+    let mut pieces = [0i16; KC * MR];
+    let pieces = &mut pieces[..levels.len()];
+    for pass in 0..passes {
+        let shift = 4 * pass as u32;
+        let top = pass + 1 == passes;
+        for (piece, &level) in pieces.iter_mut().zip(levels) {
+            // Low chunks are unsigned nibbles; the arithmetic shift keeps
+            // the sign in the top one.
+            *piece = if top {
+                level >> shift
+            } else {
+                (level >> shift) & 0xF
+            };
         }
-        let wrow = &w.levels[idx as usize * n..(idx as usize + 1) * n];
-        for (a, &wl) in acc.iter_mut().zip(wrow) {
-            *a += level as i64 * wl as i64;
+        chunk_pass(pieces, w, shift, acc);
+    }
+}
+
+/// Lanes of one 256-bit register. The tile's `NR` columns are held as two
+/// such halves, each its own array: rows wider than the widest register
+/// do not vectorise reliably.
+const HALF: usize = NR / 2;
+
+/// One chunk pass: the rank-1 updates `pieces[ch][·] × w[ch][·]` summed in
+/// `i16` lanes, then added into `acc` shifted back into place.
+#[inline(always)]
+fn chunk_pass(pieces: &[i16], w: &[i16], shift: u32, acc: &mut [[i32; NR]; MR]) {
+    let mut lo = [[0i16; HALF]; MR];
+    let mut hi = [[0i16; HALF]; MR];
+    for (pieces, w_row) in pieces.chunks_exact(MR).zip(w.chunks_exact(NR)) {
+        let (w_lo, w_hi) = w_row.split_at(HALF);
+        for ((lo_row, hi_row), &piece) in lo.iter_mut().zip(&mut hi).zip(pieces) {
+            for (lanes, w_half) in [(lo_row, w_lo), (hi_row, w_hi)] {
+                for (lane, &wl) in lanes.iter_mut().zip(w_half) {
+                    *lane = lane.wrapping_add(piece.wrapping_mul(wl));
+                }
+            }
         }
     }
+    for ((acc_row, lo_row), hi_row) in acc.iter_mut().zip(&lo).zip(&hi) {
+        let (acc_lo, acc_hi) = acc_row.split_at_mut(HALF);
+        for (sums, lanes) in [(acc_lo, lo_row), (acc_hi, hi_row)] {
+            for (sum, &lane) in sums.iter_mut().zip(lanes) {
+                *sum += (lane as i32) << shift;
+            }
+        }
+    }
+}
+
+/// The token's INT16 outliers (≤ k rows of the panel) as `i32` MACs.
+#[inline(always)]
+fn outlier_macs(q: &QuantizedToken, panel: &[i16]) -> [i32; NR] {
+    let mut acc = [0i32; NR];
+    for (&level, &idx) in q.outliers().iter().zip(q.outlier_indices()) {
+        let w_row = &panel[idx as usize * NR..][..NR];
+        for (sum, &wl) in acc.iter_mut().zip(w_row) {
+            *sum += level as i32 * wl as i32;
+        }
+    }
+    acc
 }
 
 /// A linear layer held entirely in the quantized domain: INT8 weights
@@ -364,11 +430,11 @@ mod tests {
             for (o, (&sw, &b)) in w.scales.iter().zip(bias).enumerate() {
                 let mut in_acc = 0i32;
                 for (&level, &ch) in q.inliers().iter().zip(&inlier_channels) {
-                    in_acc += level as i32 * w.levels[ch * n + o] as i32;
+                    in_acc += level as i32 * w.level(ch, o) as i32;
                 }
                 let mut out_acc = 0i64;
                 for (&level, &ch) in q.outliers().iter().zip(q.outlier_indices()) {
-                    out_acc += level as i64 * w.levels[ch as usize * n + o] as i64;
+                    out_acc += level as i64 * w.level(ch as usize, o) as i64;
                 }
                 out.push(
                     in_acc as f32 * (q.inlier_scale() * sw)
@@ -380,34 +446,119 @@ mod tests {
         out
     }
 
-    #[test]
-    fn dispatched_kernels_equal_a_scalar_reference_bitwise() {
-        // Trunk-like width (one 128-channel segment) and an output width
-        // that leaves a remainder at 4, 8 and 16 lanes.
-        let x = Tensor2::from_fn(9, 128, |i, j| {
-            let spike = if j == (i * 29) % 128 { 30.0 } else { 1.0 };
-            spike * (((i * 7 + j * 5) % 13) as f32 * 0.2 - 1.2)
-        });
-        let wt = Tensor2::from_fn(128, 43, |i, j| ((i * 11 + j * 3) % 17) as f32 * 0.1 - 0.8);
-        let w = QuantizedWeights::from_tensor(&wt);
-        let bias: Vec<f32> = (0..43).map(|j| j as f32 * 0.05 - 0.2).collect();
-        for scheme in [
-            QuantScheme::int4_with_outliers(0),
-            QuantScheme::int4_with_outliers(4),
-            QuantScheme::int8_with_outliers(0),
-            QuantScheme::int8_with_outliers(4),
-        ] {
-            let q = QuantizedTensor::from_tensor(&x, scheme);
-            let want = scalar_reference(&q, &w, &bias);
-            for mode in [MacMode::Direct, MacMode::BitChunked] {
-                let got = qgemm(&q, &w, &bias, mode).unwrap();
-                let same = got
-                    .as_slice()
+    /// `qgemm` in both modes, and the tile body compiled for the baseline
+    /// (called outside [`simd::wide`]), against [`scalar_reference`].
+    fn assert_equals_reference(
+        x: &QuantizedTensor,
+        w: &QuantizedWeights,
+        bias: &[f32],
+        what: &str,
+    ) {
+        let want = scalar_reference(x, w, bias);
+        let same = |got: &[f32]| {
+            got.len() == want.len()
+                && got
                     .iter()
                     .zip(&want)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "{scheme} {mode:?}");
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        for mode in [MacMode::Direct, MacMode::BitChunked] {
+            let got = qgemm(x, w, bias, mode).unwrap();
+            assert!(same(got.as_slice()), "{what} {mode:?}");
+        }
+        let mut baseline = vec![0.0f32; want.len()];
+        let passes = MacMode::BitChunked.passes(x.scheme().inlier_bits);
+        token_chunk(x, w, bias, passes, 0, &mut baseline);
+        assert!(same(&baseline), "{what} baseline body");
+    }
+
+    fn scheme(inlier_bits: Bits, outliers: usize) -> QuantScheme {
+        QuantScheme {
+            inlier_bits,
+            outliers,
+        }
+    }
+
+    #[test]
+    fn qgemm_equals_the_scalar_reference_off_the_happy_shape() {
+        // Around the tile's MR × NR, the KC flush depth and the 128-wide
+        // hardware token; token 1 and weight column 2 are all zeros.
+        let token_counts = [0, 1, MR - 1, MR, MR + 1, 37];
+        let out_widths = [1, 4, NR - 1, NR, NR + 1, 43, 130];
+        let in_widths = [1, 15, 16, 17, 100, 128, 129, 256];
+        for (tokens, k) in token_counts
+            .into_iter()
+            .flat_map(|t| in_widths.map(|k| (t, k)))
+        {
+            let x = Tensor2::from_fn(tokens, k, |i, j| {
+                let spike = if j == (i * 29) % k { 30.0 } else { 1.0 };
+                let v = spike * (((i * 7 + j * 5) % 13) as f32 * 0.2 - 1.2);
+                if i == 1 {
+                    0.0
+                } else {
+                    v
+                }
+            });
+            let encoded: Vec<QuantizedTensor> = [Bits::Int4, Bits::Int8, Bits::Int16]
+                .into_iter()
+                .flat_map(|bits| [0, 4, 8].map(|outliers| scheme(bits, outliers)))
+                .filter(|s| s.validate(k).is_ok())
+                .map(|s| QuantizedTensor::from_tensor(&x, s))
+                .collect();
+            for n in out_widths {
+                let wt = Tensor2::from_fn(k, n, |i, j| {
+                    if j == 2 {
+                        0.0
+                    } else {
+                        ((i * 11 + j * 3) % 17) as f32 * 0.1 - 0.8
+                    }
+                });
+                let w = QuantizedWeights::from_tensor(&wt);
+                let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.05 - 0.2).collect();
+                for q in &encoded {
+                    let what = format!("{tokens} × {k} → {n}, {}", q.scheme());
+                    assert_equals_reference(q, &w, &bias, &what);
+                }
             }
+        }
+    }
+
+    #[test]
+    fn saturated_chunks_never_leave_their_16_bit_lane() {
+        // Every inlier at ± the top level (low nibbles 15 or 1, top chunk
+        // +7 or −8) against weights all +127, all −127 and alternating,
+        // at the widest legal token: the worst case the KC bound is for.
+        let k = 256;
+        let x = Tensor2::from_fn(MR + 1, k, |i, j| match i {
+            0 => 2.5,
+            1 => -2.5,
+            _ if (i + j) % 2 == 0 => 2.5,
+            _ => -2.5,
+        });
+        let wt = Tensor2::from_fn(k, NR + 1, |i, j| match j % 3 {
+            0 => 0.75,
+            1 => -0.75,
+            _ if i % 2 == 0 => 0.75,
+            _ => -0.75,
+        });
+        let w = QuantizedWeights::from_tensor(&wt);
+        assert!((0..k).all(|i| w.level(i, 0) == 127 && w.level(i, 1) == -127));
+        let bias = vec![0.0f32; NR + 1];
+        for bits in [Bits::Int4, Bits::Int8, Bits::Int16] {
+            for outliers in [0, 4] {
+                let q = QuantizedTensor::from_tensor(&x, scheme(bits, outliers));
+                let top = bits.max_level() as i16;
+                assert!(q.tokens()[0].inliers().iter().all(|&l| l == top));
+                assert!(q.tokens()[1].inliers().iter().all(|&l| l == -top));
+                assert_equals_reference(&q, &w, &bias, &format!("saturated {}", q.scheme()));
+            }
+            // The sum itself, not only agreement with the reference.
+            let q = QuantizedTensor::from_tensor(&x, scheme(bits, 0));
+            let got = qgemm(&q, &w, &bias, MacMode::BitChunked).unwrap();
+            let sum = bits.max_level() * 127 * k as i32;
+            let si = q.tokens()[0].inlier_scale();
+            assert_eq!(got.at(0, 0), sum as f32 * (si * w.scales()[0]) + 0.0 + 0.0);
+            assert_eq!(got.at(1, 0), -sum as f32 * (si * w.scales()[0]) + 0.0 + 0.0);
         }
     }
 

@@ -9,8 +9,9 @@
 //! element — the RMPU's execution model (§5.2), in software.
 
 use crate::layout::{TokenBlock, DEFAULT_BLOCK_BYTES};
+use crate::qgemm::MR;
 use crate::scheme::QuantScheme;
-use crate::token::{quantize_token, QuantizedToken};
+use crate::token::{inlier_runs, quantize_token, QuantizedToken};
 use crate::QuantError;
 use ln_tensor::{Tensor2, TensorError};
 
@@ -38,6 +39,30 @@ pub struct QuantizedTensor {
     scheme: QuantScheme,
     channels: usize,
     tokens: Vec<QuantizedToken>,
+    /// The inlier levels once more, as [`crate::qgemm`]'s A operand:
+    /// groups of [`MR`] tokens, each `[channel][MR]` contiguous, zero at
+    /// outlier slots and in the padding tokens of the last group.
+    level_panel: Vec<i16>,
+}
+
+/// Scatters the tokens' inlier levels into the dense panel
+/// [`crate::qgemm`] reads (see [`QuantizedTensor::level_panel`]).
+fn pack_level_panel(tokens: &[QuantizedToken], channels: usize) -> Vec<i16> {
+    let groups = tokens.len().div_ceil(MR);
+    let mut panel = vec![0i16; groups * channels * MR];
+    let groups_per_chunk = ln_par::chunk_len(groups, crate::asymmetric::TOKEN_PAR_GRAIN_ROWS / MR);
+    ln_par::par_chunks_mut(&mut panel, groups_per_chunk * channels * MR, |c, chunk| {
+        let first = c * groups_per_chunk * MR;
+        for (g, group) in chunk.chunks_mut(channels * MR).enumerate() {
+            for (r, q) in tokens[first + g * MR..].iter().take(MR).enumerate() {
+                let mut levels = q.inliers().iter();
+                for ch in inlier_runs(channels, q.outlier_indices()).flatten() {
+                    group[ch * MR + r] = *levels.next().expect("inlier count matches layout");
+                }
+            }
+        }
+    });
+    panel
 }
 
 impl QuantizedTensor {
@@ -49,14 +74,22 @@ impl QuantizedTensor {
     /// count or channels exceed 256 (the hardware token width bound).
     pub fn from_tensor(x: &Tensor2, scheme: QuantScheme) -> Self {
         // One token per row, quantized independently (the VVPU axis).
-        let tokens = ln_par::metrics::time_kernel("aaq.from_tensor", x.rows() as u64, || {
-            ln_par::par_map_collect(x.rows(), crate::asymmetric::TOKEN_PAR_GRAIN_ROWS, |t| {
-                quantize_token(x.row(t), scheme)
-            })
-        });
+        ln_par::metrics::time_kernel("aaq.from_tensor", x.rows() as u64, || {
+            let tokens =
+                ln_par::par_map_collect(x.rows(), crate::asymmetric::TOKEN_PAR_GRAIN_ROWS, |t| {
+                    quantize_token(x.row(t), scheme)
+                });
+            Self::from_tokens(tokens, scheme, x.cols())
+        })
+    }
+
+    /// Takes the tokens and packs their level panel, once for every GEMM
+    /// the tensor will feed.
+    fn from_tokens(tokens: Vec<QuantizedToken>, scheme: QuantScheme, channels: usize) -> Self {
         QuantizedTensor {
             scheme,
-            channels: x.cols(),
+            channels,
+            level_panel: pack_level_panel(&tokens, channels),
             tokens,
         }
     }
@@ -78,11 +111,17 @@ impl QuantizedTensor {
 
     /// The encoded token blocks, one per activation row.
     ///
-    /// This is the entry point the quantized-domain GEMM
-    /// ([`crate::qgemm`]) consumes: integer levels and per-token scales,
-    /// with no intermediate dequantization.
+    /// The quantized-domain GEMM ([`crate::qgemm`]) takes each token's
+    /// scales and outliers from here and the inlier levels from the dense
+    /// panel packed beside them, with no intermediate dequantization.
     pub fn tokens(&self) -> &[QuantizedToken] {
         &self.tokens
+    }
+
+    /// The dense inlier-level panel: `ceil(tokens / MR)` groups of
+    /// `channels × MR` levels, token-minor.
+    pub(crate) fn level_panel(&self) -> &[i16] {
+        &self.level_panel
     }
 
     /// Encoded size in bytes (exactly what device memory would hold).
@@ -114,11 +153,7 @@ impl QuantizedTensor {
                 tokens.push(quantize_token(&values, scheme));
             }
         }
-        Ok(QuantizedTensor {
-            scheme,
-            channels,
-            tokens,
-        })
+        Ok(Self::from_tokens(tokens, scheme, channels))
     }
 
     /// Decodes back to full precision.

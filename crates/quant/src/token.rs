@@ -160,7 +160,7 @@ fn select_outliers<'a>(values: &[f32], k: usize, buf: &'a mut [usize]) -> &'a [u
 
 /// The runs of inlier channels left between ascending outlier positions
 /// (some may be empty).
-fn inlier_runs<I: Copy + Into<usize>>(
+pub(crate) fn inlier_runs<I: Copy + Into<usize>>(
     channels: usize,
     outliers: &[I],
 ) -> impl Iterator<Item = Range<usize>> + '_ {

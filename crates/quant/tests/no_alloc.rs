@@ -2,11 +2,13 @@
 //!
 //! This binary installs a counting global allocator (counts are per
 //! thread, so the harness's other test threads do not disturb them) and
-//! checks that `fake_quantize_tokens` and `QuantizedTensor::decode` make
-//! the same number of allocations whatever the number of tokens. Under a
-//! one-thread pool every kernel runs inline on the calling thread.
+//! checks that `fake_quantize_tokens`, `QuantizedTensor::decode` and
+//! `qgemm` make the same number of allocations whatever the number of
+//! tokens. Under a one-thread pool every kernel runs inline on the calling
+//! thread.
 
 use ln_par::{with_pool, Pool};
+use ln_quant::qgemm::{qgemm, MacMode, QuantizedWeights};
 use ln_quant::scheme::QuantScheme;
 use ln_quant::tensor::QuantizedTensor;
 use ln_quant::token::fake_quantize_tokens;
@@ -100,5 +102,27 @@ fn decode_allocates_only_its_output() {
         let mut out = vec![0.0f32; 1024 * 128];
         let (none, ()) = allocations_in(|| large.dequantize_into(&mut out));
         assert_eq!(none, 0);
+    });
+}
+
+#[test]
+fn qgemm_allocates_only_its_output() {
+    with_pool(&Pool::new_exact(1), || {
+        let w = QuantizedWeights::from_tensor(&spiky(128, 43));
+        let bias = [0.25f32; 43];
+        for scheme in [
+            QuantScheme::int4_with_outliers(4),
+            QuantScheme::int8_with_outliers(4),
+        ] {
+            let small = QuantizedTensor::from_tensor(&spiky(61, 128), scheme);
+            let large = QuantizedTensor::from_tensor(&spiky(1021, 128), scheme);
+            for mode in [MacMode::Direct, MacMode::BitChunked] {
+                // The first call registers the kernel timer.
+                qgemm(&small, &w, &bias, mode).expect("shapes agree");
+                let (few, _) = allocations_in(|| qgemm(&small, &w, &bias, mode));
+                let (many, _) = allocations_in(|| qgemm(&large, &w, &bias, mode));
+                assert_eq!((few, many), (1, 1), "{scheme} {mode:?}: the output tensor");
+            }
+        }
     });
 }

@@ -15,7 +15,8 @@
 #   9. cluster_scale --quick                              (ln-cluster gate)
 #  10. watch --quick                                      (ln-watch gate)
 #  11. numerics --quick                                   (ln-scope gate)
-#  12. foldbench: cargo test, then run --quick            (benchmark smoke)
+#  12. foldbench: cargo test, run --quick, then           (benchmark smoke)
+#      trace --workload fold_qdomain --quick
 #
 # Step 4's first command, at the workspace root, tests only the umbrella
 # package. Its second runs the unit and integration tests of the four
@@ -63,7 +64,11 @@
 # a package outside the workspace, so steps 2-4 never see it), runs its own
 # unit tests, and folds every workload once at L = 32 with the benchmark's
 # own checks on each fold (TM-score against the FP32 reference, finite
-# coordinates); it exits non-zero on any CHECK FAILED.
+# coordinates); it exits non-zero on any CHECK FAILED. It then traces the
+# quantized-domain workload once, which puts the integer `qgemm` path under
+# the traced run's checks: the decomposed fold equals `predict_with_hook`,
+# the nproc-pool fold equals the pool-1 fold and `ppm.unattributed_s` stays
+# within 1 % (it also prints the exact `quant.qgemm_calls`).
 #
 # The workspace is dependency-free on purpose: everything here must pass
 # with zero network access. See ROADMAP.md ("Tier-1 gate script").
@@ -95,6 +100,7 @@ step ./target/release/watch --quick
 step ./target/release/numerics --quick
 step cargo test --offline --release --manifest-path benchmarks/fold/Cargo.toml
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- run --quick
+step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- trace --workload fold_qdomain --quick
 
 echo
 echo "ci.sh: all tier-1 checks passed"

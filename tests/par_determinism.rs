@@ -13,6 +13,7 @@ use ln_ppm::blocks::FoldingBlock;
 use ln_ppm::taps::NoopHook;
 use ln_ppm::PpmConfig;
 use ln_quant::layout::TokenBlock;
+use ln_quant::qgemm::{qgemm, MacMode, QuantizedWeights, MR};
 use ln_quant::scheme::QuantScheme;
 use ln_quant::tensor::QuantizedTensor;
 use ln_quant::token::{fake_quantize_tokens, quantize_token};
@@ -123,6 +124,36 @@ fn quantized_matmul_is_bitwise_pool_invariant() {
     let w = seeded_tensor2("par-det/qmm/w", 24, 17);
     let q = QuantizedTensor::from_tensor(&x, scheme);
     assert_pool_invariant(|| bits(q.matmul(&w).expect("shapes agree").as_slice()));
+}
+
+#[test]
+fn qgemm_is_bitwise_pool_invariant() {
+    // 37 tokens: ten groups of MR, the last one partial, cut into chunks
+    // of 5, 3 and 2 groups by the three pools. Encoding runs inside the
+    // pool too, so the level panel is packed under every chunking.
+    let tokens = 37;
+    assert_ne!(tokens % MR, 0);
+    let mut x = seeded_tensor2("par-det/qgemm/x", tokens, 128);
+    for t in 0..tokens {
+        x.as_mut_slice()[t * 128 + (t * 7) % 128] *= 50.0;
+    }
+    let w = QuantizedWeights::from_tensor(&seeded_tensor2("par-det/qgemm/w", 128, 43));
+    let bias = seeded_tensor2("par-det/qgemm/bias", 1, 43);
+    for scheme in [
+        QuantScheme::int4_with_outliers(4),
+        QuantScheme::int8_with_outliers(4),
+    ] {
+        for mode in [MacMode::Direct, MacMode::BitChunked] {
+            assert_pool_invariant(|| {
+                let q = QuantizedTensor::from_tensor(&x, scheme);
+                bits(
+                    qgemm(&q, &w, bias.as_slice(), mode)
+                        .expect("shapes agree")
+                        .as_slice(),
+                )
+            });
+        }
+    }
 }
 
 #[test]
