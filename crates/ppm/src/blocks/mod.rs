@@ -17,22 +17,29 @@ mod seq_track;
 mod transition;
 mod tri_attn;
 mod tri_mul;
+pub(crate) mod workspace;
 
 pub use seq_track::SequenceTrack;
 pub use transition::PairTransition;
 pub use tri_attn::{chunked_attention, AttentionNode, TriangularAttention};
 pub use tri_mul::{TriangleDirection, TriangularMultiplication};
+pub use workspace::release_fold_workspace;
 
 use crate::taps::ActivationHook;
 use crate::{PpmConfig, PpmError};
+use ln_quant::qgemm::{MacMode, QLinear};
+use ln_quant::scheme::QuantScheme;
+use ln_quant::tensor::QuantizedTensor;
+use ln_tensor::nn::{self, Linear};
 use ln_tensor::{Tensor2, Tensor3};
 
 /// Transposes a `(ns·ns, c)` pair-token matrix from `(a, b)` to `(b, a)`
 /// row order — exact element copies, no arithmetic, so kernels written for
-/// one orientation serve both bit-identically.
-pub(crate) fn transpose_pair_tokens(m: &Tensor2, ns: usize) -> Tensor2 {
+/// one orientation serve both bit-identically. The result is taken from
+/// the fold workspace and `m` (which came from it) is given back.
+fn transposed_pair_tokens(m: Tensor2, ns: usize) -> Tensor2 {
     let c = m.cols();
-    let mut out = Tensor2::zeros(ns * ns, c);
+    let mut out = workspace::take(ns * ns, c);
     let src = m.as_slice();
     let dst = out.as_mut_slice();
     for i in 0..ns {
@@ -40,7 +47,77 @@ pub(crate) fn transpose_pair_tokens(m: &Tensor2, ns: usize) -> Tensor2 {
             dst[(i * ns + k) * c..][..c].copy_from_slice(&src[(k * ns + i) * c..][..c]);
         }
     }
+    workspace::give(m);
     out
+}
+
+/// What a projection's output passes through before the hook sees it.
+#[derive(Clone, Copy)]
+enum Activation {
+    None,
+    Sigmoid,
+    Relu,
+}
+
+/// A stage's post-LayerNorm activation as its projections read it: in
+/// full precision, or — when the hook asked for the quantized domain —
+/// AAQ-encoded once and run through each layer's integer twin (numerics
+/// change; the hook opted in).
+struct PostLn<'a> {
+    x: &'a Tensor2,
+    encoded: Option<(QuantizedTensor, MacMode)>,
+}
+
+impl<'a> PostLn<'a> {
+    fn new(x: &'a Tensor2, scheme: Option<QuantScheme>) -> Self {
+        let encode = |scheme| {
+            (
+                QuantizedTensor::from_tensor(x, scheme),
+                MacMode::for_scheme(scheme),
+            )
+        };
+        PostLn {
+            x,
+            encoded: scheme.map(encode),
+        }
+    }
+
+    fn is_quantized(&self) -> bool {
+        self.encoded.is_some()
+    }
+
+    /// `act(layer(x))` in a tensor taken from the fold workspace.
+    fn project(&self, fp: &Linear, qd: &QLinear, act: Activation) -> Result<Tensor2, PpmError> {
+        let mut out = workspace::take(self.x.rows(), fp.out_features());
+        self.project_into(fp, qd, act, &mut out)?;
+        Ok(out)
+    }
+
+    /// `act(layer(x))` into `out`, whatever it held. In full precision the
+    /// activation is fused into the GEMM epilogue (bitwise identical to
+    /// applying it afterwards).
+    fn project_into(
+        &self,
+        fp: &Linear,
+        qd: &QLinear,
+        act: Activation,
+        out: &mut Tensor2,
+    ) -> Result<(), PpmError> {
+        match (&self.encoded, act) {
+            (Some((qx, mode)), act) => {
+                qd.forward_into(qx, *mode, out)?;
+                match act {
+                    Activation::None => {}
+                    Activation::Sigmoid => nn::sigmoid_inplace(out),
+                    Activation::Relu => nn::relu_inplace(out),
+                }
+            }
+            (None, Activation::None) => fp.forward_into(self.x, out)?,
+            (None, Activation::Sigmoid) => fp.forward_sigmoid_into(self.x, out)?,
+            (None, Activation::Relu) => fp.forward_relu_into(self.x, out)?,
+        }
+        Ok(())
+    }
 }
 
 /// One folding block: sequence track + the four pair-dataflow units.

@@ -8,6 +8,7 @@
 //! the sequence stream is what creates the "unpredictable outliers" AAQ must
 //! handle dynamically (§4.1).
 
+use super::workspace;
 use crate::{PpmConfig, PpmError};
 use ln_tensor::nn::{LayerNorm, Linear};
 use ln_tensor::{nn, Tensor2, Tensor3};
@@ -91,7 +92,8 @@ impl SequenceTrack {
     ///
     /// # Errors
     ///
-    /// Propagates [`PpmError::Tensor`] on internal shape mismatches.
+    /// Propagates [`PpmError::Tensor`] on internal shape mismatches; `pair`
+    /// is then left empty (its tokens were moved out, not copied).
     pub fn forward(&self, seq: &mut Tensor2, pair: &mut Tensor3) -> Result<(), PpmError> {
         let ns = seq.rows();
 
@@ -100,9 +102,11 @@ impl SequenceTrack {
         let q = self.to_q.forward(&x)?;
         let k = self.to_k.forward(&x)?;
         let v = self.to_v.forward(&x)?;
-        // Pair bias: one scalar per (i, j, head), from the pair tokens.
-        let bias = self.pair_bias.forward(&pair.to_token_matrix())?;
-        let bias3 = Tensor3::from_token_matrix(ns, ns, bias)?;
+        // Pair bias: one scalar per (i, j, head), from the pair tokens —
+        // which move out of `pair` here and back at the end, the
+        // outer-product-mean update added into them in place.
+        let mut pair_tokens = std::mem::take(pair).into_token_matrix();
+        let bias = self.pair_bias.forward(&pair_tokens)?;
 
         let inv_sqrt = 1.0 / (self.head_dim as f32).sqrt();
         let mut ctx = Tensor2::zeros(ns, self.heads * self.head_dim);
@@ -114,7 +118,7 @@ impl SequenceTrack {
             for i in 0..ns {
                 let row = scores.row_mut(i);
                 for (j, s) in row.iter_mut().enumerate() {
-                    *s += bias3.at(i, j, h);
+                    *s += bias.row(i * ns + j)[h];
                 }
             }
             let probs = nn::softmax_rows(&scores);
@@ -137,7 +141,8 @@ impl SequenceTrack {
         let o = self.norm_opm.forward(seq)?;
         let a = self.opm_left.forward(&o)?;
         let b = self.opm_right.forward(&o)?;
-        let mut outer = Tensor2::zeros(ns * ns, OPM_DIM * OPM_DIM);
+        // Every element is written below.
+        let mut outer = workspace::take(ns * ns, OPM_DIM * OPM_DIM);
         if ns > 0 {
             // Blocks of pair-rows i per chunk: the ns × 64 outer-product
             // rows for a given i are written by exactly one executor, and
@@ -160,9 +165,12 @@ impl SequenceTrack {
                 }
             });
         }
-        let opm_update = self.opm_out.forward(&outer)?.scaled(self.update_gain);
-        let opm3 = Tensor3::from_token_matrix(ns, ns, opm_update)?;
-        pair.add_assign(&opm3)?;
+        let mut opm_update = workspace::take(ns * ns, self.opm_out.out_features());
+        self.opm_out.forward_into(&outer, &mut opm_update)?;
+        workspace::give(outer);
+        pair_tokens.add_scaled_assign(&opm_update, self.update_gain)?;
+        workspace::give(opm_update);
+        *pair = Tensor3::from_token_matrix(ns, ns, pair_tokens)?;
         Ok(())
     }
 }

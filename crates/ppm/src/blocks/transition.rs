@@ -1,12 +1,12 @@
 //! Pair Transition: the per-token MLP that ends each folding block's pair
 //! dataflow (LayerNorm → expand → ReLU → contract, residual).
 
+use super::{workspace, Activation, PostLn};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
-use ln_quant::qgemm::{MacMode, QLinear};
-use ln_quant::tensor::QuantizedTensor;
+use ln_quant::qgemm::QLinear;
 use ln_tensor::nn::{LayerNorm, Linear};
-use ln_tensor::{nn, Tensor3};
+use ln_tensor::Tensor3;
 
 /// The pair-transition unit.
 #[derive(Debug, Clone)]
@@ -44,7 +44,8 @@ impl PairTransition {
     ///
     /// # Errors
     ///
-    /// Propagates [`PpmError::Tensor`] on internal shape mismatches.
+    /// Propagates [`PpmError::Tensor`] on internal shape mismatches; `pair`
+    /// is then left empty (its tokens were moved out, not copied).
     pub fn forward(
         &self,
         pair: &mut Tensor3,
@@ -52,36 +53,34 @@ impl PairTransition {
         block: usize,
         recycle: usize,
     ) -> Result<(), PpmError> {
-        let (ns, _, _) = pair.shape();
+        let (ns, _, hz) = pair.shape();
         let tap = |site| Tap {
             block,
             recycle,
             site,
         };
 
-        let mut tokens = pair.to_token_matrix();
+        // The residual stream moves through the unit: taken out of `pair`,
+        // updated in place, moved back.
+        let mut tokens = std::mem::take(pair).into_token_matrix();
         hook.on_activation(tap(ActivationSite::TransitionResidualIn), &mut tokens);
 
-        let mut x = self.norm.forward(&tokens)?;
+        let mut x = workspace::take(ns * ns, hz);
+        self.norm.forward_into(&tokens, &mut x)?;
         hook.on_activation(tap(ActivationSite::TransitionPostLn), &mut x);
 
-        // The expansion fuses the ReLU into the GEMM epilogue (bitwise
-        // identical to relu(expand(x))); the quantized-domain branch runs
-        // it as an integer GEMM when the hook opts in.
-        let mut h = match hook.quantized_matmul(tap(ActivationSite::TransitionPostLn)) {
-            Some(scheme) => {
-                let qx = QuantizedTensor::from_tensor(&x, scheme);
-                nn::relu(&self.q_expand.forward(&qx, MacMode::for_scheme(scheme))?)
-            }
-            None => self.expand.forward_relu(&x)?,
-        };
+        // The expansion, as an integer GEMM when the hook opts in.
+        let scheme = hook.quantized_matmul(tap(ActivationSite::TransitionPostLn));
+        let mut h =
+            PostLn::new(&x, scheme).project(&self.expand, &self.q_expand, Activation::Relu)?;
         hook.on_activation(tap(ActivationSite::TransitionHidden), &mut h);
 
-        let update = self.contract.forward(&h)?.scaled(self.update_gain);
-        let update3 = Tensor3::from_token_matrix(ns, ns, update)?;
-        let mut new_pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
-        new_pair.add_assign(&update3)?;
-        *pair = new_pair;
+        // `x` has no reader left: it takes the contraction's output.
+        self.contract.forward_into(&h, &mut x)?;
+        workspace::give(h);
+        tokens.add_scaled_assign(&x, self.update_gain)?;
+        workspace::give(x);
+        *pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
         Ok(())
     }
 }

@@ -6,11 +6,10 @@
 //! `(Ns, Ns, Ns)`, which is what makes activation size — not weight size —
 //! the PPM bottleneck (§3.2).
 
-use super::transpose_pair_tokens;
+use super::{transposed_pair_tokens, workspace, Activation, PostLn};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
-use ln_quant::qgemm::{MacMode, QLinear};
-use ln_quant::tensor::QuantizedTensor;
+use ln_quant::qgemm::QLinear;
 use ln_tensor::microkernel::{self, Epilogue};
 use ln_tensor::nn::{LayerNorm, Linear};
 use ln_tensor::{nn, Tensor2, Tensor3};
@@ -102,7 +101,8 @@ impl TriangularAttention {
     ///
     /// # Errors
     ///
-    /// Propagates [`PpmError::Tensor`] on internal shape mismatches.
+    /// Propagates [`PpmError::Tensor`] on internal shape mismatches; `pair`
+    /// is then left empty (its tokens were moved out, not copied).
     pub fn forward(
         &self,
         pair: &mut Tensor3,
@@ -111,83 +111,89 @@ impl TriangularAttention {
         recycle: usize,
     ) -> Result<(), PpmError> {
         let (ns, _, hz) = pair.shape();
+        let tokens_n = ns * ns;
         let tap = |site| Tap {
             block,
             recycle,
             site,
         };
 
-        let mut tokens = pair.to_token_matrix();
+        // The residual stream moves through the unit: taken out of `pair`,
+        // updated in place, moved back.
+        let mut tokens = std::mem::take(pair).into_token_matrix();
         hook.on_activation(tap(ActivationSite::TriAttnResidualIn), &mut tokens);
 
-        let mut x = self.norm_in.forward(&tokens)?;
+        let mut x = workspace::take(tokens_n, hz);
+        self.norm_in.forward_into(&tokens, &mut x)?;
         hook.on_activation(tap(ActivationSite::TriAttnPostLn), &mut x);
 
-        // Quantized-domain dispatch: AAQ-encode x once, run all five
-        // post-LN projections as integer GEMMs (numerics change; the hook
-        // opted in).
-        let qscheme = hook.quantized_matmul(tap(ActivationSite::TriAttnPostLn));
-        let qx = qscheme.map(|scheme| QuantizedTensor::from_tensor(&x, scheme));
-        let qmode = qscheme.map(MacMode::for_scheme);
-        let project = |fp: &Linear, qd: &QLinear| match (&qx, qmode) {
-            (Some(qx), Some(mode)) => qd.forward(qx, mode),
-            _ => fp.forward(&x),
+        // All five post-LN projections read `x` through this — as integer
+        // GEMMs when the hook opts in.
+        let post_ln = PostLn::new(
+            &x,
+            hook.quantized_matmul(tap(ActivationSite::TriAttnPostLn)),
+        );
+        let project = |fp, qd| post_ln.project(fp, qd, Activation::None);
+        // Orient an operand so every lane (attention row for Starting,
+        // column for Ending) is a contiguous `ns`-row band: the Ending
+        // node transposes with exact copies — as soon as the hook has
+        // seen the operand, its source going straight back — instead of
+        // gathering strided columns per lane.
+        let orient = |m: Tensor2| match self.node {
+            AttentionNode::Starting => m,
+            AttentionNode::Ending => transposed_pair_tokens(m, ns),
         };
 
         let mut q = project(&self.to_q, &self.q_to_q)?;
         hook.on_activation(tap(ActivationSite::TriAttnQuery), &mut q);
+        let qm = orient(q);
         let mut k = project(&self.to_k, &self.q_to_k)?;
         hook.on_activation(tap(ActivationSite::TriAttnKey), &mut k);
+        let km = orient(k);
         let mut v = project(&self.to_v, &self.q_to_v)?;
         hook.on_activation(tap(ActivationSite::TriAttnValue), &mut v);
-        let mut bias = project(&self.to_bias, &self.q_to_bias)?;
+        let vm = orient(v);
+        // The bias and its per-head matrices are 1/32 of a pair tensor:
+        // not worth a pair-sized workspace buffer each.
+        let mut bias = Tensor2::zeros(tokens_n, self.heads);
+        post_ln.project_into(&self.to_bias, &self.q_to_bias, Activation::None, &mut bias)?;
         hook.on_activation(tap(ActivationSite::TriAttnBias), &mut bias);
 
         let attn_dim = self.heads * self.head_dim;
         let inv_sqrt = 1.0 / (self.head_dim as f32).sqrt();
 
-        // Orient the operands so every lane (attention row for Starting,
-        // column for Ending) is a contiguous `ns`-row band: the Ending
-        // node pre-transposes with exact copies instead of gathering
-        // strided columns per lane.
-        let (qm, km, vm) = match self.node {
-            AttentionNode::Starting => (q, k, v),
-            AttentionNode::Ending => (
-                transpose_pair_tokens(&q, ns),
-                transpose_pair_tokens(&k, ns),
-                transpose_pair_tokens(&v, ns),
-            ),
-        };
-        // Per-head (ns, ns) bias matrices oriented for the score grid —
-        // shared by every lane, so the third-edge bias costs one strided
-        // gather per head instead of Ns³ virtual lookups.
-        let bias_mats: Vec<Vec<f32>> = (0..self.heads)
-            .map(|h| {
-                let src = bias.as_slice();
-                let heads = self.heads;
-                let mut bm = vec![0.0f32; ns * ns];
-                match self.node {
-                    AttentionNode::Starting => {
-                        for (idx, slot) in bm.iter_mut().enumerate() {
-                            *slot = src[idx * heads + h];
-                        }
+        // Per-head (ns, ns) bias matrices oriented for the score grid, one
+        // a row — shared by every lane, so the third-edge bias costs one
+        // strided gather per head instead of Ns³ virtual lookups.
+        let heads = self.heads;
+        let mut bias_mats = Tensor2::zeros(heads, tokens_n);
+        for (h, bm) in bias_mats
+            .as_mut_slice()
+            .chunks_exact_mut(tokens_n.max(1))
+            .enumerate()
+        {
+            let src = bias.as_slice();
+            match self.node {
+                AttentionNode::Starting => {
+                    for (idx, slot) in bm.iter_mut().enumerate() {
+                        *slot = src[idx * heads + h];
                     }
-                    AttentionNode::Ending => {
-                        for j in 0..ns {
-                            for t in 0..ns {
-                                bm[j * ns + t] = src[(t * ns + j) * heads + h];
-                            }
+                }
+                AttentionNode::Ending => {
+                    for j in 0..ns {
+                        for t in 0..ns {
+                            bm[j * ns + t] = src[(t * ns + j) * heads + h];
                         }
                     }
                 }
-                bm
-            })
-            .collect();
+            }
+        }
 
         // Context accumulates lane-major: token (lane, j) of the oriented
         // problem lives at row `lane·ns + j`. For Starting that IS the
-        // ctx token layout; Ending transposes back at the end.
-        let mut ctx_lanes = Tensor2::zeros(ns * ns, attn_dim);
+        // ctx token layout; Ending transposes back at the end. Every slot
+        // is written by a `scatter_head`.
+        let mut ctx_lanes = workspace::take(tokens_n, attn_dim);
         if self.chunk.is_some() || !hook.observes(ActivationSite::TriAttnScores) {
             // Lane-parallel fast path: no score tap can fire (chunked
             // attention never materialises scores; a non-observing hook
@@ -203,18 +209,19 @@ impl TriangularAttention {
                 |c, chunk| {
                     // One set of per-head buffers per lane chunk, reused
                     // across its (lane, head) pairs.
-                    let mut bufs = HeadBuffers::new(ns, self.head_dim, self.chunk);
+                    let mut bufs = HeadBuffers::new(ns, self.head_dim);
+                    let mut scores = match self.chunk {
+                        Some(chunk) => ScoreBuffer::Online(OnlineSoftmax::new(ns, chunk)),
+                        None => ScoreBuffer::Full(Tensor2::zeros(ns, ns)),
+                    };
                     for (local, lane_buf) in chunk.chunks_mut(ns * attn_dim).enumerate() {
                         let lane = c * lanes_per_chunk + local;
-                        for (h, bm) in bias_mats.iter().enumerate() {
-                            for (src, band) in
-                                [(&qm, &mut bufs.q), (&km, &mut bufs.k), (&vm, &mut bufs.v)]
-                            {
-                                head_band_into(src, lane * ns, h, band);
-                            }
+                        for h in 0..heads {
+                            bufs.load([&qm, &km, &vm], lane * ns, h);
+                            let bm = bias_mats.row(h);
                             let qkv = [&bufs.q, &bufs.k, &bufs.v];
                             let ctx = &mut bufs.ctx;
-                            match &mut bufs.scores {
+                            match &mut scores {
                                 ScoreBuffer::Online(state) => chunked_attention_into(
                                     qkv,
                                     bm,
@@ -222,8 +229,9 @@ impl TriangularAttention {
                                     state,
                                     ctx.as_mut_slice(),
                                 ),
-                                ScoreBuffer::Full(scores) => {
-                                    head_attention_into(qkv, bm, inv_sqrt, scores, ctx)
+                                ScoreBuffer::Full(probs) => {
+                                    head_probs_into(qkv, bm, inv_sqrt, probs)
+                                        .and_then(|()| probs.matmul_into(qkv[2], ctx))
                                         .expect("head shapes are internally consistent")
                                 }
                             }
@@ -235,72 +243,56 @@ impl TriangularAttention {
         } else {
             // Observing path: the hook sees (and may rewrite) each
             // (lane, head) probability matrix, so taps fire serially in
-            // ascending (lane, head) order.
-            for lane in 0..ns {
-                let lane_buf =
-                    &mut ctx_lanes.as_mut_slice()[lane * ns * attn_dim..][..ns * attn_dim];
-                for (h, bm) in bias_mats.iter().enumerate() {
-                    let qh = head_band(&qm, lane * ns, ns, h, self.head_dim);
-                    let kh = head_band(&km, lane * ns, ns, h, self.head_dim);
-                    let vh = head_band(&vm, lane * ns, ns, h, self.head_dim);
-                    let mut scores = qh.matmul_transposed(&kh)?;
-                    scale_and_bias(&mut scores, inv_sqrt, bm);
-                    let mut probs = nn::softmax_rows(&scores);
+            // ascending (lane, head) order, on one set of head buffers.
+            let mut bufs = HeadBuffers::new(ns, self.head_dim);
+            let mut probs = Tensor2::zeros(ns, ns);
+            for (lane, lane_buf) in ctx_lanes
+                .as_mut_slice()
+                .chunks_mut((ns * attn_dim).max(1))
+                .enumerate()
+            {
+                for h in 0..heads {
+                    bufs.load([&qm, &km, &vm], lane * ns, h);
+                    let qkv = [&bufs.q, &bufs.k, &bufs.v];
+                    head_probs_into(qkv, bias_mats.row(h), inv_sqrt, &mut probs)?;
                     // The paper quantizes the score matrix (Group C); each
                     // (lane, head) probability matrix is one tap activation.
                     hook.on_activation(tap(ActivationSite::TriAttnScores), &mut probs);
-                    let ctx_h = probs.matmul(&vh)?;
-                    scatter_head(&ctx_h, lane_buf, h, self.head_dim, attn_dim);
+                    probs.matmul_into(&bufs.v, &mut bufs.ctx)?;
+                    scatter_head(&bufs.ctx, lane_buf, h, self.head_dim, attn_dim);
                 }
             }
         }
-        let mut ctx_tokens = match self.node {
-            AttentionNode::Starting => ctx_lanes,
-            AttentionNode::Ending => transpose_pair_tokens(&ctx_lanes, ns),
-        };
+        for operand in [qm, km, vm] {
+            workspace::give(operand);
+        }
+        let mut ctx_tokens = orient(ctx_lanes);
         hook.on_activation(tap(ActivationSite::TriAttnContext), &mut ctx_tokens);
 
-        let mut gate = match (&qx, qmode) {
-            (Some(qx), Some(mode)) => nn::sigmoid(&self.q_to_gate.forward(qx, mode)?),
-            _ => self.to_gate.forward_sigmoid(&x)?,
-        };
+        let mut gate = post_ln.project(&self.to_gate, &self.q_to_gate, Activation::Sigmoid)?;
+        // The encoded copy of `x`, if there is one, is not needed again.
+        drop(post_ln);
         hook.on_activation(tap(ActivationSite::TriAttnGate), &mut gate);
 
-        let gated = gate.hadamard(&ctx_tokens)?;
-        let update = self.proj_out.forward(&gated)?.scaled(self.update_gain);
-        debug_assert_eq!(update.cols(), hz);
-        let update3 = Tensor3::from_token_matrix(ns, ns, update)?;
-        let mut new_pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
-        new_pair.add_assign(&update3)?;
-        *pair = new_pair;
+        // `x` has no reader left: it takes the output projection of the
+        // gated context, which goes into the residual stream.
+        gate.hadamard_assign(&ctx_tokens)?;
+        workspace::give(ctx_tokens);
+        self.proj_out.forward_into(&gate, &mut x)?;
+        workspace::give(gate);
+        tokens.add_scaled_assign(&x, self.update_gain)?;
+        workspace::give(x);
+        *pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
         Ok(())
     }
 }
 
-/// Copies head `h` columns out of `rows` consecutive rows starting at
-/// `row0` of a `(tokens, heads·dim)` matrix — contiguous `dim`-wide row
-/// slices, no per-element indexing.
-fn head_band(m: &Tensor2, row0: usize, rows: usize, h: usize, dim: usize) -> Tensor2 {
-    let mut out = Tensor2::zeros(rows, dim);
-    head_band_into(m, row0, h, &mut out);
-    out
-}
-
-/// [`head_band`] into an existing `(rows, dim)` buffer.
-fn head_band_into(m: &Tensor2, row0: usize, h: usize, band: &mut Tensor2) {
-    let dim = band.cols();
-    for (j, dst) in band.as_mut_slice().chunks_exact_mut(dim).enumerate() {
-        dst.copy_from_slice(&m.row(row0 + j)[h * dim..(h + 1) * dim]);
-    }
-}
-
-/// The per-(lane, head) temporaries of the fast paths, allocated once per
-/// lane chunk instead of five fresh tensors per pair.
+/// The per-(lane, head) operand bands and context, allocated once per
+/// lane chunk instead of fresh tensors per pair.
 struct HeadBuffers {
     q: Tensor2,
     k: Tensor2,
     v: Tensor2,
-    scores: ScoreBuffer,
     ctx: Tensor2,
 }
 
@@ -313,37 +305,43 @@ enum ScoreBuffer {
 }
 
 impl HeadBuffers {
-    fn new(ns: usize, dim: usize, chunk: Option<usize>) -> Self {
+    fn new(ns: usize, dim: usize) -> Self {
         HeadBuffers {
             q: Tensor2::zeros(ns, dim),
             k: Tensor2::zeros(ns, dim),
             v: Tensor2::zeros(ns, dim),
-            scores: match chunk {
-                Some(chunk) => ScoreBuffer::Online(OnlineSoftmax::new(ns, chunk)),
-                None => ScoreBuffer::Full(Tensor2::zeros(ns, ns)),
-            },
             ctx: Tensor2::zeros(ns, dim),
+        }
+    }
+
+    /// Copies head `h` columns out of the `ns` consecutive rows starting
+    /// at `row0` of the three `(tokens, heads·dim)` operands — contiguous
+    /// `dim`-wide row slices, no per-element indexing.
+    fn load(&mut self, qkv: [&Tensor2; 3], row0: usize, h: usize) {
+        for (m, band) in qkv.into_iter().zip([&mut self.q, &mut self.k, &mut self.v]) {
+            let dim = band.cols();
+            for (j, dst) in band.as_mut_slice().chunks_exact_mut(dim).enumerate() {
+                dst.copy_from_slice(&m.row(row0 + j)[h * dim..(h + 1) * dim]);
+            }
         }
     }
 }
 
-/// One (lane, head) attention with materialised scores,
-/// `ctx = softmax(q kᵀ/√d + bias) v`, `scores` being the reused
-/// `(ns, ns)` buffer it materialises them in.
-fn head_attention_into(
-    [q, k, v]: [&Tensor2; 3],
+/// One (lane, head) probability matrix, `softmax(q kᵀ/√d + bias)`, into
+/// the reused `(ns, ns)` buffer `probs`; the context is `probs · v`.
+fn head_probs_into(
+    [q, k, _]: [&Tensor2; 3],
     bias_mat: &[f32],
     inv_sqrt: f32,
-    scores: &mut Tensor2,
-    ctx: &mut Tensor2,
+    probs: &mut Tensor2,
 ) -> Result<(), ln_tensor::TensorError> {
-    q.matmul_transposed_into(k, scores)?;
-    scale_and_bias(scores, inv_sqrt, bias_mat);
-    let ns = scores.cols();
-    for row in scores.as_mut_slice().chunks_exact_mut(ns.max(1)) {
+    q.matmul_transposed_into(k, probs)?;
+    scale_and_bias(probs, inv_sqrt, bias_mat);
+    let ns = probs.cols();
+    for row in probs.as_mut_slice().chunks_exact_mut(ns.max(1)) {
         nn::softmax_inplace(row);
     }
-    scores.matmul_into(v, ctx)
+    Ok(())
 }
 
 /// `scores[j][t] = scores[j][t]·inv_sqrt + bias_mat[j][t]`: the 1/√d scale

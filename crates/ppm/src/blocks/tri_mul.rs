@@ -2,13 +2,12 @@
 //! gated "triangle" update — for every pair `(i, j)`, information flows
 //! through all intermediate residues `k`.
 
-use super::transpose_pair_tokens;
+use super::{transposed_pair_tokens, workspace, Activation, PostLn};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
-use ln_quant::qgemm::{MacMode, QLinear};
-use ln_quant::tensor::QuantizedTensor;
+use ln_quant::qgemm::QLinear;
 use ln_tensor::nn::{LayerNorm, Linear};
-use ln_tensor::{nn, simd, Tensor2, Tensor3};
+use ln_tensor::{nn, simd, Tensor3};
 
 /// Which triangle edge orientation the unit updates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,7 +93,8 @@ impl TriangularMultiplication {
     ///
     /// # Errors
     ///
-    /// Propagates [`PpmError::Tensor`] on internal shape mismatches.
+    /// Propagates [`PpmError::Tensor`] on internal shape mismatches; `pair`
+    /// is then left empty (its tokens were moved out, not copied).
     pub fn forward(
         &self,
         pair: &mut Tensor3,
@@ -102,19 +102,22 @@ impl TriangularMultiplication {
         block: usize,
         recycle: usize,
     ) -> Result<(), PpmError> {
-        let (ns, _, _) = pair.shape();
+        let (ns, _, hz) = pair.shape();
+        let tokens_n = ns * ns;
         let tap = |site| Tap {
             block,
             recycle,
             site,
         };
 
-        // Group A: residual stream entering the unit.
-        let mut tokens = pair.to_token_matrix();
+        // Group A: residual stream entering the unit. It moves through:
+        // taken out of `pair`, updated in place, moved back.
+        let mut tokens = std::mem::take(pair).into_token_matrix();
         hook.on_activation(tap(ActivationSite::TriMulResidualIn), &mut tokens);
 
         // Group B: post-LayerNorm.
-        let mut x = self.norm_in.forward(&tokens)?;
+        let mut x = workspace::take(tokens_n, hz);
+        self.norm_in.forward_into(&tokens, &mut x)?;
         hook.on_activation(tap(ActivationSite::TriMulPostLn), &mut x);
 
         // Group C: gated projections. Three strategies, most specific wins:
@@ -124,53 +127,62 @@ impl TriangularMultiplication {
         //      record or rewrite it (the AAQ error-model path);
         //   3. fused — gate and projection share one packed GEMM pass,
         //      bit-identical to (2) when no hook rewrites anything.
-        let qscheme = hook.quantized_matmul(tap(ActivationSite::TriMulPostLn));
-        let qx = qscheme.map(|scheme| QuantizedTensor::from_tensor(&x, scheme));
+        let post_ln = PostLn::new(&x, hook.quantized_matmul(tap(ActivationSite::TriMulPostLn)));
         let observes_gates = hook.observes(ActivationSite::TriMulGateLeft)
             || hook.observes(ActivationSite::TriMulProjLeft)
             || hook.observes(ActivationSite::TriMulGateRight)
             || hook.observes(ActivationSite::TriMulProjRight);
-        let (left, right) = if let (Some(scheme), Some(qx)) = (qscheme, qx.as_ref()) {
-            let mode = MacMode::for_scheme(scheme);
-            let mut gl = nn::sigmoid(&self.q_gate_left.forward(qx, mode)?);
-            hook.on_activation(tap(ActivationSite::TriMulGateLeft), &mut gl);
-            let mut pl = self.q_proj_left.forward(qx, mode)?;
-            hook.on_activation(tap(ActivationSite::TriMulProjLeft), &mut pl);
-            let mut gr = nn::sigmoid(&self.q_gate_right.forward(qx, mode)?);
-            hook.on_activation(tap(ActivationSite::TriMulGateRight), &mut gr);
-            let mut pr = self.q_proj_right.forward(qx, mode)?;
-            hook.on_activation(tap(ActivationSite::TriMulProjRight), &mut pr);
-            (gl.hadamard(&pl)?, gr.hadamard(&pr)?)
-        } else if observes_gates {
-            let mut gl = self.gate_left.forward_sigmoid(&x)?;
-            hook.on_activation(tap(ActivationSite::TriMulGateLeft), &mut gl);
-            let mut pl = self.proj_left.forward(&x)?;
-            hook.on_activation(tap(ActivationSite::TriMulProjLeft), &mut pl);
-            let mut gr = self.gate_right.forward_sigmoid(&x)?;
-            hook.on_activation(tap(ActivationSite::TriMulGateRight), &mut gr);
-            let mut pr = self.proj_right.forward(&x)?;
-            hook.on_activation(tap(ActivationSite::TriMulProjRight), &mut pr);
-            (gl.hadamard(&pl)?, gr.hadamard(&pr)?)
-        } else {
-            (
-                nn::gated_projection(&x, &self.gate_left, &self.proj_left)?,
-                nn::gated_projection(&x, &self.gate_right, &self.proj_right)?,
-            )
+        let c = self.proj_left.out_features();
+        // One side of (1) or (2): the gate and the projection each pass
+        // the hook, then the gate's buffer becomes their product and the
+        // projection's goes back for the other side to take.
+        let mut gated_side = |fp: [&Linear; 2], qd: [&QLinear; 2], sites: [ActivationSite; 2]| {
+            let mut gate = post_ln.project(fp[0], qd[0], Activation::Sigmoid)?;
+            hook.on_activation(tap(sites[0]), &mut gate);
+            let mut proj = post_ln.project(fp[1], qd[1], Activation::None)?;
+            hook.on_activation(tap(sites[1]), &mut proj);
+            gate.hadamard_assign(&proj)?;
+            workspace::give(proj);
+            Ok::<_, PpmError>(gate)
         };
-        let c = left.cols();
+        let (mut left, mut right) = if post_ln.is_quantized() || observes_gates {
+            (
+                gated_side(
+                    [&self.gate_left, &self.proj_left],
+                    [&self.q_gate_left, &self.q_proj_left],
+                    [
+                        ActivationSite::TriMulGateLeft,
+                        ActivationSite::TriMulProjLeft,
+                    ],
+                )?,
+                gated_side(
+                    [&self.gate_right, &self.proj_right],
+                    [&self.q_gate_right, &self.q_proj_right],
+                    [
+                        ActivationSite::TriMulGateRight,
+                        ActivationSite::TriMulProjRight,
+                    ],
+                )?,
+            )
+        } else {
+            let mut left = workspace::take(tokens_n, c);
+            nn::gated_projection_into(&x, &self.gate_left, &self.proj_left, &mut left)?;
+            let mut right = workspace::take(tokens_n, c);
+            nn::gated_projection_into(&x, &self.gate_right, &self.proj_right, &mut right)?;
+            (left, right)
+        };
 
         // The triangle einsum; 1/√Ns keeps magnitudes length-independent.
         // The Incoming direction pre-transposes both operands (exact
         // copies) so one cache-blocked kernel serves both orientations.
         let scale = 1.0 / (ns as f32).sqrt();
-        let (lmat, rmat) = match self.direction {
-            TriangleDirection::Outgoing => (left, right),
-            TriangleDirection::Incoming => (
-                transpose_pair_tokens(&left, ns),
-                transpose_pair_tokens(&right, ns),
-            ),
-        };
-        let mut tri_tokens = Tensor2::zeros(ns * ns, c);
+        if self.direction == TriangleDirection::Incoming {
+            left = transposed_pair_tokens(left, ns);
+            right = transposed_pair_tokens(right, ns);
+        }
+        let mut tri_tokens = workspace::take(tokens_n, c);
+        // The kernel accumulates onto its output.
+        tri_tokens.as_mut_slice().fill(0.0);
         // Each (i, j) token accumulates its own k terms in ascending order,
         // so the per-i-block parallel dispatch is bit-identical to the
         // serial loops for any pool size.
@@ -180,8 +192,8 @@ impl TriangularMultiplication {
             let row_flops = 2 * ns * ns * c;
             let grain_rows = ((1usize << 22) / row_flops.max(1)).max(1);
             let rows_per_chunk = ln_par::chunk_len(ns, grain_rows);
-            let l = lmat.as_slice();
-            let r = rmat.as_slice();
+            let l = left.as_slice();
+            let r = right.as_slice();
             ln_par::par_chunks_mut(
                 tri_tokens.as_mut_slice(),
                 rows_per_chunk * ns * c,
@@ -193,27 +205,30 @@ impl TriangularMultiplication {
                 },
             );
         });
+        workspace::give(left);
+        workspace::give(right);
         hook.on_activation(tap(ActivationSite::TriMulTriangleOut), &mut tri_tokens);
 
-        let mut y = self.norm_out.forward(&tri_tokens)?;
+        let mut y = workspace::take(tokens_n, c);
+        self.norm_out.forward_into(&tri_tokens, &mut y)?;
+        workspace::give(tri_tokens);
         hook.on_activation(tap(ActivationSite::TriMulOutPostLn), &mut y);
 
-        let mut g = if let (Some(scheme), Some(qx)) = (qscheme, qx.as_ref()) {
-            nn::sigmoid(&self.q_gate_out.forward(qx, MacMode::for_scheme(scheme))?)
-        } else {
-            self.gate_out.forward_sigmoid(&x)?
-        };
+        let mut g = post_ln.project(&self.gate_out, &self.q_gate_out, Activation::Sigmoid)?;
+        // The encoded copy of `x`, if there is one, is not needed again.
+        drop(post_ln);
         hook.on_activation(tap(ActivationSite::TriMulOutGate), &mut g);
 
-        let update = g
-            .hadamard(&self.proj_out.forward(&y)?)?
-            .scaled(self.update_gain);
-        let update3 = Tensor3::from_token_matrix(ns, ns, update)?;
-        // The hook may have rewritten `tokens` (quantization): rebuild the
-        // residual stream from the processed tokens plus the update.
-        let mut new_pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
-        new_pair.add_assign(&update3)?;
-        *pair = new_pair;
+        // `x` has no reader left: it takes the output projection, is gated
+        // there and added into the residual stream (which the hook may
+        // have rewritten).
+        self.proj_out.forward_into(&y, &mut x)?;
+        workspace::give(y);
+        x.hadamard_assign(&g)?;
+        workspace::give(g);
+        tokens.add_scaled_assign(&x, self.update_gain)?;
+        workspace::give(x);
+        *pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
         Ok(())
     }
 }
@@ -283,6 +298,7 @@ fn einsum_block_body(l: &[f32], r: &[f32], ns: usize, c: usize, i0: usize, out: 
 mod tests {
     use super::*;
     use crate::taps::NoopHook;
+    use ln_tensor::Tensor2;
 
     fn pair(ns: usize, hz: usize) -> Tensor3 {
         Tensor3::from_fn(ns, ns, hz, |i, j, k| {

@@ -1,0 +1,309 @@
+//! The fold workspace: the pair stages' large temporaries, kept between
+//! stages and between folds instead of going back to the allocator (which
+//! hands freed pair-sized blocks to the kernel and faults them in again at
+//! the next stage).
+//!
+//! One stack of buffers per thread. A stage [`take`]s a tensor, and
+//! [`give`]s it back as soon as its last reader is done. One invariant:
+//! **every buffer given was taken** — a tensor that came from anywhere
+//! else (a kernel's fresh output, say) is dropped, never given, or the
+//! stack grows by one buffer per call. The converse is not required: a
+//! taken tensor may simply be dropped (the stages' error paths do).
+//! It is for pair-sized tensors only: a small one (`tri_attn`'s bias)
+//! would occupy a pair-sized buffer and make the stack one deeper.
+//!
+//! A taken tensor's **contents are unspecified**. Whoever takes one
+//! overwrites all of it: the `_into` kernels do (they zero-fill first where
+//! the microkernel accumulates), the triangle einsum's output is filled,
+//! and `tri_attn`'s context buffer is fully written by `scatter_head`.
+//! Test and debug builds poison it with NaN so that a stale read cannot
+//! pass.
+//!
+//! Stage code runs on the thread that called it; `ln-par` workers only
+//! ever see slices of a taken tensor, so they never reach this module.
+
+use ln_tensor::Tensor2;
+use std::cell::RefCell;
+use std::cmp::Reverse;
+
+#[derive(Default)]
+struct Workspace {
+    /// Buffers not in use, in the order they came back.
+    free: Vec<Vec<f32>>,
+    /// Bytes out on loan, and the most there have been.
+    #[cfg(test)]
+    taken_bytes: usize,
+    #[cfg(test)]
+    taken_hwm_bytes: usize,
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+/// A `(rows, cols)` tensor with unspecified contents: the free buffer
+/// whose capacity fits most tightly (the most recently returned of equal
+/// ones), else the largest free one regrown, else a new one.
+pub(crate) fn take(rows: usize, cols: usize) -> Tensor2 {
+    let len = rows * cols;
+    let mut buf = WORKSPACE.with(|w| {
+        let w = &mut *w.borrow_mut();
+        #[cfg(test)]
+        {
+            w.taken_bytes += len * 4;
+            w.taken_hwm_bytes = w.taken_hwm_bytes.max(w.taken_bytes);
+        }
+        let free = w.free.iter().enumerate();
+        let tightest = free
+            .clone()
+            .filter(|(_, b)| b.capacity() >= len)
+            .min_by_key(|&(i, b)| (b.capacity(), Reverse(i)));
+        let largest = || free.max_by_key(|&(i, b)| (b.capacity(), i));
+        match tightest.or_else(largest) {
+            Some((i, _)) => w.free.remove(i),
+            None => Vec::new(),
+        }
+    });
+    if buf.capacity() < len {
+        // Regrowing: a fresh zeroed block, not a copy of stale contents.
+        buf = vec![0.0; len];
+    }
+    buf.resize(len, 0.0);
+    if cfg!(any(test, debug_assertions)) {
+        buf.fill(f32::NAN);
+    }
+    Tensor2::from_vec(rows, cols, buf).expect("the buffer was sized to rows * cols")
+}
+
+/// Returns a tensor [`take`] handed out. Never call it with any other.
+pub(crate) fn give(t: Tensor2) {
+    let buf = t.into_vec();
+    WORKSPACE.with(|w| {
+        let w = &mut *w.borrow_mut();
+        #[cfg(test)]
+        {
+            w.taken_bytes = w.taken_bytes.saturating_sub(buf.len() * 4);
+        }
+        w.free.push(buf);
+    });
+}
+
+/// Frees the buffers the calling thread's fold workspace retains between
+/// folds — four pair-sized tensors and one the size of the transition's
+/// hidden activation, at the longest length folded. The next fold on this
+/// thread allocates them again. For a caller that folds once and lives on.
+pub fn release_fold_workspace() {
+    WORKSPACE.with(|w| w.borrow_mut().free = Vec::new());
+}
+
+/// `(buffers, bytes)` the calling thread retains.
+#[cfg(test)]
+pub(crate) fn retained() -> (usize, usize) {
+    WORKSPACE.with(|w| {
+        let w = w.borrow();
+        (w.free.len(), w.free.iter().map(|b| b.capacity() * 4).sum())
+    })
+}
+
+/// The most bytes on loan at once since the last call, which resets it.
+#[cfg(test)]
+pub(crate) fn take_hwm_bytes() -> usize {
+    WORKSPACE.with(|w| {
+        let w = &mut *w.borrow_mut();
+        std::mem::replace(&mut w.taken_hwm_bytes, w.taken_bytes)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::blocks::{
+        AttentionNode, PairTransition, SequenceTrack, TriangleDirection, TriangularAttention,
+        TriangularMultiplication,
+    };
+    use crate::taps::{ActivationHook, NoopHook, Tap};
+    use crate::{FoldingModel, PpmConfig};
+    use ln_protein::generator::StructureGenerator;
+    use ln_protein::Sequence;
+    use ln_quant::scheme::QuantScheme;
+    use ln_tensor::Tensor3;
+
+    /// Observes every site (so every stage materialises everything and
+    /// tri-attn runs its serial path) and rewrites nothing.
+    struct ObserveAll;
+    impl ActivationHook for ObserveAll {
+        fn on_activation(&mut self, _tap: Tap, _activation: &mut Tensor2) {}
+    }
+
+    /// Sends every post-LN projection through the integer GEMMs.
+    struct QuantizedDomain;
+    impl ActivationHook for QuantizedDomain {
+        fn on_activation(&mut self, _tap: Tap, _activation: &mut Tensor2) {}
+        fn quantized_matmul(&self, _tap: Tap) -> Option<QuantScheme> {
+            Some(QuantScheme::int8_with_outliers(4))
+        }
+    }
+
+    fn hooks() -> [(&'static str, Box<dyn ActivationHook>); 3] {
+        [
+            ("noop", Box::new(NoopHook)),
+            ("observe-all", Box::new(ObserveAll)),
+            ("quantized-domain", Box::new(QuantizedDomain)),
+        ]
+    }
+
+    /// A two-recycle tiny model: every block runs Outgoing and Incoming,
+    /// Starting and Ending, and the recycle branch runs once.
+    fn model(chunk: Option<usize>) -> FoldingModel {
+        FoldingModel::new(PpmConfig {
+            recycles: 2,
+            attention_chunk: chunk,
+            ..PpmConfig::tiny()
+        })
+    }
+
+    fn fold_bits(model: &FoldingModel, ns: usize, hook: &mut dyn ActivationHook) -> Vec<u32> {
+        let seq = Sequence::random("workspace", ns);
+        let native = StructureGenerator::new("workspace").generate(ns);
+        let out = model.predict_with_hook(&seq, &native, hook).expect("folds");
+        out.pair_rep
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn retained_buffers_are_the_same_after_one_fold_and_after_three() {
+        for chunk in [None, Some(5)] {
+            let model = model(chunk);
+            for (name, mut hook) in hooks() {
+                release_fold_workspace();
+                assert_eq!(retained(), (0, 0));
+                fold_bits(&model, 12, hook.as_mut());
+                let after_one = retained();
+                assert!(after_one.0 > 0, "{name}: the stages use the workspace");
+                fold_bits(&model, 12, hook.as_mut());
+                fold_bits(&model, 12, hook.as_mut());
+                assert_eq!(retained(), after_one, "{name}, chunk {chunk:?}");
+                WORKSPACE.with(|w| assert_eq!(w.borrow().taken_bytes, 0, "{name}: all given back"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_fold_never_reads_what_an_earlier_fold_left_behind() {
+        // `take` poisons with NaN here, and the 16-long fold in between
+        // leaves every retained buffer with the wrong length and contents.
+        for chunk in [None, Some(5)] {
+            let model = model(chunk);
+            for (name, mut hook) in hooks() {
+                release_fold_workspace();
+                let first = fold_bits(&model, 24, hook.as_mut());
+                assert!(first.iter().all(|&b| f32::from_bits(b).is_finite()));
+                fold_bits(&model, 16, hook.as_mut());
+                let again = fold_bits(&model, 24, hook.as_mut());
+                assert!(first == again, "{name}, chunk {chunk:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_stage_keeps_a_bounded_set_of_pair_tensors_on_loan() {
+        // Standard widths at L = 32; one pair-sized tensor is `pair_bytes`.
+        let cfg = PpmConfig::standard();
+        let ns = 32;
+        let pair_bytes = ns * ns * cfg.hz * 4;
+        let hidden_bytes = pair_bytes * cfg.transition_factor;
+        let pair = Tensor3::from_fn(ns, ns, cfg.hz, |i, j, k| {
+            ((i * 31 + j * 7 + k * 3) % 13) as f32 * 0.5 - 3.0
+        });
+        let mut seq = Tensor2::from_fn(ns, cfg.hm, |i, j| ((i * 5 + j) % 7) as f32 * 0.3 - 1.0);
+
+        type Stage<'a> = Box<dyn FnMut(&mut Tensor3, &mut dyn ActivationHook) + 'a>;
+        let tri_mul = |direction| {
+            let unit = TriangularMultiplication::new(&cfg, "ws", direction);
+            Box::new(move |z: &mut Tensor3, h: &mut dyn ActivationHook| {
+                unit.forward(z, h, 0, 0).unwrap()
+            })
+        };
+        let tri_attn = |node| {
+            let unit = TriangularAttention::new(&cfg, "ws", node);
+            Box::new(move |z: &mut Tensor3, h: &mut dyn ActivationHook| {
+                unit.forward(z, h, 0, 0).unwrap()
+            })
+        };
+        let transition = PairTransition::new(&cfg, "ws");
+        let seq_track = SequenceTrack::new(&cfg, "ws");
+        // (stage, most bytes it may have on loan): the operands of the
+        // einsum plus one being transposed beside `x`; q, k, v and the
+        // context beside `x`; `x` and the hidden activation; the outer
+        // product (half a pair tensor) and its projection.
+        let stages: [(&str, usize, Stage); 6] = [
+            (
+                "tri_mul_out",
+                4 * pair_bytes,
+                tri_mul(TriangleDirection::Outgoing),
+            ),
+            (
+                "tri_mul_in",
+                4 * pair_bytes,
+                tri_mul(TriangleDirection::Incoming),
+            ),
+            (
+                "tri_attn_start",
+                5 * pair_bytes,
+                tri_attn(AttentionNode::Starting),
+            ),
+            (
+                "tri_attn_end",
+                5 * pair_bytes,
+                tri_attn(AttentionNode::Ending),
+            ),
+            (
+                "transition",
+                pair_bytes + hidden_bytes,
+                Box::new(|z, h| transition.forward(z, h, 0, 0).unwrap()),
+            ),
+            (
+                "seq_track",
+                2 * pair_bytes,
+                Box::new(|z, _| seq_track.forward(&mut seq, z).unwrap()),
+            ),
+        ];
+        for (stage, bound, mut run) in stages {
+            for (name, mut hook) in hooks() {
+                let mut z = pair.clone();
+                take_hwm_bytes();
+                run(&mut z, hook.as_mut());
+                let peak = take_hwm_bytes();
+                assert!(
+                    peak <= bound && bound <= 7 * pair_bytes + hidden_bytes,
+                    "{stage} under {name}: {:.2} pair tensors on loan, at most {:.2} allowed",
+                    peak as f64 / pair_bytes as f64,
+                    bound as f64 / pair_bytes as f64,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn take_prefers_the_tightest_fit_and_regrows_the_largest() {
+        release_fold_workspace();
+        let (small, large) = (take(4, 4), take(16, 16));
+        give(large);
+        give(small);
+        // A small request leaves the large buffer alone.
+        let t = take(2, 2);
+        assert_eq!(t.shape(), (2, 2));
+        assert_eq!(retained(), (1, 16 * 16 * 4));
+        give(t);
+        // Nothing fits: the largest is replaced, the count stays.
+        let t = take(32, 32);
+        assert_eq!(retained(), (1, 4 * 4 * 4));
+        give(t);
+        assert_eq!(retained(), (2, (32 * 32 + 4 * 4) * 4));
+        release_fold_workspace();
+        assert_eq!(retained(), (0, 0));
+    }
+}

@@ -1,4 +1,4 @@
-use crate::blocks::FoldingBlock;
+use crate::blocks::{workspace, FoldingBlock};
 use crate::embed::Embedding;
 use crate::structure_module;
 use crate::taps::{ActivationHook, NoopHook};
@@ -116,10 +116,15 @@ impl FoldingModel {
             if recycle > 0 {
                 // Recycling: re-seed from the embedding plus the normalised
                 // previous pair state (ESMFold-style refinement).
-                let prev = self.recycle_norm.forward(&pair.to_token_matrix())?;
-                let prev3 = Tensor3::from_token_matrix(ns, ns, prev)?;
-                pair = pair_init.clone();
-                pair.add_assign(&prev3.scaled_by(0.1))?;
+                // The state's own buffer takes the embedding back and
+                // the scaled norm is added in place.
+                let mut tokens = pair.into_token_matrix();
+                let mut prev = workspace::take(tokens.rows(), tokens.cols());
+                self.recycle_norm.forward_into(&tokens, &mut prev)?;
+                tokens.as_mut_slice().copy_from_slice(pair_init.as_slice());
+                tokens.add_scaled_assign(&prev, 0.1)?;
+                workspace::give(prev);
+                pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
             }
             for (b, block) in self.blocks.iter().enumerate() {
                 block.forward(&mut seq_rep, &mut pair, hook, b, recycle)?;
@@ -131,19 +136,6 @@ impl FoldingModel {
             structure,
             pair_rep: pair,
         })
-    }
-}
-
-/// Extension used by recycling: scale a tensor by a constant.
-trait ScaledBy {
-    fn scaled_by(&self, f: f32) -> Self;
-}
-
-impl ScaledBy for Tensor3 {
-    fn scaled_by(&self, f: f32) -> Tensor3 {
-        let (d0, d1, d2) = self.shape();
-        let data = self.as_slice().iter().map(|&x| x * f).collect();
-        Tensor3::from_vec(d0, d1, d2, data).expect("shape is consistent by construction")
     }
 }
 

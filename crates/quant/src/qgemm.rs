@@ -208,17 +208,34 @@ pub fn qgemm(
     bias: &[f32],
     mode: MacMode,
 ) -> Result<Tensor2, TensorError> {
-    if x.channels() != w.in_features || bias.len() != w.out_features {
+    let mut out = Tensor2::zeros(x.num_tokens(), w.out_features);
+    qgemm_into(x, w, bias, mode, &mut out)?;
+    Ok(out)
+}
+
+/// [`qgemm`] written into `out`, whatever it held: the epilogue writes
+/// every element exactly once, so nothing is cleared first.
+///
+/// # Errors
+///
+/// As [`qgemm`], and when `out` is not `(x.num_tokens(), w.out_features())`.
+pub fn qgemm_into(
+    x: &QuantizedTensor,
+    w: &QuantizedWeights,
+    bias: &[f32],
+    mode: MacMode,
+    out: &mut Tensor2,
+) -> Result<(), TensorError> {
+    let (tokens, n) = (x.num_tokens(), w.out_features);
+    if x.channels() != w.in_features || bias.len() != n || out.shape() != (tokens, n) {
         return Err(TensorError::ShapeMismatch {
             op: "qgemm",
-            lhs: vec![x.num_tokens(), x.channels()],
-            rhs: vec![w.in_features, w.out_features],
+            lhs: vec![tokens, x.channels()],
+            rhs: vec![w.in_features, n],
         });
     }
-    let (tokens, n) = (x.num_tokens(), w.out_features);
-    let mut out = Tensor2::zeros(tokens, n);
     if tokens == 0 || n == 0 {
-        return Ok(out);
+        return Ok(());
     }
     let passes = mode.passes(x.scheme().inlier_bits);
     ln_par::metrics::time_kernel("aaq.qgemm", (tokens * n) as u64, || {
@@ -233,7 +250,7 @@ pub fn qgemm(
             );
         });
     });
-    Ok(out)
+    Ok(())
 }
 
 /// Minimum token groups per parallel chunk for the quantized-domain GEMM.
@@ -382,6 +399,21 @@ impl QLinear {
     pub fn forward(&self, x: &QuantizedTensor, mode: MacMode) -> Result<Tensor2, TensorError> {
         qgemm(x, &self.weights, &self.bias, mode)
     }
+
+    /// [`QLinear::forward`] written into `out`, whatever it held.
+    ///
+    /// # Errors
+    ///
+    /// As [`QLinear::forward`], and when `out` is not
+    /// `(x.num_tokens(), out_features)`.
+    pub fn forward_into(
+        &self,
+        x: &QuantizedTensor,
+        mode: MacMode,
+        out: &mut Tensor2,
+    ) -> Result<(), TensorError> {
+        qgemm_into(x, &self.weights, &self.bias, mode, out)
+    }
 }
 
 #[cfg(test)]
@@ -465,6 +497,10 @@ mod tests {
         for mode in [MacMode::Direct, MacMode::BitChunked] {
             let got = qgemm(x, w, bias, mode).unwrap();
             assert!(same(got.as_slice()), "{what} {mode:?}");
+            // Into a buffer that held something else.
+            let mut out = Tensor2::full(x.num_tokens(), w.out_features(), f32::NAN);
+            qgemm_into(x, w, bias, mode, &mut out).unwrap();
+            assert!(same(out.as_slice()), "{what} {mode:?} into");
         }
         let mut baseline = vec![0.0f32; want.len()];
         let passes = MacMode::BitChunked.passes(x.scheme().inlier_bits);
@@ -616,5 +652,16 @@ mod tests {
         let q = QuantizedTensor::from_tensor(&activation(), QuantScheme::int8_with_outliers(2));
         let w = QuantizedWeights::from_tensor(&Tensor2::zeros(31, 8));
         assert!(qgemm(&q, &w, &[0.0; 8], MacMode::Direct).is_err());
+        // A wrong-shaped `out` is an error too, not a panic.
+        let w = QuantizedWeights::from_tensor(&weights());
+        for (rows, cols) in [(12, 7), (11, 8), (0, 0)] {
+            let mut out = Tensor2::zeros(rows, cols);
+            assert!(matches!(
+                qgemm_into(&q, &w, &[0.0; 8], MacMode::Direct, &mut out),
+                Err(TensorError::ShapeMismatch { .. })
+            ));
+        }
+        let mut out = Tensor2::zeros(12, 8);
+        assert!(qgemm_into(&q, &w, &[0.0; 8], MacMode::Direct, &mut out).is_ok());
     }
 }

@@ -151,6 +151,34 @@ impl Linear {
         x.matmul_epilogue(&self.weight, &Epilogue::BiasRelu(&self.bias))
     }
 
+    /// [`Linear::forward`] written into `out`, whatever it held.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when `x.cols() != in_features`
+    /// or `out` is not `(x.rows(), out_features)`.
+    pub fn forward_into(&self, x: &Tensor2, out: &mut Tensor2) -> Result<(), TensorError> {
+        x.matmul_epilogue_into(&self.weight, &Epilogue::Bias(&self.bias), out)
+    }
+
+    /// [`Linear::forward_sigmoid`] written into `out`, whatever it held.
+    ///
+    /// # Errors
+    ///
+    /// As [`Linear::forward_into`].
+    pub fn forward_sigmoid_into(&self, x: &Tensor2, out: &mut Tensor2) -> Result<(), TensorError> {
+        x.matmul_epilogue_into(&self.weight, &Epilogue::BiasSigmoid(&self.bias), out)
+    }
+
+    /// [`Linear::forward_relu`] written into `out`, whatever it held.
+    ///
+    /// # Errors
+    ///
+    /// As [`Linear::forward_into`].
+    pub fn forward_relu_into(&self, x: &Tensor2, out: &mut Tensor2) -> Result<(), TensorError> {
+        x.matmul_epilogue_into(&self.weight, &Epilogue::BiasRelu(&self.bias), out)
+    }
+
     /// `ln.forward(x W + b)` with the LayerNorm fused into the GEMM epilogue.
     ///
     /// Bit-identical to `ln.forward(&forward(x))` without materialising the
@@ -192,6 +220,20 @@ impl Linear {
 /// disagree with each other or with `x`.
 pub fn gated_projection(x: &Tensor2, gate: &Linear, proj: &Linear) -> Result<Tensor2, TensorError> {
     x.matmul_gated((&gate.weight, &gate.bias), (&proj.weight, &proj.bias))
+}
+
+/// [`gated_projection`] written into `out`, whatever it held.
+///
+/// # Errors
+///
+/// As [`gated_projection`], and when `out` is not `(x.rows(), out_features)`.
+pub fn gated_projection_into(
+    x: &Tensor2,
+    gate: &Linear,
+    proj: &Linear,
+    out: &mut Tensor2,
+) -> Result<(), TensorError> {
+    x.matmul_gated_into((&gate.weight, &gate.bias), (&proj.weight, &proj.bias), out)
 }
 
 /// Per-token layer normalisation with learned scale and shift.
@@ -262,36 +304,49 @@ impl LayerNorm {
     ///
     /// Returns [`TensorError::ShapeMismatch`] when the channel counts differ.
     pub fn forward(&self, x: &Tensor2) -> Result<Tensor2, TensorError> {
-        if x.cols() != self.gamma.len() {
+        let mut out = Tensor2::zeros(x.rows(), x.cols());
+        self.forward_into(x, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`LayerNorm::forward`] written into `out`, whatever it held.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when the channel counts differ
+    /// or `out` does not have `x`'s shape.
+    pub fn forward_into(&self, x: &Tensor2, out: &mut Tensor2) -> Result<(), TensorError> {
+        if x.cols() != self.gamma.len() || out.shape() != x.shape() {
             return Err(TensorError::ShapeMismatch {
                 op: "layer_norm",
                 lhs: vec![x.rows(), x.cols()],
                 rhs: vec![self.gamma.len()],
             });
         }
-        let mut out = x.clone();
-        let cols = out.cols();
-        if cols == 0 || out.rows() == 0 {
-            return Ok(out);
+        let cols = x.cols();
+        if cols == 0 || x.rows() == 0 {
+            return Ok(());
         }
         // Rows normalise independently, so row-chunk parallelism is
         // bit-identical to the serial loop.
-        let rows_per_chunk = ln_par::chunk_len(out.rows(), ROW_PAR_GRAIN_ELEMS.div_ceil(cols));
+        let rows_per_chunk = ln_par::chunk_len(x.rows(), ROW_PAR_GRAIN_ELEMS.div_ceil(cols));
         let gamma = &self.gamma;
         let beta = &self.beta;
         let epsilon = self.epsilon;
-        ln_par::par_chunks_mut(out.as_mut_slice(), rows_per_chunk * cols, |_, chunk| {
-            for row in chunk.chunks_mut(cols) {
-                let n = row.len() as f32;
-                let mean = row.iter().sum::<f32>() / n;
-                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
+        let chunk_len = rows_per_chunk * cols;
+        ln_par::par_chunks_mut(out.as_mut_slice(), chunk_len, |c, chunk| {
+            let src = &x.as_slice()[c * chunk_len..][..chunk.len()];
+            for (row, src) in chunk.chunks_mut(cols).zip(src.chunks(cols)) {
+                let n = src.len() as f32;
+                let mean = src.iter().sum::<f32>() / n;
+                let var = src.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
                 let inv = 1.0 / (var + epsilon).sqrt();
-                for (k, v) in row.iter_mut().enumerate() {
-                    *v = (*v - mean) * inv * gamma[k] + beta[k];
+                for ((o, v), (g, b)) in row.iter_mut().zip(src).zip(gamma.iter().zip(beta)) {
+                    *o = (v - mean) * inv * g + b;
                 }
             }
         });
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -339,12 +394,30 @@ pub fn softmax_inplace(row: &mut [f32]) {
 
 /// Element-wise ReLU.
 pub fn relu(x: &Tensor2) -> Tensor2 {
-    x.map(|v| v.max(0.0))
+    x.map(relu_scalar)
+}
+
+/// [`relu`] in place.
+pub fn relu_inplace(x: &mut Tensor2) {
+    x.map_inplace(relu_scalar);
+}
+
+fn relu_scalar(v: f32) -> f32 {
+    v.max(0.0)
 }
 
 /// Element-wise logistic sigmoid.
 pub fn sigmoid(x: &Tensor2) -> Tensor2 {
-    x.map(|v| 1.0 / (1.0 + (-v).exp()))
+    x.map(sigmoid_scalar)
+}
+
+/// [`sigmoid`] in place.
+pub fn sigmoid_inplace(x: &mut Tensor2) {
+    x.map_inplace(sigmoid_scalar);
+}
+
+fn sigmoid_scalar(v: f32) -> f32 {
+    1.0 / (1.0 + (-v).exp())
 }
 
 /// Element-wise GELU (tanh approximation).
@@ -493,6 +566,50 @@ mod tests {
         for (a, b) in fused.as_slice().iter().zip(unfused.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn into_forms_overwrite_a_wrong_valued_out_with_the_allocating_bits() {
+        let x = Tensor2::from_fn(9, 24, |i, j| ((i * 13 + j * 7) % 19) as f32 * 0.21 - 1.7);
+        let layer = Linear::deterministic_with_bias("into", 24, 16, 1.0, 0.4);
+        let gate = Linear::deterministic_with_bias("into_gate", 24, 16, 1.0, 0.3);
+        let ln = LayerNorm::deterministic("into_ln", 24, 0.1);
+        let bits = |t: &Tensor2| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let stale = || Tensor2::full(9, 16, f32::NAN);
+
+        let mut out = stale();
+        layer.forward_into(&x, &mut out).unwrap();
+        assert_eq!(bits(&out), bits(&layer.forward(&x).unwrap()));
+        out = stale();
+        layer.forward_sigmoid_into(&x, &mut out).unwrap();
+        assert_eq!(bits(&out), bits(&layer.forward_sigmoid(&x).unwrap()));
+        out = stale();
+        layer.forward_relu_into(&x, &mut out).unwrap();
+        assert_eq!(bits(&out), bits(&layer.forward_relu(&x).unwrap()));
+        out = stale();
+        gated_projection_into(&x, &gate, &layer, &mut out).unwrap();
+        assert_eq!(
+            bits(&out),
+            bits(&gated_projection(&x, &gate, &layer).unwrap())
+        );
+        let mut normed = Tensor2::full(9, 24, f32::NAN);
+        ln.forward_into(&x, &mut normed).unwrap();
+        assert_eq!(bits(&normed), bits(&ln.forward(&x).unwrap()));
+
+        let mut pre = layer.forward(&x).unwrap();
+        let (s, r) = (sigmoid(&pre), relu(&pre));
+        relu_inplace(&mut pre);
+        assert_eq!(bits(&pre), bits(&r));
+        pre = layer.forward(&x).unwrap();
+        sigmoid_inplace(&mut pre);
+        assert_eq!(bits(&pre), bits(&s));
+
+        let mut wrong = Tensor2::zeros(9, 15);
+        assert!(layer.forward_into(&x, &mut wrong).is_err());
+        assert!(layer.forward_sigmoid_into(&x, &mut wrong).is_err());
+        assert!(layer.forward_relu_into(&x, &mut wrong).is_err());
+        assert!(gated_projection_into(&x, &gate, &layer, &mut wrong).is_err());
+        assert!(ln.forward_into(&x, &mut wrong).is_err());
     }
 
     #[test]

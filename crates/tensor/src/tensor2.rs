@@ -235,15 +235,8 @@ impl Tensor2 {
         rhs: &Tensor2,
         epilogue: &Epilogue,
     ) -> Result<Tensor2, TensorError> {
-        if self.cols != rhs.rows || !epilogue_fits(epilogue, rhs.cols) {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul",
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![rhs.rows, rhs.cols],
-            });
-        }
         let mut out = Tensor2::zeros(self.rows, rhs.cols);
-        self.matmul_onto(rhs, epilogue, &mut out);
+        self.matmul_epilogue_into(rhs, epilogue, &mut out)?;
         Ok(out)
     }
 
@@ -255,25 +248,38 @@ impl Tensor2 {
     /// Returns [`TensorError::ShapeMismatch`] when `self.cols != rhs.rows`
     /// or `out` is not `(self.rows, rhs.cols)`.
     pub fn matmul_into(&self, rhs: &Tensor2, out: &mut Tensor2) -> Result<(), TensorError> {
-        if self.cols != rhs.rows || out.shape() != (self.rows, rhs.cols) {
+        self.matmul_epilogue_into(rhs, &Epilogue::None, out)
+    }
+
+    /// [`Tensor2::matmul_epilogue`] written into `out`, whatever it held
+    /// (it is zero-filled first: the microkernel accumulates).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when `self.cols != rhs.rows`,
+    /// an epilogue vector's length differs from the output width, or `out`
+    /// is not `(self.rows, rhs.cols)`.
+    pub fn matmul_epilogue_into(
+        &self,
+        rhs: &Tensor2,
+        epilogue: &Epilogue,
+        out: &mut Tensor2,
+    ) -> Result<(), TensorError> {
+        if self.cols != rhs.rows
+            || !epilogue_fits(epilogue, rhs.cols)
+            || out.shape() != (self.rows, rhs.cols)
+        {
             return Err(TensorError::ShapeMismatch {
-                op: "matmul_into",
+                op: "matmul",
                 lhs: vec![self.rows, self.cols],
                 rhs: vec![rhs.rows, rhs.cols],
             });
         }
-        out.data.fill(0.0);
-        self.matmul_onto(rhs, &Epilogue::None, out);
-        Ok(())
-    }
-
-    /// The GEMM behind [`Tensor2::matmul_epilogue`]: accumulates onto a
-    /// zeroed, shape-checked `out`.
-    fn matmul_onto(&self, rhs: &Tensor2, epilogue: &Epilogue, out: &mut Tensor2) {
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         if m == 0 || n == 0 {
-            return;
+            return Ok(());
         }
+        out.data.fill(0.0);
         ln_par::metrics::time_kernel("tensor2.matmul", (m * n) as u64, || {
             let rows_per_chunk = matmul_chunk_rows(m, k, n);
             let a = &self.data;
@@ -282,6 +288,7 @@ impl Tensor2 {
                 microkernel::gemm(a, b, k, n, c * rows_per_chunk, chunk, epilogue);
             });
         });
+        Ok(())
     }
 
     /// Matrix product `self × rhsᵀ` without materialising the transpose.
@@ -363,12 +370,30 @@ impl Tensor2 {
         gate: (&Tensor2, &[f32]),
         proj: (&Tensor2, &[f32]),
     ) -> Result<Tensor2, TensorError> {
+        let mut out = Tensor2::zeros(self.rows, gate.0.cols);
+        self.matmul_gated_into(gate, proj, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Tensor2::matmul_gated`] written into `out`, whatever it held.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor2::matmul_gated`], and when `out` is not
+    /// `(self.rows, gate_w.cols)`.
+    pub fn matmul_gated_into(
+        &self,
+        gate: (&Tensor2, &[f32]),
+        proj: (&Tensor2, &[f32]),
+        out: &mut Tensor2,
+    ) -> Result<(), TensorError> {
         let (gate_w, gate_bias) = gate;
         let (proj_w, proj_bias) = proj;
         if self.cols != gate_w.rows
             || gate_w.shape() != proj_w.shape()
             || gate_bias.len() != gate_w.cols
             || proj_bias.len() != proj_w.cols
+            || out.shape() != (self.rows, gate_w.cols)
         {
             return Err(TensorError::ShapeMismatch {
                 op: "matmul_gated",
@@ -377,10 +402,10 @@ impl Tensor2 {
             });
         }
         let (m, k, n) = (self.rows, self.cols, gate_w.cols);
-        let mut out = Tensor2::zeros(m, n);
         if m == 0 || n == 0 {
-            return Ok(out);
+            return Ok(());
         }
+        out.data.fill(0.0);
         ln_par::metrics::time_kernel("tensor2.matmul_gated", (m * n) as u64, || {
             let rows_per_chunk = matmul_chunk_rows(m, k, n);
             let a = &self.data;
@@ -396,7 +421,7 @@ impl Tensor2 {
                 microkernel::gemm_gated(a, k, n, gb, pb, c * rows_per_chunk, chunk);
             });
         });
-        Ok(out)
+        Ok(())
     }
 
     /// Returns the transposed matrix.
@@ -443,17 +468,28 @@ impl Tensor2 {
     ///
     /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
     pub fn add_assign(&mut self, rhs: &Tensor2) -> Result<(), TensorError> {
-        if self.shape() != rhs.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "add_assign",
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![rhs.rows, rhs.cols],
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
-            *a += b;
-        }
-        Ok(())
+        self.zip_assign(rhs, "add_assign", |a, b| a + b)
+    }
+
+    /// In-place Hadamard product `self ⊙= rhs`, the bits of
+    /// [`Tensor2::hadamard`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
+    pub fn hadamard_assign(&mut self, rhs: &Tensor2) -> Result<(), TensorError> {
+        self.zip_assign(rhs, "hadamard_assign", |a, b| a * b)
+    }
+
+    /// In-place `self += rhs · factor`: the product is rounded, then the
+    /// sum — the bits of `rhs.scaled(factor)` followed by
+    /// [`Tensor2::add_assign`], without the scaled copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
+    pub fn add_scaled_assign(&mut self, rhs: &Tensor2, factor: f32) -> Result<(), TensorError> {
+        self.zip_assign(rhs, "add_scaled_assign", |a, b| a + b * factor)
     }
 
     /// Returns a copy with every element multiplied by `factor`.
@@ -513,6 +549,25 @@ impl Tensor2 {
             })
             .sum();
         Ok((sum / self.data.len() as f64).sqrt() as f32)
+    }
+
+    fn zip_assign(
+        &mut self,
+        rhs: &Tensor2,
+        op: &'static str,
+        f: impl Fn(f32, f32) -> f32,
+    ) -> Result<(), TensorError> {
+        if self.shape() != rhs.shape() {
+            return Err(TensorError::ShapeMismatch {
+                op,
+                lhs: vec![self.rows, self.cols],
+                rhs: vec![rhs.rows, rhs.cols],
+            });
+        }
+        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
+            *a = f(*a, b);
+        }
+        Ok(())
     }
 
     fn zip_with(
@@ -652,6 +707,26 @@ mod tests {
         let mut c = a.clone();
         c.add_assign(&b).unwrap();
         assert_eq!(c, Tensor2::full(2, 2, 5.0));
+    }
+
+    #[test]
+    fn assign_forms_have_the_bits_of_the_allocating_sequences() {
+        let a = Tensor2::from_fn(5, 7, |i, j| (i * 7 + j * 3) as f32 * 0.173 - 1.9);
+        let b = Tensor2::from_fn(5, 7, |i, j| (i * 2 + j * 5) as f32 * 0.311 - 2.3);
+        let bits = |t: &Tensor2| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut h = a.clone();
+        h.hadamard_assign(&b).unwrap();
+        assert_eq!(bits(&h), bits(&a.hadamard(&b).unwrap()));
+        // Both operand orders: the stages gate whichever buffer is free.
+        assert_eq!(bits(&h), bits(&b.hadamard(&a).unwrap()));
+        let mut s = a.clone();
+        s.add_scaled_assign(&b, 0.1).unwrap();
+        let mut two_step = a.clone();
+        two_step.add_assign(&b.scaled(0.1)).unwrap();
+        assert_eq!(bits(&s), bits(&two_step));
+        let wrong = Tensor2::zeros(7, 5);
+        assert!(h.hadamard_assign(&wrong).is_err());
+        assert!(s.add_scaled_assign(&wrong, 0.1).is_err());
     }
 
     #[test]

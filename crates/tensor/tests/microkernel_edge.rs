@@ -72,6 +72,62 @@ fn tiled_matmul_transposed_is_bitwise_identical_at_every_edge_size() {
 }
 
 #[test]
+fn into_forms_overwrite_a_wrong_valued_out_with_the_allocating_bits_at_every_edge_size() {
+    let bits = |t: &Tensor2| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for &m in &edge_sizes() {
+        for &k in &edge_sizes() {
+            for &n in &edge_sizes() {
+                let a = fill(m, k, 11);
+                let (w, g) = (fill(k, n, 12), fill(k, n, 13));
+                let (bias, gamma) = (fill(1, n, 14), fill(1, n, 15));
+                let (bias, gamma) = (bias.as_slice(), gamma.as_slice());
+                let epilogues = [
+                    Epilogue::None,
+                    Epilogue::Bias(bias),
+                    Epilogue::BiasSigmoid(bias),
+                    Epilogue::BiasRelu(bias),
+                    Epilogue::BiasLayerNorm {
+                        bias,
+                        gamma,
+                        beta: bias,
+                        epsilon: 1e-5,
+                    },
+                ];
+                for (e, epilogue) in epilogues.iter().enumerate() {
+                    let mut out = Tensor2::full(m, n, f32::NAN);
+                    a.matmul_epilogue_into(&w, epilogue, &mut out).unwrap();
+                    let want = a.matmul_epilogue(&w, epilogue).unwrap();
+                    assert_eq!(bits(&out), bits(&want), "({m},{k},{n}) epilogue {e}");
+                }
+                let mut out = Tensor2::full(m, n, -7.5);
+                a.matmul_gated_into((&g, gamma), (&w, bias), &mut out)
+                    .unwrap();
+                let want = a.matmul_gated((&g, gamma), (&w, bias)).unwrap();
+                assert_eq!(bits(&out), bits(&want), "gated ({m},{k},{n})");
+            }
+        }
+    }
+}
+
+#[test]
+fn into_forms_reject_a_wrong_shaped_out() {
+    use ln_tensor::TensorError;
+    let (a, w) = (fill(3, 4, 16), fill(4, 5, 17));
+    let bias = vec![0.5f32; 5];
+    for (rows, cols) in [(3, 4), (2, 5), (5, 3), (0, 0)] {
+        let mut out = Tensor2::zeros(rows, cols);
+        assert!(matches!(
+            a.matmul_epilogue_into(&w, &Epilogue::Bias(&bias), &mut out),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            a.matmul_gated_into((&w, &bias), (&w, &bias), &mut out),
+            Err(TensorError::ShapeMismatch { .. })
+        ));
+    }
+}
+
+#[test]
 fn chunked_gemm_matches_whole_matrix_gemm_at_odd_chunk_seams() {
     // The ln-par calling convention hands the kernel row chunks at
     // arbitrary seams; any seam must reproduce the unchunked result.

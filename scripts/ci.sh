@@ -8,6 +8,7 @@
 #   4. cargo test -q, then                                (test suite)
 #      cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm
 #                                                         (kernel crates)
+#      cargo test -q --release --test golden_regression   (pinned fold bits)
 #   5. par_speedup --quick                                (kernel gate)
 #   6. chaos --quick                                      (ln-fault smoke)
 #   7. obs_overhead --quick                               (ln-obs cost gate)
@@ -24,8 +25,19 @@
 # profile in which the vectorised kernel bodies exist, so the bit-identity
 # tests (both GEMM tile widths against the reference fold, `qgemm` against
 # a scalar reference, `bit_identity.rs`, `no_alloc.rs`) and the
-# chunked-attention tests check the code that ships. A few seconds once
-# step 3 has built the crates.
+# chunked-attention tests check the code that ships. It is also where the
+# fold workspace's contract is checked (`blocks/workspace.rs`: retained
+# buffers equal after one fold and after three under a non-observing, an
+# observe-everything and a quantized-domain hook; NaN-poisoned `take`s and
+# L = 24 -> 16 -> 24 folds giving the first fold's bits; the per-stage
+# bound on pair tensors on loan), where `crates/ppm/tests/large_allocs.rs`
+# pins the >= 64 KiB allocations a warm fold makes, and where the `_into`
+# kernels are compared bit for bit with their allocating forms into a
+# wrong-valued `out` (`microkernel_edge.rs`, `tensor2.rs`, `nn.rs`,
+# `qgemm.rs`). A few seconds once step 3 has built the crates. Its third
+# command runs `tests/golden_regression.rs` optimised: the `pair_rep`
+# hashes pinned there for the L = 48 folds are skipped by the debug
+# profile of the first command (minutes), not by this one (seconds).
 #
 # Step 5 exits non-zero when a parallel kernel diverges bitwise from its
 # serial execution OR when any kernel's speedup drops below the 0.95x
@@ -91,6 +103,7 @@ step cargo clippy --workspace --all-targets -- -D warnings
 step cargo build --release --workspace
 step cargo test -q
 step cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm
+step cargo test -q --release --test golden_regression
 step ./target/release/par_speedup --quick
 step ./target/release/chaos --quick
 step ./target/release/obs_overhead --quick

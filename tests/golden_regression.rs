@@ -6,7 +6,10 @@
 //! pinned values here and note it in CHANGELOG.md — these tests define the
 //! reproduction's observable behaviour.
 
+use lightnobel::hook::AaqHook;
 use ln_datasets::{Dataset, Registry};
+use ln_par::{with_pool, Pool};
+use ln_ppm::taps::{ActivationHook, NoopHook};
 use ln_ppm::{FoldingModel, PpmConfig};
 use ln_protein::generator::StructureGenerator;
 use ln_quant::layout::encode_token;
@@ -97,4 +100,78 @@ fn trunk_prediction_is_pinned_within_run() {
     let b = model.predict(&seq, &native).expect("folds");
     assert_eq!(a.pair_rep, b.pair_rep);
     assert_eq!(a.structure, b.structure);
+}
+
+#[test]
+fn trunk_pair_rep_bits_are_pinned() {
+    // FNV-1a over every `pair_rep` bit of the standard trunk, under each
+    // path the pair stages have: fused FP32, chunked attention, recycling,
+    // fake-quant AAQ (observing tri-attn) and the quantized domain. A
+    // refactor of the stages must leave all ten values alone.
+    fn fold_hash(config: PpmConfig, ns: usize, hook: &mut dyn ActivationHook) -> u64 {
+        let seq = ln_protein::Sequence::random("proto", ns);
+        let native = StructureGenerator::new("proto").generate(ns);
+        let out = with_pool(&Pool::new_exact(1), || {
+            FoldingModel::new(config).predict_with_hook(&seq, &native, hook)
+        })
+        .expect("folds");
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for v in out.pair_rep.as_slice() {
+            for byte in v.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+    let chunked = PpmConfig {
+        attention_chunk: Some(16),
+        ..PpmConfig::standard()
+    };
+    let recycled = PpmConfig {
+        recycles: 2,
+        ..PpmConfig::standard()
+    };
+    let pinned: [(usize, [u64; 5]); 2] = [
+        (
+            24,
+            [
+                0xb5f6_008d_c903_c952,
+                0x5683_452f_a8b2_11e8,
+                0x778f_96e2_173a_fd25,
+                0x01c7_3bde_2a97_db97,
+                0x28a3_a0a3_214a_a725,
+            ],
+        ),
+        (
+            48,
+            [
+                0x41d9_f601_c54a_ffab,
+                0x9df9_8847_8a51_823d,
+                0x0535_428e_71ba_ac96,
+                0xc96f_bace_86e1_0c98,
+                0xf31e_21e9_594b_d800,
+            ],
+        ),
+    ];
+    // The longer folds take minutes unoptimised: `scripts/ci.sh` step 4
+    // runs this file in the release profile as well, where they run.
+    let longest = if cfg!(debug_assertions) { 24 } else { 48 };
+    for (ns, want) in pinned.into_iter().filter(|&(ns, _)| ns <= longest) {
+        let got = [
+            fold_hash(PpmConfig::standard(), ns, &mut NoopHook),
+            fold_hash(chunked.clone(), ns, &mut NoopHook),
+            fold_hash(recycled.clone(), ns, &mut NoopHook),
+            fold_hash(PpmConfig::standard(), ns, &mut AaqHook::paper()),
+            fold_hash(
+                PpmConfig::standard(),
+                ns,
+                &mut AaqHook::paper().with_quantized_domain(),
+            ),
+        ];
+        assert_eq!(
+            got.map(|h| format!("{h:016x}")),
+            want.map(|h| format!("{h:016x}")),
+            "ns {ns}: fp32, chunked, 2 recycles, aaq, quantized domain"
+        );
+    }
 }
