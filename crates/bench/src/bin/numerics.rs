@@ -31,7 +31,6 @@ use ln_obs::ObsLevel;
 use ln_ppm::taps::{ActivationHook, ActivationSite, Tap};
 use ln_protein::generator::StructureGenerator;
 use ln_protein::Sequence;
-use ln_quant::scheme::AaqConfig;
 use ln_scope::{Scope, ScopeHook, SensitivityModel};
 use ln_tensor::Tensor2;
 
@@ -88,7 +87,7 @@ fn synth_activation() -> Tensor2 {
 fn bench_off_mode(iters: u64, reps: usize) -> (f64, f64, f64) {
     ln_obs::set_level(ObsLevel::Off);
     let mut bare = AaqHook::paper();
-    let mut scoped = ScopeHook::new(AaqHook::paper(), 128).with_aaq_config(AaqConfig::paper());
+    let mut scoped = ScopeHook::new(AaqHook::paper(), 128);
     let mut x = synth_activation();
     let mut y = synth_activation();
     let mut baseline = f64::INFINITY;
@@ -120,9 +119,7 @@ fn bench_on_modes(iters: u64, reps: usize) -> Vec<OverheadRow> {
     let values_per_tap = (16 * 128) as f64;
     let mut out = Vec::new();
 
-    let mut lean = ScopeHook::new(AaqHook::paper(), 128)
-        .with_aaq_config(AaqConfig::paper())
-        .without_probes();
+    let mut lean = ScopeHook::new(AaqHook::paper(), 128).without_probes();
     let mut x = synth_activation();
     out.push(OverheadRow {
         mode: "sketch+ledger",
@@ -134,7 +131,7 @@ fn bench_on_modes(iters: u64, reps: usize) -> Vec<OverheadRow> {
         }) / values_per_tap,
     });
 
-    let mut probing = ScopeHook::new(AaqHook::paper(), 128).with_aaq_config(AaqConfig::paper());
+    let mut probing = ScopeHook::new(AaqHook::paper(), 128);
     let mut y = synth_activation();
     out.push(OverheadRow {
         mode: "sketch+ledger+probes",
@@ -160,7 +157,7 @@ fn fold_scope(evaluator: &AccuracyEvaluator) -> Scope {
         .copied()
         .collect();
     let native = StructureGenerator::new(&record.seed_label()).generate(len);
-    let mut hook = ScopeHook::new(AaqHook::paper(), len).with_aaq_config(AaqConfig::paper());
+    let mut hook = ScopeHook::new(AaqHook::paper(), len);
     evaluator
         .model()
         .predict_with_hook(&seq, &native, &mut hook)

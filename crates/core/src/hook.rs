@@ -1,66 +1,26 @@
 //! Activation hooks that inject quantization error into the folding trunk.
 
-use ln_ppm::taps::{ActivationGroup, ActivationHook, ActivationSite, Tap};
+use ln_ppm::taps::{ActivationHook, ActivationSite, Tap};
 use ln_quant::baselines::BaselineScheme;
 use ln_quant::scheme::{AaqConfig, Group, QuantScheme};
-use ln_quant::token::fake_quantize_tokens;
+use ln_quant::token::{fake_quantize_tokens, QuantError};
 use ln_tensor::Tensor2;
-use std::sync::OnceLock;
-
-/// Registry handles for the AAQ hook's accuracy/footprint signals: one
-/// relative-RMSE *histogram* per activation group (parts-per-billion, so
-/// the power-of-two buckets resolve 1e-9..1 relative error) plus
-/// byte-volume counters. The histograms record the running per-group RMSE
-/// after every tap, so exports carry the error *distribution* over the
-/// run — a last-write-wins gauge used to hide everything but the final
-/// tap's value. Resolved once; `on_activation` runs per tap on the
-/// folding hot path.
-struct AaqObs {
-    rmse: [ln_obs::Histogram; 3],
-    encoded_bytes: ln_obs::Counter,
-    fp16_bytes: ln_obs::Counter,
-}
-
-fn aaq_obs() -> &'static AaqObs {
-    static OBS: OnceLock<AaqObs> = OnceLock::new();
-    OBS.get_or_init(|| {
-        let reg = ln_obs::registry();
-        let rmse_hist =
-            |g: &str| reg.histogram(&ln_obs::labeled("aaq_relative_rmse_ppb", &[("group", g)]));
-        AaqObs {
-            rmse: [rmse_hist("A"), rmse_hist("B"), rmse_hist("C")],
-            encoded_bytes: reg.counter("aaq_encoded_bytes_total"),
-            fp16_bytes: reg.counter("aaq_fp16_bytes_total"),
-        }
-    })
-}
-
-/// Maps the PPM's dataflow group tags onto the quantization crate's group
-/// identifiers.
-pub fn quant_group(group: ActivationGroup) -> Group {
-    match group {
-        ActivationGroup::A => Group::A,
-        ActivationGroup::B => Group::B,
-        ActivationGroup::C => Group::C,
-    }
-}
 
 /// The AAQ hook: quantize→dequantize every tagged activation with the
 /// scheme assigned to its group (§4.2), including attention score matrices
 /// (which prior schemes skip).
 ///
-/// Statistics on the quantized byte volume are accumulated for footprint
-/// accounting.
+/// Beside its configuration it keeps, per group, the error the quantizer
+/// reported for what it rewrote, and the quantized byte volume for
+/// footprint accounting.
 #[derive(Debug, Clone)]
 pub struct AaqHook {
     config: AaqConfig,
     quantized_domain: bool,
     encoded_bytes: u64,
     fp16_bytes: u64,
-    tokens_processed: u64,
-    // Per-group quantization-error accumulators (A, B, C): Σ(err²), Σ(x²).
-    err_sq: [f64; 3],
-    val_sq: [f64; 3],
+    /// Indexed by [`Group::index`].
+    error: [QuantError; 3],
 }
 
 impl AaqHook {
@@ -71,9 +31,7 @@ impl AaqHook {
             quantized_domain: false,
             encoded_bytes: 0,
             fp16_bytes: 0,
-            tokens_processed: 0,
-            err_sq: [0.0; 3],
-            val_sq: [0.0; 3],
+            error: [QuantError::default(); 3],
         }
     }
 
@@ -113,29 +71,16 @@ impl AaqHook {
         self.fp16_bytes
     }
 
-    /// Tokens processed.
-    pub fn tokens_processed(&self) -> u64 {
-        self.tokens_processed
-    }
-
     /// The scheme applied at a tap.
     pub fn scheme_for(&self, tap: Tap) -> QuantScheme {
-        self.config.scheme_for(quant_group(tap.group()))
+        self.config.scheme_for(tap.group())
     }
 
     /// Relative quantization RMSE accumulated at the given group's taps:
     /// `sqrt(Σ err² / Σ x²)`. This is the sub-TM-resolution accuracy signal
     /// the Fig. 11 design-space exploration ranks schemes by.
     pub fn relative_rmse(&self, group: Group) -> f64 {
-        let i = match group {
-            Group::A => 0,
-            Group::B => 1,
-            Group::C => 2,
-        };
-        if self.val_sq[i] <= 0.0 {
-            return 0.0;
-        }
-        (self.err_sq[i] / self.val_sq[i]).sqrt()
+        self.error[group.index()].relative_rmse()
     }
 }
 
@@ -154,40 +99,25 @@ impl ActivationHook for AaqHook {
         }
     }
 
-    fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
-        let mut scheme = self.scheme_for(tap);
+    fn scheme_at(&self, tap: Tap, channels: usize) -> Option<QuantScheme> {
         // Guard rails for narrow tensors (attention bias has `heads`
         // channels; score rows can be shorter than the outlier budget).
-        if scheme.outliers >= activation.cols() {
-            scheme.outliers = activation.cols().saturating_sub(1);
+        if channels < 2 {
+            return None;
         }
-        if activation.cols() < 2 {
+        let mut scheme = self.scheme_for(tap);
+        scheme.outliers = scheme.outliers.min(channels - 1);
+        Some(scheme)
+    }
+
+    fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
+        let (rows, cols) = activation.shape();
+        let Some(scheme) = self.scheme_at(tap, cols) else {
             return;
-        }
-        let original = activation.clone();
-        fake_quantize_tokens(activation, scheme);
-        let group = quant_group(tap.group());
-        let gi = match group {
-            Group::A => 0,
-            Group::B => 1,
-            Group::C => 2,
         };
-        for (&a, &b) in original.as_slice().iter().zip(activation.as_slice()) {
-            let e = (a - b) as f64;
-            self.err_sq[gi] += e * e;
-            self.val_sq[gi] += (a as f64) * (a as f64);
-        }
-        let encoded = (activation.rows() * scheme.token_bytes(activation.cols())) as u64;
-        let fp16 = (activation.rows() * activation.cols() * 2) as u64;
-        self.tokens_processed += activation.rows() as u64;
-        self.encoded_bytes += encoded;
-        self.fp16_bytes += fp16;
-        if ln_obs::level() != ln_obs::ObsLevel::Off {
-            let obs = aaq_obs();
-            obs.encoded_bytes.add(encoded);
-            obs.fp16_bytes.add(fp16);
-            obs.rmse[gi].record((self.relative_rmse(group) * 1e9).round() as u64);
-        }
+        self.error[tap.group().index()] += fake_quantize_tokens(activation, scheme);
+        self.encoded_bytes += (rows * scheme.token_bytes(cols)) as u64;
+        self.fp16_bytes += (rows * cols * 2) as u64;
     }
 }
 
@@ -233,12 +163,11 @@ fn is_linear_output(site: ActivationSite) -> bool {
 
 impl ActivationHook for BaselineHook {
     fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
-        let group = quant_group(tap.group());
         let is_scores = tap.site == ActivationSite::TriAttnScores;
         if self.scheme == BaselineScheme::MeFold && is_linear_output(tap.site) {
             BaselineScheme::mefold_weight_noise(activation);
         }
-        self.scheme.process(group, is_scores, activation);
+        self.scheme.process(tap.group(), is_scores, activation);
     }
 }
 
@@ -284,7 +213,6 @@ mod tests {
         assert_ne!(x, before);
         assert!(hook.encoded_bytes() > 0);
         assert!(hook.encoded_bytes() < hook.fp16_bytes());
-        assert_eq!(hook.tokens_processed(), 16);
     }
 
     #[test]
@@ -296,32 +224,6 @@ mod tests {
         hook.on_activation(tap(ActivationSite::TriMulResidualIn), &mut x8); // A: INT8+4
         hook.on_activation(tap(ActivationSite::TriAttnQuery), &mut x4); // C: INT4+0
         assert!(x8.rmse(&orig).unwrap() < x4.rmse(&orig).unwrap());
-    }
-
-    #[test]
-    fn aaq_hook_mirrors_into_obs_registry() {
-        let before = match ln_obs::registry().snapshot().get("aaq_encoded_bytes_total") {
-            Some(ln_obs::MetricValue::Counter(n)) => *n,
-            _ => 0,
-        };
-        let mut hook = AaqHook::paper();
-        let mut x = activation();
-        hook.on_activation(tap(ActivationSite::TriMulResidualIn), &mut x);
-        let snap = ln_obs::registry().snapshot();
-        match snap.get("aaq_encoded_bytes_total") {
-            Some(ln_obs::MetricValue::Counter(n)) => {
-                assert!(*n >= before + hook.encoded_bytes(), "{n}")
-            }
-            other => panic!("missing encoded-bytes counter: {other:?}"),
-        }
-        let key = ln_obs::labeled("aaq_relative_rmse_ppb", &[("group", "A")]);
-        match snap.get(&key) {
-            Some(ln_obs::MetricValue::Histogram(h)) => {
-                assert!(h.count > 0, "{key} recorded nothing");
-                assert!(h.sum > 0, "{key} should land in a nonzero ppb bucket");
-            }
-            other => panic!("missing histogram {key}: {other:?}"),
-        }
     }
 
     #[test]

@@ -21,25 +21,7 @@ use ln_tensor::Tensor2;
 use std::fmt;
 
 /// The paper's activation classification (Fig. 6(c)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum ActivationGroup {
-    /// Pre-LayerNorm residual-stream activations.
-    A,
-    /// Post-LayerNorm, pre-linear activations.
-    B,
-    /// All other quantized activations.
-    C,
-}
-
-impl fmt::Display for ActivationGroup {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ActivationGroup::A => f.write_str("A"),
-            ActivationGroup::B => f.write_str("B"),
-            ActivationGroup::C => f.write_str("C"),
-        }
-    }
-}
+pub use ln_quant::scheme::Group as ActivationGroup;
 
 /// A quantization-relevant activation edge in the folding-block dataflow.
 ///
@@ -202,6 +184,16 @@ pub trait ActivationHook {
     /// `None` (the default) keeps full-precision GEMMs.
     fn quantized_matmul(&self, tap: Tap) -> Option<ln_quant::scheme::QuantScheme> {
         let _ = tap;
+        None
+    }
+
+    /// The scheme this hook quantizes a `channels`-wide activation at
+    /// `tap` with, as applied (outlier budget clamped to the width);
+    /// `None` (the default) when it leaves the activation at full
+    /// precision. An observer wrapped around the hook asks this instead
+    /// of being told the hook's configuration a second time.
+    fn scheme_at(&self, tap: Tap, channels: usize) -> Option<ln_quant::scheme::QuantScheme> {
+        let _ = (tap, channels);
         None
     }
 }

@@ -183,17 +183,33 @@ impl fmt::Display for QuantScheme {
     }
 }
 
-/// The paper's activation groups (re-exported shape-compatible with
-/// `ln-ppm`'s classification; kept independent so this crate stays free of
-/// model dependencies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The paper's activation classification (Fig. 6(c)); `ln-ppm` tags every
+/// tap with one (`ln_ppm::taps::ActivationGroup` is this type).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Group {
     /// Pre-LayerNorm residual-stream activations.
     A,
     /// Post-LayerNorm, pre-linear activations.
     B,
-    /// Everything else.
+    /// All other quantized activations.
     C,
+}
+
+impl Group {
+    /// Position in per-group tables ordered A, B, C.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
+impl fmt::Display for Group {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Group::A => "A",
+            Group::B => "B",
+            Group::C => "C",
+        })
+    }
 }
 
 /// The full AAQ configuration: one scheme per activation group.

@@ -31,6 +31,17 @@
 //! pass 3 (`level · σ`), touching no heap memory per token;
 //! `quantize_token` keeps the levels instead.
 //!
+//! `fake_quantize_tokens` also returns what the passes did to the
+//! activation, a [`QuantError`]: `Σ (v − r)²` and `Σ v²` (`v` a value as it
+//! came in, `r` as it went out), taken on each segment while it is still in
+//! L1 — the one place in the workspace quantization error is measured
+//! without a second copy of the tensor. The sums are f64 and their order is
+//! fixed: channels within a segment (on eight interleaved lanes, added up
+//! in lane order), segments within a token, tokens within a block of 64,
+//! blocks in index order. `ln-par` chunks hold whole blocks, so the pool
+//! size never shows in the bits. A NaN or ±inf channel makes the sums NaN
+//! or infinite just as diffing against a copy would.
+//!
 //! # Degenerate input
 //!
 //! What comes out for input the trunk never produces but a caller might:
@@ -50,7 +61,8 @@ use crate::scale::symmetric_scale;
 use crate::scheme::{Bits, QuantScheme};
 use ln_tensor::stats;
 use ln_tensor::Tensor2;
-use std::ops::Range;
+use std::ops::{AddAssign, Range};
+use std::sync::Mutex;
 
 /// The hardware token width `Hz`: the VVPU SIMD lanes and the bitonic
 /// network are 128 wide, so wider rows quantize in 128-channel segments.
@@ -270,14 +282,74 @@ pub fn quantize_value(v: f32, scale: f32, bits: Bits) -> i16 {
     round_level(v, scale, bits.max_level() as f32) as i16
 }
 
-/// All four passes on one segment in place: quantize, then dequantize.
-/// `index_buf` and `stash` are the caller's per-thread scratch.
+/// What a quantize→dequantize round trip did to the values it ran over:
+/// the two sums every relative-RMSE figure in the workspace is a ratio of.
+/// (Not to be confused with the crate's error enum, [`crate::QuantError`].)
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct QuantError {
+    /// `Σ ((v − r) as f64)²`: the f32 difference between each value and its
+    /// reconstruction, squared and summed in f64.
+    pub err_sq: f64,
+    /// `Σ (v as f64)²` over the same values.
+    pub val_sq: f64,
+}
+
+impl QuantError {
+    /// Interleaved f64 accumulators per sum in [`QuantError::between`]:
+    /// enough independent chains for the adds to pipeline and vectorise.
+    const LANES: usize = 8;
+
+    /// Relative RMSE `sqrt(Σ err² / Σ v²)`; 0 when no signal was summed.
+    pub fn relative_rmse(&self) -> f64 {
+        if self.val_sq <= 0.0 {
+            0.0
+        } else {
+            (self.err_sq / self.val_sq).sqrt()
+        }
+    }
+
+    /// The sums over one segment: channel `j` goes to lane `j % LANES`,
+    /// the lanes are added up in index order.
+    fn between(original: &[f32], decoded: &[f32]) -> QuantError {
+        let mut err = [0.0f64; Self::LANES];
+        let mut val = [0.0f64; Self::LANES];
+        for (o, d) in original
+            .chunks(Self::LANES)
+            .zip(decoded.chunks(Self::LANES))
+        {
+            for (((&o, &d), err), val) in o.iter().zip(d).zip(&mut err).zip(&mut val) {
+                let e = (o - d) as f64;
+                *err += e * e;
+                *val += o as f64 * o as f64;
+            }
+        }
+        QuantError {
+            err_sq: err.iter().sum(),
+            val_sq: val.iter().sum(),
+        }
+    }
+}
+
+impl AddAssign for QuantError {
+    fn add_assign(&mut self, rhs: QuantError) {
+        self.err_sq += rhs.err_sq;
+        self.val_sq += rhs.val_sq;
+    }
+}
+
+/// All four passes on one segment in place: quantize, then dequantize;
+/// returns what that did to it. `index_buf` and `stash` are the caller's
+/// per-thread scratch.
 fn fake_quantize_segment(
     seg: &mut [f32],
     scheme: QuantScheme,
     index_buf: &mut [usize; SEGMENT],
     stash: &mut [f32; SEGMENT],
-) {
+) -> QuantError {
+    let mut original = [0.0f32; SEGMENT];
+    let original = &mut original[..seg.len()];
+    original.copy_from_slice(seg);
+
     let k = scheme.outliers.min(seg.len() - 1);
     let picked = select_outliers(seg, k, index_buf);
 
@@ -301,10 +373,13 @@ fn fake_quantize_segment(
     for (&i, &v) in picked.iter().zip(stash.iter()) {
         seg[i] = v;
     }
+    QuantError::between(original, seg)
 }
 
 /// Quantize→dequantize a whole `(tokens, channels)` activation in place —
-/// the numeric error model used when evaluating schemes end to end.
+/// the numeric error model used when evaluating schemes end to end — and
+/// return the error that introduced (see the module docs for the order of
+/// the sums; a caller that only wants the rewrite ignores the value).
 ///
 /// Rows wider than 128 channels are segmented into 128-wide groups, each
 /// with its own scaling factor and outlier budget — exactly how the
@@ -312,43 +387,64 @@ fn fake_quantize_segment(
 /// VVPU SIMD width and the bitonic network are 128 lanes). The result
 /// equals [`quantize_token`] → [`QuantizedToken::dequantize`] on every
 /// segment bit for bit; a budget of `k ≤ 8` outliers costs no allocation
-/// per token.
-pub fn fake_quantize_tokens(x: &mut Tensor2, scheme: QuantScheme) {
+/// per token. A 1-wide segment has no inlier to scale by: it is left as it
+/// is and adds to `val_sq` only.
+pub fn fake_quantize_tokens(x: &mut Tensor2, scheme: QuantScheme) -> QuantError {
+    const BLOCK: usize = crate::asymmetric::TOKEN_PAR_GRAIN_ROWS;
     let cols = x.cols();
     let rows = x.rows();
     if cols == 0 || rows == 0 {
-        return;
+        return QuantError::default();
     }
     // Tokens quantize independently (the 128-VVPU axis), so row-chunk
-    // parallelism reproduces the serial loop bit for bit.
+    // parallelism reproduces the serial loop bit for bit; the error sums
+    // are kept per BLOCK-token block and added up in block order, so they
+    // do too.
     ln_par::metrics::time_kernel("aaq.fake_quantize", rows as u64, || {
-        let rows_per_chunk = ln_par::chunk_len(rows, crate::asymmetric::TOKEN_PAR_GRAIN_ROWS);
-        ln_par::par_chunks_mut(x.as_mut_slice(), rows_per_chunk * cols, |_, chunk| {
-            let mut index_buf = [0usize; SEGMENT];
-            let mut stash = [0.0f32; SEGMENT];
-            // A 1-wide segment has no inlier to scale by: left as it is.
-            for seg in chunk
-                .chunks_mut(cols)
-                .flat_map(|row| row.chunks_mut(SEGMENT))
-                .filter(|seg| seg.len() >= 2)
-            {
-                fake_quantize_segment(seg, scheme, &mut index_buf, &mut stash);
-            }
-        });
-    });
+        let blocks_per_chunk = ln_par::chunk_len(rows, BLOCK).div_ceil(BLOCK);
+        let block_errors = Mutex::new(vec![QuantError::default(); rows.div_ceil(BLOCK)]);
+        ln_par::par_chunks_mut(
+            x.as_mut_slice(),
+            blocks_per_chunk * BLOCK * cols,
+            |c, chunk| {
+                let mut index_buf = [0usize; SEGMENT];
+                let mut stash = [0.0f32; SEGMENT];
+                for (b, block) in chunk.chunks_mut(BLOCK * cols).enumerate() {
+                    let mut block_error = QuantError::default();
+                    for row in block.chunks_mut(cols) {
+                        let mut token_error = QuantError::default();
+                        for seg in row.chunks_mut(SEGMENT) {
+                            // A 1-wide segment is left as it is: no error,
+                            // its value still counts.
+                            token_error += if seg.len() < 2 {
+                                QuantError::between(seg, seg)
+                            } else {
+                                fake_quantize_segment(seg, scheme, &mut index_buf, &mut stash)
+                            };
+                        }
+                        block_error += token_error;
+                    }
+                    block_errors.lock().expect("block error slots poisoned")
+                        [c * blocks_per_chunk + b] = block_error;
+                }
+            },
+        );
+        let mut total = QuantError::default();
+        for block_error in block_errors
+            .into_inner()
+            .expect("block error slots poisoned")
+        {
+            total += block_error;
+        }
+        total
+    })
 }
 
 /// Root-mean-square quantization error of a scheme over an activation
 /// (segmenting wide rows as [`fake_quantize_tokens`] does).
 pub fn quantization_rmse(x: &Tensor2, scheme: QuantScheme) -> f64 {
-    let mut rec = x.clone();
-    fake_quantize_tokens(&mut rec, scheme);
-    let mut err = 0.0f64;
-    for (&a, &b) in x.as_slice().iter().zip(rec.as_slice()) {
-        let d = (a - b) as f64;
-        err += d * d;
-    }
-    (err / (x.len().max(1)) as f64).sqrt()
+    let error = fake_quantize_tokens(&mut x.clone(), scheme);
+    (error.err_sq / x.len().max(1) as f64).sqrt()
 }
 
 #[cfg(test)]

@@ -1,11 +1,16 @@
 //! The fused runtime quantizer against its definitions, bit for bit.
 //!
 //! `fake_quantize_tokens` must equal `quantize_token` → `dequantize` on
-//! every ≤ 128-wide segment, and `quantize_value`'s float-arithmetic
-//! rounding must equal the `f32::round` form of Eq. 1 it replaced.
+//! every ≤ 128-wide segment, the error sums it returns must be those of a
+//! clone-and-diff sweep and the same bits under every pool, and
+//! `quantize_value`'s float-arithmetic rounding must equal the
+//! `f32::round` form of Eq. 1 it replaced.
 
+use ln_par::{with_pool, Pool};
 use ln_quant::scheme::{Bits, QuantScheme};
-use ln_quant::token::{fake_quantize_tokens, quantize_token, quantize_value, QuantizedToken};
+use ln_quant::token::{
+    fake_quantize_tokens, quantize_token, quantize_value, QuantError, QuantizedToken,
+};
 use ln_tensor::rng::{self, Rng};
 use ln_tensor::Tensor2;
 
@@ -95,6 +100,121 @@ fn fused_fake_quant_equals_quantize_then_dequantize() {
                         "{scheme} cols {cols} row {} ch {}: {a} vs {b}",
                         i / cols,
                         i % cols
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The error sums as `AaqHook` took them before the quantizer returned
+/// them: keep a copy, quantize, sweep both in element order.
+fn error_by_clone_and_diff(x: &Tensor2, scheme: QuantScheme) -> QuantError {
+    let original = x.clone();
+    let mut activation = x.clone();
+    fake_quantize_tokens(&mut activation, scheme);
+    let mut err_sq = 0.0f64;
+    let mut val_sq = 0.0f64;
+    for (&a, &b) in original.as_slice().iter().zip(activation.as_slice()) {
+        let e = (a - b) as f64;
+        err_sq += e * e;
+        val_sq += (a as f64) * (a as f64);
+    }
+    QuantError { err_sq, val_sq }
+}
+
+/// `got` within 1e-9 relative of `want`; NaN where `want` is NaN, and the
+/// same infinity or zero.
+fn assert_sum_agrees(got: f64, want: f64, what: &str) {
+    let agrees = if want.is_nan() {
+        got.is_nan()
+    } else if want.is_infinite() {
+        got == want
+    } else {
+        (got - want).abs() <= 1e-9 * want
+    };
+    assert!(agrees, "{what}: {got:e} vs {want:e}");
+}
+
+/// The lattice of this file, 1-wide and 130-wide rows, rows that do not
+/// fill the 64-token blocks the sums are kept in, enough rows that pools
+/// of 2 and 4 chunk them differently, and the degenerate tokens of the
+/// `token.rs` module docs.
+fn error_inputs() -> Vec<(String, Tensor2)> {
+    let mut inputs: Vec<(String, Tensor2)> = [1usize, 2, 4, 5, 96, 128, 129, 130, 512]
+        .into_iter()
+        .map(|cols| (format!("lattice, {cols} wide"), test_matrix(cols)))
+        .collect();
+    for rows in [1usize, 63, 64, 65, 1000] {
+        let mut rng = rng::stream_indexed("quant/bit_identity/rows", rows as u64);
+        let x = Tensor2::from_fn(rows, 130, |_, j| {
+            let v = rng::normal_approx(&mut rng);
+            if j % 41 == 7 {
+                v * 30.0
+            } else {
+                v
+            }
+        });
+        inputs.push((format!("{rows} rows"), x));
+    }
+    let (nan, inf) = (f32::NAN, f32::INFINITY);
+    let specials: [(&str, [f32; 6]); 5] = [
+        ("NaN channels", [nan, 0.5, -8.0, nan, 3.0, 0.25]),
+        ("an infinite outlier", [1.0, -inf, 0.5, 40.0, -0.25, 0.75]),
+        (
+            "more infinities than outliers",
+            [inf, -inf, inf, inf, -inf, 1.0],
+        ),
+        ("NaN and infinity", [nan, inf, 2.0, -1.0, 0.5, nan]),
+        ("all-zero token", [0.0, -0.0, 0.0, 0.0, -0.0, 0.0]),
+    ];
+    for (what, head) in specials {
+        // The special values at the head of a 130-wide row and again in
+        // its 2-wide tail segment, between two ordinary rows.
+        let mut x = Tensor2::from_fn(3, 130, |i, j| ((i * 7 + j * 3) % 11) as f32 * 0.25 - 1.0);
+        x.row_mut(1).fill(0.0);
+        x.row_mut(1)[..6].copy_from_slice(&head);
+        x.row_mut(1)[128..].copy_from_slice(&head[..2]);
+        inputs.push((what.to_string(), x));
+    }
+    inputs
+}
+
+#[test]
+fn returned_error_sums_match_a_clone_and_diff_sweep_under_every_pool() {
+    for (what, x) in error_inputs() {
+        // 300: an outlier budget above every width here.
+        for k in [0usize, 1, 4, 8, 300] {
+            for scheme in [
+                QuantScheme::int4_with_outliers(k),
+                QuantScheme::int8_with_outliers(k),
+            ] {
+                let what = format!("{what}, {scheme}");
+                let under_pool = |threads: usize| {
+                    let mut y = x.clone();
+                    let error = with_pool(&Pool::new_exact(threads), || {
+                        fake_quantize_tokens(&mut y, scheme)
+                    });
+                    (error, y)
+                };
+                let (error, written) = under_pool(1);
+                let reference = error_by_clone_and_diff(&x, scheme);
+                assert_sum_agrees(error.err_sq, reference.err_sq, &format!("{what}: err_sq"));
+                assert_sum_agrees(error.val_sq, reference.val_sq, &format!("{what}: val_sq"));
+                for threads in [2usize, 4] {
+                    let (pooled, pooled_written) = under_pool(threads);
+                    assert_eq!(
+                        (pooled.err_sq.to_bits(), pooled.val_sq.to_bits()),
+                        (error.err_sq.to_bits(), error.val_sq.to_bits()),
+                        "{what}: sums under pool {threads}"
+                    );
+                    assert!(
+                        pooled_written
+                            .as_slice()
+                            .iter()
+                            .zip(written.as_slice())
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{what}: tensor under pool {threads}"
                     );
                 }
             }

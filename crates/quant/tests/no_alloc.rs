@@ -1,8 +1,8 @@
 //! The runtime quantizer touches no heap memory per token.
 //!
-//! This binary installs a counting global allocator (counts are per
-//! thread, so the harness's other test threads do not disturb them) and
-//! checks that `fake_quantize_tokens`, `QuantizedTensor::decode` and
+//! This binary runs on the shared counting global allocator (counts are
+//! per thread, so the harness's other test threads do not disturb them)
+//! and checks that `fake_quantize_tokens`, `QuantizedTensor::decode` and
 //! `qgemm` make the same number of allocations whatever the number of
 //! tokens. Under a one-thread pool every kernel runs inline on the calling
 //! thread.
@@ -13,46 +13,13 @@ use ln_quant::scheme::QuantScheme;
 use ln_quant::tensor::QuantizedTensor;
 use ln_quant::token::fake_quantize_tokens;
 use ln_tensor::Tensor2;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-struct CountingAllocator;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a bump of a
-// const-initialised, destructor-free thread-local counter, which neither
-// allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations for `alloc` are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's obligations for `realloc` are passed on as they are.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Allocations this thread makes while `f` runs.
+/// Allocations of any size this thread makes while `f` runs.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (ALLOCATIONS.with(Cell::get) - before, out)
+    counting_alloc::allocations_in(0, f)
 }
 
 fn spiky(rows: usize, cols: usize) -> Tensor2 {
@@ -83,8 +50,8 @@ fn fake_quantize_allocates_nothing_per_token() {
             let mut large = spiky(1024, 128);
             // The first call registers the kernel timer.
             fake_quantize_tokens(&mut small.clone(), scheme);
-            let (few, ()) = allocations_in(|| fake_quantize_tokens(&mut small, scheme));
-            let (many, ()) = allocations_in(|| fake_quantize_tokens(&mut large, scheme));
+            let (few, _) = allocations_in(|| fake_quantize_tokens(&mut small, scheme));
+            let (many, _) = allocations_in(|| fake_quantize_tokens(&mut large, scheme));
             assert_eq!(few, many, "{scheme}: 64 tokens vs 1024 tokens");
         }
     });

@@ -1,37 +1,54 @@
-// Compiled only with `--features proptest` (needs the external `proptest`
-// crate, unavailable offline — see the [features] note in Cargo.toml).
-#![cfg(feature = "proptest")]
-
-//! Property-based tests for quantization and the Fig. 7 memory layout.
+//! Seeded property tests for quantization and the Fig. 7 memory layout:
+//! each property runs over `CASES` inputs drawn from `ln_tensor::rng`
+//! streams keyed by the property's name and the case index, so a failure
+//! names a case that replays.
 
 use ln_quant::layout::{decode_token, encode_token, TokenBlock};
 use ln_quant::scheme::{Bits, QuantScheme};
 use ln_quant::token::{quantize_token, quantize_value};
-use proptest::prelude::*;
+use ln_tensor::rng::{self, Rng, StdRng};
+use std::collections::HashSet;
 
-fn arb_scheme() -> impl Strategy<Value = QuantScheme> {
-    (
-        prop_oneof![Just(Bits::Int4), Just(Bits::Int8), Just(Bits::Int16)],
-        0usize..8,
-    )
-        .prop_map(|(bits, outliers)| QuantScheme {
-            inlier_bits: bits,
-            outliers,
-        })
+const CASES: u64 = 256;
+
+const ALL_BITS: [Bits; 3] = [Bits::Int4, Bits::Int8, Bits::Int16];
+
+/// Runs `property` on one fresh stream per case.
+fn for_each_case(name: &str, mut property: impl FnMut(u64, &mut StdRng)) {
+    for case in 0..CASES {
+        let mut rng = rng::stream_indexed(&format!("quant/properties/{name}"), case);
+        property(case, &mut rng);
+    }
 }
 
-fn arb_token() -> impl Strategy<Value = Vec<f32>> {
-    proptest::collection::vec(-1000.0f32..1000.0, 16..128)
+/// Any inlier precision with 0–7 outliers.
+fn arb_scheme(rng: &mut StdRng) -> QuantScheme {
+    QuantScheme {
+        inlier_bits: ALL_BITS[rng.gen_range(0..ALL_BITS.len())],
+        outliers: rng.gen_range(0..8usize),
+    }
 }
 
-proptest! {
-    #[test]
-    fn round_trip_error_bounded_by_half_step(values in arb_token(), scheme in arb_scheme()) {
-        prop_assume!(scheme.outliers < values.len());
+/// 16–127 channels uniform in `[-1000, 1000)`: always more channels than
+/// `arb_scheme` has outliers.
+fn arb_token(rng: &mut StdRng) -> Vec<f32> {
+    let len = rng.gen_range(16..128usize);
+    (0..len)
+        .map(|_| rng.gen::<f32>() * 2000.0 - 1000.0)
+        .collect()
+}
+
+fn outlier_set(indices: &[u8]) -> HashSet<usize> {
+    indices.iter().map(|&i| i as usize).collect()
+}
+
+#[test]
+fn round_trip_error_bounded_by_half_step() {
+    for_each_case("round_trip", |case, rng| {
+        let (values, scheme) = (arb_token(rng), arb_scheme(rng));
         let q = quantize_token(&values, scheme);
         let back = q.dequantize();
-        let outliers: std::collections::HashSet<usize> =
-            q.outlier_indices().iter().map(|&i| i as usize).collect();
+        let outliers = outlier_set(q.outlier_indices());
         for (i, (&a, &b)) in values.iter().zip(&back).enumerate() {
             // 0.502: f32 rounding in the divide/multiply can push the error
             // marginally past the ideal half-step bound.
@@ -40,125 +57,134 @@ proptest! {
             } else {
                 q.inlier_scale() * 0.502 + 1e-5
             };
-            prop_assert!((a - b).abs() <= tol, "ch {i}: {a} vs {b} tol {tol}");
+            assert!(
+                (a - b).abs() <= tol,
+                "case {case} {scheme} ch {i}: {a} vs {b} tol {tol}"
+            );
         }
-    }
+    });
+}
 
-    #[test]
-    fn encode_decode_is_identity_on_dequantized_values(
-        values in arb_token(),
-        scheme in arb_scheme(),
-    ) {
-        prop_assume!(scheme.outliers < values.len());
+#[test]
+fn encode_decode_is_identity_on_dequantized_values() {
+    for_each_case("encode_decode", |case, rng| {
+        let (values, scheme) = (arb_token(rng), arb_scheme(rng));
         let q = quantize_token(&values, scheme);
         let bytes = encode_token(&q);
-        prop_assert_eq!(bytes.len(), scheme.token_bytes(values.len()));
+        assert_eq!(bytes.len(), scheme.token_bytes(values.len()), "case {case}");
         let decoded = decode_token(&bytes, scheme, values.len()).expect("fresh encoding decodes");
-        prop_assert_eq!(decoded, q.dequantize());
-    }
+        assert_eq!(decoded, q.dequantize(), "case {case} {scheme}");
+    });
+}
 
-    #[test]
-    fn truncation_is_always_detected(values in arb_token(), scheme in arb_scheme(), cut in 1usize..16) {
-        prop_assume!(scheme.outliers < values.len());
-        let q = quantize_token(&values, scheme);
-        let bytes = encode_token(&q);
-        prop_assume!(cut < bytes.len());
+#[test]
+fn truncation_is_always_detected() {
+    for_each_case("truncation", |case, rng| {
+        let (values, scheme) = (arb_token(rng), arb_scheme(rng));
+        let bytes = encode_token(&quantize_token(&values, scheme));
+        let cut = rng.gen_range(1..16usize.min(bytes.len()));
         let truncated = &bytes[..bytes.len() - cut];
-        prop_assert!(decode_token(truncated, scheme, values.len()).is_err());
-    }
+        assert!(
+            decode_token(truncated, scheme, values.len()).is_err(),
+            "case {case} {scheme}: {cut} bytes short went unnoticed"
+        );
+    });
+}
 
-    #[test]
-    fn outlier_selection_covers_largest_magnitudes(values in arb_token(), k in 1usize..8) {
-        prop_assume!(k < values.len());
-        let scheme = QuantScheme { inlier_bits: Bits::Int8, outliers: k };
+#[test]
+fn outlier_selection_covers_largest_magnitudes() {
+    for_each_case("outlier_selection", |case, rng| {
+        let values = arb_token(rng);
+        let scheme = QuantScheme::int8_with_outliers(rng.gen_range(1..8usize));
         let q = quantize_token(&values, scheme);
-        let selected: std::collections::HashSet<usize> =
-            q.outlier_indices().iter().map(|&i| i as usize).collect();
-        let min_outlier = q
-            .outlier_indices()
+        let selected = outlier_set(q.outlier_indices());
+        let min_outlier = selected
             .iter()
-            .map(|&i| values[i as usize].abs())
+            .map(|&i| values[i].abs())
             .fold(f32::INFINITY, f32::min);
         for (i, &v) in values.iter().enumerate() {
             if !selected.contains(&i) {
-                prop_assert!(v.abs() <= min_outlier + 1e-6);
+                assert!(v.abs() <= min_outlier + 1e-6, "case {case} ch {i}");
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn more_outliers_never_hurt_inlier_scale(values in arb_token()) {
+#[test]
+fn more_outliers_never_hurt_inlier_scale() {
+    for_each_case("more_outliers", |case, rng| {
+        let values = arb_token(rng);
         let s0 = quantize_token(&values, QuantScheme::int8_with_outliers(0)).inlier_scale();
         let s4 = quantize_token(&values, QuantScheme::int8_with_outliers(4)).inlier_scale();
-        prop_assert!(s4 <= s0 + 1e-9);
-    }
+        assert!(s4 <= s0 + 1e-9, "case {case}: {s4} vs {s0}");
+    });
+}
 
-    #[test]
-    fn quantize_value_stays_in_range(v in -1e6f32..1e6, scale in 0.001f32..100.0) {
-        for bits in [Bits::Int4, Bits::Int8, Bits::Int16] {
+#[test]
+fn quantize_value_stays_in_range() {
+    for_each_case("value_range", |case, rng| {
+        let v = rng.gen::<f32>() * 2e6 - 1e6;
+        let scale = 0.001 + rng.gen::<f32>() * 99.999;
+        for bits in ALL_BITS {
             let q = quantize_value(v, scale, bits) as i32;
-            prop_assert!(q.abs() <= bits.max_level());
+            assert!(q.abs() <= bits.max_level(), "case {case}: {v} / {scale}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn block_encoding_matches_sum_of_tokens(
-        n_tokens in 1usize..12,
-        scheme in arb_scheme(),
-    ) {
+#[test]
+fn block_encoding_matches_sum_of_tokens() {
+    for_each_case("block_encoding", |case, rng| {
+        let n_tokens = rng.gen_range(1..12usize);
+        let scheme = arb_scheme(rng);
         let channels = 64usize;
-        prop_assume!(scheme.outliers < channels);
         let tokens: Vec<_> = (0..n_tokens)
             .map(|t| {
-                let values: Vec<f32> =
-                    (0..channels).map(|c| ((t * 31 + c * 7) % 41) as f32 - 20.0).collect();
+                let values: Vec<f32> = (0..channels)
+                    .map(|c| ((t * 31 + c * 7) % 41) as f32 - 20.0)
+                    .collect();
                 quantize_token(&values, scheme)
             })
             .collect();
         let block = TokenBlock::encode(&tokens);
-        prop_assert_eq!(block.encoded_bytes(), n_tokens * scheme.token_bytes(channels));
+        assert_eq!(
+            block.encoded_bytes(),
+            n_tokens * scheme.token_bytes(channels),
+            "case {case}"
+        );
         let decoded = block.decode().expect("fresh block decodes");
         for (t, d) in tokens.iter().zip(decoded) {
-            prop_assert_eq!(t.dequantize(), d);
+            assert_eq!(t.dequantize(), d, "case {case} {scheme}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn decoder_never_panics_on_fuzzed_bytes(
-        values in arb_token(),
-        scheme in arb_scheme(),
-        flips in proptest::collection::vec((0usize..4096, 0u8..255), 1..8),
-    ) {
-        // Failure injection: arbitrary byte corruption must either decode
-        // to finite values or return a structured error — never panic.
-        prop_assume!(scheme.outliers < values.len());
-        let q = quantize_token(&values, scheme);
-        let mut bytes = encode_token(&q);
-        for (pos, val) in flips {
-            let n = bytes.len();
-            bytes[pos % n] ^= val;
+#[test]
+fn decoder_never_panics_on_fuzzed_bytes() {
+    // Failure injection: arbitrary byte corruption must either decode to
+    // the right number of values (NaN scale factors are possible after bit
+    // flips) or return a structured error — never panic.
+    for_each_case("fuzzed_bytes", |case, rng| {
+        let (values, scheme) = (arb_token(rng), arb_scheme(rng));
+        let mut bytes = encode_token(&quantize_token(&values, scheme));
+        for _ in 0..rng.gen_range(1..8usize) {
+            let pos = rng.gen_range(0..bytes.len());
+            bytes[pos] ^= rng.gen_range(0..255u32) as u8;
         }
         match decode_token(&bytes, scheme, values.len()) {
-            Ok(decoded) => {
-                prop_assert_eq!(decoded.len(), values.len());
-                // NaN scale factors are possible after bit flips; the
-                // decoder must still return without panicking, which the
-                // match arm itself proves. Finite inputs stay finite unless
-                // the scale bytes were hit.
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                prop_assert!(!msg.is_empty());
-            }
+            Ok(decoded) => assert_eq!(decoded.len(), values.len(), "case {case}"),
+            Err(e) => assert!(!e.to_string().is_empty(), "case {case}"),
         }
-    }
+    });
+}
 
-    #[test]
-    fn token_bytes_monotone_in_outliers_for_int4(k in 0usize..16) {
-        // Each outlier costs 3 bytes (value + index) but saves half an
-        // inlier byte: strictly growing for INT4.
+#[test]
+fn token_bytes_monotone_in_outliers_for_int4() {
+    // Each outlier costs 3 bytes (value + index) but saves half an inlier
+    // byte: growing for INT4. Exhaustive over the old strategy's range.
+    for k in 0..16usize {
         let a = QuantScheme::int4_with_outliers(k).token_bytes(128);
         let b = QuantScheme::int4_with_outliers(k + 1).token_bytes(128);
-        prop_assert!(b >= a);
+        assert!(b >= a, "k = {k}");
     }
 }

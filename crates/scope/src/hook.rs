@@ -3,7 +3,7 @@
 
 use ln_obs::ObsLevel;
 use ln_ppm::taps::{ActivationGroup, ActivationHook, ActivationSite, Tap};
-use ln_quant::scheme::{AaqConfig, Group, QuantScheme};
+use ln_quant::scheme::QuantScheme;
 use ln_quant::token::fake_quantize_tokens;
 use ln_tensor::{rng, Tensor2};
 
@@ -11,20 +11,15 @@ use crate::bucket::length_bucket_label;
 use crate::ledger::{ErrorLedger, PROBE_RUNGS};
 use crate::sketch::{SketchBook, SketchKey};
 
-/// Maps a tap group to the quant crate's scheme-selection group.
-pub fn quant_group(group: ActivationGroup) -> Group {
-    match group {
-        ActivationGroup::A => Group::A,
-        ActivationGroup::B => Group::B,
-        ActivationGroup::C => Group::C,
-    }
-}
-
 /// Wraps any [`ActivationHook`] and observes every activation that flows
 /// through it: pre-hook values feed the distribution sketches, and the
 /// pre/post difference feeds the quantization-error ledger (so wrapping
 /// an `AaqHook` measures exactly the error AAQ introduces, while wrapping
-/// a `NoopHook` yields a zero-error FP32 baseline ledger).
+/// a `NoopHook` yields a zero-error FP32 baseline ledger). That difference
+/// is taken here, around whatever the inner hook does — the independent
+/// check of the error the quantizer reports about itself. The rung and
+/// byte columns come from the inner hook's
+/// [`ActivationHook::scheme_at`].
 ///
 /// Observation is fully gated on the `LN_OBS` switch: when observability
 /// is off, `on_activation` is a single relaxed atomic load and a direct
@@ -38,30 +33,23 @@ pub struct ScopeHook<H> {
     book: SketchBook,
     ledger: ErrorLedger,
     bucket: &'static str,
-    config: Option<AaqConfig>,
     probe: bool,
+    /// The probes' working copy of the activation, kept between taps.
+    probe_scratch: Vec<f32>,
 }
 
 impl<H: ActivationHook> ScopeHook<H> {
     /// Wraps `inner` for a sequence of `seq_len` residues (which fixes the
-    /// sketch length-bucket key). Probing is on; no AAQ config is assumed,
-    /// so byte accounting stays zero until [`Self::with_aaq_config`].
+    /// sketch length-bucket key). Probing is on.
     pub fn new(inner: H, seq_len: usize) -> Self {
         ScopeHook {
             inner,
             book: SketchBook::new(),
             ledger: ErrorLedger::new(),
             bucket: length_bucket_label(seq_len),
-            config: None,
             probe: true,
+            probe_scratch: Vec::new(),
         }
-    }
-
-    /// Declares the AAQ config the inner hook applies, enabling per-layer
-    /// rung attribution and encoded-bytes-vs-FP16 accounting.
-    pub fn with_aaq_config(mut self, config: AaqConfig) -> Self {
-        self.config = Some(config);
-        self
     }
 
     /// Disables the per-rung probes (keeps sketches + actual-error ledger).
@@ -90,19 +78,6 @@ impl<H: ActivationHook> ScopeHook<H> {
     pub fn ledger(&self) -> &ErrorLedger {
         &self.ledger
     }
-
-    /// The scheme the inner hook's config selects for `tap`, clamped the
-    /// way `fake_quantize_tokens` clamps (outlier budget below the
-    /// channel count), or `None` without a config.
-    fn scheme_in_effect(&self, tap: Tap, cols: usize) -> Option<QuantScheme> {
-        let config = self.config.as_ref()?;
-        if cols < 2 {
-            return None;
-        }
-        let mut scheme = config.scheme_for(quant_group(tap.group()));
-        scheme.outliers = scheme.outliers.min(cols - 1);
-        Some(scheme)
-    }
 }
 
 impl<H: ActivationHook> ActivationHook for ScopeHook<H> {
@@ -125,8 +100,6 @@ impl<H: ActivationHook> ActivationHook for ScopeHook<H> {
 
         let rows = original.rows();
         let cols = original.cols();
-        let scheme = self.scheme_in_effect(tap, cols);
-        let probe = self.probe;
         let entry = self.ledger.entry(tap.block, stage);
         entry.taps += 1;
         let mut err_sq = 0.0f64;
@@ -138,23 +111,22 @@ impl<H: ActivationHook> ActivationHook for ScopeHook<H> {
         }
         entry.err_sq += err_sq;
         entry.val_sq += val_sq;
-        if let Some(scheme) = scheme {
+        if let Some(scheme) = self.inner.scheme_at(tap, cols) {
             entry.rung = scheme.to_string();
             entry.encoded_bytes += (rows * scheme.token_bytes(cols)) as u64;
             entry.fp16_bytes += (rows * cols * 2) as u64;
         }
-        if probe {
+        if self.probe {
+            let mut scratch = std::mem::take(&mut self.probe_scratch);
+            scratch.resize(original.len(), 0.0);
+            let mut decoded = Tensor2::from_vec(rows, cols, scratch).expect("sized to fit");
             for (i, &(_, probe_scheme)) in PROBE_RUNGS.iter().enumerate() {
-                let mut decoded = original.clone();
-                fake_quantize_tokens(&mut decoded, probe_scheme);
-                let mut p_err = 0.0f64;
-                for (&o, &d) in original.as_slice().iter().zip(decoded.as_slice()) {
-                    let e = (d - o) as f64;
-                    p_err += e * e;
-                }
-                entry.probe_err_sq[i] += p_err;
-                entry.probe_val_sq[i] += val_sq;
+                decoded.as_mut_slice().copy_from_slice(original.as_slice());
+                let error = fake_quantize_tokens(&mut decoded, probe_scheme);
+                entry.probe_err_sq[i] += error.err_sq;
+                entry.probe_val_sq[i] += error.val_sq;
             }
+            self.probe_scratch = decoded.into_vec();
         }
     }
 
@@ -166,6 +138,10 @@ impl<H: ActivationHook> ActivationHook for ScopeHook<H> {
 
     fn quantized_matmul(&self, tap: Tap) -> Option<QuantScheme> {
         self.inner.quantized_matmul(tap)
+    }
+
+    fn scheme_at(&self, tap: Tap, channels: usize) -> Option<QuantScheme> {
+        self.inner.scheme_at(tap, channels)
     }
 }
 
@@ -242,11 +218,7 @@ impl Default for SensitivityModel {
 impl SensitivityModel {
     /// Sensitivity of `group`.
     pub fn for_group(&self, group: ActivationGroup) -> f64 {
-        match group {
-            ActivationGroup::A => self.per_group[0],
-            ActivationGroup::B => self.per_group[1],
-            ActivationGroup::C => self.per_group[2],
-        }
+        self.per_group[group.index()]
     }
 
     /// Estimated TM-score impact of running `group` at relative RMSE

@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 
 use ln_obs::{labeled, MetricValue};
 use ln_quant::scheme::{Bits, QuantScheme};
+use ln_quant::token::QuantError;
 
 /// The candidate rungs every ledger cell probes, cheapest-first:
 /// INT4+4 outliers (the paper's Group B/C workhorse) and INT8+4 outliers
@@ -82,20 +83,20 @@ impl LedgerEntry {
     /// Relative RMSE of the rung in effect: `sqrt(Σ err² / Σ x²)`
     /// (0 when no signal was accumulated).
     pub fn relative_rmse(&self) -> f64 {
-        if self.val_sq <= 0.0 {
-            0.0
-        } else {
-            (self.err_sq / self.val_sq).sqrt()
+        QuantError {
+            err_sq: self.err_sq,
+            val_sq: self.val_sq,
         }
+        .relative_rmse()
     }
 
     /// Relative RMSE the probe candidate `index` would have incurred.
     pub fn probe_rmse(&self, index: usize) -> f64 {
-        if self.probe_val_sq[index] <= 0.0 {
-            0.0
-        } else {
-            (self.probe_err_sq[index] / self.probe_val_sq[index]).sqrt()
+        QuantError {
+            err_sq: self.probe_err_sq[index],
+            val_sq: self.probe_val_sq[index],
         }
+        .relative_rmse()
     }
 
     /// Compression ratio vs FP16 (1.0 when nothing was encoded).

@@ -38,7 +38,7 @@ use ln_obs::{metrics_jsonl, MetricValue, Registry};
 use ln_ppm::taps::{ActivationHook, ALL_SITES};
 
 pub use bucket::{length_bucket_label, length_bucket_rank, LENGTH_BUCKET_BOUNDS};
-pub use hook::{quant_group, PerturbHook, ScopeHook, SensitivityModel};
+pub use hook::{PerturbHook, ScopeHook, SensitivityModel};
 pub use ledger::{ErrorLedger, LedgerEntry, PROBE_RUNGS};
 pub use ln_ppm::taps::ActivationGroup;
 pub use model::modeled_worst_rmse;

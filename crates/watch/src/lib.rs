@@ -11,9 +11,7 @@
 //!   plus a full registry snapshot) on SLO breach, breaker open, shard
 //!   loss or partition window.
 //! * [`watermark`] — per-request peak-activation-byte accounting by
-//!   length bucket × AAQ precision (the quantity the paper bounds), plus
-//!   the live process watermark stitched from the scratch arena, the
-//!   accel HBM gauges and the AAQ byte counters.
+//!   length bucket × AAQ precision (the quantity the paper bounds).
 //! * [`health`] — shard health in `[0, 1]` from burn rate + watermark
 //!   pressure, feeding the cluster's capability walk and autoscaler.
 //!
@@ -36,9 +34,7 @@ pub mod watermark;
 pub use health::health_score;
 pub use recorder::FlightRecorder;
 pub use slo::{Breach, BudgetRow, FoldObservation, ObservedOutcome, SloEngine, SloKind, SloSpec};
-pub use watermark::{
-    length_bucket_label, process_watermark_bytes, ProcessWatermark, WatermarkRow, WatermarkTracker,
-};
+pub use watermark::{length_bucket_label, WatermarkRow, WatermarkTracker};
 
 use ln_obs::{MetricValue, Registry, TraceEvent};
 use ln_quant::ActPrecision;

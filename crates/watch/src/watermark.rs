@@ -1,24 +1,17 @@
 //! Activation-memory watermark accounting.
 //!
-//! Two complementary views:
-//!
-//! * **Modeled, per request** — [`WatermarkTracker`] records the
-//!   deterministic peak activation bytes of every settled batch (from
-//!   `Backend::batch_peak_bytes_at`, i.e. weights excluded), keyed by
-//!   canonical length bucket × AAQ precision rung. This is the quantity
-//!   the paper bounds (Fig. 4 / Fig. 15): the FP32→INT8→INT4 reduction at
-//!   a given length is directly visible in the per-cell maxima, and being
-//!   modeled on the virtual clock it is byte-identical across hosts and
-//!   `ln-par` pool sizes — safe to embed in black boxes and golden tests.
-//! * **Live, per process** — [`process_watermark_bytes`] stitches the real
-//!   wall-world signals: the tensor scratch-arena high-water mark, the
-//!   accelerator model's peak per-stage HBM bytes, and the AAQ encoder's
-//!   byte counters. Thread- and schedule-dependent, so it feeds dashboards
-//!   and health heuristics only — never a deterministic artifact.
+//! Modeled, per request: [`WatermarkTracker`] records the deterministic
+//! peak activation bytes of every settled batch (from
+//! `Backend::batch_peak_bytes_at`, i.e. weights excluded), keyed by
+//! canonical length bucket × AAQ precision rung. This is the quantity the
+//! paper bounds (Fig. 4 / Fig. 15): the FP32→INT8→INT4 reduction at a
+//! given length is directly visible in the per-cell maxima, and being
+//! modeled on the virtual clock it is byte-identical across hosts and
+//! `ln-par` pool sizes — safe to embed in black boxes and golden tests.
 
 use std::collections::BTreeMap;
 
-use ln_obs::{labeled, MetricValue, Registry};
+use ln_obs::{labeled, Registry};
 use ln_quant::ActPrecision;
 
 // The canonical length-bucket vocabulary moved to `ln_scope::bucket` (one
@@ -113,44 +106,6 @@ impl WatermarkTracker {
     }
 }
 
-/// The live process-wide activation-memory watermark, bytes: the tensor
-/// scratch-arena high-water mark plus the accelerator model's peak
-/// per-stage HBM bytes, with the AAQ encoded-vs-FP16 byte counters
-/// reported alongside. Reads the *global* registry and thread-local
-/// arenas — wall-world diagnostics only.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProcessWatermark {
-    /// Largest single-thread GEMM scratch arena seen, bytes.
-    pub scratch_bytes: u64,
-    /// `accel_hbm_peak_bytes` gauge: heaviest single accelerator stage.
-    pub accel_peak_bytes: f64,
-    /// `aaq_encoded_bytes_total`: bytes actually written by AAQ encodes.
-    pub aaq_encoded_bytes: u64,
-    /// `aaq_fp16_bytes_total`: what the same activations would have cost
-    /// unquantized.
-    pub aaq_fp16_bytes: u64,
-}
-
-/// Stitches the live watermark from the scratch arena and the global
-/// registry. See [`ProcessWatermark`] for the caveats.
-pub fn process_watermark_bytes() -> ProcessWatermark {
-    let snap = ln_obs::registry().snapshot();
-    let counter = |name: &str| match snap.get(name) {
-        Some(MetricValue::Counter(v)) => *v,
-        _ => 0,
-    };
-    let gauge = |name: &str| match snap.get(name) {
-        Some(MetricValue::Gauge(v)) => *v,
-        _ => 0.0,
-    };
-    ProcessWatermark {
-        scratch_bytes: ln_tensor::microkernel::scratch_hwm_bytes(),
-        accel_peak_bytes: gauge("accel_hbm_peak_bytes"),
-        aaq_encoded_bytes: counter("aaq_encoded_bytes_total"),
-        aaq_fp16_bytes: counter("aaq_fp16_bytes_total"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,11 +139,5 @@ mod tests {
         assert_eq!(fp32.max_bytes, 300.0);
         assert_eq!(fp32.mean_bytes, 200.0);
         assert_eq!(t.max_peak_bytes(), 300.0);
-    }
-
-    #[test]
-    fn process_watermark_reads_without_panicking() {
-        let wm = process_watermark_bytes();
-        assert!(wm.accel_peak_bytes >= 0.0);
     }
 }

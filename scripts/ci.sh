@@ -6,8 +6,8 @@
 #   2. cargo clippy --workspace --all-targets -D warnings (lints)
 #   3. cargo build --release                              (offline build)
 #   4. cargo test -q, then                                (test suite)
-#      cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm
-#                                                         (kernel crates)
+#      cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm \
+#          -p ln-scope -p lightnobel      (kernel crates, error accounting)
 #      cargo test -q --release --test golden_regression   (pinned fold bits)
 #   5. par_speedup --quick                                (kernel gate)
 #   6. chaos --quick                                      (ln-fault smoke)
@@ -20,8 +20,10 @@
 #      trace --workload fold_qdomain --quick
 #
 # Step 4's first command, at the workspace root, tests only the umbrella
-# package. Its second runs the unit and integration tests of the four
-# crates the fold's inner loops live in, in the release profile — the only
+# package. Its second runs the unit, integration and doc tests of the four
+# crates the fold's inner loops live in, and of the two that keep the
+# quantization-error accounts (`ln-scope`: `ScopeHook` and its ledger;
+# `lightnobel`: `AaqHook`), in the release profile — the only
 # profile in which the vectorised kernel bodies exist, so the bit-identity
 # tests (both GEMM tile widths against the reference fold, `qgemm` against
 # a scalar reference, `bit_identity.rs`, `no_alloc.rs`) and the
@@ -31,10 +33,14 @@
 # observe-everything and a quantized-domain hook; NaN-poisoned `take`s and
 # L = 24 -> 16 -> 24 folds giving the first fold's bits; the per-stage
 # bound on pair tensors on loan), where `crates/ppm/tests/large_allocs.rs`
-# pins the >= 64 KiB allocations a warm fold makes, and where the `_into`
+# pins the >= 64 KiB allocations a warm fold makes, where the `_into`
 # kernels are compared bit for bit with their allocating forms into a
 # wrong-valued `out` (`microkernel_edge.rs`, `tensor2.rs`, `nn.rs`,
-# `qgemm.rs`). A few seconds once step 3 has built the crates. Its third
+# `qgemm.rs`), and where the error sums the quantizer returns are checked
+# against a clone-and-diff sweep and for equal bits under pools 1 / 2 / 4
+# (`bit_identity.rs`). Well under a minute once step 3 has built the
+# crates (`lightnobel`'s unit tests, minutes in the debug profile, take
+# seconds optimised). Its third
 # command runs `tests/golden_regression.rs` optimised: the `pair_rep`
 # hashes pinned there for the L = 48 folds are skipped by the debug
 # profile of the first command (minutes), not by this one (seconds).
@@ -102,7 +108,7 @@ step cargo clippy --workspace --all-targets -- -D warnings
 # target/ artifacts from earlier runs.
 step cargo build --release --workspace
 step cargo test -q
-step cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm
+step cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm -p ln-scope -p lightnobel
 step cargo test -q --release --test golden_regression
 step ./target/release/par_speedup --quick
 step ./target/release/chaos --quick

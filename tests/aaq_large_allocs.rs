@@ -1,0 +1,60 @@
+//! A warm AAQ fold asks the allocator for no more large blocks than it
+//! needs: the quantizing hook holds no copy of what it quantizes.
+//!
+//! The AAQ twin of `crates/ppm/tests/large_allocs.rs` (which cannot see
+//! `lightnobel`), on the same shared counting global allocator: the
+//! allocations of at least 64 KiB the second fold makes under a one-thread
+//! pool are pinned. When `AaqHook` kept a clone of every activation to
+//! measure the error afterwards, each tap of 16 K values or more added
+//! one: 70 a fold at this size, 76 and 96 where 6 and 26 are pinned here.
+
+use lightnobel::hook::AaqHook;
+use ln_par::{with_pool, Pool};
+use ln_ppm::{FoldingModel, PpmConfig};
+use ln_protein::generator::StructureGenerator;
+use ln_protein::Sequence;
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
+/// As in `large_allocs.rs`: well under one pair tensor at L = 32
+/// (512 KiB), well over every per-head buffer.
+const LARGE: usize = 64 << 10;
+
+/// ≥ 64 KiB allocations in the second fold at L = 32 under `hook`.
+fn warm_fold_large_allocations(hook: AaqHook) -> u64 {
+    let ns = 32;
+    let model = FoldingModel::new(PpmConfig::standard());
+    let seq = Sequence::random("aaq_large_allocs", ns);
+    let native = StructureGenerator::new("aaq_large_allocs").generate(ns);
+    with_pool(&Pool::new_exact(1), || {
+        let fold = || model.predict_with_hook(&seq, &native, &mut hook.clone());
+        let first = fold().expect("folds");
+        let (warm, second) = counting_alloc::allocations_in(LARGE, fold);
+        assert_eq!(first, second.expect("folds"));
+        warm
+    })
+}
+
+#[test]
+fn a_warm_fake_quant_fold_makes_few_large_allocations() {
+    // The 6 a `NoopHook` fold makes (`WARM_FOLD_LARGE_ALLOCATIONS` in
+    // `large_allocs.rs`, itemised there): the hook adds none.
+    const WARM_AAQ_FOLD_LARGE_ALLOCATIONS: u64 = 6;
+    assert_eq!(
+        warm_fold_large_allocations(AaqHook::paper()),
+        WARM_AAQ_FOLD_LARGE_ALLOCATIONS
+    );
+}
+
+#[test]
+fn a_warm_quantized_domain_fold_makes_few_large_allocations() {
+    // The same 6, and at each of the ten post-LayerNorm taps of two
+    // blocks the `QuantizedTensor` the integer GEMMs read: its tokens and
+    // its level panel.
+    const WARM_QDOMAIN_FOLD_LARGE_ALLOCATIONS: u64 = 6 + 2 * 10;
+    assert_eq!(
+        warm_fold_large_allocations(AaqHook::paper().with_quantized_domain()),
+        WARM_QDOMAIN_FOLD_LARGE_ALLOCATIONS
+    );
+}

@@ -7,6 +7,8 @@
 //!   kernels parallelise, so pool size must never show in the bytes.
 //! * With `LN_OBS=off`, wrapping a hook in the observatory is
 //!   bit-transparent: same prediction, nothing observed.
+//! * The error the quantizer reports about itself (what `AaqHook` keeps)
+//!   agrees with the observatory's own before/after difference per group.
 //! * [`Scope::merge`] is associative and commutative, so per-worker or
 //!   per-shard scopes can be folded together in any grouping without
 //!   changing the snapshot. The seeded variants always run; a
@@ -21,8 +23,9 @@ use ln_par::{with_pool, Pool};
 use ln_ppm::{FoldingModel, PpmConfig, PredictionOutput};
 use ln_protein::generator::StructureGenerator;
 use ln_protein::Sequence;
-use ln_quant::scheme::AaqConfig;
-use ln_scope::{Scope, ScopeHook, SketchKey};
+use ln_quant::scheme::Group;
+use ln_quant::token::QuantError;
+use ln_scope::{group_for_stage, Scope, ScopeHook, SketchKey};
 use ln_tensor::rng::{self, Rng};
 use ln_tensor::Tensor2;
 
@@ -55,18 +58,23 @@ impl Drop for ObsGuard {
 /// Folds one small deterministic protein through the AAQ-quantized tiny
 /// trunk under a pool of `threads` workers, observing with the full
 /// observatory (sketches + ledger + probes).
-fn fold_scope(threads: usize) -> (Scope, PredictionOutput) {
+fn fold_observed(threads: usize) -> (ScopeHook<AaqHook>, PredictionOutput) {
     let model = FoldingModel::new(PpmConfig::tiny());
     let seq = Sequence::random("numerics-scope", LEN);
     let native = StructureGenerator::new("numerics-scope").generate(LEN);
     let pool = Pool::new_exact(threads);
     with_pool(&pool, || {
-        let mut hook = ScopeHook::new(AaqHook::paper(), LEN).with_aaq_config(AaqConfig::paper());
+        let mut hook = ScopeHook::new(AaqHook::paper(), LEN);
         let out = model
             .predict_with_hook(&seq, &native, &mut hook)
             .expect("tiny fold succeeds");
-        (Scope::from_hook(hook), out)
+        (hook, out)
     })
+}
+
+fn fold_scope(threads: usize) -> (Scope, PredictionOutput) {
+    let (hook, out) = fold_observed(threads);
+    (Scope::from_hook(hook), out)
 }
 
 #[test]
@@ -104,6 +112,31 @@ fn scope_snapshot_is_byte_identical_across_pools() {
 }
 
 #[test]
+fn ledger_difference_agrees_with_the_quantizers_own_report() {
+    let _guard = ObsGuard::at(ObsLevel::Counters);
+    let (hook, _) = fold_observed(1);
+    // The reference: the wrapper's element-by-element difference around
+    // the inner hook, summed per group from the per-(layer, stage) cells.
+    let mut reference = [QuantError::default(); 3];
+    for ((_, stage), entry) in hook.ledger().iter() {
+        let group = group_for_stage(stage).expect("every cell is a tap's stage");
+        reference[group.index()] += QuantError {
+            err_sq: entry.err_sq,
+            val_sq: entry.val_sq,
+        };
+    }
+    for group in [Group::A, Group::B, Group::C] {
+        let reference = reference[group.index()].relative_rmse();
+        let reported = hook.inner().relative_rmse(group);
+        assert!(reference > 0.0, "group {group} saw no error");
+        assert!(
+            (reported - reference).abs() <= 1e-9 * reference,
+            "group {group}: quantizer reports {reported}, difference gives {reference}"
+        );
+    }
+}
+
+#[test]
 fn off_mode_wrapping_is_bit_transparent() {
     let _guard = ObsGuard::at(ObsLevel::Off);
     let model = FoldingModel::new(PpmConfig::tiny());
@@ -115,7 +148,7 @@ fn off_mode_wrapping_is_bit_transparent() {
         .predict_with_hook(&seq, &native, &mut bare)
         .expect("bare fold succeeds");
 
-    let mut wrapped = ScopeHook::new(AaqHook::paper(), LEN).with_aaq_config(AaqConfig::paper());
+    let mut wrapped = ScopeHook::new(AaqHook::paper(), LEN);
     let wrapped_out = model
         .predict_with_hook(&seq, &native, &mut wrapped)
         .expect("wrapped fold succeeds");
