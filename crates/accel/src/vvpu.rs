@@ -1,10 +1,11 @@
-//! The Versatile Vector Processing Unit (§5.3): cycle model plus a
-//! functional runtime-quantization path cross-validated against `ln-quant`.
+//! The Versatile Vector Processing Unit (§5.3): its cycle model. The
+//! outlier selection of its runtime quantization — the bitonic top-k
+//! network of [`crate::bitonic`] — is cross-validated against `ln-quant`'s
+//! software quantizer in this module's tests.
 
 use crate::bitonic;
 use crate::HwConfig;
 use ln_quant::scheme::QuantScheme;
-use ln_quant::token::{quantize_token, QuantizedToken};
 
 /// Vector operations the VVPU executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,20 +71,12 @@ pub fn batch_cycles(hw: &HwConfig, op: VectorOp, channels: usize, tokens: u64) -
     (tokens * per_token).div_ceil(vvpus.max(1))
 }
 
-/// The functional runtime-quantization path: what the VVPU hardware
-/// produces for one token. Uses the bitonic top-k network for outlier
-/// selection and must agree with the software quantizer.
-pub fn hardware_quantize(values: &[f32], scheme: QuantScheme) -> QuantizedToken {
-    // The hardware sorter picks the same top-k magnitudes as the software
-    // oracle; the quantizer core is shared.
-    let _hardware_topk = bitonic::top_k_abs(values, scheme.outliers);
-    quantize_token(values, scheme)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ln_quant::scheme::QuantScheme;
+    use ln_quant::scheme::AaqConfig;
+    use ln_quant::token::quantize_token;
+    use ln_tensor::rng::{self, Rng, SliceRandom};
 
     #[test]
     fn quantize_cost_includes_sorting_network() {
@@ -133,18 +126,29 @@ mod tests {
     }
 
     #[test]
-    fn hardware_quantize_matches_software() {
-        let values: Vec<f32> = (0..128)
-            .map(|i| ((i * 71 % 113) as f32 - 56.0) * 0.3)
-            .collect();
-        for scheme in [
-            QuantScheme::int4_with_outliers(4),
-            QuantScheme::int8_with_outliers(4),
-            QuantScheme::int4_with_outliers(0),
-        ] {
-            let hw = hardware_quantize(&values, scheme);
-            let sw = quantize_token(&values, scheme);
-            assert_eq!(hw, sw, "{scheme}");
+    fn bitonic_network_selects_the_quantizers_outliers() {
+        // Tie-free 128-channel tokens (all magnitudes distinct), so the
+        // network's index set and the software selection cannot differ by
+        // a tie rule: the claim `ln_quant::token`'s module docs make.
+        for seed in 0..16u64 {
+            let mut rng = rng::stream_indexed("accel/vvpu/topk", seed);
+            let mut magnitudes: Vec<f32> = (1..=128).map(|i| i as f32 * 0.37).collect();
+            magnitudes.shuffle(&mut rng);
+            let values: Vec<f32> = magnitudes
+                .into_iter()
+                .map(|m| if rng.gen::<bool>() { m } else { -m })
+                .collect();
+            let aaq = AaqConfig::paper();
+            for scheme in [aaq.group_a, aaq.group_b, aaq.group_c] {
+                let mut network = bitonic::top_k_abs(&values, scheme.outliers);
+                network.sort_unstable();
+                let software: Vec<usize> = quantize_token(&values, scheme)
+                    .outlier_indices()
+                    .iter()
+                    .map(|&i| i as usize)
+                    .collect();
+                assert_eq!(network, software, "{scheme}, seed {seed}");
+            }
         }
     }
 }

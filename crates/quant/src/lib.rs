@@ -20,8 +20,10 @@
 //! * [`asymmetric`] — the affine-quantization alternative the paper
 //!   evaluates and rejects (§4.1), kept for the ablation benches.
 //! * [`tensor`] — [`tensor::QuantizedTensor`], the quantized activation
-//!   container with a dequantization-free matmul (the RMPU's execution
-//!   model in software).
+//!   container: one dense level panel plus flat per-token scales and
+//!   outliers, with a dequantization-free matmul (the RMPU's execution
+//!   model in software) and an exact round trip through the [`layout`]
+//!   bytes.
 //! * [`qgemm`] — the fully quantized-domain GEMM: AAQ levels × INT8
 //!   weights with pure-integer inner loops (direct or RMPU-style
 //!   bit-chunked MACs) and a single dequantization epilogue.

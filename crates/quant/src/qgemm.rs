@@ -41,10 +41,12 @@
 //!   contiguous, the last panel zero-padded — 8 KB per 128 channels,
 //!   L1-resident while a block of tokens passes over it, and the only
 //!   copy of the levels.
-//! * Activations, at encode ([`QuantizedTensor::from_tensor`]): the
-//!   inlier levels in groups of `MR` tokens, `[channel][MR]` contiguous,
-//!   zero at outlier slots — once per tensor, however many projections
-//!   read it.
+//! * Activations, never: the A operand *is* how a [`QuantizedTensor`]
+//!   stores its inlier levels — groups of `MR` tokens, `[channel][MR]`
+//!   contiguous, zero at outlier slots — written once by the quantizer
+//!   itself, however many projections read it. A token's two scales and
+//!   its ≤ k outliers (level, channel) come from the tensor's flat
+//!   per-token arrays beside the panel.
 //!
 //! # Weight level −128
 //!
@@ -54,7 +56,6 @@
 
 use crate::scheme::{Bits, QuantScheme};
 use crate::tensor::QuantizedTensor;
-use crate::token::QuantizedToken;
 use ln_tensor::nn::Linear;
 use ln_tensor::{simd, Tensor2, TensorError};
 
@@ -276,14 +277,14 @@ fn token_chunk(
             let (scales, bias) = (&w.scales[cols.clone()], &bias[cols.clone()]);
             for (g, rows) in block.chunks_mut(MR * n).enumerate() {
                 let token = block_token + g * MR;
-                let levels = &x.level_panel()[token * k..][..k * MR];
+                let levels = &x.levels[token * k..][..k * MR];
                 let mut acc = [[0i32; NR]; MR];
                 for (a, wk) in levels.chunks(KC * MR).zip(panel.chunks(KC * NR)) {
                     kc_block(a, wk, passes, &mut acc);
                 }
-                for ((row, q), in_acc) in rows.chunks_mut(n).zip(&x.tokens()[token..]).zip(&acc) {
-                    let out_acc = outlier_macs(q, panel);
-                    let (si, so) = (q.inlier_scale(), q.outlier_scale());
+                for ((row, t), in_acc) in rows.chunks_mut(n).zip(token..).zip(&acc) {
+                    let out_acc = outlier_macs(x.outliers(t), panel);
+                    let (si, so) = x.scales[t];
                     for ((slot, (&ia, &oa)), (&sw, &b)) in row[cols.clone()]
                         .iter_mut()
                         .zip(in_acc.iter().zip(&out_acc))
@@ -356,9 +357,9 @@ fn chunk_pass(pieces: &[i16], w: &[i16], shift: u32, acc: &mut [[i32; NR]; MR]) 
 
 /// The token's INT16 outliers (≤ k rows of the panel) as `i32` MACs.
 #[inline(always)]
-fn outlier_macs(q: &QuantizedToken, panel: &[i16]) -> [i32; NR] {
+fn outlier_macs((levels, indices): (&[i16], &[u8]), panel: &[i16]) -> [i32; NR] {
     let mut acc = [0i32; NR];
-    for (&level, &idx) in q.outliers().iter().zip(q.outlier_indices()) {
+    for (&level, &idx) in levels.iter().zip(indices) {
         let w_row = &panel[idx as usize * NR..][..NR];
         for (sum, &wl) in acc.iter_mut().zip(w_row) {
             *sum += level as i32 * wl as i32;
@@ -455,7 +456,7 @@ mod tests {
     fn scalar_reference(x: &QuantizedTensor, w: &QuantizedWeights, bias: &[f32]) -> Vec<f32> {
         let n = w.out_features();
         let mut out = Vec::with_capacity(x.num_tokens() * n);
-        for q in x.tokens() {
+        for q in (0..x.num_tokens()).map(|t| x.token(t)) {
             let inlier_channels: Vec<usize> = (0..q.channels())
                 .filter(|ch| !q.outlier_indices().contains(&(*ch as u8)))
                 .collect();
@@ -584,15 +585,15 @@ mod tests {
             for outliers in [0, 4] {
                 let q = QuantizedTensor::from_tensor(&x, scheme(bits, outliers));
                 let top = bits.max_level() as i16;
-                assert!(q.tokens()[0].inliers().iter().all(|&l| l == top));
-                assert!(q.tokens()[1].inliers().iter().all(|&l| l == -top));
+                assert!(q.token(0).inliers().iter().all(|&l| l == top));
+                assert!(q.token(1).inliers().iter().all(|&l| l == -top));
                 assert_equals_reference(&q, &w, &bias, &format!("saturated {}", q.scheme()));
             }
             // The sum itself, not only agreement with the reference.
             let q = QuantizedTensor::from_tensor(&x, scheme(bits, 0));
             let got = qgemm(&q, &w, &bias, MacMode::BitChunked).unwrap();
             let sum = bits.max_level() * 127 * k as i32;
-            let si = q.tokens()[0].inlier_scale();
+            let si = q.token(0).inlier_scale();
             assert_eq!(got.at(0, 0), sum as f32 * (si * w.scales()[0]) + 0.0 + 0.0);
             assert_eq!(got.at(1, 0), -sum as f32 * (si * w.scales()[0]) + 0.0 + 0.0);
         }

@@ -1,17 +1,33 @@
 //! A fully-quantized tensor container: `(tokens, channels)` activations
-//! stored as encoded token blocks, with a dequantization-free matrix
-//! multiply.
+//! held as the integer levels, scales and outliers of their AAQ encoding,
+//! with a dequantization-free matrix multiply.
 //!
 //! This is the storage type a deployment would actually hold in device
-//! memory: tokens live in the Fig. 7 byte layout (grouped into
-//! bandwidth-sized blocks) and linear layers run directly on the integer
-//! levels, applying each token's scaling factors exactly once per output
-//! element — the RMPU's execution model (§5.2), in software.
+//! memory, and each part of a token's encoding is stored exactly once:
+//!
+//! * the inlier **levels**, dense, in the panel [`crate::qgemm`] reads as
+//!   its A operand: groups of [`MR`] tokens, each `[channel][MR]`
+//!   contiguous, zero at outlier slots and in the padding tokens of the
+//!   last group;
+//! * the two **scales** `(σ_in, σ_out)` per token;
+//! * the `k` **outliers** per token, flat `tokens × k`: INT16 levels and
+//!   ascending `u8` channel indices.
+//!
+//! [`QuantizedTensor::from_tensor`] fills all three in one pass through
+//! `quantize_into` — the body [`crate::token::quantize_token`] wraps — at
+//! a fixed number of allocations whatever the token count. Linear layers
+//! run directly on the levels and apply each token's scaling factors
+//! exactly once per output element: the RMPU's execution model (§5.2), in
+//! software. The Fig. 7 bytes ([`QuantizedTensor::to_blocks`]) and a
+//! single [`QuantizedToken`] ([`QuantizedTensor::token`]) are derived on
+//! demand; [`QuantizedTensor::from_blocks`] is `to_blocks`' exact inverse.
+//! `encoded_bytes()` stays what device memory would hold (the packed
+//! Fig. 7 size); the host copy here is one `i16` per level.
 
-use crate::layout::{TokenBlock, DEFAULT_BLOCK_BYTES};
+use crate::layout::{encode_into, TokenBlock, DEFAULT_BLOCK_BYTES};
 use crate::qgemm::MR;
 use crate::scheme::QuantScheme;
-use crate::token::{inlier_runs, quantize_token, QuantizedToken};
+use crate::token::{inlier_runs, quantize_into, QuantizedToken, MAX_TOKEN_CHANNELS};
 use crate::QuantError;
 use ln_tensor::{Tensor2, TensorError};
 
@@ -38,34 +54,38 @@ use ln_tensor::{Tensor2, TensorError};
 pub struct QuantizedTensor {
     scheme: QuantScheme,
     channels: usize,
-    tokens: Vec<QuantizedToken>,
-    /// The inlier levels once more, as [`crate::qgemm`]'s A operand:
-    /// groups of [`MR`] tokens, each `[channel][MR]` contiguous, zero at
-    /// outlier slots and in the padding tokens of the last group.
-    level_panel: Vec<i16>,
+    /// Inlier levels: `ceil(tokens / MR)` groups of `channels × MR`,
+    /// token-minor; zero at outlier slots and in the padding tokens.
+    pub(crate) levels: Vec<i16>,
+    /// `(σ_in, σ_out)` of each token; its length is the token count.
+    pub(crate) scales: Vec<(f32, f32)>,
+    /// INT16 outlier levels, `scheme.outliers` per token.
+    outlier_levels: Vec<i16>,
+    /// Their channel indices, ascending within a token.
+    outlier_indices: Vec<u8>,
 }
 
-/// Scatters the tokens' inlier levels into the dense panel
-/// [`crate::qgemm`] reads (see [`QuantizedTensor::level_panel`]).
-fn pack_level_panel(tokens: &[QuantizedToken], channels: usize) -> Vec<i16> {
-    let groups = tokens.len().div_ceil(MR);
-    let mut panel = vec![0i16; groups * channels * MR];
-    let groups_per_chunk = ln_par::chunk_len(groups, crate::asymmetric::TOKEN_PAR_GRAIN_ROWS / MR);
-    ln_par::par_chunks_mut(&mut panel, groups_per_chunk * channels * MR, |c, chunk| {
-        let first = c * groups_per_chunk * MR;
-        for (g, group) in chunk.chunks_mut(channels * MR).enumerate() {
-            for (r, q) in tokens[first + g * MR..].iter().take(MR).enumerate() {
-                let mut levels = q.inliers().iter();
-                for ch in inlier_runs(channels, q.outlier_indices()).flatten() {
-                    group[ch * MR + r] = *levels.next().expect("inlier count matches layout");
-                }
-            }
-        }
-    });
-    panel
+/// `slice` in consecutive pieces of `len` items; where there is nothing to
+/// cut (no outliers, no channels) every piece is empty.
+fn pieces<T>(slice: &mut [T], len: usize) -> impl Iterator<Item = &mut [T]> {
+    slice
+        .chunks_mut(len.max(1))
+        .chain(std::iter::repeat_with(Default::default))
 }
 
 impl QuantizedTensor {
+    /// `tokens` all-zero tokens: the storage the constructors fill.
+    fn zeroed(scheme: QuantScheme, channels: usize, tokens: usize) -> Self {
+        QuantizedTensor {
+            scheme,
+            channels,
+            levels: vec![0; tokens.div_ceil(MR) * channels * MR],
+            scales: vec![(0.0, 0.0); tokens],
+            outlier_levels: vec![0; tokens * scheme.outliers],
+            outlier_indices: vec![0; tokens * scheme.outliers],
+        }
+    }
+
     /// Quantizes a full-precision token matrix.
     ///
     /// # Panics
@@ -73,25 +93,36 @@ impl QuantizedTensor {
     /// Panics if the scheme's outlier budget is not below the channel
     /// count or channels exceed 256 (the hardware token width bound).
     pub fn from_tensor(x: &Tensor2, scheme: QuantScheme) -> Self {
-        // One token per row, quantized independently (the VVPU axis).
-        ln_par::metrics::time_kernel("aaq.from_tensor", x.rows() as u64, || {
-            let tokens =
-                ln_par::par_map_collect(x.rows(), crate::asymmetric::TOKEN_PAR_GRAIN_ROWS, |t| {
-                    quantize_token(x.row(t), scheme)
-                });
-            Self::from_tokens(tokens, scheme, x.cols())
+        let (tokens, channels) = x.shape();
+        let k = scheme.outliers;
+        ln_par::metrics::time_kernel("aaq.from_tensor", tokens as u64, || {
+            let mut q = Self::zeroed(scheme, channels, tokens);
+            // One token per row, quantized independently (the VVPU axis);
+            // a chunk is whole groups of the panel and its tokens' slots.
+            let grain = crate::asymmetric::TOKEN_PAR_GRAIN_ROWS / MR;
+            let per_chunk = ln_par::chunk_len(tokens.div_ceil(MR), grain) * MR;
+            let mut chunks: Vec<_> = q
+                .scales
+                .chunks_mut(per_chunk)
+                .zip(pieces(&mut q.levels, per_chunk * channels))
+                .zip(pieces(&mut q.outlier_levels, per_chunk * k))
+                .zip(pieces(&mut q.outlier_indices, per_chunk * k))
+                .collect();
+            ln_par::par_chunks_mut(&mut chunks, 1, |c, chunk| {
+                let (((scales, levels), outlier_levels), outlier_indices) = &mut chunk[0];
+                for (t, scales) in scales.iter_mut().enumerate() {
+                    let group = &mut levels[t / MR * channels * MR..];
+                    *scales = quantize_into(
+                        x.row(c * per_chunk + t),
+                        scheme,
+                        |ch, level| group[ch * MR + t % MR] = level,
+                        &mut outlier_levels[t * k..][..k],
+                        &mut outlier_indices[t * k..][..k],
+                    );
+                }
+            });
+            q
         })
-    }
-
-    /// Takes the tokens and packs their level panel, once for every GEMM
-    /// the tensor will feed.
-    fn from_tokens(tokens: Vec<QuantizedToken>, scheme: QuantScheme, channels: usize) -> Self {
-        QuantizedTensor {
-            scheme,
-            channels,
-            level_panel: pack_level_panel(&tokens, channels),
-            tokens,
-        }
     }
 
     /// The shared scheme.
@@ -101,7 +132,7 @@ impl QuantizedTensor {
 
     /// Number of tokens.
     pub fn num_tokens(&self) -> usize {
-        self.tokens.len()
+        self.scales.len()
     }
 
     /// Channels per token.
@@ -109,62 +140,134 @@ impl QuantizedTensor {
         self.channels
     }
 
-    /// The encoded token blocks, one per activation row.
-    ///
-    /// The quantized-domain GEMM ([`crate::qgemm`]) takes each token's
-    /// scales and outliers from here and the inlier levels from the dense
-    /// panel packed beside them, with no intermediate dequantization.
-    pub fn tokens(&self) -> &[QuantizedToken] {
-        &self.tokens
+    /// Token `t`'s INT16 outlier levels and their ascending channel
+    /// indices.
+    pub(crate) fn outliers(&self, t: usize) -> (&[i16], &[u8]) {
+        let k = self.scheme.outliers;
+        (
+            &self.outlier_levels[t * k..][..k],
+            &self.outlier_indices[t * k..][..k],
+        )
     }
 
-    /// The dense inlier-level panel: `ceil(tokens / MR)` groups of
-    /// `channels × MR` levels, token-minor.
-    pub(crate) fn level_panel(&self) -> &[i16] {
-        &self.level_panel
+    /// Token `t`'s level at every channel, ascending (zero at an outlier's).
+    fn token_levels(&self, t: usize) -> impl Iterator<Item = i16> + '_ {
+        let group = &self.levels[t / MR * self.channels * MR..][..self.channels * MR];
+        group.iter().skip(t % MR).step_by(MR).copied()
+    }
+
+    /// Token `t`'s inlier levels in channel order, outlier slots skipped,
+    /// gathered into the front of `buf`.
+    fn inliers<'a>(&self, t: usize, buf: &'a mut [i16; MAX_TOKEN_CHANNELS]) -> &'a [i16] {
+        for (slot, level) in buf.iter_mut().zip(self.token_levels(t)) {
+            *slot = level;
+        }
+        let mut n = 0;
+        for run in inlier_runs(self.channels, self.outliers(t).1) {
+            buf.copy_within(run.clone(), n);
+            n += run.len();
+        }
+        &buf[..n]
+    }
+
+    /// Token `t` on its own, as [`crate::token::quantize_token`] would have
+    /// returned it for row `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not below [`QuantizedTensor::num_tokens`].
+    pub fn token(&self, t: usize) -> QuantizedToken {
+        let (outliers, indices) = self.outliers(t);
+        QuantizedToken::from_parts(
+            self.scheme,
+            self.inliers(t, &mut [0; MAX_TOKEN_CHANNELS]).to_vec(),
+            outliers.to_vec(),
+            indices.to_vec(),
+            self.scales[t],
+        )
     }
 
     /// Encoded size in bytes (exactly what device memory would hold).
     pub fn encoded_bytes(&self) -> usize {
-        self.tokens.len() * self.scheme.token_bytes(self.channels)
+        self.num_tokens() * self.scheme.token_bytes(self.channels)
     }
 
-    /// Serialises into memory-channel-sized blocks (Fig. 7 grouping).
+    /// Serialises into memory-channel-sized blocks (Fig. 7 grouping),
+    /// each token's bytes written straight from the panel.
     pub fn to_blocks(&self) -> Vec<TokenBlock> {
         let per_block =
             TokenBlock::tokens_per_block(self.scheme, self.channels, DEFAULT_BLOCK_BYTES);
-        self.tokens
-            .chunks(per_block)
-            .map(TokenBlock::encode)
+        (0..self.num_tokens())
+            .step_by(per_block)
+            .map(|first| {
+                let tokens = per_block.min(self.num_tokens() - first);
+                TokenBlock::encode_with(self.scheme, self.channels, tokens, |i, dst| {
+                    let t = first + i;
+                    let (outliers, indices) = self.outliers(t);
+                    encode_into(
+                        dst,
+                        self.scheme,
+                        self.inliers(t, &mut [0; MAX_TOKEN_CHANNELS]),
+                        outliers,
+                        self.scales[t],
+                        indices,
+                    );
+                })
+            })
             .collect()
     }
 
-    /// Rebuilds the container from blocks.
+    /// Rebuilds the container from blocks: the exact inverse of
+    /// [`QuantizedTensor::to_blocks`]. An empty slice is the empty
+    /// `(0, 0)` tensor.
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::CorruptBlock`] on structural damage.
+    /// Returns [`QuantError::CorruptBlock`] when a block was not encoded
+    /// under `scheme`, differs in token width from the first, or is
+    /// structurally damaged (the table in [`crate::layout`]).
     pub fn from_blocks(blocks: &[TokenBlock], scheme: QuantScheme) -> Result<Self, QuantError> {
-        let mut tokens = Vec::new();
-        let mut channels = 0;
-        for b in blocks {
-            for values in b.decode()? {
-                channels = values.len();
-                tokens.push(quantize_token(&values, scheme));
+        let channels = blocks.first().map_or(0, TokenBlock::channels);
+        for (b, block) in blocks.iter().enumerate() {
+            if (block.scheme(), block.channels()) != (scheme, channels) {
+                return Err(QuantError::CorruptBlock {
+                    what: format!(
+                        "block {b} is {} × {} channels, not {scheme} × {channels}",
+                        block.scheme(),
+                        block.channels()
+                    ),
+                });
             }
         }
-        Ok(Self::from_tokens(tokens, scheme, channels))
+        let tokens = blocks.iter().map(TokenBlock::num_tokens).sum();
+        let k = scheme.outliers;
+        let mut q = Self::zeroed(scheme, channels, tokens);
+        let mut t = 0;
+        for block in blocks {
+            for token in block.decode_tokens()? {
+                let inlier_channels = inlier_runs(channels, token.outlier_indices()).flatten();
+                for (ch, &level) in inlier_channels.zip(token.inliers()) {
+                    q.levels[(t / MR * channels + ch) * MR + t % MR] = level;
+                }
+                q.scales[t] = (token.inlier_scale(), token.outlier_scale());
+                q.outlier_levels[t * k..][..k].copy_from_slice(token.outliers());
+                q.outlier_indices[t * k..][..k].copy_from_slice(token.outlier_indices());
+                t += 1;
+            }
+        }
+        Ok(q)
     }
 
     /// Decodes back to full precision.
     pub fn decode(&self) -> Tensor2 {
-        let mut out = Tensor2::zeros(self.tokens.len(), self.channels);
+        let mut out = Tensor2::zeros(self.num_tokens(), self.channels);
         self.dequantize_into(out.as_mut_slice());
         out
     }
 
     /// Decodes into `out`, row-major `(tokens, channels)`, without
-    /// allocating.
+    /// allocating: `level · σ_in` streamed over every channel of the panel,
+    /// then the token's outliers written over their (zero-level) slots.
     ///
     /// # Panics
     ///
@@ -172,14 +275,21 @@ impl QuantizedTensor {
     pub fn dequantize_into(&self, out: &mut [f32]) {
         assert_eq!(
             out.len(),
-            self.tokens.len() * self.channels,
+            self.num_tokens() * self.channels,
             "output size != tokens × channels"
         );
         if self.channels == 0 {
             return;
         }
-        for (q, row) in self.tokens.iter().zip(out.chunks_mut(self.channels)) {
-            q.dequantize_into(row);
+        for (t, row) in out.chunks_mut(self.channels).enumerate() {
+            let (inlier_scale, outlier_scale) = self.scales[t];
+            for (slot, level) in row.iter_mut().zip(self.token_levels(t)) {
+                *slot = level as f32 * inlier_scale;
+            }
+            let (levels, indices) = self.outliers(t);
+            for (&level, &idx) in levels.iter().zip(indices) {
+                row[idx as usize] = level as f32 * outlier_scale;
+            }
         }
     }
 
@@ -193,49 +303,39 @@ impl QuantizedTensor {
     /// Returns [`TensorError::ShapeMismatch`] when `weights.rows() !=
     /// channels`.
     pub fn matmul(&self, weights: &Tensor2) -> Result<Tensor2, TensorError> {
+        let tokens = self.num_tokens();
         if weights.rows() != self.channels {
             return Err(TensorError::ShapeMismatch {
                 op: "quantized_matmul",
-                lhs: vec![self.tokens.len(), self.channels],
+                lhs: vec![tokens, self.channels],
                 rhs: vec![weights.rows(), weights.cols()],
             });
         }
         let out_features = weights.cols();
-        let mut out = Tensor2::zeros(self.tokens.len(), out_features);
-        if out_features == 0 || self.tokens.is_empty() {
+        let mut out = Tensor2::zeros(tokens, out_features);
+        if out_features == 0 || tokens == 0 {
             return Ok(out);
         }
-        let tokens = &self.tokens;
-        let channels = self.channels;
-        let per_chunk = ln_par::chunk_len(tokens.len(), QMATMUL_PAR_GRAIN_TOKENS);
+        let per_chunk = ln_par::chunk_len(tokens, QMATMUL_PAR_GRAIN_TOKENS);
         ln_par::par_chunks_mut(out.as_mut_slice(), per_chunk * out_features, |c, chunk| {
             for (local, row) in chunk.chunks_mut(out_features).enumerate() {
                 let t = c * per_chunk + local;
-                let q = &tokens[t];
+                let (inlier_scale, outlier_scale) = self.scales[t];
+                let (outlier_levels, outlier_indices) = self.outliers(t);
                 for (o, slot) in row.iter_mut().enumerate() {
-                    // Inlier channels recovered by a merge walk against the
-                    // ascending outlier index list — same channel-ascending
-                    // accumulation order as the old materialised index
-                    // vectors, with no per-token allocation.
-                    let oi = q.outlier_indices();
-                    let mut next_out = 0usize;
-                    let mut inliers = q.inliers().iter();
+                    // Every channel in ascending order: an outlier's slot
+                    // holds level 0 and adds ±0.0 (a finite weight's), so
+                    // the sum is the inliers' alone.
                     let mut inlier_acc = 0.0f64;
-                    for ch in 0..channels {
-                        if next_out < oi.len() && oi[next_out] as usize == ch {
-                            next_out += 1;
-                            continue;
-                        }
-                        let level = *inliers.next().expect("inlier count matches layout");
+                    for (ch, level) in self.token_levels(t).enumerate() {
                         inlier_acc += level as f64 * weights.at(ch, o) as f64;
                     }
                     let mut outlier_acc = 0.0f64;
-                    for (&level, &idx) in q.outliers().iter().zip(q.outlier_indices()) {
+                    for (&level, &idx) in outlier_levels.iter().zip(outlier_indices) {
                         outlier_acc += level as f64 * weights.at(idx as usize, o) as f64;
                     }
                     // Scales applied once per accumulator, never per element.
-                    *slot = (inlier_acc * q.inlier_scale() as f64
-                        + outlier_acc * q.outlier_scale() as f64)
+                    *slot = (inlier_acc * inlier_scale as f64 + outlier_acc * outlier_scale as f64)
                         as f32;
                 }
             }
@@ -250,7 +350,9 @@ const QMATMUL_PAR_GRAIN_TOKENS: usize = 4;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::QuantScheme;
+    use crate::scheme::Bits;
+    use crate::token::quantize_token;
+    use ln_tensor::rng::{self, Rng};
 
     fn activation() -> Tensor2 {
         Tensor2::from_fn(12, 32, |i, j| {
@@ -270,20 +372,114 @@ mod tests {
         assert!(q.encoded_bytes() < x.len() * 2, "must beat FP16");
     }
 
+    /// Seeded tokens with a spike every few channels, so outliers matter.
+    fn spiky(tokens: usize, channels: usize) -> Tensor2 {
+        let mut rng = rng::stream_indexed("quant/tensor", (tokens * 1000 + channels) as u64);
+        Tensor2::from_fn(tokens, channels, |_, _| {
+            let v = rng::normal_approx(&mut rng);
+            if rng.gen_range(0..24usize) == 0 {
+                v * 60.0
+            } else {
+                v
+            }
+        })
+    }
+
+    /// The schemes × token counts × widths the container is pinned over:
+    /// a single token, partial and just-over-full last groups, widths off
+    /// the pack width and at the 256-channel bound.
+    fn lattice() -> impl Iterator<Item = (Tensor2, QuantScheme)> {
+        let schemes = [
+            QuantScheme::int4_with_outliers(0),
+            QuantScheme::int4_with_outliers(4),
+            QuantScheme::int8_with_outliers(4),
+            QuantScheme {
+                inlier_bits: Bits::Int16,
+                outliers: 8,
+            },
+        ];
+        [1, MR - 1, MR + 1, 37, 1000]
+            .into_iter()
+            .flat_map(|tokens| [17, 128, 129, 256].map(|channels| spiky(tokens, channels)))
+            .flat_map(move |x| schemes.map(|scheme| (x.clone(), scheme)))
+    }
+
     #[test]
-    fn block_round_trip_preserves_decode() {
-        let x = activation();
-        let q = QuantizedTensor::from_tensor(&x, QuantScheme::int4_with_outliers(4));
-        let blocks = q.to_blocks();
-        assert!(!blocks.is_empty());
-        let back = QuantizedTensor::from_blocks(&blocks, q.scheme()).expect("fresh blocks");
-        // Re-quantizing already-quantized values is idempotent up to f32
-        // scale recomputation: the decoded tensors agree to ~1e-3 relative.
-        let a = back.decode();
-        let b = q.decode();
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-            assert!((x - y).abs() <= 1e-3 * y.abs().max(0.01), "{x} vs {y}");
+    fn every_token_is_the_token_quantizers() {
+        for (x, scheme) in lattice() {
+            let q = QuantizedTensor::from_tensor(&x, scheme);
+            let decoded = q.decode();
+            for t in 0..x.rows() {
+                let token = quantize_token(x.row(t), scheme);
+                assert_eq!(q.token(t), token, "{scheme} token {t} of {:?}", x.shape());
+                let same_bits = decoded
+                    .row(t)
+                    .iter()
+                    .zip(token.dequantize())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same_bits, "{scheme} row {t} of {:?}", x.shape());
+            }
         }
+    }
+
+    #[test]
+    fn block_round_trip_is_exact() {
+        for (x, scheme) in lattice() {
+            let q = QuantizedTensor::from_tensor(&x, scheme);
+            let blocks = q.to_blocks();
+            assert_eq!(
+                blocks.iter().map(TokenBlock::encoded_bytes).sum::<usize>(),
+                q.encoded_bytes()
+            );
+            let back = QuantizedTensor::from_blocks(&blocks, scheme).expect("fresh blocks");
+            assert_eq!(back, q, "{scheme}, {:?}", x.shape());
+        }
+    }
+
+    #[test]
+    fn zero_width_tokens_round_trip() {
+        let scheme = QuantScheme::int4_with_outliers(0);
+        let q = QuantizedTensor::from_tensor(&Tensor2::zeros(MR + 2, 0), scheme);
+        assert_eq!((q.num_tokens(), q.channels()), (MR + 2, 0));
+        assert_eq!(q.decode().shape(), (MR + 2, 0));
+        assert_eq!(QuantizedTensor::from_blocks(&q.to_blocks(), scheme), Ok(q));
+    }
+
+    #[test]
+    fn no_blocks_are_the_empty_tensor() {
+        let scheme = QuantScheme::int4_with_outliers(4);
+        let q = QuantizedTensor::from_blocks(&[], scheme).expect("nothing to reject");
+        assert_eq!((q.num_tokens(), q.channels()), (0, 0));
+        assert_eq!(
+            q,
+            QuantizedTensor::from_tensor(&Tensor2::zeros(0, 0), scheme)
+        );
+        assert!(q.to_blocks().is_empty());
+    }
+
+    #[test]
+    fn blocks_of_another_scheme_are_rejected() {
+        let q = QuantizedTensor::from_tensor(&activation(), QuantScheme::int8_with_outliers(4));
+        for requested in [
+            QuantScheme::int4_with_outliers(0),
+            QuantScheme::int8_with_outliers(2),
+        ] {
+            assert!(matches!(
+                QuantizedTensor::from_blocks(&q.to_blocks(), requested),
+                Err(QuantError::CorruptBlock { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn blocks_of_mixed_width_are_rejected() {
+        let scheme = QuantScheme::int4_with_outliers(4);
+        let mut blocks = QuantizedTensor::from_tensor(&spiky(5, 128), scheme).to_blocks();
+        blocks.extend(QuantizedTensor::from_tensor(&spiky(5, 64), scheme).to_blocks());
+        assert!(matches!(
+            QuantizedTensor::from_blocks(&blocks, scheme),
+            Err(QuantError::CorruptBlock { .. })
+        ));
     }
 
     #[test]

@@ -6,12 +6,10 @@
 //! scaling via SIMD lanes, and reordering via the local crossbar network.
 //! `ln-accel`'s VVPU model is cross-validated against this implementation.
 //!
-//! # One kernel, three entry points
+//! # One kernel, two bodies
 //!
-//! [`quantize_token`] (and through it `QuantizedTensor::from_tensor`) and
-//! [`fake_quantize_tokens`] are the same four streaming passes over one
-//! token of at most 128 (256 for `quantize_token`) channels, built from
-//! the same primitives, so they agree bit for bit:
+//! The quantizer is four streaming passes over one token of at most 128
+//! (256 when the levels are kept) channels:
 //!
 //! 1. **select** the `k` outliers with
 //!    [`ln_tensor::stats::top_k_abs_into`] (O(n·k), on the stack for
@@ -27,9 +25,17 @@
 //!    vectorises on baseline SSE2;
 //! 4. **patch** the `k` outliers at INT16 under their own scale.
 //!
-//! `fake_quantize_tokens` runs the passes in place and dequantizes in
-//! pass 3 (`level · σ`), touching no heap memory per token;
-//! `quantize_token` keeps the levels instead.
+//! They are written out twice, from the same primitives, and
+//! `tests/bit_identity.rs` pins the two to each other bit for bit:
+//!
+//! * `quantize_into` keeps the **levels** and writes them where its caller
+//!   says: [`quantize_token`] into a fresh [`QuantizedToken`],
+//!   `QuantizedTensor::from_tensor` straight into its level panel, scale
+//!   and outlier arrays — no token is built on the way, so encoding a
+//!   tensor costs no allocation per token.
+//! * `fake_quantize_segment` under [`fake_quantize_tokens`] is the
+//!   **fused in-place** form: it dequantizes in pass 3 (`level · σ`) and
+//!   touches no heap memory per token either.
 //!
 //! `fake_quantize_tokens` also returns what the passes did to the
 //! activation, a [`QuantError`]: `Σ (v − r)²` and `Σ v²` (`v` a value as it
@@ -69,7 +75,7 @@ use std::sync::Mutex;
 const SEGMENT: usize = 128;
 
 /// Widest token [`quantize_token`] accepts (outlier indices are `u8`).
-const MAX_TOKEN_CHANNELS: usize = 256;
+pub(crate) const MAX_TOKEN_CHANNELS: usize = 256;
 
 /// A quantized token: inliers at low precision with one dynamic scaling
 /// factor, plus top-k outliers at INT16 with their own scaling factor.
@@ -86,12 +92,35 @@ pub struct QuantizedToken {
     outliers: Vec<i16>,
     /// Outlier scaling factor.
     outlier_scale: f32,
-    /// Channel index of each outlier, ascending (`dequantize_into` and
-    /// the quantized matmul walk the inlier runs between them).
+    /// Channel index of each outlier, ascending (`dequantize_into` walks
+    /// the inlier runs between them).
     outlier_indices: Vec<u8>,
 }
 
 impl QuantizedToken {
+    /// A token of `inliers.len() + outliers.len()` channels from its stored
+    /// parts. The caller vouches for them: one index per outlier, strictly
+    /// ascending and below the channel count (the quantizer's own output,
+    /// or what [`crate::layout::decode_levels`] has checked).
+    pub(crate) fn from_parts(
+        scheme: QuantScheme,
+        inliers: Vec<i16>,
+        outliers: Vec<i16>,
+        outlier_indices: Vec<u8>,
+        (inlier_scale, outlier_scale): (f32, f32),
+    ) -> Self {
+        debug_assert_eq!(outliers.len(), outlier_indices.len());
+        QuantizedToken {
+            scheme,
+            channels: inliers.len() + outliers.len(),
+            inliers,
+            inlier_scale,
+            outliers,
+            outlier_scale,
+            outlier_indices,
+        }
+    }
+
     /// The scheme this token was quantized with.
     pub fn scheme(&self) -> QuantScheme {
         self.scheme
@@ -189,6 +218,56 @@ fn max_abs(values: &[f32]) -> f32 {
     values.iter().fold(0.0f32, |a, &v| a.max(v.abs()))
 }
 
+/// The four passes on one token with the levels kept, written where the
+/// caller wants them: `put_inlier(ch, level)` for every inlier channel in
+/// ascending order (outlier channels are skipped), the outliers' ascending
+/// channel indices and INT16 levels into the `scheme.outliers`-long
+/// `outlier_indices` and `outlier_levels`. Returns `(σ_in, σ_out)`.
+///
+/// # Panics
+///
+/// As [`quantize_token`], which is this into a fresh [`QuantizedToken`].
+pub(crate) fn quantize_into(
+    values: &[f32],
+    scheme: QuantScheme,
+    mut put_inlier: impl FnMut(usize, i16),
+    outlier_levels: &mut [i16],
+    outlier_indices: &mut [u8],
+) -> (f32, f32) {
+    assert!(
+        values.len() <= MAX_TOKEN_CHANNELS,
+        "token width above u8 index range"
+    );
+    assert!(
+        scheme.outliers < values.len().max(1),
+        "outlier budget must leave inliers"
+    );
+    debug_assert_eq!(outlier_levels.len(), scheme.outliers);
+    debug_assert_eq!(outlier_indices.len(), scheme.outliers);
+
+    let mut index_buf = [0usize; MAX_TOKEN_CHANNELS];
+    let picked = select_outliers(values, scheme.outliers, &mut index_buf);
+
+    // Inlier scale from the remaining max magnitude (Eq. 1).
+    let inlier_max =
+        inlier_runs(values.len(), picked).fold(0.0f32, |a, run| a.max(max_abs(&values[run])));
+    let inlier_scale = symmetric_scale(inlier_max, scheme.inlier_bits.max_level());
+    for ch in inlier_runs(values.len(), picked).flatten() {
+        put_inlier(
+            ch,
+            quantize_value(values[ch], inlier_scale, scheme.inlier_bits),
+        );
+    }
+
+    let outlier_max = picked.iter().fold(0.0f32, |a, &i| a.max(values[i].abs()));
+    let outlier_scale = symmetric_scale(outlier_max, Bits::Int16.max_level());
+    for ((level, index), &i) in outlier_levels.iter_mut().zip(outlier_indices).zip(picked) {
+        *level = quantize_value(values[i], outlier_scale, Bits::Int16);
+        *index = i as u8;
+    }
+    (inlier_scale, outlier_scale)
+}
+
 /// Quantizes one token (Eq. 1 with dynamic outlier handling).
 ///
 /// The top-`k` values by magnitude become INT16 outliers with their own
@@ -201,47 +280,17 @@ fn max_abs(values: &[f32]) -> f32 {
 /// the token has more than 256 channels (u8 outlier indices; the PPM's
 /// `Hz = 128` fits comfortably).
 pub fn quantize_token(values: &[f32], scheme: QuantScheme) -> QuantizedToken {
-    assert!(
-        values.len() <= MAX_TOKEN_CHANNELS,
-        "token width above u8 index range"
-    );
-    assert!(
-        scheme.outliers < values.len().max(1),
-        "outlier budget must leave inliers"
-    );
-
-    let mut index_buf = [0usize; MAX_TOKEN_CHANNELS];
-    let picked = select_outliers(values, scheme.outliers, &mut index_buf);
-
-    // Inlier scale from the remaining max magnitude (Eq. 1).
-    let inlier_max =
-        inlier_runs(values.len(), picked).fold(0.0f32, |a, run| a.max(max_abs(&values[run])));
-    let inlier_scale = symmetric_scale(inlier_max, scheme.inlier_bits.max_level());
-    let mut inliers = Vec::with_capacity(values.len() - picked.len());
-    for run in inlier_runs(values.len(), picked) {
-        inliers.extend(
-            values[run]
-                .iter()
-                .map(|&v| quantize_value(v, inlier_scale, scheme.inlier_bits)),
-        );
-    }
-
-    let outlier_max = picked.iter().fold(0.0f32, |a, &i| a.max(values[i].abs()));
-    let outlier_scale = symmetric_scale(outlier_max, Bits::Int16.max_level());
-    let outliers: Vec<i16> = picked
-        .iter()
-        .map(|&i| quantize_value(values[i], outlier_scale, Bits::Int16))
-        .collect();
-
-    QuantizedToken {
+    let mut inliers = Vec::with_capacity(values.len().saturating_sub(scheme.outliers));
+    let mut outliers = vec![0i16; scheme.outliers];
+    let mut outlier_indices = vec![0u8; scheme.outliers];
+    let scales = quantize_into(
+        values,
         scheme,
-        channels: values.len(),
-        inliers,
-        inlier_scale,
-        outliers,
-        outlier_scale,
-        outlier_indices: picked.iter().map(|&i| i as u8).collect(),
-    }
+        |_, level| inliers.push(level),
+        &mut outliers,
+        &mut outlier_indices,
+    );
+    QuantizedToken::from_parts(scheme, inliers, outliers, outlier_indices, scales)
 }
 
 /// `1.5 · 2²³`: adding and then subtracting it rounds an `f32` of

@@ -2,10 +2,11 @@
 //!
 //! This binary runs on the shared counting global allocator (counts are
 //! per thread, so the harness's other test threads do not disturb them)
-//! and checks that `fake_quantize_tokens`, `QuantizedTensor::decode` and
-//! `qgemm` make the same number of allocations whatever the number of
-//! tokens. Under a one-thread pool every kernel runs inline on the calling
-//! thread.
+//! and checks that `fake_quantize_tokens`, `QuantizedTensor::from_tensor`,
+//! `QuantizedTensor::decode` and `qgemm` make the same number of
+//! allocations whatever the number of tokens, and that an encoded tensor
+//! keeps no more bytes resident than its panel, scales and outliers. Under
+//! a one-thread pool every kernel runs inline on the calling thread.
 
 use ln_par::{with_pool, Pool};
 use ln_quant::qgemm::{qgemm, MacMode, QuantizedWeights};
@@ -54,6 +55,46 @@ fn fake_quantize_allocates_nothing_per_token() {
             let (many, _) = allocations_in(|| fake_quantize_tokens(&mut large, scheme));
             assert_eq!(few, many, "{scheme}: 64 tokens vs 1024 tokens");
         }
+    });
+}
+
+#[test]
+fn from_tensor_allocates_nothing_per_token() {
+    with_pool(&Pool::new_exact(1), || {
+        for scheme in [
+            QuantScheme::int4_with_outliers(0),
+            QuantScheme::int4_with_outliers(4),
+            QuantScheme::int8_with_outliers(4),
+        ] {
+            let (small, large) = (spiky(1024, 128), spiky(9216, 128));
+            // The first call registers the kernel timer.
+            QuantizedTensor::from_tensor(&small, scheme);
+            let (few, _) = allocations_in(|| QuantizedTensor::from_tensor(&small, scheme));
+            let (many, _) = allocations_in(|| QuantizedTensor::from_tensor(&large, scheme));
+            assert_eq!(few, many, "{scheme}: 1024 tokens vs 9216 tokens");
+            assert!(many <= 16, "{scheme}: {many} allocations");
+        }
+    });
+}
+
+#[test]
+fn an_encoded_tensor_keeps_its_panel_scales_and_outliers_and_no_more() {
+    with_pool(&Pool::new_exact(1), || {
+        let (tokens, channels) = (9216, 128);
+        let x = spiky(tokens, channels);
+        let scheme = QuantScheme::int4_with_outliers(4);
+        QuantizedTensor::from_tensor(&x, scheme);
+        let (kept, q) = counting_alloc::bytes_kept_by(|| QuantizedTensor::from_tensor(&x, scheme));
+        // One i16 a level, two f32 scales, an i16 and a u8 an outlier:
+        // 256 + 8 + 8 + 4 bytes a token, under the 512 of its f32 row.
+        let per_token = 2 * channels + 8 + 3 * scheme.outliers;
+        assert!(
+            kept <= tokens * 280,
+            "{} bytes a token resident",
+            kept as f64 / tokens as f64
+        );
+        assert!(kept >= tokens * per_token, "{kept} bytes cannot hold it");
+        assert_eq!(q.num_tokens(), tokens);
     });
 }
 

@@ -3,7 +3,7 @@
 //! streams keyed by the property's name and the case index, so a failure
 //! names a case that replays.
 
-use ln_quant::layout::{decode_token, encode_token, TokenBlock};
+use ln_quant::layout::{decode_levels, decode_token, encode_token, TokenBlock};
 use ln_quant::scheme::{Bits, QuantScheme};
 use ln_quant::token::{quantize_token, quantize_value};
 use ln_tensor::rng::{self, Rng, StdRng};
@@ -74,6 +74,8 @@ fn encode_decode_is_identity_on_dequantized_values() {
         assert_eq!(bytes.len(), scheme.token_bytes(values.len()), "case {case}");
         let decoded = decode_token(&bytes, scheme, values.len()).expect("fresh encoding decodes");
         assert_eq!(decoded, q.dequantize(), "case {case} {scheme}");
+        let levels = decode_levels(&bytes, scheme, values.len()).expect("fresh encoding decodes");
+        assert_eq!(levels, q, "case {case} {scheme}");
     });
 }
 

@@ -7,7 +7,9 @@
 #   3. cargo build --release                              (offline build)
 #   4. cargo test -q, then                                (test suite)
 #      cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm \
-#          -p ln-scope -p lightnobel      (kernel crates, error accounting)
+#          -p ln-scope -p lightnobel      (kernel crates, error accounting) \
+#          -p ln-accel -p ln-datasets -p ln-fault -p ln-gpu -p ln-protein \
+#          -p ln-serve -p ln-cluster      (every crate free of the level race)
 #      cargo test -q --release --test golden_regression   (pinned fold bits)
 #   5. par_speedup --quick                                (kernel gate)
 #   6. chaos --quick                                      (ln-fault smoke)
@@ -20,8 +22,8 @@
 #      trace --workload fold_qdomain --quick
 #
 # Step 4's first command, at the workspace root, tests only the umbrella
-# package. Its second runs the unit, integration and doc tests of the four
-# crates the fold's inner loops live in, and of the two that keep the
+# package. Its second runs first the unit, integration and doc tests of the
+# four crates the fold's inner loops live in, and of the two that keep the
 # quantization-error accounts (`ln-scope`: `ScopeHook` and its ledger;
 # `lightnobel`: `AaqHook`), in the release profile — the only
 # profile in which the vectorised kernel bodies exist, so the bit-identity
@@ -38,9 +40,18 @@
 # wrong-valued `out` (`microkernel_edge.rs`, `tensor2.rs`, `nn.rs`,
 # `qgemm.rs`), and where the error sums the quantizer returns are checked
 # against a clone-and-diff sweep and for equal bits under pools 1 / 2 / 4
-# (`bit_identity.rs`). Well under a minute once step 3 has built the
-# crates (`lightnobel`'s unit tests, minutes in the debug profile, take
-# seconds optimised). Its third
+# (`bit_identity.rs`), where `no_alloc.rs` holds `QuantizedTensor` to a
+# fixed number of allocations and to its panel, scales and outliers in
+# resident bytes, and where the seeded property tests of `ln-quant`,
+# `ln-tensor` and `ln-ppm` (`tests/properties.rs`, ported off proptest)
+# run. The same command runs the unit, integration and doc tests of seven
+# more crates — `ln-accel`, `ln-datasets`, `ln-fault`, `ln-gpu`,
+# `ln-protein`, `ln-serve`, `ln-cluster` — which no gate ran before: none
+# of their tests calls `ln_obs::set_level`. `ln-obs`, `ln-insight` and
+# `ln-watch` do, race on that global across test threads as `ln-scope`
+# did, and stay out until they serialise it (ROADMAP 7(a)). About a
+# minute once step 3 has built the crates (`lightnobel`'s unit tests,
+# minutes in the debug profile, take seconds optimised). Its third
 # command runs `tests/golden_regression.rs` optimised: the `pair_rep`
 # hashes pinned there for the L = 48 folds are skipped by the debug
 # profile of the first command (minutes), not by this one (seconds).
@@ -108,7 +119,8 @@ step cargo clippy --workspace --all-targets -- -D warnings
 # target/ artifacts from earlier runs.
 step cargo build --release --workspace
 step cargo test -q
-step cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm -p ln-scope -p lightnobel
+step cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm -p ln-scope -p lightnobel \
+    -p ln-accel -p ln-datasets -p ln-fault -p ln-gpu -p ln-protein -p ln-serve -p ln-cluster
 step cargo test -q --release --test golden_regression
 step ./target/release/par_speedup --quick
 step ./target/release/chaos --quick
