@@ -344,15 +344,24 @@ mod tests {
         );
     }
 
+    /// The obs level is process-global and the harness runs tests on
+    /// parallel threads, so a test that pins it holds this lock until its
+    /// guard restores the previous level.
+    static OBS_LEVEL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn obs_counters() -> impl Drop {
-        struct Reset(ln_obs::ObsLevel);
+        struct Reset {
+            prev: ln_obs::ObsLevel,
+            _lock: std::sync::MutexGuard<'static, ()>,
+        }
         impl Drop for Reset {
             fn drop(&mut self) {
-                ln_obs::set_level(self.0);
+                ln_obs::set_level(self.prev);
             }
         }
-        let before = ln_obs::level();
+        let _lock = OBS_LEVEL.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = ln_obs::level();
         ln_obs::set_level(ln_obs::ObsLevel::Counters);
-        Reset(before)
+        Reset { prev, _lock }
     }
 }

@@ -25,12 +25,12 @@ pub use tri_attn::{chunked_attention, AttentionNode, TriangularAttention};
 pub use tri_mul::{TriangleDirection, TriangularMultiplication};
 pub use workspace::release_fold_workspace;
 
-use crate::taps::ActivationHook;
+use crate::taps::{ActivationHook, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_quant::qgemm::{MacMode, QLinear};
 use ln_quant::scheme::QuantScheme;
 use ln_quant::tensor::QuantizedTensor;
-use ln_tensor::nn::{self, Linear};
+use ln_tensor::nn::{self, LayerNorm, Linear};
 use ln_tensor::{Tensor2, Tensor3};
 
 /// Transposes a `(ns·ns, c)` pair-token matrix from `(a, b)` to `(b, a)`
@@ -59,37 +59,56 @@ enum Activation {
     Relu,
 }
 
+/// A layer that reads a stage's post-LayerNorm activation: the
+/// full-precision [`Linear`] and, built from it, the INT8-weight twin that
+/// runs in its place when the hook asks for the quantized domain.
+#[derive(Debug, Clone)]
+struct Projection {
+    fp: Linear,
+    qd: QLinear,
+}
+
+impl Projection {
+    fn new(fp: Linear) -> Self {
+        Projection {
+            qd: QLinear::from_linear(&fp),
+            fp,
+        }
+    }
+
+    fn out_features(&self) -> usize {
+        self.fp.out_features()
+    }
+
+    fn num_params(&self) -> usize {
+        self.fp.num_params()
+    }
+}
+
 /// A stage's post-LayerNorm activation as its projections read it: in
 /// full precision, or — when the hook asked for the quantized domain —
 /// AAQ-encoded once and run through each layer's integer twin (numerics
 /// change; the hook opted in).
-struct PostLn<'a> {
-    x: &'a Tensor2,
+struct PostLn {
+    x: Tensor2,
     encoded: Option<(QuantizedTensor, MacMode)>,
 }
 
-impl<'a> PostLn<'a> {
-    fn new(x: &'a Tensor2, scheme: Option<QuantScheme>) -> Self {
-        let encode = |scheme| {
+impl PostLn {
+    fn new(x: Tensor2, scheme: Option<QuantScheme>) -> Self {
+        let encoded = scheme.map(|scheme| {
             (
-                QuantizedTensor::from_tensor(x, scheme),
+                QuantizedTensor::from_tensor(&x, scheme),
                 MacMode::for_scheme(scheme),
             )
-        };
-        PostLn {
-            x,
-            encoded: scheme.map(encode),
-        }
-    }
-
-    fn is_quantized(&self) -> bool {
-        self.encoded.is_some()
+        });
+        PostLn { x, encoded }
     }
 
     /// `act(layer(x))` in a tensor taken from the fold workspace.
-    fn project(&self, fp: &Linear, qd: &QLinear, act: Activation) -> Result<Tensor2, PpmError> {
-        let mut out = workspace::take(self.x.rows(), fp.out_features());
-        self.project_into(fp, qd, act, &mut out)?;
+    fn project(&self, layer: &Projection, act: Activation) -> Result<Tensor2, PpmError> {
+        let mut out = workspace::take(self.x.rows(), layer.out_features());
+        self.project_into(layer, act, &mut out)?;
         Ok(out)
     }
 
@@ -98,26 +117,66 @@ impl<'a> PostLn<'a> {
     /// applying it afterwards).
     fn project_into(
         &self,
-        fp: &Linear,
-        qd: &QLinear,
+        layer: &Projection,
         act: Activation,
         out: &mut Tensor2,
     ) -> Result<(), PpmError> {
         match (&self.encoded, act) {
             (Some((qx, mode)), act) => {
-                qd.forward_into(qx, *mode, out)?;
+                layer.qd.forward_into(qx, *mode, out)?;
                 match act {
                     Activation::None => {}
                     Activation::Sigmoid => nn::sigmoid_inplace(out),
                     Activation::Relu => nn::relu_inplace(out),
                 }
             }
-            (None, Activation::None) => fp.forward_into(self.x, out)?,
-            (None, Activation::Sigmoid) => fp.forward_sigmoid_into(self.x, out)?,
-            (None, Activation::Relu) => fp.forward_relu_into(self.x, out)?,
+            (None, Activation::None) => layer.fp.forward_into(&self.x, out)?,
+            (None, Activation::Sigmoid) => layer.fp.forward_sigmoid_into(&self.x, out)?,
+            (None, Activation::Relu) => layer.fp.forward_relu_into(&self.x, out)?,
         }
         Ok(())
     }
+
+    /// The activation's own buffer, once its last projection has read it:
+    /// the stage's output projection writes the update there. The encoded
+    /// copy, if there is one, ends here.
+    fn into_buffer(self) -> Tensor2 {
+        self.x
+    }
+}
+
+/// The frame all three pair stages run in. The residual stream moves
+/// through it — taken out of `pair`, shown to the hook (Group A), updated
+/// in place, moved back — and `body` runs on its LayerNorm (Group B, shown
+/// to the hook, then read through a [`PostLn`] in the domain the hook
+/// asks for). `body` returns the stage's update in a workspace tensor —
+/// [`PostLn::into_buffer`]'s, so a stage holds no pair tensor of its own
+/// for it — which is added in at `gain`.
+///
+/// On an error `pair` is left empty: its tokens were moved out, not copied.
+fn residual_stage(
+    pair: &mut Tensor3,
+    hook: &mut dyn ActivationHook,
+    [residual_in_tap, post_ln_tap]: [Tap; 2],
+    norm: &LayerNorm,
+    gain: f32,
+    body: impl FnOnce(&mut dyn ActivationHook, PostLn) -> Result<Tensor2, PpmError>,
+) -> Result<(), PpmError> {
+    let (ns, _, hz) = pair.shape();
+    let mut tokens = std::mem::take(pair).into_token_matrix();
+    hook.on_activation(residual_in_tap, &mut tokens);
+
+    let mut x = workspace::take(ns * ns, hz);
+    norm.forward_into(&tokens, &mut x)?;
+    hook.on_activation(post_ln_tap, &mut x);
+
+    let post_ln = PostLn::new(x, hook.quantized_matmul(post_ln_tap));
+    let update = body(hook, post_ln)?;
+    // The hook may have rewritten `tokens`; the update goes onto what it left.
+    tokens.add_scaled_assign(&update, gain)?;
+    workspace::give(update);
+    *pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
+    Ok(())
 }
 
 /// One folding block: sequence track + the four pair-dataflow units.

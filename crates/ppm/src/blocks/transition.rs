@@ -1,10 +1,9 @@
 //! Pair Transition: the per-token MLP that ends each folding block's pair
 //! dataflow (LayerNorm → expand → ReLU → contract, residual).
 
-use super::{workspace, Activation, PostLn};
+use super::{residual_stage, workspace, Activation, Projection};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
-use ln_quant::qgemm::QLinear;
 use ln_tensor::nn::{LayerNorm, Linear};
 use ln_tensor::Tensor3;
 
@@ -12,12 +11,9 @@ use ln_tensor::Tensor3;
 #[derive(Debug, Clone)]
 pub struct PairTransition {
     norm: LayerNorm,
-    expand: Linear,
+    expand: Projection,
     contract: Linear,
     update_gain: f32,
-    // Quantized-domain twin of the expansion, used when the hook requests
-    // RMPU-style integer GEMMs on the post-LN activation.
-    q_expand: QLinear,
 }
 
 impl PairTransition {
@@ -28,8 +24,7 @@ impl PairTransition {
         let expand = Linear::deterministic_with_bias(&format!("{label}/up"), hz, hidden, 0.7, 0.2);
         PairTransition {
             norm: LayerNorm::deterministic_scaled(&format!("{label}/ln"), hz, 0.2, 5.0),
-            q_expand: QLinear::from_linear(&expand),
-            expand,
+            expand: Projection::new(expand),
             contract: Linear::deterministic(&format!("{label}/down"), hidden, hz, 0.5),
             update_gain: config.update_gain,
         }
@@ -53,35 +48,32 @@ impl PairTransition {
         block: usize,
         recycle: usize,
     ) -> Result<(), PpmError> {
-        let (ns, _, hz) = pair.shape();
         let tap = |site| Tap {
             block,
             recycle,
             site,
         };
-
-        // The residual stream moves through the unit: taken out of `pair`,
-        // updated in place, moved back.
-        let mut tokens = std::mem::take(pair).into_token_matrix();
-        hook.on_activation(tap(ActivationSite::TransitionResidualIn), &mut tokens);
-
-        let mut x = workspace::take(ns * ns, hz);
-        self.norm.forward_into(&tokens, &mut x)?;
-        hook.on_activation(tap(ActivationSite::TransitionPostLn), &mut x);
-
-        // The expansion, as an integer GEMM when the hook opts in.
-        let scheme = hook.quantized_matmul(tap(ActivationSite::TransitionPostLn));
-        let mut h =
-            PostLn::new(&x, scheme).project(&self.expand, &self.q_expand, Activation::Relu)?;
-        hook.on_activation(tap(ActivationSite::TransitionHidden), &mut h);
-
-        // `x` has no reader left: it takes the contraction's output.
-        self.contract.forward_into(&h, &mut x)?;
-        workspace::give(h);
-        tokens.add_scaled_assign(&x, self.update_gain)?;
-        workspace::give(x);
-        *pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
-        Ok(())
+        residual_stage(
+            pair,
+            hook,
+            [
+                tap(ActivationSite::TransitionResidualIn),
+                tap(ActivationSite::TransitionPostLn),
+            ],
+            &self.norm,
+            self.update_gain,
+            |hook, post_ln| {
+                // The expansion, as an integer GEMM when the hook opts in;
+                // the post-LN activation's buffer then takes the
+                // contraction's output.
+                let mut h = post_ln.project(&self.expand, Activation::Relu)?;
+                let mut update = post_ln.into_buffer();
+                hook.on_activation(tap(ActivationSite::TransitionHidden), &mut h);
+                self.contract.forward_into(&h, &mut update)?;
+                workspace::give(h);
+                Ok(update)
+            },
+        )
     }
 }
 

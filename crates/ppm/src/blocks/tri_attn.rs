@@ -6,10 +6,9 @@
 //! `(Ns, Ns, Ns)`, which is what makes activation size — not weight size —
 //! the PPM bottleneck (§3.2).
 
-use super::{transposed_pair_tokens, workspace, Activation, PostLn};
+use super::{residual_stage, transposed_pair_tokens, workspace, Activation, PostLn, Projection};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
-use ln_quant::qgemm::QLinear;
 use ln_tensor::microkernel::{self, Epilogue};
 use ln_tensor::nn::{LayerNorm, Linear};
 use ln_tensor::{nn, Tensor2, Tensor3};
@@ -33,20 +32,13 @@ pub struct TriangularAttention {
     head_dim: usize,
     chunk: Option<usize>,
     norm_in: LayerNorm,
-    to_q: Linear,
-    to_k: Linear,
-    to_v: Linear,
-    to_bias: Linear,
-    to_gate: Linear,
+    to_q: Projection,
+    to_k: Projection,
+    to_v: Projection,
+    to_bias: Projection,
+    to_gate: Projection,
     proj_out: Linear,
     update_gain: f32,
-    // Quantized-domain twins of the post-LN projections, used when the
-    // hook requests RMPU-style integer GEMMs.
-    q_to_q: QLinear,
-    q_to_k: QLinear,
-    q_to_v: QLinear,
-    q_to_bias: QLinear,
-    q_to_gate: QLinear,
 }
 
 impl TriangularAttention {
@@ -66,16 +58,11 @@ impl TriangularAttention {
             head_dim: config.pair_head_dim,
             chunk: config.attention_chunk,
             norm_in: LayerNorm::deterministic_scaled(&format!("{label}/ln"), hz, 0.2, 5.0),
-            q_to_q: QLinear::from_linear(&to_q),
-            q_to_k: QLinear::from_linear(&to_k),
-            q_to_v: QLinear::from_linear(&to_v),
-            q_to_bias: QLinear::from_linear(&to_bias),
-            q_to_gate: QLinear::from_linear(&to_gate),
-            to_q,
-            to_k,
-            to_v,
-            to_bias,
-            to_gate,
+            to_q: Projection::new(to_q),
+            to_k: Projection::new(to_k),
+            to_v: Projection::new(to_v),
+            to_bias: Projection::new(to_bias),
+            to_gate: Projection::new(to_gate),
             proj_out: Linear::deterministic(&format!("{label}/o"), attn, hz, 0.5),
             update_gain: config.update_gain,
         }
@@ -110,30 +97,38 @@ impl TriangularAttention {
         block: usize,
         recycle: usize,
     ) -> Result<(), PpmError> {
-        let (ns, _, hz) = pair.shape();
-        let tokens_n = ns * ns;
-        let tap = |site| Tap {
+        let ns = pair.shape().0;
+        let tap = move |site| Tap {
             block,
             recycle,
             site,
         };
+        residual_stage(
+            pair,
+            hook,
+            [
+                tap(ActivationSite::TriAttnResidualIn),
+                tap(ActivationSite::TriAttnPostLn),
+            ],
+            &self.norm_in,
+            self.update_gain,
+            |hook, post_ln| self.update(hook, post_ln, ns, tap),
+        )
+    }
 
-        // The residual stream moves through the unit: taken out of `pair`,
-        // updated in place, moved back.
-        let mut tokens = std::mem::take(pair).into_token_matrix();
-        hook.on_activation(tap(ActivationSite::TriAttnResidualIn), &mut tokens);
-
-        let mut x = workspace::take(tokens_n, hz);
-        self.norm_in.forward_into(&tokens, &mut x)?;
-        hook.on_activation(tap(ActivationSite::TriAttnPostLn), &mut x);
-
-        // All five post-LN projections read `x` through this — as integer
-        // GEMMs when the hook opts in.
-        let post_ln = PostLn::new(
-            &x,
-            hook.quantized_matmul(tap(ActivationSite::TriAttnPostLn)),
-        );
-        let project = |fp, qd| post_ln.project(fp, qd, Activation::None);
+    /// The stage between its LayerNorm and its residual add: the output
+    /// projection of the gated attention context, in `post_ln`'s buffer.
+    fn update(
+        &self,
+        hook: &mut dyn ActivationHook,
+        post_ln: PostLn,
+        ns: usize,
+        tap: impl Fn(ActivationSite) -> Tap,
+    ) -> Result<Tensor2, PpmError> {
+        let tokens_n = ns * ns;
+        // All five post-LN projections read `post_ln` — as integer GEMMs
+        // when the hook opts in.
+        let project = |layer| post_ln.project(layer, Activation::None);
         // Orient an operand so every lane (attention row for Starting,
         // column for Ending) is a contiguous `ns`-row band: the Ending
         // node transposes with exact copies — as soon as the hook has
@@ -144,19 +139,19 @@ impl TriangularAttention {
             AttentionNode::Ending => transposed_pair_tokens(m, ns),
         };
 
-        let mut q = project(&self.to_q, &self.q_to_q)?;
+        let mut q = project(&self.to_q)?;
         hook.on_activation(tap(ActivationSite::TriAttnQuery), &mut q);
         let qm = orient(q);
-        let mut k = project(&self.to_k, &self.q_to_k)?;
+        let mut k = project(&self.to_k)?;
         hook.on_activation(tap(ActivationSite::TriAttnKey), &mut k);
         let km = orient(k);
-        let mut v = project(&self.to_v, &self.q_to_v)?;
+        let mut v = project(&self.to_v)?;
         hook.on_activation(tap(ActivationSite::TriAttnValue), &mut v);
         let vm = orient(v);
         // The bias and its per-head matrices are 1/32 of a pair tensor:
         // not worth a pair-sized workspace buffer each.
         let mut bias = Tensor2::zeros(tokens_n, self.heads);
-        post_ln.project_into(&self.to_bias, &self.q_to_bias, Activation::None, &mut bias)?;
+        post_ln.project_into(&self.to_bias, Activation::None, &mut bias)?;
         hook.on_activation(tap(ActivationSite::TriAttnBias), &mut bias);
 
         let attn_dim = self.heads * self.head_dim;
@@ -219,19 +214,16 @@ impl TriangularAttention {
                         for h in 0..heads {
                             bufs.load([&qm, &km, &vm], lane * ns, h);
                             let bm = bias_mats.row(h);
-                            let qkv = [&bufs.q, &bufs.k, &bufs.v];
-                            let ctx = &mut bufs.ctx;
                             match &mut scores {
                                 ScoreBuffer::Online(state) => chunked_attention_into(
-                                    qkv,
+                                    [&bufs.q, &bufs.k, &bufs.v],
                                     bm,
                                     inv_sqrt,
                                     state,
-                                    ctx.as_mut_slice(),
+                                    bufs.ctx.as_mut_slice(),
                                 ),
                                 ScoreBuffer::Full(probs) => {
-                                    head_probs_into(qkv, bm, inv_sqrt, probs)
-                                        .and_then(|()| probs.matmul_into(qkv[2], ctx))
+                                    materialised_head(&mut bufs, bm, inv_sqrt, probs, |_| {})
                                         .expect("head shapes are internally consistent")
                                 }
                             }
@@ -242,8 +234,10 @@ impl TriangularAttention {
             );
         } else {
             // Observing path: the hook sees (and may rewrite) each
-            // (lane, head) probability matrix, so taps fire serially in
-            // ascending (lane, head) order, on one set of head buffers.
+            // (lane, head) probability matrix — the paper quantizes the
+            // scores (Group C), one tap activation each — so taps fire
+            // serially in ascending (lane, head) order, on one set of
+            // head buffers.
             let mut bufs = HeadBuffers::new(ns, self.head_dim);
             let mut probs = Tensor2::zeros(ns, ns);
             for (lane, lane_buf) in ctx_lanes
@@ -253,12 +247,9 @@ impl TriangularAttention {
             {
                 for h in 0..heads {
                     bufs.load([&qm, &km, &vm], lane * ns, h);
-                    let qkv = [&bufs.q, &bufs.k, &bufs.v];
-                    head_probs_into(qkv, bias_mats.row(h), inv_sqrt, &mut probs)?;
-                    // The paper quantizes the score matrix (Group C); each
-                    // (lane, head) probability matrix is one tap activation.
-                    hook.on_activation(tap(ActivationSite::TriAttnScores), &mut probs);
-                    probs.matmul_into(&bufs.v, &mut bufs.ctx)?;
+                    materialised_head(&mut bufs, bias_mats.row(h), inv_sqrt, &mut probs, |p| {
+                        hook.on_activation(tap(ActivationSite::TriAttnScores), p)
+                    })?;
                     scatter_head(&bufs.ctx, lane_buf, h, self.head_dim, attn_dim);
                 }
             }
@@ -269,21 +260,16 @@ impl TriangularAttention {
         let mut ctx_tokens = orient(ctx_lanes);
         hook.on_activation(tap(ActivationSite::TriAttnContext), &mut ctx_tokens);
 
-        let mut gate = post_ln.project(&self.to_gate, &self.q_to_gate, Activation::Sigmoid)?;
-        // The encoded copy of `x`, if there is one, is not needed again.
-        drop(post_ln);
+        let mut gate = post_ln.project(&self.to_gate, Activation::Sigmoid)?;
+        // That was the post-LN activation's last reader: its buffer takes
+        // the output projection of the gated context.
+        let mut update = post_ln.into_buffer();
         hook.on_activation(tap(ActivationSite::TriAttnGate), &mut gate);
-
-        // `x` has no reader left: it takes the output projection of the
-        // gated context, which goes into the residual stream.
         gate.hadamard_assign(&ctx_tokens)?;
         workspace::give(ctx_tokens);
-        self.proj_out.forward_into(&gate, &mut x)?;
+        self.proj_out.forward_into(&gate, &mut update)?;
         workspace::give(gate);
-        tokens.add_scaled_assign(&x, self.update_gain)?;
-        workspace::give(x);
-        *pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
-        Ok(())
+        Ok(update)
     }
 }
 
@@ -327,21 +313,25 @@ impl HeadBuffers {
     }
 }
 
-/// One (lane, head) probability matrix, `softmax(q kᵀ/√d + bias)`, into
-/// the reused `(ns, ns)` buffer `probs`; the context is `probs · v`.
-fn head_probs_into(
-    [q, k, _]: [&Tensor2; 3],
+/// One (lane, head) with its scores materialised: the probability matrix
+/// `softmax(q kᵀ/√d + bias)` into the reused `(ns, ns)` buffer `probs`,
+/// which `observe` sees (and may rewrite), then the context `probs · v`
+/// into `bufs.ctx`.
+fn materialised_head(
+    bufs: &mut HeadBuffers,
     bias_mat: &[f32],
     inv_sqrt: f32,
     probs: &mut Tensor2,
+    observe: impl FnOnce(&mut Tensor2),
 ) -> Result<(), ln_tensor::TensorError> {
-    q.matmul_transposed_into(k, probs)?;
+    bufs.q.matmul_transposed_into(&bufs.k, probs)?;
     scale_and_bias(probs, inv_sqrt, bias_mat);
     let ns = probs.cols();
     for row in probs.as_mut_slice().chunks_exact_mut(ns.max(1)) {
         nn::softmax_inplace(row);
     }
-    Ok(())
+    observe(probs);
+    probs.matmul_into(&bufs.v, &mut bufs.ctx)
 }
 
 /// `scores[j][t] = scores[j][t]·inv_sqrt + bias_mat[j][t]`: the 1/√d scale

@@ -2,12 +2,11 @@
 //! gated "triangle" update — for every pair `(i, j)`, information flows
 //! through all intermediate residues `k`.
 
-use super::{transposed_pair_tokens, workspace, Activation, PostLn};
+use super::{residual_stage, transposed_pair_tokens, workspace, Activation, PostLn, Projection};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
-use ln_quant::qgemm::QLinear;
 use ln_tensor::nn::{LayerNorm, Linear};
-use ln_tensor::{nn, simd, Tensor3};
+use ln_tensor::{simd, Tensor2, Tensor3};
 
 /// Which triangle edge orientation the unit updates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,21 +22,14 @@ pub enum TriangleDirection {
 pub struct TriangularMultiplication {
     direction: TriangleDirection,
     norm_in: LayerNorm,
-    proj_left: Linear,
-    proj_right: Linear,
-    gate_left: Linear,
-    gate_right: Linear,
+    proj_left: Projection,
+    proj_right: Projection,
+    gate_left: Projection,
+    gate_right: Projection,
     norm_out: LayerNorm,
-    gate_out: Linear,
+    gate_out: Projection,
     proj_out: Linear,
     update_gain: f32,
-    // Quantized-domain twins of the projections that consume the post-LN
-    // activation, used when the hook requests RMPU-style integer GEMMs.
-    q_proj_left: QLinear,
-    q_proj_right: QLinear,
-    q_gate_left: QLinear,
-    q_gate_right: QLinear,
-    q_gate_out: QLinear,
 }
 
 impl TriangularMultiplication {
@@ -55,18 +47,13 @@ impl TriangularMultiplication {
         let gate_out = Linear::deterministic(&format!("{label}/go"), hz, hz, 0.3);
         TriangularMultiplication {
             direction,
-            q_proj_left: QLinear::from_linear(&proj_left),
-            q_proj_right: QLinear::from_linear(&proj_right),
-            q_gate_left: QLinear::from_linear(&gate_left),
-            q_gate_right: QLinear::from_linear(&gate_right),
-            q_gate_out: QLinear::from_linear(&gate_out),
             norm_in,
-            proj_left,
-            proj_right,
-            gate_left,
-            gate_right,
+            proj_left: Projection::new(proj_left),
+            proj_right: Projection::new(proj_right),
+            gate_left: Projection::new(gate_left),
+            gate_right: Projection::new(gate_right),
             norm_out: LayerNorm::deterministic_scaled(&format!("{label}/ln_out"), c, 0.2, 5.0),
-            gate_out,
+            gate_out: Projection::new(gate_out),
             proj_out: Linear::deterministic(&format!("{label}/po"), c, hz, 0.5),
             update_gain: config.update_gain,
         }
@@ -102,75 +89,68 @@ impl TriangularMultiplication {
         block: usize,
         recycle: usize,
     ) -> Result<(), PpmError> {
-        let (ns, _, hz) = pair.shape();
-        let tokens_n = ns * ns;
-        let tap = |site| Tap {
+        let ns = pair.shape().0;
+        let tap = move |site| Tap {
             block,
             recycle,
             site,
         };
+        residual_stage(
+            pair,
+            hook,
+            [
+                tap(ActivationSite::TriMulResidualIn),
+                tap(ActivationSite::TriMulPostLn),
+            ],
+            &self.norm_in,
+            self.update_gain,
+            |hook, post_ln| self.update(hook, post_ln, ns, tap),
+        )
+    }
 
-        // Group A: residual stream entering the unit. It moves through:
-        // taken out of `pair`, updated in place, moved back.
-        let mut tokens = std::mem::take(pair).into_token_matrix();
-        hook.on_activation(tap(ActivationSite::TriMulResidualIn), &mut tokens);
-
-        // Group B: post-LayerNorm.
-        let mut x = workspace::take(tokens_n, hz);
-        self.norm_in.forward_into(&tokens, &mut x)?;
-        hook.on_activation(tap(ActivationSite::TriMulPostLn), &mut x);
-
-        // Group C: gated projections. Three strategies, most specific wins:
-        //   1. quantized domain — AAQ-encode x once, run every projection
-        //      as an integer GEMM (numerics change; hook opted in);
-        //   2. observed — materialise each gate/projection so the hook can
-        //      record or rewrite it (the AAQ error-model path);
-        //   3. fused — gate and projection share one packed GEMM pass,
-        //      bit-identical to (2) when no hook rewrites anything.
-        let post_ln = PostLn::new(&x, hook.quantized_matmul(tap(ActivationSite::TriMulPostLn)));
-        let observes_gates = hook.observes(ActivationSite::TriMulGateLeft)
-            || hook.observes(ActivationSite::TriMulProjLeft)
-            || hook.observes(ActivationSite::TriMulGateRight)
-            || hook.observes(ActivationSite::TriMulProjRight);
+    /// The stage between its LayerNorm and its residual add: the gated
+    /// output projection of the triangle product, in `post_ln`'s buffer.
+    fn update(
+        &self,
+        hook: &mut dyn ActivationHook,
+        post_ln: PostLn,
+        ns: usize,
+        tap: impl Fn(ActivationSite) -> Tap,
+    ) -> Result<Tensor2, PpmError> {
+        let tokens_n = ns * ns;
         let c = self.proj_left.out_features();
-        // One side of (1) or (2): the gate and the projection each pass
-        // the hook, then the gate's buffer becomes their product and the
-        // projection's goes back for the other side to take.
-        let mut gated_side = |fp: [&Linear; 2], qd: [&QLinear; 2], sites: [ActivationSite; 2]| {
-            let mut gate = post_ln.project(fp[0], qd[0], Activation::Sigmoid)?;
+        // Group C: the gated projections, one way under every hook. In
+        // the quantized domain each is an integer GEMM on the encoded
+        // post-LN activation, otherwise an FP32 one; either way the
+        // gate and the projection each pass the hook (which may record
+        // or rewrite them, or ignore them), then the gate's buffer
+        // becomes their product and the projection's goes back for the
+        // other side to take.
+        let mut gated_side = |gate, proj, sites: [ActivationSite; 2]| {
+            let mut gate = post_ln.project(gate, Activation::Sigmoid)?;
             hook.on_activation(tap(sites[0]), &mut gate);
-            let mut proj = post_ln.project(fp[1], qd[1], Activation::None)?;
+            let mut proj = post_ln.project(proj, Activation::None)?;
             hook.on_activation(tap(sites[1]), &mut proj);
             gate.hadamard_assign(&proj)?;
             workspace::give(proj);
             Ok::<_, PpmError>(gate)
         };
-        let (mut left, mut right) = if post_ln.is_quantized() || observes_gates {
-            (
-                gated_side(
-                    [&self.gate_left, &self.proj_left],
-                    [&self.q_gate_left, &self.q_proj_left],
-                    [
-                        ActivationSite::TriMulGateLeft,
-                        ActivationSite::TriMulProjLeft,
-                    ],
-                )?,
-                gated_side(
-                    [&self.gate_right, &self.proj_right],
-                    [&self.q_gate_right, &self.q_proj_right],
-                    [
-                        ActivationSite::TriMulGateRight,
-                        ActivationSite::TriMulProjRight,
-                    ],
-                )?,
-            )
-        } else {
-            let mut left = workspace::take(tokens_n, c);
-            nn::gated_projection_into(&x, &self.gate_left, &self.proj_left, &mut left)?;
-            let mut right = workspace::take(tokens_n, c);
-            nn::gated_projection_into(&x, &self.gate_right, &self.proj_right, &mut right)?;
-            (left, right)
-        };
+        let mut left = gated_side(
+            &self.gate_left,
+            &self.proj_left,
+            [
+                ActivationSite::TriMulGateLeft,
+                ActivationSite::TriMulProjLeft,
+            ],
+        )?;
+        let mut right = gated_side(
+            &self.gate_right,
+            &self.proj_right,
+            [
+                ActivationSite::TriMulGateRight,
+                ActivationSite::TriMulProjRight,
+            ],
+        )?;
 
         // The triangle einsum; 1/√Ns keeps magnitudes length-independent.
         // The Incoming direction pre-transposes both operands (exact
@@ -214,22 +194,16 @@ impl TriangularMultiplication {
         workspace::give(tri_tokens);
         hook.on_activation(tap(ActivationSite::TriMulOutPostLn), &mut y);
 
-        let mut g = post_ln.project(&self.gate_out, &self.q_gate_out, Activation::Sigmoid)?;
-        // The encoded copy of `x`, if there is one, is not needed again.
-        drop(post_ln);
+        let mut g = post_ln.project(&self.gate_out, Activation::Sigmoid)?;
+        // That was the post-LN activation's last reader: its buffer
+        // takes the output projection, which is gated there.
+        let mut update = post_ln.into_buffer();
         hook.on_activation(tap(ActivationSite::TriMulOutGate), &mut g);
-
-        // `x` has no reader left: it takes the output projection, is gated
-        // there and added into the residual stream (which the hook may
-        // have rewritten).
-        self.proj_out.forward_into(&y, &mut x)?;
+        self.proj_out.forward_into(&y, &mut update)?;
         workspace::give(y);
-        x.hadamard_assign(&g)?;
+        update.hadamard_assign(&g)?;
         workspace::give(g);
-        tokens.add_scaled_assign(&x, self.update_gain)?;
-        workspace::give(x);
-        *pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
-        Ok(())
+        Ok(update)
     }
 }
 
@@ -298,7 +272,6 @@ fn einsum_block_body(l: &[f32], r: &[f32], ns: usize, c: usize, i0: usize, out: 
 mod tests {
     use super::*;
     use crate::taps::NoopHook;
-    use ln_tensor::Tensor2;
 
     fn pair(ns: usize, hz: usize) -> Tensor3 {
         Tensor3::from_fn(ns, ns, hz, |i, j, k| {
@@ -368,9 +341,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_path_matches_observed_path_bitwise() {
-        // NoopHook (fused gating, blocked einsum) must agree bit for bit
-        // with a hook that observes everything but rewrites nothing.
+    fn a_hook_that_ignores_every_tap_changes_nothing() {
+        // The stage has one body: what a hook answers to `observes` picks
+        // no path here, so NoopHook (observes nothing) and a hook that
+        // observes everything but rewrites nothing agree bit for bit.
         struct ObserveAll;
         impl ActivationHook for ObserveAll {
             fn on_activation(&mut self, _tap: Tap, _activation: &mut Tensor2) {}
@@ -378,11 +352,11 @@ mod tests {
         let cfg = PpmConfig::tiny();
         for direction in [TriangleDirection::Outgoing, TriangleDirection::Incoming] {
             let unit = TriangularMultiplication::new(&cfg, "t", direction);
-            let mut fused = pair(9, cfg.hz);
-            let mut observed = fused.clone();
-            unit.forward(&mut fused, &mut NoopHook, 0, 0).unwrap();
+            let mut ignored = pair(9, cfg.hz);
+            let mut observed = ignored.clone();
+            unit.forward(&mut ignored, &mut NoopHook, 0, 0).unwrap();
             unit.forward(&mut observed, &mut ObserveAll, 0, 0).unwrap();
-            assert_eq!(fused, observed, "{direction:?}");
+            assert_eq!(ignored, observed, "{direction:?}");
         }
     }
 

@@ -128,8 +128,8 @@ mod tests {
     use ln_quant::scheme::QuantScheme;
     use ln_tensor::Tensor3;
 
-    /// Observes every site (so every stage materialises everything and
-    /// tri-attn runs its serial path) and rewrites nothing.
+    /// Observes every site (so tri-attn runs its serial path) and
+    /// rewrites nothing.
     struct ObserveAll;
     impl ActivationHook for ObserveAll {
         fn on_activation(&mut self, _tap: Tap, _activation: &mut Tensor2) {}

@@ -108,9 +108,15 @@ impl FoldingModel {
         native: &Structure,
         hook: &mut dyn ActivationHook,
     ) -> Result<PredictionOutput, PpmError> {
-        let (mut seq_rep, pair_init) = self.embedding.embed(sequence, native)?;
+        let (mut seq_rep, mut pair_init) = self.embedding.embed(sequence, native)?;
         let ns = sequence.len();
-        let mut pair = pair_init.clone();
+        // The fold starts from the embedding itself; only a later recycle
+        // reads it again, so only then is a copy kept.
+        let mut pair = if self.config.recycles > 1 {
+            pair_init.clone()
+        } else {
+            std::mem::take(&mut pair_init)
+        };
 
         for recycle in 0..self.config.recycles {
             if recycle > 0 {

@@ -163,13 +163,16 @@ pub trait ActivationHook {
     /// Called for every tagged activation, in dataflow order.
     fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2);
 
-    /// Whether this hook wants to see activations at `site` at all.
+    /// Whether this hook looks at activations at `site` at all.
     ///
-    /// The trunk uses this to pick execution strategy: when a site is
-    /// unobserved, fused kernels may skip materialising the intermediate
-    /// tensor the tap would have exposed (the fused path is bit-identical
-    /// — only observability changes). Defaults to `true`, so custom hooks
-    /// keep today's observe-everything behaviour unless they opt out.
+    /// It decides one thing in the trunk: triangular attention asks it
+    /// about [`ActivationSite::TriAttnScores`] and, when the answer is no,
+    /// runs its lanes in parallel without calling the hook per
+    /// (lane, head) — the same arithmetic, bit for bit. Everywhere else
+    /// [`ActivationHook::on_activation`] is called whatever this returns,
+    /// and a hook that does not care ignores the call. A hook that wraps
+    /// another forwards the question. Defaults to `true`, so a custom hook
+    /// sees every score matrix unless it opts out.
     fn observes(&self, site: ActivationSite) -> bool {
         let _ = site;
         true

@@ -6,13 +6,16 @@
 //! thread; under a one-thread pool every kernel runs inline on the calling
 //! thread) and pins how many allocations of at least 64 KiB the second
 //! fold makes — a guard that depends on neither timing nor the system
-//! allocator's trimming policy.
+//! allocator's trimming policy — and what it leaves in the GEMM scratch
+//! arena, the fold's other standing memory (a process-wide high-water
+//! mark, so one test function owns it).
 
 use ln_par::{with_pool, Pool};
 use ln_ppm::taps::NoopHook;
 use ln_ppm::{FoldingModel, PpmConfig};
 use ln_protein::generator::StructureGenerator;
 use ln_protein::Sequence;
+use ln_tensor::microkernel;
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -35,13 +38,21 @@ fn the_counter_sees_a_large_allocation_and_no_small_one() {
 
 #[test]
 fn a_warm_fold_makes_few_large_allocations() {
-    // What is left at L = 32: the embedding's pair representation, the
-    // copy of it the fold starts from, and in each of the two blocks the
-    // sequence track's `(ns, 4·hm)` hidden activation and its ReLU. The
-    // pair stages make none; before the fold workspace this count was 116.
-    // `tests/aaq_large_allocs.rs` pins the same fold under `AaqHook` — 6 —
-    // and in the quantized domain — 26.
-    const WARM_FOLD_LARGE_ALLOCATIONS: u64 = 6;
+    // What is left at L = 32: the embedding's pair representation — which
+    // a one-recycle fold starts from as it is, not from a copy — and in
+    // each of the two blocks the sequence track's `(ns, 4·hm)` hidden
+    // activation and its ReLU. The pair stages make none; before the fold
+    // workspace this count was 116.
+    // `tests/aaq_large_allocs.rs` pins the same fold under `AaqHook` — 5 —
+    // and in the quantized domain — 15.
+    const WARM_FOLD_LARGE_ALLOCATIONS: u64 = 5;
+    // What the GEMM scratch arena holds after it: the packing buffers of
+    // the largest product — the pair transition's contraction, `(1024,
+    // 512) × (512, 128)`, which a one-thread pool runs as two 512-row
+    // chunks over 256-deep k-panels — and nothing else: no kernel parks
+    // a product there, which would be scratch no workspace test sees.
+    const A_STRIPS: u64 = 512 * 256 * 4;
+    const B_PANEL: u64 = 256 * 256 * 4;
     let ns = 32;
     let model = FoldingModel::new(PpmConfig::standard());
     let seq = Sequence::random("large_allocs", ns);
@@ -49,9 +60,11 @@ fn a_warm_fold_makes_few_large_allocations() {
     with_pool(&Pool::new_exact(1), || {
         let fold = || model.predict_with_hook(&seq, &native, &mut NoopHook);
         let (cold, first) = large_allocations_in(fold);
+        microkernel::reset_scratch_hwm();
         let (warm, second) = large_allocations_in(fold);
         assert_eq!(first.expect("folds"), second.expect("folds"));
         assert!(cold > warm, "the first fold fills the workspace");
         assert_eq!(warm, WARM_FOLD_LARGE_ALLOCATIONS);
+        assert_eq!(microkernel::scratch_hwm_bytes(), A_STRIPS + B_PANEL);
     });
 }

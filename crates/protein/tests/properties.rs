@@ -1,128 +1,170 @@
-// Compiled only with `--features proptest` (needs the external `proptest`
-// crate, unavailable offline — see the [features] note in Cargo.toml).
-#![cfg(feature = "proptest")]
-
-//! Property-based tests for geometry and structural metrics.
+//! Seeded property tests for geometry and structural metrics: each
+//! property runs over `CASES` inputs drawn from `ln_tensor::rng` streams
+//! keyed by the property's name and the case index, so a failure names a
+//! case that replays.
 
 use ln_protein::generator::{perturbed, rigidly_moved, StructureGenerator};
 use ln_protein::geometry::{kabsch, Mat3, Vec3};
 use ln_protein::{metrics, Sequence, Structure};
-use proptest::prelude::*;
+use ln_tensor::rng::{self, Rng, StdRng};
 
-fn arb_points(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec3>> {
-    proptest::collection::vec((-50.0f64..50.0, -50.0f64..50.0, -50.0f64..50.0), n)
-        .prop_map(|v| v.into_iter().map(|(x, y, z)| Vec3::new(x, y, z)).collect())
+const CASES: u64 = 64;
+
+/// Runs `property` on one fresh stream per case.
+fn for_each_case(name: &str, mut property: impl FnMut(u64, &mut StdRng)) {
+    for case in 0..CASES {
+        let mut rng = rng::stream_indexed(&format!("protein/properties/{name}"), case);
+        property(case, &mut rng);
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Uniform in `[lo, hi)`.
+fn uniform(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
+    lo + rng.gen::<f64>() * (hi - lo)
+}
 
-    #[test]
-    fn kabsch_rotation_is_proper_orthogonal(pts in arb_points(3..20)) {
+/// A vector with every coordinate uniform in `[-bound, bound)`.
+fn arb_vec3(rng: &mut StdRng, bound: f64) -> Vec3 {
+    let mut c = || uniform(rng, -bound, bound);
+    Vec3::new(c(), c(), c())
+}
+
+/// `n` points (drawn from the range) in a 100 Å cube.
+fn arb_points(rng: &mut StdRng, n: std::ops::Range<usize>) -> Vec<Vec3> {
+    let n = rng.gen_range(n);
+    (0..n).map(|_| arb_vec3(rng, 50.0)).collect()
+}
+
+#[test]
+fn kabsch_rotation_is_proper_orthogonal() {
+    for_each_case("kabsch_orthogonal", |case, rng| {
         // Degenerate (collinear/coincident) sets are still required to give a
         // proper rotation.
+        let pts = arb_points(rng, 3..20);
         let target: Vec<Vec3> = pts.iter().map(|&p| p + Vec3::new(1.0, 2.0, 3.0)).collect();
-        let xf = kabsch(&pts, &target);
-        let det = xf.rotation.det();
-        prop_assert!((det - 1.0).abs() < 1e-6, "det {det}");
+        let r = kabsch(&pts, &target).rotation;
+        let det = r.det();
+        assert!((det - 1.0).abs() < 1e-6, "case {case}: det {det}");
         // Columns orthonormal: R Rᵀ = I.
-        let rt = Mat3 { rows: [
-            [xf.rotation.rows[0][0], xf.rotation.rows[1][0], xf.rotation.rows[2][0]],
-            [xf.rotation.rows[0][1], xf.rotation.rows[1][1], xf.rotation.rows[2][1]],
-            [xf.rotation.rows[0][2], xf.rotation.rows[1][2], xf.rotation.rows[2][2]],
-        ]};
-        let prod = xf.rotation.mul_mat(&rt);
+        let rt = Mat3 {
+            rows: [
+                [r.rows[0][0], r.rows[1][0], r.rows[2][0]],
+                [r.rows[0][1], r.rows[1][1], r.rows[2][1]],
+                [r.rows[0][2], r.rows[1][2], r.rows[2][2]],
+            ],
+        };
+        let prod = r.mul_mat(&rt);
         for i in 0..3 {
             for j in 0..3 {
                 let expect = if i == j { 1.0 } else { 0.0 };
-                prop_assert!((prod.rows[i][j] - expect).abs() < 1e-6);
+                assert!((prod.rows[i][j] - expect).abs() < 1e-6, "case {case}");
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn kabsch_recovers_arbitrary_rigid_motion(
-        pts in arb_points(4..16),
-        axis in (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0),
-        angle in 0.0f64..6.28,
-        t in (-30.0f64..30.0, -30.0f64..30.0, -30.0f64..30.0),
-    ) {
-        let axis = Vec3::new(axis.0, axis.1, axis.2);
-        prop_assume!(axis.norm() > 1e-3);
-        // Require a non-degenerate point cloud (not all coincident).
+#[test]
+fn kabsch_recovers_arbitrary_rigid_motion() {
+    for_each_case("kabsch_rigid_motion", |case, rng| {
+        let pts = arb_points(rng, 4..16);
+        let axis = arb_vec3(rng, 1.0);
+        let angle = uniform(rng, 0.0, std::f64::consts::TAU);
+        let tv = arb_vec3(rng, 30.0);
+        // Needs an axis to rotate about and a non-degenerate point cloud
+        // (not all coincident).
         let spread: f64 = pts.iter().map(|p| p.norm()).sum();
-        prop_assume!(spread > 1.0);
+        if axis.norm() <= 1e-3 || spread <= 1.0 {
+            return;
+        }
         let r = Mat3::rotation(axis, angle);
-        let tv = Vec3::new(t.0, t.1, t.2);
         let moved: Vec<Vec3> = pts.iter().map(|&p| r.apply(p) + tv).collect();
         let xf = kabsch(&pts, &moved);
         for &p in &pts {
-            prop_assert!(xf.apply(p).distance(r.apply(p) + tv) < 1e-6);
+            assert!(xf.apply(p).distance(r.apply(p) + tv) < 1e-6, "case {case}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn tm_score_is_bounded_and_symmetric_under_rigid_motion(
-        len in 20usize..80,
-        seed in 0u64..50,
-    ) {
+#[test]
+fn tm_score_is_bounded_and_symmetric_under_rigid_motion() {
+    for_each_case("tm_score", |case, rng| {
+        let len = rng.gen_range(20..80usize);
+        let seed = rng.gen_range(0..50u64);
         let a = StructureGenerator::new(&format!("pa{seed}")).generate(len);
         let b = perturbed(&a, "pp", 2.0);
         let tm = metrics::tm_score(&b, &a).expect("same length").score;
-        prop_assert!((0.0..=1.0).contains(&tm));
+        assert!((0.0..=1.0).contains(&tm), "case {case}");
         // Rigidly moving the model cannot change the score materially.
         let b2 = rigidly_moved(&b, &format!("mv{seed}"));
         let tm2 = metrics::tm_score(&b2, &a).expect("same length").score;
-        prop_assert!((tm - tm2).abs() < 0.02, "{tm} vs {tm2}");
-    }
+        assert!((tm - tm2).abs() < 0.02, "case {case}: {tm} vs {tm2}");
+    });
+}
 
-    #[test]
-    fn rmsd_is_a_metric_zero_iff_identical(len in 10usize..60, seed in 0u64..20) {
+#[test]
+fn rmsd_is_a_metric_zero_iff_identical() {
+    for_each_case("rmsd", |case, rng| {
+        let len = rng.gen_range(10..60usize);
+        let seed = rng.gen_range(0..20u64);
         let a = StructureGenerator::new(&format!("ra{seed}")).generate(len);
-        prop_assert!(metrics::rmsd(&a, &a).expect("same") < 1e-6);
+        assert!(metrics::rmsd(&a, &a).expect("same") < 1e-6, "case {case}");
         let b = perturbed(&a, "rp", 1.0);
         let d = metrics::rmsd(&b, &a).expect("same");
-        prop_assert!(d > 0.0 && d < 3.0);
-    }
+        assert!(d > 0.0 && d < 3.0, "case {case}: {d}");
+    });
+}
 
-    #[test]
-    fn lddt_bounded(len in 10usize..50, noise in 0.0f64..10.0) {
+#[test]
+fn lddt_bounded() {
+    for_each_case("lddt", |case, rng| {
+        let len = rng.gen_range(10..50usize);
+        let noise = uniform(rng, 0.0, 10.0);
         let a = StructureGenerator::new("lddt").generate(len);
         let b = perturbed(&a, "lp", noise);
         let v = metrics::lddt(&b, &a).expect("same");
-        prop_assert!((0.0..=1.0).contains(&v));
-    }
+        assert!((0.0..=1.0).contains(&v), "case {case}: {v}");
+    });
+}
 
-    #[test]
-    fn sequences_round_trip_through_display(len in 0usize..200, seed in 0u64..20) {
+#[test]
+fn sequences_round_trip_through_display() {
+    for_each_case("sequence_display", |case, rng| {
+        let len = rng.gen_range(0..200usize);
+        let seed = rng.gen_range(0..20u64);
         let s = Sequence::random(&format!("s{seed}"), len);
-        let text = s.to_string();
-        let back: Sequence = text.parse().expect("valid codes");
-        prop_assert_eq!(s, back);
-    }
+        let back: Sequence = s.to_string().parse().expect("valid codes");
+        assert_eq!(s, back, "case {case}");
+    });
+}
 
-    #[test]
-    fn distance_matrix_satisfies_triangle_inequality(len in 3usize..24, seed in 0u64..10) {
+#[test]
+fn distance_matrix_satisfies_triangle_inequality() {
+    for_each_case("triangle_inequality", |case, rng| {
+        let len = rng.gen_range(3..24usize);
+        let seed = rng.gen_range(0..10u64);
         let s = StructureGenerator::new(&format!("d{seed}")).generate(len);
         let m = ln_protein::distance_matrix(&s);
         for i in 0..len {
             for j in 0..len {
                 for k in 0..len {
-                    prop_assert!(m.at(i, j) <= m.at(i, k) + m.at(k, j) + 1e-3);
+                    assert!(m.at(i, j) <= m.at(i, k) + m.at(k, j) + 1e-3, "case {case}");
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn structure_generation_scales_compactly(len in 50usize..250) {
+#[test]
+fn structure_generation_scales_compactly() {
+    for_each_case("compactness", |case, rng| {
+        let len = rng.gen_range(50..250usize);
         let s = StructureGenerator::new("scaling").generate(len);
         let rg = s.radius_of_gyration();
         // Must be well below the extended-rod radius of gyration; short
         // chains are naturally less compact, so the bound is loose.
         let rod = len as f64 * 3.8 / 12.0f64.sqrt();
-        prop_assert!(rg < rod * 0.75, "rg {rg} rod {rod}");
-    }
+        assert!(rg < rod * 0.75, "case {case}: rg {rg} rod {rod}");
+    });
 }
 
 #[test]

@@ -21,9 +21,7 @@
 //!   evaluates and rejects (§4.1), kept for the ablation benches.
 //! * [`tensor`] — [`tensor::QuantizedTensor`], the quantized activation
 //!   container: one dense level panel plus flat per-token scales and
-//!   outliers, with a dequantization-free matmul (the RMPU's execution
-//!   model in software) and an exact round trip through the [`layout`]
-//!   bytes.
+//!   outliers, with an exact round trip through the [`layout`] bytes.
 //! * [`qgemm`] — the fully quantized-domain GEMM: AAQ levels × INT8
 //!   weights with pure-integer inner loops (direct or RMPU-style
 //!   bit-chunked MACs) and a single dequantization epilogue.
@@ -39,6 +37,26 @@
 //! let back = q.dequantize();
 //! // The 8.0 outlier is preserved almost exactly; inliers within scale/2.
 //! assert!((back[2] - 8.0).abs() < 0.001);
+//! ```
+//!
+//! A whole activation is encoded once and every layer that reads it runs
+//! on the levels ([`qgemm::QLinear::forward`]), never on decoded values:
+//!
+//! ```
+//! use ln_quant::qgemm::{MacMode, QLinear};
+//! use ln_quant::scheme::QuantScheme;
+//! use ln_quant::tensor::QuantizedTensor;
+//! use ln_tensor::{nn::Linear, Tensor2};
+//!
+//! # fn main() -> Result<(), ln_tensor::TensorError> {
+//! let x = Tensor2::from_fn(8, 16, |i, j| (i + j) as f32 * 0.1);
+//! let scheme = QuantScheme::int4_with_outliers(4);
+//! let encoded = QuantizedTensor::from_tensor(&x, scheme);
+//! let layer = QLinear::from_linear(&Linear::deterministic("demo", 16, 4, 1.0));
+//! let y = layer.forward(&encoded, MacMode::for_scheme(scheme))?;
+//! assert_eq!(y.shape(), (8, 4));
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]

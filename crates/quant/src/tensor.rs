@@ -1,6 +1,6 @@
 //! A fully-quantized tensor container: `(tokens, channels)` activations
-//! held as the integer levels, scales and outliers of their AAQ encoding,
-//! with a dequantization-free matrix multiply.
+//! held as the integer levels, scales and outliers of their AAQ encoding —
+//! the A operand of the integer GEMM in [`crate::qgemm`].
 //!
 //! This is the storage type a deployment would actually hold in device
 //! memory, and each part of a token's encoding is stored exactly once:
@@ -15,10 +15,10 @@
 //!
 //! [`QuantizedTensor::from_tensor`] fills all three in one pass through
 //! `quantize_into` — the body [`crate::token::quantize_token`] wraps — at
-//! a fixed number of allocations whatever the token count. Linear layers
-//! run directly on the levels and apply each token's scaling factors
-//! exactly once per output element: the RMPU's execution model (§5.2), in
-//! software. The Fig. 7 bytes ([`QuantizedTensor::to_blocks`]) and a
+//! a fixed number of allocations whatever the token count. A
+//! [`crate::qgemm::QLinear`] runs directly on the levels and applies each
+//! token's scaling factors exactly once per output element: the RMPU's
+//! execution model (§5.2), in software. The Fig. 7 bytes ([`QuantizedTensor::to_blocks`]) and a
 //! single [`QuantizedToken`] ([`QuantizedTensor::token`]) are derived on
 //! demand; [`QuantizedTensor::from_blocks`] is `to_blocks`' exact inverse.
 //! `encoded_bytes()` stays what device memory would hold (the packed
@@ -29,7 +29,7 @@ use crate::qgemm::MR;
 use crate::scheme::QuantScheme;
 use crate::token::{inlier_runs, quantize_into, QuantizedToken, MAX_TOKEN_CHANNELS};
 use crate::QuantError;
-use ln_tensor::{Tensor2, TensorError};
+use ln_tensor::Tensor2;
 
 /// A `(tokens, channels)` activation stored quantized.
 ///
@@ -40,16 +40,14 @@ use ln_tensor::{Tensor2, TensorError};
 /// use ln_quant::tensor::QuantizedTensor;
 /// use ln_tensor::Tensor2;
 ///
-/// # fn main() -> Result<(), ln_tensor::TensorError> {
 /// let x = Tensor2::from_fn(8, 16, |i, j| (i + j) as f32 * 0.1);
 /// let q = QuantizedTensor::from_tensor(&x, QuantScheme::int8_with_outliers(2));
 /// assert!(q.encoded_bytes() < 8 * 16 * 2); // beats FP16
-/// let w = Tensor2::identity(16);
-/// let y = q.matmul(&w)?; // dequantization-free
-/// assert_eq!(y.shape(), (8, 16));
-/// # Ok(())
-/// # }
+/// assert!(q.decode().rmse(&x).expect("same shape") < 0.01);
 /// ```
+///
+/// The crate-level example runs a layer on one
+/// ([`crate::qgemm::QLinear::forward`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedTensor {
     scheme: QuantScheme,
@@ -292,60 +290,7 @@ impl QuantizedTensor {
             }
         }
     }
-
-    /// Dequantization-free matrix multiply against full-precision weights
-    /// `(channels, out_features)`: inlier levels accumulate as integers
-    /// against the weight values, outliers likewise, and each token's two
-    /// scaling factors are applied once per output element.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `weights.rows() !=
-    /// channels`.
-    pub fn matmul(&self, weights: &Tensor2) -> Result<Tensor2, TensorError> {
-        let tokens = self.num_tokens();
-        if weights.rows() != self.channels {
-            return Err(TensorError::ShapeMismatch {
-                op: "quantized_matmul",
-                lhs: vec![tokens, self.channels],
-                rhs: vec![weights.rows(), weights.cols()],
-            });
-        }
-        let out_features = weights.cols();
-        let mut out = Tensor2::zeros(tokens, out_features);
-        if out_features == 0 || tokens == 0 {
-            return Ok(out);
-        }
-        let per_chunk = ln_par::chunk_len(tokens, QMATMUL_PAR_GRAIN_TOKENS);
-        ln_par::par_chunks_mut(out.as_mut_slice(), per_chunk * out_features, |c, chunk| {
-            for (local, row) in chunk.chunks_mut(out_features).enumerate() {
-                let t = c * per_chunk + local;
-                let (inlier_scale, outlier_scale) = self.scales[t];
-                let (outlier_levels, outlier_indices) = self.outliers(t);
-                for (o, slot) in row.iter_mut().enumerate() {
-                    // Every channel in ascending order: an outlier's slot
-                    // holds level 0 and adds ±0.0 (a finite weight's), so
-                    // the sum is the inliers' alone.
-                    let mut inlier_acc = 0.0f64;
-                    for (ch, level) in self.token_levels(t).enumerate() {
-                        inlier_acc += level as f64 * weights.at(ch, o) as f64;
-                    }
-                    let mut outlier_acc = 0.0f64;
-                    for (&level, &idx) in outlier_levels.iter().zip(outlier_indices) {
-                        outlier_acc += level as f64 * weights.at(idx as usize, o) as f64;
-                    }
-                    // Scales applied once per accumulator, never per element.
-                    *slot = (inlier_acc * inlier_scale as f64 + outlier_acc * outlier_scale as f64)
-                        as f32;
-                }
-            }
-        });
-        Ok(out)
-    }
 }
-
-/// Minimum tokens per chunk for the dequantization-free matmul.
-const QMATMUL_PAR_GRAIN_TOKENS: usize = 4;
 
 #[cfg(test)]
 mod tests {
@@ -480,34 +425,6 @@ mod tests {
             QuantizedTensor::from_blocks(&blocks, scheme),
             Err(QuantError::CorruptBlock { .. })
         ));
-    }
-
-    #[test]
-    fn dequantization_free_matmul_matches_decode_then_matmul() {
-        let x = activation();
-        let w = Tensor2::from_fn(32, 8, |i, j| ((i * 11 + j * 3) % 17) as f32 * 0.1 - 0.8);
-        for scheme in [
-            QuantScheme::int8_with_outliers(4),
-            QuantScheme::int4_with_outliers(4),
-            QuantScheme::int4_with_outliers(0),
-        ] {
-            let q = QuantizedTensor::from_tensor(&x, scheme);
-            let fast = q.matmul(&w).expect("shapes match");
-            let slow = q.decode().matmul(&w).expect("shapes match");
-            for (a, b) in fast.as_slice().iter().zip(slow.as_slice()) {
-                assert!(
-                    (a - b).abs() < 1e-3 * b.abs().max(1.0),
-                    "{scheme}: {a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_rejects_bad_shapes() {
-        let q = QuantizedTensor::from_tensor(&activation(), QuantScheme::int4_with_outliers(0));
-        let w = Tensor2::zeros(31, 8);
-        assert!(q.matmul(&w).is_err());
     }
 
     #[test]

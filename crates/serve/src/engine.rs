@@ -26,7 +26,9 @@
 use crate::backend::Backend;
 use crate::batcher::{Batcher, BatcherConfig, QueuedRequest};
 use crate::bucket::BucketPolicy;
-use crate::request::{FoldError, FoldOutcome, FoldRequest, FoldResponse, RejectReason};
+use crate::request::{
+    terminal_error, FoldError, FoldOutcome, FoldRequest, FoldResponse, RejectReason,
+};
 use crate::stats::{BatchRecord, ServeStats};
 use ln_fault::{BreakerEvent, CircuitBreaker, DispatchFault, FaultPlan, ResilienceConfig};
 use ln_obs::{seconds_to_nanos, ArgValue, Clock, TraceEvent, TracePhase, Tracer, VirtualClock};
@@ -59,10 +61,6 @@ impl RunTrace {
         let tracer = Tracer::forced(clock.clone() as Arc<dyn Clock>, ENGINE_TRACE_CAPACITY);
         RunTrace { clock, tracer }
     }
-}
-
-fn precision_label(precision: ActPrecision) -> &'static str {
-    precision.label()
 }
 
 fn breaker_event_label(event: BreakerEvent) -> &'static str {
@@ -919,10 +917,7 @@ impl Engine {
                     vec![
                         ("bucket", ArgValue::U64(f.bucket as u64)),
                         ("batch_size", ArgValue::U64(f.requests.len() as u64)),
-                        (
-                            "precision",
-                            ArgValue::Str(precision_label(f.precision).to_string()),
-                        ),
+                        ("precision", ArgValue::Str(f.precision.label().to_string())),
                         ("peak_bytes", ArgValue::F64(peak_bytes)),
                     ],
                 );
@@ -1186,10 +1181,7 @@ impl Engine {
             vec![
                 ("bucket", ArgValue::U64(bucket as u64)),
                 ("batch_size", ArgValue::U64(batch.len() as u64)),
-                (
-                    "precision",
-                    ArgValue::Str(precision_label(precision).to_string()),
-                ),
+                ("precision", ArgValue::Str(precision.label().to_string())),
             ],
         );
         if precision != ActPrecision::Fp32 {
@@ -1198,10 +1190,7 @@ impl Engine {
                 "degrade",
                 "degradation",
                 BACKEND_TRACK_BASE + idx as u32,
-                vec![(
-                    "precision",
-                    ArgValue::Str(precision_label(precision).to_string()),
-                )],
+                vec![("precision", ArgValue::Str(precision.label().to_string()))],
             );
         }
         self.in_flight[idx] = Some(InFlight {
@@ -1213,19 +1202,6 @@ impl Engine {
             requests: batch,
         });
         stats.record_depth(bucket, self.batcher.depth(bucket));
-    }
-}
-
-/// Shapes the terminal error after `attempts` tries: a single-attempt
-/// failure keeps its direct cause; an exhausted retry budget wraps it.
-fn terminal_error(cause: FoldError, attempts: u32) -> FoldError {
-    if attempts <= 1 {
-        cause
-    } else {
-        FoldError::RetriesExhausted {
-            attempts,
-            last: cause.to_string(),
-        }
     }
 }
 

@@ -111,6 +111,19 @@ impl fmt::Display for FoldError {
 
 impl std::error::Error for FoldError {}
 
+/// Shapes the terminal error after `attempts` tries: a single-attempt
+/// failure keeps its direct cause; an exhausted retry budget wraps it.
+pub(crate) fn terminal_error(cause: FoldError, attempts: u32) -> FoldError {
+    if attempts <= 1 {
+        cause
+    } else {
+        FoldError::RetriesExhausted {
+            attempts,
+            last: cause.to_string(),
+        }
+    }
+}
+
 /// Terminal outcome of a request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FoldOutcome {

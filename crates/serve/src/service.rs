@@ -23,7 +23,7 @@
 use crate::backend::Backend;
 use crate::batcher::{Batcher, BatcherConfig, QueuedRequest};
 use crate::bucket::BucketPolicy;
-use crate::request::{FoldError, FoldOutcome, FoldRequest, FoldResponse};
+use crate::request::{terminal_error, FoldError, FoldOutcome, FoldRequest, FoldResponse};
 use crate::stats::{BatchRecord, ServeStats};
 use ln_fault::{BreakerEvent, CircuitBreaker, DispatchFault, FaultPlan, ResilienceConfig};
 use ln_obs::ArgValue;
@@ -123,14 +123,6 @@ impl Shared {
 /// Backend tracks start here on the global wall-clock tracer (buckets use
 /// their own index), mirroring the deterministic engine's track layout.
 const BACKEND_TRACK_BASE: u32 = 100;
-
-fn precision_label(precision: ActPrecision) -> &'static str {
-    match precision {
-        ActPrecision::Fp32 => "fp32",
-        ActPrecision::Int8 => "int8",
-        ActPrecision::Int4 => "int4",
-    }
-}
 
 fn trace_breaker(idx: usize, event: BreakerEvent) {
     let name = match event {
@@ -492,10 +484,7 @@ fn worker(shared: Arc<Shared>, idx: usize) {
                 vec![
                     ("bucket", ArgValue::U64(bucket as u64)),
                     ("batch_size", ArgValue::U64(batch.len() as u64)),
-                    (
-                        "precision",
-                        ArgValue::Str(precision_label(precision).to_string()),
-                    ),
+                    ("precision", ArgValue::Str(precision.label().to_string())),
                 ],
             );
             if precision != ActPrecision::Fp32 {
@@ -503,10 +492,7 @@ fn worker(shared: Arc<Shared>, idx: usize) {
                     "degrade",
                     "degradation",
                     track,
-                    vec![(
-                        "precision",
-                        ArgValue::Str(precision_label(precision).to_string()),
-                    )],
+                    vec![("precision", ArgValue::Str(precision.label().to_string()))],
                 );
             }
             // Wall-clock span over the worker's device hold; reported
@@ -668,19 +654,6 @@ fn worker(shared: Arc<Shared>, idx: usize) {
             .wait_timeout(st, Duration::from_secs_f64(wait))
             .unwrap_or_else(PoisonError::into_inner);
         st = guard;
-    }
-}
-
-/// Shapes the terminal error after `attempts` tries: a single-attempt
-/// failure keeps its direct cause; an exhausted retry budget wraps it.
-fn terminal_error(cause: FoldError, attempts: u32) -> FoldError {
-    if attempts <= 1 {
-        cause
-    } else {
-        FoldError::RetriesExhausted {
-            attempts,
-            last: cause.to_string(),
-        }
     }
 }
 

@@ -30,9 +30,20 @@
 //! loop at either tile width — and to any row-chunked parallel execution
 //! over it (the ln-par ownership-per-row contract).
 //!
+//! # Epilogues
+//!
+//! [`gemm`] and [`gemm_bt`] take an [`Epilogue`] — bias, bias + sigmoid or
+//! bias + ReLU — and apply it in one more pass over the output chunk they
+//! were handed, after the chunk's last k-panel (so per `ln-par` chunk:
+//! half the tensor on a one-thread pool, long out of cache; ROADMAP 3(c)).
+//! It saves the intermediate tensor, not the pass. Anything that combines
+//! two products — a gate times a projection — is two calls and an
+//! element-wise pass at the call site.
+//!
 //! # Scratch arena
 //!
-//! Packing buffers live in a per-thread scratch arena that is reused
+//! The packing buffers — one A strip set and one B panel, nothing else —
+//! live in a per-thread scratch arena that is reused
 //! across calls. Growth is counted in a per-thread [`alloc_events`]
 //! counter and asserted *absent* inside the tile loops (`debug_assert`),
 //! so CI can pin "zero allocations in the microkernel inner loop": warm
@@ -131,26 +142,6 @@ pub enum Epilogue<'a> {
     BiasSigmoid(&'a [f32]),
     /// `out[i][j] = max(out[i][j] + bias[j], 0)` — transition hidden.
     BiasRelu(&'a [f32]),
-    /// Bias add followed by per-row LayerNorm with the given parameters.
-    BiasLayerNorm {
-        /// Linear bias (length `n`).
-        bias: &'a [f32],
-        /// LayerNorm scale (length `n`).
-        gamma: &'a [f32],
-        /// LayerNorm shift (length `n`).
-        beta: &'a [f32],
-        /// Variance stabiliser.
-        epsilon: f32,
-    },
-}
-
-/// A weight panel plus its bias, for the gated dual-GEMM entry point.
-#[derive(Debug, Clone, Copy)]
-pub struct BiasedB<'a> {
-    /// `(k, n)` row-major weight matrix.
-    pub b: &'a [f32],
-    /// Bias of length `n`.
-    pub bias: &'a [f32],
 }
 
 /// Cumulative count of scratch-arena growth events on *this* thread.
@@ -183,8 +174,8 @@ pub fn reset_scratch_hwm() {
 static SCRATCH_HWM_BYTES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 fn note_scratch_hwm(s: &Scratch) {
-    let bytes = (s.a_pack.capacity() + s.b_pack.capacity() + s.g_acc.capacity()) as u64
-        * std::mem::size_of::<f32>() as u64;
+    let bytes =
+        (s.a_pack.capacity() + s.b_pack.capacity()) as u64 * std::mem::size_of::<f32>() as u64;
     SCRATCH_HWM_BYTES.fetch_max(bytes, std::sync::atomic::Ordering::Relaxed);
 }
 
@@ -192,7 +183,6 @@ fn note_scratch_hwm(s: &Scratch) {
 struct Scratch {
     a_pack: Vec<f32>,
     b_pack: Vec<f32>,
-    g_acc: Vec<f32>,
 }
 
 thread_local! {
@@ -244,66 +234,6 @@ pub fn gemm_bt(
 ) {
     run_gemm(host_nr(), a, &BSource::Transposed(b), k, n, row0, out);
     apply_epilogue(out, n, ep);
-}
-
-/// Gated dual GEMM sharing one packed A:
-/// `out[i][j] = sigmoid((a·gate.b)[i][j] + gate.bias[j]) · ((a·proj.b)[i][j] + proj.bias[j])`.
-///
-/// This is the tri-mul gated projection fused into a single pass: the
-/// gate accumulator lives in the scratch arena, so neither the gate nor
-/// the projection tensor is ever materialised.
-pub fn gemm_gated(
-    a: &[f32],
-    k: usize,
-    n: usize,
-    gate: BiasedB,
-    proj: BiasedB,
-    row0: usize,
-    out: &mut [f32],
-) {
-    gemm_gated_at(host_nr(), a, (k, n), gate, proj, row0, out);
-}
-
-/// [`gemm_gated`] at tile width `nr`.
-fn gemm_gated_at(
-    nr: usize,
-    a: &[f32],
-    (k, n): (usize, usize),
-    gate: BiasedB,
-    proj: BiasedB,
-    row0: usize,
-    out: &mut [f32],
-) {
-    run_gemm(nr, a, &BSource::Normal(proj.b), k, n, row0, out);
-    // Borrow the gate accumulator out of the arena so run_gemm can take
-    // the thread-local scratch for its packing buffers.
-    let mut g = SCRATCH.with(|c| std::mem::take(&mut c.borrow_mut().g_acc));
-    ensure(&mut g, out.len());
-    g[..out.len()].fill(0.0);
-    run_gemm(
-        nr,
-        a,
-        &BSource::Normal(gate.b),
-        k,
-        n,
-        row0,
-        &mut g[..out.len()],
-    );
-    for (orow, grow) in out.chunks_exact_mut(n).zip(g.chunks_exact(n)) {
-        for ((o, &gv), (&gb, &pb)) in orow
-            .iter_mut()
-            .zip(grow)
-            .zip(gate.bias.iter().zip(proj.bias))
-        {
-            let gated = 1.0 / (1.0 + (-(gv + gb)).exp());
-            *o = gated * (*o + pb);
-        }
-    }
-    SCRATCH.with(|c| {
-        let s = &mut *c.borrow_mut();
-        s.g_acc = g;
-        note_scratch_hwm(s);
-    });
 }
 
 /// The panel loops at tile width `nr` ([`NR`] or [`NR_WIDE`]): pack, then
@@ -570,27 +500,6 @@ fn apply_epilogue(out: &mut [f32], n: usize, ep: &Epilogue) {
                 }
             }
         }
-        Epilogue::BiasLayerNorm {
-            bias,
-            gamma,
-            beta,
-            epsilon,
-        } => {
-            for row in out.chunks_exact_mut(n) {
-                for (v, &b) in row.iter_mut().zip(bias) {
-                    *v += b;
-                }
-                // Identical expression order to `nn::LayerNorm::forward`,
-                // so the fused path is bit-equal to matmul→bias→LN.
-                let nn = row.len() as f32;
-                let mean = row.iter().sum::<f32>() / nn;
-                let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / nn;
-                let inv = 1.0 / (var + epsilon).sqrt();
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = (*v - mean) * inv * gamma[j] + beta[j];
-                }
-            }
-        }
     }
 }
 
@@ -733,44 +642,6 @@ mod tests {
                                 "{name} accumulate W={nr} ({m},{k},{n})"
                             );
                         }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gated_fusion_matches_unfused_sequence_at_both_tile_widths() {
-        let row0 = 1;
-        for nr in [NR, NR_WIDE] {
-            for (m, k, n) in [(7, 11, 9), (5, 300, 17), (1, 127, 130), (4, 256, 16)] {
-                let a = mat(row0 + m, k, 7);
-                let wg = mat(k, n, 8);
-                let wp = mat(k, n, 9);
-                let bg: Vec<f32> = (0..n).map(|j| j as f32 * 0.1 - 0.3).collect();
-                let bp: Vec<f32> = (0..n).map(|j| j as f32 * 0.05).collect();
-                let mut fused = vec![0.0f32; m * n];
-                gemm_gated_at(
-                    nr,
-                    &a,
-                    (k, n),
-                    BiasedB { b: &wg, bias: &bg },
-                    BiasedB { b: &wp, bias: &bp },
-                    row0,
-                    &mut fused,
-                );
-                let g = reference_matmul(&a, &wg, row0 + m, k, n);
-                let p = reference_matmul(&a, &wp, row0 + m, k, n);
-                for i in 0..m {
-                    for j in 0..n {
-                        let at = (row0 + i) * n + j;
-                        let gate = 1.0 / (1.0 + (-(g[at] + bg[j])).exp());
-                        let want = gate * (p[at] + bp[j]);
-                        assert_eq!(
-                            fused[i * n + j].to_bits(),
-                            want.to_bits(),
-                            "W={nr} ({m},{k},{n}) at ({i},{j})"
-                        );
                     }
                 }
             }

@@ -3,6 +3,11 @@
 //! Everything operates *token-wise* on [`Tensor2`] matrices of shape
 //! `(tokens, channels)`: linear layers transform the channel dimension,
 //! LayerNorm normalises each token, and softmax normalises each row.
+//!
+//! A [`Linear`] fuses its bias and at most one activation (sigmoid, ReLU)
+//! into the GEMM epilogue, bit-identical to applying them afterwards.
+//! Nothing here fuses two layers: a gate, `sigmoid(gate(x)) ⊙ proj(x)`, is
+//! two `forward`s and a Hadamard product where it is used.
 
 use crate::microkernel::Epilogue;
 use crate::rng;
@@ -178,62 +183,6 @@ impl Linear {
     pub fn forward_relu_into(&self, x: &Tensor2, out: &mut Tensor2) -> Result<(), TensorError> {
         x.matmul_epilogue_into(&self.weight, &Epilogue::BiasRelu(&self.bias), out)
     }
-
-    /// `ln.forward(x W + b)` with the LayerNorm fused into the GEMM epilogue.
-    ///
-    /// Bit-identical to `ln.forward(&forward(x))` without materialising the
-    /// pre-norm tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the widths disagree.
-    pub fn forward_layer_norm(&self, x: &Tensor2, ln: &LayerNorm) -> Result<Tensor2, TensorError> {
-        if ln.gamma.len() != self.weight.cols() {
-            return Err(TensorError::ShapeMismatch {
-                op: "linear_layer_norm",
-                lhs: vec![self.weight.rows(), self.weight.cols()],
-                rhs: vec![ln.gamma.len()],
-            });
-        }
-        x.matmul_epilogue(
-            &self.weight,
-            &Epilogue::BiasLayerNorm {
-                bias: &self.bias,
-                gamma: &ln.gamma,
-                beta: &ln.beta,
-                epsilon: ln.epsilon,
-            },
-        )
-    }
-}
-
-/// Fused gated projection `sigmoid(gate(x)) ⊙ proj(x)` sharing one packed
-/// A panel across both GEMMs; neither intermediate tensor is materialised.
-///
-/// Bit-identical to the unfused
-/// `sigmoid(gate.forward(x)) ⊙ proj.forward(x)` sequence — this is the
-/// tri-mul/tri-attn gating pattern on the microkernel fast path.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the two layers' shapes
-/// disagree with each other or with `x`.
-pub fn gated_projection(x: &Tensor2, gate: &Linear, proj: &Linear) -> Result<Tensor2, TensorError> {
-    x.matmul_gated((&gate.weight, &gate.bias), (&proj.weight, &proj.bias))
-}
-
-/// [`gated_projection`] written into `out`, whatever it held.
-///
-/// # Errors
-///
-/// As [`gated_projection`], and when `out` is not `(x.rows(), out_features)`.
-pub fn gated_projection_into(
-    x: &Tensor2,
-    gate: &Linear,
-    proj: &Linear,
-    out: &mut Tensor2,
-) -> Result<(), TensorError> {
-    x.matmul_gated_into((&gate.weight, &gate.bias), (&proj.weight, &proj.bias), out)
 }
 
 /// Per-token layer normalisation with learned scale and shift.
@@ -547,32 +496,12 @@ mod tests {
             bits(&sigmoid(&base))
         );
         assert_eq!(bits(&layer.forward_relu(&x).unwrap()), bits(&relu(&base)));
-        let ln = LayerNorm::deterministic("fused_ln", 16, 0.1);
-        assert_eq!(
-            bits(&layer.forward_layer_norm(&x, &ln).unwrap()),
-            bits(&ln.forward(&base).unwrap())
-        );
-    }
-
-    #[test]
-    fn gated_projection_matches_unfused_gating_bitwise() {
-        let x = Tensor2::from_fn(7, 20, |i, j| ((i * 5 + j * 11) % 23) as f32 * 0.13 - 1.4);
-        let gate = Linear::deterministic_with_bias("gp_gate", 20, 12, 1.0, 0.3);
-        let proj = Linear::deterministic_with_bias("gp_proj", 20, 12, 1.0, 0.3);
-        let fused = gated_projection(&x, &gate, &proj).unwrap();
-        let unfused = sigmoid(&gate.forward(&x).unwrap())
-            .hadamard(&proj.forward(&x).unwrap())
-            .unwrap();
-        for (a, b) in fused.as_slice().iter().zip(unfused.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
     fn into_forms_overwrite_a_wrong_valued_out_with_the_allocating_bits() {
         let x = Tensor2::from_fn(9, 24, |i, j| ((i * 13 + j * 7) % 19) as f32 * 0.21 - 1.7);
         let layer = Linear::deterministic_with_bias("into", 24, 16, 1.0, 0.4);
-        let gate = Linear::deterministic_with_bias("into_gate", 24, 16, 1.0, 0.3);
         let ln = LayerNorm::deterministic("into_ln", 24, 0.1);
         let bits = |t: &Tensor2| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let stale = || Tensor2::full(9, 16, f32::NAN);
@@ -586,12 +515,6 @@ mod tests {
         out = stale();
         layer.forward_relu_into(&x, &mut out).unwrap();
         assert_eq!(bits(&out), bits(&layer.forward_relu(&x).unwrap()));
-        out = stale();
-        gated_projection_into(&x, &gate, &layer, &mut out).unwrap();
-        assert_eq!(
-            bits(&out),
-            bits(&gated_projection(&x, &gate, &layer).unwrap())
-        );
         let mut normed = Tensor2::full(9, 24, f32::NAN);
         ln.forward_into(&x, &mut normed).unwrap();
         assert_eq!(bits(&normed), bits(&ln.forward(&x).unwrap()));
@@ -608,7 +531,6 @@ mod tests {
         assert!(layer.forward_into(&x, &mut wrong).is_err());
         assert!(layer.forward_sigmoid_into(&x, &mut wrong).is_err());
         assert!(layer.forward_relu_into(&x, &mut wrong).is_err());
-        assert!(gated_projection_into(&x, &gate, &layer, &mut wrong).is_err());
         assert!(ln.forward_into(&x, &mut wrong).is_err());
     }
 

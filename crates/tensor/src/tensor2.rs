@@ -1,4 +1,4 @@
-use crate::microkernel::{self, BiasedB, Epilogue};
+use crate::microkernel::{self, Epilogue};
 use crate::TensorError;
 
 /// A dense, row-major 2-D `f32` matrix.
@@ -217,8 +217,8 @@ impl Tensor2 {
         self.matmul_epilogue(rhs, &Epilogue::None)
     }
 
-    /// Matrix product `self × rhs` with a fused [`Epilogue`] applied to
-    /// every finished output element in the same pass.
+    /// Matrix product `self × rhs` with a fused [`Epilogue`]: one more
+    /// pass over each `ln-par` row chunk once its GEMM has finished.
     ///
     /// The epilogue reproduces the arithmetic of the unfused sequence
     /// (matmul, then a bias pass, then an activation map) bit for bit while
@@ -352,76 +352,6 @@ impl Tensor2 {
                 microkernel::gemm_bt(a, b, k, n, c * rows_per_chunk, chunk, &Epilogue::None);
             });
         });
-    }
-
-    /// Fused gated projection: `sigmoid(self × gate_w + gate_bias) ⊙
-    /// (self × proj_w + proj_bias)` in one pass over a shared packed A.
-    ///
-    /// Neither the gate nor the projection tensor is materialised; the
-    /// result is bit-identical to the unfused sigmoid/Hadamard sequence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the weight shapes do not
-    /// agree with `self` or each other, or a bias length differs from the
-    /// output width.
-    pub fn matmul_gated(
-        &self,
-        gate: (&Tensor2, &[f32]),
-        proj: (&Tensor2, &[f32]),
-    ) -> Result<Tensor2, TensorError> {
-        let mut out = Tensor2::zeros(self.rows, gate.0.cols);
-        self.matmul_gated_into(gate, proj, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Tensor2::matmul_gated`] written into `out`, whatever it held.
-    ///
-    /// # Errors
-    ///
-    /// As [`Tensor2::matmul_gated`], and when `out` is not
-    /// `(self.rows, gate_w.cols)`.
-    pub fn matmul_gated_into(
-        &self,
-        gate: (&Tensor2, &[f32]),
-        proj: (&Tensor2, &[f32]),
-        out: &mut Tensor2,
-    ) -> Result<(), TensorError> {
-        let (gate_w, gate_bias) = gate;
-        let (proj_w, proj_bias) = proj;
-        if self.cols != gate_w.rows
-            || gate_w.shape() != proj_w.shape()
-            || gate_bias.len() != gate_w.cols
-            || proj_bias.len() != proj_w.cols
-            || out.shape() != (self.rows, gate_w.cols)
-        {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_gated",
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![gate_w.rows, gate_w.cols],
-            });
-        }
-        let (m, k, n) = (self.rows, self.cols, gate_w.cols);
-        if m == 0 || n == 0 {
-            return Ok(());
-        }
-        out.data.fill(0.0);
-        ln_par::metrics::time_kernel("tensor2.matmul_gated", (m * n) as u64, || {
-            let rows_per_chunk = matmul_chunk_rows(m, k, n);
-            let a = &self.data;
-            let gb = BiasedB {
-                b: &gate_w.data,
-                bias: gate_bias,
-            };
-            let pb = BiasedB {
-                b: &proj_w.data,
-                bias: proj_bias,
-            };
-            ln_par::par_chunks_mut(out.as_mut_slice(), rows_per_chunk * n, |c, chunk| {
-                microkernel::gemm_gated(a, k, n, gb, pb, c * rows_per_chunk, chunk);
-            });
-        });
-        Ok(())
     }
 
     /// Returns the transposed matrix.
@@ -616,9 +546,6 @@ fn epilogue_fits(ep: &Epilogue, n: usize) -> bool {
     match *ep {
         Epilogue::None => true,
         Epilogue::Bias(b) | Epilogue::BiasSigmoid(b) | Epilogue::BiasRelu(b) => b.len() == n,
-        Epilogue::BiasLayerNorm {
-            bias, gamma, beta, ..
-        } => bias.len() == n && gamma.len() == n && beta.len() == n,
     }
 }
 

@@ -6,11 +6,7 @@
 #   2. cargo clippy --workspace --all-targets -D warnings (lints)
 #   3. cargo build --release                              (offline build)
 #   4. cargo test -q, then                                (test suite)
-#      cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm \
-#          -p ln-scope -p lightnobel      (kernel crates, error accounting) \
-#          -p ln-accel -p ln-datasets -p ln-fault -p ln-gpu -p ln-protein \
-#          -p ln-serve -p ln-cluster      (every crate free of the level race)
-#      cargo test -q --release --test golden_regression   (pinned fold bits)
+#      cargo test -q --release --workspace                (every crate, optimised)
 #   5. par_speedup --quick                                (kernel gate)
 #   6. chaos --quick                                      (ln-fault smoke)
 #   7. obs_overhead --quick                               (ln-obs cost gate)
@@ -22,39 +18,23 @@
 #      trace --workload fold_qdomain --quick
 #
 # Step 4's first command, at the workspace root, tests only the umbrella
-# package. Its second runs first the unit, integration and doc tests of the
-# four crates the fold's inner loops live in, and of the two that keep the
-# quantization-error accounts (`ln-scope`: `ScopeHook` and its ledger;
-# `lightnobel`: `AaqHook`), in the release profile — the only
-# profile in which the vectorised kernel bodies exist, so the bit-identity
-# tests (both GEMM tile widths against the reference fold, `qgemm` against
-# a scalar reference, `bit_identity.rs`, `no_alloc.rs`) and the
-# chunked-attention tests check the code that ships. It is also where the
-# fold workspace's contract is checked (`blocks/workspace.rs`: retained
-# buffers equal after one fold and after three under a non-observing, an
-# observe-everything and a quantized-domain hook; NaN-poisoned `take`s and
-# L = 24 -> 16 -> 24 folds giving the first fold's bits; the per-stage
-# bound on pair tensors on loan), where `crates/ppm/tests/large_allocs.rs`
-# pins the >= 64 KiB allocations a warm fold makes, where the `_into`
-# kernels are compared bit for bit with their allocating forms into a
-# wrong-valued `out` (`microkernel_edge.rs`, `tensor2.rs`, `nn.rs`,
-# `qgemm.rs`), and where the error sums the quantizer returns are checked
-# against a clone-and-diff sweep and for equal bits under pools 1 / 2 / 4
-# (`bit_identity.rs`), where `no_alloc.rs` holds `QuantizedTensor` to a
-# fixed number of allocations and to its panel, scales and outliers in
-# resident bytes, and where the seeded property tests of `ln-quant`,
-# `ln-tensor` and `ln-ppm` (`tests/properties.rs`, ported off proptest)
-# run. The same command runs the unit, integration and doc tests of seven
-# more crates — `ln-accel`, `ln-datasets`, `ln-fault`, `ln-gpu`,
-# `ln-protein`, `ln-serve`, `ln-cluster` — which no gate ran before: none
-# of their tests calls `ln_obs::set_level`. `ln-obs`, `ln-insight` and
-# `ln-watch` do, race on that global across test threads as `ln-scope`
-# did, and stay out until they serialise it (ROADMAP 7(a)). About a
-# minute once step 3 has built the crates (`lightnobel`'s unit tests,
-# minutes in the debug profile, take seconds optimised). Its third
-# command runs `tests/golden_regression.rs` optimised: the `pair_rep`
-# hashes pinned there for the L = 48 folds are skipped by the debug
-# profile of the first command (minutes), not by this one (seconds).
+# package, in the debug profile: the only one in which the microkernel's
+# zero-allocation `debug_assert` and the workspace's NaN-poisoned `take`s
+# are live under the integration tests. Its second runs the unit,
+# integration and doc tests of every crate in the workspace, the umbrella
+# package's again, in the release profile — the only profile in which the
+# vectorised kernel bodies exist, so the bit-identity tests (both GEMM
+# tile widths against the reference fold, `qgemm` against a scalar
+# reference, `bit_identity.rs`, `no_alloc.rs`), the chunked-attention
+# tests and the fold-workspace contract (`blocks/workspace.rs`,
+# `crates/ppm/tests/large_allocs.rs`, which also pins the GEMM scratch
+# arena) check the code that ships. It is where the `pair_rep` hashes of
+# the L = 48 folds pinned in `tests/golden_regression.rs` are checked
+# (the debug profile skips them: minutes there, seconds here), and where
+# every seeded property test runs — no test in the workspace is behind a
+# feature. No crate is left out: the tests that pin `ln_obs::set_level`
+# hold a lock while they do, in `ln-obs`, `ln-scope`, `ln-insight` and
+# `ln-watch` alike. About 75 s once step 3 has built the crates.
 #
 # Step 5 exits non-zero when a parallel kernel diverges bitwise from its
 # serial execution OR when any kernel's speedup drops below the 0.95x
@@ -119,9 +99,7 @@ step cargo clippy --workspace --all-targets -- -D warnings
 # target/ artifacts from earlier runs.
 step cargo build --release --workspace
 step cargo test -q
-step cargo test -q --release -p ln-par -p ln-tensor -p ln-quant -p ln-ppm -p ln-scope -p lightnobel \
-    -p ln-accel -p ln-datasets -p ln-fault -p ln-gpu -p ln-protein -p ln-serve -p ln-cluster
-step cargo test -q --release --test golden_regression
+step cargo test -q --release --workspace
 step ./target/release/par_speedup --quick
 step ./target/release/chaos --quick
 step ./target/release/obs_overhead --quick

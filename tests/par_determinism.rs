@@ -4,9 +4,9 @@
 //! and the per-row arithmetic order never changes (see DESIGN.md, "ln-par
 //! execution model").
 //!
-//! The seeded tests below always run offline; a property-based section at
-//! the bottom widens the input space when the `proptest` feature (and the
-//! external crate it gates) is available.
+//! Fixed inputs first; the two seeded properties at the bottom widen the
+//! input space over `ln_tensor::rng` streams keyed by the property's name
+//! and the case index, so a failure names a case that replays.
 
 use ln_par::{with_pool, Pool};
 use ln_ppm::blocks::FoldingBlock;
@@ -17,7 +17,7 @@ use ln_quant::qgemm::{qgemm, MacMode, QuantizedWeights, MR};
 use ln_quant::scheme::QuantScheme;
 use ln_quant::tensor::QuantizedTensor;
 use ln_quant::token::{fake_quantize_tokens, quantize_token};
-use ln_tensor::rng::{fill_normal, stream};
+use ln_tensor::rng::{fill_normal, stream, stream_indexed, Rng};
 use ln_tensor::{Tensor2, Tensor3};
 
 /// Pool sizes exercised by every test: serial, minimal parallel, and a size
@@ -115,15 +115,6 @@ fn aaq_block_round_trip_is_pool_invariant() {
             decoded.iter().flat_map(|v| bits(v)).collect::<Vec<u32>>(),
         )
     });
-}
-
-#[test]
-fn quantized_matmul_is_bitwise_pool_invariant() {
-    let scheme = QuantScheme::int8_with_outliers(2);
-    let x = seeded_tensor2("par-det/qmm/x", 13, 24);
-    let w = seeded_tensor2("par-det/qmm/w", 24, 17);
-    let q = QuantizedTensor::from_tensor(&x, scheme);
-    assert_pool_invariant(|| bits(q.matmul(&w).expect("shapes agree").as_slice()));
 }
 
 #[test]
@@ -228,44 +219,42 @@ fn layernorm_and_softmax_are_pool_invariant() {
     });
 }
 
-// Compiled only with `--features proptest` (needs the external `proptest`
-// crate, unavailable offline — see the [features] note in Cargo.toml).
-#[cfg(feature = "proptest")]
-mod properties {
-    use super::*;
-    use proptest::prelude::*;
+/// Cases per seeded property (each runs under four pools).
+const CASES: u64 = 32;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+#[test]
+fn matmul_is_pool_invariant_for_arbitrary_shapes() {
+    for case in 0..CASES {
+        let mut rng = stream_indexed("par-det/properties/matmul", case);
+        let (m, k, n) = (
+            rng.gen_range(0..24usize),
+            rng.gen_range(1..24usize),
+            rng.gen_range(1..24usize),
+        );
+        let mut a = vec![0.0f32; m * k];
+        let mut b = vec![0.0f32; k * n];
+        fill_normal(&mut rng, &mut a, 1.0);
+        fill_normal(&mut rng, &mut b, 1.0);
+        let a = Tensor2::from_vec(m, k, a).expect("shape matches data");
+        let b = Tensor2::from_vec(k, n, b).expect("shape matches data");
+        // The case rides along so that a divergence prints it.
+        assert_pool_invariant(|| (case, bits(a.matmul(&b).expect("shapes agree").as_slice())));
+    }
+}
 
-        #[test]
-        fn matmul_pool_invariant_for_arbitrary_shapes(
-            m in 0usize..24, k in 1usize..24, n in 1usize..24, seed in any::<u64>()
-        ) {
-            let mut rng = ln_tensor::rng::Xoshiro256pp::seed_from_u64(seed);
-            let mut a = vec![0.0f32; m * k];
-            let mut b = vec![0.0f32; k * n];
-            fill_normal(&mut rng, &mut a, 1.0);
-            fill_normal(&mut rng, &mut b, 1.0);
-            let a = Tensor2::from_vec(m, k, a).unwrap();
-            let b = Tensor2::from_vec(k, n, b).unwrap();
-            assert_pool_invariant(|| bits(a.matmul(&b).unwrap().as_slice()));
-        }
-
-        #[test]
-        fn aaq_pool_invariant_for_arbitrary_tokens(
-            rows in 1usize..32, seed in any::<u64>()
-        ) {
-            let mut rng = ln_tensor::rng::Xoshiro256pp::seed_from_u64(seed);
-            let mut data = vec![0.0f32; rows * 16];
-            fill_normal(&mut rng, &mut data, 10.0);
-            let x = Tensor2::from_vec(rows, 16, data).unwrap();
-            let scheme = QuantScheme::int4_with_outliers(2);
-            assert_pool_invariant(|| {
-                let mut q = x.clone();
-                fake_quantize_tokens(&mut q, scheme);
-                bits(q.as_slice())
-            });
-        }
+#[test]
+fn aaq_is_pool_invariant_for_arbitrary_tokens() {
+    let scheme = QuantScheme::int4_with_outliers(2);
+    for case in 0..CASES {
+        let mut rng = stream_indexed("par-det/properties/aaq", case);
+        let rows = rng.gen_range(1..32usize);
+        let mut data = vec![0.0f32; rows * 16];
+        fill_normal(&mut rng, &mut data, 10.0);
+        let x = Tensor2::from_vec(rows, 16, data).expect("shape matches data");
+        assert_pool_invariant(|| {
+            let mut q = x.clone();
+            fake_quantize_tokens(&mut q, scheme);
+            (case, bits(q.as_slice()))
+        });
     }
 }
