@@ -14,7 +14,8 @@
 //!
 //! A taken tensor's **contents are unspecified**. Whoever takes one
 //! overwrites all of it: the `_into` kernels do (they zero-fill first where
-//! the microkernel accumulates), the triangle einsum's output is filled,
+//! the microkernel accumulates), the triangle einsum stores every element
+//! of its output on its first k-panel without reading it,
 //! and `tri_attn`'s context buffer is fully written by `scatter_head`.
 //! Test and debug builds poison it with NaN so that a stale read cannot
 //! pass.
@@ -92,6 +93,11 @@ pub(crate) fn give(t: Tensor2) {
 /// folds — four pair-sized tensors and one the size of the transition's
 /// hidden activation, at the longest length folded. The next fold on this
 /// thread allocates them again. For a caller that folds once and lives on.
+///
+/// The kernels' packing buffers are not part of the workspace and stay:
+/// the triangle einsum's panels (at most `2 · Ns · 64 · 16` floats a
+/// thread; 1.2 MB at Ns = 192, where a chunk is half the rows) and the
+/// GEMM scratch arena (under 1 MB).
 pub fn release_fold_workspace() {
     WORKSPACE.with(|w| w.borrow_mut().free = Vec::new());
 }
@@ -236,7 +242,7 @@ mod tests {
         let transition = PairTransition::new(&cfg, "ws");
         let seq_track = SequenceTrack::new(&cfg, "ws");
         // (stage, most bytes it may have on loan): the operands of the
-        // einsum plus one being transposed beside `x`; q, k, v and the
+        // einsum and its output beside `x`; q, k, v and the
         // context beside `x`; `x` and the hidden activation; the outer
         // product (half a pair tensor) and its projection.
         let stages: [(&str, usize, Stage); 6] = [

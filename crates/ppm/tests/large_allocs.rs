@@ -47,11 +47,12 @@ fn a_warm_fold_makes_few_large_allocations() {
     // and in the quantized domain — 15.
     const WARM_FOLD_LARGE_ALLOCATIONS: u64 = 5;
     // What the GEMM scratch arena holds after it: the packing buffers of
-    // the largest product — the pair transition's contraction, `(1024,
-    // 512) × (512, 128)`, which a one-thread pool runs as two 512-row
-    // chunks over 256-deep k-panels — and nothing else: no kernel parks
-    // a product there, which would be scratch no workspace test sees.
-    const A_STRIPS: u64 = 512 * 256 * 4;
+    // the deepest product — the pair transition's contraction, `(1024,
+    // 512) × (512, 128)`, 256-deep k-panels — one 128-row block of A and
+    // one 256-column panel of B, whatever the rows in an `ln-par` chunk,
+    // and nothing else: no kernel parks a product there, which would be
+    // scratch no workspace test sees.
+    const A_BLOCK: u64 = 128 * 256 * 4;
     const B_PANEL: u64 = 256 * 256 * 4;
     let ns = 32;
     let model = FoldingModel::new(PpmConfig::standard());
@@ -65,6 +66,6 @@ fn a_warm_fold_makes_few_large_allocations() {
         assert_eq!(first.expect("folds"), second.expect("folds"));
         assert!(cold > warm, "the first fold fills the workspace");
         assert_eq!(warm, WARM_FOLD_LARGE_ALLOCATIONS);
-        assert_eq!(microkernel::scratch_hwm_bytes(), A_STRIPS + B_PANEL);
+        assert_eq!(microkernel::scratch_hwm_bytes(), A_BLOCK + B_PANEL);
     });
 }

@@ -30,27 +30,40 @@
 //! loop at either tile width — and to any row-chunked parallel execution
 //! over it (the ln-par ownership-per-row contract).
 //!
+//! # Loop order
+//!
+//! k-panel, then column panel (B packed: `kc × nc`), then block of `MC`
+//! rows (A packed: `MC × kc`), then tiles. A is therefore packed once per
+//! column panel rather than once per k-panel — `n / nc` times, twice at
+//! most at the widths the fold uses — and in exchange the packed A is a
+//! 128 KiB block that stays in L2 instead of a copy of every row the
+//! caller's chunk holds (half a pair tensor on a one-thread pool).
+//!
 //! # Epilogues
 //!
 //! [`gemm`] and [`gemm_bt`] take an [`Epilogue`] — bias, bias + sigmoid or
 //! bias + ReLU — and apply it in one more pass over the output chunk they
-//! were handed, after the chunk's last k-panel (so per `ln-par` chunk:
-//! half the tensor on a one-thread pool, long out of cache; ROADMAP 3(c)).
-//! It saves the intermediate tensor, not the pass. Anything that combines
-//! two products — a gate times a projection — is two calls and an
-//! element-wise pass at the call site.
+//! were handed, after the chunk's last k-panel. The row blocks do not
+//! shorten that distance: the k-panel loop is outside them, so a row's
+//! sums are finished only when the whole chunk's are, and the pass still
+//! runs per `ln-par` chunk — half the tensor on a one-thread pool, long
+//! out of cache (ROADMAP 3(c), the half that is open). It saves the
+//! intermediate tensor, not the pass. Anything that combines two products
+//! — a gate times a projection — is two calls and an element-wise pass at
+//! the call site.
 //!
 //! # Scratch arena
 //!
-//! The packing buffers — one A strip set and one B panel, nothing else —
-//! live in a per-thread scratch arena that is reused
-//! across calls. Growth is counted in a per-thread [`alloc_events`]
-//! counter and asserted *absent* inside the tile loops (`debug_assert`),
-//! so CI can pin "zero allocations in the microkernel inner loop": warm
-//! the arena with one call, snapshot the counter, re-run the same shape,
-//! and require the counter unchanged. The counter is thread-local like
-//! the arena itself — a pool worker growing *its* arena must not trip
-//! the guard of a different worker mid-panel.
+//! The packing buffers — one row block of A and one panel of B, `MC × 256`
+//! and `256 × 256` floats (384 KiB together) at the blocked size classes
+//! however many rows the product has, and nothing else — live in a
+//! per-thread scratch arena that is reused across calls. Growth is counted
+//! in a per-thread [`alloc_events`] counter and asserted *absent* inside
+//! the tile loops (`debug_assert`), so CI can pin "zero allocations in the
+//! microkernel inner loop": warm the arena with one call, snapshot the
+//! counter, re-run the same shape, and require the counter unchanged. The
+//! counter is thread-local like the arena itself — a pool worker growing
+//! *its* arena must not trip the guard of a different worker mid-panel.
 
 use crate::simd::{self, Tier};
 use std::cell::{Cell, RefCell};
@@ -61,6 +74,9 @@ pub const MR: usize = 4;
 pub const NR: usize = 8;
 /// Output-tile columns held in registers on the AVX2 tier.
 pub const NR_WIDE: usize = 16;
+/// Rows of A packed at a time: a `MC × kc` block (128 KiB at the deepest
+/// k-panel) that stays L2-resident under the B panel it is multiplied with.
+const MC: usize = 128;
 
 /// The tile width this host runs: a property of the CPU, so every chunk
 /// of one matmul (and every run on one host) uses the same one.
@@ -236,8 +252,9 @@ pub fn gemm_bt(
     apply_epilogue(out, n, ep);
 }
 
-/// The panel loops at tile width `nr` ([`NR`] or [`NR_WIDE`]): pack, then
-/// one [`micro_tile`] per `MR × nr` block of the output chunk.
+/// The panel loops at tile width `nr` ([`NR`] or [`NR_WIDE`]): k-panel,
+/// column panel (pack B), block of [`MC`] rows (pack A), then one
+/// [`micro_tile`] per `MR × nr` block of the output chunk.
 fn run_gemm(
     nr: usize,
     a: &[f32],
@@ -258,48 +275,51 @@ fn run_gemm(
     let rows = out.len() / n;
     let m_total = a.len() / k;
     let ts = tile_shape(m_total, k, n);
-    let row_tiles = rows.div_ceil(MR);
     SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
-        ensure(&mut s.a_pack, row_tiles * MR * ts.kc.min(k));
+        ensure(&mut s.a_pack, MC.min(rows).div_ceil(MR) * MR * ts.kc.min(k));
         ensure(&mut s.b_pack, ts.nc.div_ceil(nr) * nr * ts.kc.min(k));
         note_scratch_hwm(s);
         let mut kb = 0;
         while kb < k {
             let kc_len = ts.kc.min(k - kb);
-            pack_a(a, k, row0, rows, kb, kc_len, &mut s.a_pack);
             let mut jb = 0;
             while jb < n {
                 let nc_len = ts.nc.min(n - jb);
                 let col_tiles = nc_len.div_ceil(nr);
                 pack_b(nr, bsrc, k, n, (kb, kc_len), (jb, nc_len), &mut s.b_pack);
-                // The tile loops below touch only packed panels and the
+                // The loops below touch only the packing buffers and the
                 // output chunk: arena growth here would mean an alloc on
                 // the innermost path.
                 let arena_guard = ALLOC_EVENTS.with(Cell::get);
-                for (it, a_strip) in s
-                    .a_pack
-                    .chunks_exact(MR * kc_len)
-                    .take(row_tiles)
-                    .enumerate()
-                {
-                    let ir = it * MR;
-                    let mr_len = MR.min(rows - ir);
-                    for (jt, b_strip) in s
-                        .b_pack
-                        .chunks_exact(nr * kc_len)
-                        .take(col_tiles)
+                for ib in (0..rows).step_by(MC) {
+                    let mc_len = MC.min(rows - ib);
+                    let row_tiles = mc_len.div_ceil(MR);
+                    pack_a(a, k, row0 + ib, mc_len, kb, kc_len, &mut s.a_pack);
+                    for (it, a_strip) in s
+                        .a_pack
+                        .chunks_exact(MR * kc_len)
+                        .take(row_tiles)
                         .enumerate()
                     {
-                        let jr = jb + jt * nr;
-                        let nr_len = nr.min(n - jr);
-                        let tile = TilePos {
-                            ir,
-                            jr,
-                            mr_len,
-                            nr_len,
-                        };
-                        tile_fn(a_strip, b_strip, out, n, tile);
+                        let ir = ib + it * MR;
+                        let mr_len = MR.min(rows - ir);
+                        for (jt, b_strip) in s
+                            .b_pack
+                            .chunks_exact(nr * kc_len)
+                            .take(col_tiles)
+                            .enumerate()
+                        {
+                            let jr = jb + jt * nr;
+                            let nr_len = nr.min(n - jr);
+                            let tile = TilePos {
+                                ir,
+                                jr,
+                                mr_len,
+                                nr_len,
+                            };
+                            tile_fn(a_strip, b_strip, out, n, tile);
+                        }
                     }
                 }
                 debug_assert_eq!(
@@ -314,10 +334,11 @@ fn run_gemm(
     });
 }
 
-/// Packs MR-row strips of A for one k-panel: strip `it` holds rows
-/// `row0 + it·MR ..` as `[dk][il]` so the microkernel broadcast reads a
-/// contiguous MR-column. Rows past the chunk end pad with zeros (their
-/// products land in accumulator lanes that are never written back).
+/// Packs MR-row strips of one row block of A for one k-panel: strip `it`
+/// holds rows `row0 + it·MR ..` as `[dk][il]` so the microkernel broadcast
+/// reads a contiguous MR-column. Rows past the block's `rows` pad with
+/// zeros (their products land in accumulator lanes that are never written
+/// back).
 fn pack_a(
     a: &[f32],
     k: usize,
@@ -600,7 +621,8 @@ mod tests {
         x.iter().map(|v| v.to_bits()).collect()
     }
 
-    const WIDTH_MS: [usize; 4] = [1, 3, 4, 5];
+    // Around the tile's MR and the row block's MC.
+    const WIDTH_MS: [usize; 8] = [1, 3, 4, 5, MC - 1, MC, MC + 1, 2 * MC + 3];
     const WIDTH_KS: [usize; 4] = [1, 127, 256, 300];
     const WIDTH_NS: [usize; 8] = [1, 7, 8, 9, 15, 16, 17, 130];
 

@@ -20,7 +20,10 @@
 # Step 4's first command, at the workspace root, tests only the umbrella
 # package, in the debug profile: the only one in which the microkernel's
 # zero-allocation `debug_assert` and the workspace's NaN-poisoned `take`s
-# are live under the integration tests. Its second runs the unit,
+# are live under the integration tests. The four kernel crates are built
+# at `opt-level = 3` there (`[profile.dev.package.*]` in the root
+# Cargo.toml; debug assertions and overflow checks stay on), which takes
+# that pass from about nine minutes to under one. Its second runs the unit,
 # integration and doc tests of every crate in the workspace, the umbrella
 # package's again, in the release profile — the only profile in which the
 # vectorised kernel bodies exist, so the bit-identity tests (both GEMM
@@ -28,11 +31,10 @@
 # reference, `bit_identity.rs`, `no_alloc.rs`), the chunked-attention
 # tests and the fold-workspace contract (`blocks/workspace.rs`,
 # `crates/ppm/tests/large_allocs.rs`, which also pins the GEMM scratch
-# arena) check the code that ships. It is where the `pair_rep` hashes of
-# the L = 48 folds pinned in `tests/golden_regression.rs` are checked
-# (the debug profile skips them: minutes there, seconds here), and where
-# every seeded property test runs — no test in the workspace is behind a
-# feature. No crate is left out: the tests that pin `ln_obs::set_level`
+# arena) check the code that ships. The ten `pair_rep` hashes pinned in
+# `tests/golden_regression.rs` are checked in both profiles, and this is
+# where every seeded property test runs — no test in the workspace is
+# behind a feature. No crate is left out: the tests that pin `ln_obs::set_level`
 # hold a lock while they do, in `ln-obs`, `ln-scope`, `ln-insight` and
 # `ln-watch` alike. About 75 s once step 3 has built the crates.
 #

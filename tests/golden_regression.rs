@@ -153,10 +153,7 @@ fn trunk_pair_rep_bits_are_pinned() {
             ],
         ),
     ];
-    // The longer folds take minutes unoptimised: `scripts/ci.sh` step 4
-    // runs this file in the release profile as well, where they run.
-    let longest = if cfg!(debug_assertions) { 24 } else { 48 };
-    for (ns, want) in pinned.into_iter().filter(|&(ns, _)| ns <= longest) {
+    for (ns, want) in pinned {
         let got = [
             fold_hash(PpmConfig::standard(), ns, &mut NoopHook),
             fold_hash(chunked.clone(), ns, &mut NoopHook),

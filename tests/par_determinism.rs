@@ -9,7 +9,7 @@
 //! and the case index, so a failure names a case that replays.
 
 use ln_par::{with_pool, Pool};
-use ln_ppm::blocks::FoldingBlock;
+use ln_ppm::blocks::{FoldingBlock, TriangleDirection, TriangularMultiplication};
 use ln_ppm::taps::NoopHook;
 use ln_ppm::PpmConfig;
 use ln_quant::layout::TokenBlock;
@@ -29,6 +29,14 @@ fn seeded_tensor2(label: &str, rows: usize, cols: usize) -> Tensor2 {
     let mut data = vec![0.0f32; rows * cols];
     fill_normal(&mut rng, &mut data, 1.0);
     Tensor2::from_vec(rows, cols, data).expect("shape matches data")
+}
+
+/// An `(ns, ns, hz)` pair representation drawn from the stream `label`.
+fn seeded_pair(label: &str, ns: usize, hz: usize) -> Tensor3 {
+    let mut rng = stream(label);
+    let mut data = vec![0.0f32; ns * ns * hz];
+    fill_normal(&mut rng, &mut data, 0.5);
+    Tensor3::from_vec(ns, ns, hz, data).expect("shape matches data")
 }
 
 fn bits(x: &[f32]) -> Vec<u32> {
@@ -153,10 +161,7 @@ fn evoformer_block_is_bitwise_pool_invariant() {
     let block = FoldingBlock::new(&cfg, "par-det", 0);
     let ns = 9;
     let seq0 = seeded_tensor2("par-det/evo/seq", ns, cfg.hm);
-    let mut rng = stream("par-det/evo/pair");
-    let mut pair_data = vec![0.0f32; ns * ns * cfg.hz];
-    fill_normal(&mut rng, &mut pair_data, 0.5);
-    let pair0 = Tensor3::from_vec(ns, ns, cfg.hz, pair_data).expect("shape matches data");
+    let pair0 = seeded_pair("par-det/evo/pair", ns, cfg.hz);
     assert_pool_invariant(|| {
         let mut seq = seq0.clone();
         let mut pair = pair0.clone();
@@ -165,6 +170,27 @@ fn evoformer_block_is_bitwise_pool_invariant() {
             .expect("tiny config is valid");
         (bits(seq.as_slice()), bits(pair.as_slice()))
     });
+}
+
+#[test]
+fn triangular_multiplication_is_pool_invariant_where_its_einsum_splits() {
+    // At the tiny widths above one einsum row is 5 184 flops against a
+    // 4 Mflop grain, so the kernel only ever runs there as one chunk. At
+    // the standard widths and ns = 40 a row is 409 600 flops: two chunks of
+    // 20 rows on a one-thread pool, four of 10 on pools of 2 and 4 — the
+    // split a real fold makes, each chunk packing its own panels.
+    let cfg = PpmConfig::standard();
+    let ns = 40;
+    let pair0 = seeded_pair("par-det/tri-mul/pair", ns, cfg.hz);
+    for direction in [TriangleDirection::Outgoing, TriangleDirection::Incoming] {
+        let unit = TriangularMultiplication::new(&cfg, "par-det", direction);
+        assert_pool_invariant(|| {
+            let mut pair = pair0.clone();
+            unit.forward(&mut pair, &mut NoopHook, 0, 0)
+                .expect("standard config is valid");
+            bits(pair.as_slice())
+        });
+    }
 }
 
 #[test]
@@ -178,10 +204,7 @@ fn chunked_evoformer_block_is_pool_invariant_and_tracks_the_unchunked_block() {
         ..PpmConfig::tiny()
     };
     let seq0 = seeded_tensor2("par-det/evo-chunked/seq", ns, chunked_cfg.hm);
-    let mut rng = stream("par-det/evo-chunked/pair");
-    let mut pair_data = vec![0.0f32; ns * ns * chunked_cfg.hz];
-    fill_normal(&mut rng, &mut pair_data, 0.5);
-    let pair0 = Tensor3::from_vec(ns, ns, chunked_cfg.hz, pair_data).expect("shape matches data");
+    let pair0 = seeded_pair("par-det/evo-chunked/pair", ns, chunked_cfg.hz);
     let run = |cfg: &PpmConfig| {
         let block = FoldingBlock::new(cfg, "par-det", 0);
         let mut seq = seq0.clone();
