@@ -11,7 +11,7 @@ use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_tensor::microkernel::{self, Epilogue};
 use ln_tensor::nn::{LayerNorm, Linear};
-use ln_tensor::{nn, Tensor2, Tensor3};
+use ln_tensor::{nn, simd, vmath, Tensor2, Tensor3};
 
 /// Which pair-matrix axis the attention runs along.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -381,10 +381,11 @@ impl OnlineSoftmax {
 ///
 /// `bias` is the `(n, n)` row-major matrix added to the scaled scores.
 /// Returns exactly what `softmax(q kᵀ / √d + bias) v` would, up to
-/// floating-point reassociation. A key chunk whose scores are all `-inf`
-/// for some query (a fully masked stretch) contributes nothing to it, as
-/// in the full softmax; a query with no finite score at all has no
-/// softmax — the full path returns NaN there, this returns zeros.
+/// floating-point reassociation, degenerate rows included
+/// ([`ln_tensor::vmath`]'s table): a key chunk whose scores are all `-inf`
+/// for some query (a fully masked stretch) contributes nothing to it, a
+/// query with no score above `-inf` gets a context of zeros, and a NaN or
+/// `+inf` score turns its query's context into NaN.
 ///
 /// # Panics
 ///
@@ -415,14 +416,19 @@ pub fn chunked_attention(
 /// per key chunk:
 ///
 /// 1. `S = Q·K_cᵀ` into the `n × chunk` tile ([`microkernel::gemm_bt`]);
-/// 2. per query row, `S ← S/√d + bias`, the running maximum and normaliser
-///    are updated, the row of `out` is rescaled, and `S ← exp(S − max)`;
+/// 2. per query row, under one [`simd::wide`] frame a tile: `S ← S/√d +
+///    bias` and its [`vmath::max`]; if that raises the running maximum,
+///    the normaliser and the row of `out` are rescaled by
+///    `exp(old − new)`; then `S ← exp(S − max)` and the normaliser takes
+///    its [`vmath::sum`] — `vmath`'s polynomial `exp` and fixed-lane
+///    reductions, four sweeps of a row that is in L1;
 /// 3. `out += S·V_c` ([`microkernel::gemm`] accumulates onto `out`).
 ///
 /// Every query row only ever reads its own row of the tile, the state
-/// and `out`, and each element is a k-ascending fold, so rows are
-/// independent and any split of the surrounding lanes across an ln-par
-/// pool is bitwise pool-invariant.
+/// and `out`; each element of `out` is a k-ascending fold and each
+/// reduction of step 2 has `vmath`'s fixed order, so rows are independent
+/// and any split of the surrounding lanes across an ln-par pool is
+/// bitwise pool-invariant.
 fn chunked_attention_into(
     [q, k, v]: [&Tensor2; 3],
     bias: &[f32],
@@ -458,43 +464,33 @@ fn chunked_attention_into(
         let k_chunk = &k.as_slice()[start * dim..][..len * dim];
         microkernel::gemm_bt(q.as_slice(), k_chunk, dim, len, 0, tile, &Epilogue::None);
 
-        for (j, (scores, out_row)) in tile
-            .chunks_exact_mut(len)
-            .zip(out.chunks_exact_mut(dv))
-            .enumerate()
-        {
-            let mut local_max = f32::NEG_INFINITY;
-            for (s, b) in scores.iter_mut().zip(&bias[j * n + start..][..len]) {
-                *s = *s * inv_sqrt + b;
-                local_max = local_max.max(*s);
-            }
-            let new_max = row_max[j].max(local_max);
-            if new_max == f32::NEG_INFINITY {
-                // Nothing finite yet: zero weights, state untouched
-                // (`(-inf − -inf).exp()` would poison the row with NaN).
-                scores.fill(0.0);
-                continue;
-            }
-            // Online-softmax rescale of the accumulated state.
-            if row_max[j] != new_max {
-                let correction = if row_max[j] == f32::NEG_INFINITY {
-                    0.0
-                } else {
-                    (row_max[j] - new_max).exp()
-                };
-                row_sum[j] *= correction;
-                for value in out_row.iter_mut() {
-                    *value *= correction;
+        simd::wide(
+            #[inline(always)]
+            || {
+                for (j, (scores, out_row)) in tile
+                    .chunks_exact_mut(len)
+                    .zip(out.chunks_exact_mut(dv))
+                    .enumerate()
+                {
+                    for (s, b) in scores.iter_mut().zip(&bias[j * n + start..][..len]) {
+                        *s = *s * inv_sqrt + b;
+                    }
+                    let new_max = vmath::max(scores).max(row_max[j]);
+                    // Online-softmax rescale of the accumulated state;
+                    // from nothing (`row_max` still −∞) the factor is
+                    // `exp(−∞)`, exactly zero.
+                    if row_max[j] != new_max {
+                        let correction = vmath::exp(row_max[j] - new_max);
+                        row_sum[j] *= correction;
+                        for value in out_row.iter_mut() {
+                            *value *= correction;
+                        }
+                        row_max[j] = new_max;
+                    }
+                    row_sum[j] += vmath::exp_sub_sum(scores, new_max);
                 }
-                row_max[j] = new_max;
-            }
-            let mut sum = row_sum[j];
-            for s in scores.iter_mut() {
-                *s = (*s - new_max).exp();
-                sum += *s;
-            }
-            row_sum[j] = sum;
-        }
+            },
+        );
 
         let v_chunk = &v.as_slice()[start * dv..][..len * dv];
         microkernel::gemm(tile, v_chunk, len, dv, 0, out, &Epilogue::None);
@@ -677,7 +673,9 @@ mod tests {
                 .map(|i| ((i / n * 3 + i % n) % 7) as f32 * 0.1 - 0.3)
                 .collect();
             let reference = full_attention(&q, &k, &v, &bias, inv_sqrt);
-            for chunk in [1, 7, 64, n, n + 5] {
+            // Off `vmath`'s sixteen lanes (7, 17, 65 — the last leaves a
+            // second tile of 31) as well as on them.
+            for chunk in [1, 7, 17, 64, 65, n, n + 5] {
                 let out = chunked_attention(&q, &k, &v, &bias, inv_sqrt, chunk);
                 assert_close(&out, &reference, &format!("n {n} chunk {chunk}"));
             }
@@ -718,8 +716,8 @@ mod tests {
         let out = chunked_attention(&q, &k, &v, &bias, 0.35, chunk);
         assert_close(&out, &reference, "masked chunks");
 
-        // A row with no finite score has no softmax: zeros here (the full
-        // path's NaN is not reproduced), and the other rows do not move.
+        // A row with no finite score has no softmax: zeros, and the other
+        // rows do not move.
         bias[5 * n..6 * n].fill(f32::NEG_INFINITY);
         let with_dead_row = chunked_attention(&q, &k, &v, &bias, 0.35, chunk);
         for row in 0..n {
@@ -727,6 +725,44 @@ mod tests {
                 assert!(with_dead_row.row(row).iter().all(|&x| x == 0.0));
             } else {
                 assert_eq!(with_dead_row.row(row), out.row(row));
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_rows_behave_alike_in_both_softmaxes() {
+        // `vmath`'s table, through both attention paths: a query with no
+        // score above −∞ gets zeros, a NaN or +∞ score — among ordinary
+        // scores or among masked ones, in the first tile or a later one —
+        // turns its query's context into NaN, and no other row notices.
+        let (n, chunk) = (12, 5);
+        let [q, k, v] = qkv(n, 8);
+        let plain = vec![0.1f32; n * n];
+        let clean = chunked_attention(&q, &k, &v, &plain, 0.35, chunk);
+        for poison in [f32::NAN, f32::INFINITY] {
+            let mut bias = plain.clone();
+            bias[2 * n..3 * n].fill(f32::NEG_INFINITY);
+            bias[4 * n + 1] = poison;
+            bias[6 * n + 9] = poison;
+            bias[8 * n..9 * n].fill(f32::NEG_INFINITY);
+            bias[8 * n + 7] = poison;
+            let full = full_attention(&q, &k, &v, &bias, 0.35);
+            let chunked = chunked_attention(&q, &k, &v, &bias, 0.35, chunk);
+            for (path, out) in [("full", &full), ("chunked", &chunked)] {
+                for row in 0..n {
+                    let what = format!("{path}, {poison} poison, row {row}");
+                    match row {
+                        2 => assert!(out.row(row).iter().all(|&x| x == 0.0), "{what}"),
+                        4 | 6 | 8 => assert!(out.row(row).iter().all(|x| x.is_nan()), "{what}"),
+                        _ => assert!(
+                            out.row(row)
+                                .iter()
+                                .zip(clean.row(row))
+                                .all(|(a, b)| (a - b).abs() < 1e-5),
+                            "{what}"
+                        ),
+                    }
+                }
             }
         }
     }

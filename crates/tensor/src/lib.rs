@@ -18,6 +18,9 @@
 //! * [`simd`] — the one runtime dispatch point that lets the inner loops
 //!   (GEMM microkernel, `qgemm`, the triangle einsum) run at the host's
 //!   real vector width, bit-identically.
+//! * [`vmath`] — row math at that width: one polynomial `exp` and
+//!   fixed-lane `max` / `sum`, which softmax, sigmoid and LayerNorm are
+//!   written in.
 //! * [`stats`] — summary statistics (mean/std, absolute-value profiles,
 //!   3σ outlier counting) used for activation analysis (paper Fig. 5/6).
 //!
@@ -50,6 +53,7 @@ pub mod simd;
 pub mod stats;
 mod tensor2;
 mod tensor3;
+pub mod vmath;
 
 pub use error::TensorError;
 pub use tensor2::Tensor2;

@@ -13,12 +13,12 @@
 //! ([`NR`], eight XMM accumulators) on the baseline, 4×16 ([`NR_WIDE`],
 //! eight YMM accumulators) where [`crate::simd::wide`] finds AVX2 — the
 //! same body instantiated twice and entered through that one dispatch
-//! point, which holds the crate's only `unsafe`. Indicative rates on the
-//! host that recorded EXPERIMENTS.md ("AVX2 microkernel record"): ≈ 22
-//! GFLOP/s at W = 8 on SSE2, 46–47 at W = 16 on AVX2 (no FMA, so a
-//! multiply and an add per lane), both standalone at 4096 × 128 → 512;
-//! a whole `Linear::forward` of that shape reaches about half of either,
-//! the rest being its freshly allocated output.
+//! point, which holds the crate's only `unsafe`. On the 2-vCPU AVX2 host
+//! every fold record since PR 15 was taken on, W = 16 (no FMA, so a
+//! multiply and an add per lane) runs the fold's GEMMs at 22–29 GFLOP/s
+//! — `tensor.matmul_s` against its flop count, and
+//! `tensor.gemm_probe_gflops`, a whole `Linear::forward` into a freshly
+//! allocated output, reads the same.
 //!
 //! # Bitwise determinism
 //!
@@ -41,9 +41,10 @@
 //!
 //! # Epilogues
 //!
-//! [`gemm`] and [`gemm_bt`] take an [`Epilogue`] — bias, bias + sigmoid or
-//! bias + ReLU — and apply it in one more pass over the output chunk they
-//! were handed, after the chunk's last k-panel. The row blocks do not
+//! [`gemm`] and [`gemm_bt`] take an [`Epilogue`] — bias, bias + sigmoid
+//! ([`vmath::sigmoid`], under [`simd::wide`]) or bias + ReLU — and apply it
+//! in one more pass over the output chunk they were handed, after the
+//! chunk's last k-panel. The row blocks do not
 //! shorten that distance: the k-panel loop is outside them, so a row's
 //! sums are finished only when the whole chunk's are, and the pass still
 //! runs per `ln-par` chunk — half the tensor on a one-thread pool, long
@@ -66,6 +67,7 @@
 //! *its* arena must not trip the guard of a different worker mid-panel.
 
 use crate::simd::{self, Tier};
+use crate::vmath;
 use std::cell::{Cell, RefCell};
 
 /// Output-tile rows held in registers by the microkernel.
@@ -507,13 +509,16 @@ fn apply_epilogue(out: &mut [f32], n: usize, ep: &Epilogue) {
                 }
             }
         }
-        Epilogue::BiasSigmoid(bias) => {
-            for row in out.chunks_exact_mut(n) {
-                for (v, &b) in row.iter_mut().zip(bias) {
-                    *v = 1.0 / (1.0 + (-(*v + b)).exp());
+        Epilogue::BiasSigmoid(bias) => simd::wide(
+            #[inline(always)]
+            || {
+                for row in out.chunks_exact_mut(n) {
+                    for (v, &b) in row.iter_mut().zip(bias) {
+                        *v = vmath::sigmoid(*v + b);
+                    }
                 }
-            }
-        }
+            },
+        ),
         Epilogue::BiasRelu(bias) => {
             for row in out.chunks_exact_mut(n) {
                 for (v, &b) in row.iter_mut().zip(bias) {

@@ -12,7 +12,7 @@
 use crate::microkernel::Epilogue;
 use crate::rng;
 use crate::rng::Rng;
-use crate::{Tensor2, TensorError};
+use crate::{simd, vmath, Tensor2, TensorError};
 
 /// A dense affine layer `y = x W + b` over the channel dimension.
 ///
@@ -276,8 +276,9 @@ impl LayerNorm {
         if cols == 0 || x.rows() == 0 {
             return Ok(());
         }
-        // Rows normalise independently, so row-chunk parallelism is
-        // bit-identical to the serial loop.
+        // Rows normalise independently — mean and variance are
+        // `vmath`'s fixed-lane sums of the row alone — so row-chunk
+        // parallelism is bit-identical to the serial loop.
         let rows_per_chunk = ln_par::chunk_len(x.rows(), ROW_PAR_GRAIN_ELEMS.div_ceil(cols));
         let gamma = &self.gamma;
         let beta = &self.beta;
@@ -285,15 +286,21 @@ impl LayerNorm {
         let chunk_len = rows_per_chunk * cols;
         ln_par::par_chunks_mut(out.as_mut_slice(), chunk_len, |c, chunk| {
             let src = &x.as_slice()[c * chunk_len..][..chunk.len()];
-            for (row, src) in chunk.chunks_mut(cols).zip(src.chunks(cols)) {
-                let n = src.len() as f32;
-                let mean = src.iter().sum::<f32>() / n;
-                let var = src.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-                let inv = 1.0 / (var + epsilon).sqrt();
-                for ((o, v), (g, b)) in row.iter_mut().zip(src).zip(gamma.iter().zip(beta)) {
-                    *o = (v - mean) * inv * g + b;
-                }
-            }
+            simd::wide(
+                #[inline(always)]
+                || {
+                    for (row, src) in chunk.chunks_mut(cols).zip(src.chunks(cols)) {
+                        let n = src.len() as f32;
+                        let mean = vmath::sum(src) / n;
+                        let var = vmath::sum_squared_deviations(src, mean) / n;
+                        let inv = 1.0 / (var + epsilon).sqrt();
+                        for ((o, v), (g, b)) in row.iter_mut().zip(src).zip(gamma.iter().zip(beta))
+                        {
+                            *o = (v - mean) * inv * g + b;
+                        }
+                    }
+                },
+            );
         });
         Ok(())
     }
@@ -307,7 +314,7 @@ const ROW_PAR_GRAIN_ELEMS: usize = 1 << 15;
 
 /// Row-wise numerically-stable softmax.
 ///
-/// Each row of the result sums to 1.
+/// Each row of the result sums to 1 (see [`softmax_inplace`]).
 pub fn softmax_rows(x: &Tensor2) -> Tensor2 {
     let mut out = x.clone();
     let cols = out.cols();
@@ -316,29 +323,27 @@ pub fn softmax_rows(x: &Tensor2) -> Tensor2 {
     }
     let rows_per_chunk = ln_par::chunk_len(out.rows(), ROW_PAR_GRAIN_ELEMS.div_ceil(cols));
     ln_par::par_chunks_mut(out.as_mut_slice(), rows_per_chunk * cols, |_, chunk| {
-        for row in chunk.chunks_mut(cols) {
-            softmax_inplace(row);
-        }
+        simd::wide(
+            #[inline(always)]
+            || {
+                for row in chunk.chunks_mut(cols) {
+                    vmath::softmax_inplace(row);
+                }
+            },
+        );
     });
     out
 }
 
-/// Numerically-stable softmax over a single slice, in place.
+/// Numerically-stable softmax over a single slice, in place:
+/// [`vmath::softmax_inplace`] at the host's vector width. A row with no
+/// score above `−∞` becomes zeros and a NaN score makes its whole row NaN
+/// (the table in [`vmath`]'s docs).
 pub fn softmax_inplace(row: &mut [f32]) {
-    if row.is_empty() {
-        return;
-    }
-    let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-    let mut sum = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    if sum > 0.0 {
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    }
+    simd::wide(
+        #[inline(always)]
+        || vmath::softmax_inplace(row),
+    );
 }
 
 /// Element-wise ReLU.
@@ -355,18 +360,23 @@ fn relu_scalar(v: f32) -> f32 {
     v.max(0.0)
 }
 
-/// Element-wise logistic sigmoid.
+/// Element-wise logistic sigmoid ([`vmath::sigmoid`]).
 pub fn sigmoid(x: &Tensor2) -> Tensor2 {
-    x.map(sigmoid_scalar)
+    let mut out = x.clone();
+    sigmoid_inplace(&mut out);
+    out
 }
 
 /// [`sigmoid`] in place.
 pub fn sigmoid_inplace(x: &mut Tensor2) {
-    x.map_inplace(sigmoid_scalar);
-}
-
-fn sigmoid_scalar(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
+    simd::wide(
+        #[inline(always)]
+        || {
+            for v in x.as_mut_slice() {
+                *v = vmath::sigmoid(*v);
+            }
+        },
+    );
 }
 
 /// Element-wise GELU (tanh approximation).
@@ -464,6 +474,30 @@ mod tests {
             |t: &Tensor2| t.as_slice().iter().map(|v| v.abs()).sum::<f32>() / t.len() as f32;
         let ratio = mean_abs(&y4) / mean_abs(&y1);
         assert!((ratio - 4.0).abs() < 0.2, "ratio {ratio}");
+    }
+
+    #[test]
+    fn layer_norm_sums_in_the_fixed_lanes_at_any_width() {
+        // Mean and variance are `vmath`'s lane sums — here against the
+        // spelled-out lane order — and the rest is one expression per
+        // element; three tokens, so a row's sums are its own.
+        use crate::vmath::tests::{row, sum_reference, LENGTHS};
+        for features in LENGTHS.into_iter().filter(|&f| f > 0) {
+            let ln = LayerNorm::deterministic_scaled("lanes", features, 0.2, 5.0);
+            let x = Tensor2::from_vec(3, features, row(3 * features, features)).unwrap();
+            let got = ln.forward(&x).unwrap();
+            for t in 0..3 {
+                let src = x.row(t);
+                let n = features as f32;
+                let mean = sum_reference(src) / n;
+                let squares: Vec<f32> = src.iter().map(|v| (v - mean) * (v - mean)).collect();
+                let inv = 1.0 / (sum_reference(&squares) / n + ln.epsilon).sqrt();
+                for (c, (o, v)) in got.row(t).iter().zip(src).enumerate() {
+                    let want = (v - mean) * inv * ln.gamma[c] + ln.beta[c];
+                    assert_eq!(o.to_bits(), want.to_bits(), "width {features} ({t}, {c})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,26 @@
 //! keep their own summation order and the result is bit-identical on
 //! both tiers — which is why there is no FMA tier (it would change bits)
 //! and no way to choose the tier by hand.
+//!
+//! That is rule one, and it covers anything computed per element — a
+//! GEMM tile's accumulators, [`crate::vmath::exp`]. Rule two is for
+//! reductions: *a reduction is bit-stable across tiers and pools only
+//! when its lanes and its tree are written out.* An `iter().sum()` is a
+//! serial chain the vectoriser may not reassociate (so it stays scalar,
+//! one dependent add per element), and a reduction it *were* allowed to
+//! split would split differently at each width. [`crate::vmath`] therefore
+//! spells the order out — sixteen lanes, element `i` to lane `i mod 16`,
+//! one fixed halving tree — as part of what `sum` and `max` mean;
+//! sixteen rather than eight because eight is a single AVX2 register,
+//! one latency-bound chain, where sixteen is two (four on SSE2).
+//!
+//! PR 20 moved four functions onto those two rules and so changed their
+//! output bits, once: the online-softmax step of `ln-ppm`'s
+//! `chunked_attention`, [`crate::nn::softmax_inplace`] (and with it
+//! `softmax_rows`), the sigmoid of [`crate::nn::sigmoid`] and
+//! `Epilogue::BiasSigmoid`, and
+//! [`LayerNorm::forward_into`](crate::nn::LayerNorm::forward_into)'s mean
+//! and variance. GEMMs, the triangle einsum and the quantizer kept theirs.
 
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;

@@ -28,7 +28,8 @@
 # package's again, in the release profile — the only profile in which the
 # vectorised kernel bodies exist, so the bit-identity tests (both GEMM
 # tile widths against the reference fold, `qgemm` against a scalar
-# reference, `bit_identity.rs`, `no_alloc.rs`), the chunked-attention
+# reference, `vmath` against `f64::exp` and a scalar lane reference,
+# `bit_identity.rs`, `no_alloc.rs`), the chunked-attention
 # tests and the fold-workspace contract (`blocks/workspace.rs`,
 # `crates/ppm/tests/large_allocs.rs`, which also pins the GEMM scratch
 # arena) check the code that ships. The ten `pair_rep` hashes pinned in

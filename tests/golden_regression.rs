@@ -131,30 +131,39 @@ fn trunk_pair_rep_bits_are_pinned() {
         recycles: 2,
         ..PpmConfig::standard()
     };
+    // Re-pinned once, in PR 20, when four functions moved onto
+    // `ln_tensor::vmath` (polynomial `exp`, fixed-lane `max` / `sum`) and
+    // so changed their bits: `chunked_attention_into`'s online-softmax
+    // step, `nn::softmax_inplace`, the sigmoid of `nn::sigmoid` /
+    // `Epilogue::BiasSigmoid`, and `LayerNorm::forward_into`'s mean and
+    // variance. Old and new values: EXPERIMENTS.md, "Row math record".
     let pinned: [(usize, [u64; 5]); 2] = [
         (
             24,
             [
-                0xb5f6_008d_c903_c952,
-                0x5683_452f_a8b2_11e8,
-                0x778f_96e2_173a_fd25,
-                0x01c7_3bde_2a97_db97,
-                0x28a3_a0a3_214a_a725,
+                0x7880_7adb_ea03_163d,
+                0xc8d5_f439_9766_1a12,
+                0x3036_5d88_acb6_2b7d,
+                0x6044_f1a5_c748_3c3a,
+                0x2bf4_0e99_0363_435a,
             ],
         ),
         (
             48,
             [
-                0x41d9_f601_c54a_ffab,
-                0x9df9_8847_8a51_823d,
-                0x0535_428e_71ba_ac96,
-                0xc96f_bace_86e1_0c98,
-                0xf31e_21e9_594b_d800,
+                0xff63_3378_f900_9ef6,
+                0x42c4_8261_1164_e230,
+                0x8168_fce4_f236_1f3a,
+                0x5a53_f6df_6907_086a,
+                0x4d9a_dad8_b8b3_bff7,
             ],
         ),
     ];
-    for (ns, want) in pinned {
-        let got = [
+    // All ten are folded before any is compared, and a mismatch prints
+    // them in `pinned`'s own layout: a change that moves bits re-pins from
+    // one run.
+    let got = pinned.map(|(ns, _)| {
+        let hashes = [
             fold_hash(PpmConfig::standard(), ns, &mut NoopHook),
             fold_hash(chunked.clone(), ns, &mut NoopHook),
             fold_hash(recycled.clone(), ns, &mut NoopHook),
@@ -165,10 +174,25 @@ fn trunk_pair_rep_bits_are_pinned() {
                 &mut AaqHook::paper().with_quantized_domain(),
             ),
         ];
-        assert_eq!(
-            got.map(|h| format!("{h:016x}")),
-            want.map(|h| format!("{h:016x}")),
-            "ns {ns}: fp32, chunked, 2 recycles, aaq, quantized domain"
-        );
-    }
+        (ns, hashes)
+    });
+    let layout = |rows: &[(usize, [u64; 5])]| -> String {
+        let mut text = String::new();
+        for (ns, hashes) in rows {
+            text += &format!("        (\n            {ns},\n            [\n");
+            for h in hashes {
+                let hex = format!("{h:016x}");
+                let groups = [&hex[..4], &hex[4..8], &hex[8..12], &hex[12..]];
+                text += &format!("                0x{},\n", groups.join("_"));
+            }
+            text += "            ],\n        ),\n";
+        }
+        text
+    };
+    assert!(
+        got == pinned,
+        "per ns: fp32, chunked, 2 recycles, aaq, quantized domain — got\n{}pinned\n{}",
+        layout(&got),
+        layout(&pinned)
+    );
 }
