@@ -6,12 +6,6 @@
 //! Every pair-dataflow activation edge is reported to the caller's
 //! [`ActivationHook`] with its Fig. 6 site tag; the sequence track is not
 //! quantized by the paper and carries no taps.
-//!
-//! [`chunked_attention`] is re-exported on its own: it is the low-memory
-//! attention kernel `TriangularAttention` runs per (lane, head) when
-//! [`PpmConfig::attention_chunk`] is set — online softmax over key chunks
-//! on the GEMM microkernel, taking the head's `(n, n)` triangle-bias
-//! matrix as a slice — and tests compare it against the full softmax.
 
 mod seq_track;
 mod transition;
@@ -21,7 +15,7 @@ pub(crate) mod workspace;
 
 pub use seq_track::SequenceTrack;
 pub use transition::PairTransition;
-pub use tri_attn::{chunked_attention, AttentionNode, TriangularAttention};
+pub use tri_attn::{AttentionNode, TriangularAttention};
 pub use tri_mul::{TriangleDirection, TriangularMultiplication};
 pub use workspace::release_fold_workspace;
 

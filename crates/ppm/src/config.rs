@@ -34,10 +34,14 @@ pub struct PpmConfig {
     /// the distogram-carrying residual stream dominant, which is what makes
     /// the untrained-but-engineered trunk predictive.
     pub update_gain: f32,
-    /// Low-memory attention: when set, triangular attention streams keys/
-    /// values in chunks of this many positions with an online softmax and
-    /// never materialises the score matrix — the numeric counterpart of
-    /// the GPU `chunk` option and the accelerator's token-wise MHA (§5.4).
+    /// Low-memory attention: triangular attention takes each (lane, head)
+    /// this many query rows at a time (clamped to `Ns`; `None` = the whole
+    /// lane), so a thread holds `chunk · Ns` scores, never `Ns²` — the
+    /// numeric counterpart of the GPU `chunk` option and, at 1, of the
+    /// accelerator's token-wise MHA (§5.4), and what
+    /// [`crate::cost::ExecMode::Chunked`] prices. Every row is still
+    /// softmaxed whole and tapped: output bits and the bytes a hook counts
+    /// do not depend on it.
     pub attention_chunk: Option<usize>,
 }
 

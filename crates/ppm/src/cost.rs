@@ -104,7 +104,8 @@ pub enum ExecMode {
     Vanilla,
     /// The `chunk` option: triangular attention processes `rows` query rows
     /// at a time (ESMFold/AlphaFold `Chunk4` ⇒ `rows = 4`), trading latency
-    /// (kernel launches) for peak memory.
+    /// (kernel launches) for peak memory. The numeric path blocks the same
+    /// way: [`PpmConfig::attention_chunk`]` = Some(rows)`.
     Chunked {
         /// Rows per chunk.
         rows: usize,

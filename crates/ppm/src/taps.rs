@@ -165,14 +165,17 @@ pub trait ActivationHook {
 
     /// Whether this hook looks at activations at `site` at all.
     ///
-    /// It decides one thing in the trunk: triangular attention asks it
-    /// about [`ActivationSite::TriAttnScores`] and, when the answer is no,
-    /// runs its lanes in parallel without calling the hook per
-    /// (lane, head) — the same arithmetic, bit for bit. Everywhere else
+    /// It decides one thing in the trunk — which of two drivers runs
+    /// triangular attention's one head body. Asked about
+    /// [`ActivationSite::TriAttnScores`], a yes runs lanes serially and
+    /// taps every block of score rows (per lane, head and block of
+    /// [`crate::PpmConfig::attention_chunk`] query rows); a no runs the
+    /// lanes in parallel and never calls the hook there — the same
+    /// arithmetic, bit for bit. Everywhere else
     /// [`ActivationHook::on_activation`] is called whatever this returns,
     /// and a hook that does not care ignores the call. A hook that wraps
     /// another forwards the question. Defaults to `true`, so a custom hook
-    /// sees every score matrix unless it opts out.
+    /// sees every score row unless it opts out.
     fn observes(&self, site: ActivationSite) -> bool {
         let _ = site;
         true

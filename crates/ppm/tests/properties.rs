@@ -3,15 +3,15 @@
 //! property's name and the case index, so a failure names a case that
 //! replays. Three end-to-end checks on the tiny model follow them.
 
-use ln_ppm::blocks::chunked_attention;
+use ln_ppm::blocks::{AttentionNode, TriangularAttention};
 use ln_ppm::cost::{CostModel, ExecMode, ALL_STAGES};
 use ln_ppm::structure_module::{complete_distances, decode_structure, mds_embed};
 use ln_ppm::taps::{NoopHook, RecordingHook};
 use ln_ppm::{FoldingModel, PpmConfig};
 use ln_protein::generator::StructureGenerator;
-use ln_protein::{metrics, Sequence};
+use ln_protein::Sequence;
 use ln_tensor::rng::{self, Rng, StdRng};
-use ln_tensor::{nn, Tensor2};
+use ln_tensor::Tensor3;
 
 const CASES: u64 = 24;
 
@@ -24,31 +24,35 @@ fn for_each_case(name: &str, mut property: impl FnMut(u64, &mut StdRng)) {
 }
 
 #[test]
-fn chunked_attention_equals_full_for_any_chunk() {
-    for_each_case("chunked_attention", |case, rng| {
-        let n = rng.gen_range(2..16usize);
-        let dim = rng.gen_range(1..8usize);
-        let chunk = rng.gen_range(1..20usize);
+fn row_blocked_attention_equals_whole_lane_attention_to_the_bit() {
+    for_each_case("row_blocked_attention", |case, rng| {
+        let ns = rng.gen_range(1..25usize);
+        let rows = rng.gen_range(1..ns + 6);
         let seed = rng.gen_range(0..50usize);
-        let f = |i: usize, j: usize| ((i * 31 + j * 17 + seed) % 23) as f32 * 0.17 - 1.9;
-        let q = Tensor2::from_fn(n, dim, f);
-        let k = Tensor2::from_fn(n, dim, |i, j| f(i + 3, j));
-        let v = Tensor2::from_fn(n, dim, |i, j| f(i, j + 5));
-        // The (n, n) row-major bias matrix, as `tri_attn` holds it per head.
-        let bias: Vec<f32> = (0..n * n)
-            .map(|i| ((i / n + 2 * (i % n) + seed) % 5) as f32 * 0.2 - 0.4)
-            .collect();
-        let inv = 1.0 / (dim as f32).sqrt();
-        let mut scores = q.matmul_transposed(&k).expect("shapes");
-        for (s, b) in scores.as_mut_slice().iter_mut().zip(&bias) {
-            *s = *s * inv + b;
-        }
-        let reference = nn::softmax_rows(&scores).matmul(&v).expect("shapes");
-        let out = chunked_attention(&q, &k, &v, &bias, inv, chunk);
-        for (a, b) in out.as_slice().iter().zip(reference.as_slice()) {
+        let hz = PpmConfig::tiny().hz;
+        let pair = Tensor3::from_fn(ns, ns, hz, |i, j, k| {
+            ((i * 31 + j * 17 + k * 7 + seed) % 23) as f32 * 0.17 - 1.9
+        });
+        for node in [AttentionNode::Starting, AttentionNode::Ending] {
+            let forward = |attention_chunk| {
+                let cfg = PpmConfig {
+                    attention_chunk,
+                    ..PpmConfig::tiny()
+                };
+                let mut z = pair.clone();
+                TriangularAttention::new(&cfg, "rb", node)
+                    .forward(&mut z, &mut NoopHook, 0, 0)
+                    .expect("forward");
+                z
+            };
+            let (whole, blocked) = (forward(None), forward(Some(rows)));
             assert!(
-                (a - b).abs() < 1e-4,
-                "case {case} (n {n}, dim {dim}, chunk {chunk}): {a} vs {b}"
+                whole
+                    .as_slice()
+                    .iter()
+                    .zip(blocked.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "case {case} (ns {ns}, rows {rows}, {node:?})"
             );
         }
     });
@@ -153,8 +157,8 @@ fn mds_is_rigid_invariant() {
 
 #[test]
 fn low_memory_full_model_matches_vanilla() {
-    // End-to-end: a model with attention_chunk folds to (nearly) the same
-    // structure as the vanilla model.
+    // End-to-end: a model with attention_chunk folds to the vanilla
+    // model's prediction, bit for bit.
     let seq = Sequence::random("lmm", 32);
     let native = StructureGenerator::new("lmm").generate(32);
     let vanilla = FoldingModel::new(PpmConfig::tiny());
@@ -163,10 +167,7 @@ fn low_memory_full_model_matches_vanilla() {
     let low_mem = FoldingModel::new(cfg);
     let a = vanilla.predict(&seq, &native).expect("folds");
     let b = low_mem.predict(&seq, &native).expect("folds");
-    let tm = metrics::tm_score(&a.structure, &b.structure)
-        .expect("same length")
-        .score;
-    assert!(tm > 0.999, "tm {tm}");
+    assert_eq!(a, b);
 }
 
 #[test]

@@ -36,9 +36,8 @@
 //! sixteen rather than eight because eight is a single AVX2 register,
 //! one latency-bound chain, where sixteen is two (four on SSE2).
 //!
-//! PR 20 moved four functions onto those two rules and so changed their
-//! output bits, once: the online-softmax step of `ln-ppm`'s
-//! `chunked_attention`, [`crate::nn::softmax_inplace`] (and with it
+//! PR 20 moved three functions onto those two rules and so changed their
+//! output bits, once: [`crate::nn::softmax_inplace`] (and with it
 //! `softmax_rows`), the sigmoid of [`crate::nn::sigmoid`] and
 //! `Epilogue::BiasSigmoid`, and
 //! [`LayerNorm::forward_into`](crate::nn::LayerNorm::forward_into)'s mean

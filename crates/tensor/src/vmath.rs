@@ -1,5 +1,5 @@
-//! Row math: the one home of `exp` and of the reductions a softmax, an
-//! online softmax, a sigmoid and a LayerNorm are made of.
+//! Row math: the one home of `exp` and of the reductions a softmax, a
+//! sigmoid and a LayerNorm are made of.
 //!
 //! Everything here is plain generic Rust marked `#[inline(always)]`: call
 //! it inside a [`crate::simd::wide`] frame and it is compiled at the
@@ -52,8 +52,8 @@
 //! | `exp(x)`, `x ≥ 88.73` | `+∞` (from 88.722 84 up, the first `x` whose `exp` exceeds `f32::MAX`) |
 //! | `exp(NaN)` | NaN |
 //! | `sigmoid(±∞)`, `sigmoid(NaN)` | `1.0` / `+0.0`, NaN |
-//! | softmax of an all-`−∞` (or empty) row | all `+0.0` — in [`softmax_inplace`] and in `ln-ppm`'s online softmax alike |
-//! | softmax of a row holding a NaN or a `+∞` | every weight NaN: the score **poisons its row**, in both softmaxes and on both tiers; [`max`] itself skips NaN, the sum does not |
+//! | softmax of an all-`−∞` (or empty) row | all `+0.0` |
+//! | softmax of a row holding a NaN or a `+∞` | every weight NaN: the score **poisons its row**, on both tiers; [`max`] itself skips NaN, the sum does not |
 //! | `max` of an empty slice, `sum` of one | `−∞`, `+0.0` |
 
 /// Lanes a reduction runs in (see the module docs).

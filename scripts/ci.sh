@@ -29,11 +29,13 @@
 # vectorised kernel bodies exist, so the bit-identity tests (both GEMM
 # tile widths against the reference fold, `qgemm` against a scalar
 # reference, `vmath` against `f64::exp` and a scalar lane reference,
-# `bit_identity.rs`, `no_alloc.rs`), the chunked-attention
-# tests and the fold-workspace contract (`blocks/workspace.rs`,
-# `crates/ppm/tests/large_allocs.rs`, which also pins the GEMM scratch
-# arena) check the code that ships. The ten `pair_rep` hashes pinned in
-# `tests/golden_regression.rs` are checked in both profiles, and this is
+# `bit_identity.rs`, `no_alloc.rs`), the row-blocked attention
+# tests (a chunked unit, block and fold equal the unchunked ones to the
+# bit, and their score taps fire) and the fold-workspace contract
+# (`blocks/workspace.rs`, `crates/ppm/tests/large_allocs.rs`, which also
+# pins the GEMM scratch arena) check the code that ships. The eight
+# `pair_rep` hashes pinned in `tests/golden_regression.rs`, and their
+# equality with the chunked folds, are checked in both profiles, and this is
 # where every seeded property test runs — no test in the workspace is
 # behind a feature. No crate is left out: the tests that pin `ln_obs::set_level`
 # hold a lock while they do, in `ln-obs`, `ln-scope`, `ln-insight` and

@@ -9,6 +9,8 @@
 //!   bit-transparent: same prediction, nothing observed.
 //! * The error the quantizer reports about itself (what `AaqHook` keeps)
 //!   agrees with the observatory's own before/after difference per group.
+//! * A fold with `attention_chunk` set ledgers the score bytes of the
+//!   unchunked fold: its score blocks reach the hook, every row of them.
 //! * [`Scope::merge`] is associative and commutative, so per-worker or
 //!   per-shard scopes can be folded together in any grouping without
 //!   changing the snapshot — checked on fixed seed triples and on 32
@@ -54,11 +56,11 @@ impl Drop for ObsGuard {
     }
 }
 
-/// Folds one small deterministic protein through the AAQ-quantized tiny
-/// trunk under a pool of `threads` workers, observing with the full
+/// Folds one small deterministic protein through the AAQ-quantized trunk
+/// of `config` under a pool of `threads` workers, observing with the full
 /// observatory (sketches + ledger + probes).
-fn fold_observed(threads: usize) -> (ScopeHook<AaqHook>, PredictionOutput) {
-    let model = FoldingModel::new(PpmConfig::tiny());
+fn fold_observed(config: PpmConfig, threads: usize) -> (ScopeHook<AaqHook>, PredictionOutput) {
+    let model = FoldingModel::new(config);
     let seq = Sequence::random("numerics-scope", LEN);
     let native = StructureGenerator::new("numerics-scope").generate(LEN);
     let pool = Pool::new_exact(threads);
@@ -72,7 +74,7 @@ fn fold_observed(threads: usize) -> (ScopeHook<AaqHook>, PredictionOutput) {
 }
 
 fn fold_scope(threads: usize) -> (Scope, PredictionOutput) {
-    let (hook, out) = fold_observed(threads);
+    let (hook, out) = fold_observed(PpmConfig::tiny(), threads);
     (Scope::from_hook(hook), out)
 }
 
@@ -113,7 +115,7 @@ fn scope_snapshot_is_byte_identical_across_pools() {
 #[test]
 fn ledger_difference_agrees_with_the_quantizers_own_report() {
     let _guard = ObsGuard::at(ObsLevel::Counters);
-    let (hook, _) = fold_observed(1);
+    let (hook, _) = fold_observed(PpmConfig::tiny(), 1);
     // The reference: the wrapper's element-by-element difference around
     // the inner hook, summed per group from the per-(layer, stage) cells.
     let mut reference = [QuantError::default(); 3];
@@ -133,6 +135,32 @@ fn ledger_difference_agrees_with_the_quantizers_own_report() {
             "group {group}: quantizer reports {reported}, difference gives {reference}"
         );
     }
+}
+
+#[test]
+fn chunked_fold_ledgers_the_unchunked_folds_score_bytes() {
+    let _guard = ObsGuard::at(ObsLevel::Counters);
+    let score_cells = |attention_chunk| {
+        let config = PpmConfig {
+            attention_chunk,
+            ..PpmConfig::tiny()
+        };
+        let (hook, out) = fold_observed(config, 1);
+        let cells: Vec<_> = hook
+            .ledger()
+            .iter()
+            .filter(|((_, stage), _)| *stage == "tri_attn.scores")
+            .map(|((block, _), cell)| (*block, cell.encoded_bytes, cell.fp16_bytes))
+            .collect();
+        (cells, out)
+    };
+    let (whole, whole_out) = score_cells(None);
+    assert_eq!(whole.len(), PpmConfig::tiny().blocks);
+    assert!(whole.iter().all(|&(_, encoded, _)| encoded > 0));
+    // 24 query rows a lane in blocks of 5: four full blocks and a tail.
+    let (blocked, blocked_out) = score_cells(Some(5));
+    assert_eq!(blocked, whole);
+    assert_eq!(blocked_out, whole_out);
 }
 
 #[test]

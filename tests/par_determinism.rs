@@ -8,13 +8,14 @@
 //! input space over `ln_tensor::rng` streams keyed by the property's name
 //! and the case index, so a failure names a case that replays.
 
+use lightnobel::hook::AaqHook;
 use ln_par::{with_pool, Pool};
 use ln_ppm::blocks::{FoldingBlock, TriangleDirection, TriangularMultiplication};
-use ln_ppm::taps::NoopHook;
+use ln_ppm::taps::{ActivationHook, NoopHook};
 use ln_ppm::PpmConfig;
 use ln_quant::layout::TokenBlock;
 use ln_quant::qgemm::{qgemm, MacMode, QuantizedWeights, MR};
-use ln_quant::scheme::QuantScheme;
+use ln_quant::scheme::{Group, QuantScheme};
 use ln_quant::tensor::QuantizedTensor;
 use ln_quant::token::{fake_quantize_tokens, quantize_token};
 use ln_tensor::rng::{fill_normal, stream, stream_indexed, Rng};
@@ -195,38 +196,54 @@ fn triangular_multiplication_is_pool_invariant_where_its_einsum_splits() {
 
 #[test]
 fn chunked_evoformer_block_is_pool_invariant_and_tracks_the_unchunked_block() {
-    // attention_chunk = 8 over ns = 9: a full key chunk and a 1-wide tail
-    // through the online-softmax path, lanes split across the pool.
+    // attention_chunk = 4 over ns = 9: two full blocks of query rows and a
+    // 1-row tail per (lane, head), lanes split across the pool.
     let ns = 9;
     let unchunked_cfg = PpmConfig::tiny();
     let chunked_cfg = PpmConfig {
-        attention_chunk: Some(8),
+        attention_chunk: Some(4),
         ..PpmConfig::tiny()
     };
     let seq0 = seeded_tensor2("par-det/evo-chunked/seq", ns, chunked_cfg.hm);
     let pair0 = seeded_pair("par-det/evo-chunked/pair", ns, chunked_cfg.hz);
-    let run = |cfg: &PpmConfig| {
+    let run = |cfg: &PpmConfig, hook: &mut dyn ActivationHook| {
         let block = FoldingBlock::new(cfg, "par-det", 0);
         let mut seq = seq0.clone();
         let mut pair = pair0.clone();
         block
-            .forward(&mut seq, &mut pair, &mut NoopHook, 0, 0)
+            .forward(&mut seq, &mut pair, hook, 0, 0)
             .expect("tiny config is valid");
-        (seq, pair)
+        (bits(seq.as_slice()), bits(pair.as_slice()))
+    };
+    assert_pool_invariant(|| run(&chunked_cfg, &mut NoopHook));
+    assert_eq!(
+        run(&chunked_cfg, &mut NoopHook),
+        run(&unchunked_cfg, &mut NoopHook)
+    );
+
+    // Chunk + AAQ: the observing driver taps every block of score rows,
+    // serially, so the hook's f64 error sums have one order whatever the
+    // pool and its totals are bit-equal across pools.
+    let run_aaq = |cfg: &PpmConfig| {
+        let mut hook = AaqHook::paper();
+        let (_, pair) = run(cfg, &mut hook);
+        let rmse = [Group::A, Group::B, Group::C].map(|g| hook.relative_rmse(g));
+        (pair, hook.encoded_bytes(), hook.fp16_bytes(), rmse)
     };
     assert_pool_invariant(|| {
-        let (seq, pair) = run(&chunked_cfg);
-        (bits(seq.as_slice()), bits(pair.as_slice()))
+        let (pair, encoded, _, rmse) = run_aaq(&chunked_cfg);
+        (pair, encoded, rmse.map(f64::to_bits))
     });
-    let (seq_c, pair_c) = run(&chunked_cfg);
-    let (seq_u, pair_u) = run(&unchunked_cfg);
-    for (c, u) in [
-        (seq_c.as_slice(), seq_u.as_slice()),
-        (pair_c.as_slice(), pair_u.as_slice()),
-    ] {
-        for (a, b) in c.iter().zip(u) {
-            assert!((a - b).abs() < 1e-4, "chunked {a} vs unchunked {b}");
-        }
+    // Against the unchunked block: the same bits and — integer per-token
+    // sums — the same bytes exactly; the error sums add per tap, so
+    // grouping a lane's rows into blocks reorders f64 additions and they
+    // agree to rounding, not by bits.
+    let (pair_c, encoded_c, fp16_c, rmse_c) = run_aaq(&chunked_cfg);
+    let (pair_u, encoded_u, fp16_u, rmse_u) = run_aaq(&unchunked_cfg);
+    assert_eq!(pair_c, pair_u);
+    assert_eq!((encoded_c, fp16_c), (encoded_u, fp16_u));
+    for (c, u) in rmse_c.iter().zip(rmse_u) {
+        assert!(u > 0.0 && (c - u).abs() <= 1e-12 * u, "{c} vs {u}");
     }
 }
 
