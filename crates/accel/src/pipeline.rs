@@ -237,25 +237,6 @@ impl LatencyReport {
     }
 }
 
-/// Dataset-level aggregate of accelerator runs (the Fig. 14/15 axes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkloadSummary {
-    /// Number of proteins in the workload.
-    pub proteins: usize,
-    /// Mean folding latency, seconds.
-    pub mean_seconds: f64,
-    /// Median folding latency, seconds.
-    pub p50_seconds: f64,
-    /// 95th-percentile folding latency, seconds.
-    pub p95_seconds: f64,
-    /// Total folding energy, joules.
-    pub total_energy_joules: f64,
-    /// Largest peak-memory requirement, bytes.
-    pub max_peak_bytes: f64,
-    /// Proteins that exceed device memory.
-    pub oom_count: usize,
-}
-
 /// The LightNobel accelerator model.
 #[derive(Debug, Clone)]
 pub struct Accelerator {
@@ -317,84 +298,26 @@ impl Accelerator {
         report
     }
 
-    /// Peak device-memory requirement (bytes): the encoded residual pair
-    /// stream (double-buffered), tri-mul intermediates, weights and
-    /// working sets. Token-wise MHA never materialises score tensors.
+    /// Peak device-memory requirement (bytes): the token-wise encoded
+    /// activation peak plus the resident weights.
     pub fn peak_memory_bytes(&self, ns: usize) -> f64 {
-        let cfg = self.cost.config();
-        let tokens = (ns as f64) * (ns as f64);
-        let a_bytes = self.aaq.group_a.token_bytes(cfg.hz) as f64;
-        let c_bytes = self.aaq.group_c.token_bytes(cfg.tri_mul_dim) as f64;
-        // Residual stream (double-buffered) + the recycling copy of the
-        // previous pair state, the left/right triangle operands, and the
-        // q/k/v streams of the in-flight attention unit.
-        let activations = 3.0 * tokens * a_bytes + (2.0 + 3.0) * tokens * c_bytes;
-        let weights = self.cost.trunk_params() as f64 * 2.0; // INT16
-        activations + weights
-    }
-
-    /// The activation share of [`Accelerator::peak_memory_bytes`] — what a
-    /// precision-degradation ladder can actually shrink (weights stay
-    /// resident at INT16 whatever the activation rung).
-    pub fn activation_bytes(&self, ns: usize) -> f64 {
-        self.peak_memory_bytes(ns) - self.weight_bytes()
+        self.cost.peak_activation_bytes_tokenwise(ns, &self.aaq) + self.weight_bytes()
     }
 
     /// Resident weight bytes (trunk parameters at INT16).
     pub fn weight_bytes(&self) -> f64 {
-        self.cost.trunk_params() as f64 * 2.0
+        self.cost.trunk_weight_bytes_int16()
     }
 
     /// Whether a protein of length `ns` fits device memory.
     pub fn fits_memory(&self, ns: usize) -> bool {
-        self.fits_memory_in(ns, self.hw.hbm_capacity_bytes as f64)
-    }
-
-    /// Whether a protein of length `ns` fits in `available_bytes` of device
-    /// memory — the capacity-pressure hook: fault injection passes a
-    /// shrunken budget while the hardware configuration stays fixed.
-    pub fn fits_memory_in(&self, ns: usize, available_bytes: f64) -> bool {
-        self.peak_memory_bytes(ns) <= available_bytes
+        self.peak_memory_bytes(ns) <= self.hw.hbm_capacity_bytes as f64
     }
 
     /// Energy for one folding run, joules (accelerator power × latency).
     pub fn energy_joules(&self, ns: usize) -> f64 {
         let watts = crate::power::area_power(&self.hw).total.power_mw / 1000.0;
         self.simulate(ns).total_seconds() * watts
-    }
-
-    /// Summarises a whole workload (e.g. a dataset's length list), the way
-    /// the paper aggregates per-dataset results in Fig. 14/15.
-    pub fn workload_summary(&self, lengths: &[usize]) -> WorkloadSummary {
-        // Per-protein simulations are independent pure functions of `ns`,
-        // so they fan out across the pool; the fold below stays serial and
-        // in input order. One simulate per length (energy reuses it,
-        // numerically identical to `energy_joules`).
-        let watts = crate::power::area_power(&self.hw).total.power_mw / 1000.0;
-        let per_length: Vec<(f64, f64, bool)> =
-            ln_par::metrics::time_kernel("accel.simulate", lengths.len() as u64, || {
-                ln_par::par_map_collect(lengths.len(), 1, |idx| {
-                    let ns = lengths[idx];
-                    let secs = self.simulate(ns).total_seconds();
-                    (secs, self.peak_memory_bytes(ns), self.fits_memory(ns))
-                })
-            });
-        let mut seconds: Vec<f64> = per_length.iter().map(|p| p.0).collect();
-        let total_energy: f64 = per_length.iter().map(|p| p.0 * watts).sum();
-        let max_peak = per_length.iter().map(|p| p.1).fold(0.0f64, f64::max);
-        let oom = per_length.iter().filter(|p| !p.2).count();
-        seconds.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let n = seconds.len().max(1);
-        let pct = |p: f64| seconds[((p * (n - 1) as f64).round() as usize).min(n - 1)];
-        WorkloadSummary {
-            proteins: lengths.len(),
-            mean_seconds: seconds.iter().sum::<f64>() / n as f64,
-            p50_seconds: pct(0.5),
-            p95_seconds: pct(0.95),
-            total_energy_joules: total_energy,
-            max_peak_bytes: max_peak,
-            oom_count: oom,
-        }
     }
 
     /// Latency of one invocation of a per-block stage.
@@ -659,29 +582,11 @@ mod tests {
     }
 
     #[test]
-    fn workload_summary_aggregates_sanely() {
-        let a = accel();
-        let lengths = [128usize, 256, 512, 1024, 12000];
-        let s = a.workload_summary(&lengths);
-        assert_eq!(s.proteins, 5);
-        assert!(s.p50_seconds <= s.p95_seconds);
-        assert!(s.mean_seconds > 0.0);
-        assert!(s.total_energy_joules > 0.0);
-        assert_eq!(s.oom_count, 1, "12000 exceeds 80 GB");
-        assert!(s.max_peak_bytes > 80e9);
-    }
-
-    #[test]
-    fn capacity_pressure_hooks_are_consistent() {
+    fn hbm_capacity_threads_through_fits_memory() {
         let a = accel();
         let ns = 6879;
-        assert!((a.activation_bytes(ns) + a.weight_bytes() - a.peak_memory_bytes(ns)).abs() < 1.0);
         assert!(a.fits_memory(ns));
-        // Shrink the budget to just under the requirement: no longer fits.
         let need = a.peak_memory_bytes(ns);
-        assert!(!a.fits_memory_in(ns, need * 0.99));
-        assert!(a.fits_memory_in(ns, need));
-        // with_hbm_capacity threads through fits_memory.
         let small = Accelerator::new(HwConfig::paper().with_hbm_capacity(need as u64 / 2));
         assert!(!small.fits_memory(ns));
     }

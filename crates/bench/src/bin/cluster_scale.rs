@@ -14,10 +14,11 @@
 //! pools {1, 2, 4}, if the merged trace leaves any span unattributed (or
 //! drops events), or if p99 fails to improve monotonically 1 → 4 → 16.
 
-use ln_bench::{banner, paper_note, show};
+use ln_bench::{banner, emit, paper_note, show};
 use ln_cluster::{Cluster, ClusterConfig, ClusterOutcome};
 use ln_datasets::Registry;
 use ln_fault::FaultPlan;
+use ln_insight::json::{obj, Value};
 use ln_insight::CriticalPath;
 use ln_serve::{standard_backends, BatcherConfig, BucketPolicy, Engine, FoldRequest, WorkloadSpec};
 
@@ -127,34 +128,28 @@ fn sweep_table(points: &[SweepPoint]) -> lightnobel::report::Table {
     t
 }
 
-fn write_json(path: &str, points: &[SweepPoint]) -> std::io::Result<()> {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"cluster_scale\",\n");
-    s.push_str(&format!("  \"slo_seconds\": {SLO_SECONDS:.1},\n"));
-    s.push_str("  \"sweeps\": [\n");
-    for (i, p) in points.iter().enumerate() {
+fn document(points: &[SweepPoint]) -> Value {
+    let sweeps = points.iter().map(|p| {
         let st = &p.outcome.stats;
-        s.push_str(&format!(
-            "    {{\"shards\": {}, \"p50_seconds\": {:.6}, \"p99_seconds\": {:.6}, \
-             \"slo_attainment\": {:.6}, \"completed\": {}, \"timed_out\": {}, \
-             \"rejected\": {}, \"failed\": {}, \"hedges\": {}, \"hedge_wasted\": {}, \
-             \"steals\": {}}}{}\n",
-            p.shards,
-            p.p50(),
-            p.p99(),
-            p.slo_attainment(),
-            st.completed,
-            st.timed_out,
-            st.rejected,
-            st.failed,
-            st.hedges,
-            st.hedge_wasted,
-            st.steals,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
+        obj([
+            ("shards", Value::UInt(p.shards as u64)),
+            ("p50_seconds", Value::Float(p.p50())),
+            ("p99_seconds", Value::Float(p.p99())),
+            ("slo_attainment", Value::Float(p.slo_attainment())),
+            ("completed", Value::UInt(st.completed)),
+            ("timed_out", Value::UInt(st.timed_out)),
+            ("rejected", Value::UInt(st.rejected)),
+            ("failed", Value::UInt(st.failed)),
+            ("hedges", Value::UInt(st.hedges)),
+            ("hedge_wasted", Value::UInt(st.hedge_wasted)),
+            ("steals", Value::UInt(st.steals)),
+        ])
+    });
+    obj([
+        ("bench", Value::Str("cluster_scale".to_owned())),
+        ("slo_seconds", Value::Float(SLO_SECONDS)),
+        ("sweeps", Value::Arr(sweeps.collect())),
+    ])
 }
 
 /// The --quick gate: pool-size reproducibility, full trace attribution,
@@ -201,6 +196,7 @@ fn quick_gate(shard_counts: &[usize], reqs: &[FoldRequest]) -> bool {
     }
 
     show(&sweep_table(&points));
+    emit("BENCH_CLUSTER.json", &document(&points), true);
     for pair in points.windows(2) {
         if pair[1].p99() >= pair[0].p99() {
             eprintln!(
@@ -272,6 +268,5 @@ fn main() {
         lightnobel::report::fmt_seconds(points[4].p99()),
     );
 
-    write_json("BENCH_CLUSTER.json", &points).expect("write BENCH_CLUSTER.json");
-    println!("wrote BENCH_CLUSTER.json");
+    emit("BENCH_CLUSTER.json", &document(&points), false);
 }

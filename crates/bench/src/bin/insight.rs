@@ -26,9 +26,10 @@
 use std::path::Path;
 
 use ln_accel::{Accelerator, HwConfig};
-use ln_bench::{banner, paper_note};
+use ln_bench::{banner, emit, paper_note};
 use ln_datasets::Registry;
 use ln_fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow, ResilienceConfig};
+use ln_insight::json::{obj, Value};
 use ln_insight::regression::{self, BaselineStore, GateConfig, Sample};
 use ln_insight::{Ceilings, CpuKernelProfile, CriticalPath, RooflineReport};
 use ln_quant::ActPrecision;
@@ -106,7 +107,7 @@ fn traced_chaos_run(n: usize) -> (Vec<ln_obs::TraceEvent>, u64) {
 
 /// Parse one committed `BENCH_*.json` into gate samples; a missing or
 /// unparseable file contributes nothing (and says so).
-fn samples_from_file(path: &str) -> (Vec<Sample>, Option<ln_insight::json::Value>) {
+fn samples_from_file(path: &str) -> (Vec<Sample>, Option<Value>) {
     let Ok(text) = std::fs::read_to_string(path) else {
         println!("note: {path} not found; skipping its samples");
         return (Vec::new(), None);
@@ -120,81 +121,68 @@ fn samples_from_file(path: &str) -> (Vec<Sample>, Option<ln_insight::json::Value
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn write_json(
-    path: &str,
+fn document(
     tag: &str,
     cp: &CriticalPath,
     roofline: &RooflineReport,
     gate: &regression::RegressionReport,
-) -> std::io::Result<()> {
+) -> Value {
+    let count = |n: usize| Value::UInt(n as u64);
     let t = cp.terminal_summary();
     let (queue_bound, compute_bound, retry_bound) = cp.blame_summary();
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"insight\",\n");
-    s.push_str(&format!("  \"tag\": \"{}\",\n", json_escape(tag)));
-    s.push_str(&format!(
-        "  \"requests\": {{\"total\": {}, \"completed\": {}, \"failed\": {}, \
-         \"timed_out\": {}, \"cancelled\": {}, \"shard_rejected\": {}}},\n",
-        cp.requests.len(),
-        t.completed,
-        t.failed,
-        t.timed_out,
-        t.cancelled,
-        t.rejected,
-    ));
-    s.push_str(&format!(
-        "  \"blame\": {{\"queue\": {queue_bound}, \"compute\": {compute_bound}, \
-         \"retry\": {retry_bound}}},\n"
-    ));
-    s.push_str("  \"phases\": [\n");
-    let phases = cp.phases();
-    for (i, (name, stats)) in phases.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"phase\": \"{name}\", \"total_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"max_ns\": {}}}{}\n",
-            stats.total_nanos,
-            stats.p50_nanos,
-            stats.p99_nanos,
-            stats.max_nanos,
-            if i + 1 < phases.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"roofline\": [\n");
-    for (i, stage) in roofline.stages.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"stage\": \"{}\", \"bound\": \"{}\", \"rmpu_frac\": {:.4}, \
-             \"vvpu_frac\": {:.4}, \"hbm_frac\": {:.4}}}{}\n",
-            json_escape(&stage.stage),
-            stage.bound.label(),
-            stage.rmpu_frac(),
-            stage.vvpu_frac(),
-            stage.hbm_frac(),
-            if i + 1 < roofline.stages.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(&format!(
-        "  \"regression\": {{\"metrics\": {}, \"failures\": {}, \"no_baseline\": {}}},\n",
-        gate.verdicts.len(),
-        gate.failures(),
-        gate.no_baseline()
-    ));
-    s.push_str(&format!(
-        "  \"unattributed\": {}, \"truncated\": {}\n",
-        cp.unattributed.len(),
-        cp.truncated
-    ));
-    s.push_str("}\n");
-    std::fs::write(path, s)
+    let phases = cp.phases().into_iter().map(|(name, stats)| {
+        obj([
+            ("phase", Value::Str(name.to_string())),
+            ("total_ns", Value::UInt(stats.total_nanos)),
+            ("p50_ns", Value::UInt(stats.p50_nanos)),
+            ("p99_ns", Value::UInt(stats.p99_nanos)),
+            ("max_ns", Value::UInt(stats.max_nanos)),
+        ])
+    });
+    let stages = roofline.stages.iter().map(|stage| {
+        obj([
+            ("stage", Value::Str(stage.stage.clone())),
+            ("bound", Value::Str(stage.bound.label().to_owned())),
+            ("rmpu_frac", Value::Float(stage.rmpu_frac())),
+            ("vvpu_frac", Value::Float(stage.vvpu_frac())),
+            ("hbm_frac", Value::Float(stage.hbm_frac())),
+        ])
+    });
+    obj([
+        ("bench", Value::Str("insight".to_owned())),
+        ("tag", Value::Str(tag.to_owned())),
+        (
+            "requests",
+            obj([
+                ("total", count(cp.requests.len())),
+                ("completed", count(t.completed)),
+                ("failed", count(t.failed)),
+                ("timed_out", count(t.timed_out)),
+                ("cancelled", count(t.cancelled)),
+                ("shard_rejected", count(t.rejected)),
+            ]),
+        ),
+        (
+            "blame",
+            obj([
+                ("queue", count(queue_bound)),
+                ("compute", count(compute_bound)),
+                ("retry", count(retry_bound)),
+            ]),
+        ),
+        ("phases", Value::Arr(phases.collect())),
+        ("roofline", Value::Arr(stages.collect())),
+        (
+            "regression",
+            obj([
+                ("metrics", count(gate.verdicts.len())),
+                ("failures", count(gate.failures())),
+                ("no_baseline", count(gate.no_baseline())),
+            ]),
+        ),
+        ("unattributed", count(cp.unattributed.len())),
+        ("truncated", Value::Bool(cp.truncated)),
+    ])
 }
 
 fn main() {
@@ -264,11 +252,11 @@ fn main() {
         }
     }
 
-    if !quick {
-        write_json("BENCH_INSIGHT.json", &tag, &cp, &roofline, &gate)
-            .expect("write BENCH_INSIGHT.json");
-        println!("wrote BENCH_INSIGHT.json");
-    }
+    emit(
+        "BENCH_INSIGHT.json",
+        &document(&tag, &cp, &roofline, &gate),
+        quick,
+    );
 
     let mut bad = false;
     // Kernel speedup floor over the committed BENCH_PAR.json. A slowdown

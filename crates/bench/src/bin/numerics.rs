@@ -25,8 +25,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use ln_bench::{banner, paper_note, show};
+use ln_bench::{banner, emit, paper_note, show, time_best};
 use ln_datasets::{Dataset, Registry};
+use ln_insight::json::{obj, Value};
 use ln_obs::ObsLevel;
 use ln_ppm::taps::{ActivationHook, ActivationSite, Tap};
 use ln_protein::generator::StructureGenerator;
@@ -47,17 +48,6 @@ const POOLS: [usize; 3] = [1, 2, 4];
 struct OverheadRow {
     mode: &'static str,
     ns_per_value: f64,
-}
-
-/// Best-of-`reps` nanoseconds per iteration of `f(iters)`.
-fn time_best(reps: usize, iters: u64, mut f: impl FnMut(u64) -> u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        black_box(f(iters));
-        best = best.min(started.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
 }
 
 fn probe_tap(i: u64) -> Tap {
@@ -184,78 +174,72 @@ fn pool_snapshots(evaluator: &AccuracyEvaluator) -> (Vec<String>, Scope) {
     (snapshots, first.expect("at least one pool"))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
+fn document(
     off: (f64, f64, f64),
     overhead: &[OverheadRow],
     identical: bool,
     sensitivity: &[SensitivityRow],
     rows: &[ln_insight::PrecisionRow],
     model: &SensitivityModel,
-    tm_budget: f64,
-) -> std::io::Result<()> {
+) -> Value {
     let (baseline_ns, wrapped_ns, delta_pct) = off;
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"numerics\",\n");
-    s.push_str(&format!("  \"off_budget_pct\": {OFF_BUDGET_PCT:.1},\n"));
-    s.push_str(&format!(
-        "  \"off_mode\": {{\"baseline_ns_per_tap\": {baseline_ns:.3}, \
-         \"wrapped_ns_per_tap\": {wrapped_ns:.3}, \"delta_pct\": {delta_pct:.3}}},\n"
-    ));
-    s.push_str("  \"overhead\": [\n");
-    let mut lines: Vec<String> = vec![format!(
-        "    {{\"mode\": \"off\", \"ns_per_value\": {:.6}}}",
-        ((wrapped_ns - baseline_ns) / (16.0 * 128.0)).max(0.0)
-    )];
-    lines.extend(overhead.iter().map(|r| {
-        format!(
-            "    {{\"mode\": \"{}\", \"ns_per_value\": {:.6}}}",
-            r.mode, r.ns_per_value
-        )
-    }));
-    s.push_str(&lines.join(",\n"));
-    s.push_str("\n  ],\n");
-    s.push_str(&format!(
-        "  \"pool_identity\": {{\"pools\": [1, 2, 4], \"identical\": {identical}}},\n"
-    ));
-    s.push_str("  \"sensitivity\": [\n");
-    let lines: Vec<String> = sensitivity
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"group\": \"{:?}\", \"amplitude\": {:.4}, \
-                 \"tm_vs_reference\": {:.9}, \"sensitivity\": {:.9}}}",
-                r.group, r.amplitude, r.tm_vs_reference, r.sensitivity
-            )
-        })
-        .collect();
-    s.push_str(&lines.join(",\n"));
-    s.push_str("\n  ],\n  \"ledger\": [\n");
-    let lines: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"layer\": \"{}\", \"stage\": \"{}\", \"rung\": \"{}\", \
-                 \"taps\": {}, \"relative_rmse\": {:.9}, \"int4_rmse\": {:.9}, \
-                 \"int8_rmse\": {:.9}, \"compression_vs_fp16\": {:.3}, \
-                 \"outlier_fraction_int8\": {:.6}, \"recommend\": \"{}\"}}",
-                r.layer,
-                r.stage,
-                r.rung,
-                r.taps,
-                r.relative_rmse,
-                r.probe_rmse[0].unwrap_or(0.0),
-                r.probe_rmse[1].unwrap_or(0.0),
-                r.compression_vs_fp16(),
-                r.outlier_fraction(0),
-                r.recommend(tm_budget, model),
-            )
-        })
-        .collect();
-    s.push_str(&lines.join(",\n"));
-    s.push_str("\n  ]\n}\n");
-    std::fs::write(path, s)
+    let text = |s: &str| Value::Str(s.to_owned());
+    let off_row = OverheadRow {
+        mode: "off",
+        ns_per_value: ((wrapped_ns - baseline_ns) / (16.0 * 128.0)).max(0.0),
+    };
+    let overhead = std::iter::once(&off_row).chain(overhead).map(|r| {
+        obj([
+            ("mode", text(r.mode)),
+            ("ns_per_value", Value::Float(r.ns_per_value)),
+        ])
+    });
+    let sensitivity = sensitivity.iter().map(|r| {
+        obj([
+            ("group", text(&format!("{:?}", r.group))),
+            ("amplitude", Value::Float(r.amplitude)),
+            ("tm_vs_reference", Value::Float(r.tm_vs_reference)),
+            ("sensitivity", Value::Float(r.sensitivity)),
+        ])
+    });
+    let ledger = rows.iter().map(|r| {
+        let recommend = r.recommend(ln_insight::DEFAULT_TM_BUDGET, model);
+        obj([
+            ("layer", text(&r.layer)),
+            ("stage", text(&r.stage)),
+            ("rung", text(&r.rung)),
+            ("taps", Value::UInt(r.taps)),
+            ("relative_rmse", Value::Float(r.relative_rmse)),
+            ("int4_rmse", Value::Float(r.probe_rmse[0].unwrap_or(0.0))),
+            ("int8_rmse", Value::Float(r.probe_rmse[1].unwrap_or(0.0))),
+            ("compression_vs_fp16", Value::Float(r.compression_vs_fp16())),
+            ("outlier_fraction_int8", Value::Float(r.outlier_fraction(0))),
+            ("recommend", text(&recommend)),
+        ])
+    });
+    let pools = POOLS.iter().map(|&p| Value::UInt(p as u64));
+    obj([
+        ("bench", text("numerics")),
+        ("off_budget_pct", Value::Float(OFF_BUDGET_PCT)),
+        (
+            "off_mode",
+            obj([
+                ("baseline_ns_per_tap", Value::Float(baseline_ns)),
+                ("wrapped_ns_per_tap", Value::Float(wrapped_ns)),
+                ("delta_pct", Value::Float(delta_pct)),
+            ]),
+        ),
+        ("overhead", Value::Arr(overhead.collect())),
+        (
+            "pool_identity",
+            obj([
+                ("pools", Value::Arr(pools.collect())),
+                ("identical", Value::Bool(identical)),
+            ]),
+        ),
+        ("sensitivity", Value::Arr(sensitivity.collect())),
+        ("ledger", Value::Arr(ledger.collect())),
+    ])
 }
 
 fn main() {
@@ -354,19 +338,10 @@ fn main() {
         std::process::exit(1);
     }
 
-    if !quick {
-        write_json(
-            "BENCH_NUMERICS.json",
-            off,
-            &overhead,
-            identical,
-            &sensitivity,
-            &rows,
-            &model,
-            ln_insight::DEFAULT_TM_BUDGET,
-        )
-        .expect("write BENCH_NUMERICS.json");
-        println!("wrote BENCH_NUMERICS.json");
-    }
+    emit(
+        "BENCH_NUMERICS.json",
+        &document(off, &overhead, identical, &sensitivity, &rows, &model),
+        quick,
+    );
     println!("numerics gates passed");
 }

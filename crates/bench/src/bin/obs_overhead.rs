@@ -15,9 +15,9 @@
 
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
-use ln_bench::{banner, paper_note, show};
+use ln_bench::{banner, emit, mix, paper_note, show, time_best};
+use ln_insight::json::{obj, Value};
 use ln_obs::{ObsLevel, Tracer, WallClock};
 
 use lightnobel::report::Table;
@@ -29,32 +29,6 @@ struct EventCost {
     event: &'static str,
     level: &'static str,
     ns_per_op: f64,
-}
-
-/// Best-of-`reps` nanoseconds per iteration of `f(iters)`.
-fn time_best(reps: usize, iters: u64, mut f: impl FnMut(u64) -> u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        black_box(f(iters));
-        best = best.min(started.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
-}
-
-/// A compute kernel standing in for real work between events: 64 rounds of
-/// integer mixing, opaque to the optimizer. Large enough that a single
-/// relaxed atomic load should disappear into it; small enough that bloat
-/// from a botched off-gate would still register.
-#[inline(always)]
-fn mix(mut x: u64) -> u64 {
-    for _ in 0..64 {
-        x = x
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(29)
-            .wrapping_add(0xD1B5_4A32_D192_ED03);
-    }
-    x
 }
 
 fn bench_off_delta(iters: u64, reps: usize) -> (f64, f64, f64) {
@@ -148,32 +122,27 @@ fn bench_enabled_events(iters: u64, reps: usize) -> Vec<EventCost> {
     out
 }
 
-fn write_json(
-    path: &str,
-    events: &[EventCost],
-    baseline_ns: f64,
-    gated_ns: f64,
-    delta_pct: f64,
-) -> std::io::Result<()> {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"obs_overhead\",\n");
-    s.push_str(&format!("  \"off_budget_pct\": {OFF_BUDGET_PCT:.1},\n"));
-    s.push_str(&format!(
-        "  \"off_mode\": {{\"baseline_ns_per_iter\": {baseline_ns:.3}, \
-         \"gated_ns_per_iter\": {gated_ns:.3}, \"delta_pct\": {delta_pct:.3}}},\n"
-    ));
-    s.push_str("  \"events\": [\n");
-    for (i, e) in events.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"event\": \"{}\", \"level\": \"{}\", \"ns_per_op\": {:.3}}}{}\n",
-            e.event,
-            e.level,
-            e.ns_per_op,
-            if i + 1 < events.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
+fn document(events: &[EventCost], baseline_ns: f64, gated_ns: f64, delta_pct: f64) -> Value {
+    let events = events.iter().map(|e| {
+        obj([
+            ("event", Value::Str(e.event.to_owned())),
+            ("level", Value::Str(e.level.to_owned())),
+            ("ns_per_op", Value::Float(e.ns_per_op)),
+        ])
+    });
+    obj([
+        ("bench", Value::Str("obs_overhead".to_owned())),
+        ("off_budget_pct", Value::Float(OFF_BUDGET_PCT)),
+        (
+            "off_mode",
+            obj([
+                ("baseline_ns_per_iter", Value::Float(baseline_ns)),
+                ("gated_ns_per_iter", Value::Float(gated_ns)),
+                ("delta_pct", Value::Float(delta_pct)),
+            ]),
+        ),
+        ("events", Value::Arr(events.collect())),
+    ])
 }
 
 fn main() {
@@ -208,11 +177,11 @@ fn main() {
          delta {delta_pct:+.2}% (budget {OFF_BUDGET_PCT:.1}%)"
     );
 
-    if !quick {
-        write_json("BENCH_OBS.json", &events, baseline_ns, gated_ns, delta_pct)
-            .expect("write BENCH_OBS.json");
-        println!("wrote BENCH_OBS.json");
-    }
+    emit(
+        "BENCH_OBS.json",
+        &document(&events, baseline_ns, gated_ns, delta_pct),
+        quick,
+    );
     if delta_pct > OFF_BUDGET_PCT {
         eprintln!(
             "REGRESSION: LN_OBS=off adds {delta_pct:.2}% to the baseline loop \

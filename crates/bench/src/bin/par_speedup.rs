@@ -19,7 +19,8 @@
 use std::time::Instant;
 
 use ln_accel::HwConfig;
-use ln_bench::{banner, paper_note, show};
+use ln_bench::{banner, emit, paper_note, show};
+use ln_insight::json::{obj, Value};
 use ln_par::{with_pool, Pool};
 use ln_ppm::blocks::FoldingBlock;
 use ln_ppm::cost::{CostModel, ALL_STAGES};
@@ -288,80 +289,60 @@ fn bench_evoformer(l: usize, reps: usize, pools: &Pools) -> BenchResult {
     )
 }
 
-fn write_json(path: &str, threads: usize, results: &[BenchResult]) -> std::io::Result<()> {
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"par_speedup\",\n");
-    s.push_str(&format!("  \"threads\": {threads},\n"));
-    s.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    // Which instantiation of the inner loops produced these seconds.
-    s.push_str(&format!(
-        "  \"kernel_tier\": \"{}\",\n",
-        ln_tensor::simd::tier().name()
-    ));
-    s.push_str(&format!(
-        "  \"kernel_min_speedup_floor\": {KERNEL_MIN_SPEEDUP},\n"
-    ));
-    s.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"l\": {}, \"serial_seconds\": {:.6}, \
-             \"parallel_seconds\": {:.6}, \"speedup\": {:.3}, \"bitwise_identical\": {}}}{}\n",
-            r.kernel,
-            r.l,
-            r.serial_seconds,
-            r.parallel_seconds,
-            r.speedup(),
-            r.bitwise_identical,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
+fn document(threads: usize, results: &[BenchResult]) -> Value {
+    let text = |s: &str| Value::Str(s.to_owned());
+    let count = |n: usize| Value::UInt(n as u64);
+    let timed = results.iter().map(|r| {
+        obj([
+            ("kernel", text(r.kernel)),
+            ("l", count(r.l)),
+            ("serial_seconds", Value::Float(r.serial_seconds)),
+            ("parallel_seconds", Value::Float(r.parallel_seconds)),
+            ("speedup", Value::Float(r.speedup())),
+            ("bitwise_identical", Value::Bool(r.bitwise_identical)),
+        ])
+    });
     // A pinned 4-thread pool, separate from the host-sized pool above, so
     // the cross-pool bit-identity claim is reproducible on any machine.
-    s.push_str("  \"pool4\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"l\": {}, \"pool4_seconds\": {:.6}, \
-             \"speedup\": {:.3}}}{}\n",
-            r.kernel,
-            r.l,
-            r.pool4_seconds,
-            r.pool4_speedup(),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
+    let pool4 = results.iter().map(|r| {
+        obj([
+            ("kernel", text(r.kernel)),
+            ("l", count(r.l)),
+            ("pool4_seconds", Value::Float(r.pool4_seconds)),
+            ("speedup", Value::Float(r.pool4_speedup())),
+        ])
+    });
     // Achieved GFLOP/s for the FLOP-dominated kernels (serial pool), the
     // raw material for `insight`'s CPU-kernel profile section.
-    s.push_str("  \"profile\": [\n");
-    let prof: Vec<&BenchResult> = results.iter().filter(|r| r.flops > 0.0).collect();
-    for (i, r) in prof.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"l\": {}, \"flops\": {:.3e}, \
-             \"gflops_serial\": {:.3}, \"gflops_parallel\": {:.3}}}{}\n",
-            r.kernel,
-            r.l,
-            r.flops,
-            r.gflops(r.serial_seconds),
-            r.gflops(r.parallel_seconds),
-            if i + 1 < prof.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
+    let profile = results.iter().filter(|r| r.flops > 0.0).map(|r| {
+        obj([
+            ("kernel", text(r.kernel)),
+            ("l", count(r.l)),
+            ("flops", Value::Float(r.flops)),
+            ("gflops_serial", Value::Float(r.gflops(r.serial_seconds))),
+            (
+                "gflops_parallel",
+                Value::Float(r.gflops(r.parallel_seconds)),
+            ),
+        ])
+    });
     // Per-kernel worst case across sizes *and* pool sizes — the gate input.
-    s.push_str("  \"kernel_min_speedup\": [\n");
-    let mins = kernel_min_speedups(results);
-    for (i, (kernel, min)) in mins.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"kernel\": \"{kernel}\", \"min_speedup\": {min:.3}}}{}\n",
-            if i + 1 < mins.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(path, s)
+    let mins = kernel_min_speedups(results)
+        .into_iter()
+        .map(|(kernel, min)| obj([("kernel", text(kernel)), ("min_speedup", Value::Float(min))]));
+    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    obj([
+        ("bench", text("par_speedup")),
+        ("threads", count(threads)),
+        ("host_parallelism", count(host_parallelism)),
+        // Which instantiation of the inner loops produced these seconds.
+        ("kernel_tier", text(ln_tensor::simd::tier().name())),
+        ("kernel_min_speedup_floor", Value::Float(KERNEL_MIN_SPEEDUP)),
+        ("results", Value::Arr(timed.collect())),
+        ("pool4", Value::Arr(pool4.collect())),
+        ("profile", Value::Arr(profile.collect())),
+        ("kernel_min_speedup", Value::Arr(mins.collect())),
+    ])
 }
 
 fn print_profile(results: &[BenchResult]) {
@@ -521,10 +502,7 @@ fn main() {
     }
 
     let diverged: Vec<&BenchResult> = results.iter().filter(|r| !r.bitwise_identical).collect();
-    if !quick {
-        write_json("BENCH_PAR.json", threads, &results).expect("write BENCH_PAR.json");
-        println!("wrote BENCH_PAR.json");
-    }
+    emit("BENCH_PAR.json", &document(threads, &results), quick);
     if !diverged.is_empty() {
         for r in diverged {
             eprintln!(

@@ -21,9 +21,9 @@
 //! count and exits non-zero on an off-mode or monotonicity violation.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use ln_bench::{banner, paper_note, show};
+use ln_bench::{banner, emit, mix, paper_note, show, time_best};
+use ln_insight::json::{obj, Value};
 use ln_obs::{ArgValue, ObsLevel, Registry, TraceEvent, TracePhase};
 use ln_quant::ActPrecision;
 use ln_serve::{Backend, LightNobelBackend};
@@ -52,30 +52,6 @@ struct MemoryRow {
     bucket: &'static str,
     precision: &'static str,
     max_bytes: f64,
-}
-
-/// Best-of-`reps` nanoseconds per iteration of `f(iters)`.
-fn time_best(reps: usize, iters: u64, mut f: impl FnMut(u64) -> u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        black_box(f(iters));
-        best = best.min(started.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
-}
-
-/// The same optimizer-opaque compute kernel `obs_overhead` uses as the
-/// stand-in for real work between events.
-#[inline(always)]
-fn mix(mut x: u64) -> u64 {
-    for _ in 0..64 {
-        x = x
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(29)
-            .wrapping_add(0xD1B5_4A32_D192_ED03);
-    }
-    x
 }
 
 /// `LN_OBS=off`, no watch attached: the engine hot path is an `Option`
@@ -319,57 +295,53 @@ fn check_monotone(rows: &[MemoryRow]) -> Result<(), String> {
     Ok(())
 }
 
-fn write_json(
-    path: &str,
+fn document(
     off: (f64, f64, f64),
     overhead: &[OverheadRow],
     burn: &[BurnRow],
     memory: &[MemoryRow],
-) -> std::io::Result<()> {
+) -> Value {
     let (baseline_ns, gated_ns, delta_pct) = off;
-    let mut s = String::from("{\n");
-    s.push_str("  \"bench\": \"watch\",\n");
-    s.push_str(&format!("  \"off_budget_pct\": {OFF_BUDGET_PCT:.1},\n"));
-    s.push_str(&format!(
-        "  \"off_mode\": {{\"baseline_ns_per_iter\": {baseline_ns:.3}, \
-         \"gated_ns_per_iter\": {gated_ns:.3}, \"delta_pct\": {delta_pct:.3}}},\n"
-    ));
-    s.push_str("  \"overhead\": [\n");
-    let mut rows: Vec<String> = vec![format!(
-        "    {{\"mode\": \"off\", \"ns_per_event\": {:.3}}}",
-        (gated_ns - baseline_ns).max(0.0)
-    )];
-    rows.extend(overhead.iter().map(|r| {
-        format!(
-            "    {{\"mode\": \"{}\", \"ns_per_event\": {:.3}}}",
-            r.mode, r.ns_per_event
-        )
-    }));
-    s.push_str(&rows.join(",\n"));
-    s.push_str("\n  ],\n  \"burn\": [\n");
-    let rows: Vec<String> = burn
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"fixture\": \"{}\", \"evaluate_ns\": {:.3}, \"breaches\": {}}}",
-                r.fixture, r.evaluate_ns, r.breaches
-            )
-        })
-        .collect();
-    s.push_str(&rows.join(",\n"));
-    s.push_str("\n  ],\n  \"memory\": [\n");
-    let rows: Vec<String> = memory
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"bucket\": \"{}\", \"precision\": \"{}\", \"max_bytes\": {:.1}}}",
-                r.bucket, r.precision, r.max_bytes
-            )
-        })
-        .collect();
-    s.push_str(&rows.join(",\n"));
-    s.push_str("\n  ]\n}\n");
-    std::fs::write(path, s)
+    let text = |s: &str| Value::Str(s.to_owned());
+    let off_row = OverheadRow {
+        mode: "off",
+        ns_per_event: (gated_ns - baseline_ns).max(0.0),
+    };
+    let overhead = std::iter::once(&off_row).chain(overhead).map(|r| {
+        obj([
+            ("mode", text(r.mode)),
+            ("ns_per_event", Value::Float(r.ns_per_event)),
+        ])
+    });
+    let burn = burn.iter().map(|r| {
+        obj([
+            ("fixture", text(r.fixture)),
+            ("evaluate_ns", Value::Float(r.evaluate_ns)),
+            ("breaches", Value::UInt(r.breaches)),
+        ])
+    });
+    let memory = memory.iter().map(|r| {
+        obj([
+            ("bucket", text(r.bucket)),
+            ("precision", text(r.precision)),
+            ("max_bytes", Value::Float(r.max_bytes)),
+        ])
+    });
+    obj([
+        ("bench", text("watch")),
+        ("off_budget_pct", Value::Float(OFF_BUDGET_PCT)),
+        (
+            "off_mode",
+            obj([
+                ("baseline_ns_per_iter", Value::Float(baseline_ns)),
+                ("gated_ns_per_iter", Value::Float(gated_ns)),
+                ("delta_pct", Value::Float(delta_pct)),
+            ]),
+        ),
+        ("overhead", Value::Arr(overhead.collect())),
+        ("burn", Value::Arr(burn.collect())),
+        ("memory", Value::Arr(memory.collect())),
+    ])
 }
 
 fn main() {
@@ -442,10 +414,10 @@ fn main() {
         std::process::exit(1);
     }
 
-    if !quick {
-        write_json("BENCH_WATCH.json", off, &overhead, &burn, &memory)
-            .expect("write BENCH_WATCH.json");
-        println!("wrote BENCH_WATCH.json");
-    }
+    emit(
+        "BENCH_WATCH.json",
+        &document(off, &overhead, &burn, &memory),
+        quick,
+    );
     println!("watch gates passed");
 }

@@ -32,7 +32,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::hint::black_box;
+use std::time::Instant;
+
 use lightnobel::report::Table;
+use ln_insight::json::{self, Value};
+use ln_insight::regression;
 
 /// Prints a section banner.
 pub fn banner(title: &str) {
@@ -49,21 +54,52 @@ pub fn show(table: &Table) {
     print!("{}", table.render());
 }
 
-/// Dataset-average sequence lengths used by the hardware comparisons
-/// (kept moderate so `all_experiments` completes quickly; the analytic
-/// models accept any length).
-pub fn dataset_probe_lengths(dataset: ln_datasets::Dataset) -> Vec<usize> {
-    use ln_datasets::{Dataset, Registry};
-    let reg = Registry::standard();
-    let cap = match dataset {
-        Dataset::Cameo => usize::MAX,
-        _ => usize::MAX,
-    };
-    reg.dataset(dataset)
-        .records()
-        .iter()
-        .map(|r| r.length().min(cap))
-        .collect()
+/// Best-of-`reps` nanoseconds per iteration of `f(iters)`.
+pub fn time_best(reps: usize, iters: u64, mut f: impl FnMut(u64) -> u64) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let started = Instant::now();
+        black_box(f(iters));
+        best = best.min(started.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    best
+}
+
+/// A compute kernel standing in for real work between events: 64 rounds of
+/// integer mixing, opaque to the optimizer. Large enough that a single
+/// relaxed atomic load should disappear into it; small enough that bloat
+/// from a botched off-gate would still register.
+#[inline(always)]
+pub fn mix(mut x: u64) -> u64 {
+    for _ in 0..64 {
+        x = x
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29)
+            .wrapping_add(0xD1B5_4A32_D192_ED03);
+    }
+    x
+}
+
+/// Emits one `BENCH_*.json` document: serialises it, checks that the text
+/// parses back to the same value and that the regression gate reads samples
+/// from it, then writes `path` — unless `quick`, so that a `--quick` gate
+/// run exercises the writer a full run would use and leaves the committed
+/// record alone.
+pub fn emit(path: &str, doc: &Value, quick: bool) {
+    let text = json::write(doc);
+    assert_eq!(
+        json::parse(&text).as_ref(),
+        Ok(doc),
+        "{path} does not read back as written"
+    );
+    assert!(
+        !regression::bench_samples(doc).is_empty(),
+        "{path}: the regression gate reads no sample from it"
+    );
+    if !quick {
+        std::fs::write(path, text + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("wrote {path}");
+    }
 }
 
 #[cfg(test)]
@@ -71,9 +107,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn probe_lengths_nonempty() {
-        for d in ln_datasets::ALL_DATASETS {
-            assert!(!dataset_probe_lengths(d).is_empty());
-        }
+    #[should_panic(expected = "reads no sample")]
+    fn emit_refuses_a_document_the_gate_cannot_read() {
+        let doc = json::obj([("bench", Value::Str("no_such_bench".to_owned()))]);
+        emit("unwritten.json", &doc, true);
     }
 }

@@ -6,7 +6,7 @@
 //! excluding LightNobel's hardware-driven token-wise-MHA advantage for
 //! fairness (so score tensors are counted at FP16 for every scheme).
 
-use ln_ppm::cost::{CostModel, Stage, ALL_STAGES, FP16_BYTES};
+use ln_ppm::cost::CostModel;
 use ln_quant::baselines::BaselineScheme;
 use ln_quant::scheme::{AaqConfig, Group};
 
@@ -60,17 +60,7 @@ impl FootprintModel {
     ///
     /// Reproduces Table 1's 113.49 GB baseline at T1169 within ~15 %.
     pub fn fp16_activation_bytes(&self, ns: usize) -> f64 {
-        ALL_STAGES
-            .iter()
-            .filter(|s| s.is_per_block())
-            .map(|&s| {
-                let mut b = self.cost.stage_traffic_bytes(s, ns);
-                if matches!(s, Stage::TriAttnStarting | Stage::TriAttnEnding) {
-                    b -= 3.0 * self.cost.score_elems(ns) * FP16_BYTES;
-                }
-                b
-            })
-            .sum()
+        self.cost.block_scoreless_bytes(ns)
     }
 
     /// Activation footprint of a baseline scheme, as `base × ratio` with
@@ -113,11 +103,6 @@ impl FootprintModel {
         self.cost.total_weight_bytes_fp16() / 2.0 * scheme.weight_bytes_per_param()
     }
 
-    /// Weight bytes of LightNobel (INT16, unquantized information density).
-    pub fn lightnobel_weight_bytes(&self) -> f64 {
-        self.cost.total_weight_bytes_fp16()
-    }
-
     /// The full Table 1 for a protein length.
     pub fn table(&self, ns: usize) -> Vec<FootprintRow> {
         let mut rows: Vec<FootprintRow> = ln_quant::baselines::ALL_BASELINES
@@ -146,7 +131,8 @@ impl FootprintModel {
             grouping: "Token-wise",
             precision: "INT4/INT8/INT16",
             activation_bytes: self.aaq_activation_bytes(&aaq, ns),
-            weight_bytes: self.lightnobel_weight_bytes(),
+            // INT16: the FP16 baseline's bytes, unquantized information density.
+            weight_bytes: self.cost.total_weight_bytes_fp16(),
         });
         rows
     }

@@ -149,21 +149,9 @@ impl PerfComparison {
     /// excludes score-tensor traffic (eliminating it is the hardware
     /// token-wise-MHA advantage, measured separately in Fig. 15).
     pub fn memory_footprint(&self, ns: usize) -> (f64, f64) {
-        use ln_ppm::cost::{Stage, ALL_STAGES, FP16_BYTES};
         let cost = self.accel.cost();
         let cfg = cost.config();
-        let per_block: f64 = ALL_STAGES
-            .iter()
-            .filter(|s| s.is_per_block())
-            .map(|&s| {
-                let mut b = cost.stage_traffic_bytes(s, ns);
-                if matches!(s, Stage::TriAttnStarting | Stage::TriAttnEnding) {
-                    b -= 3.0 * cost.score_elems(ns) * FP16_BYTES;
-                }
-                b
-            })
-            .sum();
-        let baseline = per_block * (cfg.blocks * cfg.recycles) as f64;
+        let baseline = cost.block_scoreless_bytes(ns) * (cfg.blocks * cfg.recycles) as f64;
         let ln = self.accel.simulate(ns).total_hbm_bytes() as f64;
         (baseline, ln)
     }

@@ -25,7 +25,8 @@ impl ExecOptions {
         ExecOptions { chunk: Some(4) }
     }
 
-    fn exec_mode(&self) -> ExecMode {
+    /// The cost model's execution mode for these options.
+    pub fn exec_mode(&self) -> ExecMode {
         match self.chunk {
             None => ExecMode::Vanilla,
             Some(rows) => ExecMode::Chunked { rows },
@@ -150,9 +151,7 @@ impl EsmFoldGpuModel {
                     | Stage::TriMulOutgoing
                     | Stage::TriMulIncoming
             ) {
-                if matches!(stage, Stage::TriAttnStarting | Stage::TriAttnEnding) {
-                    bytes -= 3.0 * self.cost.score_elems(ns) * FP16_BYTES;
-                }
+                bytes = self.cost.stage_scoreless_bytes(stage, ns);
                 let chunks = (ns as f64 / rows.max(1) as f64).ceil().max(1.0);
                 kernels += chunks * 3.0;
                 compute_derate = self.device.chunk_compute_derate;

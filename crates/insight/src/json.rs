@@ -1,8 +1,10 @@
-//! Minimal hand-rolled JSON parser for the offline analysis tooling.
+//! Minimal hand-rolled JSON parser and writer for the offline analysis
+//! tooling.
 //!
 //! The workspace builds with zero registry access, so there is no serde;
 //! this recursive-descent parser covers exactly what the BENCH documents
-//! and the `ln-obs` exporters emit. One deliberate deviation from the
+//! and the `ln-obs` exporters emit, and [`write`] is the one writer the
+//! bench bins emit those documents through. One deliberate deviation from the
 //! usual "every number is f64" model: unsigned integer literals (no
 //! sign, fraction or exponent) are kept as [`Value::UInt`], because
 //! trace timestamps are `u64` nanoseconds and must survive a round trip
@@ -116,6 +118,66 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
         return Err(p.err("trailing characters after document"));
     }
     Ok(value)
+}
+
+/// Serialises `value` on one line, through `ln-obs`'s escaper and float
+/// formatter, so [`parse`] reads it back to an equal value — short of the
+/// two things JSON numbers cannot say, which a caller that needs the round
+/// trip asserts on: a non-finite float is written as `fmt_f64`'s quoted
+/// marker (it reads back a string), and an integral float of magnitude
+/// ≥ 1e15 loses its `.0` (a positive one reads back a [`Value::UInt`]).
+pub fn write(value: &Value) -> String {
+    let mut out = String::new();
+    write_into(value, &mut out);
+    out
+}
+
+fn write_into(value: &Value, out: &mut String) {
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::UInt(u) => out.push_str(&u.to_string()),
+        Value::Float(f) => ln_obs::fmt_f64(*f, out),
+        Value::Str(s) => write_str(s, out),
+        Value::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_into(item, out);
+            }
+            out.push(']');
+        }
+        Value::Obj(members) => {
+            out.push('{');
+            for (i, (key, item)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_str(key, out);
+                out.push_str(": ");
+                write_into(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    ln_obs::export::escape_json(s, out);
+    out.push('"');
+}
+
+/// Builds an object from `(key, value)` pairs.
+pub fn obj<const N: usize>(members: [(&str, Value); N]) -> Value {
+    Value::Obj(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect(),
+    )
 }
 
 struct Parser<'a> {
@@ -252,9 +314,12 @@ impl<'a> Parser<'a> {
                 return Ok(Value::UInt(u));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| self.err("malformed number"))
+        // Rust's float grammar saturates `1e999` to infinity, which JSON
+        // cannot express and `write` could not emit back.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+            _ => Err(self.err("malformed number")),
+        }
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -341,7 +406,7 @@ fn utf8_len(lead: u8) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse, Value};
+    use super::{obj, parse, write, Value};
 
     #[test]
     fn parses_scalars() {
@@ -438,6 +503,35 @@ mod tests {
     }
 
     #[test]
+    fn what_write_emits_parse_reads_back_equal() {
+        let doc = obj([
+            (
+                "name",
+                Value::Str("a \"quoted\"\\\n\ttab \u{1} é".to_owned()),
+            ),
+            ("count", Value::UInt(u64::MAX)),
+            ("whole_float", Value::Float(2.0)),
+            ("tiny", Value::Float(1.25e-9)),
+            ("huge", Value::Float(-3.5e22)),
+            ("third", Value::Float(1.0 / 3.0)),
+            ("flags", Value::Arr(vec![Value::Bool(true), Value::Null])),
+            ("empty", Value::Obj(vec![])),
+        ]);
+        let text = write(&doc);
+        assert!(!text.contains('\n'), "one line: {text}");
+        assert_eq!(parse(&text).unwrap(), doc);
+        // The two values a JSON number cannot carry back, as documented.
+        assert_eq!(
+            parse(&write(&Value::Float(1e15))).unwrap(),
+            Value::UInt(1_000_000_000_000_000)
+        );
+        assert_eq!(
+            parse(&write(&Value::Float(f64::NAN))).unwrap(),
+            Value::Str("NaN".to_owned())
+        );
+    }
+
+    #[test]
     fn rejects_malformed_input() {
         for bad in [
             "",
@@ -448,6 +542,8 @@ mod tests {
             "1 2",
             "\"\\q\"",
             "\"\\uD800x\"",
+            "1e999",
+            "[-1e999]",
         ] {
             assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
         }

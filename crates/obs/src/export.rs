@@ -12,7 +12,9 @@ use std::fmt::Write as _;
 use crate::registry::{bucket_upper_bound, MetricValue, HISTOGRAM_BUCKETS};
 use crate::trace::{ArgValue, TraceEvent, TracePhase};
 
-fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` with JSON string escapes applied (no surrounding quotes):
+/// the one escaper behind every exporter here and `ln-insight`'s writer.
+pub fn escape_json(s: &str, out: &mut String) {
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),

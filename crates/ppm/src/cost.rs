@@ -10,10 +10,11 @@
 //! allocating the tensors* — the same methodology the paper uses to report
 //! peak memory beyond single-GPU capacity (Fig. 15(b)).
 //!
-//! All byte figures assume the FP16 baseline unless a caller supplies its
-//! own bytes-per-token (the quantized layouts in `ln-quant` do).
+//! All byte figures assume the FP16 baseline, except the token-wise peak,
+//! which takes its bytes per token from an `ln-quant` AAQ configuration.
 
 use crate::PpmConfig;
+use ln_quant::scheme::AaqConfig;
 
 /// Bytes per FP16 element.
 pub const FP16_BYTES: f64 = 2.0;
@@ -179,6 +180,12 @@ impl CostModel {
         (ESM2_PARAMS + self.trunk_params()) as f64 * FP16_BYTES
     }
 
+    /// Folding-trunk weight bytes at INT16: what the accelerator model,
+    /// which runs the trunk only, keeps resident.
+    pub fn trunk_weight_bytes_int16(&self) -> f64 {
+        self.trunk_params() as f64 * 2.0
+    }
+
     // ---------------------------------------------------------------
     // Compute
     // ---------------------------------------------------------------
@@ -296,6 +303,29 @@ impl CostModel {
         elems * FP16_BYTES
     }
 
+    /// [`CostModel::stage_traffic_bytes`] without the score tensor's three
+    /// trips: the stage's activation bytes under Table 1's fairness rule
+    /// and Fig. 16(b) (eliminating scores is the hardware's advantage,
+    /// measured separately), and its traffic under the GPU `chunk` option,
+    /// which keeps each score slice on chip.
+    pub fn stage_scoreless_bytes(&self, stage: Stage, ns: usize) -> f64 {
+        let bytes = self.stage_traffic_bytes(stage, ns);
+        if matches!(stage, Stage::TriAttnStarting | Stage::TriAttnEnding) {
+            bytes - 3.0 * self.score_elems(ns) * FP16_BYTES
+        } else {
+            bytes
+        }
+    }
+
+    /// [`CostModel::stage_scoreless_bytes`] summed over one folding block.
+    pub fn block_scoreless_bytes(&self, ns: usize) -> f64 {
+        ALL_STAGES
+            .iter()
+            .filter(|s| s.is_per_block())
+            .map(|&s| self.stage_scoreless_bytes(s, ns))
+            .sum()
+    }
+
     /// Total activation DRAM traffic (bytes, FP16) for a full prediction —
     /// the paper's "memory footprint" axis (Fig. 16(b)).
     pub fn total_traffic_bytes(&self, ns: usize) -> f64 {
@@ -339,19 +369,17 @@ impl CostModel {
     }
 
     /// Peak activation residency (bytes) for a token-wise engine that never
-    /// materialises score tensors (LightNobel's token-wise MHA, §5.4),
-    /// parameterised by the average encoded bytes per pair token.
-    ///
-    /// `bytes_per_token` comes from the quantization layout (`ln-quant`);
-    /// pass `Hz × 2` for an unquantized FP16 token.
-    pub fn peak_activation_bytes_tokenwise(&self, ns: usize, bytes_per_token: f64) -> f64 {
-        let n = ns as f64;
+    /// materialises score tensors (LightNobel's token-wise MHA, §5.4), with
+    /// every resident tensor AAQ-encoded: the residual pair stream
+    /// (double-buffered) plus the recycling copy of the previous pair state
+    /// at Group A, and the left/right triangle operands plus the q/k/v
+    /// streams of the in-flight attention unit at Group C.
+    pub fn peak_activation_bytes_tokenwise(&self, ns: usize, aaq: &AaqConfig) -> f64 {
         let c = &self.config;
-        // Residual pair stream + one working LN copy, both encoded, plus
-        // per-lane working sets (Ns tokens of q/k/v at FP16 internals).
-        let tokens = n * n;
-        let lane_working = 3.0 * n * c.pair_attn_dim() as f64 * FP16_BYTES;
-        2.0 * tokens * bytes_per_token + lane_working
+        let tokens = (ns as f64) * (ns as f64);
+        let a_bytes = aaq.group_a.token_bytes(c.hz) as f64;
+        let c_bytes = aaq.group_c.token_bytes(c.tri_mul_dim) as f64;
+        3.0 * tokens * a_bytes + (2.0 + 3.0) * tokens * c_bytes
     }
 }
 
@@ -438,7 +466,7 @@ mod tests {
         let m = paper();
         let ns = 2034;
         let chunked = m.peak_activation_bytes(ns, ExecMode::Chunked { rows: 4 });
-        let tokenwise = m.peak_activation_bytes_tokenwise(ns, 256.0);
+        let tokenwise = m.peak_activation_bytes_tokenwise(ns, &AaqConfig::paper());
         assert!(chunked > tokenwise, "{chunked} vs {tokenwise}");
     }
 

@@ -70,11 +70,14 @@ pub fn from_pdb(text: &str) -> Result<Structure, ProteinError> {
             continue;
         }
         let parse = |range: std::ops::Range<usize>| -> Result<f64, ProteinError> {
+            // `f64::from_str` reads "NaN" and "inf"; a coordinate is finite.
             line.get(range)
                 .unwrap_or("")
                 .trim()
                 .parse::<f64>()
-                .map_err(|_| ProteinError::InvalidResidue {
+                .ok()
+                .filter(|v| v.is_finite())
+                .ok_or(ProteinError::InvalidResidue {
                     code: line.chars().next().unwrap_or('?'),
                 })
         };
@@ -142,5 +145,24 @@ mod tests {
             from_pdb("END\n"),
             Err(ProteinError::TooShort { .. })
         ));
+    }
+
+    #[test]
+    fn unparsable_and_non_finite_coordinates_are_errors() {
+        let line = |x: &str| {
+            format!(
+                "ATOM      2  CA  ALA A   1    {x:>8}  13.207   2.100  1.00  0.00           C\n"
+            )
+        };
+        assert_eq!(from_pdb(&line("12.560")).expect("finite").len(), 1);
+        for bad in ["12.5x0", "NaN", "inf", "-inf", "1e999"] {
+            assert!(
+                matches!(
+                    from_pdb(&line(bad)),
+                    Err(ProteinError::InvalidResidue { .. })
+                ),
+                "accepted coordinate {bad:?}"
+            );
+        }
     }
 }

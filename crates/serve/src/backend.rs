@@ -34,8 +34,9 @@ pub trait Backend: Send + Sync {
     /// Bytes of model weights resident regardless of batch.
     fn weight_bytes(&self) -> f64;
 
-    /// Peak memory of a *single* sequence of length `ns` (weights included).
-    fn peak_bytes(&self, ns: usize) -> f64;
+    /// Peak activation bytes of a *single* sequence of length `ns` (weights
+    /// excluded), at the backend's native activation encoding.
+    fn activation_bytes(&self, ns: usize) -> f64;
 
     /// Per-dispatch setup seconds paid once per batch: weight streaming
     /// plus kernel-launch floors. Batched execution walks the layer grid
@@ -49,40 +50,39 @@ pub trait Backend: Send + Sync {
     /// [`Backend::setup_seconds`]).
     fn marginal_seconds(&self, ns: usize) -> f64;
 
-    /// Peak memory of a batch: weights once, activations summed (every
-    /// co-batched sequence's working set is resident concurrently).
-    fn batch_peak_bytes(&self, lengths: &[usize]) -> f64 {
-        self.batch_peak_bytes_at(lengths, ActPrecision::Fp32)
-    }
-
     /// Peak memory of a batch with activations re-quantized to `precision`
-    /// down the AAQ ladder. Weights stay resident at their native encoding;
-    /// only the activation share shrinks — the memory model behind the
-    /// precision-degradation fallback.
+    /// down the AAQ ladder: weights once, at their native encoding, plus
+    /// every co-batched sequence's activations (all resident concurrently),
+    /// which are the only share the ladder shrinks.
     fn batch_peak_bytes_at(&self, lengths: &[usize], precision: ActPrecision) -> f64 {
-        let w = self.weight_bytes();
-        w + lengths
-            .iter()
-            .map(|&ns| (self.peak_bytes(ns) - w).max(0.0))
-            .sum::<f64>()
-            * precision.activation_scale()
+        self.weight_bytes()
+            + lengths
+                .iter()
+                .map(|&ns| self.activation_bytes(ns))
+                .sum::<f64>()
+                * precision.activation_scale()
     }
 
-    /// Whether a batch fits device memory.
+    /// Whether a batch fits device memory at FP32.
     fn fits_batch(&self, lengths: &[usize]) -> bool {
-        self.batch_peak_bytes(lengths) <= self.memory_capacity_bytes()
+        self.batch_peak_bytes_at(lengths, ActPrecision::Fp32) <= self.memory_capacity_bytes()
     }
 
-    /// Whether a batch at `precision` fits in `available_bytes` — the
-    /// capacity-pressure hook: fault injection passes a shrunken budget,
-    /// degradation passes a lower rung, the device model stays fixed.
-    fn fits_batch_at(
-        &self,
-        lengths: &[usize],
-        precision: ActPrecision,
-        available_bytes: f64,
-    ) -> bool {
-        self.batch_peak_bytes_at(lengths, precision) <= available_bytes
+    /// Whether the backend may run `lengths` at `precision` with
+    /// `available_fraction` of its memory usable (a fault plan's pressure
+    /// window squeezes it below 1).
+    ///
+    /// FP32 only has to fit the squeezed capacity. A degraded rung is
+    /// permitted solely as a *pressure* fallback: the backend must actually
+    /// be squeezed and the batch must fit its full FP32 capacity —
+    /// degradation recovers memory a fault took away; it never extends a
+    /// backend's reach beyond what admission and least-capable-first
+    /// routing promised.
+    fn permits(&self, lengths: &[usize], precision: ActPrecision, available_fraction: f64) -> bool {
+        self.batch_peak_bytes_at(lengths, precision)
+            <= self.memory_capacity_bytes() * available_fraction
+            && (precision == ActPrecision::Fp32
+                || (available_fraction < 1.0 && self.fits_batch(lengths)))
     }
 
     /// Virtual seconds to execute a batch: one setup pass sized by the
@@ -155,12 +155,13 @@ impl Backend for LightNobelBackend {
     }
 
     fn weight_bytes(&self) -> f64 {
-        // INT16 trunk weights, matching the accelerator's peak-memory model.
-        self.accel.cost().trunk_params() as f64 * 2.0
+        self.accel.weight_bytes()
     }
 
-    fn peak_bytes(&self, ns: usize) -> f64 {
-        self.accel.peak_memory_bytes(ns)
+    fn activation_bytes(&self, ns: usize) -> f64 {
+        self.accel
+            .cost()
+            .peak_activation_bytes_tokenwise(ns, self.accel.aaq())
     }
 
     fn setup_seconds(&self, _longest_ns: usize) -> f64 {
@@ -247,8 +248,10 @@ impl Backend for GpuBackend {
         self.model.cost().total_weight_bytes_fp16()
     }
 
-    fn peak_bytes(&self, ns: usize) -> f64 {
-        self.model.peak_memory_bytes(ns, self.opts)
+    fn activation_bytes(&self, ns: usize) -> f64 {
+        self.model
+            .cost()
+            .peak_activation_bytes(ns, self.opts.exec_mode())
     }
 
     fn setup_seconds(&self, longest_ns: usize) -> f64 {
@@ -274,6 +277,22 @@ pub fn standard_backends() -> Vec<Box<dyn Backend>> {
         Box::new(GpuBackend::a100_chunk4()),
         Box::new(GpuBackend::h100_chunk4()),
     ]
+}
+
+/// Best-case service seconds for a single sequence of `length` over a
+/// pool: the fastest backend whose memory fits it at FP32, ignoring all
+/// queueing. `None` when nothing fits (the `TooLong` case).
+pub(crate) fn best_case_seconds<B>(backends: &[B], length: usize) -> Option<f64>
+where
+    B: std::ops::Deref<Target = dyn Backend>,
+{
+    backends
+        .iter()
+        .filter(|b| b.fits_batch(&[length]))
+        .map(|b| b.batch_seconds(&[length]))
+        .fold(None, |acc: Option<f64>, t| {
+            Some(acc.map_or(t, |cur| cur.min(t)))
+        })
 }
 
 #[cfg(test)]
@@ -314,10 +333,9 @@ mod tests {
     #[test]
     fn batch_memory_sums_activations_not_weights() {
         let b = GpuBackend::a100_chunk4();
-        let single = b.peak_bytes(400);
-        let pair = b.batch_peak_bytes(&[400, 400]);
-        assert!(pair < 2.0 * single, "weights counted once");
-        assert!(pair > single, "two working sets beat one");
+        let single = b.batch_peak_bytes_at(&[400], ActPrecision::Fp32);
+        let pair = b.batch_peak_bytes_at(&[400, 400], ActPrecision::Fp32);
+        assert_eq!(pair - single, b.activation_bytes(400), "weights once");
         // A batch can exceed capacity even when each member alone fits.
         let n = b.max_single_length();
         assert!(b.fits_batch(&[n]));
@@ -331,19 +349,18 @@ mod tests {
         let capacity = b.memory_capacity_bytes();
         // At full capacity the rungs nest: whatever fits at FP32 fits at
         // INT8, and INT4 extends past both.
-        assert!(b.fits_batch_at(&[n], ActPrecision::Int8, capacity));
-        assert!(b.fits_batch_at(&[2 * n], ActPrecision::Int4, capacity));
+        assert!(b.batch_peak_bytes_at(&[n], ActPrecision::Int8) <= capacity);
+        assert!(b.batch_peak_bytes_at(&[2 * n], ActPrecision::Int4) <= capacity);
         assert!(!b.fits_batch(&[2 * n]));
         // Under pressure (a fraction of capacity) FP32 stops fitting long
         // before INT4 does — the degradation window the fallback exploits.
-        let squeezed = b.batch_peak_bytes_at(&[n], ActPrecision::Int4) * 1.2;
-        assert!(!b.fits_batch_at(&[n], ActPrecision::Fp32, squeezed));
-        assert!(b.fits_batch_at(&[n], ActPrecision::Int4, squeezed));
-        // FP32 rung is exactly the legacy model.
-        assert_eq!(
-            b.batch_peak_bytes(&[500, 700]),
-            b.batch_peak_bytes_at(&[500, 700], ActPrecision::Fp32)
-        );
+        let squeezed = b.batch_peak_bytes_at(&[n], ActPrecision::Int4) * 1.2 / capacity;
+        assert!(!b.permits(&[n], ActPrecision::Fp32, squeezed));
+        assert!(b.permits(&[n], ActPrecision::Int4, squeezed));
+        // A degraded rung is a pressure fallback only: never at full
+        // capacity, and never for a batch FP32 capacity could not hold.
+        assert!(!b.permits(&[n], ActPrecision::Int4, 1.0));
+        assert!(!b.permits(&[2 * n], ActPrecision::Int4, 0.99));
     }
 
     #[test]

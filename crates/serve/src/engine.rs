@@ -363,13 +363,7 @@ impl Engine {
     /// `None` when nothing fits (the `TooLong` case). Public so a cluster
     /// router can reuse the same admission math for placement.
     pub fn best_case_seconds(&self, length: usize) -> Option<f64> {
-        self.backends
-            .iter()
-            .filter(|b| b.fits_batch(&[length]))
-            .map(|b| b.batch_seconds(&[length]))
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |cur| cur.min(t)))
-            })
+        crate::backend::best_case_seconds(&self.backends, length)
     }
 
     /// Runs a workload to completion and returns responses plus stats.
@@ -1082,7 +1076,11 @@ impl Engine {
                     let candidate = self.dispatch_order.iter().copied().find(|&i| {
                         self.in_flight[i].is_none()
                             && self.breakers[i].can_dispatch()
-                            && self.permits(i, &[head_len], precision, now)
+                            && self.backends[i].permits(
+                                &[head_len],
+                                precision,
+                                self.plan.available_fraction(i, now),
+                            )
                     });
                     let Some(idx) = candidate else { continue };
                     self.launch(idx, bucket, precision, now, stats);
@@ -1096,28 +1094,6 @@ impl Engine {
         }
     }
 
-    /// Pressure-adjusted usable memory of backend `i` at `now`.
-    fn available_bytes(&self, i: usize, now: f64) -> f64 {
-        self.backends[i].memory_capacity_bytes() * self.plan.available_fraction(i, now)
-    }
-
-    /// Whether backend `i` may run `lens` at `precision` at `now`.
-    ///
-    /// FP32 only has to fit the pressure-adjusted capacity. A degraded
-    /// rung is permitted solely as a *pressure* fallback: the backend must
-    /// actually be squeezed (available fraction < 1) and the batch must fit
-    /// its full FP32 capacity — degradation recovers memory a fault took
-    /// away; it never extends a backend's reach beyond what admission and
-    /// least-capable-first routing promised.
-    fn permits(&self, i: usize, lens: &[usize], precision: ActPrecision, now: f64) -> bool {
-        let backend = &self.backends[i];
-        if !backend.fits_batch_at(lens, precision, self.available_bytes(i, now)) {
-            return false;
-        }
-        precision == ActPrecision::Fp32
-            || (self.plan.available_fraction(i, now) < 1.0 && backend.fits_batch(lens))
-    }
-
     /// Takes a batch from `bucket` and puts it in flight on backend `idx`
     /// at `precision`, consulting the fault plan for this dispatch.
     fn launch(
@@ -1128,14 +1104,11 @@ impl Engine {
         now: f64,
         stats: &mut ServeStats,
     ) {
-        let avail = self.available_bytes(idx, now);
-        let squeezed = self.plan.available_fraction(idx, now) < 1.0;
+        let fraction = self.plan.available_fraction(idx, now);
         let backend = &self.backends[idx];
         let budget = self.batcher.config().max_batch_seconds;
         let batch = self.batcher.take_batch(bucket, now, |lens| {
-            backend.fits_batch_at(lens, precision, avail)
-                && (precision == ActPrecision::Fp32 || (squeezed && backend.fits_batch(lens)))
-                && backend.batch_seconds(lens) <= budget
+            backend.permits(lens, precision, fraction) && backend.batch_seconds(lens) <= budget
         });
         debug_assert!(!batch.is_empty());
         let lengths: Vec<usize> = batch.iter().map(|q| q.request.length).collect();

@@ -20,7 +20,7 @@
 //! [`FoldOutcome`]: completed (possibly degraded), timed out, failed
 //! typed, or cancelled at shutdown — never a silently dropped channel.
 
-use crate::backend::Backend;
+use crate::backend::{best_case_seconds, Backend};
 use crate::batcher::{Batcher, BatcherConfig, QueuedRequest};
 use crate::bucket::BucketPolicy;
 use crate::request::{terminal_error, FoldError, FoldOutcome, FoldRequest, FoldResponse};
@@ -105,18 +105,6 @@ struct Shared {
 impl Shared {
     fn now(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
-    }
-
-    /// Best-case service seconds for one sequence at FP32 over the pool;
-    /// `None` when nothing fits (the `TooLong` case).
-    fn best_case_seconds(&self, length: usize) -> Option<f64> {
-        self.backends
-            .iter()
-            .filter(|b| b.fits_batch(&[length]))
-            .map(|b| b.batch_seconds(&[length]))
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |cur| cur.min(t)))
-            })
     }
 }
 
@@ -235,7 +223,7 @@ impl FoldService {
         let now = self.shared.now();
         // The admission models are pure reads on the backend pool — keep
         // them outside the lock.
-        let best_case = self.shared.best_case_seconds(length);
+        let best_case = best_case_seconds(&self.shared.backends, length);
         let mut st = lock_state(&self.shared);
         if st.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -340,7 +328,6 @@ impl FoldService {
 /// the queues empty deterministically.
 fn worker(shared: Arc<Shared>, idx: usize) {
     let backend = Arc::clone(&shared.backends[idx]);
-    let capacity = backend.memory_capacity_bytes();
     let mut st = lock_state(&shared);
     loop {
         let now = shared.now();
@@ -411,21 +398,15 @@ fn worker(shared: Arc<Shared>, idx: usize) {
         // Find the oldest ready bucket whose head this backend fits. The
         // FP32 rung is tried across all ready buckets first; only when
         // nothing fits at FP32 under the pressure-adjusted capacity does
-        // the worker walk down the AAQ ladder. A degraded rung is strictly
-        // a pressure fallback: the backend must actually be squeezed and
-        // the batch must fit its full FP32 capacity — degradation recovers
-        // memory a fault took away, never extends the backend's reach.
+        // the worker walk down the AAQ ladder, and then only as the pressure
+        // fallback `Backend::permits` allows.
         let fraction = if drain {
             1.0
         } else {
             shared.plan.available_fraction(idx, now)
         };
-        let avail = capacity * fraction;
-        let squeezed = fraction < 1.0;
-        let permits = |lens: &[usize], precision: ActPrecision| {
-            backend.fits_batch_at(lens, precision, avail)
-                && (precision == ActPrecision::Fp32 || (squeezed && backend.fits_batch(lens)))
-        };
+        let permits =
+            |lens: &[usize], precision: ActPrecision| backend.permits(lens, precision, fraction);
         let mut candidate: Option<(usize, ActPrecision)> = None;
         if drain || st.breakers[idx].can_dispatch() {
             'ladder: for precision in ActPrecision::LADDER {

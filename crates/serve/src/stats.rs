@@ -54,9 +54,10 @@ pub struct BatchRecord {
     pub finish_seconds: f64,
     /// Activation precision the batch executed at.
     pub precision: ActPrecision,
-    /// Modeled peak activation bytes of the batch at `precision` (from
-    /// `Backend::batch_peak_bytes_at`, weights excluded) — the quantity
-    /// the paper bounds, logged per batch for watermark telemetry.
+    /// Modeled peak bytes of the batch at `precision` (from
+    /// `Backend::batch_peak_bytes_at`: resident weights plus activations)
+    /// — the quantity the paper bounds, logged per batch for watermark
+    /// telemetry.
     pub peak_bytes: f64,
 }
 

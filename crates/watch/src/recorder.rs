@@ -93,14 +93,7 @@ impl FlightRecorder {
         out.push_str("{\"blackbox\":\"ln-watch\",\"seq\":");
         let _ = write!(out, "{seq}");
         out.push_str(",\"trigger\":\"");
-        for ch in trigger.chars() {
-            match ch {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                c => out.push(c),
-            }
-        }
+        ln_obs::export::escape_json(trigger, &mut out);
         let _ = writeln!(
             out,
             "\",\"ts_ns\":{now_nanos},\"window_ns\":{},\"events\":{},\"evicted_total\":{}}}",

@@ -1,8 +1,8 @@
 //! Activation-memory watermark accounting.
 //!
 //! Modeled, per request: [`WatermarkTracker`] records the deterministic
-//! peak activation bytes of every settled batch (from
-//! `Backend::batch_peak_bytes_at`, i.e. weights excluded), keyed by
+//! peak bytes of every settled batch (from `Backend::batch_peak_bytes_at`:
+//! resident weights plus activations at the batch's rung), keyed by
 //! canonical length bucket × AAQ precision rung. This is the quantity the
 //! paper bounds (Fig. 4 / Fig. 15): the FP32→INT8→INT4 reduction at a
 //! given length is directly visible in the per-cell maxima, and being

@@ -14,8 +14,10 @@
 #   9. cluster_scale --quick                              (ln-cluster gate)
 #  10. watch --quick                                      (ln-watch gate)
 #  11. numerics --quick                                   (ln-scope gate)
-#  12. foldbench: cargo test, run --quick, then           (benchmark smoke)
-#      trace --workload fold_qdomain --quick
+#  12. all_experiments, stdout discarded                  (paper artifacts run)
+#  13. foldbench: cargo test, run --quick, then           (benchmark smoke)
+#      trace --workload fold_qdomain --quick, then
+#      git diff --quiet -- benchmarks/fold                (its lock unmoved)
 #
 # Step 4's first command, at the workspace root, tests only the umbrella
 # package, in the debug profile: the only one in which the microkernel's
@@ -74,7 +76,13 @@
 # one bounded re-measure on a noisy sample), re-runs the golden CAMEO
 # fold under ln-par pools {1, 2, 4}, and exits non-zero if the numerics
 # snapshots are not byte-identical across pools or the precision ledger
-# comes back empty. Step 12 builds the repo's benchmark (benchmarks/fold,
+# comes back empty. Steps 5 and 7-11 also pass their document through
+# `ln_bench::emit`, which asserts it reads back as written and that the
+# regression gate finds samples in it, and writes nothing under --quick.
+# Step 12 executes the nineteen paper-artifact bins (every fig*, tab*,
+# ablate_*, extend_h200) — analytic, ~2 minutes, and run by no other gate —
+# so one that panics or fails an internal assert fails here. Step 13
+# builds the repo's benchmark (benchmarks/fold,
 # a package outside the workspace, so steps 2-4 never see it), runs its own
 # unit tests, and folds every workload once at L = 32 with the benchmark's
 # own checks on each fold (TM-score against the FP32 reference, finite
@@ -82,7 +90,10 @@
 # quantized-domain workload once, which puts the integer `qgemm` path under
 # the traced run's checks: the decomposed fold equals `predict_with_hook`,
 # the nproc-pool fold equals the pool-1 fold and `ppm.unattributed_s` stays
-# within 1 % (it also prints the exact `quant.qgemm_calls`).
+# within 1 % (it also prints the exact `quant.qgemm_calls`). Last, it
+# fails if any of that rewrote a tracked file under benchmarks/fold: the
+# lock there records the dependency edges of the thirteen crates foldbench
+# reaches, so a PR that changes one of them shows up here, not at review.
 #
 # The workspace is dependency-free on purpose: everything here must pass
 # with zero network access. See ROADMAP.md ("Tier-1 gate script").
@@ -100,7 +111,7 @@ step cargo fmt --all -- --check
 step cargo clippy --workspace --all-targets -- -D warnings
 # --workspace so the member crates' bins (the --quick gates below) are
 # actually built: a bare `cargo build` in a workspace with a root package
-# builds only that package, and steps 5-10 would then depend on stale
+# builds only that package, and steps 5-12 would then depend on stale
 # target/ artifacts from earlier runs.
 step cargo build --release --workspace
 step cargo test -q
@@ -112,9 +123,11 @@ step ./target/release/insight --quick
 step ./target/release/cluster_scale --quick
 step ./target/release/watch --quick
 step ./target/release/numerics --quick
+step sh -c './target/release/all_experiments >/dev/null'
 step cargo test --offline --release --manifest-path benchmarks/fold/Cargo.toml
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- run --quick
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- trace --workload fold_qdomain --quick
+step git diff --quiet -- benchmarks/fold
 
 echo
 echo "ci.sh: all tier-1 checks passed"

@@ -15,6 +15,8 @@
 //!   full trip through an ln-watch flight-recorder black box — that is
 //!   how the precision-ledger report reads numerics out of a breach
 //!   artifact.
+//! * Every text parser behind those formats (and the PDB reader) answers
+//!   hostile input with an error or a value, never a panic.
 
 use ln_datasets::Registry;
 use ln_fault::{ChaosSpec, FaultPlan, ResilienceConfig};
@@ -250,5 +252,98 @@ fn prometheus_text_is_well_formed() {
             value.parse::<f64>().is_ok() || value == "+Inf",
             "unparseable sample value in {line:?}"
         );
+    }
+}
+
+/// The hostile-input contract of the text parsers: mutated and truncated
+/// copies of real documents get an error or a value back, never a panic.
+/// Seeded over `ln_tensor::rng`, so a failure names a case that replays.
+/// The property already held at the parent commit, where this loop passes
+/// unchanged: the test pins it, it did not find a defect.
+#[test]
+fn mutated_and_truncated_text_never_panics_a_parser() {
+    use ln_insight::regression::bench_samples;
+    use ln_protein::{generator::StructureGenerator, pdb, Sequence};
+    use ln_tensor::rng::{self, Rng};
+
+    const TOKENS: [&str; 7] = [
+        "NaN",
+        "1e999",
+        "\"",
+        "{",
+        "\\u",
+        "18446744073709551616", // 2^64
+        "\n",
+    ];
+    const CASES: u64 = 200;
+
+    let reg = ln_obs::Registry::new();
+    demo_scope().export_into(&reg);
+    let mut recorder = ln_watch::FlightRecorder::new(16, 30.0);
+    for event in synthetic_events() {
+        recorder.record(event);
+    }
+    let structure = StructureGenerator::new("fuzz").generate(24);
+    let sequence = Sequence::random("fuzz", 24);
+
+    type Parser = fn(&str);
+    let bench: Parser = |text| {
+        if let Ok(doc) = json::parse(text) {
+            bench_samples(&doc);
+        }
+    };
+    let mut targets: Vec<(&str, String, Parser)> = [
+        include_str!("../BENCH_CLUSTER.json"),
+        include_str!("../BENCH_INSIGHT.json"),
+        include_str!("../BENCH_NUMERICS.json"),
+        include_str!("../BENCH_OBS.json"),
+        include_str!("../BENCH_PAR.json"),
+        include_str!("../BENCH_WATCH.json"),
+    ]
+    .into_iter()
+    .map(|doc| ("bench", doc.to_string(), bench))
+    .collect();
+    targets.push(("jsonl", ln_obs::jsonl_events(&synthetic_events()), |t| {
+        drop(ln_insight::jsonl::parse_events(t))
+    }));
+    targets.push((
+        "blackbox",
+        recorder.snapshot("slo_breach:\"x\"", 3, 45.0, &reg),
+        |t| drop(ln_insight::parse_blackbox(t)),
+    ));
+    targets.push(("metrics", ln_obs::metrics_jsonl(&reg.snapshot()), |t| {
+        drop(ln_insight::parse_metrics(t))
+    }));
+    targets.push(("pdb", pdb::to_pdb(&structure, &sequence, 'A'), |t| {
+        drop(pdb::from_pdb(t))
+    }));
+
+    for (index, (name, seed, parse)) in targets.iter().enumerate() {
+        parse(seed);
+        for case in 0..CASES {
+            let mut rng = rng::stream_indexed(&format!("hostile/{name}/{index}"), case);
+            let mut bytes = seed.clone().into_bytes();
+            for _ in 0..rng.gen_range(1..=4usize) {
+                let at = rng.gen_range(0..=bytes.len());
+                match rng.gen_range(0..4u32) {
+                    0 => bytes.truncate(at),
+                    1 => {
+                        if let Some(b) = bytes.get_mut(at) {
+                            *b ^= rng.gen_range(1..=255u32) as u8;
+                        }
+                    }
+                    2 => {
+                        let from = rng.gen_range(0..=bytes.len());
+                        let span = bytes[from.min(at)..from.max(at)].to_vec();
+                        bytes.splice(at..at, span);
+                    }
+                    _ => {
+                        let token = TOKENS[rng.gen_range(0..TOKENS.len())];
+                        bytes.splice(at..at, token.bytes());
+                    }
+                }
+            }
+            parse(&String::from_utf8_lossy(&bytes));
+        }
     }
 }

@@ -115,3 +115,52 @@ fn energy_advantage_exceeds_silicon_advantage() {
         );
     }
 }
+
+#[test]
+fn every_consumer_of_the_memory_model_agrees_at_the_papers_lengths() {
+    use lightnobel::footprint::FootprintModel;
+    use ln_ppm::cost::ExecMode;
+    use ln_quant::scheme::AaqConfig;
+    use ln_quant::ActPrecision::Fp32;
+    use ln_serve::{Backend, GpuBackend, LightNobelBackend};
+
+    let perf = PerfComparison::paper();
+    let (accel, cost) = (perf.accel(), perf.accel().cost());
+    let cfg = cost.config();
+    let ln = LightNobelBackend::paper("LightNobel");
+    let gpu = GpuBackend::a100_chunk4();
+    let chunk4 = ExecMode::Chunked { rows: 4 };
+    for ns in [77usize, 1410, 3364] {
+        let tokenwise = cost.peak_activation_bytes_tokenwise(ns, &AaqConfig::paper());
+        let ln_peak = tokenwise + cost.trunk_weight_bytes_int16();
+        assert_eq!(accel.peak_memory_bytes(ns), ln_peak);
+        assert_eq!(ln.batch_peak_bytes_at(&[ns], Fp32), ln_peak);
+
+        let fp16_weights = cost.total_weight_bytes_fp16();
+        let chunked = cost.peak_activation_bytes(ns, chunk4) + fp16_weights;
+        assert_eq!(gpu.batch_peak_bytes_at(&[ns], Fp32), chunked);
+        assert_eq!(
+            gpu.model().peak_memory_bytes(ns, ExecOptions::chunk4()),
+            chunked
+        );
+        let vanilla = cost.peak_activation_bytes(ns, ExecMode::Vanilla) + fp16_weights;
+        assert_eq!(perf.peak_memory(ns), (vanilla, chunked, ln_peak));
+
+        let per_block = FootprintModel::paper().fp16_activation_bytes(ns);
+        assert_eq!(
+            per_block * (cfg.blocks * cfg.recycles) as f64,
+            perf.memory_footprint(ns).0
+        );
+
+        // A batch charges weights once and activations per sequence.
+        for (backend, activation) in [
+            (&ln as &dyn Backend, tokenwise),
+            (&gpu, cost.peak_activation_bytes(ns, chunk4)),
+        ] {
+            assert_eq!(
+                backend.batch_peak_bytes_at(&[ns, ns], Fp32),
+                backend.weight_bytes() + 2.0 * activation
+            );
+        }
+    }
+}
