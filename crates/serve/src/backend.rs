@@ -282,10 +282,7 @@ pub fn standard_backends() -> Vec<Box<dyn Backend>> {
 /// Best-case service seconds for a single sequence of `length` over a
 /// pool: the fastest backend whose memory fits it at FP32, ignoring all
 /// queueing. `None` when nothing fits (the `TooLong` case).
-pub(crate) fn best_case_seconds<B>(backends: &[B], length: usize) -> Option<f64>
-where
-    B: std::ops::Deref<Target = dyn Backend>,
-{
+pub(crate) fn best_case_seconds(backends: &[Box<dyn Backend>], length: usize) -> Option<f64> {
     backends
         .iter()
         .filter(|b| b.fits_batch(&[length]))

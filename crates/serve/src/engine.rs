@@ -10,29 +10,19 @@
 //! schedule and statistics (the reproducibility the integration and chaos
 //! tests pin).
 //!
-//! Resilience semantics (shared with the threaded service):
-//!
-//! * an injected **stall** completes late (modeled time × factor) but
-//!   successfully;
-//! * a **transient error** burns the batch's modeled time, then fails it —
-//!   its requests retry with exponential backoff and deterministic jitter;
-//! * a **worker panic** kills the batch a quarter of the way in;
-//! * consecutive failures trip the backend's **circuit breaker** (open →
-//!   cooldown → half-open probe), rerouting traffic to surviving backends;
-//! * under **memory pressure** dispatch first tries every backend at FP32,
-//!   then walks the AAQ ladder (INT8, INT4) — degrading the activation
-//!   precision of the route instead of rejecting the request.
+//! What is decided at each event is [`crate::scheduler`]'s; the engine is
+//! its virtual clock: it stages arrivals, parks each launched batch until
+//! its modeled finish time, and records what the core emits on a virtual
+//! tracer and an attached [`ln_watch::Watch`].
 
 use crate::backend::Backend;
-use crate::batcher::{Batcher, BatcherConfig, QueuedRequest};
+use crate::batcher::BatcherConfig;
 use crate::bucket::BucketPolicy;
-use crate::request::{
-    terminal_error, FoldError, FoldOutcome, FoldRequest, FoldResponse, RejectReason,
-};
-use crate::stats::{BatchRecord, ServeStats};
-use ln_fault::{BreakerEvent, CircuitBreaker, DispatchFault, FaultPlan, ResilienceConfig};
+use crate::request::{FoldOutcome, FoldRequest, FoldResponse};
+use crate::scheduler::{Args, InFlight, Scheduler, Sink, BACKEND_TRACK_BASE};
+use crate::stats::ServeStats;
+use ln_fault::{FaultPlan, ResilienceConfig};
 use ln_obs::{seconds_to_nanos, ArgValue, Clock, TraceEvent, TracePhase, Tracer, VirtualClock};
-use ln_quant::ActPrecision;
 use ln_watch::{FoldObservation, ObservedOutcome, Watch, WatchHandle};
 use std::sync::Arc;
 
@@ -40,10 +30,6 @@ use std::sync::Arc;
 /// bench workloads never evict (eviction would still be deterministic, just
 /// lossy).
 const ENGINE_TRACE_CAPACITY: usize = 1 << 20;
-
-/// Backend tracks start here in the trace so they sort after the per-bucket
-/// queue tracks in `chrome://tracing`.
-const BACKEND_TRACK_BASE: u32 = 100;
 
 /// The engine's trace state for one `run`: a virtual clock slaved to the
 /// event loop and a *forced* tracer over it, so the trace records regardless
@@ -61,27 +47,6 @@ impl RunTrace {
         let tracer = Tracer::forced(clock.clone() as Arc<dyn Clock>, ENGINE_TRACE_CAPACITY);
         RunTrace { clock, tracer }
     }
-}
-
-fn breaker_event_label(event: BreakerEvent) -> &'static str {
-    match event {
-        BreakerEvent::Opened => "breaker_open",
-        BreakerEvent::HalfOpened => "breaker_half_open",
-        BreakerEvent::Closed => "breaker_close",
-    }
-}
-
-/// A batch in flight on a backend.
-#[derive(Debug, Clone)]
-struct InFlight {
-    finish_seconds: f64,
-    start_seconds: f64,
-    bucket: usize,
-    precision: ActPrecision,
-    /// The injected fault afflicting this dispatch, if any; decides at
-    /// `finish_seconds` whether the batch completes or fails.
-    fault: Option<DispatchFault>,
-    requests: Vec<QueuedRequest>,
 }
 
 /// The result of driving a workload through the engine.
@@ -110,45 +75,20 @@ struct RunState {
     /// tail sorted.
     arrivals: Vec<FoldRequest>,
     next_arrival: usize,
-    next_poison: usize,
     /// Virtual time of the last processed event.
     now: f64,
-    stats: ServeStats,
-    responses: Vec<FoldResponse>,
-    /// Cursor into `responses`: everything before it was already handed
-    /// out by an earlier [`Engine::advance`] call.
+    /// Cursor into the sink's responses: everything before it was already
+    /// handed out by an earlier [`Engine::advance`] call.
     emitted: usize,
-    /// Whether this run already snapshotted a `deadline_unmeetable` black
-    /// box. One per run: the first such rejection captures the admission
-    /// context; repeats would only burn the watch's black-box budget on
-    /// identical evidence.
-    deadline_box_fired: bool,
 }
 
-/// The batched folding scheduler over a pool of simulated backends.
-pub struct Engine {
-    batcher: Batcher,
-    backends: Vec<Box<dyn Backend>>,
-    /// `max_single_length` per backend (its routing capacity).
-    capacities: Vec<usize>,
-    /// Backend indices sorted by ascending capacity: dispatch prefers the
-    /// least capable device that fits, keeping AAQ-capable memory free for
-    /// the long-sequence buckets.
-    dispatch_order: Vec<usize>,
-    in_flight: Vec<Option<InFlight>>,
-    plan: FaultPlan,
-    resilience: ResilienceConfig,
-    breakers: Vec<CircuitBreaker>,
-    /// Per-backend dispatch sequence numbers (the fault-plan key).
-    dispatch_seq: Vec<u64>,
-    /// `Some(_)` forces tracing on/off for this engine; `None` follows the
-    /// process-wide `LN_OBS` level.
-    trace_override: Option<bool>,
+/// Where the engine takes what the scheduler core emits: the run's virtual
+/// tracer, the attached watch, and the run's responses.
+#[derive(Default)]
+struct VirtualSink {
     /// Per-run trace state, present only while a run executes with tracing
     /// on.
     run_trace: Option<RunTrace>,
-    /// Stepper state, present between `begin` and `finish`.
-    run_state: Option<RunState>,
     /// Live-observability hub ([`ln_watch::Watch`]) shared with the cluster
     /// layer, when attached: feeds the flight recorder, SLO engine and
     /// watermark tracker as the schedule unfolds.
@@ -156,6 +96,125 @@ pub struct Engine {
     /// The cluster shard index this engine serves, for per-shard SLO
     /// scoping; `None` for a standalone engine.
     watch_shard: Option<usize>,
+    responses: Vec<FoldResponse>,
+}
+
+impl Sink for VirtualSink {
+    /// With a watch attached the event also lands in its flight-recorder
+    /// ring — unconditionally, so black boxes exist even with tracing off.
+    fn instant(&mut self, at: f64, name: &'static str, cat: &'static str, track: u32, args: Args) {
+        if let Some(watch) = &self.watch {
+            Watch::lock(watch).record_event(TraceEvent {
+                name: name.to_string(),
+                cat,
+                phase: TracePhase::Instant,
+                ts_nanos: seconds_to_nanos(at),
+                track,
+                args: args.clone(),
+            });
+        }
+        if let Some(rt) = &self.run_trace {
+            rt.clock.set_seconds(at);
+            rt.tracer.instant(name, cat, track, args);
+        }
+    }
+
+    fn span(
+        &mut self,
+        start: f64,
+        end: f64,
+        name: &'static str,
+        cat: &'static str,
+        track: u32,
+        args: Args,
+    ) {
+        let begin = seconds_to_nanos(start);
+        let dur_nanos = seconds_to_nanos(end).saturating_sub(begin);
+        if let Some(watch) = &self.watch {
+            Watch::lock(watch).record_event(TraceEvent {
+                name: name.to_string(),
+                cat,
+                phase: TracePhase::Complete { dur_nanos },
+                ts_nanos: begin,
+                track,
+                args: args.clone(),
+            });
+        }
+        if let Some(rt) = &self.run_trace {
+            rt.tracer.complete(name, cat, track, begin, dur_nanos, args);
+        }
+    }
+
+    fn respond(&mut self, request: FoldRequest, outcome: FoldOutcome) {
+        self.responses.push(FoldResponse::to(request, outcome));
+    }
+
+    fn observe(&mut self, length: usize, at_seconds: f64, outcome: ObservedOutcome) {
+        if let Some(watch) = &self.watch {
+            Watch::lock(watch).observe(&FoldObservation {
+                shard: self.watch_shard,
+                length,
+                at_seconds,
+                outcome,
+            });
+        }
+    }
+
+    fn trigger(&mut self, trigger: &str, at: f64) {
+        if let Some(watch) = &self.watch {
+            Watch::lock(watch).trigger(trigger, at);
+        }
+    }
+
+    /// The batch's `fold_batch` span over its virtual execution, and its
+    /// modeled peak into the watch's watermark tracker.
+    fn batch_completed(
+        &mut self,
+        idx: usize,
+        f: &InFlight,
+        peak_bytes: f64,
+        backend: &dyn Backend,
+    ) {
+        let args = vec![
+            ("bucket", ArgValue::U64(f.bucket as u64)),
+            ("batch_size", ArgValue::U64(f.requests.len() as u64)),
+            ("precision", ArgValue::Str(f.precision.label().to_string())),
+            ("peak_bytes", ArgValue::F64(peak_bytes)),
+        ];
+        let track = BACKEND_TRACK_BASE + idx as u32;
+        self.span(
+            f.start_seconds,
+            f.finish_seconds,
+            "fold_batch",
+            "kernel",
+            track,
+            args,
+        );
+        if let Some(watch) = &self.watch {
+            let lengths = f.requests.iter().map(|q| q.request.length);
+            let mut w = Watch::lock(watch);
+            w.record_watermark(lengths.max().unwrap_or(0), f.precision, peak_bytes);
+            if let Some(shard) = self.watch_shard {
+                // Pressure = modeled peak over the backend's
+                // activation headroom (capacity minus weights).
+                let headroom = (backend.memory_capacity_bytes() - backend.weight_bytes()).max(1.0);
+                w.note_shard_pressure(shard, peak_bytes / headroom);
+            }
+        }
+    }
+}
+
+/// The batched folding scheduler over a pool of simulated backends.
+pub struct Engine {
+    core: Scheduler<VirtualSink>,
+    /// The batch each backend is executing, parked until its virtual
+    /// `finish_seconds`.
+    in_flight: Vec<Option<InFlight>>,
+    /// `Some(_)` forces tracing on/off for this engine; `None` follows the
+    /// process-wide `LN_OBS` level.
+    trace_override: Option<bool>,
+    /// Stepper state, present between `begin` and `finish`.
+    run_state: Option<RunState>,
     /// A dead engine (evacuated shard) schedules nothing ever again.
     dead: bool,
 }
@@ -190,35 +249,13 @@ impl Engine {
         plan: FaultPlan,
         resilience: ResilienceConfig,
     ) -> Self {
-        assert!(!backends.is_empty(), "need at least one backend");
-        // Each capacity probe binary-searches one backend's latency model —
-        // independent pure work, fanned out per backend. Order is preserved,
-        // so the deterministic schedule is unchanged.
-        let capacities: Vec<usize> =
-            ln_par::par_map_collect(backends.len(), 1, |i| backends[i].max_single_length());
-        let mut dispatch_order: Vec<usize> = (0..backends.len()).collect();
-        dispatch_order.sort_by_key(|&i| capacities[i]);
-        let in_flight = backends.iter().map(|_| None).collect();
-        let breakers = backends
-            .iter()
-            .map(|_| CircuitBreaker::new(resilience.breaker))
-            .collect();
-        let dispatch_seq = vec![0; backends.len()];
+        let sink = VirtualSink::default();
+        let core = Scheduler::new(policy, cfg, backends, plan, resilience, sink);
         Engine {
-            batcher: Batcher::new(policy, cfg),
-            backends,
-            capacities,
-            dispatch_order,
-            in_flight,
-            plan,
-            resilience,
-            breakers,
-            dispatch_seq,
+            in_flight: vec![None; core.backends.len()],
+            core,
             trace_override: None,
-            run_trace: None,
             run_state: None,
-            watch: None,
-            watch_shard: None,
             dead: false,
         }
     }
@@ -231,8 +268,8 @@ impl Engine {
     /// end of every step. `shard` scopes this engine's observations for
     /// per-shard error budgets.
     pub fn attach_watch(&mut self, watch: WatchHandle, shard: Option<usize>) {
-        self.watch = Some(watch);
-        self.watch_shard = shard;
+        self.core.sink.watch = Some(watch);
+        self.core.sink.watch_shard = shard;
     }
 
     /// Forces virtual-time tracing on or off for this engine's runs,
@@ -248,114 +285,29 @@ impl Engine {
             .unwrap_or(ln_obs::level() == ln_obs::ObsLevel::Trace)
     }
 
-    /// Records a point-in-time trace event at virtual `seconds`.
-    ///
-    /// With a watch attached the event also lands in its flight-recorder
-    /// ring — unconditionally, so black boxes exist even with tracing off.
-    fn trace_instant(
-        &self,
-        seconds: f64,
-        name: &'static str,
-        cat: &'static str,
-        track: u32,
-        args: Vec<(&'static str, ArgValue)>,
-    ) {
-        if let Some(watch) = &self.watch {
-            Watch::lock(watch).record_event(TraceEvent {
-                name: name.to_string(),
-                cat,
-                phase: TracePhase::Instant,
-                ts_nanos: seconds_to_nanos(seconds),
-                track,
-                args: args.clone(),
-            });
-        }
-        if let Some(rt) = &self.run_trace {
-            rt.clock.set_seconds(seconds);
-            rt.tracer.instant(name, cat, track, args);
-        }
-    }
-
-    /// Records a completed span covering virtual `[start, end]` seconds
-    /// (and, like [`Engine::trace_instant`], mirrors it into an attached
-    /// watch's flight recorder).
-    fn trace_complete(
-        &self,
-        start_seconds: f64,
-        end_seconds: f64,
-        name: &'static str,
-        cat: &'static str,
-        track: u32,
-        args: Vec<(&'static str, ArgValue)>,
-    ) {
-        let begin = seconds_to_nanos(start_seconds);
-        let end = seconds_to_nanos(end_seconds);
-        if let Some(watch) = &self.watch {
-            Watch::lock(watch).record_event(TraceEvent {
-                name: name.to_string(),
-                cat,
-                phase: TracePhase::Complete {
-                    dur_nanos: end.saturating_sub(begin),
-                },
-                ts_nanos: begin,
-                track,
-                args: args.clone(),
-            });
-        }
-        if let Some(rt) = &self.run_trace {
-            rt.tracer
-                .complete(name, cat, track, begin, end.saturating_sub(begin), args);
-        }
-    }
-
-    /// Feeds one request outcome to the attached watch's SLO engine.
-    fn watch_observe(&self, length: usize, at_seconds: f64, outcome: ObservedOutcome) {
-        if let Some(watch) = &self.watch {
-            Watch::lock(watch).observe(&FoldObservation {
-                shard: self.watch_shard,
-                length,
-                at_seconds,
-                outcome,
-            });
-        }
-    }
-
-    /// Snapshots a black box on the attached watch (breaker trip and other
-    /// non-SLO faults).
-    fn watch_trigger(&self, trigger: &str, now: f64) {
-        if let Some(watch) = &self.watch {
-            Watch::lock(watch).trigger(trigger, now);
-        }
-    }
-
     /// Evaluates the attached watch's SLOs at `now`; each fresh breach
     /// already snapshotted a black box inside `evaluate`, and is echoed
     /// here as an `"slo_breach"` trace instant so timelines show *when* the
     /// budget ran out.
-    fn watch_evaluate(&self, now: f64) {
-        let Some(watch) = &self.watch else {
+    fn watch_evaluate(&mut self, now: f64) {
+        let Some(watch) = &self.core.sink.watch else {
             return;
         };
         let breaches = Watch::lock(watch).evaluate(now);
         for b in breaches {
-            self.trace_instant(
-                now,
-                "slo_breach",
-                "slo",
-                0,
-                vec![
-                    ("slo", ArgValue::Str(b.slo)),
-                    ("scope", ArgValue::Str(b.scope)),
-                    ("fast_burn", ArgValue::F64(b.fast_burn)),
-                    ("slow_burn", ArgValue::F64(b.slow_burn)),
-                ],
-            );
+            let args = vec![
+                ("slo", ArgValue::Str(b.slo)),
+                ("scope", ArgValue::Str(b.scope)),
+                ("fast_burn", ArgValue::F64(b.fast_burn)),
+                ("slow_burn", ArgValue::F64(b.slow_burn)),
+            ];
+            self.core.sink.instant(now, "slo_breach", "slo", 0, args);
         }
     }
 
     /// The longest sequence any backend in the pool can fold.
     pub fn max_routable_length(&self) -> usize {
-        self.capacities.iter().copied().max().unwrap_or(0)
+        self.core.max_routable_length()
     }
 
     /// Best-case service seconds for a single sequence of `length`: the
@@ -363,16 +315,16 @@ impl Engine {
     /// `None` when nothing fits (the `TooLong` case). Public so a cluster
     /// router can reuse the same admission math for placement.
     pub fn best_case_seconds(&self, length: usize) -> Option<f64> {
-        crate::backend::best_case_seconds(&self.backends, length)
+        crate::backend::best_case_seconds(&self.core.backends, length)
     }
 
     /// Runs a workload to completion and returns responses plus stats.
     ///
     /// The workload is processed in `(arrival, id)` order regardless of
     /// input order, so shuffled inputs yield the same schedule. Every
-    /// admitted request reaches a definite [`FoldOutcome`] — completion
-    /// (possibly precision-degraded), typed failure, rejection or timeout —
-    /// even under an adversarial fault plan.
+    /// admitted request reaches a definite [`FoldOutcome`] —
+    /// completion (possibly precision-degraded), typed failure, rejection
+    /// or timeout — even under an adversarial fault plan.
     ///
     /// Exactly equivalent to driving the stepper by hand:
     /// [`Engine::begin`], then [`Engine::advance`] at every
@@ -393,14 +345,10 @@ impl Engine {
     /// engine replays the same plan identically) and stages the workload
     /// in `(arrival, id)` order.
     pub fn begin(&mut self, workload: &[FoldRequest]) {
-        self.breakers = self
-            .backends
-            .iter()
-            .map(|_| CircuitBreaker::new(self.resilience.breaker))
-            .collect();
-        self.dispatch_seq = vec![0; self.backends.len()];
-        self.run_trace = self.tracing().then(RunTrace::new);
-        self.in_flight = self.backends.iter().map(|_| None).collect();
+        self.core.reset_run();
+        self.core.sink.run_trace = self.tracing().then(RunTrace::new);
+        self.core.sink.responses = Vec::with_capacity(workload.len());
+        self.in_flight.fill(None);
         self.dead = false;
 
         let mut arrivals: Vec<FoldRequest> = workload.to_vec();
@@ -409,62 +357,32 @@ impl Engine {
                 .total_cmp(&b.arrival_seconds)
                 .then(a.id.cmp(&b.id))
         });
-        let mut stats = ServeStats::new(self.batcher.policy().num_buckets());
-        stats
-            .resilience
-            .register_backends(self.backends.iter().map(|b| b.name().to_string()));
-        let cap = arrivals.len();
         self.run_state = Some(RunState {
             arrivals,
             next_arrival: 0,
-            next_poison: 0,
             now: 0.0,
-            stats,
-            responses: Vec::with_capacity(cap),
             emitted: 0,
-            deadline_box_fired: false,
         });
     }
 
     /// The next event time, or `None` when nothing is scheduled (run not
     /// begun, engine dead, or workload fully drained and settled).
     ///
-    /// Arrivals, completions and poisons consume themselves, so candidates
-    /// at `now` are fine; deadlines and breaker/pressure boundaries do
-    /// not, so only strictly-future ones count (a stale flush deadline
-    /// just means the bucket is already ready and waiting for a backend —
-    /// a completion will wake it).
+    /// Arrivals and completions consume themselves, so candidates at `now`
+    /// are fine; the core's own timers follow [`Scheduler::next_timer`].
     pub fn next_event_seconds(&self) -> Option<f64> {
         if self.dead {
             return None;
         }
         let rs = self.run_state.as_ref()?;
         let now = rs.now;
-        let mut next: Option<f64> = None;
+        let mut next = self.core.next_timer(now);
         let mut fold = |cand: f64| next = Some(next.map_or(cand, |cur: f64| cur.min(cand)));
-        if rs.next_arrival < rs.arrivals.len() {
-            fold(rs.arrivals[rs.next_arrival].arrival_seconds.max(now));
+        if let Some(r) = rs.arrivals.get(rs.next_arrival) {
+            fold(r.arrival_seconds.max(now));
         }
         for f in self.in_flight.iter().flatten() {
             fold(f.finish_seconds.max(now));
-        }
-        if let Some(d) = self.batcher.next_deadline(now) {
-            fold(d);
-        }
-        for b in &self.breakers {
-            if let Some(t) = b.next_transition_seconds() {
-                if t > now {
-                    fold(t);
-                }
-            }
-        }
-        if self.batcher.total_depth() > 0 {
-            if let Some(t) = self.plan.next_pressure_boundary(now) {
-                fold(t);
-            }
-        }
-        if rs.next_poison < self.plan.poisons().len() {
-            fold(self.plan.poisons()[rs.next_poison].at_seconds.max(now));
         }
         next
     }
@@ -478,7 +396,7 @@ impl Engine {
         };
         self.dead
             || (rs.next_arrival >= rs.arrivals.len()
-                && self.batcher.total_depth() == 0
+                && self.core.batcher.total_depth() == 0
                 && self.in_flight.iter().all(Option::is_none))
     }
 
@@ -500,8 +418,8 @@ impl Engine {
         let now = t.max(rs.now);
         rs.now = now;
         self.step(now, &mut rs);
-        let fresh = rs.responses[rs.emitted..].to_vec();
-        rs.emitted = rs.responses.len();
+        let fresh = self.core.sink.responses[rs.emitted..].to_vec();
+        rs.emitted = self.core.sink.responses.len();
         self.run_state = Some(rs);
         fresh
     }
@@ -512,19 +430,21 @@ impl Engine {
     ///
     /// Panics when called without a matching [`Engine::begin`].
     pub fn finish(&mut self) -> EngineOutcome {
-        let mut rs = self
+        let rs = self
             .run_state
             .take()
             .expect("Engine::finish without Engine::begin");
-        rs.stats.finish(rs.now);
-        rs.responses.sort_by_key(|r| r.id);
-        let (trace, trace_dropped) = match self.run_trace.take() {
+        let mut stats = self.core.reset_run();
+        stats.finish(rs.now);
+        let mut responses = std::mem::take(&mut self.core.sink.responses);
+        responses.sort_by_key(|r| r.id);
+        let (trace, trace_dropped) = match self.core.sink.run_trace.take() {
             Some(rt) => (Some(rt.tracer.drain()), rt.tracer.dropped()),
             None => (None, 0),
         };
         EngineOutcome {
-            responses: rs.responses,
-            stats: rs.stats,
+            responses,
+            stats,
             trace,
             trace_dropped,
         }
@@ -553,6 +473,15 @@ impl Engine {
         rs.arrivals.insert(rs.next_arrival + pos, request);
     }
 
+    /// Marks request `r` as gone from this engine without a response.
+    fn trace_cancel(&mut self, now: f64, name: &'static str, r: &FoldRequest) {
+        let bucket = self.core.batcher.policy().bucket_of(r.length);
+        let args = vec![("id", ArgValue::U64(r.id))];
+        self.core
+            .sink
+            .instant(now, name, "cancel", bucket as u32, args);
+    }
+
     /// Removes a request that has not yet dispatched — queued or still in
     /// the unseen arrival tail — and returns it (hedged-dispatch
     /// first-winner-cancels). A request already executing in a batch is
@@ -569,16 +498,9 @@ impl Engine {
         };
         let request = match pending {
             Some(r) => r,
-            None => self.batcher.remove(id)?.request,
+            None => self.core.batcher.remove(id)?.request,
         };
-        let bucket = self.batcher.policy().bucket_of(request.length);
-        self.trace_instant(
-            now,
-            "cancel",
-            "cancel",
-            bucket as u32,
-            vec![("id", ArgValue::U64(id))],
-        );
+        self.trace_cancel(now, "cancel", &request);
         Some(request)
     }
 
@@ -591,17 +513,10 @@ impl Engine {
         };
         let mut stolen = Vec::new();
         for _ in 0..max_n {
-            let Some(q) = self.batcher.steal_tail(max_len) else {
+            let Some(q) = self.core.batcher.steal_tail(max_len) else {
                 break;
             };
-            let bucket = self.batcher.policy().bucket_of(q.request.length);
-            self.trace_instant(
-                now,
-                "steal",
-                "cancel",
-                bucket as u32,
-                vec![("id", ArgValue::U64(q.request.id))],
-            );
+            self.trace_cancel(now, "steal", &q.request);
             stolen.push(q.request);
         }
         stolen
@@ -617,36 +532,23 @@ impl Engine {
         let mut victims: Vec<FoldRequest> = Vec::new();
         for idx in 0..self.in_flight.len() {
             if let Some(f) = self.in_flight[idx].take() {
-                self.trace_instant(
-                    now,
-                    "shard_loss",
-                    "fault",
-                    BACKEND_TRACK_BASE + idx as u32,
-                    vec![("bucket", ArgValue::U64(f.bucket as u64))],
-                );
+                let args = vec![("bucket", ArgValue::U64(f.bucket as u64))];
+                let track = BACKEND_TRACK_BASE + idx as u32;
+                self.core
+                    .sink
+                    .instant(now, "shard_loss", "fault", track, args);
                 victims.extend(f.requests.into_iter().map(|q| q.request));
             }
         }
-        for bucket in 0..self.batcher.policy().num_buckets() {
-            victims.extend(
-                self.batcher
-                    .poison_bucket(bucket)
-                    .into_iter()
-                    .map(|q| q.request),
-            );
+        for bucket in 0..self.core.batcher.policy().num_buckets() {
+            let wiped = self.core.batcher.poison_bucket(bucket);
+            victims.extend(wiped.into_iter().map(|q| q.request));
         }
         if let Some(rs) = self.run_state.as_mut() {
             victims.extend(rs.arrivals.split_off(rs.next_arrival));
         }
         for r in &victims {
-            let bucket = self.batcher.policy().bucket_of(r.length);
-            self.trace_instant(
-                now,
-                "cancel",
-                "cancel",
-                bucket as u32,
-                vec![("id", ArgValue::U64(r.id))],
-            );
+            self.trace_cancel(now, "cancel", r);
         }
         self.dead = true;
         victims
@@ -659,7 +561,7 @@ impl Engine {
 
     /// Total queued requests across buckets (the work-stealing signal).
     pub fn queue_depth(&self) -> usize {
-        self.batcher.total_depth()
+        self.core.batcher.total_depth()
     }
 
     /// Backends currently executing a batch.
@@ -672,527 +574,57 @@ impl Engine {
         self.run_state.as_ref().map_or(0.0, |rs| rs.now)
     }
 
-    /// One full event step at `now`: the body of the original run loop.
+    /// One full event step at `now`.
     fn step(&mut self, now: f64, rs: &mut RunState) {
-        let stats = &mut rs.stats;
-        let responses = &mut rs.responses;
-        {
-            // 0. Time-driven breaker transitions (open → half-open probe).
-            let mut breaker_events: Vec<(usize, BreakerEvent)> = Vec::new();
-            for (i, b) in self.breakers.iter_mut().enumerate() {
-                if let Some(ev) = b.poll(now) {
-                    stats.resilience.backends[i].record_breaker(ev);
-                    breaker_events.push((i, ev));
-                }
-            }
-            for (i, ev) in breaker_events {
-                self.trace_instant(
-                    now,
-                    breaker_event_label(ev),
-                    "breaker",
-                    BACKEND_TRACK_BASE + i as u32,
-                    Vec::new(),
-                );
-            }
+        let core = &mut self.core;
+        core.poll_breakers(now);
 
-            // 1. Completions (and fault manifestations) due by now, in
-            //    (finish, backend) order.
-            loop {
-                let due = self
-                    .in_flight
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, f)| f.as_ref().map(|f| (f.finish_seconds, i)))
-                    .filter(|&(fin, _)| fin <= now)
-                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                let Some((_, idx)) = due else { break };
-                let Some(f) = self.in_flight[idx].take() else {
-                    break;
-                };
-                self.settle_batch(idx, f, stats, responses);
-            }
-
-            // 2. Arrivals due by now: admission control.
-            while rs.next_arrival < rs.arrivals.len()
-                && rs.arrivals[rs.next_arrival].arrival_seconds <= now
-            {
-                let req = rs.arrivals[rs.next_arrival].clone();
-                rs.next_arrival += 1;
-                let bucket = self.batcher.policy().bucket_of(req.length);
-                let (id, seq_len) = (req.id, req.length);
-                let reject_args = |reason: &'static str| {
-                    vec![
-                        ("id", ArgValue::U64(id)),
-                        ("reason", ArgValue::Str(reason.to_string())),
-                    ]
-                };
-                let Some(best) = self.best_case_seconds(req.length) else {
-                    stats.record_rejection(bucket);
-                    self.trace_instant(
-                        now,
-                        "reject",
-                        "queue",
-                        bucket as u32,
-                        reject_args("too_long"),
-                    );
-                    self.watch_observe(req.length, now, ObservedOutcome::Rejected);
-                    responses.push(reject(req, RejectReason::TooLong));
-                    continue;
-                };
-                if best > req.timeout_seconds {
-                    // Even the best bucket cannot meet the deadline: refuse
-                    // up front instead of burning backend time.
-                    stats.record_rejection(bucket);
-                    stats.resilience.deadline_unmeetable += 1;
-                    self.trace_instant(
-                        now,
-                        "reject",
-                        "queue",
-                        bucket as u32,
-                        reject_args("deadline_unmeetable"),
-                    );
-                    self.watch_observe(req.length, now, ObservedOutcome::Rejected);
-                    if !rs.deadline_box_fired {
-                        rs.deadline_box_fired = true;
-                        self.watch_trigger("deadline_unmeetable", now);
-                    }
-                    responses.push(reject(req, RejectReason::DeadlineUnmeetable));
-                    continue;
-                }
-                match self.batcher.offer(req) {
-                    Ok(b) => {
-                        stats.record_depth(b, self.batcher.depth(b));
-                        self.trace_instant(
-                            now,
-                            "enqueue",
-                            "queue",
-                            b as u32,
-                            vec![
-                                ("id", ArgValue::U64(id)),
-                                ("seq_len", ArgValue::U64(seq_len as u64)),
-                            ],
-                        );
-                    }
-                    Err(req) => {
-                        stats.record_rejection(bucket);
-                        self.trace_instant(
-                            now,
-                            "reject",
-                            "queue",
-                            bucket as u32,
-                            reject_args("queue_full"),
-                        );
-                        self.watch_observe(req.length, now, ObservedOutcome::Rejected);
-                        responses.push(reject(req, RejectReason::QueueFull));
-                    }
-                }
-            }
-
-            // 3. Injected queue poisons due by now: the bucket's queue is
-            //    wiped; victims re-admit (no backoff — the queue, not the
-            //    backend, failed) or fail typed when out of attempts.
-            while rs.next_poison < self.plan.poisons().len()
-                && self.plan.poisons()[rs.next_poison].at_seconds <= now
-            {
-                let ev = self.plan.poisons()[rs.next_poison];
-                rs.next_poison += 1;
-                stats.resilience.poison_events += 1;
-                self.trace_instant(
-                    now,
-                    "queue_poison",
-                    "poison",
-                    ev.bucket as u32,
-                    vec![("bucket", ArgValue::U64(ev.bucket as u64))],
-                );
-                for q in self.batcher.poison_bucket(ev.bucket) {
-                    let attempt = q.attempt + 1;
-                    let cause = FoldError::QueuePoisoned { bucket: ev.bucket };
-                    if self.resilience.retry.exhausted(attempt) {
-                        stats.record_failure(ev.bucket);
-                        self.trace_instant(
-                            now,
-                            "fail",
-                            "fault",
-                            ev.bucket as u32,
-                            vec![
-                                ("id", ArgValue::U64(q.request.id)),
-                                ("attempt", ArgValue::U64(u64::from(attempt))),
-                            ],
-                        );
-                        self.watch_observe(q.request.length, now, ObservedOutcome::Failed);
-                        responses.push(fail(q.request, terminal_error(cause, attempt)));
-                    } else {
-                        self.trace_instant(
-                            now,
-                            "retry",
-                            "retry",
-                            ev.bucket as u32,
-                            vec![
-                                ("id", ArgValue::U64(q.request.id)),
-                                ("attempt", ArgValue::U64(u64::from(attempt))),
-                            ],
-                        );
-                        self.batcher.requeue(QueuedRequest {
-                            request: q.request,
-                            attempt,
-                            earliest_seconds: now,
-                        });
-                    }
-                }
-            }
-
-            // 4. Dispatch every ready bucket that has an idle, fitting,
-            //    breaker-permitting backend (requests get their dispatch
-            //    chance before the same-instant timeout check below).
-            self.dispatch(now, stats);
-
-            // 5. Timeouts.
-            for r in self.batcher.expire(now) {
-                let bucket = self.batcher.policy().bucket_of(r.length);
-                stats.record_timeout(bucket);
-                self.trace_instant(
-                    now,
-                    "timeout",
-                    "timeout",
-                    bucket as u32,
-                    vec![("id", ArgValue::U64(r.id))],
-                );
-                self.watch_observe(r.length, now, ObservedOutcome::TimedOut);
-                responses.push(FoldResponse {
-                    id: r.id,
-                    name: r.name,
-                    length: r.length,
-                    outcome: FoldOutcome::TimedOut {
-                        waited_seconds: now - r.arrival_seconds,
-                    },
-                });
-            }
-        }
-
-        // 6. Live-observability pass: re-evaluate SLO burn rates against
-        //    everything this step observed; fresh breaches snapshot black
-        //    boxes and echo "slo_breach" instants into the timeline.
-        self.watch_evaluate(now);
-    }
-
-    /// Resolves a finished in-flight batch: success (including absorbed
-    /// stalls) records it and answers its requests; an injected transient
-    /// or worker panic fails it, feeds the breaker, and retries or fails
-    /// each request.
-    fn settle_batch(
-        &mut self,
-        idx: usize,
-        f: InFlight,
-        stats: &mut ServeStats,
-        responses: &mut Vec<FoldResponse>,
-    ) {
-        let backend_name = self.backends[idx].name().to_string();
-        let now = f.finish_seconds;
-        match f.fault {
-            None | Some(DispatchFault::Stall { .. }) => {
-                if let Some(ev) = self.breakers[idx].on_success() {
-                    stats.resilience.backends[idx].record_breaker(ev);
-                    self.trace_instant(
-                        now,
-                        breaker_event_label(ev),
-                        "breaker",
-                        BACKEND_TRACK_BASE + idx as u32,
-                        Vec::new(),
-                    );
-                }
-                let lengths: Vec<usize> = f.requests.iter().map(|q| q.request.length).collect();
-                let peak_bytes = self.backends[idx].batch_peak_bytes_at(&lengths, f.precision);
-                self.trace_complete(
-                    f.start_seconds,
-                    now,
-                    "fold_batch",
-                    "kernel",
-                    BACKEND_TRACK_BASE + idx as u32,
-                    vec![
-                        ("bucket", ArgValue::U64(f.bucket as u64)),
-                        ("batch_size", ArgValue::U64(f.requests.len() as u64)),
-                        ("precision", ArgValue::Str(f.precision.label().to_string())),
-                        ("peak_bytes", ArgValue::F64(peak_bytes)),
-                    ],
-                );
-                let latencies: Vec<f64> = f
-                    .requests
-                    .iter()
-                    .map(|q| now - q.request.arrival_seconds)
-                    .collect();
-                if let Some(watch) = &self.watch {
-                    let max_length = lengths.iter().copied().max().unwrap_or(0);
-                    let mut w = Watch::lock(watch);
-                    w.record_watermark(max_length, f.precision, peak_bytes);
-                    if let Some(shard) = self.watch_shard {
-                        // Pressure = modeled peak over the backend's
-                        // activation headroom (capacity minus weights).
-                        let headroom = (self.backends[idx].memory_capacity_bytes()
-                            - self.backends[idx].weight_bytes())
-                        .max(1.0);
-                        w.note_shard_pressure(shard, peak_bytes / headroom);
-                    }
-                }
-                stats.record_batch(
-                    BatchRecord {
-                        bucket: f.bucket,
-                        backend: backend_name.clone(),
-                        lengths,
-                        start_seconds: f.start_seconds,
-                        finish_seconds: now,
-                        precision: f.precision,
-                        peak_bytes,
-                    },
-                    &latencies,
-                );
-                let batch_size = f.requests.len();
-                for q in f.requests {
-                    let worst_rmse = ln_scope::modeled_worst_rmse(f.precision, q.request.length);
-                    stats.accuracy.record(worst_rmse, f.precision.is_degraded());
-                    self.watch_observe(
-                        q.request.length,
-                        now,
-                        ObservedOutcome::Completed {
-                            latency_seconds: now - q.request.arrival_seconds,
-                            deadline_seconds: q.request.timeout_seconds,
-                            degraded: f.precision.is_degraded(),
-                            worst_rmse,
-                        },
-                    );
-                    responses.push(FoldResponse {
-                        id: q.request.id,
-                        name: q.request.name,
-                        length: q.request.length,
-                        outcome: FoldOutcome::Completed {
-                            backend: backend_name.clone(),
-                            started_seconds: f.start_seconds,
-                            finished_seconds: now,
-                            batch_size,
-                            precision: f.precision,
-                        },
-                    });
-                }
-            }
-            Some(fault @ (DispatchFault::Transient | DispatchFault::WorkerPanic)) => {
-                let (cause, fault_label) = match fault {
-                    DispatchFault::Transient => {
-                        stats.resilience.backends[idx].transients += 1;
-                        (
-                            FoldError::Transient {
-                                backend: backend_name,
-                            },
-                            "transient",
-                        )
-                    }
-                    _ => {
-                        stats.resilience.backends[idx].panics += 1;
-                        (
-                            FoldError::WorkerPanic {
-                                backend: backend_name,
-                            },
-                            "worker_panic",
-                        )
-                    }
-                };
-                self.trace_instant(
-                    now,
-                    fault_label,
-                    "fault",
-                    BACKEND_TRACK_BASE + idx as u32,
-                    vec![("bucket", ArgValue::U64(f.bucket as u64))],
-                );
-                if let Some(ev) = self.breakers[idx].on_failure(now) {
-                    stats.resilience.backends[idx].record_breaker(ev);
-                    self.trace_instant(
-                        now,
-                        breaker_event_label(ev),
-                        "breaker",
-                        BACKEND_TRACK_BASE + idx as u32,
-                        Vec::new(),
-                    );
-                    if ev == BreakerEvent::Opened {
-                        self.watch_trigger("breaker_open", now);
-                    }
-                }
-                for q in f.requests {
-                    let attempt = q.attempt + 1;
-                    if self.resilience.retry.exhausted(attempt) {
-                        stats.record_failure(f.bucket);
-                        self.trace_instant(
-                            now,
-                            "fail",
-                            "fault",
-                            f.bucket as u32,
-                            vec![
-                                ("id", ArgValue::U64(q.request.id)),
-                                ("attempt", ArgValue::U64(u64::from(attempt))),
-                            ],
-                        );
-                        self.watch_observe(q.request.length, now, ObservedOutcome::Failed);
-                        responses.push(fail(q.request, terminal_error(cause.clone(), attempt)));
-                    } else {
-                        stats.resilience.retries += 1;
-                        let backoff = self.resilience.retry.backoff_seconds(q.request.id, attempt);
-                        self.trace_instant(
-                            now,
-                            "retry",
-                            "retry",
-                            f.bucket as u32,
-                            vec![
-                                ("id", ArgValue::U64(q.request.id)),
-                                ("attempt", ArgValue::U64(u64::from(attempt))),
-                                ("backoff_seconds", ArgValue::F64(backoff)),
-                            ],
-                        );
-                        self.batcher.requeue(QueuedRequest {
-                            request: q.request,
-                            attempt,
-                            earliest_seconds: now + backoff,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Greedily dispatches ready buckets onto idle backends.
-    ///
-    /// Two-pass precision policy: the FP32 rung is tried on *every*
-    /// permitted backend first (preserving least-capable-first routing), and
-    /// only when no backend fits the head at FP32 under the current
-    /// pressure-adjusted capacity does dispatch walk down the AAQ ladder —
-    /// degradation is strictly a fallback, never a preference.
-    fn dispatch(&mut self, now: f64, stats: &mut ServeStats) {
+        // Completions (and fault manifestations) due by now, in
+        // (finish, backend) order.
         loop {
-            let mut dispatched = false;
-            'buckets: for bucket in self.batcher.ready_buckets(now, false) {
-                let Some(head_len) = self.batcher.head_length(bucket) else {
-                    continue;
-                };
-                for precision in ActPrecision::LADDER {
-                    // Least-capable idle backend that fits the head: long
-                    // sequences end up on AAQ-capable memory, short ones
-                    // leave it free.
-                    let candidate = self.dispatch_order.iter().copied().find(|&i| {
-                        self.in_flight[i].is_none()
-                            && self.breakers[i].can_dispatch()
-                            && self.backends[i].permits(
-                                &[head_len],
-                                precision,
-                                self.plan.available_fraction(i, now),
-                            )
-                    });
-                    let Some(idx) = candidate else { continue };
-                    self.launch(idx, bucket, precision, now, stats);
-                    dispatched = true;
-                    break 'buckets; // ready set changed; recompute.
-                }
-            }
-            if !dispatched {
-                return;
-            }
+            let due = self
+                .in_flight
+                .iter()
+                .enumerate()
+                .filter_map(|(i, f)| f.as_ref().map(|f| (f.finish_seconds, i)))
+                .filter(|&(fin, _)| fin <= now)
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let Some((finish, idx)) = due else { break };
+            let Some(f) = self.in_flight[idx].take() else {
+                break;
+            };
+            let outcome = f.modeled();
+            core.settle(idx, f, outcome, finish);
         }
-    }
 
-    /// Takes a batch from `bucket` and puts it in flight on backend `idx`
-    /// at `precision`, consulting the fault plan for this dispatch.
-    fn launch(
-        &mut self,
-        idx: usize,
-        bucket: usize,
-        precision: ActPrecision,
-        now: f64,
-        stats: &mut ServeStats,
-    ) {
-        let fraction = self.plan.available_fraction(idx, now);
-        let backend = &self.backends[idx];
-        let budget = self.batcher.config().max_batch_seconds;
-        let batch = self.batcher.take_batch(bucket, now, |lens| {
-            backend.permits(lens, precision, fraction) && backend.batch_seconds(lens) <= budget
-        });
-        debug_assert!(!batch.is_empty());
-        let lengths: Vec<usize> = batch.iter().map(|q| q.request.length).collect();
-        let base = backend.batch_seconds(&lengths);
-        let seq = self.dispatch_seq[idx];
-        self.dispatch_seq[idx] += 1;
-        let fault = self.plan.dispatch_fault(idx, seq);
-        // Fault timing: a stall completes late; a transient burns the full
-        // modeled time before failing; a panic kills the worker a quarter
-        // of the way in.
-        let finish_seconds = match fault {
-            Some(DispatchFault::Stall { factor }) => {
-                stats.resilience.backends[idx].stalls += 1;
-                now + base * factor
+        while let Some(req) = rs.arrivals.get(rs.next_arrival) {
+            if req.arrival_seconds > now {
+                break;
             }
-            Some(DispatchFault::WorkerPanic) => now + 0.25 * base,
-            Some(DispatchFault::Transient) | None => now + base,
-        };
-        self.breakers[idx].on_dispatch();
-        stats.resilience.backends[idx].dispatches += 1;
-        stats.resilience.backends[idx].record_precision(precision);
-        // Per-request queue_wait spans land on the bucket's track; the
-        // dispatch marker (and any degradation) on the backend's track.
-        for q in &batch {
-            let waited_from = q.request.arrival_seconds.max(q.earliest_seconds);
-            self.trace_complete(
-                waited_from,
-                now,
-                "queue_wait",
-                "queue",
-                bucket as u32,
-                vec![
-                    ("id", ArgValue::U64(q.request.id)),
-                    ("seq_len", ArgValue::U64(q.request.length as u64)),
-                ],
-            );
+            rs.next_arrival += 1;
+            // A refusal is answered through the sink like any outcome.
+            let _ = core.admit(req.clone(), now);
         }
-        self.trace_instant(
-            now,
-            "dispatch",
-            "dispatch",
-            BACKEND_TRACK_BASE + idx as u32,
-            vec![
-                ("bucket", ArgValue::U64(bucket as u64)),
-                ("batch_size", ArgValue::U64(batch.len() as u64)),
-                ("precision", ArgValue::Str(precision.label().to_string())),
-            ],
-        );
-        if precision != ActPrecision::Fp32 {
-            self.trace_instant(
-                now,
-                "degrade",
-                "degradation",
-                BACKEND_TRACK_BASE + idx as u32,
-                vec![("precision", ArgValue::Str(precision.label().to_string()))],
-            );
+
+        core.fire_poisons(now);
+
+        // Dispatch every ready bucket that has an idle, fitting,
+        // breaker-permitting backend; the ready set changes with each
+        // launch, so pick afresh. Requests get their dispatch chance before
+        // the same-instant timeout check below.
+        while let Some((idx, bucket, precision)) =
+            core.pick(now, false, |i| self.in_flight[i].is_none())
+        {
+            let flight = core.launch(idx, bucket, precision, now, false);
+            self.in_flight[idx] = Some(flight);
         }
-        self.in_flight[idx] = Some(InFlight {
-            finish_seconds,
-            start_seconds: now,
-            bucket,
-            precision,
-            fault,
-            requests: batch,
-        });
-        stats.record_depth(bucket, self.batcher.depth(bucket));
-    }
-}
 
-fn reject(req: FoldRequest, reason: RejectReason) -> FoldResponse {
-    FoldResponse {
-        id: req.id,
-        name: req.name,
-        length: req.length,
-        outcome: FoldOutcome::Rejected(reason),
-    }
-}
+        core.expire(now);
 
-fn fail(req: FoldRequest, error: FoldError) -> FoldResponse {
-    FoldResponse {
-        id: req.id,
-        name: req.name,
-        length: req.length,
-        outcome: FoldOutcome::Failed(error),
+        // Live-observability pass: re-evaluate SLO burn rates against
+        // everything this step observed; fresh breaches snapshot black
+        // boxes and echo "slo_breach" instants into the timeline.
+        self.watch_evaluate(now);
     }
 }
 
@@ -1200,7 +632,9 @@ fn fail(req: FoldRequest, error: FoldError) -> FoldResponse {
 mod tests {
     use super::*;
     use crate::backend::{standard_backends, LightNobelBackend};
+    use crate::request::{FoldError, RejectReason};
     use ln_fault::{BreakerConfig, ChaosSpec, PressureWindow, RetryPolicy};
+    use ln_quant::ActPrecision;
 
     fn req(id: u64, length: usize, arrival: f64, timeout: f64) -> FoldRequest {
         FoldRequest {

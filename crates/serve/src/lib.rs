@@ -23,6 +23,7 @@
 //!   LightNobel accelerator (`ln-accel`) and the A100/H100 GPU baselines
 //!   (`ln-gpu`). Per-backend capacity comes from their peak-memory models,
 //!   so long sequences route to AAQ-capable backends automatically.
+//! * `scheduler` — the one policy body (admit, pick, launch, settle) the next two drive.
 //! * [`engine`] — the deterministic virtual-time scheduler: identical seed
 //!   in, identical batch schedule and statistics out. All latency numbers
 //!   come from the device models, never from wall-clock.
@@ -70,6 +71,7 @@ pub mod batcher;
 pub mod bucket;
 pub mod engine;
 pub mod request;
+mod scheduler;
 pub mod service;
 pub mod stats;
 pub mod workload;

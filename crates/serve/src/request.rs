@@ -42,6 +42,17 @@ pub enum RejectReason {
     DeadlineUnmeetable,
 }
 
+impl RejectReason {
+    /// The reason as a trace-event argument.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            RejectReason::QueueFull => "queue_full",
+            RejectReason::TooLong => "too_long",
+            RejectReason::DeadlineUnmeetable => "deadline_unmeetable",
+        }
+    }
+}
+
 impl fmt::Display for RejectReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -192,6 +203,18 @@ pub struct FoldResponse {
     pub length: usize,
     /// What happened.
     pub outcome: FoldOutcome,
+}
+
+impl FoldResponse {
+    /// The response that answers `request` with `outcome`.
+    pub(crate) fn to(request: FoldRequest, outcome: FoldOutcome) -> Self {
+        FoldResponse {
+            id: request.id,
+            name: request.name,
+            length: request.length,
+            outcome,
+        }
+    }
 }
 
 #[cfg(test)]

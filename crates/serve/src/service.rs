@@ -3,7 +3,7 @@
 //! [`FoldService`] runs one worker thread per backend over the shared
 //! length-bucketed batcher, built entirely on std primitives (`thread`,
 //! `Mutex`/`Condvar`, `mpsc`). `submit` is non-blocking: a full bucket
-//! queue rejects immediately with [`SubmitError::QueueFull`] instead of
+//! queue rejects immediately with [`RejectReason::QueueFull`] instead of
 //! applying backpressure by stalling the caller.
 //!
 //! Wall-clock is used only to *pace* the service (max-wait flushes and
@@ -11,23 +11,24 @@
 //! backends' device models, the same numbers the deterministic
 //! [`crate::engine::Engine`] produces.
 //!
-//! The service carries the same resilience layer as the engine: injected
-//! faults from a [`FaultPlan`], bounded retry with deterministic backoff,
-//! a per-backend circuit breaker, AAQ precision degradation under memory
-//! pressure, and panic containment — a worker that panics mid-batch
-//! (injected or real) is caught, the batch fails typed, and the thread
-//! keeps serving. Every admitted request reaches a definite
-//! [`FoldOutcome`]: completed (possibly degraded), timed out, failed
+//! What is decided at each step is [`crate::scheduler`]'s, the policy the
+//! engine drives too: injected faults from a [`FaultPlan`], bounded retry
+//! with deterministic backoff, a per-backend circuit breaker, AAQ precision
+//! degradation under memory pressure. The service is its wall clock:
+//! threads, the lock, the device hold and panic containment — a worker that
+//! panics mid-batch (injected or real) is caught, the batch fails typed,
+//! and the thread keeps serving. Every admitted request reaches a definite
+//! [`crate::FoldOutcome`]: completed (possibly degraded), timed out, failed
 //! typed, or cancelled at shutdown — never a silently dropped channel.
 
-use crate::backend::{best_case_seconds, Backend};
-use crate::batcher::{Batcher, BatcherConfig, QueuedRequest};
+use crate::backend::Backend;
+use crate::batcher::BatcherConfig;
 use crate::bucket::BucketPolicy;
-use crate::request::{terminal_error, FoldError, FoldOutcome, FoldRequest, FoldResponse};
-use crate::stats::{BatchRecord, ServeStats};
-use ln_fault::{BreakerEvent, CircuitBreaker, DispatchFault, FaultPlan, ResilienceConfig};
-use ln_obs::ArgValue;
-use ln_quant::ActPrecision;
+use crate::request::{FoldError, FoldOutcome, FoldRequest, FoldResponse, RejectReason};
+use crate::scheduler::{Args, BatchFailure, Scheduler, Sink, BACKEND_TRACK_BASE};
+use crate::stats::ServeStats;
+use ln_fault::{FaultPlan, ResilienceConfig};
+use ln_obs::{seconds_to_nanos, ArgValue};
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -38,14 +39,8 @@ use std::time::{Duration, Instant};
 /// Why `submit` refused a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The length bucket's bounded queue is full (backpressure).
-    QueueFull,
-    /// No backend in the pool can ever fit the sequence.
-    TooLong,
-    /// Even the fastest fitting backend's service time exceeds the
-    /// request's budget: refused at admission instead of burning backend
-    /// time on a fold that cannot meet its deadline.
-    DeadlineUnmeetable,
+    /// Admission control refused it, for the reason the engine would give.
+    Rejected(RejectReason),
     /// The service is shutting down.
     ShuttingDown,
 }
@@ -79,46 +74,60 @@ struct Pending {
     bucket: usize,
 }
 
-struct State {
-    batcher: Batcher,
+/// Where the service takes what the scheduler core emits: the global
+/// wall-clock tracer, which stamps events itself, and the response
+/// channels.
+struct WallSink {
     senders: HashMap<u64, Pending>,
-    stats: ServeStats,
+}
+
+impl Sink for WallSink {
+    fn instant(&mut self, _at: f64, name: &'static str, cat: &'static str, track: u32, args: Args) {
+        ln_obs::tracer().instant(name, cat, track, args);
+    }
+
+    /// The core closes a span at the instant it reports it, so on the wall
+    /// tracer the span ends now and reaches back its service-clock length.
+    fn span(
+        &mut self,
+        start: f64,
+        end: f64,
+        name: &'static str,
+        cat: &'static str,
+        track: u32,
+        args: Args,
+    ) {
+        let obs = ln_obs::tracer();
+        let dur = seconds_to_nanos(end - start);
+        let begin = obs.now_nanos().saturating_sub(dur);
+        obs.complete(name, cat, track, begin, dur, args);
+    }
+
+    /// A refused submission has no channel: `submit` returns its reason.
+    fn respond(&mut self, request: FoldRequest, outcome: FoldOutcome) {
+        if let Some(p) = self.senders.remove(&request.id) {
+            let _ = p.tx.send(FoldResponse::to(request, outcome));
+        }
+    }
+}
+
+struct State {
+    core: Scheduler<WallSink>,
     next_id: u64,
     shutdown: bool,
-    breakers: Vec<CircuitBreaker>,
-    /// Per-backend dispatch sequence numbers (the fault-plan key).
-    dispatch_seq: Vec<u64>,
-    /// Index of the next unfired queue-poison event.
-    next_poison: usize,
 }
 
 struct Shared {
     state: Mutex<State>,
     work: Condvar,
     started: Instant,
-    config: ServiceConfig,
-    backends: Vec<Arc<dyn Backend>>,
-    plan: FaultPlan,
-    resilience: ResilienceConfig,
+    dispatch_wall_delay: Duration,
 }
 
 impl Shared {
     fn now(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
-}
-
-/// Backend tracks start here on the global wall-clock tracer (buckets use
-/// their own index), mirroring the deterministic engine's track layout.
-const BACKEND_TRACK_BASE: u32 = 100;
-
-fn trace_breaker(idx: usize, event: BreakerEvent) {
-    let name = match event {
-        BreakerEvent::Opened => "breaker_open",
-        BreakerEvent::HalfOpened => "breaker_half_open",
-        BreakerEvent::Closed => "breaker_close",
-    };
-    ln_obs::tracer().instant(name, "breaker", BACKEND_TRACK_BASE + idx as u32, Vec::new());
 }
 
 /// Locks the service state, recovering from mutex poisoning: a worker that
@@ -172,36 +181,22 @@ impl FoldService {
         plan: FaultPlan,
         resilience: ResilienceConfig,
     ) -> Self {
-        assert!(!backends.is_empty(), "need at least one backend");
-        let backends: Vec<Arc<dyn Backend>> = backends.into_iter().map(Arc::from).collect();
-        let mut stats = ServeStats::new(policy.num_buckets());
-        stats
-            .resilience
-            .register_backends(backends.iter().map(|b| b.name().to_string()));
-        let breakers = backends
-            .iter()
-            .map(|_| CircuitBreaker::new(resilience.breaker))
-            .collect();
-        let dispatch_seq = vec![0; backends.len()];
+        let pool = backends.len();
+        let sink = WallSink {
+            senders: HashMap::new(),
+        };
+        let core = Scheduler::new(policy, config.batcher, backends, plan, resilience, sink);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                batcher: Batcher::new(policy, config.batcher),
-                senders: HashMap::new(),
-                stats,
+                core,
                 next_id: 0,
                 shutdown: false,
-                breakers,
-                dispatch_seq,
-                next_poison: 0,
             }),
             work: Condvar::new(),
             started: Instant::now(),
-            config,
-            backends,
-            plan,
-            resilience,
+            dispatch_wall_delay: config.dispatch_wall_delay,
         });
-        let workers = (0..shared.backends.len())
+        let workers = (0..pool)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 thread::spawn(move || worker(shared, i))
@@ -221,22 +216,9 @@ impl FoldService {
         timeout_seconds: f64,
     ) -> Result<Receiver<FoldResponse>, SubmitError> {
         let now = self.shared.now();
-        // The admission models are pure reads on the backend pool — keep
-        // them outside the lock.
-        let best_case = best_case_seconds(&self.shared.backends, length);
         let mut st = lock_state(&self.shared);
         if st.shutdown {
             return Err(SubmitError::ShuttingDown);
-        }
-        let bucket = st.batcher.policy().bucket_of(length);
-        let Some(best) = best_case else {
-            st.stats.record_rejection(bucket);
-            return Err(SubmitError::TooLong);
-        };
-        if best > timeout_seconds {
-            st.stats.record_rejection(bucket);
-            st.stats.resilience.deadline_unmeetable += 1;
-            return Err(SubmitError::DeadlineUnmeetable);
         }
         let id = st.next_id;
         st.next_id += 1;
@@ -247,27 +229,9 @@ impl FoldService {
             arrival_seconds: now,
             timeout_seconds,
         };
-        match st.batcher.offer(request) {
-            Ok(b) => {
-                let depth = st.batcher.depth(b);
-                st.stats.record_depth(b, depth);
-                ln_obs::tracer().instant(
-                    "enqueue",
-                    "queue",
-                    b as u32,
-                    vec![
-                        ("id", ArgValue::U64(id)),
-                        ("seq_len", ArgValue::U64(length as u64)),
-                    ],
-                );
-            }
-            Err(_) => {
-                st.stats.record_rejection(bucket);
-                return Err(SubmitError::QueueFull);
-            }
-        }
+        let bucket = st.core.admit(request, now).map_err(SubmitError::Rejected)?;
         let (tx, rx) = mpsc::channel();
-        st.senders.insert(
+        st.core.sink.senders.insert(
             id,
             Pending {
                 tx,
@@ -283,7 +247,7 @@ impl FoldService {
 
     /// Current queued-request count (all buckets).
     pub fn queue_depth(&self) -> usize {
-        lock_state(&self.shared).batcher.total_depth()
+        lock_state(&self.shared).core.batcher.total_depth()
     }
 
     /// Drains the queues, stops the workers, and returns the collected
@@ -300,11 +264,12 @@ impl FoldService {
             let _ = w.join();
         }
         let mut st = lock_state(&self.shared);
-        let mut leftover: Vec<(u64, Pending)> = st.senders.drain().collect();
+        let mut leftover: Vec<(u64, Pending)> = st.core.sink.senders.drain().collect();
         leftover.sort_by_key(|(id, _)| *id);
+        let stats = &mut st.core.stats;
         for (id, p) in leftover {
-            st.stats.record_failure(p.bucket);
-            st.stats.resilience.cancelled += 1;
+            stats.record_failure(p.bucket);
+            stats.resilience.cancelled += 1;
             let _ = p.tx.send(FoldResponse {
                 id,
                 name: p.name,
@@ -312,312 +277,70 @@ impl FoldService {
                 outcome: FoldOutcome::Failed(FoldError::Cancelled),
             });
         }
-        let now = self.shared.now();
-        st.stats.finish(now);
-        st.stats.clone()
+        stats.finish(self.shared.now());
+        stats.clone()
     }
 }
 
-/// One backend's worker loop: advance the breaker, fire due poisons,
-/// expire overdue requests, pick a ready bucket that fits (walking the
-/// AAQ precision ladder under memory pressure), execute with panic
-/// containment, settle success or typed failure; otherwise sleep until the
+/// One backend's worker loop, a scheduler step per iteration: advance the
+/// breakers, fire due poisons, launch the batch the core picks for this
+/// backend, expire overdue requests; then, outside the lock, execute the
+/// batch with panic containment, and settle it; otherwise sleep until the
 /// next deadline or signal.
 ///
 /// Drain mode (after shutdown) ignores breakers, faults, and pressure so
 /// the queues empty deterministically.
 fn worker(shared: Arc<Shared>, idx: usize) {
-    let backend = Arc::clone(&shared.backends[idx]);
     let mut st = lock_state(&shared);
+    let name = st.core.backends[idx].name().to_string();
     loop {
         let now = shared.now();
         let drain = st.shutdown;
+        st.core.poll_breakers(now);
+        st.core.fire_poisons(now);
+        // From where this worker stands, its backend is the idle one.
+        let picked = st.core.pick(now, drain, |b| b == idx);
+        let flight =
+            picked.map(|(_, bucket, precision)| st.core.launch(idx, bucket, precision, now, drain));
+        st.core.expire(now);
 
-        // Time-driven breaker transition (open → half-open probe).
-        if let Some(ev) = st.breakers[idx].poll(now) {
-            st.stats.resilience.backends[idx].record_breaker(ev);
-            trace_breaker(idx, ev);
-        }
-
-        // Fire due queue poisons (any worker may process them): victims
-        // re-admit without backoff — the queue failed, not the backend —
-        // or fail typed when out of attempts.
-        while st.next_poison < shared.plan.poisons().len()
-            && shared.plan.poisons()[st.next_poison].at_seconds <= now
-        {
-            let ev = shared.plan.poisons()[st.next_poison];
-            st.next_poison += 1;
-            st.stats.resilience.poison_events += 1;
-            for q in st.batcher.poison_bucket(ev.bucket) {
-                let attempt = q.attempt + 1;
-                if shared.resilience.retry.exhausted(attempt) {
-                    st.stats.record_failure(ev.bucket);
-                    if let Some(p) = st.senders.remove(&q.request.id) {
-                        let _ = p.tx.send(FoldResponse {
-                            id: q.request.id,
-                            name: q.request.name.clone(),
-                            length: q.request.length,
-                            outcome: FoldOutcome::Failed(terminal_error(
-                                FoldError::QueuePoisoned { bucket: ev.bucket },
-                                attempt,
-                            )),
-                        });
-                    }
-                } else {
-                    st.batcher.requeue(QueuedRequest {
-                        request: q.request,
-                        attempt,
-                        earliest_seconds: now,
-                    });
-                }
-            }
-        }
-
-        // Expire overdue requests.
-        for r in st.batcher.expire(now) {
-            let bucket = st.batcher.policy().bucket_of(r.length);
-            st.stats.record_timeout(bucket);
-            ln_obs::tracer().instant(
-                "timeout",
-                "timeout",
-                bucket as u32,
-                vec![("id", ArgValue::U64(r.id))],
-            );
-            if let Some(p) = st.senders.remove(&r.id) {
-                let _ = p.tx.send(FoldResponse {
-                    id: r.id,
-                    name: r.name.clone(),
-                    length: r.length,
-                    outcome: FoldOutcome::TimedOut {
-                        waited_seconds: now - r.arrival_seconds,
-                    },
-                });
-            }
-        }
-
-        // Find the oldest ready bucket whose head this backend fits. The
-        // FP32 rung is tried across all ready buckets first; only when
-        // nothing fits at FP32 under the pressure-adjusted capacity does
-        // the worker walk down the AAQ ladder, and then only as the pressure
-        // fallback `Backend::permits` allows.
-        let fraction = if drain {
-            1.0
-        } else {
-            shared.plan.available_fraction(idx, now)
-        };
-        let permits =
-            |lens: &[usize], precision: ActPrecision| backend.permits(lens, precision, fraction);
-        let mut candidate: Option<(usize, ActPrecision)> = None;
-        if drain || st.breakers[idx].can_dispatch() {
-            'ladder: for precision in ActPrecision::LADDER {
-                for b in st.batcher.ready_buckets(now, drain) {
-                    let fits = st
-                        .batcher
-                        .head_length(b)
-                        .is_some_and(|len| permits(&[len], precision));
-                    if fits {
-                        candidate = Some((b, precision));
-                        break 'ladder;
-                    }
-                }
-            }
-        }
-
-        if let Some((bucket, precision)) = candidate {
-            let budget = st.batcher.config().max_batch_seconds;
-            let take_now = if drain { f64::INFINITY } else { now };
-            let batch = st.batcher.take_batch(bucket, take_now, |lens| {
-                permits(lens, precision) && backend.batch_seconds(lens) <= budget
-            });
-            debug_assert!(!batch.is_empty(), "candidate head fits by construction");
-            let seq = st.dispatch_seq[idx];
-            st.dispatch_seq[idx] += 1;
-            let fault = if drain {
-                None
-            } else {
-                shared.plan.dispatch_fault(idx, seq)
-            };
-            st.breakers[idx].on_dispatch();
-            st.stats.resilience.backends[idx].dispatches += 1;
-            st.stats.resilience.backends[idx].record_precision(precision);
-            let lengths: Vec<usize> = batch.iter().map(|q| q.request.length).collect();
-            let base = backend.batch_seconds(&lengths);
-            let start = now;
-            // Fault timing on the virtual clock: a stall completes late, a
-            // transient burns the full modeled time, a panic kills the
-            // worker a quarter of the way in.
-            let finish = match fault {
-                Some(DispatchFault::Stall { factor }) => {
-                    st.stats.resilience.backends[idx].stalls += 1;
-                    start + base * factor
-                }
-                Some(DispatchFault::WorkerPanic) => start + 0.25 * base,
-                Some(DispatchFault::Transient) | None => start + base,
-            };
+        if let Some(flight) = flight {
             drop(st);
-
-            let obs = ln_obs::tracer();
-            let track = BACKEND_TRACK_BASE + idx as u32;
-            obs.instant(
-                "dispatch",
-                "dispatch",
-                track,
-                vec![
-                    ("bucket", ArgValue::U64(bucket as u64)),
-                    ("batch_size", ArgValue::U64(batch.len() as u64)),
-                    ("precision", ArgValue::Str(precision.label().to_string())),
-                ],
-            );
-            if precision != ActPrecision::Fp32 {
-                obs.instant(
-                    "degrade",
-                    "degradation",
-                    track,
-                    vec![("precision", ArgValue::Str(precision.label().to_string()))],
-                );
-            }
             // Wall-clock span over the worker's device hold; reported
             // latencies stay virtual, this only shapes the trace timeline.
-            let exec_span = obs.span_with(
+            let exec_span = ln_obs::tracer().span_with(
                 "fold_batch",
                 "kernel",
-                track,
-                vec![("bucket", ArgValue::U64(bucket as u64))],
+                BACKEND_TRACK_BASE + idx as u32,
+                vec![("bucket", ArgValue::U64(flight.bucket as u64))],
             );
-
             // Execute with panic containment: an injected worker panic
             // actually unwinds here and is caught, so the thread survives
             // and the batch fails typed instead of poisoning the service.
-            let injected_panic = matches!(fault, Some(DispatchFault::WorkerPanic));
+            let injected_panic = flight.modeled() == Err(BatchFailure::WorkerPanic);
             let exec = panic::catch_unwind(AssertUnwindSafe(|| {
                 if injected_panic {
-                    panic!("ln-fault: injected worker panic on {}", backend.name());
+                    panic!("ln-fault: injected worker panic on {name}");
                 }
                 // Hold the device for the configured wall slice so queueing
                 // pressure is observable.
-                if !shared.config.dispatch_wall_delay.is_zero() {
-                    thread::sleep(shared.config.dispatch_wall_delay);
+                if !shared.dispatch_wall_delay.is_zero() {
+                    thread::sleep(shared.dispatch_wall_delay);
                 }
             }));
             drop(exec_span);
-            let failure = match (&exec, fault) {
-                (Err(_), _) => Some(FoldError::WorkerPanic {
-                    backend: backend.name().to_string(),
-                }),
-                (Ok(()), Some(DispatchFault::Transient)) => Some(FoldError::Transient {
-                    backend: backend.name().to_string(),
-                }),
-                _ => None,
+            let outcome = match exec {
+                Ok(()) => flight.modeled(),
+                Err(_) => Err(BatchFailure::WorkerPanic),
             };
 
             st = lock_state(&shared);
-            match failure {
-                None => {
-                    if let Some(ev) = st.breakers[idx].on_success() {
-                        st.stats.resilience.backends[idx].record_breaker(ev);
-                        trace_breaker(idx, ev);
-                    }
-                    let latencies: Vec<f64> = batch
-                        .iter()
-                        .map(|q| finish - q.request.arrival_seconds)
-                        .collect();
-                    let peak_bytes = backend.batch_peak_bytes_at(&lengths, precision);
-                    st.stats.record_batch(
-                        BatchRecord {
-                            bucket,
-                            backend: backend.name().to_string(),
-                            lengths,
-                            start_seconds: start,
-                            finish_seconds: finish,
-                            precision,
-                            peak_bytes,
-                        },
-                        &latencies,
-                    );
-                    let batch_size = batch.len();
-                    let mut deliveries: Vec<(Sender<FoldResponse>, FoldResponse)> = Vec::new();
-                    for q in &batch {
-                        if let Some(p) = st.senders.remove(&q.request.id) {
-                            deliveries.push((
-                                p.tx,
-                                FoldResponse {
-                                    id: q.request.id,
-                                    name: q.request.name.clone(),
-                                    length: q.request.length,
-                                    outcome: FoldOutcome::Completed {
-                                        backend: backend.name().to_string(),
-                                        started_seconds: start,
-                                        finished_seconds: finish,
-                                        batch_size,
-                                        precision,
-                                    },
-                                },
-                            ));
-                        }
-                    }
-                    drop(st);
-                    for (tx, resp) in deliveries {
-                        let _ = tx.send(resp);
-                    }
-                    shared.work.notify_all();
-                    st = lock_state(&shared);
-                }
-                Some(cause) => {
-                    let settle_now = shared.now();
-                    match &cause {
-                        FoldError::WorkerPanic { .. } => {
-                            st.stats.resilience.backends[idx].panics += 1
-                        }
-                        _ => st.stats.resilience.backends[idx].transients += 1,
-                    }
-                    if let Some(ev) = st.breakers[idx].on_failure(settle_now) {
-                        st.stats.resilience.backends[idx].record_breaker(ev);
-                        trace_breaker(idx, ev);
-                    }
-                    for q in batch {
-                        let attempt = q.attempt + 1;
-                        if shared.resilience.retry.exhausted(attempt) {
-                            st.stats.record_failure(bucket);
-                            if let Some(p) = st.senders.remove(&q.request.id) {
-                                let _ = p.tx.send(FoldResponse {
-                                    id: q.request.id,
-                                    name: q.request.name.clone(),
-                                    length: q.request.length,
-                                    outcome: FoldOutcome::Failed(terminal_error(
-                                        cause.clone(),
-                                        attempt,
-                                    )),
-                                });
-                            }
-                        } else {
-                            st.stats.resilience.retries += 1;
-                            let backoff = shared
-                                .resilience
-                                .retry
-                                .backoff_seconds(q.request.id, attempt);
-                            ln_obs::tracer().instant(
-                                "retry",
-                                "retry",
-                                bucket as u32,
-                                vec![
-                                    ("id", ArgValue::U64(q.request.id)),
-                                    ("attempt", ArgValue::U64(u64::from(attempt))),
-                                ],
-                            );
-                            st.batcher.requeue(QueuedRequest {
-                                request: q.request,
-                                attempt,
-                                earliest_seconds: settle_now + backoff,
-                            });
-                        }
-                    }
-                    shared.work.notify_all();
-                }
-            }
+            st.core.settle(idx, flight, outcome, shared.now());
+            shared.work.notify_all();
             continue;
         }
 
-        if st.shutdown && st.batcher.total_depth() == 0 {
+        if drain && st.core.batcher.total_depth() == 0 {
             return;
         }
 
@@ -625,24 +348,26 @@ fn worker(shared: Arc<Shared>, idx: usize) {
         // submission (capped so breaker cooldowns and pressure-window
         // boundaries are picked up promptly).
         let wait = st
+            .core
             .batcher
             .next_deadline(shared.now())
             .map(|d| (d - shared.now()).max(0.001))
             .unwrap_or(0.05)
             .min(0.05);
-        let (guard, _) = shared
+        let (woken, _) = shared
             .work
             .wait_timeout(st, Duration::from_secs_f64(wait))
             .unwrap_or_else(PoisonError::into_inner);
-        st = guard;
+        st = woken;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::standard_backends;
-    use ln_fault::RetryPolicy;
+    use crate::backend::{standard_backends, LightNobelBackend};
+    use ln_fault::{PressureWindow, RetryPolicy};
+    use ln_quant::ActPrecision;
 
     fn policy() -> BucketPolicy {
         BucketPolicy::fixed(vec![256, 1024, 4096])
@@ -677,6 +402,47 @@ mod tests {
         }
         assert_eq!(stats.completed(), 6);
         assert_eq!(stats.rejected() + stats.timed_out() + stats.failed(), 0);
+        assert_eq!(stats.accuracy.requests, stats.completed());
+        assert_eq!(stats.accuracy.degraded_requests, 0);
+    }
+
+    #[test]
+    fn a_completion_below_fp32_is_counted_degraded() {
+        // The pressure window of `examples/chaos_recovery.rs`: ~1.2x the
+        // INT4 footprint of the longest routable sequence, so it fits at
+        // INT4 only.
+        let ln = LightNobelBackend::paper("LightNobel");
+        let giant = ln.max_single_length();
+        let available_fraction =
+            ln.batch_peak_bytes_at(&[giant], ActPrecision::Int4) * 1.2 / ln.memory_capacity_bytes();
+        let plan = FaultPlan::builder()
+            .pressure(PressureWindow {
+                backend: 0,
+                start_seconds: 0.0,
+                end_seconds: 1e9,
+                available_fraction,
+            })
+            .build();
+        let config = ServiceConfig {
+            batcher: BatcherConfig::sequential(),
+            ..ServiceConfig::default()
+        };
+        let svc = FoldService::start_with_resilience(
+            policy(),
+            config,
+            standard_backends(),
+            plan,
+            ResilienceConfig::default(),
+        );
+        let rx = svc.submit("giant", giant, 1e6).expect("admitted");
+        let resp = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("degraded, not rejected");
+        assert!(resp.outcome.is_degraded(), "{resp:?}");
+        let stats = svc.shutdown();
+        assert_eq!(stats.accuracy.requests, 1);
+        assert_eq!(stats.accuracy.degraded_requests, 1);
+        assert!(stats.accuracy.max_worst_rmse > 0.0);
     }
 
     #[test]
@@ -713,7 +479,7 @@ mod tests {
         let svc = FoldService::start(policy(), ServiceConfig::default(), standard_backends());
         assert_eq!(
             svc.submit("giant", 150_000, 60.0).unwrap_err(),
-            SubmitError::TooLong
+            SubmitError::Rejected(RejectReason::TooLong)
         );
         let stats = svc.shutdown();
         assert_eq!(stats.rejected(), 1);
@@ -726,7 +492,7 @@ mod tests {
         let svc = FoldService::start(policy(), ServiceConfig::default(), standard_backends());
         assert_eq!(
             svc.submit("rush", 2000, 1e-6).unwrap_err(),
-            SubmitError::DeadlineUnmeetable
+            SubmitError::Rejected(RejectReason::DeadlineUnmeetable)
         );
         let stats = svc.shutdown();
         assert_eq!(stats.rejected(), 1);

@@ -4,7 +4,8 @@
 # Runs, in order and failing fast:
 #   1. cargo fmt --check                                  (formatting)
 #   2. cargo clippy --workspace --all-targets -D warnings (lints)
-#   3. cargo build --release                              (offline build)
+#   3. cargo build --release, then                        (offline build)
+#      every examples/*.rs, release, stdout discarded     (examples run)
 #   4. cargo test -q, then                                (test suite)
 #      cargo test -q --release --workspace                (every crate, optimised)
 #   5. par_speedup --quick                                (kernel gate)
@@ -19,6 +20,7 @@
 #      trace --workload fold_qdomain --quick, then
 #      git diff --quiet -- benchmarks/fold                (its lock unmoved)
 #
+# Step 3's `chaos_recovery` and `serving` alone drive FoldService's threads.
 # Step 4's first command, at the workspace root, tests only the umbrella
 # package, in the debug profile: the only one in which the microkernel's
 # zero-allocation `debug_assert` and the workspace's NaN-poisoned `take`s
@@ -114,6 +116,7 @@ step cargo clippy --workspace --all-targets -- -D warnings
 # builds only that package, and steps 5-12 would then depend on stale
 # target/ artifacts from earlier runs.
 step cargo build --release --workspace
+step sh -c 'for ex in examples/*.rs; do cargo run -q --release --example "$(basename "$ex" .rs)" >/dev/null || exit 1; done'
 step cargo test -q
 step cargo test -q --release --workspace
 step ./target/release/par_speedup --quick

@@ -39,6 +39,12 @@ fn giant_request(workload: &[FoldRequest], length: usize) -> FoldRequest {
 
 /// One full chaos run on an `ln-par` pool of `threads` executors.
 fn run_chaos(threads: usize) -> (Vec<FoldRequest>, EngineOutcome) {
+    run_chaos_traced(threads, false)
+}
+
+/// [`run_chaos`], with the engine's virtual-time tracing forced on or left
+/// to the process level.
+fn run_chaos_traced(threads: usize, traced: bool) -> (Vec<FoldRequest>, EngineOutcome) {
     let pool = ln_par::Pool::new_exact(threads);
     ln_par::with_pool(&pool, || {
         let reg = Registry::standard();
@@ -81,6 +87,9 @@ fn run_chaos(threads: usize) -> (Vec<FoldRequest>, EngineOutcome) {
             plan,
             ResilienceConfig::default(),
         );
+        if traced {
+            engine.set_tracing(true);
+        }
         let out = engine.run(&workload);
         (workload, out)
     })
@@ -173,4 +182,42 @@ fn long_sequence_completes_via_int4_degradation() {
         rendered.contains("availability"),
         "summary table reports availability:\n{rendered}"
     );
+}
+
+/// Responses per outcome class: completed, rejected, timed out, failed.
+fn outcome_classes(out: &EngineOutcome) -> [usize; 4] {
+    let mut classes = [0usize; 4];
+    for r in &out.responses {
+        classes[match r.outcome {
+            FoldOutcome::Completed { .. } => 0,
+            FoldOutcome::Rejected(_) => 1,
+            FoldOutcome::TimedOut { .. } => 2,
+            FoldOutcome::Failed(_) => 3,
+        }] += 1;
+    }
+    classes
+}
+
+#[test]
+fn engine_schedule_stats_and_trace_are_pinned() {
+    // Absolute values, recorded at commit d924d36 (before the scheduler
+    // core was split out of the engine): every other test here compares the
+    // engine to a re-run of itself, so only this one sees the schedule, the
+    // statistics or the trace's event order move.
+    const FINGERPRINT: u64 = 0x71e2_fb53_32cc_f3cd;
+    const CLASSES: [usize; 4] = [121, 0, 0, 0];
+    const TRACE_EVENTS: usize = 312;
+    const TRACE_JSON_FNV1A: u64 = 0x6e40_6e20_4729_e943;
+
+    let (_, plain) = run_chaos(1);
+    let (_, traced) = run_chaos_traced(1, true);
+    let trace = traced.trace.as_ref().expect("tracing forced on");
+    let json_hash = ln_tensor::rng::seed_from_label(&ln_obs::chrome_trace_json(trace));
+    for out in [&plain, &traced] {
+        assert_eq!(out.stats.fingerprint(), FINGERPRINT);
+        assert_eq!(outcome_classes(out), CLASSES);
+    }
+    assert_eq!(traced.trace_dropped, 0);
+    assert_eq!(trace.len(), TRACE_EVENTS);
+    assert_eq!(json_hash, TRACE_JSON_FNV1A);
 }

@@ -8,7 +8,7 @@
 use ln_datasets::Registry;
 use ln_serve::{
     standard_backends, Backend, BatcherConfig, BucketPolicy, Engine, FoldOutcome, FoldService,
-    ServiceConfig, SubmitError, WorkloadSpec,
+    RejectReason, ServiceConfig, SubmitError, WorkloadSpec,
 };
 use std::time::{Duration, Instant};
 
@@ -77,7 +77,7 @@ fn bounded_queues_reject_rather_than_block() {
     for i in 0..32 {
         match svc.submit(&format!("r{i}"), 300, 60.0) {
             Ok(rx) => tickets.push(rx),
-            Err(SubmitError::QueueFull) => rejected += 1,
+            Err(SubmitError::Rejected(RejectReason::QueueFull)) => rejected += 1,
             Err(other) => panic!("unexpected submit error {other:?}"),
         }
     }
