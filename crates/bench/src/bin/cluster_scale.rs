@@ -11,8 +11,9 @@
 //! `scripts/bench.sh` into `benchmarks/history/`, where the insight
 //! regression gate scores it). `--quick` (ci.sh) runs a smaller sweep and
 //! exits non-zero if the outcome fingerprint diverges across `ln-par`
-//! pools {1, 2, 4}, if the merged trace leaves any span unattributed (or
-//! drops events), or if p99 fails to improve monotonically 1 → 4 → 16.
+//! pools {1, 2, 4}, if any request goes unanswered, if the merged trace
+//! leaves any span unattributed (or drops events), or if p99 fails to
+//! improve monotonically 1 → 4 → 16.
 
 use ln_bench::{banner, emit, paper_note, show};
 use ln_cluster::{Cluster, ClusterConfig, ClusterOutcome};
@@ -67,11 +68,11 @@ struct SweepPoint {
 
 impl SweepPoint {
     fn p50(&self) -> f64 {
-        self.outcome.stats.latency_percentile(50.0).unwrap_or(0.0)
+        self.outcome.stats.latency_percentile(0.5).unwrap_or(0.0)
     }
 
     fn p99(&self) -> f64 {
-        self.outcome.stats.latency_percentile(99.0).unwrap_or(0.0)
+        self.outcome.stats.latency_percentile(0.99).unwrap_or(0.0)
     }
 
     /// Fraction of the whole workload that completed within the SLO.
@@ -152,8 +153,9 @@ fn document(points: &[SweepPoint]) -> Value {
     ])
 }
 
-/// The --quick gate: pool-size reproducibility, full trace attribution,
-/// and monotone p99 scaling over {1, 4, 16} shards.
+/// The --quick gate: pool-size reproducibility, one answer per request,
+/// full trace attribution, and monotone p99 scaling over {1, 4, 16}
+/// shards.
 fn quick_gate(shard_counts: &[usize], reqs: &[FoldRequest]) -> bool {
     let mut bad = false;
     let mut points = Vec::new();
@@ -173,6 +175,15 @@ fn quick_gate(shard_counts: &[usize], reqs: &[FoldRequest]) -> bool {
         }
 
         let outcome = outcomes.into_iter().next().expect("three runs");
+        if outcome.responses.len() != reqs.len() || outcome.stats.total() as usize != reqs.len() {
+            eprintln!(
+                "LOST: {} response(s), {} terminal outcome(s) for {} request(s) at {shards} shards",
+                outcome.responses.len(),
+                outcome.stats.total(),
+                reqs.len()
+            );
+            bad = true;
+        }
         let trace = outcome.trace.as_deref().expect("tracing was on");
         let cp = CriticalPath::analyze(trace, outcome.trace_dropped);
         if !cp.unattributed.is_empty() {

@@ -7,19 +7,23 @@
 //! injected shard loss, or an autoscale tick — and processes every event
 //! due at that instant in a fixed order:
 //!
-//! 1. shard losses (evacuate, then reroute or fail the victims),
-//! 2. hop deliveries (inject the attempt into its target shard),
-//! 3. deferred placements (partition healed — place again),
-//! 4. workload arrivals (consistent-hash placement + hedging),
-//! 5. engine advancement in shard-index order,
-//! 6. response resolution (first winner cancels hedge losers),
+//! 1. partition onsets (a black box per window, when watched),
+//! 2. shard losses (evacuate, then reroute or fail the victims),
+//! 3. hop deliveries (inject the attempt into its target shard),
+//! 4. deferred placements (partition healed — place again),
+//! 5. workload arrivals (consistent-hash placement + hedging),
+//! 6. engine advancement in shard-index order, then response resolution
+//!    (first winner cancels hedge losers),
 //! 7. work stealing on queue-depth skew,
-//! 8. the autoscale tick.
+//! 8. the autoscale tick,
+//! 9. the SLO pass (when watched).
 //!
 //! Ties within a category break by request/attempt id. Because every
 //! step is a pure function of `(config, workload, fault plan)` on the
 //! virtual clock, the full [`ClusterOutcome`] — responses, stats, merged
 //! trace — is bitwise identical across hosts and `ln-par` pool sizes.
+//! The state one run carries between steps lives in one private `Run`,
+//! whose methods are the steps.
 //!
 //! # Attempts
 //!
@@ -266,306 +270,383 @@ impl Cluster {
     /// reroute), rejected, timed out, or failed typed — even when the
     /// plan kills shards and partitions the network mid-run.
     pub fn run(&mut self, workload: &[FoldRequest]) -> ClusterOutcome {
-        let n = self.shards.len();
-        let mut arrivals: Vec<FoldRequest> = workload.to_vec();
+        let mut run = Run::begin(self, workload);
+        while let Some(t) = run.next_instant() {
+            run.now = t;
+            // 1. Partition onsets: one black box per window.
+            run.partition_onsets();
+            // 2. Shard losses: evacuate, then reroute or fail.
+            run.shard_losses();
+            // 3. Hop deliveries, in (due, attempt) order.
+            run.deliveries();
+            // 4. Deferred placements whose partition healed.
+            run.deferred_placements();
+            // 5. Workload arrivals.
+            run.arrivals();
+            // 6. Engine events, then their settled attempts.
+            run.advance_shards();
+            // 7. Work stealing on queue-depth skew.
+            run.steal();
+            // 8. Autoscale tick.
+            run.autoscale();
+            // 9. SLO evaluation over everything this instant settled.
+            run.evaluate_slos();
+        }
+        run.finish()
+    }
+
+    /// Whether shard `s` can take a sequence of `len` residues and still
+    /// meet `deadline` after one hop from the moment it is reachable —
+    /// `now`, or its heal time when partitioned (the same admission math
+    /// [`Engine::best_case_seconds`] applies shard-side).
+    fn capable(&self, s: usize, len: usize, deadline: f64, now: f64) -> bool {
+        let e = &self.shards[s];
+        !e.is_dead()
+            && e.max_routable_length() >= len
+            && e.best_case_seconds(len).is_some_and(|best| {
+                best <= deadline - (self.heal_time(s, now) + self.cfg.hop_seconds)
+            })
+    }
+
+    /// First virtual time at or after `t` when shard `s` is out of every
+    /// partition window.
+    fn heal_time(&self, s: usize, mut t: f64) -> f64 {
+        loop {
+            let mut end: Option<f64> = None;
+            for w in self.plan.partitions() {
+                if w.shard == s && w.start_seconds <= t && t < w.end_seconds {
+                    end = Some(end.map_or(w.end_seconds, |e: f64| e.max(w.end_seconds)));
+                }
+            }
+            match end {
+                Some(e) => t = e,
+                None => return t,
+            }
+        }
+    }
+}
+
+/// The state of one [`Cluster::run`], over the cluster it drives: the
+/// event queues, the per-request book-keeping, the router's trace lane
+/// and the clock. Each method is one step of the event loop or a rule
+/// those steps share.
+struct Run<'c> {
+    cluster: &'c mut Cluster,
+    /// The workload in `(arrival, id)` order.
+    arrivals: Vec<FoldRequest>,
+    next_arrival: usize,
+    /// Cursor into the plan's shard losses.
+    next_loss: usize,
+    next_tick: Option<f64>,
+    /// Partition windows already seen in effect (one black box each).
+    partition_seen: Vec<bool>,
+    /// Shards taking new placements; the autoscaler drains and restores.
+    active: Vec<bool>,
+    now: f64,
+    /// Original requests still being served, by id.
+    pending: BTreeMap<u64, Pending>,
+    /// Live attempt id → original request id.
+    attempt_of: BTreeMap<u64, u64>,
+    next_attempt: u64,
+    deliveries: Vec<Delivery>,
+    deferred: Vec<Deferred>,
+    stats: ClusterStats,
+    /// The router's lane (track 0) of the merged trace.
+    trace: Vec<TraceEvent>,
+    /// Terminal records, each with its request's arrival time.
+    responses: Vec<(ClusterResponse, f64)>,
+}
+
+impl<'c> Run<'c> {
+    fn begin(cluster: &'c mut Cluster, workload: &[FoldRequest]) -> Self {
+        let mut arrivals = workload.to_vec();
         arrivals.sort_by(|a, b| {
             a.arrival_seconds
                 .total_cmp(&b.arrival_seconds)
                 .then(a.id.cmp(&b.id))
         });
-        for shard in &mut self.shards {
+        for shard in &mut cluster.shards {
             shard.begin(&[]);
         }
+        Run {
+            next_attempt: arrivals.iter().map(|r| r.id).max().map_or(1, |m| m + 1),
+            responses: Vec::with_capacity(arrivals.len()),
+            arrivals,
+            next_arrival: 0,
+            next_loss: 0,
+            next_tick: cluster.cfg.autoscale.map(|a| a.interval_seconds),
+            partition_seen: vec![false; cluster.plan.partitions().len()],
+            active: vec![true; cluster.shards.len()],
+            now: 0.0,
+            pending: BTreeMap::new(),
+            attempt_of: BTreeMap::new(),
+            deliveries: Vec::new(),
+            deferred: Vec::new(),
+            stats: ClusterStats::default(),
+            trace: Vec::new(),
+            cluster,
+        }
+    }
 
-        let mut stats = ClusterStats::default();
-        let mut pending: BTreeMap<u64, Pending> = BTreeMap::new();
-        let mut attempt_of: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut responses: Vec<ClusterResponse> = Vec::with_capacity(arrivals.len());
-        let mut deliveries: Vec<Delivery> = Vec::new();
-        let mut deferred: Vec<Deferred> = Vec::new();
-        let mut router_trace: Vec<TraceEvent> = Vec::new();
-        let mut next_attempt = arrivals.iter().map(|r| r.id).max().map_or(1, |m| m + 1);
-        let mut active = vec![true; n];
-        let mut a_idx = 0usize;
-        let mut loss_idx = 0usize;
-        let mut next_tick = self.cfg.autoscale.map(|a| a.interval_seconds);
-        let mut partition_seen = vec![false; self.plan.partitions().len()];
-        let mut now = 0.0f64;
+    /// The earliest pending event, never before the clock; `None` ends
+    /// the run. Shard losses and autoscale ticks count only while work is
+    /// left, so they never keep an idle cluster alive.
+    fn next_instant(&self) -> Option<f64> {
+        let c = &*self.cluster;
+        let work_left = self.next_arrival < self.arrivals.len()
+            || !self.pending.is_empty()
+            || !self.deliveries.is_empty()
+            || !self.deferred.is_empty();
+        let loss = c
+            .plan
+            .shard_losses()
+            .get(self.next_loss)
+            .map(|l| l.at_seconds);
+        let timers = [loss, self.next_tick].into_iter().flatten();
+        self.arrivals
+            .get(self.next_arrival)
+            .map(|r| r.arrival_seconds)
+            .into_iter()
+            .chain(self.deliveries.iter().map(|d| d.due))
+            .chain(self.deferred.iter().map(|d| d.wake))
+            .chain(c.shards.iter().filter_map(Engine::next_event_seconds))
+            .chain(timers.filter(|_| work_left))
+            .map(|t| t.max(self.now))
+            .reduce(f64::min)
+    }
 
-        loop {
-            let work_left = a_idx < arrivals.len()
-                || !pending.is_empty()
-                || !deliveries.is_empty()
-                || !deferred.is_empty();
-            let mut t: Option<f64> = None;
-            let mut fold = |cand: f64| t = Some(t.map_or(cand, |cur: f64| cur.min(cand)));
-            if a_idx < arrivals.len() {
-                fold(arrivals[a_idx].arrival_seconds.max(now));
+    /// Snapshots a black box the first time each partition window is
+    /// seen in effect.
+    fn partition_onsets(&mut self) {
+        if self.cluster.watch.is_none() {
+            return;
+        }
+        for (i, w) in self.cluster.plan.partitions().iter().enumerate() {
+            if !self.partition_seen[i] && w.start_seconds <= self.now {
+                self.partition_seen[i] = true;
+                self.cluster
+                    .watch_trigger(&format!("partition_window:shard:{}", w.shard), self.now);
             }
-            for d in &deliveries {
-                fold(d.due.max(now));
-            }
-            for d in &deferred {
-                fold(d.wake.max(now));
-            }
-            for shard in &self.shards {
-                if let Some(te) = shard.next_event_seconds() {
-                    fold(te.max(now));
-                }
-            }
-            if work_left {
-                if loss_idx < self.plan.shard_losses().len() {
-                    fold(self.plan.shard_losses()[loss_idx].at_seconds.max(now));
-                }
-                if let Some(tick) = next_tick {
-                    fold(tick.max(now));
-                }
-            }
-            let Some(t) = t else { break };
-            now = t;
+        }
+    }
 
-            // 0. Partition onsets reached by now: snapshot a black box the
-            //    first time each window is seen in effect.
-            if self.watch.is_some() {
-                for (i, w) in self.plan.partitions().iter().enumerate() {
-                    if !partition_seen[i] && w.start_seconds <= now {
-                        partition_seen[i] = true;
-                        self.watch_trigger(&format!("partition_window:shard:{}", w.shard), now);
-                    }
-                }
+    /// Kills every shard whose loss is due: evacuates its queue, then
+    /// reroutes or fails each victim.
+    fn shard_losses(&mut self) {
+        while let Some(shard) = self
+            .cluster
+            .plan
+            .shard_losses()
+            .get(self.next_loss)
+            .filter(|l| l.at_seconds <= self.now)
+            .map(|l| l.shard)
+        {
+            self.next_loss += 1;
+            if shard >= self.cluster.shards.len() || self.cluster.shards[shard].is_dead() {
+                continue;
             }
-
-            // 1. Shard losses due now: evacuate, then reroute or fail.
-            while loss_idx < self.plan.shard_losses().len()
-                && self.plan.shard_losses()[loss_idx].at_seconds <= now
-            {
-                let shard = self.plan.shard_losses()[loss_idx].shard;
-                loss_idx += 1;
-                if shard >= n || self.shards[shard].is_dead() {
-                    continue;
-                }
-                stats.shard_losses += 1;
-                let victims = self.shards[shard].evacuate();
-                // The evacuation's shard_loss/cancel instants are already
-                // in the recorder ring; capture them before rerouting.
-                self.watch_trigger(&format!("shard_loss:shard:{shard}"), now);
-                for victim in victims {
-                    self.displaced(
-                        victim.id,
-                        shard,
-                        now,
-                        &mut pending,
-                        &mut attempt_of,
-                        &mut deliveries,
-                        &mut deferred,
-                        &mut next_attempt,
-                        &mut stats,
-                        &mut router_trace,
-                        &mut responses,
-                    );
-                }
+            self.stats.shard_losses += 1;
+            let victims = self.cluster.shards[shard].evacuate();
+            // The evacuation's shard_loss/cancel instants are already in
+            // the recorder ring; capture them before rerouting.
+            self.cluster
+                .watch_trigger(&format!("shard_loss:shard:{shard}"), self.now);
+            for victim in victims {
+                self.displaced(victim.id, shard);
             }
+        }
+    }
 
-            // 2. Hop deliveries due now, in (due, attempt) order.
-            while let Some(pos) = deliveries
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.due <= now)
-                .min_by(|(_, a), (_, b)| a.due.total_cmp(&b.due).then(a.attempt.cmp(&b.attempt)))
-                .map(|(i, _)| i)
-            {
-                let d = deliveries.swap_remove(pos);
-                self.deliver(
-                    d,
-                    now,
-                    &mut pending,
-                    &mut attempt_of,
-                    &mut deliveries,
-                    &mut deferred,
-                    &mut next_attempt,
-                    &mut stats,
-                    &mut router_trace,
-                    &mut responses,
-                );
-            }
+    /// Lands every delivery due, in `(due, attempt)` order.
+    fn deliveries(&mut self) {
+        while let Some(pos) = earliest_due(&self.deliveries, self.now, |d| (d.due, d.attempt)) {
+            let d = self.deliveries.swap_remove(pos);
+            self.deliver(d);
+        }
+    }
 
-            // 3. Deferred placements whose partition healed.
-            while let Some(pos) = deferred
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.wake <= now)
-                .min_by(|(_, a), (_, b)| a.wake.total_cmp(&b.wake).then(a.origin.cmp(&b.origin)))
-                .map(|(i, _)| i)
-            {
-                let d = deferred.swap_remove(pos);
-                self.try_place(
-                    d.origin,
-                    d.from,
-                    now,
-                    &active,
-                    &mut pending,
-                    &mut attempt_of,
-                    &mut deliveries,
-                    &mut deferred,
-                    &mut next_attempt,
-                    &mut stats,
-                    &mut router_trace,
-                    &mut responses,
-                );
-            }
+    /// Places again every deferral whose wake is due, in `(wake, origin)`
+    /// order.
+    fn deferred_placements(&mut self) {
+        while let Some(pos) = earliest_due(&self.deferred, self.now, |d| (d.wake, d.origin)) {
+            let d = self.deferred.swap_remove(pos);
+            self.try_place(d.origin, d.from, false);
+        }
+    }
 
-            // 4. Workload arrivals due now.
-            while a_idx < arrivals.len() && arrivals[a_idx].arrival_seconds <= now {
-                let req = arrivals[a_idx].clone();
-                a_idx += 1;
-                let origin = req.id;
-                pending.insert(
-                    origin,
-                    Pending {
-                        req,
-                        outstanding: Vec::new(),
-                        attempts: 0,
-                        hops: 0,
-                        reroutes: 0,
-                        resolved: None,
-                        failure: None,
-                    },
-                );
-                self.try_place(
-                    origin,
-                    None,
-                    now,
-                    &active,
-                    &mut pending,
-                    &mut attempt_of,
-                    &mut deliveries,
-                    &mut deferred,
-                    &mut next_attempt,
-                    &mut stats,
-                    &mut router_trace,
-                    &mut responses,
-                );
-            }
-
-            // 5. Advance every shard through its events due by now, in
-            //    shard-index order, collecting newly settled responses.
-            let mut settled: Vec<(usize, FoldResponse)> = Vec::new();
-            for s in 0..n {
-                while let Some(te) = self.shards[s].next_event_seconds() {
-                    if te > now {
-                        break;
-                    }
-                    for resp in self.shards[s].advance(te) {
-                        settled.push((s, resp));
-                    }
-                }
-            }
-
-            // 6. Resolve settled attempts: first winner cancels the rest.
-            for (s, resp) in settled {
-                self.settle(
-                    s,
-                    resp,
-                    now,
-                    &mut pending,
-                    &mut attempt_of,
-                    &mut stats,
-                    &mut responses,
-                );
-            }
-
-            // 7. Work stealing: shallowest active shard raids the deepest
-            //    when the skew crosses the threshold.
-            self.steal_pass(
-                now,
-                &active,
-                &mut pending,
-                &mut attempt_of,
-                &mut deliveries,
-                &mut next_attempt,
-                &mut stats,
-                &mut router_trace,
-                &mut responses,
+    /// Admits and places every workload arrival due.
+    fn arrivals(&mut self) {
+        while let Some(req) = self
+            .arrivals
+            .get(self.next_arrival)
+            .filter(|r| r.arrival_seconds <= self.now)
+            .cloned()
+        {
+            self.next_arrival += 1;
+            let origin = req.id;
+            self.pending.insert(
+                origin,
+                Pending {
+                    req,
+                    outstanding: Vec::new(),
+                    attempts: 0,
+                    hops: 0,
+                    reroutes: 0,
+                    resolved: None,
+                    failure: None,
+                },
             );
+            self.try_place(origin, None, false);
+        }
+    }
 
-            // 8. Autoscale tick.
-            if let (Some(auto), Some(tick)) = (self.cfg.autoscale, next_tick) {
-                if tick <= now {
-                    let alive_active: Vec<usize> = (0..n)
-                        .filter(|&s| !self.shards[s].is_dead() && active[s])
-                        .collect();
-                    if !alive_active.is_empty() {
-                        let mean = alive_active
-                            .iter()
-                            .map(|&s| self.shards[s].queue_depth() as f64)
-                            .sum::<f64>()
-                            / alive_active.len() as f64;
-                        // A burning or memory-saturated active shard is
-                        // scale-up pressure even at a shallow mean depth.
-                        let unhealthy = self.watch.is_some()
-                            && alive_active.iter().any(|&s| self.shard_health(s) < 0.5);
-                        if mean >= auto.up_depth || unhealthy {
-                            if let Some(s) =
-                                (0..n).find(|&s| !self.shards[s].is_dead() && !active[s])
-                            {
-                                active[s] = true;
-                                stats.scale_ups += 1;
-                            }
-                        } else if mean <= auto.down_depth && alive_active.len() > auto.min_active {
-                            // Drain the shallowest; ties drain the highest
-                            // index so shard 0 stays up longest.
-                            if let Some(&s) = alive_active.iter().min_by(|&&a, &&b| {
-                                self.shards[a]
-                                    .queue_depth()
-                                    .cmp(&self.shards[b].queue_depth())
-                                    .then(b.cmp(&a))
-                            }) {
-                                active[s] = false;
-                                stats.scale_downs += 1;
-                            }
-                        }
-                    }
-                    let mut next = tick;
-                    while next <= now {
-                        next += auto.interval_seconds;
-                    }
-                    next_tick = Some(next);
-                }
+    /// Advances every shard through its events due by now, in shard-index
+    /// order, then resolves the attempts they settled.
+    fn advance_shards(&mut self) {
+        let mut settled: Vec<(usize, FoldResponse)> = Vec::new();
+        for (s, shard) in self.cluster.shards.iter_mut().enumerate() {
+            while let Some(te) = shard.next_event_seconds().filter(|&te| te <= self.now) {
+                settled.extend(shard.advance(te).into_iter().map(|resp| (s, resp)));
             }
+        }
+        for (s, resp) in settled {
+            self.settle(s, resp);
+        }
+    }
 
-            // 9. Live-observability pass: evaluate SLOs over everything
-            //    this instant settled (router-terminal outcomes included;
-            //    shard steps already evaluated their own instants).
-            if let Some(watch) = &self.watch {
-                let breaches = Watch::lock(watch).evaluate(now);
-                if self.tracing {
-                    for b in breaches {
-                        router_trace.push(TraceEvent {
-                            name: "slo_breach".to_string(),
-                            cat: "slo",
-                            phase: TracePhase::Instant,
-                            ts_nanos: seconds_to_nanos(now),
-                            track: 0,
-                            args: vec![
-                                ("slo", ArgValue::Str(b.slo)),
-                                ("scope", ArgValue::Str(b.scope)),
-                                ("fast_burn", ArgValue::F64(b.fast_burn)),
-                                ("slow_burn", ArgValue::F64(b.slow_burn)),
-                            ],
-                        });
-                    }
+    /// One work-stealing evaluation: the shallowest eligible shard takes
+    /// half the skew from the deepest, tail-first, capped by its own
+    /// routable length.
+    fn steal(&mut self) {
+        let eligible: Vec<usize> = (0..self.active.len())
+            .filter(|&s| self.in_service(s) && !self.cluster.plan.partitioned(s, self.now))
+            .collect();
+        if eligible.len() < 2 {
+            return;
+        }
+        let depth = |s: usize| self.cluster.shards[s].queue_depth();
+        let victim = *eligible
+            .iter()
+            .max_by(|&&a, &&b| depth(a).cmp(&depth(b)).then(b.cmp(&a)))
+            .expect("eligible non-empty");
+        let thief = *eligible
+            .iter()
+            .min_by(|&&a, &&b| depth(a).cmp(&depth(b)).then(a.cmp(&b)))
+            .expect("eligible non-empty");
+        let skew = depth(victim) - depth(thief);
+        if victim == thief || skew < self.cluster.cfg.steal_threshold {
+            return;
+        }
+        let max_len = self.cluster.shards[thief].max_routable_length();
+        let stolen = self.cluster.shards[victim].steal((skew / 2).max(1), max_len);
+        for q in stolen {
+            self.stats.steals += 1;
+            let Some(&origin) = self.attempt_of.get(&q.id) else {
+                continue;
+            };
+            self.drop_attempt(q.id, origin);
+            if self
+                .pending
+                .get(&origin)
+                .is_some_and(|p| p.resolved.is_none())
+            {
+                self.send_attempt(origin, thief);
+            } else {
+                self.finalize(origin);
+            }
+        }
+    }
+
+    /// The autoscale tick, when one is due: activate a shard under
+    /// pressure or drain the shallowest when the fleet idles.
+    fn autoscale(&mut self) {
+        let (Some(auto), Some(tick)) = (self.cluster.cfg.autoscale, self.next_tick) else {
+            return;
+        };
+        if tick > self.now {
+            return;
+        }
+        let serving: Vec<usize> = (0..self.active.len())
+            .filter(|&s| self.in_service(s))
+            .collect();
+        if !serving.is_empty() {
+            let depth = |s: usize| self.cluster.shards[s].queue_depth();
+            let mean = serving.iter().map(|&s| depth(s) as f64).sum::<f64>() / serving.len() as f64;
+            // A burning or memory-saturated active shard is scale-up
+            // pressure even at a shallow mean depth.
+            let unhealthy = serving.iter().any(|&s| self.cluster.shard_health(s) < 0.5);
+            if mean >= auto.up_depth || unhealthy {
+                let shards = &self.cluster.shards;
+                if let Some(s) =
+                    (0..shards.len()).find(|&s| !shards[s].is_dead() && !self.active[s])
+                {
+                    self.active[s] = true;
+                    self.stats.scale_ups += 1;
+                }
+            } else if mean <= auto.down_depth && serving.len() > auto.min_active {
+                // Drain the shallowest; ties drain the highest index so
+                // shard 0 stays up longest.
+                if let Some(&s) = serving
+                    .iter()
+                    .min_by(|&&a, &&b| depth(a).cmp(&depth(b)).then(b.cmp(&a)))
+                {
+                    self.active[s] = false;
+                    self.stats.scale_downs += 1;
                 }
             }
         }
+        let mut next = tick;
+        while next <= self.now {
+            next += auto.interval_seconds;
+        }
+        self.next_tick = Some(next);
+    }
 
-        debug_assert!(pending.is_empty(), "unresolved requests: {pending:?}");
+    /// Evaluates the watch's SLOs over everything this instant settled
+    /// (router-terminal outcomes included; shard steps already evaluated
+    /// their own instants).
+    fn evaluate_slos(&mut self) {
+        let Some(watch) = &self.cluster.watch else {
+            return;
+        };
+        let breaches = Watch::lock(watch).evaluate(self.now);
+        for b in breaches {
+            self.instant(
+                "slo_breach",
+                "slo",
+                vec![
+                    ("slo", ArgValue::Str(b.slo)),
+                    ("scope", ArgValue::Str(b.scope)),
+                    ("fast_burn", ArgValue::F64(b.fast_burn)),
+                    ("slow_burn", ArgValue::F64(b.slow_burn)),
+                ],
+            );
+        }
+    }
 
-        // Finish every shard; merge traces router-first, shards in index
-        // order, tracks (and dispatch bucket args) remapped per shard.
-        let mut shard_stats = Vec::with_capacity(n);
+    /// Finishes every shard and assembles the outcome: traces merge
+    /// router-first, shards in index order, tracks (and dispatch bucket
+    /// args) remapped per shard.
+    fn finish(self) -> ClusterOutcome {
+        debug_assert!(
+            self.pending.is_empty(),
+            "unresolved requests: {:?}",
+            self.pending
+        );
+        let active_count = (0..self.active.len())
+            .filter(|&s| self.in_service(s))
+            .count();
+        let Run {
+            cluster,
+            mut stats,
+            trace,
+            mut responses,
+            ..
+        } = self;
+        let mut shard_stats = Vec::with_capacity(cluster.shards.len());
         let mut trace_dropped = 0u64;
-        let mut merged: Option<Vec<TraceEvent>> = self.tracing.then_some(router_trace);
-        for (s, shard) in self.shards.iter_mut().enumerate() {
+        let mut merged: Option<Vec<TraceEvent>> = cluster.tracing.then_some(trace);
+        for (s, shard) in cluster.shards.iter_mut().enumerate() {
             let out = shard.finish();
             trace_dropped += out.trace_dropped;
             if let (Some(merged), Some(events)) = (merged.as_mut(), out.trace) {
@@ -587,8 +668,8 @@ impl Cluster {
             shard_stats.push(out.stats);
         }
 
-        responses.sort_by_key(|r| r.id);
-        for r in &responses {
+        responses.sort_by_key(|(r, _)| r.id);
+        for (r, arrival) in &responses {
             match &r.outcome {
                 FoldOutcome::Completed {
                     finished_seconds, ..
@@ -597,23 +678,18 @@ impl Cluster {
                     if r.outcome.is_degraded() {
                         stats.degraded += 1;
                     }
-                    stats
-                        .latencies_seconds
-                        .push(finished_seconds - self.arrival_of(r.id, workload));
+                    stats.latencies_seconds.push(finished_seconds - arrival);
                 }
                 FoldOutcome::Rejected(_) => stats.rejected += 1,
                 FoldOutcome::TimedOut { .. } => stats.timed_out += 1,
                 FoldOutcome::Failed(_) => stats.failed += 1,
             }
         }
-        let active_count = (0..n)
-            .filter(|&s| !self.shards[s].is_dead() && active[s])
-            .count();
         stats.export_metrics(active_count);
 
         // Mirror the watch's run-local metrics into the global registry
         // exactly once, then carry its summary on the outcome.
-        let watch = self.watch.as_ref().map(|w| {
+        let watch = cluster.watch.as_ref().map(|w| {
             let guard = Watch::lock(w);
             guard.export_global();
             guard.report()
@@ -625,7 +701,7 @@ impl Cluster {
         }
 
         ClusterOutcome {
-            responses,
+            responses: responses.into_iter().map(|(r, _)| r).collect(),
             stats,
             shard_stats,
             trace: merged,
@@ -635,50 +711,24 @@ impl Cluster {
         }
     }
 
-    fn arrival_of(&self, id: u64, workload: &[FoldRequest]) -> f64 {
-        workload
-            .iter()
-            .find(|r| r.id == id)
-            .map_or(0.0, |r| r.arrival_seconds)
+    /// Whether shard `s` is alive and taking new placements.
+    fn in_service(&self, s: usize) -> bool {
+        !self.cluster.shards[s].is_dead() && self.active[s]
     }
 
-    /// Whether shard `s` can take a sequence of `len` residues and still
-    /// meet `deadline` after one hop starting `now` (the same admission
-    /// math [`Engine::best_case_seconds`] applies shard-side).
-    fn capable(&self, s: usize, len: usize, deadline: f64, now: f64) -> bool {
-        let e = &self.shards[s];
-        !e.is_dead()
-            && e.max_routable_length() >= len
-            && e.best_case_seconds(len)
-                .is_some_and(|best| best <= deadline - (now + self.cfg.hop_seconds))
-    }
-
-    /// First virtual time at or after `t` when shard `s` is out of every
-    /// partition window.
-    fn heal_time(&self, s: usize, mut t: f64) -> f64 {
-        loop {
-            let mut end: Option<f64> = None;
-            for w in self.plan.partitions() {
-                if w.shard == s && w.start_seconds <= t && t < w.end_seconds {
-                    end = Some(end.map_or(w.end_seconds, |e: f64| e.max(w.end_seconds)));
-                }
-            }
-            match end {
-                Some(e) => t = e,
-                None => return t,
-            }
-        }
-    }
-
-    fn decide(&self, req: &FoldRequest, active: &[bool], now: f64) -> Placement {
-        let walk = self
-            .ring
-            .walk(HashRing::key(&self.cfg.seed, req.id, &req.name));
+    /// Where `req` goes now: its first capable shard in ring-walk order
+    /// (plus a hedge twin for long sequences), a deferral until a
+    /// partition heals, or a rejection. `drained_too` counts drained
+    /// shards as active.
+    fn decide(&self, req: &FoldRequest, drained_too: bool) -> Placement {
+        let c = &*self.cluster;
+        let now = self.now;
+        let walk = c.ring.walk(HashRing::key(&c.cfg.seed, req.id, &req.name));
         let deadline = req.deadline();
         let mut capable: Vec<usize> = walk
             .iter()
             .copied()
-            .filter(|&s| active[s] && self.capable(s, req.length, deadline, now))
+            .filter(|&s| (drained_too || self.active[s]) && c.capable(s, req.length, deadline, now))
             .collect();
         if capable.is_empty() {
             // Fall back to drained-but-alive shards rather than rejecting:
@@ -686,32 +736,24 @@ impl Cluster {
             capable = walk
                 .iter()
                 .copied()
-                .filter(|&s| self.capable(s, req.length, deadline, now))
+                .filter(|&s| c.capable(s, req.length, deadline, now))
                 .collect();
         }
         let open: Vec<usize> = capable
             .iter()
             .copied()
-            .filter(|&s| !self.plan.partitioned(s, now))
+            .filter(|&s| !c.plan.partitioned(s, now))
             .collect();
         // Health gate: prefer shards the watch scores healthy, but fall
         // back to the full open set — health never reduces reachability.
-        let preferred: Vec<usize> = if self.watch.is_some() {
-            let healthy: Vec<usize> = open
-                .iter()
-                .copied()
-                .filter(|&s| self.shard_health(s) >= 0.5)
-                .collect();
-            if healthy.is_empty() {
-                open.clone()
-            } else {
-                healthy
-            }
-        } else {
-            open.clone()
-        };
+        let healthy: Vec<usize> = open
+            .iter()
+            .copied()
+            .filter(|&s| c.shard_health(s) >= 0.5)
+            .collect();
+        let preferred = if healthy.is_empty() { &open } else { &healthy };
         if let Some(&primary) = preferred.first() {
-            let hedge = (req.length >= self.cfg.hedge_min_length)
+            let hedge = (req.length >= c.cfg.hedge_min_length)
                 .then(|| {
                     preferred
                         .get(1)
@@ -724,13 +766,13 @@ impl Cluster {
         if !capable.is_empty() {
             let wake = capable
                 .iter()
-                .map(|&s| self.heal_time(s, now))
+                .map(|&s| c.heal_time(s, now))
                 .fold(f64::INFINITY, f64::min);
             return Placement::Defer { wake };
         }
-        let fits_somewhere = walk.iter().any(|&s| {
-            !self.shards[s].is_dead() && self.shards[s].max_routable_length() >= req.length
-        });
+        let fits_somewhere = walk
+            .iter()
+            .any(|&s| !c.shards[s].is_dead() && c.shards[s].max_routable_length() >= req.length);
         Placement::Reject {
             reason: if fits_somewhere {
                 RejectReason::DeadlineUnmeetable
@@ -740,100 +782,41 @@ impl Cluster {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn try_place(
-        &mut self,
-        origin: u64,
-        from: Option<usize>,
-        now: f64,
-        active: &[bool],
-        pending: &mut BTreeMap<u64, Pending>,
-        attempt_of: &mut BTreeMap<u64, u64>,
-        deliveries: &mut Vec<Delivery>,
-        deferred: &mut Vec<Deferred>,
-        next_attempt: &mut u64,
-        stats: &mut ClusterStats,
-        router_trace: &mut Vec<TraceEvent>,
-        responses: &mut Vec<ClusterResponse>,
-    ) {
-        let Some(p) = pending.get(&origin) else {
+    /// Places `origin` — on arrival, after a deferral, or as a reroute off
+    /// the lost shard `from`: sends its attempt (and, on a first
+    /// placement, its hedge twin), defers it, or rejects it.
+    fn try_place(&mut self, origin: u64, from: Option<usize>, drained_too: bool) {
+        let Some(p) = self.pending.get(&origin) else {
             return;
         };
-        let req = p.req.clone();
-        match self.decide(&req, active, now) {
+        match self.decide(&p.req, drained_too) {
             Placement::Place { primary, hedge } => {
-                self.send_attempt(
-                    origin,
-                    primary,
-                    now,
-                    pending,
-                    attempt_of,
-                    deliveries,
-                    next_attempt,
-                    stats,
-                    router_trace,
-                );
-                if from.is_none() {
-                    if let Some(h) = hedge {
-                        stats.hedges += 1;
-                        self.send_attempt(
-                            origin,
-                            h,
-                            now,
-                            pending,
-                            attempt_of,
-                            deliveries,
-                            next_attempt,
-                            stats,
-                            router_trace,
-                        );
-                    }
+                self.send_attempt(origin, primary);
+                if let (None, Some(h)) = (from, hedge) {
+                    self.stats.hedges += 1;
+                    self.send_attempt(origin, h);
                 }
             }
             Placement::Defer { wake } => {
-                stats.deferred += 1;
-                deferred.push(Deferred { wake, origin, from });
+                self.stats.deferred += 1;
+                self.deferred.push(Deferred { wake, origin, from });
             }
             Placement::Reject { reason } => {
-                let p = pending.get_mut(&origin).expect("checked above");
-                let length = p.req.length;
-                match from {
+                let outcome = match from {
                     // A reroute that finds no home fails typed: the shard
                     // was lost and nobody could take its work.
-                    Some(shard) => {
-                        p.failure =
-                            Some((FoldOutcome::Failed(FoldError::ShardLost { shard }), None));
-                        self.watch_observe(length, now, ObservedOutcome::Failed);
-                    }
+                    Some(shard) => FoldOutcome::Failed(FoldError::ShardLost { shard }),
                     None => {
-                        stats.router_rejected += 1;
-                        self.watch_observe(length, now, ObservedOutcome::Rejected);
-                        if self.tracing {
-                            router_trace.push(TraceEvent {
-                                name: "reject".to_string(),
-                                cat: "queue",
-                                phase: TracePhase::Instant,
-                                ts_nanos: seconds_to_nanos(now),
-                                track: 0,
-                                args: vec![(
-                                    "reason",
-                                    ArgValue::Str(
-                                        match reason {
-                                            RejectReason::TooLong => "too_long",
-                                            RejectReason::DeadlineUnmeetable => {
-                                                "deadline_unmeetable"
-                                            }
-                                            RejectReason::QueueFull => "queue_full",
-                                        }
-                                        .to_string(),
-                                    ),
-                                )],
-                            });
-                        }
-                        p.failure = Some((FoldOutcome::Rejected(reason), None));
+                        self.stats.router_rejected += 1;
+                        self.instant(
+                            "reject",
+                            "queue",
+                            vec![("reason", ArgValue::Str(reason.label().to_string()))],
+                        );
+                        FoldOutcome::Rejected(reason)
                     }
-                }
-                Self::finalize(origin, pending, responses);
+                };
+                self.fail(origin, outcome);
             }
         }
     }
@@ -841,51 +824,38 @@ impl Cluster {
     /// Creates a fresh attempt for `origin` targeting `shard`: emits the
     /// router `arrive` instant and the `shard_hop` span, and schedules the
     /// delivery one hop out.
-    #[allow(clippy::too_many_arguments)]
-    fn send_attempt(
-        &mut self,
-        origin: u64,
-        shard: usize,
-        now: f64,
-        pending: &mut BTreeMap<u64, Pending>,
-        attempt_of: &mut BTreeMap<u64, u64>,
-        deliveries: &mut Vec<Delivery>,
-        next_attempt: &mut u64,
-        stats: &mut ClusterStats,
-        router_trace: &mut Vec<TraceEvent>,
-    ) {
-        let p = pending
+    fn send_attempt(&mut self, origin: u64, shard: usize) {
+        let p = self
+            .pending
             .get_mut(&origin)
             .expect("send_attempt for unknown request");
-        let attempt = *next_attempt;
-        *next_attempt += 1;
-        attempt_of.insert(attempt, origin);
+        let attempt = self.next_attempt;
+        self.next_attempt += 1;
+        self.attempt_of.insert(attempt, origin);
         p.outstanding.push((attempt, shard));
         p.attempts += 1;
         p.hops += 1;
         if p.attempts == 1 {
-            stats.placed += 1;
+            self.stats.placed += 1;
         }
-        if self.tracing {
-            let ts = seconds_to_nanos(now);
-            router_trace.push(TraceEvent {
-                name: "arrive".to_string(),
-                cat: "router",
-                phase: TracePhase::Instant,
-                ts_nanos: ts,
-                track: 0,
-                args: vec![
-                    ("id", ArgValue::U64(attempt)),
-                    ("seq_len", ArgValue::U64(p.req.length as u64)),
-                ],
-            });
-            router_trace.push(TraceEvent {
+        let (length, deadline) = (p.req.length as u64, p.req.deadline());
+        let hop = self.cluster.cfg.hop_seconds;
+        self.instant(
+            "arrive",
+            "router",
+            vec![
+                ("id", ArgValue::U64(attempt)),
+                ("seq_len", ArgValue::U64(length)),
+            ],
+        );
+        if self.cluster.tracing {
+            self.trace.push(TraceEvent {
                 name: "shard_hop".to_string(),
                 cat: "hop",
                 phase: TracePhase::Complete {
-                    dur_nanos: seconds_to_nanos(self.cfg.hop_seconds),
+                    dur_nanos: seconds_to_nanos(hop),
                 },
-                ts_nanos: ts,
+                ts_nanos: seconds_to_nanos(self.now),
                 track: 0,
                 args: vec![
                     ("id", ArgValue::U64(attempt)),
@@ -893,347 +863,182 @@ impl Cluster {
                 ],
             });
         }
-        deliveries.push(Delivery {
-            due: now + self.cfg.hop_seconds,
+        self.deliveries.push(Delivery {
+            due: self.now + hop,
             attempt,
             origin,
             shard,
-            deadline: p.req.deadline(),
+            deadline,
         });
     }
 
-    /// Lands one delivery: inject into the target, defer on a partition,
-    /// reroute on a dead target, or time out an exhausted budget.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &mut self,
-        d: Delivery,
-        now: f64,
-        pending: &mut BTreeMap<u64, Pending>,
-        attempt_of: &mut BTreeMap<u64, u64>,
-        deliveries: &mut Vec<Delivery>,
-        deferred: &mut Vec<Deferred>,
-        next_attempt: &mut u64,
-        stats: &mut ClusterStats,
-        router_trace: &mut Vec<TraceEvent>,
-        responses: &mut Vec<ClusterResponse>,
-    ) {
-        if self.shards[d.shard].is_dead() {
+    /// Lands one delivery: reroute off a dead target, wait out a partition
+    /// that heals within budget, time out definitely when it does not or
+    /// the budget is spent, and otherwise inject the attempt.
+    fn deliver(&mut self, d: Delivery) {
+        let now = self.now;
+        if self.cluster.shards[d.shard].is_dead() {
             // The attempt never reached the shard: close its trace and
             // treat it like an evacuation victim.
-            self.router_terminal(router_trace, "cancel", "cancel", d.attempt, now);
-            self.displaced(
-                d.attempt,
-                d.shard,
-                now,
-                pending,
-                attempt_of,
-                deliveries,
-                deferred,
-                next_attempt,
-                stats,
-                router_trace,
-                responses,
-            );
+            self.instant("cancel", "cancel", vec![("id", ArgValue::U64(d.attempt))]);
+            self.displaced(d.attempt, d.shard);
             return;
         }
-        if self.plan.partitioned(d.shard, now) {
-            let heal = self.heal_time(d.shard, now);
+        let partitioned = self.cluster.plan.partitioned(d.shard, now);
+        if partitioned {
+            let heal = self.cluster.heal_time(d.shard, now);
             if heal < d.deadline {
-                stats.deferred += 1;
-                deliveries.push(Delivery { due: heal, ..d });
+                self.stats.deferred += 1;
+                self.deliveries.push(Delivery { due: heal, ..d });
                 return;
             }
-            // The partition outlives the budget: fail definite, now.
-            self.router_terminal(router_trace, "timeout", "timeout", d.attempt, now);
-            Self::drop_attempt(d.attempt, d.origin, pending, attempt_of);
-            if let Some(p) = pending.get_mut(&d.origin) {
-                if p.outstanding.is_empty() && p.resolved.is_none() {
-                    p.failure = Some((
-                        FoldOutcome::TimedOut {
-                            waited_seconds: now - p.req.arrival_seconds,
-                        },
-                        None,
-                    ));
-                    self.watch_observe(p.req.length, now, ObservedOutcome::TimedOut);
-                }
-            }
-            Self::finalize(d.origin, pending, responses);
-            return;
         }
-        let remaining = d.deadline - now;
-        if remaining <= 0.0 {
-            self.router_terminal(router_trace, "timeout", "timeout", d.attempt, now);
-            Self::drop_attempt(d.attempt, d.origin, pending, attempt_of);
-            if let Some(p) = pending.get_mut(&d.origin) {
-                if p.outstanding.is_empty() && p.resolved.is_none() {
-                    p.failure = Some((
-                        FoldOutcome::TimedOut {
-                            waited_seconds: now - p.req.arrival_seconds,
-                        },
-                        None,
-                    ));
-                    self.watch_observe(p.req.length, now, ObservedOutcome::TimedOut);
-                }
-            }
-            Self::finalize(d.origin, pending, responses);
-            return;
-        }
-        let Some(p) = pending.get(&d.origin) else {
+        let Some(p) = self.pending.get(&d.origin) else {
             return;
         };
-        self.shards[d.shard].inject(FoldRequest {
+        let remaining = d.deadline - now;
+        if partitioned || remaining <= 0.0 {
+            // The partition outlives the budget, or the budget is spent:
+            // fail definite, now.
+            let waited_seconds = now - p.req.arrival_seconds;
+            self.instant("timeout", "timeout", vec![("id", ArgValue::U64(d.attempt))]);
+            self.drop_attempt(d.attempt, d.origin);
+            self.fail(d.origin, FoldOutcome::TimedOut { waited_seconds });
+            return;
+        }
+        let attempt = FoldRequest {
             id: d.attempt,
             name: p.req.name.clone(),
             length: p.req.length,
             arrival_seconds: now,
             timeout_seconds: remaining,
-        });
+        };
+        self.cluster.shards[d.shard].inject(attempt);
     }
 
     /// One settled shard response: resolve the original request, cancel
     /// hedge losers, or account a wasted loser completion.
-    #[allow(clippy::too_many_arguments)]
-    fn settle(
-        &mut self,
-        shard: usize,
-        resp: FoldResponse,
-        _now: f64,
-        pending: &mut BTreeMap<u64, Pending>,
-        attempt_of: &mut BTreeMap<u64, u64>,
-        stats: &mut ClusterStats,
-        responses: &mut Vec<ClusterResponse>,
-    ) {
-        let Some(&origin) = attempt_of.get(&resp.id) else {
+    fn settle(&mut self, shard: usize, resp: FoldResponse) {
+        let Some(&origin) = self.attempt_of.get(&resp.id) else {
             return;
         };
-        let Some(p) = pending.get_mut(&origin) else {
+        let Some(p) = self.pending.get_mut(&origin) else {
             return;
         };
         p.outstanding.retain(|&(a, _)| a != resp.id);
-        if p.resolved.is_some() {
+        let won = p.resolved.is_some();
+        match resp.outcome {
             // A hedge loser that was already executing when the winner
             // landed: its completion is pure wasted backend time.
-            if let FoldOutcome::Completed {
+            FoldOutcome::Completed {
                 started_seconds,
                 finished_seconds,
                 ..
-            } = &resp.outcome
-            {
-                stats.hedge_wasted += 1;
-                stats.hedge_wasted_seconds += finished_seconds - started_seconds;
+            } if won => {
+                self.stats.hedge_wasted += 1;
+                self.stats.hedge_wasted_seconds += finished_seconds - started_seconds;
             }
-        } else {
-            match &resp.outcome {
-                FoldOutcome::Completed { .. } => {
-                    p.resolved = Some((resp.outcome.clone(), shard));
-                    // First winner cancels every still-queued twin; ones
-                    // already executing run on as wasted work.
-                    let losers = p.outstanding.clone();
-                    for (attempt, loser_shard) in losers {
-                        if self.shards[loser_shard].is_dead() {
-                            continue;
-                        }
-                        if self.shards[loser_shard].cancel(attempt).is_some() {
-                            stats.hedge_cancelled += 1;
-                            if let Some(p) = pending.get_mut(&origin) {
-                                p.outstanding.retain(|&(a, _)| a != attempt);
-                            }
-                        }
+            _ if won => {}
+            outcome @ FoldOutcome::Completed { .. } => {
+                p.resolved = Some((outcome, shard));
+                // First winner cancels every still-queued twin; ones
+                // already executing run on as wasted work.
+                let shards = &mut self.cluster.shards;
+                let stats = &mut self.stats;
+                p.outstanding.retain(|&(attempt, s)| {
+                    let cancelled = !shards[s].is_dead() && shards[s].cancel(attempt).is_some();
+                    if cancelled {
+                        stats.hedge_cancelled += 1;
                     }
-                }
-                other => {
-                    let p = pending.get_mut(&origin).expect("still pending");
-                    p.failure = Some((other.clone(), Some(shard)));
-                }
+                    !cancelled
+                });
             }
+            outcome => p.failure = Some((outcome, Some(shard))),
         }
-        Self::finalize(origin, pending, responses);
+        self.finalize(origin);
     }
 
     /// Handles an attempt displaced from `shard` (evacuation victim or a
     /// delivery that found its target dead): reroute within budget, lean
     /// on a surviving hedge twin, or fail typed with `ShardLost`.
-    #[allow(clippy::too_many_arguments)]
-    fn displaced(
-        &mut self,
-        attempt: u64,
-        shard: usize,
-        now: f64,
-        pending: &mut BTreeMap<u64, Pending>,
-        attempt_of: &mut BTreeMap<u64, u64>,
-        deliveries: &mut Vec<Delivery>,
-        deferred: &mut Vec<Deferred>,
-        next_attempt: &mut u64,
-        stats: &mut ClusterStats,
-        router_trace: &mut Vec<TraceEvent>,
-        responses: &mut Vec<ClusterResponse>,
-    ) {
-        let Some(&origin) = attempt_of.get(&attempt) else {
+    fn displaced(&mut self, attempt: u64, shard: usize) {
+        let Some(&origin) = self.attempt_of.get(&attempt) else {
             return;
         };
-        Self::drop_attempt(attempt, origin, pending, attempt_of);
+        self.drop_attempt(attempt, origin);
         // Any in-transit delivery for the same attempt is moot.
-        deliveries.retain(|d| d.attempt != attempt);
-        let Some(p) = pending.get_mut(&origin) else {
+        self.deliveries.retain(|d| d.attempt != attempt);
+        let Some(p) = self.pending.get_mut(&origin) else {
             return;
         };
         if p.resolved.is_some() || !p.outstanding.is_empty() {
             // Already won, or a hedge twin is still alive elsewhere.
-            Self::finalize(origin, pending, responses);
-            return;
-        }
-        if p.reroutes < self.cfg.max_reroutes {
+            self.finalize(origin);
+        } else if p.reroutes < self.cluster.cfg.max_reroutes {
             p.reroutes += 1;
-            stats.reroutes += 1;
-            let active_all = vec![true; self.shards.len()];
-            self.try_place(
-                origin,
-                Some(shard),
-                now,
-                &active_all,
-                pending,
-                attempt_of,
-                deliveries,
-                deferred,
-                next_attempt,
-                stats,
-                router_trace,
-                responses,
-            );
-            return;
-        }
-        p.failure = Some((FoldOutcome::Failed(FoldError::ShardLost { shard }), None));
-        self.watch_observe(p.req.length, now, ObservedOutcome::Failed);
-        Self::finalize(origin, pending, responses);
-    }
-
-    /// One work-stealing evaluation: the shallowest eligible shard takes
-    /// half the skew from the deepest, tail-first, capped by its own
-    /// routable length.
-    #[allow(clippy::too_many_arguments)]
-    fn steal_pass(
-        &mut self,
-        now: f64,
-        active: &[bool],
-        pending: &mut BTreeMap<u64, Pending>,
-        attempt_of: &mut BTreeMap<u64, u64>,
-        deliveries: &mut Vec<Delivery>,
-        next_attempt: &mut u64,
-        stats: &mut ClusterStats,
-        router_trace: &mut Vec<TraceEvent>,
-        responses: &mut Vec<ClusterResponse>,
-    ) {
-        let eligible: Vec<usize> = (0..self.shards.len())
-            .filter(|&s| !self.shards[s].is_dead() && active[s] && !self.plan.partitioned(s, now))
-            .collect();
-        if eligible.len() < 2 {
-            return;
-        }
-        let victim = *eligible
-            .iter()
-            .max_by(|&&a, &&b| {
-                self.shards[a]
-                    .queue_depth()
-                    .cmp(&self.shards[b].queue_depth())
-                    .then(b.cmp(&a))
-            })
-            .expect("eligible non-empty");
-        let thief = *eligible
-            .iter()
-            .min_by(|&&a, &&b| {
-                self.shards[a]
-                    .queue_depth()
-                    .cmp(&self.shards[b].queue_depth())
-                    .then(a.cmp(&b))
-            })
-            .expect("eligible non-empty");
-        let skew = self.shards[victim].queue_depth() - self.shards[thief].queue_depth();
-        if victim == thief || skew < self.cfg.steal_threshold {
-            return;
-        }
-        let max_len = self.shards[thief].max_routable_length();
-        let stolen = self.shards[victim].steal((skew / 2).max(1), max_len);
-        for q in stolen {
-            stats.steals += 1;
-            let Some(&origin) = attempt_of.get(&q.id) else {
-                continue;
-            };
-            Self::drop_attempt(q.id, origin, pending, attempt_of);
-            let still_live = pending.get(&origin).is_some_and(|p| p.resolved.is_none());
-            if still_live {
-                self.send_attempt(
-                    origin,
-                    thief,
-                    now,
-                    pending,
-                    attempt_of,
-                    deliveries,
-                    next_attempt,
-                    stats,
-                    router_trace,
-                );
-            } else {
-                Self::finalize(origin, pending, responses);
-            }
+            self.stats.reroutes += 1;
+            self.try_place(origin, Some(shard), true);
+        } else {
+            self.fail(origin, FoldOutcome::Failed(FoldError::ShardLost { shard }));
         }
     }
 
-    /// Emits a router-side terminal instant for an attempt that never
-    /// reached (or never left) a shard, so the critical-path replay still
-    /// closes its life.
-    fn router_terminal(
-        &self,
-        router_trace: &mut Vec<TraceEvent>,
-        name: &str,
-        cat: &'static str,
-        attempt: u64,
-        now: f64,
-    ) {
-        if self.tracing {
-            router_trace.push(TraceEvent {
+    /// Records a router-lane instant at the current time, when tracing.
+    fn instant(&mut self, name: &str, cat: &'static str, args: Vec<(&'static str, ArgValue)>) {
+        if self.cluster.tracing {
+            self.trace.push(TraceEvent {
                 name: name.to_string(),
                 cat,
                 phase: TracePhase::Instant,
-                ts_nanos: seconds_to_nanos(now),
+                ts_nanos: seconds_to_nanos(self.now),
                 track: 0,
-                args: vec![("id", ArgValue::U64(attempt))],
+                args,
             });
         }
     }
 
-    fn drop_attempt(
-        attempt: u64,
-        origin: u64,
-        pending: &mut BTreeMap<u64, Pending>,
-        attempt_of: &mut BTreeMap<u64, u64>,
-    ) {
-        attempt_of.remove(&attempt);
-        if let Some(p) = pending.get_mut(&origin) {
+    fn drop_attempt(&mut self, attempt: u64, origin: u64) {
+        self.attempt_of.remove(&attempt);
+        if let Some(p) = self.pending.get_mut(&origin) {
             p.outstanding.retain(|&(a, _)| a != attempt);
         }
     }
 
-    /// If `origin` has no live attempts and a terminal outcome, push its
-    /// cluster response and retire it.
-    fn finalize(
-        origin: u64,
-        pending: &mut BTreeMap<u64, Pending>,
-        responses: &mut Vec<ClusterResponse>,
-    ) {
-        let done = pending.get(&origin).is_some_and(|p| {
+    /// Fails `origin` at the router with `outcome` — unless a winner
+    /// landed or an attempt is still live — and retires it once nothing
+    /// is left to wait for.
+    fn fail(&mut self, origin: u64, outcome: FoldOutcome) {
+        if let Some(p) = self.pending.get_mut(&origin) {
+            if p.outstanding.is_empty() && p.resolved.is_none() {
+                // The router only ever rejects, times out or fails.
+                let observed = match outcome {
+                    FoldOutcome::Rejected(_) => ObservedOutcome::Rejected,
+                    FoldOutcome::TimedOut { .. } => ObservedOutcome::TimedOut,
+                    _ => ObservedOutcome::Failed,
+                };
+                self.cluster.watch_observe(p.req.length, self.now, observed);
+                p.failure = Some((outcome, None));
+            }
+        }
+        self.finalize(origin);
+    }
+
+    /// If `origin` has no live attempts and a terminal outcome, records
+    /// its cluster response and retires it.
+    fn finalize(&mut self, origin: u64) {
+        let done = self.pending.get(&origin).is_some_and(|p| {
             p.outstanding.is_empty() && (p.resolved.is_some() || p.failure.is_some())
         });
         if !done {
             return;
         }
-        let p = pending.remove(&origin).expect("checked above");
+        let p = self.pending.remove(&origin).expect("checked above");
         let (outcome, shard) = match (p.resolved, p.failure) {
             (Some((outcome, shard)), _) => (outcome, Some(shard)),
             (None, Some((outcome, shard))) => (outcome, shard),
             (None, None) => unreachable!("finalize requires a terminal outcome"),
         };
-        responses.push(ClusterResponse {
+        let response = ClusterResponse {
             id: origin,
             name: p.req.name,
             length: p.req.length,
@@ -1241,8 +1046,20 @@ impl Cluster {
             shard,
             attempts: p.attempts,
             hops: p.hops,
-        });
+        };
+        self.responses.push((response, p.req.arrival_seconds));
     }
+}
+
+/// Position of the entry due by `now` with the smallest `(time, id)` key.
+fn earliest_due<T>(items: &[T], now: f64, key: impl Fn(&T) -> (f64, u64)) -> Option<usize> {
+    items
+        .iter()
+        .map(key)
+        .enumerate()
+        .filter(|(_, (due, _))| *due <= now)
+        .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -1442,7 +1259,10 @@ mod tests {
     }
 
     #[test]
-    fn partition_outliving_the_budget_times_out_definitely() {
+    fn partition_outliving_the_budget_is_rejected_at_arrival() {
+        // The only shard heals at 100 s, long after the 2 s budget: it
+        // cannot meet the deadline from its heal time, so the router
+        // refuses the request up front instead of deferring it.
         let wl = vec![FoldRequest {
             id: 0,
             name: "doomed".to_string(),
@@ -1457,15 +1277,25 @@ mod tests {
                 end_seconds: 100.0,
             })
             .build();
-        let out = cluster(1, ClusterConfig::default(), plan).run(&wl);
+        let mut cl = cluster(1, ClusterConfig::default(), plan);
+        cl.set_tracing(true);
+        let out = cl.run(&wl);
         assert_eq!(out.responses.len(), 1);
-        assert!(
-            matches!(
-                out.responses[0].outcome,
-                FoldOutcome::TimedOut { .. } | FoldOutcome::Rejected(_)
-            ),
+        assert_eq!(
+            out.responses[0].outcome,
+            FoldOutcome::Rejected(RejectReason::DeadlineUnmeetable),
             "{:?}",
             out.responses[0]
+        );
+        assert_eq!(out.stats.deferred, 0, "{:?}", out.stats);
+        let reason = vec![("reason", ArgValue::Str("deadline_unmeetable".to_string()))];
+        let trace = out.trace.expect("tracing was on");
+        assert!(
+            trace.iter().any(|e| e.track == 0
+                && e.name == "reject"
+                && e.ts_nanos == seconds_to_nanos(wl[0].arrival_seconds)
+                && e.args == reason),
+            "no router reject at arrival: {trace:?}"
         );
     }
 

@@ -56,14 +56,16 @@ impl ClusterStats {
         self.completed + self.timed_out + self.rejected + self.failed
     }
 
-    /// Nearest-rank percentile over the completion latencies.
+    /// Latency percentile (`p` a fraction, 0.0–1.0) over the completion
+    /// latencies, by the nearest-rank rule: the `⌈p · n⌉`-th smallest of
+    /// the `n` samples (the smallest for `p = 0`).
     pub fn latency_percentile(&self, p: f64) -> Option<f64> {
         if self.latencies_seconds.is_empty() {
             return None;
         }
         let mut sorted = self.latencies_seconds.clone();
         sorted.sort_by(f64::total_cmp);
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+        let rank = (p * sorted.len() as f64).ceil() as usize;
         Some(sorted[rank.clamp(1, sorted.len()) - 1])
     }
 
@@ -77,7 +79,7 @@ impl ClusterStats {
         outcomes.add_row(["rejected".to_string(), self.rejected.to_string()]);
         outcomes.add_row(["failed".to_string(), self.failed.to_string()]);
         if let (Some(p50), Some(p99)) =
-            (self.latency_percentile(50.0), self.latency_percentile(99.0))
+            (self.latency_percentile(0.5), self.latency_percentile(0.99))
         {
             outcomes.add_row(["p50_latency".to_string(), format!("{p50:.4} s")]);
             outcomes.add_row(["p99_latency".to_string(), format!("{p99:.4} s")]);
@@ -164,9 +166,10 @@ mod tests {
             latencies_seconds: vec![4.0, 1.0, 3.0, 2.0],
             ..ClusterStats::default()
         };
-        assert_eq!(stats.latency_percentile(50.0), Some(2.0));
-        assert_eq!(stats.latency_percentile(99.0), Some(4.0));
-        assert_eq!(ClusterStats::default().latency_percentile(50.0), None);
+        assert_eq!(stats.latency_percentile(0.5), Some(2.0));
+        assert_eq!(stats.latency_percentile(0.99), Some(4.0));
+        assert_eq!(stats.latency_percentile(0.0), Some(1.0));
+        assert_eq!(ClusterStats::default().latency_percentile(0.5), None);
     }
 
     #[test]

@@ -380,6 +380,9 @@ mod tests {
 
     #[test]
     fn ring_buffer_is_bounded_and_counts_drops() {
+        // Its evictions bump the process-wide drop counter, which
+        // `ring_drops_mirror_into_the_registry_counter` reads.
+        let _guard = crate::test_lock();
         let clock = Arc::new(VirtualClock::new());
         let tracer = Tracer::forced(clock as Arc<dyn Clock>, 4);
         for i in 0..10u64 {

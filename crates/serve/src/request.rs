@@ -44,7 +44,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// The reason as a trace-event argument.
-    pub(crate) fn label(self) -> &'static str {
+    pub fn label(self) -> &'static str {
         match self {
             RejectReason::QueueFull => "queue_full",
             RejectReason::TooLong => "too_long",

@@ -65,9 +65,11 @@
 # same 0.95x floor, on any trace span the replay cannot attribute, or on
 # a truncated trace ring. Step 9 sweeps 1/4/16-shard
 # clusters over one workload and exits non-zero if the outcome fingerprint
-# diverges across ln-par pools {1, 2, 4}, if the merged cluster trace
-# leaves any span unattributed, or if p99 fails to improve monotonically
-# with the shard count. Step 10 measures the LN_OBS=off serving hot path
+# diverges across ln-par pools {1, 2, 4}, if a sweep point answers fewer
+# requests than the workload holds (the router's own check is a
+# debug_assert, compiled out here), if the merged cluster trace leaves any
+# span unattributed, or if p99 fails to improve monotonically with the
+# shard count. Step 10 measures the LN_OBS=off serving hot path
 # with the watch compiled in but not attached (one branch + one gated
 # counter, same 5% budget as step 7), replays the deterministic SLO
 # burn-rate fixtures, and exits non-zero if the steady fixture breaches,

@@ -12,7 +12,9 @@ use ln_cluster::{Cluster, ClusterConfig, ClusterOutcome};
 use ln_datasets::Registry;
 use ln_fault::{ChaosSpec, FaultPlan, PartitionWindow, ResilienceConfig, ShardLossEvent};
 use ln_insight::CriticalPath;
-use ln_serve::{standard_backends, BatcherConfig, BucketPolicy, Engine, FoldRequest, WorkloadSpec};
+use ln_serve::{
+    standard_backends, BatcherConfig, BucketPolicy, Engine, FoldOutcome, FoldRequest, WorkloadSpec,
+};
 
 const SEED: &str = "cluster/golden-workload";
 const PLAN_SEED: &str = "cluster/golden-plan";
@@ -147,4 +149,94 @@ fn cluster_critical_path_accounts_every_span_exactly() {
     let terminals = cp.terminal_summary();
     assert!(terminals.cancelled > 0, "{terminals:?}");
     assert!(terminals.completed > 0, "{terminals:?}");
+}
+
+#[test]
+fn partition_starting_mid_hop_times_the_attempt_out_at_the_router() {
+    // Placed at 0 s on the only shard; its partition starts 1 ms later,
+    // while the attempt is in transit, and outlives the 2 s budget — so
+    // the delivery fails definite at the router.
+    let plan = FaultPlan::builder()
+        .partition(PartitionWindow {
+            shard: 0,
+            start_seconds: 0.001,
+            end_seconds: 100.0,
+        })
+        .build();
+    let shard = Engine::with_resilience(
+        BucketPolicy::from_registry(&Registry::standard(), 4),
+        BatcherConfig::default(),
+        standard_backends(),
+        FaultPlan::none(),
+        ResilienceConfig::default(),
+    );
+    let cfg = ClusterConfig::default();
+    let hop = cfg.hop_seconds;
+    let mut cluster = Cluster::new(cfg, vec![shard], plan);
+    cluster.set_tracing(true);
+    let out = cluster.run(&[FoldRequest {
+        id: 0,
+        name: "in-transit".to_string(),
+        length: 300,
+        arrival_seconds: 0.0,
+        timeout_seconds: 2.0,
+    }]);
+    assert_eq!(out.responses.len(), 1);
+    assert!(
+        matches!(out.responses[0].outcome, FoldOutcome::TimedOut { .. }),
+        "{:?}",
+        out.responses[0]
+    );
+
+    let events = out.trace.as_deref().expect("tracing was enabled");
+    let attempt = events
+        .iter()
+        .find(|e| e.name == "arrive")
+        .and_then(|e| e.args.iter().find(|(key, _)| *key == "id"))
+        .cloned()
+        .expect("the router sent an attempt");
+    assert!(
+        events.iter().any(|e| e.track == 0
+            && e.name == "timeout"
+            && e.ts_nanos == ln_obs::seconds_to_nanos(hop)
+            && e.args == [attempt.clone()]),
+        "no router timeout for {attempt:?} at delivery: {events:?}"
+    );
+    let cp = CriticalPath::analyze(events, out.trace_dropped);
+    assert!(cp.unattributed.is_empty(), "{:?}", cp.unattributed);
+}
+
+/// Responses per outcome class: completed, rejected, timed out, failed.
+fn outcome_classes(out: &ClusterOutcome) -> [usize; 4] {
+    let mut classes = [0usize; 4];
+    for r in &out.responses {
+        classes[match r.outcome {
+            FoldOutcome::Completed { .. } => 0,
+            FoldOutcome::Rejected(_) => 1,
+            FoldOutcome::TimedOut { .. } => 2,
+            FoldOutcome::Failed(_) => 3,
+        }] += 1;
+    }
+    classes
+}
+
+#[test]
+fn cluster_outcome_and_trace_are_pinned() {
+    // Absolute values, recorded at commit ebb1c0b (before the router's run
+    // state moved into one struct): the golden tests above compare the
+    // cluster to a re-run of itself, so only this one sees the schedule,
+    // the outcome or the merged trace's event order move.
+    const FINGERPRINT: u64 = 0xde1a_1a83_b600_0538;
+    const CLASSES: [usize; 4] = [100, 0, 0, 0];
+    const TRACE_EVENTS: usize = 746;
+    const TRACE_JSON_FNV1A: u64 = 0x64c2_63fc_4a7a_ef6b;
+
+    let out = traced_run(1);
+    let trace = out.trace.as_ref().expect("tracing was enabled");
+    let json_hash = ln_tensor::rng::seed_from_label(&ln_obs::chrome_trace_json(trace));
+    assert_eq!(out.fingerprint(), FINGERPRINT);
+    assert_eq!(outcome_classes(&out), CLASSES);
+    assert_eq!(out.trace_dropped, 0);
+    assert_eq!(trace.len(), TRACE_EVENTS);
+    assert_eq!(json_hash, TRACE_JSON_FNV1A);
 }

@@ -177,6 +177,28 @@ fn blackboxes_are_byte_identical_across_pool_sizes() {
 }
 
 #[test]
+fn blackbox_artifacts_are_pinned() {
+    // Absolute values, recorded at commit ebb1c0b (before the router's run
+    // state moved into one struct): the test above compares the black boxes
+    // to a re-run of themselves, so only this one sees them move.
+    const BLACKBOXES: usize = 7;
+    const ARTIFACTS_FNV1A: u64 = 0x39ab_60f2_1fc1_ff10;
+
+    let _lock = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
+    let _level = obs_counters();
+
+    let (_, boxes) = watched_run(1);
+    let mut all = String::new();
+    for b in &boxes {
+        all.push_str(&b.trigger);
+        all.push('\n');
+        all.push_str(&b.artifact);
+    }
+    assert_eq!(boxes.len(), BLACKBOXES);
+    assert_eq!(ln_tensor::rng::seed_from_label(&all), ARTIFACTS_FNV1A);
+}
+
+#[test]
 fn error_budget_accounting_is_exact() {
     let _lock = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
     let _level = obs_counters();
