@@ -6,7 +6,7 @@
 use lightnobel::report::Table;
 use ln_bench::{banner, paper_note, show};
 use ln_datasets::{Dataset, Registry};
-use ln_ppm::taps::{ActivationGroup, ActivationSite, RecordingHook};
+use ln_ppm::taps::{ActivationGroup, ActivationSite, RecordingHook, TapRecord};
 use ln_ppm::{FoldingModel, PpmConfig};
 
 fn main() {
@@ -36,9 +36,25 @@ fn main() {
         "max |x|",
         "mean outliers/token",
     ]);
+    // One entry per tap: the transition's hidden activation is recorded a
+    // row block at a time, and a tap's blocks merge token-weighted.
+    let mut taps: Vec<TapRecord> = Vec::new();
+    for r in hook.into_records() {
+        match taps.last_mut() {
+            Some(t) if t.tap == r.tap => {
+                let (a, b) = (t.tokens as f32, r.tokens as f32);
+                t.mean_abs = (t.mean_abs * a + r.mean_abs * b) / (a + b);
+                t.mean_outliers_per_token =
+                    (t.mean_outliers_per_token * a + r.mean_outliers_per_token * b) / (a + b);
+                t.max_abs = t.max_abs.max(r.max_abs);
+                t.tokens += r.tokens;
+                t.token_mean_abs.extend(r.token_mean_abs);
+            }
+            _ => taps.push(r),
+        }
+    }
     for group in [ActivationGroup::A, ActivationGroup::B, ActivationGroup::C] {
-        let recs: Vec<_> = hook
-            .records()
+        let recs: Vec<_> = taps
             .iter()
             .filter(|r| r.tap.group() == group && r.tap.site != ActivationSite::TriAttnScores)
             .collect();

@@ -169,6 +169,12 @@ impl ActivationHook for BaselineHook {
         }
         self.scheme.process(tap.group(), is_scores, activation);
     }
+
+    fn takes_row_blocks(&self, site: ActivationSite) -> bool {
+        // Every covered scheme calibrates its scales over the tokens it is
+        // shown; the schemes it models calibrate over the whole tensor.
+        !self.scheme.covers_group(site.group())
+    }
 }
 
 #[cfg(test)]
@@ -247,6 +253,28 @@ mod tests {
         let mut c = orig.clone();
         hook.on_activation(tap(ActivationSite::TriAttnQuery), &mut c); // group C
         assert!(c.rmse(&orig).unwrap() > a.rmse(&orig).unwrap());
+    }
+
+    #[test]
+    fn baseline_hook_sees_what_it_calibrates_on_whole() {
+        // Group C's transition hidden activation is calibrated across its
+        // tokens by every scheme that covers Group C, and rounded per
+        // element by FP16 and MEFold; only Tender covers Group A. AAQ's
+        // scales are per token.
+        use ln_quant::baselines::ALL_BASELINES;
+        use ActivationSite::{TransitionHidden, TransitionResidualIn};
+        let takes =
+            |site| ALL_BASELINES.map(|scheme| BaselineHook::new(scheme).takes_row_blocks(site));
+        // Fp16, SmoothQuant, LLM.int8(), PTQ4Protein, Tender, MEFold.
+        assert_eq!(
+            takes(TransitionHidden),
+            [true, false, false, false, false, true]
+        );
+        assert_eq!(
+            takes(TransitionResidualIn),
+            [true, true, true, true, false, true]
+        );
+        assert!(AaqHook::paper().takes_row_blocks(TransitionHidden));
     }
 
     #[test]

@@ -24,34 +24,8 @@ use crate::{PpmConfig, PpmError};
 use ln_quant::qgemm::{MacMode, QLinear};
 use ln_quant::scheme::QuantScheme;
 use ln_quant::tensor::QuantizedTensor;
-use ln_tensor::nn::{self, LayerNorm, Linear};
+use ln_tensor::nn::{Activation, LayerNorm, Linear};
 use ln_tensor::{Tensor2, Tensor3};
-
-/// Transposes a `(ns·ns, c)` pair-token matrix from `(a, b)` to `(b, a)`
-/// row order — exact element copies, no arithmetic, so kernels written for
-/// one orientation serve both bit-identically. The result is taken from
-/// the fold workspace and `m` (which came from it) is given back.
-fn transposed_pair_tokens(m: Tensor2, ns: usize) -> Tensor2 {
-    let c = m.cols();
-    let mut out = workspace::take(ns * ns, c);
-    let src = m.as_slice();
-    let dst = out.as_mut_slice();
-    for i in 0..ns {
-        for k in 0..ns {
-            dst[(i * ns + k) * c..][..c].copy_from_slice(&src[(k * ns + i) * c..][..c]);
-        }
-    }
-    workspace::give(m);
-    out
-}
-
-/// What a projection's output passes through before the hook sees it.
-#[derive(Clone, Copy)]
-enum Activation {
-    None,
-    Sigmoid,
-    Relu,
-}
 
 /// A layer that reads a stage's post-LayerNorm activation: the
 /// full-precision [`Linear`] and, built from it, the INT8-weight twin that
@@ -99,36 +73,50 @@ impl PostLn {
         PostLn { x, encoded }
     }
 
+    /// Pair tokens in the activation.
+    fn tokens(&self) -> usize {
+        self.x.rows()
+    }
+
     /// `act(layer(x))` in a tensor taken from the fold workspace.
     fn project(&self, layer: &Projection, act: Activation) -> Result<Tensor2, PpmError> {
-        let mut out = workspace::take(self.x.rows(), layer.out_features());
-        self.project_into(layer, act, &mut out)?;
+        let mut out = workspace::take(self.tokens(), layer.out_features());
+        self.project_into(layer, act, 0, &mut out)?;
         Ok(out)
     }
 
-    /// `act(layer(x))` into `out`, whatever it held. In full precision the
+    /// Tokens `first ..` of `act(layer(x))` — `out.rows()` of them — into
+    /// `out`, whatever it held; in the quantized domain `first` is a
+    /// multiple of [`ln_quant::qgemm::MR`]. In full precision the
     /// activation is fused into the GEMM epilogue (bitwise identical to
     /// applying it afterwards).
     fn project_into(
         &self,
         layer: &Projection,
         act: Activation,
+        first: usize,
         out: &mut Tensor2,
     ) -> Result<(), PpmError> {
-        match (&self.encoded, act) {
-            (Some((qx, mode)), act) => {
-                layer.qd.forward_into(qx, *mode, out)?;
-                match act {
-                    Activation::None => {}
-                    Activation::Sigmoid => nn::sigmoid_inplace(out),
-                    Activation::Relu => nn::relu_inplace(out),
-                }
+        match &self.encoded {
+            Some((qx, mode)) => {
+                layer
+                    .qd
+                    .forward_rows_into(qx, *mode, first, out.as_mut_slice())?;
+                act.apply(out);
             }
-            (None, Activation::None) => layer.fp.forward_into(&self.x, out)?,
-            (None, Activation::Sigmoid) => layer.fp.forward_sigmoid_into(&self.x, out)?,
-            (None, Activation::Relu) => layer.fp.forward_relu_into(&self.x, out)?,
+            None => layer
+                .fp
+                .forward_rows_into(&self.x, first, act, out.as_mut_slice())?,
         }
         Ok(())
+    }
+
+    /// Rows `first ..` of the activation's own buffer, `rows` of them, for
+    /// a caller that has run every projection of those rows: it writes the
+    /// stage's update there.
+    fn spent_rows(&mut self, first: usize, rows: usize) -> &mut [f32] {
+        let c = self.x.cols();
+        &mut self.x.as_mut_slice()[first * c..][..rows * c]
     }
 
     /// The activation's own buffer, once its last projection has read it:
@@ -317,7 +305,10 @@ mod tests {
 
     #[test]
     fn all_sites_fire_once_per_block() {
-        let (cfg, mut s, mut z) = setup(10);
+        // ns = 48: 2 304 pair tokens, two full transition row blocks and a
+        // partial one.
+        let ns = 48;
+        let (cfg, mut s, mut z) = setup(ns);
         let block = FoldingBlock::new(&cfg, "w", 3);
         let mut hook = RecordingHook::new();
         block.forward(&mut s, &mut z, &mut hook, 3, 1).unwrap();
@@ -332,17 +323,29 @@ mod tests {
         for site in ALL_SITES {
             let expected = match site {
                 // Two tri-mul units and two tri-attn units per block; the
-                // scores site fires once per (row/column, head).
-                ActivationSite::TriAttnScores => continue,
+                // scores site fires once per (row/column, head), the
+                // transition's hidden activation once per row block.
+                ActivationSite::TriAttnScores => ns * 2 * 2,
+                ActivationSite::TransitionHidden => (ns * ns).div_ceil(transition::ROW_BLOCK),
                 s if s.name().starts_with("tri_mul") => 2,
                 s if s.name().starts_with("tri_attn") => 2,
                 _ => 1,
             };
             assert_eq!(counts.get(&site), Some(&expected), "site {site}");
         }
-        let score_fires = counts[&ActivationSite::TriAttnScores];
-        // ns=10 rows × 2 heads × 2 units.
-        assert_eq!(score_fires, 10 * 2 * 2);
+        // The hidden blocks are whole row blocks but the last, and hold
+        // every pair token once between them (which tokens each holds:
+        // `transition::tests`).
+        let hidden_rows: Vec<usize> = hook
+            .records()
+            .iter()
+            .filter(|r| r.tap.site == ActivationSite::TransitionHidden)
+            .map(|r| r.tokens)
+            .collect();
+        assert_eq!(hidden_rows.iter().sum::<usize>(), ns * ns);
+        let (last, full) = hidden_rows.split_last().unwrap();
+        assert!(full.iter().all(|&rows| rows == transition::ROW_BLOCK));
+        assert_eq!(*last, ns * ns % transition::ROW_BLOCK);
     }
 
     #[test]

@@ -1,11 +1,23 @@
 //! Pair Transition: the per-token MLP that ends each folding block's pair
 //! dataflow (LayerNorm → expand → ReLU → contract, residual).
+//!
+//! The hidden activation is `transition_factor` pair tensors wide, so it
+//! is not whole unless the hook needs it whole: the MLP runs [`ROW_BLOCK`]
+//! tokens at a time, and each block's update goes into the block's own
+//! rows of the post-LN buffer.
 
 use super::{residual_stage, workspace, Activation, Projection};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_tensor::nn::{LayerNorm, Linear};
 use ln_tensor::Tensor3;
+
+/// Pair tokens taken through the hidden activation at a time, when the
+/// hook [takes row blocks](ActivationHook::takes_row_blocks): 2 MB of it at
+/// the standard widths. A multiple of the quantized-domain GEMM's token
+/// group ([`ln_quant::qgemm::MR`]) and of the quantizer's 64-token error
+/// block.
+pub(crate) const ROW_BLOCK: usize = 1024;
 
 /// The pair-transition unit.
 #[derive(Debug, Clone)]
@@ -62,16 +74,28 @@ impl PairTransition {
             ],
             &self.norm,
             self.update_gain,
-            |hook, post_ln| {
-                // The expansion, as an integer GEMM when the hook opts in;
-                // the post-LN activation's buffer then takes the
-                // contraction's output.
-                let mut h = post_ln.project(&self.expand, Activation::Relu)?;
-                let mut update = post_ln.into_buffer();
-                hook.on_activation(tap(ActivationSite::TransitionHidden), &mut h);
-                self.contract.forward_into(&h, &mut update)?;
-                workspace::give(h);
-                Ok(update)
+            |hook, mut post_ln| {
+                let tokens = post_ln.tokens();
+                let hidden = ActivationSite::TransitionHidden;
+                let block = if hook.takes_row_blocks(hidden) {
+                    ROW_BLOCK
+                } else {
+                    tokens.max(1)
+                };
+                for first in (0..tokens).step_by(block) {
+                    let rows = block.min(tokens - first);
+                    // The block's expansion, as an integer GEMM when the
+                    // hook opts in; its post-LN rows, read for the last
+                    // time, then take the contraction's output.
+                    let mut h = workspace::take(rows, self.expand.out_features());
+                    post_ln.project_into(&self.expand, Activation::Relu, first, &mut h)?;
+                    hook.on_activation(tap(hidden), &mut h);
+                    let update = post_ln.spent_rows(first, rows);
+                    self.contract
+                        .forward_rows_into(&h, 0, Activation::None, update)?;
+                    workspace::give(h);
+                }
+                Ok(post_ln.into_buffer())
             },
         )
     }
@@ -81,6 +105,7 @@ impl PairTransition {
 mod tests {
     use super::*;
     use crate::taps::{NoopHook, RecordingHook};
+    use ln_tensor::Tensor2;
 
     fn pair(ns: usize, hz: usize) -> Tensor3 {
         Tensor3::from_fn(ns, ns, hz, |i, j, k| ((i + j * 3 + k * 7) % 9) as f32 - 4.0)
@@ -135,6 +160,79 @@ mod tests {
             .find(|r| r.tap.site == ActivationSite::TransitionHidden)
             .unwrap();
         assert_eq!(hidden.channels, cfg.hz * cfg.transition_factor);
+    }
+
+    /// Zeroes the hidden activation the `target`-th time it fires.
+    struct ZeroHidden {
+        fires: usize,
+        target: usize,
+    }
+
+    impl ActivationHook for ZeroHidden {
+        fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
+            if tap.site == ActivationSite::TransitionHidden {
+                if self.fires == self.target {
+                    activation.as_mut_slice().fill(0.0);
+                }
+                self.fires += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn hidden_blocks_are_ascending_disjoint_and_cover_every_token() {
+        // ns = 40: 1 600 tokens, one full row block and a partial one.
+        // Zeroing the k-th hidden block changes exactly the tokens of row
+        // block k, and nothing else.
+        let cfg = PpmConfig::tiny();
+        let unit = PairTransition::new(&cfg, "t");
+        let ns = 40;
+        let mut reference = pair(ns, cfg.hz);
+        unit.forward(&mut reference, &mut NoopHook, 0, 0).unwrap();
+        let blocks = (ns * ns).div_ceil(ROW_BLOCK);
+        assert_eq!(blocks, 2);
+        for target in 0..blocks {
+            let mut z = pair(ns, cfg.hz);
+            let mut hook = ZeroHidden { fires: 0, target };
+            unit.forward(&mut z, &mut hook, 0, 0).unwrap();
+            assert_eq!(hook.fires, blocks);
+            let changed: Vec<usize> = (0..ns * ns)
+                .filter(|t| z.token(t / ns, t % ns) != reference.token(t / ns, t % ns))
+                .collect();
+            let block = target * ROW_BLOCK..((target + 1) * ROW_BLOCK).min(ns * ns);
+            assert_eq!(changed, block.collect::<Vec<_>>(), "block {target}");
+        }
+    }
+
+    /// Records the hidden activation's token counts, and wants it whole.
+    struct WholeHidden(Vec<usize>);
+
+    impl ActivationHook for WholeHidden {
+        fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
+            if tap.site == ActivationSite::TransitionHidden {
+                self.0.push(activation.rows());
+            }
+        }
+
+        fn takes_row_blocks(&self, _site: ActivationSite) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_hook_that_declines_row_blocks_sees_the_hidden_activation_whole() {
+        // Same bits as the row blocks: a token's rows meet no other's.
+        let cfg = PpmConfig::tiny();
+        let unit = PairTransition::new(&cfg, "t");
+        let ns = 40;
+        let mut blocked = pair(ns, cfg.hz);
+        unit.forward(&mut blocked, &mut NoopHook, 0, 0).unwrap();
+        let mut whole = pair(ns, cfg.hz);
+        let mut hook = WholeHidden(Vec::new());
+        unit.forward(&mut whole, &mut hook, 0, 0).unwrap();
+        assert_eq!(hook.0, [ns * ns]);
+        let bits = |z: &Tensor3| z.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&whole), bits(&blocked));
     }
 
     #[test]

@@ -8,9 +8,14 @@
 //! `HeadBuffers::attend`, takes a (lane, head) through blocks of
 //! [`PpmConfig::attention_chunk`] query rows — scores, whole-row softmax,
 //! the score tap, context — so a thread keeps `r · Ns` scores alive and
-//! the output bits do not depend on `r`.
+//! the output bits do not depend on `r`. The context of a block of query
+//! rows goes over those queries, so the stage holds no context buffer.
+//!
+//! There is one body for both nodes: the Ending node is the Starting node
+//! on the transposed pair stream, `(a, b) ↔ (b, a)` by exact swaps in
+//! place before and after — so its taps see the tokens in that order.
 
-use super::{residual_stage, transposed_pair_tokens, workspace, Activation, PostLn, Projection};
+use super::{residual_stage, workspace, Activation, PostLn, Projection};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_tensor::nn::{LayerNorm, Linear};
@@ -106,6 +111,10 @@ impl TriangularAttention {
             recycle,
             site,
         };
+        let ending = self.node == AttentionNode::Ending;
+        if ending {
+            transpose_pair_tokens(pair);
+        }
         residual_stage(
             pair,
             hook,
@@ -116,11 +125,16 @@ impl TriangularAttention {
             &self.norm_in,
             self.update_gain,
             |hook, post_ln| self.update(hook, post_ln, ns, tap),
-        )
+        )?;
+        if ending {
+            transpose_pair_tokens(pair);
+        }
+        Ok(())
     }
 
     /// The stage between its LayerNorm and its residual add: the output
     /// projection of the gated attention context, in `post_ln`'s buffer.
+    /// Lane `i` (a contiguous `ns`-token band) is row `i` of the stream.
     fn update(
         &self,
         hook: &mut dyn ActivationHook,
@@ -132,66 +146,30 @@ impl TriangularAttention {
         // All five post-LN projections read `post_ln` — as integer GEMMs
         // when the hook opts in.
         let project = |layer| post_ln.project(layer, Activation::None);
-        // Orient an operand so every lane (attention row for Starting,
-        // column for Ending) is a contiguous `ns`-row band: the Ending
-        // node transposes with exact copies — as soon as the hook has
-        // seen the operand, its source going straight back — instead of
-        // gathering strided columns per lane.
-        let orient = |m: Tensor2| match self.node {
-            AttentionNode::Starting => m,
-            AttentionNode::Ending => transposed_pair_tokens(m, ns),
-        };
-
         let mut q = project(&self.to_q)?;
         hook.on_activation(tap(ActivationSite::TriAttnQuery), &mut q);
-        let qm = orient(q);
         let mut k = project(&self.to_k)?;
         hook.on_activation(tap(ActivationSite::TriAttnKey), &mut k);
-        let km = orient(k);
         let mut v = project(&self.to_v)?;
         hook.on_activation(tap(ActivationSite::TriAttnValue), &mut v);
-        let vm = orient(v);
         // The bias and its per-head matrices are 1/32 of a pair tensor:
         // not worth a pair-sized workspace buffer each.
         let mut bias = Tensor2::zeros(tokens_n, self.heads);
-        post_ln.project_into(&self.to_bias, Activation::None, &mut bias)?;
+        post_ln.project_into(&self.to_bias, Activation::None, 0, &mut bias)?;
         hook.on_activation(tap(ActivationSite::TriAttnBias), &mut bias);
 
         let attn_dim = self.heads * self.head_dim;
 
-        // Per-head (ns, ns) bias matrices oriented for the score grid, one
-        // a row — shared by every lane, so the third-edge bias costs one
-        // strided gather per head instead of Ns³ virtual lookups.
-        let heads = self.heads;
-        let mut bias_mats = Tensor2::zeros(heads, tokens_n);
-        for (h, bm) in bias_mats
-            .as_mut_slice()
-            .chunks_exact_mut(tokens_n.max(1))
-            .enumerate()
-        {
-            let src = bias.as_slice();
-            match self.node {
-                AttentionNode::Starting => {
-                    for (idx, slot) in bm.iter_mut().enumerate() {
-                        *slot = src[idx * heads + h];
-                    }
-                }
-                AttentionNode::Ending => {
-                    for j in 0..ns {
-                        for t in 0..ns {
-                            bm[j * ns + t] = src[(t * ns + j) * heads + h];
-                        }
-                    }
-                }
-            }
-        }
+        // Per-head (ns, ns) bias matrices for the score grid, one a row —
+        // shared by every lane, so the third-edge bias costs one strided
+        // gather per head instead of Ns³ virtual lookups.
+        let (heads, src) = (self.heads, bias.as_slice());
+        let bias_mats = Tensor2::from_fn(heads, tokens_n, |h, t| src[t * heads + h]);
 
-        // Context accumulates lane-major: token (lane, j) of the oriented
-        // problem lives at row `lane·ns + j`. For Starting that IS the
-        // ctx token layout; Ending transposes back at the end. Every slot
-        // is written by a `HeadBuffers::attend`.
-        let mut ctx_lanes = workspace::take(tokens_n, attn_dim);
-        let qkv = [&qm, &km, &vm];
+        // Every (lane, head, block of query rows) reads its queries before
+        // writing their context over them — same rows, the head's columns
+        // — so `q` becomes the context, every slot written.
+        let kv = [&k, &v];
         let block_rows = self.chunk.unwrap_or(ns);
         if hook.observes(ActivationSite::TriAttnScores) {
             // Observing driver: the hook sees (and may rewrite) each block
@@ -199,13 +177,10 @@ impl TriangularAttention {
             // C), a row a token — so taps fire serially in ascending
             // (lane, head, block) order, on one set of head buffers.
             let mut bufs = HeadBuffers::new(ns, self.head_dim, block_rows);
-            for (lane, lane_buf) in ctx_lanes
-                .as_mut_slice()
-                .chunks_mut((ns * attn_dim).max(1))
-                .enumerate()
-            {
+            let lanes = q.as_mut_slice().chunks_mut((ns * attn_dim).max(1));
+            for (lane, lane_q) in lanes.enumerate() {
                 for h in 0..heads {
-                    bufs.attend(qkv, lane * ns, h, bias_mats.row(h), lane_buf, |p| {
+                    bufs.attend(kv, lane * ns, h, bias_mats.row(h), lane_q, |p| {
                         hook.on_activation(tap(ActivationSite::TriAttnScores), p)
                     })?;
                 }
@@ -219,38 +194,51 @@ impl TriangularAttention {
             let grain_lanes = ((1usize << 21) / lane_flops).max(1);
             let lanes_per_chunk = ln_par::chunk_len(ns, grain_lanes);
             ln_par::par_chunks_mut(
-                ctx_lanes.as_mut_slice(),
+                q.as_mut_slice(),
                 lanes_per_chunk * ns * attn_dim,
                 |c, chunk| {
                     // One set of per-head buffers per lane chunk, reused
                     // across its (lane, head, block) triples.
                     let mut bufs = HeadBuffers::new(ns, self.head_dim, block_rows);
-                    for (local, lane_buf) in chunk.chunks_mut(ns * attn_dim).enumerate() {
+                    for (local, lane_q) in chunk.chunks_mut(ns * attn_dim).enumerate() {
                         let lane = c * lanes_per_chunk + local;
                         for h in 0..heads {
-                            bufs.attend(qkv, lane * ns, h, bias_mats.row(h), lane_buf, |_| {})
+                            bufs.attend(kv, lane * ns, h, bias_mats.row(h), lane_q, |_| {})
                                 .expect("head shapes are internally consistent");
                         }
                     }
                 },
             );
         }
-        for operand in [qm, km, vm] {
+        for operand in [k, v] {
             workspace::give(operand);
         }
-        let mut ctx_tokens = orient(ctx_lanes);
-        hook.on_activation(tap(ActivationSite::TriAttnContext), &mut ctx_tokens);
+        let mut ctx = q;
+        hook.on_activation(tap(ActivationSite::TriAttnContext), &mut ctx);
 
         let mut gate = post_ln.project(&self.to_gate, Activation::Sigmoid)?;
         // That was the post-LN activation's last reader: its buffer takes
         // the output projection of the gated context.
         let mut update = post_ln.into_buffer();
         hook.on_activation(tap(ActivationSite::TriAttnGate), &mut gate);
-        gate.hadamard_assign(&ctx_tokens)?;
-        workspace::give(ctx_tokens);
+        gate.hadamard_assign(&ctx)?;
+        workspace::give(ctx);
         self.proj_out.forward_into(&gate, &mut update)?;
         workspace::give(gate);
         Ok(update)
+    }
+}
+
+/// Transposes the pair stream in place, token `(a, b)` ↔ `(b, a)`: exact
+/// swaps, no buffer, its own inverse.
+fn transpose_pair_tokens(pair: &mut Tensor3) {
+    let (ns, _, c) = pair.shape();
+    let tokens = pair.as_mut_slice();
+    for a in 0..ns {
+        for b in a + 1..ns {
+            let (ab, ba) = tokens.split_at_mut((b * ns + a) * c);
+            ab[(a * ns + b) * c..][..c].swap_with_slice(&mut ba[..c]);
+        }
     }
 }
 
@@ -282,13 +270,14 @@ impl RowBlock {
     }
 }
 
-/// Copies head `h` columns out of the `band.rows()` consecutive rows
-/// starting at `row0` of a `(tokens, heads·dim)` operand — contiguous
-/// `dim`-wide row slices, no per-element indexing.
-fn load_head(m: &Tensor2, row0: usize, h: usize, band: &mut Tensor2) {
+/// Copies head `h` columns out of the first `band.rows()` rows of a
+/// row-major `(tokens, heads·dim)` operand whose rows are `width` long —
+/// contiguous `dim`-wide row slices, no per-element indexing.
+fn load_head(rows: &[f32], width: usize, h: usize, band: &mut Tensor2) {
     let dim = band.cols();
-    for (j, dst) in band.as_mut_slice().chunks_exact_mut(dim).enumerate() {
-        dst.copy_from_slice(&m.row(row0 + j)[h * dim..(h + 1) * dim]);
+    let dst = band.as_mut_slice().chunks_exact_mut(dim);
+    for (dst, row) in dst.zip(rows.chunks(width)) {
+        dst.copy_from_slice(&row[h * dim..][..dim]);
     }
 }
 
@@ -310,34 +299,36 @@ impl HeadBuffers {
     }
 
     /// Head `h` of the lane whose `ns` tokens start at row `lane_row0` of
-    /// the three oriented `(tokens, heads·dim)` operands: per block of
-    /// query rows, the probabilities `softmax(q kᵀ/√d + bias)` of those
-    /// rows over every key, which `observe` sees (and may rewrite), then
-    /// their context `probs · v` into columns `h·dim ..` of the lane's
-    /// interleaved `(ns, heads·dim)` buffer.
+    /// the `(tokens, heads·dim)` keys and values, and whose queries are
+    /// `lane_q`'s `ns` interleaved rows: per block of query rows, the
+    /// probabilities `softmax(q kᵀ/√d + bias)` of those rows over every
+    /// key, which `observe` sees (and may rewrite), then their context
+    /// `probs · v` over the queries it was computed from — the same rows,
+    /// columns `h·dim ..`.
     ///
     /// A row's softmax spans the whole row and each GEMM output element is
     /// a k-ascending fold whatever rows share its call, so the context
     /// bits do not depend on the block length.
     fn attend(
         &mut self,
-        [qm, km, vm]: [&Tensor2; 3],
+        [km, vm]: [&Tensor2; 2],
         lane_row0: usize,
         h: usize,
         bias_mat: &[f32],
-        lane_buf: &mut [f32],
+        lane_q: &mut [f32],
         mut observe: impl FnMut(&mut Tensor2),
     ) -> Result<(), TensorError> {
         let (ns, dim) = self.k.shape();
-        let attn_dim = qm.cols();
+        let width = km.cols();
         let inv_sqrt = 1.0 / (dim as f32).sqrt();
-        load_head(km, lane_row0, h, &mut self.k);
-        load_head(vm, lane_row0, h, &mut self.v);
+        load_head(&km.as_slice()[lane_row0 * width..], width, h, &mut self.k);
+        load_head(&vm.as_slice()[lane_row0 * width..], width, h, &mut self.v);
         let block_rows = self.blocks[0].q.rows();
         for row0 in (0..ns).step_by(block_rows) {
             let is_tail = ns - row0 < block_rows;
             let RowBlock { q, probs, ctx } = &mut self.blocks[usize::from(is_tail)];
-            load_head(qm, lane_row0 + row0, h, q);
+            let rows = &mut lane_q[row0 * width..][..q.rows() * width];
+            load_head(rows, width, h, q);
             q.matmul_transposed_into(&self.k, probs)?;
             // The 1/√d scale and the head's triangle-bias rows in one
             // pass, two separately rounded operations per element.
@@ -349,9 +340,9 @@ impl HeadBuffers {
             }
             observe(probs);
             probs.matmul_into(&self.v, ctx)?;
-            let lane_rows = lane_buf[row0 * attn_dim..].chunks_mut(attn_dim);
-            for (row, ctx_row) in lane_rows.zip(ctx.as_slice().chunks_exact(dim)) {
-                row[h * dim..(h + 1) * dim].copy_from_slice(ctx_row);
+            let ctx_rows = ctx.as_slice().chunks_exact(dim);
+            for (row, ctx_row) in rows.chunks_exact_mut(width).zip(ctx_rows) {
+                row[h * dim..][..dim].copy_from_slice(ctx_row);
             }
         }
         Ok(())
@@ -362,6 +353,8 @@ impl HeadBuffers {
 mod tests {
     use super::*;
     use crate::taps::{NoopHook, RecordingHook};
+    use ln_quant::scheme::{AaqConfig, QuantScheme};
+    use ln_quant::token::fake_quantize_tokens;
 
     fn pair(ns: usize, hz: usize) -> Tensor3 {
         Tensor3::from_fn(ns, ns, hz, |i, j, k| {
@@ -495,6 +488,73 @@ mod tests {
             for (r, rows) in scores.iter().zip(block_rows.iter().cycle()) {
                 assert_eq!((r.tokens, r.channels), (*rows, ns), "chunk {chunk}");
                 assert!(r.max_abs <= 1.0 + 1e-5);
+            }
+        }
+    }
+
+    /// Rewrites every activation it is shown the way `AaqHook` does —
+    /// token-wise quantize→dequantize at its group's paper scheme — and,
+    /// when `domain` is set, runs the post-LN projections as integer GEMMs.
+    struct FakeQuant {
+        domain: bool,
+    }
+
+    impl ActivationHook for FakeQuant {
+        fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
+            let channels = activation.cols();
+            if channels >= 2 {
+                let mut scheme = AaqConfig::paper().scheme_for(tap.group());
+                scheme.outliers = scheme.outliers.min(channels - 1);
+                fake_quantize_tokens(activation, scheme);
+            }
+        }
+
+        fn quantized_matmul(&self, tap: Tap) -> Option<QuantScheme> {
+            let post_ln = tap.site == ActivationSite::TriAttnPostLn;
+            (self.domain && post_ln).then(|| AaqConfig::paper().scheme_for(tap.group()))
+        }
+    }
+
+    #[test]
+    fn ending_is_starting_on_the_transposed_stream() {
+        // Ending(P) = T(Starting(T(P))) to the bit, for units of one label
+        // (so one set of weights), with and without row blocks, under
+        // hooks that rewrite token-wise and in the quantized domain.
+        let transposed = |z: &Tensor3| {
+            let (ns, _, c) = z.shape();
+            Tensor3::from_fn(ns, ns, c, |i, j, k| z.at(j, i, k))
+        };
+        let hooks = || -> [(&str, Box<dyn ActivationHook>); 3] {
+            [
+                ("noop", Box::new(NoopHook)),
+                ("fake-quant", Box::new(FakeQuant { domain: false })),
+                ("quantized-domain", Box::new(FakeQuant { domain: true })),
+            ]
+        };
+        for ns in [7, 24] {
+            for attention_chunk in [None, Some(5)] {
+                let cfg = PpmConfig {
+                    attention_chunk,
+                    ..PpmConfig::tiny()
+                };
+                let start = TriangularAttention::new(&cfg, "lm-t", AttentionNode::Starting);
+                let end = TriangularAttention::new(&cfg, "lm-t", AttentionNode::Ending);
+                for ((name, mut end_hook), (_, mut start_hook)) in hooks().into_iter().zip(hooks())
+                {
+                    let mut ending = pair(ns, cfg.hz);
+                    end.forward(&mut ending, end_hook.as_mut(), 0, 0).unwrap();
+                    let mut starting = transposed(&pair(ns, cfg.hz));
+                    start
+                        .forward(&mut starting, start_hook.as_mut(), 0, 0)
+                        .unwrap();
+                    let starting = transposed(&starting);
+                    let bits =
+                        |z: &Tensor3| z.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert!(
+                        bits(&ending) == bits(&starting),
+                        "{name}, ns {ns}, chunk {attention_chunk:?}"
+                    );
+                }
             }
         }
     }

@@ -181,6 +181,23 @@ pub trait ActivationHook {
         true
     }
 
+    /// Whether the trunk may show this hook the activation at `site` a
+    /// block of tokens at a time instead of whole.
+    ///
+    /// It decides one thing — how much of the pair transition's hidden
+    /// activation ([`ActivationSite::TransitionHidden`], four pair tensors
+    /// wide) is live at once: a yes taps it in blocks of 1 024 tokens, a no
+    /// taps it whole. A hook whose rewrite at `site` computes a statistic
+    /// across tokens (a per-tensor or per-channel scale) must say no, or its
+    /// calibration becomes per block; a hook that rewrites each token on its
+    /// own cannot tell the difference in its output. A hook that wraps
+    /// another forwards the question. Defaults to `true`: a recorder gets
+    /// one record per block.
+    fn takes_row_blocks(&self, site: ActivationSite) -> bool {
+        let _ = site;
+        true
+    }
+
     /// Asks the hook whether the matmuls consuming the activation at
     /// `tap` should run in the quantized domain, and with which scheme.
     ///

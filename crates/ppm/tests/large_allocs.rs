@@ -25,13 +25,14 @@ mod counting_alloc;
 /// (`32² · 128 · 4` = 512 KiB), well over every per-head buffer.
 const LARGE: usize = 64 << 10;
 
-/// Large allocations a warm `NoopHook` fold makes at L = 32: the
-/// embedding's pair representation — which a one-recycle fold starts from
-/// as it is, not from a copy — and in each of the two blocks the sequence
-/// track's `(ns, 4·hm)` hidden activation and its ReLU. The pair stages
-/// make none; before the fold workspace this count was 116.
-/// `tests/aaq_large_allocs.rs` pins the same fold under `AaqHook` — 5 —
-/// and in the quantized domain — 15.
+/// Large allocations a warm `NoopHook` fold makes at L = 32 and at L = 48
+/// alike: the embedding's pair representation — which a one-recycle fold
+/// starts from as it is, not from a copy — and in each of the two blocks
+/// the sequence track's `(ns, 4·hm)` hidden activation and its ReLU. The
+/// pair stages make none, however many row blocks the transition's hidden
+/// activation takes (one at L = 32, three at L = 48); before the fold
+/// workspace this count was 116. `tests/aaq_large_allocs.rs` pins the same
+/// folds under `AaqHook` — 5 — and in the quantized domain — 15.
 const WARM_FOLD_LARGE_ALLOCATIONS: u64 = 5;
 
 /// Large allocations this thread makes while `f` runs.
@@ -48,27 +49,30 @@ fn the_counter_sees_a_large_allocation_and_no_small_one() {
 
 #[test]
 fn a_warm_fold_makes_few_large_allocations() {
-    // What the GEMM scratch arena holds after it: the packing buffers of
-    // the deepest product — the pair transition's contraction, `(1024,
-    // 512) × (512, 128)`, 256-deep k-panels — one 128-row block of A and
-    // one 256-column panel of B, whatever the rows in an `ln-par` chunk,
-    // and nothing else: no kernel parks a product there, which would be
-    // scratch no workspace test sees.
+    // What the GEMM scratch arena holds after the L = 32 fold: the packing
+    // buffers of the deepest product — the pair transition's contraction
+    // of one row block, `(1024, 512) × (512, 128)`, 256-deep k-panels —
+    // one 128-row block of A and one 256-column panel of B, whatever the
+    // rows in an `ln-par` chunk, and nothing else: no kernel parks a
+    // product there, which would be scratch no workspace test sees.
     const A_BLOCK: u64 = 128 * 256 * 4;
     const B_PANEL: u64 = 256 * 256 * 4;
-    let ns = 32;
     let model = FoldingModel::new(PpmConfig::standard());
-    let seq = Sequence::random("large_allocs", ns);
-    let native = StructureGenerator::new("large_allocs").generate(ns);
     with_pool(&Pool::new_exact(1), || {
-        let fold = || model.predict_with_hook(&seq, &native, &mut NoopHook);
-        let (cold, first) = large_allocations_in(fold);
-        microkernel::reset_scratch_hwm();
-        let (warm, second) = large_allocations_in(fold);
-        assert_eq!(first.expect("folds"), second.expect("folds"));
-        assert!(cold > warm, "the first fold fills the workspace");
-        assert_eq!(warm, WARM_FOLD_LARGE_ALLOCATIONS);
-        assert_eq!(microkernel::scratch_hwm_bytes(), A_BLOCK + B_PANEL);
+        for ns in [32, 48] {
+            let seq = Sequence::random("large_allocs", ns);
+            let native = StructureGenerator::new("large_allocs").generate(ns);
+            let fold = || model.predict_with_hook(&seq, &native, &mut NoopHook);
+            let (cold, first) = large_allocations_in(fold);
+            microkernel::reset_scratch_hwm();
+            let (warm, second) = large_allocations_in(fold);
+            assert_eq!(first.expect("folds"), second.expect("folds"));
+            assert!(cold > warm, "the first fold fills the workspace");
+            assert_eq!(warm, WARM_FOLD_LARGE_ALLOCATIONS, "L = {ns}");
+            if ns == 32 {
+                assert_eq!(microkernel::scratch_hwm_bytes(), A_BLOCK + B_PANEL);
+            }
+        }
     });
 }
 

@@ -227,31 +227,64 @@ pub fn qgemm_into(
     mode: MacMode,
     out: &mut Tensor2,
 ) -> Result<(), TensorError> {
-    let (tokens, n) = (x.num_tokens(), w.out_features);
-    if x.channels() != w.in_features || bias.len() != n || out.shape() != (tokens, n) {
-        return Err(TensorError::ShapeMismatch {
-            op: "qgemm",
-            lhs: vec![tokens, x.channels()],
-            rhs: vec![w.in_features, n],
-        });
+    if out.shape() != (x.num_tokens(), w.out_features) {
+        return Err(qgemm_mismatch(x, w));
     }
-    if tokens == 0 || n == 0 {
+    qgemm_rows_into(x, w, bias, mode, 0, out.as_mut_slice())
+}
+
+/// Tokens `first ..` of [`qgemm`] — `out.len() / w.out_features()` of
+/// them, row-major — written into `out`, whatever it held. Each row has
+/// the bits of the same row of the whole product.
+///
+/// # Errors
+///
+/// As [`qgemm`], and when `out` is not a whole number of rows, `first` is
+/// not a multiple of [`MR`] (a token group of the level panel) or the rows
+/// run past the last token.
+pub fn qgemm_rows_into(
+    x: &QuantizedTensor,
+    w: &QuantizedWeights,
+    bias: &[f32],
+    mode: MacMode,
+    first: usize,
+    out: &mut [f32],
+) -> Result<(), TensorError> {
+    let (tokens, n) = (x.num_tokens(), w.out_features);
+    let rows = out.len().checked_div(n).unwrap_or(0);
+    if x.channels() != w.in_features
+        || bias.len() != n
+        || rows * n != out.len()
+        || !first.is_multiple_of(MR)
+        || first + rows > tokens
+    {
+        return Err(qgemm_mismatch(x, w));
+    }
+    if rows == 0 {
         return Ok(());
     }
     let passes = mode.passes(x.scheme().inlier_bits);
-    ln_par::metrics::time_kernel("aaq.qgemm", (tokens * n) as u64, || {
+    ln_par::metrics::time_kernel("aaq.qgemm", (rows * n) as u64, || {
         // Chunks start on a token-group boundary of the level panel.
-        let per_chunk = ln_par::chunk_len(tokens.div_ceil(MR), QGEMM_PAR_GRAIN_GROUPS) * MR;
-        ln_par::par_chunks_mut(out.as_mut_slice(), per_chunk * n, |c, chunk| {
+        let per_chunk = ln_par::chunk_len(rows.div_ceil(MR), QGEMM_PAR_GRAIN_GROUPS) * MR;
+        ln_par::par_chunks_mut(out, per_chunk * n, |c, chunk| {
             // The tile needs 16-bit multiplies at the host's real width;
             // integer sums and the per-element epilogue are exact either way.
             simd::wide(
                 #[inline(always)]
-                || token_chunk(x, w, bias, passes, c * per_chunk, chunk),
+                || token_chunk(x, w, bias, passes, first + c * per_chunk, chunk),
             );
         });
     });
     Ok(())
+}
+
+fn qgemm_mismatch(x: &QuantizedTensor, w: &QuantizedWeights) -> TensorError {
+    TensorError::ShapeMismatch {
+        op: "qgemm",
+        lhs: vec![x.num_tokens(), x.channels()],
+        rhs: vec![w.in_features, w.out_features],
+    }
 }
 
 /// Minimum token groups per parallel chunk for the quantized-domain GEMM.
@@ -401,19 +434,20 @@ impl QLinear {
         qgemm(x, &self.weights, &self.bias, mode)
     }
 
-    /// [`QLinear::forward`] written into `out`, whatever it held.
+    /// Tokens `first ..` of [`QLinear::forward`] written into `out`,
+    /// whatever it held ([`qgemm_rows_into`]).
     ///
     /// # Errors
     ///
-    /// As [`QLinear::forward`], and when `out` is not
-    /// `(x.num_tokens(), out_features)`.
-    pub fn forward_into(
+    /// As [`qgemm_rows_into`].
+    pub fn forward_rows_into(
         &self,
         x: &QuantizedTensor,
         mode: MacMode,
-        out: &mut Tensor2,
+        first: usize,
+        out: &mut [f32],
     ) -> Result<(), TensorError> {
-        qgemm_into(x, &self.weights, &self.bias, mode, out)
+        qgemm_rows_into(x, &self.weights, &self.bias, mode, first, out)
     }
 }
 
@@ -495,13 +529,51 @@ mod tests {
                     .zip(&want)
                     .all(|(a, b)| a.to_bits() == b.to_bits())
         };
+        let (tokens, n) = (x.num_tokens(), w.out_features());
         for mode in [MacMode::Direct, MacMode::BitChunked] {
             let got = qgemm(x, w, bias, mode).unwrap();
             assert!(same(got.as_slice()), "{what} {mode:?}");
             // Into a buffer that held something else.
-            let mut out = Tensor2::full(x.num_tokens(), w.out_features(), f32::NAN);
+            let mut out = Tensor2::full(tokens, n, f32::NAN);
             qgemm_into(x, w, bias, mode, &mut out).unwrap();
             assert!(same(out.as_slice()), "{what} {mode:?} into");
+            // Token ranges from each group boundary: one token, into the
+            // next group, to the end — each the same rows of the whole.
+            for first in (0..tokens).step_by(MR) {
+                for rows in [1, MR + 1, tokens - first] {
+                    if first + rows > tokens {
+                        continue;
+                    }
+                    let mut out = vec![f32::NAN; rows * n];
+                    qgemm_rows_into(x, w, bias, mode, first, &mut out).unwrap();
+                    let same_rows = out
+                        .iter()
+                        .zip(&want[first * n..])
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same_rows, "{what} {mode:?} tokens {first} + {rows}");
+                }
+            }
+            // A start off a group boundary, rows past the last token, or
+            // (wider than one channel) not a whole number of rows.
+            let mut bad = vec![
+                (1, n),
+                (MR - 1, n),
+                (0, (tokens + 1) * n),
+                (tokens / MR * MR, (MR + 1) * n),
+            ];
+            if n > 1 {
+                bad.push((0, n + 1));
+            }
+            for (first, len) in bad {
+                let mut out = vec![0.0; len];
+                assert!(
+                    matches!(
+                        qgemm_rows_into(x, w, bias, mode, first, &mut out),
+                        Err(TensorError::ShapeMismatch { .. })
+                    ),
+                    "{what} {mode:?} tokens {first} + {len} values"
+                );
+            }
         }
         let mut baseline = vec![0.0f32; want.len()];
         let passes = MacMode::BitChunked.passes(x.scheme().inlier_bits);

@@ -4,10 +4,10 @@
 //! `(tokens, channels)`: linear layers transform the channel dimension,
 //! LayerNorm normalises each token, and softmax normalises each row.
 //!
-//! A [`Linear`] fuses its bias and at most one activation (sigmoid, ReLU)
-//! into the GEMM epilogue, bit-identical to applying them afterwards.
+//! A [`Linear`] fuses its bias and at most one [`Activation`] (sigmoid,
+//! ReLU) into the GEMM epilogue, bit-identical to applying them afterwards.
 //! Nothing here fuses two layers: a gate, `sigmoid(gate(x)) ⊙ proj(x)`, is
-//! two `forward`s and a Hadamard product where it is used.
+//! two products and a Hadamard product where it is used.
 
 use crate::microkernel::Epilogue;
 use crate::rng;
@@ -129,31 +129,7 @@ impl Linear {
     ///
     /// Returns [`TensorError::ShapeMismatch`] when `x.cols() != in_features`.
     pub fn forward(&self, x: &Tensor2) -> Result<Tensor2, TensorError> {
-        x.matmul_epilogue(&self.weight, &Epilogue::Bias(&self.bias))
-    }
-
-    /// `sigmoid(x W + b)` with the activation fused into the GEMM epilogue.
-    ///
-    /// Bit-identical to `sigmoid(forward(x))` without materialising the
-    /// pre-activation tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `x.cols() != in_features`.
-    pub fn forward_sigmoid(&self, x: &Tensor2) -> Result<Tensor2, TensorError> {
-        x.matmul_epilogue(&self.weight, &Epilogue::BiasSigmoid(&self.bias))
-    }
-
-    /// `relu(x W + b)` with the activation fused into the GEMM epilogue.
-    ///
-    /// Bit-identical to `relu(forward(x))` without materialising the
-    /// pre-activation tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `x.cols() != in_features`.
-    pub fn forward_relu(&self, x: &Tensor2) -> Result<Tensor2, TensorError> {
-        x.matmul_epilogue(&self.weight, &Epilogue::BiasRelu(&self.bias))
+        x.matmul_epilogue(&self.weight, &self.epilogue(Activation::None))
     }
 
     /// [`Linear::forward`] written into `out`, whatever it held.
@@ -163,25 +139,58 @@ impl Linear {
     /// Returns [`TensorError::ShapeMismatch`] when `x.cols() != in_features`
     /// or `out` is not `(x.rows(), out_features)`.
     pub fn forward_into(&self, x: &Tensor2, out: &mut Tensor2) -> Result<(), TensorError> {
-        x.matmul_epilogue_into(&self.weight, &Epilogue::Bias(&self.bias), out)
+        x.matmul_epilogue_into(&self.weight, &self.epilogue(Activation::None), out)
     }
 
-    /// [`Linear::forward_sigmoid`] written into `out`, whatever it held.
+    /// Tokens `first ..` of `act(x W + b)` — `out.len() / out_features` of
+    /// them, row-major — written into `out`, whatever it held, with the
+    /// activation fused into the epilogue. Each row has the bits of the
+    /// same row of [`Linear::forward`] followed by [`Activation::apply`]
+    /// ([`Tensor2::matmul_epilogue_rows_into`]).
     ///
     /// # Errors
     ///
-    /// As [`Linear::forward_into`].
-    pub fn forward_sigmoid_into(&self, x: &Tensor2, out: &mut Tensor2) -> Result<(), TensorError> {
-        x.matmul_epilogue_into(&self.weight, &Epilogue::BiasSigmoid(&self.bias), out)
+    /// Returns [`TensorError::ShapeMismatch`] when `x.cols() != in_features`,
+    /// `out` is not a whole number of rows, or the rows run past `x`'s last.
+    pub fn forward_rows_into(
+        &self,
+        x: &Tensor2,
+        first: usize,
+        act: Activation,
+        out: &mut [f32],
+    ) -> Result<(), TensorError> {
+        x.matmul_epilogue_rows_into(first, &self.weight, &self.epilogue(act), out)
     }
 
-    /// [`Linear::forward_relu`] written into `out`, whatever it held.
-    ///
-    /// # Errors
-    ///
-    /// As [`Linear::forward_into`].
-    pub fn forward_relu_into(&self, x: &Tensor2, out: &mut Tensor2) -> Result<(), TensorError> {
-        x.matmul_epilogue_into(&self.weight, &Epilogue::BiasRelu(&self.bias), out)
+    fn epilogue(&self, act: Activation) -> Epilogue<'_> {
+        match act {
+            Activation::None => Epilogue::Bias(&self.bias),
+            Activation::Sigmoid => Epilogue::BiasSigmoid(&self.bias),
+            Activation::Relu => Epilogue::BiasRelu(&self.bias),
+        }
+    }
+}
+
+/// What a [`Linear`]'s output passes through before anything reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Activation {
+    /// The affine output itself.
+    None,
+    /// [`sigmoid`].
+    Sigmoid,
+    /// [`relu`].
+    Relu,
+}
+
+impl Activation {
+    /// Applies the activation to `x` in place: the bits
+    /// [`Linear::forward_rows_into`] fuses into its epilogue.
+    pub fn apply(self, x: &mut Tensor2) {
+        match self {
+            Activation::None => {}
+            Activation::Sigmoid => sigmoid_inplace(x),
+            Activation::Relu => relu_inplace(x),
+        }
     }
 }
 
@@ -524,12 +533,25 @@ mod tests {
         let x = Tensor2::from_fn(9, 24, |i, j| ((i * 13 + j * 7) % 19) as f32 * 0.21 - 1.7);
         let layer = Linear::deterministic_with_bias("fused", 24, 16, 1.0, 0.4);
         let base = layer.forward(&x).unwrap();
-        let bits = |t: &Tensor2| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&layer.forward_sigmoid(&x).unwrap()),
-            bits(&sigmoid(&base))
-        );
-        assert_eq!(bits(&layer.forward_relu(&x).unwrap()), bits(&relu(&base)));
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for act in [Activation::None, Activation::Sigmoid, Activation::Relu] {
+            let mut unfused = base.clone();
+            act.apply(&mut unfused);
+            // Every row, then rows 3 .. 7 alone.
+            let mut fused = vec![f32::NAN; 9 * 16];
+            layer.forward_rows_into(&x, 0, act, &mut fused).unwrap();
+            assert_eq!(bits(&fused), bits(unfused.as_slice()), "{act:?}");
+            let mut rows = vec![f32::NAN; 4 * 16];
+            layer.forward_rows_into(&x, 3, act, &mut rows).unwrap();
+            assert_eq!(bits(&rows), bits(&unfused.as_slice()[3 * 16..7 * 16]));
+        }
+        // Past the last token, or not a whole number of rows.
+        assert!(layer
+            .forward_rows_into(&x, 6, Activation::Relu, &mut [0.0; 4 * 16])
+            .is_err());
+        assert!(layer
+            .forward_rows_into(&x, 0, Activation::Relu, &mut [0.0; 15])
+            .is_err());
     }
 
     #[test]
@@ -543,12 +565,6 @@ mod tests {
         let mut out = stale();
         layer.forward_into(&x, &mut out).unwrap();
         assert_eq!(bits(&out), bits(&layer.forward(&x).unwrap()));
-        out = stale();
-        layer.forward_sigmoid_into(&x, &mut out).unwrap();
-        assert_eq!(bits(&out), bits(&layer.forward_sigmoid(&x).unwrap()));
-        out = stale();
-        layer.forward_relu_into(&x, &mut out).unwrap();
-        assert_eq!(bits(&out), bits(&layer.forward_relu(&x).unwrap()));
         let mut normed = Tensor2::full(9, 24, f32::NAN);
         ln.forward_into(&x, &mut normed).unwrap();
         assert_eq!(bits(&normed), bits(&ln.forward(&x).unwrap()));
@@ -563,8 +579,6 @@ mod tests {
 
         let mut wrong = Tensor2::zeros(9, 15);
         assert!(layer.forward_into(&x, &mut wrong).is_err());
-        assert!(layer.forward_sigmoid_into(&x, &mut wrong).is_err());
-        assert!(layer.forward_relu_into(&x, &mut wrong).is_err());
         assert!(ln.forward_into(&x, &mut wrong).is_err());
     }
 

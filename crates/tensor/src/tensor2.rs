@@ -265,30 +265,59 @@ impl Tensor2 {
         epilogue: &Epilogue,
         out: &mut Tensor2,
     ) -> Result<(), TensorError> {
-        if self.cols != rhs.rows
-            || !epilogue_fits(epilogue, rhs.cols)
-            || out.shape() != (self.rows, rhs.cols)
-        {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul",
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![rhs.rows, rhs.cols],
-            });
+        if out.shape() != (self.rows, rhs.cols) {
+            return Err(self.matmul_mismatch(rhs));
         }
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        if m == 0 || n == 0 {
+        self.matmul_epilogue_rows_into(0, rhs, epilogue, &mut out.data)
+    }
+
+    /// Rows `first ..` of [`Tensor2::matmul_epilogue`] — `out.len() /
+    /// rhs.cols` of them, row-major — written into `out`, whatever it held.
+    /// Each row has the bits of the same row of the whole product: an
+    /// output element is a k-ascending fold whichever rows share its call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when `self.cols != rhs.rows`,
+    /// an epilogue vector's length differs from the output width, `out` is
+    /// not a whole number of rows, or the rows run past `self`'s last.
+    pub fn matmul_epilogue_rows_into(
+        &self,
+        first: usize,
+        rhs: &Tensor2,
+        epilogue: &Epilogue,
+        out: &mut [f32],
+    ) -> Result<(), TensorError> {
+        let (k, n) = (self.cols, rhs.cols);
+        let rows = out.len().checked_div(n).unwrap_or(0);
+        if k != rhs.rows
+            || !epilogue_fits(epilogue, n)
+            || rows * n != out.len()
+            || first + rows > self.rows
+        {
+            return Err(self.matmul_mismatch(rhs));
+        }
+        if rows == 0 {
             return Ok(());
         }
-        out.data.fill(0.0);
-        ln_par::metrics::time_kernel("tensor2.matmul", (m * n) as u64, || {
-            let rows_per_chunk = matmul_chunk_rows(m, k, n);
+        out.fill(0.0);
+        ln_par::metrics::time_kernel("tensor2.matmul", (rows * n) as u64, || {
+            let rows_per_chunk = matmul_chunk_rows(rows, k, n);
             let a = &self.data;
             let b = &rhs.data;
-            ln_par::par_chunks_mut(out.as_mut_slice(), rows_per_chunk * n, |c, chunk| {
-                microkernel::gemm(a, b, k, n, c * rows_per_chunk, chunk, epilogue);
+            ln_par::par_chunks_mut(out, rows_per_chunk * n, |c, chunk| {
+                microkernel::gemm(a, b, k, n, first + c * rows_per_chunk, chunk, epilogue);
             });
         });
         Ok(())
+    }
+
+    fn matmul_mismatch(&self, rhs: &Tensor2) -> TensorError {
+        TensorError::ShapeMismatch {
+            op: "matmul",
+            lhs: vec![self.rows, self.cols],
+            rhs: vec![rhs.rows, rhs.cols],
+        }
     }
 
     /// Matrix product `self × rhsᵀ` without materialising the transpose.
@@ -616,6 +645,33 @@ mod tests {
         let mut wrong = Tensor2::zeros(5, 5);
         assert!(a.matmul_into(&b, &mut wrong).is_err());
         assert!(a.matmul_transposed_into(&bt, &mut wrong).is_err());
+    }
+
+    #[test]
+    fn a_row_range_has_the_bits_of_the_same_rows_of_the_whole_product() {
+        let a = Tensor2::from_fn(37, 70, |i, j| ((i * 7 + j * 3) % 23) as f32 * 0.173 - 1.9);
+        let b = Tensor2::from_fn(70, 45, |i, j| ((i * 2 + j * 5) % 19) as f32 * 0.211 - 2.1);
+        let bias: Vec<f32> = (0..45).map(|j| j as f32 * 0.05 - 1.0).collect();
+        let ep = Epilogue::BiasRelu(&bias);
+        let whole = a.matmul_epilogue(&b, &ep).unwrap();
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Off the tile's row boundary, across it, one row, the last rows.
+        for (first, rows) in [(0, 37), (0, 5), (3, 9), (4, 16), (13, 1), (30, 7), (37, 0)] {
+            let mut out = vec![f32::NAN; rows * 45];
+            a.matmul_epilogue_rows_into(first, &b, &ep, &mut out)
+                .unwrap();
+            assert_eq!(
+                bits(&out),
+                bits(&whole.as_slice()[first * 45..][..rows * 45])
+            );
+        }
+        // Past the last row, or not a whole number of rows.
+        for (first, len) in [(30, 8 * 45), (38, 0), (0, 44)] {
+            let mut out = vec![0.0; len];
+            assert!(a
+                .matmul_epilogue_rows_into(first, &b, &ep, &mut out)
+                .is_err());
+        }
     }
 
     #[test]
