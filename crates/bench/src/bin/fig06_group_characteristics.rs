@@ -36,12 +36,18 @@ fn main() {
         "max |x|",
         "mean outliers/token",
     ]);
-    // One entry per tap: the transition's hidden activation is recorded a
-    // row block at a time, and a tap's blocks merge token-weighted.
+    // One entry per tap of a unit: blocked sites are recorded a row block
+    // or a lane at a time, interleaved with other sites, and a tap's
+    // blocks merge token-weighted. Each unit opens on its residual stream
+    // (Group A, always whole), and a tap fires in one unit only once.
     let mut taps: Vec<TapRecord> = Vec::new();
+    let mut unit = 0;
     for r in hook.into_records() {
-        match taps.last_mut() {
-            Some(t) if t.tap == r.tap => {
+        if r.tap.group() == ActivationGroup::A {
+            unit = taps.len();
+        }
+        match taps[unit..].iter_mut().find(|t| t.tap == r.tap) {
+            Some(t) => {
                 let (a, b) = (t.tokens as f32, r.tokens as f32);
                 t.mean_abs = (t.mean_abs * a + r.mean_abs * b) / (a + b);
                 t.mean_outliers_per_token =

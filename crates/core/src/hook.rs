@@ -257,24 +257,41 @@ mod tests {
 
     #[test]
     fn baseline_hook_sees_what_it_calibrates_on_whole() {
-        // Group C's transition hidden activation is calibrated across its
-        // tokens by every scheme that covers Group C, and rounded per
-        // element by FP16 and MEFold; only Tender covers Group A. AAQ's
-        // scales are per token.
+        // Every site the trunk can show in row blocks or lanes. Group C is
+        // calibrated across its tokens by every scheme that covers Group C,
+        // and rounded per element by FP16 and MEFold; the out LayerNorm
+        // (Group B) by SmoothQuant, LLM.int8() and Tender; only Tender
+        // covers Group A. AAQ's scales are per token.
         use ln_quant::baselines::ALL_BASELINES;
-        use ActivationSite::{TransitionHidden, TransitionResidualIn};
+        use ActivationSite::*;
         let takes =
             |site| ALL_BASELINES.map(|scheme| BaselineHook::new(scheme).takes_row_blocks(site));
-        // Fp16, SmoothQuant, LLM.int8(), PTQ4Protein, Tender, MEFold.
-        assert_eq!(
-            takes(TransitionHidden),
-            [true, false, false, false, false, true]
-        );
+        let blocked = [
+            TriMulGateLeft,
+            TriMulProjLeft,
+            TriMulGateRight,
+            TriMulProjRight,
+            TriMulTriangleOut,
+            TriMulOutPostLn,
+            TriMulOutGate,
+            TriAttnKey,
+            TriAttnValue,
+            TriAttnGate,
+            TransitionHidden,
+        ];
+        for site in blocked {
+            // Fp16, SmoothQuant, LLM.int8(), PTQ4Protein, Tender, MEFold.
+            let want = match site.group() {
+                Group::B => [true, false, false, true, false, true],
+                _ => [true, false, false, false, false, true],
+            };
+            assert_eq!(takes(site), want, "{site}");
+            assert!(AaqHook::paper().takes_row_blocks(site), "{site}");
+        }
         assert_eq!(
             takes(TransitionResidualIn),
             [true, true, true, true, false, true]
         );
-        assert!(AaqHook::paper().takes_row_blocks(TransitionHidden));
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub use tri_attn::{AttentionNode, TriangularAttention};
 pub use tri_mul::{TriangleDirection, TriangularMultiplication};
 pub use workspace::release_fold_workspace;
 
-use crate::taps::{ActivationHook, Tap};
+use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_quant::qgemm::{MacMode, QLinear};
 use ln_quant::scheme::QuantScheme;
@@ -86,10 +86,10 @@ impl PostLn {
     }
 
     /// Tokens `first ..` of `act(layer(x))` — `out.rows()` of them — into
-    /// `out`, whatever it held; in the quantized domain `first` is a
-    /// multiple of [`ln_quant::qgemm::MR`]. In full precision the
-    /// activation is fused into the GEMM epilogue (bitwise identical to
-    /// applying it afterwards).
+    /// `out`, whatever it held, each row with the bits of the same row of
+    /// the whole projection. In full precision the activation is fused
+    /// into the GEMM epilogue (bitwise identical to applying it
+    /// afterwards).
     fn project_into(
         &self,
         layer: &Projection,
@@ -124,6 +124,29 @@ impl PostLn {
     /// copy, if there is one, ends here.
     fn into_buffer(self) -> Tensor2 {
         self.x
+    }
+}
+
+/// Pair tokens a stage takes through a row-blocked site at a time, when
+/// the hook [takes row blocks](ActivationHook::takes_row_blocks): the
+/// transition's hidden activation, triangular multiplication's gated
+/// sides and triangular attention's output gate; the triangle product's
+/// consumers take whole rows, as near this many as `ns` allows. A
+/// multiple of the quantizer's 64-token error block.
+const ROW_BLOCK: usize = 1024;
+
+/// Tokens a stage takes through `sites` at a time: `block`, or all
+/// `tokens` (one block) for a hook that wants any of them whole.
+fn block_len(
+    hook: &dyn ActivationHook,
+    sites: &[ActivationSite],
+    block: usize,
+    tokens: usize,
+) -> usize {
+    if sites.iter().all(|&site| hook.takes_row_blocks(site)) {
+        block
+    } else {
+        tokens.max(1)
     }
 }
 
@@ -252,12 +275,130 @@ impl FoldingBlock {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::embed::Embedding;
-    use crate::taps::{NoopHook, RecordingHook};
+    use crate::taps::{ActivationSite, NoopHook};
     use ln_protein::generator::StructureGenerator;
     use ln_protein::Sequence;
+    use ln_quant::scheme::AaqConfig;
+    use ln_quant::token::fake_quantize_tokens;
+
+    /// Rewrites every activation it is shown the way `AaqHook` does —
+    /// token-wise quantize→dequantize at its group's paper scheme — and,
+    /// when `domain` is set, runs the post-LN projections as integer GEMMs.
+    pub(crate) struct FakeQuant {
+        pub(crate) domain: bool,
+    }
+
+    impl ActivationHook for FakeQuant {
+        fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
+            let channels = activation.cols();
+            if channels >= 2 {
+                let mut scheme = AaqConfig::paper().scheme_for(tap.group());
+                scheme.outliers = scheme.outliers.min(channels - 1);
+                fake_quantize_tokens(activation, scheme);
+            }
+        }
+
+        fn quantized_matmul(&self, tap: Tap) -> Option<QuantScheme> {
+            use ActivationSite::{TransitionPostLn, TriAttnPostLn, TriMulPostLn};
+            let post_ln = matches!(tap.site, TriMulPostLn | TriAttnPostLn | TransitionPostLn);
+            (self.domain && post_ln).then(|| AaqConfig::paper().scheme_for(tap.group()))
+        }
+    }
+
+    /// The hook it wraps, shown every activation whole: it declines row
+    /// blocks and lanes at every site.
+    pub(crate) struct Declining<'a>(pub(crate) &'a mut dyn ActivationHook);
+
+    impl ActivationHook for Declining<'_> {
+        fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
+            self.0.on_activation(tap, activation);
+        }
+
+        fn observes(&self, site: ActivationSite) -> bool {
+            self.0.observes(site)
+        }
+
+        fn takes_row_blocks(&self, _site: ActivationSite) -> bool {
+            false
+        }
+
+        fn quantized_matmul(&self, tap: Tap) -> Option<QuantScheme> {
+            self.0.quantized_matmul(tap)
+        }
+    }
+
+    /// The three hooks the stages' bit-identity is stated for: none, a
+    /// token-wise rewrite, and the quantized domain.
+    pub(crate) fn token_wise_hooks() -> [(&'static str, Box<dyn ActivationHook>); 3] {
+        [
+            ("noop", Box::new(NoopHook)),
+            ("fake-quant", Box::new(FakeQuant { domain: false })),
+            ("quantized-domain", Box::new(FakeQuant { domain: true })),
+        ]
+    }
+
+    fn bits(z: &Tensor3) -> Vec<u32> {
+        z.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A seeded pair stream, one token in seven eight times larger.
+    fn seeded_pair(ns: usize, hz: usize) -> Tensor3 {
+        let mut r = ln_tensor::rng::stream("blocks/seeded-pair");
+        Tensor3::from_fn(ns, ns, hz, |i, j, _| {
+            let scale = if (i + 2 * j) % 7 == 0 { 8.0 } else { 1.0 };
+            scale * ln_tensor::rng::normal_approx(&mut r)
+        })
+    }
+
+    #[test]
+    fn tri_mul_and_tri_attn_give_a_declining_hook_the_same_bits() {
+        // A hook that declines row blocks sees every activation whole; a
+        // token-wise hook cannot tell the difference in what it rewrites,
+        // so each unit's output is the same to the bit. ns = 48 leaves a
+        // partial last row block and lanes of 48 tokens; 24 and 7 fit one
+        // block.
+        for ns in [7, 24, 48] {
+            for attention_chunk in [None, Some(5)] {
+                let cfg = PpmConfig {
+                    attention_chunk,
+                    ..PpmConfig::tiny()
+                };
+                let z = seeded_pair(ns, cfg.hz);
+                type Unit = Box<dyn Fn(&mut Tensor3, &mut dyn ActivationHook)>;
+                let tri_mul = |direction| -> Unit {
+                    let unit = TriangularMultiplication::new(&cfg, "declining", direction);
+                    Box::new(move |z, hook| unit.forward(z, hook, 0, 0).unwrap())
+                };
+                let tri_attn = |node| -> Unit {
+                    let unit = TriangularAttention::new(&cfg, "declining", node);
+                    Box::new(move |z, hook| unit.forward(z, hook, 0, 0).unwrap())
+                };
+                let units = [
+                    ("tri_mul_out", tri_mul(TriangleDirection::Outgoing)),
+                    ("tri_mul_in", tri_mul(TriangleDirection::Incoming)),
+                    ("tri_attn_start", tri_attn(AttentionNode::Starting)),
+                    ("tri_attn_end", tri_attn(AttentionNode::Ending)),
+                ];
+                for (unit, run) in &units {
+                    for ((name, mut hook), (_, mut twin)) in
+                        token_wise_hooks().into_iter().zip(token_wise_hooks())
+                    {
+                        let mut blocked = z.clone();
+                        run(&mut blocked, hook.as_mut());
+                        let mut whole = z.clone();
+                        run(&mut whole, &mut Declining(twin.as_mut()));
+                        assert!(
+                            bits(&blocked) == bits(&whole),
+                            "{unit} under {name}, ns {ns}, chunk {attention_chunk:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn setup(ns: usize) -> (PpmConfig, Tensor2, Tensor3) {
         let cfg = PpmConfig::tiny();
@@ -303,49 +444,80 @@ mod tests {
         assert!(delta > 0.0);
     }
 
-    #[test]
-    fn all_sites_fire_once_per_block() {
-        // ns = 48: 2 304 pair tokens, two full transition row blocks and a
-        // partial one.
-        let ns = 48;
-        let (cfg, mut s, mut z) = setup(ns);
-        let block = FoldingBlock::new(&cfg, "w", 3);
-        let mut hook = RecordingHook::new();
-        block.forward(&mut s, &mut z, &mut hook, 3, 1).unwrap();
-        use crate::taps::{ActivationSite, ALL_SITES};
-        use std::collections::HashMap;
-        let mut counts: HashMap<ActivationSite, usize> = HashMap::new();
-        for r in hook.records() {
-            assert_eq!(r.tap.block, 3);
-            assert_eq!(r.tap.recycle, 1);
-            *counts.entry(r.tap.site).or_default() += 1;
+    /// Keeps a copy of every activation it is shown, rewriting none.
+    #[derive(Default)]
+    struct Keeper(Vec<(Tap, Tensor2)>);
+
+    impl ActivationHook for Keeper {
+        fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
+            self.0.push((tap, activation.clone()));
         }
+    }
+
+    #[test]
+    fn every_site_fires_in_ascending_blocks_that_cover_each_unit() {
+        // ns = 48: 2 304 pair tokens — row blocks of 1 024, 1 024 and 256
+        // tokens; of 22, 22 and 4 whole rows for the triangle product's
+        // consumers; lanes of 48 tokens for the keys and values. Two
+        // tri-mul and two tri-attn units per block, one transition.
+        use crate::taps::ALL_SITES;
+        use ActivationSite::*;
+        let ns = 48;
+        let (cfg, s, z) = setup(ns);
+        let block = FoldingBlock::new(&cfg, "w", 3);
+        let run = |hook: &mut dyn ActivationHook| {
+            let (mut s, mut z) = (s.clone(), z.clone());
+            block.forward(&mut s, &mut z, hook, 3, 1).unwrap();
+        };
+        let mut blocked = Keeper::default();
+        run(&mut blocked);
+        let mut whole = Keeper::default();
+        run(&mut Declining(&mut whole));
+        for (tap, _) in blocked.0.iter().chain(&whole.0) {
+            assert_eq!((tap.block, tap.recycle), (3, 1));
+        }
+        let fired = |hook: &Keeper, site| -> Vec<Tensor2> {
+            let taps = hook.0.iter().filter(|(tap, _)| tap.site == site);
+            taps.map(|(_, activation)| activation.clone()).collect()
+        };
+        let unit_tokens = ns * ns;
         for site in ALL_SITES {
-            let expected = match site {
-                // Two tri-mul units and two tri-attn units per block; the
-                // scores site fires once per (row/column, head), the
-                // transition's hidden activation once per row block.
-                ActivationSite::TriAttnScores => ns * 2 * 2,
-                ActivationSite::TransitionHidden => (ns * ns).div_ceil(transition::ROW_BLOCK),
-                s if s.name().starts_with("tri_mul") => 2,
-                s if s.name().starts_with("tri_attn") => 2,
+            let (blocks, wholes) = (fired(&blocked, site), fired(&whole, site));
+            let units = if site.name().starts_with("transition") {
+                1
+            } else {
+                2
+            };
+            let per_unit = match site {
+                // Once per (lane, head) under either hook: probability rows.
+                TriAttnScores => {
+                    assert_eq!(wholes.len(), units * ns * cfg.pair_heads);
+                    assert_eq!(blocks.len(), wholes.len());
+                    continue;
+                }
+                TriMulGateLeft | TriMulProjLeft | TriMulGateRight | TriMulProjRight
+                | TriAttnGate | TransitionHidden => unit_tokens.div_ceil(ROW_BLOCK),
+                TriMulTriangleOut | TriMulOutPostLn | TriMulOutGate => 3,
+                TriAttnKey | TriAttnValue => ns,
                 _ => 1,
             };
-            assert_eq!(counts.get(&site), Some(&expected), "site {site}");
+            // A declining hook sees each unit's activation once, whole.
+            assert_eq!(wholes.len(), units, "{site}");
+            assert!(wholes.iter().all(|a| a.rows() == unit_tokens), "{site}");
+            // Otherwise the blocks of each unit are its activation in
+            // ascending, disjoint token ranges that add up to the unit: in
+            // firing order they hold the whole activations' bits.
+            assert_eq!(blocks.len(), units * per_unit, "{site}");
+            let sizes: Vec<usize> = blocks.iter().map(Tensor2::rows).collect();
+            for unit in sizes.chunks(per_unit) {
+                assert_eq!(unit.iter().sum::<usize>(), unit_tokens, "{site}");
+            }
+            let bits = |activations: &[Tensor2]| -> Vec<u32> {
+                let values = activations.iter().flat_map(|a| a.as_slice());
+                values.map(|v| v.to_bits()).collect()
+            };
+            assert!(bits(&blocks) == bits(&wholes), "{site}");
         }
-        // The hidden blocks are whole row blocks but the last, and hold
-        // every pair token once between them (which tokens each holds:
-        // `transition::tests`).
-        let hidden_rows: Vec<usize> = hook
-            .records()
-            .iter()
-            .filter(|r| r.tap.site == ActivationSite::TransitionHidden)
-            .map(|r| r.tokens)
-            .collect();
-        assert_eq!(hidden_rows.iter().sum::<usize>(), ns * ns);
-        let (last, full) = hidden_rows.split_last().unwrap();
-        assert!(full.iter().all(|&rows| rows == transition::ROW_BLOCK));
-        assert_eq!(*last, ns * ns % transition::ROW_BLOCK);
     }
 
     #[test]

@@ -3,21 +3,15 @@
 //!
 //! The hidden activation is `transition_factor` pair tensors wide, so it
 //! is not whole unless the hook needs it whole: the MLP runs [`ROW_BLOCK`]
-//! tokens at a time, and each block's update goes into the block's own
-//! rows of the post-LN buffer.
+//! tokens at a time — 2 MB of hidden activation at the standard widths —
+//! and each block's update goes into the block's own rows of the post-LN
+//! buffer.
 
-use super::{residual_stage, workspace, Activation, Projection};
+use super::{block_len, residual_stage, workspace, Activation, Projection, ROW_BLOCK};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_tensor::nn::{LayerNorm, Linear};
 use ln_tensor::Tensor3;
-
-/// Pair tokens taken through the hidden activation at a time, when the
-/// hook [takes row blocks](ActivationHook::takes_row_blocks): 2 MB of it at
-/// the standard widths. A multiple of the quantized-domain GEMM's token
-/// group ([`ln_quant::qgemm::MR`]) and of the quantizer's 64-token error
-/// block.
-pub(crate) const ROW_BLOCK: usize = 1024;
 
 /// The pair-transition unit.
 #[derive(Debug, Clone)]
@@ -77,11 +71,7 @@ impl PairTransition {
             |hook, mut post_ln| {
                 let tokens = post_ln.tokens();
                 let hidden = ActivationSite::TransitionHidden;
-                let block = if hook.takes_row_blocks(hidden) {
-                    ROW_BLOCK
-                } else {
-                    tokens.max(1)
-                };
+                let block = block_len(hook, &[hidden], ROW_BLOCK, tokens);
                 for first in (0..tokens).step_by(block) {
                     let rows = block.min(tokens - first);
                     // The block's expansion, as an integer GEMM when the

@@ -11,11 +11,19 @@
 //! the output bits do not depend on `r`. The context of a block of query
 //! rows goes over those queries, so the stage holds no context buffer.
 //!
+//! Nor does it hold keys or values: a lane's are its own `Ns` tokens,
+//! projected into the lane's scratch when the lane comes up. The output
+//! gate and projection then run a block of tokens at a time into the
+//! post-LN activation's spent rows, so beside the stream the stage holds
+//! two pair tensors — the post-LN activation and the queries — unless
+//! the hook [wants](ActivationHook::takes_row_blocks) the keys, values or
+//! gate whole.
+//!
 //! There is one body for both nodes: the Ending node is the Starting node
 //! on the transposed pair stream, `(a, b) ↔ (b, a)` by exact swaps in
 //! place before and after — so its taps see the tokens in that order.
 
-use super::{residual_stage, workspace, Activation, PostLn, Projection};
+use super::{block_len, residual_stage, workspace, Activation, PostLn, Projection, ROW_BLOCK};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_tensor::nn::{LayerNorm, Linear};
@@ -138,25 +146,21 @@ impl TriangularAttention {
     fn update(
         &self,
         hook: &mut dyn ActivationHook,
-        post_ln: PostLn,
+        mut post_ln: PostLn,
         ns: usize,
         tap: impl Fn(ActivationSite) -> Tap,
     ) -> Result<Tensor2, PpmError> {
+        use ActivationSite::*;
         let tokens_n = ns * ns;
         // All five post-LN projections read `post_ln` — as integer GEMMs
         // when the hook opts in.
-        let project = |layer| post_ln.project(layer, Activation::None);
-        let mut q = project(&self.to_q)?;
-        hook.on_activation(tap(ActivationSite::TriAttnQuery), &mut q);
-        let mut k = project(&self.to_k)?;
-        hook.on_activation(tap(ActivationSite::TriAttnKey), &mut k);
-        let mut v = project(&self.to_v)?;
-        hook.on_activation(tap(ActivationSite::TriAttnValue), &mut v);
+        let mut q = post_ln.project(&self.to_q, Activation::None)?;
+        hook.on_activation(tap(TriAttnQuery), &mut q);
         // The bias and its per-head matrices are 1/32 of a pair tensor:
         // not worth a pair-sized workspace buffer each.
         let mut bias = Tensor2::zeros(tokens_n, self.heads);
         post_ln.project_into(&self.to_bias, Activation::None, 0, &mut bias)?;
-        hook.on_activation(tap(ActivationSite::TriAttnBias), &mut bias);
+        hook.on_activation(tap(TriAttnBias), &mut bias);
 
         let attn_dim = self.heads * self.head_dim;
 
@@ -168,28 +172,51 @@ impl TriangularAttention {
 
         // Every (lane, head, block of query rows) reads its queries before
         // writing their context over them — same rows, the head's columns
-        // — so `q` becomes the context, every slot written.
-        let kv = [&k, &v];
+        // — so `q` becomes the context, every slot written. A lane's keys
+        // and values are its own `ns` tokens, projected when the lane
+        // comes up into the lane's scratch.
         let block_rows = self.chunk.unwrap_or(ns);
-        if hook.observes(ActivationSite::TriAttnScores) {
-            // Observing driver: the hook sees (and may rewrite) each block
-            // of probability rows — the paper quantizes the scores (Group
-            // C), a row a token — so taps fire serially in ascending
-            // (lane, head, block) order, on one set of head buffers.
+        if [TriAttnKey, TriAttnValue, TriAttnScores]
+            .iter()
+            .any(|&site| hook.observes(site))
+        {
+            // Observing driver: the hook sees (and may rewrite) each
+            // lane's keys and values, then each block of its probability
+            // rows — the paper quantizes the scores (Group C), a row a
+            // token — so taps fire serially in ascending (lane, head,
+            // block) order, on one set of head buffers. A hook that wants
+            // the keys and values whole gets them projected once, for
+            // every lane, in workspace tensors.
             let mut bufs = HeadBuffers::new(ns, self.head_dim, block_rows);
+            let kv_lanes = block_len(hook, &[TriAttnKey, TriAttnValue], 1, ns);
+            let mut kv = match kv_lanes {
+                1 => lane_kv(ns, attn_dim),
+                _ => [(); 2].map(|_| workspace::take(tokens_n, attn_dim)),
+            };
             let lanes = q.as_mut_slice().chunks_mut((ns * attn_dim).max(1));
             for (lane, lane_q) in lanes.enumerate() {
+                if lane % kv_lanes == 0 {
+                    self.project_kv(&post_ln, lane * ns, &mut kv)?;
+                    hook.on_activation(tap(TriAttnKey), &mut kv[0]);
+                    hook.on_activation(tap(TriAttnValue), &mut kv[1]);
+                }
+                let row0 = lane % kv_lanes * ns;
                 for h in 0..heads {
-                    bufs.attend(kv, lane * ns, h, bias_mats.row(h), lane_q, |p| {
-                        hook.on_activation(tap(ActivationSite::TriAttnScores), p)
+                    bufs.attend(&kv, row0, h, bias_mats.row(h), lane_q, |p| {
+                        hook.on_activation(tap(TriAttnScores), p)
                     })?;
                 }
             }
+            if kv_lanes > 1 {
+                for operand in kv {
+                    workspace::give(operand);
+                }
+            }
         } else {
-            // Lane-parallel driver: nobody looks at the scores, so lanes
-            // are independent and dispatch across the pool. Per-lane
-            // arithmetic is the serial loop's — bit-identical for any
-            // pool size.
+            // Lane-parallel driver: nobody looks at the keys, values or
+            // scores, so lanes are independent and dispatch across the
+            // pool. Per-lane arithmetic is the serial loop's —
+            // bit-identical for any pool size.
             let lane_flops = (self.heads * 2 * 2 * ns * ns * self.head_dim).max(1);
             let grain_lanes = ((1usize << 21) / lane_flops).max(1);
             let lanes_per_chunk = ln_par::chunk_len(ns, grain_lanes);
@@ -197,36 +224,62 @@ impl TriangularAttention {
                 q.as_mut_slice(),
                 lanes_per_chunk * ns * attn_dim,
                 |c, chunk| {
-                    // One set of per-head buffers per lane chunk, reused
-                    // across its (lane, head, block) triples.
+                    // One lane's keys and values and one set of per-head
+                    // buffers per lane chunk, reused across its lanes.
                     let mut bufs = HeadBuffers::new(ns, self.head_dim, block_rows);
+                    let mut kv = lane_kv(ns, attn_dim);
                     for (local, lane_q) in chunk.chunks_mut(ns * attn_dim).enumerate() {
                         let lane = c * lanes_per_chunk + local;
+                        self.project_kv(&post_ln, lane * ns, &mut kv)
+                            .expect("projection shapes are internally consistent");
                         for h in 0..heads {
-                            bufs.attend(kv, lane * ns, h, bias_mats.row(h), lane_q, |_| {})
+                            bufs.attend(&kv, 0, h, bias_mats.row(h), lane_q, |_| {})
                                 .expect("head shapes are internally consistent");
                         }
                     }
                 },
             );
         }
-        for operand in [k, v] {
-            workspace::give(operand);
-        }
         let mut ctx = q;
-        hook.on_activation(tap(ActivationSite::TriAttnContext), &mut ctx);
+        hook.on_activation(tap(TriAttnContext), &mut ctx);
 
-        let mut gate = post_ln.project(&self.to_gate, Activation::Sigmoid)?;
-        // That was the post-LN activation's last reader: its buffer takes
-        // the output projection of the gated context.
-        let mut update = post_ln.into_buffer();
-        hook.on_activation(tap(ActivationSite::TriAttnGate), &mut gate);
-        gate.hadamard_assign(&ctx)?;
+        // The output gate and projection, a block of tokens at a time:
+        // each block's post-LN rows, read by the gate for the last time,
+        // take the block's update.
+        let block = block_len(hook, &[TriAttnGate], ROW_BLOCK, tokens_n);
+        for first in (0..tokens_n).step_by(block) {
+            let rows = block.min(tokens_n - first);
+            let mut gate = workspace::take(rows, attn_dim);
+            post_ln.project_into(&self.to_gate, Activation::Sigmoid, first, &mut gate)?;
+            hook.on_activation(tap(TriAttnGate), &mut gate);
+            let ctx_rows = &ctx.as_slice()[first * attn_dim..];
+            for (g, &c) in gate.as_mut_slice().iter_mut().zip(ctx_rows) {
+                *g *= c;
+            }
+            let update = post_ln.spent_rows(first, rows);
+            self.proj_out
+                .forward_rows_into(&gate, 0, Activation::None, update)?;
+            workspace::give(gate);
+        }
         workspace::give(ctx);
-        self.proj_out.forward_into(&gate, &mut update)?;
-        workspace::give(gate);
-        Ok(update)
+        Ok(post_ln.into_buffer())
     }
+
+    /// The keys and values of tokens `first ..` — `kv[0].rows()` of them.
+    fn project_kv(
+        &self,
+        post_ln: &PostLn,
+        first: usize,
+        kv: &mut [Tensor2; 2],
+    ) -> Result<(), PpmError> {
+        post_ln.project_into(&self.to_k, Activation::None, first, &mut kv[0])?;
+        post_ln.project_into(&self.to_v, Activation::None, first, &mut kv[1])
+    }
+}
+
+/// Scratch for one lane's keys and values, `ns` tokens of `attn_dim`.
+fn lane_kv(ns: usize, attn_dim: usize) -> [Tensor2; 2] {
+    [(); 2].map(|_| Tensor2::zeros(ns, attn_dim))
 }
 
 /// Transposes the pair stream in place, token `(a, b)` ↔ `(b, a)`: exact
@@ -311,7 +364,7 @@ impl HeadBuffers {
     /// bits do not depend on the block length.
     fn attend(
         &mut self,
-        [km, vm]: [&Tensor2; 2],
+        [km, vm]: &[Tensor2; 2],
         lane_row0: usize,
         h: usize,
         bias_mat: &[f32],
@@ -352,9 +405,8 @@ impl HeadBuffers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::tests::FakeQuant;
     use crate::taps::{NoopHook, RecordingHook};
-    use ln_quant::scheme::{AaqConfig, QuantScheme};
-    use ln_quant::token::fake_quantize_tokens;
 
     fn pair(ns: usize, hz: usize) -> Tensor3 {
         Tensor3::from_fn(ns, ns, hz, |i, j, k| {
@@ -489,29 +541,6 @@ mod tests {
                 assert_eq!((r.tokens, r.channels), (*rows, ns), "chunk {chunk}");
                 assert!(r.max_abs <= 1.0 + 1e-5);
             }
-        }
-    }
-
-    /// Rewrites every activation it is shown the way `AaqHook` does —
-    /// token-wise quantize→dequantize at its group's paper scheme — and,
-    /// when `domain` is set, runs the post-LN projections as integer GEMMs.
-    struct FakeQuant {
-        domain: bool,
-    }
-
-    impl ActivationHook for FakeQuant {
-        fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
-            let channels = activation.cols();
-            if channels >= 2 {
-                let mut scheme = AaqConfig::paper().scheme_for(tap.group());
-                scheme.outliers = scheme.outliers.min(channels - 1);
-                fake_quantize_tokens(activation, scheme);
-            }
-        }
-
-        fn quantized_matmul(&self, tap: Tap) -> Option<QuantScheme> {
-            let post_ln = tap.site == ActivationSite::TriAttnPostLn;
-            (self.domain && post_ln).then(|| AaqConfig::paper().scheme_for(tap.group()))
         }
     }
 

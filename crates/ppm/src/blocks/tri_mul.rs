@@ -1,8 +1,17 @@
 //! Triangular Multiplication (Fig. 6(a)): refines pair interactions with a
 //! gated "triangle" update — for every pair `(i, j)`, information flows
 //! through all intermediate residues `k`.
+//!
+//! Every row of the product reads every token of both gated sides, so
+//! those two are whole — the left in token order, the right packed as the
+//! einsum reads it — but nothing else is: each side is computed a block
+//! of tokens at a time, and the product and everything after it a block
+//! of whole rows at a time, whose update goes into the block's own rows
+//! of the post-LN buffer. Beside the stream the stage holds three pair
+//! tensors — the post-LN activation and the two sides — unless the hook
+//! [wants](ActivationHook::takes_row_blocks) a blocked site whole.
 
-use super::{residual_stage, workspace, Activation, PostLn, Projection};
+use super::{block_len, residual_stage, workspace, Activation, PostLn, Projection, ROW_BLOCK};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use einsum::Einsum;
@@ -114,93 +123,114 @@ impl TriangularMultiplication {
     fn update(
         &self,
         hook: &mut dyn ActivationHook,
-        post_ln: PostLn,
+        mut post_ln: PostLn,
         ns: usize,
         tap: impl Fn(ActivationSite) -> Tap,
     ) -> Result<Tensor2, PpmError> {
+        use ActivationSite::*;
         let tokens_n = ns * ns;
         let c = self.proj_left.out_features();
-        // Group C: the gated projections, one way under every hook. In
-        // the quantized domain each is an integer GEMM on the encoded
-        // post-LN activation, otherwise an FP32 one; either way the
-        // gate and the projection each pass the hook (which may record
-        // or rewrite them, or ignore them), then the gate's buffer
-        // becomes their product and the projection's goes back for the
-        // other side to take.
-        let mut gated_side = |gate, proj, sites: [ActivationSite; 2]| {
-            let mut gate = post_ln.project(gate, Activation::Sigmoid)?;
-            hook.on_activation(tap(sites[0]), &mut gate);
-            let mut proj = post_ln.project(proj, Activation::None)?;
-            hook.on_activation(tap(sites[1]), &mut proj);
-            gate.hadamard_assign(&proj)?;
-            workspace::give(proj);
-            Ok::<_, PpmError>(gate)
-        };
-        let left = gated_side(
-            &self.gate_left,
-            &self.proj_left,
-            [
-                ActivationSite::TriMulGateLeft,
-                ActivationSite::TriMulProjLeft,
-            ],
-        )?;
-        let right = gated_side(
-            &self.gate_right,
-            &self.proj_right,
-            [
-                ActivationSite::TriMulGateRight,
-                ActivationSite::TriMulProjRight,
-            ],
-        )?;
+        // The left operand in token order; the right one packed as the
+        // einsum's tile reads it, each block stored as it is produced.
+        let mut left = None;
+        let sites = [TriMulGateLeft, TriMulProjLeft];
+        let layers = [&self.gate_left, &self.proj_left];
+        gated_side(hook, &post_ln, layers, sites.map(&tap), |first, product| {
+            let left = left.get_or_insert_with(|| workspace::take(tokens_n, c));
+            let rows = &mut left.as_mut_slice()[first * c..];
+            rows[..product.len()].copy_from_slice(product.as_slice());
+        })?;
+        let mut right = None;
+        let sites = [TriMulGateRight, TriMulProjRight];
+        let layers = [&self.gate_right, &self.proj_right];
+        gated_side(hook, &post_ln, layers, sites.map(&tap), |first, product| {
+            let right = right.get_or_insert_with(|| {
+                let (rows, cols) = einsum::packed_shape(ns, c);
+                workspace::take(rows, cols)
+            });
+            einsum::pack_right(self.direction, ns, first, product, right.as_mut_slice());
+        })?;
+        let mut operands = left.zip(right);
 
-        // The triangle einsum; 1/√Ns keeps magnitudes length-independent.
-        // The kernel packs either orientation, so Incoming costs no
-        // transposed copy, and it writes (never accumulates onto) every
-        // element of its output, scaled.
-        let einsum = Einsum {
-            direction: self.direction,
-            left: left.as_slice(),
-            right: right.as_slice(),
-            ns,
-            c,
-            scale: 1.0 / (ns as f32).sqrt(),
-        };
-        let mut tri_tokens = workspace::take(tokens_n, c);
-        // Each (i, j) token accumulates its own k terms in ascending order,
-        // so the per-i-block parallel dispatch is bit-identical to the
-        // serial loops for any pool size.
-        ln_par::metrics::time_kernel("ppm.tri_mul.einsum", (ns * ns) as u64, || {
-            // One i-row of the triangle einsum costs 2·ns²·c flops; demand
-            // a few megaflops per chunk so small problems stay inline.
-            let row_flops = 2 * ns * ns * c;
-            let grain_rows = ((1usize << 22) / row_flops.max(1)).max(1);
-            let rows_per_chunk = ln_par::chunk_len(ns, grain_rows);
-            ln_par::par_chunks_mut(
-                tri_tokens.as_mut_slice(),
-                rows_per_chunk * ns * c,
-                |ci, chunk| einsum.rows(ci * rows_per_chunk, chunk),
-            );
-        });
-        workspace::give(left);
-        workspace::give(right);
-        hook.on_activation(tap(ActivationSite::TriMulTriangleOut), &mut tri_tokens);
-
-        let mut y = workspace::take(tokens_n, c);
-        self.norm_out.forward_into(&tri_tokens, &mut y)?;
-        workspace::give(tri_tokens);
-        hook.on_activation(tap(ActivationSite::TriMulOutPostLn), &mut y);
-
-        let mut g = post_ln.project(&self.gate_out, Activation::Sigmoid)?;
-        // That was the post-LN activation's last reader: its buffer
-        // takes the output projection, which is gated there.
-        let mut update = post_ln.into_buffer();
-        hook.on_activation(tap(ActivationSite::TriMulOutGate), &mut g);
-        self.proj_out.forward_into(&y, &mut update)?;
-        workspace::give(y);
-        update.hadamard_assign(&g)?;
-        workspace::give(g);
-        Ok(update)
+        // Then the triangle product and everything after it, a block of
+        // whole rows at a time, each step reading only the block's own
+        // tokens: the einsum's rows (1/√Ns keeps magnitudes
+        // length-independent), the out LayerNorm, the output gate and
+        // projection — whose update goes into the block's post-LN rows,
+        // read by the gate for the last time.
+        let sites = [TriMulTriangleOut, TriMulOutPostLn, TriMulOutGate];
+        let row = ns.max(1);
+        let block = block_len(hook, &sites, ROW_BLOCK.div_ceil(row) * row, tokens_n);
+        for first in (0..tokens_n).step_by(block) {
+            let rows = block.min(tokens_n - first);
+            let mut tri = workspace::take(rows, c);
+            let (left, right) = operands.as_ref().expect("given back after the last block");
+            let einsum = Einsum {
+                direction: self.direction,
+                left: left.as_slice(),
+                right: right.as_slice(),
+                ns,
+                c,
+                scale: 1.0 / (ns as f32).sqrt(),
+            };
+            einsum.rows_on_pool(first / ns, tri.as_mut_slice());
+            if first + rows == tokens_n {
+                // The einsum's operands have no reader left.
+                let (left, right) = operands.take().expect("still held");
+                workspace::give(left);
+                workspace::give(right);
+            }
+            hook.on_activation(tap(TriMulTriangleOut), &mut tri);
+            let mut y = workspace::take(rows, c);
+            self.norm_out.forward_into(&tri, &mut y)?;
+            workspace::give(tri);
+            hook.on_activation(tap(TriMulOutPostLn), &mut y);
+            let mut g = workspace::take(rows, self.gate_out.out_features());
+            post_ln.project_into(&self.gate_out, Activation::Sigmoid, first, &mut g)?;
+            hook.on_activation(tap(TriMulOutGate), &mut g);
+            let update = post_ln.spent_rows(first, rows);
+            self.proj_out
+                .forward_rows_into(&y, 0, Activation::None, update)?;
+            workspace::give(y);
+            for (u, &gate) in update.iter_mut().zip(g.as_slice()) {
+                *u *= gate;
+            }
+            workspace::give(g);
+        }
+        Ok(post_ln.into_buffer())
     }
+}
+
+/// One gated side, `sigmoid(gate(x)) ⊙ proj(x)`, one way under every
+/// hook: a [`ROW_BLOCK`] of tokens at a time, or all of them for a hook
+/// that wants either site whole. In the quantized domain both are
+/// integer GEMMs on the encoded post-LN activation, otherwise FP32
+/// ones; either way each passes the hook (which may record or rewrite
+/// it, or ignore it), then `store(first, product)` keeps the block's
+/// product and both buffers go back.
+fn gated_side(
+    hook: &mut dyn ActivationHook,
+    post_ln: &PostLn,
+    [gate, proj]: [&Projection; 2],
+    taps: [Tap; 2],
+    mut store: impl FnMut(usize, &Tensor2),
+) -> Result<(), PpmError> {
+    let tokens = post_ln.tokens();
+    let block = block_len(hook, &taps.map(|t| t.site), ROW_BLOCK, tokens);
+    for first in (0..tokens).step_by(block) {
+        let rows = block.min(tokens - first);
+        let mut g = workspace::take(rows, gate.out_features());
+        post_ln.project_into(gate, Activation::Sigmoid, first, &mut g)?;
+        hook.on_activation(taps[0], &mut g);
+        let mut p = workspace::take(rows, proj.out_features());
+        post_ln.project_into(proj, Activation::None, first, &mut p)?;
+        hook.on_activation(taps[1], &mut p);
+        g.hadamard_assign(&p)?;
+        workspace::give(p);
+        store(first, &g);
+        workspace::give(g);
+    }
+    Ok(())
 }
 
 mod einsum {
@@ -214,19 +244,27 @@ mod einsum {
     //!
     //! Per k-panel of [`KB`] and per chunk of [`LANES`] channels, the chunk's
     //! rows of the left operand are packed as `[i][dk][LANES]` and every
-    //! row of the right one as `[j / JT][dk][j % JT][LANES]`. A tile is one
-    //! output row by [`JT`] columns: 6 × 2 YMM accumulators, two registers
-    //! of left vector and two spare — the sixteen AVX2 has. Each k step
-    //! loads its left vector once for six products and reads the right
-    //! group as one contiguous 384-byte run. Columns past `ns` and
+    //! row of the right one is read as `[j / JT][dk][j % JT][LANES]`. A tile
+    //! is one output row by [`JT`] columns: 6 × 2 YMM accumulators, two
+    //! registers of left vector and two spare — the sixteen AVX2 has. Each
+    //! k step loads its left vector once for six products and reads the
+    //! right group as one contiguous 384-byte run. Columns past `ns` and
     //! channels past `c` are packed as zeros and never written back, so
     //! every remainder runs the same tile; rows have no remainder. The j
     //! group is the outer loop: its strip (`JT · KB` vectors, 24 KiB) stays
     //! in L1 while the chunk's left strips (4 KiB each) stream past it.
     //!
-    //! A pack step reads whichever token it is told to, so the two
-    //! orientations differ in one index expression ([`Einsum::pack`]) and
-    //! Incoming needs no transposed copy of its operands.
+    //! The right operand is packed once, not once per row chunk: the stage
+    //! hands [`pack_right`] each block of its tokens as it produces them,
+    //! into a workspace tensor of [`packed_shape`] that replaces the
+    //! operand in token order. So the stage never holds the right operand
+    //! twice, and a block of output rows costs one pass over the packed
+    //! panels instead of a gather of every right token.
+    //!
+    //! A pack step reads (or stores) whichever token it is told to, so the
+    //! two orientations differ in one index expression each
+    //! ([`Einsum::pack`], [`pack_right`]) and Incoming needs no transposed
+    //! copy of its operands.
     //!
     //! # Why packed
     //!
@@ -236,7 +274,16 @@ mod einsum {
     //! The old kernel (one `(i, j)` at a time, 32 lanes, both operands read
     //! in place at that stride, so two loads a multiply-add) ran 5.5–6.5
     //! GFLOP/s at `ns` = 192 beside a GEMM tile at 26. Packing costs one
-    //! copy of each operand per row chunk — 13 ms of a 78 ms call there.
+    //! copy of each operand — 13 ms of a 78 ms call there when each of two
+    //! row chunks packed both.
+    //!
+    //! A row block of the stage is one call, so the packed right operand
+    //! passes once through cache per block: 32 passes of 19 MB a unit at
+    //! `ns` = 192, inside the 105 MB last-level cache of the measuring
+    //! host. The einsum read 0.32–0.40 s a fold there, against 0.29–0.36 s when
+    //! two row chunks each packed the whole right operand (EXPERIMENTS.md,
+    //! "Row-blocked triangle stages record"); blocks four times larger read
+    //! 0.31–0.33 s for four times the block memory.
     //!
     //! # Bits
     //!
@@ -280,7 +327,7 @@ mod einsum {
     //!   instruction): 11 ms for 13, not worth a second loop nest.
 
     use super::TriangleDirection;
-    use ln_tensor::simd;
+    use ln_tensor::{simd, Tensor2};
     use std::cell::RefCell;
 
     /// Channels per accumulator: one cache line, two YMM registers.
@@ -292,21 +339,74 @@ mod einsum {
 
     type Lanes = [f32; LANES];
 
-    /// The packed panels of one k-panel and channel chunk: at most
-    /// `rows · KB` and `⌈ns / JT⌉ · KB` entries — 0.4 and 0.8 MB at
-    /// `ns` = 192. Per thread and kept between calls, as the GEMM's
-    /// packing buffers are, so a warm fold allocates nothing for them.
-    #[derive(Default)]
-    struct Panels {
-        left: Vec<Lanes>,
-        right: Vec<[Lanes; JT]>,
-    }
-
     thread_local! {
-        static PANELS: RefCell<Panels> = RefCell::default();
+        /// A row chunk's packed left strips for one k-panel and channel
+        /// chunk: at most `rows · KB` entries. Per thread and kept between
+        /// calls, as the GEMM's packing buffers are, so a warm fold
+        /// allocates nothing for them.
+        static LEFT_PANEL: RefCell<Vec<Lanes>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// One triangle einsum over `(ns·ns, c)` token matrices.
+    /// The `(rows, cols)` of the workspace tensor the packed right operand
+    /// of an `ns`-long, `c`-wide einsum fills: a row per `[Lanes; JT]`
+    /// entry — per channel chunk, per k, per group of `JT` columns. As many
+    /// floats as the operand in token order when `JT` divides `ns` and
+    /// `LANES` divides `c`.
+    pub(super) fn packed_shape(ns: usize, c: usize) -> (usize, usize) {
+        (c.div_ceil(LANES) * ns * ns.div_ceil(JT), JT * LANES)
+    }
+
+    /// Where column `j`'s group sits for k-step `k` of channel chunk `cc`
+    /// in the packed right operand: chunk-major, then k-panel, then the
+    /// panel's `[j / JT][dk]`.
+    fn packed_entry(ns: usize, cc: usize, j: usize, k: usize) -> usize {
+        let groups = ns.div_ceil(JT);
+        let kb = k - k % KB;
+        let kb_len = KB.min(ns - kb);
+        (cc * ns + kb) * groups + j / JT * kb_len + k % KB
+    }
+
+    /// Stores `block` — tokens `first ..` of the right operand — where the
+    /// tile reads them in `packed` (a tensor of [`packed_shape`]). Channels
+    /// past the width are stored as zeros, and so are a column group's
+    /// columns past `ns`, with its last column; every other slot belongs
+    /// to one token, so once each token has been stored nothing is left
+    /// of what `packed` held.
+    pub(super) fn pack_right(
+        direction: TriangleDirection,
+        ns: usize,
+        first: usize,
+        block: &Tensor2,
+        packed: &mut [f32],
+    ) {
+        let entries = packed.as_chunks_mut::<LANES>().0.as_chunks_mut::<JT>().0;
+        for (t, token) in (first..).zip(block.iter_rows()) {
+            let (j, k) = match direction {
+                TriangleDirection::Outgoing => (t / ns, t % ns),
+                TriangleDirection::Incoming => (t % ns, t / ns),
+            };
+            let mut store = |cc: usize, lanes: Lanes| {
+                let group = &mut entries[packed_entry(ns, cc, j, k)];
+                group[j % JT] = lanes;
+                if j + 1 == ns {
+                    group[j % JT + 1..].fill([0.0; LANES]);
+                }
+            };
+            // Whole chunks move as constant-length copies.
+            let (whole, ragged) = token.as_chunks::<LANES>();
+            for (cc, &lanes) in whole.iter().enumerate() {
+                store(cc, lanes);
+            }
+            if !ragged.is_empty() {
+                let mut lanes = [0.0; LANES];
+                lanes[..ragged.len()].copy_from_slice(ragged);
+                store(whole.len(), lanes);
+            }
+        }
+    }
+
+    /// One triangle einsum: `left` an `(ns·ns, c)` token matrix, `right`
+    /// the other operand as [`pack_right`] leaves it.
     pub(super) struct Einsum<'a> {
         pub direction: TriangleDirection,
         pub left: &'a [f32],
@@ -332,8 +432,29 @@ mod einsum {
 
     impl Einsum<'_> {
         /// Output rows `i0 ..` — `out.len() / (ns · c)` of them — written
-        /// to `out`, whatever it held.
-        pub(super) fn rows(&self, i0: usize, out: &mut [f32]) {
+        /// to `out`, whatever it held, split across the pool. Each `(i, j)`
+        /// token folds its own k terms in ascending order, so any split
+        /// has the bits of the serial loops; there are no more chunks than
+        /// threads, as each makes a whole pass over the packed right
+        /// operand.
+        pub(super) fn rows_on_pool(&self, i0: usize, out: &mut [f32]) {
+            let row_len = self.ns * self.c;
+            let rows = out.len().checked_div(row_len).unwrap_or(0);
+            ln_par::metrics::time_kernel("ppm.tri_mul.einsum", (rows * self.ns) as u64, || {
+                // One row costs 2·ns²·c flops; demand a few megaflops per
+                // chunk so small problems stay inline.
+                let grain = ((1usize << 22) / (2 * self.ns * row_len).max(1)).max(1);
+                let threads = ln_par::active().threads();
+                let rows_per_chunk = ln_par::chunk_len(rows, grain.max(rows.div_ceil(threads)));
+                ln_par::par_chunks_mut(out, rows_per_chunk * row_len, |ci, chunk| {
+                    self.rows(i0 + ci * rows_per_chunk, chunk)
+                });
+            });
+        }
+
+        /// Output rows `i0 ..` — `out.len() / (ns · c)` of them — written
+        /// to `out`, whatever it held, on the calling thread.
+        fn rows(&self, i0: usize, out: &mut [f32]) {
             self.rows_with(i0, out, tile);
         }
 
@@ -349,38 +470,26 @@ mod einsum {
             }
             let rows = out.len() / (ns * c);
             let groups = ns.div_ceil(JT);
-            PANELS.with(|panels| {
-                let Panels { left, right } = &mut *panels.borrow_mut();
+            let right = self.right.as_chunks::<LANES>().0.as_chunks::<JT>().0;
+            LEFT_PANEL.with(|panel| {
+                let left = &mut *panel.borrow_mut();
                 let depth = KB.min(ns);
                 if left.len() < rows * depth {
                     left.resize(rows * depth, [0.0; LANES]);
                 }
-                if right.len() < groups * depth {
-                    right.resize(groups * depth, [[0.0; LANES]; JT]);
-                }
                 for kb in (0..ns).step_by(KB) {
                     let kb_len = KB.min(ns - kb);
                     let left = &mut left[..rows * kb_len];
-                    let right = &mut right[..groups * kb_len];
                     for cc in (0..c).step_by(LANES) {
                         let lanes = LANES.min(c - cc);
                         for (i, strip) in (i0..).zip(left.chunks_exact_mut(kb_len)) {
                             for (k, dst) in (kb..).zip(strip) {
-                                self.pack(self.left, i, k, cc, lanes, dst);
+                                self.pack(i, k, cc, lanes, dst);
                             }
                         }
-                        for (g, strip) in right.chunks_exact_mut(kb_len).enumerate() {
-                            for (k, group) in (kb..).zip(strip) {
-                                for (j, dst) in (g * JT..).zip(group) {
-                                    if j < ns {
-                                        self.pack(self.right, j, k, cc, lanes, dst);
-                                    } else {
-                                        *dst = [0.0; LANES];
-                                    }
-                                }
-                            }
-                        }
-                        for (g, r_strip) in right.chunks_exact(kb_len).enumerate() {
+                        let panel = &right[packed_entry(ns, cc / LANES, 0, kb)..];
+                        let panel = &panel[..groups * kb_len];
+                        for (g, r_strip) in panel.chunks_exact(kb_len).enumerate() {
                             let io = TileIo {
                                 stride: c,
                                 cols: JT.min(ns - g * JT),
@@ -398,23 +507,15 @@ mod einsum {
             });
         }
 
-        /// Channels `cc .. cc + lanes` of an operand's token `(x, k)` —
-        /// `(k, x)` for Incoming — zero-extended to a whole vector.
+        /// Channels `cc .. cc + lanes` of the left operand's token `(i, k)`
+        /// — `(k, i)` for Incoming — zero-extended to a whole vector.
         #[inline(always)]
-        fn pack(
-            &self,
-            operand: &[f32],
-            x: usize,
-            k: usize,
-            cc: usize,
-            lanes: usize,
-            dst: &mut Lanes,
-        ) {
+        fn pack(&self, i: usize, k: usize, cc: usize, lanes: usize, dst: &mut Lanes) {
             let token = match self.direction {
-                TriangleDirection::Outgoing => x * self.ns + k,
-                TriangleDirection::Incoming => k * self.ns + x,
+                TriangleDirection::Outgoing => i * self.ns + k,
+                TriangleDirection::Incoming => k * self.ns + i,
             };
-            let src = &operand[token * self.c + cc..];
+            let src = &self.left[token * self.c + cc..];
             // A whole vector moves with a constant length — vector loads
             // and stores; only a ragged last chunk pays a `memcpy` call.
             if lanes == LANES {
@@ -501,9 +602,19 @@ mod einsum {
         use super::*;
         use TriangleDirection::{Incoming, Outgoing};
 
+        /// An einsum with both operands in token order.
+        struct Operands<'a> {
+            direction: TriangleDirection,
+            left: &'a [f32],
+            right: &'a [f32],
+            ns: usize,
+            c: usize,
+            scale: f32,
+        }
+
         /// The definition: per element one k-ascending fold from `+0.0`,
         /// then one multiply.
-        fn reference(e: &Einsum) -> Vec<f32> {
+        fn reference(e: &Operands) -> Vec<f32> {
             let (ns, c) = (e.ns, e.c);
             let token = |x: usize, k: usize| match e.direction {
                 Outgoing => x * ns + k,
@@ -541,16 +652,39 @@ mod einsum {
                 .collect()
         }
 
+        /// The right operand packed five tokens at a time — blocks that
+        /// straddle rows and leave a short last one — into a buffer of
+        /// NaNs, so that a slot no token filled poisons what reads it.
+        fn packed_right(e: &Operands) -> Vec<f32> {
+            let (rows, cols) = packed_shape(e.ns, e.c);
+            let mut packed = vec![f32::NAN; rows * cols];
+            let tokens = e.right.chunks(5 * e.c.max(1));
+            for (b, block) in tokens.enumerate() {
+                let block = Tensor2::from_vec(block.len() / e.c, e.c, block.to_vec()).unwrap();
+                pack_right(e.direction, e.ns, 5 * b, &block, &mut packed);
+            }
+            packed
+        }
+
         /// `e`, a chunk of `rows_per_chunk` rows at a time, through the
         /// dispatched tile and through the tile body compiled for the
         /// baseline (called outside [`simd::wide`]), against [`reference`].
-        fn assert_equals_reference(e: &Einsum, rows_per_chunk: usize) {
+        fn assert_equals_reference(e: &Operands, rows_per_chunk: usize) {
             let want = reference(e);
+            let right = packed_right(e);
+            let einsum = Einsum {
+                direction: e.direction,
+                left: e.left,
+                right: &right,
+                ns: e.ns,
+                c: e.c,
+                scale: e.scale,
+            };
             type Tile = fn(&[Lanes], &[[Lanes; JT]], &mut [f32], TileIo);
             for (tier, tile) in [("dispatched", tile as Tile), ("baseline", tile_body)] {
                 let mut got = vec![f32::NAN; want.len()];
                 for (ci, chunk) in got.chunks_mut(rows_per_chunk * e.ns * e.c).enumerate() {
-                    e.rows_with(ci * rows_per_chunk, chunk, tile);
+                    einsum.rows_with(ci * rows_per_chunk, chunk, tile);
                 }
                 let same = got
                     .iter()
@@ -573,7 +707,7 @@ mod einsum {
                     for c in [1, 15, 16, 17, 32, 48, 128] {
                         let left = operand(ns * ns * c, 1);
                         let right = operand(ns * ns * c, 2);
-                        let e = Einsum {
+                        let e = Operands {
                             direction,
                             left: &left,
                             right: &right,
@@ -597,7 +731,7 @@ mod einsum {
             let left = operand(ns * ns * c, 3);
             let right = operand(ns * ns * c, 4);
             for direction in [Outgoing, Incoming] {
-                let e = Einsum {
+                let e = Operands {
                     direction,
                     left: &left,
                     right: &right,
@@ -617,7 +751,7 @@ mod einsum {
             // others, into the lattice above.
             let (ns, c) = (2, LANES);
             let (left, right) = (vec![-0.0f32; ns * ns * c], vec![1.0f32; ns * ns * c]);
-            let e = Einsum {
+            let e = Operands {
                 direction: Outgoing,
                 left: &left,
                 right: &right,

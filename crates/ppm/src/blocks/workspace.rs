@@ -9,12 +9,20 @@
 //! else (a kernel's fresh output, say) is dropped, never given, or the
 //! stack grows by one buffer per call. The converse is not required: a
 //! taken tensor may simply be dropped (the stages' error paths do).
-//! It is for pair-sized tensors only: a small one (`tri_attn`'s bias)
-//! would occupy a pair-sized buffer and make the stack one deeper. The
-//! transition's hidden blocks are the exception that costs nothing: the
-//! stage has one pair tensor on loan when it takes one, so from L = 64 at
-//! the standard widths, where a block is no larger than a pair tensor, it
-//! goes into a buffer the stages before it left free.
+//!
+//! It is for pair-sized tensors and the stages' row blocks. No stage has
+//! more than three pair tensors on loan — triangular multiplication's
+//! `x` and its two einsum operands; four under a hook that declines row
+//! blocks — and each row block it takes beside
+//! them (a gated side's gate and projection, the triangle product's
+//! consumers' rows; at most two at once, 0.6 MB each at the standard
+//! widths) finds a block-sized buffer it left before. Anything smaller
+//! stays out (`tri_attn`'s bias, a lane's keys and values): it would
+//! occupy a larger buffer and make the stack one deeper. The transition's
+//! hidden blocks cost nothing either: the stage has one pair tensor on
+//! loan when it takes one, so from L = 64, where a block is no larger
+//! than a pair tensor, it goes into a buffer the stages before it left
+//! free.
 //!
 //! A taken tensor's **contents are unspecified**. Whoever takes one
 //! overwrites all of it: the `_into` kernels do (they zero-fill first where
@@ -94,16 +102,18 @@ pub(crate) fn give(t: Tensor2) {
 }
 
 /// Frees the buffers the calling thread's fold workspace retains between
-/// folds — four pair-sized tensors at the longest length folded (19 MB at
-/// L = 96, 75 MB at L = 192; the transition's hidden blocks fit in them),
-/// and a fifth of four pair tensors if a hook declined the row blocks.
+/// folds — three pair-sized tensors and two row blocks at the longest
+/// length folded (15 MB at L = 96, 58 MB at L = 192; the transition's
+/// hidden blocks fit in them), or, if a hook declined the row blocks,
+/// three pair tensors and one of four (the transition's hidden activation
+/// whole, where the triangle stages' fourth pair tensor fits too).
 /// The next fold on this thread allocates them again.
 /// For a caller that folds once and lives on.
 ///
 /// The kernels' packing buffers are not part of the workspace and stay:
-/// the triangle einsum's panels (at most `2 · Ns · 64 · 16` floats a
-/// thread; 1.2 MB at Ns = 192, where a chunk is half the rows) and the
-/// GEMM scratch arena (under 1 MB).
+/// the triangle einsum's left panel (`64 · 16` floats a row of a row
+/// chunk; 24 KB at Ns = 192, 0.8 MB if a hook declined the row blocks)
+/// and the GEMM scratch arena (under 1 MB).
 pub fn release_fold_workspace() {
     WORKSPACE.with(|w| w.borrow_mut().free = Vec::new());
 }
@@ -129,12 +139,12 @@ pub(crate) fn take_hwm_bytes() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::transition::ROW_BLOCK;
+    use crate::blocks::ROW_BLOCK;
     use crate::blocks::{
         AttentionNode, PairTransition, SequenceTrack, TriangleDirection, TriangularAttention,
         TriangularMultiplication,
     };
-    use crate::taps::{ActivationHook, NoopHook, Tap};
+    use crate::taps::{ActivationHook, ActivationSite, NoopHook, Tap};
     use crate::{FoldingModel, PpmConfig};
     use ln_protein::generator::StructureGenerator;
     use ln_protein::Sequence;
@@ -157,11 +167,22 @@ mod tests {
         }
     }
 
-    fn hooks() -> [(&'static str, Box<dyn ActivationHook>); 3] {
+    /// Observes every site and wants each activation whole: the stages'
+    /// whole-tensor path, the one a calibrating baseline scheme takes.
+    struct Declining;
+    impl ActivationHook for Declining {
+        fn on_activation(&mut self, _tap: Tap, _activation: &mut Tensor2) {}
+        fn takes_row_blocks(&self, _site: ActivationSite) -> bool {
+            false
+        }
+    }
+
+    fn hooks() -> [(&'static str, Box<dyn ActivationHook>); 4] {
         [
             ("noop", Box::new(NoopHook)),
             ("observe-all", Box::new(ObserveAll)),
             ("quantized-domain", Box::new(QuantizedDomain)),
+            ("declining", Box::new(Declining)),
         ]
     }
 
@@ -224,13 +245,17 @@ mod tests {
     #[test]
     fn each_stage_keeps_a_bounded_set_of_pair_tensors_on_loan() {
         // Standard widths at L = 48: 2 304 pair tokens, two full row blocks
-        // of the transition and a partial one. One pair-sized tensor is
-        // `pair_bytes`, one block of the transition's hidden activation
-        // `hidden_block_bytes` (1.78 of them here).
+        // and a partial one. One pair-sized tensor is `pair_bytes`; a
+        // block of `width`-wide tokens is `block_bytes(width)` (0.44 of a
+        // pair tensor at 128 channels), one of the triangle product's
+        // consumers — 22 whole rows — `rows_bytes` (0.46); one of the
+        // transition's hidden activation `hidden_block_bytes` (1.78).
         let cfg = PpmConfig::standard();
         let ns = 48;
         let pair_bytes = ns * ns * cfg.hz * 4;
-        let hidden_block_bytes = ROW_BLOCK * cfg.hz * cfg.transition_factor * 4;
+        let block_bytes = |width: usize| ROW_BLOCK * width * 4;
+        let rows_bytes = ROW_BLOCK.div_ceil(ns) * ns * cfg.tri_mul_dim.max(cfg.hz) * 4;
+        let hidden_block_bytes = block_bytes(cfg.hz * cfg.transition_factor);
         assert!(ns * ns > 2 * ROW_BLOCK && ns * ns % ROW_BLOCK != 0);
         let pair = Tensor3::from_fn(ns, ns, cfg.hz, |i, j, k| {
             ((i * 31 + j * 7 + k * 3) % 13) as f32 * 0.5 - 3.0
@@ -252,45 +277,66 @@ mod tests {
         };
         let transition = PairTransition::new(&cfg, "ws");
         let seq_track = SequenceTrack::new(&cfg, "ws");
-        // (stage, most bytes it may have on loan): the operands of the
-        // einsum and its output beside `x`; q (the context, once its
-        // queries are read), k and v beside `x`; `x` and one block of the
-        // hidden activation; the outer product (half a pair tensor) and
-        // its projection.
-        let stages: [(&str, usize, Stage); 6] = [
+        // (stage, most bytes it may have on loan when the hook takes row
+        // blocks, and when it declines them):
+        // - tri-mul: `x`, the left operand and the packed right one, and
+        //   two blocks — a gated side's gate and projection, or the
+        //   consumers' rows; whole, a side's gate and projection beside
+        //   `x` and the left operand, or the packed right operand beside
+        //   them once its gate and projection are a product;
+        // - tri-attn: `x`, q (the context once its queries are read) and
+        //   a block of the output gate — a lane's keys and values are
+        //   head-sized scratch, not the workspace's; whole, k and v too;
+        // - the transition: `x` and a block of the hidden activation, or
+        //   all of it (four pair tensors);
+        // - the outer product (half a pair tensor) and its projection.
+        let stages: [(&str, [usize; 2], Stage); 6] = [
             (
                 "tri_mul_out",
-                4 * pair_bytes,
+                [3 * pair_bytes + 2 * rows_bytes, 4 * pair_bytes],
                 tri_mul(TriangleDirection::Outgoing),
             ),
             (
                 "tri_mul_in",
-                4 * pair_bytes,
+                [3 * pair_bytes + 2 * rows_bytes, 4 * pair_bytes],
                 tri_mul(TriangleDirection::Incoming),
             ),
             (
                 "tri_attn_start",
-                4 * pair_bytes,
+                [
+                    2 * pair_bytes + block_bytes(cfg.pair_attn_dim()),
+                    4 * pair_bytes,
+                ],
                 tri_attn(AttentionNode::Starting),
             ),
             (
                 "tri_attn_end",
-                4 * pair_bytes,
+                [
+                    2 * pair_bytes + block_bytes(cfg.pair_attn_dim()),
+                    4 * pair_bytes,
+                ],
                 tri_attn(AttentionNode::Ending),
             ),
             (
                 "transition",
-                pair_bytes + hidden_block_bytes,
+                [
+                    pair_bytes + hidden_block_bytes,
+                    pair_bytes + cfg.transition_factor * pair_bytes,
+                ],
                 Box::new(|z, h| transition.forward(z, h, 0, 0).unwrap()),
             ),
             (
                 "seq_track",
-                2 * pair_bytes,
+                [2 * pair_bytes; 2],
                 Box::new(|z, _| seq_track.forward(&mut seq, z).unwrap()),
             ),
         ];
-        for (stage, bound, mut run) in stages {
+        for (stage, [taking, declining], mut run) in stages {
             for (name, mut hook) in hooks() {
+                let bound = match name {
+                    "declining" => declining,
+                    _ => taking,
+                };
                 let mut z = pair.clone();
                 take_hwm_bytes();
                 run(&mut z, hook.as_mut());

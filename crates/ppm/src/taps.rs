@@ -166,16 +166,17 @@ pub trait ActivationHook {
     /// Whether this hook looks at activations at `site` at all.
     ///
     /// It decides one thing in the trunk — which of two drivers runs
-    /// triangular attention's one head body. Asked about
-    /// [`ActivationSite::TriAttnScores`], a yes runs lanes serially and
-    /// taps every block of score rows (per lane, head and block of
-    /// [`crate::PpmConfig::attention_chunk`] query rows); a no runs the
-    /// lanes in parallel and never calls the hook there — the same
-    /// arithmetic, bit for bit. Everywhere else
-    /// [`ActivationHook::on_activation`] is called whatever this returns,
-    /// and a hook that does not care ignores the call. A hook that wraps
-    /// another forwards the question. Defaults to `true`, so a custom hook
-    /// sees every score row unless it opts out.
+    /// triangular attention's lanes. Asked about
+    /// [`ActivationSite::TriAttnKey`], [`ActivationSite::TriAttnValue`] and
+    /// [`ActivationSite::TriAttnScores`], a yes to any runs lanes serially
+    /// and taps each lane's keys and values and every block of its score
+    /// rows (per head and block of [`crate::PpmConfig::attention_chunk`]
+    /// query rows); a no to all three runs the lanes in parallel and never
+    /// calls the hook at those sites — the same arithmetic, bit for bit.
+    /// Everywhere else [`ActivationHook::on_activation`] is called whatever
+    /// this returns, and a hook that does not care ignores the call. A hook
+    /// that wraps another forwards the question. Defaults to `true`, so a
+    /// custom hook sees every score row unless it opts out.
     fn observes(&self, site: ActivationSite) -> bool {
         let _ = site;
         true
@@ -184,15 +185,31 @@ pub trait ActivationHook {
     /// Whether the trunk may show this hook the activation at `site` a
     /// block of tokens at a time instead of whole.
     ///
-    /// It decides one thing — how much of the pair transition's hidden
-    /// activation ([`ActivationSite::TransitionHidden`], four pair tensors
-    /// wide) is live at once: a yes taps it in blocks of 1 024 tokens, a no
-    /// taps it whole. A hook whose rewrite at `site` computes a statistic
-    /// across tokens (a per-tensor or per-channel scale) must say no, or its
-    /// calibration becomes per block; a hook that rewrites each token on its
-    /// own cannot tell the difference in its output. A hook that wraps
-    /// another forwards the question. Defaults to `true`: a recorder gets
-    /// one record per block.
+    /// It decides how much of a stage's intermediates is live at once. A
+    /// yes taps, and computes, in blocks:
+    ///
+    /// * [`ActivationSite::TriMulGateLeft`], [`ActivationSite::TriMulProjLeft`],
+    ///   [`ActivationSite::TriMulGateRight`] and
+    ///   [`ActivationSite::TriMulProjRight`]: 1 024 tokens, a gated side's
+    ///   two sites together;
+    /// * [`ActivationSite::TriMulTriangleOut`],
+    ///   [`ActivationSite::TriMulOutPostLn`] and
+    ///   [`ActivationSite::TriMulOutGate`]: whole rows of the triangle
+    ///   product, about 1 024 tokens, the three together;
+    /// * [`ActivationSite::TriAttnKey`] and [`ActivationSite::TriAttnValue`]:
+    ///   a lane (`Ns` tokens), the two together;
+    /// * [`ActivationSite::TriAttnGate`] and
+    ///   [`ActivationSite::TransitionHidden`]: 1 024 tokens.
+    ///
+    /// A no to any site of a group taps the group whole: a triangle stage
+    /// then holds up to four pair tensors instead of three (tri-mul) or two
+    /// (tri-attn), the transition its hidden activation — four pair tensors
+    /// wide. Every other site is tapped whole either way. A hook whose rewrite at `site` computes
+    /// a statistic across tokens (a per-tensor or per-channel scale) must
+    /// say no, or its calibration becomes per block; a hook that rewrites
+    /// each token on its own cannot tell the difference in its output. A
+    /// hook that wraps another forwards the question. Defaults to `true`:
+    /// a recorder gets one record per block.
     fn takes_row_blocks(&self, site: ActivationSite) -> bool {
         let _ = site;
         true

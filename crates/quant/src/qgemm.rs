@@ -235,12 +235,13 @@ pub fn qgemm_into(
 
 /// Tokens `first ..` of [`qgemm`] — `out.len() / w.out_features()` of
 /// them, row-major — written into `out`, whatever it held. Each row has
-/// the bits of the same row of the whole product.
+/// the bits of the same row of the whole product: a tile computes its
+/// whole token group and writes back only the rows asked for, so `first`
+/// may fall anywhere in a group.
 ///
 /// # Errors
 ///
-/// As [`qgemm`], and when `out` is not a whole number of rows, `first` is
-/// not a multiple of [`MR`] (a token group of the level panel) or the rows
+/// As [`qgemm`], and when `out` is not a whole number of rows or the rows
 /// run past the last token.
 pub fn qgemm_rows_into(
     x: &QuantizedTensor,
@@ -255,7 +256,6 @@ pub fn qgemm_rows_into(
     if x.channels() != w.in_features
         || bias.len() != n
         || rows * n != out.len()
-        || !first.is_multiple_of(MR)
         || first + rows > tokens
     {
         return Err(qgemm_mismatch(x, w));
@@ -265,7 +265,9 @@ pub fn qgemm_rows_into(
     }
     let passes = mode.passes(x.scheme().inlier_bits);
     ln_par::metrics::time_kernel("aaq.qgemm", (rows * n) as u64, || {
-        // Chunks start on a token-group boundary of the level panel.
+        // Chunks span whole token groups; when `first` falls inside a
+        // group, so does every chunk's start, and the group on a seam is
+        // tiled by both chunks, each keeping its own rows.
         let per_chunk = ln_par::chunk_len(rows.div_ceil(MR), QGEMM_PAR_GRAIN_GROUPS) * MR;
         ln_par::par_chunks_mut(out, per_chunk * n, |c, chunk| {
             // The tile needs 16-bit multiplies at the host's real width;
@@ -291,7 +293,9 @@ fn qgemm_mismatch(x: &QuantizedTensor, w: &QuantizedWeights) -> TensorError {
 const QGEMM_PAR_GRAIN_GROUPS: usize = 2;
 
 /// The output rows `chunk` of tokens `first_token ..`: token blocks over
-/// weight panels over register tiles, outliers and epilogue per tile.
+/// weight panels over register tiles, outliers and epilogue per tile. The
+/// tiles cover whole token groups of the level panel; a group the rows
+/// only partly cover is tiled whole and written back in part.
 #[inline(always)]
 fn token_chunk(
     x: &QuantizedTensor,
@@ -302,20 +306,25 @@ fn token_chunk(
     chunk: &mut [f32],
 ) {
     let (k, n) = (w.in_features, w.out_features);
-    for (b, block) in chunk.chunks_mut(TOKEN_BLOCK * n).enumerate() {
-        let block_token = first_token + b * TOKEN_BLOCK;
+    // The tiles run from the group `first_token` is in, `skip` rows early.
+    let skip = first_token % MR;
+    let tiled = skip + chunk.len() / n;
+    for block in (0..tiled).step_by(TOKEN_BLOCK) {
         for p in 0..n.div_ceil(NR) {
             let panel = &w.panels[p * k * NR..][..k * NR];
             let cols = p * NR..n.min((p + 1) * NR);
             let (scales, bias) = (&w.scales[cols.clone()], &bias[cols.clone()]);
-            for (g, rows) in block.chunks_mut(MR * n).enumerate() {
-                let token = block_token + g * MR;
+            for g in (block..tiled.min(block + TOKEN_BLOCK)).step_by(MR) {
+                let token = first_token - skip + g;
                 let levels = &x.levels[token * k..][..k * MR];
                 let mut acc = [[0i32; NR]; MR];
                 for (a, wk) in levels.chunks(KC * MR).zip(panel.chunks(KC * NR)) {
                     kc_block(a, wk, passes, &mut acc);
                 }
-                for ((row, t), in_acc) in rows.chunks_mut(n).zip(token..).zip(&acc) {
+                let (lo, hi) = (g.max(skip), tiled.min(g + MR));
+                let rows = &mut chunk[(lo - skip) * n..(hi - skip) * n];
+                let accs = &acc[lo - g..hi - g];
+                for ((row, t), in_acc) in rows.chunks_mut(n).zip(token + lo - g..).zip(accs) {
                     let out_acc = outlier_macs(x.outliers(t), panel);
                     let (si, so) = x.scales[t];
                     for ((slot, (&ia, &oa)), (&sw, &b)) in row[cols.clone()]
@@ -537,9 +546,10 @@ mod tests {
             let mut out = Tensor2::full(tokens, n, f32::NAN);
             qgemm_into(x, w, bias, mode, &mut out).unwrap();
             assert!(same(out.as_slice()), "{what} {mode:?} into");
-            // Token ranges from each group boundary: one token, into the
-            // next group, to the end — each the same rows of the whole.
-            for first in (0..tokens).step_by(MR) {
+            // Token ranges from every token, on a group boundary or inside
+            // a group: one token, into the next group, to the end — each
+            // the same rows of the whole.
+            for first in 0..tokens {
                 for rows in [1, MR + 1, tokens - first] {
                     if first + rows > tokens {
                         continue;
@@ -553,13 +563,12 @@ mod tests {
                     assert!(same_rows, "{what} {mode:?} tokens {first} + {rows}");
                 }
             }
-            // A start off a group boundary, rows past the last token, or
-            // (wider than one channel) not a whole number of rows.
+            // Rows past the last token, or (wider than one channel) not a
+            // whole number of rows.
             let mut bad = vec![
-                (1, n),
-                (MR - 1, n),
                 (0, (tokens + 1) * n),
                 (tokens / MR * MR, (MR + 1) * n),
+                (tokens, n),
             ];
             if n > 1 {
                 bad.push((0, n + 1));
@@ -579,6 +588,15 @@ mod tests {
         let passes = MacMode::BitChunked.passes(x.scheme().inlier_bits);
         token_chunk(x, w, bias, passes, 0, &mut baseline);
         assert!(same(&baseline), "{what} baseline body");
+        // And from inside the first group.
+        let first = 1.min(tokens);
+        let mut tail = vec![f32::NAN; want.len() - first * n];
+        token_chunk(x, w, bias, passes, first, &mut tail);
+        let same_tail = tail
+            .iter()
+            .zip(&want[first * n..])
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same_tail, "{what} baseline body from token {first}");
     }
 
     fn scheme(inlier_bits: Bits, outliers: usize) -> QuantScheme {

@@ -39,7 +39,8 @@
 # (`blocks/workspace.rs`, `crates/ppm/tests/large_allocs.rs`, which also
 # pins the GEMM scratch arena) check the code that ships. The eight
 # `pair_rep` hashes pinned in `tests/golden_regression.rs`, and their
-# equality with the chunked folds, are checked in both profiles, and this is
+# equality with the chunked folds, are checked in both profiles, with the
+# two Fig. 13 baseline folds' hashes pinned beside them, and this is
 # where every seeded property test runs — no test in the workspace is
 # behind a feature. No crate is left out: the tests that pin `ln_obs::set_level`
 # hold a lock while they do, in `ln-obs`, `ln-scope`, `ln-insight` and

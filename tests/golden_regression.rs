@@ -6,12 +6,13 @@
 //! pinned values here and note it in CHANGELOG.md — these tests define the
 //! reproduction's observable behaviour.
 
-use lightnobel::hook::AaqHook;
+use lightnobel::hook::{AaqHook, BaselineHook};
 use ln_datasets::{Dataset, Registry};
 use ln_par::{with_pool, Pool};
 use ln_ppm::taps::{ActivationHook, NoopHook};
 use ln_ppm::{FoldingModel, PpmConfig};
 use ln_protein::generator::StructureGenerator;
+use ln_quant::baselines::BaselineScheme;
 use ln_quant::layout::encode_token;
 use ln_quant::scheme::QuantScheme;
 use ln_quant::token::quantize_token;
@@ -102,6 +103,43 @@ fn trunk_prediction_is_pinned_within_run() {
     assert_eq!(a.structure, b.structure);
 }
 
+/// FNV-1a over every `pair_rep` bit of a fold of the `"proto"` sequence
+/// of length `ns`, on a one-thread pool.
+fn fold_hash(config: PpmConfig, ns: usize, hook: &mut dyn ActivationHook) -> u64 {
+    let seq = ln_protein::Sequence::random("proto", ns);
+    let native = StructureGenerator::new("proto").generate(ns);
+    let out = with_pool(&Pool::new_exact(1), || {
+        FoldingModel::new(config).predict_with_hook(&seq, &native, hook)
+    })
+    .expect("folds");
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for v in out.pair_rep.as_slice() {
+        for byte in v.to_bits().to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn baseline_pair_rep_bits_are_pinned() {
+    // The Fig. 13 baselines calibrate their scales across the tokens they
+    // are shown, so they must see every activation they cover whole —
+    // however the stages split their work into row blocks or lanes for
+    // other hooks. Tender covers Groups A, B and C, SmoothQuant B and C;
+    // at ns = 48 every blocked site has more than one block. Pinned before
+    // the tri-mul and tri-attn row blocks went in.
+    let pinned = [
+        (BaselineScheme::Tender, 0x1881_96cb_afc6_6952),
+        (BaselineScheme::SmoothQuant, 0x3fe8_da48_5ce2_544b),
+    ];
+    let got = pinned.map(|(scheme, _)| {
+        let hash = fold_hash(PpmConfig::standard(), 48, &mut BaselineHook::new(scheme));
+        (scheme, hash)
+    });
+    assert!(got == pinned, "got {got:x?}");
+}
+
 #[test]
 fn trunk_pair_rep_bits_are_pinned() {
     // FNV-1a over every `pair_rep` bit of the standard trunk, under each
@@ -109,21 +147,6 @@ fn trunk_pair_rep_bits_are_pinned() {
     // (observing tri-attn) and the quantized domain. A refactor of the
     // stages must leave all eight values alone, and `attention_chunk`
     // must reproduce them.
-    fn fold_hash(config: PpmConfig, ns: usize, hook: &mut dyn ActivationHook) -> u64 {
-        let seq = ln_protein::Sequence::random("proto", ns);
-        let native = StructureGenerator::new("proto").generate(ns);
-        let out = with_pool(&Pool::new_exact(1), || {
-            FoldingModel::new(config).predict_with_hook(&seq, &native, hook)
-        })
-        .expect("folds");
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for v in out.pair_rep.as_slice() {
-            for byte in v.to_bits().to_le_bytes() {
-                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        hash
-    }
     let chunked = PpmConfig {
         attention_chunk: Some(16),
         ..PpmConfig::standard()

@@ -177,9 +177,10 @@ fn evoformer_block_is_bitwise_pool_invariant() {
 fn triangular_multiplication_is_pool_invariant_where_its_einsum_splits() {
     // At the tiny widths above one einsum row is 5 184 flops against a
     // 4 Mflop grain, so the kernel only ever runs there as one chunk. At
-    // the standard widths and ns = 40 a row is 409 600 flops: two chunks of
-    // 20 rows on a one-thread pool, four of 10 on pools of 2 and 4 — the
-    // split a real fold makes, each chunk packing its own panels.
+    // the standard widths and ns = 40 a row is 409 600 flops and the
+    // product runs in row blocks of 26 and 14 rows: one chunk a block on a
+    // one-thread pool, two or three on pools of 2 and 4 — the split a real
+    // fold makes, each chunk packing its own left panels.
     let cfg = PpmConfig::standard();
     let ns = 40;
     let pair0 = seeded_pair("par-det/tri-mul/pair", ns, cfg.hz);
