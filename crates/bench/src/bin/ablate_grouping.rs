@@ -59,12 +59,7 @@ fn main() {
 
     let reg = Registry::standard();
     let record = reg.dataset(Dataset::Cameo).shortest();
-    let len = record.length().min(96);
-    let seq: ln_protein::Sequence = record.sequence().residues()[..len]
-        .iter()
-        .copied()
-        .collect();
-    let native = ln_protein::generator::StructureGenerator::new(&record.seed_label()).generate(len);
+    let (seq, native) = record.inputs(96);
     let model = FoldingModel::new(PpmConfig::standard());
     let out = model.predict(&seq, &native).expect("workload folds");
     let tokens = out.pair_rep.to_token_matrix();

@@ -1,9 +1,11 @@
 //! §9.1 — scalability comparison against MEFold and PTQ4Protein: peak
 //! memory at their published operating points.
 
+use lightnobel::footprint::FootprintModel;
 use lightnobel::perf::PerfComparison;
 use lightnobel::report::{fmt_gb, fmt_ratio, Table};
 use ln_bench::{banner, paper_note, show};
+use ln_quant::baselines::BaselineScheme;
 
 fn main() {
     banner("§9.1: peak-memory scalability vs MEFold and PTQ4Protein");
@@ -20,11 +22,12 @@ fn main() {
         "scalability gain",
     ]);
 
-    // MEFold @2828: weight-only quantization, chunked activations.
+    // MEFold @2828: weight-only quantization, chunked activations. Its
+    // INT4 weights are priced as Table 1 prices them.
     let mefold_peak = {
         let (_, chunk, _) = perf.peak_memory(2828);
-        // INT4 weights save ~6 GB of the chunked footprint.
-        chunk - 0.75 * perf.accel().cost().total_weight_bytes_fp16()
+        chunk - perf.accel().cost().total_weight_bytes_fp16()
+            + FootprintModel::paper().baseline_weight_bytes(BaselineScheme::MeFold)
     };
     let ln_2828 = perf.peak_memory(2828).2;
     table.add_row([

@@ -18,12 +18,7 @@ fn main() {
 
     let reg = Registry::standard();
     let record = reg.dataset(Dataset::Cameo).shortest();
-    let len = record.length().min(96);
-    let seq: ln_protein::Sequence = record.sequence().residues()[..len]
-        .iter()
-        .copied()
-        .collect();
-    let native = ln_protein::generator::StructureGenerator::new(&record.seed_label()).generate(len);
+    let (seq, native) = record.inputs(96);
 
     let model = FoldingModel::new(PpmConfig::standard());
     let mut hook = RecordingHook::new();

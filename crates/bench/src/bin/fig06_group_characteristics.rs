@@ -17,13 +17,7 @@ fn main() {
     let model = FoldingModel::new(PpmConfig::standard());
     let mut hook = RecordingHook::new();
     for record in reg.dataset(Dataset::Cameo).records().iter().take(3) {
-        let len = record.length().min(80);
-        let seq: ln_protein::Sequence = record.sequence().residues()[..len]
-            .iter()
-            .copied()
-            .collect();
-        let native =
-            ln_protein::generator::StructureGenerator::new(&record.seed_label()).generate(len);
+        let (seq, native) = record.inputs(80);
         model
             .predict_with_hook(&seq, &native, &mut hook)
             .expect("workload is valid");

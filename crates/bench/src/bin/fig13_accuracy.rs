@@ -27,13 +27,21 @@ fn main() {
         "TM vs ref",
         "pair RMSE",
     ]);
-    for scheme in SchemeUnderTest::all_fig13() {
-        for &ds in &datasets {
+    // Each record's FP32 reference is folded once and every scheme is
+    // scored against it.
+    let schemes = SchemeUnderTest::all_fig13();
+    let per_dataset: Vec<_> = datasets
+        .iter()
+        .map(|&ds| {
             let records: Vec<&ln_datasets::ProteinRecord> =
                 reg.dataset(ds).records().iter().take(2).collect();
-            let r = eval
-                .evaluate_mean(&scheme, &records)
-                .expect("evaluation runs");
+            eval.evaluate_mean(&schemes, &records)
+                .expect("evaluation runs")
+        })
+        .collect();
+    for (s, scheme) in schemes.iter().enumerate() {
+        for (&ds, results) in datasets.iter().zip(&per_dataset) {
+            let r = results[s];
             table.add_row([
                 scheme.name(),
                 ds.name().to_owned(),

@@ -30,8 +30,6 @@ use ln_datasets::{Dataset, Registry};
 use ln_insight::json::{obj, Value};
 use ln_obs::ObsLevel;
 use ln_ppm::taps::{ActivationHook, ActivationSite, Tap};
-use ln_protein::generator::StructureGenerator;
-use ln_protein::Sequence;
 use ln_scope::{Scope, ScopeHook, SensitivityModel};
 use ln_tensor::Tensor2;
 
@@ -141,13 +139,8 @@ fn bench_on_modes(iters: u64, reps: usize) -> Vec<OverheadRow> {
 fn fold_scope(evaluator: &AccuracyEvaluator) -> Scope {
     let registry = Registry::standard();
     let record = registry.dataset(Dataset::Cameo).shortest();
-    let len = record.length().min(evaluator.max_len());
-    let seq: Sequence = record.sequence().residues()[..len]
-        .iter()
-        .copied()
-        .collect();
-    let native = StructureGenerator::new(&record.seed_label()).generate(len);
-    let mut hook = ScopeHook::new(AaqHook::paper(), len);
+    let (seq, native) = record.inputs(evaluator.max_len());
+    let mut hook = ScopeHook::new(AaqHook::paper(), seq.len());
     evaluator
         .model()
         .predict_with_hook(&seq, &native, &mut hook)

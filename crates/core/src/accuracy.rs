@@ -1,16 +1,16 @@
 //! Accuracy evaluation of quantization schemes (Fig. 13, §4.1).
 //!
-//! For each scheme the folding trunk runs twice on the same protein: once
-//! as the FP32 reference (no hook) and once with the scheme's hook
-//! rewriting every tagged activation. TM-Scores are computed against the
-//! synthetic native (absolute quality) and against the reference prediction
-//! (the paper's "TM-Score change" axis).
+//! Every accuracy number is one operation, the scored fold: a record's
+//! FP32 reference is folded once (no hook), then the record is folded
+//! through any number of hooks, each rewriting every tagged activation,
+//! and each fold is scored against the reference (the paper's "TM-Score
+//! change" axis) and against the synthetic native (absolute quality).
 
 use crate::hook::{AaqHook, BaselineHook};
 use ln_datasets::ProteinRecord;
-use ln_ppm::taps::NoopHook;
-use ln_ppm::{FoldingModel, PpmConfig, PpmError};
-use ln_protein::metrics;
+use ln_ppm::taps::{ActivationHook, NoopHook};
+use ln_ppm::{FoldingModel, PpmConfig, PpmError, PredictionOutput};
+use ln_protein::{metrics, Sequence, Structure};
 use ln_quant::baselines::BaselineScheme;
 use ln_quant::scheme::AaqConfig;
 
@@ -54,7 +54,7 @@ impl SchemeUnderTest {
 }
 
 /// Result of evaluating one scheme on one protein.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AccuracyResult {
     /// TM-Score of the quantized prediction against the native structure.
     pub tm_vs_native: f64,
@@ -72,6 +72,15 @@ impl AccuracyResult {
     pub fn tm_delta(&self) -> f64 {
         self.tm_vs_native - self.baseline_tm_vs_native
     }
+}
+
+/// A record cut to the evaluator's length and folded in FP32, with no
+/// hook: the reference every hooked fold of the record is scored against.
+#[derive(Debug)]
+pub struct Reference {
+    sequence: Sequence,
+    native: Structure,
+    fold: PredictionOutput,
 }
 
 /// The accuracy-evaluation harness.
@@ -113,6 +122,113 @@ impl AccuracyEvaluator {
         self.max_len
     }
 
+    /// Folds `record`'s FP32 reference.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PpmError`] from the folding model.
+    pub fn reference(&self, record: &ProteinRecord) -> Result<Reference, PpmError> {
+        let (sequence, native) = record.inputs(self.max_len);
+        let fold = self
+            .model
+            .predict_with_hook(&sequence, &native, &mut NoopHook)?;
+        Ok(Reference {
+            sequence,
+            native,
+            fold,
+        })
+    }
+
+    /// The scored fold: folds the reference's record through `hook` and
+    /// scores the prediction against the reference and the native. `prior`
+    /// replaces the native as the fold's structural input (MEFold's
+    /// degraded language-model prior); `None` folds from the native, as
+    /// the reference did. Returns the scores and the hooked prediction.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PpmError`] from the folding model.
+    pub fn score(
+        &self,
+        reference: &Reference,
+        prior: Option<&Structure>,
+        hook: &mut dyn ActivationHook,
+    ) -> Result<(AccuracyResult, PredictionOutput), PpmError> {
+        let Reference {
+            sequence,
+            native,
+            fold,
+        } = reference;
+        let hooked = self
+            .model
+            .predict_with_hook(sequence, prior.unwrap_or(native), hook)?;
+        let tm = |a: &Structure, b: &Structure| {
+            metrics::tm_score(a, b)
+                .expect("same-length structures by construction")
+                .score
+        };
+        let result = AccuracyResult {
+            tm_vs_native: tm(&hooked.structure, native),
+            baseline_tm_vs_native: tm(&fold.structure, native),
+            tm_vs_baseline: tm(&hooked.structure, &fold.structure),
+            pair_rmse: hooked
+                .pair_rep
+                .rmse(&fold.pair_rep)
+                .expect("same-shape pair representations by construction"),
+        };
+        Ok((result, hooked))
+    }
+
+    /// Folds each record's reference on its own thread (the model is
+    /// immutable) and hands it to `f` there; results come back in record
+    /// order.
+    pub(crate) fn each_reference<T: Send>(
+        &self,
+        records: &[&ProteinRecord],
+        f: impl Fn(&ProteinRecord, &Reference) -> Result<T, PpmError> + Sync,
+    ) -> Result<Vec<T>, PpmError> {
+        let f = &f;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = records
+                .iter()
+                .map(|&record| scope.spawn(move || f(record, &self.reference(record)?)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("evaluation threads do not panic"))
+                .collect()
+        })
+    }
+
+    /// Scores one scheme's fold of `record` against its reference.
+    fn score_scheme(
+        &self,
+        scheme: &SchemeUnderTest,
+        record: &ProteinRecord,
+        reference: &Reference,
+    ) -> Result<AccuracyResult, PpmError> {
+        let scored = match scheme {
+            SchemeUnderTest::Fp32 => self.score(reference, None, &mut NoopHook),
+            SchemeUnderTest::Baseline(BaselineScheme::MeFold) => {
+                // MEFold quantizes the protein language model's weights to
+                // INT4; the LM is what produces the structural prior that
+                // seeds the pair stream, so the dominant accuracy effect is
+                // a degraded prior — modelled as coordinate noise on the
+                // embedding's native-structure input (DESIGN.md §2).
+                let degraded_prior = ln_protein::generator::perturbed(
+                    &reference.native,
+                    &format!("mefold-int4-lm/{}", record.seed_label()),
+                    0.6,
+                );
+                let mut hook = BaselineHook::new(BaselineScheme::MeFold);
+                self.score(reference, Some(&degraded_prior), &mut hook)
+            }
+            SchemeUnderTest::Baseline(b) => self.score(reference, None, &mut BaselineHook::new(*b)),
+            SchemeUnderTest::Aaq(cfg) => self.score(reference, None, &mut AaqHook::new(*cfg)),
+        };
+        Ok(scored?.0)
+    }
+
     /// Evaluates a scheme on one protein record.
     ///
     /// # Errors
@@ -123,105 +239,44 @@ impl AccuracyEvaluator {
         scheme: &SchemeUnderTest,
         record: &ProteinRecord,
     ) -> Result<AccuracyResult, PpmError> {
-        let len = record.length().min(self.max_len);
-        let seq: ln_protein::Sequence = record.sequence().residues()[..len]
-            .iter()
-            .copied()
-            .collect();
-        let native =
-            ln_protein::generator::StructureGenerator::new(&record.seed_label()).generate(len);
-
-        let reference = self.model.predict_with_hook(&seq, &native, &mut NoopHook)?;
-        let quantized = match scheme {
-            SchemeUnderTest::Fp32 => self.model.predict_with_hook(&seq, &native, &mut NoopHook)?,
-            SchemeUnderTest::Baseline(BaselineScheme::MeFold) => {
-                // MEFold quantizes the protein language model's weights to
-                // INT4; the LM is what produces the structural prior that
-                // seeds the pair stream, so the dominant accuracy effect is
-                // a degraded prior — modelled as coordinate noise on the
-                // embedding's native-structure input (DESIGN.md §2).
-                let degraded_prior = ln_protein::generator::perturbed(
-                    &native,
-                    &format!("mefold-int4-lm/{}", record.seed_label()),
-                    0.6,
-                );
-                let mut hook = BaselineHook::new(BaselineScheme::MeFold);
-                self.model
-                    .predict_with_hook(&seq, &degraded_prior, &mut hook)?
-            }
-            SchemeUnderTest::Baseline(b) => {
-                let mut hook = BaselineHook::new(*b);
-                self.model.predict_with_hook(&seq, &native, &mut hook)?
-            }
-            SchemeUnderTest::Aaq(cfg) => {
-                let mut hook = AaqHook::new(*cfg);
-                self.model.predict_with_hook(&seq, &native, &mut hook)?
-            }
-        };
-
-        let tm_vs_native = metrics::tm_score(&quantized.structure, &native)
-            .expect("same-length structures by construction")
-            .score;
-        let baseline_tm_vs_native = metrics::tm_score(&reference.structure, &native)
-            .expect("same-length structures by construction")
-            .score;
-        let tm_vs_baseline = metrics::tm_score(&quantized.structure, &reference.structure)
-            .expect("same-length structures by construction")
-            .score;
-        let pair_rmse = quantized
-            .pair_rep
-            .rmse(&reference.pair_rep)
-            .expect("same-shape pair representations by construction");
-        Ok(AccuracyResult {
-            tm_vs_native,
-            baseline_tm_vs_native,
-            tm_vs_baseline,
-            pair_rmse,
-        })
+        self.score_scheme(scheme, record, &self.reference(record)?)
     }
 
-    /// Mean accuracy of a scheme over several records. Records are
-    /// evaluated on parallel threads (the model is immutable; each
-    /// evaluation owns its hook).
+    /// Mean accuracy of each scheme over several records, in `schemes`
+    /// order. Each record's reference is folded once and every scheme is
+    /// scored against it; records run on parallel threads.
     ///
     /// # Errors
     ///
     /// Propagates the first [`PpmError`].
     pub fn evaluate_mean(
         &self,
-        scheme: &SchemeUnderTest,
+        schemes: &[SchemeUnderTest],
         records: &[&ProteinRecord],
-    ) -> Result<AccuracyResult, PpmError> {
+    ) -> Result<Vec<AccuracyResult>, PpmError> {
         assert!(!records.is_empty(), "need at least one record");
-        let results: Vec<Result<AccuracyResult, PpmError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = records
+        let per_record = self.each_reference(records, |record, reference| {
+            schemes
                 .iter()
-                .map(|r| scope.spawn(move || self.evaluate(scheme, r)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("evaluation threads do not panic"))
-                .collect()
-        });
-        let mut acc = AccuracyResult {
-            tm_vs_native: 0.0,
-            baseline_tm_vs_native: 0.0,
-            tm_vs_baseline: 0.0,
-            pair_rmse: 0.0,
-        };
-        for one in results {
-            let one = one?;
-            acc.tm_vs_native += one.tm_vs_native;
-            acc.baseline_tm_vs_native += one.baseline_tm_vs_native;
-            acc.tm_vs_baseline += one.tm_vs_baseline;
-            acc.pair_rmse += one.pair_rmse;
-        }
+                .map(|scheme| self.score_scheme(scheme, record, reference))
+                .collect::<Result<Vec<_>, _>>()
+        })?;
         let n = records.len() as f64;
-        acc.tm_vs_native /= n;
-        acc.baseline_tm_vs_native /= n;
-        acc.tm_vs_baseline /= n;
-        acc.pair_rmse /= n as f32;
-        Ok(acc)
+        let mean = |s: usize| {
+            let mut acc = AccuracyResult::default();
+            for one in per_record.iter().map(|r| r[s]) {
+                acc.tm_vs_native += one.tm_vs_native;
+                acc.baseline_tm_vs_native += one.baseline_tm_vs_native;
+                acc.tm_vs_baseline += one.tm_vs_baseline;
+                acc.pair_rmse += one.pair_rmse;
+            }
+            acc.tm_vs_native /= n;
+            acc.baseline_tm_vs_native /= n;
+            acc.tm_vs_baseline /= n;
+            acc.pair_rmse /= n as f32;
+            acc
+        };
+        Ok((0..schemes.len()).map(mean).collect())
     }
 
     /// The §4.1 ablation: RMSE of Group-A token quantization with and
@@ -234,15 +289,7 @@ impl AccuracyEvaluator {
     pub fn outlier_ablation(&self, record: &ProteinRecord) -> Result<(f64, f64), PpmError> {
         use ln_quant::scheme::QuantScheme;
         use ln_quant::token::quantization_rmse;
-        let len = record.length().min(self.max_len);
-        let seq: ln_protein::Sequence = record.sequence().residues()[..len]
-            .iter()
-            .copied()
-            .collect();
-        let native =
-            ln_protein::generator::StructureGenerator::new(&record.seed_label()).generate(len);
-        let out = self.model.predict(&seq, &native)?;
-        let tokens = out.pair_rep.to_token_matrix();
+        let tokens = self.reference(record)?.fold.pair_rep.to_token_matrix();
         let with = quantization_rmse(&tokens, QuantScheme::int8_with_outliers(4));
         let without = quantization_rmse(&tokens, QuantScheme::int8_with_outliers(0));
         let reference = with.min(without).max(1e-12);
@@ -331,8 +378,32 @@ mod tests {
             .take(2)
             .collect();
         let eval = AccuracyEvaluator::fast();
-        let r = eval.evaluate_mean(&SchemeUnderTest::Fp32, &recs).unwrap();
-        assert!((r.tm_vs_baseline - 1.0).abs() < 1e-9);
+        let r = eval.evaluate_mean(&[SchemeUnderTest::Fp32], &recs).unwrap();
+        assert!((r[0].tm_vs_baseline - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn schemes_scored_against_one_reference_match_separate_evaluations() {
+        // Fig. 13 folds a record's reference once for all seven schemes;
+        // that must be bit-for-bit what seven evaluations, each folding
+        // its own reference, give.
+        let bits = |r: &AccuracyResult| {
+            [
+                r.tm_vs_native.to_bits(),
+                r.baseline_tm_vs_native.to_bits(),
+                r.tm_vs_baseline.to_bits(),
+                u64::from(r.pair_rmse.to_bits()),
+            ]
+        };
+        let eval = AccuracyEvaluator::fast();
+        let record = record();
+        let schemes = SchemeUnderTest::all_fig13();
+        let shared = eval.evaluate_mean(&schemes, &[&record]).unwrap();
+        assert_eq!(shared.len(), schemes.len());
+        for (scheme, shared) in schemes.iter().zip(&shared) {
+            let alone = eval.evaluate(scheme, &record).unwrap();
+            assert_eq!(bits(shared), bits(&alone), "{}", scheme.name());
+        }
     }
 
     #[test]

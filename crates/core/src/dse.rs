@@ -75,7 +75,8 @@ pub fn candidate_schemes() -> Vec<QuantScheme> {
 
 /// Runs the Fig. 11 sweep for one group, measuring accuracy with the given
 /// evaluator over the given records. The other two groups stay at the
-/// paper configuration.
+/// paper configuration. Each record's FP32 reference is folded once and
+/// every candidate is scored against it.
 ///
 /// # Errors
 ///
@@ -87,47 +88,43 @@ pub fn sweep_group(
     channels: usize,
 ) -> Result<Vec<AaqDsePoint>, PpmError> {
     use crate::hook::AaqHook;
-    use ln_protein::metrics;
-    let mut out = Vec::new();
-    for scheme in candidate_schemes() {
-        let cfg = AaqConfig::paper().with_scheme(group, scheme);
+    let candidates = candidate_schemes();
+    // Per record, per candidate: (TM vs the reference, relative RMSE).
+    let per_record = eval.each_reference(records, |_, reference| {
+        candidates
+            .iter()
+            .map(|&scheme| {
+                let mut hook = AaqHook::new(AaqConfig::paper().with_scheme(group, scheme));
+                let (scored, _) = eval.score(reference, None, &mut hook)?;
+                Ok((scored.tm_vs_baseline, hook.relative_rmse(group)))
+            })
+            .collect::<Result<Vec<_>, PpmError>>()
+    })?;
+    let n = records.len().max(1) as f64;
+    let points = candidates.iter().enumerate().map(|(c, &scheme)| {
         let mut tm_sum = 0.0;
         let mut rmse_sum = 0.0;
-        for record in records {
-            let len = record.length().min(eval.max_len());
-            let seq: ln_protein::Sequence = record.sequence().residues()[..len]
-                .iter()
-                .copied()
-                .collect();
-            let native =
-                ln_protein::generator::StructureGenerator::new(&record.seed_label()).generate(len);
-            let reference = eval.model().predict(&seq, &native)?;
-            let mut hook = AaqHook::new(cfg);
-            let quantized = eval.model().predict_with_hook(&seq, &native, &mut hook)?;
-            tm_sum += metrics::tm_score(&quantized.structure, &reference.structure)
-                .expect("same-length structures by construction")
-                .score;
-            rmse_sum += hook.relative_rmse(group);
+        for (tm, rmse) in per_record.iter().map(|r| r[c]) {
+            tm_sum += tm;
+            rmse_sum += rmse;
         }
-        let n = records.len().max(1) as f64;
         let tm = tm_sum / n;
         let rho = rmse_sum / n;
-        let token_bytes = scheme.token_bytes(channels);
-        out.push(AaqDsePoint {
+        AaqDsePoint {
             group,
             scheme,
             tm_vs_baseline: tm,
             relative_rmse: rho,
-            token_bytes,
+            token_bytes: scheme.token_bytes(channels),
             efficiency: efficiency(
                 scheme.compression_vs_fp16(channels),
                 tm,
                 rho,
                 group_tolerance(group),
             ),
-        });
-    }
-    Ok(out)
+        }
+    });
+    Ok(points.collect())
 }
 
 /// One point of the Fig. 12 hardware sweep.
@@ -234,7 +231,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "numeric DSE sweep; run with --ignored in release mode"]
     fn paper_schemes_win_their_groups() {
         let reg = Registry::standard();
         let recs: Vec<&ln_datasets::ProteinRecord> = reg

@@ -9,8 +9,10 @@
 //! * [`hook`] — [`hook::AaqHook`] injects Token-wise Adaptive Activation
 //!   Quantization into the folding trunk at every tagged dataflow edge;
 //!   [`hook::BaselineHook`] does the same for the comparison schemes.
-//! * [`accuracy`] — TM-Score evaluation of any scheme against the FP32
-//!   reference and the synthetic natives (Fig. 13, §4.1 RMSE ablation).
+//! * [`accuracy`] — the scored fold: a record's FP32 reference folded
+//!   once, any number of hooked folds TM-scored against it and the
+//!   synthetic native. Fig. 11, Fig. 13, the sensitivity replay and
+//!   [`system`] all score through it (and the §4.1 RMSE ablation).
 //! * [`footprint`] — Table 1 memory-footprint accounting.
 //! * [`perf`] — LightNobel-vs-GPU latency, peak memory, computational cost
 //!   and memory footprint comparisons (Figs. 14, 15, 16).

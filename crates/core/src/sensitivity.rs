@@ -12,7 +12,8 @@
 //! first-order bound on accuracy loss per unit of relative RMSE.
 //!
 //! Everything is deterministic: the fold runs on the fixed golden record
-//! (CAMEO shortest, truncated like `AccuracyEvaluator`), the noise stream
+//! (CAMEO shortest, each perturbed fold scored by
+//! `AccuracyEvaluator::score` against one FP32 reference), the noise stream
 //! is seeded by `(seed, tap, invocation)`, and the replay order is the
 //! trunk's serial dataflow order — so the calibrated
 //! [`ln_scope::SensitivityModel`] is byte-stable across hosts and pool
@@ -20,9 +21,8 @@
 
 use crate::accuracy::AccuracyEvaluator;
 use ln_datasets::ProteinRecord;
-use ln_ppm::taps::{ActivationGroup, NoopHook};
+use ln_ppm::taps::ActivationGroup;
 use ln_ppm::PpmError;
-use ln_protein::metrics;
 use ln_scope::{PerturbHook, SensitivityModel};
 
 /// One group's calibration measurement.
@@ -52,17 +52,7 @@ pub fn measure_sensitivity(
     amplitude: f32,
 ) -> Result<(Vec<SensitivityRow>, SensitivityModel), PpmError> {
     assert!(amplitude > 0.0, "perturbation amplitude must be positive");
-    let len = record.length().min(evaluator.max_len());
-    let seq: ln_protein::Sequence = record.sequence().residues()[..len]
-        .iter()
-        .copied()
-        .collect();
-    let native = ln_protein::generator::StructureGenerator::new(&record.seed_label()).generate(len);
-
-    let reference = evaluator
-        .model()
-        .predict_with_hook(&seq, &native, &mut NoopHook)?;
-
+    let reference = evaluator.reference(record)?;
     let mut rows = Vec::with_capacity(3);
     let mut per_group = [0.0f64; 3];
     for (i, group) in [ActivationGroup::A, ActivationGroup::B, ActivationGroup::C]
@@ -71,12 +61,8 @@ pub fn measure_sensitivity(
     {
         let seed = format!("sensitivity/{}/{group}", record.seed_label());
         let mut hook = PerturbHook::new(group, amplitude, &seed);
-        let perturbed = evaluator
-            .model()
-            .predict_with_hook(&seq, &native, &mut hook)?;
-        let tm_vs_reference = metrics::tm_score(&perturbed.structure, &reference.structure)
-            .expect("same-length structures by construction")
-            .score;
+        let (scored, _) = evaluator.score(&reference, None, &mut hook)?;
+        let tm_vs_reference = scored.tm_vs_baseline;
         let sensitivity = (1.0 - tm_vs_reference).abs() / amplitude as f64;
         per_group[i] = sensitivity;
         rows.push(SensitivityRow {

@@ -7,14 +7,15 @@
 //! [`LightNobelSystem::project`] (analytic, returns latency/memory
 //! projections for any sequence length).
 
+use crate::accuracy::AccuracyEvaluator;
 use crate::hook::AaqHook;
 use crate::perf::PerfComparison;
 use ln_accel::power::area_power;
 use ln_datasets::ProteinRecord;
 use ln_gpu::esmfold::ExecOptions;
 use ln_gpu::H100;
-use ln_ppm::{FoldingModel, PpmConfig, PpmError};
-use ln_protein::{metrics, Structure};
+use ln_ppm::PpmError;
+use ln_protein::Structure;
 use ln_quant::scheme::AaqConfig;
 
 /// Result of a quantized fold.
@@ -87,34 +88,28 @@ impl Projection {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LightNobelSystem {
-    model: FoldingModel,
+    evaluator: AccuracyEvaluator,
     aaq: AaqConfig,
     perf: PerfComparison,
-    max_len: usize,
 }
 
 impl LightNobelSystem {
-    /// Standard system: full `Hz = 128` trunk, the paper's AAQ config.
+    /// Standard system: [`AccuracyEvaluator::standard`]'s trunk and
+    /// length cap, the paper's AAQ config.
     pub fn standard() -> Self {
-        Self::with_parts(PpmConfig::standard(), AaqConfig::paper(), 160)
+        Self::on(AccuracyEvaluator::standard())
     }
 
-    /// Faster system for tests and demos.
+    /// Faster system for tests and demos, on [`AccuracyEvaluator::fast`].
     pub fn fast() -> Self {
-        let mut cfg = PpmConfig::standard();
-        cfg.blocks = 1;
-        Self::with_parts(cfg, AaqConfig::paper(), 96)
+        Self::on(AccuracyEvaluator::fast())
     }
 
-    /// Builds a system from explicit parts. `max_len` caps the numeric
-    /// fold length (longer records are truncated; projections are
-    /// unlimited).
-    pub fn with_parts(config: PpmConfig, aaq: AaqConfig, max_len: usize) -> Self {
+    fn on(evaluator: AccuracyEvaluator) -> Self {
         LightNobelSystem {
-            model: FoldingModel::new(config),
-            aaq,
+            evaluator,
+            aaq: AaqConfig::paper(),
             perf: PerfComparison::paper(),
-            max_len,
         }
     }
 
@@ -123,32 +118,20 @@ impl LightNobelSystem {
         &self.aaq
     }
 
-    /// Folds a dataset record through the AAQ-quantized trunk.
+    /// Folds a dataset record through the AAQ-quantized trunk, truncated
+    /// to the evaluator's length cap (projections are unlimited).
     ///
     /// # Errors
     ///
     /// Propagates [`PpmError`] from the folding model.
     pub fn fold(&self, record: &ProteinRecord) -> Result<FoldReport, PpmError> {
-        let len = record.length().min(self.max_len);
-        let seq: ln_protein::Sequence = record.sequence().residues()[..len]
-            .iter()
-            .copied()
-            .collect();
-        let native =
-            ln_protein::generator::StructureGenerator::new(&record.seed_label()).generate(len);
-        let reference = self.model.predict(&seq, &native)?;
+        let reference = self.evaluator.reference(record)?;
         let mut hook = AaqHook::new(self.aaq);
-        let quantized = self.model.predict_with_hook(&seq, &native, &mut hook)?;
-        let tm_vs_reference = metrics::tm_score(&quantized.structure, &reference.structure)
-            .expect("same-length structures by construction")
-            .score;
-        let tm_vs_native = metrics::tm_score(&quantized.structure, &native)
-            .expect("same-length structures by construction")
-            .score;
+        let (scored, quantized) = self.evaluator.score(&reference, None, &mut hook)?;
         Ok(FoldReport {
             structure: quantized.structure,
-            tm_vs_reference,
-            tm_vs_native,
+            tm_vs_reference: scored.tm_vs_baseline,
+            tm_vs_native: scored.tm_vs_native,
             quantized_bytes: hook.encoded_bytes(),
             fp16_bytes: hook.fp16_bytes(),
         })

@@ -64,6 +64,27 @@ impl ProteinRecord {
     pub fn native_structure(&self) -> Structure {
         StructureGenerator::new(&self.seed_label()).generate(self.length)
     }
+
+    /// The inputs of a fold of this record cut to at most `max_len`
+    /// residues: the first residues of [`ProteinRecord::sequence`] and the
+    /// native generated at the cut length. `max_len ≥ length` gives the
+    /// whole record.
+    ///
+    /// The sequence is a prefix of the full-length draw, not a fresh draw
+    /// at the cut length: [`Sequence::random`] seeds its stream with the
+    /// length, so the two differ.
+    pub fn inputs(&self, max_len: usize) -> (Sequence, Structure) {
+        let len = self.length.min(max_len);
+        let sequence = self
+            .sequence()
+            .residues()
+            .iter()
+            .take(len)
+            .copied()
+            .collect();
+        let native = StructureGenerator::new(&self.seed_label()).generate(len);
+        (sequence, native)
+    }
 }
 
 impl fmt::Display for ProteinRecord {
@@ -98,6 +119,21 @@ mod tests {
         let a = ProteinRecord::new(Dataset::Casp16, "T1269", 100);
         let b = ProteinRecord::new(Dataset::Casp16, "T1270", 100);
         assert_ne!(a.sequence(), b.sequence());
+    }
+
+    #[test]
+    fn inputs_cut_the_full_length_sequence_and_generate_the_native_at_the_cut() {
+        let r = ProteinRecord::new(Dataset::Cameo, "7XYZ_A", 120);
+        let label = r.seed_label();
+        let (seq, native) = r.inputs(48);
+        assert_eq!(seq.residues(), &r.sequence().residues()[..48]);
+        assert_eq!(native, StructureGenerator::new(&label).generate(48));
+        // A fresh draw at the cut length seeds its stream with 48, not 120:
+        // a different sequence, which would move every accuracy number.
+        assert_ne!(seq, Sequence::random(&label, 48));
+        for max_len in [120, 121, usize::MAX] {
+            assert_eq!(r.inputs(max_len), (r.sequence(), r.native_structure()));
+        }
     }
 
     #[test]

@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn metrics_roundtrip_is_a_fixed_point() {
-        let _guard = obs_counters();
+        let _guard = ln_obs::pin_level(ln_obs::ObsLevel::Counters);
         let reg = demo_registry();
         let snap = reg.snapshot();
         let text = ln_obs::metrics_jsonl(&snap);
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn blackbox_roundtrip_preserves_header_events_and_metrics() {
-        let _guard = obs_counters();
+        let _guard = ln_obs::pin_level(ln_obs::ObsLevel::Counters);
         let mut rec = ln_watch::FlightRecorder::new(16, 30.0);
         rec.record(TraceEvent {
             name: "fold_batch".to_string(),
@@ -342,26 +342,5 @@ mod tests {
             lines[2].contains('-'),
             "missing rungs render as '-': {table}"
         );
-    }
-
-    /// The obs level is process-global and the harness runs tests on
-    /// parallel threads, so a test that pins it holds this lock until its
-    /// guard restores the previous level.
-    static OBS_LEVEL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn obs_counters() -> impl Drop {
-        struct Reset {
-            prev: ln_obs::ObsLevel,
-            _lock: std::sync::MutexGuard<'static, ()>,
-        }
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                ln_obs::set_level(self.prev);
-            }
-        }
-        let _lock = OBS_LEVEL.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = ln_obs::level();
-        ln_obs::set_level(ln_obs::ObsLevel::Counters);
-        Reset { prev, _lock }
     }
 }

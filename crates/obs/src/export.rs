@@ -284,7 +284,7 @@ mod tests {
     use super::*;
     use crate::registry::Registry;
     use crate::trace::{ArgValue, TraceEvent, TracePhase};
-    use crate::{set_level, ObsLevel};
+    use crate::ObsLevel;
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -358,8 +358,7 @@ mod tests {
 
     #[test]
     fn prometheus_text_renders_all_kinds() {
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Counters);
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let reg = Registry::new();
         reg.counter("requests_total").add(3);
         reg.gauge("occupancy").set(0.5);
@@ -386,8 +385,7 @@ requests_total 3
 
     #[test]
     fn prometheus_labels_splice_le_and_share_type_headers() {
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Counters);
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let reg = Registry::new();
         reg.counter(&crate::labeled("calls_total", &[("kernel", "a")]))
             .add(1);
@@ -411,8 +409,7 @@ requests_total 3
 
     #[test]
     fn prometheus_text_survives_hostile_label_values() {
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Counters);
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let reg = Registry::new();
         reg.counter(&crate::labeled("evil_total", &[("why", "said \"no\"\n")]))
             .add(1);
@@ -432,8 +429,7 @@ requests_total 3
 
     #[test]
     fn metrics_jsonl_covers_all_kinds_exactly() {
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Counters);
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let reg = Registry::new();
         reg.counter("requests_total").add(3);
         reg.gauge("occupancy").set(0.5);
@@ -453,8 +449,7 @@ requests_total 3
 
     #[test]
     fn every_prometheus_line_parses() {
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Counters);
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let reg = Registry::new();
         reg.counter("a_total").add(1);
         reg.gauge("b").set(-1.25);

@@ -156,11 +156,34 @@ macro_rules! span {
     };
 }
 
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+/// Test support: sets the level and holds it until dropped, then restores
+/// the level it found. The level is process-global and the test harness
+/// runs tests on parallel threads, so every guard holds one process-wide
+/// lock for its lifetime: a test that sets the level through a guard never
+/// races another that does.
+#[doc(hidden)]
+#[must_use = "the level is restored when the guard drops"]
+pub struct LevelGuard {
+    prev: ObsLevel,
+    _lock: std::sync::MutexGuard<'static, ()>,
+}
+
+/// Test support: see [`LevelGuard`].
+#[doc(hidden)]
+pub fn pin_level(level: ObsLevel) -> LevelGuard {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    let lock = LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let prev = self::level();
+    set_level(level);
+    LevelGuard { prev, _lock: lock }
+}
+
+impl Drop for LevelGuard {
+    fn drop(&mut self) {
+        set_level(self.prev);
+    }
 }
 
 #[cfg(test)]
@@ -180,16 +203,13 @@ mod tests {
 
     #[test]
     fn set_level_round_trips() {
-        let _guard = test_lock();
-        let before = level();
-        set_level(ObsLevel::Off);
+        let _guard = pin_level(ObsLevel::Off);
         assert_eq!(level(), ObsLevel::Off);
         set_level(ObsLevel::Trace);
         assert_eq!(level(), ObsLevel::Trace);
         assert!(counting());
         set_level(ObsLevel::Off);
         assert!(!counting());
-        set_level(before);
     }
 
     #[test]

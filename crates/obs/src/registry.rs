@@ -402,8 +402,7 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_round_trip() {
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Counters);
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let reg = Registry::new();
         let c = reg.counter("requests_total");
         c.inc();
@@ -420,8 +419,7 @@ mod tests {
 
     #[test]
     fn handles_are_shared_by_name() {
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Counters);
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let reg = Registry::new();
         let a = reg.counter("shared");
         let b = reg.counter("shared");
@@ -440,12 +438,11 @@ mod tests {
 
     #[test]
     fn off_level_suppresses_updates() {
-        let _guard = crate::test_lock();
+        let _guard = crate::pin_level(ObsLevel::Off);
         let reg = Registry::new();
         let c = reg.counter("gated");
         let g = reg.gauge("gated_g");
         let h = reg.histogram("gated_h");
-        set_level(ObsLevel::Off);
         c.inc();
         g.set(1.0);
         h.record(9);
@@ -468,8 +465,7 @@ mod tests {
         assert_eq!(bucket_index(1024), 11);
         assert_eq!(bucket_index(u64::MAX), 63);
 
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Counters);
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let h = Histogram::new();
         for v in [0u64, 1, 3, 900, 1100, 1100] {
             h.record(v);
@@ -490,8 +486,7 @@ mod tests {
 
     #[test]
     fn reset_and_remove() {
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Counters);
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let reg = Registry::new();
         reg.counter("a").add(7);
         reg.counter("prefix_b").add(7);
@@ -538,8 +533,7 @@ mod tests {
 
     #[test]
     fn histogram_merge_folds_snapshots() {
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Counters);
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let a = Histogram::new();
         a.record(3);
         a.record(900);
@@ -555,6 +549,5 @@ mod tests {
         set_level(ObsLevel::Off);
         b.merge(&a.snapshot());
         assert_eq!(b.snapshot().count, 3, "merge is gated like record");
-        set_level(ObsLevel::Counters);
     }
 }

@@ -382,7 +382,7 @@ mod tests {
     fn ring_buffer_is_bounded_and_counts_drops() {
         // Its evictions bump the process-wide drop counter, which
         // `ring_drops_mirror_into_the_registry_counter` reads.
-        let _guard = crate::test_lock();
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let clock = Arc::new(VirtualClock::new());
         let tracer = Tracer::forced(clock as Arc<dyn Clock>, 4);
         for i in 0..10u64 {
@@ -400,8 +400,7 @@ mod tests {
 
     #[test]
     fn ring_drops_mirror_into_the_registry_counter() {
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Counters);
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let before = trace_dropped_total().get();
         let clock = Arc::new(VirtualClock::new());
         let tracer = Tracer::forced(clock as Arc<dyn Clock>, 2);
@@ -418,10 +417,9 @@ mod tests {
 
     #[test]
     fn unforced_tracer_obeys_level() {
-        let _guard = crate::test_lock();
+        let _guard = crate::pin_level(ObsLevel::Counters);
         let clock = Arc::new(VirtualClock::new());
         let tracer = Tracer::new(clock as Arc<dyn Clock>, 16);
-        set_level(ObsLevel::Counters);
         assert!(!tracer.enabled());
         tracer.instant("dropped", "test", 0, Vec::new());
         drop(tracer.span("dropped_span", "test", 0));
@@ -431,24 +429,20 @@ mod tests {
         assert!(tracer.enabled());
         tracer.instant("kept", "test", 0, Vec::new());
         assert_eq!(tracer.len(), 1);
-        set_level(ObsLevel::Counters);
     }
 
     #[test]
     fn forced_tracer_ignores_level() {
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Off);
+        let _guard = crate::pin_level(ObsLevel::Off);
         let (_clock, tracer) = forced_virtual();
         assert!(tracer.enabled());
         tracer.instant("kept", "test", 0, Vec::new());
         assert_eq!(tracer.len(), 1);
-        set_level(ObsLevel::Counters);
     }
 
     #[test]
     fn span_macro_forms_compile_and_record() {
-        let _guard = crate::test_lock();
-        set_level(ObsLevel::Trace);
+        let _guard = crate::pin_level(ObsLevel::Trace);
         let before = tracer().len();
         let seq_len = 64usize;
         {
@@ -463,6 +457,5 @@ mod tests {
         assert_eq!(kv.args[1], ("label", ArgValue::Str("tri_mul".into())));
         let ident = events.iter().rev().find(|e| e.name == "ident").unwrap();
         assert_eq!(ident.args[0], ("seq_len", ArgValue::U64(64)));
-        set_level(ObsLevel::Counters);
     }
 }

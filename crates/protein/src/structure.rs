@@ -49,11 +49,6 @@ impl Structure {
         &mut self.coords
     }
 
-    /// Consumes the structure into its coordinate vector.
-    pub fn into_coords(self) -> Vec<Vec3> {
-        self.coords
-    }
-
     /// Centroid of the Cα trace (`Vec3::zero` when empty).
     pub fn centroid(&self) -> Vec3 {
         if self.coords.is_empty() {

@@ -118,17 +118,6 @@ impl BaselineScheme {
         false
     }
 
-    /// Bytes per activation element on the sites the scheme covers.
-    pub fn activation_bytes_per_element(self) -> f64 {
-        match self {
-            BaselineScheme::Fp16 | BaselineScheme::MeFold => 2.0,
-            BaselineScheme::SmoothQuant => 1.0,
-            BaselineScheme::LlmInt8 => 1.05, // INT8 + FP16 outlier columns
-            BaselineScheme::Ptq4Protein => 1.0,
-            BaselineScheme::Tender => 0.5,
-        }
-    }
-
     /// Applies the scheme's numeric error model to one activation.
     ///
     /// `group` tags the activation's dataflow position; `is_scores` marks

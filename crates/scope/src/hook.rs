@@ -226,12 +226,6 @@ impl SensitivityModel {
     pub fn for_group(&self, group: ActivationGroup) -> f64 {
         self.per_group[group.index()]
     }
-
-    /// Estimated TM-score impact of running `group` at relative RMSE
-    /// `rmse`.
-    pub fn tm_impact(&self, group: ActivationGroup, rmse: f64) -> f64 {
-        self.for_group(group) * rmse
-    }
 }
 
 #[cfg(test)]
@@ -247,38 +241,9 @@ mod tests {
         }
     }
 
-    /// The obs level is process-global and the harness runs tests on
-    /// parallel threads, so a test that sets it holds this lock until its
-    /// guard restores the previous level.
-    static OBS_LEVEL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    struct ObsGuard {
-        prev: ObsLevel,
-        _lock: std::sync::MutexGuard<'static, ()>,
-    }
-    impl ObsGuard {
-        fn set(level: ObsLevel) -> Self {
-            let _lock = OBS_LEVEL.lock().unwrap_or_else(|e| e.into_inner());
-            let prev = ln_obs::level();
-            ln_obs::set_level(level);
-            ObsGuard { prev, _lock }
-        }
-        fn counters() -> Self {
-            Self::set(ObsLevel::Counters)
-        }
-        fn off() -> Self {
-            Self::set(ObsLevel::Off)
-        }
-    }
-    impl Drop for ObsGuard {
-        fn drop(&mut self) {
-            ln_obs::set_level(self.prev);
-        }
-    }
-
     #[test]
     fn off_mode_delegates_without_observing() {
-        let _guard = ObsGuard::off();
+        let _guard = ln_obs::pin_level(ObsLevel::Off);
         let mut hook = ScopeHook::new(NoopHook, 32);
         let mut x = Tensor2::from_fn(4, 8, |i, j| (i + j) as f32);
         hook.on_activation(tap(ActivationSite::TriMulPostLn), &mut x);
@@ -288,7 +253,7 @@ mod tests {
 
     #[test]
     fn noop_inner_yields_zero_error_ledger() {
-        let _guard = ObsGuard::counters();
+        let _guard = ln_obs::pin_level(ObsLevel::Counters);
         let mut hook = ScopeHook::new(NoopHook, 32).without_probes();
         let mut x = Tensor2::from_fn(4, 8, |i, j| 0.1 * (i * 8 + j) as f32);
         hook.on_activation(tap(ActivationSite::TriMulPostLn), &mut x);
@@ -300,7 +265,7 @@ mod tests {
 
     #[test]
     fn probes_measure_int4_worse_than_int8() {
-        let _guard = ObsGuard::counters();
+        let _guard = ln_obs::pin_level(ObsLevel::Counters);
         let mut hook = ScopeHook::new(NoopHook, 32);
         let mut x = Tensor2::from_fn(8, 16, |i, j| {
             let mut r = rng::stream_indexed("scope/probe-test", (i * 16 + j) as u64);

@@ -349,38 +349,6 @@ impl Tensor3 {
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
     }
-
-    /// Runs `f(i, slab)` for every `d0` index, where `slab` is the mutable
-    /// contiguous `(d1 × d2)`-element row-major slice for pair-row `i`, in
-    /// parallel on the `ln-par` pool (one owner per slab — bit-identical to
-    /// the serial loop for independent per-row work).
-    pub fn par_for_each_d0_mut(&mut self, f: impl Fn(usize, &mut [f32]) + Sync) {
-        let slab = self.d1 * self.d2;
-        if slab == 0 || self.d0 == 0 {
-            return;
-        }
-        ln_par::par_chunks_mut(&mut self.data, slab, |i, chunk| f(i, chunk));
-    }
-
-    /// Parallel per-token map over all `(d0 × d1)` tokens: `f(t, token)`
-    /// where `t = i * d1 + j` and `token` is the length-`d2` channel slice.
-    pub fn par_for_each_token_mut(
-        &mut self,
-        grain_tokens: usize,
-        f: impl Fn(usize, &mut [f32]) + Sync,
-    ) {
-        let d2 = self.d2;
-        let tokens = self.d0 * self.d1;
-        if d2 == 0 || tokens == 0 {
-            return;
-        }
-        let per_chunk = ln_par::chunk_len(tokens, grain_tokens);
-        ln_par::par_chunks_mut(&mut self.data, per_chunk * d2, |c, chunk| {
-            for (local, token) in chunk.chunks_mut(d2).enumerate() {
-                f(c * per_chunk + local, token);
-            }
-        });
-    }
 }
 
 impl Default for Tensor3 {

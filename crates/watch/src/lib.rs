@@ -171,20 +171,6 @@ impl Watch {
         self.slos.observe(obs);
     }
 
-    /// Merges a numerics snapshot (`ln_scope::Scope::metrics`) into the
-    /// run-local registry, so every subsequent black box carries the
-    /// per-layer distribution sketches and quantization-error ledger
-    /// alongside the timing metrics.
-    pub fn record_numerics(&mut self, metrics: &BTreeMap<String, MetricValue>) {
-        for (name, value) in metrics {
-            match value {
-                MetricValue::Counter(v) => self.registry.counter(name).add(*v),
-                MetricValue::Gauge(v) => self.registry.gauge(name).set(*v),
-                MetricValue::Histogram(h) => self.registry.histogram(name).merge(h),
-            }
-        }
-    }
-
     /// Feeds one trace event into the flight recorder (always on).
     pub fn record_event(&mut self, event: TraceEvent) {
         let before = self.recorder.evicted();

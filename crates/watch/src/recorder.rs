@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_header_then_events_then_metrics() {
-        let _guard = ln_obs_test_level();
+        let _guard = ln_obs::pin_level(ln_obs::ObsLevel::Counters);
         let mut rec = FlightRecorder::new(16, 10.0);
         // 5 s and 15 s before "now" at 20 s: only the first is in window.
         rec.record(ev("old", seconds_to_nanos(5.0)));
@@ -158,26 +158,5 @@ mod tests {
             lines[2],
             "{\"metric\":\"c_total\",\"kind\":\"counter\",\"value\":2}"
         );
-    }
-
-    /// The obs level is process-global and the harness runs tests on
-    /// parallel threads, so a test that pins it holds this lock until its
-    /// guard restores the previous level.
-    static OBS_LEVEL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn ln_obs_test_level() -> impl Drop {
-        struct Reset {
-            prev: ln_obs::ObsLevel,
-            _lock: std::sync::MutexGuard<'static, ()>,
-        }
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                ln_obs::set_level(self.prev);
-            }
-        }
-        let _lock = OBS_LEVEL.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = ln_obs::level();
-        ln_obs::set_level(ln_obs::ObsLevel::Counters);
-        Reset { prev, _lock }
     }
 }

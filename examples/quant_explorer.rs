@@ -17,12 +17,7 @@ use ln_tensor::stats;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let registry = Registry::standard();
     let record = registry.dataset(Dataset::Cameo).shortest();
-    let len = record.length().min(80);
-    let sequence: ln_protein::Sequence = record.sequence().residues()[..len]
-        .iter()
-        .copied()
-        .collect();
-    let native = ln_protein::generator::StructureGenerator::new(&record.seed_label()).generate(len);
+    let (sequence, native) = record.inputs(80);
 
     // Capture all activations of a full forward pass.
     let model = FoldingModel::new(PpmConfig::standard());

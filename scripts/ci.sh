@@ -42,9 +42,12 @@
 # equality with the chunked folds, are checked in both profiles, with the
 # two Fig. 13 baseline folds' hashes pinned beside them, and this is
 # where every seeded property test runs — no test in the workspace is
-# behind a feature. No crate is left out: the tests that pin `ln_obs::set_level`
-# hold a lock while they do, in `ln-obs`, `ln-scope`, `ln-insight` and
-# `ln-watch` alike. About 75 s once step 3 has built the crates.
+# behind a feature or `#[ignore]`d (the Fig. 11 sweep,
+# `dse::tests::paper_schemes_win_their_groups`, runs here). No crate is left
+# out: every test that sets the `ln_obs` level does it through the one
+# guard, `ln_obs::pin_level`, which holds one process-wide lock until it
+# restores the level — in `ln-obs`, `ln-scope`, `ln-insight`, `ln-watch`
+# and the root tests alike. About 75 s once step 3 has built the crates.
 #
 # Step 5 exits non-zero when a parallel kernel diverges bitwise from its
 # serial execution OR when any kernel's speedup drops below the 0.95x

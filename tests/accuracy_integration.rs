@@ -94,12 +94,7 @@ fn quantization_byte_accounting_matches_scheme_formulas() {
     // every Hz-wide tap contributes token_bytes(scheme) per token.
     let reg = Registry::standard();
     let record = reg.dataset(Dataset::Cameo).shortest();
-    let len = record.length().min(32);
-    let seq: ln_protein::Sequence = record.sequence().residues()[..len]
-        .iter()
-        .copied()
-        .collect();
-    let native = ln_protein::generator::StructureGenerator::new(&record.seed_label()).generate(len);
+    let (seq, native) = record.inputs(32);
     let model = FoldingModel::new(PpmConfig::tiny());
     let mut hook = AaqHook::paper();
     model

@@ -93,9 +93,7 @@ fn trunk_prediction_is_pinned_within_run() {
     // The full numeric stack is bit-deterministic for a fixed build.
     let reg = Registry::standard();
     let rec = reg.dataset(Dataset::Cameo).shortest();
-    let len = rec.length().min(24);
-    let seq: ln_protein::Sequence = rec.sequence().residues()[..len].iter().copied().collect();
-    let native = StructureGenerator::new(&rec.seed_label()).generate(len);
+    let (seq, native) = rec.inputs(24);
     let model = FoldingModel::new(PpmConfig::tiny());
     let a = model.predict(&seq, &native).expect("folds");
     let b = model.predict(&seq, &native).expect("folds");

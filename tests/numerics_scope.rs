@@ -16,8 +16,6 @@
 //!   changing the snapshot — checked on fixed seed triples and on 32
 //!   drawn from `ln_tensor::rng`.
 
-use std::sync::{Mutex, MutexGuard};
-
 use lightnobel::hook::AaqHook;
 use ln_obs::ObsLevel;
 use ln_par::{with_pool, Pool};
@@ -31,30 +29,6 @@ use ln_tensor::rng::{self, Rng};
 use ln_tensor::Tensor2;
 
 const LEN: usize = 24;
-
-/// The observability level is process-global and these tests pin it in
-/// both directions, so they serialize on one lock and restore on drop.
-static OBS_LEVEL: Mutex<()> = Mutex::new(());
-
-struct ObsGuard {
-    prev: ObsLevel,
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl ObsGuard {
-    fn at(level: ObsLevel) -> Self {
-        let lock = OBS_LEVEL.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = ln_obs::level();
-        ln_obs::set_level(level);
-        ObsGuard { prev, _lock: lock }
-    }
-}
-
-impl Drop for ObsGuard {
-    fn drop(&mut self) {
-        ln_obs::set_level(self.prev);
-    }
-}
 
 /// Folds one small deterministic protein through the AAQ-quantized trunk
 /// of `config` under a pool of `threads` workers, observing with the full
@@ -80,7 +54,7 @@ fn fold_scope(threads: usize) -> (Scope, PredictionOutput) {
 
 #[test]
 fn scope_snapshot_is_byte_identical_across_pools() {
-    let _guard = ObsGuard::at(ObsLevel::Counters);
+    let _guard = ln_obs::pin_level(ObsLevel::Counters);
     let (scope1, out1) = fold_scope(1);
     let golden = scope1.snapshot_jsonl();
     assert!(!scope1.is_empty(), "the fold must populate the observatory");
@@ -114,7 +88,7 @@ fn scope_snapshot_is_byte_identical_across_pools() {
 
 #[test]
 fn ledger_difference_agrees_with_the_quantizers_own_report() {
-    let _guard = ObsGuard::at(ObsLevel::Counters);
+    let _guard = ln_obs::pin_level(ObsLevel::Counters);
     let (hook, _) = fold_observed(PpmConfig::tiny(), 1);
     // The reference: the wrapper's element-by-element difference around
     // the inner hook, summed per group from the per-(layer, stage) cells.
@@ -139,7 +113,7 @@ fn ledger_difference_agrees_with_the_quantizers_own_report() {
 
 #[test]
 fn chunked_fold_ledgers_the_unchunked_folds_score_bytes() {
-    let _guard = ObsGuard::at(ObsLevel::Counters);
+    let _guard = ln_obs::pin_level(ObsLevel::Counters);
     let score_cells = |attention_chunk| {
         let config = PpmConfig {
             attention_chunk,
@@ -165,7 +139,7 @@ fn chunked_fold_ledgers_the_unchunked_folds_score_bytes() {
 
 #[test]
 fn off_mode_wrapping_is_bit_transparent() {
-    let _guard = ObsGuard::at(ObsLevel::Off);
+    let _guard = ln_obs::pin_level(ObsLevel::Off);
     let model = FoldingModel::new(PpmConfig::tiny());
     let seq = Sequence::random("numerics-scope-off", LEN);
     let native = StructureGenerator::new("numerics-scope-off").generate(LEN);

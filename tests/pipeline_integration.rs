@@ -11,13 +11,7 @@ use ln_quant::baselines::BaselineScheme;
 fn workload(max_len: usize) -> (ln_protein::Sequence, ln_protein::Structure) {
     let reg = Registry::standard();
     let record = reg.dataset(Dataset::Cameo).shortest();
-    let len = record.length().min(max_len);
-    let seq: ln_protein::Sequence = record.sequence().residues()[..len]
-        .iter()
-        .copied()
-        .collect();
-    let native = ln_protein::generator::StructureGenerator::new(&record.seed_label()).generate(len);
-    (seq, native)
+    record.inputs(max_len)
 }
 
 #[test]

@@ -8,7 +8,6 @@ use lightnobel::hook::AaqHook;
 use ln_datasets::{Dataset, Registry};
 use ln_par::{with_pool, Pool};
 use ln_ppm::{FoldingModel, PpmConfig};
-use ln_protein::generator::StructureGenerator;
 use ln_protein::{metrics, Sequence, Structure};
 
 /// Golden-fold inputs shared by both tests: a real dataset record
@@ -17,13 +16,7 @@ use ln_protein::{metrics, Sequence, Structure};
 fn golden_fold() -> (Sequence, Structure) {
     let reg = Registry::standard();
     let record = reg.dataset(Dataset::Cameo).shortest();
-    let len = record.length().min(32);
-    let seq: Sequence = record.sequence().residues()[..len]
-        .iter()
-        .copied()
-        .collect();
-    let native = StructureGenerator::new(&record.seed_label()).generate(len);
-    (seq, native)
+    record.inputs(32)
 }
 
 fn coord_bits(s: &Structure) -> Vec<u64> {

@@ -9,8 +9,6 @@
 //! every artifact must re-ingest losslessly through the `ln-insight`
 //! black-box parser.
 
-use std::sync::Mutex;
-
 use ln_cluster::{Cluster, ClusterConfig, ClusterOutcome};
 use ln_datasets::Registry;
 use ln_fault::{ChaosSpec, FaultPlan, PartitionWindow, ResilienceConfig, ShardLossEvent};
@@ -21,21 +19,9 @@ const SEED: &str = "cluster/golden-workload";
 const PLAN_SEED: &str = "cluster/golden-plan";
 const SHARDS: usize = 4;
 
-/// Serializes tests in this binary: they pin the global `LN_OBS` level and
-/// the watch mirrors into the global registry at end of run.
-static GLOBAL_OBS: Mutex<()> = Mutex::new(());
-
-fn obs_counters() -> impl Drop {
-    struct Reset(ln_obs::ObsLevel);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            ln_obs::set_level(self.0);
-        }
-    }
-    let before = ln_obs::level();
-    ln_obs::set_level(ln_obs::ObsLevel::Counters);
-    Reset(before)
-}
+// Every test holds `ln_obs::pin_level` for its whole run: it pins the global
+// `LN_OBS` level, and its one lock serializes the tests, whose watches
+// mirror into the global registry at end of run.
 
 fn chaos_plan() -> FaultPlan {
     let spec = ChaosSpec {
@@ -111,8 +97,7 @@ fn watched_run(threads: usize) -> (ClusterOutcome, Vec<Blackbox>) {
 
 #[test]
 fn blackboxes_are_byte_identical_across_pool_sizes() {
-    let _lock = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
-    let _level = obs_counters();
+    let _obs = ln_obs::pin_level(ln_obs::ObsLevel::Counters);
 
     let (base_out, base_boxes) = watched_run(1);
     let report = base_out.watch.as_ref().expect("watch was enabled");
@@ -184,8 +169,7 @@ fn blackbox_artifacts_are_pinned() {
     const BLACKBOXES: usize = 7;
     const ARTIFACTS_FNV1A: u64 = 0x39ab_60f2_1fc1_ff10;
 
-    let _lock = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
-    let _level = obs_counters();
+    let _obs = ln_obs::pin_level(ln_obs::ObsLevel::Counters);
 
     let (_, boxes) = watched_run(1);
     let mut all = String::new();
@@ -200,8 +184,7 @@ fn blackbox_artifacts_are_pinned() {
 
 #[test]
 fn error_budget_accounting_is_exact() {
-    let _lock = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
-    let _level = obs_counters();
+    let _obs = ln_obs::pin_level(ln_obs::ObsLevel::Counters);
 
     let (out, _) = watched_run(1);
     let report = out.watch.expect("watch was enabled");
@@ -279,8 +262,7 @@ fn error_budget_accounting_is_exact() {
 
 #[test]
 fn blackbox_artifacts_reingest_through_insight() {
-    let _lock = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
-    let _level = obs_counters();
+    let _obs = ln_obs::pin_level(ln_obs::ObsLevel::Counters);
 
     let (_, boxes) = watched_run(1);
     assert!(!boxes.is_empty());
