@@ -22,12 +22,6 @@ pub struct HwConfig {
     pub clusters_per_rmpu: usize,
     /// SIMD lanes per VVPU (paper: 128 = the pair hidden dimension).
     pub simd_lanes_per_vvpu: usize,
-    /// Token scratchpad bytes (double-buffered pair, paper: 2 × 128 KiB).
-    pub token_scratchpad_bytes: usize,
-    /// Weight scratchpad bytes (paper: 64 KiB).
-    pub weight_scratchpad_bytes: usize,
-    /// Output scratchpad bytes (paper: 128 KiB).
-    pub output_scratchpad_bytes: usize,
     /// HBM capacity in bytes (paper: 80 GB over 5 HBM2E stacks).
     pub hbm_capacity_bytes: u64,
     /// Peak HBM bandwidth in bytes/second (paper: 2 TB/s, matching the
@@ -46,9 +40,6 @@ impl HwConfig {
             lanes_per_cluster: 20,
             clusters_per_rmpu: 4,
             simd_lanes_per_vvpu: 128,
-            token_scratchpad_bytes: 2 * 128 * 1024,
-            weight_scratchpad_bytes: 64 * 1024,
-            output_scratchpad_bytes: 128 * 1024,
             hbm_capacity_bytes: 80_000_000_000,
             hbm_bandwidth_bytes_per_s: 2.0e12,
         }

@@ -90,13 +90,6 @@ impl HbmModel {
         };
         (data_cycles + misses_per_channel * self.row_miss_cycles * hidden).ceil() as u64
     }
-
-    /// Effective bandwidth (bytes/cycle) for a large transfer of the given
-    /// pattern.
-    pub fn effective_bytes_per_cycle(&self, pattern: AccessPattern) -> f64 {
-        let probe: u64 = 1 << 26; // 64 MiB
-        probe as f64 / self.transfer_cycles(probe, pattern) as f64
-    }
 }
 
 #[cfg(test)]
@@ -107,10 +100,16 @@ mod tests {
         HbmModel::new(&HwConfig::paper())
     }
 
+    /// Effective bandwidth (bytes/cycle) of a 64 MiB transfer.
+    fn effective(m: &HbmModel, pattern: AccessPattern) -> f64 {
+        let probe: u64 = 1 << 26;
+        probe as f64 / m.transfer_cycles(probe, pattern) as f64
+    }
+
     #[test]
     fn sequential_efficiency_is_high() {
         let m = model();
-        let eff = m.effective_bytes_per_cycle(AccessPattern::Sequential);
+        let eff = effective(&m, AccessPattern::Sequential);
         let peak = HwConfig::paper().hbm_bytes_per_cycle();
         assert!(eff / peak > 0.85, "sequential efficiency {}", eff / peak);
         assert!(eff <= peak, "cannot exceed peak: {eff} vs {peak}");
@@ -119,17 +118,17 @@ mod tests {
     #[test]
     fn random_is_much_slower_than_sequential() {
         let m = model();
-        let seq = m.effective_bytes_per_cycle(AccessPattern::Sequential);
-        let rnd = m.effective_bytes_per_cycle(AccessPattern::Random);
+        let seq = effective(&m, AccessPattern::Sequential);
+        let rnd = effective(&m, AccessPattern::Random);
         assert!(seq / rnd > 5.0, "ratio {}", seq / rnd);
     }
 
     #[test]
     fn strided_sits_between() {
         let m = model();
-        let seq = m.effective_bytes_per_cycle(AccessPattern::Sequential);
-        let strided = m.effective_bytes_per_cycle(AccessPattern::Strided { stride: 256 });
-        let rnd = m.effective_bytes_per_cycle(AccessPattern::Random);
+        let seq = effective(&m, AccessPattern::Sequential);
+        let strided = effective(&m, AccessPattern::Strided { stride: 256 });
+        let rnd = effective(&m, AccessPattern::Random);
         assert!(strided < seq && strided > rnd, "{rnd} < {strided} < {seq}");
     }
 

@@ -27,10 +27,11 @@
 //! * [`power`] — the component-level area/power model regenerating
 //!   Table 2, with crossbar cost scaling quadratically in port count so
 //!   the Fig. 12 design-space sweeps stay meaningful.
-//! * [`token_aligner`] / [`scratchpad`] / [`crossbar`] — the supporting
-//!   microarchitecture: block decode/realign into token-wise scratchpad
-//!   lines, double-buffer occupancy, and the swizzle-switch permutation
-//!   routes that pack quantized tokens into the Fig. 7 layout.
+//!
+//! The Token Aligner, scratchpads, crossbars and controller have no
+//! behavioural model: they appear as Table 2 area/power constants in
+//! [`power`] and, in latency, only through [`pipeline`]'s fill/drain and
+//! arbitration constants.
 //!
 //! # Example
 //!
@@ -47,15 +48,10 @@
 
 pub mod bitonic;
 mod config;
-pub mod controller;
-pub mod crossbar;
 pub mod hbm;
 pub mod pe;
 pub mod pipeline;
 pub mod power;
-pub mod rda;
-pub mod scratchpad;
-pub mod token_aligner;
 pub mod vvpu;
 
 pub use config::HwConfig;

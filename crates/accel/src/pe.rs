@@ -14,12 +14,6 @@ use ln_quant::scheme::{Bits, QuantScheme};
 /// information density, §4.1).
 pub const WEIGHT_BITS: Bits = Bits::Int16;
 
-/// Four-bit units needed to multiply one activation element of `a` bits by
-/// one weight element of `w` bits.
-pub fn units_per_multiply(a: Bits, w: Bits) -> usize {
-    a.four_bit_chunks() * w.four_bit_chunks()
-}
-
 /// Four-bit units needed for one dot product between a quantized token of
 /// `channels` elements and an unquantized (INT16) weight vector.
 ///
@@ -186,14 +180,6 @@ mod tests {
         let a = matmul_cycles(&hw, scheme, 1000, 128, 128);
         let b = matmul_cycles(&hw, scheme, 2000, 128, 128);
         assert!((b as f64 / a as f64 - 2.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn units_per_multiply_is_quadratic_in_precision() {
-        assert_eq!(units_per_multiply(Bits::Int4, Bits::Int4), 1);
-        assert_eq!(units_per_multiply(Bits::Int8, Bits::Int8), 4);
-        assert_eq!(units_per_multiply(Bits::Int16, Bits::Int16), 16);
-        assert_eq!(units_per_multiply(Bits::Int4, Bits::Int16), 4);
     }
 
     #[test]

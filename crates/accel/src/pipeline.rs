@@ -187,54 +187,6 @@ impl LatencyReport {
         let per_block: u64 = self.per_block_stages.iter().map(|s| s.hbm_bytes).sum();
         per_block * self.block_invocations as u64
     }
-
-    /// Total encoded bytes stage fusion kept off HBM across the run.
-    pub fn total_fusion_saved_bytes(&self) -> u64 {
-        let per_block: u64 = self
-            .per_block_stages
-            .iter()
-            .map(|s| s.fusion_saved_bytes)
-            .sum();
-        per_block * self.block_invocations as u64
-    }
-
-    /// The stage bounding the block latency (the pipeline's critical
-    /// resource for this protein).
-    pub fn critical_stage(&self) -> &StageLatency {
-        self.per_block_stages
-            .iter()
-            .max_by_key(|s| s.cycles())
-            .expect("a block always has stages")
-    }
-
-    /// Renders a per-stage execution trace: cycles, bytes and the binding
-    /// resource of each stage in one folding block.
-    pub fn render_trace(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Ns={} blocks×recycles={} total={:.3}s",
-            self.ns,
-            self.block_invocations,
-            self.total_seconds()
-        );
-        let total: u64 = self.per_block_stages.iter().map(StageLatency::cycles).sum();
-        for s in &self.per_block_stages {
-            let _ = writeln!(
-                out,
-                "  {:<22} {:>12} cyc ({:>5.1}%)  rmpu={:<10} vvpu={:<10} hbm={:<10} bound={}",
-                s.stage.name(),
-                s.cycles(),
-                s.cycles() as f64 / total.max(1) as f64 * 100.0,
-                s.rmpu_cycles,
-                s.vvpu_cycles,
-                s.hbm_cycles,
-                s.bound_by()
-            );
-        }
-        out
-    }
 }
 
 /// The LightNobel accelerator model.
@@ -312,12 +264,6 @@ impl Accelerator {
     /// Whether a protein of length `ns` fits device memory.
     pub fn fits_memory(&self, ns: usize) -> bool {
         self.peak_memory_bytes(ns) <= self.hw.hbm_capacity_bytes as f64
-    }
-
-    /// Energy for one folding run, joules (accelerator power × latency).
-    pub fn energy_joules(&self, ns: usize) -> f64 {
-        let watts = crate::power::area_power(&self.hw).total.power_mw / 1000.0;
-        self.simulate(ns).total_seconds() * watts
     }
 
     /// Latency of one invocation of a per-block stage.
@@ -592,28 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_scales_with_work() {
-        let a = accel();
-        assert!(a.energy_joules(1024) > 3.0 * a.energy_joules(512));
-        assert!(a.energy_joules(512) > 0.0);
-    }
-
-    #[test]
-    fn trace_names_every_stage_and_the_critical_one() {
-        let r = accel().simulate(512);
-        let trace = r.render_trace();
-        for s in &r.per_block_stages {
-            assert!(trace.contains(s.stage.name()), "{trace}");
-        }
-        assert!(trace.contains("bound="));
-        let critical = r.critical_stage();
-        assert!(r
-            .per_block_stages
-            .iter()
-            .all(|s| s.cycles() <= critical.cycles()));
-    }
-
-    #[test]
     fn simulation_mirrors_stage_gauges_into_registry() {
         let a = accel();
         let r = a.simulate(384);
@@ -679,9 +603,6 @@ mod tests {
             "score savings must scale ~ns³: {a512} -> {a1024}"
         );
         assert!(t1024 > t512);
-        // Fusion savings are real traffic an unfused design would add:
-        // they exceed the actual residual traffic at long lengths.
-        assert!(a.simulate(1024).total_fusion_saved_bytes() > 0);
     }
 
     #[test]

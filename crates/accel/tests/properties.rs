@@ -4,11 +4,8 @@
 //! replays.
 
 use ln_accel::bitonic::{bitonic_sort_desc_by, top_k_abs};
-use ln_accel::controller::{schedule, tiles_for, WorkTile};
-use ln_accel::crossbar::{apply_route, invert_route, quantization_route};
 use ln_accel::hbm::{AccessPattern, HbmModel};
 use ln_accel::pe;
-use ln_accel::rda::{chunked_multiply, dequantization_free_dot};
 use ln_accel::{Accelerator, HwConfig};
 use ln_quant::scheme::{Bits, QuantScheme};
 use ln_tensor::rng::{self, Rng, StdRng};
@@ -31,13 +28,6 @@ fn uniform(rng: &mut StdRng, lo: f32, hi: f32) -> f32 {
 /// `len` values uniform in `[-bound, bound)`.
 fn arb_values(rng: &mut StdRng, len: usize, bound: f32) -> Vec<f32> {
     (0..len).map(|_| uniform(rng, -bound, bound)).collect()
-}
-
-/// `len` levels uniform in `[-bound, bound]`.
-fn arb_levels(rng: &mut StdRng, len: usize, bound: i16) -> Vec<i16> {
-    (0..len)
-        .map(|_| (rng.gen_range(0..=2 * bound as u32) as i32 - bound as i32) as i16)
-        .collect()
 }
 
 #[test]
@@ -127,106 +117,6 @@ fn lane_demand_is_monotone_in_precision_and_outliers() {
 }
 
 #[test]
-fn crossbar_routes_are_invertible() {
-    for_each_case("crossbar", |case, rng| {
-        let channels = rng.gen_range(2..128usize);
-        let outlier_seed = rng.gen_range(0..1000usize);
-        // Derive a deterministic outlier set from the seed.
-        let n_out = outlier_seed % (channels / 2).max(1);
-        let mut outliers: Vec<usize> = (0..n_out)
-            .map(|k| (k * 2654435761 + outlier_seed) % channels)
-            .collect();
-        outliers.sort_unstable();
-        outliers.dedup();
-        let data: Vec<u32> = (0..channels as u32).collect();
-        let route = quantization_route(channels, &outliers);
-        let packed = apply_route(&data, &route);
-        let restored = apply_route(&packed, &invert_route(&route));
-        assert_eq!(restored, data, "case {case}");
-    });
-}
-
-#[test]
-fn scheduler_conserves_tokens_and_stays_balanced() {
-    let hw = HwConfig::paper();
-    for_each_case("scheduler", |case, rng| {
-        let total = rng.gen_range(1..2_000_000usize);
-        let token_bytes = rng.gen_range(60..200usize);
-        let lanes = rng.gen_range(1..16usize);
-        let tiles = tiles_for(&hw, total, token_bytes, lanes);
-        let s = schedule(&hw, &tiles);
-        let assigned: usize = s.tokens_per_rmpu.iter().sum();
-        assert_eq!(assigned, total, "case {case}");
-        // With many uniform tiles the imbalance must stay small.
-        if tiles.len() >= 4 * hw.num_rmpus {
-            assert!(
-                s.imbalance() < 1.3,
-                "case {case}: imbalance {}",
-                s.imbalance()
-            );
-        }
-    });
-}
-
-#[test]
-fn chunked_multiply_is_exact_for_all_precisions() {
-    for_each_case("chunked_multiply", |case, rng| {
-        let (a, b) = (rng.next_u64() as i16, rng.next_u64() as i16);
-        // Full INT16 × INT16 through the 4-bit fabric.
-        assert_eq!(
-            chunked_multiply(a, 4, b, 4),
-            a as i64 * b as i64,
-            "case {case}"
-        );
-        // INT8 × INT16 (Group-A inliers against weights).
-        let a8 = a % 128;
-        assert_eq!(
-            chunked_multiply(a8, 2, b, 4),
-            a8 as i64 * b as i64,
-            "case {case}"
-        );
-        // INT4 × INT16 (Group-B/C inliers against weights).
-        let a4 = a % 8;
-        assert_eq!(
-            chunked_multiply(a4, 1, b, 4),
-            a4 as i64 * b as i64,
-            "case {case}"
-        );
-    });
-}
-
-#[test]
-fn dequantization_free_dot_equals_reference() {
-    for_each_case("dequantization_free_dot", |case, rng| {
-        let n_in = rng.gen_range(1..64usize);
-        let inliers = arb_levels(rng, n_in, 7);
-        let n_out = rng.gen_range(0..4usize);
-        let outliers = arb_levels(rng, n_out, 30000);
-        let si = uniform(rng, 0.001, 1.0);
-        let so = uniform(rng, 0.0001, 0.1);
-        let sw = uniform(rng, 0.001, 0.1);
-        let w_in: Vec<i16> = (0..inliers.len())
-            .map(|i| ((i * 97) % 200) as i16 - 100)
-            .collect();
-        let w_out: Vec<i16> = (0..outliers.len())
-            .map(|i| ((i * 53) % 150) as i16 - 75)
-            .collect();
-        let fast = dequantization_free_dot(&inliers, si, 4, &outliers, so, &w_in, &w_out, sw);
-        let mut slow = 0.0f64;
-        for (&q, &w) in inliers.iter().zip(&w_in) {
-            slow += (q as f64 * si as f64) * (w as f64 * sw as f64);
-        }
-        for (&q, &w) in outliers.iter().zip(&w_out) {
-            slow += (q as f64 * so as f64) * (w as f64 * sw as f64);
-        }
-        assert!(
-            (fast as f64 - slow).abs() < slow.abs() * 1e-4 + 1e-4,
-            "case {case}: {fast} vs {slow}"
-        );
-    });
-}
-
-#[test]
 fn simulator_latency_is_monotone_in_length() {
     let accel = Accelerator::new(HwConfig::paper());
     for_each_case("simulator_monotone", |case, rng| {
@@ -236,21 +126,4 @@ fn simulator_latency_is_monotone_in_length() {
         let t2 = accel.simulate(a + delta).total_cycles();
         assert!(t2 >= t1, "case {case}: {a} + {delta}");
     });
-}
-
-#[test]
-fn skewed_tiles_do_not_break_the_scheduler() {
-    let hw = HwConfig::paper().with_rmpus(3);
-    let tiles = vec![
-        WorkTile {
-            tokens: 1,
-            lanes_per_token: 16,
-        },
-        WorkTile {
-            tokens: 1_000_000,
-            lanes_per_token: 4,
-        },
-    ];
-    let s = schedule(&hw, &tiles);
-    assert_eq!(s.tokens_per_rmpu.iter().sum::<usize>(), 1_000_001);
 }

@@ -7,7 +7,7 @@ use lightnobel::report::{fmt_ratio, fmt_seconds, Table};
 use ln_bench::{banner, paper_note, show};
 use ln_datasets::{Dataset, Registry};
 use ln_gpu::esmfold::EsmFoldGpuModel;
-use ln_gpu::systems::{PpmSystem, ALL_SYSTEMS};
+use ln_gpu::systems::system_comparison;
 use ln_gpu::H100;
 
 fn main() {
@@ -48,15 +48,7 @@ fn main() {
         "LN e2e speedup",
         "LN folding speedup",
     ]);
-    for sys in ALL_SYSTEMS {
-        let mut e2e = 0.0;
-        let mut fold = 0.0;
-        for &ns in &lengths {
-            e2e += sys.end_to_end_seconds(&baseline, ns);
-            fold += sys.folding_seconds(&baseline, ns);
-        }
-        e2e /= n;
-        fold /= n;
+    for (sys, e2e, fold) in system_comparison(H100, &lengths) {
         table.add_row([
             sys.name().to_owned(),
             fmt_seconds(e2e),
@@ -64,9 +56,6 @@ fn main() {
             fmt_ratio(e2e / ln_e2e),
             fmt_ratio(fold / ln_fold),
         ]);
-        if sys == PpmSystem::AlphaFold3 {
-            // Visual separator between search-based and LM-based systems.
-        }
     }
     table.add_row([
         "LightNobel".to_owned(),

@@ -23,9 +23,8 @@
 //! off-mode or pool-identity violation.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use ln_bench::{banner, emit, paper_note, show, time_best};
+use ln_bench::{banner, emit, off_mode_cost, paper_note, show, time_best, OffCost, OFF_BUDGET_PCT};
 use ln_datasets::{Dataset, Registry};
 use ln_insight::json::{obj, Value};
 use ln_obs::ObsLevel;
@@ -36,9 +35,6 @@ use ln_tensor::Tensor2;
 use lightnobel::hook::AaqHook;
 use lightnobel::report::Table;
 use lightnobel::{measure_sensitivity, AccuracyEvaluator, SensitivityRow};
-
-/// Off-mode overhead budget, percent of the bare-hook baseline.
-const OFF_BUDGET_PCT: f64 = 5.0;
 
 /// The pool sizes the snapshot-identity gate sweeps.
 const POOLS: [usize; 3] = [1, 2, 4];
@@ -67,37 +63,35 @@ fn synth_activation() -> Tensor2 {
 }
 
 /// `LN_OBS=off`: a bare `AaqHook` versus the same hook inside a
-/// `ScopeHook`. The wrapper must cost one level check per tap. The two
-/// loops are interleaved rep by rep so both sample the same machine
-/// conditions, and each side keeps its best rep — the wrapper's true cost
-/// is a branch on a ~100 µs tap, so anything past the budget is noise or
-/// a genuine regression, never expected behaviour.
-fn bench_off_mode(iters: u64, reps: usize) -> (f64, f64, f64) {
+/// `ScopeHook`. The wrapper must cost one level check per tap — a branch
+/// on a ~100 µs tap.
+fn bench_off_mode(iters: u64, reps: usize) -> OffCost {
     ln_obs::set_level(ObsLevel::Off);
     let mut bare = AaqHook::paper();
     let mut scoped = ScopeHook::new(AaqHook::paper(), 128);
     let mut x = synth_activation();
     let mut y = synth_activation();
-    let mut baseline = f64::INFINITY;
-    let mut wrapped = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        for i in 0..iters {
-            bare.on_activation(probe_tap(i), black_box(&mut x));
-        }
-        baseline = baseline.min(started.elapsed().as_nanos() as f64 / iters as f64);
-        let started = Instant::now();
-        for i in 0..iters {
-            scoped.on_activation(probe_tap(i), black_box(&mut y));
-        }
-        wrapped = wrapped.min(started.elapsed().as_nanos() as f64 / iters as f64);
-    }
+    let off = off_mode_cost(
+        reps,
+        iters,
+        |n| {
+            for i in 0..n {
+                bare.on_activation(probe_tap(i), black_box(&mut x));
+            }
+            n
+        },
+        |n| {
+            for i in 0..n {
+                scoped.on_activation(probe_tap(i), black_box(&mut y));
+            }
+            n
+        },
+    );
     assert!(
         scoped.book().is_empty(),
         "off mode must not populate the sketches"
     );
-    let delta_pct = (wrapped - baseline) / baseline * 100.0;
-    (baseline, wrapped, delta_pct)
+    off
 }
 
 /// `LN_OBS=counters`: absolute per-value cost of the sketch + ledger path,
@@ -168,18 +162,17 @@ fn pool_snapshots(evaluator: &AccuracyEvaluator) -> (Vec<String>, Scope) {
 }
 
 fn document(
-    off: (f64, f64, f64),
+    off: OffCost,
     overhead: &[OverheadRow],
     identical: bool,
     sensitivity: &[SensitivityRow],
     rows: &[ln_insight::PrecisionRow],
     model: &SensitivityModel,
 ) -> Value {
-    let (baseline_ns, wrapped_ns, delta_pct) = off;
     let text = |s: &str| Value::Str(s.to_owned());
     let off_row = OverheadRow {
         mode: "off",
-        ns_per_value: ((wrapped_ns - baseline_ns) / (16.0 * 128.0)).max(0.0),
+        ns_per_value: ((off.gated_ns - off.baseline_ns) / (16.0 * 128.0)).max(0.0),
     };
     let overhead = std::iter::once(&off_row).chain(overhead).map(|r| {
         obj([
@@ -217,9 +210,9 @@ fn document(
         (
             "off_mode",
             obj([
-                ("baseline_ns_per_tap", Value::Float(baseline_ns)),
-                ("wrapped_ns_per_tap", Value::Float(wrapped_ns)),
-                ("delta_pct", Value::Float(delta_pct)),
+                ("baseline_ns_per_tap", Value::Float(off.baseline_ns)),
+                ("wrapped_ns_per_tap", Value::Float(off.gated_ns)),
+                ("delta_pct", Value::Float(off.delta_pct)),
             ]),
         ),
         ("overhead", Value::Arr(overhead.collect())),
@@ -255,13 +248,7 @@ fn main() {
         (500, 2_000, 15)
     };
 
-    let mut off = bench_off_mode(off_iters, reps);
-    if off.2 > OFF_BUDGET_PCT {
-        // One bounded re-measure before declaring a regression: the true
-        // wrapper cost is a branch, so a miss here is usually scheduler
-        // noise on a busy host.
-        off = bench_off_mode(off_iters, reps);
-    }
+    let off = bench_off_mode(off_iters, reps);
     let overhead = bench_on_modes(on_iters, reps);
 
     let evaluator = AccuracyEvaluator::fast();
@@ -276,13 +263,12 @@ fn main() {
     let rows = ln_insight::precision_rows(&scope.metrics());
     let table = ln_insight::precision_ledger_table(&rows, ln_insight::DEFAULT_TM_BUDGET, &model);
 
-    let (baseline_ns, wrapped_ns, delta_pct) = off;
     let mut t = Table::new(["mode", "ns/value"]);
     t.add_row([
         "off".to_string(),
         format!(
             "{:.4}",
-            ((wrapped_ns - baseline_ns) / (16.0 * 128.0)).max(0.0)
+            ((off.gated_ns - off.baseline_ns) / (16.0 * 128.0)).max(0.0)
         ),
     ]);
     for r in &overhead {
@@ -301,9 +287,12 @@ fn main() {
     show(&t);
     print!("{table}");
     println!(
-        "off-mode: bare {baseline_ns:.1} ns/tap, scoped {wrapped_ns:.1} ns/tap, \
-         delta {delta_pct:+.2}% (budget {OFF_BUDGET_PCT:.1}%); pool snapshots \
+        "off-mode: bare {:.1} ns/tap, scoped {:.1} ns/tap, \
+         delta {:+.2}% (budget {OFF_BUDGET_PCT:.1}%); pool snapshots \
          {}",
+        off.baseline_ns,
+        off.gated_ns,
+        off.delta_pct,
         if identical {
             "byte-identical across pools 1/2/4"
         } else {
@@ -312,10 +301,11 @@ fn main() {
     );
 
     let mut failed_gate = false;
-    if delta_pct > OFF_BUDGET_PCT {
+    if off.over_budget() {
         eprintln!(
-            "REGRESSION: LN_OBS=off ScopeHook wrapping adds {delta_pct:.2}% \
-             (budget {OFF_BUDGET_PCT:.1}%)"
+            "REGRESSION: LN_OBS=off ScopeHook wrapping adds {:.2}% \
+             (budget {OFF_BUDGET_PCT:.1}%)",
+            off.delta_pct
         );
         failed_gate = true;
     }

@@ -16,14 +16,13 @@
 use std::hint::black_box;
 use std::sync::Arc;
 
-use ln_bench::{banner, emit, mix, paper_note, show, time_best};
+use ln_bench::{
+    banner, emit, mix, off_mode_cost, paper_note, show, time_best, OffCost, OFF_BUDGET_PCT,
+};
 use ln_insight::json::{obj, Value};
 use ln_obs::{ObsLevel, Tracer, WallClock};
 
 use lightnobel::report::Table;
-
-/// Off-mode overhead budget, percent of the uninstrumented baseline.
-const OFF_BUDGET_PCT: f64 = 5.0;
 
 struct EventCost {
     event: &'static str,
@@ -31,26 +30,28 @@ struct EventCost {
     ns_per_op: f64,
 }
 
-fn bench_off_delta(iters: u64, reps: usize) -> (f64, f64, f64) {
+fn bench_off_delta(iters: u64, reps: usize) -> OffCost {
     ln_obs::set_level(ObsLevel::Off);
     let counter = ln_obs::registry().counter("obs_overhead_off_probe");
-    let baseline = time_best(reps, iters, |n| {
-        let mut acc = 0x5EED_u64;
-        for i in 0..n {
-            acc = mix(acc ^ black_box(i));
-        }
-        acc
-    });
-    let gated = time_best(reps, iters, |n| {
-        let mut acc = 0x5EED_u64;
-        for i in 0..n {
-            acc = mix(acc ^ black_box(i));
-            counter.add(1);
-        }
-        acc
-    });
-    let delta_pct = (gated - baseline) / baseline * 100.0;
-    (baseline, gated, delta_pct)
+    off_mode_cost(
+        reps,
+        iters,
+        |n| {
+            let mut acc = 0x5EED_u64;
+            for i in 0..n {
+                acc = mix(acc ^ black_box(i));
+            }
+            acc
+        },
+        |n| {
+            let mut acc = 0x5EED_u64;
+            for i in 0..n {
+                acc = mix(acc ^ black_box(i));
+                counter.add(1);
+            }
+            acc
+        },
+    )
 }
 
 fn bench_enabled_events(iters: u64, reps: usize) -> Vec<EventCost> {
@@ -122,7 +123,7 @@ fn bench_enabled_events(iters: u64, reps: usize) -> Vec<EventCost> {
     out
 }
 
-fn document(events: &[EventCost], baseline_ns: f64, gated_ns: f64, delta_pct: f64) -> Value {
+fn document(events: &[EventCost], off: OffCost) -> Value {
     let events = events.iter().map(|e| {
         obj([
             ("event", Value::Str(e.event.to_owned())),
@@ -136,9 +137,9 @@ fn document(events: &[EventCost], baseline_ns: f64, gated_ns: f64, delta_pct: f6
         (
             "off_mode",
             obj([
-                ("baseline_ns_per_iter", Value::Float(baseline_ns)),
-                ("gated_ns_per_iter", Value::Float(gated_ns)),
-                ("delta_pct", Value::Float(delta_pct)),
+                ("baseline_ns_per_iter", Value::Float(off.baseline_ns)),
+                ("gated_ns_per_iter", Value::Float(off.gated_ns)),
+                ("delta_pct", Value::Float(off.delta_pct)),
             ]),
         ),
         ("events", Value::Arr(events.collect())),
@@ -161,7 +162,7 @@ fn main() {
     let (iters, reps) = if quick { (200_000, 7) } else { (2_000_000, 9) };
 
     let events = bench_enabled_events(iters, reps);
-    let (baseline_ns, gated_ns, delta_pct) = bench_off_delta(iters, reps);
+    let off = bench_off_delta(iters, reps);
 
     let mut t = Table::new(["event", "level", "ns/op"]);
     for e in &events {
@@ -173,19 +174,17 @@ fn main() {
     }
     show(&t);
     println!(
-        "off-mode: baseline {baseline_ns:.2} ns/iter, gated counter {gated_ns:.2} ns/iter, \
-         delta {delta_pct:+.2}% (budget {OFF_BUDGET_PCT:.1}%)"
+        "off-mode: baseline {:.2} ns/iter, gated counter {:.2} ns/iter, \
+         delta {:+.2}% (budget {OFF_BUDGET_PCT:.1}%)",
+        off.baseline_ns, off.gated_ns, off.delta_pct
     );
 
-    emit(
-        "BENCH_OBS.json",
-        &document(&events, baseline_ns, gated_ns, delta_pct),
-        quick,
-    );
-    if delta_pct > OFF_BUDGET_PCT {
+    emit("BENCH_OBS.json", &document(&events, off), quick);
+    if off.over_budget() {
         eprintln!(
-            "REGRESSION: LN_OBS=off adds {delta_pct:.2}% to the baseline loop \
-             (budget {OFF_BUDGET_PCT:.1}%)"
+            "REGRESSION: LN_OBS=off adds {:.2}% to the baseline loop \
+             (budget {OFF_BUDGET_PCT:.1}%)",
+            off.delta_pct
         );
         std::process::exit(1);
     }

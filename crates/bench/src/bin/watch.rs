@@ -22,20 +22,20 @@
 
 use std::hint::black_box;
 
-use ln_bench::{banner, emit, mix, paper_note, show, time_best};
+use ln_bench::{
+    banner, emit, mix, off_mode_cost, paper_note, show, time_best, OffCost, OFF_BUDGET_PCT,
+};
 use ln_insight::json::{obj, Value};
 use ln_obs::{ArgValue, ObsLevel, Registry, TraceEvent, TracePhase};
 use ln_quant::ActPrecision;
+use ln_scope::length_bucket_label;
 use ln_serve::{Backend, LightNobelBackend};
 use ln_watch::{
-    length_bucket_label, FoldObservation, ObservedOutcome, SloEngine, SloSpec, Watch, WatchConfig,
-    WatchHandle, WatermarkTracker,
+    FoldObservation, ObservedOutcome, SloEngine, SloSpec, Watch, WatchConfig, WatchHandle,
+    WatermarkTracker,
 };
 
 use lightnobel::report::Table;
-
-/// Off-mode overhead budget, percent of the uninstrumented baseline.
-const OFF_BUDGET_PCT: f64 = 5.0;
 
 struct OverheadRow {
     mode: &'static str,
@@ -57,30 +57,32 @@ struct MemoryRow {
 /// `LN_OBS=off`, no watch attached: the engine hot path is an `Option`
 /// branch plus one gated counter per event. This is the configuration the
 /// ≤5% budget protects.
-fn bench_off_mode(iters: u64, reps: usize) -> (f64, f64, f64) {
+fn bench_off_mode(iters: u64, reps: usize) -> OffCost {
     ln_obs::set_level(ObsLevel::Off);
     let counter = ln_obs::registry().counter("watch_bench_off_probe");
     let watch: Option<WatchHandle> = None;
-    let baseline = time_best(reps, iters, |n| {
-        let mut acc = 0x5EED_u64;
-        for i in 0..n {
-            acc = mix(acc ^ black_box(i));
-        }
-        acc
-    });
-    let gated = time_best(reps, iters, |n| {
-        let mut acc = 0x5EED_u64;
-        for i in 0..n {
-            acc = mix(acc ^ black_box(i));
-            counter.add(1);
-            if let Some(w) = black_box(&watch) {
-                Watch::lock(w).record_event(probe_event(i));
+    off_mode_cost(
+        reps,
+        iters,
+        |n| {
+            let mut acc = 0x5EED_u64;
+            for i in 0..n {
+                acc = mix(acc ^ black_box(i));
             }
-        }
-        acc
-    });
-    let delta_pct = (gated - baseline) / baseline * 100.0;
-    (baseline, gated, delta_pct)
+            acc
+        },
+        |n| {
+            let mut acc = 0x5EED_u64;
+            for i in 0..n {
+                acc = mix(acc ^ black_box(i));
+                counter.add(1);
+                if let Some(w) = black_box(&watch) {
+                    Watch::lock(w).record_event(probe_event(i));
+                }
+            }
+            acc
+        },
+    )
 }
 
 fn probe_event(i: u64) -> TraceEvent {
@@ -296,16 +298,15 @@ fn check_monotone(rows: &[MemoryRow]) -> Result<(), String> {
 }
 
 fn document(
-    off: (f64, f64, f64),
+    off: OffCost,
     overhead: &[OverheadRow],
     burn: &[BurnRow],
     memory: &[MemoryRow],
 ) -> Value {
-    let (baseline_ns, gated_ns, delta_pct) = off;
     let text = |s: &str| Value::Str(s.to_owned());
     let off_row = OverheadRow {
         mode: "off",
-        ns_per_event: (gated_ns - baseline_ns).max(0.0),
+        ns_per_event: (off.gated_ns - off.baseline_ns).max(0.0),
     };
     let overhead = std::iter::once(&off_row).chain(overhead).map(|r| {
         obj([
@@ -333,9 +334,9 @@ fn document(
         (
             "off_mode",
             obj([
-                ("baseline_ns_per_iter", Value::Float(baseline_ns)),
-                ("gated_ns_per_iter", Value::Float(gated_ns)),
-                ("delta_pct", Value::Float(delta_pct)),
+                ("baseline_ns_per_iter", Value::Float(off.baseline_ns)),
+                ("gated_ns_per_iter", Value::Float(off.gated_ns)),
+                ("delta_pct", Value::Float(off.delta_pct)),
             ]),
         ),
         ("overhead", Value::Arr(overhead.collect())),
@@ -365,11 +366,10 @@ fn main() {
     let burn = bench_burn_fixtures(iters.min(10_000), reps);
     let (memory, table) = memory_sweep();
 
-    let (baseline_ns, gated_ns, delta_pct) = off;
     let mut t = Table::new(["mode", "ns/event"]);
     t.add_row([
         "off".to_string(),
-        format!("{:.2}", (gated_ns - baseline_ns).max(0.0)),
+        format!("{:.2}", (off.gated_ns - off.baseline_ns).max(0.0)),
     ]);
     for r in &overhead {
         t.add_row([r.mode.to_string(), format!("{:.2}", r.ns_per_event)]);
@@ -386,15 +386,17 @@ fn main() {
     show(&t);
     print!("{table}");
     println!(
-        "off-mode: baseline {baseline_ns:.2} ns/iter, gated {gated_ns:.2} ns/iter, \
-         delta {delta_pct:+.2}% (budget {OFF_BUDGET_PCT:.1}%)"
+        "off-mode: baseline {:.2} ns/iter, gated {:.2} ns/iter, \
+         delta {:+.2}% (budget {OFF_BUDGET_PCT:.1}%)",
+        off.baseline_ns, off.gated_ns, off.delta_pct
     );
 
     let mut failed_gate = false;
-    if delta_pct > OFF_BUDGET_PCT {
+    if off.over_budget() {
         eprintln!(
-            "REGRESSION: LN_OBS=off with the watch compiled in adds {delta_pct:.2}% \
-             (budget {OFF_BUDGET_PCT:.1}%)"
+            "REGRESSION: LN_OBS=off with the watch compiled in adds {:.2}% \
+             (budget {OFF_BUDGET_PCT:.1}%)",
+            off.delta_pct
         );
         failed_gate = true;
     }

@@ -151,44 +151,10 @@ pub fn fmt_pct(fraction: f64) -> String {
     format!("{:.1}%", fraction * 100.0)
 }
 
-/// One-row table of the ln-par thread-pool counters: pool size, parallel
-/// dispatches vs inline serial fallbacks, executed chunks, busy time and
-/// occupancy. Surfaced by ln-serve next to its p50/p99 latency table.
-pub fn runtime_table() -> Table {
-    let snap = ln_par::metrics::snapshot();
-    let mut t = Table::new(["threads", "par", "serial", "chunks", "busy", "occup"]);
-    t.add_row([
-        snap.threads.to_string(),
-        snap.parallel_dispatches.to_string(),
-        snap.serial_fallbacks.to_string(),
-        snap.chunks_executed.to_string(),
-        fmt_seconds(snap.busy_seconds),
-        fmt_pct(snap.occupancy()),
-    ]);
-    t
-}
-
-/// Per-kernel wall-time table accumulated by `ln_par::metrics::time_kernel`
-/// (matmul, AAQ encode/decode, the PPM block stages, …). Empty — headers
-/// only — until instrumented kernels have run.
-pub fn kernel_table() -> Table {
-    let mut t = Table::new(["kernel", "calls", "total", "mean", "items"]);
-    for (name, stat) in ln_par::metrics::kernel_stats() {
-        t.add_row([
-            name.to_string(),
-            stat.calls.to_string(),
-            fmt_seconds(stat.total_seconds()),
-            fmt_seconds(stat.mean_seconds()),
-            stat.items.to_string(),
-        ]);
-    }
-    t
-}
-
 /// Renders the unified metrics registry as three tables — counters, gauges
 /// and histograms — in snapshot (sorted-name) order. Histogram rows show
 /// count, mean and the p50/p99 bucket upper bounds; empty sections render
-/// headers only, matching [`kernel_table`]'s convention.
+/// headers only.
 pub fn obs_tables() -> Vec<Table> {
     // Force-register the trace-drop counter so the row renders even at
     // zero: a report must state "no trace events were dropped" explicitly,
@@ -239,17 +205,6 @@ pub fn obs_tables() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn runtime_and_kernel_tables_render() {
-        let r = runtime_table();
-        assert_eq!(r.num_rows(), 1);
-        assert!(r.render().contains("threads"));
-        // Run one instrumented kernel so the table has at least one row.
-        ln_par::metrics::time_kernel("report.test_kernel", 3, || ());
-        let k = kernel_table();
-        assert!(k.render().contains("report.test_kernel"));
-    }
 
     #[test]
     fn obs_tables_cover_all_metric_kinds() {

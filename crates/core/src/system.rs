@@ -58,13 +58,6 @@ pub struct Projection {
     pub accelerator_watts: f64,
 }
 
-impl Projection {
-    /// Speedup over the chunked H100, if it completes.
-    pub fn speedup_vs_h100_chunk(&self) -> Option<f64> {
-        self.h100_chunk_seconds.map(|s| s / self.lightnobel_seconds)
-    }
-}
-
 /// The bundled LightNobel system.
 ///
 /// # Example
@@ -192,7 +185,7 @@ mod tests {
         let system = LightNobelSystem::fast();
         let short = system.project(512);
         assert!(short.h100_vanilla_seconds.is_some());
-        assert!(short.speedup_vs_h100_chunk().expect("fits") > 1.0);
+        assert!(short.h100_chunk_seconds.expect("fits") > short.lightnobel_seconds);
         let long = system.project(6879);
         assert!(long.h100_vanilla_seconds.is_none(), "6879 must OOM vanilla");
         assert!(

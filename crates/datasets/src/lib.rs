@@ -38,8 +38,6 @@
 
 mod record;
 mod registry;
-pub mod sampling;
-pub mod stats;
 
 pub use record::ProteinRecord;
 pub use registry::{Dataset, DatasetView, Registry, ALL_DATASETS};

@@ -34,12 +34,6 @@ impl Dataset {
             Dataset::Casp16 => "CASP16",
         }
     }
-
-    /// Whether ground-truth structures are available (accuracy experiments
-    /// run only on these; the paper excludes CASP16 for the same reason).
-    pub fn has_ground_truth(self) -> bool {
-        !matches!(self, Dataset::Casp16)
-    }
 }
 
 impl fmt::Display for Dataset {
@@ -308,14 +302,6 @@ mod tests {
         let long = v.with_min_length(1410);
         assert_eq!(short.len() + long.len(), v.records().len());
         assert!(long.iter().all(|r| r.length() > 1410));
-    }
-
-    #[test]
-    fn ground_truth_flags_match_paper() {
-        assert!(Dataset::Cameo.has_ground_truth());
-        assert!(Dataset::Casp14.has_ground_truth());
-        assert!(Dataset::Casp15.has_ground_truth());
-        assert!(!Dataset::Casp16.has_ground_truth());
     }
 
     #[test]

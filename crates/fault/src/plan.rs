@@ -165,25 +165,6 @@ impl FaultPlan {
             .any(|w| w.shard == shard && now >= w.start_seconds && now < w.end_seconds)
     }
 
-    /// The earliest cluster-event boundary strictly after `now`: a shard
-    /// loss instant or a partition edge. A wake point for cluster event
-    /// loops, so a deferred placement retries the instant a partition
-    /// heals rather than timing out.
-    pub fn next_cluster_boundary(&self, now: f64) -> Option<f64> {
-        self.shard_losses
-            .iter()
-            .map(|e| e.at_seconds)
-            .chain(
-                self.partitions
-                    .iter()
-                    .flat_map(|w| [w.start_seconds, w.end_seconds]),
-            )
-            .filter(|&t| t > now)
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |cur| cur.min(t)))
-            })
-    }
-
     /// The earliest pressure-window boundary strictly after `now` — a wake
     /// point for event loops, so a request parked behind a pressure window
     /// is retried the instant the window lifts rather than timing out.
@@ -570,12 +551,6 @@ mod tests {
         assert!(p.partitioned(2, 14.9));
         assert!(!p.partitioned(2, 15.0), "end exclusive");
         assert!(!p.partitioned(1, 10.0), "other shard untouched");
-
-        assert_eq!(p.next_cluster_boundary(0.0), Some(1.0));
-        assert_eq!(p.next_cluster_boundary(1.0), Some(2.0));
-        assert_eq!(p.next_cluster_boundary(2.0), Some(5.0));
-        assert_eq!(p.next_cluster_boundary(15.0), Some(40.0));
-        assert_eq!(p.next_cluster_boundary(40.0), None);
     }
 
     #[test]

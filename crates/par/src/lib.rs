@@ -512,31 +512,6 @@ pub fn par_chunks_mut<T: Send>(
     pool.run(slots.len(), &task);
 }
 
-/// Allocates a `rows × cols` row-major `Vec<f32>` (zero-filled) and fills it
-/// by running `f(row_index, row)` for every row in parallel, rows grouped
-/// into at-least-`grain_rows` chunks.
-pub fn par_map_rows(
-    rows: usize,
-    cols: usize,
-    grain_rows: usize,
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; rows * cols];
-    if cols == 0 {
-        for row in 0..rows {
-            f(row, &mut []);
-        }
-        return out;
-    }
-    let rows_per_chunk = chunk_len(rows, grain_rows);
-    par_chunks_mut(&mut out, rows_per_chunk * cols, |c, chunk| {
-        for (local, row) in chunk.chunks_mut(cols).enumerate() {
-            f(c * rows_per_chunk + local, row);
-        }
-    });
-    out
-}
-
 /// Computes `f(0), …, f(n - 1)` in parallel and returns the results in
 /// index order (identical to `(0..n).map(f).collect()`).
 pub fn par_map_collect<R: Send>(n: usize, grain: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
@@ -625,26 +600,6 @@ mod tests {
                 assert_eq!(*v, i as u32);
             }
         });
-    }
-
-    #[test]
-    fn par_map_rows_matches_serial() {
-        let _guard = test_lock();
-        let serial = with_pool(&Pool::new(1), || {
-            par_map_rows(33, 7, 1, |i, row| {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = (i * 7 + j) as f32;
-                }
-            })
-        });
-        let parallel = with_pool(&Pool::new_exact(4), || {
-            par_map_rows(33, 7, 1, |i, row| {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = (i * 7 + j) as f32;
-                }
-            })
-        });
-        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -49,7 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod blocks;
 mod config;
 pub mod cost;

@@ -84,17 +84,6 @@ impl Multimer {
         );
     }
 
-    /// Residue offsets where each chain starts.
-    pub fn chain_offsets(&self) -> Vec<usize> {
-        let mut offsets = Vec::with_capacity(self.chains.len());
-        let mut acc = 0;
-        for c in &self.chains {
-            offsets.push(acc);
-            acc += c.len();
-        }
-        offsets
-    }
-
     /// A deterministic synthetic native structure for the assembled
     /// complex (one compact globule spanning all chains, as co-folded
     /// complexes are).
@@ -185,7 +174,6 @@ mod tests {
         assert_eq!(c.len(), 34);
         assert_eq!(&c.residues()[..20], m.chains()[0].residues());
         assert_eq!(&c.residues()[20..], m.chains()[1].residues());
-        assert_eq!(m.chain_offsets(), vec![0, 20]);
     }
 
     #[test]

@@ -229,55 +229,6 @@ fn normalize(v: &mut [f64]) -> f64 {
     n
 }
 
-/// Per-residue prediction confidence (a pLDDT-like score in `[0, 1]`).
-///
-/// Real PPMs output a confidence head; here confidence is read from the
-/// distogram itself: a residue whose pair tokens have *sharp* radial-basis
-/// responses (mass concentrated near one distance) is confidently placed,
-/// while flat/noisy responses mean the distance — and therefore the
-/// coordinate — is poorly determined. The score is the mean peak-mass
-/// fraction over the residue's row of pair tokens.
-pub fn residue_confidence(pair: &Tensor3) -> Vec<f32> {
-    let (ns, _, hz) = pair.shape();
-    let nd = distogram_channels(hz);
-    let mut out = Vec::with_capacity(ns);
-    for i in 0..ns {
-        let mut acc = 0.0f64;
-        let mut cnt = 0usize;
-        for j in 0..ns {
-            if i == j {
-                continue;
-            }
-            let tok = &pair.token(i, j)[..nd];
-            let peak = tok.iter().fold(0.0f32, |a, &v| a.max(v));
-            if peak <= 0.0 {
-                continue;
-            }
-            // Mass within the peak's neighbourhood vs total positive mass.
-            let peak_idx = tok
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                .map(|(k, _)| k)
-                .unwrap_or(0);
-            let lo = peak_idx.saturating_sub(2);
-            let hi = (peak_idx + 3).min(nd);
-            let near: f32 = tok[lo..hi].iter().filter(|&&v| v > 0.0).sum();
-            let total: f32 = tok.iter().filter(|&&v| v > 0.0).sum();
-            if total > 0.0 {
-                acc += (near / total) as f64;
-                cnt += 1;
-            }
-        }
-        out.push(if cnt > 0 {
-            (acc / cnt as f64) as f32
-        } else {
-            0.0
-        });
-    }
-    out
-}
-
 /// The signed chirality statistic: the mean triple product of consecutive
 /// backbone steps. Right-handed protein folds give a positive value.
 pub fn chirality(s: &Structure) -> f64 {
@@ -405,65 +356,6 @@ mod tests {
     fn mds_rejects_bad_input() {
         assert!(mds_embed(&Tensor2::zeros(3, 4)).is_err());
         assert!(mds_embed(&Tensor2::zeros(2, 2)).is_err());
-    }
-
-    #[test]
-    fn confidence_drops_under_noise() {
-        use ln_tensor::rng;
-        use ln_tensor::rng::Rng;
-        let cfg = PpmConfig::standard();
-        let ns = 32;
-        let seq = Sequence::random("conf", ns);
-        let native = StructureGenerator::new("conf").generate(ns);
-        let z = Embedding::new(cfg).embed_pair(&seq, &native);
-        let clean = residue_confidence(&z);
-        assert_eq!(clean.len(), ns);
-        assert!(clean.iter().all(|&c| (0.0..=1.0).contains(&c)));
-
-        // Add channel noise: confidences must drop on average.
-        let mut noisy = z.clone();
-        let mut r = rng::stream("conf-noise");
-        for v in noisy.as_mut_slice() {
-            *v += (r.gen::<f32>() - 0.5) * 4.0;
-        }
-        let degraded = residue_confidence(&noisy);
-        let mean = |v: &[f32]| v.iter().sum::<f32>() / v.len() as f32;
-        assert!(
-            mean(&degraded) < mean(&clean) - 0.02,
-            "{} vs {}",
-            mean(&degraded),
-            mean(&clean)
-        );
-    }
-
-    #[test]
-    fn confidence_tracks_decode_error() {
-        // Corrupt the pair rows of a few residues only: their confidence
-        // must fall below the untouched residues'.
-        use ln_tensor::rng;
-        use ln_tensor::rng::Rng;
-        let cfg = PpmConfig::standard();
-        let ns = 32;
-        let seq = Sequence::random("conf2", ns);
-        let native = StructureGenerator::new("conf2").generate(ns);
-        let mut z = Embedding::new(cfg).embed_pair(&seq, &native);
-        let mut r = rng::stream("conf2-noise");
-        let bad: Vec<usize> = vec![3, 11, 20];
-        for &i in &bad {
-            for j in 0..ns {
-                for v in z.token_mut(i, j) {
-                    *v += (r.gen::<f32>() - 0.5) * 8.0;
-                }
-            }
-        }
-        let conf = residue_confidence(&z);
-        let bad_mean: f32 = bad.iter().map(|&i| conf[i]).sum::<f32>() / bad.len() as f32;
-        let good_mean: f32 = (0..ns)
-            .filter(|i| !bad.contains(i))
-            .map(|i| conf[i])
-            .sum::<f32>()
-            / (ns - bad.len()) as f32;
-        assert!(bad_mean < good_mean, "{bad_mean} vs {good_mean}");
     }
 
     #[test]

@@ -291,14 +291,6 @@ impl RecordingHook {
     pub fn into_records(self) -> Vec<TapRecord> {
         self.records
     }
-
-    /// Records for a given group only.
-    pub fn records_for_group(&self, group: ActivationGroup) -> Vec<&TapRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.tap.group() == group)
-            .collect()
-    }
 }
 
 impl ActivationHook for RecordingHook {
@@ -378,8 +370,6 @@ mod tests {
         assert!(r.max_abs == 100.0);
         assert!(r.mean_outliers_per_token >= 1.0);
         assert_eq!(r.token_mean_abs.len(), 4);
-        assert_eq!(hook.records_for_group(ActivationGroup::A).len(), 1);
-        assert!(hook.records_for_group(ActivationGroup::B).is_empty());
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod generator;
 pub mod geometry;
 pub mod metrics;
 pub mod pdb;
-pub mod secondary;
 mod sequence;
 mod structure;
 

@@ -1,4 +1,4 @@
-use crate::geometry::{RigidTransform, Vec3};
+use crate::geometry::Vec3;
 use crate::ProteinError;
 use ln_tensor::Tensor2;
 
@@ -69,13 +69,6 @@ impl Structure {
         msd.sqrt()
     }
 
-    /// Returns a copy with the rigid transform applied to every residue.
-    pub fn transformed(&self, xf: &RigidTransform) -> Structure {
-        Structure {
-            coords: self.coords.iter().map(|&p| xf.apply(p)).collect(),
-        }
-    }
-
     /// Distance between residues `i` and `j`.
     ///
     /// # Panics
@@ -129,7 +122,6 @@ pub fn distance_matrix(s: &Structure) -> Tensor2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::Mat3;
 
     fn sample() -> Structure {
         Structure::new(vec![
@@ -147,21 +139,6 @@ mod tests {
         assert!((c.x - 1.9).abs() < 1e-12 && (c.y - 1.9).abs() < 1e-12);
         // Square of side 3.8: every point is at distance 1.9*sqrt(2).
         assert!((s.radius_of_gyration() - 1.9 * 2.0f64.sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transform_preserves_internal_distances() {
-        let s = sample();
-        let xf = RigidTransform {
-            rotation: Mat3::rotation(Vec3::new(1.0, 1.0, 0.0), 0.7),
-            translation: Vec3::new(10.0, -3.0, 2.0),
-        };
-        let t = s.transformed(&xf);
-        for i in 0..s.len() {
-            for j in 0..s.len() {
-                assert!((s.distance(i, j) - t.distance(i, j)).abs() < 1e-9);
-            }
-        }
     }
 
     #[test]

@@ -65,11 +65,7 @@ fn kabsch_rotation_is_proper_orthogonal() {
 
 #[test]
 fn kabsch_recovers_arbitrary_rigid_motion() {
-    for_each_case("kabsch_rigid_motion", |case, rng| {
-        let pts = arb_points(rng, 4..16);
-        let axis = arb_vec3(rng, 1.0);
-        let angle = uniform(rng, 0.0, std::f64::consts::TAU);
-        let tv = arb_vec3(rng, 30.0);
+    let check = |case: &str, pts: &[Vec3], axis: Vec3, angle: f64, tv: Vec3| {
         // Needs an axis to rotate about and a non-degenerate point cloud
         // (not all coincident).
         let spread: f64 = pts.iter().map(|p| p.norm()).sum();
@@ -78,26 +74,48 @@ fn kabsch_recovers_arbitrary_rigid_motion() {
         }
         let r = Mat3::rotation(axis, angle);
         let moved: Vec<Vec3> = pts.iter().map(|&p| r.apply(p) + tv).collect();
-        let xf = kabsch(&pts, &moved);
-        for &p in &pts {
-            assert!(xf.apply(p).distance(r.apply(p) + tv) < 1e-6, "case {case}");
+        let xf = kabsch(pts, &moved);
+        for &p in pts {
+            assert!(xf.apply(p).distance(r.apply(p) + tv) < 1e-6, "{case}");
         }
+    };
+    // A shrunk failure once recorded for this property: the zero-angle
+    // motion of four coplanar points, three of them on one line.
+    let recorded = [
+        Vec3::new(0.0, 0.0, 30.125447889548486),
+        Vec3::new(0.0, 15.700896508135251, 0.0),
+        Vec3::zero(),
+        Vec3::new(0.0, 0.0, -40.419890292758765),
+    ];
+    let axis = Vec3::new(0.0, 0.0, -0.7945242882552327);
+    check("recorded case", &recorded, axis, 0.0, Vec3::zero());
+    for_each_case("kabsch_rigid_motion", |case, rng| {
+        let pts = arb_points(rng, 4..16);
+        let axis = arb_vec3(rng, 1.0);
+        let angle = uniform(rng, 0.0, std::f64::consts::TAU);
+        let tv = arb_vec3(rng, 30.0);
+        check(&format!("case {case}"), &pts, axis, angle, tv);
     });
 }
 
 #[test]
 fn tm_score_is_bounded_and_symmetric_under_rigid_motion() {
-    for_each_case("tm_score", |case, rng| {
-        let len = rng.gen_range(20..80usize);
-        let seed = rng.gen_range(0..50u64);
+    let check = |case: &str, len: usize, seed: u64| {
         let a = StructureGenerator::new(&format!("pa{seed}")).generate(len);
         let b = perturbed(&a, "pp", 2.0);
         let tm = metrics::tm_score(&b, &a).expect("same length").score;
-        assert!((0.0..=1.0).contains(&tm), "case {case}");
+        assert!((0.0..=1.0).contains(&tm), "{case}");
         // Rigidly moving the model cannot change the score materially.
         let b2 = rigidly_moved(&b, &format!("mv{seed}"));
         let tm2 = metrics::tm_score(&b2, &a).expect("same length").score;
-        assert!((tm - tm2).abs() < 0.02, "case {case}: {tm} vs {tm2}");
+        assert!((tm - tm2).abs() < 0.02, "{case}: {tm} vs {tm2}");
+    };
+    // A shrunk failure once recorded for this property.
+    check("recorded case", 21, 29);
+    for_each_case("tm_score", |case, rng| {
+        let len = rng.gen_range(20..80usize);
+        let seed = rng.gen_range(0..50u64);
+        check(&format!("case {case}"), len, seed);
     });
 }
 
@@ -156,14 +174,18 @@ fn distance_matrix_satisfies_triangle_inequality() {
 
 #[test]
 fn structure_generation_scales_compactly() {
-    for_each_case("compactness", |case, rng| {
-        let len = rng.gen_range(50..250usize);
+    let check = |case: &str, len: usize| {
         let s = StructureGenerator::new("scaling").generate(len);
         let rg = s.radius_of_gyration();
         // Must be well below the extended-rod radius of gyration; short
         // chains are naturally less compact, so the bound is loose.
         let rod = len as f64 * 3.8 / 12.0f64.sqrt();
-        assert!(rg < rod * 0.75, "case {case}: rg {rg} rod {rod}");
+        assert!(rg < rod * 0.75, "{case}: rg {rg} rod {rod}");
+    };
+    // A shrunk failure once recorded for this property.
+    check("recorded case", 62);
+    for_each_case("compactness", |case, rng| {
+        check(&format!("case {case}"), rng.gen_range(50..250usize));
     });
 }
 

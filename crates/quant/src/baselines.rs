@@ -112,12 +112,6 @@ impl BaselineScheme {
         }
     }
 
-    /// Whether the scheme quantizes attention score matrices (none of the
-    /// baselines do; AAQ does).
-    pub fn covers_scores(self) -> bool {
-        false
-    }
-
     /// Applies the scheme's numeric error model to one activation.
     ///
     /// `group` tags the activation's dataflow position; `is_scores` marks
@@ -301,9 +295,6 @@ mod tests {
             "channel-wise INT4 hits the residual stream"
         );
         assert!(!MeFold.covers_group(Group::C));
-        for s in ALL_BASELINES {
-            assert!(!s.covers_scores());
-        }
     }
 
     #[test]

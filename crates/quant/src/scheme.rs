@@ -262,22 +262,6 @@ impl AaqConfig {
         }
         self
     }
-
-    /// Mean encoded bytes per token across groups, weighted by how often
-    /// each group's activations occur in one folding block's pair dataflow
-    /// (A appears at 3 residual taps of width Hz; B at 4 post-LN taps; C
-    /// dominates with projections and score rows).
-    pub fn mean_token_bytes(&self, channels: usize) -> f64 {
-        // Weights: per block there are 3 A-taps, 4 B-taps and ~13 C-taps of
-        // comparable token counts (see `ln_ppm::taps::ALL_SITES`).
-        let wa = 3.0;
-        let wb = 4.0;
-        let wc = 13.0;
-        (wa * self.group_a.token_bytes(channels) as f64
-            + wb * self.group_b.token_bytes(channels) as f64
-            + wc * self.group_c.token_bytes(channels) as f64)
-            / (wa + wb + wc)
-    }
 }
 
 impl Default for AaqConfig {
@@ -346,15 +330,6 @@ mod tests {
         let c = AaqConfig::paper().with_scheme(Group::B, QuantScheme::int8_with_outliers(8));
         assert_eq!(c.group_b.outliers, 8);
         assert_eq!(c.group_a, AaqConfig::paper().group_a);
-    }
-
-    #[test]
-    fn mean_token_bytes_is_between_extremes() {
-        let c = AaqConfig::paper();
-        let m = c.mean_token_bytes(128);
-        let lo = c.group_c.token_bytes(128) as f64;
-        let hi = c.group_a.token_bytes(128) as f64;
-        assert!(m > lo && m < hi, "{lo} < {m} < {hi}");
     }
 
     #[test]

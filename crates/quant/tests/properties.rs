@@ -44,9 +44,8 @@ fn outlier_set(indices: &[u8]) -> HashSet<usize> {
 
 #[test]
 fn round_trip_error_bounded_by_half_step() {
-    for_each_case("round_trip", |case, rng| {
-        let (values, scheme) = (arb_token(rng), arb_scheme(rng));
-        let q = quantize_token(&values, scheme);
+    let check = |case: &str, values: &[f32], scheme: QuantScheme| {
+        let q = quantize_token(values, scheme);
         let back = q.dequantize();
         let outliers = outlier_set(q.outlier_indices());
         for (i, (&a, &b)) in values.iter().zip(&back).enumerate() {
@@ -59,9 +58,22 @@ fn round_trip_error_bounded_by_half_step() {
             };
             assert!(
                 (a - b).abs() <= tol,
-                "case {case} {scheme} ch {i}: {a} vs {b} tol {tol}"
+                "{case} {scheme} ch {i}: {a} vs {b} tol {tol}"
             );
         }
+    };
+    // A shrunk failure once recorded for this property: two large channels
+    // of opposite sign, fourteen zeros, INT16 with no outliers.
+    let mut recorded = vec![0.0f32; 16];
+    recorded[..2].copy_from_slice(&[720.35205, -983.3063]);
+    let int16 = QuantScheme {
+        inlier_bits: Bits::Int16,
+        outliers: 0,
+    };
+    check("recorded case", &recorded, int16);
+    for_each_case("round_trip", |case, rng| {
+        let (values, scheme) = (arb_token(rng), arb_scheme(rng));
+        check(&format!("case {case}"), &values, scheme);
     });
 }
 

@@ -2,25 +2,22 @@
 //!
 //! One vocabulary shared by every layer that keys anything by sequence
 //! length: the numerics sketches here, `ln-watch`'s watermark table and SLO
-//! scopes (which re-export these items), and the serving layer's metric
-//! labels. Keeping a single source means label-keyed series from different
-//! subsystems always line up.
+//! scopes, and the serving layer's metric labels. Keeping a single source
+//! means label-keyed series from different subsystems always line up.
 
 /// Canonical length-bucket upper bounds (residues); sequences past the
 /// last bound fall into `"gt_8192"`.
 pub const LENGTH_BUCKET_BOUNDS: [usize; 6] = [256, 512, 1024, 2048, 4096, 8192];
 
+/// The bucket labels, indexed by [`length_bucket_rank`]: `le_{bound}` for
+/// each bound, then `gt_{last bound}`.
+const LENGTH_BUCKET_LABELS: [&str; LENGTH_BUCKET_BOUNDS.len() + 1] = [
+    "le_256", "le_512", "le_1024", "le_2048", "le_4096", "le_8192", "gt_8192",
+];
+
 /// The canonical label of the length bucket containing `length`.
 pub fn length_bucket_label(length: usize) -> &'static str {
-    match length {
-        0..=256 => "le_256",
-        257..=512 => "le_512",
-        513..=1024 => "le_1024",
-        1025..=2048 => "le_2048",
-        2049..=4096 => "le_4096",
-        4097..=8192 => "le_8192",
-        _ => "gt_8192",
-    }
+    LENGTH_BUCKET_LABELS[length_bucket_rank(length)]
 }
 
 /// Rank of the bucket containing `length`: 0 for `le_256` up to 6 for
@@ -42,6 +39,9 @@ mod tests {
         assert_eq!(length_bucket_label(8193), "gt_8192");
         for w in LENGTH_BUCKET_BOUNDS.windows(2) {
             assert_ne!(length_bucket_label(w[0]), length_bucket_label(w[1]));
+        }
+        for (bound, label) in LENGTH_BUCKET_BOUNDS.iter().zip(LENGTH_BUCKET_LABELS) {
+            assert_eq!(label, format!("le_{bound}"));
         }
     }
 

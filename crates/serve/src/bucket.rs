@@ -71,11 +71,6 @@ impl BucketPolicy {
         self.bounds.partition_point(|&b| b < length)
     }
 
-    /// Inclusive upper bound of a bucket (`usize::MAX` for the last).
-    pub fn upper_bound(&self, bucket: usize) -> usize {
-        self.bounds.get(bucket).copied().unwrap_or(usize::MAX)
-    }
-
     /// Human-readable range label, e.g. `"(256, 1410]"` or `"> 3364"`.
     pub fn label(&self, bucket: usize) -> String {
         let lo = if bucket == 0 {
@@ -104,8 +99,6 @@ mod tests {
         assert_eq!(p.bucket_of(500), 1);
         assert_eq!(p.bucket_of(501), 2);
         assert_eq!(p.bucket_of(1_000_000), 2);
-        assert_eq!(p.upper_bound(0), 100);
-        assert_eq!(p.upper_bound(2), usize::MAX);
         assert_eq!(p.label(0), "(0, 100]");
         assert_eq!(p.label(2), "> 500");
     }

@@ -564,11 +564,6 @@ impl Engine {
         self.core.batcher.total_depth()
     }
 
-    /// Backends currently executing a batch.
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight.iter().flatten().count()
-    }
-
     /// Virtual time of the last processed event (0 before any).
     pub fn now_seconds(&self) -> f64 {
         self.run_state.as_ref().map_or(0.0, |rs| rs.now)
@@ -1238,7 +1233,7 @@ mod tests {
         e.begin(&workload);
         let t = e.next_event_seconds().unwrap();
         e.advance(t);
-        assert_eq!(e.in_flight_count(), 1);
+        assert_eq!(e.in_flight.iter().flatten().count(), 1);
         assert_eq!(e.queue_depth(), 3);
         let got = e.cancel(2).expect("queued request cancellable");
         assert_eq!(got.id, 2);
@@ -1309,7 +1304,7 @@ mod tests {
         assert!(e.idle());
         assert_eq!(e.next_event_seconds(), None, "a dead engine never wakes");
         assert_eq!(e.queue_depth(), 0);
-        assert_eq!(e.in_flight_count(), 0);
+        assert_eq!(e.in_flight.iter().flatten().count(), 0);
         let out = e.finish();
         assert!(out.responses.is_empty(), "victims answer at the cluster");
     }

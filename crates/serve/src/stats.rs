@@ -261,15 +261,6 @@ impl AccuracyStats {
         self.degraded_requests += u64::from(degraded);
     }
 
-    /// Mean worst-layer RMSE over completed requests (0 when empty).
-    pub fn mean_worst_rmse(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.sum_worst_rmse / self.requests as f64
-        }
-    }
-
     /// Folds `other` into `self` (shard roll-up).
     pub fn merge(&mut self, other: &AccuracyStats) {
         self.requests += other.requests;
@@ -489,17 +480,6 @@ impl ServeStats {
         (per_backend, summary)
     }
 
-    /// The ln-par runtime companion tables for a serving report: thread-pool
-    /// occupancy and per-kernel wall time, rendered alongside the p50/p99
-    /// latency table so one report shows both the virtual schedule and the
-    /// real compute spent producing it.
-    pub fn runtime_tables() -> (Table, Table) {
-        (
-            lightnobel::report::runtime_table(),
-            lightnobel::report::kernel_table(),
-        )
-    }
-
     /// A deterministic digest of the full schedule and counters (now
     /// including precision and the resilience counters): equal digests ⇔
     /// equal schedules *and* equal fault handling, used by the
@@ -673,7 +653,7 @@ mod tests {
             b.fingerprint(),
             "accuracy telemetry must stay outside the schedule fingerprint"
         );
-        assert!((b.accuracy.mean_worst_rmse() - 0.032).abs() < 1e-12);
+        assert_eq!(b.accuracy.sum_worst_rmse, 0.032);
         assert_eq!(b.accuracy.degraded_requests, 1);
     }
 
@@ -688,7 +668,7 @@ mod tests {
         assert_eq!(a.requests, 3);
         assert_eq!(a.degraded_requests, 2);
         assert_eq!(a.max_worst_rmse, 0.04);
-        assert!((a.mean_worst_rmse() - (0.004 + 0.04) / 3.0).abs() < 1e-12);
+        assert_eq!(a.sum_worst_rmse, 0.004 + 0.04);
     }
 
     #[test]
@@ -748,14 +728,6 @@ mod tests {
     fn availability_is_one_when_empty() {
         let s = ServeStats::new(1);
         assert_eq!(s.availability(), 1.0);
-    }
-
-    #[test]
-    fn runtime_tables_render_pool_state() {
-        let (runtime, kernels) = ServeStats::runtime_tables();
-        assert_eq!(runtime.num_rows(), 1);
-        assert!(runtime.render().contains("occup"));
-        assert!(kernels.render().contains("kernel"));
     }
 
     #[test]

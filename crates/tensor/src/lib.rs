@@ -12,7 +12,7 @@
 //!   `(Ns, Ns, Hz)`; it exposes token-matrix views with [`Tensor2`]
 //!   semantics.
 //! * [`nn`] — the neural-network building blocks the PPM needs: [`nn::Linear`],
-//!   [`nn::LayerNorm`], softmax, sigmoid/ReLU/GELU.
+//!   [`nn::LayerNorm`], softmax, sigmoid/ReLU.
 //! * [`rng`] — named-seed deterministic random streams so that every
 //!   experiment in the reproduction regenerates bit-identically.
 //! * [`simd`] — the one runtime dispatch point that lets the inner loops

@@ -388,16 +388,6 @@ pub fn sigmoid_inplace(x: &mut Tensor2) {
     );
 }
 
-/// Element-wise GELU (tanh approximation).
-pub fn gelu(x: &Tensor2) -> Tensor2 {
-    x.map(gelu_scalar)
-}
-
-/// GELU on a single value (tanh approximation).
-pub fn gelu_scalar(v: f32) -> f32 {
-    0.5 * v * (1.0 + (0.797_884_6 * (v + 0.044_715 * v * v * v)).tanh())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,8 +578,5 @@ mod tests {
         assert_eq!(relu(&x).row(0), &[0.0, 0.0, 2.0]);
         let s = sigmoid(&x);
         assert!((s.at(0, 1) - 0.5).abs() < 1e-6);
-        let g = gelu(&x);
-        assert!(g.at(0, 2) > 1.9 && g.at(0, 2) < 2.0);
-        assert!(g.at(0, 0) < 0.0 && g.at(0, 0) > -0.2);
     }
 }

@@ -77,22 +77,6 @@ pub fn count_3sigma_outliers(values: &[f32]) -> usize {
     values.iter().filter(|&&v| v < lo || v > hi).count()
 }
 
-/// Returns the indices of values outside `mean ± 3σ`.
-pub fn indices_3sigma_outliers(values: &[f32]) -> Vec<usize> {
-    let s = Summary::of(values);
-    if s.std == 0.0 {
-        return Vec::new();
-    }
-    let lo = s.mean - 3.0 * s.std;
-    let hi = s.mean + 3.0 * s.std;
-    values
-        .iter()
-        .enumerate()
-        .filter(|&(_, &v)| v < lo || v > hi)
-        .map(|(i, _)| i)
-        .collect()
-}
-
 /// Largest `k` that [`top_k_abs_into`] selects with its stack-resident
 /// insertion pass; the AAQ schemes use `k ≤ 8` (Fig. 11 settles on 4).
 const TOP_K_INSERTION_MAX: usize = 8;
@@ -176,25 +160,6 @@ pub fn top_k_abs_indices(values: &[f32], k: usize) -> Vec<usize> {
     idx
 }
 
-/// Coefficient of variation of per-group `mean_abs`, used to quantify how
-/// different groups of values are from each other.
-///
-/// Returns 0 when fewer than two groups are given or the grand mean is 0.
-/// A large value over tokens and a small value over channels is the
-/// signature of the token-wise distogram pattern (Fig. 5).
-pub fn group_dispersion(groups: &[&[f32]]) -> f32 {
-    if groups.len() < 2 {
-        return 0.0;
-    }
-    let means: Vec<f32> = groups.iter().map(|g| Summary::of(g).mean_abs).collect();
-    let s = Summary::of(&means);
-    if s.mean == 0.0 {
-        0.0
-    } else {
-        s.std / s.mean
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +190,6 @@ mod tests {
         }
         v[42] = 50.0;
         assert_eq!(count_3sigma_outliers(&v), 1);
-        assert_eq!(indices_3sigma_outliers(&v), vec![42]);
     }
 
     #[test]
@@ -318,18 +282,5 @@ mod tests {
     #[should_panic(expected = "top-k wider than its input")]
     fn top_k_into_rejects_an_oversized_request() {
         top_k_abs_into(&[1.0, 2.0], &mut [0; 3]);
-    }
-
-    #[test]
-    fn dispersion_separates_token_vs_channel_pattern() {
-        // Two "tokens" with very different scales: high dispersion.
-        let t0 = [0.1f32, 0.2, 0.15];
-        let t1 = [10.0f32, 12.0, 11.0];
-        let d_tokens = group_dispersion(&[&t0, &t1]);
-        // Two "channels" sampling both tokens: similar scale, low dispersion.
-        let c0 = [0.1f32, 10.0];
-        let c1 = [0.2f32, 12.0];
-        let d_channels = group_dispersion(&[&c0, &c1]);
-        assert!(d_tokens > 5.0 * d_channels, "{d_tokens} vs {d_channels}");
     }
 }

@@ -176,11 +176,6 @@ impl Tensor3 {
         &mut self.data[base..base + self.d2]
     }
 
-    /// Iterator over all tokens in row-major `(i, j)` order.
-    pub fn iter_tokens(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.d2.max(1))
-    }
-
     /// Reinterprets the tensor as a `(d0*d1, d2)` token matrix (copying).
     pub fn to_token_matrix(&self) -> Tensor2 {
         Tensor2::from_vec(self.d0 * self.d1, self.d2, self.data.clone())
@@ -209,66 +204,6 @@ impl Tensor3 {
         }
         let d2 = m.cols();
         Tensor3::from_vec(d0, d1, d2, m.into_vec())
-    }
-
-    /// Copies the 2-D slice at fixed first index `i` into a `(d1, d2)` matrix.
-    ///
-    /// In the Pair Representation this is "row `i` of the pair matrix": the
-    /// sequence of tokens `(i, 0..Ns)`, which is exactly the unit triangular
-    /// attention operates on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= d0`.
-    pub fn slice_d0(&self, i: usize) -> Tensor2 {
-        assert!(i < self.d0, "slice {i} out of bounds for d0={}", self.d0);
-        let base = i * self.d1 * self.d2;
-        Tensor2::from_vec(
-            self.d1,
-            self.d2,
-            self.data[base..base + self.d1 * self.d2].to_vec(),
-        )
-        .expect("shape is consistent by construction")
-    }
-
-    /// Copies the 2-D slice at fixed second index `j` into a `(d0, d2)` matrix
-    /// (a "column" of the pair matrix).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= d1`.
-    pub fn slice_d1(&self, j: usize) -> Tensor2 {
-        assert!(j < self.d1, "slice {j} out of bounds for d1={}", self.d1);
-        let mut out = Tensor2::zeros(self.d0, self.d2);
-        for i in 0..self.d0 {
-            let base = (i * self.d1 + j) * self.d2;
-            out.row_mut(i)
-                .copy_from_slice(&self.data[base..base + self.d2]);
-        }
-        out
-    }
-
-    /// Writes `m` (shape `(d1, d2)`) into the slice at fixed first index `i`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if `m` is not `(d1, d2)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= d0`.
-    pub fn set_slice_d0(&mut self, i: usize, m: &Tensor2) -> Result<(), TensorError> {
-        assert!(i < self.d0, "slice {i} out of bounds for d0={}", self.d0);
-        if m.shape() != (self.d1, self.d2) {
-            return Err(TensorError::ShapeMismatch {
-                op: "set_slice_d0",
-                lhs: vec![self.d1, self.d2],
-                rhs: vec![m.rows(), m.cols()],
-            });
-        }
-        let base = i * self.d1 * self.d2;
-        self.data[base..base + self.d1 * self.d2].copy_from_slice(m.as_slice());
-        Ok(())
     }
 
     /// Element-wise sum.
@@ -394,33 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn slices_match_tokens() {
-        let t = Tensor3::from_fn(3, 4, 2, |i, j, k| (i * 100 + j * 10 + k) as f32);
-        let row = t.slice_d0(1);
-        assert_eq!(row.shape(), (4, 2));
-        assert_eq!(row.row(2), t.token(1, 2));
-        let col = t.slice_d1(3);
-        assert_eq!(col.shape(), (3, 2));
-        assert_eq!(col.row(2), t.token(2, 3));
-    }
-
-    #[test]
-    fn set_slice_round_trip() {
-        let mut t = Tensor3::zeros(2, 3, 2);
-        let m = Tensor2::from_fn(3, 2, |i, j| (i * 2 + j) as f32 + 1.0);
-        t.set_slice_d0(1, &m).unwrap();
-        assert_eq!(t.slice_d0(1), m);
-        assert_eq!(t.slice_d0(0), Tensor2::zeros(3, 2));
-    }
-
-    #[test]
-    fn set_slice_rejects_bad_shape() {
-        let mut t = Tensor3::zeros(2, 3, 2);
-        let m = Tensor2::zeros(2, 2);
-        assert!(t.set_slice_d0(0, &m).is_err());
-    }
-
-    #[test]
     fn add_and_rmse() {
         let a = Tensor3::from_fn(2, 2, 2, |_, _, _| 1.0);
         let b = Tensor3::from_fn(2, 2, 2, |_, _, _| 2.0);
@@ -430,9 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn iter_tokens_count() {
+    fn num_tokens_counts_pair_positions() {
         let t = Tensor3::zeros(3, 5, 7);
-        assert_eq!(t.iter_tokens().count(), 15);
         assert_eq!(t.num_tokens(), 15);
     }
 }

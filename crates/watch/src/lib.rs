@@ -34,10 +34,11 @@ pub mod watermark;
 pub use health::health_score;
 pub use recorder::FlightRecorder;
 pub use slo::{Breach, BudgetRow, FoldObservation, ObservedOutcome, SloEngine, SloKind, SloSpec};
-pub use watermark::{length_bucket_label, WatermarkRow, WatermarkTracker};
+pub use watermark::{WatermarkRow, WatermarkTracker};
 
 use ln_obs::{MetricValue, Registry, TraceEvent};
 use ln_quant::ActPrecision;
+use ln_scope::length_bucket_label;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 

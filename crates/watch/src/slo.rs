@@ -21,6 +21,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ln_obs::{labeled, Registry};
+use ln_scope::length_bucket_label;
 
 /// What a service-level objective measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,10 +267,7 @@ impl SloEngine {
         if let Some(shard) = obs.shard {
             scope_keys.push(format!("shard:{shard}"));
         }
-        scope_keys.push(format!(
-            "bucket:{}",
-            crate::watermark::length_bucket_label(obs.length)
-        ));
+        scope_keys.push(format!("bucket:{}", length_bucket_label(obs.length)));
         for (i, spec) in self.specs.iter().enumerate() {
             let Some(good) = Self::classify(spec, obs) else {
                 continue;

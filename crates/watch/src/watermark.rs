@@ -13,11 +13,7 @@ use std::collections::BTreeMap;
 
 use ln_obs::{labeled, Registry};
 use ln_quant::ActPrecision;
-
-// The canonical length-bucket vocabulary moved to `ln_scope::bucket` (one
-// source shared with the numerics sketches); re-exported here so every
-// existing `ln_watch::watermark::length_bucket_label` caller keeps working.
-pub use ln_scope::bucket::{length_bucket_label, LENGTH_BUCKET_BOUNDS};
+use ln_scope::length_bucket_label;
 
 /// One `(length bucket, precision)` cell of the watermark table.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,29 +94,11 @@ impl WatermarkTracker {
             })
             .collect()
     }
-
-    /// Largest recorded peak across every cell (pressure input for health
-    /// scoring), 0 when empty.
-    pub fn max_peak_bytes(&self) -> f64 {
-        self.cells.values().map(|c| c.max_bytes).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_labels_partition_lengths() {
-        assert_eq!(length_bucket_label(1), "le_256");
-        assert_eq!(length_bucket_label(256), "le_256");
-        assert_eq!(length_bucket_label(257), "le_512");
-        assert_eq!(length_bucket_label(3364), "le_4096");
-        assert_eq!(length_bucket_label(9000), "gt_8192");
-        for w in LENGTH_BUCKET_BOUNDS.windows(2) {
-            assert_ne!(length_bucket_label(w[0]), length_bucket_label(w[1]));
-        }
-    }
 
     #[test]
     fn tracker_keeps_max_and_mean_per_cell() {
@@ -138,6 +116,5 @@ mod tests {
         assert_eq!(fp32.batches, 2);
         assert_eq!(fp32.max_bytes, 300.0);
         assert_eq!(fp32.mean_bytes, 200.0);
-        assert_eq!(t.max_peak_bytes(), 300.0);
     }
 }

@@ -60,33 +60,35 @@
 # tests make goes through the dispatched tile loops it wraps), not here.
 # Step 6 drives a fixed-seed FaultPlan through the virtual-time engine and
 # exits non-zero if any request hangs or the resilience stats are not
-# byte-identical across two runs. Step 7 measures
-# the LN_OBS=off instrumentation path against an uninstrumented baseline
-# loop and exits non-zero if the overhead exceeds 5%. Step 8 replays a
-# traced chaos run through the critical-path analyzer and gates the
-# committed BENCH_*.json against benchmarks/history/ — it exits non-zero
-# on a median+MAD regression, on any committed kernel speedup below the
-# same 0.95x floor, on any trace span the replay cannot attribute, or on
-# a truncated trace ring. Step 9 sweeps 1/4/16-shard
-# clusters over one workload and exits non-zero if the outcome fingerprint
-# diverges across ln-par pools {1, 2, 4}, if a sweep point answers fewer
-# requests than the workload holds (the router's own check is a
-# debug_assert, compiled out here), if the merged cluster trace leaves any
-# span unattributed, or if p99 fails to improve monotonically with the
-# shard count. Step 10 measures the LN_OBS=off serving hot path
-# with the watch compiled in but not attached (one branch + one gated
-# counter, same 5% budget as step 7), replays the deterministic SLO
-# burn-rate fixtures, and exits non-zero if the steady fixture breaches,
-# the burst fixture fails to breach, or the modeled peak-activation
-# watermark stops shrinking monotonically FP32 -> INT8 -> INT4 at
-# L >= 1024. Step 11 measures the LN_OBS=off cost of wrapping the AAQ
-# hook in the ln-scope observatory (one branch per tap, same 5% budget,
-# one bounded re-measure on a noisy sample), re-runs the golden CAMEO
-# fold under ln-par pools {1, 2, 4}, and exits non-zero if the numerics
-# snapshots are not byte-identical across pools or the precision ledger
-# comes back empty. Steps 5 and 7-11 also pass their document through
-# `ln_bench::emit`, which asserts it reads back as written and that the
-# regression gate finds samples in it, and writes nothing under --quick.
+# byte-identical across two runs. Step 7 measures the LN_OBS=off
+# instrumentation path against an uninstrumented baseline loop through
+# `ln_bench::off_mode_cost`, the one off-mode rule (reps interleaved, best
+# rep per side, one bounded re-measure of a miss, 5% budget), and exits
+# non-zero if the overhead is over budget. Step 8 replays a traced chaos
+# run through the critical-path analyzer and gates the committed
+# BENCH_*.json against benchmarks/history/ — it exits non-zero on a
+# median+MAD regression, on any committed kernel speedup below the same
+# 0.95x floor, on any trace span the replay cannot attribute, or on a
+# truncated trace ring. Step 9 sweeps 1/4/16-shard clusters over one
+# workload and exits non-zero if the outcome fingerprint diverges across
+# ln-par pools {1, 2, 4}, if a sweep point answers fewer requests than the
+# workload holds (the router's own check is a debug_assert, compiled out
+# here), if the merged cluster trace leaves any span unattributed, or if
+# p99 fails to improve monotonically with the shard count. Step 10
+# measures the LN_OBS=off serving hot path with the watch compiled in but
+# not attached (one branch + one gated counter, through step 7's
+# off_mode_cost rule), replays the deterministic SLO burn-rate fixtures,
+# and exits non-zero if the steady fixture breaches, the burst fixture
+# fails to breach, or the modeled peak-activation watermark stops
+# shrinking monotonically FP32 -> INT8 -> INT4 at L >= 1024. Step 11
+# measures the LN_OBS=off cost of wrapping the AAQ hook in the ln-scope
+# observatory (one branch per tap, through the same off_mode_cost rule),
+# re-runs the golden CAMEO fold under ln-par pools {1, 2, 4}, and exits
+# non-zero if the numerics snapshots are not byte-identical across pools
+# or the precision ledger comes back empty. Steps 5 and 7-11 also pass
+# their document through `ln_bench::emit`, which asserts it reads back as
+# written and that the regression gate finds samples in it, and writes
+# nothing under --quick.
 # Step 12 executes the nineteen paper-artifact bins (every fig*, tab*,
 # ablate_*, extend_h200) — analytic, ~2 minutes, and run by no other gate —
 # so one that panics or fails an internal assert fails here. Step 13

@@ -22,6 +22,91 @@ fn simulator_throughput_is_physically_bounded() {
     }
 }
 
+/// One stage of one block: (name, RMPU, VVPU and HBM cycles, HBM bytes,
+/// binding resource).
+type StagePin = (&'static str, u64, u64, u64, u64, &'static str);
+
+#[test]
+fn accelerator_model_is_pinned_to_absolute_values() {
+    // (ns, total_seconds bits, peak_memory_bytes bits, per-block stages).
+    // Any edit to a cycle, byte or fill/drain constant moves a value here.
+    #[rustfmt::skip]
+    const PINS: [(usize, u64, u64, [StagePin; 8]); 3] = [
+        (
+            77,
+            0x3f916ec4d1223e66,
+            0x41c9abc212000000,
+            [
+                ("seq_attention", 18346, 46, 353, 630784, "rmpu"),
+                ("seq_transition", 17522, 46, 353, 630784, "rmpu"),
+                ("outer_product_mean", 2704, 46, 950, 1707552, "rmpu"),
+                ("tri_mul_outgoing", 9094, 6487, 2291, 4126584, "rmpu"),
+                ("tri_mul_incoming", 9094, 6487, 2291, 4126584, "rmpu"),
+                ("tri_attn_starting", 7559, 8294, 2964, 5336100, "vvpu"),
+                ("tri_attn_ending", 7559, 8294, 2964, 5336100, "vvpu"),
+                ("pair_transition", 11858, 2364, 950, 1707552, "rmpu"),
+            ],
+        ),
+        (
+            1410,
+            0x40128b56eeaccf09,
+            0x41e1d1a212000000,
+            [
+                ("seq_attention", 596979, 838, 6410, 11550720, "rmpu"),
+                ("seq_transition", 320854, 838, 6410, 11550720, "rmpu"),
+                ("outer_product_mean", 884854, 838, 317741, 572572800, "rmpu"),
+                ("tri_mul_outgoing", 4198826, 2174488, 767871, 1383717600, "rmpu"),
+                ("tri_mul_incoming", 4198826, 2174488, 767871, 1383717600, "rmpu"),
+                ("tri_attn_starting", 4834605, 4830465, 992935, 1789290000, "rmpu"),
+                ("tri_attn_ending", 4834605, 4830465, 992935, 1789290000, "rmpu"),
+                ("pair_transition", 3976200, 792136, 317741, 572572800, "rmpu"),
+            ],
+        ),
+        (
+            3364,
+            0x404295833680c58e,
+            0x4201de5c86000000,
+            [
+                ("seq_attention", 2337233, 1998, 15294, 27557888, "rmpu"),
+                ("seq_transition", 765497, 1998, 15294, 27557888, "rmpu"),
+                ("outer_product_mean", 5032544, 1998, 1808609, 3259150848, "rmpu"),
+                ("tri_mul_outgoing", 33497615, 12377420, 4370801, 7876281216, "rmpu"),
+                ("tri_mul_incoming", 33497615, 12377420, 4370801, 7876281216, "rmpu"),
+                ("tri_attn_starting", 46713948, 43409375, 5651896, 10184846400, "rmpu"),
+                ("tri_attn_ending", 46713948, 43409375, 5651896, 10184846400, "rmpu"),
+                ("pair_transition", 22632992, 4508919, 1808609, 3259150848, "rmpu"),
+            ],
+        ),
+    ];
+    let accel = Accelerator::new(HwConfig::paper());
+    for (ns, seconds, peak, stages) in PINS {
+        let report = accel.simulate(ns);
+        assert_eq!(report.total_seconds().to_bits(), seconds, "ns {ns}");
+        assert_eq!(accel.peak_memory_bytes(ns).to_bits(), peak, "ns {ns}");
+        let got: Vec<StagePin> = report
+            .per_block_stages
+            .iter()
+            .map(|s| {
+                (
+                    s.stage.name(),
+                    s.rmpu_cycles,
+                    s.vvpu_cycles,
+                    s.hbm_cycles,
+                    s.hbm_bytes,
+                    s.bound_by(),
+                )
+            })
+            .collect();
+        assert_eq!(got, stages, "ns {ns}");
+    }
+
+    // Table 2: 178.694 mm² and 67 890.252 mW.
+    let total = ln_accel::power::area_power(&HwConfig::paper()).total;
+    assert_eq!(total.area_mm2.to_bits(), 0x406656353f7ced91);
+    assert_eq!(total.power_mw.to_bits(), 0x40f09324083126e9);
+    assert_eq!(PerfComparison::paper().max_supported_length(), 10125);
+}
+
 #[test]
 fn headline_claims_reproduce_in_shape() {
     let perf = PerfComparison::paper();
