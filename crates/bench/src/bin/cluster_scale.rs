@@ -7,13 +7,11 @@
 //! every shard runs on the shared virtual clock, the whole sweep is
 //! byte-identical across hosts and `ln-par` pool sizes.
 //!
-//! The full run writes `BENCH_CLUSTER.json` at the repo root (archived by
-//! `scripts/bench.sh` into `benchmarks/history/`, where the insight
-//! regression gate scores it). `--quick` (ci.sh) runs a smaller sweep and
-//! exits non-zero if the outcome fingerprint diverges across `ln-par`
-//! pools {1, 2, 4}, if any request goes unanswered, if the merged trace
-//! leaves any span unattributed (or drops events), or if p99 fails to
-//! improve monotonically 1 → 4 → 16.
+//! The full run writes `BENCH_CLUSTER.json` at the repo root. `--quick`
+//! (ci.sh) runs a smaller sweep and exits non-zero if the outcome
+//! fingerprint diverges across `ln-par` pools {1, 2, 4}, if any request
+//! goes unanswered, if the merged trace leaves any span unattributed (or
+//! drops events), or if p99 fails to improve monotonically 1 → 4 → 16.
 
 use ln_bench::{banner, emit, paper_note, show};
 use ln_cluster::{Cluster, ClusterConfig, ClusterOutcome};

@@ -1,6 +1,6 @@
 //! insight — the analysis dashboard over everything the repo measures.
 //!
-//! Three sections, one markdown document:
+//! Two sections, one markdown document:
 //!
 //! 1. **Critical path** — a seeded chaos run of the virtual-time serve
 //!    engine with tracing on, replayed through
@@ -12,26 +12,18 @@
 //! 2. **Roofline** — one `ln-accel` simulation at paper scale, classified
 //!    against the RMPU/VVPU/HBM ceilings of `HwConfig::paper()` via
 //!    [`ln_insight::RooflineReport`].
-//! 3. **Regression gate** — the committed `BENCH_PAR.json` /
-//!    `BENCH_OBS.json` / `BENCH_CLUSTER.json` / `BENCH_NUMERICS.json`
-//!    plus this run's phase times, scored with median + MAD thresholds
-//!    against `benchmarks/history/`.
 //!
 //! The full run writes `BENCH_INSIGHT.json` at the repo root; `--quick`
-//! (ci.sh step 8) runs a smaller workload and exits non-zero if the gate
-//! fails, if any committed kernel speedup sits below the
-//! [`MIN_SPEEDUP`] floor at any pool size, if any trace span cannot be
-//! attributed, or if the trace ring dropped events.
-
-use std::path::Path;
+//! (ci.sh step 8) runs a smaller workload. Both exit non-zero if any trace
+//! span cannot be attributed or if the trace ring dropped events. Speed is
+//! judged elsewhere, by same-host before/after pairs (EXPERIMENTS.md).
 
 use ln_accel::{Accelerator, HwConfig};
 use ln_bench::{banner, emit, paper_note};
 use ln_datasets::Registry;
 use ln_fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow, ResilienceConfig};
 use ln_insight::json::{obj, Value};
-use ln_insight::regression::{self, BaselineStore, GateConfig, Sample};
-use ln_insight::{Ceilings, CpuKernelProfile, CriticalPath, RooflineReport};
+use ln_insight::{Ceilings, CriticalPath, RooflineReport};
 use ln_quant::ActPrecision;
 use ln_serve::{
     standard_backends, Backend, BatcherConfig, BucketPolicy, Engine, FoldRequest,
@@ -40,15 +32,6 @@ use ln_serve::{
 
 const SEED: &str = "obs/trace-workload";
 const PLAN_SEED: &str = "chaos/plan-h";
-
-/// Hard kernel-speedup floor over `BENCH_PAR.json`: any `(kernel, L)` at
-/// or below this under the parallel pool, or any kernel whose worst
-/// speedup across pool sizes dips below it, fails the gate. Promoted
-/// from a WARN after the register-tiled kernel rework retired the
-/// 0.598× Evoformer regression — a slowdown past this floor is a bug
-/// now, not a known characteristic. Matches `par_speedup`'s own
-/// `KERNEL_MIN_SPEEDUP` so both gates agree.
-const MIN_SPEEDUP: f64 = 0.95;
 
 /// One traced chaos run of `n` requests plus the giant under-pressure
 /// request, identical in shape to `tests/obs_trace.rs` so the dashboard
@@ -105,28 +88,7 @@ fn traced_chaos_run(n: usize) -> (Vec<ln_obs::TraceEvent>, u64) {
     (out.trace.expect("tracing was enabled"), out.trace_dropped)
 }
 
-/// Parse one committed `BENCH_*.json` into gate samples; a missing or
-/// unparseable file contributes nothing (and says so).
-fn samples_from_file(path: &str) -> (Vec<Sample>, Option<Value>) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        println!("note: {path} not found; skipping its samples");
-        return (Vec::new(), None);
-    };
-    match ln_insight::json::parse(&text) {
-        Ok(doc) => (regression::bench_samples(&doc), Some(doc)),
-        Err(e) => {
-            println!("note: {path} failed to parse ({e}); skipping its samples");
-            (Vec::new(), None)
-        }
-    }
-}
-
-fn document(
-    tag: &str,
-    cp: &CriticalPath,
-    roofline: &RooflineReport,
-    gate: &regression::RegressionReport,
-) -> Value {
+fn document(tag: &str, cp: &CriticalPath, roofline: &RooflineReport) -> Value {
     let count = |n: usize| Value::UInt(n as u64);
     let t = cp.terminal_summary();
     let (queue_bound, compute_bound, retry_bound) = cp.blame_summary();
@@ -172,14 +134,6 @@ fn document(
         ),
         ("phases", Value::Arr(phases.collect())),
         ("roofline", Value::Arr(stages.collect())),
-        (
-            "regression",
-            obj([
-                ("metrics", count(gate.verdicts.len())),
-                ("failures", count(gate.failures())),
-                ("no_baseline", count(gate.no_baseline())),
-            ]),
-        ),
         ("unattributed", count(cp.unattributed.len())),
         ("truncated", Value::Bool(cp.truncated)),
     ])
@@ -188,15 +142,14 @@ fn document(
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     banner(if quick {
-        "insight --quick — critical-path + roofline + regression gate"
+        "insight --quick — critical-path + roofline"
     } else {
-        "insight — critical-path, roofline and regression dashboards"
+        "insight — critical-path and roofline dashboards"
     });
     paper_note(
         "interprets the telemetry instead of just exporting it: per-request \
-         latency attribution from the engine trace (paper Fig. 3), roofline \
-         classification against the 32-RMPU/128-VVPU/2TB-s ceilings, and a \
-         median+MAD regression gate over the archived BENCH_*.json history",
+         latency attribution from the engine trace (paper Fig. 3) and roofline \
+         classification against the 32-RMPU/128-VVPU/2TB-s ceilings",
     );
 
     let (n, sim_len) = if quick { (60, 512) } else { (120, 1024) };
@@ -220,61 +173,9 @@ fn main() {
     let roofline = RooflineReport::from_snapshot(&snapshot, ceilings);
     println!("{}", roofline.render_markdown());
 
-    // 3. Regression gate: committed BENCH files + this run's phase times
-    //    against the archived history.
-    let (store, history_files) =
-        BaselineStore::load_dir(Path::new("benchmarks/history")).expect("read benchmarks/history");
-    let mut current = Vec::new();
-    let (par_samples, par_doc) = samples_from_file("BENCH_PAR.json");
-    let (obs_samples, _) = samples_from_file("BENCH_OBS.json");
-    let (cluster_samples, _) = samples_from_file("BENCH_CLUSTER.json");
-    let (numerics_samples, _) = samples_from_file("BENCH_NUMERICS.json");
-    current.extend(par_samples);
-    current.extend(obs_samples);
-    current.extend(cluster_samples);
-    current.extend(numerics_samples);
-    current.extend(cp.samples(&tag));
-    let gate = regression::evaluate(GateConfig::default(), &store, &current);
-    println!("{}", gate.render_markdown());
-    println!(
-        "history: {history_files} archived documents; {} current metrics \
-         ({} without baseline)",
-        gate.verdicts.len(),
-        gate.no_baseline()
-    );
-
-    // CPU kernel profile: achieved GFLOP/s from the committed
-    // BENCH_PAR.json, shown against the simulated machine's ceilings.
-    if let Some(doc) = &par_doc {
-        let profiles = CpuKernelProfile::from_bench_doc(doc);
-        if !profiles.is_empty() {
-            println!("{}", CpuKernelProfile::render_markdown(&profiles, ceilings));
-        }
-    }
-
-    emit(
-        "BENCH_INSIGHT.json",
-        &document(&tag, &cp, &roofline, &gate),
-        quick,
-    );
+    emit("BENCH_INSIGHT.json", &document(&tag, &cp, &roofline), quick);
 
     let mut bad = false;
-    // Kernel speedup floor over the committed BENCH_PAR.json. A slowdown
-    // already baked into the baselines can't trip the median+MAD gate,
-    // so this check fails hard on its own.
-    if let Some(doc) = &par_doc {
-        for failure in regression::speedup_warnings(doc, MIN_SPEEDUP) {
-            eprintln!("SPEEDUP FLOOR: {failure}");
-            bad = true;
-        }
-    }
-    if gate.failures() > 0 {
-        eprintln!(
-            "REGRESSION: {} metric(s) beyond the median+MAD threshold",
-            gate.failures()
-        );
-        bad = true;
-    }
     if !cp.unattributed.is_empty() {
         eprintln!(
             "UNATTRIBUTED: {} trace span(s) the critical-path replay could not place:",
@@ -292,5 +193,5 @@ fn main() {
     if bad {
         std::process::exit(1);
     }
-    println!("insight gate clean: all spans attributed, no regressions");
+    println!("insight gate clean: all spans attributed");
 }

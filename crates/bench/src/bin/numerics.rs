@@ -17,10 +17,9 @@
 //!    the golden fold, with the cheapest-safe-rung recommendation under
 //!    the measured error→accuracy sensitivity model.
 //!
-//! The full run writes `BENCH_NUMERICS.json` at the repo root (scored by
-//! the insight regression gate as `numerics/overhead@MODE/ns_per_value`);
-//! `--quick` runs smaller iteration counts and exits non-zero on an
-//! off-mode or pool-identity violation.
+//! The full run writes `BENCH_NUMERICS.json` at the repo root; `--quick`
+//! runs smaller iteration counts and exits non-zero on an off-mode or
+//! pool-identity violation.
 
 use std::hint::black_box;
 

@@ -15,10 +15,9 @@
 //!    FP32→INT8→INT4 reduction is monotone at L ≥ 1024 (the paper's
 //!    Fig. 15 claim, live-telemetry edition).
 //!
-//! The full run writes `BENCH_WATCH.json` at the repo root (scored by the
-//! insight regression gate as `watch/overhead@MODE/ns_per_event` and
-//! `watch/burn/FIXTURE/evaluate_ns`); `--quick` runs a smaller iteration
-//! count and exits non-zero on an off-mode or monotonicity violation.
+//! The full run writes `BENCH_WATCH.json` at the repo root; `--quick` runs
+//! a smaller iteration count and exits non-zero on an off-mode or
+//! monotonicity violation.
 
 use std::hint::black_box;
 

@@ -37,7 +37,6 @@ use std::time::Instant;
 
 use lightnobel::report::Table;
 use ln_insight::json::{self, Value};
-use ln_insight::regression;
 
 /// Prints a section banner.
 pub fn banner(title: &str) {
@@ -135,20 +134,15 @@ pub fn mix(mut x: u64) -> u64 {
 }
 
 /// Emits one `BENCH_*.json` document: serialises it, checks that the text
-/// parses back to the same value and that the regression gate reads samples
-/// from it, then writes `path` — unless `quick`, so that a `--quick` gate
-/// run exercises the writer a full run would use and leaves the committed
-/// record alone.
+/// parses back to the same value, then writes `path` — unless `quick`, so
+/// that a `--quick` gate run exercises the writer a full run would use and
+/// leaves the committed record alone.
 pub fn emit(path: &str, doc: &Value, quick: bool) {
     let text = json::write(doc);
     assert_eq!(
         json::parse(&text).as_ref(),
         Ok(doc),
         "{path} does not read back as written"
-    );
-    assert!(
-        !regression::bench_samples(doc).is_empty(),
-        "{path}: the regression gate reads no sample from it"
     );
     if !quick {
         std::fs::write(path, text + "\n").unwrap_or_else(|e| panic!("write {path}: {e}"));
@@ -194,10 +188,12 @@ mod tests {
         assert!(cost.over_budget(), "{cost:?}");
     }
 
+    /// `write` renders a NaN as the quoted `"NaN"` marker, which `parse`
+    /// reads back as a string: the document does not survive the trip.
     #[test]
-    #[should_panic(expected = "reads no sample")]
-    fn emit_refuses_a_document_the_gate_cannot_read() {
-        let doc = json::obj([("bench", Value::Str("no_such_bench".to_owned()))]);
+    #[should_panic(expected = "does not read back as written")]
+    fn emit_refuses_a_document_that_does_not_read_back() {
+        let doc = json::obj([("x", Value::Float(f64::NAN))]);
         emit("unwritten.json", &doc, true);
     }
 }

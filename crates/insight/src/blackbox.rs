@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 
 use ln_obs::registry::HISTOGRAM_BUCKETS;
 use ln_obs::{HistogramSnapshot, MetricValue, TraceEvent};
+use ln_scope::{length_bucket_label, LENGTH_BUCKET_BOUNDS};
 use ln_watch::WatermarkRow;
 
 use crate::json::{self, Value};
@@ -188,11 +189,6 @@ fn parse_metric_line(obj: &Value, line_no: usize) -> Result<(String, MetricValue
     Ok((name, value))
 }
 
-/// Canonical row order of the memory-vs-length table.
-const BUCKET_ORDER: [&str; 7] = [
-    "le_256", "le_512", "le_1024", "le_2048", "le_4096", "le_8192", "gt_8192",
-];
-
 fn fmt_mib(bytes: f64) -> String {
     format!("{:.1}", bytes / (1024.0 * 1024.0))
 }
@@ -214,7 +210,10 @@ pub fn memory_vs_length_table(rows: &[WatermarkRow]) -> String {
         "{:<10} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "bucket", "batches", "fp32", "int8", "int4", "int8/fp32", "int4/fp32"
     );
-    for bucket in BUCKET_ORDER {
+    // One row per canonical length bucket, shortest first: each bound's
+    // own bucket, then the one past the last bound.
+    let buckets = LENGTH_BUCKET_BOUNDS.into_iter().chain([usize::MAX]);
+    for bucket in buckets.map(length_bucket_label) {
         let fp32 = cell.get(&(bucket, "fp32")).copied();
         let int8 = cell.get(&(bucket, "int8")).copied();
         let int4 = cell.get(&(bucket, "int4")).copied();

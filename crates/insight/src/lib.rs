@@ -1,7 +1,7 @@
 //! Analysis layer over the raw `ln-obs` telemetry: instead of merely
 //! *exporting* traces and metrics, this crate *interprets* them.
 //!
-//! Three analyses, mirroring how the LightNobel paper (ISCA 2025) argues
+//! Four analyses, mirroring how the LightNobel paper (ISCA 2025) argues
 //! its own design:
 //!
 //! * [`timeline::CriticalPath`] — reconstructs per-request timelines from
@@ -15,10 +15,6 @@
 //!   RMPU/VVPU peak-throughput and HBM2E bandwidth ceilings from
 //!   `ln_accel::HwConfig`, labelling each pipeline stage compute-,
 //!   vector- or bandwidth-bound with attained-vs-peak ratios.
-//! * [`regression`] — a noise-aware regression gate: a baseline store of
-//!   archived `BENCH_*.json` documents (`benchmarks/history/`) scored
-//!   with median + MAD thresholds, so a significant slowdown fails CI
-//!   while run-to-run jitter does not.
 //! * [`blackbox`] — re-ingestion of `ln-watch` flight-recorder black
 //!   boxes (header + events + registry snapshot, each an exact inverse
 //!   of the deterministic exporters) and the memory-vs-length table over
@@ -32,9 +28,9 @@
 //! Everything is std-only and deterministic: the same events and the
 //! same snapshots render byte-identical reports, which is what lets the
 //! dashboards double as golden-test fixtures. [`json`] is the minimal
-//! hand-rolled JSON parser the baseline store and the exporter
-//! round-trip tests share, and [`jsonl`] re-ingests the `ln-obs` JSONL
-//! trace export losslessly.
+//! hand-rolled JSON writer and parser every `BENCH_*.json` record and the
+//! exporter round-trip tests share, and [`jsonl`] re-ingests the `ln-obs`
+//! JSONL trace export losslessly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +39,6 @@ pub mod blackbox;
 pub mod json;
 pub mod jsonl;
 pub mod precision;
-pub mod regression;
 pub mod roofline;
 pub mod timeline;
 
@@ -51,8 +46,7 @@ pub use blackbox::{memory_vs_length_table, parse_blackbox, parse_metrics, Blackb
 pub use precision::{
     precision_ledger_table, precision_rows, split_labels, PrecisionRow, DEFAULT_TM_BUDGET,
 };
-pub use regression::{BaselineStore, GateConfig, RegressionReport, Sample};
-pub use roofline::{Ceilings, CpuKernelProfile, RooflineReport};
+pub use roofline::{Ceilings, RooflineReport};
 pub use timeline::{CriticalPath, TerminalCounts};
 
 /// Render a count of nanoseconds as a fixed-precision human duration.

@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Value;
 use ln_obs::MetricValue;
 
 /// Peak-throughput ceilings of the simulated machine, taken from
@@ -211,86 +210,6 @@ impl RooflineReport {
     }
 }
 
-/// Achieved-throughput profile of one software (CPU) kernel measurement,
-/// parsed from the `profile` array `par_speedup` writes into
-/// `BENCH_PAR.json`. The software kernels chase the same roofline shape
-/// as the simulated machine, so the dashboard shows them side by side
-/// with the hardware ceilings for scale.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CpuKernelProfile {
-    /// Kernel name (`matmul`, `evoformer_block`, …).
-    pub kernel: String,
-    /// Sequence length of the measurement.
-    pub l: f64,
-    /// FLOPs of the timed region.
-    pub flops: f64,
-    /// Achieved GFLOP/s under the one-thread pool.
-    pub gflops_serial: f64,
-    /// Achieved GFLOP/s under the host-sized pool.
-    pub gflops_parallel: f64,
-}
-
-impl CpuKernelProfile {
-    /// Every complete profile entry in a parsed `par_speedup` document,
-    /// in document order. Documents of other kinds (or older ones without
-    /// a `profile` array) yield an empty list.
-    pub fn from_bench_doc(doc: &Value) -> Vec<CpuKernelProfile> {
-        let mut out = Vec::new();
-        if doc.get("bench").and_then(Value::as_str) != Some("par_speedup") {
-            return out;
-        }
-        for entry in doc.get("profile").and_then(Value::as_arr).unwrap_or(&[]) {
-            let (Some(kernel), Some(l), Some(flops), Some(serial), Some(parallel)) = (
-                entry.get("kernel").and_then(Value::as_str),
-                entry.get("l").and_then(Value::as_f64),
-                entry.get("flops").and_then(Value::as_f64),
-                entry.get("gflops_serial").and_then(Value::as_f64),
-                entry.get("gflops_parallel").and_then(Value::as_f64),
-            ) else {
-                continue;
-            };
-            out.push(CpuKernelProfile {
-                kernel: kernel.to_string(),
-                l,
-                flops,
-                gflops_serial: serial,
-                gflops_parallel: parallel,
-            });
-        }
-        out
-    }
-
-    /// Deterministic markdown table of kernel profiles against the
-    /// machine ceilings (the CPU numbers are a software analogue, so the
-    /// ceiling column is context, not an attained fraction).
-    pub fn render_markdown(profiles: &[CpuKernelProfile], ceilings: Ceilings) -> String {
-        let mut out = String::new();
-        out.push_str("## CPU kernel profile (software analogue)\n\n");
-        if profiles.is_empty() {
-            out.push_str("no kernel profile entries in BENCH_PAR.json\n");
-            return out;
-        }
-        out.push_str("| kernel | L | GFLOP/s serial | GFLOP/s parallel | of paper RMPU peak |\n");
-        out.push_str("|---|---|---|---|---|\n");
-        for p in profiles {
-            let peak_gflops = ceilings.int8_tops * 1000.0;
-            out.push_str(&format!(
-                "| {} | {:.0} | {:.2} | {:.2} | {:.4}% |\n",
-                p.kernel,
-                p.l,
-                p.gflops_serial,
-                p.gflops_parallel,
-                if peak_gflops > 0.0 {
-                    p.gflops_parallel / peak_gflops * 100.0
-                } else {
-                    0.0
-                },
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,57 +309,5 @@ mod tests {
         let b = RooflineReport::from_snapshot(&snap, ceilings()).render_markdown();
         assert_eq!(a, b);
         assert!(a.contains("| tri_mul_outgoing | 1400 | compute (RMPU) |"));
-    }
-
-    #[test]
-    fn cpu_profile_parses_par_speedup_documents() {
-        let doc = crate::json::parse(
-            r#"{"bench": "par_speedup", "profile": [
-                {"kernel": "matmul", "l": 512, "flops": 268435456,
-                 "gflops_serial": 1.5, "gflops_parallel": 1.4},
-                {"kernel": "evoformer_block", "l": 256,
-                 "gflops_serial": 0.9, "gflops_parallel": 0.8},
-                {"kernel": "evoformer_block", "l": 512, "flops": 1000000,
-                 "gflops_serial": 0.95, "gflops_parallel": 0.9}
-            ]}"#,
-        )
-        .unwrap();
-        let profiles = CpuKernelProfile::from_bench_doc(&doc);
-        // The entry missing `flops` is incomplete and skipped.
-        assert_eq!(profiles.len(), 2);
-        assert_eq!(profiles[0].kernel, "matmul");
-        assert!((profiles[0].l - 512.0).abs() < 1e-9);
-        assert!((profiles[0].gflops_parallel - 1.4).abs() < 1e-9);
-        assert_eq!(profiles[1].kernel, "evoformer_block");
-    }
-
-    #[test]
-    fn cpu_profile_ignores_other_benches() {
-        let doc = crate::json::parse(
-            r#"{"bench": "chaos", "profile": [{"kernel": "x", "l": 1,
-                "flops": 1, "gflops_serial": 1, "gflops_parallel": 1}]}"#,
-        )
-        .unwrap();
-        assert!(CpuKernelProfile::from_bench_doc(&doc).is_empty());
-    }
-
-    #[test]
-    fn cpu_profile_markdown_is_deterministic_and_scaled() {
-        let profiles = vec![CpuKernelProfile {
-            kernel: "matmul".to_string(),
-            l: 512.0,
-            flops: 2.0 * 512.0 * 512.0 * 512.0,
-            gflops_serial: 1.6384,
-            gflops_parallel: 1.6384,
-        }];
-        let a = CpuKernelProfile::render_markdown(&profiles, ceilings());
-        let b = CpuKernelProfile::render_markdown(&profiles, ceilings());
-        assert_eq!(a, b);
-        assert!(a.contains("| matmul | 512 |"), "{a}");
-        // ceilings() uses int8_tops = 163.84 → peak 163840 GFLOP/s, so
-        // 1.6384 GFLOP/s attains exactly 0.0010% of it.
-        assert!(a.contains("0.0010%"), "{a}");
-        let empty = CpuKernelProfile::render_markdown(&[], ceilings());
-        assert!(empty.contains("no kernel profile entries"));
     }
 }

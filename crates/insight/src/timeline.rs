@@ -3,7 +3,7 @@
 //! The deterministic engine (ln-serve) emits a fixed event vocabulary:
 //! `enqueue`/`reject` instants and `queue_wait` spans on bucket tracks,
 //! `dispatch`/`degrade`/`fold_batch`/fault/breaker events on backend
-//! tracks (track ≥ [`BACKEND_TRACK_BASE`]), and `retry`/`fail`/`timeout`
+//! tracks (track ≥ 100), and `retry`/`fail`/`timeout`
 //! instants back on the bucket tracks. [`CriticalPath::analyze`] replays
 //! that stream once, chronologically, and charges every nanosecond of
 //! each request's life to exactly one phase:
@@ -40,12 +40,6 @@ use std::collections::BTreeMap;
 use ln_obs::{ArgValue, TraceEvent, TracePhase};
 
 use crate::fmt_nanos;
-use crate::regression::Sample;
-
-/// First backend track; bucket tracks sit below it. Mirrors the constant
-/// of the same name in `ln-serve`'s engine (not exported — the trace
-/// format, not the engine internals, is the contract here).
-pub const BACKEND_TRACK_BASE: u32 = 100;
 
 /// How a request's life ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -585,24 +579,6 @@ impl CriticalPath {
     /// Total retry instants across all requests.
     pub fn total_retries(&self) -> u64 {
         self.requests.iter().map(|r| u64::from(r.retries)).sum()
-    }
-
-    /// Flatten the phase statistics into regression-gate samples, tagged
-    /// so baselines from differently sized workloads never cross-compare:
-    /// `insight/{tag}/queue/p99_ns` and friends.
-    pub fn samples(&self, tag: &str) -> Vec<Sample> {
-        let mut out = Vec::new();
-        for (phase, stats) in self.phases() {
-            out.push(Sample {
-                metric: format!("insight/{tag}/{phase}/p50_ns"),
-                value: stats.p50_nanos as f64,
-            });
-            out.push(Sample {
-                metric: format!("insight/{tag}/{phase}/p99_ns"),
-                value: stats.p99_nanos as f64,
-            });
-        }
-        out
     }
 
     /// Deterministic markdown dashboard: phase table, blame summary and

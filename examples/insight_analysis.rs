@@ -1,17 +1,14 @@
 //! Analysis end to end: run a traced chaos workload through the
 //! virtual-time engine, replay the trace into a per-request critical-path
-//! attribution, classify the accelerator stages against their roofline
-//! ceilings, and gate the whole run against the archived baselines.
+//! attribution, and classify the accelerator stages against their
+//! roofline ceilings.
 //!
 //! Run with `cargo run --release --example insight_analysis`. Everything
 //! printed is deterministic: the engine trace runs on a virtual clock and
 //! the analyses are pure functions of it, so the dashboards are
 //! byte-identical across hosts and `ln-par` pool sizes.
 
-use std::path::Path;
-
 use ln_fault::{ChaosSpec, FaultPlan, ResilienceConfig};
-use ln_insight::regression::{self, BaselineStore, GateConfig};
 use ln_insight::{Ceilings, CriticalPath, RooflineReport};
 use ln_serve::{standard_backends, BatcherConfig, BucketPolicy, Engine, WorkloadSpec};
 
@@ -54,13 +51,4 @@ fn main() {
         },
     );
     println!("{}", roofline.render_markdown());
-
-    // 4. Regression gate: this run's phase times against the archived
-    //    history (this example uses its own tag, so its metrics gate as
-    //    no-baseline unless you archive a matching run).
-    let (store, files) =
-        BaselineStore::load_dir(Path::new("benchmarks/history")).expect("read history");
-    let report = regression::evaluate(GateConfig::default(), &store, &cp.samples("example"));
-    println!("{}", report.render_markdown());
-    println!("({files} archived documents in benchmarks/history/)");
 }

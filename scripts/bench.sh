@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Regenerates the benchmark records at the repo root and archives them:
+# Regenerates the benchmark records at the repo root:
 #
 #   BENCH_PAR.json     — serial-vs-parallel wall time and bitwise identity
 #                        for the ln-par kernels (matmul, AAQ encode, full
 #                        Evoformer block) at L in {256, 512, 1024}
 #   BENCH_OBS.json     — per-event cost of the ln-obs primitives and the
 #                        LN_OBS=off overhead delta
-#   BENCH_INSIGHT.json — critical-path phase times, roofline classification
-#                        and the regression-gate summary from ln-insight
+#   BENCH_INSIGHT.json — critical-path phase times and roofline
+#                        classification from ln-insight
 #   BENCH_CLUSTER.json — p50/p99 and SLO-attainment curves from the
 #                        ln-cluster shard sweep (1 -> 16 shards)
 #   BENCH_WATCH.json   — ln-watch per-event overhead, SLO burn-rate
@@ -17,10 +17,10 @@
 #                        pool-identity verdict, the measured sensitivity
 #                        model and the per-layer precision ledger
 #
-# After regenerating, every BENCH_*.json is copied into benchmarks/history/
-# suffixed with the current git short SHA; that directory is the baseline
-# store the insight regression gate (ci.sh step 8) scores future runs
-# against, so committing the archives is what arms the gate.
+# A record is one run's numbers on the host that made it, not a baseline:
+# a speed claim is a set of same-host before/after pairs (EXPERIMENTS.md),
+# and git keeps every committed record. par_speedup, watch and numerics
+# write nothing when their own gates fail.
 #
 # Fully offline; respects LN_THREADS for the parallel pool size. Expect a
 # long run on small machines — the L = 1024 Evoformer block alone is
@@ -38,10 +38,3 @@ cargo build --offline --release -p ln-bench --bin par_speedup --bin obs_overhead
 ./target/release/watch
 ./target/release/numerics
 ./target/release/insight
-
-sha=$(git rev-parse --short HEAD 2>/dev/null || echo nogit)
-mkdir -p benchmarks/history
-for f in BENCH_*.json; do
-    cp "$f" "benchmarks/history/${f%.json}-${sha}.json"
-done
-echo "archived BENCH_*.json into benchmarks/history/ at ${sha}"

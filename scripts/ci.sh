@@ -51,7 +51,8 @@
 #
 # Step 5 exits non-zero when a parallel kernel diverges bitwise from its
 # serial execution OR when any kernel's speedup drops below the 0.95x
-# floor at any pool size (pools are clamped to the host's cores, so the
+# floor at any pool size (a failing full run writes no BENCH_PAR.json, so
+# a committed record clears the floor by construction) (pools are clamped to the host's cores, so the
 # floor reads as "dispatch overhead <= 5%" and stays meaningful on
 # single-core CI machines; a genuinely noisy sample gets one bounded
 # re-measure before failing). The microkernel's zero-allocation inner-loop
@@ -65,11 +66,11 @@
 # `ln_bench::off_mode_cost`, the one off-mode rule (reps interleaved, best
 # rep per side, one bounded re-measure of a miss, 5% budget), and exits
 # non-zero if the overhead is over budget. Step 8 replays a traced chaos
-# run through the critical-path analyzer and gates the committed
-# BENCH_*.json against benchmarks/history/ — it exits non-zero on a
-# median+MAD regression, on any committed kernel speedup below the same
-# 0.95x floor, on any trace span the replay cannot attribute, or on a
-# truncated trace ring. Step 9 sweeps 1/4/16-shard clusters over one
+# run through the critical-path analyzer, classifies the simulated
+# accelerator's stages against its roofline ceilings, and exits non-zero
+# on any trace span the replay cannot attribute or on a truncated trace
+# ring. No step compares wall-clock numbers across sessions: a speed claim
+# is a set of same-host before/after pairs (EXPERIMENTS.md). Step 9 sweeps 1/4/16-shard clusters over one
 # workload and exits non-zero if the outcome fingerprint diverges across
 # ln-par pools {1, 2, 4}, if a sweep point answers fewer requests than the
 # workload holds (the router's own check is a debug_assert, compiled out
@@ -87,8 +88,7 @@
 # non-zero if the numerics snapshots are not byte-identical across pools
 # or the precision ledger comes back empty. Steps 5 and 7-11 also pass
 # their document through `ln_bench::emit`, which asserts it reads back as
-# written and that the regression gate finds samples in it, and writes
-# nothing under --quick.
+# written, and writes nothing under --quick.
 # Step 12 executes the nineteen paper-artifact bins (every fig*, tab*,
 # ablate_*, extend_h200) — analytic, ~2 minutes, and run by no other gate —
 # so one that panics or fails an internal assert fails here. Step 13

@@ -46,7 +46,7 @@ mod tests {
         let _ = crate::ln_gpu::H100;
         let _ = crate::ln_scope::Scope::new();
         let _ = crate::ln_serve::BatcherConfig::default();
-        let _ = crate::ln_insight::regression::GateConfig::default();
+        let _ = crate::ln_insight::fmt_nanos(1);
         let _ = crate::ln_watch::WatchConfig::default();
         let _ = crate::lightnobel::report::Table::new(["x"]);
     }
