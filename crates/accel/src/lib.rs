@@ -23,7 +23,10 @@
 //!   dataflow stage the RMPU, VVPU and HBM cycle counts are computed and
 //!   the pipelined latency is their maximum plus fill/drain, following the
 //!   paper's methodology (§6: "overall latency is the summation of the
-//!   longest delay of each pipelining stage").
+//!   longest delay of each pipelining stage"). Each stage also knows the
+//!   resource that bounds it ([`Bound`]) and its attained-vs-peak
+//!   fractions, and [`LatencyReport::roofline_markdown`] renders the §8
+//!   roofline table from one report.
 //! * [`power`] — the component-level area/power model regenerating
 //!   Table 2, with crossbar cost scaling quadratically in port count so
 //!   the Fig. 12 design-space sweeps stay meaningful.
@@ -55,4 +58,4 @@ pub mod power;
 pub mod vvpu;
 
 pub use config::HwConfig;
-pub use pipeline::{Accelerator, LatencyReport, StageLatency};
+pub use pipeline::{Accelerator, Bound, LatencyReport, StageLatency};

@@ -15,6 +15,7 @@ use ln_ppm::cost::{CostModel, Stage, ALL_STAGES};
 use ln_ppm::PpmConfig;
 use ln_quant::scheme::{AaqConfig, QuantScheme};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 /// Pipeline fill/drain overhead charged once per stage invocation, in
@@ -31,9 +32,6 @@ const ARBITRATION_FACTOR: f64 = 1.35;
 /// like `max_single_length`) only does atomic stores.
 struct StageObs {
     cycles: ln_obs::Gauge,
-    rmpu_cycles: ln_obs::Gauge,
-    vvpu_cycles: ln_obs::Gauge,
-    hbm_cycles: ln_obs::Gauge,
     hbm_bytes: ln_obs::Gauge,
     fusion_saved_bytes: ln_obs::Gauge,
 }
@@ -59,11 +57,6 @@ fn accel_obs() -> &'static AccelObs {
                     name,
                     StageObs {
                         cycles: reg.gauge(&ln_obs::labeled("accel_stage_cycles", &labels)),
-                        rmpu_cycles: reg
-                            .gauge(&ln_obs::labeled("accel_stage_rmpu_cycles", &labels)),
-                        vvpu_cycles: reg
-                            .gauge(&ln_obs::labeled("accel_stage_vvpu_cycles", &labels)),
-                        hbm_cycles: reg.gauge(&ln_obs::labeled("accel_stage_hbm_cycles", &labels)),
                         hbm_bytes: reg.gauge(&ln_obs::labeled("accel_stage_hbm_bytes", &labels)),
                         fusion_saved_bytes: reg
                             .gauge(&ln_obs::labeled("accel_stage_fusion_saved_bytes", &labels)),
@@ -92,11 +85,6 @@ fn record_obs(report: &LatencyReport) {
     for s in &report.per_block_stages {
         if let Some(h) = obs.stages.get(s.stage.name()) {
             h.cycles.set(s.cycles() as f64);
-            // Per-resource occupancy cycles, so a roofline analysis
-            // (ln-insight) can recover attained-vs-peak ratios per stage.
-            h.rmpu_cycles.set(s.rmpu_cycles as f64);
-            h.vvpu_cycles.set(s.vvpu_cycles as f64);
-            h.hbm_cycles.set(s.hbm_cycles as f64);
             h.hbm_bytes.set(s.hbm_bytes as f64);
             h.fusion_saved_bytes.set(s.fusion_saved_bytes as f64);
         }
@@ -145,14 +133,57 @@ impl StageLatency {
         (bound as f64 * ARBITRATION_FACTOR) as u64 + FILL_DRAIN_CYCLES
     }
 
-    /// Which resource bounds this stage.
-    pub fn bound_by(&self) -> &'static str {
+    /// Which resource bounds this stage: memory wins ties, then RMPU over
+    /// VVPU.
+    pub fn bound_by(&self) -> Bound {
         if self.hbm_cycles >= self.rmpu_cycles && self.hbm_cycles >= self.vvpu_cycles {
-            "memory"
+            Bound::Hbm
         } else if self.rmpu_cycles >= self.vvpu_cycles {
-            "rmpu"
+            Bound::Rmpu
         } else {
-            "vvpu"
+            Bound::Vvpu
+        }
+    }
+
+    /// Fraction of the RMPU peak attained over the stage's pipelined
+    /// latency (arbitration and fill/drain included, so always below 1).
+    pub fn rmpu_frac(&self) -> f64 {
+        self.frac(self.rmpu_cycles)
+    }
+
+    /// Fraction of the VVPU peak attained over the stage's latency.
+    pub fn vvpu_frac(&self) -> f64 {
+        self.frac(self.vvpu_cycles)
+    }
+
+    /// Fraction of peak HBM bandwidth attained over the stage's latency.
+    pub fn hbm_frac(&self) -> f64 {
+        self.frac(self.hbm_cycles)
+    }
+
+    fn frac(&self, resource_cycles: u64) -> f64 {
+        resource_cycles as f64 / self.cycles() as f64
+    }
+}
+
+/// The resource that bounds a stage — the paper's §8 roofline label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bound {
+    /// The RMPU matrix array is the bottleneck.
+    Rmpu,
+    /// The VVPU vector units are the bottleneck.
+    Vvpu,
+    /// HBM bandwidth is the bottleneck.
+    Hbm,
+}
+
+impl Bound {
+    /// The dashboard label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Bound::Rmpu => "compute (RMPU)",
+            Bound::Vvpu => "vector (VVPU)",
+            Bound::Hbm => "bandwidth (HBM)",
         }
     }
 }
@@ -186,6 +217,43 @@ impl LatencyReport {
     pub fn total_hbm_bytes(&self) -> u64 {
         let per_block: u64 = self.per_block_stages.iter().map(|s| s.hbm_bytes).sum();
         per_block * self.block_invocations as u64
+    }
+
+    /// The roofline table in dataflow order: each stage's bounding
+    /// resource and attained-vs-peak ratios against `hw`'s RMPU, VVPU and
+    /// HBM ceilings, then how many stages each bound claims.
+    pub fn roofline_markdown(&self, hw: &HwConfig) -> String {
+        let tops = hw.int8_tops();
+        let gbps = hw.hbm_bandwidth_bytes_per_s / 1e9;
+        let mut out = format!(
+            "## Roofline — ceilings: {tops:.1} INT8 TOPS (RMPU), {gbps:.0} GB/s (HBM2E), {:.1} GHz\n\n",
+            hw.clock_ghz
+        );
+        out.push_str("| stage | cycles | bound | RMPU attained | VVPU busy | HBM attained |\n");
+        out.push_str("|---|---|---|---|---|---|\n");
+        let mut counts = [0usize; 3];
+        for s in &self.per_block_stages {
+            let bound = s.bound_by();
+            counts[bound as usize] += 1;
+            let _ = writeln!(
+                out,
+                "| {} | {} | {} | {:.1} TOPS ({:.1}%) | {:.1}% | {:.1} GB/s ({:.1}%) |",
+                s.stage.name(),
+                s.cycles(),
+                bound.label(),
+                s.rmpu_frac() * tops,
+                s.rmpu_frac() * 100.0,
+                s.vvpu_frac() * 100.0,
+                s.hbm_frac() * gbps,
+                s.hbm_frac() * 100.0,
+            );
+        }
+        let [rmpu, vvpu, hbm] = counts;
+        let _ = writeln!(
+            out,
+            "\nbound summary: {rmpu} compute-bound, {vvpu} vector-bound, {hbm} bandwidth-bound"
+        );
+        out
     }
 }
 
@@ -523,8 +591,85 @@ mod tests {
                 s.cycles(),
                 (max as f64 * ARBITRATION_FACTOR) as u64 + FILL_DRAIN_CYCLES
             );
-            assert!(!s.bound_by().is_empty());
+            let bound_cycles = match s.bound_by() {
+                Bound::Rmpu => s.rmpu_cycles,
+                Bound::Vvpu => s.vvpu_cycles,
+                Bound::Hbm => s.hbm_cycles,
+            };
+            assert_eq!(bound_cycles, max, "{:?}", s.stage);
         }
+    }
+
+    fn stage(rmpu_cycles: u64, vvpu_cycles: u64, hbm_cycles: u64) -> StageLatency {
+        StageLatency {
+            stage: Stage::TriMulOutgoing,
+            rmpu_cycles,
+            vvpu_cycles,
+            hbm_cycles,
+            hbm_bytes: 0,
+            fusion_saved_bytes: 0,
+        }
+    }
+
+    #[test]
+    fn bound_prefers_memory_then_rmpu_on_ties() {
+        // Strict maxima.
+        assert_eq!(stage(1000, 300, 600).bound_by(), Bound::Rmpu);
+        assert_eq!(stage(100, 500, 300).bound_by(), Bound::Vvpu);
+        assert_eq!(stage(200, 300, 600).bound_by(), Bound::Hbm);
+        // Exact two-way ties at the top.
+        assert_eq!(stage(500, 100, 500).bound_by(), Bound::Hbm);
+        assert_eq!(stage(100, 500, 500).bound_by(), Bound::Hbm);
+        assert_eq!(stage(500, 500, 100).bound_by(), Bound::Rmpu);
+        // Three-way ties, including the all-zero stage.
+        assert_eq!(stage(500, 500, 500).bound_by(), Bound::Hbm);
+        assert_eq!(stage(0, 0, 0).bound_by(), Bound::Hbm);
+        assert_eq!(Bound::Rmpu.label(), "compute (RMPU)");
+        assert_eq!(Bound::Vvpu.label(), "vector (VVPU)");
+        assert_eq!(Bound::Hbm.label(), "bandwidth (HBM)");
+    }
+
+    #[test]
+    fn attained_fractions_are_resource_over_pipelined_cycles() {
+        // max 1000 → 1000 × 1.35 + 400 = 1750 pipelined cycles.
+        let s = stage(1000, 350, 175);
+        assert_eq!(s.cycles(), 1750);
+        assert_eq!(s.rmpu_frac(), 1000.0 / 1750.0);
+        assert_eq!(s.vvpu_frac(), 0.2);
+        assert_eq!(s.hbm_frac(), 0.1);
+        let idle = stage(0, 0, 0);
+        assert_eq!(idle.cycles(), FILL_DRAIN_CYCLES);
+        assert_eq!(
+            (idle.rmpu_frac(), idle.vvpu_frac(), idle.hbm_frac()),
+            (0.0, 0.0, 0.0)
+        );
+    }
+
+    #[test]
+    fn roofline_rows_follow_the_report_in_dataflow_order() {
+        let hw = HwConfig::paper();
+        let report = accel().simulate(512);
+        let md = report.roofline_markdown(&hw);
+        assert_eq!(md, report.roofline_markdown(&hw), "deterministic");
+        assert!(md.starts_with("## Roofline — ceilings: 163.8 INT8 TOPS (RMPU), 2000 GB/s"));
+        let rows: Vec<&str> = md
+            .lines()
+            .filter(|l| l.starts_with("| ") && !l.starts_with("| stage"))
+            .collect();
+        assert_eq!(rows.len(), report.per_block_stages.len());
+        for (row, s) in rows.iter().zip(&report.per_block_stages) {
+            let head = format!(
+                "| {} | {} | {} |",
+                s.stage.name(),
+                s.cycles(),
+                s.bound_by().label()
+            );
+            assert!(row.starts_with(&head), "{row}");
+        }
+        assert!(
+            md.ends_with("bound summary: 6 compute-bound, 2 vector-bound, 0 bandwidth-bound\n"),
+            "{md}"
+        );
     }
 
     #[test]
@@ -555,18 +700,6 @@ mod tests {
             match snap.get(&key) {
                 Some(ln_obs::MetricValue::Gauge(v)) => assert!(*v > 0.0, "{key}"),
                 other => panic!("missing gauge {key}: {other:?}"),
-            }
-            for resource in ["rmpu", "vvpu", "hbm"] {
-                let key = ln_obs::labeled(
-                    &format!("accel_stage_{resource}_cycles"),
-                    &[("stage", stage)],
-                );
-                match snap.get(&key) {
-                    Some(ln_obs::MetricValue::Gauge(v)) => {
-                        assert!(*v >= 0.0, "negative {key}")
-                    }
-                    other => panic!("missing gauge {key}: {other:?}"),
-                }
             }
         }
         match snap.get("accel_simulations_total") {

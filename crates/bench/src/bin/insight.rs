@@ -9,21 +9,21 @@
 //!    (the live-trace analogue of the paper's Fig. 3 latency profile).
 //!    Virtual time makes the whole section byte-identical across hosts
 //!    and pool sizes.
-//! 2. **Roofline** — one `ln-accel` simulation at paper scale, classified
-//!    against the RMPU/VVPU/HBM ceilings of `HwConfig::paper()` via
-//!    [`ln_insight::RooflineReport`].
+//! 2. **Roofline** — one `ln-accel` simulation at paper scale, each stage
+//!    labelled by its bounding resource against the RMPU/VVPU/HBM ceilings
+//!    of `HwConfig::paper()` ([`ln_accel::LatencyReport::roofline_markdown`]).
 //!
 //! The full run writes `BENCH_INSIGHT.json` at the repo root; `--quick`
 //! (ci.sh step 8) runs a smaller workload. Both exit non-zero if any trace
 //! span cannot be attributed or if the trace ring dropped events. Speed is
 //! judged elsewhere, by same-host before/after pairs (EXPERIMENTS.md).
 
-use ln_accel::{Accelerator, HwConfig};
+use ln_accel::{Accelerator, HwConfig, LatencyReport};
 use ln_bench::{banner, emit, paper_note};
 use ln_datasets::Registry;
 use ln_fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow, ResilienceConfig};
 use ln_insight::json::{obj, Value};
-use ln_insight::{Ceilings, CriticalPath, RooflineReport};
+use ln_insight::CriticalPath;
 use ln_quant::ActPrecision;
 use ln_serve::{
     standard_backends, Backend, BatcherConfig, BucketPolicy, Engine, FoldRequest,
@@ -88,7 +88,7 @@ fn traced_chaos_run(n: usize) -> (Vec<ln_obs::TraceEvent>, u64) {
     (out.trace.expect("tracing was enabled"), out.trace_dropped)
 }
 
-fn document(tag: &str, cp: &CriticalPath, roofline: &RooflineReport) -> Value {
+fn document(tag: &str, cp: &CriticalPath, roofline: &LatencyReport) -> Value {
     let count = |n: usize| Value::UInt(n as u64);
     let t = cp.terminal_summary();
     let (queue_bound, compute_bound, retry_bound) = cp.blame_summary();
@@ -101,10 +101,10 @@ fn document(tag: &str, cp: &CriticalPath, roofline: &RooflineReport) -> Value {
             ("max_ns", Value::UInt(stats.max_nanos)),
         ])
     });
-    let stages = roofline.stages.iter().map(|stage| {
+    let stages = roofline.per_block_stages.iter().map(|stage| {
         obj([
-            ("stage", Value::Str(stage.stage.clone())),
-            ("bound", Value::Str(stage.bound.label().to_owned())),
+            ("stage", Value::Str(stage.stage.name().to_owned())),
+            ("bound", Value::Str(stage.bound_by().label().to_owned())),
             ("rmpu_frac", Value::Float(stage.rmpu_frac())),
             ("vvpu_frac", Value::Float(stage.vvpu_frac())),
             ("hbm_frac", Value::Float(stage.hbm_frac())),
@@ -160,18 +160,10 @@ fn main() {
     let cp = CriticalPath::analyze(&events, dropped);
     println!("{}", cp.render_markdown());
 
-    // 2. Roofline from one paper-scale simulation's registry gauges.
+    // 2. Roofline from one paper-scale simulation.
     let accel = Accelerator::new(HwConfig::paper());
-    let _report = accel.simulate(sim_len);
-    let hw = accel.hw();
-    let ceilings = Ceilings {
-        int8_tops: hw.int8_tops(),
-        hbm_gbps: hw.hbm_bandwidth_bytes_per_s / 1e9,
-        clock_ghz: hw.clock_ghz,
-    };
-    let snapshot = ln_obs::registry().snapshot();
-    let roofline = RooflineReport::from_snapshot(&snapshot, ceilings);
-    println!("{}", roofline.render_markdown());
+    let roofline = accel.simulate(sim_len);
+    println!("{}", roofline.roofline_markdown(accel.hw()));
 
     emit("BENCH_INSIGHT.json", &document(&tag, &cp, &roofline), quick);
 

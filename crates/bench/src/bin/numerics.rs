@@ -190,15 +190,21 @@ fn document(
     let ledger = rows.iter().map(|r| {
         let recommend = r.recommend(ln_insight::DEFAULT_TM_BUDGET, model);
         obj([
-            ("layer", text(&r.layer)),
-            ("stage", text(&r.stage)),
-            ("rung", text(&r.rung)),
-            ("taps", Value::UInt(r.taps)),
-            ("relative_rmse", Value::Float(r.relative_rmse)),
-            ("int4_rmse", Value::Float(r.probe_rmse[0].unwrap_or(0.0))),
-            ("int8_rmse", Value::Float(r.probe_rmse[1].unwrap_or(0.0))),
-            ("compression_vs_fp16", Value::Float(r.compression_vs_fp16())),
-            ("outlier_fraction_int8", Value::Float(r.outlier_fraction(0))),
+            ("layer", text(&r.layer())),
+            ("stage", text(r.stage)),
+            ("rung", text(&r.entry.rung)),
+            ("taps", Value::UInt(r.entry.taps)),
+            ("relative_rmse", Value::Float(r.entry.relative_rmse())),
+            ("int4_rmse", Value::Float(r.probe_rmse(0).unwrap_or(0.0))),
+            ("int8_rmse", Value::Float(r.probe_rmse(1).unwrap_or(0.0))),
+            (
+                "compression_vs_fp16",
+                Value::Float(r.entry.compression_vs_fp16()),
+            ),
+            (
+                "outlier_fraction_int8",
+                Value::Float(r.census.outlier_fraction(0)),
+            ),
             ("recommend", text(&recommend)),
         ])
     });
@@ -259,7 +265,7 @@ fn main() {
     let (sensitivity, model) =
         measure_sensitivity(&evaluator, record, 0.02).expect("sensitivity replay");
 
-    let rows = ln_insight::precision_rows(&scope.metrics());
+    let rows = ln_insight::precision_rows(&scope);
     let table = ln_insight::precision_ledger_table(&rows, ln_insight::DEFAULT_TM_BUDGET, &model);
 
     let mut t = Table::new(["mode", "ns/value"]);

@@ -36,9 +36,6 @@ impl Default for AutoscaleConfig {
 /// `ln-par` pool size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
-    /// Virtual nodes per shard on the consistent-hash ring. More nodes
-    /// smooth the key distribution; 64 is plenty for ≤ 64 shards.
-    pub virtual_nodes: usize,
     /// Cross-shard transfer latency, virtual seconds: every placement,
     /// hedge, steal hand-off and reroute pays one hop.
     pub hop_seconds: f64,
@@ -49,10 +46,6 @@ pub struct ClusterConfig {
     /// Queue-depth skew (deepest minus shallowest active shard) at or
     /// above which the shallow shard steals from the deep one.
     pub steal_threshold: usize,
-    /// How many times one request may be re-placed after losing its shard
-    /// before it fails typed with
-    /// [`ln_serve::FoldError::ShardLost`].
-    pub max_reroutes: u32,
     /// Occupancy-driven shard activation/draining; `None` keeps every
     /// shard active for the whole run.
     pub autoscale: Option<AutoscaleConfig>,
@@ -63,11 +56,9 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            virtual_nodes: 64,
             hop_seconds: 0.005,
             hedge_min_length: usize::MAX,
             steal_threshold: 6,
-            max_reroutes: 2,
             autoscale: None,
             seed: "cluster/default".to_string(),
         }
@@ -81,7 +72,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let cfg = ClusterConfig::default();
-        assert!(cfg.virtual_nodes > 0);
         assert!(cfg.hop_seconds > 0.0);
         assert_eq!(cfg.hedge_min_length, usize::MAX, "hedging defaults off");
         assert!(cfg.autoscale.is_none());

@@ -54,6 +54,14 @@ use crate::stats::ClusterStats;
 /// track 0 is the router's own lane.
 pub const SHARD_TRACK_STRIDE: u32 = 1000;
 
+/// Virtual nodes per shard on the consistent-hash ring: enough to smooth
+/// the key distribution for up to 64 shards.
+const VIRTUAL_NODES: usize = 64;
+
+/// How many times one request may be re-placed after losing its shard
+/// before it fails typed with [`FoldError::ShardLost`].
+const MAX_REROUTES: u32 = 2;
+
 /// Terminal record for one original request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterResponse {
@@ -197,7 +205,7 @@ impl Cluster {
             cfg.hop_seconds > 0.0,
             "hop_seconds must be positive (zero would allow same-instant loops)"
         );
-        let ring = HashRing::new(&cfg.seed, shards.len(), cfg.virtual_nodes);
+        let ring = HashRing::new(&cfg.seed, shards.len(), VIRTUAL_NODES);
         Cluster {
             cfg,
             shards,
@@ -974,7 +982,7 @@ impl<'c> Run<'c> {
         if p.resolved.is_some() || !p.outstanding.is_empty() {
             // Already won, or a hedge twin is still alive elsewhere.
             self.finalize(origin);
-        } else if p.reroutes < self.cluster.cfg.max_reroutes {
+        } else if p.reroutes < MAX_REROUTES {
             p.reroutes += 1;
             self.stats.reroutes += 1;
             self.try_place(origin, Some(shard), true);

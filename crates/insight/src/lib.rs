@@ -1,7 +1,7 @@
 //! Analysis layer over the raw `ln-obs` telemetry: instead of merely
 //! *exporting* traces and metrics, this crate *interprets* them.
 //!
-//! Four analyses, mirroring how the LightNobel paper (ISCA 2025) argues
+//! Three analyses, mirroring how the LightNobel paper (ISCA 2025) argues
 //! its own design:
 //!
 //! * [`timeline::CriticalPath`] — reconstructs per-request timelines from
@@ -10,20 +10,15 @@
 //!   instants) into an attributed latency breakdown with per-phase
 //!   p50/p99 and a queue-vs-compute-vs-retry blame summary — the
 //!   live-trace analogue of the paper's Fig. 3 latency profile.
-//! * [`roofline::RooflineReport`] — combines the per-stage cycle and
-//!   HBM-byte gauges that `ln-accel` mirrors into the registry with the
-//!   RMPU/VVPU peak-throughput and HBM2E bandwidth ceilings from
-//!   `ln_accel::HwConfig`, labelling each pipeline stage compute-,
-//!   vector- or bandwidth-bound with attained-vs-peak ratios.
 //! * [`blackbox`] — re-ingestion of `ln-watch` flight-recorder black
 //!   boxes (header + events + registry snapshot, each an exact inverse
 //!   of the deterministic exporters) and the memory-vs-length table over
 //!   the activation watermark rows — the live-telemetry analogue of the
 //!   paper's Fig. 4 memory cliff.
-//! * [`precision`] — the precision ledger over an `ln-scope` numerics
-//!   snapshot: per-layer quantization error, probe-rung comparison, the
-//!   outlier census, and a cheapest-safe-rung recommendation under a
-//!   TM-score error budget.
+//! * [`precision`] — the precision ledger over an `ln_scope::Scope`:
+//!   per-layer quantization error, probe-rung comparison, the outlier
+//!   census, and a cheapest-safe-rung recommendation under a TM-score
+//!   error budget.
 //!
 //! Everything is std-only and deterministic: the same events and the
 //! same snapshots render byte-identical reports, which is what lets the
@@ -39,14 +34,10 @@ pub mod blackbox;
 pub mod json;
 pub mod jsonl;
 pub mod precision;
-pub mod roofline;
 pub mod timeline;
 
 pub use blackbox::{memory_vs_length_table, parse_blackbox, parse_metrics, BlackboxDoc};
-pub use precision::{
-    precision_ledger_table, precision_rows, split_labels, PrecisionRow, DEFAULT_TM_BUDGET,
-};
-pub use roofline::{Ceilings, RooflineReport};
+pub use precision::{precision_ledger_table, precision_rows, PrecisionRow, DEFAULT_TM_BUDGET};
 pub use timeline::{CriticalPath, TerminalCounts};
 
 /// Render a count of nanoseconds as a fixed-precision human duration.

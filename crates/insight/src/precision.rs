@@ -1,119 +1,59 @@
 //! The precision ledger: per-layer activation numerics rendered as a
 //! report, with a cheapest-safe-rung recommendation per layer.
 //!
-//! Input is an `ln-scope` numerics snapshot in the `ln-obs` metric
-//! vocabulary — the same map `ln_scope::Scope::metrics` produces and
-//! [`crate::parse_metrics`] re-ingests — so the report can be built
-//! equally from a live run, a flight-recorder black box, or an archived
-//! JSONL artifact. Per `(layer, stage)` cell it recovers:
+//! Input is an `ln_scope::Scope`. Each `(layer, stage)` cell of its
+//! `ErrorLedger` becomes one [`PrecisionRow`] holding:
 //!
-//! * the rung in effect and its accumulated relative RMSE
-//!   (`scope_quant_*`),
-//! * what the INT4/INT8 probe rungs *would* have cost
-//!   (`scope_probe_rmse`),
-//! * bytes moved vs FP16, and
-//! * the outlier census aggregated over length buckets
-//!   (`scope_act_outliers_total` / `scope_act_values_total`).
+//! * the cell's [`LedgerEntry`] — the rung in effect and its accumulated
+//!   relative RMSE, what the INT4/INT8 probe rungs *would* have cost, and
+//!   bytes moved vs FP16;
+//! * the cell's [`Sketch`]es merged over length buckets — the outlier
+//!   census.
 //!
 //! The recommendation multiplies each probe RMSE by the group's measured
 //! error→accuracy sensitivity ([`SensitivityModel`]) and picks the
 //! cheapest rung whose estimated TM-score impact stays inside the budget
 //! — the paper's Fig. 9 accuracy-vs-precision trade rendered as an
-//! actionable per-layer table. Deterministic: same snapshot, same model,
+//! actionable per-layer table. Deterministic: same scope, same model,
 //! byte-identical text.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use ln_obs::MetricValue;
-use ln_scope::{group_for_stage, ActivationGroup, SensitivityModel, CENSUS_RUNGS, PROBE_RUNGS};
+use ln_scope::{
+    group_for_stage, ActivationGroup, LedgerEntry, Scope, SensitivityModel, Sketch, PROBE_RUNGS,
+};
 
 /// The default accuracy error budget: the reproduction's acceptance bound
 /// on the quantized-vs-FP32 TM-score delta (`|ΔTM| < 0.001`).
 pub const DEFAULT_TM_BUDGET: f64 = 1.0e-3;
 
-/// Splits a labeled metric name `base{k="v",k2="v2"}` into its base and
-/// label pairs (an unlabeled name yields no pairs). Returns `None` when
-/// the brace syntax is malformed. Values must not contain `,` or `"` —
-/// true of the entire `ln-obs` vocabulary.
-pub fn split_labels(name: &str) -> Option<(&str, Vec<(&str, &str)>)> {
-    let Some(open) = name.find('{') else {
-        return Some((name, Vec::new()));
-    };
-    let inner = name[open + 1..].strip_suffix('}')?;
-    let mut labels = Vec::new();
-    for part in inner.split(',') {
-        let (key, rest) = part.split_once("=\"")?;
-        labels.push((key, rest.strip_suffix('"')?));
-    }
-    Some((&name[..open], labels))
-}
-
 /// One `(layer, stage)` row of the precision ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrecisionRow {
-    /// Folding-block index (parsed from the `layer` label).
+    /// Folding-block index.
     pub block: usize,
-    /// The `layer` label (`"b0"`, ...).
-    pub layer: String,
     /// Dataflow stage (site) name.
-    pub stage: String,
+    pub stage: &'static str,
     /// AAQ group of the stage, when the stage name is canonical.
     pub group: Option<ActivationGroup>,
-    /// Display form of the rung in effect (`"INT4+4o"`, `"fp32"`, ...).
-    pub rung: String,
-    /// Tap invocations accumulated.
-    pub taps: u64,
-    /// Accumulated relative RMSE of the rung in effect.
-    pub relative_rmse: f64,
-    /// Probe RMSE per [`PROBE_RUNGS`] candidate (same order; `None` when
-    /// the snapshot carries no probe for that rung).
-    pub probe_rmse: [Option<f64>; PROBE_RUNGS.len()],
-    /// Encoded bytes moved, summed over taps.
-    pub encoded_bytes: u64,
-    /// FP16 baseline bytes for the same activations.
-    pub fp16_bytes: u64,
-    /// Values observed by the sketches, summed over length buckets.
-    pub values: u64,
-    /// Outlier census per [`CENSUS_RUNGS`] rung, summed over buckets.
-    pub outliers: [u64; CENSUS_RUNGS.len()],
+    /// The cell's accumulated quantization error and byte accounting.
+    pub entry: LedgerEntry,
+    /// The cell's sketches merged over length buckets.
+    pub census: Sketch,
 }
 
 impl PrecisionRow {
-    fn new(block: usize, stage: &str) -> Self {
-        PrecisionRow {
-            block,
-            layer: format!("b{block}"),
-            stage: stage.to_string(),
-            group: group_for_stage(stage),
-            rung: String::from("fp32"),
-            taps: 0,
-            relative_rmse: 0.0,
-            probe_rmse: [None; PROBE_RUNGS.len()],
-            encoded_bytes: 0,
-            fp16_bytes: 0,
-            values: 0,
-            outliers: [0; CENSUS_RUNGS.len()],
-        }
+    /// The `layer` label (`"b0"`, ...).
+    pub fn layer(&self) -> String {
+        format!("b{}", self.block)
     }
 
-    /// Compression ratio vs FP16 (1.0 when nothing was encoded).
-    pub fn compression_vs_fp16(&self) -> f64 {
-        if self.encoded_bytes == 0 {
-            1.0
-        } else {
-            self.fp16_bytes as f64 / self.encoded_bytes as f64
-        }
-    }
-
-    /// Fraction of observed values outside census rung `index`'s inlier
-    /// range (0 when the sketches saw nothing).
-    pub fn outlier_fraction(&self, index: usize) -> f64 {
-        if self.values == 0 {
-            0.0
-        } else {
-            self.outliers[index] as f64 / self.values as f64
-        }
+    /// Relative RMSE probe rung `index` ([`PROBE_RUNGS`] order) would
+    /// have incurred, or `None` when that rung saw no signal — probes
+    /// disabled, or an all-zero activation.
+    pub fn probe_rmse(&self, index: usize) -> Option<f64> {
+        (self.entry.probe_val_sq[index] > 0.0).then(|| self.entry.probe_rmse(index))
     }
 
     /// The cheapest rung whose estimated TM-score impact
@@ -127,7 +67,7 @@ impl PrecisionRow {
             None => model.per_group.iter().copied().fold(0.0, f64::max),
         };
         for (i, (_, scheme)) in PROBE_RUNGS.iter().enumerate() {
-            if let Some(rmse) = self.probe_rmse[i] {
+            if let Some(rmse) = self.probe_rmse(i) {
                 if sensitivity * rmse <= tm_budget {
                     return scheme.to_string();
                 }
@@ -137,66 +77,26 @@ impl PrecisionRow {
     }
 }
 
-fn parse_block(layer: &str) -> Option<usize> {
-    layer.strip_prefix('b')?.parse().ok()
-}
-
-fn label<'a>(labels: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
-    labels.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-}
-
-/// Recovers the per-layer precision rows from a numerics snapshot,
-/// sorted by `(block, stage)`. Metric families the ledger does not
-/// understand are ignored, so the snapshot may carry any other telemetry
-/// alongside the `scope_*` vocabulary.
-pub fn precision_rows(metrics: &BTreeMap<String, MetricValue>) -> Vec<PrecisionRow> {
-    let mut rows: BTreeMap<(usize, String), PrecisionRow> = BTreeMap::new();
-    for (name, value) in metrics {
-        let Some((base, labels)) = split_labels(name) else {
-            continue;
-        };
-        if !base.starts_with("scope_") {
-            continue;
-        }
-        let (Some(layer), Some(stage)) = (label(&labels, "layer"), label(&labels, "stage")) else {
-            continue;
-        };
-        let Some(block) = parse_block(layer) else {
-            continue;
-        };
-        let row = rows
-            .entry((block, stage.to_string()))
-            .or_insert_with(|| PrecisionRow::new(block, stage));
-        match (base, value) {
-            ("scope_quant_relative_rmse", MetricValue::Gauge(g)) => row.relative_rmse = *g,
-            ("scope_quant_encoded_bytes_total", MetricValue::Counter(n)) => row.encoded_bytes = *n,
-            ("scope_quant_fp16_bytes_total", MetricValue::Counter(n)) => row.fp16_bytes = *n,
-            ("scope_quant_taps_total", MetricValue::Counter(n)) => {
-                row.taps = *n;
-                if let Some(rung) = label(&labels, "rung") {
-                    row.rung = rung.to_string();
-                }
-            }
-            ("scope_probe_rmse", MetricValue::Gauge(g)) => {
-                if let Some(i) = label(&labels, "rung")
-                    .and_then(|rung| PROBE_RUNGS.iter().position(|(name, _)| *name == rung))
-                {
-                    row.probe_rmse[i] = Some(*g);
-                }
-            }
-            // Sketch counters are per length bucket: aggregate them.
-            ("scope_act_values_total", MetricValue::Counter(n)) => row.values += *n,
-            ("scope_act_outliers_total", MetricValue::Counter(n)) => {
-                if let Some(i) = label(&labels, "rung")
-                    .and_then(|rung| CENSUS_RUNGS.iter().position(|(name, _)| *name == rung))
-                {
-                    row.outliers[i] += *n;
-                }
-            }
-            _ => {}
-        }
+/// One row per ledger cell of `scope`, sorted by `(block, stage)`.
+pub fn precision_rows(scope: &Scope) -> Vec<PrecisionRow> {
+    let mut census: BTreeMap<(usize, &str), Sketch> = BTreeMap::new();
+    for (key, sketch) in scope.book.iter() {
+        census
+            .entry((key.block, key.stage))
+            .or_default()
+            .merge(sketch);
     }
-    rows.into_values().collect()
+    scope
+        .ledger
+        .iter()
+        .map(|(&(block, stage), entry)| PrecisionRow {
+            block,
+            stage,
+            group: group_for_stage(stage),
+            entry: entry.clone(),
+            census: census.remove(&(block, stage)).unwrap_or_default(),
+        })
+        .collect()
 }
 
 /// Renders the precision-ledger report: one row per `(layer, stage)`,
@@ -237,26 +137,27 @@ pub fn precision_ledger_table(
             None => "-",
         };
         let probe = |i: usize| {
-            row.probe_rmse[i].map_or_else(|| "-".to_string(), |rmse| format!("{rmse:.3e}"))
+            row.probe_rmse(i)
+                .map_or_else(|| "-".to_string(), |rmse| format!("{rmse:.3e}"))
         };
         let _ = writeln!(
             out,
             "{:<6} {:<22} {:>3} {:>8} {:>6} {:>10} {:>10} {:>10} {:>8} {:>9} {:>10}",
-            row.layer,
+            row.layer(),
             row.stage,
             group,
-            row.rung,
-            row.taps,
-            format!("{:.3e}", row.relative_rmse),
+            row.entry.rung,
+            row.entry.taps,
+            format!("{:.3e}", row.entry.relative_rmse()),
             probe(0),
             probe(1),
-            format!("{:.2}", row.compression_vs_fp16()),
-            format!("{:.5}", row.outlier_fraction(0)),
+            format!("{:.2}", row.entry.compression_vs_fp16()),
+            format!("{:.5}", row.census.outlier_fraction(0)),
             row.recommend(tm_budget, model),
         );
     }
     if rows.is_empty() {
-        out.push_str("no numerics in the snapshot (was LN_OBS off?)\n");
+        out.push_str("no numerics in the scope (was LN_OBS off?)\n");
     }
     out
 }
@@ -264,7 +165,7 @@ pub fn precision_ledger_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ln_scope::{Scope, SketchKey};
+    use ln_scope::SketchKey;
 
     fn demo_scope() -> Scope {
         let mut scope = Scope::new();
@@ -303,46 +204,27 @@ mod tests {
     }
 
     #[test]
-    fn split_labels_parses_the_obs_vocabulary() {
-        assert_eq!(split_labels("plain"), Some(("plain", vec![])));
-        let (base, labels) =
-            split_labels("scope_probe_rmse{layer=\"b2\",stage=\"tri_mul.post_ln\",rung=\"int4\"}")
-                .unwrap();
-        assert_eq!(base, "scope_probe_rmse");
-        assert_eq!(
-            labels,
-            vec![
-                ("layer", "b2"),
-                ("stage", "tri_mul.post_ln"),
-                ("rung", "int4")
-            ]
-        );
-        assert_eq!(split_labels("broken{layer=b2}"), None);
-        assert_eq!(split_labels("broken{layer=\"b2\""), None);
-    }
-
-    #[test]
     fn rows_recover_ledger_and_aggregate_sketch_buckets() {
         let scope = demo_scope();
-        let rows = precision_rows(&scope.metrics());
+        let rows = precision_rows(&scope);
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
-        assert_eq!(row.layer, "b0");
+        assert_eq!(row.layer(), "b0");
         assert_eq!(row.stage, "tri_mul.post_ln");
         assert_eq!(row.group, Some(ActivationGroup::B));
-        assert_eq!(row.rung, "INT4+4o");
-        assert_eq!(row.taps, 3);
-        assert_eq!(row.values, 64, "both length buckets aggregate");
-        assert!((row.relative_rmse - 0.01).abs() < 1e-12);
-        assert!((row.probe_rmse[0].unwrap() - 0.02).abs() < 1e-12);
-        assert!((row.probe_rmse[1].unwrap() - 0.001).abs() < 1e-12);
-        assert!((row.compression_vs_fp16() - 4.0).abs() < 1e-12);
+        assert_eq!(row.entry.rung, "INT4+4o");
+        assert_eq!(row.entry.taps, 3);
+        assert_eq!(row.census.count, 64, "both length buckets aggregate");
+        assert!((row.entry.relative_rmse() - 0.01).abs() < 1e-12);
+        assert!((row.probe_rmse(0).unwrap() - 0.02).abs() < 1e-12);
+        assert!((row.probe_rmse(1).unwrap() - 0.001).abs() < 1e-12);
+        assert!((row.entry.compression_vs_fp16() - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn recommendation_picks_the_cheapest_rung_inside_the_budget() {
         let scope = demo_scope();
-        let rows = precision_rows(&scope.metrics());
+        let rows = precision_rows(&scope);
         let row = &rows[0];
         let model = SensitivityModel::default(); // sensitivity 1.0
                                                  // int4 probe RMSE 0.02 busts a 1e-3 budget; int8's 0.001 fits.
@@ -357,9 +239,24 @@ mod tests {
     }
 
     #[test]
+    fn an_unprobed_rung_is_never_recommended() {
+        let mut scope = demo_scope();
+        scope.ledger.entry(0, "tri_mul.post_ln").probe_val_sq = [0.0, 1e4];
+        let rows = precision_rows(&scope);
+        let row = &rows[0];
+        assert_eq!(row.probe_rmse(0), None);
+        // INT4 would fit any budget at a reported RMSE of 0, but nothing
+        // measured it: the cheapest measured rung wins.
+        assert_eq!(row.recommend(0.05, &SensitivityModel::default()), "INT8+4o");
+        scope.ledger.entry(0, "tri_mul.post_ln").probe_val_sq = [0.0; 2];
+        let rows = precision_rows(&scope);
+        assert_eq!(rows[0].recommend(1.0, &SensitivityModel::default()), "fp32");
+    }
+
+    #[test]
     fn table_renders_deterministically_with_recommendations() {
         let scope = demo_scope();
-        let rows = precision_rows(&scope.metrics());
+        let rows = precision_rows(&scope);
         let model = SensitivityModel::default();
         let table = precision_ledger_table(&rows, DEFAULT_TM_BUDGET, &model);
         let again = precision_ledger_table(&rows, DEFAULT_TM_BUDGET, &model);

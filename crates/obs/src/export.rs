@@ -207,7 +207,7 @@ pub fn metrics_jsonl(snapshot: &BTreeMap<String, MetricValue>) -> String {
 
 /// Splits `name{k="v",...}` into the bare name and its label block (with
 /// braces, or empty).
-fn split_labels(name: &str) -> (&str, &str) {
+fn split_label_block(name: &str) -> (&str, &str) {
     match name.find('{') {
         Some(i) => (&name[..i], &name[i..]),
         None => (name, ""),
@@ -235,7 +235,7 @@ pub fn prometheus_text(snapshot: &BTreeMap<String, MetricValue>) -> String {
     let mut out = String::with_capacity(snapshot.len() * 64);
     let mut last_typed: Option<String> = None;
     for (name, value) in snapshot {
-        let (bare, labels) = split_labels(name);
+        let (bare, labels) = split_label_block(name);
         let kind = match value {
             MetricValue::Counter(_) => "counter",
             MetricValue::Gauge(_) => "gauge",

@@ -44,7 +44,6 @@ pub mod metrics;
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -129,6 +128,8 @@ impl Job {
             // below, so the submitting `Pool::run` frame is still blocked
             // and the closure borrow is live.
             let f = unsafe { &*self.task.0 };
+            // Caught so a panicking chunk still releases the latch below;
+            // `Pool::run` re-raises once every chunk has finished.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(chunk)));
             metrics::note_chunk(started.elapsed());
             if outcome.is_err() {
@@ -163,22 +164,6 @@ struct PoolShared {
     queue: Mutex<PoolQueue>,
     work_available: Condvar,
 }
-
-/// A parallel job had at least one chunk panic. Every chunk still ran to a
-/// claimed/finished state (the pool survives), but results derived from the
-/// panicking closure must be considered torn. Returned by [`Pool::try_run`]
-/// and [`try_par_for`] so resilience layers can contain worker death as a
-/// typed error instead of a rethrown panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobPanicked;
-
-impl std::fmt::Display for JobPanicked {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ln-par: a parallel task panicked")
-    }
-}
-
-impl std::error::Error for JobPanicked {}
 
 /// A persistent worker pool. `Pool::new(n)` provides `n` executors: `n - 1`
 /// spawned worker threads plus the submitting caller, which participates in
@@ -241,25 +226,15 @@ impl Pool {
 
     /// Runs `f(0), f(1), …, f(chunks - 1)`, each exactly once, distributed
     /// across the pool. Blocks until all chunks complete; re-raises a panic
-    /// if any chunk panicked. Falls back to an inline serial loop when the
-    /// pool has one thread, there is at most one chunk, or the caller is
-    /// itself a pool executor (nested call).
+    /// if any chunk panicked — after every chunk has run, so the pool is
+    /// healthy again. Falls back to an inline serial loop when the pool has
+    /// one thread, there is at most one chunk, or the caller is itself a
+    /// pool executor (nested call).
     pub fn run(&self, chunks: usize, f: &(dyn Fn(usize) + Sync)) {
-        if self.try_run(chunks, f).is_err() {
-            panic!("ln-par: a parallel task panicked");
-        }
-    }
-
-    /// Like [`Pool::run`], but contains chunk panics instead of re-raising
-    /// them: returns `Err(JobPanicked)` when any chunk panicked, after all
-    /// chunks have been claimed and the pool is healthy again. In the
-    /// inline serial fallback each index is wrapped in `catch_unwind`, so
-    /// the containment guarantee is pool-size independent.
-    pub fn try_run(&self, chunks: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), JobPanicked> {
         if chunks == 0 {
-            return Ok(());
+            return;
         }
-        if self.threads <= 1 || chunks == 1 || in_pool() {
+        let panicked = if self.threads <= 1 || chunks == 1 || in_pool() {
             metrics::note_serial();
             let mut panicked = false;
             for chunk in 0..chunks {
@@ -267,8 +242,18 @@ impl Pool {
                     panicked = true;
                 }
             }
-            return if panicked { Err(JobPanicked) } else { Ok(()) };
+            panicked
+        } else {
+            self.run_parallel(chunks, f)
+        };
+        if panicked {
+            panic!("ln-par: a parallel task panicked");
         }
+    }
+
+    /// Queues `f` as a job, executes chunks alongside the workers, and
+    /// returns once every chunk has finished: whether any chunk panicked.
+    fn run_parallel(&self, chunks: usize, f: &(dyn Fn(usize) + Sync)) -> bool {
         let job = Arc::new(Job {
             task: RawTask::erase(f),
             chunks,
@@ -288,11 +273,7 @@ impl Pool {
         job.execute_available();
         IN_POOL.with(|flag| flag.set(false));
         job.wait();
-        if job.panicked.load(Ordering::Relaxed) {
-            Err(JobPanicked)
-        } else {
-            Ok(())
-        }
+        job.panicked.load(Ordering::Relaxed)
     }
 }
 
@@ -415,64 +396,6 @@ pub fn chunk_len(n: usize, grain: usize) -> usize {
     chunk_len_for(n, grain, active().threads())
 }
 
-/// Splits `0..n` into contiguous chunks (per the grain policy) and runs
-/// `f(range)` for each, in parallel on the active pool. `f` must be safe to
-/// call concurrently on disjoint ranges; ranges cover `0..n` exactly once.
-pub fn par_ranges(n: usize, grain: usize, f: impl Fn(Range<usize>) + Sync) {
-    if n == 0 {
-        return;
-    }
-    let pool = active();
-    let chunk = chunk_len_for(n, grain, pool.threads());
-    let chunks = n.div_ceil(chunk);
-    pool.run(chunks, &|c| {
-        let start = c * chunk;
-        f(start..(start + chunk).min(n));
-    });
-}
-
-/// Runs `f(i)` for every `i` in `0..n`, in parallel on the active pool,
-/// each index exactly once.
-pub fn par_for(n: usize, grain: usize, f: impl Fn(usize) + Sync) {
-    par_ranges(n, grain, |range| {
-        for i in range {
-            f(i);
-        }
-    });
-}
-
-/// Panic-containing [`par_for`]: every index is attempted (a panicking
-/// index does not suppress its chunk-mates — each index runs under its own
-/// `catch_unwind`), and worker death surfaces as `Err(JobPanicked)` instead
-/// of a rethrown panic. The serving layer uses this to turn an injected
-/// worker panic into a typed, retryable error.
-pub fn try_par_for(n: usize, grain: usize, f: impl Fn(usize) + Sync) -> Result<(), JobPanicked> {
-    if n == 0 {
-        return Ok(());
-    }
-    let pool = active();
-    let chunk = chunk_len_for(n, grain, pool.threads());
-    let chunks = n.div_ceil(chunk);
-    let panicked = AtomicBool::new(false);
-    let task = |c: usize| {
-        let start = c * chunk;
-        let end = (start + chunk).min(n);
-        for i in start..end {
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))).is_err() {
-                panicked.store(true, Ordering::Relaxed);
-            }
-        }
-    };
-    // Per-index catch_unwind above already contains everything `try_run`
-    // would see, but keep its verdict too in case a chunk fails outside f.
-    let job = pool.try_run(chunks, &task);
-    if panicked.load(Ordering::Relaxed) || job.is_err() {
-        Err(JobPanicked)
-    } else {
-        Ok(())
-    }
-}
-
 /// Splits `data` into consecutive `chunk_len`-item chunks (last may be
 /// short) and runs `f(chunk_index, chunk)` for each, in parallel. Each chunk
 /// is owned by exactly one executor — this is the mutable-output workhorse
@@ -573,19 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn par_for_covers_all_indices_once() {
-        let _guard = test_lock();
-        let pool = Pool::new_exact(4);
-        with_pool(&pool, || {
-            let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-            par_for(hits.len(), 1, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        });
-    }
-
-    #[test]
     fn par_chunks_mut_partitions_exactly() {
         let _guard = test_lock();
         let pool = Pool::new_exact(3);
@@ -615,9 +525,9 @@ mod tests {
         let _guard = test_lock();
         let pool = Pool::new_exact(4);
         with_pool(&pool, || {
-            par_for(0, 1, |_| panic!("must not run"));
+            pool.run(0, &|_| panic!("must not run"));
             let hits = AtomicUsize::new(0);
-            par_for(1, 1, |_| {
+            pool.run(1, &|_| {
                 hits.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(hits.load(Ordering::Relaxed), 1);
@@ -632,81 +542,38 @@ mod tests {
         let _guard = test_lock();
         let pool = Pool::new_exact(2);
         with_pool(&pool, || {
-            let total = AtomicUsize::new(0);
-            par_for(8, 1, |_| {
+            let mut rows = vec![0usize; 8];
+            par_chunks_mut(&mut rows, 1, |_, row| {
                 // Nested call from inside a pool job: must degrade to serial.
-                par_for(8, 1, |_| {
-                    total.fetch_add(1, Ordering::Relaxed);
-                });
+                row[0] = par_map_collect(8, 1, |i| i).len();
             });
-            assert_eq!(total.load(Ordering::Relaxed), 64);
+            assert_eq!(rows, [8; 8]);
         });
     }
 
     #[test]
-    fn panics_propagate_to_the_caller() {
-        let _guard = test_lock();
-        let pool = Pool::new_exact(3);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(16, &|c| {
-                if c == 7 {
-                    panic!("boom");
-                }
-            });
-        }));
-        assert!(result.is_err());
-        // The pool survives a panicked job and keeps executing.
-        let hits = AtomicUsize::new(0);
-        pool.run(16, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
-    fn try_run_contains_panics_across_pool_sizes() {
+    fn panics_propagate_to_the_caller_after_every_chunk_ran() {
         let _guard = test_lock();
         for threads in [1, 3] {
             let pool = Pool::new_exact(threads);
             let hits: Vec<AtomicUsize> = (0..16).map(|_| AtomicUsize::new(0)).collect();
-            let result = pool.try_run(16, &|c| {
-                hits[c].fetch_add(1, Ordering::Relaxed);
-                if c == 7 {
-                    panic!("boom");
-                }
-            });
-            assert_eq!(result, Err(JobPanicked), "threads={threads}");
-            // Every chunk was still attempted and the pool is reusable.
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-            assert_eq!(pool.try_run(4, &|_| {}), Ok(()));
-        }
-    }
-
-    #[test]
-    fn try_par_for_attempts_every_index_despite_panics() {
-        let _guard = test_lock();
-        for threads in [1, 4] {
-            let pool = Pool::new_exact(threads);
-            with_pool(&pool, || {
-                let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-                let result = try_par_for(100, 1, |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                    if i % 31 == 0 {
-                        panic!("index {i} dies");
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run(16, &|c| {
+                    hits[c].fetch_add(1, Ordering::Relaxed);
+                    if c == 7 {
+                        panic!("boom");
                     }
                 });
-                assert_eq!(result, Err(JobPanicked), "threads={threads}");
-                // Chunk-mates of a panicking index still run.
-                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-                assert_eq!(try_par_for(10, 1, |_| {}), Ok(()));
+            }));
+            assert!(result.is_err(), "threads={threads}");
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            // The pool survives a panicked job and keeps executing.
+            let again = AtomicUsize::new(0);
+            pool.run(16, &|_| {
+                again.fetch_add(1, Ordering::Relaxed);
             });
+            assert_eq!(again.load(Ordering::Relaxed), 16, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn job_panicked_formats_as_an_error() {
-        let e: Box<dyn std::error::Error> = Box::new(JobPanicked);
-        assert!(e.to_string().contains("panicked"));
     }
 
     #[test]

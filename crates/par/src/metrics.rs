@@ -259,14 +259,12 @@ mod tests {
         let _guard = crate::test_lock();
         reset();
         let pool = crate::Pool::new_exact(2);
-        crate::with_pool(&pool, || {
-            crate::par_for(64, 1, |_| {});
-        });
+        crate::with_pool(&pool, || crate::par_map_collect(64, 1, |i| i));
         let snap = snapshot();
         assert_eq!(snap.parallel_dispatches, 1);
         assert!(snap.chunks_executed >= 2);
         crate::with_pool(&crate::Pool::new(1), || {
-            crate::par_for(64, 1, |_| {});
+            crate::par_map_collect(64, 1, |i| i)
         });
         assert_eq!(snapshot().serial_fallbacks, 1);
         assert!(snapshot().occupancy() >= 0.0);

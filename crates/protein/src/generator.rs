@@ -29,36 +29,19 @@ pub enum SecondaryStructure {
     Coil,
 }
 
-/// Configuration for the synthetic structure generator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GeneratorConfig {
-    /// Probability of a helix segment (strand and coil split the rest).
-    pub helix_prob: f64,
-    /// Probability of a strand segment.
-    pub strand_prob: f64,
-    /// Minimum segment length in residues.
-    pub min_segment: usize,
-    /// Maximum segment length in residues.
-    pub max_segment: usize,
-    /// Strength of the compaction bias pulling the walk toward the centroid
-    /// (0 = pure walk; ~0.3 gives globular folds).
-    pub compaction: f64,
-    /// Number of clash-relaxation sweeps.
-    pub relax_sweeps: usize,
-}
-
-impl Default for GeneratorConfig {
-    fn default() -> Self {
-        GeneratorConfig {
-            helix_prob: 0.40,
-            strand_prob: 0.25,
-            min_segment: 4,
-            max_segment: 12,
-            compaction: 0.55,
-            relax_sweeps: 2,
-        }
-    }
-}
+/// Probability of a helix segment (strand and coil split the rest).
+const HELIX_PROB: f64 = 0.40;
+/// Probability of a strand segment.
+const STRAND_PROB: f64 = 0.25;
+/// Minimum segment length in residues.
+const MIN_SEGMENT: usize = 4;
+/// Maximum segment length in residues.
+const MAX_SEGMENT: usize = 12;
+/// Strength of the compaction bias pulling the walk toward the centroid
+/// (0 = pure walk; ~0.3 gives globular folds).
+const COMPACTION: f64 = 0.55;
+/// Number of clash-relaxation sweeps.
+const RELAX_SWEEPS: usize = 2;
 
 /// Deterministic synthetic native-structure generator.
 ///
@@ -74,34 +57,19 @@ impl Default for GeneratorConfig {
 #[derive(Debug, Clone)]
 pub struct StructureGenerator {
     label: String,
-    config: GeneratorConfig,
 }
 
 impl StructureGenerator {
-    /// Creates a generator seeded by `label` with the default configuration.
+    /// Creates a generator seeded by `label`.
     pub fn new(label: &str) -> Self {
         StructureGenerator {
             label: label.to_owned(),
-            config: GeneratorConfig::default(),
-        }
-    }
-
-    /// Creates a generator with an explicit configuration.
-    pub fn with_config(label: &str, config: GeneratorConfig) -> Self {
-        StructureGenerator {
-            label: label.to_owned(),
-            config,
         }
     }
 
     /// The seed label.
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// The generator configuration.
-    pub fn config(&self) -> &GeneratorConfig {
-        &self.config
     }
 
     /// Generates a backbone of `len` residues.
@@ -123,9 +91,7 @@ impl StructureGenerator {
         // orthonormal pair for helical geometry.
         let mut dir = random_unit(&mut rng);
         while remaining > 0 {
-            let seg_len = rng
-                .gen_range(self.config.min_segment..=self.config.max_segment)
-                .min(remaining);
+            let seg_len = rng.gen_range(MIN_SEGMENT..=MAX_SEGMENT).min(remaining);
             let ss = self.sample_ss(&mut rng);
             let start = *coords.last().expect("non-empty by construction");
             let centroid = centroid_of(&coords);
@@ -133,25 +99,24 @@ impl StructureGenerator {
             // chain has wandered past the target radius, the stronger the
             // pull back toward the centroid.
             let excursion = ((start - centroid).norm() / target_radius).min(2.5);
-            let pull = self.config.compaction * excursion;
+            let pull = COMPACTION * excursion;
             let to_center = (centroid - start).normalized();
             let fresh = random_unit(&mut rng);
-            dir = (dir * (1.0 - self.config.compaction) + fresh * 0.6 + to_center * pull)
-                .normalized();
+            dir = (dir * (1.0 - COMPACTION) + fresh * 0.6 + to_center * pull).normalized();
             self.grow_segment(&mut rng, &mut coords, ss, seg_len, dir);
             remaining -= seg_len;
         }
         coords.truncate(len);
 
-        relax_clashes(&mut coords, self.config.relax_sweeps);
+        relax_clashes(&mut coords, RELAX_SWEEPS);
         Structure::new(coords)
     }
 
     fn sample_ss(&self, rng: &mut StdRng) -> SecondaryStructure {
         let x: f64 = rng.gen();
-        if x < self.config.helix_prob {
+        if x < HELIX_PROB {
             SecondaryStructure::Helix
-        } else if x < self.config.helix_prob + self.config.strand_prob {
+        } else if x < HELIX_PROB + STRAND_PROB {
             SecondaryStructure::Strand
         } else {
             SecondaryStructure::Coil

@@ -46,8 +46,8 @@ pub use sketch::{magnitude_bucket, Sketch, SketchBook, SketchKey, CENSUS_RUNGS};
 
 /// The AAQ group a stage (site) name belongs to, scanning the canonical
 /// site table — the inverse of `ActivationSite::name()`. Lets consumers
-/// that only see metric labels (ln-insight) recover group structure
-/// without re-parsing the dataflow.
+/// that hold only a stage name (ln-insight's precision ledger) recover
+/// group structure without re-parsing the dataflow.
 pub fn group_for_stage(stage: &str) -> Option<ActivationGroup> {
     ALL_SITES
         .iter()

@@ -9,7 +9,7 @@
 //! byte-identical across hosts and `ln-par` pool sizes.
 
 use ln_fault::{ChaosSpec, FaultPlan, ResilienceConfig};
-use ln_insight::{Ceilings, CriticalPath, RooflineReport};
+use ln_insight::CriticalPath;
 use ln_serve::{standard_backends, BatcherConfig, BucketPolicy, Engine, WorkloadSpec};
 
 fn main() {
@@ -40,15 +40,6 @@ fn main() {
     // 3. Roofline: simulate the paper-scale accelerator once and label
     //    every pipeline stage with its bounding resource.
     let accel = ln_accel::Accelerator::new(ln_accel::HwConfig::paper());
-    accel.simulate(512);
-    let hw = accel.hw();
-    let roofline = RooflineReport::from_snapshot(
-        &ln_obs::registry().snapshot(),
-        Ceilings {
-            int8_tops: hw.int8_tops(),
-            hbm_gbps: hw.hbm_bandwidth_bytes_per_s / 1e9,
-            clock_ghz: hw.clock_ghz,
-        },
-    );
-    println!("{}", roofline.render_markdown());
+    let report = accel.simulate(512);
+    println!("{}", report.roofline_markdown(accel.hw()));
 }

@@ -6,8 +6,8 @@
 #                        Evoformer block) at L in {256, 512, 1024}
 #   BENCH_OBS.json     — per-event cost of the ln-obs primitives and the
 #                        LN_OBS=off overhead delta
-#   BENCH_INSIGHT.json — critical-path phase times and roofline
-#                        classification from ln-insight
+#   BENCH_INSIGHT.json — critical-path phase times from ln-insight and
+#                        the roofline of ln-accel's LatencyReport
 #   BENCH_CLUSTER.json — p50/p99 and SLO-attainment curves from the
 #                        ln-cluster shard sweep (1 -> 16 shards)
 #   BENCH_WATCH.json   — ln-watch per-event overhead, SLO burn-rate

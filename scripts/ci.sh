@@ -66,8 +66,8 @@
 # `ln_bench::off_mode_cost`, the one off-mode rule (reps interleaved, best
 # rep per side, one bounded re-measure of a miss, 5% budget), and exits
 # non-zero if the overhead is over budget. Step 8 replays a traced chaos
-# run through the critical-path analyzer, classifies the simulated
-# accelerator's stages against its roofline ceilings, and exits non-zero
+# run through the critical-path analyzer, prints the roofline of one
+# simulated accelerator run (ln-accel's LatencyReport), and exits non-zero
 # on any trace span the replay cannot attribute or on a truncated trace
 # ring. No step compares wall-clock numbers across sessions: a speed claim
 # is a set of same-host before/after pairs (EXPERIMENTS.md). Step 9 sweeps 1/4/16-shard clusters over one

@@ -2,7 +2,7 @@
 //! simulator vs GPU models vs cost model, and the headline paper claims.
 
 use lightnobel::perf::PerfComparison;
-use ln_accel::{Accelerator, HwConfig};
+use ln_accel::{Accelerator, Bound, HwConfig};
 use ln_datasets::{Dataset, Registry};
 use ln_gpu::esmfold::ExecOptions;
 use ln_gpu::{A100, H100};
@@ -24,7 +24,7 @@ fn simulator_throughput_is_physically_bounded() {
 
 /// One stage of one block: (name, RMPU, VVPU and HBM cycles, HBM bytes,
 /// binding resource).
-type StagePin = (&'static str, u64, u64, u64, u64, &'static str);
+type StagePin = (&'static str, u64, u64, u64, u64, Bound);
 
 #[test]
 fn accelerator_model_is_pinned_to_absolute_values() {
@@ -37,14 +37,14 @@ fn accelerator_model_is_pinned_to_absolute_values() {
             0x3f916ec4d1223e66,
             0x41c9abc212000000,
             [
-                ("seq_attention", 18346, 46, 353, 630784, "rmpu"),
-                ("seq_transition", 17522, 46, 353, 630784, "rmpu"),
-                ("outer_product_mean", 2704, 46, 950, 1707552, "rmpu"),
-                ("tri_mul_outgoing", 9094, 6487, 2291, 4126584, "rmpu"),
-                ("tri_mul_incoming", 9094, 6487, 2291, 4126584, "rmpu"),
-                ("tri_attn_starting", 7559, 8294, 2964, 5336100, "vvpu"),
-                ("tri_attn_ending", 7559, 8294, 2964, 5336100, "vvpu"),
-                ("pair_transition", 11858, 2364, 950, 1707552, "rmpu"),
+                ("seq_attention", 18346, 46, 353, 630784, Bound::Rmpu),
+                ("seq_transition", 17522, 46, 353, 630784, Bound::Rmpu),
+                ("outer_product_mean", 2704, 46, 950, 1707552, Bound::Rmpu),
+                ("tri_mul_outgoing", 9094, 6487, 2291, 4126584, Bound::Rmpu),
+                ("tri_mul_incoming", 9094, 6487, 2291, 4126584, Bound::Rmpu),
+                ("tri_attn_starting", 7559, 8294, 2964, 5336100, Bound::Vvpu),
+                ("tri_attn_ending", 7559, 8294, 2964, 5336100, Bound::Vvpu),
+                ("pair_transition", 11858, 2364, 950, 1707552, Bound::Rmpu),
             ],
         ),
         (
@@ -52,14 +52,14 @@ fn accelerator_model_is_pinned_to_absolute_values() {
             0x40128b56eeaccf09,
             0x41e1d1a212000000,
             [
-                ("seq_attention", 596979, 838, 6410, 11550720, "rmpu"),
-                ("seq_transition", 320854, 838, 6410, 11550720, "rmpu"),
-                ("outer_product_mean", 884854, 838, 317741, 572572800, "rmpu"),
-                ("tri_mul_outgoing", 4198826, 2174488, 767871, 1383717600, "rmpu"),
-                ("tri_mul_incoming", 4198826, 2174488, 767871, 1383717600, "rmpu"),
-                ("tri_attn_starting", 4834605, 4830465, 992935, 1789290000, "rmpu"),
-                ("tri_attn_ending", 4834605, 4830465, 992935, 1789290000, "rmpu"),
-                ("pair_transition", 3976200, 792136, 317741, 572572800, "rmpu"),
+                ("seq_attention", 596979, 838, 6410, 11550720, Bound::Rmpu),
+                ("seq_transition", 320854, 838, 6410, 11550720, Bound::Rmpu),
+                ("outer_product_mean", 884854, 838, 317741, 572572800, Bound::Rmpu),
+                ("tri_mul_outgoing", 4198826, 2174488, 767871, 1383717600, Bound::Rmpu),
+                ("tri_mul_incoming", 4198826, 2174488, 767871, 1383717600, Bound::Rmpu),
+                ("tri_attn_starting", 4834605, 4830465, 992935, 1789290000, Bound::Rmpu),
+                ("tri_attn_ending", 4834605, 4830465, 992935, 1789290000, Bound::Rmpu),
+                ("pair_transition", 3976200, 792136, 317741, 572572800, Bound::Rmpu),
             ],
         ),
         (
@@ -67,14 +67,14 @@ fn accelerator_model_is_pinned_to_absolute_values() {
             0x404295833680c58e,
             0x4201de5c86000000,
             [
-                ("seq_attention", 2337233, 1998, 15294, 27557888, "rmpu"),
-                ("seq_transition", 765497, 1998, 15294, 27557888, "rmpu"),
-                ("outer_product_mean", 5032544, 1998, 1808609, 3259150848, "rmpu"),
-                ("tri_mul_outgoing", 33497615, 12377420, 4370801, 7876281216, "rmpu"),
-                ("tri_mul_incoming", 33497615, 12377420, 4370801, 7876281216, "rmpu"),
-                ("tri_attn_starting", 46713948, 43409375, 5651896, 10184846400, "rmpu"),
-                ("tri_attn_ending", 46713948, 43409375, 5651896, 10184846400, "rmpu"),
-                ("pair_transition", 22632992, 4508919, 1808609, 3259150848, "rmpu"),
+                ("seq_attention", 2337233, 1998, 15294, 27557888, Bound::Rmpu),
+                ("seq_transition", 765497, 1998, 15294, 27557888, Bound::Rmpu),
+                ("outer_product_mean", 5032544, 1998, 1808609, 3259150848, Bound::Rmpu),
+                ("tri_mul_outgoing", 33497615, 12377420, 4370801, 7876281216, Bound::Rmpu),
+                ("tri_mul_incoming", 33497615, 12377420, 4370801, 7876281216, Bound::Rmpu),
+                ("tri_attn_starting", 46713948, 43409375, 5651896, 10184846400, Bound::Rmpu),
+                ("tri_attn_ending", 46713948, 43409375, 5651896, 10184846400, Bound::Rmpu),
+                ("pair_transition", 22632992, 4508919, 1808609, 3259150848, Bound::Rmpu),
             ],
         ),
     ];

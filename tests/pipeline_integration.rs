@@ -7,6 +7,7 @@ use ln_datasets::{Dataset, Registry};
 use ln_ppm::{FoldingModel, PpmConfig};
 use ln_protein::metrics;
 use ln_quant::baselines::BaselineScheme;
+use ln_scope::{Scope, ScopeHook, SensitivityModel};
 
 fn workload(max_len: usize) -> (ln_protein::Sequence, ln_protein::Structure) {
     let reg = Registry::standard();
@@ -84,4 +85,30 @@ fn determinism_across_full_stack() {
         .expect("runs");
     assert_eq!(qa.structure, qb.structure);
     assert_eq!(h1.encoded_bytes(), h2.encoded_bytes());
+}
+
+#[test]
+fn a_fold_observed_without_probes_recommends_fp32_everywhere() {
+    let _guard = ln_obs::pin_level(ln_obs::ObsLevel::Counters);
+    let (seq, native) = workload(24);
+    let model = FoldingModel::new(PpmConfig::tiny());
+    let fold = |mut hook: ScopeHook<AaqHook>| {
+        model
+            .predict_with_hook(&seq, &native, &mut hook)
+            .expect("runs");
+        ln_insight::precision_rows(&Scope::from_hook(hook))
+    };
+    // A budget every measured probe fits: only a missing probe says fp32.
+    let (budget, sensitivity) = (1.0, SensitivityModel::default());
+    let probed = fold(ScopeHook::new(AaqHook::paper(), seq.len()));
+    assert!(probed
+        .iter()
+        .any(|row| row.recommend(budget, &sensitivity) != "fp32"));
+
+    let unprobed = fold(ScopeHook::new(AaqHook::paper(), seq.len()).without_probes());
+    assert_eq!(unprobed.len(), probed.len(), "one row per ledger cell");
+    for row in &unprobed {
+        assert_eq!(row.probe_rmse(0), None, "{} {}", row.layer(), row.stage);
+        assert_eq!(row.recommend(budget, &sensitivity), "fp32");
+    }
 }
