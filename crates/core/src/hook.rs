@@ -3,6 +3,7 @@
 use ln_ppm::taps::{ActivationHook, ActivationSite, Tap};
 use ln_quant::baselines::BaselineScheme;
 use ln_quant::scheme::{AaqConfig, Group, QuantScheme};
+use ln_quant::tensor::QuantizedTensor;
 use ln_quant::token::{fake_quantize_tokens, QuantError};
 use ln_tensor::Tensor2;
 
@@ -11,8 +12,8 @@ use ln_tensor::Tensor2;
 /// (which prior schemes skip).
 ///
 /// Beside its configuration it keeps, per group, the error the quantizer
-/// reported for what it rewrote, and the quantized byte volume for
-/// footprint accounting.
+/// reported for what it rewrote (or, in the quantized domain, what the
+/// trunk encoded), and the quantized byte volume for footprint accounting.
 #[derive(Debug, Clone)]
 pub struct AaqHook {
     config: AaqConfig,
@@ -82,6 +83,13 @@ impl AaqHook {
     pub fn relative_rmse(&self, group: Group) -> f64 {
         self.error[group.index()].relative_rmse()
     }
+
+    /// Books one quantized activation of `values` values.
+    fn account(&mut self, tap: Tap, error: QuantError, encoded_bytes: usize, values: usize) {
+        self.error[tap.group().index()] += error;
+        self.encoded_bytes += encoded_bytes as u64;
+        self.fp16_bytes += (values * 2) as u64;
+    }
 }
 
 impl ActivationHook for AaqHook {
@@ -115,9 +123,26 @@ impl ActivationHook for AaqHook {
         let Some(scheme) = self.scheme_at(tap, cols) else {
             return;
         };
-        self.error[tap.group().index()] += fake_quantize_tokens(activation, scheme);
-        self.encoded_bytes += (rows * scheme.token_bytes(cols)) as u64;
-        self.fp16_bytes += (rows * cols * 2) as u64;
+        let error = fake_quantize_tokens(activation, scheme);
+        self.account(
+            tap,
+            error,
+            rows * scheme.token_bytes(cols),
+            activation.len(),
+        );
+    }
+
+    fn on_encoded(
+        &mut self,
+        tap: Tap,
+        activation: &Tensor2,
+        encoded: &QuantizedTensor,
+        error: QuantError,
+    ) {
+        // The trunk encoded the activation itself, with the scheme
+        // `quantized_matmul` gave: the bytes and the error are the same
+        // the rewrite above would have booked.
+        self.account(tap, error, encoded.encoded_bytes(), activation.len());
     }
 }
 

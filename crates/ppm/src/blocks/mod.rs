@@ -22,7 +22,6 @@ pub use workspace::release_fold_workspace;
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_quant::qgemm::{MacMode, QLinear};
-use ln_quant::scheme::QuantScheme;
 use ln_quant::tensor::QuantizedTensor;
 use ln_tensor::nn::{Activation, LayerNorm, Linear};
 use ln_tensor::{Tensor2, Tensor3};
@@ -55,21 +54,31 @@ impl Projection {
 
 /// A stage's post-LayerNorm activation as its projections read it: in
 /// full precision, or — when the hook asked for the quantized domain —
-/// AAQ-encoded once and run through each layer's integer twin (numerics
-/// change; the hook opted in).
+/// AAQ-encoded once, here, and run through each layer's integer twin
+/// (numerics change; the hook opted in).
 struct PostLn {
     x: Tensor2,
     encoded: Option<(QuantizedTensor, MacMode)>,
 }
 
 impl PostLn {
-    fn new(x: Tensor2, scheme: Option<QuantScheme>) -> Self {
-        let encoded = scheme.map(|scheme| {
-            (
-                QuantizedTensor::from_tensor(&x, scheme),
-                MacMode::for_scheme(scheme),
-            )
-        });
+    /// Shows `x` to the hook at `tap`: through
+    /// [`ActivationHook::on_activation`], or — where the hook asks for the
+    /// quantized domain — encoded once and through
+    /// [`ActivationHook::on_encoded`], `x` itself left as it is.
+    fn new(hook: &mut dyn ActivationHook, tap: Tap, mut x: Tensor2) -> Self {
+        let encoded = match hook.quantized_matmul(tap) {
+            Some(scheme) => {
+                let (encoded, error) = QuantizedTensor::encode(&x, scheme);
+                hook.on_encoded(tap, &x, &encoded, error);
+                let mode = MacMode::for_scheme(encoded.scheme());
+                Some((encoded, mode))
+            }
+            None => {
+                hook.on_activation(tap, &mut x);
+                None
+            }
+        };
         PostLn { x, encoded }
     }
 
@@ -152,8 +161,8 @@ fn block_len(
 
 /// The frame all three pair stages run in. The residual stream moves
 /// through it — taken out of `pair`, shown to the hook (Group A), updated
-/// in place, moved back — and `body` runs on its LayerNorm (Group B, shown
-/// to the hook, then read through a [`PostLn`] in the domain the hook
+/// in place, moved back — and `body` runs on its LayerNorm (Group B,
+/// shown to the hook and read through a [`PostLn`] in the domain the hook
 /// asks for). `body` returns the stage's update in a workspace tensor —
 /// [`PostLn::into_buffer`]'s, so a stage holds no pair tensor of its own
 /// for it — which is added in at `gain`.
@@ -173,9 +182,7 @@ fn residual_stage(
 
     let mut x = workspace::take(ns * ns, hz);
     norm.forward_into(&tokens, &mut x)?;
-    hook.on_activation(post_ln_tap, &mut x);
-
-    let post_ln = PostLn::new(x, hook.quantized_matmul(post_ln_tap));
+    let post_ln = PostLn::new(hook, post_ln_tap, x);
     let update = body(hook, post_ln)?;
     // The hook may have rewritten `tokens`; the update goes onto what it left.
     tokens.add_scaled_assign(&update, gain)?;
@@ -281,7 +288,7 @@ pub(crate) mod tests {
     use crate::taps::{ActivationSite, NoopHook};
     use ln_protein::generator::StructureGenerator;
     use ln_protein::Sequence;
-    use ln_quant::scheme::AaqConfig;
+    use ln_quant::scheme::{AaqConfig, QuantScheme};
     use ln_quant::token::fake_quantize_tokens;
 
     /// Rewrites every activation it is shown the way `AaqHook` does —
@@ -327,6 +334,16 @@ pub(crate) mod tests {
 
         fn quantized_matmul(&self, tap: Tap) -> Option<QuantScheme> {
             self.0.quantized_matmul(tap)
+        }
+
+        fn on_encoded(
+            &mut self,
+            tap: Tap,
+            activation: &Tensor2,
+            encoded: &QuantizedTensor,
+            error: ln_quant::token::QuantError,
+        ) {
+            self.0.on_encoded(tap, activation, encoded, error);
         }
     }
 

@@ -15,7 +15,10 @@
 //! An [`ActivationHook`] observes — and may rewrite — the `(tokens, Hz)`
 //! matrix at every tagged edge. The `lightnobel` crate implements the hook
 //! that performs AAQ quantize→dequantize, making the numeric effect of each
-//! quantization scheme measurable end to end.
+//! quantization scheme measurable end to end. At a post-LayerNorm edge
+//! whose projections the hook sends to the quantized domain the trunk
+//! encodes the activation itself, once, and shows the hook the encoding
+//! instead ([`ActivationHook::on_encoded`]).
 
 use ln_tensor::Tensor2;
 use std::fmt;
@@ -154,7 +157,9 @@ impl fmt::Display for Tap {
 /// Observer/rewriter of activations in flight.
 ///
 /// The trunk calls [`ActivationHook::on_activation`] with a mutable
-/// `(tokens, channels)` view of each tagged activation. Implementations may:
+/// `(tokens, channels)` view of each tagged activation (except a
+/// post-LayerNorm one it encodes for the quantized domain, which goes to
+/// [`ActivationHook::on_encoded`]). Implementations may:
 ///
 /// * record statistics (distribution analysis, Fig. 5/6),
 /// * rewrite values in place (quantize→dequantize, the AAQ error model),
@@ -219,12 +224,36 @@ pub trait ActivationHook {
     /// `tap` should run in the quantized domain, and with which scheme.
     ///
     /// Returning `Some(scheme)` makes the trunk AAQ-encode the post-LN
-    /// activation once and feed every downstream projection through the
-    /// integer [`ln_quant::qgemm`] path (the paper's RMPU dataflow);
-    /// `None` (the default) keeps full-precision GEMMs.
+    /// activation once, with
+    /// [`QuantizedTensor::encode`](ln_quant::tensor::QuantizedTensor::encode),
+    /// and feed every downstream projection through the integer
+    /// [`ln_quant::qgemm`] path (the paper's RMPU dataflow); the hook is
+    /// then shown the encoding through [`ActivationHook::on_encoded`]
+    /// instead of the activation through
+    /// [`ActivationHook::on_activation`]. `None` (the default) keeps
+    /// full-precision GEMMs.
     fn quantized_matmul(&self, tap: Tap) -> Option<ln_quant::scheme::QuantScheme> {
         let _ = tap;
         None
+    }
+
+    /// Called, in place of [`ActivationHook::on_activation`], at a `tap`
+    /// whose activation the trunk encoded because
+    /// [`ActivationHook::quantized_matmul`] asked for it: `activation` as
+    /// LayerNorm left it, `encoded` the one encoding every projection
+    /// reads, and `error` what that encoding did to the activation (the
+    /// sums `fake_quantize_tokens` returns for it). The encoding belongs
+    /// to the trunk, so a hook that wraps another and does not forward
+    /// this changes no bit of the fold — it only leaves the inner hook
+    /// unaware of the tap. Defaults to doing nothing.
+    fn on_encoded(
+        &mut self,
+        tap: Tap,
+        activation: &Tensor2,
+        encoded: &ln_quant::tensor::QuantizedTensor,
+        error: ln_quant::token::QuantError,
+    ) {
+        let _ = (tap, activation, encoded, error);
     }
 
     /// The scheme this hook quantizes a `channels`-wide activation at

@@ -16,7 +16,7 @@ pub enum Bits {
 
 impl Bits {
     /// Bit width.
-    pub fn width(self) -> usize {
+    pub const fn width(self) -> usize {
         match self {
             Bits::Int4 => 4,
             Bits::Int8 => 8,
@@ -25,7 +25,7 @@ impl Bits {
     }
 
     /// Largest representable magnitude (`2^(m-1) - 1`, Eq. 1).
-    pub fn max_level(self) -> i32 {
+    pub const fn max_level(self) -> i32 {
         (1 << (self.width() - 1)) - 1
     }
 

@@ -13,9 +13,16 @@
 //! * the `k` **outliers** per token, flat `tokens × k`: INT16 levels and
 //!   ascending `u8` channel indices.
 //!
-//! [`QuantizedTensor::from_tensor`] fills all three in one pass through
-//! `quantize_into` — the body [`crate::token::quantize_token`] wraps — at
-//! a fixed number of allocations whatever the token count. A
+//! [`QuantizedTensor::from_tensor`] fills all three through the
+//! quantizer's passes — the ones [`crate::token::quantize_token`] and
+//! [`crate::token::fake_quantize_tokens`] run, in the AVX2 frame — one
+//! group of [`MR`] tokens at a time, their levels interleaved into the
+//! panel, at a fixed number of allocations whatever the token count.
+//! [`QuantizedTensor::encode`] is the same pass for a layer about to read
+//! the activation in the quantized domain: it clamps the outlier budget
+//! instead of panicking, and returns what the encoding did to the
+//! activation — the error sums `fake_quantize_tokens` returns, so a
+//! caller that encodes once needs no fake-quantized copy to measure it. A
 //! [`crate::qgemm::QLinear`] runs directly on the levels and applies each
 //! token's scaling factors exactly once per output element: the RMPU's
 //! execution model (§5.2), in software. The Fig. 7 bytes ([`QuantizedTensor::to_blocks`]) and a
@@ -27,9 +34,12 @@
 use crate::layout::{encode_into, TokenBlock, DEFAULT_BLOCK_BYTES};
 use crate::qgemm::MR;
 use crate::scheme::QuantScheme;
-use crate::token::{inlier_runs, quantize_into, QuantizedToken, MAX_TOKEN_CHANNELS};
+use crate::token::{
+    assert_encodable, inlier_runs, Passes, QuantError as RoundTrip, QuantizedToken,
+    MAX_TOKEN_CHANNELS,
+};
 use crate::QuantError;
-use ln_tensor::Tensor2;
+use ln_tensor::{simd, Tensor2};
 
 /// A `(tokens, channels)` activation stored quantized.
 ///
@@ -91,35 +101,106 @@ impl QuantizedTensor {
     /// Panics if the scheme's outlier budget is not below the channel
     /// count or channels exceed 256 (the hardware token width bound).
     pub fn from_tensor(x: &Tensor2, scheme: QuantScheme) -> Self {
+        if x.rows() > 0 {
+            assert_encodable(x.cols(), scheme);
+        }
+        Self::encode_rows(x, scheme).0
+    }
+
+    /// Quantizes a full-precision token matrix — what a layer about to
+    /// read it in the quantized domain does, once — and returns what that
+    /// did to it: the sums
+    /// [`fake_quantize_tokens`](crate::token::fake_quantize_tokens) returns for `x` and
+    /// the same scheme, bit for bit, tokens summed in the same 64-token
+    /// blocks (so under any pool). Each token is one segment here, as
+    /// the container holds one scale pair a token: for tokens of more than
+    /// 128 channels, which `fake_quantize_tokens` splits, the sums are this
+    /// encoding's own round-trip error in the same order. A 1-channel
+    /// token reports no error, as `fake_quantize_tokens` leaves it alone.
+    ///
+    /// An outlier budget of `channels` or more is clamped to
+    /// `channels − 1`, as `fake_quantize_tokens` clamps it;
+    /// [`QuantizedTensor::scheme`] is the scheme as applied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if channels exceed 256 (the hardware token width bound).
+    pub fn encode(x: &Tensor2, scheme: QuantScheme) -> (Self, RoundTrip) {
+        let scheme = QuantScheme {
+            outliers: scheme.outliers.min(x.cols().saturating_sub(1)),
+            ..scheme
+        };
+        assert_encodable(x.cols(), scheme);
+        Self::encode_rows(x, scheme)
+    }
+
+    /// The body of [`QuantizedTensor::from_tensor`] and
+    /// [`QuantizedTensor::encode`]. A chunk is whole 64-token blocks: whole
+    /// groups of the panel, and whole blocks of the sums.
+    fn encode_rows(x: &Tensor2, scheme: QuantScheme) -> (Self, RoundTrip) {
+        const BLOCK: usize = crate::asymmetric::TOKEN_PAR_GRAIN_ROWS;
         let (tokens, channels) = x.shape();
         let k = scheme.outliers;
         ln_par::metrics::time_kernel("aaq.from_tensor", tokens as u64, || {
             let mut q = Self::zeroed(scheme, channels, tokens);
-            // One token per row, quantized independently (the VVPU axis);
-            // a chunk is whole groups of the panel and its tokens' slots.
-            let grain = crate::asymmetric::TOKEN_PAR_GRAIN_ROWS / MR;
-            let per_chunk = ln_par::chunk_len(tokens.div_ceil(MR), grain) * MR;
+            let mut block_errors = vec![RoundTrip::default(); tokens.div_ceil(BLOCK)];
+            let blocks_per_chunk = ln_par::chunk_len(tokens, BLOCK).div_ceil(BLOCK);
+            let per_chunk = blocks_per_chunk * BLOCK;
             let mut chunks: Vec<_> = q
                 .scales
                 .chunks_mut(per_chunk)
                 .zip(pieces(&mut q.levels, per_chunk * channels))
                 .zip(pieces(&mut q.outlier_levels, per_chunk * k))
                 .zip(pieces(&mut q.outlier_indices, per_chunk * k))
+                .zip(block_errors.chunks_mut(blocks_per_chunk))
                 .collect();
             ln_par::par_chunks_mut(&mut chunks, 1, |c, chunk| {
-                let (((scales, levels), outlier_levels), outlier_indices) = &mut chunk[0];
-                for (t, scales) in scales.iter_mut().enumerate() {
-                    let group = &mut levels[t / MR * channels * MR..];
-                    *scales = quantize_into(
-                        x.row(c * per_chunk + t),
-                        scheme,
-                        |ch, level| group[ch * MR + t % MR] = level,
-                        &mut outlier_levels[t * k..][..k],
-                        &mut outlier_indices[t * k..][..k],
-                    );
-                }
+                let ((((scales, levels), outlier_levels), outlier_indices), errors) = &mut chunk[0];
+                let mut passes = Passes::new();
+                // One group of the panel at a time: its tokens' levels
+                // side by side, then interleaved into the panel.
+                let mut rows = [[0i16; MAX_TOKEN_CHANNELS]; MR];
+                simd::wide(
+                    #[inline(always)]
+                    || {
+                        for (g, scales) in scales.chunks_mut(MR).enumerate() {
+                            for (r, scales) in scales.iter_mut().enumerate() {
+                                let t = g * MR + r;
+                                let row = x.row(c * per_chunk + t);
+                                let (token_scales, error) = passes.quantize(
+                                    row,
+                                    scheme,
+                                    &mut rows[r][..channels],
+                                    &mut outlier_levels[t * k..][..k],
+                                    &mut outlier_indices[t * k..][..k],
+                                );
+                                *scales = token_scales;
+                                errors[t / BLOCK] += if channels < 2 {
+                                    RoundTrip::untouched(row)
+                                } else {
+                                    error
+                                };
+                            }
+                            // A last group's padding tokens stay zero.
+                            for row in &mut rows[scales.len()..] {
+                                row.fill(0);
+                            }
+                            let group = &mut levels[g * channels * MR..][..channels * MR];
+                            let (slots, _) = group.as_chunks_mut::<MR>();
+                            let [r0, r1, r2, r3] = &rows;
+                            for (ch, slot) in slots.iter_mut().enumerate() {
+                                *slot = [r0[ch], r1[ch], r2[ch], r3[ch]];
+                            }
+                        }
+                    },
+                );
             });
-            q
+            drop(chunks);
+            let mut total = RoundTrip::default();
+            for block_error in block_errors {
+                total += block_error;
+            }
+            (q, total)
         })
     }
 

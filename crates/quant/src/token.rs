@@ -6,47 +6,58 @@
 //! scaling via SIMD lanes, and reordering via the local crossbar network.
 //! `ln-accel`'s VVPU model is cross-validated against this implementation.
 //!
-//! # One kernel, two bodies
+//! # One set of passes, in the AVX2 frame
 //!
-//! The quantizer is four streaming passes over one token of at most 128
-//! (256 when the levels are kept) channels:
+//! The quantizer is four passes over one token — or one 128-channel
+//! segment of a wider row — of at most 256 channels, all run inside
+//! [`ln_tensor::simd::wide`], so on an AVX2 host each is compiled at 256
+//! bits (the same IEEE operations per element, so the same bits as on the
+//! baseline):
 //!
-//! 1. **select** the `k` outliers with
-//!    [`ln_tensor::stats::top_k_abs_into`] (O(n·k), on the stack for
-//!    `k ≤ 8`; ties to the lower channel, NaN below every number);
-//! 2. **scale**: one max-|v| pass over the inliers, then
-//!    [`symmetric_scale`];
-//! 3. **quantize** every inlier with [`quantize_value`] (the fused form
-//!    stops at its float-valued core, before the integer cast) — the division
-//!    `v / σ` of Eq. 1, a clamp, and round-half-away-from-zero done in
-//!    float arithmetic (add and subtract 1.5 · 2²³, then move an exact tie
-//!    away from zero), which equals `f32::round` on every input the clamp
-//!    lets through and, unlike libm's `roundf`, is branch-free and
-//!    vectorises on baseline SSE2;
+//! 1. **select** the `k` outliers: one vector pass over the channels'
+//!    integer keys (`|v|`'s bits plus one, NaN 0 — the magnitude order)
+//!    keeps, per lane of sixteen, the largest key, where it is and the
+//!    second largest; a 16-wide bitonic network (the VVPU's sorter, §5.3)
+//!    sorts the lane maxima. Usually the `k` outliers are then the maxima
+//!    of the `k` top lanes, read off without a look at any element; a tie
+//!    at the `k`-th lane maximum, or two large values in one lane, takes
+//!    a second pass over the keys at or above it. The result is exactly
+//!    [`ln_tensor::stats::top_k_abs_into`]'s (ties to the lower channel,
+//!    NaN below every number), which a budget above 8 still calls;
+//! 2. **scale**: the largest inlier magnitude falls out of the same lane
+//!    numbers (the `(k + 1)`-th key), then [`symmetric_scale`];
+//! 3. **quantize** every channel as an inlier with the float-valued core
+//!    of [`quantize_value`] — the division `v / σ` of Eq. 1, a clamp, and
+//!    round-half-away-from-zero done in float arithmetic (add and
+//!    subtract 1.5 · 2²³, then move an exact tie away from zero), which
+//!    equals `f32::round` on every input the clamp lets through and,
+//!    unlike libm's `roundf`, is branch-free and vectorises;
 //! 4. **patch** the `k` outliers at INT16 under their own scale.
 //!
-//! They are written out twice, from the same primitives, and
-//! `tests/bit_identity.rs` pins the two to each other bit for bit:
+//! Both kinds of caller run the same passes (`Passes`):
+//! [`fake_quantize_tokens`] dequantizes in pass 3 (`level · σ`) and writes
+//! the reconstruction back in place; `Passes::quantize` keeps the levels —
+//! [`quantize_token`] into a fresh [`QuantizedToken`],
+//! `QuantizedTensor::from_tensor` and `QuantizedTensor::encode` into the
+//! level panel, scale and outlier arrays. Neither touches heap memory per
+//! token, and `tests/bit_identity.rs` pins the two to each other bit for
+//! bit.
 //!
-//! * `quantize_into` keeps the **levels** and writes them where its caller
-//!   says: [`quantize_token`] into a fresh [`QuantizedToken`],
-//!   `QuantizedTensor::from_tensor` straight into its level panel, scale
-//!   and outlier arrays — no token is built on the way, so encoding a
-//!   tensor costs no allocation per token.
-//! * `fake_quantize_segment` under [`fake_quantize_tokens`] is the
-//!   **fused in-place** form: it dequantizes in pass 3 (`level · σ`) and
-//!   touches no heap memory per token either.
-//!
-//! `fake_quantize_tokens` also returns what the passes did to the
-//! activation, a [`QuantError`]: `Σ (v − r)²` and `Σ v²` (`v` a value as it
-//! came in, `r` as it went out), taken on each segment while it is still in
-//! L1 — the one place in the workspace quantization error is measured
-//! without a second copy of the tensor. The sums are f64 and their order is
-//! fixed: channels within a segment (on eight interleaved lanes, added up
-//! in lane order), segments within a token, tokens within a block of 64,
-//! blocks in index order. `ln-par` chunks hold whole blocks, so the pool
-//! size never shows in the bits. A NaN or ±inf channel makes the sums NaN
-//! or infinite just as diffing against a copy would.
+//! [`fake_quantize_tokens`] and `QuantizedTensor::encode` also return
+//! what the passes did to the activation, a [`QuantError`]: `Σ (v − r)²`
+//! and `Σ v²` (`v` a value as it came in, `r` as it decodes), taken on
+//! each segment while it and its reconstruction are still in L1 — the one
+//! place in the workspace quantization error is measured without a second
+//! copy of the tensor. The sums are f64 and their order is fixed: channels
+//! within a segment (on eight interleaved lanes, added up in lane order),
+//! segments within a token, tokens within a block of 64, blocks in index
+//! order. `ln-par` chunks hold whole blocks, so the pool size never shows
+//! in the bits. A NaN or ±inf channel makes the sums NaN or infinite just
+//! as diffing against a copy would (which NaN, sign bit included, is not
+//! specified: Rust leaves it to the instructions). Pass 3 and the sums
+//! are separate loops over the segment: in one loop the vectoriser pairs
+//! an `err` lane with a `val` lane in a register and the pass runs several
+//! times slower.
 //!
 //! # Degenerate input
 //!
@@ -58,15 +69,14 @@
 //! | constant `c ≠ 0` | the first `k` channels are the outliers (tie rule); every level is the top one and decodes to `c` within an ulp or two (`m · (c / m)`) |
 //! | NaN channel | never outranks a number in the selection, is ignored by both max-|v| passes, quantizes to level 0 and decodes to `0.0` — unless its scale is infinite (next row) |
 //! | ±inf channel | no panic. Selected as an outlier it makes the outlier scale infinite, so every outlier of the token decodes to NaN (`0 · inf`) while the inliers stay as they would be without it; left among the inliers (`k = 0`, or more than `k` infinities) it makes the inlier scale infinite and every inlier decodes to NaN |
-//! | 1 channel | `fake_quantize_tokens` leaves it untouched (also a 1-wide last segment); `quantize_token` stores it at the top level |
-//! | `outliers ≥ len` | `fake_quantize_tokens` clamps the budget to `len − 1` per segment; `quantize_token` panics with "outlier budget must leave inliers" |
+//! | 1 channel | `fake_quantize_tokens` leaves it untouched (also a 1-wide last segment); `quantize_token` and the tensor constructors store it at the top level, and `QuantizedTensor::encode` reports the fake path's sums for it (no error) |
+//! | `outliers ≥ len` | `fake_quantize_tokens` clamps the budget to `len − 1` per segment, `QuantizedTensor::encode` per token; `quantize_token` and `QuantizedTensor::from_tensor` panic with "outlier budget must leave inliers" |
 //!
 //! None of this changes any finite-input result.
 
 use crate::scale::symmetric_scale;
 use crate::scheme::{Bits, QuantScheme};
-use ln_tensor::stats;
-use ln_tensor::Tensor2;
+use ln_tensor::{simd, stats, Tensor2};
 use std::ops::{AddAssign, Range};
 use std::sync::Mutex;
 
@@ -190,13 +200,228 @@ impl QuantizedToken {
     }
 }
 
-/// Pass 1: the ascending channel indices of the `k` largest-magnitude
-/// values, selected into the front of `buf`.
-fn select_outliers<'a>(values: &[f32], k: usize, buf: &'a mut [usize]) -> &'a [usize] {
-    let picked = &mut buf[..k];
-    stats::top_k_abs_into(values, picked);
+/// Lanes of the select and max pass: element `j` goes to lane `j mod 16`
+/// — two AVX2 registers, as in [`ln_tensor::vmath`].
+const LANES: usize = 16;
+
+/// Lanes of the f64 error sums (see [`QuantError`]).
+const SUM_LANES: usize = QuantError::LANES;
+
+/// The INT16 outliers' top level, as the float [`round_level`] clamps to.
+const OUTLIER_MAX_LEVEL: f32 = Bits::Int16.max_level() as f32;
+
+/// Largest outlier budget the lane select takes; a larger one is
+/// [`stats::top_k_abs_into`]'s (the AAQ schemes use `k ≤ 8`).
+const SELECT_LANES_MAX_K: usize = 8;
+
+/// A value's place in the outlier order as an integer: `|v|`'s bits plus
+/// one, and 0 for NaN. For the non-negative floats `|v|` takes, bit order
+/// is value order, so keys compare exactly as
+/// [`stats::top_k_abs_into`] ranks (magnitude, NaN below every number),
+/// and `key − 1` is the bits of the `max |v|` that ignores NaN.
+#[inline(always)]
+fn key(v: f32) -> u32 {
+    if v.is_nan() {
+        0
+    } else {
+        (v.to_bits() & 0x7fff_ffff) + 1
+    }
+}
+
+/// The magnitude a key stands for; `0.0` for NaN's (or no value's).
+#[inline(always)]
+fn magnitude(key: u32) -> f32 {
+    f32::from_bits(key.saturating_sub(1))
+}
+
+/// `tail` in the front of an `N`-array, `fill` after it.
+#[inline(always)]
+fn padded<T: Copy, const N: usize>(tail: &[T], fill: T) -> [T; N] {
+    let mut out = [fill; N];
+    out[..tail.len()].copy_from_slice(tail);
+    out
+}
+
+/// Per lane of a token, over its keys: the largest, the lowest index
+/// holding it, and the second largest (a tie with the largest counts).
+/// A lane with no element, or only NaNs, reads 0 and its own lane index.
+struct LaneKeys {
+    first: [u32; LANES],
+    second: [u32; LANES],
+    at: [u32; LANES],
+}
+
+impl LaneKeys {
+    /// One vector pass over `values`; `TRACK` keeps `second` and `at`
+    /// (the select needs them, the inlier max alone does not).
+    #[inline(always)]
+    fn of<const TRACK: bool>(values: &[f32]) -> LaneKeys {
+        let mut lanes = LaneKeys {
+            first: [0; LANES],
+            second: [0; LANES],
+            at: std::array::from_fn(|l| l as u32),
+        };
+        let (chunks, tail) = values.as_chunks::<LANES>();
+        for (c, chunk) in chunks.iter().enumerate() {
+            lanes.add::<TRACK>(&chunk.map(key), (c * LANES) as u32);
+        }
+        if !tail.is_empty() {
+            // Padding keys 0, which moves nothing.
+            let mut keys = [0; LANES];
+            for (k, &v) in keys.iter_mut().zip(tail) {
+                *k = key(v);
+            }
+            lanes.add::<TRACK>(&keys, (values.len() - tail.len()) as u32);
+        }
+        lanes
+    }
+
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)] // `l` indexes four parallel lane arrays
+    fn add<const TRACK: bool>(&mut self, keys: &[u32; LANES], base: u32) {
+        for l in 0..LANES {
+            let (k, f) = (keys[l], self.first[l]);
+            if TRACK {
+                self.at[l] = if k > f { base + l as u32 } else { self.at[l] };
+                self.second[l] = self.second[l].max(k.min(f));
+            }
+            self.first[l] = f.max(k);
+        }
+    }
+}
+
+/// One compare-exchange stage of a bitonic network on sixteen keys, the
+/// larger first where the network sorts descending.
+#[inline(always)]
+fn bitonic_stage<const SIZE: usize, const STRIDE: usize>(a: [u32; LANES]) -> [u32; LANES] {
+    let partner: [u32; LANES] = std::array::from_fn(|i| a[i ^ STRIDE]);
+    std::array::from_fn(|i| {
+        let larger_here = ((i & STRIDE) == 0) == ((i & SIZE) == 0);
+        if larger_here {
+            a[i].max(partner[i])
+        } else {
+            a[i].min(partner[i])
+        }
+    })
+}
+
+/// The sixteen keys in descending order: the ten stages of the bitonic
+/// network the VVPU's top-k unit is built from (§5.3), at sixteen wide.
+#[inline(always)]
+fn sort_descending(a: [u32; LANES]) -> [u32; LANES] {
+    let a = bitonic_stage::<2, 1>(a);
+    let a = bitonic_stage::<4, 2>(a);
+    let a = bitonic_stage::<4, 1>(a);
+    let a = bitonic_stage::<8, 4>(a);
+    let a = bitonic_stage::<8, 2>(a);
+    let a = bitonic_stage::<8, 1>(a);
+    let a = bitonic_stage::<16, 8>(a);
+    let a = bitonic_stage::<16, 4>(a);
+    let a = bitonic_stage::<16, 2>(a);
+    bitonic_stage::<16, 1>(a)
+}
+
+/// Passes 1 and 2 on one token or segment (`k` at most its width): the
+/// ascending channel indices of its `k` outliers into `picked[..k]` —
+/// exactly [`stats::top_k_abs_into`] followed by an ascending sort — and
+/// the largest magnitude left among the inliers (NaN ignored, `0.0` when
+/// there is none).
+///
+/// For `1 ≤ k ≤ 8` one vector pass takes the [`LaneKeys`] and the
+/// bitonic network sorts the sixteen lane maxima. The *floor* is the
+/// `k`-th of them: `k` lanes each hold a key at or above it, so every
+/// outlier is at or above it too. When the `k` lanes that reach it reach
+/// it once each and no other key does, their maxima are the outliers and
+/// the `(k + 1)`-th key overall — the inlier maximum — is the larger of
+/// the next lane maximum and every lane's second. Otherwise (a tie at the
+/// floor, or two large values in one lane) [`select_above`] takes the
+/// keys at or above the floor in a second pass.
+#[inline(always)]
+fn select(values: &[f32], k: usize, picked: &mut [usize; MAX_TOKEN_CHANNELS]) -> f32 {
+    if k == 0 {
+        let lanes = LaneKeys::of::<false>(values);
+        return magnitude(lanes.first.iter().fold(0, |m, &f| m.max(f)));
+    }
+    let picked = &mut picked[..k];
+    if k > SELECT_LANES_MAX_K {
+        stats::top_k_abs_into(values, picked);
+        picked.sort_unstable();
+        let mut is_outlier = [false; MAX_TOKEN_CHANNELS];
+        for &i in picked.iter() {
+            is_outlier[i] = true;
+        }
+        let rest = values
+            .iter()
+            .zip(is_outlier)
+            .map(|(&v, o)| if o { 0 } else { key(v) });
+        return magnitude(rest.fold(0, u32::max));
+    }
+    let lanes = LaneKeys::of::<true>(values);
+    let sorted = sort_descending(lanes.first);
+    let (floor, next) = (sorted[k - 1], sorted[k]);
+    let second = lanes.second.iter().fold(0, |m, &s| m.max(s));
+    let inlier_key = if next < floor && second < floor {
+        let mut reaching = 0u32;
+        for (l, &first) in lanes.first.iter().enumerate() {
+            reaching |= ((first >= floor) as u32) << l;
+        }
+        for slot in picked.iter_mut() {
+            *slot = lanes.at[reaching.trailing_zeros() as usize] as usize;
+            reaching &= reaching - 1;
+        }
+        next.max(second)
+    } else {
+        select_above(values, floor, picked)
+    };
     picked.sort_unstable();
-    picked
+    magnitude(inlier_key)
+}
+
+/// The `picked.len()` first values in the order — key descending, then
+/// index ascending — when more than that many keys are at or above
+/// `floor` and every one of the first is: the keys at or above it, taken
+/// in index order (so an equal key never passes an earlier one) into a
+/// sorted list one longer than `picked`. Returns the key of the one after
+/// the last picked, the largest among the rest (0 when none is left).
+#[inline(always)]
+fn select_above(values: &[f32], floor: u32, picked: &mut [usize]) -> u32 {
+    let k = picked.len();
+    let mut best = [(0u32, 0usize); SELECT_LANES_MAX_K + 1];
+    let mut held = 0;
+    let mut take = |j: usize, key: u32| {
+        if held > k && key <= best[k].0 {
+            return;
+        }
+        let mut pos = held.min(k);
+        held += 1;
+        while pos > 0 && key > best[pos - 1].0 {
+            best[pos] = best[pos - 1];
+            pos -= 1;
+        }
+        best[pos] = (key, j);
+    };
+    let (chunks, tail) = values.as_chunks::<LANES>();
+    for (c, chunk) in chunks.iter().enumerate() {
+        let mut above = 0u32;
+        for (l, &v) in chunk.iter().enumerate() {
+            above |= ((key(v) >= floor) as u32) << l;
+        }
+        while above != 0 {
+            let j = c * LANES + above.trailing_zeros() as usize;
+            take(j, key(values[j]));
+            above &= above - 1;
+        }
+    }
+    let base = values.len() - tail.len();
+    for (j, &v) in tail.iter().enumerate() {
+        if key(v) >= floor {
+            take(base + j, key(v));
+        }
+    }
+    for (slot, &(_, j)) in picked.iter_mut().zip(&best) {
+        *slot = j;
+    }
+    best[k].0
 }
 
 /// The runs of inlier channels left between ascending outlier positions
@@ -213,59 +438,147 @@ pub(crate) fn inlier_runs<I: Copy + Into<usize>>(
     starts.zip(ends).map(|(start, end)| start..end)
 }
 
-/// Pass 2: `max |v|`, `0.0` for an empty slice; a NaN is ignored.
-fn max_abs(values: &[f32]) -> f32 {
-    values.iter().fold(0.0f32, |a, &v| a.max(v.abs()))
+/// The f64 error sums: element `j` to lane `j mod 8`, the lanes added up
+/// in index order (see [`QuantError`]). `original` against `decoded`,
+/// which are the same length; `Σ (v − r)²` and `Σ v²` run as two loops,
+/// which the vectoriser keeps apart (one loop pairs an `err` lane with a
+/// `val` lane in a register). A lane holds `+0.0` or more, or NaN, so
+/// padding the last chunk with zeros adds `+0.0` and moves no bit.
+#[inline(always)]
+fn error_sums(original: &[f32], decoded: &[f32]) -> QuantError {
+    let (originals, original_tail) = original.as_chunks::<SUM_LANES>();
+    let (decodeds, decoded_tail) = decoded.as_chunks::<SUM_LANES>();
+    let original_tail: [f32; SUM_LANES] = padded(original_tail, 0.0);
+    let decoded_tail: [f32; SUM_LANES] = padded(decoded_tail, 0.0);
+    let tail =
+        (!original.len().is_multiple_of(SUM_LANES)).then_some((&original_tail, &decoded_tail));
+    let mut err = [0.0f64; SUM_LANES];
+    for (o, d) in originals.iter().zip(decodeds).chain(tail) {
+        for l in 0..SUM_LANES {
+            let e = (o[l] - d[l]) as f64;
+            err[l] += e * e;
+        }
+    }
+    let mut val = [0.0f64; SUM_LANES];
+    for o in originals.iter().chain(tail.map(|(o, _)| o)) {
+        for l in 0..SUM_LANES {
+            val[l] += o[l] as f64 * o[l] as f64;
+        }
+    }
+    QuantError {
+        err_sq: err.iter().sum(),
+        val_sq: val.iter().sum(),
+    }
 }
 
-/// The four passes on one token with the levels kept, written where the
-/// caller wants them: `put_inlier(ch, level)` for every inlier channel in
-/// ascending order (outlier channels are skipped), the outliers' ascending
-/// channel indices and INT16 levels into the `scheme.outliers`-long
-/// `outlier_indices` and `outlier_levels`. Returns `(σ_in, σ_out)`.
-///
-/// # Panics
-///
-/// As [`quantize_token`], which is this into a fresh [`QuantizedToken`].
-pub(crate) fn quantize_into(
-    values: &[f32],
-    scheme: QuantScheme,
-    mut put_inlier: impl FnMut(usize, i16),
-    outlier_levels: &mut [i16],
-    outlier_indices: &mut [u8],
-) -> (f32, f32) {
+/// One thread's working set for the passes.
+pub(crate) struct Passes {
+    picked: [usize; MAX_TOKEN_CHANNELS],
+    /// Reconstruction of the last token, every channel.
+    decoded: [f32; MAX_TOKEN_CHANNELS],
+}
+
+impl Passes {
+    pub(crate) fn new() -> Self {
+        Passes {
+            picked: [0; MAX_TOKEN_CHANNELS],
+            decoded: [0.0; MAX_TOKEN_CHANNELS],
+        }
+    }
+
+    /// Passes 1 and 2 on `values` (at most 256 of them, `k` below their
+    /// count unless both are 0): the outliers' ascending indices into
+    /// `self.picked[..k]`, and the two scales `(σ_in, σ_out)`.
+    #[inline(always)]
+    fn prepare(&mut self, values: &[f32], k: usize, inlier_bits: Bits) -> (f32, f32) {
+        let inlier_max = select(values, k, &mut self.picked);
+        let outlier_max = self.picked[..k]
+            .iter()
+            .fold(0.0f32, |a, &i| a.max(values[i].abs()));
+        (
+            symmetric_scale(inlier_max, inlier_bits.max_level()),
+            symmetric_scale(outlier_max, Bits::Int16.max_level()),
+        )
+    }
+
+    /// The whole body of [`fake_quantize_tokens`] on one segment of at
+    /// least two channels: passes 1 and 2, then 3 — every channel
+    /// quantized and dequantized as an inlier — then 4, the outliers'
+    /// reconstructions written over theirs, then the error sums while the
+    /// segment and its reconstruction are in L1, and the write-back.
+    #[inline(always)]
+    fn fake_quantize(&mut self, seg: &mut [f32], scheme: QuantScheme) -> QuantError {
+        let n = seg.len();
+        let k = scheme.outliers.min(n - 1);
+        let (scale, outlier_scale) = self.prepare(seg, k, scheme.inlier_bits);
+        let max_level = scheme.inlier_bits.max_level() as f32;
+        let decoded = &mut self.decoded[..n];
+        for (d, &v) in decoded.iter_mut().zip(&*seg) {
+            *d = round_level(v, scale, max_level) * scale;
+        }
+        for &i in &self.picked[..k] {
+            decoded[i] = round_level(seg[i], outlier_scale, OUTLIER_MAX_LEVEL) * outlier_scale;
+        }
+        let error = error_sums(seg, decoded);
+        seg.copy_from_slice(decoded);
+        error
+    }
+
+    /// The passes on one token with the levels kept: every channel's level
+    /// into `levels` (as long as `values`; 0 at an outlier's), the
+    /// outliers' ascending channel indices and INT16 levels into the
+    /// `k`-long `outlier_indices` and `outlier_levels`. Returns
+    /// `(σ_in, σ_out)` and the error sums [`Passes::fake_quantize`] takes
+    /// on the same values.
+    ///
+    /// `values` is at most 256 wide and `k` below its width (or both 0).
+    #[inline(always)]
+    pub(crate) fn quantize(
+        &mut self,
+        values: &[f32],
+        scheme: QuantScheme,
+        levels: &mut [i16],
+        outlier_levels: &mut [i16],
+        outlier_indices: &mut [u8],
+    ) -> ((f32, f32), QuantError) {
+        let n = values.len();
+        let k = outlier_levels.len();
+        debug_assert_eq!(outlier_indices.len(), k);
+        let (scale, outlier_scale) = self.prepare(values, k, scheme.inlier_bits);
+        let max_level = scheme.inlier_bits.max_level() as f32;
+        let decoded = &mut self.decoded[..n];
+        for ((level, d), &v) in levels.iter_mut().zip(decoded.iter_mut()).zip(values) {
+            let q = round_level(v, scale, max_level);
+            *level = to_level(q);
+            *d = q * scale;
+        }
+        for ((level, index), &i) in outlier_levels
+            .iter_mut()
+            .zip(outlier_indices)
+            .zip(&self.picked[..k])
+        {
+            let q = round_level(values[i], outlier_scale, OUTLIER_MAX_LEVEL);
+            *level = to_level(q);
+            *index = i as u8;
+            levels[i] = 0;
+            decoded[i] = q * outlier_scale;
+        }
+        ((scale, outlier_scale), error_sums(values, decoded))
+    }
+}
+
+/// Panics unless a token of `channels` values can be encoded under
+/// `scheme`: at most 256 of them (`u8` outlier indices), the outlier
+/// budget below their count.
+pub(crate) fn assert_encodable(channels: usize, scheme: QuantScheme) {
     assert!(
-        values.len() <= MAX_TOKEN_CHANNELS,
+        channels <= MAX_TOKEN_CHANNELS,
         "token width above u8 index range"
     );
     assert!(
-        scheme.outliers < values.len().max(1),
+        scheme.outliers < channels.max(1),
         "outlier budget must leave inliers"
     );
-    debug_assert_eq!(outlier_levels.len(), scheme.outliers);
-    debug_assert_eq!(outlier_indices.len(), scheme.outliers);
-
-    let mut index_buf = [0usize; MAX_TOKEN_CHANNELS];
-    let picked = select_outliers(values, scheme.outliers, &mut index_buf);
-
-    // Inlier scale from the remaining max magnitude (Eq. 1).
-    let inlier_max =
-        inlier_runs(values.len(), picked).fold(0.0f32, |a, run| a.max(max_abs(&values[run])));
-    let inlier_scale = symmetric_scale(inlier_max, scheme.inlier_bits.max_level());
-    for ch in inlier_runs(values.len(), picked).flatten() {
-        put_inlier(
-            ch,
-            quantize_value(values[ch], inlier_scale, scheme.inlier_bits),
-        );
-    }
-
-    let outlier_max = picked.iter().fold(0.0f32, |a, &i| a.max(values[i].abs()));
-    let outlier_scale = symmetric_scale(outlier_max, Bits::Int16.max_level());
-    for ((level, index), &i) in outlier_levels.iter_mut().zip(outlier_indices).zip(picked) {
-        *level = quantize_value(values[i], outlier_scale, Bits::Int16);
-        *index = i as u8;
-    }
-    (inlier_scale, outlier_scale)
 }
 
 /// Quantizes one token (Eq. 1 with dynamic outlier handling).
@@ -280,16 +593,18 @@ pub(crate) fn quantize_into(
 /// the token has more than 256 channels (u8 outlier indices; the PPM's
 /// `Hz = 128` fits comfortably).
 pub fn quantize_token(values: &[f32], scheme: QuantScheme) -> QuantizedToken {
-    let mut inliers = Vec::with_capacity(values.len().saturating_sub(scheme.outliers));
+    assert_encodable(values.len(), scheme);
     let mut outliers = vec![0i16; scheme.outliers];
     let mut outlier_indices = vec![0u8; scheme.outliers];
-    let scales = quantize_into(
-        values,
-        scheme,
-        |_, level| inliers.push(level),
-        &mut outliers,
-        &mut outlier_indices,
+    let mut levels = [0i16; MAX_TOKEN_CHANNELS];
+    let levels = &mut levels[..values.len()];
+    let (scales, _) = simd::wide(
+        #[inline(always)]
+        || Passes::new().quantize(values, scheme, levels, &mut outliers, &mut outlier_indices),
     );
+    let inliers = inlier_runs(values.len(), &outlier_indices)
+        .flat_map(|run| levels[run].iter().copied())
+        .collect();
     QuantizedToken::from_parts(scheme, inliers, outliers, outlier_indices, scales)
 }
 
@@ -310,7 +625,7 @@ const ROUND_TO_INT: f32 = 12_582_912.0;
 /// tie was rounded toward zero, which is put right by one more step away
 /// from zero. A result of zero always comes out as `+0.0`, like the
 /// integer level it stands for.
-#[inline]
+#[inline(always)]
 fn round_level(v: f32, scale: f32, max_level: f32) -> f32 {
     let t = (v / scale).clamp(-max_level, max_level);
     let r = (t + ROUND_TO_INT) - ROUND_TO_INT;
@@ -321,6 +636,16 @@ fn round_level(v: f32, scale: f32, max_level: f32) -> f32 {
     } else {
         away
     }
+}
+
+/// A level [`round_level`] produced, an integral `f32` within ±32 767, as
+/// the integer it is, without a float → int cast (the saturating `as`
+/// cast is done a lane at a time): `q + 1.5 · 2²³` is exact and lies in
+/// `[2²³, 2²⁴)`, where an `f32`'s low mantissa bits are the integer
+/// itself, so its bits less those of `1.5 · 2²³` are `q`.
+#[inline(always)]
+fn to_level(q: f32) -> i16 {
+    ((q + ROUND_TO_INT).to_bits() as i32 - ROUND_TO_INT.to_bits() as i32) as i16
 }
 
 /// Quantizes a value to a level at the given scale/precision (Eq. 1):
@@ -344,8 +669,8 @@ pub struct QuantError {
 }
 
 impl QuantError {
-    /// Interleaved f64 accumulators per sum in [`QuantError::between`]:
-    /// enough independent chains for the adds to pipeline and vectorise.
+    /// Interleaved f64 accumulators per sum: enough independent chains
+    /// for the adds to pipeline and vectorise.
     const LANES: usize = 8;
 
     /// Relative RMSE `sqrt(Σ err² / Σ v²)`; 0 when no signal was summed.
@@ -357,25 +682,12 @@ impl QuantError {
         }
     }
 
-    /// The sums over one segment: channel `j` goes to lane `j % LANES`,
-    /// the lanes are added up in index order.
-    fn between(original: &[f32], decoded: &[f32]) -> QuantError {
-        let mut err = [0.0f64; Self::LANES];
-        let mut val = [0.0f64; Self::LANES];
-        for (o, d) in original
-            .chunks(Self::LANES)
-            .zip(decoded.chunks(Self::LANES))
-        {
-            for (((&o, &d), err), val) in o.iter().zip(d).zip(&mut err).zip(&mut val) {
-                let e = (o - d) as f64;
-                *err += e * e;
-                *val += o as f64 * o as f64;
-            }
-        }
-        QuantError {
-            err_sq: err.iter().sum(),
-            val_sq: val.iter().sum(),
-        }
+    /// The sums over values a pass left as they were: no error, every
+    /// value still counts (NaN or infinite for a NaN or ±inf value, as a
+    /// diff would be).
+    #[inline(always)]
+    pub(crate) fn untouched(values: &[f32]) -> QuantError {
+        error_sums(values, values)
     }
 }
 
@@ -384,45 +696,6 @@ impl AddAssign for QuantError {
         self.err_sq += rhs.err_sq;
         self.val_sq += rhs.val_sq;
     }
-}
-
-/// All four passes on one segment in place: quantize, then dequantize;
-/// returns what that did to it. `index_buf` and `stash` are the caller's
-/// per-thread scratch.
-fn fake_quantize_segment(
-    seg: &mut [f32],
-    scheme: QuantScheme,
-    index_buf: &mut [usize; SEGMENT],
-    stash: &mut [f32; SEGMENT],
-) -> QuantError {
-    let mut original = [0.0f32; SEGMENT];
-    let original = &mut original[..seg.len()];
-    original.copy_from_slice(seg);
-
-    let k = scheme.outliers.min(seg.len() - 1);
-    let picked = select_outliers(seg, k, index_buf);
-
-    // Pass 4 first, into the stash: the outliers at INT16. Zeroing their
-    // slots then lets passes 2 and 3 stream over the whole segment — a
-    // zero neither raises the max nor survives the final patch.
-    let outlier_max = picked.iter().fold(0.0f32, |a, &i| a.max(seg[i].abs()));
-    let outlier_scale = symmetric_scale(outlier_max, Bits::Int16.max_level());
-    let outlier_levels = Bits::Int16.max_level() as f32;
-    for (slot, &i) in stash.iter_mut().zip(picked) {
-        *slot = round_level(seg[i], outlier_scale, outlier_levels) * outlier_scale;
-        seg[i] = 0.0;
-    }
-
-    let inlier_levels = scheme.inlier_bits.max_level();
-    let inlier_scale = symmetric_scale(max_abs(seg), inlier_levels);
-    for v in seg.iter_mut() {
-        *v = round_level(*v, inlier_scale, inlier_levels as f32) * inlier_scale;
-    }
-
-    for (&i, &v) in picked.iter().zip(stash.iter()) {
-        seg[i] = v;
-    }
-    QuantError::between(original, seg)
 }
 
 /// Quantize→dequantize a whole `(tokens, channels)` activation in place —
@@ -435,9 +708,9 @@ fn fake_quantize_segment(
 /// hardware handles tensors wider than its `Hz = 128` token width (the
 /// VVPU SIMD width and the bitonic network are 128 lanes). The result
 /// equals [`quantize_token`] → [`QuantizedToken::dequantize`] on every
-/// segment bit for bit; a budget of `k ≤ 8` outliers costs no allocation
-/// per token. A 1-wide segment has no inlier to scale by: it is left as it
-/// is and adds to `val_sq` only.
+/// segment bit for bit; it costs no allocation per token. A 1-wide
+/// segment has no inlier to scale by: it is left as it is and adds to
+/// `val_sq` only.
 pub fn fake_quantize_tokens(x: &mut Tensor2, scheme: QuantScheme) -> QuantError {
     const BLOCK: usize = crate::asymmetric::TOKEN_PAR_GRAIN_ROWS;
     let cols = x.cols();
@@ -456,26 +729,28 @@ pub fn fake_quantize_tokens(x: &mut Tensor2, scheme: QuantScheme) -> QuantError 
             x.as_mut_slice(),
             blocks_per_chunk * BLOCK * cols,
             |c, chunk| {
-                let mut index_buf = [0usize; SEGMENT];
-                let mut stash = [0.0f32; SEGMENT];
-                for (b, block) in chunk.chunks_mut(BLOCK * cols).enumerate() {
-                    let mut block_error = QuantError::default();
-                    for row in block.chunks_mut(cols) {
-                        let mut token_error = QuantError::default();
-                        for seg in row.chunks_mut(SEGMENT) {
-                            // A 1-wide segment is left as it is: no error,
-                            // its value still counts.
-                            token_error += if seg.len() < 2 {
-                                QuantError::between(seg, seg)
-                            } else {
-                                fake_quantize_segment(seg, scheme, &mut index_buf, &mut stash)
-                            };
+                let mut passes = Passes::new();
+                simd::wide(
+                    #[inline(always)]
+                    || {
+                        for (b, block) in chunk.chunks_mut(BLOCK * cols).enumerate() {
+                            let mut block_error = QuantError::default();
+                            for row in block.chunks_mut(cols) {
+                                let mut token_error = QuantError::default();
+                                for seg in row.chunks_mut(SEGMENT) {
+                                    token_error += if seg.len() < 2 {
+                                        QuantError::untouched(seg)
+                                    } else {
+                                        passes.fake_quantize(seg, scheme)
+                                    };
+                                }
+                                block_error += token_error;
+                            }
+                            block_errors.lock().expect("block error slots poisoned")
+                                [c * blocks_per_chunk + b] = block_error;
                         }
-                        block_error += token_error;
-                    }
-                    block_errors.lock().expect("block error slots poisoned")
-                        [c * blocks_per_chunk + b] = block_error;
-                }
+                    },
+                );
             },
         );
         let mut total = QuantError::default();
@@ -719,6 +994,108 @@ mod tests {
         let tail = quantize_token(&wide[128..], QuantScheme::int8_with_outliers(1));
         assert_eq!(back[..128], head.dequantize());
         assert_eq!(back[128..], tail.dequantize());
+    }
+
+    /// The select's answer the slow way: [`stats::top_k_abs_into`], an
+    /// ascending sort, and `max |v|` (NaN ignored) over what is left.
+    fn select_by_oracle(values: &[f32], k: usize) -> (Vec<usize>, f32) {
+        let mut picked = vec![0; k];
+        stats::top_k_abs_into(values, &mut picked);
+        picked.sort_unstable();
+        let rest = values
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| !picked.contains(j))
+            .fold(0.0f32, |m, (_, &v)| m.max(v.abs()));
+        (picked, rest)
+    }
+
+    /// Rows of `width` channels: seeded spiky tokens, and the degenerate
+    /// table's ties, zeros (signed), constants, NaN, ±inf and denormals.
+    fn select_rows(width: usize) -> Vec<Vec<f32>> {
+        use ln_tensor::rng::{self, Rng};
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let mut rng = rng::stream_indexed("quant/token/select", width as u64);
+        let mut rows: Vec<Vec<f32>> = (0..64)
+            .map(|_| {
+                (0..width)
+                    .map(|_| {
+                        let v = rng::normal_approx(&mut rng);
+                        match rng.gen_range(0..24usize) {
+                            0 => v * 60.0,
+                            1 => (v * 2.0).round(),
+                            _ => v,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut pattern = |f: &dyn Fn(usize) -> f32| rows.push((0..width).map(f).collect());
+        pattern(&|j| if j % 3 == 0 { -2.5 } else { 2.5 });
+        pattern(&|j| if j % 2 == 0 { 0.0 } else { -0.0 });
+        pattern(&|_| 3.7);
+        pattern(&|_| -1e-30);
+        pattern(&|j| {
+            if j % 5 == 1 {
+                nan
+            } else {
+                (j % 7) as f32 - 3.0
+            }
+        });
+        pattern(&|_| nan);
+        pattern(&|j| [inf, -inf, 1.0, 0.5][j % 4]);
+        pattern(&|j| if j % 9 == 4 { -inf } else { j as f32 * 0.01 });
+        pattern(&|j| (j as f32 - 3.0) * 1e-41);
+        pattern(&|j| {
+            if j % 16 == 3 {
+                9.0 - j as f32 * 1e-3
+            } else {
+                0.1
+            }
+        });
+        pattern(&|j| {
+            if j == width / 2 {
+                nan
+            } else {
+                ((j * 37) % 11) as f32
+            }
+        });
+        rows
+    }
+
+    #[test]
+    fn the_bitonic_network_sorts_sixteen_keys() {
+        use ln_tensor::rng::{self, Rng};
+        let mut rng = rng::stream("quant/token/bitonic");
+        for round in 0..2_000 {
+            // Few distinct values on odd rounds, so ties are common.
+            let range = if round % 2 == 1 { 4 } else { u32::MAX };
+            let keys: [u32; LANES] = std::array::from_fn(|_| rng.gen_range(0..range));
+            let mut expect = keys;
+            expect.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(sort_descending(keys), expect, "{keys:?}");
+        }
+    }
+
+    #[test]
+    fn the_vector_select_equals_its_oracle() {
+        for width in [2usize, 5, 16, 17, 96, 128, 129, 256] {
+            let budgets = (0..=8).chain([width - 1, width]).filter(|&k| k <= width);
+            let budgets: Vec<usize> = budgets.collect();
+            for (r, row) in select_rows(width).iter().enumerate() {
+                for &k in &budgets {
+                    let mut buf = [0; MAX_TOKEN_CHANNELS];
+                    let inlier_max = simd::wide(
+                        #[inline(always)]
+                        || select(row, k, &mut buf),
+                    );
+                    let (picked, rest) = select_by_oracle(row, k);
+                    let what = format!("width {width}, row {r}, k {k}");
+                    assert_eq!(buf[..k], picked[..], "{what}");
+                    assert_eq!(inlier_max.to_bits(), rest.to_bits(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 use ln_obs::ObsLevel;
 use ln_ppm::taps::{ActivationGroup, ActivationHook, ActivationSite, Tap};
 use ln_quant::scheme::QuantScheme;
-use ln_quant::token::fake_quantize_tokens;
+use ln_quant::tensor::QuantizedTensor;
+use ln_quant::token::{fake_quantize_tokens, QuantError};
 use ln_tensor::{rng, Tensor2};
 
 use crate::bucket::length_bucket_label;
@@ -19,7 +20,10 @@ use crate::sketch::{SketchBook, SketchKey};
 /// is taken here, around whatever the inner hook does — the independent
 /// check of the error the quantizer reports about itself. The rung and
 /// byte columns come from the inner hook's
-/// [`ActivationHook::scheme_at`].
+/// [`ActivationHook::scheme_at`]. A post-LN tap the trunk encoded for the
+/// quantized domain ([`ActivationHook::on_encoded`], forwarded) rewrites
+/// nothing: its entry books the error the encoding reports and the scheme
+/// it was encoded with.
 ///
 /// Observation is fully gated on the `LN_OBS` switch: when observability
 /// is off, `on_activation` is a single relaxed atomic load and a direct
@@ -80,38 +84,33 @@ impl<H: ActivationHook> ScopeHook<H> {
     }
 }
 
-impl<H: ActivationHook> ActivationHook for ScopeHook<H> {
-    fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
-        if ln_obs::level() == ObsLevel::Off {
-            self.inner.on_activation(tap, activation);
-            return;
-        }
-        let stage = tap.site.name();
-        self.book.observe(
-            SketchKey {
-                block: tap.block,
-                stage,
-                bucket: self.bucket,
-            },
-            activation,
-        );
-        let original = activation.clone();
-        self.inner.on_activation(tap, activation);
+impl<H: ActivationHook> ScopeHook<H> {
+    /// Sketches the activation at `tap` as it came in.
+    fn sketch(&mut self, tap: Tap, activation: &Tensor2) {
+        let key = SketchKey {
+            block: tap.block,
+            stage: tap.site.name(),
+            bucket: self.bucket,
+        };
+        self.book.observe(key, activation);
+    }
 
-        let rows = original.rows();
-        let cols = original.cols();
-        let entry = self.ledger.entry(tap.block, stage);
+    /// Books one tap of `original` into the ledger: the error the inner
+    /// hook's quantization did to it, the scheme it used (none: FP32), and
+    /// the probes.
+    fn book_tap(
+        &mut self,
+        tap: Tap,
+        original: &Tensor2,
+        error: QuantError,
+        scheme: Option<QuantScheme>,
+    ) {
+        let (rows, cols) = original.shape();
+        let entry = self.ledger.entry(tap.block, tap.site.name());
         entry.taps += 1;
-        let mut err_sq = 0.0f64;
-        let mut val_sq = 0.0f64;
-        for (&o, &q) in original.as_slice().iter().zip(activation.as_slice()) {
-            let e = (q - o) as f64;
-            err_sq += e * e;
-            val_sq += (o as f64) * (o as f64);
-        }
-        entry.err_sq += err_sq;
-        entry.val_sq += val_sq;
-        if let Some(scheme) = self.inner.scheme_at(tap, cols) {
+        entry.err_sq += error.err_sq;
+        entry.val_sq += error.val_sq;
+        if let Some(scheme) = scheme {
             entry.rung = scheme.to_string();
             entry.encoded_bytes += (rows * scheme.token_bytes(cols)) as u64;
             entry.fp16_bytes += (rows * cols * 2) as u64;
@@ -128,6 +127,44 @@ impl<H: ActivationHook> ActivationHook for ScopeHook<H> {
             }
             self.probe_scratch = decoded.into_vec();
         }
+    }
+}
+
+impl<H: ActivationHook> ActivationHook for ScopeHook<H> {
+    fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
+        if ln_obs::level() == ObsLevel::Off {
+            self.inner.on_activation(tap, activation);
+            return;
+        }
+        self.sketch(tap, activation);
+        let original = activation.clone();
+        self.inner.on_activation(tap, activation);
+
+        let mut error = QuantError::default();
+        for (&o, &q) in original.as_slice().iter().zip(activation.as_slice()) {
+            let e = (q - o) as f64;
+            error.err_sq += e * e;
+            error.val_sq += (o as f64) * (o as f64);
+        }
+        let scheme = self.inner.scheme_at(tap, original.cols());
+        self.book_tap(tap, &original, error, scheme);
+    }
+
+    fn on_encoded(
+        &mut self,
+        tap: Tap,
+        activation: &Tensor2,
+        encoded: &QuantizedTensor,
+        error: QuantError,
+    ) {
+        self.inner.on_encoded(tap, activation, encoded, error);
+        if ln_obs::level() == ObsLevel::Off {
+            return;
+        }
+        // The activation was not rewritten, so there is no difference to
+        // take here: the ledger books the error the encoding reported.
+        self.sketch(tap, activation);
+        self.book_tap(tap, activation, error, Some(encoded.scheme()));
     }
 
     fn observes(&self, site: ActivationSite) -> bool {

@@ -98,10 +98,12 @@ fn abs_rank(v: f32) -> f32 {
 /// by index), so it is picked only when the numbers run out.
 ///
 /// Up to `k = 8` this is one O(n·k) streaming pass over `values` against a
-/// sorted stack array — what the hardware bitonic top-k unit does — and
-/// performs no allocation; a larger `k` partitions an index vector with
-/// `select_nth_unstable_by` and sorts only the `k` winners. The runtime
-/// quantizer in `ln-quant` calls this once per token.
+/// sorted stack array and performs no allocation; a larger `k` partitions
+/// an index vector with `select_nth_unstable_by` and sorts only the `k`
+/// winners. It is the order the runtime quantizer in `ln-quant` selects
+/// by: that quantizer runs its own vector select (lane maxima and a
+/// bitonic network) for `k ≤ 8`, tested equal to this followed by an
+/// ascending sort, and calls this for a larger budget.
 ///
 /// # Panics
 ///

@@ -17,7 +17,8 @@
 #  11. numerics --quick                                   (ln-scope gate)
 #  12. all_experiments, stdout discarded                  (paper artifacts run)
 #  13. foldbench: cargo test, run --quick, then           (benchmark smoke)
-#      trace --workload fold_qdomain --quick, then
+#      trace --workload fold_qdomain --quick,
+#      trace --workload fold_aaq --quick, then
 #      git diff --quiet -- benchmarks/fold                (its lock unmoved)
 #
 # Step 3's `chaos_recovery` and `serving` alone drive FoldService's threads.
@@ -97,10 +98,13 @@
 # unit tests, and folds every workload once at L = 32 with the benchmark's
 # own checks on each fold (TM-score against the FP32 reference, finite
 # coordinates); it exits non-zero on any CHECK FAILED. It then traces the
-# quantized-domain workload once, which puts the integer `qgemm` path under
-# the traced run's checks: the decomposed fold equals `predict_with_hook`,
-# the nproc-pool fold equals the pool-1 fold and `ppm.unattributed_s` stays
-# within 1 % (it also prints the exact `quant.qgemm_calls`). Last, it
+# quantized-domain workload once, which puts the integer `qgemm` path and
+# the trunk's one encoding of each post-LN activation under the traced
+# run's checks: the decomposed fold equals `predict_with_hook`, the
+# nproc-pool fold equals the pool-1 fold and `ppm.unattributed_s` stays
+# within 1 % (it also prints the exact `quant.qgemm_calls`). It traces the
+# fake-quant workload the same way, so the vector quantizer every tap
+# rewrites through runs under the same three checks. Last, it
 # fails if any of that rewrote a tracked file under benchmarks/fold: the
 # lock there records the dependency edges of the thirteen crates foldbench
 # reaches, so a PR that changes one of them shows up here, not at review.
@@ -138,6 +142,7 @@ step sh -c './target/release/all_experiments >/dev/null'
 step cargo test --offline --release --manifest-path benchmarks/fold/Cargo.toml
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- run --quick
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- trace --workload fold_qdomain --quick
+step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- trace --workload fold_aaq --quick
 step git diff --quiet -- benchmarks/fold
 
 echo

@@ -11,6 +11,8 @@
 //!   agrees with the observatory's own before/after difference per group.
 //! * A fold with `attention_chunk` set ledgers the score bytes of the
 //!   unchunked fold: its score blocks reach the hook, every row of them.
+//! * A quantized-domain fold keeps its post-LN ledger rows, and wrapping
+//!   leaves the inner hook's bytes and error sums as they are unwrapped.
 //! * [`Scope::merge`] is associative and commutative, so per-worker or
 //!   per-shard scopes can be folded together in any grouping without
 //!   changing the snapshot — checked on fixed seed triples and on 32
@@ -159,6 +161,61 @@ fn off_mode_wrapping_is_bit_transparent() {
         Scope::from_hook(wrapped).is_empty(),
         "off mode must observe nothing"
     );
+}
+
+#[test]
+fn quantized_domain_fold_keeps_its_post_ln_rows() {
+    // The trunk encodes the post-LN activations itself and shows the hook
+    // the encoding: the wrapper forwards it, and books the ledger entry
+    // from the error the encoding reports.
+    let _guard = ln_obs::pin_level(ObsLevel::Counters);
+    let config = PpmConfig::tiny();
+    let model = FoldingModel::new(config.clone());
+    let seq = Sequence::random("numerics-scope-qdomain", LEN);
+    let native = StructureGenerator::new("numerics-scope-qdomain").generate(LEN);
+
+    let mut bare = AaqHook::paper().with_quantized_domain();
+    let bare_out = model
+        .predict_with_hook(&seq, &native, &mut bare)
+        .expect("bare fold succeeds");
+    let mut wrapped = ScopeHook::new(AaqHook::paper().with_quantized_domain(), LEN);
+    let wrapped_out = model
+        .predict_with_hook(&seq, &native, &mut wrapped)
+        .expect("wrapped fold succeeds");
+    assert_eq!(bare_out, wrapped_out, "observing must not perturb");
+
+    let inner = wrapped.inner();
+    assert_eq!(inner.encoded_bytes(), bare.encoded_bytes());
+    assert_eq!(inner.fp16_bytes(), bare.fp16_bytes());
+    for group in [Group::A, Group::B, Group::C] {
+        assert_eq!(
+            inner.relative_rmse(group).to_bits(),
+            bare.relative_rmse(group).to_bits(),
+            "group {group}"
+        );
+    }
+    let scheme = AaqHook::paper().config().scheme_for(Group::B);
+    for block in 0..config.blocks {
+        for stage in ["tri_mul.post_ln", "tri_attn.post_ln", "transition.post_ln"] {
+            let entry = wrapped
+                .ledger()
+                .get(block, stage)
+                .unwrap_or_else(|| panic!("block {block} has no {stage} row"));
+            let units: usize = if stage.starts_with("transition") {
+                1
+            } else {
+                2
+            };
+            assert_eq!(entry.taps, units as u64, "block {block} {stage}");
+            assert_eq!(entry.rung, scheme.to_string(), "block {block} {stage}");
+            let tokens = LEN * LEN * units;
+            assert_eq!(
+                entry.encoded_bytes,
+                (tokens * scheme.token_bytes(config.hz)) as u64
+            );
+            assert!(entry.err_sq > 0.0 && entry.val_sq > entry.err_sq);
+        }
+    }
 }
 
 /// A scope populated from `seed`, built entirely from dyadic rationals
