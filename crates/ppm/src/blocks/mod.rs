@@ -138,10 +138,11 @@ impl PostLn {
 
 /// Pair tokens a stage takes through a row-blocked site at a time, when
 /// the hook [takes row blocks](ActivationHook::takes_row_blocks): the
-/// transition's hidden activation, triangular multiplication's gated
-/// sides and triangular attention's output gate; the triangle product's
-/// consumers take whole rows, as near this many as `ns` allows. A
-/// multiple of the quantizer's 64-token error block.
+/// transition's hidden activation, triangular multiplication's packed
+/// gated side and triangular attention's output gate; its other gated
+/// side and the triangle product's consumers take whole rows, as near
+/// this many as `ns` allows. A multiple of the quantizer's 64-token error
+/// block.
 const ROW_BLOCK: usize = 1024;
 
 /// Tokens a stage takes through `sites` at a time: `block`, or all
@@ -189,6 +190,19 @@ fn residual_stage(
     workspace::give(update);
     *pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
     Ok(())
+}
+
+/// Transposes the pair stream in place, token `(a, b)` ↔ `(b, a)`: exact
+/// swaps, no buffer, its own inverse.
+fn transpose_pair_tokens(pair: &mut Tensor3) {
+    let (ns, _, c) = pair.shape();
+    let tokens = pair.as_mut_slice();
+    for a in 0..ns {
+        for b in a + 1..ns {
+            let (ab, ba) = tokens.split_at_mut((b * ns + a) * c);
+            ab[(a * ns + b) * c..][..c].swap_with_slice(&mut ba[..c]);
+        }
+    }
 }
 
 /// One folding block: sequence track + the four pair-dataflow units.
@@ -474,9 +488,11 @@ pub(crate) mod tests {
     #[test]
     fn every_site_fires_in_ascending_blocks_that_cover_each_unit() {
         // ns = 48: 2 304 pair tokens — row blocks of 1 024, 1 024 and 256
-        // tokens; of 22, 22 and 4 whole rows for the triangle product's
-        // consumers; lanes of 48 tokens for the keys and values. Two
-        // tri-mul and two tri-attn units per block, one transition.
+        // tokens; of 22, 22 and 4 whole rows for tri-mul's row-blocked
+        // gated side (left for Outgoing, right for Incoming) and the
+        // triangle product's consumers; lanes of 48 tokens for the keys
+        // and values. Two tri-mul and two tri-attn units per block, one
+        // transition.
         use crate::taps::ALL_SITES;
         use ActivationSite::*;
         let ns = 48;
@@ -512,9 +528,11 @@ pub(crate) mod tests {
                     assert_eq!(blocks.len(), wholes.len());
                     continue;
                 }
+                TriAttnGate | TransitionHidden => unit_tokens.div_ceil(ROW_BLOCK),
+                // A gated side goes in row blocks in one tri-mul unit and
+                // in whole rows in the other: three blocks either way.
                 TriMulGateLeft | TriMulProjLeft | TriMulGateRight | TriMulProjRight
-                | TriAttnGate | TransitionHidden => unit_tokens.div_ceil(ROW_BLOCK),
-                TriMulTriangleOut | TriMulOutPostLn | TriMulOutGate => 3,
+                | TriMulTriangleOut | TriMulOutPostLn | TriMulOutGate => 3,
                 TriAttnKey | TriAttnValue => ns,
                 _ => 1,
             };

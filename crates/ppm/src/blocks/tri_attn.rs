@@ -23,7 +23,10 @@
 //! on the transposed pair stream, `(a, b) ↔ (b, a)` by exact swaps in
 //! place before and after — so its taps see the tokens in that order.
 
-use super::{block_len, residual_stage, workspace, Activation, PostLn, Projection, ROW_BLOCK};
+use super::{
+    block_len, residual_stage, transpose_pair_tokens, workspace, Activation, PostLn, Projection,
+    ROW_BLOCK,
+};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_tensor::nn::{LayerNorm, Linear};
@@ -280,19 +283,6 @@ impl TriangularAttention {
 /// Scratch for one lane's keys and values, `ns` tokens of `attn_dim`.
 fn lane_kv(ns: usize, attn_dim: usize) -> [Tensor2; 2] {
     [(); 2].map(|_| Tensor2::zeros(ns, attn_dim))
-}
-
-/// Transposes the pair stream in place, token `(a, b)` ↔ `(b, a)`: exact
-/// swaps, no buffer, its own inverse.
-fn transpose_pair_tokens(pair: &mut Tensor3) {
-    let (ns, _, c) = pair.shape();
-    let tokens = pair.as_mut_slice();
-    for a in 0..ns {
-        for b in a + 1..ns {
-            let (ab, ba) = tokens.split_at_mut((b * ns + a) * c);
-            ab[(a * ns + b) * c..][..c].swap_with_slice(&mut ba[..c]);
-        }
-    }
 }
 
 /// What one (lane, head) works in, allocated once per lane chunk instead

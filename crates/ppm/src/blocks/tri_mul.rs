@@ -2,16 +2,31 @@
 //! gated "triangle" update — for every pair `(i, j)`, information flows
 //! through all intermediate residues `k`.
 //!
-//! Every row of the product reads every token of both gated sides, so
-//! those two are whole — the left in token order, the right packed as the
-//! einsum reads it — but nothing else is: each side is computed a block
-//! of tokens at a time, and the product and everything after it a block
-//! of whole rows at a time, whose update goes into the block's own rows
-//! of the post-LN buffer. Beside the stream the stage holds three pair
-//! tensors — the post-LN activation and the two sides — unless the hook
-//! [wants](ActivationHook::takes_row_blocks) a blocked site whole.
+//! There is one body, Outgoing's: `out[i][j] = Σ_k l(i, k) ⊙ r(j, k)`.
+//! Incoming runs it on the pair stream transposed in place, `(a, b) ↔
+//! (b, a)`, with the gated sides' roles swapped — its right side is the
+//! einsum's left operand — and transposes back. Transposed token `(p, q)`
+//! then folds `Σ_k right(k, p) · left(k, q)`: the products of Incoming's
+//! token `(q, p)` (a multiply commutes), in the same ascending `k`, scaled
+//! the same way; every other step is token-wise, so the bits are
+//! Incoming's. Its taps see the tokens in that order, as the Ending
+//! attention node's do.
+//!
+//! Output row `i` reads every token of the right operand but only row `i`
+//! of the left one. So only the right operand is whole — stored packed as
+//! the einsum reads it, a block of tokens at a time — and the left one is
+//! computed a block of whole output rows at a time, just before those
+//! rows' product, out LayerNorm, output gate and projection, whose update
+//! goes into the block's own rows of the post-LN buffer. Beside the
+//! stream the stage holds two pair tensors — the post-LN activation and
+//! the packed operand — and two row blocks, unless the hook
+//! [wants](ActivationHook::takes_row_blocks) a blocked site whole: then
+//! that block is the whole tensor, and the stage holds up to four.
 
-use super::{block_len, residual_stage, workspace, Activation, PostLn, Projection, ROW_BLOCK};
+use super::{
+    block_len, residual_stage, transpose_pair_tokens, workspace, Activation, PostLn, Projection,
+    ROW_BLOCK,
+};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use einsum::Einsum;
@@ -105,6 +120,10 @@ impl TriangularMultiplication {
             recycle,
             site,
         };
+        let incoming = self.direction == TriangleDirection::Incoming;
+        if incoming {
+            transpose_pair_tokens(pair);
+        }
         residual_stage(
             pair,
             hook,
@@ -115,7 +134,11 @@ impl TriangularMultiplication {
             &self.norm_in,
             self.update_gain,
             |hook, post_ln| self.update(hook, post_ln, ns, tap),
-        )
+        )?;
+        if incoming {
+            transpose_pair_tokens(pair);
+        }
+        Ok(())
     }
 
     /// The stage between its LayerNorm and its residual add: the gated
@@ -130,56 +153,63 @@ impl TriangularMultiplication {
         use ActivationSite::*;
         let tokens_n = ns * ns;
         let c = self.proj_left.out_features();
-        // The left operand in token order; the right one packed as the
-        // einsum's tile reads it, each block stored as it is produced.
-        let mut left = None;
-        let sites = [TriMulGateLeft, TriMulProjLeft];
-        let layers = [&self.gate_left, &self.proj_left];
-        gated_side(hook, &post_ln, layers, sites.map(&tap), |first, product| {
-            let left = left.get_or_insert_with(|| workspace::take(tokens_n, c));
-            let rows = &mut left.as_mut_slice()[first * c..];
-            rows[..product.len()].copy_from_slice(product.as_slice());
-        })?;
-        let mut right = None;
-        let sites = [TriMulGateRight, TriMulProjRight];
-        let layers = [&self.gate_right, &self.proj_right];
-        gated_side(hook, &post_ln, layers, sites.map(&tap), |first, product| {
-            let right = right.get_or_insert_with(|| {
-                let (rows, cols) = einsum::packed_shape(ns, c);
-                workspace::take(rows, cols)
-            });
-            einsum::pack_right(self.direction, ns, first, product, right.as_mut_slice());
-        })?;
-        let mut operands = left.zip(right);
+        let left = GatedSide {
+            layers: [&self.gate_left, &self.proj_left],
+            sites: [TriMulGateLeft, TriMulProjLeft],
+        };
+        let right = GatedSide {
+            layers: [&self.gate_right, &self.proj_right],
+            sites: [TriMulGateRight, TriMulProjRight],
+        };
+        // The einsum's operands on the stream as it runs (see the module
+        // docs): Incoming's are the other way round.
+        let (rows_side, packed_side) = match self.direction {
+            TriangleDirection::Outgoing => (left, right),
+            TriangleDirection::Incoming => (right, left),
+        };
 
-        // Then the triangle product and everything after it, a block of
-        // whole rows at a time, each step reading only the block's own
-        // tokens: the einsum's rows (1/√Ns keeps magnitudes
-        // length-independent), the out LayerNorm, the output gate and
-        // projection — whose update goes into the block's post-LN rows,
-        // read by the gate for the last time.
-        let sites = [TriMulTriangleOut, TriMulOutPostLn, TriMulOutGate];
+        // The right operand whole, packed as the einsum's tile reads it,
+        // each block stored as it is produced.
+        let mut packed = {
+            let (rows, cols) = einsum::packed_shape(ns, c);
+            workspace::take(rows, cols)
+        };
+        let block = block_len(hook, &packed_side.sites, ROW_BLOCK, tokens_n);
+        for first in (0..tokens_n).step_by(block) {
+            let product =
+                packed_side.rows(hook, &post_ln, first, block.min(tokens_n - first), &tap)?;
+            einsum::pack_right(ns, first, &product, packed.as_mut_slice());
+            workspace::give(product);
+        }
+
+        // Then a block of whole rows at a time, each step reading only the
+        // block's own tokens: the left operand's rows, the einsum's rows
+        // (1/√Ns keeps magnitudes length-independent), the out LayerNorm,
+        // the output gate and projection — whose update goes into the
+        // block's post-LN rows, read by the gate for the last time.
+        let [gate_site, proj_site] = rows_side.sites;
+        let sites = [
+            gate_site,
+            proj_site,
+            TriMulTriangleOut,
+            TriMulOutPostLn,
+            TriMulOutGate,
+        ];
         let row = ns.max(1);
         let block = block_len(hook, &sites, ROW_BLOCK.div_ceil(row) * row, tokens_n);
         for first in (0..tokens_n).step_by(block) {
             let rows = block.min(tokens_n - first);
+            let left = rows_side.rows(hook, &post_ln, first, rows, &tap)?;
             let mut tri = workspace::take(rows, c);
-            let (left, right) = operands.as_ref().expect("given back after the last block");
             let einsum = Einsum {
-                direction: self.direction,
                 left: left.as_slice(),
-                right: right.as_slice(),
+                right: packed.as_slice(),
                 ns,
                 c,
                 scale: 1.0 / (ns as f32).sqrt(),
             };
-            einsum.rows_on_pool(first / ns, tri.as_mut_slice());
-            if first + rows == tokens_n {
-                // The einsum's operands have no reader left.
-                let (left, right) = operands.take().expect("still held");
-                workspace::give(left);
-                workspace::give(right);
-            }
+            einsum.rows_on_pool(tri.as_mut_slice());
+            workspace::give(left);
             hook.on_activation(tap(TriMulTriangleOut), &mut tri);
             let mut y = workspace::take(rows, c);
             self.norm_out.forward_into(&tri, &mut y)?;
@@ -197,40 +227,43 @@ impl TriangularMultiplication {
             }
             workspace::give(g);
         }
+        workspace::give(packed);
         Ok(post_ln.into_buffer())
     }
 }
 
-/// One gated side, `sigmoid(gate(x)) ⊙ proj(x)`, one way under every
-/// hook: a [`ROW_BLOCK`] of tokens at a time, or all of them for a hook
-/// that wants either site whole. In the quantized domain both are
-/// integer GEMMs on the encoded post-LN activation, otherwise FP32
-/// ones; either way each passes the hook (which may record or rewrite
-/// it, or ignore it), then `store(first, product)` keeps the block's
-/// product and both buffers go back.
-fn gated_side(
-    hook: &mut dyn ActivationHook,
-    post_ln: &PostLn,
-    [gate, proj]: [&Projection; 2],
-    taps: [Tap; 2],
-    mut store: impl FnMut(usize, &Tensor2),
-) -> Result<(), PpmError> {
-    let tokens = post_ln.tokens();
-    let block = block_len(hook, &taps.map(|t| t.site), ROW_BLOCK, tokens);
-    for first in (0..tokens).step_by(block) {
-        let rows = block.min(tokens - first);
+/// One gated side of the product, `sigmoid(gate(x)) ⊙ proj(x)`, and the
+/// sites its two factors pass.
+struct GatedSide<'a> {
+    layers: [&'a Projection; 2],
+    sites: [ActivationSite; 2],
+}
+
+impl GatedSide<'_> {
+    /// Tokens `first ..` of the side, `rows` of them, in a workspace
+    /// tensor. In the quantized domain both factors are integer GEMMs on
+    /// the encoded post-LN activation, otherwise FP32 ones; either way
+    /// each passes the hook (which may record or rewrite it, or ignore
+    /// it) before the gate's buffer takes the product.
+    fn rows(
+        &self,
+        hook: &mut dyn ActivationHook,
+        post_ln: &PostLn,
+        first: usize,
+        rows: usize,
+        tap: &impl Fn(ActivationSite) -> Tap,
+    ) -> Result<Tensor2, PpmError> {
+        let [gate, proj] = self.layers;
         let mut g = workspace::take(rows, gate.out_features());
         post_ln.project_into(gate, Activation::Sigmoid, first, &mut g)?;
-        hook.on_activation(taps[0], &mut g);
+        hook.on_activation(tap(self.sites[0]), &mut g);
         let mut p = workspace::take(rows, proj.out_features());
         post_ln.project_into(proj, Activation::None, first, &mut p)?;
-        hook.on_activation(taps[1], &mut p);
+        hook.on_activation(tap(self.sites[1]), &mut p);
         g.hadamard_assign(&p)?;
         workspace::give(p);
-        store(first, &g);
-        workspace::give(g);
+        Ok(g)
     }
-    Ok(())
 }
 
 mod einsum {
@@ -261,10 +294,9 @@ mod einsum {
     //! twice, and a block of output rows costs one pass over the packed
     //! panels instead of a gather of every right token.
     //!
-    //! A pack step reads (or stores) whichever token it is told to, so the
-    //! two orientations differ in one index expression each
-    //! ([`Einsum::pack`], [`pack_right`]) and Incoming needs no transposed
-    //! copy of its operands.
+    //! The left operand is only the output rows' own tokens, so the stage
+    //! can compute it a row block at a time; there is one orientation,
+    //! Outgoing's (Incoming runs on the transposed stream).
     //!
     //! # Why packed
     //!
@@ -326,7 +358,6 @@ mod einsum {
     //! * packing in the operands' memory order (one strided stream a load
     //!   instruction): 11 ms for 13, not worth a second loop nest.
 
-    use super::TriangleDirection;
     use ln_tensor::{simd, Tensor2};
     use std::cell::RefCell;
 
@@ -372,19 +403,10 @@ mod einsum {
     /// columns past `ns`, with its last column; every other slot belongs
     /// to one token, so once each token has been stored nothing is left
     /// of what `packed` held.
-    pub(super) fn pack_right(
-        direction: TriangleDirection,
-        ns: usize,
-        first: usize,
-        block: &Tensor2,
-        packed: &mut [f32],
-    ) {
+    pub(super) fn pack_right(ns: usize, first: usize, block: &Tensor2, packed: &mut [f32]) {
         let entries = packed.as_chunks_mut::<LANES>().0.as_chunks_mut::<JT>().0;
         for (t, token) in (first..).zip(block.iter_rows()) {
-            let (j, k) = match direction {
-                TriangleDirection::Outgoing => (t / ns, t % ns),
-                TriangleDirection::Incoming => (t % ns, t / ns),
-            };
+            let (j, k) = (t / ns, t % ns);
             let mut store = |cc: usize, lanes: Lanes| {
                 let group = &mut entries[packed_entry(ns, cc, j, k)];
                 group[j % JT] = lanes;
@@ -405,10 +427,10 @@ mod einsum {
         }
     }
 
-    /// One triangle einsum: `left` an `(ns·ns, c)` token matrix, `right`
-    /// the other operand as [`pack_right`] leaves it.
+    /// One triangle einsum over a block of output rows: `left` the left
+    /// operand's tokens of those rows — `(rows · ns, c)`, in token order —
+    /// and `right` the other operand as [`pack_right`] leaves it.
     pub(super) struct Einsum<'a> {
-        pub direction: TriangleDirection,
         pub left: &'a [f32],
         pub right: &'a [f32],
         pub ns: usize,
@@ -431,13 +453,12 @@ mod einsum {
     }
 
     impl Einsum<'_> {
-        /// Output rows `i0 ..` — `out.len() / (ns · c)` of them — written
-        /// to `out`, whatever it held, split across the pool. Each `(i, j)`
-        /// token folds its own k terms in ascending order, so any split
-        /// has the bits of the serial loops; there are no more chunks than
-        /// threads, as each makes a whole pass over the packed right
-        /// operand.
-        pub(super) fn rows_on_pool(&self, i0: usize, out: &mut [f32]) {
+        /// The output rows of `left`'s rows written to `out`, whatever it
+        /// held, split across the pool. Each `(i, j)` token folds its own
+        /// k terms in ascending order, so any split has the bits of the
+        /// serial loops; there are no more chunks than threads, as each
+        /// makes a whole pass over the packed right operand.
+        pub(super) fn rows_on_pool(&self, out: &mut [f32]) {
             let row_len = self.ns * self.c;
             let rows = out.len().checked_div(row_len).unwrap_or(0);
             ln_par::metrics::time_kernel("ppm.tri_mul.einsum", (rows * self.ns) as u64, || {
@@ -447,13 +468,14 @@ mod einsum {
                 let threads = ln_par::active().threads();
                 let rows_per_chunk = ln_par::chunk_len(rows, grain.max(rows.div_ceil(threads)));
                 ln_par::par_chunks_mut(out, rows_per_chunk * row_len, |ci, chunk| {
-                    self.rows(i0 + ci * rows_per_chunk, chunk)
+                    self.rows(ci * rows_per_chunk, chunk)
                 });
             });
         }
 
-        /// Output rows `i0 ..` — `out.len() / (ns · c)` of them — written
-        /// to `out`, whatever it held, on the calling thread.
+        /// The output rows of `left`'s rows `i0 ..` — `out.len() / (ns · c)`
+        /// of them — written to `out`, whatever it held, on the calling
+        /// thread.
         fn rows(&self, i0: usize, out: &mut [f32]) {
             self.rows_with(i0, out, tile);
         }
@@ -507,15 +529,11 @@ mod einsum {
             });
         }
 
-        /// Channels `cc .. cc + lanes` of the left operand's token `(i, k)`
-        /// — `(k, i)` for Incoming — zero-extended to a whole vector.
+        /// Channels `cc .. cc + lanes` of token `(i, k)` of `left`'s rows,
+        /// zero-extended to a whole vector.
         #[inline(always)]
         fn pack(&self, i: usize, k: usize, cc: usize, lanes: usize, dst: &mut Lanes) {
-            let token = match self.direction {
-                TriangleDirection::Outgoing => i * self.ns + k,
-                TriangleDirection::Incoming => k * self.ns + i,
-            };
-            let src = &self.left[token * self.c + cc..];
+            let src = &self.left[(i * self.ns + k) * self.c + cc..];
             // A whole vector moves with a constant length — vector loads
             // and stores; only a ragged last chunk pays a `memcpy` call.
             if lanes == LANES {
@@ -600,11 +618,9 @@ mod einsum {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use TriangleDirection::{Incoming, Outgoing};
 
         /// An einsum with both operands in token order.
         struct Operands<'a> {
-            direction: TriangleDirection,
             left: &'a [f32],
             right: &'a [f32],
             ns: usize,
@@ -616,10 +632,7 @@ mod einsum {
         /// then one multiply.
         fn reference(e: &Operands) -> Vec<f32> {
             let (ns, c) = (e.ns, e.c);
-            let token = |x: usize, k: usize| match e.direction {
-                Outgoing => x * ns + k,
-                Incoming => k * ns + x,
-            };
+            let token = |x: usize, k: usize| x * ns + k;
             let mut out = Vec::with_capacity(ns * ns * c);
             for i in 0..ns {
                 for j in 0..ns {
@@ -661,63 +674,62 @@ mod einsum {
             let tokens = e.right.chunks(5 * e.c.max(1));
             for (b, block) in tokens.enumerate() {
                 let block = Tensor2::from_vec(block.len() / e.c, e.c, block.to_vec()).unwrap();
-                pack_right(e.direction, e.ns, 5 * b, &block, &mut packed);
+                pack_right(e.ns, 5 * b, &block, &mut packed);
             }
             packed
         }
 
-        /// `e`, a chunk of `rows_per_chunk` rows at a time, through the
-        /// dispatched tile and through the tile body compiled for the
-        /// baseline (called outside [`simd::wide`]), against [`reference`].
+        /// `e`, a chunk of `rows_per_chunk` rows at a time — its left
+        /// operand only the chunk's rows, as the stage's row blocks are —
+        /// through the dispatched tile and through the tile body compiled
+        /// for the baseline (called outside [`simd::wide`]), against
+        /// [`reference`].
         fn assert_equals_reference(e: &Operands, rows_per_chunk: usize) {
             let want = reference(e);
             let right = packed_right(e);
-            let einsum = Einsum {
-                direction: e.direction,
-                left: e.left,
-                right: &right,
-                ns: e.ns,
-                c: e.c,
-                scale: e.scale,
-            };
             type Tile = fn(&[Lanes], &[[Lanes; JT]], &mut [f32], TileIo);
             for (tier, tile) in [("dispatched", tile as Tile), ("baseline", tile_body)] {
                 let mut got = vec![f32::NAN; want.len()];
-                for (ci, chunk) in got.chunks_mut(rows_per_chunk * e.ns * e.c).enumerate() {
-                    einsum.rows_with(ci * rows_per_chunk, chunk, tile);
+                let chunk_len = rows_per_chunk * e.ns * e.c;
+                for (chunk, left) in got.chunks_mut(chunk_len).zip(e.left.chunks(chunk_len)) {
+                    let einsum = Einsum {
+                        left,
+                        right: &right,
+                        ns: e.ns,
+                        c: e.c,
+                        scale: e.scale,
+                    };
+                    einsum.rows_with(0, chunk, tile);
                 }
                 let same = got
                     .iter()
                     .zip(&want)
                     .all(|(g, w)| g.to_bits() == w.to_bits());
-                let (direction, ns, c) = (e.direction, e.ns, e.c);
+                let (ns, c) = (e.ns, e.c);
                 assert!(
                     same,
-                    "{direction:?} ns {ns} c {c}, {rows_per_chunk} rows a chunk, {tier} tile"
+                    "ns {ns} c {c}, {rows_per_chunk} rows a chunk, {tier} tile"
                 );
             }
         }
 
         #[test]
         fn every_shape_and_seam_gives_the_bits_of_the_naive_fold() {
-            // Around the tile's JT and LANES, both orientations, chunks
-            // that start off row 0 and leave a short last one.
-            for direction in [Outgoing, Incoming] {
-                for ns in [1, 2, 3, 5, 7, 16, 33] {
-                    for c in [1, 15, 16, 17, 32, 48, 128] {
-                        let left = operand(ns * ns * c, 1);
-                        let right = operand(ns * ns * c, 2);
-                        let e = Operands {
-                            direction,
-                            left: &left,
-                            right: &right,
-                            ns,
-                            c,
-                            scale: 1.0 / (ns as f32).sqrt(),
-                        };
-                        for rows_per_chunk in [1, 2, 3, ns] {
-                            assert_equals_reference(&e, rows_per_chunk);
-                        }
+            // Around the tile's JT and LANES, chunks that start off row 0
+            // and leave a short last one.
+            for ns in [1, 2, 3, 5, 7, 16, 33] {
+                for c in [1, 15, 16, 17, 32, 48, 128] {
+                    let left = operand(ns * ns * c, 1);
+                    let right = operand(ns * ns * c, 2);
+                    let e = Operands {
+                        left: &left,
+                        right: &right,
+                        ns,
+                        c,
+                        scale: 1.0 / (ns as f32).sqrt(),
+                    };
+                    for rows_per_chunk in [1, 2, 3, ns] {
+                        assert_equals_reference(&e, rows_per_chunk);
                     }
                 }
             }
@@ -730,17 +742,14 @@ mod einsum {
             let (ns, c) = (KB + 3, LANES + 1);
             let left = operand(ns * ns * c, 3);
             let right = operand(ns * ns * c, 4);
-            for direction in [Outgoing, Incoming] {
-                let e = Operands {
-                    direction,
-                    left: &left,
-                    right: &right,
-                    ns,
-                    c,
-                    scale: 0.37,
-                };
-                assert_equals_reference(&e, 5);
-            }
+            let e = Operands {
+                left: &left,
+                right: &right,
+                ns,
+                c,
+                scale: 0.37,
+            };
+            assert_equals_reference(&e, 5);
         }
 
         #[test]
@@ -752,7 +761,6 @@ mod einsum {
             let (ns, c) = (2, LANES);
             let (left, right) = (vec![-0.0f32; ns * ns * c], vec![1.0f32; ns * ns * c]);
             let e = Operands {
-                direction: Outgoing,
                 left: &left,
                 right: &right,
                 ns,
@@ -773,6 +781,7 @@ mod einsum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocks::tests::token_wise_hooks;
     use crate::taps::NoopHook;
 
     fn pair(ns: usize, hz: usize) -> Tensor3 {
@@ -859,6 +868,39 @@ mod tests {
             unit.forward(&mut ignored, &mut NoopHook, 0, 0).unwrap();
             unit.forward(&mut observed, &mut ObserveAll, 0, 0).unwrap();
             assert_eq!(ignored, observed, "{direction:?}");
+        }
+    }
+
+    #[test]
+    fn incoming_is_outgoing_with_its_sides_swapped_on_the_transposed_stream() {
+        // Incoming(P) = T(Outgoing'(T(P))) to the bit, where Outgoing' is
+        // the Incoming unit with its left and right gates and projections
+        // swapped, under hooks that rewrite token-wise and in the
+        // quantized domain (the sides' sites share a group, so the
+        // swapped taps are rewritten alike). ns = 48 runs three blocks of
+        // whole rows and three packed blocks; 1, 2 and 7 one of each.
+        let transposed = |z: &Tensor3| {
+            let (ns, _, c) = z.shape();
+            Tensor3::from_fn(ns, ns, c, |i, j, k| z.at(j, i, k))
+        };
+        let bits = |z: &Tensor3| z.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let cfg = PpmConfig::tiny();
+        let incoming = TriangularMultiplication::new(&cfg, "t", TriangleDirection::Incoming);
+        let mut swapped = incoming.clone();
+        swapped.direction = TriangleDirection::Outgoing;
+        std::mem::swap(&mut swapped.gate_left, &mut swapped.gate_right);
+        std::mem::swap(&mut swapped.proj_left, &mut swapped.proj_right);
+        for ns in [1, 2, 7, 48] {
+            for ((name, mut in_hook), (_, mut out_hook)) in
+                token_wise_hooks().into_iter().zip(token_wise_hooks())
+            {
+                let mut want = pair(ns, cfg.hz);
+                incoming.forward(&mut want, in_hook.as_mut(), 0, 0).unwrap();
+                let mut got = transposed(&pair(ns, cfg.hz));
+                swapped.forward(&mut got, out_hook.as_mut(), 0, 0).unwrap();
+                let got = transposed(&got);
+                assert!(bits(&want) == bits(&got), "{name}, ns {ns}");
+            }
         }
     }
 

@@ -11,18 +11,21 @@
 //! taken tensor may simply be dropped (the stages' error paths do).
 //!
 //! It is for pair-sized tensors and the stages' row blocks. No stage has
-//! more than three pair tensors on loan — triangular multiplication's
-//! `x` and its two einsum operands; four under a hook that declines row
-//! blocks — and each row block it takes beside
-//! them (a gated side's gate and projection, the triangle product's
-//! consumers' rows; at most two at once, 0.6 MB each at the standard
-//! widths) finds a block-sized buffer it left before. Anything smaller
-//! stays out (`tri_attn`'s bias, a lane's keys and values): it would
-//! occupy a larger buffer and make the stack one deeper. The transition's
-//! hidden blocks cost nothing either: the stage has one pair tensor on
-//! loan when it takes one, so from L = 64, where a block is no larger
-//! than a pair tensor, it goes into a buffer the stages before it left
-//! free.
+//! more than two pair tensors on loan — the post-LN `x` and triangular
+//! multiplication's packed einsum operand, or triangular attention's
+//! queries; four under a hook that declines row blocks — and at most two
+//! row blocks beside them (a gated side's gate and projection, the
+//! triangle product's left rows and its consumers'; 0.6 MB each at the
+//! standard widths). A block finds a block-sized buffer it left before,
+//! because [`take`] gives no request a buffer more than four times its
+//! size: else a block would take the sequence track's half-pair-sized
+//! outer-product buffer and keep it on loan beside the two pair tensors.
+//! Anything much smaller stays out (`tri_attn`'s bias, a lane's keys and
+//! values): it would make the stack one deeper. The transition's hidden
+//! block (2 MiB), taken beside one pair tensor, goes into a free
+//! pair-sized buffer from L = 64 to L = 128, where that is at most four
+//! times the block; above, it has a buffer of its own; below, it regrows
+//! one, which then holds a pair tensor.
 //!
 //! A taken tensor's **contents are unspecified**. Whoever takes one
 //! overwrites all of it: the `_into` kernels do (they zero-fill first where
@@ -56,7 +59,9 @@ thread_local! {
 
 /// A `(rows, cols)` tensor with unspecified contents: the free buffer
 /// whose capacity fits most tightly (the most recently returned of equal
-/// ones), else the largest free one regrown, else a new one.
+/// ones) if it is at most four times the request, else the largest free
+/// one smaller than the request, regrown, else a new one — never a far
+/// larger buffer, which the request would keep on loan (module docs).
 pub(crate) fn take(rows: usize, cols: usize) -> Tensor2 {
     let len = rows * cols;
     let mut buf = WORKSPACE.with(|w| {
@@ -69,10 +74,11 @@ pub(crate) fn take(rows: usize, cols: usize) -> Tensor2 {
         let free = w.free.iter().enumerate();
         let tightest = free
             .clone()
-            .filter(|(_, b)| b.capacity() >= len)
+            .filter(|(_, b)| (len..=4 * len).contains(&b.capacity()))
             .min_by_key(|&(i, b)| (b.capacity(), Reverse(i)));
-        let largest = || free.max_by_key(|&(i, b)| (b.capacity(), i));
-        match tightest.or_else(largest) {
+        let smaller = free.filter(|(_, b)| b.capacity() < len);
+        let largest_smaller = || smaller.max_by_key(|&(i, b)| (b.capacity(), i));
+        match tightest.or_else(largest_smaller) {
             Some((i, _)) => w.free.remove(i),
             None => Vec::new(),
         }
@@ -102,11 +108,12 @@ pub(crate) fn give(t: Tensor2) {
 }
 
 /// Frees the buffers the calling thread's fold workspace retains between
-/// folds — three pair-sized tensors and two row blocks at the longest
-/// length folded (15 MB at L = 96, 58 MB at L = 192; the transition's
-/// hidden blocks fit in them), or, if a hook declined the row blocks,
-/// three pair tensors and one of four (the transition's hidden activation
-/// whole, where the triangle stages' fourth pair tensor fits too).
+/// folds — two pair-sized tensors and at most two row blocks at the
+/// longest length folded (10.5 MB at L = 96, 40.4 MB at L = 192, where
+/// the transition's hidden block is one of the two), or, if a hook
+/// declined the row blocks, three pair tensors and one of four (the
+/// transition's hidden activation whole, where the triangle stages'
+/// fourth pair tensor fits too).
 /// The next fold on this thread allocates them again.
 /// For a caller that folds once and lives on.
 ///
@@ -247,9 +254,10 @@ mod tests {
         // Standard widths at L = 48: 2 304 pair tokens, two full row blocks
         // and a partial one. One pair-sized tensor is `pair_bytes`; a
         // block of `width`-wide tokens is `block_bytes(width)` (0.44 of a
-        // pair tensor at 128 channels), one of the triangle product's
-        // consumers — 22 whole rows — `rows_bytes` (0.46); one of the
-        // transition's hidden activation `hidden_block_bytes` (1.78).
+        // pair tensor at 128 channels), one of tri-mul's row-blocked gated
+        // side and the triangle product's consumers — 22 whole rows —
+        // `rows_bytes` (0.46); one of the transition's hidden activation
+        // `hidden_block_bytes` (1.78).
         let cfg = PpmConfig::standard();
         let ns = 48;
         let pair_bytes = ns * ns * cfg.hz * 4;
@@ -279,11 +287,10 @@ mod tests {
         let seq_track = SequenceTrack::new(&cfg, "ws");
         // (stage, most bytes it may have on loan when the hook takes row
         // blocks, and when it declines them):
-        // - tri-mul: `x`, the left operand and the packed right one, and
-        //   two blocks — a gated side's gate and projection, or the
-        //   consumers' rows; whole, a side's gate and projection beside
-        //   `x` and the left operand, or the packed right operand beside
-        //   them once its gate and projection are a product;
+        // - tri-mul: `x` and the packed right operand, and two blocks — a
+        //   gated side's gate and projection, the left rows and their
+        //   product, or the consumers' rows; whole, those blocks are pair
+        //   tensors;
         // - tri-attn: `x`, q (the context once its queries are read) and
         //   a block of the output gate — a lane's keys and values are
         //   head-sized scratch, not the workspace's; whole, k and v too;
@@ -293,12 +300,12 @@ mod tests {
         let stages: [(&str, [usize; 2], Stage); 6] = [
             (
                 "tri_mul_out",
-                [3 * pair_bytes + 2 * rows_bytes, 4 * pair_bytes],
+                [2 * pair_bytes + 2 * rows_bytes, 4 * pair_bytes],
                 tri_mul(TriangleDirection::Outgoing),
             ),
             (
                 "tri_mul_in",
-                [3 * pair_bytes + 2 * rows_bytes, 4 * pair_bytes],
+                [2 * pair_bytes + 2 * rows_bytes, 4 * pair_bytes],
                 tri_mul(TriangleDirection::Incoming),
             ),
             (
@@ -352,7 +359,30 @@ mod tests {
     }
 
     #[test]
-    fn take_prefers_the_tightest_fit_and_regrows_the_largest() {
+    fn a_warm_fold_retains_two_pair_tensors_and_row_blocks() {
+        // Standard widths at L = 96, where the sequence track's
+        // half-pair-sized outer product is 4.4 row blocks: every buffer a
+        // warm fold leaves is pair-sized or at most a row block. None
+        // holds the outer product, which a row block taking any larger
+        // buffer would keep on loan beside the two pair tensors.
+        let cfg = PpmConfig::standard();
+        let ns = 96;
+        let pair_bytes = ns * ns * cfg.hz * 4;
+        let rows_bytes = ROW_BLOCK.div_ceil(ns) * ns * cfg.tri_mul_dim.max(cfg.hz) * 4;
+        let model = FoldingModel::new(cfg);
+        release_fold_workspace();
+        fold_bits(&model, ns, &mut NoopHook);
+        fold_bits(&model, ns, &mut NoopHook);
+        let sizes: Vec<usize> =
+            WORKSPACE.with(|w| w.borrow().free.iter().map(|b| b.capacity() * 4).collect());
+        let pair_sized = sizes.iter().filter(|&&bytes| bytes >= pair_bytes).count();
+        assert_eq!(pair_sized, 2, "{sizes:?}");
+        let between = |&&bytes: &&usize| rows_bytes < bytes && bytes < pair_bytes;
+        assert_eq!(sizes.iter().find(between), None, "{sizes:?}");
+    }
+
+    #[test]
+    fn take_prefers_a_close_fit_and_regrows_only_a_smaller_buffer() {
         release_fold_workspace();
         let (small, large) = (take(4, 4), take(16, 16));
         give(large);
@@ -362,11 +392,21 @@ mod tests {
         assert_eq!(t.shape(), (2, 2));
         assert_eq!(retained(), (1, 16 * 16 * 4));
         give(t);
-        // Nothing fits: the largest is replaced, the count stays.
+        // Nothing fits: the largest smaller one is replaced, the count
+        // stays.
         let t = take(32, 32);
         assert_eq!(retained(), (1, 4 * 4 * 4));
         give(t);
         assert_eq!(retained(), (2, (32 * 32 + 4 * 4) * 4));
+        // More than four times the request is no fit, and a larger buffer
+        // is never taken to be regrown: a new one is made.
+        let t = take(4, 4);
+        assert_eq!(retained(), (1, 32 * 32 * 4));
+        let u = take(2, 2);
+        assert_eq!(retained(), (1, 32 * 32 * 4));
+        give(u);
+        give(t);
+        assert_eq!(retained(), (3, (32 * 32 + 4 * 4 + 2 * 2) * 4));
         release_fold_workspace();
         assert_eq!(retained(), (0, 0));
     }

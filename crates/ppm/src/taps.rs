@@ -193,24 +193,27 @@ pub trait ActivationHook {
     /// It decides how much of a stage's intermediates is live at once. A
     /// yes taps, and computes, in blocks:
     ///
-    /// * [`ActivationSite::TriMulGateLeft`], [`ActivationSite::TriMulProjLeft`],
+    /// * the gated side triangular multiplication keeps whole, packed —
     ///   [`ActivationSite::TriMulGateRight`] and
-    ///   [`ActivationSite::TriMulProjRight`]: 1 024 tokens, a gated side's
-    ///   two sites together;
-    /// * [`ActivationSite::TriMulTriangleOut`],
+    ///   [`ActivationSite::TriMulProjRight`] for Outgoing,
+    ///   [`ActivationSite::TriMulGateLeft`] and
+    ///   [`ActivationSite::TriMulProjLeft`] for Incoming: 1 024 tokens, the
+    ///   two together;
+    /// * its other gated side's two sites,
+    ///   [`ActivationSite::TriMulTriangleOut`],
     ///   [`ActivationSite::TriMulOutPostLn`] and
     ///   [`ActivationSite::TriMulOutGate`]: whole rows of the triangle
-    ///   product, about 1 024 tokens, the three together;
+    ///   product, about 1 024 tokens, the five together;
     /// * [`ActivationSite::TriAttnKey`] and [`ActivationSite::TriAttnValue`]:
     ///   a lane (`Ns` tokens), the two together;
     /// * [`ActivationSite::TriAttnGate`] and
     ///   [`ActivationSite::TransitionHidden`]: 1 024 tokens.
     ///
     /// A no to any site of a group taps the group whole: a triangle stage
-    /// then holds up to four pair tensors instead of three (tri-mul) or two
-    /// (tri-attn), the transition its hidden activation — four pair tensors
-    /// wide. Every other site is tapped whole either way. A hook whose rewrite at `site` computes
-    /// a statistic across tokens (a per-tensor or per-channel scale) must
+    /// then holds up to four pair tensors instead of two, the transition
+    /// its hidden activation — four pair tensors wide. Every other site is
+    /// tapped whole either way. A hook whose rewrite at `site` computes a
+    /// statistic across tokens (a per-tensor or per-channel scale) must
     /// say no, or its calibration becomes per block; a hook that rewrites
     /// each token on its own cannot tell the difference in its output. A
     /// hook that wraps another forwards the question. Defaults to `true`:

@@ -78,7 +78,6 @@ use crate::scale::symmetric_scale;
 use crate::scheme::{Bits, QuantScheme};
 use ln_tensor::{simd, stats, Tensor2};
 use std::ops::{AddAssign, Range};
-use std::sync::Mutex;
 
 /// The hardware token width `Hz`: the VVPU SIMD lanes and the bitonic
 /// network are 128 wide, so wider rows quantize in 128-channel segments.
@@ -440,30 +439,41 @@ pub(crate) fn inlier_runs<I: Copy + Into<usize>>(
 
 /// The f64 error sums: element `j` to lane `j mod 8`, the lanes added up
 /// in index order (see [`QuantError`]). `original` against `decoded`,
-/// which are the same length; `Σ (v − r)²` and `Σ v²` run as two loops,
-/// which the vectoriser keeps apart (one loop pairs an `err` lane with a
-/// `val` lane in a register). A lane holds `+0.0` or more, or NaN, so
-/// padding the last chunk with zeros adds `+0.0` and moves no bit.
+/// which are the same length; `Σ (v − r)²` and `Σ v²` run as two loops
+/// over the whole chunks, which the vectoriser keeps apart (one loop pairs
+/// an `err` lane with a `val` lane in a register), then the last chunk
+/// padded with zeros: per lane the same adds in the same order as one
+/// loop over every chunk, which the vectoriser does not see through. A
+/// lane holds `+0.0` or more, or NaN, so the padding adds `+0.0` and
+/// moves no bit.
 #[inline(always)]
 fn error_sums(original: &[f32], decoded: &[f32]) -> QuantError {
-    let (originals, original_tail) = original.as_chunks::<SUM_LANES>();
-    let (decodeds, decoded_tail) = decoded.as_chunks::<SUM_LANES>();
-    let original_tail: [f32; SUM_LANES] = padded(original_tail, 0.0);
-    let decoded_tail: [f32; SUM_LANES] = padded(decoded_tail, 0.0);
-    let tail =
-        (!original.len().is_multiple_of(SUM_LANES)).then_some((&original_tail, &decoded_tail));
-    let mut err = [0.0f64; SUM_LANES];
-    for (o, d) in originals.iter().zip(decodeds).chain(tail) {
+    type Lanes = [f32; SUM_LANES];
+    let add_err = |err: &mut [f64; SUM_LANES], o: &Lanes, d: &Lanes| {
         for l in 0..SUM_LANES {
             let e = (o[l] - d[l]) as f64;
             err[l] += e * e;
         }
-    }
-    let mut val = [0.0f64; SUM_LANES];
-    for o in originals.iter().chain(tail.map(|(o, _)| o)) {
+    };
+    let add_val = |val: &mut [f64; SUM_LANES], o: &Lanes| {
         for l in 0..SUM_LANES {
             val[l] += o[l] as f64 * o[l] as f64;
         }
+    };
+    let (originals, original_tail) = original.as_chunks::<SUM_LANES>();
+    let (decodeds, decoded_tail) = decoded.as_chunks::<SUM_LANES>();
+    let mut err = [0.0f64; SUM_LANES];
+    for (o, d) in originals.iter().zip(decodeds) {
+        add_err(&mut err, o, d);
+    }
+    let mut val = [0.0f64; SUM_LANES];
+    for o in originals {
+        add_val(&mut val, o);
+    }
+    if !original_tail.is_empty() {
+        let o = padded(original_tail, 0.0);
+        add_err(&mut err, &o, &padded(decoded_tail, 0.0));
+        add_val(&mut val, &o);
     }
     QuantError {
         err_sq: err.iter().sum(),
@@ -724,40 +734,38 @@ pub fn fake_quantize_tokens(x: &mut Tensor2, scheme: QuantScheme) -> QuantError 
     // do too.
     ln_par::metrics::time_kernel("aaq.fake_quantize", rows as u64, || {
         let blocks_per_chunk = ln_par::chunk_len(rows, BLOCK).div_ceil(BLOCK);
-        let block_errors = Mutex::new(vec![QuantError::default(); rows.div_ceil(BLOCK)]);
-        ln_par::par_chunks_mut(
-            x.as_mut_slice(),
-            blocks_per_chunk * BLOCK * cols,
-            |c, chunk| {
-                let mut passes = Passes::new();
-                simd::wide(
-                    #[inline(always)]
-                    || {
-                        for (b, block) in chunk.chunks_mut(BLOCK * cols).enumerate() {
-                            let mut block_error = QuantError::default();
-                            for row in block.chunks_mut(cols) {
-                                let mut token_error = QuantError::default();
-                                for seg in row.chunks_mut(SEGMENT) {
-                                    token_error += if seg.len() < 2 {
-                                        QuantError::untouched(seg)
-                                    } else {
-                                        passes.fake_quantize(seg, scheme)
-                                    };
-                                }
-                                block_error += token_error;
+        let mut block_errors = vec![QuantError::default(); rows.div_ceil(BLOCK)];
+        let mut chunks: Vec<_> = x
+            .as_mut_slice()
+            .chunks_mut(blocks_per_chunk * BLOCK * cols)
+            .zip(block_errors.chunks_mut(blocks_per_chunk))
+            .collect();
+        ln_par::par_chunks_mut(&mut chunks, 1, |_, chunk| {
+            let (chunk, errors) = &mut chunk[0];
+            let mut passes = Passes::new();
+            simd::wide(
+                #[inline(always)]
+                || {
+                    let blocks = chunk.chunks_mut(BLOCK * cols);
+                    for (block, block_error) in blocks.zip(errors.iter_mut()) {
+                        for row in block.chunks_mut(cols) {
+                            let mut token_error = QuantError::default();
+                            for seg in row.chunks_mut(SEGMENT) {
+                                token_error += if seg.len() < 2 {
+                                    QuantError::untouched(seg)
+                                } else {
+                                    passes.fake_quantize(seg, scheme)
+                                };
                             }
-                            block_errors.lock().expect("block error slots poisoned")
-                                [c * blocks_per_chunk + b] = block_error;
+                            *block_error += token_error;
                         }
-                    },
-                );
-            },
-        );
+                    }
+                },
+            );
+        });
+        drop(chunks);
         let mut total = QuantError::default();
-        for block_error in block_errors
-            .into_inner()
-            .expect("block error slots poisoned")
-        {
+        for block_error in block_errors {
             total += block_error;
         }
         total

@@ -18,7 +18,8 @@
 #  12. all_experiments, stdout discarded                  (paper artifacts run)
 #  13. foldbench: cargo test, run --quick, then           (benchmark smoke)
 #      trace --workload fold_qdomain --quick,
-#      trace --workload fold_aaq --quick, then
+#      trace --workload fold_aaq --quick,
+#      trace --workload fold_long_chunked --quick, then
 #      git diff --quiet -- benchmarks/fold                (its lock unmoved)
 #
 # Step 3's `chaos_recovery` and `serving` alone drive FoldService's threads.
@@ -104,7 +105,10 @@
 # nproc-pool fold equals the pool-1 fold and `ppm.unattributed_s` stays
 # within 1 % (it also prints the exact `quant.qgemm_calls`). It traces the
 # fake-quant workload the same way, so the vector quantizer every tap
-# rewrites through runs under the same three checks. Last, it
+# rewrites through runs under the same three checks, and the long
+# workload, so a `NoopHook` fold — the lane-parallel triangular-attention
+# driver and triangular multiplication's row-blocked, transposed-Incoming
+# dataflow — does too. Last, it
 # fails if any of that rewrote a tracked file under benchmarks/fold: the
 # lock there records the dependency edges of the thirteen crates foldbench
 # reaches, so a PR that changes one of them shows up here, not at review.
@@ -143,6 +147,7 @@ step cargo test --offline --release --manifest-path benchmarks/fold/Cargo.toml
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- run --quick
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- trace --workload fold_qdomain --quick
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- trace --workload fold_aaq --quick
+step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- trace --workload fold_long_chunked --quick
 step git diff --quiet -- benchmarks/fold
 
 echo
