@@ -75,8 +75,9 @@ pub fn batch_cycles(hw: &HwConfig, op: VectorOp, channels: usize, tokens: u64) -
 mod tests {
     use super::*;
     use ln_quant::scheme::AaqConfig;
-    use ln_quant::token::quantize_token;
+    use ln_quant::tensor::QuantizedTensor;
     use ln_tensor::rng::{self, Rng, SliceRandom};
+    use ln_tensor::Tensor2;
 
     #[test]
     fn quantize_cost_includes_sorting_network() {
@@ -139,14 +140,13 @@ mod tests {
                 .map(|m| if rng.gen::<bool>() { m } else { -m })
                 .collect();
             let aaq = AaqConfig::paper();
+            let token = Tensor2::from_vec(1, 128, values.clone()).expect("one row");
             for scheme in [aaq.group_a, aaq.group_b, aaq.group_c] {
                 let mut network = bitonic::top_k_abs(&values, scheme.outliers);
                 network.sort_unstable();
-                let software: Vec<usize> = quantize_token(&values, scheme)
-                    .outlier_indices()
-                    .iter()
-                    .map(|&i| i as usize)
-                    .collect();
+                let encoded = QuantizedTensor::from_tensor(&token, scheme);
+                let software: Vec<usize> =
+                    encoded.outliers(0).1.iter().map(|&i| i as usize).collect();
                 assert_eq!(network, software, "{scheme}, seed {seed}");
             }
         }

@@ -92,7 +92,7 @@ pub struct ClusterOutcome {
     pub shard_stats: Vec<ServeStats>,
     /// Merged trace (`Some` when tracing was on): router events first,
     /// then each shard's events in index order, tracks remapped by
-    /// [`SHARD_TRACK_STRIDE`]. Feed to [`ln_insight`]'s critical path or
+    /// [`SHARD_TRACK_STRIDE`]. Feed to `ln_insight`'s critical path or
     /// [`ln_obs::chrome_trace_json`].
     pub trace: Option<Vec<TraceEvent>>,
     /// Total events evicted across all shard trace rings.

@@ -57,16 +57,11 @@ impl ClusterStats {
     }
 
     /// Latency percentile (`p` a fraction, 0.0–1.0) over the completion
-    /// latencies, by the nearest-rank rule: the `⌈p · n⌉`-th smallest of
-    /// the `n` samples (the smallest for `p = 0`).
+    /// latencies, by the nearest-rank rule ([`ln_obs::percentile`]).
     pub fn latency_percentile(&self, p: f64) -> Option<f64> {
-        if self.latencies_seconds.is_empty() {
-            return None;
-        }
         let mut sorted = self.latencies_seconds.clone();
         sorted.sort_by(f64::total_cmp);
-        let rank = (p * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.clamp(1, sorted.len()) - 1])
+        ln_obs::percentile(&sorted, p)
     }
 
     /// Renders the cluster counters as two report tables: outcomes and

@@ -3,7 +3,7 @@
 //!
 //! The workspace builds with zero registry access, so there is no serde;
 //! this recursive-descent parser covers exactly what the BENCH documents
-//! and the `ln-obs` exporters emit, and [`write`] is the one writer the
+//! and the `ln-obs` exporters emit, and [`write()`] is the one writer the
 //! bench bins emit those documents through. One deliberate deviation from the
 //! usual "every number is f64" model: unsigned integer literals (no
 //! sign, fraction or exponent) are kept as [`Value::UInt`], because

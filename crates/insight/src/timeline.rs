@@ -162,22 +162,13 @@ pub struct PhaseStats {
     pub max_nanos: u64,
 }
 
-/// Nearest-rank percentile on a sorted slice (p in (0, 100]).
-fn percentile(sorted: &[u64], p: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (sorted.len() as u64 * p).div_ceil(100).max(1) as usize;
-    sorted[rank.min(sorted.len()) - 1]
-}
-
 fn phase_stats(values: &mut [u64]) -> PhaseStats {
     values.sort_unstable();
     PhaseStats {
         count: values.len(),
         total_nanos: values.iter().sum(),
-        p50_nanos: percentile(values, 50),
-        p99_nanos: percentile(values, 99),
+        p50_nanos: ln_obs::percentile(values, 0.5).unwrap_or(0),
+        p99_nanos: ln_obs::percentile(values, 0.99).unwrap_or(0),
         max_nanos: values.last().copied().unwrap_or(0),
     }
 }
@@ -1183,15 +1174,5 @@ mod tests {
         assert_eq!(r.fault_burn_nanos, 70);
         assert_eq!(r.queue_nanos, 10);
         assert_eq!(r.attributed_nanos(), r.total_nanos());
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted = vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-        assert_eq!(percentile(&sorted, 50), 5);
-        assert_eq!(percentile(&sorted, 99), 10);
-        assert_eq!(percentile(&sorted, 100), 10);
-        assert_eq!(percentile(&[42], 50), 42);
-        assert_eq!(percentile(&[], 99), 0);
     }
 }

@@ -10,9 +10,9 @@
 //!
 //! The moving parts:
 //!
-//! * [`registry`] — named [`Counter`]s, [`Gauge`]s and log-bucketed
-//!   [`Histogram`]s behind lock-free atomics on the hot path, with a
-//!   `BTreeMap` [`Registry::snapshot`] API for rendering and export.
+//! * [`registry`](mod@registry) — named [`Counter`]s, [`Gauge`]s and
+//!   log-bucketed [`Histogram`]s behind lock-free atomics on the hot path,
+//!   with a `BTreeMap` [`Registry::snapshot`] API for rendering and export.
 //! * [`clock`] — the pluggable [`Clock`]: [`WallClock`] for the threaded
 //!   `FoldService`, [`VirtualClock`] for the deterministic engine, so
 //!   traces of seeded chaos runs are bitwise-reproducible.
@@ -186,9 +186,39 @@ impl Drop for LevelGuard {
     }
 }
 
+/// The nearest-rank `p`-percentile (`p` a fraction, 0.0–1.0) of samples
+/// sorted ascending: the `⌈p · n⌉`-th smallest of the `n` (the smallest
+/// for `p = 0`), `None` when there are none. Every latency percentile the
+/// workspace reports — serving, cluster, critical-path phases — is this
+/// one rule.
+pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> Option<T> {
+    let rank = (p * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.clamp(1, sorted.len().max(1)) - 1).copied()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let sorted: Vec<u64> = (1..=10).collect();
+        assert_eq!(
+            percentile(&sorted, 0.5),
+            Some(5),
+            "the 5th of 10, not the 6th"
+        );
+        assert_eq!(percentile(&sorted, 0.99), Some(10));
+        assert_eq!(percentile(&sorted, 1.0), Some(10));
+        assert_eq!(percentile(&sorted, 0.0), Some(1));
+        assert_eq!(percentile(&[42], 0.5), Some(42));
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.99), Some(4.0));
+        assert_eq!(percentile::<u64>(&[], 0.99), None);
+        // ⌈0.99 · n⌉ where 0.99 · n is a whole number: the f64 product
+        // never lands above it.
+        let hundred: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&hundred, 0.99), Some(99));
+    }
 
     #[test]
     fn level_parsing_covers_aliases_and_defaults() {

@@ -1,6 +1,6 @@
 //! Structured span tracing with bounded ring buffers.
 //!
-//! A [`Tracer`] owns a [`Clock`](crate::Clock) and a bounded `VecDeque` of
+//! A [`Tracer`] owns a [`Clock`] and a bounded `VecDeque` of
 //! [`TraceEvent`]s; recording is O(1) per event and overflow evicts the
 //! oldest event while counting drops. Spans are RAII: [`Tracer::span`]
 //! returns a [`SpanGuard`] that records a single `Complete` event (begin

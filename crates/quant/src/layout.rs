@@ -6,30 +6,28 @@
 //! `ln-accel` consumes these blocks and realigns them token-wise into the
 //! scratchpad).
 //!
-//! The encoder is the source of truth for all byte accounting: the
+//! The layout is the source of truth for all byte accounting: the
 //! simulator charges HBM traffic for exactly these bytes, and
-//! [`crate::scheme::QuantScheme::token_bytes`] is asserted (and property
-//! tested) to equal the encoded length.
+//! [`crate::scheme::QuantScheme::token_bytes`] is the sum of the section
+//! lengths the codec below splits a token at.
 //!
-//! # One encoder, one decoder
+//! # One codec, on the container
 //!
-//! `encode_into` writes a token's bytes from the parts of its encoding
-//! (levels, scales, outlier indices), whether a
-//! [`QuantizedToken`] holds them ([`encode_token`],
-//! [`TokenBlock::encode`]) or a
-//! [`QuantizedTensor`](crate::tensor::QuantizedTensor)'s panel
-//! (`to_blocks`). [`decode_levels`] reads them back into a
-//! `QuantizedToken` equal to the one encoded, so bytes → levels → bytes and
-//! levels → bytes → levels are both the identity; the float-returning forms
-//! ([`decode_token`], [`TokenBlock::decode`]) are that followed by
-//! [`QuantizedToken::dequantize`]: this module turns no level back into a
-//! value itself.
+//! An encoded token has one in-memory form, a
+//! [`QuantizedTensor`]: its levels in the panel, its
+//! scales, its outliers. `encode_into` writes a token's bytes straight
+//! from those ([`QuantizedTensor::to_blocks`]) and `decode_into` reads
+//! them straight back into them ([`QuantizedTensor::from_blocks`], and
+//! [`decode_levels`] for one token's bytes — the one public way from raw
+//! bytes to a container). Bytes → container → bytes and container → bytes
+//! → container are both the identity, and this module turns no level into
+//! a value: [`QuantizedTensor::decode`] does.
 //!
 //! # What the decoders do with input they did not write
 //!
 //! Nothing here panics on bytes, schemes or widths from outside; what each
-//! case gives instead ([`decode_levels`] and everything built on it, and
-//! `QuantizedTensor::from_blocks`):
+//! case gives instead ([`decode_levels`], and
+//! [`QuantizedTensor::from_blocks`]):
 //!
 //! | input | result |
 //! |---|---|
@@ -48,71 +46,76 @@
 //! | `from_blocks`: a single token, or a token count off the panel's group of [`MR`](crate::qgemm::MR) | exact round trip; the padding tokens of the last group are all-zero levels, as `from_tensor` leaves them |
 
 use crate::scheme::{Bits, QuantScheme};
-use crate::token::{QuantizedToken, MAX_TOKEN_CHANNELS};
+use crate::tensor::QuantizedTensor;
+use crate::token::{inlier_runs, MAX_TOKEN_CHANNELS};
 use crate::QuantError;
+use std::ops::Range;
 
 /// Default block size target in bytes (one HBM2E burst group; §4.3 sizes
 /// blocks by the memory-channel bandwidth).
 pub const DEFAULT_BLOCK_BYTES: usize = 1024;
 
-/// Minimum tokens per chunk for the parallel block encode/decode paths.
+/// Minimum tokens per chunk for the parallel block encode path.
 const BLOCK_PAR_GRAIN_TOKENS: usize = 16;
 
-/// Byte lengths of a token's first three sections — packed inliers, INT16
-/// outliers, scaling factor(s); the u8 outlier indices are the rest.
-fn section_bytes(scheme: QuantScheme, channels: usize) -> [usize; 3] {
-    let inlier_bits = (channels - scheme.outliers) * scheme.inlier_bits.width();
-    let scales = if scheme.outliers > 0 { 8 } else { 4 };
-    [inlier_bits.div_ceil(8), scheme.outliers * 2, scales]
+fn corrupt<T>(what: String) -> Result<T, QuantError> {
+    Err(QuantError::CorruptBlock { what })
 }
 
-/// Writes one token's Fig. 7 bytes into `dst` from the parts of its
-/// encoding, wherever they are stored: the inlier levels in channel order
-/// (outlier positions skipped), the outliers' INT16 levels, `(σ_in,
-/// σ_out)` and the outliers' channel indices.
+/// `Ok` when tokens of `channels` values under `scheme` are ones the
+/// quantizer can have written: an inlier left, at most 256 channels.
+pub(crate) fn check_width(scheme: QuantScheme, channels: usize) -> Result<(), QuantError> {
+    if scheme.outliers >= channels.max(1) || channels > MAX_TOKEN_CHANNELS {
+        return corrupt(format!(
+            "{} outliers in {channels} channels: no inlier left, or wider than a token gets",
+            scheme.outliers
+        ));
+    }
+    Ok(())
+}
+
+/// Writes token `t` of `q` into `dst` as its Fig. 7 bytes, straight from
+/// the container: the inlier levels in channel order (outlier channels
+/// skipped), the outliers' INT16 levels, `(σ_in, σ_out)` and the outliers'
+/// channel indices.
 ///
 /// # Panics
 ///
-/// Panics unless `dst` is `scheme.token_bytes(channels)` long for the
-/// `inliers.len() + outliers.len()` channels and there is one index per
-/// outlier of the scheme.
-pub(crate) fn encode_into(
-    dst: &mut [u8],
-    scheme: QuantScheme,
-    inliers: &[i16],
-    outliers: &[i16],
-    (inlier_scale, outlier_scale): (f32, f32),
-    outlier_indices: &[u8],
-) {
-    let sections = section_bytes(scheme, inliers.len() + outliers.len());
-    let (inlier_raw, rest) = dst.split_at_mut(sections[0]);
-    let (outlier_raw, rest) = rest.split_at_mut(sections[1]);
-    let (scale_raw, index_raw) = rest.split_at_mut(sections[2]);
+/// Panics unless `dst` is `q.scheme().token_bytes(q.channels())` long.
+pub(crate) fn encode_into(dst: &mut [u8], q: &QuantizedTensor, t: usize) {
+    let scheme = q.scheme();
+    let [inliers, outliers, scales, _] = scheme.sections(q.channels());
+    let (inlier_raw, rest) = dst.split_at_mut(inliers);
+    let (outlier_raw, rest) = rest.split_at_mut(outliers);
+    let (scale_raw, index_raw) = rest.split_at_mut(scales);
     // 1. Inliers, packed.
+    let mut levels = q.inliers(t);
     match scheme.inlier_bits {
         // Two's-complement nibbles, the low one first.
         Bits::Int4 => {
-            for (byte, pair) in inlier_raw.iter_mut().zip(inliers.chunks(2)) {
-                let high = pair.get(1).map_or(0, |&level| (level as u8) << 4);
-                *byte = (pair[0] as u8 & 0x0F) | high;
+            for byte in inlier_raw {
+                let low = levels.next().unwrap_or(0) as u8 & 0x0F;
+                *byte = low | (levels.next().unwrap_or(0) as u8) << 4;
             }
         }
         Bits::Int8 => {
-            for (byte, &level) in inlier_raw.iter_mut().zip(inliers) {
+            for (byte, level) in inlier_raw.iter_mut().zip(levels) {
                 *byte = level as u8;
             }
         }
         Bits::Int16 => {
-            for (pair, level) in inlier_raw.chunks_exact_mut(2).zip(inliers) {
+            for (pair, level) in inlier_raw.chunks_exact_mut(2).zip(levels) {
                 pair.copy_from_slice(&level.to_le_bytes());
             }
         }
     }
     // 2. Outliers (INT16 little-endian).
-    for (pair, level) in outlier_raw.chunks_exact_mut(2).zip(outliers) {
+    let (outlier_levels, outlier_indices) = q.outliers(t);
+    for (pair, level) in outlier_raw.chunks_exact_mut(2).zip(outlier_levels) {
         pair.copy_from_slice(&level.to_le_bytes());
     }
     // 3. Scaling factors: inlier scale always; outlier scale when present.
+    let (inlier_scale, outlier_scale) = q.scales(t);
     scale_raw[..4].copy_from_slice(&inlier_scale.to_le_bytes());
     if scheme.outliers > 0 {
         scale_raw[4..].copy_from_slice(&outlier_scale.to_le_bytes());
@@ -121,44 +124,23 @@ pub(crate) fn encode_into(
     index_raw.copy_from_slice(outlier_indices);
 }
 
-/// [`encode_into`] of a token held on its own.
-fn encode_token_into(token: &QuantizedToken, dst: &mut [u8]) {
-    encode_into(
-        dst,
-        token.scheme(),
-        token.inliers(),
-        token.outliers(),
-        (token.inlier_scale(), token.outlier_scale()),
-        token.outlier_indices(),
-    );
-}
-
-/// Encodes one quantized token into the Fig. 7 byte layout.
-pub fn encode_token(token: &QuantizedToken) -> Vec<u8> {
-    let mut out = vec![0u8; token.encoded_bytes()];
-    encode_token_into(token, &mut out);
-    out
-}
-
-/// Decodes one token's bytes back into the levels, scales and outlier
-/// indices they were encoded from: the inverse of [`encode_token`].
+/// Reads one token's Fig. 7 bytes into token `t` of `q` — its panel
+/// slots, scales and outliers — under `q`'s scheme and width: the inverse
+/// of [`encode_into`]. Nothing is written before the bytes are checked.
+/// Token `t` must still be all-zero, as `QuantizedTensor::zeroed` leaves
+/// it: the panel slots of its outlier channels are not written.
 ///
 /// # Errors
 ///
-/// Returns [`QuantError::CorruptBlock`] in the cases tabulated in the
-/// module docs.
-pub fn decode_levels(
+/// Returns [`QuantError::CorruptBlock`] for a byte length off
+/// `token_bytes`, an outlier index out of range, or indices not strictly
+/// ascending.
+pub(crate) fn decode_into(
     bytes: &[u8],
-    scheme: QuantScheme,
-    channels: usize,
-) -> Result<QuantizedToken, QuantError> {
-    let corrupt = |what: String| Err(QuantError::CorruptBlock { what });
-    if scheme.outliers >= channels.max(1) || channels > MAX_TOKEN_CHANNELS {
-        return corrupt(format!(
-            "{} outliers in {channels} channels: no inlier left, or wider than a token gets",
-            scheme.outliers
-        ));
-    }
+    q: &mut QuantizedTensor,
+    t: usize,
+) -> Result<(), QuantError> {
+    let (scheme, channels) = (q.scheme(), q.channels());
     let expected = scheme.token_bytes(channels);
     if bytes.len() != expected {
         return corrupt(format!(
@@ -166,29 +148,10 @@ pub fn decode_levels(
             bytes.len()
         ));
     }
-    let sections = section_bytes(scheme, channels);
-    let (inlier_raw, rest) = bytes.split_at(sections[0]);
-    let (outlier_raw, rest) = rest.split_at(sections[1]);
-    let (scale_raw, index_raw) = rest.split_at(sections[2]);
-
-    let le_i16 = |pair: &[u8]| i16::from_le_bytes([pair[0], pair[1]]);
-    let le_f32 = |quad: &[u8]| f32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]]);
-    let inliers: Vec<i16> = match scheme.inlier_bits {
-        // Two's-complement nibbles, low one first: shift each to the top of
-        // an `i8` and back down to sign-extend it.
-        Bits::Int4 => (0..channels - scheme.outliers)
-            .map(|k| ((inlier_raw[k / 2] << (4 * (1 - k % 2))) as i8 >> 4) as i16)
-            .collect(),
-        Bits::Int8 => inlier_raw.iter().map(|&b| b as i8 as i16).collect(),
-        Bits::Int16 => inlier_raw.chunks_exact(2).map(le_i16).collect(),
-    };
-    let outliers = outlier_raw.chunks_exact(2).map(le_i16).collect();
-    let scales = if scheme.outliers > 0 {
-        (le_f32(&scale_raw[..4]), le_f32(&scale_raw[4..]))
-    } else {
-        (le_f32(scale_raw), 1.0)
-    };
-
+    let [inliers, outliers, scales, _] = scheme.sections(channels);
+    let (inlier_raw, rest) = bytes.split_at(inliers);
+    let (outlier_raw, rest) = rest.split_at(outliers);
+    let (scale_raw, index_raw) = rest.split_at(scales);
     if let Some(&idx) = index_raw.iter().find(|&&idx| idx as usize >= channels) {
         return corrupt(format!(
             "outlier index {idx} out of range for {channels} channels"
@@ -200,27 +163,70 @@ pub fn decode_levels(
             pair[0], pair[1]
         ));
     }
-    Ok(QuantizedToken::from_parts(
-        scheme,
-        inliers,
-        outliers,
-        index_raw.to_vec(),
-        scales,
-    ))
+
+    let le_i16 = |pair: &[u8]| i16::from_le_bytes([pair[0], pair[1]]);
+    let le_f32 = |quad: &[u8]| f32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]]);
+    let (outlier_levels, outlier_indices) = q.outliers_mut(t);
+    for (level, pair) in outlier_levels.iter_mut().zip(outlier_raw.chunks_exact(2)) {
+        *level = le_i16(pair);
+    }
+    outlier_indices.copy_from_slice(index_raw);
+    q.scales[t] = if scheme.outliers > 0 {
+        (le_f32(&scale_raw[..4]), le_f32(&scale_raw[4..]))
+    } else {
+        (le_f32(scale_raw), 1.0)
+    };
+    match scheme.inlier_bits {
+        // Two's-complement nibbles, low one first: shift each to the top
+        // of an `i8` and back down to sign-extend it.
+        Bits::Int4 => scatter_inliers(
+            q,
+            t,
+            index_raw,
+            inlier_raw
+                .iter()
+                .flat_map(|&b| [b << 4, b].map(|n| (n as i8 >> 4) as i16)),
+        ),
+        Bits::Int8 => scatter_inliers(q, t, index_raw, inlier_raw.iter().map(|&b| b as i8 as i16)),
+        Bits::Int16 => scatter_inliers(q, t, index_raw, inlier_raw.chunks_exact(2).map(le_i16)),
+    }
+    Ok(())
 }
 
-/// The reconstructed values of one encoded token: [`decode_levels`], then
-/// [`QuantizedToken::dequantize`].
+/// Writes `levels` to token `t`'s inlier slots of the panel, in channel
+/// order, skipping the ascending outlier channels `indices`; a level past
+/// the last inlier (an INT4 pad nibble) is dropped.
+fn scatter_inliers(
+    q: &mut QuantizedTensor,
+    t: usize,
+    indices: &[u8],
+    levels: impl Iterator<Item = i16>,
+) {
+    for (ch, level) in inlier_runs(q.channels(), indices).flatten().zip(levels) {
+        let slot = q.slot(t, ch);
+        q.levels[slot] = level;
+    }
+}
+
+/// Decodes one token's bytes into a one-token container holding the
+/// levels, scales and outlier indices they were encoded from: the one
+/// public way from raw bytes to a [`QuantizedTensor`], and the exact
+/// inverse of its [`to_blocks`](QuantizedTensor::to_blocks) for one
+/// token.
 ///
 /// # Errors
 ///
-/// As [`decode_levels`].
-pub fn decode_token(
+/// Returns [`QuantError::CorruptBlock`] in the cases tabulated in the
+/// module docs.
+pub fn decode_levels(
     bytes: &[u8],
     scheme: QuantScheme,
     channels: usize,
-) -> Result<Vec<f32>, QuantError> {
-    Ok(decode_levels(bytes, scheme, channels)?.dequantize())
+) -> Result<QuantizedTensor, QuantError> {
+    check_width(scheme, channels)?;
+    let mut q = QuantizedTensor::zeroed(scheme, channels, 1);
+    decode_into(bytes, &mut q, 0)?;
+    Ok(q)
 }
 
 /// A block of tokens sharing one scheme, sized for the memory channel.
@@ -233,41 +239,18 @@ pub struct TokenBlock {
 }
 
 impl TokenBlock {
-    /// Encodes a sequence of quantized tokens into one block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if tokens disagree on scheme or channel count.
-    pub fn encode(tokens: &[QuantizedToken]) -> TokenBlock {
-        assert!(!tokens.is_empty(), "block needs at least one token");
-        let scheme = tokens[0].scheme();
-        let channels = tokens[0].channels();
-        for t in tokens {
-            assert_eq!(t.scheme(), scheme, "mixed schemes in block");
-            assert_eq!(t.channels(), channels, "mixed widths in block");
-        }
-        Self::encode_with(scheme, channels, tokens.len(), |t, dst| {
-            encode_token_into(&tokens[t], dst)
-        })
-    }
-
-    /// A block of `tokens` tokens, token `t`'s bytes written by
-    /// `encode(t, dst)` ([`encode_into`] of its parts).
-    pub(crate) fn encode_with(
-        scheme: QuantScheme,
-        channels: usize,
-        tokens: usize,
-        encode: impl Fn(usize, &mut [u8]) + Sync,
-    ) -> TokenBlock {
+    /// The block of tokens `rows` of `q`, each written by [`encode_into`].
+    pub(crate) fn encode_rows(q: &QuantizedTensor, rows: Range<usize>) -> TokenBlock {
         // Uniform scheme ⇒ fixed stride, so tokens encode independently
         // into disjoint byte ranges (the paper's 128-VVPU token axis).
+        let (scheme, channels, tokens) = (q.scheme(), q.channels(), rows.len());
         let stride = scheme.token_bytes(channels);
         let mut bytes = vec![0u8; tokens * stride];
         ln_par::metrics::time_kernel("aaq.block_encode", tokens as u64, || {
             let per_chunk = ln_par::chunk_len(tokens, BLOCK_PAR_GRAIN_TOKENS);
             ln_par::par_chunks_mut(&mut bytes, per_chunk * stride, |c, chunk| {
                 for (local, dst) in chunk.chunks_mut(stride).enumerate() {
-                    encode(c * per_chunk + local, dst);
+                    encode_into(dst, q, rows.start + c * per_chunk + local);
                 }
             });
         });
@@ -304,44 +287,22 @@ impl TokenBlock {
         &self.bytes
     }
 
-    /// Every token of the block as it was encoded: levels, scales and
-    /// outlier indices ([`decode_levels`] per token).
+    /// Each token's bytes, in order.
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::CorruptBlock`] on structural damage.
-    pub fn decode_tokens(&self) -> Result<Vec<QuantizedToken>, QuantError> {
+    /// Returns [`QuantError::CorruptBlock`] unless the block is its token
+    /// count times the token stride long.
+    pub(crate) fn tokens(&self) -> Result<std::slice::ChunksExact<'_, u8>, QuantError> {
         let stride = self.scheme.token_bytes(self.channels);
         if self.bytes.len() != stride * self.tokens {
-            return Err(QuantError::CorruptBlock {
-                what: format!(
-                    "block length {} != {} tokens × {stride} bytes",
-                    self.bytes.len(),
-                    self.tokens
-                ),
-            });
+            return corrupt(format!(
+                "block length {} != {} tokens × {stride} bytes",
+                self.bytes.len(),
+                self.tokens
+            ));
         }
-        ln_par::metrics::time_kernel("aaq.block_decode", self.tokens as u64, || {
-            ln_par::par_map_collect(self.tokens, BLOCK_PAR_GRAIN_TOKENS, |t| {
-                decode_levels(
-                    &self.bytes[t * stride..(t + 1) * stride],
-                    self.scheme,
-                    self.channels,
-                )
-            })
-            .into_iter()
-            .collect()
-        })
-    }
-
-    /// Decodes every token back to full precision.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::CorruptBlock`] on structural damage.
-    pub fn decode(&self) -> Result<Vec<Vec<f32>>, QuantError> {
-        let tokens = self.decode_tokens()?;
-        Ok(tokens.iter().map(QuantizedToken::dequantize).collect())
+        Ok(self.bytes.chunks_exact(stride))
     }
 
     /// How many tokens of this shape fit a target block size.
@@ -353,12 +314,29 @@ impl TokenBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::token::quantize_token;
+    use ln_tensor::Tensor2;
 
     fn sample_values(n: usize, seed: usize) -> Vec<f32> {
         (0..n)
             .map(|i| (((i * 31 + seed * 17) % 97) as f32 - 48.0) * 0.21)
             .collect()
+    }
+
+    /// `values` encoded as a one-token container.
+    fn encoded(values: &[f32], scheme: QuantScheme) -> QuantizedTensor {
+        let x = Tensor2::from_vec(1, values.len(), values.to_vec()).expect("one row");
+        QuantizedTensor::from_tensor(&x, scheme)
+    }
+
+    /// A one-token container's Fig. 7 bytes.
+    fn bytes_of(q: &QuantizedTensor) -> Vec<u8> {
+        let blocks = q.to_blocks();
+        assert_eq!(blocks.len(), 1);
+        blocks[0].as_bytes().to_vec()
+    }
+
+    fn is_corrupt<T>(result: Result<T, QuantError>) -> bool {
+        matches!(result, Err(QuantError::CorruptBlock { .. }))
     }
 
     #[test]
@@ -369,30 +347,13 @@ mod tests {
             QuantScheme::int8_with_outliers(4),
             QuantScheme::int8_with_outliers(0),
         ] {
-            let values = sample_values(128, 1);
-            let q = quantize_token(&values, scheme);
-            assert_eq!(encode_token(&q).len(), scheme.token_bytes(128), "{scheme}");
+            let q = encoded(&sample_values(128, 1), scheme);
+            assert_eq!(bytes_of(&q).len(), scheme.token_bytes(128), "{scheme}");
         }
     }
 
     #[test]
-    fn encode_decode_round_trip_equals_dequantize() {
-        for scheme in [
-            QuantScheme::int4_with_outliers(4),
-            QuantScheme::int8_with_outliers(2),
-            QuantScheme::int8_with_outliers(0),
-        ] {
-            let values = sample_values(64, 2);
-            let q = quantize_token(&values, scheme);
-            let bytes = encode_token(&q);
-            let decoded = decode_token(&bytes, scheme, 64).unwrap();
-            let direct = q.dequantize();
-            assert_eq!(decoded, direct, "{scheme}");
-        }
-    }
-
-    #[test]
-    fn decode_levels_inverts_encode_token() {
+    fn decode_levels_inverts_the_encoding() {
         // Widths off the pack width included: 17 and 129 channels leave an
         // odd number of INT4 inliers under an even outlier budget.
         for channels in [1, 2, 17, 64, 128, 129, 256] {
@@ -405,161 +366,178 @@ mod tests {
                     if scheme.validate(channels).is_err() {
                         continue;
                     }
-                    let q = quantize_token(&sample_values(channels, channels), scheme);
-                    let bytes = encode_token(&q);
+                    let q = encoded(&sample_values(channels, channels), scheme);
+                    let bytes = bytes_of(&q);
                     let back = decode_levels(&bytes, scheme, channels).unwrap();
                     assert_eq!(back, q, "{scheme}, {channels} channels");
-                    assert_eq!(encode_token(&back), bytes);
+                    assert_eq!(bytes_of(&back), bytes);
                 }
             }
         }
     }
 
     #[test]
-    fn non_finite_scales_decode_without_panicking() {
+    fn non_finite_zero_and_negative_scales_decode_without_panicking() {
         let inf = f32::INFINITY;
         let scheme = QuantScheme::int8_with_outliers(2);
-        let q = quantize_token(&[1.0, -inf, 0.5, inf, f32::NAN, 0.75, inf, -0.25], scheme);
-        assert_eq!((q.inlier_scale(), q.outlier_scale()), (inf, inf));
-        let back = decode_levels(&encode_token(&q), scheme, 8).unwrap();
-        assert_eq!(back, q);
-        // A NaN scale can only come from damaged bytes; it decodes too.
-        let mut bytes = encode_token(&q);
+        let q = encoded(&[1.0, -inf, 0.5, inf, f32::NAN, 0.75, inf, -0.25], scheme);
+        assert_eq!(q.scales(0), (inf, inf));
+        let bytes = bytes_of(&q);
+        assert_eq!(decode_levels(&bytes, scheme, 8).unwrap(), q);
+        // Any other scale can only come from damaged bytes; each decodes,
+        // and the values are `level · σ`.
         let scale_at = bytes.len() - 2 - 8;
-        bytes[scale_at..scale_at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-        let decoded = decode_token(&bytes, scheme, 8).unwrap();
-        assert_eq!(decoded.len(), 8);
+        for scale in [f32::NAN, 0.0, -0.5] {
+            let mut bytes = bytes.clone();
+            bytes[scale_at..scale_at + 4].copy_from_slice(&scale.to_le_bytes());
+            let back = decode_levels(&bytes, scheme, 8).unwrap();
+            assert_eq!(back.scales(0).0.to_bits(), scale.to_bits());
+            let values = back.decode();
+            assert_eq!(values.shape(), (1, 8));
+            let (_, indices) = back.outliers(0);
+            for (ch, level) in (0..8)
+                .filter(|ch| !indices.contains(&(*ch as u8)))
+                .zip(back.inliers(0))
+            {
+                let want = level as f32 * scale;
+                assert_eq!(
+                    values.at(0, ch).to_bits(),
+                    want.to_bits(),
+                    "σ {scale} ch {ch}"
+                );
+            }
+        }
     }
 
     #[test]
     fn int4_packing_is_two_per_byte() {
-        let values = sample_values(128, 3);
-        let q = quantize_token(&values, QuantScheme::int4_with_outliers(0));
-        let bytes = encode_token(&q);
+        let q = encoded(&sample_values(128, 3), QuantScheme::int4_with_outliers(0));
         // 64 inlier bytes + 4 scale bytes.
-        assert_eq!(bytes.len(), 68);
+        assert_eq!(bytes_of(&q).len(), 68);
     }
 
     #[test]
     fn negative_int4_values_sign_extend() {
+        let scheme = QuantScheme::int4_with_outliers(0);
         let mut values = vec![0.0f32; 8];
         values[0] = -7.0;
         values[1] = 7.0;
-        let q = quantize_token(&values, QuantScheme::int4_with_outliers(0));
-        let bytes = encode_token(&q);
-        let decoded = decode_token(&bytes, QuantScheme::int4_with_outliers(0), 8).unwrap();
-        assert!((decoded[0] + 7.0).abs() < 1e-4);
-        assert!((decoded[1] - 7.0).abs() < 1e-4);
+        let bytes = bytes_of(&encoded(&values, scheme));
+        let decoded = decode_levels(&bytes, scheme, 8).unwrap().decode();
+        assert!((decoded.at(0, 0) + 7.0).abs() < 1e-4);
+        assert!((decoded.at(0, 1) - 7.0).abs() < 1e-4);
         // −8 is a nibble the quantizer never writes; it decodes as −8.
         let mut bytes = bytes;
         bytes[0] = 0x78;
-        let q = decode_levels(&bytes, QuantScheme::int4_with_outliers(0), 8).unwrap();
-        assert_eq!(q.inliers()[..2], [-8, 7]);
+        let q = decode_levels(&bytes, scheme, 8).unwrap();
+        assert!(q.inliers(0).take(2).eq([-8, 7]));
     }
 
     #[test]
-    fn truncated_token_is_rejected() {
-        let values = sample_values(32, 4);
+    fn the_pad_nibble_is_written_zero_and_ignored() {
+        for channels in [17, 129] {
+            let scheme = QuantScheme::int4_with_outliers(4);
+            let q = encoded(&sample_values(channels, 7), scheme);
+            let mut bytes = bytes_of(&q);
+            let last_inlier = scheme.sections(channels)[0] - 1;
+            assert_eq!(bytes[last_inlier] >> 4, 0, "{channels} channels");
+            bytes[last_inlier] |= 0xF0;
+            assert_eq!(decode_levels(&bytes, scheme, channels).unwrap(), q);
+        }
+    }
+
+    #[test]
+    fn truncated_or_padded_token_is_rejected() {
         let scheme = QuantScheme::int8_with_outliers(2);
-        let q = quantize_token(&values, scheme);
-        let mut bytes = encode_token(&q);
-        bytes.pop();
-        assert!(matches!(
-            decode_token(&bytes, scheme, 32),
-            Err(QuantError::CorruptBlock { .. })
+        let bytes = bytes_of(&encoded(&sample_values(32, 4), scheme));
+        assert!(is_corrupt(decode_levels(
+            &bytes[..bytes.len() - 1],
+            scheme,
+            32
+        )));
+        let padded = [&bytes[..], &[0]].concat();
+        assert!(is_corrupt(decode_levels(&padded, scheme, 32)));
+    }
+
+    #[test]
+    fn bytes_of_another_scheme_and_width_decode_as_asked() {
+        // INT8 + 0 at 8 channels and INT4 + 0 at 16 are both 12 bytes.
+        let bytes = bytes_of(&encoded(
+            &sample_values(8, 5),
+            QuantScheme::int8_with_outliers(0),
         ));
+        let scheme = QuantScheme::int4_with_outliers(0);
+        let q = decode_levels(&bytes, scheme, 16).expect("no tag to disagree with");
+        assert_eq!((q.scheme(), q.num_tokens(), q.channels()), (scheme, 1, 16));
+        assert_eq!(bytes_of(&q), bytes);
     }
 
     #[test]
     fn corrupt_outlier_index_is_rejected() {
-        let values = sample_values(32, 5);
         let scheme = QuantScheme::int8_with_outliers(1);
-        let q = quantize_token(&values, scheme);
-        let mut bytes = encode_token(&q);
+        let mut bytes = bytes_of(&encoded(&sample_values(32, 5), scheme));
         let last = bytes.len() - 1;
         bytes[last] = 200; // out of range for 32 channels
-        assert!(matches!(
-            decode_token(&bytes, scheme, 32),
-            Err(QuantError::CorruptBlock { .. })
-        ));
+        assert!(is_corrupt(decode_levels(&bytes, scheme, 32)));
     }
 
     #[test]
     fn duplicate_outlier_index_is_rejected() {
-        let values = sample_values(32, 6);
         let scheme = QuantScheme::int8_with_outliers(2);
-        let q = quantize_token(&values, scheme);
-        let mut bytes = encode_token(&q);
+        let mut bytes = bytes_of(&encoded(&sample_values(32, 6), scheme));
         let n = bytes.len();
         // Make both indices identical.
         bytes[n - 1] = bytes[n - 2];
-        assert!(matches!(
-            decode_token(&bytes, scheme, 32),
-            Err(QuantError::CorruptBlock { .. })
-        ));
+        assert!(is_corrupt(decode_levels(&bytes, scheme, 32)));
     }
 
     #[test]
     fn non_ascending_outlier_indices_are_rejected() {
-        let values = sample_values(32, 6);
         let scheme = QuantScheme::int8_with_outliers(2);
-        let q = quantize_token(&values, scheme);
-        let mut bytes = encode_token(&q);
+        let mut bytes = bytes_of(&encoded(&sample_values(32, 6), scheme));
         let n = bytes.len();
         bytes.swap(n - 1, n - 2);
-        assert!(matches!(
-            decode_levels(&bytes, scheme, 32),
-            Err(QuantError::CorruptBlock { .. })
-        ));
+        assert!(is_corrupt(decode_levels(&bytes, scheme, 32)));
     }
 
     #[test]
     fn budgets_and_widths_the_quantizer_refuses_are_rejected() {
-        for (outliers, channels) in [(8, 8), (40, 32), (1, 0), (0, 257)] {
+        for (outliers, channels) in [(8, 8), (40, 32), (1, 0), (0, 257), (usize::MAX, 8)] {
             let scheme = QuantScheme::int4_with_outliers(outliers);
-            let bytes = vec![0u8; scheme.token_bytes(channels)];
-            assert!(matches!(
-                decode_levels(&bytes, scheme, channels),
-                Err(QuantError::CorruptBlock { .. })
-            ));
+            let bytes = vec![0u8; 64];
+            assert!(is_corrupt(decode_levels(&bytes, scheme, channels)));
         }
+        let huge = QuantScheme::int4_with_outliers(0);
+        assert!(is_corrupt(decode_levels(&[0u8; 64], huge, usize::MAX)));
     }
 
     #[test]
     fn truncated_block_is_rejected() {
         let scheme = QuantScheme::int4_with_outliers(4);
-        let tokens: Vec<_> = (0..3)
-            .map(|s| quantize_token(&sample_values(128, s), scheme))
-            .collect();
-        let mut block = TokenBlock::encode(&tokens);
-        block.bytes.pop();
-        assert!(matches!(
-            block.decode_tokens(),
-            Err(QuantError::CorruptBlock { .. })
-        ));
-        assert!(matches!(
-            block.decode(),
-            Err(QuantError::CorruptBlock { .. })
-        ));
-        assert!(matches!(
-            crate::tensor::QuantizedTensor::from_blocks(&[block], scheme),
-            Err(QuantError::CorruptBlock { .. })
-        ));
+        let x = Tensor2::from_fn(3, 128, |i, j| sample_values(128, i)[j]);
+        let mut blocks = QuantizedTensor::from_tensor(&x, scheme).to_blocks();
+        assert_eq!(blocks.len(), 1);
+        blocks[0].bytes.pop();
+        assert!(is_corrupt(QuantizedTensor::from_blocks(&blocks, scheme)));
     }
 
     #[test]
-    fn block_round_trip() {
+    fn blocks_hold_whole_tokens_of_one_stride() {
         let scheme = QuantScheme::int4_with_outliers(4);
-        let tokens: Vec<_> = (0..10)
-            .map(|s| quantize_token(&sample_values(128, s), scheme))
-            .collect();
-        let block = TokenBlock::encode(&tokens);
-        assert_eq!(block.num_tokens(), 10);
-        assert_eq!(block.encoded_bytes(), 10 * scheme.token_bytes(128));
-        assert_eq!(block.decode_tokens().unwrap(), tokens);
-        let decoded = block.decode().unwrap();
-        for (t, d) in tokens.iter().zip(&decoded) {
-            assert_eq!(&t.dequantize(), d);
+        let x = Tensor2::from_fn(10, 128, |i, j| sample_values(128, i)[j]);
+        let q = QuantizedTensor::from_tensor(&x, scheme);
+        let blocks = q.to_blocks();
+        assert_eq!(blocks.len(), 1);
+        assert_eq!(blocks[0].num_tokens(), 10);
+        assert_eq!(blocks[0].encoded_bytes(), 10 * scheme.token_bytes(128));
+        for (t, bytes) in blocks[0].tokens().unwrap().enumerate() {
+            let token = decode_levels(bytes, scheme, 128).unwrap();
+            let row = Tensor2::from_vec(1, 128, x.row(t).to_vec()).unwrap();
+            assert_eq!(
+                token,
+                QuantizedTensor::from_tensor(&row, scheme),
+                "token {t}"
+            );
         }
     }
 

@@ -10,18 +10,20 @@
 //!   outliers, Group B = INT4 + 4 outliers, Group C = INT4 + 0 outliers.
 //! * [`token`] — the runtime quantizer: per-token dynamic scaling factors,
 //!   top-k outlier selection, uniform symmetric inlier quantization
-//!   (Eq. 1), and exact dequantization.
+//!   (Eq. 1), and the fake-quantizing error model.
 //! * [`layout`] — the byte-exact memory layout of quantized token blocks
 //!   (Fig. 7): packed inliers, INT16 outliers, scaling factors, outlier
-//!   indices, grouped into bandwidth-aligned blocks.
+//!   indices, grouped into bandwidth-aligned blocks, read and written
+//!   straight from a [`tensor::QuantizedTensor`].
 //! * [`baselines`] — numeric error models and footprint accounting for the
 //!   comparison schemes: SmoothQuant, LLM.int8(), PTQ4Protein, Tender and
 //!   MEFold.
 //! * [`asymmetric`] — the affine-quantization alternative the paper
 //!   evaluates and rejects (§4.1), kept for the ablation benches.
-//! * [`tensor`] — [`tensor::QuantizedTensor`], the quantized activation
-//!   container: one dense level panel plus flat per-token scales and
-//!   outliers, with an exact round trip through the [`layout`] bytes.
+//! * [`tensor`] — [`tensor::QuantizedTensor`], the one container of an
+//!   encoded activation, a single token included: one dense level panel
+//!   plus flat per-token scales and outliers, with an exact round trip
+//!   through the [`layout`] bytes.
 //! * [`qgemm`] — the fully quantized-domain GEMM: AAQ levels × INT8
 //!   weights with pure-integer inner loops (direct or RMPU-style
 //!   bit-chunked MACs) and a single dequantization epilogue.
@@ -30,13 +32,17 @@
 //!
 //! ```
 //! use ln_quant::scheme::QuantScheme;
-//! use ln_quant::token::quantize_token;
+//! use ln_quant::tensor::QuantizedTensor;
+//! use ln_tensor::Tensor2;
 //!
+//! // One token is a one-row tensor.
 //! let values = vec![0.5, -1.0, 8.0, 0.25, -0.75, 0.1, 0.0, -0.2];
-//! let q = quantize_token(&values, QuantScheme::int8_with_outliers(1));
-//! let back = q.dequantize();
+//! let token = Tensor2::from_vec(1, values.len(), values).expect("one row");
+//! let q = QuantizedTensor::from_tensor(&token, QuantScheme::int8_with_outliers(1));
+//! assert_eq!(q.outliers(0).1, &[2]);
+//! let back = q.decode();
 //! // The 8.0 outlier is preserved almost exactly; inliers within scale/2.
-//! assert!((back[2] - 8.0).abs() < 0.001);
+//! assert!((back.at(0, 2) - 8.0).abs() < 0.001);
 //! ```
 //!
 //! A whole activation is encoded once and every layer that reads it runs

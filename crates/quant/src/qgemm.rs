@@ -2,11 +2,11 @@
 //! against INT8 weights, with a single dequantization epilogue — the
 //! paper's RMPU execution model (§5.2), software edition.
 //!
-//! Where [`crate::tensor::QuantizedTensor::matmul`] multiplies integer
-//! levels against *full-precision* weights (one float multiply per MAC),
-//! this module keeps both operands integer: activations stay in their
-//! encoded levels, weights are per-output-column symmetric INT8, and the
-//! inner loop is pure integer multiply-accumulate. Scaling factors — the
+//! Where a product against *full-precision* weights would spend one
+//! float multiply per MAC, this module keeps both operands integer:
+//! activations stay in their encoded levels, weights are
+//! per-output-column symmetric INT8, and the inner loop is pure integer
+//! multiply-accumulate. Scaling factors — the
 //! token's dynamic σ and the weight column's σw — touch each output
 //! element exactly once, in the epilogue.
 //!
@@ -24,7 +24,7 @@
 //! by shifted addition into `i32`: INT4 costs one pass, INT8 two, INT16
 //! four — the cost follows the bits in use.
 //!
-//! A pass runs [`KC`]` = 16` channels before its lanes are added into the
+//! A pass runs `KC = 16` channels before its lanes are added into the
 //! `i32` block. A chunk's largest step is nibble 15 (or top chunk −8)
 //! times weight ±127 = 1905; sixteen steps reach 30 480 < 2¹⁵, so no lane
 //! wraps and every sum is exact (eighteen would not be: 34 290). The `i32`
@@ -326,7 +326,7 @@ fn token_chunk(
                 let accs = &acc[lo - g..hi - g];
                 for ((row, t), in_acc) in rows.chunks_mut(n).zip(token + lo - g..).zip(accs) {
                     let out_acc = outlier_macs(x.outliers(t), panel);
-                    let (si, so) = x.scales[t];
+                    let (si, so) = x.scales(t);
                     for ((slot, (&ia, &oa)), (&sw, &b)) in row[cols.clone()]
                         .iter_mut()
                         .zip(in_acc.iter().zip(&out_acc))
@@ -499,24 +499,22 @@ mod tests {
     fn scalar_reference(x: &QuantizedTensor, w: &QuantizedWeights, bias: &[f32]) -> Vec<f32> {
         let n = w.out_features();
         let mut out = Vec::with_capacity(x.num_tokens() * n);
-        for q in (0..x.num_tokens()).map(|t| x.token(t)) {
-            let inlier_channels: Vec<usize> = (0..q.channels())
-                .filter(|ch| !q.outlier_indices().contains(&(*ch as u8)))
+        for t in 0..x.num_tokens() {
+            let (levels, indices) = x.outliers(t);
+            let inlier_channels: Vec<usize> = (0..x.channels())
+                .filter(|ch| !indices.contains(&(*ch as u8)))
                 .collect();
+            let (si, so) = x.scales(t);
             for (o, (&sw, &b)) in w.scales.iter().zip(bias).enumerate() {
                 let mut in_acc = 0i32;
-                for (&level, &ch) in q.inliers().iter().zip(&inlier_channels) {
+                for (level, &ch) in x.inliers(t).zip(&inlier_channels) {
                     in_acc += level as i32 * w.level(ch, o) as i32;
                 }
                 let mut out_acc = 0i64;
-                for (&level, &ch) in q.outliers().iter().zip(q.outlier_indices()) {
+                for (&level, &ch) in levels.iter().zip(indices) {
                     out_acc += level as i64 * w.level(ch as usize, o) as i64;
                 }
-                out.push(
-                    in_acc as f32 * (q.inlier_scale() * sw)
-                        + out_acc as f32 * (q.outlier_scale() * sw)
-                        + b,
-                );
+                out.push(in_acc as f32 * (si * sw) + out_acc as f32 * (so * sw) + b);
             }
         }
         out
@@ -675,15 +673,15 @@ mod tests {
             for outliers in [0, 4] {
                 let q = QuantizedTensor::from_tensor(&x, scheme(bits, outliers));
                 let top = bits.max_level() as i16;
-                assert!(q.token(0).inliers().iter().all(|&l| l == top));
-                assert!(q.token(1).inliers().iter().all(|&l| l == -top));
+                assert!(q.inliers(0).all(|l| l == top));
+                assert!(q.inliers(1).all(|l| l == -top));
                 assert_equals_reference(&q, &w, &bias, &format!("saturated {}", q.scheme()));
             }
             // The sum itself, not only agreement with the reference.
             let q = QuantizedTensor::from_tensor(&x, scheme(bits, 0));
             let got = qgemm(&q, &w, &bias, MacMode::BitChunked).unwrap();
             let sum = bits.max_level() * 127 * k as i32;
-            let si = q.token(0).inlier_scale();
+            let (si, _) = q.scales(0);
             assert_eq!(got.at(0, 0), sum as f32 * (si * w.scales()[0]) + 0.0 + 0.0);
             assert_eq!(got.at(1, 0), -sum as f32 * (si * w.scales()[0]) + 0.0 + 0.0);
         }

@@ -163,12 +163,22 @@ impl QuantScheme {
     /// under the Fig. 7 layout: packed inliers, INT16 outliers, the f32
     /// scaling factor pair (inlier + outlier scale), and u8 outlier indices.
     pub fn token_bytes(&self, channels: usize) -> usize {
+        self.sections(channels).iter().sum()
+    }
+
+    /// Byte lengths of a token's four Fig. 7 sections, in layout order:
+    /// packed inliers, INT16 outliers, scaling factor(s) (the outlier
+    /// scale only when there are outliers), u8 outlier indices. A budget
+    /// of `channels` or more leaves no inlier byte.
+    pub(crate) fn sections(&self, channels: usize) -> [usize; 4] {
         let inliers = channels - self.outliers.min(channels);
-        let inlier_bytes = (inliers * self.inlier_bits.width()).div_ceil(8);
-        let outlier_bytes = self.outliers * 2;
-        let scale_bytes = if self.outliers > 0 { 8 } else { 4 };
-        let index_bytes = self.outliers;
-        inlier_bytes + outlier_bytes + scale_bytes + index_bytes
+        let scales = if self.outliers > 0 { 8 } else { 4 };
+        [
+            (inliers * self.inlier_bits.width()).div_ceil(8),
+            self.outliers * 2,
+            scales,
+            self.outliers,
+        ]
     }
 
     /// Compression ratio against an FP16 token.
@@ -296,6 +306,11 @@ mod tests {
         // INT4 + 4: 62 + 8 + 8 + 4 = 82.
         let s = QuantScheme::int4_with_outliers(4);
         assert_eq!(s.token_bytes(128), 62 + 8 + 8 + 4);
+        // A budget at or over the width leaves no inlier byte, and 17
+        // INT4 inliers take 9.
+        assert_eq!(s.token_bytes(4), 8 + 8 + 4);
+        assert_eq!(s.token_bytes(2), 8 + 8 + 4);
+        assert_eq!(s.token_bytes(21), 9 + 8 + 8 + 4);
     }
 
     #[test]

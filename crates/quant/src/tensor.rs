@@ -1,6 +1,8 @@
 //! A fully-quantized tensor container: `(tokens, channels)` activations
 //! held as the integer levels, scales and outliers of their AAQ encoding —
-//! the A operand of the integer GEMM in [`crate::qgemm`].
+//! the A operand of the integer GEMM in [`crate::qgemm`], and the one
+//! in-memory form of an encoded token: a single token is a one-row
+//! `QuantizedTensor`.
 //!
 //! This is the storage type a deployment would actually hold in device
 //! memory, and each part of a token's encoding is stored exactly once:
@@ -14,8 +16,8 @@
 //!   ascending `u8` channel indices.
 //!
 //! [`QuantizedTensor::from_tensor`] fills all three through the
-//! quantizer's passes — the ones [`crate::token::quantize_token`] and
-//! [`crate::token::fake_quantize_tokens`] run, in the AVX2 frame — one
+//! quantizer's passes — the ones
+//! [`crate::token::fake_quantize_tokens`] runs, in the AVX2 frame — one
 //! group of [`MR`] tokens at a time, their levels interleaved into the
 //! panel, at a fixed number of allocations whatever the token count.
 //! [`QuantizedTensor::encode`] is the same pass for a layer about to read
@@ -25,18 +27,22 @@
 //! caller that encodes once needs no fake-quantized copy to measure it. A
 //! [`crate::qgemm::QLinear`] runs directly on the levels and applies each
 //! token's scaling factors exactly once per output element: the RMPU's
-//! execution model (§5.2), in software. The Fig. 7 bytes ([`QuantizedTensor::to_blocks`]) and a
-//! single [`QuantizedToken`] ([`QuantizedTensor::token`]) are derived on
-//! demand; [`QuantizedTensor::from_blocks`] is `to_blocks`' exact inverse.
-//! `encoded_bytes()` stays what device memory would hold (the packed
-//! Fig. 7 size); the host copy here is one `i16` per level.
+//! execution model (§5.2), in software.
+//!
+//! A token's parts are read through [`QuantizedTensor::inliers`],
+//! [`QuantizedTensor::scales`] and [`QuantizedTensor::outliers`] — what
+//! `qgemm` and the Fig. 7 codec read too. The codec writes each token's
+//! bytes straight from them ([`QuantizedTensor::to_blocks`]) and
+//! [`QuantizedTensor::from_blocks`], its exact inverse, decodes each
+//! token's bytes straight into them. `encoded_bytes()` stays what device
+//! memory would hold (the packed Fig. 7 size); the host copy here is one
+//! `i16` per level.
 
-use crate::layout::{encode_into, TokenBlock, DEFAULT_BLOCK_BYTES};
+use crate::layout::{check_width, decode_into, TokenBlock, DEFAULT_BLOCK_BYTES};
 use crate::qgemm::MR;
 use crate::scheme::QuantScheme;
 use crate::token::{
-    assert_encodable, inlier_runs, Passes, QuantError as RoundTrip, QuantizedToken,
-    MAX_TOKEN_CHANNELS,
+    assert_encodable, inlier_runs, Passes, QuantError as RoundTrip, MAX_TOKEN_CHANNELS,
 };
 use crate::QuantError;
 use ln_tensor::{simd, Tensor2};
@@ -83,7 +89,7 @@ fn pieces<T>(slice: &mut [T], len: usize) -> impl Iterator<Item = &mut [T]> {
 
 impl QuantizedTensor {
     /// `tokens` all-zero tokens: the storage the constructors fill.
-    fn zeroed(scheme: QuantScheme, channels: usize, tokens: usize) -> Self {
+    pub(crate) fn zeroed(scheme: QuantScheme, channels: usize, tokens: usize) -> Self {
         QuantizedTensor {
             scheme,
             channels,
@@ -219,14 +225,34 @@ impl QuantizedTensor {
         self.channels
     }
 
+    /// Token `t`'s `(σ_in, σ_out)`: the inlier scale, and the outliers'
+    /// (`1.0` when the scheme has none).
+    pub fn scales(&self, t: usize) -> (f32, f32) {
+        self.scales[t]
+    }
+
     /// Token `t`'s INT16 outlier levels and their ascending channel
     /// indices.
-    pub(crate) fn outliers(&self, t: usize) -> (&[i16], &[u8]) {
+    pub fn outliers(&self, t: usize) -> (&[i16], &[u8]) {
         let k = self.scheme.outliers;
         (
             &self.outlier_levels[t * k..][..k],
             &self.outlier_indices[t * k..][..k],
         )
+    }
+
+    /// [`QuantizedTensor::outliers`], writable.
+    pub(crate) fn outliers_mut(&mut self, t: usize) -> (&mut [i16], &mut [u8]) {
+        let k = self.scheme.outliers;
+        (
+            &mut self.outlier_levels[t * k..][..k],
+            &mut self.outlier_indices[t * k..][..k],
+        )
+    }
+
+    /// Where token `t`'s level at channel `ch` sits in the panel.
+    pub(crate) fn slot(&self, t: usize, ch: usize) -> usize {
+        (t / MR * self.channels + ch) * MR + t % MR
     }
 
     /// Token `t`'s level at every channel, ascending (zero at an outlier's).
@@ -235,35 +261,17 @@ impl QuantizedTensor {
         group.iter().skip(t % MR).step_by(MR).copied()
     }
 
-    /// Token `t`'s inlier levels in channel order, outlier slots skipped,
-    /// gathered into the front of `buf`.
-    fn inliers<'a>(&self, t: usize, buf: &'a mut [i16; MAX_TOKEN_CHANNELS]) -> &'a [i16] {
-        for (slot, level) in buf.iter_mut().zip(self.token_levels(t)) {
-            *slot = level;
-        }
-        let mut n = 0;
-        for run in inlier_runs(self.channels, self.outliers(t).1) {
-            buf.copy_within(run.clone(), n);
-            n += run.len();
-        }
-        &buf[..n]
-    }
-
-    /// Token `t` on its own, as [`crate::token::quantize_token`] would have
-    /// returned it for row `t`.
+    /// Token `t`'s inlier levels in channel order, outlier channels
+    /// skipped: the Fig. 7 inlier section before it is packed.
     ///
     /// # Panics
     ///
     /// Panics if `t` is not below [`QuantizedTensor::num_tokens`].
-    pub fn token(&self, t: usize) -> QuantizedToken {
-        let (outliers, indices) = self.outliers(t);
-        QuantizedToken::from_parts(
-            self.scheme,
-            self.inliers(t, &mut [0; MAX_TOKEN_CHANNELS]).to_vec(),
-            outliers.to_vec(),
-            indices.to_vec(),
-            self.scales[t],
-        )
+    pub fn inliers(&self, t: usize) -> impl Iterator<Item = i16> + '_ {
+        let (_, indices) = self.outliers(t);
+        inlier_runs(self.channels, indices)
+            .flatten()
+            .map(move |ch| self.levels[self.slot(t, ch)])
     }
 
     /// Encoded size in bytes (exactly what device memory would hold).
@@ -279,26 +287,15 @@ impl QuantizedTensor {
         (0..self.num_tokens())
             .step_by(per_block)
             .map(|first| {
-                let tokens = per_block.min(self.num_tokens() - first);
-                TokenBlock::encode_with(self.scheme, self.channels, tokens, |i, dst| {
-                    let t = first + i;
-                    let (outliers, indices) = self.outliers(t);
-                    encode_into(
-                        dst,
-                        self.scheme,
-                        self.inliers(t, &mut [0; MAX_TOKEN_CHANNELS]),
-                        outliers,
-                        self.scales[t],
-                        indices,
-                    );
-                })
+                TokenBlock::encode_rows(self, first..self.num_tokens().min(first + per_block))
             })
             .collect()
     }
 
     /// Rebuilds the container from blocks: the exact inverse of
-    /// [`QuantizedTensor::to_blocks`]. An empty slice is the empty
-    /// `(0, 0)` tensor.
+    /// [`QuantizedTensor::to_blocks`], each token's bytes decoded straight
+    /// into the panel, the scales and the outlier arrays. An empty slice
+    /// is the empty `(0, 0)` tensor.
     ///
     /// # Errors
     ///
@@ -318,22 +315,21 @@ impl QuantizedTensor {
                 });
             }
         }
-        let tokens = blocks.iter().map(TokenBlock::num_tokens).sum();
-        let k = scheme.outliers;
-        let mut q = Self::zeroed(scheme, channels, tokens);
-        let mut t = 0;
-        for block in blocks {
-            for token in block.decode_tokens()? {
-                let inlier_channels = inlier_runs(channels, token.outlier_indices()).flatten();
-                for (ch, &level) in inlier_channels.zip(token.inliers()) {
-                    q.levels[(t / MR * channels + ch) * MR + t % MR] = level;
-                }
-                q.scales[t] = (token.inlier_scale(), token.outlier_scale());
-                q.outlier_levels[t * k..][..k].copy_from_slice(token.outliers());
-                q.outlier_indices[t * k..][..k].copy_from_slice(token.outlier_indices());
-                t += 1;
-            }
+        if !blocks.is_empty() {
+            check_width(scheme, channels)?;
         }
+        let tokens = blocks.iter().map(TokenBlock::num_tokens).sum();
+        let mut q = Self::zeroed(scheme, channels, tokens);
+        ln_par::metrics::time_kernel("aaq.block_decode", tokens as u64, || {
+            let mut t = 0;
+            for block in blocks {
+                for bytes in block.tokens()? {
+                    decode_into(bytes, &mut q, t)?;
+                    t += 1;
+                }
+            }
+            Ok(())
+        })?;
         Ok(q)
     }
 
@@ -377,7 +373,6 @@ impl QuantizedTensor {
 mod tests {
     use super::*;
     use crate::scheme::Bits;
-    use crate::token::quantize_token;
     use ln_tensor::rng::{self, Rng};
 
     fn activation() -> Tensor2 {
@@ -431,19 +426,23 @@ mod tests {
     }
 
     #[test]
-    fn every_token_is_the_token_quantizers() {
+    fn every_token_is_the_one_token_encoding_of_its_row() {
         for (x, scheme) in lattice() {
             let q = QuantizedTensor::from_tensor(&x, scheme);
             let decoded = q.decode();
             for t in 0..x.rows() {
-                let token = quantize_token(x.row(t), scheme);
-                assert_eq!(q.token(t), token, "{scheme} token {t} of {:?}", x.shape());
+                let row = Tensor2::from_vec(1, x.cols(), x.row(t).to_vec()).expect("one row");
+                let token = QuantizedTensor::from_tensor(&row, scheme);
+                let what = format!("{scheme} token {t} of {:?}", x.shape());
+                assert!(q.inliers(t).eq(token.inliers(0)), "{what}");
+                assert_eq!(q.scales(t), token.scales(0), "{what}");
+                assert_eq!(q.outliers(t), token.outliers(0), "{what}");
                 let same_bits = decoded
                     .row(t)
                     .iter()
-                    .zip(token.dequantize())
+                    .zip(token.decode().row(0))
                     .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same_bits, "{scheme} row {t} of {:?}", x.shape());
+                assert!(same_bits, "{what}");
             }
         }
     }
@@ -459,6 +458,44 @@ mod tests {
             );
             let back = QuantizedTensor::from_blocks(&blocks, scheme).expect("fresh blocks");
             assert_eq!(back, q, "{scheme}, {:?}", x.shape());
+        }
+    }
+
+    #[test]
+    fn zero_and_non_finite_tokens_round_trip_to_the_bit() {
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        let rows: [&[f32]; 3] = [
+            &[0.0, -0.0, 0.0, 0.0, -0.0, 0.0, 0.0, -0.0],
+            &[nan, 0.5, -inf, 2.0, nan, -0.25, inf, 1.0],
+            &[inf, -inf, inf, 1.0, nan, -inf, 0.5, 0.0],
+        ];
+        let x = Tensor2::from_fn(3, 8, |i, j| rows[i][j]);
+        for scheme in [
+            QuantScheme::int4_with_outliers(0),
+            QuantScheme::int4_with_outliers(2),
+            QuantScheme::int8_with_outliers(4),
+        ] {
+            let q = QuantizedTensor::from_tensor(&x, scheme);
+            let blocks = q.to_blocks();
+            let back = QuantizedTensor::from_blocks(&blocks, scheme).expect("fresh blocks");
+            assert_eq!(back.to_blocks(), blocks, "{scheme}: the same bytes");
+            for t in 0..3 {
+                let bits = |q: &QuantizedTensor| {
+                    let (inlier, outlier) = q.scales(t);
+                    (inlier.to_bits(), outlier.to_bits())
+                };
+                assert_eq!(bits(&back), bits(&q), "{scheme} token {t}");
+                assert!(back.inliers(t).eq(q.inliers(t)), "{scheme} token {t}");
+                assert_eq!(back.outliers(t), q.outliers(t), "{scheme} token {t}");
+            }
+            let same_bits = back
+                .decode()
+                .as_slice()
+                .iter()
+                .zip(q.decode().as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same_bits, "{scheme}");
+            assert!(q.decode().row(0).iter().all(|v| v.to_bits() == 0));
         }
     }
 

@@ -1,10 +1,12 @@
 //! The runtime token quantizer: dynamic top-k outlier selection, dynamic
 //! per-token scaling factors, and uniform symmetric quantization (Eq. 1).
 //!
-//! `quantize_token` is the software reference for what the VVPU does in
+//! The quantizer is the software reference for what the VVPU does in
 //! hardware (§5.3 *Runtime Quantization*): top-k via the bitonic sorter,
 //! scaling via SIMD lanes, and reordering via the local crossbar network.
 //! `ln-accel`'s VVPU model is cross-validated against this implementation.
+//! It keeps no container of its own: an encoded token, one or
+//! many, is a [`QuantizedTensor`](crate::tensor::QuantizedTensor).
 //!
 //! # One set of passes, in the AVX2 frame
 //!
@@ -37,7 +39,6 @@
 //! Both kinds of caller run the same passes (`Passes`):
 //! [`fake_quantize_tokens`] dequantizes in pass 3 (`level · σ`) and writes
 //! the reconstruction back in place; `Passes::quantize` keeps the levels —
-//! [`quantize_token`] into a fresh [`QuantizedToken`],
 //! `QuantizedTensor::from_tensor` and `QuantizedTensor::encode` into the
 //! level panel, scale and outlier arrays. Neither touches heap memory per
 //! token, and `tests/bit_identity.rs` pins the two to each other bit for
@@ -69,8 +70,8 @@
 //! | constant `c ≠ 0` | the first `k` channels are the outliers (tie rule); every level is the top one and decodes to `c` within an ulp or two (`m · (c / m)`) |
 //! | NaN channel | never outranks a number in the selection, is ignored by both max-|v| passes, quantizes to level 0 and decodes to `0.0` — unless its scale is infinite (next row) |
 //! | ±inf channel | no panic. Selected as an outlier it makes the outlier scale infinite, so every outlier of the token decodes to NaN (`0 · inf`) while the inliers stay as they would be without it; left among the inliers (`k = 0`, or more than `k` infinities) it makes the inlier scale infinite and every inlier decodes to NaN |
-//! | 1 channel | `fake_quantize_tokens` leaves it untouched (also a 1-wide last segment); `quantize_token` and the tensor constructors store it at the top level, and `QuantizedTensor::encode` reports the fake path's sums for it (no error) |
-//! | `outliers ≥ len` | `fake_quantize_tokens` clamps the budget to `len − 1` per segment, `QuantizedTensor::encode` per token; `quantize_token` and `QuantizedTensor::from_tensor` panic with "outlier budget must leave inliers" |
+//! | 1 channel | `fake_quantize_tokens` leaves it untouched (also a 1-wide last segment); the tensor constructors store it at the top level, and `QuantizedTensor::encode` reports the fake path's sums for it (no error) |
+//! | `outliers ≥ len` | `fake_quantize_tokens` clamps the budget to `len − 1` per segment, `QuantizedTensor::encode` per token; `QuantizedTensor::from_tensor` panics with "outlier budget must leave inliers" |
 //!
 //! None of this changes any finite-input result.
 
@@ -83,121 +84,8 @@ use std::ops::{AddAssign, Range};
 /// network are 128 wide, so wider rows quantize in 128-channel segments.
 const SEGMENT: usize = 128;
 
-/// Widest token [`quantize_token`] accepts (outlier indices are `u8`).
+/// Widest token the quantizer encodes (outlier indices are `u8`).
 pub(crate) const MAX_TOKEN_CHANNELS: usize = 256;
-
-/// A quantized token: inliers at low precision with one dynamic scaling
-/// factor, plus top-k outliers at INT16 with their own scaling factor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedToken {
-    scheme: QuantScheme,
-    channels: usize,
-    /// Quantized inlier levels, in channel order with outlier positions
-    /// skipped (matching the Fig. 7 "inliers first" layout).
-    inliers: Vec<i16>,
-    /// Inlier scaling factor σ (Eq. 1).
-    inlier_scale: f32,
-    /// Outlier levels (INT16).
-    outliers: Vec<i16>,
-    /// Outlier scaling factor.
-    outlier_scale: f32,
-    /// Channel index of each outlier, ascending (`dequantize_into` walks
-    /// the inlier runs between them).
-    outlier_indices: Vec<u8>,
-}
-
-impl QuantizedToken {
-    /// A token of `inliers.len() + outliers.len()` channels from its stored
-    /// parts. The caller vouches for them: one index per outlier, strictly
-    /// ascending and below the channel count (the quantizer's own output,
-    /// or what [`crate::layout::decode_levels`] has checked).
-    pub(crate) fn from_parts(
-        scheme: QuantScheme,
-        inliers: Vec<i16>,
-        outliers: Vec<i16>,
-        outlier_indices: Vec<u8>,
-        (inlier_scale, outlier_scale): (f32, f32),
-    ) -> Self {
-        debug_assert_eq!(outliers.len(), outlier_indices.len());
-        QuantizedToken {
-            scheme,
-            channels: inliers.len() + outliers.len(),
-            inliers,
-            inlier_scale,
-            outliers,
-            outlier_scale,
-            outlier_indices,
-        }
-    }
-
-    /// The scheme this token was quantized with.
-    pub fn scheme(&self) -> QuantScheme {
-        self.scheme
-    }
-
-    /// Number of original channels.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
-    /// The quantized inlier levels (outlier positions excluded).
-    pub fn inliers(&self) -> &[i16] {
-        &self.inliers
-    }
-
-    /// The inlier scaling factor.
-    pub fn inlier_scale(&self) -> f32 {
-        self.inlier_scale
-    }
-
-    /// The INT16 outlier levels.
-    pub fn outliers(&self) -> &[i16] {
-        &self.outliers
-    }
-
-    /// The outlier scaling factor.
-    pub fn outlier_scale(&self) -> f32 {
-        self.outlier_scale
-    }
-
-    /// Channel indices of the outliers.
-    pub fn outlier_indices(&self) -> &[u8] {
-        &self.outlier_indices
-    }
-
-    /// Reconstructs the full-precision token.
-    pub fn dequantize(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.channels];
-        self.dequantize_into(&mut out);
-        out
-    }
-
-    /// Reconstructs the full-precision token into `out` without
-    /// allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` is not [`QuantizedToken::channels`].
-    pub fn dequantize_into(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.channels, "output width != token width");
-        let mut levels = self.inliers.as_slice();
-        for run in inlier_runs(self.channels, &self.outlier_indices) {
-            let (here, rest) = levels.split_at(run.len());
-            for (slot, &q) in out[run].iter_mut().zip(here) {
-                *slot = q as f32 * self.inlier_scale;
-            }
-            levels = rest;
-        }
-        for (&idx, &q) in self.outlier_indices.iter().zip(&self.outliers) {
-            out[idx as usize] = q as f32 * self.outlier_scale;
-        }
-    }
-
-    /// Encoded byte size under the Fig. 7 layout.
-    pub fn encoded_bytes(&self) -> usize {
-        self.scheme.token_bytes(self.channels)
-    }
-}
 
 /// Lanes of the select and max pass: element `j` goes to lane `j mod 16`
 /// — two AVX2 registers, as in [`ln_tensor::vmath`].
@@ -591,33 +479,6 @@ pub(crate) fn assert_encodable(channels: usize, scheme: QuantScheme) {
     );
 }
 
-/// Quantizes one token (Eq. 1 with dynamic outlier handling).
-///
-/// The top-`k` values by magnitude become INT16 outliers with their own
-/// dynamic scaling factor; the rest are inliers quantized symmetrically
-/// with `σ = max|inlier| / (2^(m-1) - 1)`.
-///
-/// # Panics
-///
-/// Panics if the scheme's outlier budget is not below the channel count or
-/// the token has more than 256 channels (u8 outlier indices; the PPM's
-/// `Hz = 128` fits comfortably).
-pub fn quantize_token(values: &[f32], scheme: QuantScheme) -> QuantizedToken {
-    assert_encodable(values.len(), scheme);
-    let mut outliers = vec![0i16; scheme.outliers];
-    let mut outlier_indices = vec![0u8; scheme.outliers];
-    let mut levels = [0i16; MAX_TOKEN_CHANNELS];
-    let levels = &mut levels[..values.len()];
-    let (scales, _) = simd::wide(
-        #[inline(always)]
-        || Passes::new().quantize(values, scheme, levels, &mut outliers, &mut outlier_indices),
-    );
-    let inliers = inlier_runs(values.len(), &outlier_indices)
-        .flat_map(|run| levels[run].iter().copied())
-        .collect();
-    QuantizedToken::from_parts(scheme, inliers, outliers, outlier_indices, scales)
-}
-
 /// `1.5 · 2²³`: adding and then subtracting it rounds an `f32` of
 /// magnitude below 2²² to the nearest integer, ties to even, because every
 /// `f32` in `[2²³, 2²⁴)` is an integer.
@@ -717,8 +578,8 @@ impl AddAssign for QuantError {
 /// with its own scaling factor and outlier budget — exactly how the
 /// hardware handles tensors wider than its `Hz = 128` token width (the
 /// VVPU SIMD width and the bitonic network are 128 lanes). The result
-/// equals [`quantize_token`] → [`QuantizedToken::dequantize`] on every
-/// segment bit for bit; it costs no allocation per token. A 1-wide
+/// equals `QuantizedTensor::from_tensor` → `decode` on every segment bit
+/// for bit; it costs no allocation per token. A 1-wide
 /// segment has no inlier to scale by: it is left as it is and adds to
 /// `val_sq` only.
 pub fn fake_quantize_tokens(x: &mut Tensor2, scheme: QuantScheme) -> QuantError {
@@ -783,6 +644,18 @@ pub fn quantization_rmse(x: &Tensor2, scheme: QuantScheme) -> f64 {
 mod tests {
     use super::*;
     use crate::scheme::QuantScheme;
+    use crate::tensor::QuantizedTensor;
+
+    /// `values` encoded as a one-token container.
+    fn encoded(values: &[f32], scheme: QuantScheme) -> QuantizedTensor {
+        let x = Tensor2::from_vec(1, values.len(), values.to_vec()).expect("one row");
+        QuantizedTensor::from_tensor(&x, scheme)
+    }
+
+    /// The reconstruction of a one-token container.
+    fn decoded(q: &QuantizedTensor) -> Vec<f32> {
+        q.decode().into_vec()
+    }
 
     #[test]
     fn round_trip_error_is_bounded_by_half_scale() {
@@ -794,13 +667,12 @@ mod tests {
             QuantScheme::int8_with_outliers(4),
             QuantScheme::int4_with_outliers(4),
         ] {
-            let q = quantize_token(&values, scheme);
-            let back = q.dequantize();
-            for (i, (&a, &b)) in values.iter().zip(&back).enumerate() {
+            let q = encoded(&values, scheme);
+            let (inlier_scale, _) = q.scales(0);
+            for (i, (&a, b)) in values.iter().zip(decoded(&q)).enumerate() {
                 assert!(
-                    (a - b).abs() <= q.inlier_scale() * 0.5 + 1e-6,
-                    "{scheme} ch {i}: {a} vs {b} (scale {})",
-                    q.inlier_scale()
+                    (a - b).abs() <= inlier_scale * 0.5 + 1e-6,
+                    "{scheme} ch {i}: {a} vs {b} (scale {inlier_scale})"
                 );
             }
         }
@@ -811,9 +683,9 @@ mod tests {
         let mut values = vec![0.1f32; 128];
         values[7] = 250.0;
         values[90] = -300.0;
-        let q = quantize_token(&values, QuantScheme::int4_with_outliers(2));
-        assert_eq!(q.outlier_indices(), &[7, 90]);
-        let back = q.dequantize();
+        let q = encoded(&values, QuantScheme::int4_with_outliers(2));
+        assert_eq!(q.outliers(0).1, &[7, 90]);
+        let back = decoded(&q);
         assert!((back[7] - 250.0).abs() < 0.05);
         assert!((back[90] + 300.0).abs() < 0.05);
         // Inliers did not inherit the outlier scale: still accurate.
@@ -824,16 +696,16 @@ mod tests {
     fn outlier_handling_shrinks_inlier_scale() {
         let mut values = vec![0.5f32; 64];
         values[3] = 100.0;
-        let without = quantize_token(&values, QuantScheme::int8_with_outliers(0));
-        let with = quantize_token(&values, QuantScheme::int8_with_outliers(1));
-        assert!(with.inlier_scale() < without.inlier_scale() / 50.0);
+        let without = encoded(&values, QuantScheme::int8_with_outliers(0));
+        let with = encoded(&values, QuantScheme::int8_with_outliers(1));
+        assert!(with.scales(0).0 < without.scales(0).0 / 50.0);
     }
 
     #[test]
     fn int4_levels_stay_in_range() {
         let values: Vec<f32> = (0..32).map(|i| (i as f32 - 16.0) * 3.0).collect();
-        let q = quantize_token(&values, QuantScheme::int4_with_outliers(0));
-        for &l in q.inliers() {
+        let q = encoded(&values, QuantScheme::int4_with_outliers(0));
+        for l in q.inliers(0) {
             assert!((-7..=7).contains(&(l as i32)));
         }
     }
@@ -841,8 +713,8 @@ mod tests {
     #[test]
     fn zero_token_quantizes_to_zero() {
         let values = vec![0.0f32; 16];
-        let q = quantize_token(&values, QuantScheme::int8_with_outliers(2));
-        assert!(q.dequantize().iter().all(|&v| v == 0.0));
+        let q = encoded(&values, QuantScheme::int8_with_outliers(2));
+        assert!(decoded(&q).iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -888,15 +760,14 @@ mod tests {
     #[test]
     fn all_zero_token_keeps_unit_scales_and_exact_zeros() {
         let scheme = QuantScheme::int4_with_outliers(4);
-        let q = quantize_token(&[0.0, -0.0, 0.0, 0.0, -0.0, 0.0], scheme);
-        assert_eq!((q.inlier_scale(), q.outlier_scale()), (1.0, 1.0));
+        let q = encoded(&[0.0, -0.0, 0.0, 0.0, -0.0, 0.0], scheme);
+        assert_eq!(q.scales(0), (1.0, 1.0));
         assert_eq!(
-            q.outlier_indices(),
+            q.outliers(0).1,
             &[0, 1, 2, 3],
             "ties go to the low channels"
         );
-        for v in q
-            .dequantize()
+        for v in decoded(&q)
             .into_iter()
             .chain(fake_quantized(&[-0.0; 130], scheme))
         {
@@ -911,9 +782,9 @@ mod tests {
                 QuantScheme::int4_with_outliers(0),
                 QuantScheme::int8_with_outliers(4),
             ] {
-                let q = quantize_token(&[c; 32], scheme);
+                let q = encoded(&[c; 32], scheme);
                 let m = scheme.inlier_bits.max_level() as i16;
-                assert!(q.inliers().iter().all(|&l| l == m * c.signum() as i16));
+                assert!(q.inliers(0).all(|l| l == m * c.signum() as i16));
                 for v in fake_quantized(&[c; 32], scheme) {
                     assert!((v - c).abs() <= c.abs() * 1e-6, "{scheme}: {v} vs {c}");
                 }
@@ -925,15 +796,11 @@ mod tests {
     fn nan_is_never_an_outlier_ahead_of_a_number_and_decodes_to_zero() {
         let nan = f32::NAN;
         let values = [nan, 0.5, -nan, -8.0, 0.25, nan, 3.0, 0.0];
-        let q = quantize_token(&values, QuantScheme::int8_with_outliers(2));
-        assert_eq!(q.outlier_indices(), &[3, 6]);
-        assert_eq!(
-            q.inlier_scale(),
-            0.5 / 127.0,
-            "NaN does not reach the scale"
-        );
+        let q = encoded(&values, QuantScheme::int8_with_outliers(2));
+        assert_eq!(q.outliers(0).1, &[3, 6]);
+        assert_eq!(q.scales(0).0, 0.5 / 127.0, "NaN does not reach the scale");
         let back = fake_quantized(&values, QuantScheme::int8_with_outliers(2));
-        assert_eq!(back, q.dequantize());
+        assert_eq!(back, decoded(&q));
         for (&v, &b) in values.iter().zip(&back) {
             if v.is_nan() {
                 assert_eq!(b.to_bits(), 0, "NaN decodes to +0.0");
@@ -943,9 +810,9 @@ mod tests {
         }
         // With more outlier slots than numbers, NaNs fill the rest (lowest
         // channel first) and still decode to zero.
-        let q = quantize_token(&[nan, 2.0, nan, nan], QuantScheme::int8_with_outliers(3));
-        assert_eq!(q.outlier_indices(), &[0, 1, 2]);
-        assert_eq!(q.dequantize(), [0.0, 2.0, 0.0, 0.0]);
+        let q = encoded(&[nan, 2.0, nan, nan], QuantScheme::int8_with_outliers(3));
+        assert_eq!(q.outliers(0).1, &[0, 1, 2]);
+        assert_eq!(decoded(&q), [0.0, 2.0, 0.0, 0.0]);
         let all_nan = fake_quantized(&[nan; 16], QuantScheme::int4_with_outliers(4));
         assert!(all_nan.iter().all(|v| v.to_bits() == 0));
     }
@@ -961,9 +828,9 @@ mod tests {
         let without = fake_quantized(&[1.0, 0.5, -0.25, 0.75], QuantScheme::int8_with_outliers(0));
         assert_eq!([with[0], with[2], with[4], with[5]], without[..]);
         // Left among the inliers: the inlier scale is infinite.
-        let q = quantize_token(&values, QuantScheme::int8_with_outliers(0));
-        assert_eq!(q.inlier_scale(), inf);
-        assert!(q.dequantize().iter().all(|v| v.is_nan()));
+        let q = encoded(&values, QuantScheme::int8_with_outliers(0));
+        assert_eq!(q.scales(0).0, inf);
+        assert!(decoded(&q).iter().all(|v| v.is_nan()));
         let back = fake_quantized(&[inf, -inf, inf, 1.0], QuantScheme::int4_with_outliers(2));
         assert!(back.iter().all(|v| v.is_nan()));
     }
@@ -978,8 +845,8 @@ mod tests {
         assert_eq!(back[128], 0.123_456, "the 1-wide tail segment");
         assert_ne!(back[..128], wide[..128], "the full segment quantized");
         // Through the container the single channel sits at the top level.
-        let q = quantize_token(&[0.123], QuantScheme::int4_with_outliers(0));
-        assert_eq!(q.inliers(), &[7]);
+        let q = encoded(&[0.123], QuantScheme::int4_with_outliers(0));
+        assert!(q.inliers(0).eq([7]));
     }
 
     #[test]
@@ -988,7 +855,7 @@ mod tests {
         for k in [5, 8, 300] {
             assert_eq!(
                 fake_quantized(&values, QuantScheme::int4_with_outliers(k)),
-                quantize_token(&values, QuantScheme::int4_with_outliers(4)).dequantize(),
+                decoded(&encoded(&values, QuantScheme::int4_with_outliers(4))),
                 "k = {k}"
             );
         }
@@ -998,10 +865,10 @@ mod tests {
             .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.1)
             .collect();
         let back = fake_quantized(&wide, QuantScheme::int8_with_outliers(9));
-        let head = quantize_token(&wide[..128], QuantScheme::int8_with_outliers(9));
-        let tail = quantize_token(&wide[128..], QuantScheme::int8_with_outliers(1));
-        assert_eq!(back[..128], head.dequantize());
-        assert_eq!(back[128..], tail.dequantize());
+        let head = encoded(&wide[..128], QuantScheme::int8_with_outliers(9));
+        let tail = encoded(&wide[128..], QuantScheme::int8_with_outliers(1));
+        assert_eq!(back[..128], decoded(&head));
+        assert_eq!(back[128..], decoded(&tail));
     }
 
     /// The select's answer the slow way: [`stats::top_k_abs_into`], an
@@ -1110,6 +977,6 @@ mod tests {
     #[should_panic(expected = "outlier budget")]
     fn outlier_flood_panics() {
         let values = vec![1.0f32; 8];
-        let _ = quantize_token(&values, QuantScheme::int8_with_outliers(8));
+        let _ = encoded(&values, QuantScheme::int8_with_outliers(8));
     }
 }

@@ -1,16 +1,15 @@
 //! The fused runtime quantizer against its definitions, bit for bit.
 //!
-//! `fake_quantize_tokens` must equal `quantize_token` → `dequantize` on
-//! every ≤ 128-wide segment, the error sums it returns must be those of a
+//! `fake_quantize_tokens` must equal `QuantizedTensor::from_tensor` →
+//! `decode` on every ≤ 128-wide segment, encoded as a one-token container, the error sums it returns must be those of a
 //! clone-and-diff sweep and the same bits under every pool, and
 //! `quantize_value`'s float-arithmetic rounding must equal the
 //! `f32::round` form of Eq. 1 it replaced.
 
 use ln_par::{with_pool, Pool};
 use ln_quant::scheme::{Bits, QuantScheme};
-use ln_quant::token::{
-    fake_quantize_tokens, quantize_token, quantize_value, QuantError, QuantizedToken,
-};
+use ln_quant::tensor::QuantizedTensor;
+use ln_quant::token::{fake_quantize_tokens, quantize_value, QuantError};
 use ln_tensor::rng::{self, Rng};
 use ln_tensor::Tensor2;
 
@@ -22,7 +21,14 @@ fn quantize_value_by_roundf(v: f32, scale: f32, bits: Bits) -> i16 {
     ((v / scale).round().clamp(-m as f32, m as f32)) as i16
 }
 
-/// `fake_quantize_tokens` spelled out through the token container.
+/// `values` encoded as a one-token container.
+fn encoded(values: &[f32], scheme: QuantScheme) -> QuantizedTensor {
+    let x = Tensor2::from_vec(1, values.len(), values.to_vec()).expect("one row");
+    QuantizedTensor::from_tensor(&x, scheme)
+}
+
+/// `fake_quantize_tokens` spelled out through the container, a segment at
+/// a time.
 fn fake_quantize_by_tokens(x: &Tensor2, scheme: QuantScheme) -> Tensor2 {
     let mut out = x.clone();
     for t in 0..x.rows() {
@@ -36,7 +42,7 @@ fn fake_quantize_by_tokens(x: &Tensor2, scheme: QuantScheme) -> Tensor2 {
             }
             let mut seg_scheme = scheme;
             seg_scheme.outliers = scheme.outliers.min(seg.len() - 1);
-            dst.copy_from_slice(&quantize_token(seg, seg_scheme).dequantize());
+            dst.copy_from_slice(encoded(seg, seg_scheme).decode().as_slice());
         }
     }
     out
@@ -222,19 +228,21 @@ fn returned_error_sums_match_a_clone_and_diff_sweep_under_every_pool() {
     }
 }
 
-/// Reconstruction from the token's public parts through an outlier mask,
-/// which (unlike `dequantize_into`) does not care how the outlier indices
-/// are ordered.
-fn dequantize_by_mask(q: &QuantizedToken) -> Vec<f32> {
+/// Reconstruction of token `t` from its public parts through an outlier
+/// mask, which (unlike `dequantize_into`, which streams the panel) does
+/// not care where the levels are stored.
+fn dequantize_by_mask(q: &QuantizedTensor, t: usize) -> Vec<f32> {
+    let (inlier_scale, outlier_scale) = q.scales(t);
     let mut out = vec![0.0f32; q.channels()];
     let mut is_outlier = vec![false; q.channels()];
-    for (&idx, &level) in q.outlier_indices().iter().zip(q.outliers()) {
+    let (levels, indices) = q.outliers(t);
+    for (&idx, &level) in indices.iter().zip(levels) {
         is_outlier[idx as usize] = true;
-        out[idx as usize] = level as f32 * q.outlier_scale();
+        out[idx as usize] = level as f32 * outlier_scale;
     }
-    let mut levels = q.inliers().iter();
+    let mut levels = q.inliers(t);
     for (slot, _) in out.iter_mut().zip(&is_outlier).filter(|(_, &o)| !o) {
-        *slot = *levels.next().expect("one level per inlier") as f32 * q.inlier_scale();
+        *slot = levels.next().expect("one level per inlier") as f32 * inlier_scale;
     }
     out
 }
@@ -242,13 +250,13 @@ fn dequantize_by_mask(q: &QuantizedToken) -> Vec<f32> {
 #[test]
 fn dequantize_into_equals_the_masked_reconstruction() {
     let x = test_matrix(96);
-    let mut out = vec![f32::NAN; 96];
-    for t in 0..x.rows() {
-        for k in [0usize, 1, 4, 12] {
-            let q = quantize_token(x.row(t), QuantScheme::int8_with_outliers(k));
-            q.dequantize_into(&mut out);
-            let expect = dequantize_by_mask(&q);
-            assert!(out
+    let mut out = vec![f32::NAN; x.len()];
+    for k in [0usize, 1, 4, 12] {
+        let q = QuantizedTensor::from_tensor(&x, QuantScheme::int8_with_outliers(k));
+        q.dequantize_into(&mut out);
+        for (t, row) in out.chunks(96).enumerate() {
+            let expect = dequantize_by_mask(&q, t);
+            assert!(row
                 .iter()
                 .zip(&expect)
                 .all(|(a, b)| a.to_bits() == b.to_bits()));

@@ -21,7 +21,7 @@
 use ln_par::{with_pool, Pool};
 use ln_quant::scheme::{AaqConfig, Bits, Group, QuantScheme};
 use ln_quant::tensor::QuantizedTensor;
-use ln_quant::token::{fake_quantize_tokens, QuantError, QuantizedToken};
+use ln_quant::token::{fake_quantize_tokens, QuantError};
 use ln_tensor::rng::{self, Rng};
 use ln_tensor::Tensor2;
 
@@ -58,20 +58,20 @@ fn test_matrix(cols: usize, seeded_rows: usize) -> Tensor2 {
     x
 }
 
-/// The first part of `b` that is not `a`'s, bit for bit.
-fn first_difference(a: &QuantizedToken, b: &QuantizedToken) -> Option<String> {
-    let scales = |q: &QuantizedToken| [q.inlier_scale(), q.outlier_scale()].map(f32::to_bits);
-    if a.inliers() != b.inliers() {
+/// The first part of token `t` of `b` that is not `a`'s, bit for bit.
+fn first_difference(a: &QuantizedTensor, b: &QuantizedTensor, t: usize) -> Option<String> {
+    let scales = |q: &QuantizedTensor| {
+        let (inlier, outlier) = q.scales(t);
+        [inlier, outlier].map(f32::to_bits)
+    };
+    let ((a_levels, a_indices), (b_levels, b_indices)) = (a.outliers(t), b.outliers(t));
+    if !a.inliers(t).eq(b.inliers(t)) {
         Some("inlier levels".into())
     } else if scales(a) != scales(b) {
-        Some(format!(
-            "scales {:?} → {:?}",
-            (a.inlier_scale(), a.outlier_scale()),
-            (b.inlier_scale(), b.outlier_scale())
-        ))
-    } else if a.outliers() != b.outliers() {
+        Some(format!("scales {:?} → {:?}", a.scales(t), b.scales(t)))
+    } else if a_levels != b_levels {
         Some("outlier levels".into())
-    } else if a.outlier_indices() != b.outlier_indices() {
+    } else if a_indices != b_indices {
         Some("outlier indices".into())
     } else {
         None
@@ -97,7 +97,7 @@ fn encoding_the_fake_quantized_activation_reproduces_every_level() {
             let direct = QuantizedTensor::from_tensor(&x, scheme);
             let again = QuantizedTensor::from_tensor(&fake_quantized, scheme);
             let differences: Vec<(usize, String)> = (0..x.rows())
-                .filter_map(|t| Some((t, first_difference(&direct.token(t), &again.token(t))?)))
+                .filter_map(|t| Some((t, first_difference(&direct, &again, t)?)))
                 .collect();
             assert!(
                 differences.is_empty(),
@@ -138,8 +138,8 @@ fn encoding_a_fake_quantized_near_tie_picks_another_outlier() {
     let (direct, _) = QuantizedTensor::encode(&x, scheme);
     let again = QuantizedTensor::from_tensor(&fake_quantized, scheme);
     // INT16 rounding of the copy turns the 4th and 5th magnitudes around.
-    assert_eq!(direct.token(0).outlier_indices(), &[18, 19, 20, 66]);
-    assert_eq!(again.token(0).outlier_indices(), &[18, 19, 20, 64]);
+    assert_eq!(direct.outliers(0).1, &[18, 19, 20, 66]);
+    assert_eq!(again.outliers(0).1, &[18, 19, 20, 64]);
     assert_ne!(direct, again);
 }
 

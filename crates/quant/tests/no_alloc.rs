@@ -3,9 +3,10 @@
 //! This binary runs on the shared counting global allocator (counts are
 //! per thread, so the harness's other test threads do not disturb them)
 //! and checks that `fake_quantize_tokens`, `QuantizedTensor::from_tensor`,
-//! `QuantizedTensor::decode` and `qgemm` make the same number of
-//! allocations whatever the number of tokens, and that an encoded tensor
-//! keeps no more bytes resident than its panel, scales and outliers. Under
+//! `QuantizedTensor::from_blocks`, `QuantizedTensor::decode` and `qgemm`
+//! make the same number of allocations whatever the number of tokens, and
+//! that an encoded tensor keeps no more bytes resident than its panel,
+//! scales and outliers. Under
 //! a one-thread pool every kernel runs inline on the calling thread.
 
 use ln_par::{with_pool, Pool};
@@ -95,6 +96,26 @@ fn an_encoded_tensor_keeps_its_panel_scales_and_outliers_and_no_more() {
         );
         assert!(kept >= tokens * per_token, "{kept} bytes cannot hold it");
         assert_eq!(q.num_tokens(), tokens);
+    });
+}
+
+#[test]
+fn from_blocks_allocates_nothing_per_token() {
+    with_pool(&Pool::new_exact(1), || {
+        for scheme in [
+            QuantScheme::int4_with_outliers(0),
+            QuantScheme::int4_with_outliers(4),
+            QuantScheme::int8_with_outliers(4),
+        ] {
+            let small = QuantizedTensor::from_tensor(&spiky(64, 128), scheme).to_blocks();
+            let large = QuantizedTensor::from_tensor(&spiky(1024, 128), scheme).to_blocks();
+            // The first call registers the kernel timer.
+            QuantizedTensor::from_blocks(&small, scheme).expect("fresh blocks");
+            let (few, _) = allocations_in(|| QuantizedTensor::from_blocks(&small, scheme));
+            let (many, _) = allocations_in(|| QuantizedTensor::from_blocks(&large, scheme));
+            assert_eq!(few, many, "{scheme}: 64 tokens vs 1024 tokens");
+            assert!(many <= 4, "{scheme}: {many} allocations");
+        }
     });
 }
 

@@ -3,10 +3,12 @@
 //! streams keyed by the property's name and the case index, so a failure
 //! names a case that replays.
 
-use ln_quant::layout::{decode_levels, decode_token, encode_token, TokenBlock};
+use ln_quant::layout::{decode_levels, TokenBlock};
 use ln_quant::scheme::{Bits, QuantScheme};
-use ln_quant::token::{quantize_token, quantize_value};
+use ln_quant::tensor::QuantizedTensor;
+use ln_quant::token::quantize_value;
 use ln_tensor::rng::{self, Rng, StdRng};
+use ln_tensor::Tensor2;
 use std::collections::HashSet;
 
 const CASES: u64 = 256;
@@ -42,19 +44,36 @@ fn outlier_set(indices: &[u8]) -> HashSet<usize> {
     indices.iter().map(|&i| i as usize).collect()
 }
 
+/// `values` encoded as a one-token container.
+fn encoded(values: &[f32], scheme: QuantScheme) -> QuantizedTensor {
+    let x = Tensor2::from_vec(1, values.len(), values.to_vec()).expect("one row");
+    QuantizedTensor::from_tensor(&x, scheme)
+}
+
+/// A one-token container's Fig. 7 bytes.
+fn bytes_of(q: &QuantizedTensor) -> Vec<u8> {
+    let blocks = q.to_blocks();
+    blocks
+        .iter()
+        .flat_map(TokenBlock::as_bytes)
+        .copied()
+        .collect()
+}
+
 #[test]
 fn round_trip_error_bounded_by_half_step() {
     let check = |case: &str, values: &[f32], scheme: QuantScheme| {
-        let q = quantize_token(values, scheme);
-        let back = q.dequantize();
-        let outliers = outlier_set(q.outlier_indices());
-        for (i, (&a, &b)) in values.iter().zip(&back).enumerate() {
+        let q = encoded(values, scheme);
+        let back = q.decode();
+        let outliers = outlier_set(q.outliers(0).1);
+        let (inlier_scale, outlier_scale) = q.scales(0);
+        for (i, (&a, &b)) in values.iter().zip(back.row(0)).enumerate() {
             // 0.502: f32 rounding in the divide/multiply can push the error
             // marginally past the ideal half-step bound.
             let tol = if outliers.contains(&i) {
-                q.outlier_scale() * 0.502 + 1e-5
+                outlier_scale * 0.502 + 1e-5
             } else {
-                q.inlier_scale() * 0.502 + 1e-5
+                inlier_scale * 0.502 + 1e-5
             };
             assert!(
                 (a - b).abs() <= tol,
@@ -81,12 +100,11 @@ fn round_trip_error_bounded_by_half_step() {
 fn encode_decode_is_identity_on_dequantized_values() {
     for_each_case("encode_decode", |case, rng| {
         let (values, scheme) = (arb_token(rng), arb_scheme(rng));
-        let q = quantize_token(&values, scheme);
-        let bytes = encode_token(&q);
+        let q = encoded(&values, scheme);
+        let bytes = bytes_of(&q);
         assert_eq!(bytes.len(), scheme.token_bytes(values.len()), "case {case}");
-        let decoded = decode_token(&bytes, scheme, values.len()).expect("fresh encoding decodes");
-        assert_eq!(decoded, q.dequantize(), "case {case} {scheme}");
         let levels = decode_levels(&bytes, scheme, values.len()).expect("fresh encoding decodes");
+        assert_eq!(levels.decode(), q.decode(), "case {case} {scheme}");
         assert_eq!(levels, q, "case {case} {scheme}");
     });
 }
@@ -95,11 +113,11 @@ fn encode_decode_is_identity_on_dequantized_values() {
 fn truncation_is_always_detected() {
     for_each_case("truncation", |case, rng| {
         let (values, scheme) = (arb_token(rng), arb_scheme(rng));
-        let bytes = encode_token(&quantize_token(&values, scheme));
+        let bytes = bytes_of(&encoded(&values, scheme));
         let cut = rng.gen_range(1..16usize.min(bytes.len()));
         let truncated = &bytes[..bytes.len() - cut];
         assert!(
-            decode_token(truncated, scheme, values.len()).is_err(),
+            decode_levels(truncated, scheme, values.len()).is_err(),
             "case {case} {scheme}: {cut} bytes short went unnoticed"
         );
     });
@@ -110,8 +128,7 @@ fn outlier_selection_covers_largest_magnitudes() {
     for_each_case("outlier_selection", |case, rng| {
         let values = arb_token(rng);
         let scheme = QuantScheme::int8_with_outliers(rng.gen_range(1..8usize));
-        let q = quantize_token(&values, scheme);
-        let selected = outlier_set(q.outlier_indices());
+        let selected = outlier_set(encoded(&values, scheme).outliers(0).1);
         let min_outlier = selected
             .iter()
             .map(|&i| values[i].abs())
@@ -128,8 +145,8 @@ fn outlier_selection_covers_largest_magnitudes() {
 fn more_outliers_never_hurt_inlier_scale() {
     for_each_case("more_outliers", |case, rng| {
         let values = arb_token(rng);
-        let s0 = quantize_token(&values, QuantScheme::int8_with_outliers(0)).inlier_scale();
-        let s4 = quantize_token(&values, QuantScheme::int8_with_outliers(4)).inlier_scale();
+        let (s0, _) = encoded(&values, QuantScheme::int8_with_outliers(0)).scales(0);
+        let (s4, _) = encoded(&values, QuantScheme::int8_with_outliers(4)).scales(0);
         assert!(s4 <= s0 + 1e-9, "case {case}: {s4} vs {s0}");
     });
 }
@@ -152,23 +169,21 @@ fn block_encoding_matches_sum_of_tokens() {
         let n_tokens = rng.gen_range(1..12usize);
         let scheme = arb_scheme(rng);
         let channels = 64usize;
-        let tokens: Vec<_> = (0..n_tokens)
-            .map(|t| {
-                let values: Vec<f32> = (0..channels)
-                    .map(|c| ((t * 31 + c * 7) % 41) as f32 - 20.0)
-                    .collect();
-                quantize_token(&values, scheme)
-            })
-            .collect();
-        let block = TokenBlock::encode(&tokens);
+        let x = Tensor2::from_fn(n_tokens, channels, |t, c| {
+            ((t * 31 + c * 7) % 41) as f32 - 20.0
+        });
+        let blocks = QuantizedTensor::from_tensor(&x, scheme).to_blocks();
         assert_eq!(
-            block.encoded_bytes(),
+            blocks.iter().map(TokenBlock::encoded_bytes).sum::<usize>(),
             n_tokens * scheme.token_bytes(channels),
             "case {case}"
         );
-        let decoded = block.decode().expect("fresh block decodes");
-        for (t, d) in tokens.iter().zip(decoded) {
-            assert_eq!(t.dequantize(), d, "case {case} {scheme}");
+        let decoded = QuantizedTensor::from_blocks(&blocks, scheme)
+            .expect("fresh blocks decode")
+            .decode();
+        for t in 0..n_tokens {
+            let token = encoded(x.row(t), scheme).decode();
+            assert_eq!(token.row(0), decoded.row(t), "case {case} {scheme}");
         }
     });
 }
@@ -180,13 +195,13 @@ fn decoder_never_panics_on_fuzzed_bytes() {
     // flips) or return a structured error — never panic.
     for_each_case("fuzzed_bytes", |case, rng| {
         let (values, scheme) = (arb_token(rng), arb_scheme(rng));
-        let mut bytes = encode_token(&quantize_token(&values, scheme));
+        let mut bytes = bytes_of(&encoded(&values, scheme));
         for _ in 0..rng.gen_range(1..8usize) {
             let pos = rng.gen_range(0..bytes.len());
             bytes[pos] ^= rng.gen_range(0..255u32) as u8;
         }
-        match decode_token(&bytes, scheme, values.len()) {
-            Ok(decoded) => assert_eq!(decoded.len(), values.len(), "case {case}"),
+        match decode_levels(&bytes, scheme, values.len()) {
+            Ok(q) => assert_eq!(q.decode().shape(), (1, values.len()), "case {case}"),
             Err(e) => assert!(!e.to_string().is_empty(), "case {case}"),
         }
     });

@@ -10,7 +10,7 @@
 //! schedule and statistics (the reproducibility the integration and chaos
 //! tests pin).
 //!
-//! What is decided at each event is [`crate::scheduler`]'s; the engine is
+//! What is decided at each event is `crate::scheduler`'s; the engine is
 //! its virtual clock: it stages arrivals, parks each launched batch until
 //! its modeled finish time, and records what the core emits on a virtual
 //! tracer and an attached [`ln_watch::Watch`].
@@ -369,7 +369,7 @@ impl Engine {
     /// begun, engine dead, or workload fully drained and settled).
     ///
     /// Arrivals and completions consume themselves, so candidates at `now`
-    /// are fine; the core's own timers follow [`Scheduler::next_timer`].
+    /// are fine; the core's own timers follow `Scheduler::next_timer`.
     pub fn next_event_seconds(&self) -> Option<f64> {
         if self.dead {
             return None;

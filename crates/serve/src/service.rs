@@ -11,7 +11,7 @@
 //! backends' device models, the same numbers the deterministic
 //! [`crate::engine::Engine`] produces.
 //!
-//! What is decided at each step is [`crate::scheduler`]'s, the policy the
+//! What is decided at each step is `crate::scheduler`'s, the policy the
 //! engine drives too: injected faults from a [`FaultPlan`], bounded retry
 //! with deterministic backoff, a per-backend circuit breaker, AAQ precision
 //! degradation under memory pressure. The service is its wall clock:

@@ -7,7 +7,6 @@ use crate::bucket::BucketPolicy;
 use lightnobel::report::{fmt_pct, fmt_seconds, Table};
 use ln_fault::BreakerEvent;
 use ln_quant::ActPrecision;
-use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Registry handles for the service-wide `serve_*` metrics. Resolved once;
@@ -39,6 +38,12 @@ fn serve_metrics() -> &'static ServeMetrics {
     })
 }
 
+/// The nearest-rank `p`-percentile of `samples`, sorted here.
+fn percentile_of(mut samples: Vec<f64>, p: f64) -> Option<f64> {
+    samples.sort_by(f64::total_cmp);
+    ln_obs::percentile(&samples, p)
+}
+
 /// One dispatched batch (the unit of the deterministic schedule).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchRecord {
@@ -62,7 +67,7 @@ pub struct BatchRecord {
 }
 
 /// Counters and samples for one length bucket.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BucketStats {
     /// Requests folded to completion.
     pub completed: u64,
@@ -78,47 +83,15 @@ pub struct BucketStats {
     pub co_batched: u64,
     /// End-to-end latencies of completed requests, seconds.
     latencies: Vec<f64>,
-    /// Lazily sorted copy of `latencies` for percentile queries; `None`
-    /// whenever new latencies have been pushed since the last sort, so the
-    /// sort happens once per batch of queries instead of once per query.
-    sorted_latencies: RefCell<Option<Vec<f64>>>,
     depth_sum: f64,
     depth_samples: u64,
 }
 
-/// The percentile cache is derived state: two collectors with the same
-/// recorded samples are equal regardless of which has materialized its
-/// sorted copy.
-impl PartialEq for BucketStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.completed == other.completed
-            && self.rejected == other.rejected
-            && self.timed_out == other.timed_out
-            && self.failed == other.failed
-            && self.batches == other.batches
-            && self.co_batched == other.co_batched
-            && self.latencies == other.latencies
-            && self.depth_sum == other.depth_sum
-            && self.depth_samples == other.depth_samples
-    }
-}
-
 impl BucketStats {
-    /// Latency percentile (0.0–1.0) over completed requests. Sorts the
-    /// samples lazily on first query and reuses the sorted copy until the
-    /// next [`ServeStats::record_batch`] invalidates it.
+    /// Latency percentile (0.0–1.0) over completed requests, by the
+    /// nearest-rank rule ([`ln_obs::percentile`]).
     pub fn latency_percentile(&self, p: f64) -> Option<f64> {
-        if self.latencies.is_empty() {
-            return None;
-        }
-        let mut cache = self.sorted_latencies.borrow_mut();
-        let sorted = cache.get_or_insert_with(|| {
-            let mut sorted = self.latencies.clone();
-            sorted.sort_by(f64::total_cmp);
-            sorted
-        });
-        let idx = ((p * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1);
-        Some(sorted[idx])
+        percentile_of(self.latencies.clone(), p)
     }
 
     /// Mean queue depth over recorded samples.
@@ -334,7 +307,6 @@ impl ServeStats {
         b.co_batched += record.lengths.len() as u64;
         b.completed += latencies.len() as u64;
         b.latencies.extend_from_slice(latencies);
-        *b.sorted_latencies.borrow_mut() = None;
         let metrics = serve_metrics();
         metrics.batches.inc();
         metrics.completed.add(latencies.len() as u64);
@@ -395,19 +367,14 @@ impl ServeStats {
         }
     }
 
-    /// Global latency percentile across buckets.
+    /// Global latency percentile across buckets, by the nearest-rank rule
+    /// ([`ln_obs::percentile`]).
     pub fn latency_percentile(&self, p: f64) -> Option<f64> {
-        let mut all: Vec<f64> = self
+        let all = self
             .buckets
             .iter()
-            .flat_map(|b| b.latencies.iter().copied())
-            .collect();
-        if all.is_empty() {
-            return None;
-        }
-        all.sort_by(f64::total_cmp);
-        let idx = ((p * (all.len() - 1) as f64).round() as usize).min(all.len() - 1);
-        Some(all[idx])
+            .flat_map(|b| b.latencies.iter().copied());
+        percentile_of(all.collect(), p)
     }
 
     /// The per-bucket report table (the acceptance artifact: p50/p99
@@ -568,33 +535,18 @@ mod tests {
     }
 
     #[test]
-    fn percentile_cache_invalidates_on_push() {
+    fn percentiles_are_nearest_rank_and_see_every_batch() {
         let mut s = ServeStats::new(1);
-        s.record_batch(record(0, vec![10], 0.0, 1.0), &[1.0, 2.0, 3.0]);
-        assert_eq!(s.bucket(0).latency_percentile(1.0), Some(3.0));
-        assert!(
-            s.bucket(0).sorted_latencies.borrow().is_some(),
-            "first query materializes the sorted cache"
-        );
-        s.record_batch(record(0, vec![11], 1.0, 2.0), &[9.0]);
-        assert!(
-            s.bucket(0).sorted_latencies.borrow().is_none(),
-            "push invalidates the cache"
-        );
-        assert_eq!(s.bucket(0).latency_percentile(1.0), Some(9.0));
+        let latencies: Vec<f64> = (1..=10).map(f64::from).collect();
+        s.record_batch(record(0, vec![10], 0.0, 1.0), &latencies);
+        // Nearest rank: the ⌈0.5 · 10⌉ = 5th sample, not the 6th.
+        assert_eq!(s.bucket(0).latency_percentile(0.5), Some(5.0));
+        assert_eq!(s.latency_percentile(0.5), Some(5.0));
         assert_eq!(s.bucket(0).latency_percentile(0.0), Some(1.0));
-    }
-
-    #[test]
-    fn equality_ignores_percentile_cache() {
-        let mut a = ServeStats::new(1);
-        let mut b = ServeStats::new(1);
-        a.record_batch(record(0, vec![10], 0.0, 1.0), &[2.0, 1.0]);
-        b.record_batch(record(0, vec![10], 0.0, 1.0), &[2.0, 1.0]);
-        let _ = a.bucket(0).latency_percentile(0.5);
-        assert_eq!(a, b, "materialized cache must not affect equality");
-        b.record_batch(record(0, vec![11], 1.0, 2.0), &[5.0]);
-        assert_ne!(a, b);
+        s.record_batch(record(0, vec![11], 1.0, 2.0), &[0.5, 20.0]);
+        assert_eq!(s.bucket(0).latency_percentile(1.0), Some(20.0));
+        assert_eq!(s.bucket(0).latency_percentile(0.0), Some(0.5));
+        assert_eq!(ServeStats::new(1).latency_percentile(0.5), None);
     }
 
     #[test]

@@ -42,6 +42,16 @@ use ln_scope::length_bucket_label;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
+/// Flight-recorder ring capacity, events.
+const RECORDER_CAPACITY: usize = 4096;
+
+/// How many virtual seconds of events a black box includes.
+const RECORDER_WINDOW_SECONDS: f64 = 30.0;
+
+/// At most this many black boxes per run (triggers past the cap still
+/// count events but skip the snapshot).
+const MAX_BLACKBOXES: usize = 16;
+
 /// Configuration of one [`Watch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchConfig {
@@ -49,13 +59,6 @@ pub struct WatchConfig {
     /// 99%-under-60s latency objective and an 80% full-precision
     /// objective.
     pub slos: Vec<SloSpec>,
-    /// Flight-recorder ring capacity, events.
-    pub recorder_capacity: usize,
-    /// How many virtual seconds of events a black box includes.
-    pub recorder_window_seconds: f64,
-    /// At most this many black boxes per run (triggers past the cap still
-    /// count events but skip the snapshot).
-    pub max_blackboxes: usize,
 }
 
 impl Default for WatchConfig {
@@ -66,9 +69,6 @@ impl Default for WatchConfig {
                 SloSpec::p99_latency("p99_latency", 60.0, 0.99),
                 SloSpec::degradation_rate("precision", 0.8),
             ],
-            recorder_capacity: 4096,
-            recorder_window_seconds: 30.0,
-            max_blackboxes: 16,
         }
     }
 }
@@ -124,13 +124,11 @@ impl Watch {
     /// A watch over `config` with empty state.
     pub fn new(config: WatchConfig) -> Self {
         let slos = SloEngine::new(config.slos.clone());
-        let recorder =
-            FlightRecorder::new(config.recorder_capacity, config.recorder_window_seconds);
         Watch {
             config,
             registry: Registry::new(),
             slos,
-            recorder,
+            recorder: FlightRecorder::new(RECORDER_CAPACITY, RECORDER_WINDOW_SECONDS),
             watermarks: WatermarkTracker::new(),
             blackboxes: Vec::new(),
             breaches_total: 0,
@@ -221,7 +219,7 @@ impl Watch {
     }
 
     fn snapshot(&mut self, trigger: &str, now: f64) {
-        if self.blackboxes.len() >= self.config.max_blackboxes {
+        if self.blackboxes.len() >= MAX_BLACKBOXES {
             return;
         }
         let seq = self.blackboxes.len() as u64;
@@ -328,7 +326,6 @@ mod tests {
                 min_events: 4,
                 ..SloSpec::deadline_hit_rate("deadline", 0.5)
             }],
-            ..WatchConfig::default()
         });
         for i in 0..4 {
             watch.record_event(instant("fail", i as f64));
@@ -357,7 +354,6 @@ mod tests {
                 min_events: 4,
                 ..SloSpec::deadline_hit_rate("deadline", 0.5)
             }],
-            ..WatchConfig::default()
         });
         assert_eq!(watch.shard_health(0), 1.0);
         for i in 0..4 {
@@ -372,14 +368,13 @@ mod tests {
 
     #[test]
     fn blackbox_cap_bounds_snapshots() {
-        let mut watch = Watch::new(WatchConfig {
-            max_blackboxes: 2,
-            ..WatchConfig::default()
-        });
-        for i in 0..5 {
+        let mut watch = Watch::default();
+        for i in 0..MAX_BLACKBOXES + 3 {
             watch.trigger("breaker_open", i as f64);
         }
-        assert_eq!(watch.blackboxes().len(), 2);
-        assert_eq!(watch.blackboxes()[1].seq, 1);
+        assert_eq!(watch.blackboxes().len(), MAX_BLACKBOXES);
+        let last = &watch.blackboxes()[MAX_BLACKBOXES - 1];
+        let n = MAX_BLACKBOXES - 1;
+        assert_eq!((last.seq, last.at_seconds), (n as u64, n as f64));
     }
 }

@@ -11,8 +11,9 @@ use ln_datasets::{Dataset, Registry};
 use ln_ppm::taps::{ActivationGroup, RecordingHook};
 use ln_ppm::{FoldingModel, PpmConfig};
 use ln_quant::scheme::QuantScheme;
-use ln_quant::token::{quantization_rmse, quantize_token};
-use ln_tensor::stats;
+use ln_quant::tensor::QuantizedTensor;
+use ln_quant::token::quantization_rmse;
+use ln_tensor::{stats, Tensor2};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let registry = Registry::standard();
@@ -52,6 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .expect("non-empty");
     let row = tokens.row(spiky);
+    let token = Tensor2::from_vec(1, row.len(), row.to_vec())?;
     let mut table = Table::new(["scheme", "bytes/token", "compression", "max |error|"]);
     for scheme in [
         QuantScheme::int8_with_outliers(4),
@@ -59,11 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         QuantScheme::int4_with_outliers(4),
         QuantScheme::int4_with_outliers(0),
     ] {
-        let q = quantize_token(row, scheme);
-        let back = q.dequantize();
+        let back = QuantizedTensor::from_tensor(&token, scheme).decode();
         let max_err = row
             .iter()
-            .zip(&back)
+            .zip(back.row(0))
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
         table.add_row([

@@ -21,6 +21,7 @@
 #      trace --workload fold_aaq --quick,
 #      trace --workload fold_long_chunked --quick, then
 #      git diff --quiet -- benchmarks/fold                (its lock unmoved)
+#  14. cargo doc --workspace --no-deps, -D warnings       (rustdoc links)
 #
 # Step 3's `chaos_recovery` and `serving` alone drive FoldService's threads.
 # Step 4's first command, at the workspace root, tests only the umbrella
@@ -112,6 +113,9 @@
 # fails if any of that rewrote a tracked file under benchmarks/fold: the
 # lock there records the dependency edges of the thirteen crates foldbench
 # reaches, so a PR that changes one of them shows up here, not at review.
+# Step 14 builds every crate's API docs with rustdoc warnings as errors: a
+# link to an item that was deleted, renamed or is private, or a link that
+# names two items, fails here instead of rendering as plain text.
 #
 # The workspace is dependency-free on purpose: everything here must pass
 # with zero network access. See ROADMAP.md ("Tier-1 gate script").
@@ -149,6 +153,7 @@ step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml --
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- trace --workload fold_aaq --quick
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- trace --workload fold_long_chunked --quick
 step git diff --quiet -- benchmarks/fold
+step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo
 echo "ci.sh: all tier-1 checks passed"

@@ -13,10 +13,10 @@ use ln_ppm::taps::{ActivationHook, NoopHook};
 use ln_ppm::{FoldingModel, PpmConfig};
 use ln_protein::generator::StructureGenerator;
 use ln_quant::baselines::BaselineScheme;
-use ln_quant::layout::encode_token;
+use ln_quant::layout::decode_levels;
 use ln_quant::scheme::QuantScheme;
-use ln_quant::token::quantize_token;
-use ln_tensor::rng;
+use ln_quant::tensor::QuantizedTensor;
+use ln_tensor::{rng, Tensor2};
 
 #[test]
 fn seed_derivation_is_pinned() {
@@ -54,22 +54,33 @@ fn quantized_token_encoding_is_pinned() {
     // The Fig. 7 byte layout is stable API for anything that persists
     // encoded tokens.
     let values: Vec<f32> = (0..16).map(|i| (i as f32 - 8.0) * 0.5).collect();
-    let q = quantize_token(&values, QuantScheme::int8_with_outliers(2));
-    let bytes = encode_token(&q);
-    assert_eq!(
-        bytes.len(),
-        QuantScheme::int8_with_outliers(2).token_bytes(16)
-    );
+    let scheme = QuantScheme::int8_with_outliers(2);
+    let encode = || {
+        let token = Tensor2::from_vec(1, 16, values.clone()).expect("one row");
+        QuantizedTensor::from_tensor(&token, scheme)
+    };
+    let q = encode();
+    let blocks = q.to_blocks();
+    assert_eq!(blocks.len(), 1, "one token, one block");
+    let bytes = blocks[0].as_bytes();
+    assert_eq!(bytes.len(), scheme.token_bytes(16));
     // Outliers are the two largest magnitudes: -4.0 (index 0) and the
     // -3.5 at index 1 (the 3.5 at index 15 loses the tie to the lower index).
-    assert_eq!(q.outlier_indices(), &[0, 1]);
+    assert_eq!(q.outliers(0).1, &[0, 1]);
     // Inlier scale = 3.5 / 127 (largest remaining magnitude).
-    assert!((q.inlier_scale() - 3.5 / 127.0).abs() < 1e-7);
-    // Encoding is stable across calls.
+    assert!((q.scales(0).0 - 3.5 / 127.0).abs() < 1e-7);
+    // The bytes themselves: 14 INT8 inliers, the two INT16 outliers, σ_in
+    // and σ_out, the outlier indices.
     assert_eq!(
         bytes,
-        encode_token(&quantize_token(&values, QuantScheme::int8_with_outliers(2)))
+        [
+            147, 165, 183, 202, 220, 238, 0, 18, 36, 54, 73, 91, 109, 127, 1, 128, 1, 144, 135,
+            195, 225, 60, 0, 1, 0, 57, 0, 1
+        ]
     );
+    // Encoding is stable across calls, and the bytes decode to the token.
+    assert_eq!(bytes, encode().to_blocks()[0].as_bytes());
+    assert_eq!(decode_levels(bytes, scheme, 16), Ok(q));
 }
 
 #[test]

@@ -17,7 +17,7 @@ use ln_quant::layout::TokenBlock;
 use ln_quant::qgemm::{qgemm, MacMode, QuantizedWeights, MR};
 use ln_quant::scheme::{Group, QuantScheme};
 use ln_quant::tensor::QuantizedTensor;
-use ln_quant::token::{fake_quantize_tokens, quantize_token};
+use ln_quant::token::fake_quantize_tokens;
 use ln_tensor::rng::{fill_normal, stream, stream_indexed, Rng};
 use ln_tensor::{Tensor2, Tensor3};
 
@@ -114,14 +114,15 @@ fn aaq_block_round_trip_is_pool_invariant() {
     let scheme = QuantScheme::int4_with_outliers(2);
     let x = seeded_tensor2("par-det/block", 19, 64);
     assert_pool_invariant(|| {
-        let tokens: Vec<_> = (0..x.rows())
-            .map(|t| quantize_token(x.row(t), scheme))
-            .collect();
-        let block = TokenBlock::encode(&tokens);
-        let decoded = block.decode().expect("round trip");
+        let blocks = QuantizedTensor::from_tensor(&x, scheme).to_blocks();
+        let decoded = QuantizedTensor::from_blocks(&blocks, scheme).expect("round trip");
         (
-            block.as_bytes().to_vec(),
-            decoded.iter().flat_map(|v| bits(v)).collect::<Vec<u32>>(),
+            blocks
+                .iter()
+                .flat_map(TokenBlock::as_bytes)
+                .copied()
+                .collect::<Vec<u8>>(),
+            bits(decoded.decode().as_slice()),
         )
     });
 }

@@ -60,7 +60,6 @@ fn watch_config() -> WatchConfig {
             SloSpec::p99_latency("p99_latency", 60.0, 0.99),
             SloSpec::degradation_rate("precision", 0.8),
         ],
-        ..WatchConfig::default()
     }
 }
 
