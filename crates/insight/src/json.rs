@@ -79,7 +79,7 @@ impl Value {
     }
 
     /// Object-members view.
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
+    pub(crate) fn as_obj(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Obj(members) => Some(members),
             _ => None,

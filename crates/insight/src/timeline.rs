@@ -568,7 +568,7 @@ impl CriticalPath {
     }
 
     /// Total retry instants across all requests.
-    pub fn total_retries(&self) -> u64 {
+    fn total_retries(&self) -> u64 {
         self.requests.iter().map(|r| u64::from(r.retries)).sum()
     }
 

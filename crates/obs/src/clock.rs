@@ -76,11 +76,6 @@ impl VirtualClock {
         self.nanos
             .store(seconds_to_nanos(seconds), Ordering::Relaxed);
     }
-
-    /// Moves the clock to an absolute simulated time in nanoseconds.
-    pub fn set_nanos(&self, nanos: u64) {
-        self.nanos.store(nanos, Ordering::Relaxed);
-    }
 }
 
 impl Clock for VirtualClock {
@@ -107,7 +102,7 @@ mod tests {
         assert_eq!(clock.now_nanos(), 0);
         clock.set_seconds(1.5);
         assert_eq!(clock.now_nanos(), 1_500_000_000);
-        clock.set_nanos(42);
+        clock.set_seconds(42e-9);
         assert_eq!(clock.now_nanos(), 42);
     }
 

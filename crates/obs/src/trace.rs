@@ -21,7 +21,7 @@ use crate::registry::Counter;
 use crate::{level, ObsLevel};
 
 /// Default capacity of the global tracer's ring buffer.
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
+const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// A typed span/event argument value.
 #[derive(Debug, Clone, PartialEq)]
@@ -361,11 +361,11 @@ mod tests {
     #[test]
     fn span_guard_records_complete_event() {
         let (clock, tracer) = forced_virtual();
-        clock.set_nanos(100);
+        clock.set_seconds(100e-9);
         {
             let mut guard = tracer.span("fold", "kernel", 3);
             guard.arg("rows", 8u64);
-            clock.set_nanos(250);
+            clock.set_seconds(250e-9);
         }
         let events = tracer.drain();
         assert_eq!(events.len(), 1);

@@ -8,6 +8,7 @@
 //! the sequence stream is what creates the "unpredictable outliers" AAQ must
 //! handle dynamically (§4.1).
 
+use super::tri_attn::{head_bias_mats, HeadBuffers};
 use super::workspace;
 use crate::{PpmConfig, PpmError};
 use ln_tensor::nn::{LayerNorm, Linear};
@@ -98,37 +99,21 @@ impl SequenceTrack {
         let ns = seq.rows();
 
         // --- Row self-attention with pair bias -------------------------
+        // The sequence is one lane of triangular attention's head body:
+        // the context overwrites the queries.
         let x = self.norm_attn.forward(seq)?;
-        let q = self.to_q.forward(&x)?;
-        let k = self.to_k.forward(&x)?;
-        let v = self.to_v.forward(&x)?;
+        let mut q = self.to_q.forward(&x)?;
+        let kv = [self.to_k.forward(&x)?, self.to_v.forward(&x)?];
         // Pair bias: one scalar per (i, j, head), from the pair tokens —
         // which move out of `pair` here and back at the end, the
         // outer-product-mean update added into them in place.
         let mut pair_tokens = std::mem::take(pair).into_token_matrix();
-        let bias = self.pair_bias.forward(&pair_tokens)?;
-
-        let inv_sqrt = 1.0 / (self.head_dim as f32).sqrt();
-        let mut ctx = Tensor2::zeros(ns, self.heads * self.head_dim);
+        let bias_mats = head_bias_mats(&self.pair_bias.forward(&pair_tokens)?);
+        let mut bufs = HeadBuffers::new(ns, self.head_dim, ns);
         for h in 0..self.heads {
-            let qh = head_cols(&q, h, self.head_dim);
-            let kh = head_cols(&k, h, self.head_dim);
-            let vh = head_cols(&v, h, self.head_dim);
-            let mut scores = qh.matmul_transposed(&kh)?.scaled(inv_sqrt);
-            for i in 0..ns {
-                let row = scores.row_mut(i);
-                for (j, s) in row.iter_mut().enumerate() {
-                    *s += bias.row(i * ns + j)[h];
-                }
-            }
-            let probs = nn::softmax_rows(&scores);
-            let ctx_h = probs.matmul(&vh)?;
-            for i in 0..ns {
-                ctx.row_mut(i)[h * self.head_dim..(h + 1) * self.head_dim]
-                    .copy_from_slice(ctx_h.row(i));
-            }
+            bufs.attend(&kv, 0, h, bias_mats.row(h), q.as_mut_slice(), |_| {})?;
         }
-        let attn_update = self.attn_out.forward(&ctx)?.scaled(self.update_gain);
+        let attn_update = self.attn_out.forward(&q)?.scaled(self.update_gain);
         seq.add_assign(&attn_update)?;
 
         // --- Transition -------------------------------------------------
@@ -173,10 +158,6 @@ impl SequenceTrack {
         *pair = Tensor3::from_token_matrix(ns, ns, pair_tokens)?;
         Ok(())
     }
-}
-
-fn head_cols(m: &Tensor2, h: usize, dim: usize) -> Tensor2 {
-    Tensor2::from_fn(m.rows(), dim, |i, j| m.at(i, h * dim + j))
 }
 
 #[cfg(test)]

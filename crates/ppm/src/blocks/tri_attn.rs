@@ -167,11 +167,8 @@ impl TriangularAttention {
 
         let attn_dim = self.heads * self.head_dim;
 
-        // Per-head (ns, ns) bias matrices for the score grid, one a row —
-        // shared by every lane, so the third-edge bias costs one strided
-        // gather per head instead of Ns³ virtual lookups.
-        let (heads, src) = (self.heads, bias.as_slice());
-        let bias_mats = Tensor2::from_fn(heads, tokens_n, |h, t| src[t * heads + h]);
+        let bias_mats = head_bias_mats(&bias);
+        let heads = self.heads;
 
         // Every (lane, head, block of query rows) reads its queries before
         // writing their context over them — same rows, the head's columns
@@ -280,6 +277,15 @@ impl TriangularAttention {
     }
 }
 
+/// Per-head `(ns, ns)` bias matrices for the score grid, one a row, from
+/// a `(ns², heads)` bias — shared by every lane, so the third-edge bias
+/// costs one strided gather per head instead of Ns³ virtual lookups.
+pub(super) fn head_bias_mats(bias: &Tensor2) -> Tensor2 {
+    let (tokens, heads) = bias.shape();
+    let src = bias.as_slice();
+    Tensor2::from_fn(heads, tokens, |h, t| src[t * heads + h])
+}
+
 /// Scratch for one lane's keys and values, `ns` tokens of `attn_dim`.
 fn lane_kv(ns: usize, attn_dim: usize) -> [Tensor2; 2] {
     [(); 2].map(|_| Tensor2::zeros(ns, attn_dim))
@@ -289,7 +295,7 @@ fn lane_kv(ns: usize, attn_dim: usize) -> [Tensor2; 2] {
 /// of fresh tensors per pair: the head's keys and values, and a
 /// [`RowBlock`] for the full blocks of query rows plus, when the block
 /// length does not divide `ns`, one for the tail.
-struct HeadBuffers {
+pub(super) struct HeadBuffers {
     k: Tensor2,
     v: Tensor2,
     blocks: Vec<RowBlock>,
@@ -327,7 +333,7 @@ fn load_head(rows: &[f32], width: usize, h: usize, band: &mut Tensor2) {
 impl HeadBuffers {
     /// Buffers for lanes of `ns` tokens taken `block_rows` query rows at a
     /// time (clamped to `1..=ns`).
-    fn new(ns: usize, dim: usize, block_rows: usize) -> Self {
+    pub(super) fn new(ns: usize, dim: usize, block_rows: usize) -> Self {
         let rows = block_rows.clamp(1, ns.max(1));
         let mut blocks = vec![RowBlock::new(rows, ns, dim)];
         let tail = ns % rows;
@@ -352,7 +358,7 @@ impl HeadBuffers {
     /// A row's softmax spans the whole row and each GEMM output element is
     /// a k-ascending fold whatever rows share its call, so the context
     /// bits do not depend on the block length.
-    fn attend(
+    pub(super) fn attend(
         &mut self,
         [km, vm]: &[Tensor2; 2],
         lane_row0: usize,

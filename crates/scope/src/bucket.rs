@@ -22,7 +22,7 @@ pub fn length_bucket_label(length: usize) -> &'static str {
 
 /// Rank of the bucket containing `length`: 0 for `le_256` up to 6 for
 /// `gt_8192`. Used by the modeled-accuracy curve, which grows with length.
-pub fn length_bucket_rank(length: usize) -> usize {
+pub(crate) fn length_bucket_rank(length: usize) -> usize {
     LENGTH_BUCKET_BOUNDS.iter().filter(|&&b| length > b).count()
 }
 

@@ -69,7 +69,7 @@ impl<H: ActivationHook> ScopeHook<H> {
 
     /// Consumes the wrapper, returning the inner hook and the collected
     /// `(sketches, ledger)`.
-    pub fn into_parts(self) -> (H, SketchBook, ErrorLedger) {
+    pub(crate) fn into_parts(self) -> (H, SketchBook, ErrorLedger) {
         (self.inner, self.book, self.ledger)
     }
 

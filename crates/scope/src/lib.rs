@@ -37,12 +37,12 @@ use std::collections::BTreeMap;
 use ln_obs::{metrics_jsonl, MetricValue, Registry};
 use ln_ppm::taps::{ActivationHook, ALL_SITES};
 
-pub use bucket::{length_bucket_label, length_bucket_rank, LENGTH_BUCKET_BOUNDS};
+pub use bucket::{length_bucket_label, LENGTH_BUCKET_BOUNDS};
 pub use hook::{PerturbHook, ScopeHook, SensitivityModel};
 pub use ledger::{ErrorLedger, LedgerEntry, PROBE_RUNGS};
 pub use ln_ppm::taps::ActivationGroup;
 pub use model::modeled_worst_rmse;
-pub use sketch::{magnitude_bucket, Sketch, SketchBook, SketchKey, CENSUS_RUNGS};
+pub use sketch::{Sketch, SketchBook, SketchKey, CENSUS_RUNGS};
 
 /// The AAQ group a stage (site) name belongs to, scanning the canonical
 /// site table — the inverse of `ActivationSite::name()`. Lets consumers

@@ -21,14 +21,14 @@ use crate::bucket::length_bucket_rank;
 
 /// Relative RMSE of uniform INT8+4-outlier activations on the shortest
 /// length bucket (calibration point, golden CAMEO fold).
-pub const INT8_BASE_RMSE: f64 = 4.0e-3;
+const INT8_BASE_RMSE: f64 = 4.0e-3;
 
 /// Relative RMSE of uniform INT4+4-outlier activations on the shortest
 /// length bucket (calibration point, golden CAMEO fold).
-pub const INT4_BASE_RMSE: f64 = 3.2e-2;
+const INT4_BASE_RMSE: f64 = 3.2e-2;
 
 /// Per-length-bucket-rank growth of the base RMSE (12.5% per rank).
-pub const LENGTH_RMSE_GROWTH: f64 = 0.125;
+const LENGTH_RMSE_GROWTH: f64 = 0.125;
 
 /// Modeled worst-layer relative RMSE for a request of `length` residues
 /// served at `precision`. FP32 is exactly 0; the quantized rungs scale

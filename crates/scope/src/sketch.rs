@@ -36,7 +36,7 @@ pub const CENSUS_RUNGS: [(&str, f32); 2] = [("int8", 127.0), ("int4", 7.0)];
 /// and bucket 63 everything at or above `2^31` (including non-finite
 /// values). Pure integer arithmetic on the exponent bits, so the answer is
 /// bit-exact on every host.
-pub fn magnitude_bucket(value: f32) -> usize {
+fn magnitude_bucket(value: f32) -> usize {
     let biased_exp = ((value.to_bits() >> 23) & 0xff) as i32;
     if biased_exp == 0 {
         0
@@ -88,7 +88,7 @@ impl Sketch {
     /// Folds one token (row) of values into the sketch. The outlier census
     /// is token-scoped: the rung's inlier range is `max_level × RMS(row)`,
     /// matching the paper's per-token dynamic scaling (Eq. 1).
-    pub fn observe_token(&mut self, row: &[f32]) {
+    fn observe_token(&mut self, row: &[f32]) {
         if row.is_empty() {
             return;
         }
@@ -170,7 +170,7 @@ pub struct SketchKey {
 
 impl SketchKey {
     /// The `layer` metric-label value (`"b0"`, `"b1"`, ...).
-    pub fn layer_label(&self) -> String {
+    fn layer_label(&self) -> String {
         format!("b{}", self.block)
     }
 }

@@ -16,7 +16,7 @@
 ///   to half the score: a memory-saturated shard with a clean error
 ///   budget still reads 0.5, so pressure alone de-prioritizes a shard but
 ///   never marks it dead.
-pub fn health_score(fast_burn: f64, burn_threshold: f64, pressure: f64) -> f64 {
+pub(crate) fn health_score(fast_burn: f64, burn_threshold: f64, pressure: f64) -> f64 {
     let burn_factor = if burn_threshold > 0.0 {
         (1.0 - fast_burn / burn_threshold).clamp(0.0, 1.0)
     } else {

@@ -12,7 +12,7 @@
 //!   loss or partition window.
 //! * [`watermark`] — per-request peak-activation-byte accounting by
 //!   length bucket × AAQ precision (the quantity the paper bounds).
-//! * [`health`] — shard health in `[0, 1]` from burn rate + watermark
+//! * `health` — shard health in `[0, 1]` from burn rate + watermark
 //!   pressure, feeding the cluster's capability walk and autoscaler.
 //!
 //! [`Watch`] owns a **run-local** [`ln_obs::Registry`], not the process
@@ -26,16 +26,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod health;
+mod health;
 pub mod recorder;
 pub mod slo;
 pub mod watermark;
 
-pub use health::health_score;
 pub use recorder::FlightRecorder;
 pub use slo::{Breach, BudgetRow, FoldObservation, ObservedOutcome, SloEngine, SloKind, SloSpec};
 pub use watermark::{WatermarkRow, WatermarkTracker};
 
+use health::health_score;
 use ln_obs::{MetricValue, Registry, TraceEvent};
 use ln_quant::ActPrecision;
 use ln_scope::length_bucket_label;

@@ -6,7 +6,7 @@
 //! gated on the `LN_OBS` level — it records unconditionally at O(1) per
 //! event with deterministic oldest-first eviction, so a black box is
 //! available even in an `LN_OBS=off` production configuration. Snapshots
-//! serialize the last [`FlightRecorder::window_seconds`] of events (via
+//! serialize the events inside the window given to [`FlightRecorder::new`] (via
 //! [`ln_obs::jsonl_events`]) plus a full registry snapshot (via
 //! [`ln_obs::metrics_jsonl`]); both exporters are byte-deterministic, so a
 //! black box from a virtual-time run is identical across hosts and
@@ -61,11 +61,6 @@ impl FlightRecorder {
     /// Whether the ring holds no events.
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
-    }
-
-    /// The snapshot window, virtual seconds.
-    pub fn window_seconds(&self) -> f64 {
-        self.window_seconds
     }
 
     /// Serializes a black box: one header line, then the in-window events

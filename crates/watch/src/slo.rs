@@ -355,7 +355,7 @@ impl SloEngine {
 
     /// The largest fast-window burn rate across objectives for one scope
     /// key (health scoring input); 0 when the scope has no events.
-    pub fn max_fast_burn(&self, scope: &str) -> f64 {
+    pub(crate) fn max_fast_burn(&self, scope: &str) -> f64 {
         self.scopes
             .iter()
             .filter(|((_, s), _)| s == scope)

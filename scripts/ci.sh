@@ -8,6 +8,8 @@
 #      every examples/*.rs, release, stdout discarded     (examples run)
 #   4. cargo test -q, then                                (test suite)
 #      cargo test -q --release --workspace                (every crate, optimised)
+#      tests/docs.rs among them: README + DESIGN +        (docs budget)
+#      EXPERIMENTS <= 160 000 bytes, citations resolve
 #   5. par_speedup --quick                                (kernel gate)
 #   6. chaos --quick                                      (ln-fault smoke)
 #   7. obs_overhead --quick                               (ln-obs cost gate)

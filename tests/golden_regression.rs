@@ -3,7 +3,7 @@
 //! are caught even when all invariants still hold.
 //!
 //! If a change is *intentional* (e.g. retuning the embedding), update the
-//! pinned values here and note it in CHANGELOG.md — these tests define the
+//! pinned values here and note it in CHANGES.md — these tests define the
 //! reproduction's observable behaviour.
 
 use lightnobel::hook::{AaqHook, BaselineHook};

@@ -1,8 +1,7 @@
 //! Cross-crate determinism guarantees for the ln-par runtime: every
 //! parallelised kernel must be **bitwise identical** to its serial execution
 //! for any pool size, because each output row is owned by exactly one worker
-//! and the per-row arithmetic order never changes (see DESIGN.md, "ln-par
-//! execution model").
+//! and the per-row arithmetic order never changes (DESIGN.md §9).
 //!
 //! Fixed inputs first; the two seeded properties at the bottom widen the
 //! input space over `ln_tensor::rng` streams keyed by the property's name
