@@ -2,7 +2,7 @@
 //!
 //! Drives the `ln-serve` virtual-time engine over a synthetic CAMEO/CASP
 //! mix — plus one deliberately giant sequence — under a seeded
-//! `ln_fault::FaultPlan` injecting backend stalls, transient compute
+//! `ln_serve::fault::FaultPlan` injecting backend stalls, transient compute
 //! errors, a worker panic, a bucket-queue poison and an HBM
 //! capacity-pressure window on the AAQ-capable backend. Prints the
 //! per-backend fault/degradation table and the resilience summary, and
@@ -14,8 +14,8 @@
 
 use ln_bench::{banner, paper_note, show};
 use ln_datasets::Registry;
-use ln_fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow, ResilienceConfig};
 use ln_quant::ActPrecision;
+use ln_serve::fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow};
 use ln_serve::{
     standard_backends, Backend, BatcherConfig, BucketPolicy, Engine, EngineOutcome, FoldRequest,
     LightNobelBackend, WorkloadSpec,
@@ -73,14 +73,15 @@ fn drive(workload: &[FoldRequest], policy: &BucketPolicy) -> EngineOutcome {
         BatcherConfig::default(),
         standard_backends(),
         build_plan(),
-        ResilienceConfig::default(),
     );
     engine.run(workload)
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    banner("chaos — seeded fault injection through the resilience layer (ln-fault + ln-serve)");
+    banner(
+        "chaos — seeded fault injection through the resilience layer (ln_serve::fault + ln-serve)",
+    );
     paper_note(
         "robustness extension: the paper's activation-explosion failure mode (§2) made \
          injectable as HBM pressure; the serving layer answers with retry/backoff, \

@@ -1,4 +1,4 @@
-//! cluster_scale — sharded-serving scalability sweep over `ln-cluster`.
+//! cluster_scale — sharded-serving scalability sweep over `ln_serve::cluster`.
 //!
 //! Drives the same heavy CAMEO/CASP-mix workload through clusters of
 //! 1 → 16 virtual-time shard engines (each shard owns a full standard
@@ -14,11 +14,11 @@
 //! drops events), or if p99 fails to improve monotonically 1 → 4 → 16.
 
 use ln_bench::{banner, emit, paper_note, show};
-use ln_cluster::{Cluster, ClusterConfig, ClusterOutcome};
 use ln_datasets::Registry;
-use ln_fault::FaultPlan;
 use ln_insight::json::{obj, Value};
 use ln_insight::CriticalPath;
+use ln_serve::cluster::{Cluster, ClusterConfig, ClusterOutcome};
+use ln_serve::fault::FaultPlan;
 use ln_serve::{standard_backends, BatcherConfig, BucketPolicy, Engine, FoldRequest, WorkloadSpec};
 
 const SEED: &str = "cluster/scale-workload";
@@ -226,7 +226,7 @@ fn main() {
     banner(if quick {
         "cluster_scale --quick — reproducibility + attribution + scaling gate"
     } else {
-        "cluster_scale — sharded serving p99/SLO curves (ln-cluster)"
+        "cluster_scale — sharded serving p99/SLO curves (ln_serve::cluster)"
     });
     paper_note(
         "extension experiment: the paper's single-device serving model scaled \

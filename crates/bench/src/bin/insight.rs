@@ -21,10 +21,10 @@
 use ln_accel::{Accelerator, HwConfig, LatencyReport};
 use ln_bench::{banner, emit, paper_note};
 use ln_datasets::Registry;
-use ln_fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow, ResilienceConfig};
 use ln_insight::json::{obj, Value};
 use ln_insight::CriticalPath;
 use ln_quant::ActPrecision;
+use ln_serve::fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow};
 use ln_serve::{
     standard_backends, Backend, BatcherConfig, BucketPolicy, Engine, FoldRequest,
     LightNobelBackend, WorkloadSpec,
@@ -76,13 +76,8 @@ fn traced_chaos_run(n: usize) -> (Vec<ln_obs::TraceEvent>, u64) {
     };
     let plan = FaultPlan::seeded(PLAN_SEED, &spec);
 
-    let mut engine = Engine::with_resilience(
-        policy,
-        BatcherConfig::default(),
-        standard_backends(),
-        plan,
-        ResilienceConfig::default(),
-    );
+    let mut engine =
+        Engine::with_resilience(policy, BatcherConfig::default(), standard_backends(), plan);
     engine.set_tracing(true);
     let out = engine.run(&workload);
     (out.trace.expect("tracing was enabled"), out.trace_dropped)

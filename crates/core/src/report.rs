@@ -160,7 +160,7 @@ pub fn obs_tables() -> Vec<Table> {
     // zero: a report must state "no trace events were dropped" explicitly,
     // or a truncated trace could masquerade as a complete one.
     ln_obs::trace_dropped_total();
-    // Same for the cluster counters `ln-cluster` mirrors in: a report from
+    // Same for the cluster counters `ln_serve::cluster` mirrors in: a report from
     // a cluster run must show zero steals/hedges/losses explicitly rather
     // than omit the rows.
     let reg = ln_obs::registry();

@@ -16,7 +16,7 @@
 //! | `fault_burn` | backend time burned by an attempt that then failed |
 //! | `backoff` | retry backoff imposed after a backend fault |
 //!
-//! Cluster traces (ln-cluster) extend the vocabulary: `arrive` instants
+//! Cluster traces (`ln_serve::cluster`) extend the vocabulary: `arrive` instants
 //! and `shard_hop` spans on router tracks, `cancel`/`steal` instants for
 //! hedged-dispatch losers and stolen work, `shard_loss` fault instants
 //! for batches that died with their shard, and shard-level `reject`

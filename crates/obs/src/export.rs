@@ -1,4 +1,4 @@
-//! Exporters: Chrome `trace_event` JSON, Prometheus text, JSONL.
+//! Exporters: Chrome `trace_event` JSON and JSONL.
 //!
 //! All output is hand-rolled (no serde in this workspace) and fully
 //! deterministic: map iteration is `BTreeMap`-ordered, timestamps are
@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::registry::{bucket_upper_bound, MetricValue, HISTOGRAM_BUCKETS};
+use crate::registry::MetricValue;
 use crate::trace::{ArgValue, TraceEvent, TracePhase};
 
 /// Appends `s` with JSON string escapes applied (no surrounding quotes):
@@ -205,80 +205,6 @@ pub fn metrics_jsonl(snapshot: &BTreeMap<String, MetricValue>) -> String {
     out
 }
 
-/// Splits `name{k="v",...}` into the bare name and its label block (with
-/// braces, or empty).
-fn split_label_block(name: &str) -> (&str, &str) {
-    match name.find('{') {
-        Some(i) => (&name[..i], &name[i..]),
-        None => (name, ""),
-    }
-}
-
-/// Splices an `le="..."` label into an existing label block:
-/// `("", "7")` → `{le="7"}`; `({kernel="x"}, "7")` → `{kernel="x",le="7"}`.
-fn with_le(labels: &str, le: &str, out: &mut String) {
-    if labels.is_empty() {
-        let _ = write!(out, "{{le=\"{le}\"}}");
-    } else {
-        out.push_str(&labels[..labels.len() - 1]);
-        let _ = write!(out, ",le=\"{le}\"}}");
-    }
-}
-
-/// Renders a registry snapshot as Prometheus text-format exposition.
-///
-/// Counters and gauges become single sample lines; histograms expand into
-/// cumulative `_bucket{le=...}` lines plus `_sum` and `_count`. Metrics
-/// sharing a bare name (same metric, different labels) emit one `# TYPE`
-/// header.
-pub fn prometheus_text(snapshot: &BTreeMap<String, MetricValue>) -> String {
-    let mut out = String::with_capacity(snapshot.len() * 64);
-    let mut last_typed: Option<String> = None;
-    for (name, value) in snapshot {
-        let (bare, labels) = split_label_block(name);
-        let kind = match value {
-            MetricValue::Counter(_) => "counter",
-            MetricValue::Gauge(_) => "gauge",
-            MetricValue::Histogram(_) => "histogram",
-        };
-        if last_typed.as_deref() != Some(bare) {
-            let _ = writeln!(out, "# TYPE {bare} {kind}");
-            last_typed = Some(bare.to_string());
-        }
-        match value {
-            MetricValue::Counter(v) => {
-                let _ = writeln!(out, "{name} {v}");
-            }
-            MetricValue::Gauge(v) => {
-                out.push_str(name);
-                out.push(' ');
-                fmt_f64(*v, &mut out);
-                out.push('\n');
-            }
-            MetricValue::Histogram(h) => {
-                let mut cumulative = 0u64;
-                for i in 0..HISTOGRAM_BUCKETS {
-                    if h.buckets[i] == 0 {
-                        continue;
-                    }
-                    cumulative += h.buckets[i];
-                    out.push_str(bare);
-                    out.push_str("_bucket");
-                    with_le(labels, &bucket_upper_bound(i).to_string(), &mut out);
-                    let _ = writeln!(out, " {cumulative}");
-                }
-                out.push_str(bare);
-                out.push_str("_bucket");
-                with_le(labels, "+Inf", &mut out);
-                let _ = writeln!(out, " {}", h.count);
-                let _ = writeln!(out, "{bare}_sum{labels} {}", h.sum);
-                let _ = writeln!(out, "{bare}_count{labels} {}", h.count);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,77 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_text_renders_all_kinds() {
-        let _guard = crate::pin_level(ObsLevel::Counters);
-        let reg = Registry::new();
-        reg.counter("requests_total").add(3);
-        reg.gauge("occupancy").set(0.5);
-        let h = reg.histogram("latency_nanos");
-        h.record(1);
-        h.record(3);
-        h.record(900);
-        let text = prometheus_text(&reg.snapshot());
-        let expected = "\
-# TYPE latency_nanos histogram
-latency_nanos_bucket{le=\"1\"} 1
-latency_nanos_bucket{le=\"3\"} 2
-latency_nanos_bucket{le=\"1023\"} 3
-latency_nanos_bucket{le=\"+Inf\"} 3
-latency_nanos_sum 904
-latency_nanos_count 3
-# TYPE occupancy gauge
-occupancy 0.5
-# TYPE requests_total counter
-requests_total 3
-";
-        assert_eq!(text, expected);
-    }
-
-    #[test]
-    fn prometheus_labels_splice_le_and_share_type_headers() {
-        let _guard = crate::pin_level(ObsLevel::Counters);
-        let reg = Registry::new();
-        reg.counter(&crate::labeled("calls_total", &[("kernel", "a")]))
-            .add(1);
-        reg.counter(&crate::labeled("calls_total", &[("kernel", "b")]))
-            .add(2);
-        let h = reg.histogram(&crate::labeled("nanos", &[("kernel", "a")]));
-        h.record(2);
-        let text = prometheus_text(&reg.snapshot());
-        assert_eq!(
-            text.matches("# TYPE calls_total counter").count(),
-            1,
-            "one TYPE header for both labeled series:\n{text}"
-        );
-        assert!(text.contains("calls_total{kernel=\"a\"} 1\n"));
-        assert!(text.contains("calls_total{kernel=\"b\"} 2\n"));
-        assert!(text.contains("nanos_bucket{kernel=\"a\",le=\"3\"} 1\n"));
-        assert!(text.contains("nanos_bucket{kernel=\"a\",le=\"+Inf\"} 1\n"));
-        assert!(text.contains("nanos_sum{kernel=\"a\"} 2\n"));
-        assert!(text.contains("nanos_count{kernel=\"a\"} 1\n"));
-    }
-
-    #[test]
-    fn prometheus_text_survives_hostile_label_values() {
-        let _guard = crate::pin_level(ObsLevel::Counters);
-        let reg = Registry::new();
-        reg.counter(&crate::labeled("evil_total", &[("why", "said \"no\"\n")]))
-            .add(1);
-        let text = prometheus_text(&reg.snapshot());
-        assert!(
-            text.contains("evil_total{why=\"said \\\"no\\\"\\n\"} 1\n"),
-            "label escaping must reach the exposition output:\n{text}"
-        );
-        for line in text.lines() {
-            assert_eq!(
-                line.matches('"').count() % 2,
-                line.matches("\\\"").count() % 2,
-                "unbalanced unescaped quotes in {line:?}"
-            );
-        }
-    }
-
-    #[test]
     fn metrics_jsonl_covers_all_kinds_exactly() {
         let _guard = crate::pin_level(ObsLevel::Counters);
         let reg = Registry::new();
@@ -445,31 +300,5 @@ requests_total 3
             "{\"metric\":\"requests_total\",\"kind\":\"counter\",\"value\":3}\n",
         );
         assert_eq!(text, expected);
-    }
-
-    #[test]
-    fn every_prometheus_line_parses() {
-        let _guard = crate::pin_level(ObsLevel::Counters);
-        let reg = Registry::new();
-        reg.counter("a_total").add(1);
-        reg.gauge("b").set(-1.25);
-        reg.histogram("c").record(7);
-        for line in prometheus_text(&reg.snapshot()).lines() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut parts = rest.split_whitespace();
-                assert!(parts.next().is_some(), "TYPE line missing name: {line}");
-                assert!(
-                    matches!(parts.next(), Some("counter" | "gauge" | "histogram")),
-                    "bad TYPE kind: {line}"
-                );
-                continue;
-            }
-            let (name, value) = line.rsplit_once(' ').expect("sample line has value");
-            assert!(!name.is_empty(), "empty metric name: {line}");
-            assert!(
-                value == "+Inf" || value.parse::<f64>().is_ok(),
-                "unparseable value {value:?} in {line}"
-            );
-        }
     }
 }

@@ -20,8 +20,8 @@
 //!   per event) and RAII span guards; the [`span!`] macro records a
 //!   `span!("tri_mul", seq_len)`-style guard against the global tracer.
 //! * [`export`] — Chrome `trace_event` JSON (loadable in
-//!   `chrome://tracing`), a Prometheus-style text dump, and a JSONL event
-//!   stream.
+//!   `chrome://tracing`), a JSONL event stream, and the metrics-JSONL
+//!   registry dump.
 //!
 //! # Cost gating
 //!
@@ -47,7 +47,7 @@ pub mod registry;
 pub mod trace;
 
 pub use clock::{seconds_to_nanos, Clock, VirtualClock, WallClock};
-pub use export::{chrome_trace_json, fmt_f64, jsonl_events, metrics_jsonl, prometheus_text};
+pub use export::{chrome_trace_json, fmt_f64, jsonl_events, metrics_jsonl};
 pub use registry::{
     labeled, registry, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry,
 };

@@ -112,7 +112,7 @@ fn bucket_index(value: u64) -> usize {
     ((u64::BITS - value.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
 }
 
-/// Upper bound (inclusive) of histogram bucket `i`, used for export labels.
+/// Upper bound (inclusive) of histogram bucket `i`, the value a quantile reports.
 pub(crate) fn bucket_upper_bound(index: usize) -> u64 {
     if index >= HISTOGRAM_BUCKETS - 1 {
         u64::MAX
@@ -358,10 +358,9 @@ fn kind_name(metric: &Metric) -> &'static str {
 /// `par_kernel_calls_total{kernel="tri_mul"}`.
 ///
 /// Label *values* are escaped per the Prometheus text exposition rules
-/// (`\` → `\\`, `"` → `\"`, newline → `\n`) at construction time, so every
-/// exporter that prints the stored name verbatim — including
-/// [`crate::prometheus_text`] — emits well-formed output even when a value
-/// carries a quote or a path separator.
+/// (`\` → `\\`, `"` → `\"`, newline → `\n`) at construction time, so a
+/// consumer that prints the stored name verbatim emits a well-formed label
+/// block even when a value carries a quote or a path separator.
 pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return name.to_string();

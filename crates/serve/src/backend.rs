@@ -130,19 +130,6 @@ impl LightNobelBackend {
             accel: Accelerator::new(HwConfig::paper()),
         }
     }
-
-    /// Wraps an explicit accelerator model.
-    pub fn new(label: impl Into<String>, accel: Accelerator) -> Self {
-        LightNobelBackend {
-            label: label.into(),
-            accel,
-        }
-    }
-
-    /// The underlying simulator.
-    pub fn accel(&self) -> &Accelerator {
-        &self.accel
-    }
 }
 
 impl Backend for LightNobelBackend {
@@ -195,7 +182,7 @@ pub struct GpuBackend {
 
 impl GpuBackend {
     /// Builds a backend for a device and execution options.
-    pub fn new(label: impl Into<String>, device: GpuDevice, opts: ExecOptions) -> Self {
+    pub(crate) fn new(label: impl Into<String>, device: GpuDevice, opts: ExecOptions) -> Self {
         let mut zero_launch = device;
         zero_launch.kernel_launch_seconds = 0.0;
         GpuBackend {

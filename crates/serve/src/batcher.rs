@@ -5,8 +5,8 @@
 //! ready bucket is drained front-to-front into a batch, never crossing
 //! bucket boundaries. Admission is non-blocking: a full queue rejects.
 //!
-//! Queued entries carry retry state ([`QueuedRequest`]): a failed batch's
-//! requests are [`Batcher::requeue`]d with an `earliest_seconds` backoff
+//! Queued entries carry retry state (`QueuedRequest`): a failed batch's
+//! requests are requeued with an `earliest_seconds` backoff
 //! gate, and a bucket whose head is still backing off is not ready until
 //! the gate passes (FIFO order is preserved — a parked head parks the
 //! bucket, and the per-request deadline still bounds the wait).
@@ -44,31 +44,20 @@ impl Default for BatcherConfig {
     }
 }
 
-impl BatcherConfig {
-    /// Sequential dispatch: one request per batch, no batching delay.
-    pub fn sequential() -> Self {
-        BatcherConfig {
-            max_batch: 1,
-            max_wait_seconds: 0.0,
-            ..BatcherConfig::default()
-        }
-    }
-}
-
 /// A queued request plus its retry state.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QueuedRequest {
+pub(crate) struct QueuedRequest {
     /// The request itself.
-    pub request: FoldRequest,
+    pub(crate) request: FoldRequest,
     /// Completed dispatch attempts (0 = never dispatched).
-    pub attempt: u32,
+    pub(crate) attempt: u32,
     /// Backoff gate: not dispatchable before this virtual time.
-    pub earliest_seconds: f64,
+    pub(crate) earliest_seconds: f64,
 }
 
 impl QueuedRequest {
     /// Wraps a freshly admitted request (no attempts, no backoff).
-    pub fn fresh(request: FoldRequest) -> Self {
+    pub(crate) fn fresh(request: FoldRequest) -> Self {
         let earliest_seconds = request.arrival_seconds;
         QueuedRequest {
             request,
@@ -80,7 +69,7 @@ impl QueuedRequest {
 
 /// Per-bucket bounded queues plus the flush policy.
 #[derive(Debug, Clone)]
-pub struct Batcher {
+pub(crate) struct Batcher {
     policy: BucketPolicy,
     cfg: BatcherConfig,
     queues: Vec<VecDeque<QueuedRequest>>,
@@ -88,7 +77,7 @@ pub struct Batcher {
 
 impl Batcher {
     /// Builds a batcher for a bucket policy.
-    pub fn new(policy: BucketPolicy, cfg: BatcherConfig) -> Self {
+    pub(crate) fn new(policy: BucketPolicy, cfg: BatcherConfig) -> Self {
         let queues = (0..policy.num_buckets()).map(|_| VecDeque::new()).collect();
         Batcher {
             policy,
@@ -98,29 +87,29 @@ impl Batcher {
     }
 
     /// The bucket policy.
-    pub fn policy(&self) -> &BucketPolicy {
+    pub(crate) fn policy(&self) -> &BucketPolicy {
         &self.policy
     }
 
     /// The configuration.
-    pub fn config(&self) -> &BatcherConfig {
+    pub(crate) fn config(&self) -> &BatcherConfig {
         &self.cfg
     }
 
     /// Queue depth of one bucket.
-    pub fn depth(&self, bucket: usize) -> usize {
+    pub(crate) fn depth(&self, bucket: usize) -> usize {
         self.queues[bucket].len()
     }
 
     /// Total queued requests across buckets.
-    pub fn total_depth(&self) -> usize {
+    pub(crate) fn total_depth(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
     /// Admits a request into its bucket's queue, or returns it when the
     /// queue is at capacity (the caller turns that into a rejection —
     /// admission never blocks).
-    pub fn offer(&mut self, request: FoldRequest) -> Result<usize, FoldRequest> {
+    pub(crate) fn offer(&mut self, request: FoldRequest) -> Result<usize, FoldRequest> {
         let bucket = self.policy.bucket_of(request.length);
         if self.queues[bucket].len() >= self.cfg.queue_capacity {
             return Err(request);
@@ -133,7 +122,7 @@ impl Batcher {
     /// this never bounces: a request that was already admitted must reach a
     /// terminal outcome, so retries bypass the capacity bound rather than
     /// silently dropping the request. Returns the bucket.
-    pub fn requeue(&mut self, queued: QueuedRequest) -> usize {
+    pub(crate) fn requeue(&mut self, queued: QueuedRequest) -> usize {
         let bucket = self.policy.bucket_of(queued.request.length);
         self.queues[bucket].push_back(queued);
         bucket
@@ -141,7 +130,7 @@ impl Batcher {
 
     /// Removes and returns every queued request whose dispatch deadline has
     /// passed at virtual time `now`, in id order.
-    pub fn expire(&mut self, now: f64) -> Vec<FoldRequest> {
+    pub(crate) fn expire(&mut self, now: f64) -> Vec<FoldRequest> {
         let mut expired = Vec::new();
         for q in &mut self.queues {
             let mut keep = VecDeque::with_capacity(q.len());
@@ -161,7 +150,7 @@ impl Batcher {
     /// Wipes one bucket's queue (the injected queue-poison fault) and
     /// returns the victims in queue order for the caller to re-admit or
     /// fail.
-    pub fn poison_bucket(&mut self, bucket: usize) -> Vec<QueuedRequest> {
+    pub(crate) fn poison_bucket(&mut self, bucket: usize) -> Vec<QueuedRequest> {
         self.queues
             .get_mut(bucket)
             .map(|q| std::mem::take(q).into())
@@ -170,7 +159,7 @@ impl Batcher {
 
     /// Removes one queued request by id, wherever it sits (used by the
     /// cluster layer to cancel a hedged attempt whose twin already won).
-    pub fn remove(&mut self, id: u64) -> Option<QueuedRequest> {
+    pub(crate) fn remove(&mut self, id: u64) -> Option<QueuedRequest> {
         for q in &mut self.queues {
             if let Some(pos) = q.iter().position(|e| e.request.id == id) {
                 return q.remove(pos);
@@ -183,7 +172,7 @@ impl Batcher {
     /// tail sequence fits `max_len` (ties break on the lower bucket index).
     /// Tail-first keeps the victim shard's imminent batches intact — the
     /// stolen request is the one that would have waited longest anyway.
-    pub fn steal_tail(&mut self, max_len: usize) -> Option<QueuedRequest> {
+    pub(crate) fn steal_tail(&mut self, max_len: usize) -> Option<QueuedRequest> {
         let victim = self
             .queues
             .iter()
@@ -199,7 +188,7 @@ impl Batcher {
     /// still inside its backoff gate parks its bucket. With `drain` set
     /// every non-empty bucket is eligible regardless of gates (shutdown
     /// flush).
-    pub fn ready_buckets(&self, now: f64, drain: bool) -> Vec<usize> {
+    pub(crate) fn ready_buckets(&self, now: f64, drain: bool) -> Vec<usize> {
         let mut ready: Vec<(f64, u64, usize)> = self
             .queues
             .iter()
@@ -224,7 +213,7 @@ impl Batcher {
     }
 
     /// Sequence length at the head of a bucket.
-    pub fn head_length(&self, bucket: usize) -> Option<usize> {
+    pub(crate) fn head_length(&self, bucket: usize) -> Option<usize> {
         self.queues[bucket].front().map(|r| r.request.length)
     }
 
@@ -234,7 +223,7 @@ impl Batcher {
     /// bucket is already ready (or expired) and only a backend becoming
     /// idle can move it — so they are excluded rather than returned as a
     /// zero-length sleep.
-    pub fn next_deadline(&self, now: f64) -> Option<f64> {
+    pub(crate) fn next_deadline(&self, now: f64) -> Option<f64> {
         let mut t: Option<f64> = None;
         let mut fold = |cand: f64| {
             if cand > now {
@@ -260,7 +249,7 @@ impl Batcher {
     ///
     /// The caller must have verified that the head alone fits; buckets are
     /// never mixed, so every returned request maps to `bucket`.
-    pub fn take_batch(
+    pub(crate) fn take_batch(
         &mut self,
         bucket: usize,
         now: f64,

@@ -62,7 +62,7 @@ impl BucketPolicy {
     }
 
     /// Number of buckets (always ≥ 1; the last is open-ended).
-    pub fn num_buckets(&self) -> usize {
+    pub(crate) fn num_buckets(&self) -> usize {
         self.bounds.len() + 1
     }
 

@@ -1,14 +1,11 @@
-//! # ln-cluster
-//!
-//! Sharded multi-engine serving for the LightNobel reproduction: N
-//! deterministic virtual-time [`ln_serve::Engine`] shards behind a
-//! consistent-hash [`Router`](crate::Cluster) with length-aware
-//! placement, occupancy-skew work stealing, hedged dispatch and
-//! occupancy-driven autoscaling.
+//! Sharded multi-engine serving: N deterministic virtual-time
+//! [`Engine`](crate::Engine) shards behind a consistent-hash router
+//! ([`Cluster`]) with length-aware placement, occupancy-skew work
+//! stealing, hedged dispatch and occupancy-driven autoscaling.
 //!
 //! The paper's serving story (§8.3) is single-device: AAQ removes the
 //! sequence-length memory cliff so one accelerator can hold CASP-scale
-//! sequences. This crate asks the next operational question — what does a
+//! sequences. This module asks the next operational question — what does a
 //! *fleet* of such devices look like? — and answers it without giving up
 //! the repo's core invariant: everything runs on the shared virtual
 //! clock, so a fixed `(config, workload, fault plan)` triple produces a
@@ -17,33 +14,34 @@
 //!
 //! The moving parts:
 //!
-//! * [`ring`] — the consistent-hash ring. A request keys to a
+//! * `ring` — the consistent-hash ring. A request keys to a
 //!   deterministic shard preference order; the router takes the first
 //!   shard that passes the capability filter (alive, active, not
 //!   partitioned, fits the sequence in memory, and can still meet the
-//!   deadline via [`ln_serve::Engine::best_case_seconds`] — the same
-//!   admission math the shards apply locally). Long sequences therefore
-//!   pin to AAQ-capable shards automatically.
-//! * [`config`] — [`ClusterConfig`] (hop latency, hedging threshold,
-//!   steal threshold, reroute budget) and [`AutoscaleConfig`].
-//! * [`router`] — the global discrete-event loop: placement, hop
+//!   deadline best-case — the same admission math the shards apply
+//!   locally). Long sequences therefore pin to AAQ-capable shards
+//!   automatically.
+//! * [`ClusterConfig`] — hop latency, hedging threshold, steal threshold
+//!   and the autoscale switch.
+//! * `router` — the global discrete-event loop: placement, hop
 //!   deliveries, hedged dispatch with first-winner-cancels, work
 //!   stealing, shard-loss evacuation + reroute, partition deferral and
 //!   autoscaling, all tie-broken by `(time, id)`.
-//! * [`stats`] — [`ClusterStats`] with the hedging/stealing counters,
+//! * [`ClusterStats`] — the hedging/stealing counters,
 //!   `cluster_tables()` rendering, registry mirroring and a
 //!   reproducibility fingerprint.
 //!
 //! # Chaos
 //!
-//! The cluster consumes the same [`ln_fault::FaultPlan`] the shards do,
-//! reading its cluster-scope events: [`ln_fault::ShardLossEvent`] kills a
-//! shard mid-run (in-flight batches burn, queued work is evacuated and
-//! rerouted within the reroute budget, the rest fails typed with
-//! [`ln_serve::FoldError::ShardLost`]), and [`ln_fault::PartitionWindow`]
-//! makes a shard unreachable for placement and delivery while it keeps
-//! draining local work. Every affected request still terminates
-//! definitely.
+//! The cluster consumes the same [`FaultPlan`](crate::fault::FaultPlan)
+//! the shards do, reading its cluster-scope events: a
+//! [`ShardLossEvent`](crate::fault::ShardLossEvent) kills a shard mid-run
+//! (in-flight batches burn, queued work is evacuated and rerouted within
+//! the reroute budget, the rest fails typed with
+//! [`FoldError::ShardLost`](crate::FoldError::ShardLost)), and a
+//! [`PartitionWindow`](crate::fault::PartitionWindow) makes a shard
+//! unreachable for placement and delivery while it keeps draining local
+//! work. Every affected request still terminates definitely.
 //!
 //! # Live observability
 //!
@@ -61,7 +59,7 @@
 //! With tracing on, [`Cluster::run`] returns one merged trace: the
 //! router's own events (per-attempt `arrive` instants, `shard_hop`
 //! spans, terminal `cancel`/`timeout` instants) followed by each shard's
-//! engine trace with tracks remapped by [`router::SHARD_TRACK_STRIDE`].
+//! engine trace with tracks remapped by a fixed stride of 1000 per shard.
 //! `ln-insight`'s critical path replays it into an exact per-attempt
 //! decomposition `e2e = queue + shard_hop + service + fault_burn +
 //! backoff` with zero unattributed spans.
@@ -69,9 +67,9 @@
 //! # Quickstart
 //!
 //! ```
-//! use ln_cluster::{Cluster, ClusterConfig};
 //! use ln_datasets::Registry;
-//! use ln_fault::FaultPlan;
+//! use ln_serve::cluster::{Cluster, ClusterConfig};
+//! use ln_serve::fault::FaultPlan;
 //! use ln_serve::{standard_backends, BatcherConfig, BucketPolicy, Engine, WorkloadSpec};
 //!
 //! let reg = Registry::standard();
@@ -92,15 +90,11 @@
 //! assert!(outcome.stats.completed > 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+mod config;
+mod ring;
+mod router;
+mod stats;
 
-pub mod config;
-pub mod ring;
-pub mod router;
-pub mod stats;
-
-pub use config::{AutoscaleConfig, ClusterConfig};
-pub use ring::HashRing;
-pub use router::{Cluster, ClusterOutcome, ClusterResponse, SHARD_TRACK_STRIDE};
+pub use config::ClusterConfig;
+pub use router::{Cluster, ClusterOutcome, ClusterResponse};
 pub use stats::ClusterStats;

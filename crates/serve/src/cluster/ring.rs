@@ -17,7 +17,7 @@ use ln_tensor::rng::seed_from_label;
 
 /// A fixed ring of `(point, shard)` pairs in ascending point order.
 #[derive(Debug, Clone)]
-pub struct HashRing {
+pub(crate) struct HashRing {
     points: Vec<(u64, usize)>,
     shards: usize,
 }
@@ -29,7 +29,7 @@ impl HashRing {
     /// # Panics
     ///
     /// Panics when `shards` or `virtual_nodes` is zero.
-    pub fn new(seed: &str, shards: usize, virtual_nodes: usize) -> Self {
+    pub(crate) fn new(seed: &str, shards: usize, virtual_nodes: usize) -> Self {
         assert!(shards > 0, "a cluster needs at least one shard");
         assert!(virtual_nodes > 0, "each shard needs at least one point");
         let mut points = Vec::with_capacity(shards * virtual_nodes);
@@ -47,20 +47,15 @@ impl HashRing {
         HashRing { points, shards }
     }
 
-    /// Number of shards the ring was built over.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The hash key of a request, salted by the same cluster seed.
-    pub fn key(seed: &str, id: u64, name: &str) -> u64 {
+    pub(crate) fn key(seed: &str, id: u64, name: &str) -> u64 {
         seed_from_label(&format!("{seed}/key/{id}/{name}"))
     }
 
     /// The clockwise walk from `key`: every shard exactly once, in the
     /// order their points are first encountered. The caller applies its
     /// capability filter to this sequence; element 0 is the natural owner.
-    pub fn walk(&self, key: u64) -> Vec<usize> {
+    pub(crate) fn walk(&self, key: u64) -> Vec<usize> {
         let start = self.points.partition_point(|(p, _)| *p < key);
         let mut seen = vec![false; self.shards];
         let mut order = Vec::with_capacity(self.shards);

@@ -38,21 +38,22 @@
 
 use std::collections::BTreeMap;
 
-use ln_fault::FaultPlan;
 use ln_obs::{seconds_to_nanos, ArgValue, TraceEvent, TracePhase};
-use ln_serve::{
-    Engine, FoldError, FoldOutcome, FoldRequest, FoldResponse, RejectReason, ServeStats,
-};
 use ln_watch::{FoldObservation, ObservedOutcome, Watch, WatchConfig, WatchHandle, WatchReport};
 
-use crate::config::ClusterConfig;
-use crate::ring::HashRing;
-use crate::stats::ClusterStats;
+use super::config::ClusterConfig;
+use super::ring::HashRing;
+use super::stats::ClusterStats;
+use crate::fault::FaultPlan;
+use crate::{
+    AccuracyStats, Engine, FoldError, FoldOutcome, FoldRequest, FoldResponse, RejectReason,
+    ServeStats,
+};
 
 /// Track offset separating shard trace lanes in the merged trace: shard
 /// `s` keeps its engine-local tracks, shifted by `(s + 1) * STRIDE`;
 /// track 0 is the router's own lane.
-pub const SHARD_TRACK_STRIDE: u32 = 1000;
+pub(crate) const SHARD_TRACK_STRIDE: u32 = 1000;
 
 /// Virtual nodes per shard on the consistent-hash ring: enough to smooth
 /// the key distribution for up to 64 shards.
@@ -61,6 +62,19 @@ const VIRTUAL_NODES: usize = 64;
 /// How many times one request may be re-placed after losing its shard
 /// before it fails typed with [`FoldError::ShardLost`].
 const MAX_REROUTES: u32 = 2;
+
+/// Virtual seconds between autoscale evaluations.
+const AUTOSCALE_INTERVAL_SECONDS: f64 = 5.0;
+
+/// Mean queue depth across the active set at or above which the
+/// autoscaler activates one more shard.
+const AUTOSCALE_UP_DEPTH: f64 = 8.0;
+
+/// Mean queue depth at or below which the autoscaler drains one shard.
+const AUTOSCALE_DOWN_DEPTH: f64 = 1.0;
+
+/// The autoscaler never drains below this many active shards.
+const AUTOSCALE_MIN_ACTIVE: usize = 1;
 
 /// Terminal record for one original request.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,7 +106,7 @@ pub struct ClusterOutcome {
     pub shard_stats: Vec<ServeStats>,
     /// Merged trace (`Some` when tracing was on): router events first,
     /// then each shard's events in index order, tracks remapped by
-    /// [`SHARD_TRACK_STRIDE`]. Feed to `ln_insight`'s critical path or
+    /// a fixed stride per shard. Feed to `ln_insight`'s critical path or
     /// [`ln_obs::chrome_trace_json`].
     pub trace: Option<Vec<TraceEvent>>,
     /// Total events evicted across all shard trace rings.
@@ -107,7 +121,7 @@ pub struct ClusterOutcome {
     /// [`ServeStats::accuracy`] rolled up. Like `watch`, deliberately
     /// *not* part of the fingerprint — it is derived numerics telemetry,
     /// not schedule identity.
-    pub accuracy: ln_serve::AccuracyStats,
+    pub accuracy: AccuracyStats,
 }
 
 impl ClusterOutcome {
@@ -192,8 +206,8 @@ pub struct Cluster {
 
 impl Cluster {
     /// Builds a cluster over pre-configured shard engines plus a cluster
-    /// fault plan (its [`ln_fault::ShardLossEvent`]s and
-    /// [`ln_fault::PartitionWindow`]s drive chaos; per-shard backend
+    /// fault plan (its [`ShardLossEvent`](crate::fault::ShardLossEvent)s and
+    /// [`PartitionWindow`](crate::fault::PartitionWindow)s drive chaos; per-shard backend
     /// faults live in each engine's own plan).
     ///
     /// # Panics
@@ -266,11 +280,6 @@ impl Cluster {
         for shard in &mut self.shards {
             shard.set_tracing(on);
         }
-    }
-
-    /// Number of shards (dead ones included).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Drives a workload to completion. Every request terminates
@@ -382,7 +391,7 @@ impl<'c> Run<'c> {
             arrivals,
             next_arrival: 0,
             next_loss: 0,
-            next_tick: cluster.cfg.autoscale.map(|a| a.interval_seconds),
+            next_tick: cluster.cfg.autoscale.then_some(AUTOSCALE_INTERVAL_SECONDS),
             partition_seen: vec![false; cluster.plan.partitions().len()],
             active: vec![true; cluster.shards.len()],
             now: 0.0,
@@ -568,7 +577,7 @@ impl<'c> Run<'c> {
     /// The autoscale tick, when one is due: activate a shard under
     /// pressure or drain the shallowest when the fleet idles.
     fn autoscale(&mut self) {
-        let (Some(auto), Some(tick)) = (self.cluster.cfg.autoscale, self.next_tick) else {
+        let Some(tick) = self.next_tick else {
             return;
         };
         if tick > self.now {
@@ -583,7 +592,7 @@ impl<'c> Run<'c> {
             // A burning or memory-saturated active shard is scale-up
             // pressure even at a shallow mean depth.
             let unhealthy = serving.iter().any(|&s| self.cluster.shard_health(s) < 0.5);
-            if mean >= auto.up_depth || unhealthy {
+            if mean >= AUTOSCALE_UP_DEPTH || unhealthy {
                 let shards = &self.cluster.shards;
                 if let Some(s) =
                     (0..shards.len()).find(|&s| !shards[s].is_dead() && !self.active[s])
@@ -591,7 +600,7 @@ impl<'c> Run<'c> {
                     self.active[s] = true;
                     self.stats.scale_ups += 1;
                 }
-            } else if mean <= auto.down_depth && serving.len() > auto.min_active {
+            } else if mean <= AUTOSCALE_DOWN_DEPTH && serving.len() > AUTOSCALE_MIN_ACTIVE {
                 // Drain the shallowest; ties drain the highest index so
                 // shard 0 stays up longest.
                 if let Some(&s) = serving
@@ -605,7 +614,7 @@ impl<'c> Run<'c> {
         }
         let mut next = tick;
         while next <= self.now {
-            next += auto.interval_seconds;
+            next += AUTOSCALE_INTERVAL_SECONDS;
         }
         self.next_tick = Some(next);
     }
@@ -703,7 +712,7 @@ impl<'c> Run<'c> {
             guard.report()
         });
 
-        let mut accuracy = ln_serve::AccuracyStats::default();
+        let mut accuracy = AccuracyStats::default();
         for s in &shard_stats {
             accuracy.merge(&s.accuracy);
         }
@@ -1073,12 +1082,12 @@ fn earliest_due<T>(items: &[T], now: f64, key: impl Fn(&T) -> (f64, u64)) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ln_datasets::Registry;
-    use ln_fault::{ChaosSpec, PartitionWindow, ResilienceConfig, ShardLossEvent};
-    use ln_serve::{
+    use crate::fault::{ChaosSpec, PartitionWindow, ShardLossEvent};
+    use crate::{
         standard_backends, Backend, BatcherConfig, BucketPolicy, GpuBackend, LightNobelBackend,
         WorkloadSpec,
     };
+    use ln_datasets::Registry;
 
     fn policy() -> BucketPolicy {
         BucketPolicy::from_registry(&Registry::standard(), 4)
@@ -1090,7 +1099,6 @@ mod tests {
             BatcherConfig::default(),
             standard_backends(),
             plan,
-            ResilienceConfig::default(),
         )
     }
 
@@ -1360,12 +1368,7 @@ mod tests {
     fn autoscale_drains_idle_shards_and_reports_gauge() {
         let wl = workload(20, 0.5); // trickle traffic, deep fleet
         let cfg = ClusterConfig {
-            autoscale: Some(crate::config::AutoscaleConfig {
-                min_active: 1,
-                interval_seconds: 2.0,
-                up_depth: 1000.0,
-                down_depth: 2.0,
-            }),
+            autoscale: true,
             ..ClusterConfig::default()
         };
         let out = cluster(4, cfg, FaultPlan::none()).run(&wl);

@@ -108,7 +108,7 @@ impl ClusterStats {
     /// Mirrors the counters into the process-wide `ln-obs` registry (the
     /// names `lightnobel::report::obs_tables` force-registers), plus the
     /// `cluster_active_shards` gauge.
-    pub fn export_metrics(&self, active_shards: usize) {
+    pub(crate) fn export_metrics(&self, active_shards: usize) {
         let reg = ln_obs::registry();
         reg.counter("cluster_steals_total").add(self.steals);
         reg.counter("cluster_hedges_total").add(self.hedges);

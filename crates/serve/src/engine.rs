@@ -18,10 +18,10 @@
 use crate::backend::Backend;
 use crate::batcher::BatcherConfig;
 use crate::bucket::BucketPolicy;
+use crate::fault::FaultPlan;
 use crate::request::{FoldOutcome, FoldRequest, FoldResponse};
 use crate::scheduler::{Args, InFlight, Scheduler, Sink, BACKEND_TRACK_BASE};
 use crate::stats::ServeStats;
-use ln_fault::{FaultPlan, ResilienceConfig};
 use ln_obs::{seconds_to_nanos, ArgValue, Clock, TraceEvent, TracePhase, Tracer, VirtualClock};
 use ln_watch::{FoldObservation, ObservedOutcome, Watch, WatchHandle};
 use std::sync::Arc;
@@ -220,24 +220,18 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine over a backend pool with no injected faults and the
-    /// default resilience policy.
+    /// Builds an engine over a backend pool with no injected faults.
     ///
     /// # Panics
     ///
     /// Panics if the pool is empty.
     pub fn new(policy: BucketPolicy, cfg: BatcherConfig, backends: Vec<Box<dyn Backend>>) -> Self {
-        Engine::with_resilience(
-            policy,
-            cfg,
-            backends,
-            FaultPlan::none(),
-            ResilienceConfig::default(),
-        )
+        Engine::with_resilience(policy, cfg, backends, FaultPlan::none())
     }
 
-    /// Builds an engine with an explicit fault schedule and resilience
-    /// policy (the chaos-testing entry point).
+    /// Builds an engine with an explicit fault schedule, answered by the
+    /// stack's retry policy and per-backend circuit breakers (the
+    /// chaos-testing entry point).
     ///
     /// # Panics
     ///
@@ -247,10 +241,9 @@ impl Engine {
         cfg: BatcherConfig,
         backends: Vec<Box<dyn Backend>>,
         plan: FaultPlan,
-        resilience: ResilienceConfig,
     ) -> Self {
         let sink = VirtualSink::default();
-        let core = Scheduler::new(policy, cfg, backends, plan, resilience, sink);
+        let core = Scheduler::new(policy, cfg, backends, plan, sink);
         Engine {
             in_flight: vec![None; core.backends.len()],
             core,
@@ -267,7 +260,7 @@ impl Engine {
     /// engine evaluates SLOs — snapshotting black boxes on breach — at the
     /// end of every step. `shard` scopes this engine's observations for
     /// per-shard error budgets.
-    pub fn attach_watch(&mut self, watch: WatchHandle, shard: Option<usize>) {
+    pub(crate) fn attach_watch(&mut self, watch: WatchHandle, shard: Option<usize>) {
         self.core.sink.watch = Some(watch);
         self.core.sink.watch_shard = shard;
     }
@@ -280,7 +273,7 @@ impl Engine {
     }
 
     /// Whether the next run will trace.
-    pub fn tracing(&self) -> bool {
+    pub(crate) fn tracing(&self) -> bool {
         self.trace_override
             .unwrap_or(ln_obs::level() == ln_obs::ObsLevel::Trace)
     }
@@ -306,7 +299,7 @@ impl Engine {
     }
 
     /// The longest sequence any backend in the pool can fold.
-    pub fn max_routable_length(&self) -> usize {
+    pub(crate) fn max_routable_length(&self) -> usize {
         self.core.max_routable_length()
     }
 
@@ -314,7 +307,7 @@ impl Engine {
     /// fastest backend whose memory fits it at FP32, ignoring all queueing.
     /// `None` when nothing fits (the `TooLong` case). Public so a cluster
     /// router can reuse the same admission math for placement.
-    pub fn best_case_seconds(&self, length: usize) -> Option<f64> {
+    pub(crate) fn best_case_seconds(&self, length: usize) -> Option<f64> {
         crate::backend::best_case_seconds(&self.core.backends, length)
     }
 
@@ -326,10 +319,9 @@ impl Engine {
     /// completion (possibly precision-degraded), typed failure, rejection
     /// or timeout — even under an adversarial fault plan.
     ///
-    /// Exactly equivalent to driving the stepper by hand:
-    /// [`Engine::begin`], then [`Engine::advance`] at every
-    /// [`Engine::next_event_seconds`] until [`Engine::idle`], then
-    /// [`Engine::finish`].
+    /// Exactly equivalent to driving the crate-private stepper the cluster
+    /// router uses: `begin`, then `advance` at every `next_event_seconds`
+    /// until `idle`, then `finish`.
     pub fn run(&mut self, workload: &[FoldRequest]) -> EngineOutcome {
         self.begin(workload);
         while let Some(t) = self.next_event_seconds() {
@@ -344,7 +336,7 @@ impl Engine {
     /// Starts a run: resets per-run fault/breaker state (so reusing an
     /// engine replays the same plan identically) and stages the workload
     /// in `(arrival, id)` order.
-    pub fn begin(&mut self, workload: &[FoldRequest]) {
+    pub(crate) fn begin(&mut self, workload: &[FoldRequest]) {
         self.core.reset_run();
         self.core.sink.run_trace = self.tracing().then(RunTrace::new);
         self.core.sink.responses = Vec::with_capacity(workload.len());
@@ -370,7 +362,7 @@ impl Engine {
     ///
     /// Arrivals and completions consume themselves, so candidates at `now`
     /// are fine; the core's own timers follow `Scheduler::next_timer`.
-    pub fn next_event_seconds(&self) -> Option<f64> {
+    pub(crate) fn next_event_seconds(&self) -> Option<f64> {
         if self.dead {
             return None;
         }
@@ -390,7 +382,7 @@ impl Engine {
     /// Whether the run has nothing left to do: every staged arrival was
     /// admitted, every queue is empty and every backend is idle. A dead
     /// engine is always idle.
-    pub fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         let Some(rs) = self.run_state.as_ref() else {
             return true;
         };
@@ -407,7 +399,7 @@ impl Engine {
     /// `t` must be the value [`Engine::next_event_seconds`] returned:
     /// skipping ahead past an intermediate event time would reorder the
     /// schedule. Times are clamped to be non-decreasing.
-    pub fn advance(&mut self, t: f64) -> Vec<FoldResponse> {
+    pub(crate) fn advance(&mut self, t: f64) -> Vec<FoldResponse> {
         let Some(mut rs) = self.run_state.take() else {
             return Vec::new();
         };
@@ -429,7 +421,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics when called without a matching [`Engine::begin`].
-    pub fn finish(&mut self) -> EngineOutcome {
+    pub(crate) fn finish(&mut self) -> EngineOutcome {
         let rs = self
             .run_state
             .take()
@@ -457,7 +449,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics without a matching [`Engine::begin`] or on a dead engine.
-    pub fn inject(&mut self, request: FoldRequest) {
+    pub(crate) fn inject(&mut self, request: FoldRequest) {
         assert!(!self.dead, "inject into a dead engine");
         let rs = self
             .run_state
@@ -487,7 +479,7 @@ impl Engine {
     /// first-winner-cancels). A request already executing in a batch is
     /// *not* cancelled (the batch cannot be split); the caller observes
     /// `None` and writes the eventual completion off as wasted work.
-    pub fn cancel(&mut self, id: u64) -> Option<FoldRequest> {
+    pub(crate) fn cancel(&mut self, id: u64) -> Option<FoldRequest> {
         let (now, pending) = {
             let rs = self.run_state.as_mut()?;
             let pos = rs.arrivals[rs.next_arrival..]
@@ -507,7 +499,7 @@ impl Engine {
     /// Steals up to `max_n` queued requests no longer than `max_len`
     /// residues, tail-first from the deepest buckets (work stealing: the
     /// victims are the requests that would have waited longest here).
-    pub fn steal(&mut self, max_n: usize, max_len: usize) -> Vec<FoldRequest> {
+    pub(crate) fn steal(&mut self, max_n: usize, max_len: usize) -> Vec<FoldRequest> {
         let Some(now) = self.run_state.as_ref().map(|rs| rs.now) else {
             return Vec::new();
         };
@@ -527,7 +519,7 @@ impl Engine {
     /// evicted, and the engine never schedules again. Returns the victims
     /// for the cluster layer to reroute or fail typed — none of them got
     /// a response here.
-    pub fn evacuate(&mut self) -> Vec<FoldRequest> {
+    pub(crate) fn evacuate(&mut self) -> Vec<FoldRequest> {
         let now = self.run_state.as_ref().map_or(0.0, |rs| rs.now);
         let mut victims: Vec<FoldRequest> = Vec::new();
         for idx in 0..self.in_flight.len() {
@@ -555,18 +547,13 @@ impl Engine {
     }
 
     /// Whether the engine was killed by [`Engine::evacuate`].
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.dead
     }
 
     /// Total queued requests across buckets (the work-stealing signal).
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.core.batcher.total_depth()
-    }
-
-    /// Virtual time of the last processed event (0 before any).
-    pub fn now_seconds(&self) -> f64 {
-        self.run_state.as_ref().map_or(0.0, |rs| rs.now)
     }
 
     /// One full event step at `now`.
@@ -627,8 +614,8 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::backend::{standard_backends, LightNobelBackend};
+    use crate::fault::{ChaosSpec, PoisonEvent, PressureWindow};
     use crate::request::{FoldError, RejectReason};
-    use ln_fault::{BreakerConfig, ChaosSpec, PressureWindow, RetryPolicy};
     use ln_quant::ActPrecision;
 
     fn req(id: u64, length: usize, arrival: f64, timeout: f64) -> FoldRequest {
@@ -647,19 +634,6 @@ mod tests {
 
     fn single_lightnobel() -> Vec<Box<dyn Backend>> {
         vec![Box::new(LightNobelBackend::paper("LightNobel"))]
-    }
-
-    fn fast_retry(max_attempts: u32) -> ResilienceConfig {
-        ResilienceConfig {
-            retry: RetryPolicy {
-                max_attempts,
-                base_seconds: 0.05,
-                multiplier: 2.0,
-                max_seconds: 1.0,
-                jitter: 0.0,
-            },
-            breaker: BreakerConfig::default(),
-        }
     }
 
     #[test]
@@ -838,7 +812,6 @@ mod tests {
             BatcherConfig::default(),
             standard_backends(),
             plan,
-            fast_retry(3),
         );
         let out = e.run(&[req(0, 500, 0.0, 1e6)]);
         assert!(out.responses[0].outcome.is_completed());
@@ -850,26 +823,29 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_consecutive_failures_and_recovers() {
-        let plan = FaultPlan::builder().transient(0, 0).transient(0, 1).build();
-        let resilience = ResilienceConfig {
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                cooldown_seconds: 1.0,
-            },
-            ..fast_retry(5)
-        };
+        // Three consecutive failures spend the first request's budget and
+        // trip the breaker; a request arriving after the cooldown is the
+        // half-open probe, and its success closes it.
+        let plan = FaultPlan::builder()
+            .transient(0, 0)
+            .transient(0, 1)
+            .transient(0, 2)
+            .build();
         let mut e = Engine::with_resilience(
             small_policy(),
             BatcherConfig::default(),
             single_lightnobel(),
             plan,
-            resilience,
         );
-        let out = e.run(&[req(0, 500, 0.0, 1e6)]);
-        assert!(out.responses[0].outcome.is_completed());
+        let out = e.run(&[req(0, 500, 0.0, 1e6), req(1, 500, 60.0, 1e6)]);
+        assert!(matches!(
+            out.responses[0].outcome,
+            FoldOutcome::Failed(FoldError::RetriesExhausted { attempts: 3, .. })
+        ));
+        assert!(out.responses[1].outcome.is_completed());
         let b = &out.stats.resilience.backends[0];
-        assert_eq!(b.transients, 2);
-        assert_eq!(b.breaker_opens, 1, "two consecutive failures trip it");
+        assert_eq!(b.transients, 3);
+        assert_eq!(b.breaker_opens, 1, "three consecutive failures trip it");
         assert_eq!(b.breaker_probes, 1, "cooldown elapsed, probe admitted");
         assert_eq!(b.breaker_closes, 1, "probe success closes it");
         assert_eq!(out.stats.resilience.retries, 2);
@@ -898,19 +874,11 @@ mod tests {
         for seq in 0..8 {
             builder = builder.transient(victim, seq);
         }
-        let resilience = ResilienceConfig {
-            breaker: BreakerConfig {
-                failure_threshold: 1,
-                cooldown_seconds: 1e5,
-            },
-            ..fast_retry(4)
-        };
         let mut e = Engine::with_resilience(
             small_policy(),
             BatcherConfig::default(),
             standard_backends(),
             builder.build(),
-            resilience,
         );
         let workload: Vec<FoldRequest> = (0..6).map(|i| req(i, 300, i as f64, 1e6)).collect();
         let out = e.run(&workload);
@@ -927,46 +895,30 @@ mod tests {
 
     #[test]
     fn worker_panic_is_contained_as_typed_error() {
-        // Single attempt: the panic surfaces as its direct typed cause.
-        let plan = FaultPlan::builder().worker_panic(0, 0).build();
-        let mut e = Engine::with_resilience(
-            small_policy(),
-            BatcherConfig::default(),
-            single_lightnobel(),
-            plan.clone(),
-            fast_retry(1),
-        );
-        let out = e.run(&[req(0, 500, 0.0, 1e6)]);
-        assert_eq!(
-            out.responses[0].outcome,
-            FoldOutcome::Failed(FoldError::WorkerPanic {
-                backend: "LightNobel".into()
-            })
-        );
-        assert_eq!(out.stats.failed(), 1);
-        assert_eq!(out.stats.resilience.backends[0].panics, 1);
-        assert!(out.stats.batch_log.is_empty(), "failed batches not logged");
-
-        // Exhausted retry budget: the last cause is wrapped with the count.
+        // A panic on every attempt: the batch dies each time, and once the
+        // retry budget is spent the last cause is wrapped with the count.
         let plan = FaultPlan::builder()
             .worker_panic(0, 0)
             .worker_panic(0, 1)
+            .worker_panic(0, 2)
             .build();
         let mut e = Engine::with_resilience(
             small_policy(),
             BatcherConfig::default(),
             single_lightnobel(),
             plan,
-            fast_retry(2),
         );
         let out = e.run(&[req(0, 500, 0.0, 1e6)]);
         match &out.responses[0].outcome {
             FoldOutcome::Failed(FoldError::RetriesExhausted { attempts, last }) => {
-                assert_eq!(*attempts, 2);
+                assert_eq!(*attempts, 3);
                 assert!(last.contains("panic"), "{last}");
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
+        assert_eq!(out.stats.failed(), 1);
+        assert_eq!(out.stats.resilience.backends[0].panics, 3);
+        assert!(out.stats.batch_log.is_empty(), "failed batches not logged");
     }
 
     #[test]
@@ -996,7 +948,6 @@ mod tests {
             BatcherConfig::default(),
             single_lightnobel(),
             plan,
-            ResilienceConfig::default(),
         );
         let out = e.run(&[req(0, n, 0.0, 1e6)]);
         match &out.responses[0].outcome {
@@ -1014,39 +965,45 @@ mod tests {
     fn poisoned_bucket_requeues_then_fails_when_exhausted() {
         // With retry budget left, a poison victim is re-admitted and still
         // completes.
-        let plan = FaultPlan::builder().poison(1, 0.0).build();
         let mut e = Engine::with_resilience(
             small_policy(),
             BatcherConfig::default(),
             single_lightnobel(),
-            plan.clone(),
-            fast_retry(3),
+            FaultPlan::builder().poison(1, 0.0).build(),
         );
         let out = e.run(&[req(0, 500, 0.0, 1e6)]);
         assert!(out.responses[0].outcome.is_completed());
         assert_eq!(out.stats.resilience.poison_events, 1);
 
-        // Without budget, the victim fails typed.
+        // A poison per attempt spends the budget: the victim fails typed.
+        let plan = FaultPlan::builder()
+            .poison(1, 0.0)
+            .poison(1, 0.0)
+            .poison(1, 0.0)
+            .build();
         let mut e = Engine::with_resilience(
             small_policy(),
             BatcherConfig::default(),
             single_lightnobel(),
             plan,
-            fast_retry(1),
         );
         let out = e.run(&[req(0, 500, 0.0, 1e6)]);
         assert_eq!(
             out.responses[0].outcome,
-            FoldOutcome::Failed(FoldError::QueuePoisoned { bucket: 1 })
+            FoldOutcome::Failed(FoldError::RetriesExhausted {
+                attempts: 3,
+                last: FoldError::QueuePoisoned { bucket: 1 }.to_string(),
+            })
         );
         assert_eq!(out.stats.failed(), 1);
+        assert_eq!(out.stats.resilience.poison_events, 3);
     }
 
     #[test]
     fn seeded_chaos_runs_are_reproducible() {
         let spec = ChaosSpec {
             worker_panics: 1,
-            poisons: vec![ln_fault::PoisonEvent {
+            poisons: vec![PoisonEvent {
                 bucket: 1,
                 at_seconds: 2.0,
             }],
@@ -1062,7 +1019,6 @@ mod tests {
                 BatcherConfig::default(),
                 standard_backends(),
                 plan.clone(),
-                ResilienceConfig::default(),
             )
             .run(w)
         };
@@ -1077,7 +1033,7 @@ mod tests {
     fn traced_chaos_run_is_byte_identical_and_covers_event_kinds() {
         let spec = ChaosSpec {
             worker_panics: 1,
-            poisons: vec![ln_fault::PoisonEvent {
+            poisons: vec![PoisonEvent {
                 bucket: 1,
                 at_seconds: 2.0,
             }],
@@ -1093,7 +1049,6 @@ mod tests {
                 BatcherConfig::default(),
                 standard_backends(),
                 plan.clone(),
-                fast_retry(3),
             );
             e.set_tracing(true);
             e.run(w)
@@ -1118,7 +1073,6 @@ mod tests {
             BatcherConfig::default(),
             standard_backends(),
             plan.clone(),
-            fast_retry(3),
         );
         untraced.set_tracing(false);
         assert!(untraced.run(&workload).trace.is_none());
@@ -1148,7 +1102,6 @@ mod tests {
             BatcherConfig::default(),
             single_lightnobel(),
             plan,
-            ResilienceConfig::default(),
         );
         e.set_tracing(true);
         let out = e.run(&[req(0, n, 0.0, 1e6)]);
@@ -1205,8 +1158,8 @@ mod tests {
         e.begin(&[req(0, 500, 0.0, 1e6)]);
         let t = e.next_event_seconds().expect("arrival pending");
         e.advance(t);
-        e.inject(req(7, 400, e.now_seconds(), 1e6));
-        e.inject(req(3, 600, e.now_seconds() + 0.5, 1e6));
+        e.inject(req(7, 400, t, 1e6));
+        e.inject(req(3, 600, t + 0.5, 1e6));
         while let Some(t) = e.next_event_seconds() {
             e.advance(t);
             if e.idle() {
@@ -1296,7 +1249,7 @@ mod tests {
         e.begin(&workload);
         let t = e.next_event_seconds().unwrap();
         e.advance(t);
-        e.inject(req(9, 800, e.now_seconds() + 100.0, 1e6));
+        e.inject(req(9, 800, t + 100.0, 1e6));
         let mut victims: Vec<u64> = e.evacuate().iter().map(|r| r.id).collect();
         victims.sort_unstable();
         assert_eq!(victims, vec![0, 1, 2, 3, 9], "in-flight + queued + unseen");

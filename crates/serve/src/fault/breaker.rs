@@ -5,7 +5,7 @@
 //! machine runs under the virtual-time engine and the threaded service.
 //!
 //! ```text
-//!             failure_threshold consecutive failures
+//!             FAILURE_THRESHOLD consecutive failures
 //!   Closed ───────────────────────────────────────────▶ Open
 //!     ▲ ▲                                                │
 //!     │ └── probe success ── HalfOpen ◀── cooldown ──────┘
@@ -13,27 +13,14 @@
 //!     └──────────── probe failure ─▶ Open (cooldown restarts)
 //! ```
 
-/// Circuit-breaker configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// Seconds to stay open before admitting a half-open probe.
-    pub cooldown_seconds: f64,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown_seconds: 5.0,
-        }
-    }
-}
+/// Consecutive failures that trip the breaker open.
+const FAILURE_THRESHOLD: u32 = 3;
+/// Seconds to stay open before admitting a half-open probe.
+const COOLDOWN_SECONDS: f64 = 5.0;
 
 /// The breaker's observable state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Healthy: dispatches flow freely.
     Closed,
     /// Tripped: all dispatches are rejected until the cooldown elapses.
@@ -45,7 +32,7 @@ pub enum BreakerState {
 
 /// A state transition, surfaced so schedulers can count them in stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerEvent {
+pub(crate) enum BreakerEvent {
     /// Closed/HalfOpen → Open.
     Opened,
     /// Open → HalfOpen (cooldown elapsed).
@@ -56,8 +43,7 @@ pub enum BreakerEvent {
 
 /// One backend's breaker.
 #[derive(Debug, Clone)]
-pub struct CircuitBreaker {
-    config: BreakerConfig,
+pub(crate) struct CircuitBreaker {
     state: BreakerState,
     consecutive_failures: u32,
     /// When the open cooldown elapses (`Open` only).
@@ -68,9 +54,8 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A fresh, closed breaker.
-    pub fn new(config: BreakerConfig) -> Self {
+    pub(crate) fn new() -> Self {
         CircuitBreaker {
-            config,
             state: BreakerState::Closed,
             consecutive_failures: 0,
             reopen_at: 0.0,
@@ -79,13 +64,14 @@ impl CircuitBreaker {
     }
 
     /// Current state (after the last `poll`).
-    pub fn state(&self) -> BreakerState {
+    #[cfg(test)]
+    fn state(&self) -> BreakerState {
         self.state
     }
 
     /// Advances time-driven transitions: an open breaker whose cooldown has
     /// elapsed becomes half-open. Returns the transition if one fired.
-    pub fn poll(&mut self, now: f64) -> Option<BreakerEvent> {
+    pub(crate) fn poll(&mut self, now: f64) -> Option<BreakerEvent> {
         if self.state == BreakerState::Open && now >= self.reopen_at {
             self.state = BreakerState::HalfOpen;
             self.probe_in_flight = false;
@@ -97,7 +83,7 @@ impl CircuitBreaker {
     /// Whether a dispatch may be routed to this backend right now. Call
     /// `poll(now)` first; in `HalfOpen` only one probe is admitted at a
     /// time.
-    pub fn can_dispatch(&self) -> bool {
+    pub(crate) fn can_dispatch(&self) -> bool {
         match self.state {
             BreakerState::Closed => true,
             BreakerState::Open => false,
@@ -107,7 +93,7 @@ impl CircuitBreaker {
 
     /// Records that a dispatch was routed here (claims the probe slot when
     /// half-open).
-    pub fn on_dispatch(&mut self) {
+    pub(crate) fn on_dispatch(&mut self) {
         if self.state == BreakerState::HalfOpen {
             self.probe_in_flight = true;
         }
@@ -115,7 +101,7 @@ impl CircuitBreaker {
 
     /// Records a successful batch. A half-open probe success closes the
     /// breaker.
-    pub fn on_success(&mut self) -> Option<BreakerEvent> {
+    pub(crate) fn on_success(&mut self) -> Option<BreakerEvent> {
         self.consecutive_failures = 0;
         if self.state == BreakerState::HalfOpen {
             self.state = BreakerState::Closed;
@@ -127,13 +113,13 @@ impl CircuitBreaker {
 
     /// Records a failed batch at `now`. Trips the breaker when the
     /// threshold is reached, or re-opens it on a failed probe.
-    pub fn on_failure(&mut self, now: f64) -> Option<BreakerEvent> {
+    pub(crate) fn on_failure(&mut self, now: f64) -> Option<BreakerEvent> {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         match self.state {
             BreakerState::Closed => {
-                if self.consecutive_failures >= self.config.failure_threshold.max(1) {
+                if self.consecutive_failures >= FAILURE_THRESHOLD {
                     self.state = BreakerState::Open;
-                    self.reopen_at = now + self.config.cooldown_seconds;
+                    self.reopen_at = now + COOLDOWN_SECONDS;
                     Some(BreakerEvent::Opened)
                 } else {
                     None
@@ -141,7 +127,7 @@ impl CircuitBreaker {
             }
             BreakerState::HalfOpen => {
                 self.state = BreakerState::Open;
-                self.reopen_at = now + self.config.cooldown_seconds;
+                self.reopen_at = now + COOLDOWN_SECONDS;
                 self.probe_in_flight = false;
                 Some(BreakerEvent::Opened)
             }
@@ -151,7 +137,7 @@ impl CircuitBreaker {
 
     /// The next time-driven transition (the half-open instant), if any — a
     /// wake point for event loops.
-    pub fn next_transition_seconds(&self) -> Option<f64> {
+    pub(crate) fn next_transition_seconds(&self) -> Option<f64> {
         (self.state == BreakerState::Open).then_some(self.reopen_at)
     }
 }
@@ -160,16 +146,9 @@ impl CircuitBreaker {
 mod tests {
     use super::*;
 
-    fn breaker() -> CircuitBreaker {
-        CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 3,
-            cooldown_seconds: 5.0,
-        })
-    }
-
     #[test]
     fn trips_after_threshold_consecutive_failures() {
-        let mut b = breaker();
+        let mut b = CircuitBreaker::new();
         assert_eq!(b.on_failure(0.0), None);
         assert_eq!(b.on_failure(1.0), None);
         assert_eq!(b.on_failure(2.0), Some(BreakerEvent::Opened));
@@ -180,7 +159,7 @@ mod tests {
 
     #[test]
     fn success_resets_the_failure_streak() {
-        let mut b = breaker();
+        let mut b = CircuitBreaker::new();
         b.on_failure(0.0);
         b.on_failure(0.0);
         assert_eq!(b.on_success(), None);
@@ -190,7 +169,7 @@ mod tests {
 
     #[test]
     fn half_open_probe_success_closes() {
-        let mut b = breaker();
+        let mut b = CircuitBreaker::new();
         for t in 0..3 {
             b.on_failure(t as f64);
         }
@@ -207,7 +186,7 @@ mod tests {
 
     #[test]
     fn half_open_probe_failure_reopens() {
-        let mut b = breaker();
+        let mut b = CircuitBreaker::new();
         for t in 0..3 {
             b.on_failure(t as f64);
         }
@@ -221,7 +200,7 @@ mod tests {
 
     #[test]
     fn open_breaker_ignores_further_failures() {
-        let mut b = breaker();
+        let mut b = CircuitBreaker::new();
         for t in 0..3 {
             b.on_failure(t as f64);
         }

@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 
 /// What happens to one dispatched batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DispatchFault {
+pub(crate) enum DispatchFault {
     /// The batch completes, but takes `factor`× its modeled time
     /// (backend stall / slowdown; `factor > 1`).
     Stall {
@@ -117,23 +117,14 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the plan schedules no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.dispatch.is_empty()
-            && self.pressure.is_empty()
-            && self.poisons.is_empty()
-            && self.shard_losses.is_empty()
-            && self.partitions.is_empty()
-    }
-
     /// The fault (if any) afflicting the `seq`-th dispatch on `backend`.
-    pub fn dispatch_fault(&self, backend: usize, seq: u64) -> Option<DispatchFault> {
+    pub(crate) fn dispatch_fault(&self, backend: usize, seq: u64) -> Option<DispatchFault> {
         self.dispatch.get(&(backend, seq)).copied()
     }
 
     /// Fraction of `backend`'s memory capacity available at `now`: the
     /// minimum over active pressure windows, `1.0` outside all windows.
-    pub fn available_fraction(&self, backend: usize, now: f64) -> f64 {
+    pub(crate) fn available_fraction(&self, backend: usize, now: f64) -> f64 {
         self.pressure
             .iter()
             .filter(|w| w.backend == backend && now >= w.start_seconds && now < w.end_seconds)
@@ -143,23 +134,23 @@ impl FaultPlan {
     }
 
     /// The queue-poison events, sorted by time (ties break on bucket).
-    pub fn poisons(&self) -> &[PoisonEvent] {
+    pub(crate) fn poisons(&self) -> &[PoisonEvent] {
         &self.poisons
     }
 
     /// The shard-loss events, sorted by time (ties break on shard).
-    pub fn shard_losses(&self) -> &[ShardLossEvent] {
+    pub(crate) fn shard_losses(&self) -> &[ShardLossEvent] {
         &self.shard_losses
     }
 
     /// The partition windows, sorted by start time (ties break on shard).
-    pub fn partitions(&self) -> &[PartitionWindow] {
+    pub(crate) fn partitions(&self) -> &[PartitionWindow] {
         &self.partitions
     }
 
     /// Whether `shard` is unreachable from the router at `now` (inside any
     /// partition window).
-    pub fn partitioned(&self, shard: usize, now: f64) -> bool {
+    pub(crate) fn partitioned(&self, shard: usize, now: f64) -> bool {
         self.partitions
             .iter()
             .any(|w| w.shard == shard && now >= w.start_seconds && now < w.end_seconds)
@@ -168,7 +159,7 @@ impl FaultPlan {
     /// The earliest pressure-window boundary strictly after `now` — a wake
     /// point for event loops, so a request parked behind a pressure window
     /// is retried the instant the window lifts rather than timing out.
-    pub fn next_pressure_boundary(&self, now: f64) -> Option<f64> {
+    pub(crate) fn next_pressure_boundary(&self, now: f64) -> Option<f64> {
         self.pressure
             .iter()
             .flat_map(|w| [w.start_seconds, w.end_seconds])
@@ -410,7 +401,6 @@ mod tests {
     #[test]
     fn empty_plan_injects_nothing() {
         let p = FaultPlan::none();
-        assert!(p.is_empty());
         assert_eq!(p.dispatch_fault(0, 0), None);
         assert_eq!(p.available_fraction(3, 42.0), 1.0);
         assert!(p.poisons().is_empty());
@@ -537,7 +527,6 @@ mod tests {
                 end_seconds: 2.0,
             })
             .build();
-        assert!(!p.is_empty());
         let losses: Vec<(usize, f64)> = p
             .shard_losses()
             .iter()

@@ -35,12 +35,16 @@
 //!   occupancy, plus the resilience counters (faults, retries, breaker
 //!   transitions, precision degradations), rendered via
 //!   `lightnobel::report`.
+//! * [`fault`] — the deterministic fault schedule and the retry and
+//!   circuit-breaker policy that answers it.
+//! * [`cluster`] — N engines as shards behind a consistent-hash router:
+//!   hedging, work stealing, shard loss, partitions and autoscaling.
 //!
 //! # Resilience
 //!
 //! Both schedulers accept a seeded, deterministic
-//! [`ln_fault::FaultPlan`] (backend stalls, transient errors, worker
-//! panics, HBM pressure windows, queue poison) through
+//! [`FaultPlan`](fault::FaultPlan) (backend stalls, transient errors,
+//! worker panics, HBM pressure windows, queue poison) through
 //! [`Engine::with_resilience`] / [`FoldService::start_with_resilience`],
 //! and answer it with bounded retry + deterministic backoff, a per-backend
 //! circuit breaker, and the AAQ precision-degradation fallback: under
@@ -69,7 +73,9 @@
 pub mod backend;
 pub mod batcher;
 pub mod bucket;
+pub mod cluster;
 pub mod engine;
+pub mod fault;
 pub mod request;
 mod scheduler;
 pub mod service;
@@ -77,10 +83,10 @@ pub mod stats;
 pub mod workload;
 
 pub use backend::{standard_backends, Backend, GpuBackend, LightNobelBackend};
-pub use batcher::{Batcher, BatcherConfig, QueuedRequest};
+pub use batcher::BatcherConfig;
 pub use bucket::BucketPolicy;
 pub use engine::{Engine, EngineOutcome};
 pub use request::{FoldError, FoldOutcome, FoldRequest, FoldResponse, RejectReason};
 pub use service::{FoldService, ServiceConfig, SubmitError};
-pub use stats::{AccuracyStats, BackendResilience, BatchRecord, ResilienceStats, ServeStats};
+pub use stats::{AccuracyStats, BackendResilience, ResilienceStats, ServeStats};
 pub use workload::WorkloadSpec;

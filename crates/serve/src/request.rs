@@ -24,7 +24,7 @@ pub struct FoldRequest {
 
 impl FoldRequest {
     /// Latest virtual time at which the request may still be dispatched.
-    pub fn deadline(&self) -> f64 {
+    pub(crate) fn deadline(&self) -> f64 {
         self.arrival_seconds + self.timeout_seconds
     }
 }
@@ -44,7 +44,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// The reason as a trace-event argument.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             RejectReason::QueueFull => "queue_full",
             RejectReason::TooLong => "too_long",
@@ -122,19 +122,6 @@ impl fmt::Display for FoldError {
 
 impl std::error::Error for FoldError {}
 
-/// Shapes the terminal error after `attempts` tries: a single-attempt
-/// failure keeps its direct cause; an exhausted retry budget wraps it.
-pub(crate) fn terminal_error(cause: FoldError, attempts: u32) -> FoldError {
-    if attempts <= 1 {
-        cause
-    } else {
-        FoldError::RetriesExhausted {
-            attempts,
-            last: cause.to_string(),
-        }
-    }
-}
-
 /// Terminal outcome of a request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FoldOutcome {
@@ -168,16 +155,6 @@ pub enum FoldOutcome {
 }
 
 impl FoldOutcome {
-    /// End-to-end latency (arrival → completion), when completed.
-    pub fn latency_seconds(&self, arrival_seconds: f64) -> Option<f64> {
-        match self {
-            FoldOutcome::Completed {
-                finished_seconds, ..
-            } => Some(finished_seconds - arrival_seconds),
-            _ => None,
-        }
-    }
-
     /// Whether the fold completed.
     pub fn is_completed(&self) -> bool {
         matches!(self, FoldOutcome::Completed { .. })
@@ -222,7 +199,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn latency_only_for_completed() {
+    fn only_a_completion_is_completed() {
         let done = FoldOutcome::Completed {
             backend: "ln".into(),
             started_seconds: 1.0,
@@ -230,24 +207,14 @@ mod tests {
             batch_size: 4,
             precision: ActPrecision::Fp32,
         };
-        assert_eq!(done.latency_seconds(0.5), Some(3.0));
         assert!(done.is_completed());
         assert!(!done.is_degraded());
-        assert_eq!(
-            FoldOutcome::Rejected(RejectReason::QueueFull).latency_seconds(0.0),
-            None
-        );
-        assert_eq!(
-            FoldOutcome::TimedOut {
-                waited_seconds: 9.0
-            }
-            .latency_seconds(0.0),
-            None
-        );
-        assert_eq!(
-            FoldOutcome::Failed(FoldError::Cancelled).latency_seconds(0.0),
-            None
-        );
+        assert!(!FoldOutcome::Rejected(RejectReason::QueueFull).is_completed());
+        assert!(!FoldOutcome::TimedOut {
+            waited_seconds: 9.0
+        }
+        .is_completed());
+        assert!(!FoldOutcome::Failed(FoldError::Cancelled).is_completed());
     }
 
     #[test]

@@ -25,9 +25,10 @@
 use crate::backend::{best_case_seconds, Backend};
 use crate::batcher::{Batcher, BatcherConfig, QueuedRequest};
 use crate::bucket::BucketPolicy;
-use crate::request::{terminal_error, FoldError, FoldOutcome, FoldRequest, RejectReason};
+use crate::fault::breaker::{BreakerEvent, CircuitBreaker};
+use crate::fault::{retry, DispatchFault, FaultPlan};
+use crate::request::{FoldError, FoldOutcome, FoldRequest, RejectReason};
 use crate::stats::{BatchRecord, ServeStats};
-use ln_fault::{BreakerEvent, CircuitBreaker, DispatchFault, FaultPlan, ResilienceConfig};
 use ln_obs::ArgValue;
 use ln_quant::ActPrecision;
 use ln_watch::ObservedOutcome;
@@ -128,7 +129,6 @@ pub(crate) struct Scheduler<S: Sink> {
     /// the long-sequence buckets.
     dispatch_order: Vec<usize>,
     plan: FaultPlan,
-    resilience: ResilienceConfig,
     breakers: Vec<CircuitBreaker>,
     /// Per-backend dispatch sequence numbers (the fault-plan key).
     dispatch_seq: Vec<u64>,
@@ -152,7 +152,6 @@ impl<S: Sink> Scheduler<S> {
         cfg: BatcherConfig,
         backends: Vec<Box<dyn Backend>>,
         plan: FaultPlan,
-        resilience: ResilienceConfig,
         sink: S,
     ) -> Self {
         assert!(!backends.is_empty(), "need at least one backend");
@@ -170,7 +169,6 @@ impl<S: Sink> Scheduler<S> {
             capacities,
             dispatch_order,
             plan,
-            resilience,
             breakers: Vec::new(),
             dispatch_seq: Vec::new(),
             next_poison: 0,
@@ -186,7 +184,7 @@ impl<S: Sink> Scheduler<S> {
     /// identically — and returns the statistics of the run it ends. Queued
     /// requests stay queued.
     pub(crate) fn reset_run(&mut self) -> ServeStats {
-        self.breakers = vec![CircuitBreaker::new(self.resilience.breaker); self.backends.len()];
+        self.breakers = vec![CircuitBreaker::new(); self.backends.len()];
         self.dispatch_seq = vec![0; self.backends.len()];
         self.next_poison = 0;
         self.deadline_box_fired = false;
@@ -337,19 +335,22 @@ impl<S: Sink> Scheduler<S> {
             ("id", ArgValue::U64(q.request.id)),
             ("attempt", ArgValue::U64(u64::from(attempt))),
         ];
-        if self.resilience.retry.exhausted(attempt) {
+        if retry::exhausted(attempt) {
             self.stats.record_failure(bucket);
             self.sink.instant(now, "fail", "fault", bucket as u32, args);
             self.sink
                 .observe(q.request.length, now, ObservedOutcome::Failed);
-            let error = terminal_error(cause.clone(), attempt);
+            let error = FoldError::RetriesExhausted {
+                attempts: attempt,
+                last: cause.to_string(),
+            };
             self.sink.respond(q.request, FoldOutcome::Failed(error));
             return;
         }
         let mut earliest_seconds = now;
         if backend_failed {
             self.stats.resilience.retries += 1;
-            let backoff = self.resilience.retry.backoff_seconds(q.request.id, attempt);
+            let backoff = retry::backoff_seconds(q.request.id, attempt);
             args.push(("backoff_seconds", ArgValue::F64(backoff)));
             earliest_seconds += backoff;
         }
@@ -591,8 +592,8 @@ impl<S: Sink> Scheduler<S> {
 mod tests {
     use super::*;
     use crate::backend::LightNobelBackend;
+    use crate::fault::PressureWindow;
     use crate::request::FoldResponse;
-    use ln_fault::{PressureWindow, RetryPolicy};
 
     /// A sink that only writes down what the core emits, in order.
     #[derive(Default)]
@@ -626,22 +627,11 @@ mod tests {
     }
 
     fn core(plan: FaultPlan) -> Scheduler<Recording> {
-        let resilience = ResilienceConfig {
-            retry: RetryPolicy {
-                max_attempts: 3,
-                base_seconds: 0.05,
-                multiplier: 2.0,
-                max_seconds: 1.0,
-                jitter: 0.0,
-            },
-            ..ResilienceConfig::default()
-        };
         Scheduler::new(
             BucketPolicy::fixed(vec![256, 1024, 4096]),
             BatcherConfig::default(),
             vec![Box::new(LightNobelBackend::paper("LightNobel"))],
             plan,
-            resilience,
             Recording::default(),
         )
     }

@@ -24,10 +24,10 @@
 use crate::backend::Backend;
 use crate::batcher::BatcherConfig;
 use crate::bucket::BucketPolicy;
+use crate::fault::FaultPlan;
 use crate::request::{FoldError, FoldOutcome, FoldRequest, FoldResponse, RejectReason};
 use crate::scheduler::{Args, BatchFailure, Scheduler, Sink, BACKEND_TRACK_BASE};
 use crate::stats::ServeStats;
-use ln_fault::{FaultPlan, ResilienceConfig};
 use ln_obs::{seconds_to_nanos, ArgValue};
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -147,8 +147,8 @@ pub struct FoldService {
 }
 
 impl FoldService {
-    /// Starts the service with one worker thread per backend, no injected
-    /// faults, and the default resilience policy.
+    /// Starts the service with one worker thread per backend and no
+    /// injected faults.
     ///
     /// # Panics
     ///
@@ -158,18 +158,13 @@ impl FoldService {
         config: ServiceConfig,
         backends: Vec<Box<dyn Backend>>,
     ) -> Self {
-        FoldService::start_with_resilience(
-            policy,
-            config,
-            backends,
-            FaultPlan::none(),
-            ResilienceConfig::default(),
-        )
+        FoldService::start_with_resilience(policy, config, backends, FaultPlan::none())
     }
 
-    /// Starts the service with an explicit fault schedule and resilience
-    /// policy (the chaos-testing entry point; fault times are seconds on
-    /// the service clock, which starts at zero here).
+    /// Starts the service with an explicit fault schedule, answered by the
+    /// stack's retry policy and per-backend circuit breakers (the
+    /// chaos-testing entry point; fault times are seconds on the service
+    /// clock, which starts at zero here).
     ///
     /// # Panics
     ///
@@ -179,13 +174,12 @@ impl FoldService {
         config: ServiceConfig,
         backends: Vec<Box<dyn Backend>>,
         plan: FaultPlan,
-        resilience: ResilienceConfig,
     ) -> Self {
         let pool = backends.len();
         let sink = WallSink {
             senders: HashMap::new(),
         };
-        let core = Scheduler::new(policy, config.batcher, backends, plan, resilience, sink);
+        let core = Scheduler::new(policy, config.batcher, backends, plan, sink);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 core,
@@ -243,11 +237,6 @@ impl FoldService {
         drop(st);
         self.shared.work.notify_all();
         Ok(rx)
-    }
-
-    /// Current queued-request count (all buckets).
-    pub fn queue_depth(&self) -> usize {
-        lock_state(&self.shared).core.batcher.total_depth()
     }
 
     /// Drains the queues, stops the workers, and returns the collected
@@ -320,7 +309,7 @@ fn worker(shared: Arc<Shared>, idx: usize) {
             let injected_panic = flight.modeled() == Err(BatchFailure::WorkerPanic);
             let exec = panic::catch_unwind(AssertUnwindSafe(|| {
                 if injected_panic {
-                    panic!("ln-fault: injected worker panic on {name}");
+                    panic!("fault plan: injected worker panic on {name}");
                 }
                 // Hold the device for the configured wall slice so queueing
                 // pressure is observable.
@@ -366,24 +355,15 @@ fn worker(shared: Arc<Shared>, idx: usize) {
 mod tests {
     use super::*;
     use crate::backend::{standard_backends, LightNobelBackend};
-    use ln_fault::{PressureWindow, RetryPolicy};
+    use crate::fault::PressureWindow;
     use ln_quant::ActPrecision;
 
     fn policy() -> BucketPolicy {
         BucketPolicy::fixed(vec![256, 1024, 4096])
     }
 
-    fn fast_retry(max_attempts: u32) -> ResilienceConfig {
-        ResilienceConfig {
-            retry: RetryPolicy {
-                max_attempts,
-                base_seconds: 0.005,
-                multiplier: 2.0,
-                max_seconds: 0.05,
-                jitter: 0.0,
-            },
-            ..ResilienceConfig::default()
-        }
+    fn single_lightnobel() -> Vec<Box<dyn Backend>> {
+        vec![Box::new(LightNobelBackend::paper("LightNobel"))]
     }
 
     #[test]
@@ -424,16 +404,14 @@ mod tests {
             })
             .build();
         let config = ServiceConfig {
-            batcher: BatcherConfig::sequential(),
+            batcher: BatcherConfig {
+                max_batch: 1,
+                max_wait_seconds: 0.0,
+                ..BatcherConfig::default()
+            },
             ..ServiceConfig::default()
         };
-        let svc = FoldService::start_with_resilience(
-            policy(),
-            config,
-            standard_backends(),
-            plan,
-            ResilienceConfig::default(),
-        );
+        let svc = FoldService::start_with_resilience(policy(), config, standard_backends(), plan);
         let rx = svc.submit("giant", giant, 1e6).expect("admitted");
         let resp = rx
             .recv_timeout(Duration::from_secs(30))
@@ -518,19 +496,14 @@ mod tests {
 
     #[test]
     fn injected_transient_retries_to_completion() {
-        // First dispatch on every backend fails transiently; whichever
-        // worker picks the retry up, its later sequence numbers are clean.
-        let plan = FaultPlan::builder()
-            .transient(0, 0)
-            .transient(1, 0)
-            .transient(2, 0)
-            .build();
+        // The one backend's first dispatch fails transiently; the retry,
+        // after its backoff, is its second dispatch and clean.
+        let plan = FaultPlan::builder().transient(0, 0).build();
         let svc = FoldService::start_with_resilience(
             policy(),
             ServiceConfig::default(),
-            standard_backends(),
+            single_lightnobel(),
             plan,
-            fast_retry(6),
         );
         let rx = svc.submit("retry-me", 500, 60.0).expect("admitted");
         let resp = rx
@@ -538,27 +511,22 @@ mod tests {
             .expect("retried to completion");
         assert!(resp.outcome.is_completed(), "{resp:?}");
         let stats = svc.shutdown();
-        assert!(stats.resilience.retries >= 1);
-        assert!(stats.resilience.faults() >= 1);
+        assert_eq!(stats.resilience.retries, 1);
+        assert_eq!(stats.resilience.faults(), 1);
         assert_eq!(stats.completed(), 1);
     }
 
     #[test]
     fn worker_panic_is_contained_and_the_thread_survives() {
-        // Every backend's first dispatch panics its worker. Containment
-        // must keep all three threads alive: the same request retries to
-        // completion and a follow-up request also completes.
-        let plan = FaultPlan::builder()
-            .worker_panic(0, 0)
-            .worker_panic(1, 0)
-            .worker_panic(2, 0)
-            .build();
+        // The one worker's first dispatch panics. Containment must keep
+        // that thread alive: the same request retries to completion on it
+        // and a follow-up request also completes there.
+        let plan = FaultPlan::builder().worker_panic(0, 0).build();
         let svc = FoldService::start_with_resilience(
             policy(),
             ServiceConfig::default(),
-            standard_backends(),
+            single_lightnobel(),
             plan,
-            fast_retry(6),
         );
         let rx = svc.submit("survivor", 500, 60.0).expect("admitted");
         let resp = rx
@@ -571,7 +539,7 @@ mod tests {
             .expect("workers still serving");
         assert!(resp2.outcome.is_completed(), "{resp2:?}");
         let stats = svc.shutdown();
-        assert!(stats.resilience.backends.iter().any(|b| b.panics > 0));
+        assert_eq!(stats.resilience.backends[0].panics, 1);
         assert_eq!(stats.completed(), 2);
     }
 }

@@ -4,13 +4,13 @@
 //! transitions, precision degradations) added with the fault layer.
 
 use crate::bucket::BucketPolicy;
+use crate::fault::breaker::BreakerEvent;
 use lightnobel::report::{fmt_pct, fmt_seconds, Table};
-use ln_fault::BreakerEvent;
 use ln_quant::ActPrecision;
 use std::sync::OnceLock;
 
 /// Registry handles for the service-wide `serve_*` metrics. Resolved once;
-/// every [`ServeStats`] update mirrors into these, so a Prometheus dump of
+/// every [`ServeStats`] update mirrors into these, so a snapshot of
 /// [`ln_obs::registry()`] includes live serving totals.
 struct ServeMetrics {
     completed: ln_obs::Counter,
@@ -90,12 +90,12 @@ pub struct BucketStats {
 impl BucketStats {
     /// Latency percentile (0.0–1.0) over completed requests, by the
     /// nearest-rank rule ([`ln_obs::percentile`]).
-    pub fn latency_percentile(&self, p: f64) -> Option<f64> {
+    pub(crate) fn latency_percentile(&self, p: f64) -> Option<f64> {
         percentile_of(self.latencies.clone(), p)
     }
 
     /// Mean queue depth over recorded samples.
-    pub fn mean_depth(&self) -> f64 {
+    pub(crate) fn mean_depth(&self) -> f64 {
         if self.depth_samples == 0 {
             0.0
         } else {
@@ -104,7 +104,7 @@ impl BucketStats {
     }
 
     /// Mean batch fill ratio against the configured maximum batch size.
-    pub fn occupancy(&self, max_batch: usize) -> f64 {
+    pub(crate) fn occupancy(&self, max_batch: usize) -> f64 {
         if self.batches == 0 || max_batch == 0 {
             0.0
         } else {
@@ -141,7 +141,7 @@ pub struct BackendResilience {
 
 impl BackendResilience {
     /// Records a batch executing at `precision` (no-op at FP32).
-    pub fn record_precision(&mut self, precision: ActPrecision) {
+    pub(crate) fn record_precision(&mut self, precision: ActPrecision) {
         match precision {
             ActPrecision::Fp32 => {}
             ActPrecision::Int8 => self.degraded_int8 += 1,
@@ -150,7 +150,7 @@ impl BackendResilience {
     }
 
     /// Records a breaker state transition.
-    pub fn record_breaker(&mut self, event: BreakerEvent) {
+    pub(crate) fn record_breaker(&mut self, event: BreakerEvent) {
         match event {
             BreakerEvent::Opened => self.breaker_opens += 1,
             BreakerEvent::HalfOpened => self.breaker_probes += 1,
@@ -177,7 +177,10 @@ pub struct ResilienceStats {
 
 impl ResilienceStats {
     /// Registers the backend pool (row order = pool order).
-    pub fn register_backends<S: Into<String>>(&mut self, names: impl IntoIterator<Item = S>) {
+    pub(crate) fn register_backends<S: Into<String>>(
+        &mut self,
+        names: impl IntoIterator<Item = S>,
+    ) {
         self.backends = names
             .into_iter()
             .map(|n| BackendResilience {
@@ -227,7 +230,7 @@ pub struct AccuracyStats {
 
 impl AccuracyStats {
     /// Records one completed request.
-    pub fn record(&mut self, worst_rmse: f64, degraded: bool) {
+    pub(crate) fn record(&mut self, worst_rmse: f64, degraded: bool) {
         self.requests += 1;
         self.sum_worst_rmse += worst_rmse;
         self.max_worst_rmse = self.max_worst_rmse.max(worst_rmse);
@@ -235,7 +238,7 @@ impl AccuracyStats {
     }
 
     /// Folds `other` into `self` (shard roll-up).
-    pub fn merge(&mut self, other: &AccuracyStats) {
+    pub(crate) fn merge(&mut self, other: &AccuracyStats) {
         self.requests += other.requests;
         self.sum_worst_rmse += other.sum_worst_rmse;
         self.max_worst_rmse = self.max_worst_rmse.max(other.max_worst_rmse);
@@ -260,7 +263,7 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// An empty collector for `n_buckets` buckets.
-    pub fn new(n_buckets: usize) -> Self {
+    pub(crate) fn new(n_buckets: usize) -> Self {
         ServeStats {
             buckets: vec![BucketStats::default(); n_buckets],
             batch_log: Vec::new(),
@@ -270,38 +273,33 @@ impl ServeStats {
         }
     }
 
-    /// Per-bucket statistics.
-    pub fn bucket(&self, bucket: usize) -> &BucketStats {
-        &self.buckets[bucket]
-    }
-
     /// Records a refused request.
-    pub fn record_rejection(&mut self, bucket: usize) {
+    pub(crate) fn record_rejection(&mut self, bucket: usize) {
         self.buckets[bucket].rejected += 1;
         serve_metrics().rejected.inc();
     }
 
     /// Records an expired request.
-    pub fn record_timeout(&mut self, bucket: usize) {
+    pub(crate) fn record_timeout(&mut self, bucket: usize) {
         self.buckets[bucket].timed_out += 1;
         serve_metrics().timed_out.inc();
     }
 
     /// Records a typed terminal failure.
-    pub fn record_failure(&mut self, bucket: usize) {
+    pub(crate) fn record_failure(&mut self, bucket: usize) {
         self.buckets[bucket].failed += 1;
         serve_metrics().failed.inc();
     }
 
     /// Records a queue-depth observation.
-    pub fn record_depth(&mut self, bucket: usize, depth: usize) {
+    pub(crate) fn record_depth(&mut self, bucket: usize, depth: usize) {
         let b = &mut self.buckets[bucket];
         b.depth_sum += depth as f64;
         b.depth_samples += 1;
     }
 
     /// Records a completed batch and its per-request latencies.
-    pub fn record_batch(&mut self, record: BatchRecord, latencies: &[f64]) {
+    pub(crate) fn record_batch(&mut self, record: BatchRecord, latencies: &[f64]) {
         let b = &mut self.buckets[record.bucket];
         b.batches += 1;
         b.co_batched += record.lengths.len() as u64;
@@ -323,7 +321,7 @@ impl ServeStats {
     }
 
     /// Marks the end of the run on the virtual clock.
-    pub fn finish(&mut self, now: f64) {
+    pub(crate) fn finish(&mut self, now: f64) {
         self.makespan_seconds = self.makespan_seconds.max(now);
     }
 
@@ -526,11 +524,11 @@ mod tests {
         assert_eq!(s.rejected(), 1);
         assert_eq!(s.timed_out(), 1);
         assert_eq!(s.failed(), 1);
-        assert_eq!(s.bucket(0).latency_percentile(0.5), Some(2.0));
-        assert_eq!(s.bucket(0).latency_percentile(0.99), Some(3.0));
+        assert_eq!(s.buckets[0].latency_percentile(0.5), Some(2.0));
+        assert_eq!(s.buckets[0].latency_percentile(0.99), Some(3.0));
         assert_eq!(s.makespan_seconds, 3.0);
         assert_eq!(s.throughput(), 1.0);
-        assert!((s.bucket(0).occupancy(2) - 0.75).abs() < 1e-12);
+        assert!((s.buckets[0].occupancy(2) - 0.75).abs() < 1e-12);
         assert!((s.availability() - 0.5).abs() < 1e-12);
     }
 
@@ -540,12 +538,12 @@ mod tests {
         let latencies: Vec<f64> = (1..=10).map(f64::from).collect();
         s.record_batch(record(0, vec![10], 0.0, 1.0), &latencies);
         // Nearest rank: the ⌈0.5 · 10⌉ = 5th sample, not the 6th.
-        assert_eq!(s.bucket(0).latency_percentile(0.5), Some(5.0));
+        assert_eq!(s.buckets[0].latency_percentile(0.5), Some(5.0));
         assert_eq!(s.latency_percentile(0.5), Some(5.0));
-        assert_eq!(s.bucket(0).latency_percentile(0.0), Some(1.0));
+        assert_eq!(s.buckets[0].latency_percentile(0.0), Some(1.0));
         s.record_batch(record(0, vec![11], 1.0, 2.0), &[0.5, 20.0]);
-        assert_eq!(s.bucket(0).latency_percentile(1.0), Some(20.0));
-        assert_eq!(s.bucket(0).latency_percentile(0.0), Some(0.5));
+        assert_eq!(s.buckets[0].latency_percentile(1.0), Some(20.0));
+        assert_eq!(s.buckets[0].latency_percentile(0.0), Some(0.5));
         assert_eq!(ServeStats::new(1).latency_percentile(0.5), None);
     }
 
@@ -575,10 +573,10 @@ mod tests {
     #[test]
     fn depth_mean() {
         let mut s = ServeStats::new(1);
-        assert_eq!(s.bucket(0).mean_depth(), 0.0);
+        assert_eq!(s.buckets[0].mean_depth(), 0.0);
         s.record_depth(0, 2);
         s.record_depth(0, 4);
-        assert_eq!(s.bucket(0).mean_depth(), 3.0);
+        assert_eq!(s.buckets[0].mean_depth(), 3.0);
     }
 
     #[test]

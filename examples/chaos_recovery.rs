@@ -10,8 +10,8 @@
 //! `FoldError::WorkerPanic`, retries the batch, and the service keeps
 //! answering — which is the point.
 
-use ln_fault::{FaultPlan, PressureWindow, ResilienceConfig, RetryPolicy};
 use ln_quant::ActPrecision;
+use ln_serve::fault::{FaultPlan, PressureWindow};
 use ln_serve::{
     standard_backends, Backend, BatcherConfig, BucketPolicy, FoldOutcome, FoldService,
     LightNobelBackend, ServiceConfig,
@@ -39,14 +39,6 @@ fn main() {
             available_fraction: fraction,
         })
         .build();
-    let resilience = ResilienceConfig {
-        retry: RetryPolicy {
-            max_attempts: 4,
-            base_seconds: 0.01,
-            ..RetryPolicy::default()
-        },
-        ..ResilienceConfig::default()
-    };
 
     let cfg = ServiceConfig {
         batcher: BatcherConfig {
@@ -55,8 +47,7 @@ fn main() {
         },
         dispatch_wall_delay: Duration::from_millis(5),
     };
-    let svc =
-        FoldService::start_with_resilience(policy, cfg, standard_backends(), plan, resilience);
+    let svc = FoldService::start_with_resilience(policy, cfg, standard_backends(), plan);
 
     let folds = [
         ("CAMEO-ish", 180),

@@ -4,8 +4,8 @@
 //!
 //! Run with `cargo run --release --example cluster_serving`.
 
-use ln_cluster::{AutoscaleConfig, Cluster, ClusterConfig};
-use ln_fault::{ChaosSpec, FaultPlan, PartitionWindow, ShardLossEvent};
+use ln_serve::cluster::{Cluster, ClusterConfig};
+use ln_serve::fault::{ChaosSpec, FaultPlan, PartitionWindow, ShardLossEvent};
 use ln_serve::{standard_backends, BatcherConfig, BucketPolicy, Engine, WorkloadSpec};
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
     let cfg = ClusterConfig {
         hedge_min_length: 2600,
         steal_threshold: 4,
-        autoscale: Some(AutoscaleConfig::default()),
+        autoscale: true,
         seed: "cluster/example".to_string(),
         ..ClusterConfig::default()
     };

@@ -8,8 +8,8 @@
 //! the analyses are pure functions of it, so the dashboards are
 //! byte-identical across hosts and `ln-par` pool sizes.
 
-use ln_fault::{ChaosSpec, FaultPlan, ResilienceConfig};
 use ln_insight::CriticalPath;
+use ln_serve::fault::{ChaosSpec, FaultPlan};
 use ln_serve::{standard_backends, BatcherConfig, BucketPolicy, Engine, WorkloadSpec};
 
 fn main() {
@@ -21,13 +21,8 @@ fn main() {
         .with_seed("example/insight")
         .synthesize(&reg);
     let plan = FaultPlan::seeded("example/insight-plan", &ChaosSpec::light(3));
-    let mut engine = Engine::with_resilience(
-        policy,
-        BatcherConfig::default(),
-        standard_backends(),
-        plan,
-        ResilienceConfig::default(),
-    );
+    let mut engine =
+        Engine::with_resilience(policy, BatcherConfig::default(), standard_backends(), plan);
     engine.set_tracing(true);
     let out = engine.run(&workload);
 

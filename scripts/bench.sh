@@ -9,7 +9,7 @@
 #   BENCH_INSIGHT.json — critical-path phase times from ln-insight and
 #                        the roofline of ln-accel's LatencyReport
 #   BENCH_CLUSTER.json — p50/p99 and SLO-attainment curves from the
-#                        ln-cluster shard sweep (1 -> 16 shards)
+#                        ln_serve::cluster shard sweep (1 -> 16 shards)
 #   BENCH_WATCH.json   — ln-watch per-event overhead, SLO burn-rate
 #                        fixture timings and the memory-vs-length
 #                        watermark table

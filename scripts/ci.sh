@@ -11,10 +11,10 @@
 #      tests/docs.rs among them: README + DESIGN +        (docs budget)
 #      EXPERIMENTS <= 160 000 bytes, citations resolve
 #   5. par_speedup --quick                                (kernel gate)
-#   6. chaos --quick                                      (ln-fault smoke)
+#   6. chaos --quick                                      (fault-plan smoke)
 #   7. obs_overhead --quick                               (ln-obs cost gate)
 #   8. insight --quick                                    (ln-insight gate)
-#   9. cluster_scale --quick                              (ln-cluster gate)
+#   9. cluster_scale --quick                              (cluster gate)
 #  10. watch --quick                                      (ln-watch gate)
 #  11. numerics --quick                                   (ln-scope gate)
 #  12. all_experiments, stdout discarded                  (paper artifacts run)
@@ -22,7 +22,7 @@
 #      trace --workload fold_qdomain --quick,
 #      trace --workload fold_aaq --quick,
 #      trace --workload fold_long_chunked --quick, then
-#      git diff --quiet -- benchmarks/fold                (its lock unmoved)
+#      git diff --exit-code --stat -- benchmarks/fold     (its lock unmoved)
 #  14. cargo doc --workspace --no-deps, -D warnings       (rustdoc links)
 #
 # Step 3's `chaos_recovery` and `serving` alone drive FoldService's threads.
@@ -112,9 +112,10 @@
 # workload, so a `NoopHook` fold — the lane-parallel triangular-attention
 # driver and triangular multiplication's row-blocked, transposed-Incoming
 # dataflow — does too. Last, it
-# fails if any of that rewrote a tracked file under benchmarks/fold: the
-# lock there records the dependency edges of the thirteen crates foldbench
-# reaches, so a PR that changes one of them shows up here, not at review.
+# fails if any of that rewrote a tracked file under benchmarks/fold, and
+# names the file in its log: the lock there records the dependency edges
+# of the thirteen crates foldbench reaches, so a PR that changes one of
+# them shows up here, not at review.
 # Step 14 builds every crate's API docs with rustdoc warnings as errors: a
 # link to an item that was deleted, renamed or is private, or a link that
 # names two items, fails here instead of rendering as plain text.
@@ -154,7 +155,7 @@ step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml --
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- trace --workload fold_qdomain --quick
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- trace --workload fold_aaq --quick
 step cargo run --offline --release --manifest-path benchmarks/fold/Cargo.toml -- trace --workload fold_long_chunked --quick
-step git diff --quiet -- benchmarks/fold
+step git diff --exit-code --stat -- benchmarks/fold
 step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo

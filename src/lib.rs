@@ -12,7 +12,9 @@
 //! * [`ln_accel::Accelerator`] — the cycle-level accelerator simulator.
 //! * [`ln_gpu::EsmFoldGpuModel`] — the A100/H100 baselines.
 //! * [`ln_serve::FoldService`] / [`ln_serve::Engine`] — the batched
-//!   folding-request scheduler (length-bucketed dispatch, backpressure).
+//!   folding-request scheduler (length-bucketed dispatch, backpressure),
+//!   with [`ln_serve::fault`] injecting chaos into it and
+//!   [`ln_serve::cluster`] sharding it.
 //!
 //! See the repository README for the experiment index.
 
@@ -20,10 +22,11 @@
 
 pub use lightnobel;
 pub use ln_accel;
-pub use ln_cluster;
 pub use ln_datasets;
 pub use ln_gpu;
 pub use ln_insight;
+pub use ln_obs;
+pub use ln_par;
 pub use ln_ppm;
 pub use ln_protein;
 pub use ln_quant;
@@ -36,7 +39,11 @@ pub use ln_watch;
 mod tests {
     #[test]
     fn umbrella_reaches_every_crate() {
-        // One symbol per member crate, proving the re-exports resolve.
+        // One symbol per library member crate, proving the re-exports
+        // resolve; `ln-bench`, the harness over all of them, is the one
+        // member the umbrella does not depend on.
+        let _ = crate::ln_obs::level();
+        let _ = crate::ln_par::chunk_len(4, 1);
         let _ = crate::ln_tensor::Tensor2::zeros(1, 1);
         let _ = crate::ln_protein::Sequence::random("u", 4);
         let _ = crate::ln_datasets::Registry::standard();

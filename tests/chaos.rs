@@ -12,8 +12,8 @@
 //!    `ServeStats::resilience_tables()`.
 
 use ln_datasets::Registry;
-use ln_fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow, ResilienceConfig};
 use ln_quant::ActPrecision;
+use ln_serve::fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow};
 use ln_serve::{
     standard_backends, Backend, BatcherConfig, BucketPolicy, Engine, EngineOutcome, FoldOutcome,
     FoldRequest, LightNobelBackend, WorkloadSpec,
@@ -80,13 +80,8 @@ fn run_chaos_traced(threads: usize, traced: bool) -> (Vec<FoldRequest>, EngineOu
         let plan = FaultPlan::seeded(PLAN_SEED, &spec);
         assert!(plan.dispatch_fault_count() > 0, "spec must schedule faults");
 
-        let mut engine = Engine::with_resilience(
-            policy,
-            BatcherConfig::default(),
-            standard_backends(),
-            plan,
-            ResilienceConfig::default(),
-        );
+        let mut engine =
+            Engine::with_resilience(policy, BatcherConfig::default(), standard_backends(), plan);
         if traced {
             engine.set_tracing(true);
         }

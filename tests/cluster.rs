@@ -1,4 +1,4 @@
-//! Golden acceptance test for sharded cluster serving (ln-cluster).
+//! Golden acceptance test for sharded cluster serving (`ln_serve::cluster`).
 //!
 //! A seeded chaos run — shard loss, a network partition, hedging and work
 //! stealing all active — must produce a [`ClusterOutcome`] that is
@@ -8,10 +8,10 @@
 //! and *exact* accounting: for every attempt,
 //! `e2e = queue + shard_hop + service + fault_burn + backoff`.
 
-use ln_cluster::{Cluster, ClusterConfig, ClusterOutcome};
 use ln_datasets::Registry;
-use ln_fault::{ChaosSpec, FaultPlan, PartitionWindow, ResilienceConfig, ShardLossEvent};
 use ln_insight::CriticalPath;
+use ln_serve::cluster::{Cluster, ClusterConfig, ClusterOutcome};
+use ln_serve::fault::{ChaosSpec, FaultPlan, PartitionWindow, ShardLossEvent};
 use ln_serve::{
     standard_backends, BatcherConfig, BucketPolicy, Engine, FoldOutcome, FoldRequest, WorkloadSpec,
 };
@@ -59,7 +59,6 @@ fn traced_run(threads: usize) -> ClusterOutcome {
                     BatcherConfig::default(),
                     standard_backends(),
                     FaultPlan::none(),
-                    ResilienceConfig::default(),
                 )
             })
             .collect();
@@ -168,7 +167,6 @@ fn partition_starting_mid_hop_times_the_attempt_out_at_the_router() {
         BatcherConfig::default(),
         standard_backends(),
         FaultPlan::none(),
-        ResilienceConfig::default(),
     );
     let cfg = ClusterConfig::default();
     let hop = cfg.hop_seconds;

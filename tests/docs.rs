@@ -1,8 +1,9 @@
 //! The docs a reader starts from stay small and their cross-references
 //! resolve: README.md, DESIGN.md and EXPERIMENTS.md together fit a byte
 //! budget, every `DESIGN.md §n` and every quoted DESIGN.md / EXPERIMENTS.md
-//! section name the code cites is a heading, and every `--bin` /
-//! `--example` the docs name exists.
+//! section name the code cites is a heading, every `--bin` /
+//! `--example` the docs name exists, and README's Layout table has one row
+//! per crate.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -212,6 +213,35 @@ fn every_bin_and_example_the_docs_name_exists() {
     assert!(missing.is_empty(), "named but not built: {missing:?}");
 }
 
+/// The `crates/<name>` each row of README's Layout table links, in order.
+fn layout_crates(readme: &str) -> Vec<String> {
+    readme
+        .lines()
+        .skip_while(|l| l.trim() != "## Layout")
+        .skip(1)
+        .take_while(|l| !l.starts_with("## "))
+        .filter_map(|l| l.strip_prefix("| [`crates/")?.split_once('`'))
+        .map(|(name, _)| name.to_string())
+        .collect()
+}
+
+#[test]
+fn the_layout_table_has_one_row_per_crate() {
+    let mut rows = layout_crates(&read("README.md"));
+    let mut crates: Vec<String> = fs::read_dir(root().join("crates"))
+        .unwrap()
+        .flatten()
+        .filter(|e| e.path().is_dir())
+        .filter_map(|e| e.file_name().into_string().ok())
+        .collect();
+    rows.sort();
+    crates.sort();
+    assert_eq!(
+        rows, crates,
+        "README's Layout table must list each crates/* directory exactly once"
+    );
+}
+
 #[test]
 fn the_citation_scanners_read_wrapped_and_listed_citations() {
     let text = unwrap_comments(
@@ -226,4 +256,8 @@ fn the_citation_scanners_read_wrapped_and_listed_citations() {
         flag_values("run `--bin fig13_accuracy` and --example <name>", "--bin"),
         ["fig13_accuracy"]
     );
+    let readme = "## Layout\n\n| Path | What |\n|---|---|\n\
+        | [`crates/a`](crates/a) | x |\n| [`examples/`](examples) | y |\n\
+        | [`crates/b`](crates/b) | z |\n\n## Next\n| [`crates/c`](crates/c) | w |\n";
+    assert_eq!(layout_crates(readme), ["a", "b"]);
 }

@@ -3,8 +3,7 @@
 //! The `ln-insight` crate re-ingests exported telemetry, so the exports
 //! are load-bearing interchange formats, not just log decoration:
 //!
-//! * Chrome-trace JSON and Prometheus text must parse cleanly (the former
-//!   with `ln_insight::json`, the latter line-by-line).
+//! * Chrome-trace JSON must parse cleanly with `ln_insight::json`.
 //! * The JSONL trace export must round-trip **losslessly**: parsing it
 //!   with `ln_insight::jsonl` yields the original events, and
 //!   re-serializing those yields byte-identical JSONL (a fixed point).
@@ -17,10 +16,10 @@
 //!   hostile input with an error or a value, never a panic.
 
 use ln_datasets::Registry;
-use ln_fault::{ChaosSpec, FaultPlan, ResilienceConfig};
 use ln_insight::json;
 use ln_obs::{ArgValue, TraceEvent, TracePhase};
 use ln_scope::{Scope, SketchKey};
+use ln_serve::fault::{ChaosSpec, FaultPlan};
 use ln_serve::{standard_backends, BatcherConfig, BucketPolicy, Engine, WorkloadSpec};
 use ln_tensor::Tensor2;
 
@@ -79,13 +78,8 @@ fn engine_trace() -> Vec<TraceEvent> {
         .with_seed("export/roundtrip-workload")
         .synthesize(&reg);
     let plan = FaultPlan::seeded("export/roundtrip-plan", &ChaosSpec::light(2));
-    let mut engine = Engine::with_resilience(
-        policy,
-        BatcherConfig::default(),
-        standard_backends(),
-        plan,
-        ResilienceConfig::default(),
-    );
+    let mut engine =
+        Engine::with_resilience(policy, BatcherConfig::default(), standard_backends(), plan);
     engine.set_tracing(true);
     let out = engine.run(&workload);
     assert_eq!(out.trace_dropped, 0, "the test trace must fit the ring");
@@ -216,34 +210,6 @@ fn blackbox_carrying_numerics_round_trips_exactly() {
         text.ends_with(&ln_obs::metrics_jsonl(&doc.metrics)),
         "metric section must re-serialize byte-identically"
     );
-}
-
-#[test]
-fn prometheus_text_is_well_formed() {
-    let reg = ln_obs::registry();
-    reg.counter("export_rt_counter").add(3);
-    reg.gauge("export_rt_gauge").set(2.0); // integral: must render as 2.0
-    reg.histogram("export_rt_hist").record(17);
-    let text = ln_obs::prometheus_text(&reg.snapshot());
-
-    for needle in [
-        "# TYPE export_rt_counter counter",
-        "export_rt_counter 3",
-        "# TYPE export_rt_gauge gauge",
-        "export_rt_gauge 2.0",
-        "# TYPE export_rt_hist histogram",
-        "export_rt_hist_count 1",
-    ] {
-        assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-    }
-    // Every sample line is `name[{labels}] value` with a numeric value.
-    for line in text.lines().filter(|l| !l.starts_with('#')) {
-        let (_, value) = line.rsplit_once(' ').expect("name value");
-        assert!(
-            value.parse::<f64>().is_ok() || value == "+Inf",
-            "unparseable sample value in {line:?}"
-        );
-    }
 }
 
 /// The hostile-input contract of the text parsers: mutated and truncated

@@ -8,9 +8,9 @@
 //! queue, dispatch, kernel, retry, fault and degradation spans.
 
 use ln_datasets::Registry;
-use ln_fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow, ResilienceConfig};
 use ln_obs::TraceEvent;
 use ln_quant::ActPrecision;
+use ln_serve::fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow};
 use ln_serve::{
     standard_backends, Backend, BatcherConfig, BucketPolicy, Engine, FoldRequest,
     LightNobelBackend, WorkloadSpec,
@@ -64,13 +64,8 @@ fn traced_run(threads: usize) -> (Vec<TraceEvent>, String, u64) {
         };
         let plan = FaultPlan::seeded(PLAN_SEED, &spec);
 
-        let mut engine = Engine::with_resilience(
-            policy,
-            BatcherConfig::default(),
-            standard_backends(),
-            plan,
-            ResilienceConfig::default(),
-        );
+        let mut engine =
+            Engine::with_resilience(policy, BatcherConfig::default(), standard_backends(), plan);
         engine.set_tracing(true);
         let out = engine.run(&workload);
         let events = out.trace.expect("tracing was enabled");

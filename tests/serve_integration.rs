@@ -3,7 +3,9 @@
 //!
 //! 1. length-bucketing never co-batches sequences across bucket boundaries,
 //! 2. bounded queues *reject* rather than block when full,
-//! 3. an identical seed yields an identical batch schedule and statistics.
+//! 3. an identical seed yields an identical batch schedule and statistics,
+//!
+//! and pinning the fault-free schedule itself to absolute values.
 
 use ln_datasets::Registry;
 use ln_serve::{
@@ -159,4 +161,39 @@ fn memory_routing_sends_long_sequences_to_aaq() {
         long_seen > 0,
         "CASP tail should exceed GPU reach ({gpu_reach})"
     );
+}
+
+#[test]
+fn serve_throughput_schedules_are_pinned() {
+    // The two `BatcherConfig`s and the workload of the `serve_throughput`
+    // bin, with no fault plan: the fault-free schedule pinned in absolute
+    // terms, so a change to the scheduling core that reproduces itself run
+    // against run but moves a batch still fails here.
+    const BATCHED: u64 = 0xdfc0_82cf_c48b_c623;
+    const SEQUENTIAL: u64 = 0x428e_9537_db37_2c74;
+    let reg = Registry::standard();
+    let policy = registry_policy(&reg);
+    let workload = WorkloadSpec::cameo_casp_mix(240, 2.0).synthesize(&reg);
+    let batched = BatcherConfig {
+        max_batch: 8,
+        max_wait_seconds: 2.0,
+        queue_capacity: 32,
+        max_batch_seconds: 60.0,
+    };
+    let sequential = BatcherConfig {
+        max_batch: 1,
+        max_wait_seconds: 0.0,
+        queue_capacity: 32,
+        max_batch_seconds: f64::INFINITY,
+    };
+    let fingerprint = |cfg: BatcherConfig| {
+        Engine::new(policy.clone(), cfg, standard_backends())
+            .run(&workload)
+            .stats
+            .fingerprint()
+    };
+    let (b, s) = (fingerprint(batched), fingerprint(sequential));
+    println!("batched {b:#018x}, sequential {s:#018x}");
+    assert_eq!(b, BATCHED, "batched schedule moved: {b:#018x}");
+    assert_eq!(s, SEQUENTIAL, "sequential schedule moved: {s:#018x}");
 }

@@ -9,9 +9,9 @@
 //! every artifact must re-ingest losslessly through the `ln-insight`
 //! black-box parser.
 
-use ln_cluster::{Cluster, ClusterConfig, ClusterOutcome};
 use ln_datasets::Registry;
-use ln_fault::{ChaosSpec, FaultPlan, PartitionWindow, ResilienceConfig, ShardLossEvent};
+use ln_serve::cluster::{Cluster, ClusterConfig, ClusterOutcome};
+use ln_serve::fault::{ChaosSpec, FaultPlan, PartitionWindow, ShardLossEvent};
 use ln_serve::{standard_backends, BatcherConfig, BucketPolicy, Engine, FoldRequest, WorkloadSpec};
 use ln_watch::{Blackbox, SloSpec, WatchConfig};
 
@@ -76,7 +76,6 @@ fn watched_run(threads: usize) -> (ClusterOutcome, Vec<Blackbox>) {
                     BatcherConfig::default(),
                     standard_backends(),
                     FaultPlan::none(),
-                    ResilienceConfig::default(),
                 )
             })
             .collect();
