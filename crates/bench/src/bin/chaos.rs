@@ -1,84 +1,26 @@
 //! Seeded chaos run through the resilience layer.
 //!
-//! Drives the `ln-serve` virtual-time engine over a synthetic CAMEO/CASP
-//! mix — plus one deliberately giant sequence — under a seeded
-//! `ln_serve::fault::FaultPlan` injecting backend stalls, transient compute
-//! errors, a worker panic, a bucket-queue poison and an HBM
+//! Drives the `ln-serve` virtual-time engine through the golden scenario
+//! ([`GoldenChaos`]): a synthetic CAMEO/CASP mix plus one deliberately
+//! giant sequence, under a seeded plan of backend stalls, transient
+//! compute errors, a worker panic, a bucket-queue poison and an HBM
 //! capacity-pressure window on the AAQ-capable backend. Prints the
-//! per-backend fault/degradation table and the resilience summary, and
-//! asserts the run is byte-identical across two executions (zero hangs,
-//! zero nondeterminism).
+//! per-backend fault/degradation table and the resilience summary.
 //!
-//! `--quick` shrinks the workload for the `scripts/ci.sh chaos --quick`
-//! smoke gate; the assertions are identical.
+//! Exits non-zero (panics) if any request goes unanswered, if a second run
+//! of the same seed differs by a byte, or if the plan never bites or never
+//! forces the INT4 rung. The run is in virtual time, so the bin takes
+//! milliseconds; the scenario's identity across `ln-par` pools 1/2/4 is
+//! held by `tests/chaos.rs`.
 
 use ln_bench::{banner, paper_note, show};
-use ln_datasets::Registry;
-use ln_quant::ActPrecision;
-use ln_serve::fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow};
-use ln_serve::{
-    standard_backends, Backend, BatcherConfig, BucketPolicy, Engine, EngineOutcome, FoldRequest,
-    LightNobelBackend, WorkloadSpec,
-};
+use ln_serve::fault::GoldenChaos;
+use ln_serve::EngineOutcome;
 
-const WORKLOAD_SEED: &str = "chaos/bench";
-const PLAN_SEED: &str = "chaos/plan-h";
-
-fn build_workload(reg: &Registry, requests: usize) -> Vec<FoldRequest> {
-    let mut workload = WorkloadSpec::cameo_casp_mix(requests, 3.0)
-        .with_seed(WORKLOAD_SEED)
-        .synthesize(reg);
-    // One sequence only the AAQ backend can hold, arriving while that
-    // backend is squeezed: completing it requires the INT4 fallback.
-    let ln = LightNobelBackend::paper("LightNobel");
-    let id = workload.iter().map(|r| r.id).max().map_or(0, |m| m + 1);
-    workload.push(FoldRequest {
-        id,
-        name: "giant-under-pressure".to_string(),
-        length: ln.max_single_length(),
-        arrival_seconds: 5.0,
-        timeout_seconds: 1e6,
-    });
-    workload
-}
-
-fn build_plan() -> FaultPlan {
-    let ln = LightNobelBackend::paper("LightNobel");
-    let giant_len = ln.max_single_length();
-    // Leave ~1.2x the giant sequence's INT4 footprint: FP32 and INT8
-    // cannot fit, INT4 can.
-    let fraction =
-        ln.batch_peak_bytes_at(&[giant_len], ActPrecision::Int4) * 1.2 / ln.memory_capacity_bytes();
-    let spec = ChaosSpec {
-        worker_panics: 1,
-        horizon_dispatches: 8,
-        pressure: vec![PressureWindow {
-            backend: 0, // LightNobel's index in `standard_backends()`
-            start_seconds: 0.0,
-            end_seconds: 1e9,
-            available_fraction: fraction,
-        }],
-        poisons: vec![PoisonEvent {
-            bucket: 0,
-            at_seconds: 12.0,
-        }],
-        ..ChaosSpec::light(3)
-    };
-    FaultPlan::seeded(PLAN_SEED, &spec)
-}
-
-fn drive(workload: &[FoldRequest], policy: &BucketPolicy) -> EngineOutcome {
-    let mut engine = Engine::with_resilience(
-        policy.clone(),
-        BatcherConfig::default(),
-        standard_backends(),
-        build_plan(),
-    );
-    engine.run(workload)
-}
+/// Mixed requests in the workload, before the giant one.
+const REQUESTS: usize = 240;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
     banner(
         "chaos — seeded fault injection through the resilience layer (ln_serve::fault + ln-serve)",
     );
@@ -89,12 +31,9 @@ fn main() {
          (FP32 -> INT8 -> INT4) instead of rejecting long sequences",
     );
 
-    let requests = if quick { 60 } else { 240 };
-    let reg = Registry::standard();
-    let policy = BucketPolicy::from_registry(&reg, 4);
-    let workload = build_workload(&reg, requests);
-
-    let out = drive(&workload, &policy);
+    let scenario = GoldenChaos::new("chaos/bench", REQUESTS);
+    let workload = &scenario.workload;
+    let out = scenario.engine().run(workload);
 
     // Zero hangs: every submitted request has exactly one response.
     assert_eq!(
@@ -104,7 +43,7 @@ fn main() {
     );
 
     // Byte-identical resilience stats across two runs of the same seed.
-    let rerun = drive(&workload, &policy);
+    let rerun = scenario.engine().run(workload);
     let render = |o: &EngineOutcome| {
         let (per_backend, summary) = o.stats.resilience_tables();
         format!("{}{}", per_backend.render(), summary.render())

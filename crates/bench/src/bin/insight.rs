@@ -13,77 +13,36 @@
 //!    labelled by its bounding resource against the RMPU/VVPU/HBM ceilings
 //!    of `HwConfig::paper()` ([`ln_accel::LatencyReport::roofline_markdown`]).
 //!
-//! The full run writes `BENCH_INSIGHT.json` at the repo root; `--quick`
-//! (ci.sh step 8) runs a smaller workload. Both exit non-zero if any trace
-//! span cannot be attributed or if the trace ring dropped events. Speed is
-//! judged elsewhere, by same-host before/after pairs (EXPERIMENTS.md).
+//! Each run writes `BENCH_INSIGHT.json` at the repo root, or exits
+//! non-zero, writing nothing, if any trace span cannot be attributed or
+//! if the trace ring dropped events. Everything in the record is modeled, so it is a byte
+//! pin: ci.sh step 10 runs the bin and step 12 fails if the committed
+//! record moved. Speed is judged elsewhere, by same-host before/after pairs
+//! (EXPERIMENTS.md).
 
 use ln_accel::{Accelerator, HwConfig, LatencyReport};
 use ln_bench::{banner, emit, paper_note};
-use ln_datasets::Registry;
 use ln_insight::json::{obj, Value};
 use ln_insight::CriticalPath;
-use ln_quant::ActPrecision;
-use ln_serve::fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow};
-use ln_serve::{
-    standard_backends, Backend, BatcherConfig, BucketPolicy, Engine, FoldRequest,
-    LightNobelBackend, WorkloadSpec,
-};
+use ln_serve::fault::GoldenChaos;
 
-const SEED: &str = "obs/trace-workload";
-const PLAN_SEED: &str = "chaos/plan-h";
+/// Mixed requests in the traced run, before the giant one: the same run
+/// `tests/obs_trace.rs` pins.
+const REQUESTS: usize = 120;
 
-/// One traced chaos run of `n` requests plus the giant under-pressure
-/// request, identical in shape to `tests/obs_trace.rs` so the dashboard
-/// describes the same trace the golden test pins.
-fn traced_chaos_run(n: usize) -> (Vec<ln_obs::TraceEvent>, u64) {
-    let reg = Registry::standard();
-    let policy = BucketPolicy::from_registry(&reg, 4);
-    let mut workload = WorkloadSpec::cameo_casp_mix(n, 3.0)
-        .with_seed(SEED)
-        .synthesize(&reg);
+/// Sequence length of the roofline's accelerator run.
+const SIM_LEN: usize = 1024;
 
-    // A sequence only the AAQ backend can hold, arriving under capacity
-    // pressure tight enough that only the INT4 rung fits — guarantees a
-    // degradation instant for the dashboard to count.
-    let ln = LightNobelBackend::paper("LightNobel");
-    let giant_len = ln.max_single_length();
-    let fraction =
-        ln.batch_peak_bytes_at(&[giant_len], ActPrecision::Int4) * 1.2 / ln.memory_capacity_bytes();
-    let giant_id = workload.iter().map(|r| r.id).max().map_or(0, |m| m + 1);
-    workload.push(FoldRequest {
-        id: giant_id,
-        name: "giant-under-pressure".to_string(),
-        length: giant_len,
-        arrival_seconds: 5.0,
-        timeout_seconds: 1e6,
-    });
-
-    let spec = ChaosSpec {
-        worker_panics: 1,
-        horizon_dispatches: 8,
-        pressure: vec![PressureWindow {
-            backend: 0,
-            start_seconds: 0.0,
-            end_seconds: 1e9,
-            available_fraction: fraction,
-        }],
-        poisons: vec![PoisonEvent {
-            bucket: 0,
-            at_seconds: 12.0,
-        }],
-        ..ChaosSpec::light(3)
-    };
-    let plan = FaultPlan::seeded(PLAN_SEED, &spec);
-
-    let mut engine =
-        Engine::with_resilience(policy, BatcherConfig::default(), standard_backends(), plan);
+/// One traced run of the golden chaos scenario.
+fn traced_chaos_run() -> (Vec<ln_obs::TraceEvent>, u64) {
+    let scenario = GoldenChaos::new("obs/trace-workload", REQUESTS);
+    let mut engine = scenario.engine();
     engine.set_tracing(true);
-    let out = engine.run(&workload);
+    let out = engine.run(&scenario.workload);
     (out.trace.expect("tracing was enabled"), out.trace_dropped)
 }
 
-fn document(tag: &str, cp: &CriticalPath, roofline: &LatencyReport) -> Value {
+fn document(cp: &CriticalPath, roofline: &LatencyReport) -> Value {
     let count = |n: usize| Value::UInt(n as u64);
     let t = cp.terminal_summary();
     let (queue_bound, compute_bound, retry_bound) = cp.blame_summary();
@@ -107,7 +66,7 @@ fn document(tag: &str, cp: &CriticalPath, roofline: &LatencyReport) -> Value {
     });
     obj([
         ("bench", Value::Str("insight".to_owned())),
-        ("tag", Value::Str(tag.to_owned())),
+        ("tag", Value::Str(format!("q{REQUESTS}"))),
         (
             "requests",
             obj([
@@ -135,32 +94,22 @@ fn document(tag: &str, cp: &CriticalPath, roofline: &LatencyReport) -> Value {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    banner(if quick {
-        "insight --quick — critical-path + roofline"
-    } else {
-        "insight — critical-path and roofline dashboards"
-    });
+    banner("insight — critical-path and roofline dashboards");
     paper_note(
         "interprets the telemetry instead of just exporting it: per-request \
          latency attribution from the engine trace (paper Fig. 3) and roofline \
          classification against the 32-RMPU/128-VVPU/2TB-s ceilings",
     );
 
-    let (n, sim_len) = if quick { (60, 512) } else { (120, 1024) };
-    let tag = format!("q{n}");
-
     // 1. Critical path from a traced chaos run (virtual time; byte-stable).
-    let (events, dropped) = traced_chaos_run(n);
+    let (events, dropped) = traced_chaos_run();
     let cp = CriticalPath::analyze(&events, dropped);
     println!("{}", cp.render_markdown());
 
     // 2. Roofline from one paper-scale simulation.
     let accel = Accelerator::new(HwConfig::paper());
-    let roofline = accel.simulate(sim_len);
+    let roofline = accel.simulate(SIM_LEN);
     println!("{}", roofline.roofline_markdown(accel.hw()));
-
-    emit("BENCH_INSIGHT.json", &document(&tag, &cp, &roofline), quick);
 
     let mut bad = false;
     if !cp.unattributed.is_empty() {
@@ -180,5 +129,6 @@ fn main() {
     if bad {
         std::process::exit(1);
     }
+    emit("BENCH_INSIGHT.json", &document(&cp, &roofline), false);
     println!("insight gate clean: all spans attributed");
 }

@@ -1,35 +1,34 @@
 //! Cost and fidelity benchmark for the ln-scope activation-numerics
 //! observatory.
 //!
-//! Four sections:
+//! Three sections:
 //!
-//! 1. **Off-mode overhead** — what wrapping the AAQ hook in a
-//!    [`ScopeHook`] costs when `LN_OBS=off`: one relaxed atomic load and a
-//!    direct delegation per tap, gated at `OFF_BUDGET_PCT` of the bare
-//!    hook's cost.
-//! 2. **On-mode cost** — ns per activation value for the sketch + ledger
+//! 1. **On-mode cost** — ns per activation value for the sketch + ledger
 //!    path and for the full path with per-rung probes (which re-quantizes
 //!    every activation once per candidate rung).
-//! 3. **Pool-identity gate** — the golden CAMEO fold observed through a
+//! 2. **Pool-identity gate** — the golden CAMEO fold observed through a
 //!    `ScopeHook` under `ln-par` pool sizes 1, 2 and 4 must produce
 //!    byte-identical numerics snapshots (DESIGN.md §16).
-//! 4. **Precision ledger** — the per-layer error/probe/census table over
+//! 3. **Precision ledger** — the per-layer error/probe/census table over
 //!    the golden fold, with the cheapest-safe-rung recommendation under
 //!    the measured error→accuracy sensitivity model.
 //!
+//! What wrapping the AAQ hook in a [`ScopeHook`] costs when `LN_OBS=off`
+//! is gated with the other off-mode paths by `obs_overhead`.
+//!
 //! The full run writes `BENCH_NUMERICS.json` at the repo root; `--quick`
-//! runs smaller iteration counts and exits non-zero on an off-mode or
-//! pool-identity violation.
+//! (ci.sh step 8) runs a smaller iteration count and writes nothing. Both
+//! exit non-zero, writing nothing, if the snapshots differ across pools or
+//! the ledger comes back empty.
 
 use std::hint::black_box;
 
-use ln_bench::{banner, emit, off_mode_cost, paper_note, show, time_best, OffCost, OFF_BUDGET_PCT};
+use ln_bench::{banner, emit, paper_note, probe_tap, show, spiky_activation, time_best};
 use ln_datasets::{Dataset, Registry};
 use ln_insight::json::{obj, Value};
 use ln_obs::ObsLevel;
-use ln_ppm::taps::{ActivationHook, ActivationSite, Tap};
+use ln_ppm::taps::ActivationHook;
 use ln_scope::{Scope, ScopeHook, SensitivityModel};
-use ln_tensor::Tensor2;
 
 use lightnobel::hook::AaqHook;
 use lightnobel::report::Table;
@@ -43,56 +42,6 @@ struct OverheadRow {
     ns_per_value: f64,
 }
 
-fn probe_tap(i: u64) -> Tap {
-    Tap {
-        block: (i % 2) as usize,
-        recycle: 0,
-        site: ActivationSite::TriMulPostLn,
-    }
-}
-
-/// The spiky synthetic activation the hook unit tests use: mostly unit
-/// scale with every fourth token 30× hotter — enough dynamic range to make
-/// the outlier census non-trivial.
-fn synth_activation() -> Tensor2 {
-    Tensor2::from_fn(16, 128, |i, j| {
-        let scale = if i % 4 == 0 { 30.0 } else { 1.0 };
-        scale * (((i * 13 + j * 7) % 19) as f32 * 0.1 - 0.9)
-    })
-}
-
-/// `LN_OBS=off`: a bare `AaqHook` versus the same hook inside a
-/// `ScopeHook`. The wrapper must cost one level check per tap — a branch
-/// on a ~100 µs tap.
-fn bench_off_mode(iters: u64, reps: usize) -> OffCost {
-    ln_obs::set_level(ObsLevel::Off);
-    let mut bare = AaqHook::paper();
-    let mut scoped = ScopeHook::new(AaqHook::paper(), 128);
-    let mut x = synth_activation();
-    let mut y = synth_activation();
-    let off = off_mode_cost(
-        reps,
-        iters,
-        |n| {
-            for i in 0..n {
-                bare.on_activation(probe_tap(i), black_box(&mut x));
-            }
-            n
-        },
-        |n| {
-            for i in 0..n {
-                scoped.on_activation(probe_tap(i), black_box(&mut y));
-            }
-            n
-        },
-    );
-    assert!(
-        scoped.book().is_empty(),
-        "off mode must not populate the sketches"
-    );
-    off
-}
-
 /// `LN_OBS=counters`: absolute per-value cost of the sketch + ledger path,
 /// with and without the per-rung probes.
 fn bench_on_modes(iters: u64, reps: usize) -> Vec<OverheadRow> {
@@ -101,7 +50,7 @@ fn bench_on_modes(iters: u64, reps: usize) -> Vec<OverheadRow> {
     let mut out = Vec::new();
 
     let mut lean = ScopeHook::new(AaqHook::paper(), 128).without_probes();
-    let mut x = synth_activation();
+    let mut x = spiky_activation();
     out.push(OverheadRow {
         mode: "sketch+ledger",
         ns_per_value: time_best(reps, iters, |n| {
@@ -113,7 +62,7 @@ fn bench_on_modes(iters: u64, reps: usize) -> Vec<OverheadRow> {
     });
 
     let mut probing = ScopeHook::new(AaqHook::paper(), 128);
-    let mut y = synth_activation();
+    let mut y = spiky_activation();
     out.push(OverheadRow {
         mode: "sketch+ledger+probes",
         ns_per_value: time_best(reps, iters, |n| {
@@ -161,7 +110,6 @@ fn pool_snapshots(evaluator: &AccuracyEvaluator) -> (Vec<String>, Scope) {
 }
 
 fn document(
-    off: OffCost,
     overhead: &[OverheadRow],
     identical: bool,
     sensitivity: &[SensitivityRow],
@@ -169,11 +117,7 @@ fn document(
     model: &SensitivityModel,
 ) -> Value {
     let text = |s: &str| Value::Str(s.to_owned());
-    let off_row = OverheadRow {
-        mode: "off",
-        ns_per_value: ((off.gated_ns - off.baseline_ns) / (16.0 * 128.0)).max(0.0),
-    };
-    let overhead = std::iter::once(&off_row).chain(overhead).map(|r| {
+    let overhead = overhead.iter().map(|r| {
         obj([
             ("mode", text(r.mode)),
             ("ns_per_value", Value::Float(r.ns_per_value)),
@@ -211,15 +155,6 @@ fn document(
     let pools = POOLS.iter().map(|&p| Value::UInt(p as u64));
     obj([
         ("bench", text("numerics")),
-        ("off_budget_pct", Value::Float(OFF_BUDGET_PCT)),
-        (
-            "off_mode",
-            obj([
-                ("baseline_ns_per_tap", Value::Float(off.baseline_ns)),
-                ("wrapped_ns_per_tap", Value::Float(off.gated_ns)),
-                ("delta_pct", Value::Float(off.delta_pct)),
-            ]),
-        ),
         ("overhead", Value::Arr(overhead.collect())),
         (
             "pool_identity",
@@ -236,7 +171,7 @@ fn document(
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     banner(if quick {
-        "numerics --quick — activation-numerics observatory cost gate (ln-scope)"
+        "numerics --quick — activation-numerics pool-identity and ledger gate (ln-scope)"
     } else {
         "numerics — sketch/ledger overhead, pool identity, precision ledger"
     });
@@ -247,13 +182,8 @@ fn main() {
          byte-deterministic across worker pools",
     );
 
-    let (off_iters, on_iters, reps) = if quick {
-        (200, 200, 9)
-    } else {
-        (500, 2_000, 15)
-    };
+    let (on_iters, reps) = if quick { (200, 9) } else { (2_000, 15) };
 
-    let off = bench_off_mode(off_iters, reps);
     let overhead = bench_on_modes(on_iters, reps);
 
     let evaluator = AccuracyEvaluator::fast();
@@ -269,13 +199,6 @@ fn main() {
     let table = ln_insight::precision_ledger_table(&rows, ln_insight::DEFAULT_TM_BUDGET, &model);
 
     let mut t = Table::new(["mode", "ns/value"]);
-    t.add_row([
-        "off".to_string(),
-        format!(
-            "{:.4}",
-            ((off.gated_ns - off.baseline_ns) / (16.0 * 128.0)).max(0.0)
-        ),
-    ]);
     for r in &overhead {
         t.add_row([r.mode.to_string(), format!("{:.2}", r.ns_per_value)]);
     }
@@ -292,12 +215,7 @@ fn main() {
     show(&t);
     print!("{table}");
     println!(
-        "off-mode: bare {:.1} ns/tap, scoped {:.1} ns/tap, \
-         delta {:+.2}% (budget {OFF_BUDGET_PCT:.1}%); pool snapshots \
-         {}",
-        off.baseline_ns,
-        off.gated_ns,
-        off.delta_pct,
+        "pool snapshots {}",
         if identical {
             "byte-identical across pools 1/2/4"
         } else {
@@ -306,14 +224,6 @@ fn main() {
     );
 
     let mut failed_gate = false;
-    if off.over_budget() {
-        eprintln!(
-            "REGRESSION: LN_OBS=off ScopeHook wrapping adds {:.2}% \
-             (budget {OFF_BUDGET_PCT:.1}%)",
-            off.delta_pct
-        );
-        failed_gate = true;
-    }
     if !identical {
         eprintln!("REGRESSION: numerics snapshots differ across ln-par pool sizes");
         failed_gate = true;
@@ -328,7 +238,7 @@ fn main() {
 
     emit(
         "BENCH_NUMERICS.json",
-        &document(off, &overhead, identical, &sensitivity, &rows, &model),
+        &document(&overhead, identical, &sensitivity, &rows, &model),
         quick,
     );
     println!("numerics gates passed");

@@ -1,27 +1,36 @@
-//! Overhead microbenchmark for the ln-obs instrumentation primitives.
+//! Overhead microbenchmark for the ln-obs instrumentation primitives, and
+//! the one gate on what observability costs when it is off.
 //!
-//! Two questions decide whether the registry may sit on hot paths:
+//! Two questions decide whether instrumentation may sit on hot paths:
 //!
 //! 1. What does one *enabled* event cost (counter add, gauge set, histogram
 //!    record, traced span)?
-//! 2. What does a *disabled* (`LN_OBS=off`) event cost relative to
-//!    uninstrumented code? The contract is "one relaxed atomic load, no
-//!    allocation", so a gated counter inside a realistic compute loop must
-//!    stay within a few percent of the bare loop.
+//! 2. What does the instrumentation cost under `LN_OBS=off`, relative to
+//!    the same code without it? The contract is "one relaxed atomic load
+//!    or branch, no allocation", so every off-mode path must stay within
+//!    `OFF_BUDGET_PCT` of its bare loop. The off-mode table covers each
+//!    path the budget protects: a gated ln-obs counter plus the serving hot
+//!    path's branch on an unattached ln-watch (the production default),
+//!    and the ln-scope `ScopeHook` wrapped around the paper's AAQ hook.
 //!
-//! The full run writes `BENCH_OBS.json` at the repo root; `--quick` runs a
-//! smaller iteration count and exits non-zero if the off-mode delta exceeds
-//! `OFF_BUDGET_PCT` — the tier-1 regression gate for observability cost.
+//! The full run writes `BENCH_OBS.json` at the repo root; `--quick`
+//! (ci.sh step 6) runs smaller iteration counts and writes nothing. Both
+//! exit non-zero if any off-mode row is over budget.
 
 use std::hint::black_box;
 use std::sync::Arc;
 
 use ln_bench::{
-    banner, emit, mix, off_mode_cost, paper_note, show, time_best, OffCost, OFF_BUDGET_PCT,
+    banner, emit, mix, off_mode_cost, paper_note, probe_tap, show, spiky_activation, time_best,
+    OffCost, OFF_BUDGET_PCT,
 };
 use ln_insight::json::{obj, Value};
-use ln_obs::{ObsLevel, Tracer, WallClock};
+use ln_obs::{ArgValue, ObsLevel, TraceEvent, TracePhase, Tracer, WallClock};
+use ln_ppm::taps::ActivationHook;
+use ln_scope::ScopeHook;
+use ln_watch::{Watch, WatchHandle};
 
+use lightnobel::hook::AaqHook;
 use lightnobel::report::Table;
 
 struct EventCost {
@@ -30,10 +39,22 @@ struct EventCost {
     ns_per_op: f64,
 }
 
-fn bench_off_delta(iters: u64, reps: usize) -> OffCost {
+/// One row of the off-mode table: an instrumented loop against its bare
+/// twin, each timed per `per`.
+struct OffRow {
+    instrumentation: &'static str,
+    per: &'static str,
+    cost: OffCost,
+}
+
+/// A gated counter and the engine's `Option` branch on an unattached
+/// watch, inside a compute loop: the serving hot path as it runs in
+/// production.
+fn off_counter_and_watch(iters: u64, reps: usize) -> OffRow {
     ln_obs::set_level(ObsLevel::Off);
     let counter = ln_obs::registry().counter("obs_overhead_off_probe");
-    off_mode_cost(
+    let watch: Option<WatchHandle> = None;
+    let cost = off_mode_cost(
         reps,
         iters,
         |n| {
@@ -48,10 +69,61 @@ fn bench_off_delta(iters: u64, reps: usize) -> OffCost {
             for i in 0..n {
                 acc = mix(acc ^ black_box(i));
                 counter.add(1);
+                if let Some(w) = black_box(&watch) {
+                    Watch::lock(w).record_event(TraceEvent {
+                        name: "obs_overhead_probe".to_string(),
+                        cat: "bench",
+                        phase: TracePhase::Instant,
+                        ts_nanos: i,
+                        track: 0,
+                        args: vec![("id", ArgValue::U64(i))],
+                    });
+                }
             }
             acc
         },
-    )
+    );
+    OffRow {
+        instrumentation: "counter+watch_branch",
+        per: "iter",
+        cost,
+    }
+}
+
+/// A bare `AaqHook` versus the same hook inside a `ScopeHook`: the wrapper
+/// must cost one level check per tap, next to a tap that quantizes a
+/// 16 × 128 activation.
+fn off_scope_hook(iters: u64, reps: usize) -> OffRow {
+    ln_obs::set_level(ObsLevel::Off);
+    let mut bare = AaqHook::paper();
+    let mut scoped = ScopeHook::new(AaqHook::paper(), 128);
+    let mut x = spiky_activation();
+    let mut y = spiky_activation();
+    let cost = off_mode_cost(
+        reps,
+        iters,
+        |n| {
+            for i in 0..n {
+                bare.on_activation(probe_tap(i), black_box(&mut x));
+            }
+            n
+        },
+        |n| {
+            for i in 0..n {
+                scoped.on_activation(probe_tap(i), black_box(&mut y));
+            }
+            n
+        },
+    );
+    assert!(
+        scoped.book().is_empty(),
+        "off mode must not populate the sketches"
+    );
+    OffRow {
+        instrumentation: "scope_hook",
+        per: "tap",
+        cost,
+    }
 }
 
 fn bench_enabled_events(iters: u64, reps: usize) -> Vec<EventCost> {
@@ -123,7 +195,7 @@ fn bench_enabled_events(iters: u64, reps: usize) -> Vec<EventCost> {
     out
 }
 
-fn document(events: &[EventCost], off: OffCost) -> Value {
+fn document(events: &[EventCost], off: &[OffRow]) -> Value {
     let events = events.iter().map(|e| {
         obj([
             ("event", Value::Str(e.event.to_owned())),
@@ -131,17 +203,19 @@ fn document(events: &[EventCost], off: OffCost) -> Value {
             ("ns_per_op", Value::Float(e.ns_per_op)),
         ])
     });
+    let off = off.iter().map(|r| {
+        obj([
+            ("instrumentation", Value::Str(r.instrumentation.to_owned())),
+            ("per", Value::Str(r.per.to_owned())),
+            ("baseline_ns", Value::Float(r.cost.baseline_ns)),
+            ("gated_ns", Value::Float(r.cost.gated_ns)),
+            ("delta_pct", Value::Float(r.cost.delta_pct)),
+        ])
+    });
     obj([
         ("bench", Value::Str("obs_overhead".to_owned())),
         ("off_budget_pct", Value::Float(OFF_BUDGET_PCT)),
-        (
-            "off_mode",
-            obj([
-                ("baseline_ns_per_iter", Value::Float(off.baseline_ns)),
-                ("gated_ns_per_iter", Value::Float(off.gated_ns)),
-                ("delta_pct", Value::Float(off.delta_pct)),
-            ]),
-        ),
+        ("off_mode", Value::Arr(off.collect())),
         ("events", Value::Arr(events.collect())),
     ])
 }
@@ -149,20 +223,24 @@ fn document(events: &[EventCost], off: OffCost) -> Value {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     banner(if quick {
-        "obs_overhead --quick — off-mode cost gate (ln-obs)"
+        "obs_overhead --quick — off-mode cost gate (ln-obs, ln-watch, ln-scope)"
     } else {
-        "obs_overhead — per-event cost of the ln-obs primitives"
+        "obs_overhead — per-event cost of the ln-obs primitives, off-mode cost"
     });
     paper_note(
         "instrumentation must not perturb what it measures: the LN_OBS=off \
-         path is one relaxed atomic load, so the simulator's reported \
-         latencies stay valid with observability compiled in",
+         path is one relaxed atomic load or branch, so the simulator's \
+         reported latencies stay valid with observability compiled in",
     );
 
     let (iters, reps) = if quick { (200_000, 7) } else { (2_000_000, 9) };
+    let (taps, tap_reps) = if quick { (200, 9) } else { (500, 15) };
 
     let events = bench_enabled_events(iters, reps);
-    let off = bench_off_delta(iters, reps);
+    let off = [
+        off_counter_and_watch(iters, reps),
+        off_scope_hook(taps, tap_reps),
+    ];
 
     let mut t = Table::new(["event", "level", "ns/op"]);
     for e in &events {
@@ -173,20 +251,28 @@ fn main() {
         ]);
     }
     show(&t);
-    println!(
-        "off-mode: baseline {:.2} ns/iter, gated counter {:.2} ns/iter, \
-         delta {:+.2}% (budget {OFF_BUDGET_PCT:.1}%)",
-        off.baseline_ns, off.gated_ns, off.delta_pct
-    );
+    let mut t = Table::new(["LN_OBS=off", "per", "baseline ns", "gated ns", "delta"]);
+    for r in &off {
+        t.add_row([
+            r.instrumentation.to_string(),
+            r.per.to_string(),
+            format!("{:.2}", r.cost.baseline_ns),
+            format!("{:.2}", r.cost.gated_ns),
+            format!("{:+.2}%", r.cost.delta_pct),
+        ]);
+    }
+    show(&t);
 
-    emit("BENCH_OBS.json", &document(&events, off), quick);
-    if off.over_budget() {
+    let over: Vec<&OffRow> = off.iter().filter(|r| r.cost.over_budget()).collect();
+    for r in &over {
         eprintln!(
-            "REGRESSION: LN_OBS=off adds {:.2}% to the baseline loop \
-             (budget {OFF_BUDGET_PCT:.1}%)",
-            off.delta_pct
+            "REGRESSION: LN_OBS=off {} adds {:.2}% to its bare loop (budget {OFF_BUDGET_PCT:.1}%)",
+            r.instrumentation, r.cost.delta_pct
         );
+    }
+    if !over.is_empty() {
         std::process::exit(1);
     }
-    println!("off-mode overhead within budget");
+    emit("BENCH_OBS.json", &document(&events, &off), quick);
+    println!("off-mode overhead within budget ({OFF_BUDGET_PCT:.1}%) on every row");
 }

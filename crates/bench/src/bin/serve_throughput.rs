@@ -33,7 +33,7 @@ fn main() {
     );
 
     let reg = Registry::standard();
-    let policy = BucketPolicy::from_registry(&reg, 4);
+    let policy = BucketPolicy::from_registry(&reg);
     let workload = WorkloadSpec::cameo_casp_mix(240, 2.0).synthesize(&reg);
 
     // Batched: up to 8 per batch, 2 s collection window, and a 60 s batch

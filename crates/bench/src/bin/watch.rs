@@ -2,11 +2,10 @@
 //!
 //! Three sections:
 //!
-//! 1. **Per-event overhead** — what one watch touch costs on the serving
-//!    hot path: the `LN_OBS=off` configuration with *no watch attached*
-//!    (an `Option` branch plus one gated counter — the production default,
-//!    gated at `OFF_BUDGET_PCT`), feeding the always-on flight recorder,
-//!    and classifying an outcome through the SLO engine.
+//! 1. **Per-event overhead** — what one watch touch costs: feeding the
+//!    always-on flight recorder, and classifying an outcome through the SLO
+//!    engine. (The production default, `LN_OBS=off` with no watch
+//!    attached, is gated with the other off-mode paths by `obs_overhead`.)
 //! 2. **Burn-rate fixtures** — deterministic SLO-engine workloads (steady
 //!    traffic, a failure burst, burst-then-recovery) timing `evaluate()`
 //!    over populated scope windows and pinning the breach counts.
@@ -15,23 +14,21 @@
 //!    FP32→INT8→INT4 reduction is monotone at L ≥ 1024 (the paper's
 //!    Fig. 15 claim, live-telemetry edition).
 //!
-//! The full run writes `BENCH_WATCH.json` at the repo root; `--quick` runs
-//! a smaller iteration count and exits non-zero on an off-mode or
-//! monotonicity violation.
+//! The full run writes `BENCH_WATCH.json` at the repo root; `--quick`
+//! (ci.sh step 7) runs a smaller iteration count and writes nothing. Both
+//! exit non-zero, writing nothing, if the steady fixture breaches, the
+//! burst fixture never does, or the watermark stops shrinking.
 
 use std::hint::black_box;
 
-use ln_bench::{
-    banner, emit, mix, off_mode_cost, paper_note, show, time_best, OffCost, OFF_BUDGET_PCT,
-};
+use ln_bench::{banner, emit, paper_note, show, time_best};
 use ln_insight::json::{obj, Value};
 use ln_obs::{ArgValue, ObsLevel, Registry, TraceEvent, TracePhase};
 use ln_quant::ActPrecision;
 use ln_scope::length_bucket_label;
 use ln_serve::{Backend, LightNobelBackend};
 use ln_watch::{
-    FoldObservation, ObservedOutcome, SloEngine, SloSpec, Watch, WatchConfig, WatchHandle,
-    WatermarkTracker,
+    FoldObservation, ObservedOutcome, SloEngine, SloSpec, Watch, WatchConfig, WatermarkTracker,
 };
 
 use lightnobel::report::Table;
@@ -51,37 +48,6 @@ struct MemoryRow {
     bucket: &'static str,
     precision: &'static str,
     max_bytes: f64,
-}
-
-/// `LN_OBS=off`, no watch attached: the engine hot path is an `Option`
-/// branch plus one gated counter per event. This is the configuration the
-/// ≤5% budget protects.
-fn bench_off_mode(iters: u64, reps: usize) -> OffCost {
-    ln_obs::set_level(ObsLevel::Off);
-    let counter = ln_obs::registry().counter("watch_bench_off_probe");
-    let watch: Option<WatchHandle> = None;
-    off_mode_cost(
-        reps,
-        iters,
-        |n| {
-            let mut acc = 0x5EED_u64;
-            for i in 0..n {
-                acc = mix(acc ^ black_box(i));
-            }
-            acc
-        },
-        |n| {
-            let mut acc = 0x5EED_u64;
-            for i in 0..n {
-                acc = mix(acc ^ black_box(i));
-                counter.add(1);
-                if let Some(w) = black_box(&watch) {
-                    Watch::lock(w).record_event(probe_event(i));
-                }
-            }
-            acc
-        },
-    )
 }
 
 fn probe_event(i: u64) -> TraceEvent {
@@ -296,18 +262,9 @@ fn check_monotone(rows: &[MemoryRow]) -> Result<(), String> {
     Ok(())
 }
 
-fn document(
-    off: OffCost,
-    overhead: &[OverheadRow],
-    burn: &[BurnRow],
-    memory: &[MemoryRow],
-) -> Value {
+fn document(overhead: &[OverheadRow], burn: &[BurnRow], memory: &[MemoryRow]) -> Value {
     let text = |s: &str| Value::Str(s.to_owned());
-    let off_row = OverheadRow {
-        mode: "off",
-        ns_per_event: (off.gated_ns - off.baseline_ns).max(0.0),
-    };
-    let overhead = std::iter::once(&off_row).chain(overhead).map(|r| {
+    let overhead = overhead.iter().map(|r| {
         obj([
             ("mode", text(r.mode)),
             ("ns_per_event", Value::Float(r.ns_per_event)),
@@ -329,15 +286,6 @@ fn document(
     });
     obj([
         ("bench", text("watch")),
-        ("off_budget_pct", Value::Float(OFF_BUDGET_PCT)),
-        (
-            "off_mode",
-            obj([
-                ("baseline_ns_per_iter", Value::Float(off.baseline_ns)),
-                ("gated_ns_per_iter", Value::Float(off.gated_ns)),
-                ("delta_pct", Value::Float(off.delta_pct)),
-            ]),
-        ),
         ("overhead", Value::Arr(overhead.collect())),
         ("burn", Value::Arr(burn.collect())),
         ("memory", Value::Arr(memory.collect())),
@@ -347,29 +295,23 @@ fn document(
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     banner(if quick {
-        "watch --quick — live-observability cost gate (ln-watch)"
+        "watch --quick — SLO burn and watermark gate (ln-watch)"
     } else {
         "watch — SLO burn fixtures, recorder overhead, memory watermarks"
     });
     paper_note(
-        "the watch must be cheap enough to stay on in production: the \
-         LN_OBS=off serving path with no watch attached pays one branch \
-         and one gated counter, and the activation watermark it surfaces \
-         is the quantity AAQ exists to bound (Fig. 15)",
+        "the watch must be cheap enough to stay on in production, and the \
+         activation watermark it surfaces is the quantity AAQ exists to \
+         bound (Fig. 15)",
     );
 
     let (iters, reps) = if quick { (100_000, 5) } else { (1_000_000, 9) };
 
-    let off = bench_off_mode(iters, reps);
     let overhead = bench_watch_events(iters, reps);
     let burn = bench_burn_fixtures(iters.min(10_000), reps);
     let (memory, table) = memory_sweep();
 
     let mut t = Table::new(["mode", "ns/event"]);
-    t.add_row([
-        "off".to_string(),
-        format!("{:.2}", (off.gated_ns - off.baseline_ns).max(0.0)),
-    ]);
     for r in &overhead {
         t.add_row([r.mode.to_string(), format!("{:.2}", r.ns_per_event)]);
     }
@@ -384,21 +326,8 @@ fn main() {
     }
     show(&t);
     print!("{table}");
-    println!(
-        "off-mode: baseline {:.2} ns/iter, gated {:.2} ns/iter, \
-         delta {:+.2}% (budget {OFF_BUDGET_PCT:.1}%)",
-        off.baseline_ns, off.gated_ns, off.delta_pct
-    );
 
     let mut failed_gate = false;
-    if off.over_budget() {
-        eprintln!(
-            "REGRESSION: LN_OBS=off with the watch compiled in adds {:.2}% \
-             (budget {OFF_BUDGET_PCT:.1}%)",
-            off.delta_pct
-        );
-        failed_gate = true;
-    }
     if let Err(e) = check_monotone(&memory) {
         eprintln!("REGRESSION: {e}");
         failed_gate = true;
@@ -417,7 +346,7 @@ fn main() {
 
     emit(
         "BENCH_WATCH.json",
-        &document(off, &overhead, &burn, &memory),
+        &document(&overhead, &burn, &memory),
         quick,
     );
     println!("watch gates passed");

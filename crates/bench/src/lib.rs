@@ -37,6 +37,8 @@ use std::time::Instant;
 
 use lightnobel::report::Table;
 use ln_insight::json::{self, Value};
+use ln_ppm::taps::{ActivationSite, Tap};
+use ln_tensor::Tensor2;
 
 /// Prints a section banner.
 pub fn banner(title: &str) {
@@ -131,6 +133,26 @@ pub fn mix(mut x: u64) -> u64 {
             .wrapping_add(0xD1B5_4A32_D192_ED03);
     }
     x
+}
+
+/// The tap the hook benchmarks feed: a post-LN triangular-multiplication
+/// site, alternating between two blocks.
+pub fn probe_tap(i: u64) -> Tap {
+    Tap {
+        block: (i % 2) as usize,
+        recycle: 0,
+        site: ActivationSite::TriMulPostLn,
+    }
+}
+
+/// The spiky synthetic 16 × 128 activation the hook benchmarks quantize:
+/// mostly unit scale with every fourth token 30× hotter — enough dynamic
+/// range to make the outlier census non-trivial.
+pub fn spiky_activation() -> Tensor2 {
+    Tensor2::from_fn(16, 128, |i, j| {
+        let scale = if i % 4 == 0 { 30.0 } else { 1.0 };
+        scale * (((i * 13 + j * 7) % 19) as f32 * 0.1 - 0.9)
+    })
 }
 
 /// Emits one `BENCH_*.json` document: serialises it, checks that the text

@@ -338,7 +338,7 @@ mod tests {
         assert!(!b.fits_batch(&[2 * n]));
         // Under pressure (a fraction of capacity) FP32 stops fitting long
         // before INT4 does — the degradation window the fallback exploits.
-        let squeezed = b.batch_peak_bytes_at(&[n], ActPrecision::Int4) * 1.2 / capacity;
+        let squeezed = crate::fault::int4_only_pressure().available_fraction;
         assert!(!b.permits(&[n], ActPrecision::Fp32, squeezed));
         assert!(b.permits(&[n], ActPrecision::Int4, squeezed));
         // A degraded rung is a pressure fallback only: never at full

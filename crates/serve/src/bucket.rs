@@ -9,6 +9,10 @@
 
 use ln_datasets::{Registry, ALL_DATASETS};
 
+/// How many buckets [`BucketPolicy::from_registry`] cuts the registry's
+/// length distribution into.
+const REGISTRY_BUCKETS: usize = 4;
+
 /// A partition of sequence lengths into contiguous buckets.
 ///
 /// Bucket `i` covers `(bounds[i-1], bounds[i]]`; the final bucket is
@@ -35,23 +39,18 @@ impl BucketPolicy {
         BucketPolicy { bounds }
     }
 
-    /// Derives `n_buckets` buckets from the length distribution of the
+    /// Derives up to four buckets from the length distribution of the
     /// whole registry (all four evaluation datasets), using equal-mass
     /// quantile boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_buckets` is zero.
-    pub fn from_registry(registry: &Registry, n_buckets: usize) -> Self {
-        assert!(n_buckets > 0, "need at least one bucket");
+    pub fn from_registry(registry: &Registry) -> Self {
         let mut lengths: Vec<usize> = ALL_DATASETS
             .iter()
             .flat_map(|&d| registry.dataset(d).records().iter().map(|r| r.length()))
             .collect();
         lengths.sort_unstable();
         let mut bounds = Vec::new();
-        for i in 1..n_buckets {
-            let q = i as f64 / n_buckets as f64;
+        for i in 1..REGISTRY_BUCKETS {
+            let q = i as f64 / REGISTRY_BUCKETS as f64;
             let idx = ((q * (lengths.len() - 1) as f64).round() as usize).min(lengths.len() - 1);
             let b = lengths[idx];
             if bounds.last() != Some(&b) {
@@ -112,8 +111,11 @@ mod tests {
     #[test]
     fn registry_policy_covers_all_records() {
         let reg = Registry::standard();
-        let p = BucketPolicy::from_registry(&reg, 4);
-        assert!(p.num_buckets() >= 2 && p.num_buckets() <= 4, "{p:?}");
+        let p = BucketPolicy::from_registry(&reg);
+        assert!(
+            p.num_buckets() >= 2 && p.num_buckets() <= REGISTRY_BUCKETS,
+            "{p:?}"
+        );
         // Every record maps to a valid bucket and buckets are used in order.
         for &d in &ALL_DATASETS {
             for r in reg.dataset(d).records() {

@@ -73,7 +73,7 @@
 //! use ln_serve::{standard_backends, BatcherConfig, BucketPolicy, Engine, WorkloadSpec};
 //!
 //! let reg = Registry::standard();
-//! let policy = BucketPolicy::from_registry(&reg, 4);
+//! let policy = BucketPolicy::from_registry(&reg);
 //! let shards: Vec<Engine> = (0..4)
 //!     .map(|_| {
 //!         Engine::new(

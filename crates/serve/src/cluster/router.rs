@@ -1090,7 +1090,7 @@ mod tests {
     use ln_datasets::Registry;
 
     fn policy() -> BucketPolicy {
-        BucketPolicy::from_registry(&Registry::standard(), 4)
+        BucketPolicy::from_registry(&Registry::standard())
     }
 
     fn standard_shard(plan: FaultPlan) -> Engine {

@@ -614,7 +614,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::backend::{standard_backends, LightNobelBackend};
-    use crate::fault::{ChaosSpec, PoisonEvent, PressureWindow};
+    use crate::fault::{int4_only_pressure, ChaosSpec, PoisonEvent};
     use crate::request::{FoldError, RejectReason};
     use ln_quant::ActPrecision;
 
@@ -931,18 +931,7 @@ mod tests {
             use crate::backend::Backend as _;
             ln.max_single_length()
         };
-        let fraction = {
-            use crate::backend::Backend as _;
-            ln.batch_peak_bytes_at(&[n], ActPrecision::Int4) * 1.2 / ln.memory_capacity_bytes()
-        };
-        let plan = FaultPlan::builder()
-            .pressure(PressureWindow {
-                backend: 0,
-                start_seconds: 0.0,
-                end_seconds: 1e9,
-                available_fraction: fraction,
-            })
-            .build();
+        let plan = FaultPlan::builder().pressure(int4_only_pressure()).build();
         let mut e = Engine::with_resilience(
             small_policy(),
             BatcherConfig::default(),
@@ -1085,18 +1074,7 @@ mod tests {
             use crate::backend::Backend as _;
             ln.max_single_length()
         };
-        let fraction = {
-            use crate::backend::Backend as _;
-            ln.batch_peak_bytes_at(&[n], ActPrecision::Int4) * 1.2 / ln.memory_capacity_bytes()
-        };
-        let plan = FaultPlan::builder()
-            .pressure(PressureWindow {
-                backend: 0,
-                start_seconds: 0.0,
-                end_seconds: 1e9,
-                available_fraction: fraction,
-            })
-            .build();
+        let plan = FaultPlan::builder().pressure(int4_only_pressure()).build();
         let mut e = Engine::with_resilience(
             small_policy(),
             BatcherConfig::default(),

@@ -3,7 +3,7 @@
 //! supplies the unhealthy one — reproducibly. Every fault is scheduled from
 //! a seed label through `ln_tensor::rng`, so a chaos run is as
 //! bit-replayable as any other experiment in the reproduction (the
-//! property `scripts/ci.sh chaos --quick` gates on).
+//! property the `chaos` bin gates on).
 //!
 //! The moving parts:
 //!
@@ -12,6 +12,9 @@
 //!   device's memory model, bucket-queue poison events, and the cluster's
 //!   shard losses and partitions; either built explicitly or sampled from a
 //!   [`ChaosSpec`] under a seed label.
+//! * [`GoldenChaos`] — the one seeded scenario the chaos gate, the insight
+//!   dashboard and the golden chaos and trace tests run: a giant request
+//!   that completes only at INT4 under HBM pressure.
 //! * `retry` — bounded retries with exponential backoff and *deterministic*
 //!   jitter (the jitter stream is keyed by request id and attempt, never by
 //!   wall-clock).
@@ -28,9 +31,11 @@
 //! wall-clock or global state.
 
 pub(crate) mod breaker;
+mod golden;
 mod plan;
 pub(crate) mod retry;
 
+pub use golden::{int4_only_pressure, GoldenChaos};
 pub(crate) use plan::DispatchFault;
 pub use plan::{
     ChaosSpec, FaultPlan, FaultPlanBuilder, PartitionWindow, PoisonEvent, PressureWindow,

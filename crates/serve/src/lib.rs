@@ -60,7 +60,7 @@
 //! use ln_datasets::Registry;
 //!
 //! let reg = Registry::standard();
-//! let policy = BucketPolicy::from_registry(&reg, 4);
+//! let policy = BucketPolicy::from_registry(&reg);
 //! let workload = WorkloadSpec::cameo_casp_mix(64, 2.0).synthesize(&reg);
 //! let mut engine = Engine::new(policy, BatcherConfig::default(), standard_backends());
 //! let outcome = engine.run(&workload);

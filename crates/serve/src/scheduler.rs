@@ -592,7 +592,7 @@ impl<S: Sink> Scheduler<S> {
 mod tests {
     use super::*;
     use crate::backend::LightNobelBackend;
-    use crate::fault::PressureWindow;
+    use crate::fault::int4_only_pressure;
     use crate::request::FoldResponse;
 
     /// A sink that only writes down what the core emits, in order.
@@ -727,16 +727,7 @@ mod tests {
         // backend fits that sequence at INT4 only, and a short one at FP32.
         let ln = LightNobelBackend::paper("LightNobel");
         let giant = ln.max_single_length();
-        let available_fraction =
-            ln.batch_peak_bytes_at(&[giant], ActPrecision::Int4) * 1.2 / ln.memory_capacity_bytes();
-        let plan = FaultPlan::builder()
-            .pressure(PressureWindow {
-                backend: 0,
-                start_seconds: 0.0,
-                end_seconds: 1e9,
-                available_fraction,
-            })
-            .build();
+        let plan = FaultPlan::builder().pressure(int4_only_pressure()).build();
         let mut core = core(plan);
         let old = core.admit(req(0, giant, 0.0), 0.0).expect("admitted");
         let young = core.admit(req(1, 200, 1.0), 1.0).expect("admitted");

@@ -355,8 +355,7 @@ fn worker(shared: Arc<Shared>, idx: usize) {
 mod tests {
     use super::*;
     use crate::backend::{standard_backends, LightNobelBackend};
-    use crate::fault::PressureWindow;
-    use ln_quant::ActPrecision;
+    use crate::fault::int4_only_pressure;
 
     fn policy() -> BucketPolicy {
         BucketPolicy::fixed(vec![256, 1024, 4096])
@@ -393,16 +392,7 @@ mod tests {
         // INT4 only.
         let ln = LightNobelBackend::paper("LightNobel");
         let giant = ln.max_single_length();
-        let available_fraction =
-            ln.batch_peak_bytes_at(&[giant], ActPrecision::Int4) * 1.2 / ln.memory_capacity_bytes();
-        let plan = FaultPlan::builder()
-            .pressure(PressureWindow {
-                backend: 0,
-                start_seconds: 0.0,
-                end_seconds: 1e9,
-                available_fraction,
-            })
-            .build();
+        let plan = FaultPlan::builder().pressure(int4_only_pressure()).build();
         let config = ServiceConfig {
             batcher: BatcherConfig {
                 max_batch: 1,

@@ -10,8 +10,7 @@
 //! `FoldError::WorkerPanic`, retries the batch, and the service keeps
 //! answering — which is the point.
 
-use ln_quant::ActPrecision;
-use ln_serve::fault::{FaultPlan, PressureWindow};
+use ln_serve::fault::{int4_only_pressure, FaultPlan};
 use ln_serve::{
     standard_backends, Backend, BatcherConfig, BucketPolicy, FoldOutcome, FoldService,
     LightNobelBackend, ServiceConfig,
@@ -20,24 +19,15 @@ use std::time::Duration;
 
 fn main() {
     let reg = ln_datasets::Registry::standard();
-    let policy = BucketPolicy::from_registry(&reg, 4);
+    let policy = BucketPolicy::from_registry(&reg);
 
     // Squeeze the AAQ backend to ~1.2x the INT4 footprint of its longest
-    // routable sequence, panic its first dispatch, and fail the GPUs'
-    // first dispatches transiently.
-    let ln = LightNobelBackend::paper("LightNobel");
-    let giant_len = ln.max_single_length();
-    let fraction =
-        ln.batch_peak_bytes_at(&[giant_len], ActPrecision::Int4) * 1.2 / ln.memory_capacity_bytes();
+    // routable sequence, panic the A100 worker's first dispatch, and fail
+    // the H100's first dispatch transiently.
     let plan = FaultPlan::builder()
         .worker_panic(1, 0)
         .transient(2, 0)
-        .pressure(PressureWindow {
-            backend: 0,
-            start_seconds: 0.0,
-            end_seconds: 1e9,
-            available_fraction: fraction,
-        })
+        .pressure(int4_only_pressure())
         .build();
 
     let cfg = ServiceConfig {
@@ -52,7 +42,10 @@ fn main() {
     let folds = [
         ("CAMEO-ish", 180),
         ("CASP14-ish", 1100),
-        ("giant-under-pressure", giant_len),
+        (
+            "giant-under-pressure",
+            LightNobelBackend::paper("LightNobel").max_single_length(),
+        ),
     ];
     let tickets: Vec<_> = folds
         .iter()

@@ -10,7 +10,7 @@ use ln_serve::{standard_backends, BatcherConfig, BucketPolicy, Engine, WorkloadS
 
 fn main() {
     let reg = ln_datasets::Registry::standard();
-    let policy = BucketPolicy::from_registry(&reg, 4);
+    let policy = BucketPolicy::from_registry(&reg);
 
     // Six shards, each a full virtual-time engine over the standard
     // backend pool (LightNobel AAQ accelerator + chunked A100/H100).

@@ -10,7 +10,7 @@ use ln_serve::{
 
 fn main() {
     let reg = ln_datasets::Registry::standard();
-    let policy = BucketPolicy::from_registry(&reg, 4);
+    let policy = BucketPolicy::from_registry(&reg);
 
     // 1. Deterministic virtual-time run: same seed, same schedule, always.
     let workload = WorkloadSpec::cameo_casp_mix(48, 2.0).synthesize(&reg);

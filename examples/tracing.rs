@@ -13,7 +13,7 @@ fn main() {
     ln_obs::set_level(ln_obs::ObsLevel::Trace);
 
     let reg = ln_datasets::Registry::standard();
-    let policy = BucketPolicy::from_registry(&reg, 4);
+    let policy = BucketPolicy::from_registry(&reg);
     let workload = WorkloadSpec::cameo_casp_mix(32, 2.0)
         .with_seed("example/tracing")
         .synthesize(&reg);

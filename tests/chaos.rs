@@ -1,7 +1,8 @@
 //! Chaos acceptance test for the resilience layer (ISSUE 3).
 //!
-//! Under a seeded [`FaultPlan`] injecting backend stalls, transient compute
-//! errors, HBM capacity pressure, a queue poison and a worker panic:
+//! Under the golden scenario's seeded plan ([`GoldenChaos`]) injecting
+//! backend stalls, transient compute errors, HBM capacity pressure, a
+//! queue poison and a worker panic:
 //!
 //! 1. every submitted request terminates with a definite [`FoldOutcome`]
 //!    (no hangs, no lost responses),
@@ -11,33 +12,12 @@
 //!    precision-degradation path, visible in
 //!    `ServeStats::resilience_tables()`.
 
-use ln_datasets::Registry;
 use ln_quant::ActPrecision;
-use ln_serve::fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow};
-use ln_serve::{
-    standard_backends, Backend, BatcherConfig, BucketPolicy, Engine, EngineOutcome, FoldOutcome,
-    FoldRequest, LightNobelBackend, WorkloadSpec,
-};
+use ln_serve::fault::GoldenChaos;
+use ln_serve::{EngineOutcome, FoldOutcome, FoldRequest};
 
-/// Seed for the synthetic workload.
-const SEED: &str = "chaos/acceptance";
-/// Seed for the fault plan — chosen so the sampled worker panic lands on a
-/// dispatch sequence number the run actually reaches.
-const PLAN_SEED: &str = "chaos/plan-h";
-
-/// The id of the deliberately giant request appended to the mixed workload.
-fn giant_request(workload: &[FoldRequest], length: usize) -> FoldRequest {
-    let id = workload.iter().map(|r| r.id).max().map_or(0, |m| m + 1);
-    FoldRequest {
-        id,
-        name: "giant-under-pressure".to_string(),
-        length,
-        arrival_seconds: 5.0,
-        timeout_seconds: 1e6,
-    }
-}
-
-/// One full chaos run on an `ln-par` pool of `threads` executors.
+/// One run of the golden chaos scenario on an `ln-par` pool of `threads`
+/// executors.
 fn run_chaos(threads: usize) -> (Vec<FoldRequest>, EngineOutcome) {
     run_chaos_traced(threads, false)
 }
@@ -47,46 +27,17 @@ fn run_chaos(threads: usize) -> (Vec<FoldRequest>, EngineOutcome) {
 fn run_chaos_traced(threads: usize, traced: bool) -> (Vec<FoldRequest>, EngineOutcome) {
     let pool = ln_par::Pool::new_exact(threads);
     ln_par::with_pool(&pool, || {
-        let reg = Registry::standard();
-        let policy = BucketPolicy::from_registry(&reg, 4);
-        let mut workload = WorkloadSpec::cameo_casp_mix(120, 3.0)
-            .with_seed(SEED)
-            .synthesize(&reg);
-
-        // A sequence only the AAQ-capable backend can hold, arriving while
-        // that backend's memory is squeezed to ~1.2x the INT4 footprint:
-        // FP32 and INT8 cannot fit, INT4 can.
-        let ln = LightNobelBackend::paper("LightNobel");
-        let giant_len = ln.max_single_length();
-        let fraction = ln.batch_peak_bytes_at(&[giant_len], ActPrecision::Int4) * 1.2
-            / ln.memory_capacity_bytes();
-        workload.push(giant_request(&workload, giant_len));
-
-        let spec = ChaosSpec {
-            worker_panics: 1,
-            horizon_dispatches: 8,
-            pressure: vec![PressureWindow {
-                backend: 0, // LightNobel's index in `standard_backends()`
-                start_seconds: 0.0,
-                end_seconds: 1e9,
-                available_fraction: fraction,
-            }],
-            poisons: vec![PoisonEvent {
-                bucket: 0,
-                at_seconds: 12.0,
-            }],
-            ..ChaosSpec::light(3)
-        };
-        let plan = FaultPlan::seeded(PLAN_SEED, &spec);
-        assert!(plan.dispatch_fault_count() > 0, "spec must schedule faults");
-
-        let mut engine =
-            Engine::with_resilience(policy, BatcherConfig::default(), standard_backends(), plan);
+        let scenario = GoldenChaos::new("chaos/acceptance", 120);
+        assert!(
+            scenario.plan.dispatch_fault_count() > 0,
+            "spec must schedule faults"
+        );
+        let mut engine = scenario.engine();
         if traced {
             engine.set_tracing(true);
         }
-        let out = engine.run(&workload);
-        (workload, out)
+        let out = engine.run(&scenario.workload);
+        (scenario.workload, out)
     })
 }
 
@@ -139,11 +90,8 @@ fn fixed_seed_is_bitwise_reproducible_across_pool_sizes() {
 #[test]
 fn long_sequence_completes_via_int4_degradation() {
     let (workload, out) = run_chaos(1);
-    let giant_id = workload
-        .iter()
-        .find(|r| r.name == "giant-under-pressure")
-        .expect("giant request present")
-        .id;
+    // The scenario appends the giant request last.
+    let giant_id = workload.last().expect("giant request present").id;
     let giant = out
         .responses
         .iter()

@@ -51,7 +51,7 @@ fn traced_run(threads: usize) -> ClusterOutcome {
     let pool = ln_par::Pool::new_exact(threads);
     ln_par::with_pool(&pool, || {
         let reg = Registry::standard();
-        let policy = BucketPolicy::from_registry(&reg, 4);
+        let policy = BucketPolicy::from_registry(&reg);
         let shards: Vec<Engine> = (0..SHARDS)
             .map(|_| {
                 Engine::with_resilience(
@@ -163,7 +163,7 @@ fn partition_starting_mid_hop_times_the_attempt_out_at_the_router() {
         })
         .build();
     let shard = Engine::with_resilience(
-        BucketPolicy::from_registry(&Registry::standard(), 4),
+        BucketPolicy::from_registry(&Registry::standard()),
         BatcherConfig::default(),
         standard_backends(),
         FaultPlan::none(),

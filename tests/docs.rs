@@ -1,9 +1,9 @@
 //! The docs a reader starts from stay small and their cross-references
 //! resolve: README.md, DESIGN.md and EXPERIMENTS.md together fit a byte
 //! budget, every `DESIGN.md §n` and every quoted DESIGN.md / EXPERIMENTS.md
-//! section name the code cites is a heading, every `--bin` /
-//! `--example` the docs name exists, and README's Layout table has one row
-//! per crate.
+//! section name the code cites is a heading, every `ci.sh step n` cited
+//! is a step ci.sh runs, every `--bin` / `--example` the docs name exists,
+//! and README's Layout table has one row per crate.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -106,6 +106,34 @@ fn design_section_numbers(text: &str) -> Vec<u32> {
         .collect()
 }
 
+/// The step numbers cited as `ci.sh step n`, `ci.sh steps n, m and k` or
+/// `ci.sh steps n–m`.
+fn ci_step_numbers(text: &str) -> Vec<u32> {
+    let mut numbers = Vec::new();
+    for (at, doc) in text.match_indices("ci.sh") {
+        let rest = text[at + doc.len()..].trim_start_matches(['`', ' ']);
+        let Some(mut rest) = rest
+            .strip_prefix("steps")
+            .or_else(|| rest.strip_prefix("step"))
+        else {
+            continue;
+        };
+        loop {
+            rest = rest.trim_start_matches([' ', ',', '-', '–']);
+            if let Some(after) = rest.strip_prefix("and ") {
+                rest = after;
+            }
+            let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+            let Ok(n) = rest[..digits].parse() else {
+                break;
+            };
+            numbers.push(n);
+            rest = &rest[digits..];
+        }
+    }
+    numbers
+}
+
 /// The word after each `flag` in `text`, backticks and punctuation
 /// trimmed; placeholders such as `<name>` are skipped.
 fn flag_values(text: &str, flag: &str) -> Vec<String> {
@@ -186,6 +214,36 @@ fn every_cited_section_is_a_heading() {
 }
 
 #[test]
+fn every_cited_ci_step_exists() {
+    let steps = read("scripts/ci.sh")
+        .lines()
+        .filter(|l| l.starts_with("step "))
+        .count() as u32;
+    let mut sources: Vec<PathBuf> = DOCS
+        .iter()
+        .chain(&["Cargo.toml"])
+        .map(|d| root().join(d))
+        .collect();
+    for dir in CITING_DIRS {
+        files_under(&root().join(dir), &["rs", "sh", "md", "toml"], &mut sources);
+    }
+    let mut dangling = Vec::new();
+    for path in &sources {
+        let text = unwrap_comments(&fs::read_to_string(path).unwrap());
+        for n in ci_step_numbers(&text) {
+            if n == 0 || n > steps {
+                let file = path.strip_prefix(root()).unwrap().display();
+                dangling.push(format!("{file}: ci.sh step {n}"));
+            }
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "ci.sh has {steps} step lines; cited past them: {dangling:#?}"
+    );
+}
+
+#[test]
 fn every_bin_and_example_the_docs_name_exists() {
     let mut bins = Vec::new();
     for dir in ["crates", "benchmarks"] {
@@ -252,6 +310,11 @@ fn the_citation_scanners_read_wrapped_and_listed_citations() {
         ["Row math record", "Other record"]
     );
     assert_eq!(design_section_numbers(&text), [14]);
+    assert_eq!(
+        ci_step_numbers("ci.sh step 4's test, `ci.sh` steps 6–10, ci.sh steps 2, 3 and 9."),
+        [4, 6, 10, 2, 3, 9]
+    );
+    assert!(ci_step_numbers("scripts/ci.sh chaos, ci.sh step N").is_empty());
     assert_eq!(
         flag_values("run `--bin fig13_accuracy` and --example <name>", "--bin"),
         ["fig13_accuracy"]

@@ -73,7 +73,7 @@ fn synthetic_events() -> Vec<TraceEvent> {
 /// One small traced chaos run of the virtual-time engine.
 fn engine_trace() -> Vec<TraceEvent> {
     let reg = Registry::standard();
-    let policy = BucketPolicy::from_registry(&reg, 4);
+    let policy = BucketPolicy::from_registry(&reg);
     let workload = WorkloadSpec::cameo_casp_mix(40, 3.0)
         .with_seed("export/roundtrip-workload")
         .synthesize(&reg);

@@ -1,73 +1,26 @@
 //! Golden acceptance test for deterministic tracing (ln-obs).
 //!
-//! A seeded chaos run of the virtual-time [`Engine`] with tracing enabled
+//! A seeded chaos run of the virtual-time `ln_serve::Engine` with tracing enabled
 //! must emit a Chrome-trace JSON document that is **byte-identical** across
 //! `ln-par` pool sizes 1/2/4: every event timestamp derives from the
 //! virtual schedule, never from wall time, so host parallelism cannot
 //! perturb the trace. The same trace must cover the full event vocabulary —
 //! queue, dispatch, kernel, retry, fault and degradation spans.
 
-use ln_datasets::Registry;
 use ln_obs::TraceEvent;
-use ln_quant::ActPrecision;
-use ln_serve::fault::{ChaosSpec, FaultPlan, PoisonEvent, PressureWindow};
-use ln_serve::{
-    standard_backends, Backend, BatcherConfig, BucketPolicy, Engine, FoldRequest,
-    LightNobelBackend, WorkloadSpec,
-};
+use ln_serve::fault::GoldenChaos;
 
-const SEED: &str = "obs/trace-workload";
-const PLAN_SEED: &str = "chaos/plan-h";
-
-/// One traced chaos run on an `ln-par` pool of `threads` executors,
-/// returning the raw events, their Chrome-trace rendering, and the
-/// tracer's eviction count.
+/// One traced run of the golden chaos scenario on an `ln-par` pool of
+/// `threads` executors, returning the raw events, their Chrome-trace
+/// rendering, and the tracer's eviction count. The `insight` bin's
+/// dashboard describes the same run.
 fn traced_run(threads: usize) -> (Vec<TraceEvent>, String, u64) {
     let pool = ln_par::Pool::new_exact(threads);
     ln_par::with_pool(&pool, || {
-        let reg = Registry::standard();
-        let policy = BucketPolicy::from_registry(&reg, 4);
-        let mut workload = WorkloadSpec::cameo_casp_mix(120, 3.0)
-            .with_seed(SEED)
-            .synthesize(&reg);
-
-        // A sequence only the AAQ backend can hold, arriving under capacity
-        // pressure tight enough that only the INT4 degradation rung fits —
-        // guarantees a "degradation" span in the trace.
-        let ln = LightNobelBackend::paper("LightNobel");
-        let giant_len = ln.max_single_length();
-        let fraction = ln.batch_peak_bytes_at(&[giant_len], ActPrecision::Int4) * 1.2
-            / ln.memory_capacity_bytes();
-        let giant_id = workload.iter().map(|r| r.id).max().map_or(0, |m| m + 1);
-        workload.push(FoldRequest {
-            id: giant_id,
-            name: "giant-under-pressure".to_string(),
-            length: giant_len,
-            arrival_seconds: 5.0,
-            timeout_seconds: 1e6,
-        });
-
-        let spec = ChaosSpec {
-            worker_panics: 1,
-            horizon_dispatches: 8,
-            pressure: vec![PressureWindow {
-                backend: 0,
-                start_seconds: 0.0,
-                end_seconds: 1e9,
-                available_fraction: fraction,
-            }],
-            poisons: vec![PoisonEvent {
-                bucket: 0,
-                at_seconds: 12.0,
-            }],
-            ..ChaosSpec::light(3)
-        };
-        let plan = FaultPlan::seeded(PLAN_SEED, &spec);
-
-        let mut engine =
-            Engine::with_resilience(policy, BatcherConfig::default(), standard_backends(), plan);
+        let scenario = GoldenChaos::new("obs/trace-workload", 120);
+        let mut engine = scenario.engine();
         engine.set_tracing(true);
-        let out = engine.run(&workload);
+        let out = engine.run(&scenario.workload);
         let events = out.trace.expect("tracing was enabled");
         let json = ln_obs::chrome_trace_json(&events);
         (events, json, out.trace_dropped)

@@ -15,7 +15,7 @@ use ln_serve::{
 use std::time::{Duration, Instant};
 
 fn registry_policy(reg: &Registry) -> BucketPolicy {
-    BucketPolicy::from_registry(reg, 4)
+    BucketPolicy::from_registry(reg)
 }
 
 #[test]

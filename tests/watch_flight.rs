@@ -68,7 +68,7 @@ fn watched_run(threads: usize) -> (ClusterOutcome, Vec<Blackbox>) {
     let pool = ln_par::Pool::new_exact(threads);
     ln_par::with_pool(&pool, || {
         let reg = Registry::standard();
-        let policy = BucketPolicy::from_registry(&reg, 4);
+        let policy = BucketPolicy::from_registry(&reg);
         let shards: Vec<Engine> = (0..SHARDS)
             .map(|_| {
                 Engine::with_resilience(
