@@ -70,15 +70,16 @@ pub fn time_best(reps: usize, iters: u64, mut f: impl FnMut(u64) -> u64) -> f64 
 /// at most this many percent more than the same code uninstrumented.
 pub const OFF_BUDGET_PCT: f64 = 5.0;
 
-/// One off-mode cost measurement: the best rep of each side, in ns per
-/// iteration.
+/// One off-mode cost measurement, in ns per iteration.
 #[derive(Debug, Clone, Copy)]
 pub struct OffCost {
-    /// The uninstrumented loop.
+    /// The uninstrumented loop: its median rep.
     pub baseline_ns: f64,
-    /// The same loop with the off-mode instrumentation in it.
+    /// The same loop with the off-mode instrumentation in it: its median
+    /// rep.
     pub gated_ns: f64,
-    /// `gated_ns` over `baseline_ns`, in percent above 100.
+    /// The median, over the interleaved pairs of reps, of the gated rep
+    /// over the baseline rep just before it, in percent above 100.
     pub delta_pct: f64,
 }
 
@@ -90,26 +91,40 @@ impl OffCost {
 }
 
 /// The off-mode cost gate's one measuring rule. `baseline(iters)` and
-/// `gated(iters)` run interleaved rep by rep, so both sample the same
-/// machine conditions, and each side keeps its best rep. The true off-mode
-/// cost is a branch, so a result over budget is usually scheduler noise on
-/// a busy host: it gets one fresh re-measure, whose result stands.
+/// `gated(iters)` run interleaved rep by rep, and each pair of reps gives
+/// one ratio: the two sides of a pair sample the same machine conditions,
+/// so a drift of the host's speed across reps cancels, and the median
+/// pair leaves out the reps a preemption hit. Each pair runs
+/// `STACK_STEP` bytes deeper in the stack than the one before, sixteen
+/// steps round: where the stack starts is random per process, and at some
+/// starts one side's frames alias the data it reads every 4 KiB — a
+/// process-long slowdown of 6–8 % that is neither side's cost, which the
+/// rotation confines to a pair or two of every sixteen. The true off-mode
+/// cost is a branch, so a result over budget is usually scheduler noise
+/// on a busy host: it gets one fresh re-measure, whose result stands.
 pub fn off_mode_cost(
     reps: usize,
     iters: u64,
     mut baseline: impl FnMut(u64) -> u64,
     mut gated: impl FnMut(u64) -> u64,
 ) -> OffCost {
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
     let mut measure = || {
-        let (mut baseline_ns, mut gated_ns) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..reps.max(1) {
-            baseline_ns = baseline_ns.min(time_best(1, iters, &mut baseline));
-            gated_ns = gated_ns.min(time_best(1, iters, &mut gated));
-        }
+        let pairs: Vec<(f64, f64)> = (0..reps.max(1))
+            .map(|rep| {
+                deeper_by(rep % 16, || {
+                    let b = time_best(1, iters, &mut baseline);
+                    (b, time_best(1, iters, &mut gated))
+                })
+            })
+            .collect();
         OffCost {
-            baseline_ns,
-            gated_ns,
-            delta_pct: (gated_ns - baseline_ns) / baseline_ns * 100.0,
+            baseline_ns: median(pairs.iter().map(|p| p.0).collect()),
+            gated_ns: median(pairs.iter().map(|p| p.1).collect()),
+            delta_pct: median(pairs.iter().map(|(b, g)| (g - b) / b * 100.0).collect()),
         }
     };
     let first = measure();
@@ -118,6 +133,23 @@ pub fn off_mode_cost(
     } else {
         first
     }
+}
+
+/// Stack bytes between two of [`off_mode_cost`]'s pairs of reps.
+const STACK_STEP: usize = 256;
+
+/// `f()`, called `steps` × [`STACK_STEP`] bytes deeper in the stack.
+#[inline(never)]
+fn deeper_by<R>(steps: usize, f: impl FnOnce() -> R) -> R {
+    let pad = [0u8; STACK_STEP];
+    let out = if steps == 0 {
+        f()
+    } else {
+        deeper_by(steps - 1, f)
+    };
+    // Read after the call, so the frame and its pad outlive it.
+    black_box(&pad);
+    out
 }
 
 /// A compute kernel standing in for real work between events: 64 rounds of

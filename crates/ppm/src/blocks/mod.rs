@@ -52,87 +52,245 @@ impl Projection {
     }
 }
 
-/// A stage's post-LayerNorm activation as its projections read it: in
-/// full precision, or — when the hook asked for the quantized domain —
-/// AAQ-encoded once, here, and run through each layer's integer twin
-/// (numerics change; the hook opted in).
-struct PostLn {
-    x: Tensor2,
-    encoded: Option<(QuantizedTensor, MacMode)>,
+/// A stage's residual stream and its post-LayerNorm activation (Group B),
+/// which the stage's projections read a block of tokens at a time
+/// ([`Rows`]) and whose update goes back into the stream a block at a
+/// time, as soon as the block is done ([`PostLn::add`]).
+///
+/// The activation is held in one of three [`Form`]s, chosen once per stage
+/// by what the hook asks of the post-LN site: encoded, whole, or not held
+/// at all but recomputed from the stream a block at a time. LayerNorm is
+/// per token, so a recomputed row has the bits of the whole activation's.
+/// A block's recomputed rows are LayerNorm of stream rows no update has
+/// reached yet: every stage reads a token's post-LN row for the last time
+/// in the block that adds its update.
+struct PostLn<'a> {
+    stream: Tensor2,
+    gain: f32,
+    form: Form<'a>,
 }
 
-impl PostLn {
-    /// Shows `x` to the hook at `tap`: through
-    /// [`ActivationHook::on_activation`], or — where the hook asks for the
-    /// quantized domain — encoded once and through
-    /// [`ActivationHook::on_encoded`], `x` itself left as it is.
-    fn new(hook: &mut dyn ActivationHook, tap: Tap, mut x: Tensor2) -> Self {
-        let encoded = match hook.quantized_matmul(tap) {
-            Some(scheme) => {
-                let (encoded, error) = QuantizedTensor::encode(&x, scheme);
-                hook.on_encoded(tap, &x, &encoded, error);
-                let mode = MacMode::for_scheme(encoded.scheme());
-                Some((encoded, mode))
-            }
-            None => {
-                hook.on_activation(tap, &mut x);
-                None
-            }
-        };
-        PostLn { x, encoded }
-    }
+/// Where a stage's post-LN rows come from.
+enum Form<'a> {
+    /// AAQ-encoded once, when the hook asks for the quantized domain; the
+    /// projections are the layers' integer twins (numerics change; the
+    /// hook opted in). The f32 activation is dropped once
+    /// [`ActivationHook::on_encoded`] has seen it.
+    Encoded(QuantizedTensor, MacMode),
+    /// LayerNorm's output whole, for a hook that
+    /// [observes](ActivationHook::observes) the site and so may rewrite it;
+    /// a block's update goes over its spent rows.
+    Whole(Tensor2),
+    /// Nothing held: a block's rows are this LayerNorm of the stream's,
+    /// computed when the block is read. The hook is not shown the site.
+    Recomputed(&'a LayerNorm),
+}
 
-    /// Pair tokens in the activation.
-    fn tokens(&self) -> usize {
-        self.x.rows()
-    }
+/// Tokens `first ..` of a stage's post-LN activation, `len` of them, while
+/// the stage reads them, and then the place their update is written:
+/// `local` holds the block's recomputed rows, or a buffer for the update
+/// of an encoded activation, or nothing where the whole activation's own
+/// rows take it.
+struct Rows {
+    first: usize,
+    len: usize,
+    local: Option<Tensor2>,
+}
 
-    /// `act(layer(x))` in a tensor taken from the fold workspace.
-    fn project(&self, layer: &Projection, act: Activation) -> Result<Tensor2, PpmError> {
-        let mut out = workspace::take(self.tokens(), layer.out_features());
-        self.project_into(layer, act, 0, &mut out)?;
-        Ok(out)
-    }
-
-    /// Tokens `first ..` of `act(layer(x))` — `out.rows()` of them — into
-    /// `out`, whatever it held, each row with the bits of the same row of
-    /// the whole projection. In full precision the activation is fused
-    /// into the GEMM epilogue (bitwise identical to applying it
-    /// afterwards).
-    fn project_into(
-        &self,
-        layer: &Projection,
-        act: Activation,
-        first: usize,
-        out: &mut Tensor2,
-    ) -> Result<(), PpmError> {
-        match &self.encoded {
-            Some((qx, mode)) => {
-                layer
-                    .qd
-                    .forward_rows_into(qx, *mode, first, out.as_mut_slice())?;
-                act.apply(out);
-            }
-            None => layer
-                .fp
-                .forward_rows_into(&self.x, first, act, out.as_mut_slice())?,
+impl Form<'_> {
+    /// Loads `rows.local` with the LayerNorm of `stream_rows` — the stream's
+    /// tokens of `rows` — if this form recomputes; otherwise does nothing.
+    fn load(&self, stream_rows: &[f32], rows: &mut Rows) -> Result<(), PpmError> {
+        if let (Form::Recomputed(norm), Some(local)) = (self, rows.local.as_mut()) {
+            norm.forward_rows_into(stream_rows, local.as_mut_slice())?;
         }
         Ok(())
     }
 
-    /// Rows `first ..` of the activation's own buffer, `rows` of them, for
-    /// a caller that has run every projection of those rows: it writes the
-    /// stage's update there.
-    fn spent_rows(&mut self, first: usize, rows: usize) -> &mut [f32] {
-        let c = self.x.cols();
-        &mut self.x.as_mut_slice()[first * c..][..rows * c]
+    /// `act(layer(x))` of `rows`' tokens into `out` — `rows.len` rows of
+    /// `layer`'s width — whatever it held, each row with the bits of the
+    /// same row of the whole projection. In full precision the activation
+    /// is fused into the GEMM epilogue (bitwise identical to applying it
+    /// afterwards).
+    fn project_into(
+        &self,
+        rows: &Rows,
+        layer: &Projection,
+        act: Activation,
+        out: &mut [f32],
+    ) -> Result<(), PpmError> {
+        match self {
+            Form::Encoded(qx, mode) => {
+                layer.qd.forward_rows_into(qx, *mode, rows.first, out)?;
+                act.apply(out);
+            }
+            Form::Whole(x) => layer.fp.forward_rows_into(x, rows.first, act, out)?,
+            Form::Recomputed(_) => {
+                let local = rows.local.as_ref().expect("recomputed rows are loaded");
+                layer.fp.forward_rows_into(local, 0, act, out)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<'a> PostLn<'a> {
+    /// Shows `stream` to the hook at `tap`'s post-LN site in the form the
+    /// hook asks for: encoded once and shown through
+    /// [`ActivationHook::on_encoded`] where it asks for the quantized
+    /// domain; else whole and shown through
+    /// [`ActivationHook::on_activation`] where it observes the site; else
+    /// not at all, and recomputed.
+    fn new(
+        hook: &mut dyn ActivationHook,
+        tap: Tap,
+        norm: &'a LayerNorm,
+        stream: Tensor2,
+        gain: f32,
+    ) -> Result<Self, PpmError> {
+        let whole = |stream: &Tensor2| -> Result<Tensor2, PpmError> {
+            let mut x = workspace::take(stream.rows(), stream.cols());
+            norm.forward_into(stream, &mut x)?;
+            Ok(x)
+        };
+        let form = if let Some(scheme) = hook.quantized_matmul(tap) {
+            let x = whole(&stream)?;
+            let (encoded, error) = QuantizedTensor::encode(&x, scheme);
+            hook.on_encoded(tap, &x, &encoded, error);
+            workspace::give(x);
+            let mode = MacMode::for_scheme(encoded.scheme());
+            Form::Encoded(encoded, mode)
+        } else if hook.observes(tap.site) {
+            let mut x = whole(&stream)?;
+            hook.on_activation(tap, &mut x);
+            Form::Whole(x)
+        } else {
+            Form::Recomputed(norm)
+        };
+        Ok(PostLn { stream, gain, form })
     }
 
-    /// The activation's own buffer, once its last projection has read it:
-    /// the stage's output projection writes the update there. The encoded
-    /// copy, if there is one, ends here.
-    fn into_buffer(self) -> Tensor2 {
-        self.x
+    /// Pair tokens in the activation.
+    fn tokens(&self) -> usize {
+        self.stream.rows()
+    }
+
+    /// Tokens `first ..` of the activation, `len` of them, for the stage to
+    /// read; recomputed here if that is the form.
+    fn rows(&self, first: usize, len: usize) -> Result<Rows, PpmError> {
+        let mut rows = Rows {
+            first,
+            len,
+            local: None,
+        };
+        if let Form::Recomputed(_) = self.form {
+            let c = self.stream.cols();
+            rows.local = Some(workspace::take(len, c));
+            let stream_rows = &self.stream.as_slice()[first * c..][..len * c];
+            self.form.load(stream_rows, &mut rows)?;
+        }
+        Ok(rows)
+    }
+
+    /// [`Form::project_into`] of the activation's form.
+    fn project_into(
+        &self,
+        rows: &Rows,
+        layer: &Projection,
+        act: Activation,
+        out: &mut [f32],
+    ) -> Result<(), PpmError> {
+        self.form.project_into(rows, layer, act, out)
+    }
+
+    /// Where the update of `rows` goes, once the stage has run every
+    /// projection of them: their own post-LN rows, or a buffer of their
+    /// size.
+    fn update<'r>(&'r mut self, rows: &'r mut Rows) -> &'r mut [f32] {
+        let c = self.stream.cols();
+        match (&mut self.form, &mut rows.local) {
+            (Form::Whole(x), _) => &mut x.as_mut_slice()[rows.first * c..][..rows.len * c],
+            (_, local) => local
+                .get_or_insert_with(|| workspace::take(rows.len, c))
+                .as_mut_slice(),
+        }
+    }
+
+    /// Adds the update of `rows` — what [`PostLn::update`] holds — into the
+    /// stream at the stage's gain, `a + u · gain` per element.
+    fn add(&mut self, rows: Rows) {
+        let c = self.stream.cols();
+        let span = rows.first * c..(rows.first + rows.len) * c;
+        let update = match (&self.form, &rows.local) {
+            (Form::Whole(x), _) => &x.as_slice()[span.clone()],
+            (_, local) => local.as_ref().expect("the update was written").as_slice(),
+        };
+        add_scaled(&mut self.stream.as_mut_slice()[span], update, self.gain);
+        self.done(rows);
+    }
+
+    /// Ends the stage's reads of `rows` without an update.
+    fn done(&self, rows: Rows) {
+        if let Some(local) = rows.local {
+            workspace::give(local);
+        }
+    }
+
+    /// Runs `lane` on each `lane_len`-token lane across the pool,
+    /// `lanes_per_chunk` lanes to a chunk, and adds each lane's update into
+    /// the stream as soon as the lane is done. `lane` gets the form, the
+    /// lane's rows (loaded), the chunk's `scratch()` — made once per chunk
+    /// and reused across its lanes, as are the rows' buffers — and the
+    /// lane-sized buffer its update goes into. None of it comes from the
+    /// fold workspace, which pool workers never reach.
+    fn lanes_on_pool<S>(
+        &mut self,
+        lane_len: usize,
+        lanes_per_chunk: usize,
+        scratch: impl Fn() -> S + Sync,
+        lane: impl Fn(&Form, &Rows, &mut S, &mut [f32]) -> Result<(), PpmError> + Sync,
+    ) {
+        let c = self.stream.cols();
+        let PostLn { stream, gain, form } = self;
+        let (form, gain) = (&*form, *gain);
+        let recomputed = matches!(form, Form::Recomputed(_));
+        let lane_size = lane_len * c;
+        ln_par::par_chunks_mut(
+            stream.as_mut_slice(),
+            lanes_per_chunk * lane_size,
+            |chunk_index, chunk| {
+                let mut scratch = scratch();
+                let mut update = vec![0.0; lane_size];
+                let mut rows = Rows {
+                    first: 0,
+                    len: lane_len,
+                    local: recomputed.then(|| Tensor2::zeros(lane_len, c)),
+                };
+                for (local, stream_lane) in chunk.chunks_mut(lane_size).enumerate() {
+                    rows.first = (chunk_index * lanes_per_chunk + local) * lane_len;
+                    form.load(stream_lane, &mut rows)
+                        .and_then(|()| lane(form, &rows, &mut scratch, &mut update))
+                        .expect("lane shapes are internally consistent");
+                    add_scaled(stream_lane, &update, gain);
+                }
+            },
+        );
+    }
+
+    /// The stream, once every block's update is in; the whole activation,
+    /// if there was one, goes back to the workspace.
+    fn into_stream(self) -> Tensor2 {
+        if let Form::Whole(x) = self.form {
+            workspace::give(x);
+        }
+        self.stream
+    }
+}
+
+/// `a + u · gain` per element, the bits of [`Tensor2::add_scaled_assign`].
+fn add_scaled(stream: &mut [f32], update: &[f32], gain: f32) {
+    for (a, &u) in stream.iter_mut().zip(update) {
+        *a += u * gain;
     }
 }
 
@@ -162,11 +320,9 @@ fn block_len(
 
 /// The frame all three pair stages run in. The residual stream moves
 /// through it — taken out of `pair`, shown to the hook (Group A), updated
-/// in place, moved back — and `body` runs on its LayerNorm (Group B,
-/// shown to the hook and read through a [`PostLn`] in the domain the hook
-/// asks for). `body` returns the stage's update in a workspace tensor —
-/// [`PostLn::into_buffer`]'s, so a stage holds no pair tensor of its own
-/// for it — which is added in at `gain`.
+/// in place a block at a time, moved back — and `body` reads its LayerNorm
+/// (Group B) through a [`PostLn`] in the form the hook asks for, adding
+/// each block's update at the stage's gain as soon as the block is done.
 ///
 /// On an error `pair` is left empty: its tokens were moved out, not copied.
 fn residual_stage(
@@ -175,20 +331,16 @@ fn residual_stage(
     [residual_in_tap, post_ln_tap]: [Tap; 2],
     norm: &LayerNorm,
     gain: f32,
-    body: impl FnOnce(&mut dyn ActivationHook, PostLn) -> Result<Tensor2, PpmError>,
+    body: impl FnOnce(&mut dyn ActivationHook, &mut PostLn) -> Result<(), PpmError>,
 ) -> Result<(), PpmError> {
-    let (ns, _, hz) = pair.shape();
+    let ns = pair.shape().0;
     let mut tokens = std::mem::take(pair).into_token_matrix();
+    // The hook may rewrite the stream here; LayerNorm and the updates
+    // start from what it left.
     hook.on_activation(residual_in_tap, &mut tokens);
-
-    let mut x = workspace::take(ns * ns, hz);
-    norm.forward_into(&tokens, &mut x)?;
-    let post_ln = PostLn::new(hook, post_ln_tap, x);
-    let update = body(hook, post_ln)?;
-    // The hook may have rewritten `tokens`; the update goes onto what it left.
-    tokens.add_scaled_assign(&update, gain)?;
-    workspace::give(update);
-    *pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
+    let mut post_ln = PostLn::new(hook, post_ln_tap, norm, tokens, gain)?;
+    body(hook, &mut post_ln)?;
+    *pair = Tensor3::from_token_matrix(ns, ns, post_ln.into_stream())?;
     Ok(())
 }
 
@@ -375,6 +527,12 @@ pub(crate) mod tests {
         z.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The bits of `activations` in order, one after another.
+    fn all_bits(activations: &[Tensor2]) -> Vec<u32> {
+        let values = activations.iter().flat_map(|a| a.as_slice());
+        values.map(|v| v.to_bits()).collect()
+    }
+
     /// A seeded pair stream, one token in seven eight times larger.
     fn seeded_pair(ns: usize, hz: usize) -> Tensor3 {
         let mut r = ln_tensor::rng::stream("blocks/seeded-pair");
@@ -475,13 +633,21 @@ pub(crate) mod tests {
         assert!(delta > 0.0);
     }
 
-    /// Keeps a copy of every activation it is shown, rewriting none.
+    /// Keeps a copy of every activation it is shown, rewriting none; it
+    /// observes every site, or — `blind` — none.
     #[derive(Default)]
-    struct Keeper(Vec<(Tap, Tensor2)>);
+    struct Keeper {
+        kept: Vec<(Tap, Tensor2)>,
+        blind: bool,
+    }
 
     impl ActivationHook for Keeper {
         fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
-            self.0.push((tap, activation.clone()));
+            self.kept.push((tap, activation.clone()));
+        }
+
+        fn observes(&self, _site: ActivationSite) -> bool {
+            !self.blind
         }
     }
 
@@ -492,7 +658,10 @@ pub(crate) mod tests {
         // gated side (left for Outgoing, right for Incoming) and the
         // triangle product's consumers; lanes of 48 tokens for the keys
         // and values. Two tri-mul and two tri-attn units per block, one
-        // transition.
+        // transition. A hook that observes no site is shown neither the
+        // post-LN activations (the stages recompute their rows) nor
+        // tri-attn's lane sites (the lanes run on their own), and the rest
+        // in the same blocks; the fold's bits are the same.
         use crate::taps::ALL_SITES;
         use ActivationSite::*;
         let ns = 48;
@@ -501,21 +670,44 @@ pub(crate) mod tests {
         let run = |hook: &mut dyn ActivationHook| {
             let (mut s, mut z) = (s.clone(), z.clone());
             block.forward(&mut s, &mut z, hook, 3, 1).unwrap();
+            bits(&z)
         };
         let mut blocked = Keeper::default();
-        run(&mut blocked);
+        let folded = run(&mut blocked);
         let mut whole = Keeper::default();
-        run(&mut Declining(&mut whole));
-        for (tap, _) in blocked.0.iter().chain(&whole.0) {
+        assert!(run(&mut Declining(&mut whole)) == folded);
+        let mut blind = Keeper {
+            blind: true,
+            ..Keeper::default()
+        };
+        assert!(run(&mut blind) == folded);
+        for (tap, _) in blocked.kept.iter().chain(&whole.kept) {
             assert_eq!((tap.block, tap.recycle), (3, 1));
         }
         let fired = |hook: &Keeper, site| -> Vec<Tensor2> {
-            let taps = hook.0.iter().filter(|(tap, _)| tap.site == site);
+            let taps = hook.kept.iter().filter(|(tap, _)| tap.site == site);
             taps.map(|(_, activation)| activation.clone()).collect()
         };
         let unit_tokens = ns * ns;
+        let unseen = [
+            TriMulPostLn,
+            TriAttnPostLn,
+            TransitionPostLn,
+            TriAttnQuery,
+            TriAttnKey,
+            TriAttnValue,
+            TriAttnScores,
+            TriAttnContext,
+            TriAttnGate,
+        ];
         for site in ALL_SITES {
             let (blocks, wholes) = (fired(&blocked, site), fired(&whole, site));
+            let blind_taps = fired(&blind, site);
+            if unseen.contains(&site) {
+                assert!(blind_taps.is_empty(), "{site}");
+            } else {
+                assert!(all_bits(&blind_taps) == all_bits(&blocks), "{site}");
+            }
             let units = if site.name().starts_with("transition") {
                 1
             } else {
@@ -547,11 +739,7 @@ pub(crate) mod tests {
             for unit in sizes.chunks(per_unit) {
                 assert_eq!(unit.iter().sum::<usize>(), unit_tokens, "{site}");
             }
-            let bits = |activations: &[Tensor2]| -> Vec<u32> {
-                let values = activations.iter().flat_map(|a| a.as_slice());
-                values.map(|v| v.to_bits()).collect()
-            };
-            assert!(bits(&blocks) == bits(&wholes), "{site}");
+            assert!(all_bits(&blocks) == all_bits(&wholes), "{site}");
         }
     }
 

@@ -7,9 +7,15 @@
 //! activation taps; it exists because the pair stream's biasing/merging with
 //! the sequence stream is what creates the "unpredictable outliers" AAQ must
 //! handle dynamically (§4.1).
+//!
+//! Its outer-product-mean update runs a block of whole pair rows at a time
+//! — about [`ROW_BLOCK`] pair tokens: their outer products (64 channels)
+//! and the update projected from them (`Hz`) — and goes into the pair
+//! stream block by block, so beside the stream the track holds two row
+//! blocks and nothing pair-sized.
 
 use super::tri_attn::{head_bias_mats, HeadBuffers};
-use super::workspace;
+use super::{add_scaled, workspace, ROW_BLOCK};
 use crate::{PpmConfig, PpmError};
 use ln_tensor::nn::{LayerNorm, Linear};
 use ln_tensor::{nn, Tensor2, Tensor3};
@@ -126,19 +132,25 @@ impl SequenceTrack {
         let o = self.norm_opm.forward(seq)?;
         let a = self.opm_left.forward(&o)?;
         let b = self.opm_right.forward(&o)?;
-        // Every element is written below.
-        let mut outer = workspace::take(ns * ns, OPM_DIM * OPM_DIM);
-        if ns > 0 {
-            // Blocks of pair-rows i per chunk: the ns × 64 outer-product
-            // rows for a given i are written by exactly one executor, and
-            // the block grain keeps each chunk worth a pool handoff.
-            let slab = ns * OPM_DIM * OPM_DIM;
+        // A block of whole pair rows at a time, each added into the stream
+        // as soon as it is done: the rows' outer products, their
+        // projection, the residual add.
+        let hz = self.opm_out.out_features();
+        let slab = ns * OPM_DIM * OPM_DIM;
+        let block_rows = ROW_BLOCK.div_ceil(ns.max(1));
+        for i0 in (0..ns).step_by(block_rows) {
+            let rows = block_rows.min(ns - i0);
+            // Every element is written below.
+            let mut outer = workspace::take(rows * ns, OPM_DIM * OPM_DIM);
+            // Pair rows per chunk: the ns × 64 outer-product rows for a
+            // given i are written by exactly one executor, and the grain
+            // keeps each chunk worth a pool handoff.
             let grain_rows = ((1usize << 16) / slab.max(1)).max(1);
-            let rows_per_chunk = ln_par::chunk_len(ns, grain_rows);
+            let rows_per_chunk = ln_par::chunk_len(rows, grain_rows);
             let (a, b) = (&a, &b);
             ln_par::par_chunks_mut(outer.as_mut_slice(), rows_per_chunk * slab, |c, chunk| {
                 for (local, islab) in chunk.chunks_mut(slab).enumerate() {
-                    let i = c * rows_per_chunk + local;
+                    let i = i0 + c * rows_per_chunk + local;
                     for j in 0..ns {
                         let row = &mut islab[j * OPM_DIM * OPM_DIM..(j + 1) * OPM_DIM * OPM_DIM];
                         for (p, &ap) in a.row(i).iter().enumerate() {
@@ -149,12 +161,13 @@ impl SequenceTrack {
                     }
                 }
             });
+            let mut update = workspace::take(rows * ns, hz);
+            self.opm_out.forward_into(&outer, &mut update)?;
+            workspace::give(outer);
+            let stream = &mut pair_tokens.as_mut_slice()[i0 * ns * hz..][..rows * ns * hz];
+            add_scaled(stream, update.as_slice(), self.update_gain);
+            workspace::give(update);
         }
-        let mut opm_update = workspace::take(ns * ns, self.opm_out.out_features());
-        self.opm_out.forward_into(&outer, &mut opm_update)?;
-        workspace::give(outer);
-        pair_tokens.add_scaled_assign(&opm_update, self.update_gain)?;
-        workspace::give(opm_update);
         *pair = Tensor3::from_token_matrix(ns, ns, pair_tokens)?;
         Ok(())
     }

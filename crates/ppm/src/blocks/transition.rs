@@ -1,11 +1,13 @@
 //! Pair Transition: the per-token MLP that ends each folding block's pair
 //! dataflow (LayerNorm → expand → ReLU → contract, residual).
 //!
-//! The hidden activation is `transition_factor` pair tensors wide, so it
-//! is not whole unless the hook needs it whole: the MLP runs [`ROW_BLOCK`]
-//! tokens at a time — 2 MB of hidden activation at the standard widths —
-//! and each block's update goes into the block's own rows of the post-LN
-//! buffer.
+//! The MLP is token-wise, so nothing of it is whole unless the hook needs
+//! it whole: it runs [`ROW_BLOCK`] tokens at a time — their post-LN rows,
+//! recomputed from the stream when the hook does not observe that site,
+//! and 2 MB of hidden activation at the standard widths — and each block's
+//! update goes into the stream as soon as the block is done. Beside the
+//! stream the stage holds two row blocks, or the whole post-LN activation
+//! and one block for a hook that observes it.
 
 use super::{block_len, residual_stage, workspace, Activation, Projection, ROW_BLOCK};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
@@ -68,24 +70,30 @@ impl PairTransition {
             ],
             &self.norm,
             self.update_gain,
-            |hook, mut post_ln| {
+            |hook, post_ln| {
                 let tokens = post_ln.tokens();
                 let hidden = ActivationSite::TransitionHidden;
                 let block = block_len(hook, &[hidden], ROW_BLOCK, tokens);
                 for first in (0..tokens).step_by(block) {
-                    let rows = block.min(tokens - first);
                     // The block's expansion, as an integer GEMM when the
                     // hook opts in; its post-LN rows, read for the last
                     // time, then take the contraction's output.
-                    let mut h = workspace::take(rows, self.expand.out_features());
-                    post_ln.project_into(&self.expand, Activation::Relu, first, &mut h)?;
+                    let mut rows = post_ln.rows(first, block.min(tokens - first))?;
+                    let mut h = workspace::take(rows.len, self.expand.out_features());
+                    post_ln.project_into(
+                        &rows,
+                        &self.expand,
+                        Activation::Relu,
+                        h.as_mut_slice(),
+                    )?;
                     hook.on_activation(tap(hidden), &mut h);
-                    let update = post_ln.spent_rows(first, rows);
+                    let update = post_ln.update(&mut rows);
                     self.contract
                         .forward_rows_into(&h, 0, Activation::None, update)?;
                     workspace::give(h);
+                    post_ln.add(rows);
                 }
-                Ok(post_ln.into_buffer())
+                Ok(())
             },
         )
     }

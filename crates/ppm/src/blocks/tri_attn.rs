@@ -11,12 +11,18 @@
 //! the output bits do not depend on `r`. The context of a block of query
 //! rows goes over those queries, so the stage holds no context buffer.
 //!
-//! Nor does it hold keys or values: a lane's are its own `Ns` tokens,
-//! projected into the lane's scratch when the lane comes up. The output
-//! gate and projection then run a block of tokens at a time into the
-//! post-LN activation's spent rows, so beside the stream the stage holds
-//! two pair tensors — the post-LN activation and the queries — unless
-//! the hook [wants](ActivationHook::takes_row_blocks) the keys, values or
+//! Nor does it hold queries, keys or values when the hook observes none of
+//! the lane's sites: the bias is projected in one pass over the post-LN
+//! rows (every lane reads all of it), and then each lane, across the pool,
+//! projects its own `Ns` tokens' queries, keys, values and output gate
+//! into scratch of its own, attends, and adds its update into its rows of
+//! the stream. Its post-LN rows are recomputed from those stream rows
+//! unless the hook observes that site too, so beside the stream the stage
+//! holds the bias and lane scratch, nothing pair-sized. A hook that
+//! observes a lane site gets the queries whole, the lanes run serially,
+//! and the output gate and projection then run a block of tokens at a
+//! time: two pair tensors when it observes the post-LN activation, more
+//! when it [wants](ActivationHook::takes_row_blocks) the keys, values or
 //! gate whole.
 //!
 //! There is one body for both nodes: the Ending node is the Starting node
@@ -24,8 +30,8 @@
 //! place before and after — so its taps see the tokens in that order.
 
 use super::{
-    block_len, residual_stage, transpose_pair_tokens, workspace, Activation, PostLn, Projection,
-    ROW_BLOCK,
+    block_len, residual_stage, transpose_pair_tokens, workspace, Activation, Form, PostLn,
+    Projection, Rows, ROW_BLOCK,
 };
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
@@ -144,101 +150,122 @@ impl TriangularAttention {
     }
 
     /// The stage between its LayerNorm and its residual add: the output
-    /// projection of the gated attention context, in `post_ln`'s buffer.
+    /// projection of the gated attention context, added into the stream.
     /// Lane `i` (a contiguous `ns`-token band) is row `i` of the stream.
     fn update(
         &self,
         hook: &mut dyn ActivationHook,
-        mut post_ln: PostLn,
+        post_ln: &mut PostLn,
         ns: usize,
         tap: impl Fn(ActivationSite) -> Tap,
-    ) -> Result<Tensor2, PpmError> {
+    ) -> Result<(), PpmError> {
         use ActivationSite::*;
         let tokens_n = ns * ns;
-        // All five post-LN projections read `post_ln` — as integer GEMMs
-        // when the hook opts in.
-        let mut q = post_ln.project(&self.to_q, Activation::None)?;
-        hook.on_activation(tap(TriAttnQuery), &mut q);
-        // The bias and its per-head matrices are 1/32 of a pair tensor:
-        // not worth a pair-sized workspace buffer each.
-        let mut bias = Tensor2::zeros(tokens_n, self.heads);
-        post_ln.project_into(&self.to_bias, Activation::None, 0, &mut bias)?;
+        let (heads, attn_dim) = (self.heads, self.heads * self.head_dim);
+        // A hook that observes none of the lane's sites leaves the lanes
+        // independent: each projects its own queries, keys, values and
+        // gate, on the pool. Otherwise the queries are whole and the lanes
+        // run serially, so that the hook sees every tap in order.
+        let lane_sites = [
+            TriAttnQuery,
+            TriAttnKey,
+            TriAttnValue,
+            TriAttnScores,
+            TriAttnContext,
+            TriAttnGate,
+        ];
+        let lane_local = !lane_sites.iter().any(|&site| hook.observes(site));
+
+        // One pass over the post-LN rows before any update reaches the
+        // stream: the bias, which every lane reads whole, and the serial
+        // driver's queries. The bias and its per-head matrices are 1/32
+        // of a pair tensor: not worth a pair-sized workspace buffer each.
+        let mut q = (!lane_local).then(|| workspace::take(tokens_n, attn_dim));
+        let mut bias = Tensor2::zeros(tokens_n, heads);
+        for first in (0..tokens_n).step_by(ROW_BLOCK) {
+            let rows = post_ln.rows(first, ROW_BLOCK.min(tokens_n - first))?;
+            if let Some(q) = &mut q {
+                let q_rows = &mut q.as_mut_slice()[first * attn_dim..][..rows.len * attn_dim];
+                post_ln.project_into(&rows, &self.to_q, Activation::None, q_rows)?;
+            }
+            let bias_rows = &mut bias.as_mut_slice()[first * heads..][..rows.len * heads];
+            post_ln.project_into(&rows, &self.to_bias, Activation::None, bias_rows)?;
+            post_ln.done(rows);
+        }
+        if let Some(q) = &mut q {
+            hook.on_activation(tap(TriAttnQuery), q);
+        }
         hook.on_activation(tap(TriAttnBias), &mut bias);
-
-        let attn_dim = self.heads * self.head_dim;
-
         let bias_mats = head_bias_mats(&bias);
-        let heads = self.heads;
-
-        // Every (lane, head, block of query rows) reads its queries before
-        // writing their context over them — same rows, the head's columns
-        // — so `q` becomes the context, every slot written. A lane's keys
-        // and values are its own `ns` tokens, projected when the lane
-        // comes up into the lane's scratch.
+        drop(bias);
         let block_rows = self.chunk.unwrap_or(ns);
-        if [TriAttnKey, TriAttnValue, TriAttnScores]
-            .iter()
-            .any(|&site| hook.observes(site))
-        {
-            // Observing driver: the hook sees (and may rewrite) each
-            // lane's keys and values, then each block of its probability
-            // rows — the paper quantizes the scores (Group C), a row a
-            // token — so taps fire serially in ascending (lane, head,
-            // block) order, on one set of head buffers. A hook that wants
-            // the keys and values whole gets them projected once, for
-            // every lane, in workspace tensors.
-            let mut bufs = HeadBuffers::new(ns, self.head_dim, block_rows);
-            let kv_lanes = block_len(hook, &[TriAttnKey, TriAttnValue], 1, ns);
-            let mut kv = match kv_lanes {
-                1 => lane_kv(ns, attn_dim),
-                _ => [(); 2].map(|_| workspace::take(tokens_n, attn_dim)),
-            };
-            let lanes = q.as_mut_slice().chunks_mut((ns * attn_dim).max(1));
-            for (lane, lane_q) in lanes.enumerate() {
-                if lane % kv_lanes == 0 {
-                    self.project_kv(&post_ln, lane * ns, &mut kv)?;
-                    hook.on_activation(tap(TriAttnKey), &mut kv[0]);
-                    hook.on_activation(tap(TriAttnValue), &mut kv[1]);
-                }
-                let row0 = lane % kv_lanes * ns;
-                for h in 0..heads {
-                    bufs.attend(&kv, row0, h, bias_mats.row(h), lane_q, |p| {
-                        hook.on_activation(tap(TriAttnScores), p)
-                    })?;
-                }
-            }
-            if kv_lanes > 1 {
-                for operand in kv {
-                    workspace::give(operand);
-                }
-            }
-        } else {
-            // Lane-parallel driver: nobody looks at the keys, values or
-            // scores, so lanes are independent and dispatch across the
-            // pool. Per-lane arithmetic is the serial loop's —
-            // bit-identical for any pool size.
-            let lane_flops = (self.heads * 2 * 2 * ns * ns * self.head_dim).max(1);
+
+        let Some(mut q) = q else {
+            // Lane-local driver: per-lane arithmetic is the serial loop's,
+            // so the bits are the same for any pool size.
+            let lane_flops = (heads * 2 * 2 * ns * ns * self.head_dim).max(1);
             let grain_lanes = ((1usize << 21) / lane_flops).max(1);
-            let lanes_per_chunk = ln_par::chunk_len(ns, grain_lanes);
-            ln_par::par_chunks_mut(
-                q.as_mut_slice(),
-                lanes_per_chunk * ns * attn_dim,
-                |c, chunk| {
-                    // One lane's keys and values and one set of per-head
-                    // buffers per lane chunk, reused across its lanes.
-                    let mut bufs = HeadBuffers::new(ns, self.head_dim, block_rows);
-                    let mut kv = lane_kv(ns, attn_dim);
-                    for (local, lane_q) in chunk.chunks_mut(ns * attn_dim).enumerate() {
-                        let lane = c * lanes_per_chunk + local;
-                        self.project_kv(&post_ln, lane * ns, &mut kv)
-                            .expect("projection shapes are internally consistent");
-                        for h in 0..heads {
-                            bufs.attend(&kv, 0, h, bias_mats.row(h), lane_q, |_| {})
-                                .expect("head shapes are internally consistent");
-                        }
+            let scratch = || LaneScratch {
+                bufs: HeadBuffers::new(ns, self.head_dim, block_rows),
+                q: Tensor2::zeros(ns, attn_dim),
+                kv: lane_kv(ns, attn_dim),
+                gate: Tensor2::zeros(ns, attn_dim),
+            };
+            post_ln.lanes_on_pool(
+                ns,
+                ln_par::chunk_len(ns, grain_lanes),
+                scratch,
+                |form, rows, s, update| {
+                    form.project_into(rows, &self.to_q, Activation::None, s.q.as_mut_slice())?;
+                    self.project_kv(form, rows, &mut s.kv)?;
+                    for h in 0..heads {
+                        let lane_q = s.q.as_mut_slice();
+                        s.bufs
+                            .attend(&s.kv, 0, h, bias_mats.row(h), lane_q, |_| {})?;
                     }
+                    let gate = s.gate.as_mut_slice();
+                    form.project_into(rows, &self.to_gate, Activation::Sigmoid, gate)?;
+                    self.gated_output(&mut s.gate, s.q.as_slice(), update)
                 },
             );
+            return Ok(());
+        };
+
+        // Observing driver: the hook sees (and may rewrite) each lane's
+        // keys and values, then each block of its probability rows — the
+        // paper quantizes the scores (Group C), a row a token — so taps
+        // fire serially in ascending (lane, head, block) order, on one set
+        // of head buffers. Every (lane, head, block of query rows) reads
+        // its queries before writing their context over them — same rows,
+        // the head's columns — so `q` becomes the context. A hook that
+        // wants the keys and values whole gets them projected once, for
+        // every lane, in workspace tensors.
+        let mut bufs = HeadBuffers::new(ns, self.head_dim, block_rows);
+        let kv_lanes = block_len(hook, &[TriAttnKey, TriAttnValue], 1, ns);
+        let mut kv = match kv_lanes {
+            1 => lane_kv(ns, attn_dim),
+            _ => [(); 2].map(|_| workspace::take(tokens_n, attn_dim)),
+        };
+        let lanes = q.as_mut_slice().chunks_mut((ns * attn_dim).max(1));
+        for (lane, lane_q) in lanes.enumerate() {
+            if lane % kv_lanes == 0 {
+                let rows = post_ln.rows(lane * ns, kv[0].rows())?;
+                self.project_kv(&post_ln.form, &rows, &mut kv)?;
+                post_ln.done(rows);
+                hook.on_activation(tap(TriAttnKey), &mut kv[0]);
+                hook.on_activation(tap(TriAttnValue), &mut kv[1]);
+            }
+            let row0 = lane % kv_lanes * ns;
+            for h in 0..heads {
+                bufs.attend(&kv, row0, h, bias_mats.row(h), lane_q, |p| {
+                    hook.on_activation(tap(TriAttnScores), p)
+                })?;
+            }
+        }
+        if kv_lanes > 1 {
+            for operand in kv {
+                workspace::give(operand);
+            }
         }
         let mut ctx = q;
         hook.on_activation(tap(TriAttnContext), &mut ctx);
@@ -248,33 +275,55 @@ impl TriangularAttention {
         // take the block's update.
         let block = block_len(hook, &[TriAttnGate], ROW_BLOCK, tokens_n);
         for first in (0..tokens_n).step_by(block) {
-            let rows = block.min(tokens_n - first);
-            let mut gate = workspace::take(rows, attn_dim);
-            post_ln.project_into(&self.to_gate, Activation::Sigmoid, first, &mut gate)?;
+            let mut rows = post_ln.rows(first, block.min(tokens_n - first))?;
+            let mut gate = workspace::take(rows.len, attn_dim);
+            post_ln.project_into(
+                &rows,
+                &self.to_gate,
+                Activation::Sigmoid,
+                gate.as_mut_slice(),
+            )?;
             hook.on_activation(tap(TriAttnGate), &mut gate);
             let ctx_rows = &ctx.as_slice()[first * attn_dim..];
-            for (g, &c) in gate.as_mut_slice().iter_mut().zip(ctx_rows) {
-                *g *= c;
-            }
-            let update = post_ln.spent_rows(first, rows);
-            self.proj_out
-                .forward_rows_into(&gate, 0, Activation::None, update)?;
+            self.gated_output(&mut gate, ctx_rows, post_ln.update(&mut rows))?;
             workspace::give(gate);
+            post_ln.add(rows);
         }
         workspace::give(ctx);
-        Ok(post_ln.into_buffer())
+        Ok(())
     }
 
-    /// The keys and values of tokens `first ..` — `kv[0].rows()` of them.
-    fn project_kv(
-        &self,
-        post_ln: &PostLn,
-        first: usize,
-        kv: &mut [Tensor2; 2],
-    ) -> Result<(), PpmError> {
-        post_ln.project_into(&self.to_k, Activation::None, first, &mut kv[0])?;
-        post_ln.project_into(&self.to_v, Activation::None, first, &mut kv[1])
+    /// The keys and values of `rows` — `kv[0].rows()` tokens.
+    fn project_kv(&self, form: &Form, rows: &Rows, kv: &mut [Tensor2; 2]) -> Result<(), PpmError> {
+        form.project_into(rows, &self.to_k, Activation::None, kv[0].as_mut_slice())?;
+        form.project_into(rows, &self.to_v, Activation::None, kv[1].as_mut_slice())
     }
+
+    /// `proj_out(gate ⊙ ctx)` into `update`: `gate` the output gate of
+    /// `update`'s tokens, `ctx` their context.
+    fn gated_output(
+        &self,
+        gate: &mut Tensor2,
+        ctx: &[f32],
+        update: &mut [f32],
+    ) -> Result<(), PpmError> {
+        for (g, &c) in gate.as_mut_slice().iter_mut().zip(ctx) {
+            *g *= c;
+        }
+        Ok(self
+            .proj_out
+            .forward_rows_into(gate, 0, Activation::None, update)?)
+    }
+}
+
+/// What the lane-local driver works in, made once per lane chunk and
+/// reused across its lanes: the head buffers and the lane's queries (its
+/// context once attended), keys, values and output gate.
+struct LaneScratch {
+    bufs: HeadBuffers,
+    q: Tensor2,
+    kv: [Tensor2; 2],
+    gate: Tensor2,
 }
 
 /// Per-head `(ns, ns)` bias matrices for the score grid, one a row, from
@@ -485,6 +534,35 @@ mod tests {
                     .unwrap();
                 assert_eq!(fast, reference, "{node:?} {chunk:?}");
                 assert_eq!(observed, reference, "{node:?} {chunk:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_local_driver_is_bit_identical_across_pools_and_to_the_observing_driver() {
+        // Standard widths at ns = 37 in blocks of 5 query rows: pools of 2
+        // and 4 split the 37 lanes into chunks of 10 and 5, each lane
+        // projecting its own rows and adding its update into the stream;
+        // every pool, and the serial observing driver, give the same bits.
+        struct ObserveAll;
+        impl ActivationHook for ObserveAll {
+            fn on_activation(&mut self, _tap: Tap, _activation: &mut Tensor2) {}
+        }
+        let cfg = PpmConfig {
+            attention_chunk: Some(5),
+            ..PpmConfig::standard()
+        };
+        let bits = |z: &Tensor3| z.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for node in [AttentionNode::Starting, AttentionNode::Ending] {
+            let unit = TriangularAttention::new(&cfg, "pools", node);
+            let mut observed = pair(37, cfg.hz);
+            unit.forward(&mut observed, &mut ObserveAll, 0, 0).unwrap();
+            for threads in [1, 2, 4] {
+                let mut z = pair(37, cfg.hz);
+                ln_par::with_pool(&ln_par::Pool::new_exact(threads), || {
+                    unit.forward(&mut z, &mut NoopHook, 0, 0).unwrap()
+                });
+                assert!(bits(&z) == bits(&observed), "{node:?}, pool {threads}");
             }
         }
     }

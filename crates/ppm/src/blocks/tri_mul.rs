@@ -17,15 +17,18 @@
 //! the einsum reads it, a block of tokens at a time — and the left one is
 //! computed a block of whole output rows at a time, just before those
 //! rows' product, out LayerNorm, output gate and projection, whose update
-//! goes into the block's own rows of the post-LN buffer. Beside the
-//! stream the stage holds two pair tensors — the post-LN activation and
-//! the packed operand — and two row blocks, unless the hook
-//! [wants](ActivationHook::takes_row_blocks) a blocked site whole: then
-//! that block is the whole tensor, and the stage holds up to four.
+//! goes into the stream as soon as the block is done. Every step reads
+//! the post-LN activation a block at a time, so unless the hook observes
+//! it, it is not held: each pass recomputes a block's rows from the
+//! stream (one extra LayerNorm pass a unit). Beside the stream the stage
+//! then holds one pair tensor — the packed operand — and three row blocks;
+//! the whole post-LN activation is a second one for a hook that observes
+//! it, and a blocked site the hook [wants](ActivationHook::takes_row_blocks)
+//! whole makes its block the whole tensor, up to four.
 
 use super::{
     block_len, residual_stage, transpose_pair_tokens, workspace, Activation, PostLn, Projection,
-    ROW_BLOCK,
+    Rows, ROW_BLOCK,
 };
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
@@ -142,14 +145,15 @@ impl TriangularMultiplication {
     }
 
     /// The stage between its LayerNorm and its residual add: the gated
-    /// output projection of the triangle product, in `post_ln`'s buffer.
+    /// output projection of the triangle product, added into the stream a
+    /// block of whole rows at a time.
     fn update(
         &self,
         hook: &mut dyn ActivationHook,
-        mut post_ln: PostLn,
+        post_ln: &mut PostLn,
         ns: usize,
         tap: impl Fn(ActivationSite) -> Tap,
-    ) -> Result<Tensor2, PpmError> {
+    ) -> Result<(), PpmError> {
         use ActivationSite::*;
         let tokens_n = ns * ns;
         let c = self.proj_left.out_features();
@@ -169,15 +173,17 @@ impl TriangularMultiplication {
         };
 
         // The right operand whole, packed as the einsum's tile reads it,
-        // each block stored as it is produced.
+        // each block stored as it is produced — before any update reaches
+        // the stream.
         let mut packed = {
             let (rows, cols) = einsum::packed_shape(ns, c);
             workspace::take(rows, cols)
         };
         let block = block_len(hook, &packed_side.sites, ROW_BLOCK, tokens_n);
         for first in (0..tokens_n).step_by(block) {
-            let product =
-                packed_side.rows(hook, &post_ln, first, block.min(tokens_n - first), &tap)?;
+            let rows = post_ln.rows(first, block.min(tokens_n - first))?;
+            let product = packed_side.rows(hook, post_ln, &rows, &tap)?;
+            post_ln.done(rows);
             einsum::pack_right(ns, first, &product, packed.as_mut_slice());
             workspace::give(product);
         }
@@ -186,7 +192,8 @@ impl TriangularMultiplication {
         // block's own tokens: the left operand's rows, the einsum's rows
         // (1/√Ns keeps magnitudes length-independent), the out LayerNorm,
         // the output gate and projection — whose update goes into the
-        // block's post-LN rows, read by the gate for the last time.
+        // block's post-LN rows, read by the gate for the last time, and
+        // from there into the stream.
         let [gate_site, proj_site] = rows_side.sites;
         let sites = [
             gate_site,
@@ -198,9 +205,9 @@ impl TriangularMultiplication {
         let row = ns.max(1);
         let block = block_len(hook, &sites, ROW_BLOCK.div_ceil(row) * row, tokens_n);
         for first in (0..tokens_n).step_by(block) {
-            let rows = block.min(tokens_n - first);
-            let left = rows_side.rows(hook, &post_ln, first, rows, &tap)?;
-            let mut tri = workspace::take(rows, c);
+            let mut rows = post_ln.rows(first, block.min(tokens_n - first))?;
+            let left = rows_side.rows(hook, post_ln, &rows, &tap)?;
+            let mut tri = workspace::take(rows.len, c);
             let einsum = Einsum {
                 left: left.as_slice(),
                 right: packed.as_slice(),
@@ -211,14 +218,14 @@ impl TriangularMultiplication {
             einsum.rows_on_pool(tri.as_mut_slice());
             workspace::give(left);
             hook.on_activation(tap(TriMulTriangleOut), &mut tri);
-            let mut y = workspace::take(rows, c);
+            let mut y = workspace::take(rows.len, c);
             self.norm_out.forward_into(&tri, &mut y)?;
             workspace::give(tri);
             hook.on_activation(tap(TriMulOutPostLn), &mut y);
-            let mut g = workspace::take(rows, self.gate_out.out_features());
-            post_ln.project_into(&self.gate_out, Activation::Sigmoid, first, &mut g)?;
+            let mut g = workspace::take(rows.len, self.gate_out.out_features());
+            post_ln.project_into(&rows, &self.gate_out, Activation::Sigmoid, g.as_mut_slice())?;
             hook.on_activation(tap(TriMulOutGate), &mut g);
-            let update = post_ln.spent_rows(first, rows);
+            let update = post_ln.update(&mut rows);
             self.proj_out
                 .forward_rows_into(&y, 0, Activation::None, update)?;
             workspace::give(y);
@@ -226,9 +233,10 @@ impl TriangularMultiplication {
                 *u *= gate;
             }
             workspace::give(g);
+            post_ln.add(rows);
         }
         workspace::give(packed);
-        Ok(post_ln.into_buffer())
+        Ok(())
     }
 }
 
@@ -240,25 +248,24 @@ struct GatedSide<'a> {
 }
 
 impl GatedSide<'_> {
-    /// Tokens `first ..` of the side, `rows` of them, in a workspace
-    /// tensor. In the quantized domain both factors are integer GEMMs on
-    /// the encoded post-LN activation, otherwise FP32 ones; either way
-    /// each passes the hook (which may record or rewrite it, or ignore
-    /// it) before the gate's buffer takes the product.
+    /// The side's `rows`, in a workspace tensor. In the quantized domain
+    /// both factors are integer GEMMs on the encoded post-LN activation,
+    /// otherwise FP32 ones; either way each passes the hook (which may
+    /// record or rewrite it, or ignore it) before the gate's buffer takes
+    /// the product.
     fn rows(
         &self,
         hook: &mut dyn ActivationHook,
         post_ln: &PostLn,
-        first: usize,
-        rows: usize,
+        rows: &Rows,
         tap: &impl Fn(ActivationSite) -> Tap,
     ) -> Result<Tensor2, PpmError> {
         let [gate, proj] = self.layers;
-        let mut g = workspace::take(rows, gate.out_features());
-        post_ln.project_into(gate, Activation::Sigmoid, first, &mut g)?;
+        let mut g = workspace::take(rows.len, gate.out_features());
+        post_ln.project_into(rows, gate, Activation::Sigmoid, g.as_mut_slice())?;
         hook.on_activation(tap(self.sites[0]), &mut g);
-        let mut p = workspace::take(rows, proj.out_features());
-        post_ln.project_into(proj, Activation::None, first, &mut p)?;
+        let mut p = workspace::take(rows.len, proj.out_features());
+        post_ln.project_into(rows, proj, Activation::None, p.as_mut_slice())?;
         hook.on_activation(tap(self.sites[1]), &mut p);
         g.hadamard_assign(&p)?;
         workspace::give(p);

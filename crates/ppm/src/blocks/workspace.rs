@@ -11,21 +11,22 @@
 //! taken tensor may simply be dropped (the stages' error paths do).
 //!
 //! It is for pair-sized tensors and the stages' row blocks. No stage has
-//! more than two pair tensors on loan — the post-LN `x` and triangular
-//! multiplication's packed einsum operand, or triangular attention's
-//! queries; four under a hook that declines row blocks — and at most two
-//! row blocks beside them (a gated side's gate and projection, the
-//! triangle product's left rows and its consumers'; 0.6 MB each at the
-//! standard widths). A block finds a block-sized buffer it left before,
-//! because [`take`] gives no request a buffer more than four times its
-//! size: else a block would take the sequence track's half-pair-sized
-//! outer-product buffer and keep it on loan beside the two pair tensors.
-//! Anything much smaller stays out (`tri_attn`'s bias, a lane's keys and
-//! values): it would make the stack one deeper. The transition's hidden
-//! block (2 MiB), taken beside one pair tensor, goes into a free
-//! pair-sized buffer from L = 64 to L = 128, where that is at most four
-//! times the block; above, it has a buffer of its own; below, it regrows
-//! one, which then holds a pair tensor.
+//! more than one pair tensor on loan beside the stream — triangular
+//! multiplication's packed einsum operand — unless the hook asks for more:
+//! the post-LN `x` for a hook that observes it, triangular attention's
+//! queries for one that observes a lane site, four under a hook that
+//! declines row blocks. At most three row blocks go beside it (a block's
+//! post-LN rows, recomputed from the stream, with a gated side's gate and
+//! projection or the triangle product's left rows and its consumers'; 0.6
+//! MB each at the standard widths). A block finds a block-sized buffer it
+//! left before, because [`take`] gives no request a buffer more than four
+//! times its size: else a block would take the packed operand's buffer
+//! and keep it on loan beside the next stage's. Anything much smaller
+//! stays out (`tri_attn`'s bias, a lane's scratch): it would make the
+//! stack one deeper. The transition's hidden block (2 MiB) goes into the
+//! free pair-sized buffer from L = 64 to L = 128, where that is at most
+//! four times the block; above, it has a buffer of its own; below, it
+//! regrows one, which then holds a pair tensor.
 //!
 //! A taken tensor's **contents are unspecified**. Whoever takes one
 //! overwrites all of it: the `_into` kernels do (they zero-fill first where
@@ -108,12 +109,11 @@ pub(crate) fn give(t: Tensor2) {
 }
 
 /// Frees the buffers the calling thread's fold workspace retains between
-/// folds — two pair-sized tensors and at most two row blocks at the
-/// longest length folded (10.5 MB at L = 96, 40.4 MB at L = 192, where
-/// the transition's hidden block is one of the two), or, if a hook
-/// declined the row blocks, three pair tensors and one of four (the
-/// transition's hidden activation whole, where the triangle stages'
-/// fourth pair tensor fits too).
+/// folds — one pair-sized tensor and a few row blocks at the longest length
+/// folded (6.3 MB at L = 96, 22.2 MB at L = 192, where the transition's
+/// hidden block is one of them), or, if a hook declined the row blocks,
+/// three pair tensors and one of four (the transition's hidden activation
+/// whole, where the triangle stages' fourth pair tensor fits too).
 /// The next fold on this thread allocates them again.
 /// For a caller that folds once and lives on.
 ///
@@ -257,13 +257,16 @@ mod tests {
         // pair tensor at 128 channels), one of tri-mul's row-blocked gated
         // side and the triangle product's consumers — 22 whole rows —
         // `rows_bytes` (0.46); one of the transition's hidden activation
-        // `hidden_block_bytes` (1.78).
+        // `hidden_block_bytes` (1.78); one of the outer-product mean's
+        // pair rows, their outer products and update, `opm_bytes` (0.69).
         let cfg = PpmConfig::standard();
         let ns = 48;
         let pair_bytes = ns * ns * cfg.hz * 4;
         let block_bytes = |width: usize| ROW_BLOCK * width * 4;
-        let rows_bytes = ROW_BLOCK.div_ceil(ns) * ns * cfg.tri_mul_dim.max(cfg.hz) * 4;
+        let whole_rows = ROW_BLOCK.div_ceil(ns) * ns;
+        let rows_bytes = whole_rows * cfg.tri_mul_dim.max(cfg.hz) * 4;
         let hidden_block_bytes = block_bytes(cfg.hz * cfg.transition_factor);
+        let opm_bytes = whole_rows * (64 + cfg.hz) * 4;
         assert!(ns * ns > 2 * ROW_BLOCK && ns * ns % ROW_BLOCK != 0);
         let pair = Tensor3::from_fn(ns, ns, cfg.hz, |i, j, k| {
             ((i * 31 + j * 7 + k * 3) % 13) as f32 * 0.5 - 3.0
@@ -285,33 +288,53 @@ mod tests {
         };
         let transition = PairTransition::new(&cfg, "ws");
         let seq_track = SequenceTrack::new(&cfg, "ws");
-        // (stage, most bytes it may have on loan when the hook takes row
-        // blocks, and when it declines them):
-        // - tri-mul: `x` and the packed right operand, and two blocks — a
-        //   gated side's gate and projection, the left rows and their
-        //   product, or the consumers' rows; whole, those blocks are pair
-        //   tensors;
-        // - tri-attn: `x`, q (the context once its queries are read) and
-        //   a block of the output gate — a lane's keys and values are
-        //   head-sized scratch, not the workspace's; whole, k and v too;
-        // - the transition: `x` and a block of the hidden activation, or
-        //   all of it (four pair tensors);
-        // - the outer product (half a pair tensor) and its projection.
-        let stages: [(&str, [usize; 2], Stage); 6] = [
+        // (stage, most bytes it may have on loan under each of `hooks()`:
+        // one that observes nothing, one that observes every site, the
+        // quantized domain, and one that declines row blocks). A stage
+        // holds the post-LN `x` whole only for a hook that observes it and
+        // asks for no encoding; otherwise a block's post-LN rows are a row
+        // block — recomputed, or in the quantized domain the buffer of its
+        // update, `x` given back as soon as it is encoded.
+        // - tri-mul: the packed right operand and three blocks — a gated
+        //   side's gate and projection beside its post-LN rows, the left
+        //   rows and their product, or the consumers' rows; with `x`
+        //   whole, two; whole, those blocks are pair tensors;
+        // - tri-attn: nothing pair-sized when no lane site is observed —
+        //   one block of post-LN rows for the bias, and a lane's queries,
+        //   keys, values and gate are lane scratch, not the workspace's;
+        //   otherwise q (the context once its queries are read) and a
+        //   block of the output gate beside `x` or the block's update;
+        //   whole, k and v too;
+        // - the transition: a block of the hidden activation beside its
+        //   post-LN rows or `x`, or all of it (four pair tensors);
+        // - the outer product and its update, a block of pair rows each.
+        let stages: [(&str, [usize; 4], Stage); 6] = [
             (
                 "tri_mul_out",
-                [2 * pair_bytes + 2 * rows_bytes, 4 * pair_bytes],
+                [
+                    pair_bytes + 3 * rows_bytes,
+                    2 * pair_bytes + 2 * rows_bytes,
+                    pair_bytes + 3 * rows_bytes,
+                    4 * pair_bytes,
+                ],
                 tri_mul(TriangleDirection::Outgoing),
             ),
             (
                 "tri_mul_in",
-                [2 * pair_bytes + 2 * rows_bytes, 4 * pair_bytes],
+                [
+                    pair_bytes + 3 * rows_bytes,
+                    2 * pair_bytes + 2 * rows_bytes,
+                    pair_bytes + 3 * rows_bytes,
+                    4 * pair_bytes,
+                ],
                 tri_mul(TriangleDirection::Incoming),
             ),
             (
                 "tri_attn_start",
                 [
+                    block_bytes(cfg.hz),
                     2 * pair_bytes + block_bytes(cfg.pair_attn_dim()),
+                    pair_bytes + block_bytes(cfg.pair_attn_dim()) + block_bytes(cfg.hz),
                     4 * pair_bytes,
                 ],
                 tri_attn(AttentionNode::Starting),
@@ -319,7 +342,9 @@ mod tests {
             (
                 "tri_attn_end",
                 [
+                    block_bytes(cfg.hz),
                     2 * pair_bytes + block_bytes(cfg.pair_attn_dim()),
+                    pair_bytes + block_bytes(cfg.pair_attn_dim()) + block_bytes(cfg.hz),
                     4 * pair_bytes,
                 ],
                 tri_attn(AttentionNode::Ending),
@@ -327,23 +352,21 @@ mod tests {
             (
                 "transition",
                 [
+                    block_bytes(cfg.hz) + hidden_block_bytes,
                     pair_bytes + hidden_block_bytes,
+                    pair_bytes.max(block_bytes(cfg.hz) + hidden_block_bytes),
                     pair_bytes + cfg.transition_factor * pair_bytes,
                 ],
                 Box::new(|z, h| transition.forward(z, h, 0, 0).unwrap()),
             ),
             (
                 "seq_track",
-                [2 * pair_bytes; 2],
+                [opm_bytes; 4],
                 Box::new(|z, _| seq_track.forward(&mut seq, z).unwrap()),
             ),
         ];
-        for (stage, [taking, declining], mut run) in stages {
-            for (name, mut hook) in hooks() {
-                let bound = match name {
-                    "declining" => declining,
-                    _ => taking,
-                };
+        for (stage, bounds, mut run) in stages {
+            for ((name, mut hook), bound) in hooks().into_iter().zip(bounds) {
                 let mut z = pair.clone();
                 take_hwm_bytes();
                 run(&mut z, hook.as_mut());
@@ -359,12 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn a_warm_fold_retains_two_pair_tensors_and_row_blocks() {
-        // Standard widths at L = 96, where the sequence track's
-        // half-pair-sized outer product is 4.4 row blocks: every buffer a
-        // warm fold leaves is pair-sized or at most a row block. None
-        // holds the outer product, which a row block taking any larger
-        // buffer would keep on loan beside the two pair tensors.
+    fn a_warm_fold_retains_one_pair_tensor_and_row_blocks() {
+        // Standard widths at L = 96: every buffer a warm fold leaves is
+        // pair-sized — one, triangular multiplication's packed operand,
+        // which the transition's hidden block also fits — or at most a
+        // block of whole rows. No stage takes a second pair tensor beside
+        // the stream, and no row block takes a far larger buffer.
         let cfg = PpmConfig::standard();
         let ns = 96;
         let pair_bytes = ns * ns * cfg.hz * 4;
@@ -376,7 +399,7 @@ mod tests {
         let sizes: Vec<usize> =
             WORKSPACE.with(|w| w.borrow().free.iter().map(|b| b.capacity() * 4).collect());
         let pair_sized = sizes.iter().filter(|&&bytes| bytes >= pair_bytes).count();
-        assert_eq!(pair_sized, 2, "{sizes:?}");
+        assert_eq!(pair_sized, 1, "{sizes:?}");
         let between = |&&bytes: &&usize| rows_bytes < bytes && bytes < pair_bytes;
         assert_eq!(sizes.iter().find(between), None, "{sizes:?}");
     }

@@ -157,9 +157,11 @@ impl fmt::Display for Tap {
 /// Observer/rewriter of activations in flight.
 ///
 /// The trunk calls [`ActivationHook::on_activation`] with a mutable
-/// `(tokens, channels)` view of each tagged activation (except a
-/// post-LayerNorm one it encodes for the quantized domain, which goes to
-/// [`ActivationHook::on_encoded`]). Implementations may:
+/// `(tokens, channels)` view of each tagged activation — at the
+/// post-LayerNorm and triangular-attention lane sites, those it
+/// [observes](ActivationHook::observes) — except a post-LayerNorm one it
+/// encodes for the quantized domain, which goes to
+/// [`ActivationHook::on_encoded`]. Implementations may:
 ///
 /// * record statistics (distribution analysis, Fig. 5/6),
 /// * rewrite values in place (quantize→dequantize, the AAQ error model),
@@ -170,18 +172,29 @@ pub trait ActivationHook {
 
     /// Whether this hook looks at activations at `site` at all.
     ///
-    /// It decides one thing in the trunk — which of two drivers runs
-    /// triangular attention's lanes. Asked about
-    /// [`ActivationSite::TriAttnKey`], [`ActivationSite::TriAttnValue`] and
-    /// [`ActivationSite::TriAttnScores`], a yes to any runs lanes serially
-    /// and taps each lane's keys and values and every block of its score
-    /// rows (per head and block of [`crate::PpmConfig::attention_chunk`]
-    /// query rows); a no to all three runs the lanes in parallel and never
-    /// calls the hook at those sites — the same arithmetic, bit for bit.
+    /// It decides two things in the trunk, each for the same arithmetic,
+    /// bit for bit:
+    ///
+    /// * Asked about a post-LayerNorm site
+    ///   ([`ActivationSite::TriMulPostLn`], [`ActivationSite::TriAttnPostLn`],
+    ///   [`ActivationSite::TransitionPostLn`]) that it does not send to the
+    ///   quantized domain, a yes holds the activation whole and taps it; a
+    ///   no never calls the hook there, and the stage recomputes a block's
+    ///   rows from the stream when it reads them — one pair tensor less.
+    /// * Asked about triangular attention's lane sites
+    ///   ([`ActivationSite::TriAttnQuery`], [`ActivationSite::TriAttnKey`],
+    ///   [`ActivationSite::TriAttnValue`], [`ActivationSite::TriAttnScores`],
+    ///   [`ActivationSite::TriAttnContext`], [`ActivationSite::TriAttnGate`]),
+    ///   a yes to any holds the queries whole, runs lanes serially and taps
+    ///   all six — each lane's keys and values, every block of its score
+    ///   rows (per head and block of [`crate::PpmConfig::attention_chunk`]
+    ///   query rows); a no to all six runs each lane on its own across the
+    ///   pool and never calls the hook at those sites.
+    ///
     /// Everywhere else [`ActivationHook::on_activation`] is called whatever
     /// this returns, and a hook that does not care ignores the call. A hook
     /// that wraps another forwards the question. Defaults to `true`, so a
-    /// custom hook sees every score row unless it opts out.
+    /// custom hook sees every activation unless it opts out.
     fn observes(&self, site: ActivationSite) -> bool {
         let _ = site;
         true
@@ -210,8 +223,8 @@ pub trait ActivationHook {
     ///   [`ActivationSite::TransitionHidden`]: 1 024 tokens.
     ///
     /// A no to any site of a group taps the group whole: a triangle stage
-    /// then holds up to four pair tensors instead of two, the transition
-    /// its hidden activation — four pair tensors wide. Every other site is
+    /// then holds up to four pair tensors instead of one or two, the
+    /// transition its hidden activation — four pair tensors wide. Every other site is
     /// tapped whole either way. A hook whose rewrite at `site` computes a
     /// statistic across tokens (a per-tensor or per-channel scale) must
     /// say no, or its calibration becomes per block; a hook that rewrites

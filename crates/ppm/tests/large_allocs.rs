@@ -1,22 +1,27 @@
-//! A warm fold asks the allocator for almost no large blocks.
+//! A warm fold asks the allocator for almost no large blocks, and holds
+//! little beside the pair stream.
 //!
 //! The pair stages take their pair-sized temporaries from the fold
 //! workspace, which keeps them between stages and between folds. This
 //! binary runs on the shared counting global allocator (counts are per
 //! thread; under a one-thread pool every kernel runs inline on the calling
 //! thread) and pins how many allocations of at least 64 KiB the second
-//! fold makes — a guard that depends on neither timing nor the system
-//! allocator's trimming policy — and what it leaves in the GEMM scratch
-//! arena, the fold's other standing memory (a process-wide high-water
-//! mark, so one test function owns it).
+//! fold makes, the most bytes a warm fold has live at once — guards that
+//! depend on neither timing nor the system allocator's trimming policy —
+//! and what it leaves in the GEMM scratch arena, the fold's other standing
+//! memory (a process-wide high-water mark, so one test function owns it).
 
 use ln_par::{with_pool, Pool};
+use ln_ppm::blocks::release_fold_workspace;
 use ln_ppm::taps::{ActivationHook, ActivationSite, NoopHook, Tap};
 use ln_ppm::{FoldingModel, PpmConfig};
 use ln_protein::generator::StructureGenerator;
 use ln_protein::Sequence;
+use ln_quant::scheme::QuantScheme;
+use ln_quant::tensor::QuantizedTensor;
 use ln_tensor::{microkernel, Tensor2};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -34,6 +39,10 @@ const LARGE: usize = 64 << 10;
 /// workspace this count was 116. `tests/aaq_large_allocs.rs` pins the same
 /// folds under `AaqHook` — 5 — and in the quantized domain — 15.
 const WARM_FOLD_LARGE_ALLOCATIONS: u64 = 5;
+
+/// Held by a test that reads the GEMM scratch arena's high-water mark —
+/// process-wide — and by one that folds at another length, which would move it.
+static SCRATCH_HWM: Mutex<()> = Mutex::new(());
 
 /// Large allocations this thread makes while `f` runs.
 fn large_allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
@@ -57,6 +66,7 @@ fn a_warm_fold_makes_few_large_allocations() {
     // product there, which would be scratch no workspace test sees.
     const A_BLOCK: u64 = 128 * 256 * 4;
     const B_PANEL: u64 = 256 * 256 * 4;
+    let _hwm = SCRATCH_HWM.lock().unwrap_or_else(|e| e.into_inner());
     let model = FoldingModel::new(PpmConfig::standard());
     with_pool(&Pool::new_exact(1), || {
         for ns in [32, 48] {
@@ -77,7 +87,8 @@ fn a_warm_fold_makes_few_large_allocations() {
 }
 
 /// Unwinds out of the first block's triangular attention, with the stage's
-/// workspace tensors taken and not yet given back.
+/// workspace tensors taken and not yet given back: it observes the post-LN
+/// site alone, so the stage holds that activation whole when it is shown.
 struct PanicMidFold;
 
 impl ActivationHook for PanicMidFold {
@@ -87,8 +98,8 @@ impl ActivationHook for PanicMidFold {
         }
     }
 
-    fn observes(&self, _site: ActivationSite) -> bool {
-        false
+    fn observes(&self, site: ActivationSite) -> bool {
+        site == ActivationSite::TriAttnPostLn
     }
 }
 
@@ -115,5 +126,73 @@ fn a_panic_mid_fold_leaves_the_workspace_usable() {
         let (warm, again) = large_allocations_in(fold);
         assert_eq!(again, reference);
         assert_eq!(warm, WARM_FOLD_LARGE_ALLOCATIONS);
+    });
+}
+
+/// Sends every post-LN projection through the integer GEMMs, and observes
+/// every site.
+struct QuantizedDomain;
+
+impl ActivationHook for QuantizedDomain {
+    fn on_activation(&mut self, _tap: Tap, _activation: &mut Tensor2) {}
+
+    fn quantized_matmul(&self, _tap: Tap) -> Option<QuantScheme> {
+        Some(QuantScheme::int8_with_outliers(4))
+    }
+}
+
+#[test]
+fn a_warm_fold_holds_the_stream_one_pair_tensor_and_row_blocks() {
+    // Standard widths at L = 96. What a warm fold has live at its peak,
+    // above what its thread held before its first fold: the workspace's
+    // retained buffers plus the warm fold's own high-water mark. Allowed:
+    // the stream, one pair tensor (triangular multiplication's packed
+    // operand; triangular attention's queries under a hook that observes
+    // its lanes), three blocks of whole rows (the stages' largest set on
+    // loan at once) and one hidden block of the transition — which here
+    // shares the free pair-sized buffer, so it stands for the bias
+    // matrices, the lane scratch and the sequence track's `(Ns, Hm)`
+    // activations (0.29 P together) — and, in the quantized domain, the
+    // encoded post-LN activation, whose f32 copy is dropped once the hook
+    // has seen it. It reads 2.63 P and 2.97 P; before post-LN rows were
+    // recomputed on demand, 3.52 P and 3.89 P — a second pair tensor on
+    // loan breaks the bound.
+    let cfg = PpmConfig::standard();
+    let ns = 96;
+    let scheme = QuantScheme::int8_with_outliers(4);
+    let pair = ns * ns * cfg.hz * 4;
+    let rows_block = 1024usize.div_ceil(ns) * ns * cfg.hz * 4;
+    let hidden_block = 1024 * cfg.hz * cfg.transition_factor * 4;
+    let x = Tensor2::from_fn(ns * ns, cfg.hz, |t, c| ((t * 7 + c * 3) % 11) as f32 - 5.0);
+    let (encoded, _) = counting_alloc::bytes_kept_by(|| QuantizedTensor::encode(&x, scheme).0);
+    drop(x);
+    let _hwm = SCRATCH_HWM.lock().unwrap_or_else(|e| e.into_inner());
+    let model = FoldingModel::new(cfg);
+    let seq = Sequence::random("large_allocs", ns);
+    let native = StructureGenerator::new("large_allocs").generate(ns);
+    with_pool(&Pool::new_exact(1), || {
+        let fold = |hook: &mut dyn ActivationHook| {
+            drop(model.predict_with_hook(&seq, &native, hook).expect("folds"));
+        };
+        // The kernels' per-thread packing buffers come and stay first.
+        fold(&mut NoopHook);
+        let hooks: [(&str, Box<dyn ActivationHook>, usize); 2] = [
+            ("noop", Box::new(NoopHook), 0),
+            ("quantized-domain", Box::new(QuantizedDomain), encoded),
+        ];
+        for (name, mut hook, encoded) in hooks {
+            release_fold_workspace();
+            let (retained, ()) = counting_alloc::bytes_kept_by(|| fold(hook.as_mut()));
+            let (peak, ()) = counting_alloc::peak_live_bytes_in(|| fold(hook.as_mut()));
+            let bound = 2 * pair + 3 * rows_block + hidden_block + encoded;
+            let p = |bytes: usize| bytes as f64 / pair as f64;
+            assert!(
+                retained + peak <= bound,
+                "{name}: {:.2} P live ({:.2} P retained), at most {:.2} P allowed",
+                p(retained + peak),
+                p(retained),
+                p(bound),
+            );
+        }
     });
 }

@@ -185,11 +185,11 @@ pub enum Activation {
 impl Activation {
     /// Applies the activation to `x` in place: the bits
     /// [`Linear::forward_rows_into`] fuses into its epilogue.
-    pub fn apply(self, x: &mut Tensor2) {
+    pub fn apply(self, x: &mut [f32]) {
         match self {
             Activation::None => {}
-            Activation::Sigmoid => sigmoid_inplace(x),
-            Activation::Relu => relu_inplace(x),
+            Activation::Sigmoid => sigmoid_slice(x),
+            Activation::Relu => x.iter_mut().for_each(|v| *v = relu_scalar(*v)),
         }
     }
 }
@@ -281,20 +281,39 @@ impl LayerNorm {
                 rhs: vec![self.gamma.len()],
             });
         }
-        let cols = x.cols();
-        if cols == 0 || x.rows() == 0 {
+        self.forward_rows_into(x.as_slice(), out.as_mut_slice())
+    }
+
+    /// [`LayerNorm::forward_into`] over whole rows given as slices: `x`
+    /// row-major, `out` as long. Rows normalise on their own, so a row has
+    /// the same bits whichever rows share the call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] when the lengths differ or
+    /// are not a whole number of rows.
+    pub fn forward_rows_into(&self, x: &[f32], out: &mut [f32]) -> Result<(), TensorError> {
+        let cols = self.gamma.len();
+        if x.len() != out.len() || !x.len().is_multiple_of(cols.max(1)) {
+            return Err(TensorError::ShapeMismatch {
+                op: "layer_norm",
+                lhs: vec![x.len(), out.len()],
+                rhs: vec![cols],
+            });
+        }
+        if cols == 0 || x.is_empty() {
             return Ok(());
         }
         // Rows normalise independently — mean and variance are
         // `vmath`'s fixed-lane sums of the row alone — so row-chunk
         // parallelism is bit-identical to the serial loop.
-        let rows_per_chunk = ln_par::chunk_len(x.rows(), ROW_PAR_GRAIN_ELEMS.div_ceil(cols));
+        let rows_per_chunk = ln_par::chunk_len(x.len() / cols, ROW_PAR_GRAIN_ELEMS.div_ceil(cols));
         let gamma = &self.gamma;
         let beta = &self.beta;
         let epsilon = self.epsilon;
         let chunk_len = rows_per_chunk * cols;
-        ln_par::par_chunks_mut(out.as_mut_slice(), chunk_len, |c, chunk| {
-            let src = &x.as_slice()[c * chunk_len..][..chunk.len()];
+        ln_par::par_chunks_mut(out, chunk_len, |c, chunk| {
+            let src = &x[c * chunk_len..][..chunk.len()];
             simd::wide(
                 #[inline(always)]
                 || {
@@ -378,10 +397,14 @@ pub fn sigmoid(x: &Tensor2) -> Tensor2 {
 
 /// [`sigmoid`] in place.
 pub fn sigmoid_inplace(x: &mut Tensor2) {
+    sigmoid_slice(x.as_mut_slice());
+}
+
+fn sigmoid_slice(x: &mut [f32]) {
     simd::wide(
         #[inline(always)]
         || {
-            for v in x.as_mut_slice() {
+            for v in x.iter_mut() {
                 *v = vmath::sigmoid(*v);
             }
         },
@@ -526,7 +549,7 @@ mod tests {
         let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for act in [Activation::None, Activation::Sigmoid, Activation::Relu] {
             let mut unfused = base.clone();
-            act.apply(&mut unfused);
+            act.apply(unfused.as_mut_slice());
             // Every row, then rows 3 .. 7 alone.
             let mut fused = vec![f32::NAN; 9 * 16];
             layer.forward_rows_into(&x, 0, act, &mut fused).unwrap();

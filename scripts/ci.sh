@@ -46,7 +46,8 @@
 # below the 0.95x floor at any pool size (pools are clamped to the host's
 # cores; a noisy sample gets one bounded re-measure). Step 6 is the one
 # LN_OBS=off gate: through `ln_bench::off_mode_cost` (reps interleaved,
-# best rep per side, one re-measure of a miss) it fails if any off-mode
+# median pair ratio, stack depth rotated per pair, one re-measure of a
+# miss) it fails if any off-mode
 # path costs more than 5 % over its bare loop — a gated ln-obs counter
 # with the serving path's branch on an unattached ln-watch, and the
 # ln-scope `ScopeHook` around the AAQ hook. Step 7 fails if the steady SLO

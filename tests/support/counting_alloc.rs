@@ -17,6 +17,11 @@ thread_local! {
     /// Bytes this thread has been handed less bytes it has handed back
     /// (wrapping: a block may be freed on another thread than it came from).
     static LIVE_BYTES: Cell<usize> = const { Cell::new(0) };
+    /// `LIVE_BYTES` when `peak_live_bytes_in` started, and the most it has
+    /// risen above that since (negative while frees of older blocks keep
+    /// it below).
+    static BASE_BYTES: Cell<usize> = const { Cell::new(0) };
+    static PEAK_ABOVE_BASE: Cell<isize> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
@@ -25,7 +30,12 @@ fn note(size: usize) {
     if size >= MIN_SIZE.with(Cell::get) {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
     }
-    LIVE_BYTES.with(|b| b.set(b.get().wrapping_add(size)));
+    let live = LIVE_BYTES.with(|b| {
+        b.set(b.get().wrapping_add(size));
+        b.get()
+    });
+    let above = live.wrapping_sub(BASE_BYTES.with(Cell::get)) as isize;
+    PEAK_ABOVE_BASE.with(|p| p.set(p.get().max(above)));
 }
 
 fn note_freed(size: usize) {
@@ -83,4 +93,15 @@ pub fn bytes_kept_by<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = LIVE_BYTES.with(Cell::get);
     let out = f();
     (LIVE_BYTES.with(Cell::get).wrapping_sub(before), out)
+}
+
+/// The most bytes this thread had live while `f` ran, above what it had
+/// live when `f` started: `f`'s high-water mark on the heap, whatever it
+/// freed before returning. Calls do not nest.
+#[allow(dead_code)]
+pub fn peak_live_bytes_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    BASE_BYTES.with(|b| b.set(LIVE_BYTES.with(Cell::get)));
+    PEAK_ABOVE_BASE.with(|p| p.set(0));
+    let out = f();
+    (PEAK_ABOVE_BASE.with(Cell::get) as usize, out)
 }
