@@ -296,11 +296,10 @@ fn add_scaled(stream: &mut [f32], update: &[f32], gain: f32) {
 
 /// Pair tokens a stage takes through a row-blocked site at a time, when
 /// the hook [takes row blocks](ActivationHook::takes_row_blocks): the
-/// transition's hidden activation, triangular multiplication's packed
-/// gated side and triangular attention's output gate; its other gated
-/// side and the triangle product's consumers take whole rows, as near
-/// this many as `ns` allows. A multiple of the quantizer's 64-token error
-/// block.
+/// transition's hidden activation and triangular multiplication's packed
+/// gated side; its other gated side and the triangle product's consumers
+/// take whole rows, as near this many as `ns` allows. A multiple of the
+/// quantizer's 64-token error block.
 const ROW_BLOCK: usize = 1024;
 
 /// Tokens a stage takes through `sites` at a time: `block`, or all
@@ -656,8 +655,9 @@ pub(crate) mod tests {
         // ns = 48: 2 304 pair tokens — row blocks of 1 024, 1 024 and 256
         // tokens; of 22, 22 and 4 whole rows for tri-mul's row-blocked
         // gated side (left for Outgoing, right for Incoming) and the
-        // triangle product's consumers; lanes of 48 tokens for the keys
-        // and values. Two tri-mul and two tri-attn units per block, one
+        // triangle product's consumers; lanes of 48 tokens for tri-attn's
+        // queries, keys, values, context and gate (every lane at once under
+        // a declining hook). Two tri-mul and two tri-attn units per block, one
         // transition. A hook that observes no site is shown neither the
         // post-LN activations (the stages recompute their rows) nor
         // tri-attn's lane sites (the lanes run on their own), and the rest
@@ -720,12 +720,12 @@ pub(crate) mod tests {
                     assert_eq!(blocks.len(), wholes.len());
                     continue;
                 }
-                TriAttnGate | TransitionHidden => unit_tokens.div_ceil(ROW_BLOCK),
+                TransitionHidden => unit_tokens.div_ceil(ROW_BLOCK),
                 // A gated side goes in row blocks in one tri-mul unit and
                 // in whole rows in the other: three blocks either way.
                 TriMulGateLeft | TriMulProjLeft | TriMulGateRight | TriMulProjRight
                 | TriMulTriangleOut | TriMulOutPostLn | TriMulOutGate => 3,
-                TriAttnKey | TriAttnValue => ns,
+                TriAttnQuery | TriAttnKey | TriAttnValue | TriAttnContext | TriAttnGate => ns,
                 _ => 1,
             };
             // A declining hook sees each unit's activation once, whole.

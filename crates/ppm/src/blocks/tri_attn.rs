@@ -11,19 +11,21 @@
 //! the output bits do not depend on `r`. The context of a block of query
 //! rows goes over those queries, so the stage holds no context buffer.
 //!
-//! Nor does it hold queries, keys or values when the hook observes none of
-//! the lane's sites: the bias is projected in one pass over the post-LN
-//! rows (every lane reads all of it), and then each lane, across the pool,
-//! projects its own `Ns` tokens' queries, keys, values and output gate
-//! into scratch of its own, attends, and adds its update into its rows of
-//! the stream. Its post-LN rows are recomputed from those stream rows
-//! unless the hook observes that site too, so beside the stream the stage
-//! holds the bias and lane scratch, nothing pair-sized. A hook that
-//! observes a lane site gets the queries whole, the lanes run serially,
-//! and the output gate and projection then run a block of tokens at a
-//! time: two pair tensors when it observes the post-LN activation, more
-//! when it [wants](ActivationHook::takes_row_blocks) the keys, values or
-//! gate whole.
+//! Nor does it hold a pair-sized query, key, value or context. The bias is
+//! projected in one pass over the post-LN rows (every lane reads all of
+//! it); then one body runs per lane: it projects the lane's `Ns` tokens'
+//! queries, keys and values into scratch of its own, attends, projects the
+//! output gate over the spent keys, and adds `proj_out(gate ⊙ context)`
+//! into the lane's rows of the stream. A hook that observes none of the
+//! lane's sites leaves the lanes independent, and they run across the
+//! pool; otherwise they run in lane order on the calling thread, and the
+//! hook sees each lane's query, key, value, context and gate and every
+//! block of its score rows. A hook that
+//! [declines](ActivationHook::takes_row_blocks) row blocks at a lane site
+//! gets every lane at once instead: the same body on one group of all
+//! `Ns` lanes, in pair-sized workspace tensors. Beside the stream the stage
+//! otherwise holds the bias and lane scratch, and the post-LN activation
+//! only where the hook observes it.
 //!
 //! There is one body for both nodes: the Ending node is the Starting node
 //! on the transposed pair stream, `(a, b) ↔ (b, a)` by exact swaps in
@@ -161,11 +163,29 @@ impl TriangularAttention {
     ) -> Result<(), PpmError> {
         use ActivationSite::*;
         let tokens_n = ns * ns;
-        let (heads, attn_dim) = (self.heads, self.heads * self.head_dim);
-        // A hook that observes none of the lane's sites leaves the lanes
-        // independent: each projects its own queries, keys, values and
-        // gate, on the pool. Otherwise the queries are whole and the lanes
-        // run serially, so that the hook sees every tap in order.
+        let heads = self.heads;
+
+        // One pass over the post-LN rows before any update reaches the
+        // stream: the bias, which every lane reads whole. It and its
+        // per-head matrices are 1/32 of a pair tensor: not worth a
+        // pair-sized workspace buffer each.
+        let mut bias = Tensor2::zeros(tokens_n, heads);
+        for first in (0..tokens_n).step_by(ROW_BLOCK) {
+            let rows = post_ln.rows(first, ROW_BLOCK.min(tokens_n - first))?;
+            let bias_rows = &mut bias.as_mut_slice()[first * heads..][..rows.len * heads];
+            post_ln.project_into(&rows, &self.to_bias, Activation::None, bias_rows)?;
+            post_ln.done(rows);
+        }
+        hook.on_activation(tap(TriAttnBias), &mut bias);
+        let bias_mats = head_bias_mats(&bias);
+        drop(bias);
+
+        // Then one body per group of lanes. A hook that observes none of
+        // the lane's sites leaves the lanes independent: each is a group,
+        // on the pool. Otherwise the groups run in lane order, so that the
+        // hook sees every tap in order — one lane each, or all of them at
+        // once for a hook that wants a lane site whole. The per-lane
+        // arithmetic is the same either way, so are the bits.
         let lane_sites = [
             TriAttnQuery,
             TriAttnKey,
@@ -174,156 +194,109 @@ impl TriangularAttention {
             TriAttnContext,
             TriAttnGate,
         ];
-        let lane_local = !lane_sites.iter().any(|&site| hook.observes(site));
-
-        // One pass over the post-LN rows before any update reaches the
-        // stream: the bias, which every lane reads whole, and the serial
-        // driver's queries. The bias and its per-head matrices are 1/32
-        // of a pair tensor: not worth a pair-sized workspace buffer each.
-        let mut q = (!lane_local).then(|| workspace::take(tokens_n, attn_dim));
-        let mut bias = Tensor2::zeros(tokens_n, heads);
-        for first in (0..tokens_n).step_by(ROW_BLOCK) {
-            let rows = post_ln.rows(first, ROW_BLOCK.min(tokens_n - first))?;
-            if let Some(q) = &mut q {
-                let q_rows = &mut q.as_mut_slice()[first * attn_dim..][..rows.len * attn_dim];
-                post_ln.project_into(&rows, &self.to_q, Activation::None, q_rows)?;
-            }
-            let bias_rows = &mut bias.as_mut_slice()[first * heads..][..rows.len * heads];
-            post_ln.project_into(&rows, &self.to_bias, Activation::None, bias_rows)?;
-            post_ln.done(rows);
-        }
-        if let Some(q) = &mut q {
-            hook.on_activation(tap(TriAttnQuery), q);
-        }
-        hook.on_activation(tap(TriAttnBias), &mut bias);
-        let bias_mats = head_bias_mats(&bias);
-        drop(bias);
-        let block_rows = self.chunk.unwrap_or(ns);
-
-        let Some(mut q) = q else {
-            // Lane-local driver: per-lane arithmetic is the serial loop's,
-            // so the bits are the same for any pool size.
+        let scratch = |lanes, alloc: fn(usize, usize) -> Tensor2| LaneScratch {
+            bufs: HeadBuffers::new(ns, self.head_dim, self.chunk.unwrap_or(ns)),
+            qkv: [(); 3].map(|_| alloc(lanes * ns, heads * self.head_dim)),
+        };
+        // The update, `proj_out(gate ⊙ context)`, from what the body left.
+        let output = |s: &LaneScratch, update: &mut [f32]| -> Result<(), PpmError> {
+            let gated = &s.qkv[1];
+            Ok(self
+                .proj_out
+                .forward_rows_into(gated, 0, Activation::None, update)?)
+        };
+        if !lane_sites.iter().any(|&site| hook.observes(site)) {
             let lane_flops = (heads * 2 * 2 * ns * ns * self.head_dim).max(1);
             let grain_lanes = ((1usize << 21) / lane_flops).max(1);
-            let scratch = || LaneScratch {
-                bufs: HeadBuffers::new(ns, self.head_dim, block_rows),
-                q: Tensor2::zeros(ns, attn_dim),
-                kv: lane_kv(ns, attn_dim),
-                gate: Tensor2::zeros(ns, attn_dim),
-            };
             post_ln.lanes_on_pool(
                 ns,
                 ln_par::chunk_len(ns, grain_lanes),
-                scratch,
+                || scratch(1, Tensor2::zeros),
                 |form, rows, s, update| {
-                    form.project_into(rows, &self.to_q, Activation::None, s.q.as_mut_slice())?;
-                    self.project_kv(form, rows, &mut s.kv)?;
-                    for h in 0..heads {
-                        let lane_q = s.q.as_mut_slice();
-                        s.bufs
-                            .attend(&s.kv, 0, h, bias_mats.row(h), lane_q, |_| {})?;
-                    }
-                    let gate = s.gate.as_mut_slice();
-                    form.project_into(rows, &self.to_gate, Activation::Sigmoid, gate)?;
-                    self.gated_output(&mut s.gate, s.q.as_slice(), update)
+                    self.attend_lanes(form, rows, s, &bias_mats, &mut |_, _| {})?;
+                    output(s, update)
                 },
             );
             return Ok(());
-        };
-
-        // Observing driver: the hook sees (and may rewrite) each lane's
-        // keys and values, then each block of its probability rows — the
-        // paper quantizes the scores (Group C), a row a token — so taps
-        // fire serially in ascending (lane, head, block) order, on one set
-        // of head buffers. Every (lane, head, block of query rows) reads
-        // its queries before writing their context over them — same rows,
-        // the head's columns — so `q` becomes the context. A hook that
-        // wants the keys and values whole gets them projected once, for
-        // every lane, in workspace tensors.
-        let mut bufs = HeadBuffers::new(ns, self.head_dim, block_rows);
-        let kv_lanes = block_len(hook, &[TriAttnKey, TriAttnValue], 1, ns);
-        let mut kv = match kv_lanes {
-            1 => lane_kv(ns, attn_dim),
-            _ => [(); 2].map(|_| workspace::take(tokens_n, attn_dim)),
-        };
-        let lanes = q.as_mut_slice().chunks_mut((ns * attn_dim).max(1));
-        for (lane, lane_q) in lanes.enumerate() {
-            if lane % kv_lanes == 0 {
-                let rows = post_ln.rows(lane * ns, kv[0].rows())?;
-                self.project_kv(&post_ln.form, &rows, &mut kv)?;
-                post_ln.done(rows);
-                hook.on_activation(tap(TriAttnKey), &mut kv[0]);
-                hook.on_activation(tap(TriAttnValue), &mut kv[1]);
-            }
-            let row0 = lane % kv_lanes * ns;
-            for h in 0..heads {
-                bufs.attend(&kv, row0, h, bias_mats.row(h), lane_q, |p| {
-                    hook.on_activation(tap(TriAttnScores), p)
-                })?;
-            }
         }
-        if kv_lanes > 1 {
-            for operand in kv {
-                workspace::give(operand);
-            }
-        }
-        let mut ctx = q;
-        hook.on_activation(tap(TriAttnContext), &mut ctx);
-
-        // The output gate and projection, a block of tokens at a time:
-        // each block's post-LN rows, read by the gate for the last time,
-        // take the block's update.
-        let block = block_len(hook, &[TriAttnGate], ROW_BLOCK, tokens_n);
-        for first in (0..tokens_n).step_by(block) {
-            let mut rows = post_ln.rows(first, block.min(tokens_n - first))?;
-            let mut gate = workspace::take(rows.len, attn_dim);
-            post_ln.project_into(
-                &rows,
-                &self.to_gate,
-                Activation::Sigmoid,
-                gate.as_mut_slice(),
-            )?;
-            hook.on_activation(tap(TriAttnGate), &mut gate);
-            let ctx_rows = &ctx.as_slice()[first * attn_dim..];
-            self.gated_output(&mut gate, ctx_rows, post_ln.update(&mut rows))?;
-            workspace::give(gate);
+        // A group of every lane is pair-sized: its scratch is the
+        // workspace's, and its update goes over the spent rows of a whole
+        // post-LN activation, as a lane's does.
+        let lanes = block_len(hook, &lane_sites, 1, ns);
+        let alloc: fn(usize, usize) -> Tensor2 = match lanes {
+            1 => Tensor2::zeros,
+            _ => workspace::take,
+        };
+        let mut s = scratch(lanes, alloc);
+        let mut observe =
+            |site, activation: &mut Tensor2| hook.on_activation(tap(site), activation);
+        for first in (0..tokens_n).step_by((lanes * ns).max(1)) {
+            let mut rows = post_ln.rows(first, lanes * ns)?;
+            self.attend_lanes(&post_ln.form, &rows, &mut s, &bias_mats, &mut observe)?;
+            output(&s, post_ln.update(&mut rows))?;
             post_ln.add(rows);
         }
-        workspace::give(ctx);
+        if lanes > 1 {
+            s.qkv.into_iter().for_each(workspace::give);
+        }
         Ok(())
     }
 
-    /// The keys and values of `rows` — `kv[0].rows()` tokens.
-    fn project_kv(&self, form: &Form, rows: &Rows, kv: &mut [Tensor2; 2]) -> Result<(), PpmError> {
-        form.project_into(rows, &self.to_k, Activation::None, kv[0].as_mut_slice())?;
-        form.project_into(rows, &self.to_v, Activation::None, kv[1].as_mut_slice())
-    }
-
-    /// `proj_out(gate ⊙ ctx)` into `update`: `gate` the output gate of
-    /// `update`'s tokens, `ctx` their context.
-    fn gated_output(
+    /// The body of a group of lanes, up to its update: projects the
+    /// group's queries, keys and values; attends, per lane and head, its
+    /// context over its queries; and leaves `gate ⊙ context` in the keys'
+    /// place, the gate projected there once the keys are spent. `observe`
+    /// sees (and may rewrite) the query, key, value, context and gate of the
+    /// group and every block of its score rows, in that order.
+    fn attend_lanes(
         &self,
-        gate: &mut Tensor2,
-        ctx: &[f32],
-        update: &mut [f32],
+        form: &Form,
+        rows: &Rows,
+        s: &mut LaneScratch,
+        bias_mats: &Tensor2,
+        observe: &mut dyn FnMut(ActivationSite, &mut Tensor2),
     ) -> Result<(), PpmError> {
-        for (g, &c) in gate.as_mut_slice().iter_mut().zip(ctx) {
-            *g *= c;
+        use ActivationSite::*;
+        let LaneScratch { bufs, qkv } = s;
+        let layers = [
+            (&self.to_q, TriAttnQuery),
+            (&self.to_k, TriAttnKey),
+            (&self.to_v, TriAttnValue),
+        ];
+        for (x, (layer, site)) in qkv.iter_mut().zip(layers) {
+            form.project_into(rows, layer, Activation::None, x.as_mut_slice())?;
+            observe(site, x);
         }
-        Ok(self
-            .proj_out
-            .forward_rows_into(gate, 0, Activation::None, update)?)
+        let [q, kv @ ..] = qkv;
+        let (ns, attn_dim) = (bufs.ns(), q.cols());
+        let lanes = q.as_mut_slice().chunks_mut((ns * attn_dim).max(1));
+        for (lane, lane_q) in lanes.enumerate() {
+            for h in 0..self.heads {
+                bufs.attend(kv, lane * ns, h, bias_mats.row(h), lane_q, |p| {
+                    observe(TriAttnScores, p)
+                })?;
+            }
+        }
+        observe(TriAttnContext, q);
+        let gate = &mut kv[0];
+        form.project_into(
+            rows,
+            &self.to_gate,
+            Activation::Sigmoid,
+            gate.as_mut_slice(),
+        )?;
+        observe(TriAttnGate, gate);
+        Ok(gate.hadamard_assign(q)?)
     }
 }
 
-/// What the lane-local driver works in, made once per lane chunk and
-/// reused across its lanes: the head buffers and the lane's queries (its
-/// context once attended), keys, values and output gate.
+/// What a group of lanes works in, made once per lane chunk (or stage)
+/// and reused across its groups: the head buffers, and the group's
+/// queries (its context once attended), keys (the gated context once
+/// spent) and values.
 struct LaneScratch {
     bufs: HeadBuffers,
-    q: Tensor2,
-    kv: [Tensor2; 2],
-    gate: Tensor2,
+    qkv: [Tensor2; 3],
 }
 
 /// Per-head `(ns, ns)` bias matrices for the score grid, one a row, from
@@ -333,11 +306,6 @@ pub(super) fn head_bias_mats(bias: &Tensor2) -> Tensor2 {
     let (tokens, heads) = bias.shape();
     let src = bias.as_slice();
     Tensor2::from_fn(heads, tokens, |h, t| src[t * heads + h])
-}
-
-/// Scratch for one lane's keys and values, `ns` tokens of `attn_dim`.
-fn lane_kv(ns: usize, attn_dim: usize) -> [Tensor2; 2] {
-    [(); 2].map(|_| Tensor2::zeros(ns, attn_dim))
 }
 
 /// What one (lane, head) works in, allocated once per lane chunk instead
@@ -396,6 +364,11 @@ impl HeadBuffers {
         }
     }
 
+    /// Tokens in a lane.
+    fn ns(&self) -> usize {
+        self.k.rows()
+    }
+
     /// Head `h` of the lane whose `ns` tokens start at row `lane_row0` of
     /// the `(tokens, heads·dim)` keys and values, and whose queries are
     /// `lane_q`'s `ns` interleaved rows: per block of query rows, the
@@ -450,7 +423,7 @@ impl HeadBuffers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::tests::FakeQuant;
+    use crate::blocks::tests::{Declining, FakeQuant};
     use crate::taps::{NoopHook, RecordingHook};
 
     fn pair(ns: usize, hz: usize) -> Tensor3 {
@@ -504,65 +477,53 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_observed_path_bitwise() {
-        // NoopHook (lane-parallel, no score taps) must agree bit for bit
-        // with a hook that observes everything but rewrites nothing —
-        // whole lanes or blocks of 4 query rows (two and a 1-row tail).
+    fn one_lane_body_gives_the_same_bits_under_every_hook_pool_and_block_of_rows() {
+        // Standard widths. A unit's output does not depend on the pool (1,
+        // 2 or 4 threads: 37 lanes split into chunks of 10 and 5 when no
+        // lane site is observed) nor on the block of query rows (whole
+        // lanes, or blocks of 5 and a tail). A hook that observes every
+        // site and rewrites nothing, so that the lanes run in order, gives
+        // `NoopHook`'s bits; a declining twin, shown every lane at once,
+        // its hook's. Ns = 1 and 2 are the shortest lanes.
         struct ObserveAll;
         impl ActivationHook for ObserveAll {
             fn on_activation(&mut self, _tap: Tap, _activation: &mut Tensor2) {}
         }
-        let hz = PpmConfig::tiny().hz;
-        for node in [AttentionNode::Starting, AttentionNode::Ending] {
-            let unit = |attention_chunk| {
-                let cfg = PpmConfig {
-                    attention_chunk,
-                    ..PpmConfig::tiny()
-                };
-                TriangularAttention::new(&cfg, "a", node)
-            };
-            let mut reference = pair(9, hz);
-            unit(None)
-                .forward(&mut reference, &mut NoopHook, 0, 0)
-                .unwrap();
-            for chunk in [None, Some(4)] {
-                let mut fast = pair(9, hz);
-                let mut observed = fast.clone();
-                unit(chunk).forward(&mut fast, &mut NoopHook, 0, 0).unwrap();
-                unit(chunk)
-                    .forward(&mut observed, &mut ObserveAll, 0, 0)
-                    .unwrap();
-                assert_eq!(fast, reference, "{node:?} {chunk:?}");
-                assert_eq!(observed, reference, "{node:?} {chunk:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn lane_local_driver_is_bit_identical_across_pools_and_to_the_observing_driver() {
-        // Standard widths at ns = 37 in blocks of 5 query rows: pools of 2
-        // and 4 split the 37 lanes into chunks of 10 and 5, each lane
-        // projecting its own rows and adding its update into the stream;
-        // every pool, and the serial observing driver, give the same bits.
-        struct ObserveAll;
-        impl ActivationHook for ObserveAll {
-            fn on_activation(&mut self, _tap: Tap, _activation: &mut Tensor2) {}
-        }
-        let cfg = PpmConfig {
-            attention_chunk: Some(5),
-            ..PpmConfig::standard()
-        };
         let bits = |z: &Tensor3| z.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for node in [AttentionNode::Starting, AttentionNode::Ending] {
-            let unit = TriangularAttention::new(&cfg, "pools", node);
-            let mut observed = pair(37, cfg.hz);
-            unit.forward(&mut observed, &mut ObserveAll, 0, 0).unwrap();
-            for threads in [1, 2, 4] {
-                let mut z = pair(37, cfg.hz);
-                ln_par::with_pool(&ln_par::Pool::new_exact(threads), || {
-                    unit.forward(&mut z, &mut NoopHook, 0, 0).unwrap()
-                });
-                assert!(bits(&z) == bits(&observed), "{node:?}, pool {threads}");
+        let hz = PpmConfig::standard().hz;
+        for ns in [1, 2, 9, 37] {
+            for node in [AttentionNode::Starting, AttentionNode::Ending] {
+                let fold = |attention_chunk, threads, hook: &mut dyn ActivationHook| {
+                    let cfg = PpmConfig {
+                        attention_chunk,
+                        ..PpmConfig::standard()
+                    };
+                    let unit = TriangularAttention::new(&cfg, "one-body", node);
+                    let mut z = pair(ns, hz);
+                    ln_par::with_pool(&ln_par::Pool::new_exact(threads), || {
+                        unit.forward(&mut z, hook, 0, 0).unwrap()
+                    });
+                    bits(&z)
+                };
+                let noop = fold(None, 1, &mut NoopHook);
+                let fake_quant =
+                    [false, true].map(|domain| fold(None, 1, &mut FakeQuant { domain }));
+                for chunk in [None, Some(5)] {
+                    for threads in [1, 2, 4] {
+                        let case = format!("ns {ns}, {node:?}, chunk {chunk:?}, pool {threads}");
+                        let fold = |hook: &mut dyn ActivationHook| fold(chunk, threads, hook);
+                        assert!(fold(&mut NoopHook) == noop, "noop, {case}");
+                        assert!(fold(&mut ObserveAll) == noop, "observe-all, {case}");
+                        let declining = fold(&mut Declining(&mut ObserveAll));
+                        assert!(declining == noop, "declining observe-all, {case}");
+                        for (domain, reference) in [false, true].into_iter().zip(&fake_quant) {
+                            let name = format!("fake-quant, domain {domain}, {case}");
+                            assert!(fold(&mut FakeQuant { domain }) == *reference, "{name}");
+                            let declining = fold(&mut Declining(&mut FakeQuant { domain }));
+                            assert!(declining == *reference, "declining {name}");
+                        }
+                    }
+                }
             }
         }
     }

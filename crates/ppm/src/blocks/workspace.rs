@@ -13,20 +13,21 @@
 //! It is for pair-sized tensors and the stages' row blocks. No stage has
 //! more than one pair tensor on loan beside the stream — triangular
 //! multiplication's packed einsum operand — unless the hook asks for more:
-//! the post-LN `x` for a hook that observes it, triangular attention's
-//! queries for one that observes a lane site, four under a hook that
-//! declines row blocks. At most three row blocks go beside it (a block's
+//! the post-LN `x` for a hook that observes it, four under a hook that
+//! declines row blocks (triangular attention's queries, keys and values of
+//! every lane beside `x`). At most three row blocks go beside it (a block's
 //! post-LN rows, recomputed from the stream, with a gated side's gate and
 //! projection or the triangle product's left rows and its consumers'; 0.6
 //! MB each at the standard widths). A block finds a block-sized buffer it
 //! left before, because [`take`] gives no request a buffer more than four
 //! times its size: else a block would take the packed operand's buffer
 //! and keep it on loan beside the next stage's. Anything much smaller
-//! stays out (`tri_attn`'s bias, a lane's scratch): it would make the
-//! stack one deeper. The transition's hidden block (2 MiB) goes into the
-//! free pair-sized buffer from L = 64 to L = 128, where that is at most
-//! four times the block; above, it has a buffer of its own; below, it
-//! regrows one, which then holds a pair tensor.
+//! stays out (`tri_attn`'s bias, a lane's scratch; not its update in the
+//! quantized domain, 48 KB at L = 96): it would make the stack one deeper.
+//! The transition's hidden block (2 MiB) goes into the free pair-sized
+//! buffer from L = 64 to L = 128, where that is at most four times the
+//! block; above, it has a buffer of its own; below, it regrows one, which
+//! then holds a pair tensor.
 //!
 //! A taken tensor's **contents are unspecified**. Whoever takes one
 //! overwrites all of it: the `_into` kernels do (they zero-fill first where
@@ -113,7 +114,8 @@ pub(crate) fn give(t: Tensor2) {
 /// folded (6.3 MB at L = 96, 22.2 MB at L = 192, where the transition's
 /// hidden block is one of them), or, if a hook declined the row blocks,
 /// three pair tensors and one of four (the transition's hidden activation
-/// whole, where the triangle stages' fourth pair tensor fits too).
+/// whole, where the triangle stages' fourth pair tensor fits too). A hook
+/// that observes the post-LN sites adds a pair tensor (10.5 MB at L = 96).
 /// The next fold on this thread allocates them again.
 /// For a caller that folds once and lives on.
 ///
@@ -158,7 +160,7 @@ mod tests {
     use ln_quant::scheme::QuantScheme;
     use ln_tensor::Tensor3;
 
-    /// Observes every site (so tri-attn runs its serial path) and
+    /// Observes every site (so tri-attn runs its lanes in order) and
     /// rewrites nothing.
     struct ObserveAll;
     impl ActivationHook for ObserveAll {
@@ -299,12 +301,11 @@ mod tests {
         //   side's gate and projection beside its post-LN rows, the left
         //   rows and their product, or the consumers' rows; with `x`
         //   whole, two; whole, those blocks are pair tensors;
-        // - tri-attn: nothing pair-sized when no lane site is observed —
-        //   one block of post-LN rows for the bias, and a lane's queries,
-        //   keys, values and gate are lane scratch, not the workspace's;
-        //   otherwise q (the context once its queries are read) and a
-        //   block of the output gate beside `x` or the block's update;
-        //   whole, k and v too;
+        // - tri-attn: nothing pair-sized beside `x` — one block of post-LN
+        //   rows for the bias, and a lane's queries, keys, values and gate
+        //   are lane scratch, not the workspace's, whether the lanes run
+        //   on the pool or in order; in the quantized domain `x` is on loan
+        //   only while it is encoded; whole, q, k and v are every lane's;
         // - the transition: a block of the hidden activation beside its
         //   post-LN rows or `x`, or all of it (four pair tensors);
         // - the outer product and its update, a block of pair rows each.
@@ -333,8 +334,8 @@ mod tests {
                 "tri_attn_start",
                 [
                     block_bytes(cfg.hz),
-                    2 * pair_bytes + block_bytes(cfg.pair_attn_dim()),
-                    pair_bytes + block_bytes(cfg.pair_attn_dim()) + block_bytes(cfg.hz),
+                    pair_bytes,
+                    pair_bytes.max(block_bytes(cfg.hz)),
                     4 * pair_bytes,
                 ],
                 tri_attn(AttentionNode::Starting),
@@ -343,8 +344,8 @@ mod tests {
                 "tri_attn_end",
                 [
                     block_bytes(cfg.hz),
-                    2 * pair_bytes + block_bytes(cfg.pair_attn_dim()),
-                    pair_bytes + block_bytes(cfg.pair_attn_dim()) + block_bytes(cfg.hz),
+                    pair_bytes,
+                    pair_bytes.max(block_bytes(cfg.hz)),
                     4 * pair_bytes,
                 ],
                 tri_attn(AttentionNode::Ending),

@@ -185,11 +185,12 @@ pub trait ActivationHook {
     ///   ([`ActivationSite::TriAttnQuery`], [`ActivationSite::TriAttnKey`],
     ///   [`ActivationSite::TriAttnValue`], [`ActivationSite::TriAttnScores`],
     ///   [`ActivationSite::TriAttnContext`], [`ActivationSite::TriAttnGate`]),
-    ///   a yes to any holds the queries whole, runs lanes serially and taps
-    ///   all six — each lane's keys and values, every block of its score
-    ///   rows (per head and block of [`crate::PpmConfig::attention_chunk`]
-    ///   query rows); a no to all six runs each lane on its own across the
-    ///   pool and never calls the hook at those sites.
+    ///   a yes to any runs the lanes in order on the calling thread and taps
+    ///   all six — each lane's query, key, value, context and gate, and
+    ///   every block of its score rows (per head and block of
+    ///   [`crate::PpmConfig::attention_chunk`] query rows); a no to all six
+    ///   runs the same lanes across the pool and never calls the hook at
+    ///   those sites.
     ///
     /// Everywhere else [`ActivationHook::on_activation`] is called whatever
     /// this returns, and a hook that does not care ignores the call. A hook
@@ -217,20 +218,20 @@ pub trait ActivationHook {
     ///   [`ActivationSite::TriMulOutPostLn`] and
     ///   [`ActivationSite::TriMulOutGate`]: whole rows of the triangle
     ///   product, about 1 024 tokens, the five together;
-    /// * [`ActivationSite::TriAttnKey`] and [`ActivationSite::TriAttnValue`]:
-    ///   a lane (`Ns` tokens), the two together;
-    /// * [`ActivationSite::TriAttnGate`] and
-    ///   [`ActivationSite::TransitionHidden`]: 1 024 tokens.
+    /// * triangular attention's six lane sites, as
+    ///   [`ActivationHook::observes`] lists them: a lane (`Ns` tokens), the
+    ///   six together — the scores a block of a head's rows either way;
+    /// * [`ActivationSite::TransitionHidden`]: 1 024 tokens.
     ///
     /// A no to any site of a group taps the group whole: a triangle stage
     /// then holds up to four pair tensors instead of one or two, the
-    /// transition its hidden activation — four pair tensors wide. Every other site is
-    /// tapped whole either way. A hook whose rewrite at `site` computes a
-    /// statistic across tokens (a per-tensor or per-channel scale) must
-    /// say no, or its calibration becomes per block; a hook that rewrites
-    /// each token on its own cannot tell the difference in its output. A
-    /// hook that wraps another forwards the question. Defaults to `true`:
-    /// a recorder gets one record per block.
+    /// transition its hidden activation — four pair tensors wide. Every
+    /// other site is tapped whole either way. A hook whose rewrite at
+    /// `site` computes a statistic across tokens (a per-tensor or
+    /// per-channel scale) must say no, or its calibration becomes per
+    /// block; a hook that rewrites each token on its own cannot tell the
+    /// difference in its output. A hook that wraps another forwards the
+    /// question. Defaults to `true`: a recorder gets one record per block.
     fn takes_row_blocks(&self, site: ActivationSite) -> bool {
         let _ = site;
         true

@@ -17,8 +17,9 @@ use ln_ppm::taps::{ActivationHook, ActivationSite, NoopHook, Tap};
 use ln_ppm::{FoldingModel, PpmConfig};
 use ln_protein::generator::StructureGenerator;
 use ln_protein::Sequence;
-use ln_quant::scheme::QuantScheme;
+use ln_quant::scheme::{AaqConfig, QuantScheme};
 use ln_quant::tensor::QuantizedTensor;
+use ln_quant::token::fake_quantize_tokens;
 use ln_tensor::{microkernel, Tensor2};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -141,22 +142,38 @@ impl ActivationHook for QuantizedDomain {
     }
 }
 
+/// Rewrites every activation it is shown token by token, the way
+/// `AaqHook` does, at its group's paper scheme, and observes every site.
+struct FakeQuant;
+
+impl ActivationHook for FakeQuant {
+    fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
+        let channels = activation.cols();
+        if channels >= 2 {
+            let mut scheme = AaqConfig::paper().scheme_for(tap.group());
+            scheme.outliers = scheme.outliers.min(channels - 1);
+            fake_quantize_tokens(activation, scheme);
+        }
+    }
+}
+
 #[test]
 fn a_warm_fold_holds_the_stream_one_pair_tensor_and_row_blocks() {
     // Standard widths at L = 96. What a warm fold has live at its peak,
     // above what its thread held before its first fold: the workspace's
     // retained buffers plus the warm fold's own high-water mark. Allowed:
     // the stream, one pair tensor (triangular multiplication's packed
-    // operand; triangular attention's queries under a hook that observes
-    // its lanes), three blocks of whole rows (the stages' largest set on
+    // operand), three blocks of whole rows (the stages' largest set on
     // loan at once) and one hidden block of the transition — which here
     // shares the free pair-sized buffer, so it stands for the bias
     // matrices, the lane scratch and the sequence track's `(Ns, Hm)`
-    // activations (0.29 P together) — and, in the quantized domain, the
-    // encoded post-LN activation, whose f32 copy is dropped once the hook
-    // has seen it. It reads 2.63 P and 2.97 P; before post-LN rows were
-    // recomputed on demand, 3.52 P and 3.89 P — a second pair tensor on
-    // loan breaks the bound.
+    // activations (0.29 P together) — and, under a hook that observes
+    // every site, the whole post-LN activation it may rewrite, or, in the
+    // quantized domain, the encoded one, whose f32 copy is dropped once
+    // the hook has seen it. It reads 2.63 P, 3.52 P (tri-mul's packed
+    // operand beside `x`) and 2.99 P; before post-LN rows were recomputed
+    // on demand, noop and quantized domain read 3.52 P and 3.89 P — a
+    // second pair tensor on loan breaks the bound.
     let cfg = PpmConfig::standard();
     let ns = 96;
     let scheme = QuantScheme::int8_with_outliers(4);
@@ -176,15 +193,16 @@ fn a_warm_fold_holds_the_stream_one_pair_tensor_and_row_blocks() {
         };
         // The kernels' per-thread packing buffers come and stay first.
         fold(&mut NoopHook);
-        let hooks: [(&str, Box<dyn ActivationHook>, usize); 2] = [
+        let hooks: [(&str, Box<dyn ActivationHook>, usize); 3] = [
             ("noop", Box::new(NoopHook), 0),
+            ("fake-quant", Box::new(FakeQuant), pair),
             ("quantized-domain", Box::new(QuantizedDomain), encoded),
         ];
-        for (name, mut hook, encoded) in hooks {
+        for (name, mut hook, extra) in hooks {
             release_fold_workspace();
             let (retained, ()) = counting_alloc::bytes_kept_by(|| fold(hook.as_mut()));
             let (peak, ()) = counting_alloc::peak_live_bytes_in(|| fold(hook.as_mut()));
-            let bound = 2 * pair + 3 * rows_block + hidden_block + encoded;
+            let bound = 2 * pair + 3 * rows_block + hidden_block + extra;
             let p = |bytes: usize| bytes as f64 / pair as f64;
             assert!(
                 retained + peak <= bound,

@@ -222,9 +222,11 @@ fn chunked_evoformer_block_is_pool_invariant_and_tracks_the_unchunked_block() {
         run(&unchunked_cfg, &mut NoopHook)
     );
 
-    // Chunk + AAQ: the observing driver taps every block of score rows,
-    // serially, so the hook's f64 error sums have one order whatever the
-    // pool and its totals are bit-equal across pools.
+    // Chunk + AAQ: under a hook that observes them, tri-attn's lanes run
+    // in lane order on the calling thread, each lane's taps — every block
+    // of score rows among them — one after another, so the hook's f64
+    // error sums have one order whatever the pool and its totals are
+    // bit-equal across pools.
     let run_aaq = |cfg: &PpmConfig| {
         let mut hook = AaqHook::paper();
         let (_, pair) = run(cfg, &mut hook);
