@@ -30,9 +30,9 @@
 //! then holds a pair tensor.
 //!
 //! A taken tensor's **contents are unspecified**. Whoever takes one
-//! overwrites all of it: the `_into` kernels do (they zero-fill first where
-//! the microkernel accumulates), the triangle einsum stores every element
-//! of its output on its first k-panel without reading it, and the
+//! overwrites all of it: the `_into` kernels do (the GEMM tile, like the
+//! triangle einsum, stores every element of its output on its first
+//! k-panel without reading it), and the
 //! quantized-domain GEMM's epilogue writes every element once.
 //! Test and debug builds poison it with NaN so that a stale read cannot
 //! pass.

@@ -56,11 +56,18 @@ pub fn distogram_center(c: usize, nd: usize) -> f32 {
 
 /// Radial-basis response of distogram channel `c` at distance `d`.
 pub fn distogram_response(d: f32, c: usize, nd: usize) -> f32 {
-    let center = distogram_center(c, nd);
-    let spacing = (DISTOGRAM_MAX - DISTOGRAM_MIN) / (nd.max(2) - 1) as f32;
-    let sigma = spacing;
+    distogram_amplitude(d) * radial_basis(d, distogram_center(c, nd), distogram_sigma(nd))
+}
+
+/// The width (Å) of every distogram channel: the spacing of the centres.
+fn distogram_sigma(nd: usize) -> f32 {
+    (DISTOGRAM_MAX - DISTOGRAM_MIN) / (nd.max(2) - 1) as f32
+}
+
+/// The unit-height Gaussian of a channel centred at `center`.
+fn radial_basis(d: f32, center: f32, sigma: f32) -> f32 {
     let z = (d - center) / sigma;
-    distogram_amplitude(d) * (-0.5 * z * z).exp()
+    (-0.5 * z * z).exp()
 }
 
 /// The input-embedding stage.
@@ -152,64 +159,74 @@ impl Embedding {
         let nd = distogram_channels(hz);
         let quarter = hz / 4;
         let dm = distance_matrix(native);
-        let mut z = Tensor3::from_fn(ns, ns, hz, |i, j, c| {
-            let d = if i == j {
-                DISTOGRAM_MIN
-            } else {
-                dm.at(i, j).clamp(DISTOGRAM_MIN, DISTOGRAM_MAX)
-            };
-            // The whole token scales with the pair's "contact strength":
-            // every channel of a close-pair token is large, so the
-            // appropriate quantization scale is a property of the *token*
-            // (Fig. 5(b)) while cross-channel scale stays comparable.
-            let token_scale = 0.25 * distogram_amplitude(d);
-            if c < nd {
-                if i == j {
-                    // Diagonal tokens: self-distance is 0; encode a fixed
-                    // "self" activation on the first channel instead.
-                    if c == 0 {
-                        distogram_amplitude(DISTOGRAM_MIN)
-                    } else {
-                        0.0
-                    }
-                } else {
-                    distogram_response(d, c, nd)
-                }
-            } else if c < nd + quarter {
-                let k = c - nd;
-                let rel = j as f32 - i as f32;
-                let freq = 1.0 / (10.0f32.powf(k as f32 * 4.0 / quarter.max(1) as f32) * 2.0);
+        // Everything that depends on the channel alone, or on the offset
+        // `j − i` alone, is computed once here rather than per element.
+        let sigma = distogram_sigma(nd);
+        let centers: Vec<f32> = (0..nd).map(|c| distogram_center(c, nd)).collect();
+        // Heavy-tailed channel weighting: a few feature channels carry
+        // near-outlier magnitudes with a continuum below — the within-token
+        // structure that makes Group A require high inlier precision or
+        // deep outlier handling (Fig. 11).
+        let tails: Vec<f32> = (0..hz - nd - quarter)
+            .map(|k| 0.3 + 5.0 * (-(k as f32) / 4.0).exp())
+            .collect();
+        let freqs: Vec<f32> = (0..quarter)
+            .map(|k| 1.0 / (10.0f32.powf(k as f32 * 4.0 / quarter.max(1) as f32) * 2.0))
+            .collect();
+        // `waves[(j − i + ns − 1) · quarter + k]`: channel `k`'s wave at the
+        // offset, times its 0.8 weight.
+        let mut waves = Vec::with_capacity((2 * ns).saturating_sub(1) * quarter);
+        for offset in 0..(2 * ns).saturating_sub(1) {
+            let rel = offset as f32 - (ns - 1) as f32;
+            waves.extend(freqs.iter().enumerate().map(|(k, &freq)| {
                 let wave = if k.is_multiple_of(2) {
                     (rel * freq).sin()
                 } else {
                     (rel * freq).cos()
                 };
-                wave * 0.8 * token_scale
+                wave * 0.8
+            }));
+        }
+        let mut z = Tensor3::zeros(ns, ns, hz);
+        for (t, token) in z.as_mut_slice().chunks_exact_mut(hz).enumerate() {
+            let (i, j) = (t / ns, t % ns);
+            let d = if i == j {
+                DISTOGRAM_MIN
             } else {
-                let k = c - nd - quarter;
-                let a = sequence.residue(i);
-                let b = sequence.residue(j);
-                let feat = match k % 3 {
-                    0 => a.hydropathy() * b.hydropathy() * 0.06,
-                    1 => (a.mass() - 110.0) * (b.mass() - 110.0) / 7200.0,
-                    _ => {
-                        if a == b {
-                            0.6
-                        } else {
-                            -0.1
-                        }
-                    }
-                };
-                // Heavy-tailed channel weighting: a few feature channels
-                // carry near-outlier magnitudes with a continuum below —
-                // the within-token structure that makes Group A require
-                // high inlier precision or deep outlier handling (Fig. 11).
-                let tail = 0.3 + 5.0 * (-(k as f32) / 4.0).exp();
-                feat * token_scale * tail
+                dm.at(i, j).clamp(DISTOGRAM_MIN, DISTOGRAM_MAX)
+            };
+            let amplitude = distogram_amplitude(d);
+            // The whole token scales with the pair's "contact strength":
+            // every channel of a close-pair token is large, so the
+            // appropriate quantization scale is a property of the *token*
+            // (Fig. 5(b)) while cross-channel scale stays comparable.
+            let token_scale = 0.25 * amplitude;
+            let (a, b) = (sequence.residue(i), sequence.residue(j));
+            let feats = [
+                a.hydropathy() * b.hydropathy() * 0.06,
+                (a.mass() - 110.0) * (b.mass() - 110.0) / 7200.0,
+                if a == b { 0.6 } else { -0.1 },
+            ];
+            let (dist, rest) = token.split_at_mut(nd);
+            let (relpos, pair) = rest.split_at_mut(quarter);
+            if i == j {
+                // Diagonal tokens: self-distance is 0; encode a fixed
+                // "self" activation on the first channel instead.
+                if let Some(first) = dist.first_mut() {
+                    *first = amplitude * PAIR_STREAM_SCALE;
+                }
+            } else {
+                for (v, &center) in dist.iter_mut().zip(&centers) {
+                    *v = amplitude * radial_basis(d, center, sigma) * PAIR_STREAM_SCALE;
+                }
             }
-        });
-        for v in z.as_mut_slice() {
-            *v *= PAIR_STREAM_SCALE;
+            let wave_row = &waves[(j + ns - 1 - i) * quarter..][..quarter];
+            for (v, &wave) in relpos.iter_mut().zip(wave_row) {
+                *v = wave * token_scale * PAIR_STREAM_SCALE;
+            }
+            for (k, (v, &tail)) in pair.iter_mut().zip(&tails).enumerate() {
+                *v = feats[k % 3] * token_scale * tail * PAIR_STREAM_SCALE;
+            }
         }
         z
     }
@@ -389,6 +406,82 @@ mod tests {
         assert!(distogram_amplitude(3.0) > 70.0);
         assert!(distogram_amplitude(30.0) < 10.0);
         assert!(distogram_amplitude(5.0) > distogram_amplitude(15.0));
+    }
+
+    /// `embed_pair` as one closure per element, every transcendental
+    /// evaluated where it is used: the form the hoisted loop replaced.
+    fn per_element_pair(cfg: &PpmConfig, sequence: &Sequence, native: &Structure) -> Tensor3 {
+        let ns = sequence.len();
+        let hz = cfg.hz;
+        let nd = distogram_channels(hz);
+        let quarter = hz / 4;
+        let dm = distance_matrix(native);
+        let mut z = Tensor3::from_fn(ns, ns, hz, |i, j, c| {
+            let d = if i == j {
+                DISTOGRAM_MIN
+            } else {
+                dm.at(i, j).clamp(DISTOGRAM_MIN, DISTOGRAM_MAX)
+            };
+            let token_scale = 0.25 * distogram_amplitude(d);
+            if c < nd {
+                if i == j {
+                    if c == 0 {
+                        distogram_amplitude(DISTOGRAM_MIN)
+                    } else {
+                        0.0
+                    }
+                } else {
+                    distogram_response(d, c, nd)
+                }
+            } else if c < nd + quarter {
+                let k = c - nd;
+                let rel = j as f32 - i as f32;
+                let freq = 1.0 / (10.0f32.powf(k as f32 * 4.0 / quarter.max(1) as f32) * 2.0);
+                let wave = if k.is_multiple_of(2) {
+                    (rel * freq).sin()
+                } else {
+                    (rel * freq).cos()
+                };
+                wave * 0.8 * token_scale
+            } else {
+                let k = c - nd - quarter;
+                let a = sequence.residue(i);
+                let b = sequence.residue(j);
+                let feat = match k % 3 {
+                    0 => a.hydropathy() * b.hydropathy() * 0.06,
+                    1 => (a.mass() - 110.0) * (b.mass() - 110.0) / 7200.0,
+                    _ => {
+                        if a == b {
+                            0.6
+                        } else {
+                            -0.1
+                        }
+                    }
+                };
+                let tail = 0.3 + 5.0 * (-(k as f32) / 4.0).exp();
+                feat * token_scale * tail
+            }
+        });
+        for v in z.as_mut_slice() {
+            *v *= PAIR_STREAM_SCALE;
+        }
+        z
+    }
+
+    #[test]
+    fn hoisted_pair_embedding_matches_the_per_element_form_bitwise() {
+        // Ns = 9 and 37 put the wave table's ±(Ns − 1) edges off the
+        // minimum length's.
+        for cfg in [PpmConfig::tiny(), PpmConfig::standard()] {
+            for ns in [MIN_SEQUENCE_LEN, 9, 37] {
+                let (seq, native) = setup(ns);
+                let got = Embedding::new(cfg.clone()).embed_pair(&seq, &native);
+                let want = per_element_pair(&cfg, &seq, &native);
+                let bits =
+                    |t: &Tensor3| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "hz {} Ns {ns}", cfg.hz);
+            }
+        }
     }
 
     #[test]

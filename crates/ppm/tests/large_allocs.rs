@@ -59,13 +59,11 @@ fn the_counter_sees_a_large_allocation_and_no_small_one() {
 
 #[test]
 fn a_warm_fold_makes_few_large_allocations() {
-    // What the GEMM scratch arena holds after the L = 32 fold: the packing
-    // buffers of the deepest product — the pair transition's contraction
-    // of one row block, `(1024, 512) × (512, 128)`, 256-deep k-panels —
-    // one 128-row block of A and one 256-column panel of B, whatever the
-    // rows in an `ln-par` chunk, and nothing else: no kernel parks a
-    // product there, which would be scratch no workspace test sees.
-    const A_BLOCK: u64 = 128 * 256 * 4;
+    // What the GEMM scratch arena holds after the L = 32 fold: the packed
+    // B panel of the widest product — 256 deep and 256 wide at the `Large`
+    // class — whatever the rows in an `ln-par` chunk, and nothing else: the
+    // tiles read A in place, and no kernel parks a product there, which
+    // would be scratch no workspace test sees.
     const B_PANEL: u64 = 256 * 256 * 4;
     let _hwm = SCRATCH_HWM.lock().unwrap_or_else(|e| e.into_inner());
     let model = FoldingModel::new(PpmConfig::standard());
@@ -81,7 +79,7 @@ fn a_warm_fold_makes_few_large_allocations() {
             assert!(cold > warm, "the first fold fills the workspace");
             assert_eq!(warm, WARM_FOLD_LARGE_ALLOCATIONS, "L = {ns}");
             if ns == 32 {
-                assert_eq!(microkernel::scratch_hwm_bytes(), A_BLOCK + B_PANEL);
+                assert_eq!(microkernel::scratch_hwm_bytes(), B_PANEL);
             }
         }
     });

@@ -217,8 +217,8 @@ impl Tensor2 {
         self.matmul_epilogue(rhs, &Epilogue::None)
     }
 
-    /// Matrix product `self × rhs` with a fused [`Epilogue`]: one more
-    /// pass over each `ln-par` row chunk once its GEMM has finished.
+    /// Matrix product `self × rhs` with a fused [`Epilogue`], applied to
+    /// each register tile's block as its last k-panel finishes it.
     ///
     /// The epilogue reproduces the arithmetic of the unfused sequence
     /// (matmul, then a bias pass, then an activation map) bit for bit while
@@ -251,8 +251,7 @@ impl Tensor2 {
         self.matmul_epilogue_into(rhs, &Epilogue::None, out)
     }
 
-    /// [`Tensor2::matmul_epilogue`] written into `out`, whatever it held
-    /// (it is zero-filled first: the microkernel accumulates).
+    /// [`Tensor2::matmul_epilogue`] written into `out`, whatever it held.
     ///
     /// # Errors
     ///
@@ -300,7 +299,6 @@ impl Tensor2 {
         if rows == 0 {
             return Ok(());
         }
-        out.fill(0.0);
         ln_par::metrics::time_kernel("tensor2.matmul", (rows * n) as u64, || {
             let rows_per_chunk = matmul_chunk_rows(rows, k, n);
             let a = &self.data;
@@ -361,13 +359,12 @@ impl Tensor2 {
                 rhs: vec![rhs.rows, rhs.cols],
             });
         }
-        out.data.fill(0.0);
         self.matmul_transposed_onto(rhs, out);
         Ok(())
     }
 
-    /// The GEMM behind [`Tensor2::matmul_transposed`]: accumulates onto a
-    /// zeroed, shape-checked `out`.
+    /// The GEMM behind [`Tensor2::matmul_transposed`]: writes a
+    /// shape-checked `out`, whatever it held.
     fn matmul_transposed_onto(&self, rhs: &Tensor2, out: &mut Tensor2) {
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
         if m == 0 || n == 0 {
