@@ -16,6 +16,13 @@
 //! by construction.
 //! `--profile` prints per-kernel GFLOP/s next to the paper-hardware
 //! roofline ceilings.
+//!
+//! A second gate, in both modes, times the GEMM tile itself: on the AVX2
+//! tier, one-thread `microkernel::gemm` must run at least [`TILE_FLOOR`]
+//! times faster than the scalar `reference_matmul` at the trunk's shapes
+//! (and match it bit for bit). A tile that compiles to scalar code reads
+//! about 3x, and the pool gate above, a ratio of two runs of the same
+//! tile, cannot see it. The baseline tier prints a skip line.
 
 use std::time::Instant;
 
@@ -32,6 +39,11 @@ use ln_quant::token::fake_quantize_tokens;
 use ln_tensor::{Tensor2, Tensor3};
 
 use lightnobel::report::{fmt_ratio, fmt_seconds, Table};
+
+/// Least speed of the GEMM tile over the scalar reference loop on the AVX2
+/// tier. The vectorised tile measured 22–26x on a 2-vCPU AVX2 host; a
+/// tile whose accumulators left the registers read about 3x.
+const TILE_FLOOR: f64 = 8.0;
 
 /// Hard floor on per-kernel speedup at every pool size and every L.
 ///
@@ -290,6 +302,64 @@ fn bench_evoformer(l: usize, reps: usize, pools: &Pools) -> BenchResult {
     )
 }
 
+/// One-thread `(m, k, n)` GEMM: the best of `reps` interleaved timings of
+/// the scalar `reference_matmul` over the best of the tile's, and whether
+/// every output matched the reference bit for bit.
+fn tile_speedup(m: usize, k: usize, n: usize, reps: usize) -> (f64, bool) {
+    use ln_tensor::microkernel::{gemm, reference_matmul, Epilogue};
+    let a: Vec<f32> = (0..m * k)
+        .map(|i| (i * 31 % 23) as f32 * 0.21 - 2.1)
+        .collect();
+    let b: Vec<f32> = (0..k * n)
+        .map(|i| (i * 13 % 19) as f32 * 0.17 - 1.5)
+        .collect();
+    let mut out = vec![0.0f32; m * n];
+    let (mut best_reference, mut best_tile) = (f64::INFINITY, f64::INFINITY);
+    let mut identical = true;
+    for _ in 0..reps.max(1) {
+        let (t, reference) = time_once(&mut || reference_matmul(&a, &b, m, k, n));
+        best_reference = best_reference.min(t);
+        let (t, ()) = time_once(&mut || gemm(&a, &b, k, n, 0, &mut out, &Epilogue::None));
+        best_tile = best_tile.min(t);
+        identical &= reference
+            .iter()
+            .zip(&out)
+            .all(|(r, o)| r.to_bits() == o.to_bits());
+    }
+    (ratio(best_reference, best_tile), identical)
+}
+
+/// The tile gate (module docs): prints each shape's speedup and returns
+/// whether the tile passed — always on the baseline tier, where only the
+/// bits are checked.
+fn tile_gate() -> bool {
+    let tier = ln_tensor::simd::tier();
+    let gated = tier == ln_tensor::simd::Tier::Avx2;
+    let mut pass = true;
+    for (m, k, n, reps) in [(96, 128, 128, 9), (1024, 128, 128, 3)] {
+        let (speedup, identical) = tile_speedup(m, k, n, reps);
+        println!("gemm tile vs scalar reference at ({m}, {k}, {n}): {speedup:.1}x");
+        if !identical {
+            eprintln!("DIVERGENCE: the gemm tile at ({m}, {k}, {n}) differs from reference_matmul");
+            pass = false;
+        }
+        if gated && speedup < TILE_FLOOR {
+            eprintln!(
+                "FAIL: the gemm tile at ({m}, {k}, {n}) runs {speedup:.1}x the scalar reference — \
+                 below the {TILE_FLOOR:.0}x floor on the avx2 tier"
+            );
+            pass = false;
+        }
+    }
+    if !gated {
+        println!(
+            "gemm tile speed gate skipped: kernel tier {} (the {TILE_FLOOR:.0}x floor is for avx2)",
+            tier.name()
+        );
+    }
+    pass
+}
+
 fn document(threads: usize, results: &[BenchResult]) -> Value {
     let text = |s: &str| Value::Str(s.to_owned());
     let count = |n: usize| Value::UInt(n as u64);
@@ -487,7 +557,7 @@ fn main() {
         print_profile(&results);
     }
 
-    let mut bad = false;
+    let mut bad = !tile_gate();
     for r in &results {
         if r.min_pool_speedup() < SPEEDUP_FLOOR {
             eprintln!(

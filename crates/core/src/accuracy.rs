@@ -6,13 +6,14 @@
 //! and each fold is scored against the reference (the paper's "TM-Score
 //! change" axis) and against the synthetic native (absolute quality).
 
-use crate::hook::{AaqHook, BaselineHook};
+use crate::hook::{AaqHook, BaselineHook, Calibration};
 use ln_datasets::ProteinRecord;
 use ln_ppm::taps::{ActivationHook, NoopHook};
 use ln_ppm::{FoldingModel, PpmConfig, PpmError, PredictionOutput};
 use ln_protein::{metrics, Sequence, Structure};
 use ln_quant::baselines::BaselineScheme;
 use ln_quant::scheme::AaqConfig;
+use std::sync::OnceLock;
 
 /// A quantization scheme under accuracy evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,6 +89,9 @@ pub struct Reference {
 pub struct AccuracyEvaluator {
     model: FoldingModel,
     max_len: usize,
+    /// The baselines' calibration on this model, folded once, when a
+    /// baseline is first scored, and shared by every record and scheme.
+    calibration: OnceLock<Calibration>,
 }
 
 impl AccuracyEvaluator {
@@ -97,6 +101,7 @@ impl AccuracyEvaluator {
         AccuracyEvaluator {
             model: FoldingModel::new(PpmConfig::standard()),
             max_len: 160,
+            calibration: OnceLock::new(),
         }
     }
 
@@ -107,6 +112,7 @@ impl AccuracyEvaluator {
         AccuracyEvaluator {
             model: FoldingModel::new(cfg),
             max_len: 96,
+            calibration: OnceLock::new(),
         }
     }
 
@@ -120,6 +126,18 @@ impl AccuracyEvaluator {
     /// sample proteins per dataset the same way).
     pub fn max_len(&self) -> usize {
         self.max_len
+    }
+
+    /// The Fig. 13 baselines' [`Calibration`] on this evaluator's model,
+    /// folded on the first call (a caller that races it waits for it).
+    ///
+    /// # Panics
+    ///
+    /// If the calibration record does not fold: the model folds every
+    /// record it is given, so that is a construction bug.
+    fn calibration(&self) -> &Calibration {
+        self.calibration
+            .get_or_init(|| Calibration::fold(&self.model).expect("the calibration record folds"))
     }
 
     /// Folds `record`'s FP32 reference.
@@ -220,10 +238,13 @@ impl AccuracyEvaluator {
                     &format!("mefold-int4-lm/{}", record.seed_label()),
                     0.6,
                 );
-                let mut hook = BaselineHook::new(BaselineScheme::MeFold);
+                let mut hook = BaselineHook::new(BaselineScheme::MeFold, self.calibration());
                 self.score(reference, Some(&degraded_prior), &mut hook)
             }
-            SchemeUnderTest::Baseline(b) => self.score(reference, None, &mut BaselineHook::new(*b)),
+            SchemeUnderTest::Baseline(b) => {
+                let mut hook = BaselineHook::new(*b, self.calibration());
+                self.score(reference, None, &mut hook)
+            }
             SchemeUnderTest::Aaq(cfg) => self.score(reference, None, &mut AaqHook::new(*cfg)),
         };
         Ok(scored?.0)

@@ -1,11 +1,14 @@
 //! Activation hooks that inject quantization error into the folding trunk.
 
+use ln_datasets::{Dataset, Registry};
 use ln_ppm::taps::{ActivationHook, ActivationSite, Tap};
-use ln_quant::baselines::BaselineScheme;
+use ln_ppm::{FoldingModel, PpmError};
+use ln_quant::baselines::{BaselineScheme, ChannelSampler, ChannelStats};
 use ln_quant::scheme::{AaqConfig, Group, QuantScheme};
 use ln_quant::tensor::QuantizedTensor;
 use ln_quant::token::{fake_quantize_tokens, QuantError};
 use ln_tensor::Tensor2;
+use std::collections::HashMap;
 
 /// The AAQ hook: quantize→dequantize every tagged activation with the
 /// scheme assigned to its group (§4.2), including attention score matrices
@@ -146,18 +149,106 @@ impl ActivationHook for AaqHook {
     }
 }
 
-/// The baseline-scheme hook: applies a comparison scheme's numeric error
-/// model at the sites it covers, FP16 rounding elsewhere, and MEFold's
-/// weight-quantization perturbation on linear outputs.
+/// The Fig. 13 baselines' calibration: per `(block, recycle, site)` of the
+/// trunk, the [`ChannelStats`] of one FP32 fold of CASP16's shortest
+/// record, R0271 (L = 77). No accuracy experiment scores CASP16 — its
+/// ground truth was unreleased at paper time — so the record is held out
+/// of everything the baselines are scored on, as post-training
+/// quantization calibrates on held-out data.
+///
+/// Attention scores are not calibrated: no baseline quantizes them. The
+/// two units of a kind share their sites' keys (Outgoing and Incoming
+/// multiplication, Starting and Ending attention), so each key holds the
+/// statistics of both units' tokens.
 #[derive(Debug, Clone)]
-pub struct BaselineHook {
-    scheme: BaselineScheme,
+pub struct Calibration {
+    sites: HashMap<Tap, ChannelStats>,
 }
 
-impl BaselineHook {
-    /// Creates the hook for a baseline scheme.
-    pub fn new(scheme: BaselineScheme) -> Self {
-        BaselineHook { scheme }
+impl Calibration {
+    /// Folds the calibration record through `model`, whose folds it will
+    /// calibrate, and keeps what every baseline needs at each tap.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PpmError`] from the folding model.
+    pub fn fold(model: &FoldingModel) -> Result<Self, PpmError> {
+        let registry = Registry::standard();
+        let record = registry.dataset(Dataset::Casp16).shortest();
+        let (sequence, native) = record.inputs(record.length());
+        let mut observer = CalibrationObserver::default();
+        model.predict_with_hook(&sequence, &native, &mut observer)?;
+        observer.close_stage();
+        Ok(Calibration {
+            sites: observer.closed,
+        })
+    }
+
+    /// The statistics calibrated at `tap`, if any.
+    pub fn site(&self, tap: Tap) -> Option<&ChannelStats> {
+        self.sites.get(&tap)
+    }
+}
+
+/// Samples every tap of the calibration fold but the scores. A stage's
+/// keys are complete once a tap of the next stage fires, so only one
+/// stage's magnitudes are held at a time.
+#[derive(Default)]
+struct CalibrationObserver {
+    open: HashMap<Tap, ChannelSampler>,
+    closed: HashMap<Tap, ChannelStats>,
+}
+
+impl CalibrationObserver {
+    fn close_stage(&mut self) {
+        let open = std::mem::take(&mut self.open);
+        let stats = open.into_iter().map(|(tap, s)| (tap, s.finish()));
+        self.closed.extend(stats);
+    }
+}
+
+/// The stage a tap belongs to: its block, its recycle and its unit kind.
+fn stage(tap: &Tap) -> (usize, usize, &'static str) {
+    let kind = tap.site.name().split('.').next().unwrap_or_default();
+    (tap.block, tap.recycle, kind)
+}
+
+impl ActivationHook for CalibrationObserver {
+    fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
+        if tap.site == ActivationSite::TriAttnScores {
+            return;
+        }
+        if self
+            .open
+            .keys()
+            .next()
+            .is_some_and(|t| stage(t) != stage(&tap))
+        {
+            self.close_stage();
+        }
+        self.open.entry(tap).or_default().observe(activation);
+    }
+}
+
+/// The baseline-scheme hook: applies a comparison scheme's numeric error
+/// model at the sites it covers, with the scales of its [`Calibration`],
+/// FP16 rounding elsewhere, and MEFold's weight-quantization perturbation
+/// on linear outputs. Every rewrite is per token, so the trunk may show it
+/// any block of tokens.
+#[derive(Debug, Clone)]
+pub struct BaselineHook<'c> {
+    scheme: BaselineScheme,
+    calibration: &'c Calibration,
+}
+
+impl<'c> BaselineHook<'c> {
+    /// Creates the hook for a baseline scheme, calibrated by `calibration`
+    /// (which must come from the model that folds through the hook).
+    pub fn new(scheme: BaselineScheme, calibration: &'c Calibration) -> Self {
+        BaselineHook {
+            scheme,
+            calibration,
+        }
     }
 
     /// The wrapped scheme.
@@ -186,19 +277,15 @@ fn is_linear_output(site: ActivationSite) -> bool {
     )
 }
 
-impl ActivationHook for BaselineHook {
+impl ActivationHook for BaselineHook<'_> {
     fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
         let is_scores = tap.site == ActivationSite::TriAttnScores;
         if self.scheme == BaselineScheme::MeFold && is_linear_output(tap.site) {
             BaselineScheme::mefold_weight_noise(activation);
         }
-        self.scheme.process(tap.group(), is_scores, activation);
-    }
-
-    fn takes_row_blocks(&self, site: ActivationSite) -> bool {
-        // Every covered scheme calibrates its scales over the tokens it is
-        // shown; the schemes it models calibrate over the whole tensor.
-        !self.scheme.covers_group(site.group())
+        let calibrated = self.calibration.site(tap);
+        self.scheme
+            .process(tap.group(), is_scores, activation, calibrated);
     }
 }
 
@@ -267,9 +354,25 @@ mod tests {
         assert!(bias.as_slice().iter().all(|v| v.is_finite()));
     }
 
+    /// A calibration of `activation()`'s tokens at every site the tests
+    /// tap with a baseline hook.
+    fn calibration() -> Calibration {
+        use ActivationSite::*;
+        let sites = [TriMulResidualIn, TriMulPostLn, TriAttnQuery];
+        let stats = |site| {
+            let mut sampler = ChannelSampler::default();
+            sampler.observe(&activation());
+            (tap(site), sampler.finish())
+        };
+        Calibration {
+            sites: sites.into_iter().map(stats).collect(),
+        }
+    }
+
     #[test]
     fn baseline_hook_skips_uncovered_groups() {
-        let mut hook = BaselineHook::new(BaselineScheme::Ptq4Protein);
+        let calibration = calibration();
+        let mut hook = BaselineHook::new(BaselineScheme::Ptq4Protein, &calibration);
         let orig = activation();
         let mut a = orig.clone();
         hook.on_activation(tap(ActivationSite::TriMulResidualIn), &mut a); // group A
@@ -281,47 +384,75 @@ mod tests {
     }
 
     #[test]
-    fn baseline_hook_sees_what_it_calibrates_on_whole() {
-        // Every site the trunk can show in row blocks or lanes. Group C is
-        // calibrated across its tokens by every scheme that covers Group C,
-        // and rounded per element by FP16 and MEFold; the out LayerNorm
-        // (Group B) by SmoothQuant, LLM.int8() and Tender; only Tender
-        // covers Group A. AAQ's scales are per token.
+    fn calibrated_baselines_give_row_blocks_the_bits_of_the_whole() {
+        // Every scheme rewrites each token on its own from calibrated
+        // scales, so a site shown in blocks of 1, 7 or 64 rows (150 tokens:
+        // ragged tails of 3 and 22) gets the bits it gets whole — at a
+        // Group A, B and C site and at the scores.
         use ln_quant::baselines::ALL_BASELINES;
         use ActivationSite::*;
-        let takes =
-            |site| ALL_BASELINES.map(|scheme| BaselineHook::new(scheme).takes_row_blocks(site));
-        let blocked = [
-            TriMulGateLeft,
-            TriMulProjLeft,
-            TriMulGateRight,
-            TriMulProjRight,
-            TriMulTriangleOut,
-            TriMulOutPostLn,
-            TriMulOutGate,
-            TriAttnKey,
-            TriAttnValue,
-            TriAttnGate,
-            TransitionHidden,
-        ];
-        for site in blocked {
-            // Fp16, SmoothQuant, LLM.int8(), PTQ4Protein, Tender, MEFold.
-            let want = match site.group() {
-                Group::B => [true, false, false, true, false, true],
-                _ => [true, false, false, false, false, true],
-            };
-            assert_eq!(takes(site), want, "{site}");
-            assert!(AaqHook::paper().takes_row_blocks(site), "{site}");
+        let calibration = calibration();
+        let x = Tensor2::from_fn(150, 128, |i, j| {
+            let scale = if i % 9 == 0 { 40.0 } else { 1.0 };
+            scale * (((i * 11 + j * 5) % 23) as f32 * 0.1 - 1.1)
+        });
+        let bits = |x: &Tensor2| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for scheme in ALL_BASELINES {
+            for site in [TriMulResidualIn, TriMulPostLn, TriAttnQuery, TriAttnScores] {
+                let mut hook = BaselineHook::new(scheme, &calibration);
+                let mut whole = x.clone();
+                hook.on_activation(tap(site), &mut whole);
+                for rows in [1, 7, 64] {
+                    let mut blocked = Vec::with_capacity(x.len());
+                    for first in (0..x.rows()).step_by(rows) {
+                        let len = rows.min(x.rows() - first);
+                        let mut block = Tensor2::from_fn(len, x.cols(), |i, j| x.at(first + i, j));
+                        hook.on_activation(tap(site), &mut block);
+                        blocked.extend(bits(&block));
+                    }
+                    assert!(
+                        blocked == bits(&whole),
+                        "{} at {site}, blocks of {rows}",
+                        scheme.name()
+                    );
+                }
+            }
         }
-        assert_eq!(
-            takes(TransitionResidualIn),
-            [true, true, true, true, false, true]
-        );
+    }
+
+    #[test]
+    fn the_calibration_record_is_held_out_and_every_covered_tap_is_calibrated() {
+        // R0271, CASP16's shortest record, which no accuracy experiment
+        // scores. A fold under the hook looks up every tap but the scores.
+        let registry = Registry::standard();
+        let record = registry.dataset(Dataset::Casp16).shortest();
+        assert_eq!((record.name(), record.length()), ("R0271", 77));
+        let model = FoldingModel::new(ln_ppm::PpmConfig::tiny());
+        let calibration = Calibration::fold(&model).unwrap();
+        let mut recorder = ln_ppm::taps::RecordingHook::new();
+        let (sequence, native) = record.inputs(24);
+        model
+            .predict_with_hook(&sequence, &native, &mut recorder)
+            .unwrap();
+        for r in recorder.records() {
+            let stats = calibration.site(r.tap);
+            if r.tap.site == ActivationSite::TriAttnScores {
+                assert!(stats.is_none());
+            } else {
+                assert_eq!(
+                    stats.map(|s| s.absmax().len()),
+                    Some(r.channels),
+                    "{}",
+                    r.tap
+                );
+            }
+        }
     }
 
     #[test]
     fn mefold_perturbs_linear_outputs_only() {
-        let mut hook = BaselineHook::new(BaselineScheme::MeFold);
+        let calibration = calibration();
+        let mut hook = BaselineHook::new(BaselineScheme::MeFold, &calibration);
         let orig = activation();
         let mut q = orig.clone();
         hook.on_activation(tap(ActivationSite::TriAttnQuery), &mut q);

@@ -8,7 +8,8 @@
 //!
 //! * [`hook`] — [`hook::AaqHook`] injects Token-wise Adaptive Activation
 //!   Quantization into the folding trunk at every tagged dataflow edge;
-//!   [`hook::BaselineHook`] does the same for the comparison schemes.
+//!   [`hook::BaselineHook`] does the same for the comparison schemes,
+//!   with scales a [`hook::Calibration`] took once on a held-out record.
 //! * [`accuracy`] — the scored fold: a record's FP32 reference folded
 //!   once, any number of hooked folds TM-scored against it and the
 //!   synthetic native. Fig. 11, Fig. 13, the sensitivity replay and

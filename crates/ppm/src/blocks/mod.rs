@@ -19,7 +19,7 @@ pub use tri_attn::{AttentionNode, TriangularAttention};
 pub use tri_mul::{TriangleDirection, TriangularMultiplication};
 pub use workspace::release_fold_workspace;
 
-use crate::taps::{ActivationHook, ActivationSite, Tap};
+use crate::taps::{ActivationHook, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_quant::qgemm::{MacMode, QLinear};
 use ln_quant::tensor::QuantizedTensor;
@@ -294,28 +294,12 @@ fn add_scaled(stream: &mut [f32], update: &[f32], gain: f32) {
     }
 }
 
-/// Pair tokens a stage takes through a row-blocked site at a time, when
-/// the hook [takes row blocks](ActivationHook::takes_row_blocks): the
+/// Pair tokens a stage takes through a row-blocked site at a time: the
 /// transition's hidden activation and triangular multiplication's packed
 /// gated side; its other gated side and the triangle product's consumers
 /// take whole rows, as near this many as `ns` allows. A multiple of the
 /// quantizer's 64-token error block.
 const ROW_BLOCK: usize = 1024;
-
-/// Tokens a stage takes through `sites` at a time: `block`, or all
-/// `tokens` (one block) for a hook that wants any of them whole.
-fn block_len(
-    hook: &dyn ActivationHook,
-    sites: &[ActivationSite],
-    block: usize,
-    tokens: usize,
-) -> usize {
-    if sites.iter().all(|&site| hook.takes_row_blocks(site)) {
-        block
-    } else {
-        tokens.max(1)
-    }
-}
 
 /// The frame all three pair stages run in. The residual stream moves
 /// through it — taken out of `pair`, shown to the hook (Group A), updated
@@ -480,38 +464,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The hook it wraps, shown every activation whole: it declines row
-    /// blocks and lanes at every site.
-    pub(crate) struct Declining<'a>(pub(crate) &'a mut dyn ActivationHook);
-
-    impl ActivationHook for Declining<'_> {
-        fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
-            self.0.on_activation(tap, activation);
-        }
-
-        fn observes(&self, site: ActivationSite) -> bool {
-            self.0.observes(site)
-        }
-
-        fn takes_row_blocks(&self, _site: ActivationSite) -> bool {
-            false
-        }
-
-        fn quantized_matmul(&self, tap: Tap) -> Option<QuantScheme> {
-            self.0.quantized_matmul(tap)
-        }
-
-        fn on_encoded(
-            &mut self,
-            tap: Tap,
-            activation: &Tensor2,
-            encoded: &QuantizedTensor,
-            error: ln_quant::token::QuantError,
-        ) {
-            self.0.on_encoded(tap, activation, encoded, error);
-        }
-    }
-
     /// The three hooks the stages' bit-identity is stated for: none, a
     /// token-wise rewrite, and the quantized domain.
     pub(crate) fn token_wise_hooks() -> [(&'static str, Box<dyn ActivationHook>); 3] {
@@ -530,62 +482,6 @@ pub(crate) mod tests {
     fn all_bits(activations: &[Tensor2]) -> Vec<u32> {
         let values = activations.iter().flat_map(|a| a.as_slice());
         values.map(|v| v.to_bits()).collect()
-    }
-
-    /// A seeded pair stream, one token in seven eight times larger.
-    fn seeded_pair(ns: usize, hz: usize) -> Tensor3 {
-        let mut r = ln_tensor::rng::stream("blocks/seeded-pair");
-        Tensor3::from_fn(ns, ns, hz, |i, j, _| {
-            let scale = if (i + 2 * j) % 7 == 0 { 8.0 } else { 1.0 };
-            scale * ln_tensor::rng::normal_approx(&mut r)
-        })
-    }
-
-    #[test]
-    fn tri_mul_and_tri_attn_give_a_declining_hook_the_same_bits() {
-        // A hook that declines row blocks sees every activation whole; a
-        // token-wise hook cannot tell the difference in what it rewrites,
-        // so each unit's output is the same to the bit. ns = 48 leaves a
-        // partial last row block and lanes of 48 tokens; 24 and 7 fit one
-        // block.
-        for ns in [7, 24, 48] {
-            for attention_chunk in [None, Some(5)] {
-                let cfg = PpmConfig {
-                    attention_chunk,
-                    ..PpmConfig::tiny()
-                };
-                let z = seeded_pair(ns, cfg.hz);
-                type Unit = Box<dyn Fn(&mut Tensor3, &mut dyn ActivationHook)>;
-                let tri_mul = |direction| -> Unit {
-                    let unit = TriangularMultiplication::new(&cfg, "declining", direction);
-                    Box::new(move |z, hook| unit.forward(z, hook, 0, 0).unwrap())
-                };
-                let tri_attn = |node| -> Unit {
-                    let unit = TriangularAttention::new(&cfg, "declining", node);
-                    Box::new(move |z, hook| unit.forward(z, hook, 0, 0).unwrap())
-                };
-                let units = [
-                    ("tri_mul_out", tri_mul(TriangleDirection::Outgoing)),
-                    ("tri_mul_in", tri_mul(TriangleDirection::Incoming)),
-                    ("tri_attn_start", tri_attn(AttentionNode::Starting)),
-                    ("tri_attn_end", tri_attn(AttentionNode::Ending)),
-                ];
-                for (unit, run) in &units {
-                    for ((name, mut hook), (_, mut twin)) in
-                        token_wise_hooks().into_iter().zip(token_wise_hooks())
-                    {
-                        let mut blocked = z.clone();
-                        run(&mut blocked, hook.as_mut());
-                        let mut whole = z.clone();
-                        run(&mut whole, &mut Declining(twin.as_mut()));
-                        assert!(
-                            bits(&blocked) == bits(&whole),
-                            "{unit} under {name}, ns {ns}, chunk {attention_chunk:?}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     fn setup(ns: usize) -> (PpmConfig, Tensor2, Tensor3) {
@@ -656,12 +552,12 @@ pub(crate) mod tests {
         // tokens; of 22, 22 and 4 whole rows for tri-mul's row-blocked
         // gated side (left for Outgoing, right for Incoming) and the
         // triangle product's consumers; lanes of 48 tokens for tri-attn's
-        // queries, keys, values, context and gate (every lane at once under
-        // a declining hook). Two tri-mul and two tri-attn units per block, one
-        // transition. A hook that observes no site is shown neither the
-        // post-LN activations (the stages recompute their rows) nor
-        // tri-attn's lane sites (the lanes run on their own), and the rest
-        // in the same blocks; the fold's bits are the same.
+        // queries, keys, values, context and gate. Two tri-mul and two
+        // tri-attn units per block, one transition. A hook that observes
+        // no site is shown neither the post-LN activations (the stages
+        // recompute their rows) nor tri-attn's lane sites (the lanes run
+        // on their own), and the rest in the same blocks with the same
+        // bits; the fold's bits are the same.
         use crate::taps::ALL_SITES;
         use ActivationSite::*;
         let ns = 48;
@@ -674,14 +570,12 @@ pub(crate) mod tests {
         };
         let mut blocked = Keeper::default();
         let folded = run(&mut blocked);
-        let mut whole = Keeper::default();
-        assert!(run(&mut Declining(&mut whole)) == folded);
         let mut blind = Keeper {
             blind: true,
             ..Keeper::default()
         };
         assert!(run(&mut blind) == folded);
-        for (tap, _) in blocked.kept.iter().chain(&whole.kept) {
+        for (tap, _) in &blocked.kept {
             assert_eq!((tap.block, tap.recycle), (3, 1));
         }
         let fired = |hook: &Keeper, site| -> Vec<Tensor2> {
@@ -701,7 +595,7 @@ pub(crate) mod tests {
             TriAttnGate,
         ];
         for site in ALL_SITES {
-            let (blocks, wholes) = (fired(&blocked, site), fired(&whole, site));
+            let blocks = fired(&blocked, site);
             let blind_taps = fired(&blind, site);
             if unseen.contains(&site) {
                 assert!(blind_taps.is_empty(), "{site}");
@@ -714,10 +608,10 @@ pub(crate) mod tests {
                 2
             };
             let per_unit = match site {
-                // Once per (lane, head) under either hook: probability rows.
+                // Once per (lane, head): probability rows.
                 TriAttnScores => {
-                    assert_eq!(wholes.len(), units * ns * cfg.pair_heads);
-                    assert_eq!(blocks.len(), wholes.len());
+                    assert_eq!(blocks.len(), units * ns * cfg.pair_heads);
+                    assert!(blocks.iter().all(|a| a.shape() == (ns, ns)), "{site}");
                     continue;
                 }
                 TransitionHidden => unit_tokens.div_ceil(ROW_BLOCK),
@@ -728,18 +622,12 @@ pub(crate) mod tests {
                 TriAttnQuery | TriAttnKey | TriAttnValue | TriAttnContext | TriAttnGate => ns,
                 _ => 1,
             };
-            // A declining hook sees each unit's activation once, whole.
-            assert_eq!(wholes.len(), units, "{site}");
-            assert!(wholes.iter().all(|a| a.rows() == unit_tokens), "{site}");
-            // Otherwise the blocks of each unit are its activation in
-            // ascending, disjoint token ranges that add up to the unit: in
-            // firing order they hold the whole activations' bits.
+            // The blocks of each unit add up to the unit's tokens.
             assert_eq!(blocks.len(), units * per_unit, "{site}");
             let sizes: Vec<usize> = blocks.iter().map(Tensor2::rows).collect();
             for unit in sizes.chunks(per_unit) {
                 assert_eq!(unit.iter().sum::<usize>(), unit_tokens, "{site}");
             }
-            assert!(all_bits(&blocks) == all_bits(&wholes), "{site}");
         }
     }
 

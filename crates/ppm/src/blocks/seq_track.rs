@@ -117,7 +117,7 @@ impl SequenceTrack {
         let bias_mats = head_bias_mats(&self.pair_bias.forward(&pair_tokens)?);
         let mut bufs = HeadBuffers::new(ns, self.head_dim, ns);
         for h in 0..self.heads {
-            bufs.attend(&kv, 0, h, bias_mats.row(h), q.as_mut_slice(), |_| {})?;
+            bufs.attend(&kv, h, bias_mats.row(h), q.as_mut_slice(), |_| {})?;
         }
         let attn_update = self.attn_out.forward(&q)?.scaled(self.update_gain);
         seq.add_assign(&attn_update)?;

@@ -1,15 +1,15 @@
 //! Pair Transition: the per-token MLP that ends each folding block's pair
 //! dataflow (LayerNorm → expand → ReLU → contract, residual).
 //!
-//! The MLP is token-wise, so nothing of it is whole unless the hook needs
-//! it whole: it runs [`ROW_BLOCK`] tokens at a time — their post-LN rows,
-//! recomputed from the stream when the hook does not observe that site,
-//! and 2 MB of hidden activation at the standard widths — and each block's
-//! update goes into the stream as soon as the block is done. Beside the
-//! stream the stage holds two row blocks, or the whole post-LN activation
-//! and one block for a hook that observes it.
+//! The MLP is token-wise, so nothing of it is whole: it runs [`ROW_BLOCK`]
+//! tokens at a time — their post-LN rows, recomputed from the stream when
+//! the hook does not observe that site, and 2 MB of hidden activation at
+//! the standard widths — and each block's update goes into the stream as
+//! soon as the block is done. Beside the stream the stage holds two row
+//! blocks, or the whole post-LN activation and one block for a hook that
+//! observes it.
 
-use super::{block_len, residual_stage, workspace, Activation, Projection, ROW_BLOCK};
+use super::{residual_stage, workspace, Activation, Projection, ROW_BLOCK};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_tensor::nn::{LayerNorm, Linear};
@@ -72,13 +72,11 @@ impl PairTransition {
             self.update_gain,
             |hook, post_ln| {
                 let tokens = post_ln.tokens();
-                let hidden = ActivationSite::TransitionHidden;
-                let block = block_len(hook, &[hidden], ROW_BLOCK, tokens);
-                for first in (0..tokens).step_by(block) {
+                for first in (0..tokens).step_by(ROW_BLOCK) {
                     // The block's expansion, as an integer GEMM when the
                     // hook opts in; its post-LN rows, read for the last
                     // time, then take the contraction's output.
-                    let mut rows = post_ln.rows(first, block.min(tokens - first))?;
+                    let mut rows = post_ln.rows(first, ROW_BLOCK.min(tokens - first))?;
                     let mut h = workspace::take(rows.len, self.expand.out_features());
                     post_ln.project_into(
                         &rows,
@@ -86,7 +84,7 @@ impl PairTransition {
                         Activation::Relu,
                         h.as_mut_slice(),
                     )?;
-                    hook.on_activation(tap(hidden), &mut h);
+                    hook.on_activation(tap(ActivationSite::TransitionHidden), &mut h);
                     let update = post_ln.update(&mut rows);
                     self.contract
                         .forward_rows_into(&h, 0, Activation::None, update)?;
@@ -200,37 +198,6 @@ mod tests {
             let block = target * ROW_BLOCK..((target + 1) * ROW_BLOCK).min(ns * ns);
             assert_eq!(changed, block.collect::<Vec<_>>(), "block {target}");
         }
-    }
-
-    /// Records the hidden activation's token counts, and wants it whole.
-    struct WholeHidden(Vec<usize>);
-
-    impl ActivationHook for WholeHidden {
-        fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2) {
-            if tap.site == ActivationSite::TransitionHidden {
-                self.0.push(activation.rows());
-            }
-        }
-
-        fn takes_row_blocks(&self, _site: ActivationSite) -> bool {
-            false
-        }
-    }
-
-    #[test]
-    fn a_hook_that_declines_row_blocks_sees_the_hidden_activation_whole() {
-        // Same bits as the row blocks: a token's rows meet no other's.
-        let cfg = PpmConfig::tiny();
-        let unit = PairTransition::new(&cfg, "t");
-        let ns = 40;
-        let mut blocked = pair(ns, cfg.hz);
-        unit.forward(&mut blocked, &mut NoopHook, 0, 0).unwrap();
-        let mut whole = pair(ns, cfg.hz);
-        let mut hook = WholeHidden(Vec::new());
-        unit.forward(&mut whole, &mut hook, 0, 0).unwrap();
-        assert_eq!(hook.0, [ns * ns]);
-        let bits = |z: &Tensor3| z.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&whole), bits(&blocked));
     }
 
     #[test]

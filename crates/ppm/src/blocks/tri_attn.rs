@@ -20,20 +20,16 @@
 //! lane's sites leaves the lanes independent, and they run across the
 //! pool; otherwise they run in lane order on the calling thread, and the
 //! hook sees each lane's query, key, value, context and gate and every
-//! block of its score rows. A hook that
-//! [declines](ActivationHook::takes_row_blocks) row blocks at a lane site
-//! gets every lane at once instead: the same body on one group of all
-//! `Ns` lanes, in pair-sized workspace tensors. Beside the stream the stage
-//! otherwise holds the bias and lane scratch, and the post-LN activation
-//! only where the hook observes it.
+//! block of its score rows. Beside the stream the stage holds the bias and
+//! lane scratch, and the post-LN activation only where the hook observes
+//! it.
 //!
 //! There is one body for both nodes: the Ending node is the Starting node
 //! on the transposed pair stream, `(a, b) ↔ (b, a)` by exact swaps in
 //! place before and after — so its taps see the tokens in that order.
 
 use super::{
-    block_len, residual_stage, transpose_pair_tokens, workspace, Activation, Form, PostLn,
-    Projection, Rows, ROW_BLOCK,
+    residual_stage, transpose_pair_tokens, Activation, Form, PostLn, Projection, Rows, ROW_BLOCK,
 };
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
@@ -180,12 +176,11 @@ impl TriangularAttention {
         let bias_mats = head_bias_mats(&bias);
         drop(bias);
 
-        // Then one body per group of lanes. A hook that observes none of
-        // the lane's sites leaves the lanes independent: each is a group,
-        // on the pool. Otherwise the groups run in lane order, so that the
-        // hook sees every tap in order — one lane each, or all of them at
-        // once for a hook that wants a lane site whole. The per-lane
-        // arithmetic is the same either way, so are the bits.
+        // Then one body per lane. A hook that observes none of the lane's
+        // sites leaves the lanes independent, and they run on the pool;
+        // otherwise they run in lane order, so that the hook sees every tap
+        // in order. The per-lane arithmetic is the same either way, so are
+        // the bits.
         let lane_sites = [
             TriAttnQuery,
             TriAttnKey,
@@ -194,9 +189,9 @@ impl TriangularAttention {
             TriAttnContext,
             TriAttnGate,
         ];
-        let scratch = |lanes, alloc: fn(usize, usize) -> Tensor2| LaneScratch {
+        let scratch = || LaneScratch {
             bufs: HeadBuffers::new(ns, self.head_dim, self.chunk.unwrap_or(ns)),
-            qkv: [(); 3].map(|_| alloc(lanes * ns, heads * self.head_dim)),
+            qkv: [(); 3].map(|_| Tensor2::zeros(ns, heads * self.head_dim)),
         };
         // The update, `proj_out(gate ⊙ context)`, from what the body left.
         let output = |s: &LaneScratch, update: &mut [f32]| -> Result<(), PpmError> {
@@ -211,44 +206,33 @@ impl TriangularAttention {
             post_ln.lanes_on_pool(
                 ns,
                 ln_par::chunk_len(ns, grain_lanes),
-                || scratch(1, Tensor2::zeros),
+                scratch,
                 |form, rows, s, update| {
-                    self.attend_lanes(form, rows, s, &bias_mats, &mut |_, _| {})?;
+                    self.attend_lane(form, rows, s, &bias_mats, &mut |_, _| {})?;
                     output(s, update)
                 },
             );
             return Ok(());
         }
-        // A group of every lane is pair-sized: its scratch is the
-        // workspace's, and its update goes over the spent rows of a whole
-        // post-LN activation, as a lane's does.
-        let lanes = block_len(hook, &lane_sites, 1, ns);
-        let alloc: fn(usize, usize) -> Tensor2 = match lanes {
-            1 => Tensor2::zeros,
-            _ => workspace::take,
-        };
-        let mut s = scratch(lanes, alloc);
+        let mut s = scratch();
         let mut observe =
             |site, activation: &mut Tensor2| hook.on_activation(tap(site), activation);
-        for first in (0..tokens_n).step_by((lanes * ns).max(1)) {
-            let mut rows = post_ln.rows(first, lanes * ns)?;
-            self.attend_lanes(&post_ln.form, &rows, &mut s, &bias_mats, &mut observe)?;
+        for first in (0..tokens_n).step_by(ns.max(1)) {
+            let mut rows = post_ln.rows(first, ns)?;
+            self.attend_lane(&post_ln.form, &rows, &mut s, &bias_mats, &mut observe)?;
             output(&s, post_ln.update(&mut rows))?;
             post_ln.add(rows);
-        }
-        if lanes > 1 {
-            s.qkv.into_iter().for_each(workspace::give);
         }
         Ok(())
     }
 
-    /// The body of a group of lanes, up to its update: projects the
-    /// group's queries, keys and values; attends, per lane and head, its
-    /// context over its queries; and leaves `gate ⊙ context` in the keys'
-    /// place, the gate projected there once the keys are spent. `observe`
-    /// sees (and may rewrite) the query, key, value, context and gate of the
-    /// group and every block of its score rows, in that order.
-    fn attend_lanes(
+    /// The body of a lane, up to its update: projects the lane's queries,
+    /// keys and values; attends, per head, its context over its queries;
+    /// and leaves `gate ⊙ context` in the keys' place, the gate projected
+    /// there once the keys are spent. `observe` sees (and may rewrite) the
+    /// lane's query, key, value, context and gate and every block of its
+    /// score rows, in that order.
+    fn attend_lane(
         &self,
         form: &Form,
         rows: &Rows,
@@ -268,14 +252,10 @@ impl TriangularAttention {
             observe(site, x);
         }
         let [q, kv @ ..] = qkv;
-        let (ns, attn_dim) = (bufs.ns(), q.cols());
-        let lanes = q.as_mut_slice().chunks_mut((ns * attn_dim).max(1));
-        for (lane, lane_q) in lanes.enumerate() {
-            for h in 0..self.heads {
-                bufs.attend(kv, lane * ns, h, bias_mats.row(h), lane_q, |p| {
-                    observe(TriAttnScores, p)
-                })?;
-            }
+        for h in 0..self.heads {
+            bufs.attend(kv, h, bias_mats.row(h), q.as_mut_slice(), |p| {
+                observe(TriAttnScores, p)
+            })?;
         }
         observe(TriAttnContext, q);
         let gate = &mut kv[0];
@@ -290,10 +270,9 @@ impl TriangularAttention {
     }
 }
 
-/// What a group of lanes works in, made once per lane chunk (or stage)
-/// and reused across its groups: the head buffers, and the group's
-/// queries (its context once attended), keys (the gated context once
-/// spent) and values.
+/// What a lane works in, made once per lane chunk (or stage) and reused
+/// across its lanes: the head buffers, and the lane's queries (its context
+/// once attended), keys (the gated context once spent) and values.
 struct LaneScratch {
     bufs: HeadBuffers,
     qkv: [Tensor2; 3],
@@ -364,18 +343,12 @@ impl HeadBuffers {
         }
     }
 
-    /// Tokens in a lane.
-    fn ns(&self) -> usize {
-        self.k.rows()
-    }
-
-    /// Head `h` of the lane whose `ns` tokens start at row `lane_row0` of
-    /// the `(tokens, heads·dim)` keys and values, and whose queries are
-    /// `lane_q`'s `ns` interleaved rows: per block of query rows, the
-    /// probabilities `softmax(q kᵀ/√d + bias)` of those rows over every
-    /// key, which `observe` sees (and may rewrite), then their context
-    /// `probs · v` over the queries it was computed from — the same rows,
-    /// columns `h·dim ..`.
+    /// Head `h` of the lane whose `ns` tokens are the `(ns, heads·dim)`
+    /// keys and values, and whose queries are `lane_q`'s `ns` interleaved
+    /// rows: per block of query rows, the probabilities `softmax(q kᵀ/√d +
+    /// bias)` of those rows over every key, which `observe` sees (and may
+    /// rewrite), then their context `probs · v` over the queries it was
+    /// computed from — the same rows, columns `h·dim ..`.
     ///
     /// A row's softmax spans the whole row and each GEMM output element is
     /// a k-ascending fold whatever rows share its call, so the context
@@ -383,7 +356,6 @@ impl HeadBuffers {
     pub(super) fn attend(
         &mut self,
         [km, vm]: &[Tensor2; 2],
-        lane_row0: usize,
         h: usize,
         bias_mat: &[f32],
         lane_q: &mut [f32],
@@ -392,8 +364,8 @@ impl HeadBuffers {
         let (ns, dim) = self.k.shape();
         let width = km.cols();
         let inv_sqrt = 1.0 / (dim as f32).sqrt();
-        load_head(&km.as_slice()[lane_row0 * width..], width, h, &mut self.k);
-        load_head(&vm.as_slice()[lane_row0 * width..], width, h, &mut self.v);
+        load_head(km.as_slice(), width, h, &mut self.k);
+        load_head(vm.as_slice(), width, h, &mut self.v);
         let block_rows = self.blocks[0].q.rows();
         for row0 in (0..ns).step_by(block_rows) {
             let is_tail = ns - row0 < block_rows;
@@ -423,7 +395,7 @@ impl HeadBuffers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::tests::{Declining, FakeQuant};
+    use crate::blocks::tests::FakeQuant;
     use crate::taps::{NoopHook, RecordingHook};
 
     fn pair(ns: usize, hz: usize) -> Tensor3 {
@@ -483,8 +455,7 @@ mod tests {
         // lane site is observed) nor on the block of query rows (whole
         // lanes, or blocks of 5 and a tail). A hook that observes every
         // site and rewrites nothing, so that the lanes run in order, gives
-        // `NoopHook`'s bits; a declining twin, shown every lane at once,
-        // its hook's. Ns = 1 and 2 are the shortest lanes.
+        // `NoopHook`'s bits. Ns = 1 and 2 are the shortest lanes.
         struct ObserveAll;
         impl ActivationHook for ObserveAll {
             fn on_activation(&mut self, _tap: Tap, _activation: &mut Tensor2) {}
@@ -514,13 +485,9 @@ mod tests {
                         let fold = |hook: &mut dyn ActivationHook| fold(chunk, threads, hook);
                         assert!(fold(&mut NoopHook) == noop, "noop, {case}");
                         assert!(fold(&mut ObserveAll) == noop, "observe-all, {case}");
-                        let declining = fold(&mut Declining(&mut ObserveAll));
-                        assert!(declining == noop, "declining observe-all, {case}");
                         for (domain, reference) in [false, true].into_iter().zip(&fake_quant) {
                             let name = format!("fake-quant, domain {domain}, {case}");
                             assert!(fold(&mut FakeQuant { domain }) == *reference, "{name}");
-                            let declining = fold(&mut Declining(&mut FakeQuant { domain }));
-                            assert!(declining == *reference, "declining {name}");
                         }
                     }
                 }

@@ -23,12 +23,11 @@
 //! stream (one extra LayerNorm pass a unit). Beside the stream the stage
 //! then holds one pair tensor — the packed operand — and three row blocks;
 //! the whole post-LN activation is a second one for a hook that observes
-//! it, and a blocked site the hook [wants](ActivationHook::takes_row_blocks)
-//! whole makes its block the whole tensor, up to four.
+//! it. Every hook is shown the same blocks.
 
 use super::{
-    block_len, residual_stage, transpose_pair_tokens, workspace, Activation, PostLn, Projection,
-    Rows, ROW_BLOCK,
+    residual_stage, transpose_pair_tokens, workspace, Activation, PostLn, Projection, Rows,
+    ROW_BLOCK,
 };
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
@@ -179,9 +178,8 @@ impl TriangularMultiplication {
             let (rows, cols) = einsum::packed_shape(ns, c);
             workspace::take(rows, cols)
         };
-        let block = block_len(hook, &packed_side.sites, ROW_BLOCK, tokens_n);
-        for first in (0..tokens_n).step_by(block) {
-            let rows = post_ln.rows(first, block.min(tokens_n - first))?;
+        for first in (0..tokens_n).step_by(ROW_BLOCK) {
+            let rows = post_ln.rows(first, ROW_BLOCK.min(tokens_n - first))?;
             let product = packed_side.rows(hook, post_ln, &rows, &tap)?;
             post_ln.done(rows);
             einsum::pack_right(ns, first, &product, packed.as_mut_slice());
@@ -194,16 +192,8 @@ impl TriangularMultiplication {
         // the output gate and projection — whose update goes into the
         // block's post-LN rows, read by the gate for the last time, and
         // from there into the stream.
-        let [gate_site, proj_site] = rows_side.sites;
-        let sites = [
-            gate_site,
-            proj_site,
-            TriMulTriangleOut,
-            TriMulOutPostLn,
-            TriMulOutGate,
-        ];
         let row = ns.max(1);
-        let block = block_len(hook, &sites, ROW_BLOCK.div_ceil(row) * row, tokens_n);
+        let block = ROW_BLOCK.div_ceil(row) * row;
         for first in (0..tokens_n).step_by(block) {
             let mut rows = post_ln.rows(first, block.min(tokens_n - first))?;
             let left = rows_side.rows(hook, post_ln, &rows, &tap)?;

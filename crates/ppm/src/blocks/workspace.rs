@@ -13,9 +13,8 @@
 //! It is for pair-sized tensors and the stages' row blocks. No stage has
 //! more than one pair tensor on loan beside the stream — triangular
 //! multiplication's packed einsum operand — unless the hook asks for more:
-//! the post-LN `x` for a hook that observes it, four under a hook that
-//! declines row blocks (triangular attention's queries, keys and values of
-//! every lane beside `x`). At most three row blocks go beside it (a block's
+//! the post-LN `x` for a hook that observes it; every hook is shown the
+//! same row blocks. At most three row blocks go beside it (a block's
 //! post-LN rows, recomputed from the stream, with a gated side's gate and
 //! projection or the triangle product's left rows and its consumers'; 0.6
 //! MB each at the standard widths). A block finds a block-sized buffer it
@@ -112,17 +111,13 @@ pub(crate) fn give(t: Tensor2) {
 /// Frees the buffers the calling thread's fold workspace retains between
 /// folds — one pair-sized tensor and a few row blocks at the longest length
 /// folded (6.3 MB at L = 96, 22.2 MB at L = 192, where the transition's
-/// hidden block is one of them), or, if a hook declined the row blocks,
-/// three pair tensors and one of four (the transition's hidden activation
-/// whole, where the triangle stages' fourth pair tensor fits too). A hook
-/// that observes the post-LN sites adds a pair tensor (10.5 MB at L = 96).
-/// The next fold on this thread allocates them again.
-/// For a caller that folds once and lives on.
+/// hidden block is one of them). A hook that observes the post-LN sites
+/// adds a pair tensor (10.5 MB at L = 96). The next fold on this thread
+/// allocates them again. For a caller that folds once and lives on.
 ///
 /// The kernels' packing buffers are not part of the workspace and stay:
 /// the triangle einsum's left panel (`64 · 16` floats a row of a row
-/// chunk; 24 KB at Ns = 192, 0.8 MB if a hook declined the row blocks)
-/// and the GEMM scratch arena (under 1 MB).
+/// chunk; 24 KB at Ns = 192) and the GEMM scratch arena (under 1 MB).
 pub fn release_fold_workspace() {
     WORKSPACE.with(|w| w.borrow_mut().free = Vec::new());
 }
@@ -153,7 +148,7 @@ mod tests {
         AttentionNode, PairTransition, SequenceTrack, TriangleDirection, TriangularAttention,
         TriangularMultiplication,
     };
-    use crate::taps::{ActivationHook, ActivationSite, NoopHook, Tap};
+    use crate::taps::{ActivationHook, NoopHook, Tap};
     use crate::{FoldingModel, PpmConfig};
     use ln_protein::generator::StructureGenerator;
     use ln_protein::Sequence;
@@ -176,22 +171,11 @@ mod tests {
         }
     }
 
-    /// Observes every site and wants each activation whole: the stages'
-    /// whole-tensor path, the one a calibrating baseline scheme takes.
-    struct Declining;
-    impl ActivationHook for Declining {
-        fn on_activation(&mut self, _tap: Tap, _activation: &mut Tensor2) {}
-        fn takes_row_blocks(&self, _site: ActivationSite) -> bool {
-            false
-        }
-    }
-
-    fn hooks() -> [(&'static str, Box<dyn ActivationHook>); 4] {
+    fn hooks() -> [(&'static str, Box<dyn ActivationHook>); 3] {
         [
             ("noop", Box::new(NoopHook)),
             ("observe-all", Box::new(ObserveAll)),
             ("quantized-domain", Box::new(QuantizedDomain)),
-            ("declining", Box::new(Declining)),
         ]
     }
 
@@ -291,8 +275,8 @@ mod tests {
         let transition = PairTransition::new(&cfg, "ws");
         let seq_track = SequenceTrack::new(&cfg, "ws");
         // (stage, most bytes it may have on loan under each of `hooks()`:
-        // one that observes nothing, one that observes every site, the
-        // quantized domain, and one that declines row blocks). A stage
+        // one that observes nothing, one that observes every site, and the
+        // quantized domain). A stage
         // holds the post-LN `x` whole only for a hook that observes it and
         // asks for no encoding; otherwise a block's post-LN rows are a row
         // block — recomputed, or in the quantized domain the buffer of its
@@ -300,23 +284,22 @@ mod tests {
         // - tri-mul: the packed right operand and three blocks — a gated
         //   side's gate and projection beside its post-LN rows, the left
         //   rows and their product, or the consumers' rows; with `x`
-        //   whole, two; whole, those blocks are pair tensors;
+        //   whole, two;
         // - tri-attn: nothing pair-sized beside `x` — one block of post-LN
         //   rows for the bias, and a lane's queries, keys, values and gate
         //   are lane scratch, not the workspace's, whether the lanes run
         //   on the pool or in order; in the quantized domain `x` is on loan
-        //   only while it is encoded; whole, q, k and v are every lane's;
+        //   only while it is encoded;
         // - the transition: a block of the hidden activation beside its
-        //   post-LN rows or `x`, or all of it (four pair tensors);
+        //   post-LN rows or `x`;
         // - the outer product and its update, a block of pair rows each.
-        let stages: [(&str, [usize; 4], Stage); 6] = [
+        let stages: [(&str, [usize; 3], Stage); 6] = [
             (
                 "tri_mul_out",
                 [
                     pair_bytes + 3 * rows_bytes,
                     2 * pair_bytes + 2 * rows_bytes,
                     pair_bytes + 3 * rows_bytes,
-                    4 * pair_bytes,
                 ],
                 tri_mul(TriangleDirection::Outgoing),
             ),
@@ -326,7 +309,6 @@ mod tests {
                     pair_bytes + 3 * rows_bytes,
                     2 * pair_bytes + 2 * rows_bytes,
                     pair_bytes + 3 * rows_bytes,
-                    4 * pair_bytes,
                 ],
                 tri_mul(TriangleDirection::Incoming),
             ),
@@ -336,7 +318,6 @@ mod tests {
                     block_bytes(cfg.hz),
                     pair_bytes,
                     pair_bytes.max(block_bytes(cfg.hz)),
-                    4 * pair_bytes,
                 ],
                 tri_attn(AttentionNode::Starting),
             ),
@@ -346,7 +327,6 @@ mod tests {
                     block_bytes(cfg.hz),
                     pair_bytes,
                     pair_bytes.max(block_bytes(cfg.hz)),
-                    4 * pair_bytes,
                 ],
                 tri_attn(AttentionNode::Ending),
             ),
@@ -356,13 +336,12 @@ mod tests {
                     block_bytes(cfg.hz) + hidden_block_bytes,
                     pair_bytes + hidden_block_bytes,
                     pair_bytes.max(block_bytes(cfg.hz) + hidden_block_bytes),
-                    pair_bytes + cfg.transition_factor * pair_bytes,
                 ],
                 Box::new(|z, h| transition.forward(z, h, 0, 0).unwrap()),
             ),
             (
                 "seq_track",
-                [opm_bytes; 4],
+                [opm_bytes; 3],
                 Box::new(|z, _| seq_track.forward(&mut seq, z).unwrap()),
             ),
         ];

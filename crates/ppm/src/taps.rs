@@ -166,6 +166,16 @@ impl fmt::Display for Tap {
 /// * record statistics (distribution analysis, Fig. 5/6),
 /// * rewrite values in place (quantize→dequantize, the AAQ error model),
 /// * do nothing ([`NoopHook`], the FP32 baseline).
+///
+/// A row-blocked site arrives a block of tokens at a time — one call per
+/// block, in ascending token order, the blocks adding up to the unit's
+/// activation: triangular multiplication's gated sides, triangle product
+/// and its consumers, triangular attention's lane sites (a lane of `Ns`
+/// tokens; the scores a block of a head's query rows) and the transition's
+/// hidden activation. So a hook must treat tokens independently, or
+/// accumulate across calls what it needs of the whole; it cannot ask for
+/// the whole. The residual-stream, post-LayerNorm and bias sites come
+/// whole.
 pub trait ActivationHook {
     /// Called for every tagged activation, in dataflow order.
     fn on_activation(&mut self, tap: Tap, activation: &mut Tensor2);
@@ -197,42 +207,6 @@ pub trait ActivationHook {
     /// that wraps another forwards the question. Defaults to `true`, so a
     /// custom hook sees every activation unless it opts out.
     fn observes(&self, site: ActivationSite) -> bool {
-        let _ = site;
-        true
-    }
-
-    /// Whether the trunk may show this hook the activation at `site` a
-    /// block of tokens at a time instead of whole.
-    ///
-    /// It decides how much of a stage's intermediates is live at once. A
-    /// yes taps, and computes, in blocks:
-    ///
-    /// * the gated side triangular multiplication keeps whole, packed —
-    ///   [`ActivationSite::TriMulGateRight`] and
-    ///   [`ActivationSite::TriMulProjRight`] for Outgoing,
-    ///   [`ActivationSite::TriMulGateLeft`] and
-    ///   [`ActivationSite::TriMulProjLeft`] for Incoming: 1 024 tokens, the
-    ///   two together;
-    /// * its other gated side's two sites,
-    ///   [`ActivationSite::TriMulTriangleOut`],
-    ///   [`ActivationSite::TriMulOutPostLn`] and
-    ///   [`ActivationSite::TriMulOutGate`]: whole rows of the triangle
-    ///   product, about 1 024 tokens, the five together;
-    /// * triangular attention's six lane sites, as
-    ///   [`ActivationHook::observes`] lists them: a lane (`Ns` tokens), the
-    ///   six together — the scores a block of a head's rows either way;
-    /// * [`ActivationSite::TransitionHidden`]: 1 024 tokens.
-    ///
-    /// A no to any site of a group taps the group whole: a triangle stage
-    /// then holds up to four pair tensors instead of one or two, the
-    /// transition its hidden activation — four pair tensors wide. Every
-    /// other site is tapped whole either way. A hook whose rewrite at
-    /// `site` computes a statistic across tokens (a per-tensor or
-    /// per-channel scale) must say no, or its calibration becomes per
-    /// block; a hook that rewrites each token on its own cannot tell the
-    /// difference in its output. A hook that wraps another forwards the
-    /// question. Defaults to `true`: a recorder gets one record per block.
-    fn takes_row_blocks(&self, site: ActivationSite) -> bool {
         let _ = site;
         true
     }

@@ -8,6 +8,21 @@
 //! accounting. The AAQ scheme itself lives in [`crate::scheme`] /
 //! [`crate::token`]; this module provides the baselines it is compared
 //! against.
+//!
+//! The baselines are post-training quantizers: every statistic that spans
+//! tokens — SmoothQuant's and LLM.int8()'s channel maxima, PTQ4Protein's
+//! tensor maximum, Tender's channel percentiles — is a [`ChannelStats`]
+//! taken once, ahead of time, on a calibration run (`lightnobel`'s
+//! `Calibration`: one FP32 fold of a record no experiment scores), and
+//! [`BaselineScheme::process`] applies it one token at a time. Two
+//! deviations from the schemes as published:
+//!
+//! * LLM.int8() detects its outlier columns per batch at run time; here
+//!   they are the calibrated ones.
+//! * Statistics are kept per site of a folding block, and the two units of
+//!   a kind (Outgoing and Incoming multiplication, Starting and Ending
+//!   attention) share their sites, so each is calibrated over both units'
+//!   tokens.
 
 use crate::scheme::Group;
 use ln_tensor::Tensor2;
@@ -112,24 +127,40 @@ impl BaselineScheme {
         }
     }
 
-    /// Applies the scheme's numeric error model to one activation.
+    /// Applies the scheme's numeric error model to one activation, with
+    /// the scales `calibrated` for its site ahead of time.
     ///
     /// `group` tags the activation's dataflow position; `is_scores` marks
     /// attention probability matrices. Activations outside the scheme's
     /// coverage still pass through FP16 rounding (everything is FP16 on the
-    /// baseline hardware).
-    pub fn process(self, group: Group, is_scores: bool, x: &mut Tensor2) {
+    /// baseline hardware) and need no calibration. Each token is rewritten
+    /// on its own — every statistic that spans tokens is in `calibrated` —
+    /// so the activation may come a block of tokens at a time.
+    ///
+    /// # Panics
+    ///
+    /// If the scheme quantizes the activation and `calibrated` is `None`,
+    /// or was calibrated at a different width.
+    pub fn process(
+        self,
+        group: Group,
+        is_scores: bool,
+        x: &mut Tensor2,
+        calibrated: Option<&ChannelStats>,
+    ) {
         let covered = !is_scores && self.covers_group(group);
         if !covered {
             x.map_inplace(round_to_f16);
             return;
         }
+        let stats = calibrated.expect("every site a scheme quantizes is calibrated");
+        assert_eq!(stats.absmax.len(), x.cols(), "calibrated at this width");
         match self {
             BaselineScheme::Fp16 | BaselineScheme::MeFold => unreachable!("not covered"),
-            BaselineScheme::SmoothQuant => smooth_quant_int8(x),
-            BaselineScheme::LlmInt8 => llm_int8(x),
-            BaselineScheme::Ptq4Protein => tensor_wise(x, 127.0),
-            BaselineScheme::Tender => channel_wise(x, 7.0),
+            BaselineScheme::SmoothQuant => smooth_quant_int8(x, stats),
+            BaselineScheme::LlmInt8 => llm_int8(x, stats),
+            BaselineScheme::Ptq4Protein => tensor_wise(x, stats, 127.0),
+            BaselineScheme::Tender => channel_wise(x, stats, 7.0),
         }
     }
 
@@ -153,17 +184,87 @@ impl BaselineScheme {
     }
 }
 
-/// SmoothQuant: divide each channel by a smoothing factor (α = 0.5), then
-/// token-wise symmetric INT8, then multiply back.
-fn smooth_quant_int8(x: &mut Tensor2) {
-    let cols = x.cols();
-    let mut channel_max = vec![1e-9f32; cols];
-    for i in 0..x.rows() {
-        for (j, &v) in x.row(i).iter().enumerate() {
-            channel_max[j] = channel_max[j].max(v.abs());
+/// What the baselines calibrate at one activation site, ahead of time:
+/// each channel's largest magnitude and the 95th percentile of its
+/// magnitudes, over every token of the calibration run. Non-finite values
+/// are left out, so both are finite and at least 0 (0 for a channel that
+/// saw none).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ChannelStats {
+    absmax: Vec<f32>,
+    /// The magnitude at index `(n − 1) · 95 / 100` of a channel's `n` in
+    /// ascending order.
+    p95: Vec<f32>,
+}
+
+impl ChannelStats {
+    /// Each channel's largest finite magnitude.
+    pub fn absmax(&self) -> &[f32] {
+        &self.absmax
+    }
+}
+
+/// Collects one site's magnitudes, a block of tokens at a time, into its
+/// [`ChannelStats`]. Every magnitude is kept until [`ChannelSampler::finish`],
+/// so the exact maximum and percentile of the set do not depend on how the
+/// tokens were blocked.
+#[derive(Debug, Clone, Default)]
+pub struct ChannelSampler {
+    /// Per channel, the finite magnitudes seen.
+    mags: Vec<Vec<f32>>,
+}
+
+impl ChannelSampler {
+    /// Adds every token of `x`.
+    ///
+    /// # Panics
+    ///
+    /// If `x` is narrower or wider than what the sampler saw before.
+    pub fn observe(&mut self, x: &Tensor2) {
+        if self.mags.is_empty() {
+            self.mags = vec![Vec::new(); x.cols()];
+        }
+        assert_eq!(self.mags.len(), x.cols(), "one site, one width");
+        for row in x.iter_rows() {
+            for (mags, &v) in self.mags.iter_mut().zip(row) {
+                if v.is_finite() {
+                    mags.push(v.abs());
+                }
+            }
         }
     }
-    let smooth: Vec<f32> = channel_max.iter().map(|&m| m.sqrt().max(1e-4)).collect();
+
+    /// The statistics of everything observed.
+    pub fn finish(self) -> ChannelStats {
+        let (absmax, p95) = self
+            .mags
+            .into_iter()
+            .map(|mut mags| {
+                let absmax = mags.iter().copied().fold(0.0, f32::max);
+                let p95 = match mags.len() {
+                    0 => 0.0,
+                    n => {
+                        *mags
+                            .select_nth_unstable_by((n - 1) * 95 / 100, f32::total_cmp)
+                            .1
+                    }
+                };
+                (absmax, p95)
+            })
+            .unzip();
+        ChannelStats { absmax, p95 }
+    }
+}
+
+/// SmoothQuant: divide each channel by a smoothing factor (α = 0.5) from
+/// its calibrated maximum, then token-wise symmetric INT8, then multiply
+/// back.
+fn smooth_quant_int8(x: &mut Tensor2, stats: &ChannelStats) {
+    let smooth: Vec<f32> = stats
+        .absmax
+        .iter()
+        .map(|&m| m.max(1e-9).sqrt().max(1e-4))
+        .collect();
     for i in 0..x.rows() {
         let row = x.row_mut(i);
         let max = row
@@ -178,17 +279,15 @@ fn smooth_quant_int8(x: &mut Tensor2) {
     }
 }
 
-/// LLM.int8(): columns whose max magnitude exceeds the 99.9-percentile-ish
-/// threshold stay FP16; the rest are token-wise INT8.
-fn llm_int8(x: &mut Tensor2) {
-    let cols = x.cols();
-    let mut channel_max = vec![0.0f32; cols];
-    for i in 0..x.rows() {
-        for (j, &v) in x.row(i).iter().enumerate() {
-            channel_max[j] = channel_max[j].max(v.abs());
-        }
-    }
-    let mean_max = channel_max.iter().sum::<f32>() / cols.max(1) as f32;
+/// LLM.int8(): columns whose calibrated maximum exceeds six times the mean
+/// channel maximum stay FP16; the rest are token-wise INT8.
+///
+/// Deviation: LLM.int8() detects its outlier columns per batch at run
+/// time; here they are the calibrated ones, fixed ahead of time like every
+/// other baseline's statistics.
+fn llm_int8(x: &mut Tensor2, stats: &ChannelStats) {
+    let channel_max = &stats.absmax;
+    let mean_max = channel_max.iter().sum::<f32>() / channel_max.len().max(1) as f32;
     let threshold = 6.0 * mean_max;
     let keep_fp16: Vec<bool> = channel_max.iter().map(|&m| m > threshold).collect();
     for i in 0..x.rows() {
@@ -210,33 +309,33 @@ fn llm_int8(x: &mut Tensor2) {
     }
 }
 
-/// Tensor-wise symmetric quantization with `levels` positive steps.
-fn tensor_wise(x: &mut Tensor2, levels: f32) {
-    let max = x.max_abs();
+/// Tensor-wise symmetric quantization with `levels` positive steps and one
+/// scale from the calibrated maximum over every channel: a runtime value
+/// past it clips.
+fn tensor_wise(x: &mut Tensor2, stats: &ChannelStats, levels: f32) {
+    let max = stats.absmax.iter().copied().fold(0.0, f32::max);
     let scale = if max > 0.0 { max / levels } else { 1.0 };
     x.map_inplace(|v| (v / scale).round().clamp(-levels, levels) * scale);
 }
 
+/// Each channel's scale for `levels` positive steps: its calibrated 95th
+/// percentile over `levels`, or 1 for a channel whose percentile is 0.
+fn channel_scales(stats: &ChannelStats, levels: f32) -> Vec<f32> {
+    let scale = |p95: f32| if p95 > 0.0 { p95 / levels } else { 1.0 };
+    stats.p95.iter().map(|&p95| scale(p95)).collect()
+}
+
 /// Channel-wise symmetric quantization with `levels` positive steps and a
-/// *calibrated* scale: the 95th percentile of each channel's magnitudes.
+/// *calibrated* scale: the 95th percentile of each channel's magnitudes on
+/// the calibration run.
 ///
 /// Channel-wise schemes predetermine scales from calibration data (§4.1);
 /// the PPM's unpredictable token-wise outliers exceed the calibrated range
 /// at runtime and clip — the failure mode that makes Tender degrade on
 /// PPMs while working on LLMs.
-fn channel_wise(x: &mut Tensor2, levels: f32) {
-    let cols = x.cols();
-    let rows = x.rows();
-    let mut scales = vec![1.0f32; cols];
-    for (j, scale) in scales.iter_mut().enumerate() {
-        let mut mags: Vec<f32> = (0..rows).map(|i| x.at(i, j).abs()).collect();
-        mags.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let p95 = mags[(rows.saturating_sub(1)) * 95 / 100];
-        if p95 > 0.0 {
-            *scale = p95 / levels;
-        }
-    }
-    for i in 0..rows {
+fn channel_wise(x: &mut Tensor2, stats: &ChannelStats, levels: f32) {
+    let scales = channel_scales(stats, levels);
+    for i in 0..x.rows() {
         for (v, &s) in x.row_mut(i).iter_mut().zip(&scales) {
             *v = (*v / s).round().clamp(-levels, levels) * s;
         }
@@ -255,6 +354,13 @@ mod tests {
             let spike = if j == (i * 3) % 64 { 8.0 } else { 1.0 };
             token_scale * spike * (((i * 13 + j * 7) % 17) as f32 * 0.1 - 0.8)
         })
+    }
+
+    /// The statistics of `x`'s own tokens.
+    fn calibrated(x: &Tensor2) -> ChannelStats {
+        let mut sampler = ChannelSampler::default();
+        sampler.observe(x);
+        sampler.finish()
     }
 
     #[test]
@@ -300,9 +406,10 @@ mod tests {
     #[test]
     fn error_ordering_matches_precision() {
         let x0 = spiky_activation();
+        let stats = calibrated(&x0);
         let err = |s: BaselineScheme| {
             let mut x = x0.clone();
-            s.process(Group::C, false, &mut x);
+            s.process(Group::C, false, &mut x, Some(&stats));
             x.rmse(&x0).unwrap()
         };
         let fp16 = err(BaselineScheme::Fp16);
@@ -321,7 +428,8 @@ mod tests {
     fn llm_int8_protects_outlier_channels() {
         let mut x = Tensor2::from_fn(8, 32, |_, j| if j == 5 { 1000.0 } else { 0.5 });
         let orig = x.clone();
-        BaselineScheme::LlmInt8.process(Group::C, false, &mut x);
+        let stats = calibrated(&x);
+        BaselineScheme::LlmInt8.process(Group::C, false, &mut x, Some(&stats));
         // Channel 5 kept at fp16: near-exact.
         for i in 0..8 {
             assert!((x.at(i, 5) - orig.at(i, 5)).abs() < 1.0);
@@ -333,7 +441,7 @@ mod tests {
     fn uncovered_sites_get_f16_rounding_only() {
         let x0 = spiky_activation();
         let mut x = x0.clone();
-        BaselineScheme::Ptq4Protein.process(Group::A, false, &mut x);
+        BaselineScheme::Ptq4Protein.process(Group::A, false, &mut x, None);
         let rmse = x.rmse(&x0).unwrap();
         assert!(
             rmse < 0.05,
@@ -346,8 +454,81 @@ mod tests {
         let x0 = ln_tensor::nn::softmax_rows(&spiky_activation());
         for s in ALL_BASELINES {
             let mut x = x0.clone();
-            s.process(Group::C, true, &mut x);
+            s.process(Group::C, true, &mut x, None);
             assert!(x.rmse(&x0).unwrap() < 1e-4, "{}", s.name());
+        }
+    }
+
+    #[test]
+    fn a_runtime_token_past_the_calibrated_range_clips_under_tender() {
+        // §4.1's mechanism: Tender's channel scales are fixed on the
+        // calibration run, so a token ten times past a channel's
+        // calibrated 95th percentile saturates at ±7 levels — ±p95 —
+        // while the calibration tokens themselves are reproduced closely.
+        let calibration =
+            Tensor2::from_fn(40, 16, |i, j| ((i * 7 + j * 3) % 11) as f32 * 0.2 - 1.0);
+        let stats = calibrated(&calibration);
+        let scales = channel_scales(&stats, 7.0);
+        let mut x = Tensor2::from_fn(2, 16, |i, j| {
+            let sign = if (i + j) % 2 == 0 { 1.0 } else { -1.0 };
+            let scale = if i == 1 { 10.0 } else { 0.5 };
+            sign * scale * stats.p95[j]
+        });
+        BaselineScheme::Tender.process(Group::A, false, &mut x, Some(&stats));
+        for (j, &scale) in scales.iter().enumerate() {
+            let sign = if (1 + j) % 2 == 0 { 1.0 } else { -1.0 };
+            assert_eq!(x.at(1, j), sign * 7.0 * scale, "channel {j} clips");
+            assert!((x.at(0, j).abs() - 0.5 * stats.p95[j]).abs() <= 0.5 * scale);
+        }
+    }
+
+    #[test]
+    fn calibration_does_not_depend_on_how_the_tokens_were_blocked() {
+        let x = spiky_activation();
+        let whole = calibrated(&x);
+        for rows in [1, 3, 7] {
+            let mut sampler = ChannelSampler::default();
+            for first in (0..x.rows()).step_by(rows) {
+                let len = rows.min(x.rows() - first);
+                sampler.observe(&Tensor2::from_fn(len, x.cols(), |i, j| x.at(first + i, j)));
+            }
+            assert_eq!(sampler.finish(), whole, "blocks of {rows}");
+        }
+        assert_eq!(
+            whole.absmax()[0],
+            (0..16).map(|i| x.at(i, 0).abs()).fold(0.0, f32::max)
+        );
+    }
+
+    #[test]
+    fn non_finite_and_all_zero_channels_calibrate_to_finite_scales() {
+        // Channel 0 holds a NaN, 1 both infinities, 2 nothing but zeros,
+        // 3 only non-finite values: the non-finite ones are left out, and
+        // a channel with no magnitude above 0 gets scale 1.
+        let x = Tensor2::from_fn(20, 4, |i, j| match (i, j) {
+            (3, 0) => f32::NAN,
+            (5, 1) => f32::INFINITY,
+            (6, 1) => f32::NEG_INFINITY,
+            (_, 2) => 0.0,
+            (_, 3) => f32::NAN,
+            _ => (i as f32 - 9.5) * 0.25,
+        });
+        let stats = calibrated(&x);
+        let all_finite = |v: &[f32]| v.iter().all(|s| s.is_finite());
+        assert!(
+            all_finite(stats.absmax()) && all_finite(&stats.p95),
+            "{stats:?}"
+        );
+        let scales = channel_scales(&stats, 7.0);
+        assert!(
+            all_finite(&scales) && scales.iter().all(|&s| s > 0.0),
+            "{scales:?}"
+        );
+        assert_eq!(&scales[2..], [1.0, 1.0]);
+        for scheme in ALL_BASELINES {
+            let mut y = Tensor2::from_fn(16, 4, |i, j| (i * 4 + j) as f32 * 0.3 - 2.0);
+            scheme.process(Group::C, false, &mut y, Some(&stats));
+            assert!(all_finite(y.as_slice()), "{}", scheme.name());
         }
     }
 

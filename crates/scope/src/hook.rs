@@ -173,12 +173,6 @@ impl<H: ActivationHook> ActivationHook for ScopeHook<H> {
         ln_obs::level() != ObsLevel::Off || self.inner.observes(site)
     }
 
-    fn takes_row_blocks(&self, site: ActivationSite) -> bool {
-        // The sketches take one token at a time, so only the inner hook's
-        // answer matters.
-        self.inner.takes_row_blocks(site)
-    }
-
     fn quantized_matmul(&self, tap: Tap) -> Option<QuantScheme> {
         self.inner.quantized_matmul(tap)
     }

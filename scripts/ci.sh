@@ -44,7 +44,11 @@
 # host and write nothing under --quick. Step 5 fails when a parallel
 # kernel diverges bitwise from its serial run or when a speedup drops
 # below the 0.95x floor at any pool size (pools are clamped to the host's
-# cores; a noisy sample gets one bounded re-measure). Step 6 is the one
+# cores; a noisy sample gets one bounded re-measure), and when the GEMM
+# tile (`microkernel::gemm`, one thread, in the same process) differs in a
+# bit from `reference_matmul` or, on the avx2 tier, runs less than 8x its
+# speed at (96, 128, 128) or (1024, 128, 128) — a tile compiled to scalar
+# code reads about 3x; the baseline tier prints a skip line. Step 6 is the one
 # LN_OBS=off gate: through `ln_bench::off_mode_cost` (reps interleaved,
 # median pair ratio, stack depth rotated per pair, one re-measure of a
 # miss) it fails if any off-mode
