@@ -339,7 +339,6 @@ impl Accelerator {
         let cfg = self.cost.config();
         let tokens = (ns as u64) * (ns as u64);
         let hz = cfg.hz;
-        let cm = cfg.tri_mul_dim;
         let attn = cfg.pair_attn_dim();
         let heads = cfg.pair_heads as u64;
         let b = self.aaq.group_b;
@@ -359,16 +358,16 @@ impl Accelerator {
         let (rmpu_cycles, vvpu_cycles, hbm_bytes, fusion_saved_bytes): (u64, u64, u64, u64) =
             match stage {
                 Stage::TriMulOutgoing | Stage::TriMulIncoming => {
-                    // 5 projections hz→cm/hz from post-LN tokens + out proj.
-                    let proj = dot_cycles(b, tokens * (4 * cm as u64 + hz as u64), hz)
-                        + dot_cycles(b, tokens * hz as u64, cm);
-                    // Triangle einsum: tokens × cm channel-dots of length ns.
-                    let tri = act_act_cycles(c_scheme, c_scheme, tokens * cm as u64, ns);
+                    // 5 projections hz→hz from post-LN tokens + out proj.
+                    let proj = dot_cycles(b, tokens * (4 * hz as u64 + hz as u64), hz)
+                        + dot_cycles(b, tokens * hz as u64, hz);
+                    // Triangle einsum: tokens × hz channel-dots of length ns.
+                    let tri = act_act_cycles(c_scheme, c_scheme, tokens * hz as u64, ns);
                     let v = vvpu::batch_cycles(&self.hw, VectorOp::LayerNorm, hz, 2 * tokens)
                         + vvpu::batch_cycles(
                             &self.hw,
                             VectorOp::Quantize { scheme: c_scheme },
-                            cm,
+                            hz,
                             6 * tokens,
                         )
                         + vvpu::batch_cycles(
@@ -384,10 +383,10 @@ impl Accelerator {
                     // re-read (C), triangle out stays in the pipeline.
                     let bytes = tokens
                         * (2 * self.aaq.group_a.token_bytes(hz) as u64
-                            + (2 + 4) * c_scheme.token_bytes(cm) as u64);
-                    // Fused: the ns²×cm triangle product feeds the gate and
+                            + (2 + 4) * c_scheme.token_bytes(hz) as u64);
+                    // Fused: the ns²×hz triangle product feeds the gate and
                     // out-projection without a round trip to HBM.
-                    let saved = 2 * tokens * c_scheme.token_bytes(cm) as u64;
+                    let saved = 2 * tokens * c_scheme.token_bytes(hz) as u64;
                     (proj + tri, v, bytes, saved)
                 }
                 Stage::TriAttnStarting | Stage::TriAttnEnding => {

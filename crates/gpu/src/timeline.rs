@@ -38,7 +38,7 @@ pub fn folding_block_timeline(cost: &CostModel, ns: usize, mode: ExecMode) -> Ti
     let cfg = cost.config();
     let n = ns as f64;
     let pair = cost.pair_rep_elems(ns) * FP16_BYTES;
-    let cm = cfg.tri_mul_dim as f64;
+    let hz = cfg.hz as f64;
     let attn = cfg.pair_attn_dim() as f64;
     let tokens = n * n;
 
@@ -52,13 +52,13 @@ pub fn folding_block_timeline(cost: &CostModel, ns: usize, mode: ExecMode) -> Ti
 
     // --- Triangular multiplication ---------------------------------
     push("tri_mul_post_ln", pair, true);
-    push("tri_mul_left", tokens * cm * FP16_BYTES, true);
-    push("tri_mul_right", tokens * cm * FP16_BYTES, true);
+    push("tri_mul_left", tokens * hz * FP16_BYTES, true);
+    push("tri_mul_right", tokens * hz * FP16_BYTES, true);
     push("tri_mul_post_ln", pair, false);
-    push("tri_mul_triangle_out", tokens * cm * FP16_BYTES, true);
-    push("tri_mul_left", tokens * cm * FP16_BYTES, false);
-    push("tri_mul_right", tokens * cm * FP16_BYTES, false);
-    push("tri_mul_triangle_out", tokens * cm * FP16_BYTES, false);
+    push("tri_mul_triangle_out", tokens * hz * FP16_BYTES, true);
+    push("tri_mul_left", tokens * hz * FP16_BYTES, false);
+    push("tri_mul_right", tokens * hz * FP16_BYTES, false);
+    push("tri_mul_triangle_out", tokens * hz * FP16_BYTES, false);
 
     // --- Triangular attention ---------------------------------------
     push("tri_attn_post_ln", pair, true);

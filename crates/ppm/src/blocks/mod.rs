@@ -6,6 +6,16 @@
 //! Every pair-dataflow activation edge is reported to the caller's
 //! [`ActivationHook`] with its Fig. 6 site tag; the sequence track is not
 //! quantized by the paper and carries no taps.
+//!
+//! The three pair stages run in one frame, `residual_stage`: it moves the
+//! residual stream out of the pair tensor (transposed, for the Incoming and
+//! Ending units), taps it, and hands it to the stage inside a `PostLn`,
+//! which holds the post-LayerNorm activation in the form the hook asks for
+//! and owns every loop over it — a read-only pass over its blocks, the
+//! pass that adds each block's update into the stream as soon as the block
+//! is done, and tri-attn's lanes, on the pool or in lane order. The stages
+//! themselves keep only their arithmetic: what a block's rows become, and
+//! what its update is.
 
 mod seq_track;
 mod transition;
@@ -18,10 +28,11 @@ pub use transition::PairTransition;
 pub use tri_attn::{AttentionNode, TriangularAttention};
 pub use tri_mul::{TriangleDirection, TriangularMultiplication};
 pub use workspace::release_fold_workspace;
+use workspace::Loan;
 
-use crate::taps::{ActivationHook, Tap};
+use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
-use ln_quant::qgemm::{MacMode, QLinear};
+use ln_quant::qgemm::QLinear;
 use ln_quant::tensor::QuantizedTensor;
 use ln_tensor::nn::{Activation, LayerNorm, Linear};
 use ln_tensor::{Tensor2, Tensor3};
@@ -53,9 +64,12 @@ impl Projection {
 }
 
 /// A stage's residual stream and its post-LayerNorm activation (Group B),
-/// which the stage's projections read a block of tokens at a time
-/// ([`Rows`]) and whose update goes back into the stream a block at a
-/// time, as soon as the block is done ([`PostLn::add`]).
+/// and the loops every pass over that activation runs in: a stage reads
+/// the post-LN rows a block of tokens at a time ([`Rows`]) through
+/// [`PostLn::read`], for a pass that only reads, and [`PostLn::update`] —
+/// or [`PostLn::lanes`], for lanes that may run apart — for the pass whose
+/// update goes into the stream a block at a time, as soon as the block is
+/// done.
 ///
 /// The activation is held in one of three [`Form`]s, chosen once per stage
 /// by what the hook asks of the post-LN site: encoded, whole, or not held
@@ -76,63 +90,67 @@ enum Form<'a> {
     /// projections are the layers' integer twins (numerics change; the
     /// hook opted in). The f32 activation is dropped once
     /// [`ActivationHook::on_encoded`] has seen it.
-    Encoded(QuantizedTensor, MacMode),
+    Encoded(QuantizedTensor),
     /// LayerNorm's output whole, for a hook that
     /// [observes](ActivationHook::observes) the site and so may rewrite it;
     /// a block's update goes over its spent rows.
-    Whole(Tensor2),
+    Whole(Loan),
     /// Nothing held: a block's rows are this LayerNorm of the stream's,
     /// computed when the block is read. The hook is not shown the site.
     Recomputed(&'a LayerNorm),
 }
 
-/// Tokens `first ..` of a stage's post-LN activation, `len` of them, while
-/// the stage reads them, and then the place their update is written:
-/// `local` holds the block's recomputed rows, or a buffer for the update
-/// of an encoded activation, or nothing where the whole activation's own
-/// rows take it.
-struct Rows {
+/// Tokens `first ..` of a stage's post-LN activation, `len` of them, as a
+/// stage reads them: rows of the activation's form, or `local`, the
+/// block's own LayerNorm, where the form recomputes.
+struct Rows<'r> {
+    form: &'r Form<'r>,
     first: usize,
     len: usize,
-    local: Option<Tensor2>,
+    local: Option<&'r Tensor2>,
 }
 
-impl Form<'_> {
-    /// Loads `rows.local` with the LayerNorm of `stream_rows` — the stream's
-    /// tokens of `rows` — if this form recomputes; otherwise does nothing.
-    fn load(&self, stream_rows: &[f32], rows: &mut Rows) -> Result<(), PpmError> {
-        if let (Form::Recomputed(norm), Some(local)) = (self, rows.local.as_mut()) {
-            norm.forward_rows_into(stream_rows, local.as_mut_slice())?;
+impl<'r> Form<'r> {
+    fn rows(&'r self, first: usize, len: usize, local: Option<&'r Tensor2>) -> Rows<'r> {
+        Rows {
+            form: self,
+            first,
+            len,
+            local,
         }
-        Ok(())
     }
+}
 
-    /// `act(layer(x))` of `rows`' tokens into `out` — `rows.len` rows of
+impl Rows<'_> {
+    /// `act(layer(x))` of these tokens into `out` — `len` rows of
     /// `layer`'s width — whatever it held, each row with the bits of the
     /// same row of the whole projection. In full precision the activation
     /// is fused into the GEMM epilogue (bitwise identical to applying it
     /// afterwards).
     fn project_into(
         &self,
-        rows: &Rows,
         layer: &Projection,
         act: Activation,
         out: &mut [f32],
     ) -> Result<(), PpmError> {
-        match self {
-            Form::Encoded(qx, mode) => {
-                layer.qd.forward_rows_into(qx, *mode, rows.first, out)?;
+        match self.form {
+            Form::Encoded(qx) => {
+                layer.qd.forward_rows_into(qx, self.first, out)?;
                 act.apply(out);
             }
-            Form::Whole(x) => layer.fp.forward_rows_into(x, rows.first, act, out)?,
+            Form::Whole(x) => layer.fp.forward_rows_into(x, self.first, act, out)?,
             Form::Recomputed(_) => {
-                let local = rows.local.as_ref().expect("recomputed rows are loaded");
+                let local = self.local.expect("recomputed rows are loaded");
                 layer.fp.forward_rows_into(local, 0, act, out)?;
             }
         }
         Ok(())
     }
 }
+
+/// A lane's view of a hook: shown an activation at a site, it may rewrite
+/// it.
+type Observe<'h> = dyn FnMut(ActivationSite, &mut Tensor2) + 'h;
 
 impl<'a> PostLn<'a> {
     /// Shows `stream` to the hook at `tap`'s post-LN site in the form the
@@ -148,7 +166,7 @@ impl<'a> PostLn<'a> {
         stream: Tensor2,
         gain: f32,
     ) -> Result<Self, PpmError> {
-        let whole = |stream: &Tensor2| -> Result<Tensor2, PpmError> {
+        let whole = |stream: &Tensor2| -> Result<Loan, PpmError> {
             let mut x = workspace::take(stream.rows(), stream.cols());
             norm.forward_into(stream, &mut x)?;
             Ok(x)
@@ -157,9 +175,7 @@ impl<'a> PostLn<'a> {
             let x = whole(&stream)?;
             let (encoded, error) = QuantizedTensor::encode(&x, scheme);
             hook.on_encoded(tap, &x, &encoded, error);
-            workspace::give(x);
-            let mode = MacMode::for_scheme(encoded.scheme());
-            Form::Encoded(encoded, mode)
+            Form::Encoded(encoded)
         } else if hook.observes(tap.site) {
             let mut x = whole(&stream)?;
             hook.on_activation(tap, &mut x);
@@ -170,120 +186,119 @@ impl<'a> PostLn<'a> {
         Ok(PostLn { stream, gain, form })
     }
 
-    /// Pair tokens in the activation.
-    fn tokens(&self) -> usize {
-        self.stream.rows()
+    /// `(first, len)` of each block of `block` tokens, ascending.
+    fn blocks(&self, block: usize) -> impl Iterator<Item = (usize, usize)> {
+        let tokens = self.stream.rows();
+        (0..tokens)
+            .step_by(block)
+            .map(move |first| (first, block.min(tokens - first)))
     }
 
-    /// Tokens `first ..` of the activation, `len` of them, for the stage to
-    /// read; recomputed here if that is the form.
-    fn rows(&self, first: usize, len: usize) -> Result<Rows, PpmError> {
-        let mut rows = Rows {
-            first,
-            len,
-            local: None,
+    /// The LayerNorm of tokens `first ..`, `len` of them, where the form
+    /// recomputes; else nothing.
+    fn recompute(&self, first: usize, len: usize) -> Result<Option<Loan>, PpmError> {
+        let Form::Recomputed(norm) = self.form else {
+            return Ok(None);
         };
-        if let Form::Recomputed(_) = self.form {
-            let c = self.stream.cols();
-            rows.local = Some(workspace::take(len, c));
-            let stream_rows = &self.stream.as_slice()[first * c..][..len * c];
-            self.form.load(stream_rows, &mut rows)?;
-        }
-        Ok(rows)
+        let c = self.stream.cols();
+        let mut local = workspace::take(len, c);
+        let stream_rows = &self.stream.as_slice()[first * c..][..len * c];
+        norm.forward_rows_into(stream_rows, local.as_mut_slice())?;
+        Ok(Some(local))
     }
 
-    /// [`Form::project_into`] of the activation's form.
-    fn project_into(
+    /// A pass that only reads: `body` on the rows of each block of `block`
+    /// tokens, in ascending order.
+    fn read(
         &self,
-        rows: &Rows,
-        layer: &Projection,
-        act: Activation,
-        out: &mut [f32],
+        block: usize,
+        mut body: impl FnMut(&Rows) -> Result<(), PpmError>,
     ) -> Result<(), PpmError> {
-        self.form.project_into(rows, layer, act, out)
-    }
-
-    /// Where the update of `rows` goes, once the stage has run every
-    /// projection of them: their own post-LN rows, or a buffer of their
-    /// size.
-    fn update<'r>(&'r mut self, rows: &'r mut Rows) -> &'r mut [f32] {
-        let c = self.stream.cols();
-        match (&mut self.form, &mut rows.local) {
-            (Form::Whole(x), _) => &mut x.as_mut_slice()[rows.first * c..][..rows.len * c],
-            (_, local) => local
-                .get_or_insert_with(|| workspace::take(rows.len, c))
-                .as_mut_slice(),
+        for (first, len) in self.blocks(block) {
+            let local = self.recompute(first, len)?;
+            body(&self.form.rows(first, len, local.as_deref()))?;
         }
+        Ok(())
     }
 
-    /// Adds the update of `rows` — what [`PostLn::update`] holds — into the
-    /// stream at the stage's gain, `a + u · gain` per element.
-    fn add(&mut self, rows: Rows) {
+    /// The pass that adds the stage's update, a block of `block` tokens at a
+    /// time in ascending order. `read` gets the block's rows and returns
+    /// what `write` needs; `write` gets only the buffer the block's update
+    /// goes into, whatever it held — the block's spent post-LN rows, or
+    /// where the form holds none, a buffer of their size. So a block's rows
+    /// are read before its update overwrites them. The update goes into the
+    /// stream at the stage's gain as soon as `write` returns.
+    fn update<R>(
+        &mut self,
+        block: usize,
+        mut read: impl FnMut(&Rows) -> Result<R, PpmError>,
+        mut write: impl FnMut(R, &mut [f32]) -> Result<(), PpmError>,
+    ) -> Result<(), PpmError> {
         let c = self.stream.cols();
-        let span = rows.first * c..(rows.first + rows.len) * c;
-        let update = match (&self.form, &rows.local) {
-            (Form::Whole(x), _) => &x.as_slice()[span.clone()],
-            (_, local) => local.as_ref().expect("the update was written").as_slice(),
-        };
-        add_scaled(&mut self.stream.as_mut_slice()[span], update, self.gain);
-        self.done(rows);
-    }
-
-    /// Ends the stage's reads of `rows` without an update.
-    fn done(&self, rows: Rows) {
-        if let Some(local) = rows.local {
-            workspace::give(local);
+        for (first, len) in self.blocks(block) {
+            let mut local = self.recompute(first, len)?;
+            let read_out = read(&self.form.rows(first, len, local.as_deref()))?;
+            let span = first * c..(first + len) * c;
+            let update = match &mut self.form {
+                Form::Whole(x) => &mut x.as_mut_slice()[span.clone()],
+                _ => local
+                    .get_or_insert_with(|| workspace::take(len, c))
+                    .as_mut_slice(),
+            };
+            write(read_out, update)?;
+            add_scaled(&mut self.stream.as_mut_slice()[span], update, self.gain);
         }
+        Ok(())
     }
 
-    /// Runs `lane` on each `lane_len`-token lane across the pool,
-    /// `lanes_per_chunk` lanes to a chunk, and adds each lane's update into
-    /// the stream as soon as the lane is done. `lane` gets the form, the
-    /// lane's rows (loaded), the chunk's `scratch()` — made once per chunk
-    /// and reused across its lanes, as are the rows' buffers — and the
-    /// lane-sized buffer its update goes into. None of it comes from the
-    /// fold workspace, which pool workers never reach.
-    fn lanes_on_pool<S>(
+    /// [`PostLn::update`] for a stage whose blocks are `lane_len`-token
+    /// lanes, each its own: one chunk body runs a chunk of lanes in order
+    /// — `lane` on a lane's rows, the chunk's `scratch()`, made once and
+    /// reused across its lanes, and the lane-sized buffer its update goes
+    /// into — and adds each lane's update into the stream as soon as the
+    /// lane is done. Without `observe` the chunks, of `lanes_per_chunk`
+    /// lanes, run across the pool, and `lane` is passed an `observe` that
+    /// does nothing; with it, all lanes are one chunk on the calling thread,
+    /// and `lane` is passed `observe`. None of a chunk's buffers comes from
+    /// the fold workspace, which pool workers never reach.
+    fn lanes<S>(
         &mut self,
         lane_len: usize,
         lanes_per_chunk: usize,
+        observe: Option<&mut Observe>,
         scratch: impl Fn() -> S + Sync,
-        lane: impl Fn(&Form, &Rows, &mut S, &mut [f32]) -> Result<(), PpmError> + Sync,
-    ) {
+        lane: impl Fn(&Rows, &mut S, &mut [f32], &mut Observe) -> Result<(), PpmError> + Sync,
+    ) -> Result<(), PpmError> {
         let c = self.stream.cols();
         let PostLn { stream, gain, form } = self;
         let (form, gain) = (&*form, *gain);
-        let recomputed = matches!(form, Form::Recomputed(_));
         let lane_size = lane_len * c;
-        ln_par::par_chunks_mut(
-            stream.as_mut_slice(),
-            lanes_per_chunk * lane_size,
-            |chunk_index, chunk| {
-                let mut scratch = scratch();
-                let mut update = vec![0.0; lane_size];
-                let mut rows = Rows {
-                    first: 0,
-                    len: lane_len,
-                    local: recomputed.then(|| Tensor2::zeros(lane_len, c)),
-                };
-                for (local, stream_lane) in chunk.chunks_mut(lane_size).enumerate() {
-                    rows.first = (chunk_index * lanes_per_chunk + local) * lane_len;
-                    form.load(stream_lane, &mut rows)
-                        .and_then(|()| lane(form, &rows, &mut scratch, &mut update))
-                        .expect("lane shapes are internally consistent");
-                    add_scaled(stream_lane, &update, gain);
+        let chunk = |first_lane: usize, lanes: &mut [f32], observe: &mut Observe| {
+            let mut scratch = scratch();
+            let mut update = vec![0.0; lane_size];
+            let recomputed = matches!(form, Form::Recomputed(_));
+            let mut local = recomputed.then(|| Tensor2::zeros(lane_len, c));
+            for (index, stream_lane) in (first_lane..).zip(lanes.chunks_mut(lane_size)) {
+                if let (Form::Recomputed(norm), Some(local)) = (form, local.as_mut()) {
+                    norm.forward_rows_into(stream_lane, local.as_mut_slice())?;
                 }
-            },
-        );
-    }
-
-    /// The stream, once every block's update is in; the whole activation,
-    /// if there was one, goes back to the workspace.
-    fn into_stream(self) -> Tensor2 {
-        if let Form::Whole(x) = self.form {
-            workspace::give(x);
+                let rows = form.rows(index * lane_len, lane_len, local.as_ref());
+                lane(&rows, &mut scratch, &mut update, observe)?;
+                add_scaled(stream_lane, &update, gain);
+            }
+            Ok(())
+        };
+        match observe {
+            Some(observe) => chunk(0, stream.as_mut_slice(), observe),
+            None => {
+                let chunk_size = lanes_per_chunk * lane_size;
+                ln_par::par_chunks_mut(stream.as_mut_slice(), chunk_size, |index, lanes| {
+                    chunk(index * lanes_per_chunk, lanes, &mut |_, _| {})
+                        .expect("lane shapes are internally consistent")
+                });
+                Ok(())
+            }
         }
-        self.stream
     }
 }
 
@@ -302,20 +317,26 @@ fn add_scaled(stream: &mut [f32], update: &[f32], gain: f32) {
 const ROW_BLOCK: usize = 1024;
 
 /// The frame all three pair stages run in. The residual stream moves
-/// through it — taken out of `pair`, shown to the hook (Group A), updated
-/// in place a block at a time, moved back — and `body` reads its LayerNorm
-/// (Group B) through a [`PostLn`] in the form the hook asks for, adding
-/// each block's update at the stage's gain as soon as the block is done.
+/// through it — transposed in place, `(a, b) ↔ (b, a)`, for a unit that
+/// runs on the transposed stream; taken out of `pair`, shown to the hook
+/// (Group A), updated in place a block at a time, moved back and
+/// transposed back — and `body` reads its LayerNorm (Group B) through a
+/// [`PostLn`] in the form the hook asks for, whose drivers add each block's
+/// update at the stage's gain as soon as the block is done.
 ///
 /// On an error `pair` is left empty: its tokens were moved out, not copied.
 fn residual_stage(
     pair: &mut Tensor3,
     hook: &mut dyn ActivationHook,
+    transposed: bool,
     [residual_in_tap, post_ln_tap]: [Tap; 2],
     norm: &LayerNorm,
     gain: f32,
     body: impl FnOnce(&mut dyn ActivationHook, &mut PostLn) -> Result<(), PpmError>,
 ) -> Result<(), PpmError> {
+    if transposed {
+        transpose_pair_tokens(pair);
+    }
     let ns = pair.shape().0;
     let mut tokens = std::mem::take(pair).into_token_matrix();
     // The hook may rewrite the stream here; LayerNorm and the updates
@@ -323,7 +344,10 @@ fn residual_stage(
     hook.on_activation(residual_in_tap, &mut tokens);
     let mut post_ln = PostLn::new(hook, post_ln_tap, norm, tokens, gain)?;
     body(hook, &mut post_ln)?;
-    *pair = Tensor3::from_token_matrix(ns, ns, post_ln.into_stream())?;
+    *pair = Tensor3::from_token_matrix(ns, ns, post_ln.stream)?;
+    if transposed {
+        transpose_pair_tokens(pair);
+    }
     Ok(())
 }
 

@@ -163,10 +163,9 @@ impl SequenceTrack {
             });
             let mut update = workspace::take(rows * ns, hz);
             self.opm_out.forward_into(&outer, &mut update)?;
-            workspace::give(outer);
+            drop(outer);
             let stream = &mut pair_tokens.as_mut_slice()[i0 * ns * hz..][..rows * ns * hz];
             add_scaled(stream, update.as_slice(), self.update_gain);
-            workspace::give(update);
         }
         *pair = Tensor3::from_token_matrix(ns, ns, pair_tokens)?;
         Ok(())

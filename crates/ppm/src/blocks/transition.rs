@@ -1,10 +1,11 @@
 //! Pair Transition: the per-token MLP that ends each folding block's pair
 //! dataflow (LayerNorm → expand → ReLU → contract, residual).
 //!
-//! The MLP is token-wise, so nothing of it is whole: it runs [`ROW_BLOCK`]
-//! tokens at a time — their post-LN rows, recomputed from the stream when
-//! the hook does not observe that site, and 2 MB of hidden activation at
-//! the standard widths — and each block's update goes into the stream as
+//! The MLP is token-wise, so nothing of it is whole: it is one update pass
+//! (`PostLn::update`) of [`ROW_BLOCK`] tokens at a time — their post-LN
+//! rows, recomputed from the stream when the hook does not observe that
+//! site, and 2 MB of hidden activation at the standard widths — whose
+//! contraction goes over the block's spent rows and into the stream as
 //! soon as the block is done. Beside the stream the stage holds two row
 //! blocks, or the whole post-LN activation and one block for a hook that
 //! observes it.
@@ -64,6 +65,7 @@ impl PairTransition {
         residual_stage(
             pair,
             hook,
+            false,
             [
                 tap(ActivationSite::TransitionResidualIn),
                 tap(ActivationSite::TransitionPostLn),
@@ -71,27 +73,22 @@ impl PairTransition {
             &self.norm,
             self.update_gain,
             |hook, post_ln| {
-                let tokens = post_ln.tokens();
-                for first in (0..tokens).step_by(ROW_BLOCK) {
-                    // The block's expansion, as an integer GEMM when the
-                    // hook opts in; its post-LN rows, read for the last
-                    // time, then take the contraction's output.
-                    let mut rows = post_ln.rows(first, ROW_BLOCK.min(tokens - first))?;
-                    let mut h = workspace::take(rows.len, self.expand.out_features());
-                    post_ln.project_into(
-                        &rows,
-                        &self.expand,
-                        Activation::Relu,
-                        h.as_mut_slice(),
-                    )?;
-                    hook.on_activation(tap(ActivationSite::TransitionHidden), &mut h);
-                    let update = post_ln.update(&mut rows);
-                    self.contract
-                        .forward_rows_into(&h, 0, Activation::None, update)?;
-                    workspace::give(h);
-                    post_ln.add(rows);
-                }
-                Ok(())
+                // A block's expansion, as an integer GEMM when the hook opts
+                // in; its spent post-LN rows then take the contraction.
+                post_ln.update(
+                    ROW_BLOCK,
+                    |rows| {
+                        let mut h = workspace::take(rows.len, self.expand.out_features());
+                        rows.project_into(&self.expand, Activation::Relu, h.as_mut_slice())?;
+                        hook.on_activation(tap(ActivationSite::TransitionHidden), &mut h);
+                        Ok(h)
+                    },
+                    |h, update| {
+                        Ok(self
+                            .contract
+                            .forward_rows_into(&h, 0, Activation::None, update)?)
+                    },
+                )
             },
         )
     }

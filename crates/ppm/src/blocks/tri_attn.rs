@@ -12,25 +12,25 @@
 //! rows goes over those queries, so the stage holds no context buffer.
 //!
 //! Nor does it hold a pair-sized query, key, value or context. The bias is
-//! projected in one pass over the post-LN rows (every lane reads all of
-//! it); then one body runs per lane: it projects the lane's `Ns` tokens'
-//! queries, keys and values into scratch of its own, attends, projects the
-//! output gate over the spent keys, and adds `proj_out(gate ⊙ context)`
-//! into the lane's rows of the stream. A hook that observes none of the
-//! lane's sites leaves the lanes independent, and they run across the
-//! pool; otherwise they run in lane order on the calling thread, and the
-//! hook sees each lane's query, key, value, context and gate and every
-//! block of its score rows. Beside the stream the stage holds the bias and
-//! lane scratch, and the post-LN activation only where the hook observes
-//! it.
+//! projected in one read-only pass over the post-LN rows (`PostLn::read`;
+//! every lane reads all of it); then `PostLn::lanes` runs one body per
+//! lane: it projects the lane's `Ns` tokens' queries, keys and values into
+//! scratch of its own, attends, projects the output gate over the spent
+//! keys and writes `proj_out(gate ⊙ context)`, which the driver adds into
+//! the lane's rows of the stream. A hook that observes none of the lane's
+//! sites leaves the lanes independent, and they run across the pool;
+//! otherwise they run in lane order on the calling thread, with the hook
+//! as the body's `observe`: it sees each lane's query, key, value, context
+//! and gate and every block of its score rows. Beside the stream the stage
+//! holds the bias and lane scratch, and the post-LN activation only where
+//! the hook observes it.
 //!
 //! There is one body for both nodes: the Ending node is the Starting node
 //! on the transposed pair stream, `(a, b) ↔ (b, a)` by exact swaps in
-//! place before and after — so its taps see the tokens in that order.
+//! place before and after (the stage frame's) — so its taps see the tokens
+//! in that order.
 
-use super::{
-    residual_stage, transpose_pair_tokens, Activation, Form, PostLn, Projection, Rows, ROW_BLOCK,
-};
+use super::{residual_stage, Activation, Observe, PostLn, Projection, Rows, ROW_BLOCK};
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use ln_tensor::nn::{LayerNorm, Linear};
@@ -126,13 +126,10 @@ impl TriangularAttention {
             recycle,
             site,
         };
-        let ending = self.node == AttentionNode::Ending;
-        if ending {
-            transpose_pair_tokens(pair);
-        }
         residual_stage(
             pair,
             hook,
+            self.node == AttentionNode::Ending,
             [
                 tap(ActivationSite::TriAttnResidualIn),
                 tap(ActivationSite::TriAttnPostLn),
@@ -140,11 +137,7 @@ impl TriangularAttention {
             &self.norm_in,
             self.update_gain,
             |hook, post_ln| self.update(hook, post_ln, ns, tap),
-        )?;
-        if ending {
-            transpose_pair_tokens(pair);
-        }
-        Ok(())
+        )
     }
 
     /// The stage between its LayerNorm and its residual add: the output
@@ -158,20 +151,17 @@ impl TriangularAttention {
         tap: impl Fn(ActivationSite) -> Tap,
     ) -> Result<(), PpmError> {
         use ActivationSite::*;
-        let tokens_n = ns * ns;
         let heads = self.heads;
 
         // One pass over the post-LN rows before any update reaches the
         // stream: the bias, which every lane reads whole. It and its
         // per-head matrices are 1/32 of a pair tensor: not worth a
         // pair-sized workspace buffer each.
-        let mut bias = Tensor2::zeros(tokens_n, heads);
-        for first in (0..tokens_n).step_by(ROW_BLOCK) {
-            let rows = post_ln.rows(first, ROW_BLOCK.min(tokens_n - first))?;
-            let bias_rows = &mut bias.as_mut_slice()[first * heads..][..rows.len * heads];
-            post_ln.project_into(&rows, &self.to_bias, Activation::None, bias_rows)?;
-            post_ln.done(rows);
-        }
+        let mut bias = Tensor2::zeros(ns * ns, heads);
+        post_ln.read(ROW_BLOCK, |rows| {
+            let bias_rows = &mut bias.as_mut_slice()[rows.first * heads..][..rows.len * heads];
+            rows.project_into(&self.to_bias, Activation::None, bias_rows)
+        })?;
         hook.on_activation(tap(TriAttnBias), &mut bias);
         let bias_mats = head_bias_mats(&bias);
         drop(bias);
@@ -189,41 +179,27 @@ impl TriangularAttention {
             TriAttnContext,
             TriAttnGate,
         ];
-        let scratch = || LaneScratch {
-            bufs: HeadBuffers::new(ns, self.head_dim, self.chunk.unwrap_or(ns)),
-            qkv: [(); 3].map(|_| Tensor2::zeros(ns, heads * self.head_dim)),
-        };
-        // The update, `proj_out(gate ⊙ context)`, from what the body left.
-        let output = |s: &LaneScratch, update: &mut [f32]| -> Result<(), PpmError> {
-            let gated = &s.qkv[1];
-            Ok(self
-                .proj_out
-                .forward_rows_into(gated, 0, Activation::None, update)?)
-        };
-        if !lane_sites.iter().any(|&site| hook.observes(site)) {
-            let lane_flops = (heads * 2 * 2 * ns * ns * self.head_dim).max(1);
-            let grain_lanes = ((1usize << 21) / lane_flops).max(1);
-            post_ln.lanes_on_pool(
-                ns,
-                ln_par::chunk_len(ns, grain_lanes),
-                scratch,
-                |form, rows, s, update| {
-                    self.attend_lane(form, rows, s, &bias_mats, &mut |_, _| {})?;
-                    output(s, update)
-                },
-            );
-            return Ok(());
-        }
-        let mut s = scratch();
+        let observed = lane_sites.iter().any(|&site| hook.observes(site));
         let mut observe =
             |site, activation: &mut Tensor2| hook.on_activation(tap(site), activation);
-        for first in (0..tokens_n).step_by(ns.max(1)) {
-            let mut rows = post_ln.rows(first, ns)?;
-            self.attend_lane(&post_ln.form, &rows, &mut s, &bias_mats, &mut observe)?;
-            output(&s, post_ln.update(&mut rows))?;
-            post_ln.add(rows);
-        }
-        Ok(())
+        let lane_flops = (heads * 2 * 2 * ns * ns * self.head_dim).max(1);
+        let grain_lanes = ((1usize << 21) / lane_flops).max(1);
+        post_ln.lanes(
+            ns,
+            ln_par::chunk_len(ns, grain_lanes),
+            observed.then_some(&mut observe),
+            || LaneScratch {
+                bufs: HeadBuffers::new(ns, self.head_dim, self.chunk.unwrap_or(ns)),
+                qkv: [(); 3].map(|_| Tensor2::zeros(ns, heads * self.head_dim)),
+            },
+            |rows, s, update, observe| {
+                self.attend_lane(rows, s, &bias_mats, observe)?;
+                // The update, `proj_out(gate ⊙ context)`.
+                Ok(self
+                    .proj_out
+                    .forward_rows_into(&s.qkv[1], 0, Activation::None, update)?)
+            },
+        )
     }
 
     /// The body of a lane, up to its update: projects the lane's queries,
@@ -234,11 +210,10 @@ impl TriangularAttention {
     /// score rows, in that order.
     fn attend_lane(
         &self,
-        form: &Form,
         rows: &Rows,
         s: &mut LaneScratch,
         bias_mats: &Tensor2,
-        observe: &mut dyn FnMut(ActivationSite, &mut Tensor2),
+        observe: &mut Observe,
     ) -> Result<(), PpmError> {
         use ActivationSite::*;
         let LaneScratch { bufs, qkv } = s;
@@ -248,7 +223,7 @@ impl TriangularAttention {
             (&self.to_v, TriAttnValue),
         ];
         for (x, (layer, site)) in qkv.iter_mut().zip(layers) {
-            form.project_into(rows, layer, Activation::None, x.as_mut_slice())?;
+            rows.project_into(layer, Activation::None, x.as_mut_slice())?;
             observe(site, x);
         }
         let [q, kv @ ..] = qkv;
@@ -259,12 +234,7 @@ impl TriangularAttention {
         }
         observe(TriAttnContext, q);
         let gate = &mut kv[0];
-        form.project_into(
-            rows,
-            &self.to_gate,
-            Activation::Sigmoid,
-            gate.as_mut_slice(),
-        )?;
+        rows.project_into(&self.to_gate, Activation::Sigmoid, gate.as_mut_slice())?;
         observe(TriAttnGate, gate);
         Ok(gate.hadamard_assign(q)?)
     }

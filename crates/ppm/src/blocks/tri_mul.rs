@@ -3,8 +3,8 @@
 //! through all intermediate residues `k`.
 //!
 //! There is one body, Outgoing's: `out[i][j] = Σ_k l(i, k) ⊙ r(j, k)`.
-//! Incoming runs it on the pair stream transposed in place, `(a, b) ↔
-//! (b, a)`, with the gated sides' roles swapped — its right side is the
+//! Incoming runs it on the pair stream the stage frame transposes in
+//! place, `(a, b) ↔ (b, a)`, with the gated sides' roles swapped — its right side is the
 //! einsum's left operand — and transposes back. Transposed token `(p, q)`
 //! then folds `Σ_k right(k, p) · left(k, q)`: the products of Incoming's
 //! token `(q, p)` (a multiply commutes), in the same ascending `k`, scaled
@@ -14,26 +14,27 @@
 //!
 //! Output row `i` reads every token of the right operand but only row `i`
 //! of the left one. So only the right operand is whole — stored packed as
-//! the einsum reads it, a block of tokens at a time — and the left one is
-//! computed a block of whole output rows at a time, just before those
-//! rows' product, out LayerNorm, output gate and projection, whose update
-//! goes into the stream as soon as the block is done. Every step reads
-//! the post-LN activation a block at a time, so unless the hook observes
-//! it, it is not held: each pass recomputes a block's rows from the
-//! stream (one extra LayerNorm pass a unit). Beside the stream the stage
+//! the einsum reads it, a block of tokens at a time, in a read-only pass
+//! (`PostLn::read`) — and the left one is computed a block of whole output
+//! rows at a time, in the update pass (`PostLn::update`), just before
+//! those rows' product, out LayerNorm and output gate; the output
+//! projection writes the block's update over its spent post-LN rows, and
+//! the driver adds it into the stream as soon as the block is done. Both
+//! passes read the post-LN activation a block at a time, so unless the
+//! hook observes it, it is not held: each pass recomputes a block's rows
+//! from the stream (one extra LayerNorm pass a unit). Beside the stream the stage
 //! then holds one pair tensor — the packed operand — and three row blocks;
 //! the whole post-LN activation is a second one for a hook that observes
 //! it. Every hook is shown the same blocks.
 
 use super::{
-    residual_stage, transpose_pair_tokens, workspace, Activation, PostLn, Projection, Rows,
-    ROW_BLOCK,
+    residual_stage, workspace, workspace::Loan, Activation, PostLn, Projection, Rows, ROW_BLOCK,
 };
 use crate::taps::{ActivationHook, ActivationSite, Tap};
 use crate::{PpmConfig, PpmError};
 use einsum::Einsum;
 use ln_tensor::nn::{LayerNorm, Linear};
-use ln_tensor::{Tensor2, Tensor3};
+use ln_tensor::Tensor3;
 
 /// Which triangle edge orientation the unit updates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,14 +64,13 @@ impl TriangularMultiplication {
     /// Builds the unit with deterministic weights derived from `label`.
     pub fn new(config: &PpmConfig, label: &str, direction: TriangleDirection) -> Self {
         let hz = config.hz;
-        let c = config.tri_mul_dim;
         // Post-LN magnitudes reproduce the paper's Group-B statistics
         // (mean |x| ≈ 4, Fig. 6(c)): trained trunks have LN gains ≫ 1.
         let norm_in = LayerNorm::deterministic_scaled(&format!("{label}/ln_in"), hz, 0.2, 5.0);
-        let proj_left = Linear::deterministic_with_bias(&format!("{label}/pl"), hz, c, 0.8, 0.3);
-        let proj_right = Linear::deterministic_with_bias(&format!("{label}/pr"), hz, c, 0.8, 0.3);
-        let gate_left = Linear::deterministic(&format!("{label}/gl"), hz, c, 0.3);
-        let gate_right = Linear::deterministic(&format!("{label}/gr"), hz, c, 0.3);
+        let proj_left = Linear::deterministic_with_bias(&format!("{label}/pl"), hz, hz, 0.8, 0.3);
+        let proj_right = Linear::deterministic_with_bias(&format!("{label}/pr"), hz, hz, 0.8, 0.3);
+        let gate_left = Linear::deterministic(&format!("{label}/gl"), hz, hz, 0.3);
+        let gate_right = Linear::deterministic(&format!("{label}/gr"), hz, hz, 0.3);
         let gate_out = Linear::deterministic(&format!("{label}/go"), hz, hz, 0.3);
         TriangularMultiplication {
             direction,
@@ -79,9 +79,9 @@ impl TriangularMultiplication {
             proj_right: Projection::new(proj_right),
             gate_left: Projection::new(gate_left),
             gate_right: Projection::new(gate_right),
-            norm_out: LayerNorm::deterministic_scaled(&format!("{label}/ln_out"), c, 0.2, 5.0),
+            norm_out: LayerNorm::deterministic_scaled(&format!("{label}/ln_out"), hz, 0.2, 5.0),
             gate_out: Projection::new(gate_out),
-            proj_out: Linear::deterministic(&format!("{label}/po"), c, hz, 0.5),
+            proj_out: Linear::deterministic(&format!("{label}/po"), hz, hz, 0.5),
             update_gain: config.update_gain,
         }
     }
@@ -122,13 +122,10 @@ impl TriangularMultiplication {
             recycle,
             site,
         };
-        let incoming = self.direction == TriangleDirection::Incoming;
-        if incoming {
-            transpose_pair_tokens(pair);
-        }
         residual_stage(
             pair,
             hook,
+            self.direction == TriangleDirection::Incoming,
             [
                 tap(ActivationSite::TriMulResidualIn),
                 tap(ActivationSite::TriMulPostLn),
@@ -136,11 +133,7 @@ impl TriangularMultiplication {
             &self.norm_in,
             self.update_gain,
             |hook, post_ln| self.update(hook, post_ln, ns, tap),
-        )?;
-        if incoming {
-            transpose_pair_tokens(pair);
-        }
-        Ok(())
+        )
     }
 
     /// The stage between its LayerNorm and its residual add: the gated
@@ -154,7 +147,6 @@ impl TriangularMultiplication {
         tap: impl Fn(ActivationSite) -> Tap,
     ) -> Result<(), PpmError> {
         use ActivationSite::*;
-        let tokens_n = ns * ns;
         let c = self.proj_left.out_features();
         let left = GatedSide {
             layers: [&self.gate_left, &self.proj_left],
@@ -178,55 +170,52 @@ impl TriangularMultiplication {
             let (rows, cols) = einsum::packed_shape(ns, c);
             workspace::take(rows, cols)
         };
-        for first in (0..tokens_n).step_by(ROW_BLOCK) {
-            let rows = post_ln.rows(first, ROW_BLOCK.min(tokens_n - first))?;
-            let product = packed_side.rows(hook, post_ln, &rows, &tap)?;
-            post_ln.done(rows);
-            einsum::pack_right(ns, first, &product, packed.as_mut_slice());
-            workspace::give(product);
-        }
+        post_ln.read(ROW_BLOCK, |rows| {
+            let product = packed_side.rows(hook, rows, &tap)?;
+            einsum::pack_right(ns, rows.first, &product, packed.as_mut_slice());
+            Ok(())
+        })?;
 
         // Then a block of whole rows at a time, each step reading only the
         // block's own tokens: the left operand's rows, the einsum's rows
         // (1/√Ns keeps magnitudes length-independent), the out LayerNorm,
-        // the output gate and projection — whose update goes into the
-        // block's post-LN rows, read by the gate for the last time, and
-        // from there into the stream.
+        // the output gate — and, over the block's spent post-LN rows, the
+        // output projection, the update.
         let row = ns.max(1);
-        let block = ROW_BLOCK.div_ceil(row) * row;
-        for first in (0..tokens_n).step_by(block) {
-            let mut rows = post_ln.rows(first, block.min(tokens_n - first))?;
-            let left = rows_side.rows(hook, post_ln, &rows, &tap)?;
-            let mut tri = workspace::take(rows.len, c);
-            let einsum = Einsum {
-                left: left.as_slice(),
-                right: packed.as_slice(),
-                ns,
-                c,
-                scale: 1.0 / (ns as f32).sqrt(),
-            };
-            einsum.rows_on_pool(tri.as_mut_slice());
-            workspace::give(left);
-            hook.on_activation(tap(TriMulTriangleOut), &mut tri);
-            let mut y = workspace::take(rows.len, c);
-            self.norm_out.forward_into(&tri, &mut y)?;
-            workspace::give(tri);
-            hook.on_activation(tap(TriMulOutPostLn), &mut y);
-            let mut g = workspace::take(rows.len, self.gate_out.out_features());
-            post_ln.project_into(&rows, &self.gate_out, Activation::Sigmoid, g.as_mut_slice())?;
-            hook.on_activation(tap(TriMulOutGate), &mut g);
-            let update = post_ln.update(&mut rows);
-            self.proj_out
-                .forward_rows_into(&y, 0, Activation::None, update)?;
-            workspace::give(y);
-            for (u, &gate) in update.iter_mut().zip(g.as_slice()) {
-                *u *= gate;
-            }
-            workspace::give(g);
-            post_ln.add(rows);
-        }
-        workspace::give(packed);
-        Ok(())
+        post_ln.update(
+            ROW_BLOCK.div_ceil(row) * row,
+            |rows| {
+                let left = rows_side.rows(hook, rows, &tap)?;
+                let mut tri = workspace::take(rows.len, c);
+                let einsum = Einsum {
+                    left: left.as_slice(),
+                    right: packed.as_slice(),
+                    ns,
+                    c,
+                    scale: 1.0 / (ns as f32).sqrt(),
+                };
+                einsum.rows_on_pool(tri.as_mut_slice());
+                drop(left);
+                hook.on_activation(tap(TriMulTriangleOut), &mut tri);
+                let mut y = workspace::take(rows.len, c);
+                self.norm_out.forward_into(&tri, &mut y)?;
+                drop(tri);
+                hook.on_activation(tap(TriMulOutPostLn), &mut y);
+                let mut g = workspace::take(rows.len, self.gate_out.out_features());
+                rows.project_into(&self.gate_out, Activation::Sigmoid, g.as_mut_slice())?;
+                hook.on_activation(tap(TriMulOutGate), &mut g);
+                Ok((y, g))
+            },
+            |(y, g), update| {
+                self.proj_out
+                    .forward_rows_into(&y, 0, Activation::None, update)?;
+                drop(y);
+                for (u, &gate) in update.iter_mut().zip(g.as_slice()) {
+                    *u *= gate;
+                }
+                Ok(())
+            },
+        )
     }
 }
 
@@ -238,27 +227,25 @@ struct GatedSide<'a> {
 }
 
 impl GatedSide<'_> {
-    /// The side's `rows`, in a workspace tensor. In the quantized domain
-    /// both factors are integer GEMMs on the encoded post-LN activation,
-    /// otherwise FP32 ones; either way each passes the hook (which may
-    /// record or rewrite it, or ignore it) before the gate's buffer takes
-    /// the product.
+    /// The side's `rows`, on loan from the workspace. In the quantized
+    /// domain both factors are integer GEMMs on the encoded post-LN
+    /// activation, otherwise FP32 ones; either way each passes the hook
+    /// (which may record or rewrite it, or ignore it) before the gate's
+    /// buffer takes the product.
     fn rows(
         &self,
         hook: &mut dyn ActivationHook,
-        post_ln: &PostLn,
         rows: &Rows,
         tap: &impl Fn(ActivationSite) -> Tap,
-    ) -> Result<Tensor2, PpmError> {
+    ) -> Result<Loan, PpmError> {
         let [gate, proj] = self.layers;
         let mut g = workspace::take(rows.len, gate.out_features());
-        post_ln.project_into(rows, gate, Activation::Sigmoid, g.as_mut_slice())?;
+        rows.project_into(gate, Activation::Sigmoid, g.as_mut_slice())?;
         hook.on_activation(tap(self.sites[0]), &mut g);
         let mut p = workspace::take(rows.len, proj.out_features());
-        post_ln.project_into(rows, proj, Activation::None, p.as_mut_slice())?;
+        rows.project_into(proj, Activation::None, p.as_mut_slice())?;
         hook.on_activation(tap(self.sites[1]), &mut p);
         g.hadamard_assign(&p)?;
-        workspace::give(p);
         Ok(g)
     }
 }
@@ -780,6 +767,7 @@ mod tests {
     use super::*;
     use crate::blocks::tests::token_wise_hooks;
     use crate::taps::NoopHook;
+    use ln_tensor::Tensor2;
 
     fn pair(ns: usize, hz: usize) -> Tensor3 {
         Tensor3::from_fn(ns, ns, hz, |i, j, k| {
@@ -906,13 +894,12 @@ mod tests {
         let cfg = PpmConfig::tiny();
         let unit = TriangularMultiplication::new(&cfg, "t", TriangleDirection::Outgoing);
         let hz = cfg.hz;
-        let c = cfg.tri_mul_dim;
         let expected = 2 * hz // ln_in
-            + 2 * (hz * c + c) // proj l/r
-            + 2 * (hz * c + c) // gate l/r
-            + 2 * c // ln_out
+            + 2 * (hz * hz + hz) // proj l/r
+            + 2 * (hz * hz + hz) // gate l/r
+            + 2 * hz // ln_out
             + (hz * hz + hz) // gate_out
-            + (c * hz + hz); // proj_out
+            + (hz * hz + hz); // proj_out
         assert_eq!(unit.num_params(), expected);
     }
 }

@@ -3,12 +3,14 @@
 //! hands freed pair-sized blocks to the kernel and faults them in again at
 //! the next stage).
 //!
-//! One stack of buffers per thread. A stage [`take`]s a tensor, and
-//! [`give`]s it back as soon as its last reader is done. One invariant:
-//! **every buffer given was taken** — a tensor that came from anywhere
-//! else (a kernel's fresh output, say) is dropped, never given, or the
-//! stack grows by one buffer per call. The converse is not required: a
-//! taken tensor may simply be dropped (the stages' error paths do).
+//! One stack of buffers per thread. A stage [`take`]s a tensor and gets a
+//! [`Loan`], which goes back to the stack when it is dropped: where its
+//! last reader is done (an explicit `drop`, or the end of its scope), and
+//! on unwind, so a panic that runs through a stage costs the thread no
+//! buffer. One invariant — **every buffer that goes back was taken** — is
+//! the type's: only a `Loan` goes back, and only [`take`] makes one; a
+//! tensor from anywhere else (a kernel's fresh output, say) is simply
+//! dropped.
 //!
 //! It is for pair-sized tensors and the stages' row blocks. No stage has
 //! more than one pair tensor on loan beside the stream — triangular
@@ -21,8 +23,8 @@
 //! left before, because [`take`] gives no request a buffer more than four
 //! times its size: else a block would take the packed operand's buffer
 //! and keep it on loan beside the next stage's. Anything much smaller
-//! stays out (`tri_attn`'s bias, a lane's scratch; not its update in the
-//! quantized domain, 48 KB at L = 96): it would make the stack one deeper.
+//! stays out (`tri_attn`'s bias, a lane's scratch and update): it would
+//! make the stack one deeper.
 //! The transition's hidden block (2 MiB) goes into the free pair-sized
 //! buffer from L = 64 to L = 128, where that is at most four times the
 //! block; above, it has a buffer of its own; below, it regrows one, which
@@ -37,11 +39,12 @@
 //! pass.
 //!
 //! Stage code runs on the thread that called it; `ln-par` workers only
-//! ever see slices of a taken tensor, so they never reach this module.
+//! ever see slices of a loan, so they never reach this module.
 
 use ln_tensor::Tensor2;
 use std::cell::RefCell;
 use std::cmp::Reverse;
+use std::ops::{Deref, DerefMut};
 
 #[derive(Default)]
 struct Workspace {
@@ -63,7 +66,7 @@ thread_local! {
 /// ones) if it is at most four times the request, else the largest free
 /// one smaller than the request, regrown, else a new one — never a far
 /// larger buffer, which the request would keep on loan (module docs).
-pub(crate) fn take(rows: usize, cols: usize) -> Tensor2 {
+pub(crate) fn take(rows: usize, cols: usize) -> Loan {
     let len = rows * cols;
     let mut buf = WORKSPACE.with(|w| {
         let w = &mut *w.borrow_mut();
@@ -92,20 +95,41 @@ pub(crate) fn take(rows: usize, cols: usize) -> Tensor2 {
     if cfg!(any(test, debug_assertions)) {
         buf.fill(f32::NAN);
     }
-    Tensor2::from_vec(rows, cols, buf).expect("the buffer was sized to rows * cols")
+    Loan(Tensor2::from_vec(rows, cols, buf).expect("the buffer was sized to rows * cols"))
 }
 
-/// Returns a tensor [`take`] handed out. Never call it with any other.
-pub(crate) fn give(t: Tensor2) {
-    let buf = t.into_vec();
-    WORKSPACE.with(|w| {
-        let w = &mut *w.borrow_mut();
-        #[cfg(test)]
-        {
-            w.taken_bytes = w.taken_bytes.saturating_sub(buf.len() * 4);
-        }
-        w.free.push(buf);
-    });
+/// A tensor [`take`] handed out; it goes back to the calling thread's
+/// workspace when dropped.
+pub(crate) struct Loan(Tensor2);
+
+impl Deref for Loan {
+    type Target = Tensor2;
+
+    fn deref(&self) -> &Tensor2 {
+        &self.0
+    }
+}
+
+impl DerefMut for Loan {
+    fn deref_mut(&mut self) -> &mut Tensor2 {
+        &mut self.0
+    }
+}
+
+impl Drop for Loan {
+    fn drop(&mut self) {
+        let buf = std::mem::replace(&mut self.0, Tensor2::zeros(0, 0)).into_vec();
+        // A thread being torn down has no workspace left to return to:
+        // the buffer is freed with it.
+        let _ = WORKSPACE.try_with(|w| {
+            let w = &mut *w.borrow_mut();
+            #[cfg(test)]
+            {
+                w.taken_bytes = w.taken_bytes.saturating_sub(buf.len() * 4);
+            }
+            w.free.push(buf);
+        });
+    }
 }
 
 /// Frees the buffers the calling thread's fold workspace retains between
@@ -250,7 +274,7 @@ mod tests {
         let pair_bytes = ns * ns * cfg.hz * 4;
         let block_bytes = |width: usize| ROW_BLOCK * width * 4;
         let whole_rows = ROW_BLOCK.div_ceil(ns) * ns;
-        let rows_bytes = whole_rows * cfg.tri_mul_dim.max(cfg.hz) * 4;
+        let rows_bytes = whole_rows * cfg.hz * 4;
         let hidden_block_bytes = block_bytes(cfg.hz * cfg.transition_factor);
         let opm_bytes = whole_rows * (64 + cfg.hz) * 4;
         assert!(ns * ns > 2 * ROW_BLOCK && ns * ns % ROW_BLOCK != 0);
@@ -371,7 +395,7 @@ mod tests {
         let cfg = PpmConfig::standard();
         let ns = 96;
         let pair_bytes = ns * ns * cfg.hz * 4;
-        let rows_bytes = ROW_BLOCK.div_ceil(ns) * ns * cfg.tri_mul_dim.max(cfg.hz) * 4;
+        let rows_bytes = ROW_BLOCK.div_ceil(ns) * ns * cfg.hz * 4;
         let model = FoldingModel::new(cfg);
         release_fold_workspace();
         fold_bits(&model, ns, &mut NoopHook);
@@ -388,18 +412,18 @@ mod tests {
     fn take_prefers_a_close_fit_and_regrows_only_a_smaller_buffer() {
         release_fold_workspace();
         let (small, large) = (take(4, 4), take(16, 16));
-        give(large);
-        give(small);
+        drop(large);
+        drop(small);
         // A small request leaves the large buffer alone.
         let t = take(2, 2);
         assert_eq!(t.shape(), (2, 2));
         assert_eq!(retained(), (1, 16 * 16 * 4));
-        give(t);
+        drop(t);
         // Nothing fits: the largest smaller one is replaced, the count
         // stays.
         let t = take(32, 32);
         assert_eq!(retained(), (1, 4 * 4 * 4));
-        give(t);
+        drop(t);
         assert_eq!(retained(), (2, (32 * 32 + 4 * 4) * 4));
         // More than four times the request is no fit, and a larger buffer
         // is never taken to be regrown: a new one is made.
@@ -407,8 +431,8 @@ mod tests {
         assert_eq!(retained(), (1, 32 * 32 * 4));
         let u = take(2, 2);
         assert_eq!(retained(), (1, 32 * 32 * 4));
-        give(u);
-        give(t);
+        drop(u);
+        drop(t);
         assert_eq!(retained(), (3, (32 * 32 + 4 * 4 + 2 * 2) * 4));
         release_fold_workspace();
         assert_eq!(retained(), (0, 0));

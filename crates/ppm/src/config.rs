@@ -27,9 +27,6 @@ pub struct PpmConfig {
     pub recycles: usize,
     /// Pair-transition expansion factor (ESMFold: 4).
     pub transition_factor: usize,
-    /// Hidden dimension of the triangular-multiplication projections
-    /// (ESMFold: equals `hz`).
-    pub tri_mul_dim: usize,
     /// Gain applied to each block's residual update. Values below 1 keep
     /// the distogram-carrying residual stream dominant, which is what makes
     /// the untrained-but-engineered trunk predictive.
@@ -60,7 +57,6 @@ impl PpmConfig {
             blocks: 48,
             recycles: 3,
             transition_factor: 4,
-            tri_mul_dim: 128,
             update_gain: 0.1,
             attention_chunk: None,
         }
@@ -78,7 +74,6 @@ impl PpmConfig {
             blocks: 2,
             recycles: 1,
             transition_factor: 4,
-            tri_mul_dim: 128,
             update_gain: 0.1,
             attention_chunk: None,
         }
@@ -95,7 +90,6 @@ impl PpmConfig {
             blocks: 1,
             recycles: 1,
             transition_factor: 2,
-            tri_mul_dim: 32,
             update_gain: 0.1,
             attention_chunk: None,
         }

@@ -145,7 +145,7 @@ impl CostModel {
     /// Folding-trunk parameter count (all blocks).
     pub fn trunk_params(&self) -> u64 {
         let c = &self.config;
-        let (hz, hm, cm) = (c.hz as u64, c.hm as u64, c.tri_mul_dim as u64);
+        let (hz, hm) = (c.hz as u64, c.hm as u64);
         let attn = c.pair_attn_dim() as u64;
         let heads = c.pair_heads as u64;
         let opm: u64 = 8;
@@ -160,7 +160,7 @@ impl CostModel {
             + 2 * (hm * opm + opm) // opm projections
             + (opm * opm * hz + hz); // opm out
                                      // One triangular multiplication unit.
-        let tri_mul = 2 * hz + 4 * (hz * cm + cm) + 2 * cm + (hz * hz + hz) + (cm * hz + hz);
+        let tri_mul = 2 * hz + 4 * (hz * hz + hz) + 2 * hz + (hz * hz + hz) + (hz * hz + hz);
         // One triangular attention unit.
         let tri_attn = 2 * hz
             + 3 * (hz * attn + attn)
@@ -199,7 +199,6 @@ impl CostModel {
         let n = ns as f64;
         let hz = c.hz as f64;
         let hm = c.hm as f64;
-        let cm = c.tri_mul_dim as f64;
         let attn = c.pair_attn_dim() as f64;
         let heads = c.pair_heads as f64;
         let opm = 8.0;
@@ -212,10 +211,10 @@ impl CostModel {
             Stage::TriMulOutgoing | Stage::TriMulIncoming => {
                 // ln + 4 projections + out gate + out proj + triangle einsum
                 n * n * hz
-                    + 4.0 * n * n * hz * cm
+                    + 4.0 * n * n * hz * hz
                     + n * n * hz * hz
-                    + n * n * cm * hz
-                    + n * n * n * cm
+                    + n * n * hz * hz
+                    + n * n * n * hz
             }
             Stage::TriAttnStarting | Stage::TriAttnEnding => {
                 // qkv + gate + out projections, bias, and the cubic scores.
@@ -275,7 +274,6 @@ impl CostModel {
         let n = ns as f64;
         let hz = c.hz as f64;
         let hm = c.hm as f64;
-        let cm = c.tri_mul_dim as f64;
         let attn = c.pair_attn_dim() as f64;
         let pair = self.pair_rep_elems(ns);
         let elems = match stage {
@@ -286,7 +284,7 @@ impl CostModel {
             Stage::TriMulOutgoing | Stage::TriMulIncoming => {
                 // read z, write x, left/right (2 passes: produce + consume),
                 // triangle out, out ln, update, write z.
-                2.0 * pair + n * n * hz + 4.0 * n * n * cm + 2.0 * n * n * cm + pair
+                2.0 * pair + n * n * hz + 4.0 * n * n * hz + 2.0 * n * n * hz + pair
             }
             Stage::TriAttnStarting | Stage::TriAttnEnding => {
                 2.0 * pair
@@ -362,7 +360,7 @@ impl CostModel {
                 let live_scores = 2.0 * c.pair_heads as f64 * rows.max(1) as f64 * n * n;
                 // z, x, update, and the tri-mul left/right intermediates
                 // stay resident across the chunk loop.
-                let resident = 3.0 * pair + 2.0 * n * n * c.tri_mul_dim as f64;
+                let resident = 3.0 * pair + 2.0 * n * n * c.hz as f64;
                 (live_scores + qkv + resident) * FP16_BYTES
             }
         }
@@ -378,7 +376,7 @@ impl CostModel {
         let c = &self.config;
         let tokens = (ns as f64) * (ns as f64);
         let a_bytes = aaq.group_a.token_bytes(c.hz) as f64;
-        let c_bytes = aaq.group_c.token_bytes(c.tri_mul_dim) as f64;
+        let c_bytes = aaq.group_c.token_bytes(c.hz) as f64;
         3.0 * tokens * a_bytes + (2.0 + 3.0) * tokens * c_bytes
     }
 }

@@ -129,7 +129,7 @@ impl FoldingModel {
                 self.recycle_norm.forward_into(&tokens, &mut prev)?;
                 tokens.as_mut_slice().copy_from_slice(pair_init.as_slice());
                 tokens.add_scaled_assign(&prev, 0.1)?;
-                workspace::give(prev);
+                drop(prev);
                 pair = Tensor3::from_token_matrix(ns, ns, tokens)?;
             }
             for (b, block) in self.blocks.iter().enumerate() {

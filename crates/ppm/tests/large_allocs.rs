@@ -85,9 +85,9 @@ fn a_warm_fold_makes_few_large_allocations() {
     });
 }
 
-/// Unwinds out of the first block's triangular attention, with the stage's
-/// workspace tensors taken and not yet given back: it observes the post-LN
-/// site alone, so the stage holds that activation whole when it is shown.
+/// Unwinds out of the first block's triangular attention with the stage's
+/// post-LN activation on loan: it observes that site alone, so the stage
+/// holds the activation whole, in a workspace tensor, when it is shown.
 struct PanicMidFold;
 
 impl ActivationHook for PanicMidFold {
@@ -121,7 +121,14 @@ fn a_panic_mid_fold_leaves_the_workspace_usable() {
             let _ = model.predict_with_hook(&seq, &native, &mut PanicMidFold);
         }));
         assert!(unwound.is_err(), "the hook panics inside the fold");
-        assert_eq!(fold(), reference, "the next fold is the reference fold");
+        // The unwound stage's loans went back: the next fold is as warm as
+        // any.
+        let (first, after) = large_allocations_in(fold);
+        assert_eq!(after, reference, "the next fold is the reference fold");
+        assert_eq!(
+            first, WARM_FOLD_LARGE_ALLOCATIONS,
+            "the first fold after the panic"
+        );
         let (warm, again) = large_allocations_in(fold);
         assert_eq!(again, reference);
         assert_eq!(warm, WARM_FOLD_LARGE_ALLOCATIONS);

@@ -59,7 +59,7 @@
 //! let scheme = QuantScheme::int4_with_outliers(4);
 //! let encoded = QuantizedTensor::from_tensor(&x, scheme);
 //! let layer = QLinear::from_linear(&Linear::deterministic("demo", 16, 4, 1.0));
-//! let y = layer.forward(&encoded, MacMode::for_scheme(scheme))?;
+//! let y = layer.forward(&encoded, MacMode::Direct)?;
 //! assert_eq!(y.shape(), (8, 4));
 //! # Ok(())
 //! # }

@@ -54,7 +54,7 @@
 //! −128 never occurs. Were one stored the lanes would still be exact
 //! (`15 · 128 · 16 = 30 720`); the bound above does not lean on that.
 
-use crate::scheme::{Bits, QuantScheme};
+use crate::scheme::Bits;
 use crate::tensor::QuantizedTensor;
 use ln_tensor::nn::Linear;
 use ln_tensor::{simd, Tensor2, TensorError};
@@ -157,11 +157,10 @@ impl QuantizedWeights {
     }
 }
 
-/// Integer multiply-accumulate dataflow for the quantized-domain GEMM.
-///
-/// Both run on the one tiled kernel, whose 16-bit lanes hold a 4-bit
-/// chunk's sums and nothing wider: a direct MAC has no wider multiplier
-/// to run on and is carried out as the chunk passes of its level.
+/// The RMPU's two multiply-accumulate dataflows, which this kernel runs
+/// as one: its 16-bit lanes hold a 4-bit chunk's sums and nothing wider,
+/// so every level runs as its width's chunk passes. Only
+/// [`QLinear::forward`] takes one, and ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MacMode {
     /// One multiply-accumulate per (level, weight) pair.
@@ -170,25 +169,6 @@ pub enum MacMode {
     /// chunks that accumulate independently and recombine by shifted
     /// addition — lossless, so exactly equal to [`MacMode::Direct`].
     BitChunked,
-}
-
-impl MacMode {
-    /// The dataflow the trunk runs a scheme on: INT4 inliers are the
-    /// RMPU's native single chunk, wider inliers take the direct MAC.
-    pub fn for_scheme(scheme: QuantScheme) -> MacMode {
-        if scheme.inlier_bits == Bits::Int4 {
-            MacMode::BitChunked
-        } else {
-            MacMode::Direct
-        }
-    }
-
-    /// Tile passes per inlier level of the given width.
-    fn passes(self, bits: Bits) -> usize {
-        match self {
-            MacMode::Direct | MacMode::BitChunked => bits.four_bit_chunks(),
-        }
-    }
 }
 
 /// Quantized-domain GEMM: `(tokens, in)` AAQ activations × INT8 weights
@@ -207,10 +187,9 @@ pub fn qgemm(
     x: &QuantizedTensor,
     w: &QuantizedWeights,
     bias: &[f32],
-    mode: MacMode,
 ) -> Result<Tensor2, TensorError> {
     let mut out = Tensor2::zeros(x.num_tokens(), w.out_features);
-    qgemm_into(x, w, bias, mode, &mut out)?;
+    qgemm_into(x, w, bias, &mut out)?;
     Ok(out)
 }
 
@@ -224,13 +203,12 @@ pub fn qgemm_into(
     x: &QuantizedTensor,
     w: &QuantizedWeights,
     bias: &[f32],
-    mode: MacMode,
     out: &mut Tensor2,
 ) -> Result<(), TensorError> {
     if out.shape() != (x.num_tokens(), w.out_features) {
         return Err(qgemm_mismatch(x, w));
     }
-    qgemm_rows_into(x, w, bias, mode, 0, out.as_mut_slice())
+    qgemm_rows_into(x, w, bias, 0, out.as_mut_slice())
 }
 
 /// Tokens `first ..` of [`qgemm`] — `out.len() / w.out_features()` of
@@ -247,7 +225,6 @@ pub fn qgemm_rows_into(
     x: &QuantizedTensor,
     w: &QuantizedWeights,
     bias: &[f32],
-    mode: MacMode,
     first: usize,
     out: &mut [f32],
 ) -> Result<(), TensorError> {
@@ -263,7 +240,7 @@ pub fn qgemm_rows_into(
     if rows == 0 {
         return Ok(());
     }
-    let passes = mode.passes(x.scheme().inlier_bits);
+    let passes = x.scheme().inlier_bits.four_bit_chunks();
     ln_par::metrics::time_kernel("aaq.qgemm", (rows * n) as u64, || {
         // Chunks span whole token groups; when `first` falls inside a
         // group, so does every chunk's start, and the group on a seam is
@@ -433,14 +410,15 @@ impl QLinear {
     }
 
     /// Applies the layer to AAQ-encoded activations without leaving the
-    /// quantized domain until the epilogue.
+    /// quantized domain until the epilogue. `_mode` is ignored: both
+    /// [`MacMode`]s are the same chunk passes.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] when the activation width
     /// differs from the layer's input width.
-    pub fn forward(&self, x: &QuantizedTensor, mode: MacMode) -> Result<Tensor2, TensorError> {
-        qgemm(x, &self.weights, &self.bias, mode)
+    pub fn forward(&self, x: &QuantizedTensor, _mode: MacMode) -> Result<Tensor2, TensorError> {
+        qgemm(x, &self.weights, &self.bias)
     }
 
     /// Tokens `first ..` of [`QLinear::forward`] written into `out`,
@@ -452,11 +430,10 @@ impl QLinear {
     pub fn forward_rows_into(
         &self,
         x: &QuantizedTensor,
-        mode: MacMode,
         first: usize,
         out: &mut [f32],
     ) -> Result<(), TensorError> {
-        qgemm_rows_into(x, &self.weights, &self.bias, mode, first, out)
+        qgemm_rows_into(x, &self.weights, &self.bias, first, out)
     }
 }
 
@@ -474,24 +451,6 @@ mod tests {
 
     fn weights() -> Tensor2 {
         Tensor2::from_fn(32, 8, |i, j| ((i * 11 + j * 3) % 17) as f32 * 0.1 - 0.8)
-    }
-
-    #[test]
-    fn bit_chunked_equals_direct_exactly() {
-        let w = QuantizedWeights::from_tensor(&weights());
-        let bias: Vec<f32> = (0..8).map(|j| j as f32 * 0.05 - 0.2).collect();
-        for scheme in [
-            QuantScheme::int8_with_outliers(4),
-            QuantScheme::int4_with_outliers(4),
-            QuantScheme::int4_with_outliers(0),
-        ] {
-            let q = QuantizedTensor::from_tensor(&activation(), scheme);
-            let direct = qgemm(&q, &w, &bias, MacMode::Direct).unwrap();
-            let chunked = qgemm(&q, &w, &bias, MacMode::BitChunked).unwrap();
-            for (a, b) in direct.as_slice().iter().zip(chunked.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{scheme}");
-            }
-        }
     }
 
     /// The quantized-domain product one output element at a time, in
@@ -520,7 +479,7 @@ mod tests {
         out
     }
 
-    /// `qgemm` in both modes, and the tile body compiled for the baseline
+    /// `qgemm`, and the tile body compiled for the baseline
     /// (called outside [`simd::wide`]), against [`scalar_reference`].
     fn assert_equals_reference(
         x: &QuantizedTensor,
@@ -537,53 +496,51 @@ mod tests {
                     .all(|(a, b)| a.to_bits() == b.to_bits())
         };
         let (tokens, n) = (x.num_tokens(), w.out_features());
-        for mode in [MacMode::Direct, MacMode::BitChunked] {
-            let got = qgemm(x, w, bias, mode).unwrap();
-            assert!(same(got.as_slice()), "{what} {mode:?}");
-            // Into a buffer that held something else.
-            let mut out = Tensor2::full(tokens, n, f32::NAN);
-            qgemm_into(x, w, bias, mode, &mut out).unwrap();
-            assert!(same(out.as_slice()), "{what} {mode:?} into");
-            // Token ranges from every token, on a group boundary or inside
-            // a group: one token, into the next group, to the end — each
-            // the same rows of the whole.
-            for first in 0..tokens {
-                for rows in [1, MR + 1, tokens - first] {
-                    if first + rows > tokens {
-                        continue;
-                    }
-                    let mut out = vec![f32::NAN; rows * n];
-                    qgemm_rows_into(x, w, bias, mode, first, &mut out).unwrap();
-                    let same_rows = out
-                        .iter()
-                        .zip(&want[first * n..])
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same_rows, "{what} {mode:?} tokens {first} + {rows}");
+        let got = qgemm(x, w, bias).unwrap();
+        assert!(same(got.as_slice()), "{what}");
+        // Into a buffer that held something else.
+        let mut out = Tensor2::full(tokens, n, f32::NAN);
+        qgemm_into(x, w, bias, &mut out).unwrap();
+        assert!(same(out.as_slice()), "{what} into");
+        // Token ranges from every token, on a group boundary or inside
+        // a group: one token, into the next group, to the end — each
+        // the same rows of the whole.
+        for first in 0..tokens {
+            for rows in [1, MR + 1, tokens - first] {
+                if first + rows > tokens {
+                    continue;
                 }
-            }
-            // Rows past the last token, or (wider than one channel) not a
-            // whole number of rows.
-            let mut bad = vec![
-                (0, (tokens + 1) * n),
-                (tokens / MR * MR, (MR + 1) * n),
-                (tokens, n),
-            ];
-            if n > 1 {
-                bad.push((0, n + 1));
-            }
-            for (first, len) in bad {
-                let mut out = vec![0.0; len];
-                assert!(
-                    matches!(
-                        qgemm_rows_into(x, w, bias, mode, first, &mut out),
-                        Err(TensorError::ShapeMismatch { .. })
-                    ),
-                    "{what} {mode:?} tokens {first} + {len} values"
-                );
+                let mut out = vec![f32::NAN; rows * n];
+                qgemm_rows_into(x, w, bias, first, &mut out).unwrap();
+                let same_rows = out
+                    .iter()
+                    .zip(&want[first * n..])
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same_rows, "{what} tokens {first} + {rows}");
             }
         }
+        // Rows past the last token, or (wider than one channel) not a
+        // whole number of rows.
+        let mut bad = vec![
+            (0, (tokens + 1) * n),
+            (tokens / MR * MR, (MR + 1) * n),
+            (tokens, n),
+        ];
+        if n > 1 {
+            bad.push((0, n + 1));
+        }
+        for (first, len) in bad {
+            let mut out = vec![0.0; len];
+            assert!(
+                matches!(
+                    qgemm_rows_into(x, w, bias, first, &mut out),
+                    Err(TensorError::ShapeMismatch { .. })
+                ),
+                "{what} tokens {first} + {len} values"
+            );
+        }
         let mut baseline = vec![0.0f32; want.len()];
-        let passes = MacMode::BitChunked.passes(x.scheme().inlier_bits);
+        let passes = x.scheme().inlier_bits.four_bit_chunks();
         token_chunk(x, w, bias, passes, 0, &mut baseline);
         assert!(same(&baseline), "{what} baseline body");
         // And from inside the first group.
@@ -679,7 +636,7 @@ mod tests {
             }
             // The sum itself, not only agreement with the reference.
             let q = QuantizedTensor::from_tensor(&x, scheme(bits, 0));
-            let got = qgemm(&q, &w, &bias, MacMode::BitChunked).unwrap();
+            let got = qgemm(&q, &w, &bias).unwrap();
             let sum = bits.max_level() * 127 * k as i32;
             let (si, _) = q.scales(0);
             assert_eq!(got.at(0, 0), sum as f32 * (si * w.scales()[0]) + 0.0 + 0.0);
@@ -697,7 +654,7 @@ mod tests {
             QuantScheme::int4_with_outliers(4),
         ] {
             let q = QuantizedTensor::from_tensor(&activation(), scheme);
-            let fast = qgemm(&q, &w, &bias, MacMode::Direct).unwrap();
+            let fast = qgemm(&q, &w, &bias).unwrap();
             // Reference: dequantize both operands, FP32 matmul. The only
             // difference is float rounding in the accumulation order, so
             // the AAQ error bound (the matmul tolerance used throughout
@@ -727,30 +684,36 @@ mod tests {
     }
 
     #[test]
-    fn qlinear_forward_matches_qgemm() {
+    fn qlinear_forward_matches_qgemm_whatever_its_mode() {
         let linear = ln_tensor::nn::Linear::deterministic_with_bias("qgemm_layer", 32, 8, 1.0, 0.3);
         let ql = QLinear::from_linear(&linear);
-        let q = QuantizedTensor::from_tensor(&activation(), QuantScheme::int8_with_outliers(4));
-        let via_layer = ql.forward(&q, MacMode::Direct).unwrap();
-        let via_gemm = qgemm(&q, ql.weights(), linear.bias(), MacMode::Direct).unwrap();
-        assert_eq!(via_layer, via_gemm);
+        for scheme in [
+            QuantScheme::int8_with_outliers(4),
+            QuantScheme::int4_with_outliers(4),
+        ] {
+            let q = QuantizedTensor::from_tensor(&activation(), scheme);
+            let via_gemm = qgemm(&q, ql.weights(), linear.bias()).unwrap();
+            for mode in [MacMode::Direct, MacMode::BitChunked] {
+                assert_eq!(ql.forward(&q, mode).unwrap(), via_gemm, "{scheme} {mode:?}");
+            }
+        }
     }
 
     #[test]
     fn qgemm_rejects_bad_shapes() {
         let q = QuantizedTensor::from_tensor(&activation(), QuantScheme::int8_with_outliers(2));
         let w = QuantizedWeights::from_tensor(&Tensor2::zeros(31, 8));
-        assert!(qgemm(&q, &w, &[0.0; 8], MacMode::Direct).is_err());
+        assert!(qgemm(&q, &w, &[0.0; 8]).is_err());
         // A wrong-shaped `out` is an error too, not a panic.
         let w = QuantizedWeights::from_tensor(&weights());
         for (rows, cols) in [(12, 7), (11, 8), (0, 0)] {
             let mut out = Tensor2::zeros(rows, cols);
             assert!(matches!(
-                qgemm_into(&q, &w, &[0.0; 8], MacMode::Direct, &mut out),
+                qgemm_into(&q, &w, &[0.0; 8], &mut out),
                 Err(TensorError::ShapeMismatch { .. })
             ));
         }
         let mut out = Tensor2::zeros(12, 8);
-        assert!(qgemm_into(&q, &w, &[0.0; 8], MacMode::Direct, &mut out).is_ok());
+        assert!(qgemm_into(&q, &w, &[0.0; 8], &mut out).is_ok());
     }
 }

@@ -10,7 +10,7 @@
 //! a one-thread pool every kernel runs inline on the calling thread.
 
 use ln_par::{with_pool, Pool};
-use ln_quant::qgemm::{qgemm, MacMode, QuantizedWeights};
+use ln_quant::qgemm::{qgemm, QuantizedWeights};
 use ln_quant::scheme::QuantScheme;
 use ln_quant::tensor::QuantizedTensor;
 use ln_quant::token::fake_quantize_tokens;
@@ -145,13 +145,11 @@ fn qgemm_allocates_only_its_output() {
         ] {
             let small = QuantizedTensor::from_tensor(&spiky(61, 128), scheme);
             let large = QuantizedTensor::from_tensor(&spiky(1021, 128), scheme);
-            for mode in [MacMode::Direct, MacMode::BitChunked] {
-                // The first call registers the kernel timer.
-                qgemm(&small, &w, &bias, mode).expect("shapes agree");
-                let (few, _) = allocations_in(|| qgemm(&small, &w, &bias, mode));
-                let (many, _) = allocations_in(|| qgemm(&large, &w, &bias, mode));
-                assert_eq!((few, many), (1, 1), "{scheme} {mode:?}: the output tensor");
-            }
+            // The first call registers the kernel timer.
+            qgemm(&small, &w, &bias).expect("shapes agree");
+            let (few, _) = allocations_in(|| qgemm(&small, &w, &bias));
+            let (many, _) = allocations_in(|| qgemm(&large, &w, &bias));
+            assert_eq!((few, many), (1, 1), "{scheme}: the output tensor");
         }
     });
 }

@@ -6,7 +6,7 @@
 #   2. cargo clippy --workspace --all-targets -D warnings (lints)
 #   3. cargo build --release --workspace, then            (offline build)
 #      every examples/*.rs, release, stdout discarded     (examples run)
-#   4. cargo test -q, then                                (test suite)
+#   4. cargo test -q, cargo test -q -p ln-ppm, then       (test suite)
 #      cargo test -q --release --workspace
 #   5. par_speedup --quick                                (kernel gate)
 #   6. obs_overhead --quick                               (LN_OBS=off gate)
@@ -30,7 +30,9 @@
 # the only one in which the microkernel's zero-allocation `debug_assert`
 # and the NaN-poisoned workspace `take`s are live under the integration
 # tests (the kernel crates build at opt-level 3 there; see Cargo.toml).
-# The second runs every crate's unit, integration and doc tests in
+# The second runs ln-ppm's own unit and integration tests in the same
+# profile, so the stage drivers' block and lane index arithmetic runs with
+# overflow checks and debug assertions on. The third runs every crate's unit, integration and doc tests in
 # release, the only profile with the vectorised kernel bodies, so the
 # bit-identity, pool-identity, golden-pin and fold-workspace tests check
 # the code that ships. No test is behind a feature or `#[ignore]`d, and
@@ -109,6 +111,7 @@ build_and_run_examples() {
 
 test_debug_then_release() {
     cargo test -q
+    cargo test -q -p ln-ppm
     cargo test -q --release --workspace
 }
 

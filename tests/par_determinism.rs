@@ -13,7 +13,7 @@ use ln_ppm::blocks::{FoldingBlock, TriangleDirection, TriangularMultiplication};
 use ln_ppm::taps::{ActivationHook, NoopHook};
 use ln_ppm::PpmConfig;
 use ln_quant::layout::TokenBlock;
-use ln_quant::qgemm::{qgemm, MacMode, QuantizedWeights, MR};
+use ln_quant::qgemm::{qgemm, QuantizedWeights, MR};
 use ln_quant::scheme::{Group, QuantScheme};
 use ln_quant::tensor::QuantizedTensor;
 use ln_quant::token::fake_quantize_tokens;
@@ -143,16 +143,14 @@ fn qgemm_is_bitwise_pool_invariant() {
         QuantScheme::int4_with_outliers(4),
         QuantScheme::int8_with_outliers(4),
     ] {
-        for mode in [MacMode::Direct, MacMode::BitChunked] {
-            assert_pool_invariant(|| {
-                let q = QuantizedTensor::from_tensor(&x, scheme);
-                bits(
-                    qgemm(&q, &w, bias.as_slice(), mode)
-                        .expect("shapes agree")
-                        .as_slice(),
-                )
-            });
-        }
+        assert_pool_invariant(|| {
+            let q = QuantizedTensor::from_tensor(&x, scheme);
+            bits(
+                qgemm(&q, &w, bias.as_slice())
+                    .expect("shapes agree")
+                    .as_slice(),
+            )
+        });
     }
 }
 
